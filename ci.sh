@@ -11,7 +11,11 @@
 #                 does not recurse; a bare `cargo test` outside CI is
 #                 covered by tests/workspace_guard.rs, which spawns the
 #                 member-crate run itself)
-#   lint          clippy, warnings are errors
+#   lint          clippy, warnings are errors; plus the one-owner
+#                 check: the intent/churn lifecycle (its journal kinds
+#                 and the IntentStore mutators) is named nowhere under
+#                 crates/sim or in core/verify.rs, so a copy of
+#                 core/control.rs cannot grow back in a substrate
 #   fmt           rustfmt check
 #   fault-matrix  substrate equivalence under injected faults: fixed
 #                 seeds {1,7,23,101} x loss {0%,1%,10%} plus chaos and
@@ -123,6 +127,11 @@ stage_test() {
 
 stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
+    if grep -rn 'replan_all_for_churn\|\.park(\|JournalKind::\(EpochFence\|TopologyChurn\|IntentParked\|IntentInstalled\|IntentRemoved\|IntentDegraded\|IntentReplanned\)' \
+        crates/sim crates/core/src/verify.rs; then
+        echo "lint: lifecycle logic outside crates/core/src/control.rs (see above)" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
@@ -285,7 +294,7 @@ stage_doc_check() {
     for name in Engine ThreadedEngine FaultyTransport RuntimeStats \
                 TelemetryConfig MetricsRegistry \
                 DaemonSession SloTracker AdmissionPolicy \
-                IntentStore RuntimeEvent \
+                IntentStore RuntimeEvent ControlPlane \
                 JournalKind explain; do
         for doc in README.md DESIGN.md; do
             if ! grep -q "$name" "$doc"; then

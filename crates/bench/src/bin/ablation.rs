@@ -21,6 +21,7 @@ use tulkun_bench::{fmt_ns, Cli, FigureTable};
 use tulkun_core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
 use tulkun_core::count::ReduceMode;
 use tulkun_core::dpvnet::{self, DpvNet};
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::fault::{build_ft_dpvnet, expand_fault_spec, FaultProfile};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{FaultSpec, PathExpr};
@@ -247,10 +248,14 @@ fn ablate_churn(cli: &Cli) {
         let mut churn = ChurnState::new();
         for ev in &schedule.0 {
             let t0 = Instant::now();
-            let (r, total, reused) = match sim.apply_topology_event_with_delta(ev, topo, &inv) {
-                Ok(x) => x,
-                Err(_) => continue,
+            let Ok(r) = sim.apply_event(&RuntimeEvent::Topology {
+                event: *ev,
+                base: topo.clone(),
+                invariant: inv.clone(),
+            }) else {
+                continue;
             };
+            let (total, reused) = r.slice.unwrap_or_default();
             let replan_wall = t0.elapsed().as_nanos() as u64;
             churn.apply(ev);
 
@@ -635,7 +640,7 @@ fn ablate_lec_sharing(cli: &Cli) {
             for (plan, inv) in &plans {
                 let cp = plan.counting().unwrap();
                 if share {
-                    let _ = DvmSim::new_cached(
+                    let _ = DvmSim::with_cache(
                         &ds.network,
                         cp,
                         &inv.packet_space,

@@ -218,9 +218,16 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             let mut it = rest.split_whitespace();
             let (name, kind) = (it.next(), it.next());
             match (name, kind) {
-                (Some(_), Some("counter" | "gauge" | "histogram")) => continue,
+                // Declaring the histogram first is what tells its
+                // `_sum`/`_count` series from a gauge that merely ends
+                // in `_count` (`tulkun_intent_count`).
+                (Some(name), Some("histogram")) => {
+                    hists.entry(name.to_string()).or_default();
+                }
+                (Some(_), Some("counter" | "gauge")) => {}
                 _ => return Err(format!("line {}: malformed TYPE line", lineno + 1)),
             }
+            continue;
         }
         if line.starts_with('#') {
             continue;
@@ -264,10 +271,16 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
                     return Err(format!("line {}: malformed labels {labels:?}", lineno + 1));
                 }
             }
-        } else if let Some(base) = name_part.strip_suffix("_sum") {
-            hists.entry(base.to_string()).or_default().sum = Some(value);
-        } else if let Some(base) = name_part.strip_suffix("_count") {
-            hists.entry(base.to_string()).or_default().count = Some(value as u64);
+        } else if let Some(h) = name_part
+            .strip_suffix("_sum")
+            .and_then(|base| hists.get_mut(base))
+        {
+            h.sum = Some(value);
+        } else if let Some(h) = name_part
+            .strip_suffix("_count")
+            .and_then(|base| hists.get_mut(base))
+        {
+            h.count = Some(value as u64);
         }
     }
     if samples == 0 {

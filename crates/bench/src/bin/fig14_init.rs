@@ -89,7 +89,8 @@ fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
     let cp = plan.counting().expect("counting plan");
     let mut sim = DvmSim::new(net, cp, &inv.packet_space, SimConfig::default());
     let r = sim.burst();
-    sim.device_stats()
+    sim.stats()
+        .per_device
         .values()
         .map(|s| {
             let total = r.completion_ns.max(1);

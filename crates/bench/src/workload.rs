@@ -152,7 +152,7 @@ fn build_per_dst(
     *plan_ns += t0.elapsed().as_nanos() as u64;
     match &plan.kind {
         tulkun_core::planner::PlanKind::Counting(cp) => {
-            let sim = DvmSim::new_cached(
+            let sim = DvmSim::with_cache(
                 net,
                 cp,
                 &plan.invariant.packet_space,
@@ -220,7 +220,7 @@ impl TulkunAllPairs {
                     run.messages += r.messages;
                     run.bytes += r.bytes;
                     run.violations += sim.report().violations.len();
-                    for (dev, st) in sim.device_stats() {
+                    for (dev, st) in &sim.stats().per_device {
                         *per_device_busy.entry(*dev).or_default() += st.busy_ns;
                         let e = per_device_init.entry(*dev).or_default();
                         *e = (*e).max(st.init_ns);
@@ -304,7 +304,7 @@ impl TulkunAllPairs {
         for pd in &mut self.per_dst {
             if let PerDst::Counting { sim, .. } = pd {
                 msg.append(&mut sim.stats_mut().drain_msg_samples());
-                for (d, st) in sim.device_stats() {
+                for (d, st) in &sim.stats().per_device {
                     let e = dev.entry(*d).or_default();
                     e.0 += st.busy_ns;
                     e.1 = e.1.max(st.bdd_nodes as u64 * 16);
@@ -338,7 +338,7 @@ pub fn burst_streaming(ds: &Dataset, model: SwitchModel) -> (AllPairRun, u64) {
                 run.messages += r.messages;
                 run.bytes += r.bytes;
                 run.violations += sim.report().violations.len();
-                for (dev, st) in sim.device_stats() {
+                for (dev, st) in &sim.stats().per_device {
                     *per_device_busy.entry(*dev).or_default() += st.busy_ns;
                     let e = per_device_init.entry(*dev).or_default();
                     *e = (*e).max(st.init_ns);

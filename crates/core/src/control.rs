@@ -1,0 +1,809 @@
+//! The control plane: one owner of the intent/churn lifecycle.
+//!
+//! The paper splits the system into a planner that decides *what* each
+//! device must count and on-device verifiers that only execute tasks
+//! and exchange results. [`ControlPlane`] is the planner side at
+//! runtime: it owns the [`IntentStore`], the cumulative [`ChurnState`],
+//! the epoch counter and every journal record and gauge of the
+//! plan → park/degrade → fence lifecycle, and maps a topology event, an
+//! intent install or an intent removal to a [`Decision`] — usually a
+//! [`FencePlan`] holding one [`DeviceFence`] per device. It never
+//! touches a verifier or a message: a substrate (`Session`, `Engine`,
+//! `ThreadedEngine`) delivers each `DeviceFence` its own way through
+//! [`DeviceVerifierIn::apply_fence`] and drives to quiescence.
+//!
+//! Every entry point is transactional: an `Err` leaves the control
+//! plane exactly as it was before the call.
+//!
+//! [`DeviceVerifierIn::apply_fence`]: crate::dvm::DeviceVerifierIn::apply_fence
+
+use crate::churn::{ChurnState, TopologyEvent};
+use crate::dpvnet::NodeId;
+use crate::event::EventOutcome;
+use crate::intent::{
+    plan_intent_on, IntentDelta, IntentId, IntentStore, StoreReplan, MAX_INTENT_RETRIES,
+};
+use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
+use crate::spec::{Invariant, PacketSpace};
+use crate::verify::{compile_packet_space, Freshness, Report};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use tulkun_bdd::serial::PortablePred;
+use tulkun_bdd::HeaderLayout;
+use tulkun_netmodel::topology::Topology;
+use tulkun_netmodel::DeviceId;
+use tulkun_telemetry::{JournalKind, Telemetry};
+
+/// The metric shard every control-plane gauge and counter is written
+/// to. Gauges snapshot as the maximum across shards, so a gauge that
+/// can fall must only ever be written to one.
+const SHARD: DeviceId = DeviceId(0);
+
+/// One task group of a [`DeviceFence`]: `None` re-tasks existing nodes
+/// under their current base packet space; `Some(space)` installs new
+/// nodes counting over `space`.
+pub type TaskGroup = (Option<PortablePred>, Vec<NodeTask>);
+
+/// One device's share of an epoch fence, applied atomically by
+/// [`DeviceVerifierIn::apply_fence`](crate::dvm::DeviceVerifierIn::apply_fence):
+/// move to the new epoch, optionally wipe, drop `remove`, apply
+/// `groups` in order, then re-announce.
+#[derive(Debug, Clone, Default)]
+pub struct DeviceFence {
+    /// Revived device: drop *all* soft node state first.
+    pub wipe: bool,
+    /// Nodes no longer assigned here.
+    pub remove: Vec<NodeId>,
+    /// Task groups to apply, in order.
+    pub groups: Vec<TaskGroup>,
+    /// Re-announce durable state afterwards (false while quarantined).
+    pub reannounce: bool,
+}
+
+/// What a substrate must deliver for one epoch bump.
+#[derive(Debug, Clone)]
+pub struct FencePlan {
+    /// The new epoch. Everything in flight under an older one is
+    /// superseded: a transport drops it *before* any new-epoch send.
+    pub epoch: u64,
+    /// The post-churn topology, for topology fences (latency-aware
+    /// transports re-route against it); `None` for intent fences.
+    pub topology: Option<Topology>,
+    /// One fence per roster device — every device that has, or after
+    /// this fence needs, a verifier.
+    pub devices: BTreeMap<DeviceId, DeviceFence>,
+}
+
+/// What the control plane decided for one event.
+#[derive(Debug, Clone, Default)]
+pub struct Decision {
+    /// The intent an install created (or parked) or a removal named.
+    pub intent: Option<IntentId>,
+    /// The install raced a topology fence and waits for the next one.
+    pub parked: bool,
+    /// The store-level delta of an intent event; for topology events
+    /// only `total_nodes`/`reused_nodes` are filled.
+    pub delta: IntentDelta,
+    /// The fence to deliver; `None` when nothing on any device changes
+    /// (a repeated topology event, a parked install, or the removal of
+    /// a parked or degraded intent) — no epoch was burned.
+    pub fence: Option<FencePlan>,
+}
+
+impl Decision {
+    /// A decision carrying only `(total_nodes, reused_nodes)`.
+    fn counted(total_nodes: usize, reused_nodes: usize) -> Decision {
+        Decision {
+            delta: IntentDelta {
+                total_nodes,
+                reused_nodes,
+                ..IntentDelta::default()
+            },
+            ..Decision::default()
+        }
+    }
+
+    /// The uniform event outcome, given what delivering the fence cost.
+    pub fn outcome(&self, messages: usize, completion_ns: u64) -> EventOutcome {
+        EventOutcome {
+            messages,
+            intent: self.intent,
+            slice: Some((self.delta.total_nodes, self.delta.reused_nodes)),
+            parked: self.parked,
+            completion_ns,
+        }
+    }
+}
+
+/// The single owner of lifecycle state (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ControlPlane {
+    store: IntentStore,
+    churn: ChurnState,
+    /// Event-fence generation: bumped by every applied churn event and
+    /// every intent install/remove that changes a device.
+    epoch: u64,
+    /// Applied topology events (freshness marking is churn-era only;
+    /// intent churn alone never degrades a report).
+    churn_events: u64,
+    /// Old-table nodes stranded on quarantined devices.
+    unreachable: BTreeMap<NodeId, DeviceId>,
+    /// Intent id → the epoch whose fence degraded it.
+    degraded_epochs: BTreeMap<u64, u64>,
+    /// The base intent's current counting plan.
+    plan: CountingPlan,
+    topology: Topology,
+    layout: HeaderLayout,
+    /// Devices that have a verifier. A fixed roster caps what any plan
+    /// may task; a growable one absorbs the devices a plan pulls in.
+    roster: BTreeSet<DeviceId>,
+    fixed_roster: bool,
+    tel: Arc<Telemetry>,
+}
+
+impl ControlPlane {
+    /// A control plane whose store holds `plan` as the base intent.
+    /// `roster` is the substrate's device set; `fixed_roster` says the
+    /// substrate cannot build verifiers later (one thread per device),
+    /// so no plan may task a device outside it.
+    pub fn new(
+        topology: &Topology,
+        layout: HeaderLayout,
+        plan: &CountingPlan,
+        space: &PacketSpace,
+        roster: impl IntoIterator<Item = DeviceId>,
+        fixed_roster: bool,
+        tel: Arc<Telemetry>,
+    ) -> ControlPlane {
+        let cp = ControlPlane {
+            store: IntentStore::with_base(plan.clone(), space.clone(), None),
+            churn: ChurnState::new(),
+            epoch: 0,
+            churn_events: 0,
+            unreachable: BTreeMap::new(),
+            degraded_epochs: BTreeMap::new(),
+            plan: plan.clone(),
+            topology: topology.clone(),
+            layout,
+            roster: roster.into_iter().collect(),
+            fixed_roster,
+            tel,
+        };
+        cp.export_intent_count();
+        cp
+    }
+
+    /// Replaces the observability handle.
+    pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
+        self.tel = tel;
+        self.export_intent_count();
+    }
+
+    /// The current fence generation (0 until the first fence).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The base intent's current counting plan.
+    pub fn plan(&self) -> &CountingPlan {
+        &self.plan
+    }
+
+    /// The live intents and their shared global node table.
+    pub fn intents(&self) -> &IntentStore {
+        &self.store
+    }
+
+    /// Whether `dev` is down: no deliveries, no re-announcement.
+    pub fn is_quarantined(&self, dev: DeviceId) -> bool {
+        self.churn.is_down(dev)
+    }
+
+    fn taskable(&self) -> Option<&BTreeSet<DeviceId>> {
+        self.fixed_roster.then_some(&self.roster)
+    }
+
+    fn export_intent_count(&self) {
+        self.tel
+            .gauge_set(SHARD, "tulkun_intent_count", self.store.len() as i64);
+    }
+
+    /// Journals one lifecycle record at the current epoch.
+    fn note(
+        &self,
+        kind: JournalKind,
+        dev: DeviceId,
+        trace: u64,
+        intent: Option<IntentId>,
+        detail: impl FnOnce() -> String,
+    ) {
+        let intent = intent.map(|i| i.0);
+        self.tel
+            .journal(kind, dev, self.epoch, trace, intent, detail);
+    }
+
+    /// Counts and journals the epoch bump the caller just made.
+    fn note_fence(&self, dev: DeviceId, trace: u64, cause: &str) {
+        self.tel.count(SHARD, "tulkun_epoch_bumps_total", 1);
+        self.note(JournalKind::EpochFence, dev, trace, None, || {
+            format!("fence to epoch {} ({cause})", self.epoch)
+        });
+    }
+
+    /// One fence per roster device (grown first by whatever `groups`
+    /// pulls in) at the current epoch: its share of `remove` and
+    /// `groups`, wiped if it is the `revived` device, silent while
+    /// quarantined.
+    fn fence_plan(
+        &mut self,
+        topology: Option<Topology>,
+        revived: Option<DeviceId>,
+        mut remove: BTreeMap<DeviceId, Vec<NodeId>>,
+        mut groups: BTreeMap<DeviceId, Vec<TaskGroup>>,
+    ) -> FencePlan {
+        self.roster.extend(groups.keys().copied());
+        let devices = self
+            .roster
+            .iter()
+            .map(|dev| {
+                let fence = DeviceFence {
+                    wipe: revived == Some(*dev),
+                    remove: remove.remove(dev).unwrap_or_default(),
+                    groups: groups.remove(dev).unwrap_or_default(),
+                    reannounce: !self.churn.is_down(*dev),
+                };
+                (*dev, fence)
+            })
+            .collect();
+        FencePlan {
+            epoch: self.epoch,
+            topology,
+            devices,
+        }
+    }
+
+    /// Applies one live topology event: folds it into the cumulative
+    /// churn, re-plans **every** live intent against the post-churn
+    /// topology under one fence (`base` is the original topology,
+    /// `inv` the invariant the base plan was compiled from), and
+    /// returns each device's share. Slices the new topology cannot
+    /// host degrade, parked installs get their bounded retry, and only
+    /// a base plan that no longer plans is an `Err`. A `DeviceDown`
+    /// quarantines its device; a `DeviceUp` wipes and re-tasks it.
+    pub fn topology_event(
+        &mut self,
+        ev: &TopologyEvent,
+        base: &Topology,
+        inv: &Invariant,
+        trace: u64,
+    ) -> Result<Decision, PlanError> {
+        let mut churn = self.churn.clone();
+        if !churn.apply(ev) {
+            let n = self.store.node_count();
+            return Ok(Decision::counted(n, n));
+        }
+        // `taskable()`, spelled out so the store can be borrowed mutably.
+        let taskable = self.fixed_roster.then_some(&self.roster);
+        let replan = self
+            .store
+            .replan_all_for_churn(base, Some(inv), &churn, taskable)?;
+        self.churn = churn;
+        self.churn_events += 1;
+        self.epoch += 1;
+        let dev = ev.primary_device();
+        self.note(JournalKind::TopologyChurn, dev, trace, None, || {
+            ev.describe()
+        });
+        self.note_fence(dev, trace, "churn");
+        self.journal_transitions(&replan, dev, trace, &ev.describe());
+        let revived = match ev {
+            TopologyEvent::DeviceDown(d) => {
+                self.tel.count(*d, "tulkun_quarantined_total", 1);
+                None
+            }
+            TopologyEvent::DeviceUp(d) => Some(*d),
+            _ => None,
+        };
+        // New nodes import their context's packet space; compile each
+        // referenced context once.
+        let mut spaces: BTreeMap<usize, PortablePred> = BTreeMap::new();
+        for g in replan.changed.values().flatten() {
+            if let Some(c) = g.ctx {
+                spaces.entry(c).or_insert_with(|| {
+                    compile_packet_space(&self.layout, self.store.context_space(c))
+                });
+            }
+        }
+        let groups = replan
+            .changed
+            .into_iter()
+            .map(|(dev, gs)| {
+                let gs = gs.into_iter();
+                let gs = gs.map(|g| (g.ctx.map(|c| spaces[&c].clone()), g.tasks));
+                (dev, gs.collect())
+            })
+            .collect();
+        self.unreachable.retain(|_, d| self.churn.is_down(*d));
+        self.unreachable.extend(replan.unreachable);
+        if let Some(p) = self.store.base_plan() {
+            self.plan = p.clone();
+        }
+        self.export_intent_count();
+        Ok(Decision {
+            fence: Some(self.fence_plan(Some(replan.topology), revived, replan.removed, groups)),
+            ..Decision::counted(replan.total_nodes, replan.reused_nodes)
+        })
+    }
+
+    /// Journals the per-intent transitions of one churn fence (degrade
+    /// / revive / unpark / give-up) and keeps the intent →
+    /// degradation-epoch record freshness attribution reads.
+    /// `StoreReplan::degraded` lists *every* currently-unplannable
+    /// intent, so only newly degraded ones get an entry.
+    fn journal_transitions(
+        &mut self,
+        replan: &StoreReplan,
+        dev: DeviceId,
+        trace: u64,
+        cause: &str,
+    ) {
+        use JournalKind as K;
+        let epoch = self.epoch;
+        for (id, reason) in &replan.degraded {
+            if let std::collections::btree_map::Entry::Vacant(e) = self.degraded_epochs.entry(id.0)
+            {
+                e.insert(epoch);
+                self.note(K::IntentDegraded, dev, trace, Some(*id), || {
+                    format!("degraded by {cause}: {reason}")
+                });
+            }
+        }
+        for id in &replan.revived {
+            self.degraded_epochs.remove(&id.0);
+            self.note(K::IntentReplanned, dev, trace, Some(*id), || {
+                format!("revived by {cause} at epoch {epoch}")
+            });
+        }
+        for id in &replan.unparked {
+            self.note(K::IntentReplanned, dev, trace, Some(*id), || {
+                format!("unparked: re-planned against epoch {epoch}")
+            });
+        }
+        for (id, reason) in &replan.rejected {
+            self.note(K::IntentRejected, dev, trace, Some(*id), || {
+                format!("parked install gave up after {MAX_INTENT_RETRIES} fences: {reason}")
+            });
+        }
+    }
+
+    /// Compiles `inv` and installs it as a runtime intent (`id` pins
+    /// the intent id for deterministic replay): its DPVNet slice is
+    /// interned into the shared node table, so only devices whose tasks
+    /// change are re-tasked. On a quiet topology a slice that does not
+    /// plan — or that tasks a device outside a fixed roster — is an
+    /// `Err`; while churn is in effect it is *parked* for bounded retry
+    /// on the next topology fence instead.
+    pub fn install(
+        &mut self,
+        id: Option<IntentId>,
+        name: &str,
+        inv: &Invariant,
+        trace: u64,
+    ) -> Result<Decision, PlanError> {
+        let cp = if self.churn.is_quiet() {
+            let plan = Planner::new(&self.topology).plan(inv)?;
+            let PlanKind::Counting(cp) = plan.kind else {
+                return Err(PlanError::Unsupported(
+                    "runtime intents require a counting plan (local-contract \
+                     behaviors have no DPVNet slice to install)"
+                        .to_string(),
+                ));
+            };
+            let outside = self
+                .taskable()
+                .and_then(|roster| cp.tasks.iter().find(|t| !roster.contains(&t.dev)));
+            if let Some(t) = outside {
+                return Err(PlanError::Unsupported(format!(
+                    "intent {name:?} tasks device {:?}, which has no verifier \
+                     (spawn with EngineConfig::all_devices)",
+                    t.dev
+                )));
+            }
+            cp
+        } else {
+            let effective = self.churn.apply_to(&self.topology);
+            match plan_intent_on(&effective, inv, &self.churn, self.taskable()) {
+                Ok(cp) => cp,
+                Err(e) => {
+                    let id = self.store.park(id, name, inv.clone())?;
+                    self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
+                        format!("parked behind fence @epoch {}: {e}", self.epoch)
+                    });
+                    return Ok(Decision {
+                        intent: Some(id),
+                        parked: true,
+                        ..Decision::default()
+                    });
+                }
+            }
+        };
+        let (id, delta) =
+            self.store
+                .install(id, name, Some(inv.clone()), cp, inv.packet_space.clone())?;
+        let space = compile_packet_space(
+            &self.layout,
+            delta.space.as_ref().unwrap_or(&inv.packet_space),
+        );
+        let fence = self.intent_fence(&delta, Some(space), trace);
+        let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
+        self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
+            format!("intent {name:?} installed")
+        });
+        self.export_intent_count();
+        Ok(Decision {
+            intent: Some(id),
+            parked: false,
+            delta,
+            fence: Some(fence),
+        })
+    }
+
+    /// Removes an intent: only nodes no surviving intent owns are
+    /// uninstalled. A parked or degraded intent owns no on-device
+    /// state, so removing it drains the bookkeeping without a fence.
+    /// The base intent and unknown ids are an `Err`.
+    pub fn remove(&mut self, id: IntentId, trace: u64) -> Result<Decision, PlanError> {
+        let no_footprint =
+            self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
+        let delta = self.store.remove(id)?;
+        self.degraded_epochs.remove(&id.0);
+        let fence = (!no_footprint).then(|| self.intent_fence(&delta, None, trace));
+        let mut touched = delta.removed.keys().chain(delta.changed.keys());
+        let dev = touched.next().copied().unwrap_or(SHARD);
+        self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
+            format!("intent {id} removed")
+        });
+        self.export_intent_count();
+        Ok(Decision {
+            intent: Some(id),
+            parked: false,
+            delta,
+            fence,
+        })
+    }
+
+    /// Bumps the epoch for one intent delta and plans its fence.
+    /// `space` is the base packet space of new nodes — `None` for
+    /// removals, which never create nodes.
+    fn intent_fence(
+        &mut self,
+        delta: &IntentDelta,
+        space: Option<PortablePred>,
+        trace: u64,
+    ) -> FencePlan {
+        self.epoch += 1;
+        let mut touched = delta.changed.keys().chain(delta.removed.keys());
+        let first = touched.next().copied().unwrap_or(SHARD);
+        self.note_fence(first, trace, "intent churn");
+        let groups = delta
+            .changed
+            .iter()
+            .map(|(dev, tasks)| (*dev, vec![(space.clone(), tasks.clone())]))
+            .collect();
+        self.fence_plan(None, None, delta.removed.clone(), groups)
+    }
+
+    /// Fills a churn-era report's freshness and quarantine fields (a
+    /// no-op until the first topology event): every global node a
+    /// non-degraded intent owns is `Fresh` unless its device appears
+    /// in `stale_devices` (a watchdog's stall map, device → epoch at
+    /// stall); old-table nodes stranded on quarantined devices are
+    /// `Unreachable`; a *degraded* intent's last-good source nodes are
+    /// `Stale(e)` at the epoch whose fence degraded it, or
+    /// `Unreachable` on a quarantined device. Stranded and degraded
+    /// entries refer to a superseded table's numbering; both entries
+    /// are kept when an id collides.
+    pub fn annotate(&self, r: &mut Report, stale_devices: &BTreeMap<DeviceId, u64>) {
+        if self.churn_events == 0 {
+            return;
+        }
+        let mut fr: Vec<(NodeId, Freshness)> = Vec::new();
+        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
+        for intent in self.store.live().filter(|i| !i.is_degraded()) {
+            for t in &intent.plan.tasks {
+                let g = intent.to_global[t.node.0 as usize];
+                if seen.insert(g) {
+                    fr.push(match stale_devices.get(&t.dev) {
+                        Some(e) => (g, Freshness::Stale(*e)),
+                        None => (g, Freshness::Fresh),
+                    });
+                }
+            }
+        }
+        fr.extend(
+            self.unreachable
+                .keys()
+                .map(|n| (*n, Freshness::Unreachable)),
+        );
+        for intent in self.store.live().filter(|i| i.is_degraded()) {
+            let e = self.degraded_epochs.get(&intent.id.0).copied().unwrap_or(0);
+            for (dev, local) in intent.plan.dpvnet.sources() {
+                let g = intent.to_global[local.0 as usize];
+                let f = if self.churn.is_down(*dev) {
+                    Freshness::Unreachable
+                } else {
+                    Freshness::Stale(e)
+                };
+                fr.push((g, f));
+            }
+        }
+        fr.sort_by_key(|(n, _)| *n);
+        r.freshness = fr;
+        r.quarantined = self.churn.down_devices().iter().copied().collect();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::intent::tests::{fig2a_network, plan_for};
+    use crate::spec::table1;
+    use proptest::prelude::*;
+    use tulkun_netmodel::network::Network;
+
+    /// A control plane over fig2a with `base` as intent 0, every device
+    /// on the roster. No verifier, no transport: fences are only read.
+    fn control(net: &Network, base: &str, fixed_roster: bool) -> (ControlPlane, Invariant) {
+        let (inv, cp) = plan_for(net, base);
+        let roster = (0..net.topology.num_devices() as u32).map(DeviceId);
+        let control = ControlPlane::new(
+            &net.topology,
+            net.layout,
+            &cp,
+            &inv.packet_space,
+            roster,
+            fixed_roster,
+            Telemetry::disabled(),
+        );
+        (control, inv)
+    }
+
+    /// Everything an `Err` must leave untouched.
+    fn fingerprint(c: &ControlPlane) -> impl PartialEq + std::fmt::Debug {
+        (
+            (c.epoch, c.churn_events, c.churn.clone()),
+            c.store
+                .parked()
+                .map(|p| (p.id, p.retries))
+                .collect::<Vec<_>>(),
+            c.store
+                .live()
+                .map(|i| (i.id, i.is_degraded()))
+                .collect::<Vec<_>>(),
+            (c.store.global_tasks(), c.store.next_intent_id()),
+            (c.unreachable.clone(), c.degraded_epochs.clone()),
+            c.roster.clone(),
+        )
+    }
+
+    #[test]
+    fn parked_install_retries_then_is_rejected() {
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D", false);
+        let dev = |n: &str| net.topology.expect_device(n);
+        let topo = &net.topology;
+        let down_b = TopologyEvent::DeviceDown(dev("B"));
+        assert!(c
+            .topology_event(&down_b, topo, &base, 0)
+            .unwrap()
+            .fence
+            .is_some());
+        assert_eq!(c.epoch(), 1);
+        // A repeated event changes nothing and burns no epoch.
+        assert!(c
+            .topology_event(&down_b, topo, &base, 0)
+            .unwrap()
+            .fence
+            .is_none());
+        assert_eq!(c.epoch(), 1);
+
+        let (from_b, _) = plan_for(&net, "B .* D");
+        let d = c.install(None, "from-b", &from_b, 0).unwrap();
+        let id = d.intent.unwrap();
+        assert!(d.parked && d.fence.is_none());
+        assert!(c.intents().is_parked(id));
+        assert_eq!(c.epoch(), 1, "parking burns no epoch");
+
+        // Each later fence re-plans the parked install; B stays down,
+        // so every attempt fails and the last one gives up.
+        let flaps = [("A", "B"), ("B", "W"), ("B", "D")];
+        assert_eq!(flaps.len() as u32, MAX_INTENT_RETRIES);
+        for (round, (a, b)) in flaps.iter().enumerate() {
+            assert!(c.intents().is_parked(id), "round {round}");
+            let ev = TopologyEvent::LinkDown(dev(a), dev(b));
+            c.topology_event(&ev, topo, &base, 0).unwrap();
+            assert_eq!(c.epoch(), 2 + round as u64);
+        }
+        assert!(!c.intents().is_parked(id));
+        assert!(c.intents().get(id).is_none(), "rejected, never installed");
+    }
+
+    #[test]
+    fn degrade_revive_and_the_fence_each_device_gets() {
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D", false);
+        let b = net.topology.expect_device("B");
+        let topo = &net.topology;
+        let (from_b, _) = plan_for(&net, "B .* D");
+        let d = c.install(None, "from-b", &from_b, 0).unwrap();
+        let id = d.intent.unwrap();
+        let fence = d.fence.expect("a live install fences");
+        assert_eq!((fence.epoch, c.epoch()), (1, 1));
+        assert!(fence.topology.is_none());
+        assert_eq!(
+            fence.devices.keys().copied().collect::<BTreeSet<_>>(),
+            c.roster,
+            "one fence per roster device"
+        );
+        assert!(fence.devices.values().all(|f| f.reannounce && !f.wipe));
+        assert!(fence.devices[&b].groups.iter().all(|(sp, _)| sp.is_some()));
+
+        let down = c
+            .topology_event(&TopologyEvent::DeviceDown(b), topo, &base, 0)
+            .unwrap()
+            .fence
+            .unwrap();
+        assert_eq!(down.epoch, 2);
+        assert!(down.topology.is_some());
+        for (dev, f) in &down.devices {
+            assert_eq!(
+                f.reannounce,
+                *dev != b,
+                "only the quarantined device is silent"
+            );
+        }
+        assert!(c.is_quarantined(b));
+        assert!(c.intents().get(id).unwrap().is_degraded());
+        let mut r = Report::default();
+        c.annotate(&mut r, &BTreeMap::new());
+        assert_eq!(r.quarantined, vec![b]);
+        assert!(r
+            .freshness
+            .iter()
+            .any(|(_, f)| *f == Freshness::Unreachable));
+
+        let up = c
+            .topology_event(&TopologyEvent::DeviceUp(b), topo, &base, 0)
+            .unwrap()
+            .fence
+            .unwrap();
+        assert_eq!(up.epoch, 3);
+        for (dev, f) in &up.devices {
+            assert!(f.reannounce);
+            assert_eq!(f.wipe, *dev == b, "only the revived device is wiped");
+        }
+        assert!(
+            !up.devices[&b].groups.is_empty(),
+            "the revived device is re-tasked"
+        );
+        assert!(!c.intents().get(id).unwrap().is_degraded());
+        c.annotate(&mut r, &BTreeMap::new());
+        assert!(r.quarantined.is_empty());
+        assert!(r.freshness.iter().all(|(_, f)| *f == Freshness::Fresh));
+    }
+
+    #[test]
+    fn removing_a_parked_or_degraded_intent_burns_no_epoch() {
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D", false);
+        let b = net.topology.expect_device("B");
+        let (from_b, _) = plan_for(&net, "B .* D");
+        let (from_a, _) = plan_for(&net, "A .* D");
+        let live = c
+            .install(None, "from-a", &from_a, 0)
+            .unwrap()
+            .intent
+            .unwrap();
+        let degraded = c
+            .install(None, "from-b", &from_b, 0)
+            .unwrap()
+            .intent
+            .unwrap();
+        c.topology_event(&TopologyEvent::DeviceDown(b), &net.topology, &base, 0)
+            .unwrap();
+        let parked = c
+            .install(None, "from-b", &from_b, 0)
+            .unwrap()
+            .intent
+            .unwrap();
+        assert_eq!(c.epoch(), 3);
+        assert!(c.remove(parked, 0).unwrap().fence.is_none());
+        assert!(c.remove(degraded, 0).unwrap().fence.is_none());
+        assert_eq!(c.epoch(), 3);
+        assert!(c.remove(live, 0).unwrap().fence.is_some());
+        assert_eq!(c.epoch(), 4);
+        assert!(c.remove(IntentId::BASE, 0).is_err());
+        assert!(c.remove(live, 0).is_err(), "already gone");
+        assert_eq!(c.epoch(), 4);
+    }
+
+    #[test]
+    fn fixed_roster_caps_what_a_plan_may_task() {
+        let net = fig2a_network();
+        let s = net.topology.expect_device("S");
+        let (mut c, base) = control(&net, "A .* D", true);
+        c.roster.remove(&s);
+        let (from_s, _) = plan_for(&net, "S .* D");
+        let before = fingerprint(&c);
+        assert!(c.install(None, "from-s", &from_s, 0).is_err());
+        assert!(before == fingerprint(&c));
+        // Under churn the same slice parks instead.
+        let (a, b) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("B"),
+        );
+        c.topology_event(&TopologyEvent::LinkDown(a, b), &net.topology, &base, 0)
+            .unwrap();
+        assert!(c.install(None, "from-s", &from_s, 0).unwrap().parked);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Transactionality: whatever the history, a call that returns
+        /// `Err` leaves the control plane as it found it, and a call
+        /// that returns `Ok` burns an epoch exactly when it fences.
+        #[test]
+        fn an_err_leaves_the_control_plane_untouched(
+            (ops, fixed_roster) in (
+                proptest::collection::vec((0usize..4, 0usize..8), 1..24),
+                any::<bool>(),
+            )
+        ) {
+            let net = fig2a_network();
+            let (mut c, base) = control(&net, "S .* D", fixed_roster);
+            let dev = |n: &str| net.topology.expect_device(n);
+            use TopologyEvent as Ev;
+            let events = [
+                Ev::DeviceDown(dev("B")),
+                Ev::DeviceUp(dev("B")),
+                Ev::LinkDown(dev("A"), dev("W")),
+                Ev::LinkUp(dev("A"), dev("W")),
+                Ev::DeviceDown(dev("D")), // the base cannot plan: Err
+                Ev::DeviceDown(dev("S")), // likewise
+                Ev::LinkDown(dev("B"), dev("D")),
+                Ev::LinkUp(dev("B"), dev("D")),
+            ];
+            let ps = base.packet_space.clone();
+            let pool = [
+                plan_for(&net, "B .* D").0,
+                plan_for(&net, "A .* D").0,
+                plan_for(&net, "S .* W .* D").0,
+                // A local-contract behavior has no slice to install: Err.
+                table1::all_shortest_path(ps, "S", "D").unwrap(),
+            ];
+            // Applies one op, holding the property; returns `is_err`.
+            let mut step = |kind: usize, i: usize| {
+                let before = (fingerprint(&c), c.epoch());
+                let result = match kind {
+                    0 => c.topology_event(&events[i], &net.topology, &base, 0),
+                    1 => c.install(None, "p", &pool[i % pool.len()], 0),
+                    // A replay id collides with any id already handed out.
+                    2 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[0], 0),
+                    _ => c.remove(IntentId(i as u64 % 4), 0),
+                };
+                match &result {
+                    Err(_) => assert!(before.0 == fingerprint(&c), "Err mutated state"),
+                    Ok(d) => assert_eq!(c.epoch(), before.1 + d.fence.is_some() as u64),
+                }
+                result.is_err()
+            };
+            for (kind, i) in ops {
+                step(kind, i);
+            }
+            // Whatever the history, these three are rejected: the base
+            // cannot plan without D, id 0 is taken, the base is pinned.
+            prop_assert!(step(0, 4) && step(2, 0) && step(3, 0));
+        }
+    }
+}

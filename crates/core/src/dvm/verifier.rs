@@ -25,6 +25,7 @@
 //! `CIBIn` always holds the latest complete results (the UPDATE message
 //! principle).
 
+use crate::control::DeviceFence;
 use crate::count::{Counts, ReduceMode};
 use crate::dpvnet::NodeId;
 use crate::dvm::message::{EdgeRef, Envelope, Outbox, Payload};
@@ -786,6 +787,35 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     pub fn remove_nodes(&mut self, nodes: &[NodeId]) {
         for n in nodes {
             self.nodes.remove(n);
+        }
+    }
+
+    /// Applies this device's share of an epoch fence — the one place
+    /// the steps are sequenced: move to the new epoch (so every
+    /// emission below carries it), drop all soft node state if the
+    /// device was revived, drop nodes no longer assigned here, apply
+    /// the task groups in order, then re-announce durable state.
+    pub fn apply_fence(
+        &mut self,
+        epoch: u64,
+        trace: u64,
+        fence: DeviceFence,
+        out: &mut dyn Outbox,
+    ) {
+        self.set_trace(trace);
+        self.set_epoch(epoch);
+        if fence.wipe {
+            self.nodes.clear();
+        }
+        self.remove_nodes(&fence.remove);
+        for (space, tasks) in fence.groups {
+            match space {
+                Some(sp) => self.install_tasks(tasks, &sp, out),
+                None => self.set_tasks(tasks, out),
+            }
+        }
+        if fence.reannounce {
+            self.reannounce(out);
         }
     }
 

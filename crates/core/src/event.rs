@@ -1,14 +1,12 @@
 //! The unified runtime-event API every execution substrate consumes.
 //!
-//! Before this module, each substrate (the synchronous [`Session`],
-//! the discrete-event engine, the threaded runner and their sim /
-//! distributed wrappers) grew one mutation method per feature —
-//! `apply_batch`, `apply_topology_event`, `crash_restart`,
-//! `set_backend`, and now the intent ops — five parallel method
-//! quintuples that had to be extended in lockstep. [`RuntimeEvent`]
-//! collapses them into one enum consumed by a single
-//! [`Substrate::apply_event`] entry point; the old names survive as
-//! thin delegating wrappers on each substrate.
+//! One [`RuntimeEvent`] enum, consumed by a single
+//! [`Substrate::apply_event`] entry point, covers every mutation a
+//! substrate accepts: the synchronous [`Session`], the discrete-event
+//! `Engine`, the `ThreadedEngine` and the verification `Service`. The
+//! lifecycle decisions behind the topology and intent events are made
+//! once, in [`crate::control::ControlPlane`]; a substrate only
+//! delivers the result.
 //!
 //! [`Session`]: crate::verify::Session
 
@@ -57,8 +55,7 @@ pub enum RuntimeEvent {
 }
 
 /// What applying a [`RuntimeEvent`] produced, uniform across
-/// substrates (each keeps richer per-substrate results on its native
-/// methods).
+/// substrates.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EventOutcome {
     /// Messages the event caused, when the substrate counts them
@@ -66,13 +63,16 @@ pub struct EventOutcome {
     pub messages: usize,
     /// The new intent's id, for [`RuntimeEvent::InstallIntent`].
     pub intent: Option<IntentId>,
-    /// `(total_nodes, reused_nodes)` slice accounting for intent
-    /// events — the dedup/locality evidence.
+    /// `(total_nodes, reused_nodes)` slice accounting for intent and
+    /// topology events — the dedup/locality evidence.
     pub slice: Option<(usize, usize)>,
     /// For [`RuntimeEvent::InstallIntent`]: the install raced a
     /// topology fence and was parked for re-planning against the next
     /// epoch instead of landing now (`intent` still carries its id).
     pub parked: bool,
+    /// Modelled quiescence time of the event in ns, on substrates with
+    /// a virtual clock (0 elsewhere).
+    pub completion_ns: u64,
 }
 
 /// The shared substrate trait: every execution substrate applies the

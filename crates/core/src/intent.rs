@@ -17,10 +17,11 @@
 //!   a node pay for its counting once. Ownership is refcounted
 //!   ([`GlobalNode`]'s owner and per-upstream-edge intent sets):
 //!   removing an intent only uninstalls what no surviving intent needs.
-//! * **Epoch interaction** — the store is pure bookkeeping; substrates
-//!   apply an [`IntentDelta`] under the PR-5 epoch fence (bump, apply
-//!   tasks, re-announce), so in-flight CIB messages from a superseded
-//!   intent set can never corrupt the new fixpoint.
+//! * **Epoch interaction** — the store is pure bookkeeping, mutated
+//!   only by [`crate::control::ControlPlane`], which turns every
+//!   [`IntentDelta`] into an epoch fence (bump, apply tasks,
+//!   re-announce), so in-flight CIB messages from a superseded intent
+//!   set can never corrupt the new fixpoint.
 //!
 //! Soundness of sharing: a node's counting results depend only on its
 //! downstream cone (accept flags + structure), its device's FIB, and
@@ -297,14 +298,6 @@ impl IntentStore {
         store
     }
 
-    /// Replaces the store's contents with a fresh base intent (used
-    /// after a topology churn re-plan, which is only supported while
-    /// the base intent is the sole live intent).
-    pub fn rebase(&mut self, plan: CountingPlan, space: PacketSpace, invariant: Option<Invariant>) {
-        *self = IntentStore::new();
-        self.seed_base(plan, space, invariant);
-    }
-
     fn seed_base(&mut self, plan: CountingPlan, space: PacketSpace, invariant: Option<Invariant>) {
         assert!(self.intents.is_empty(), "base intent must be seeded first");
         self.profile = Some(IntentProfile::of(&plan));
@@ -375,7 +368,7 @@ impl IntentStore {
     /// apply under an epoch bump. Pass `id = None` to allocate the
     /// next id; an explicit id is for deterministic replay (hot
     /// backend swap) and must be unused.
-    pub fn install(
+    pub(crate) fn install(
         &mut self,
         id: Option<IntentId>,
         name: &str,
@@ -395,100 +388,14 @@ impl IntentStore {
                 )));
             }
         }
-        let id = match id {
-            Some(i) => {
-                if self.intents.contains_key(&i.0) || self.parked.contains_key(&i.0) {
-                    return Err(PlanError::Unsupported(format!(
-                        "intent id {i} is already installed"
-                    )));
-                }
-                self.next_intent = self.next_intent.max(i.0 + 1);
-                i
-            }
-            None => {
-                let i = IntentId(self.next_intent);
-                self.next_intent += 1;
-                i
-            }
-        };
-        let ctx = match self.contexts.iter().position(|c| *c == space) {
-            Some(i) => i,
-            None => {
-                self.contexts.push(space.clone());
-                self.contexts.len() - 1
-            }
-        };
-
-        let by_local = local_tasks(&plan);
-        let order = topo_order(&by_local);
-        let n_local = by_local.len();
-        let mut to_global = vec![NodeId(u32::MAX); n_local];
-        let mut occ: BTreeMap<SigKey, u32> = BTreeMap::new();
-        let mut reused = 0usize;
-        let mut fresh: BTreeSet<NodeId> = BTreeSet::new();
-        for ln in order {
-            let t = &by_local[&ln];
-            let children = sorted_edges(
-                t.downstream
-                    .iter()
-                    .map(|(n, d)| (to_global[n.0 as usize], *d)),
-            );
-            let mut key = SigKey {
-                ctx,
-                dev: t.dev,
-                accept: t.accept.clone(),
-                children: children.clone(),
-                occurrence: 0,
-            };
-            // Nth structurally identical duplicate within this intent
-            // claims the Nth matching global node.
-            let o = occ.entry(key.clone()).or_insert(0);
-            key.occurrence = *o;
-            *o += 1;
-            let g = match self.intern.get(&key) {
-                Some(&g) => {
-                    reused += 1;
-                    self.nodes.get_mut(&g).unwrap().owners.insert(id.0);
-                    g
-                }
-                None => {
-                    let g = NodeId(self.next_node);
-                    self.next_node += 1;
-                    self.intern.insert(key.clone(), g);
-                    self.nodes.insert(
-                        g,
-                        GlobalNode {
-                            dev: t.dev,
-                            accept: t.accept.clone(),
-                            downstream: children,
-                            upstream: BTreeMap::new(),
-                            owners: BTreeSet::from([id.0]),
-                            key,
-                        },
-                    );
-                    fresh.insert(g);
-                    g
-                }
-            };
-            to_global[ln.0 as usize] = g;
-        }
-
-        // Contribute upstream edges; a grown edge set means the child
-        // must be re-tasked so it announces along the new edge.
-        let mut retask: BTreeSet<NodeId> = fresh.clone();
-        for t in by_local.values() {
-            let pg = to_global[t.node.0 as usize];
-            let pdev = t.dev;
-            for (cl, _) in &t.downstream {
-                let cg = to_global[cl.0 as usize];
-                let node = self.nodes.get_mut(&cg).expect("child exists");
-                let edge = node.upstream.entry((pg, pdev)).or_default();
-                if edge.is_empty() {
-                    retask.insert(cg);
-                }
-                edge.insert(id.0);
-            }
-        }
+        let id = self.claim_id(id)?;
+        let ctx = self.context_of(&space);
+        let (to_global, fresh, grown) = self.intern_plan(id.0, &plan, ctx, &BTreeMap::new());
+        // Every local node either created a global node or shared one.
+        let reused = to_global.len() - fresh.len();
+        // A grown upstream edge set means the child must be re-tasked
+        // so it announces along the new edge.
+        let retask: BTreeSet<NodeId> = fresh.union(&grown).copied().collect();
 
         let mut delta = IntentDelta {
             space: Some(self.contexts[ctx].clone()),
@@ -518,7 +425,7 @@ impl IntentStore {
     /// Removes an intent: drops its ownership refs, removes nodes no
     /// surviving intent owns, shrinks upstream edge sets, and returns
     /// the delta a substrate must apply under an epoch bump.
-    pub fn remove(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
+    pub(crate) fn remove(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
         if id == IntentId::BASE {
             return Err(PlanError::Unsupported(
                 "the base intent anchors the session and cannot be removed".into(),
@@ -654,28 +561,13 @@ impl IntentStore {
     /// intent's id now (so replicas agree on ids) and queues it for
     /// re-planning on the next fence (see [`PendingIntent`]). An
     /// explicit id is for deterministic replay and must be unused.
-    pub fn park(
+    pub(crate) fn park(
         &mut self,
         id: Option<IntentId>,
         name: &str,
         invariant: Invariant,
     ) -> Result<IntentId, PlanError> {
-        let id = match id {
-            Some(i) => {
-                if self.intents.contains_key(&i.0) || self.parked.contains_key(&i.0) {
-                    return Err(PlanError::Unsupported(format!(
-                        "intent id {i} is already installed"
-                    )));
-                }
-                self.next_intent = self.next_intent.max(i.0 + 1);
-                i
-            }
-            None => {
-                let i = IntentId(self.next_intent);
-                self.next_intent += 1;
-                i
-            }
-        };
+        let id = self.claim_id(id)?;
         self.parked.insert(
             id.0,
             PendingIntent {
@@ -757,7 +649,7 @@ impl IntentStore {
     /// with a fixed thread-per-device set pass their roster; lazily
     /// building substrates pass `None`). A base plan tasking an
     /// unlisted device is an error; any other intent degrades.
-    pub fn replan_all_for_churn(
+    pub(crate) fn replan_all_for_churn(
         &mut self,
         base: &Topology,
         base_inv: Option<&Invariant>,
@@ -855,7 +747,7 @@ impl IntentStore {
             }
             let cp = new_plans.remove(&id).expect("planned in phase 1");
             let ctx = self.intents[&id].ctx;
-            let to_global = self.rebuild_intern(id, &cp, ctx, &old_intern);
+            let (to_global, ..) = self.intern_plan(id, &cp, ctx, &old_intern);
             let it = self.intents.get_mut(&id).unwrap();
             it.plan = cp;
             it.to_global = to_global;
@@ -869,15 +761,8 @@ impl IntentStore {
             if self.profile.is_none() {
                 self.profile = Some(IntentProfile::of(&cp));
             }
-            let space = p.invariant.packet_space.clone();
-            let ctx = match self.contexts.iter().position(|c| *c == space) {
-                Some(i) => i,
-                None => {
-                    self.contexts.push(space);
-                    self.contexts.len() - 1
-                }
-            };
-            let to_global = self.rebuild_intern(p.id.0, &cp, ctx, &old_intern);
+            let ctx = self.context_of(&p.invariant.packet_space);
+            let (to_global, ..) = self.intern_plan(p.id.0, &cp, ctx, &old_intern);
             self.intents.insert(
                 p.id.0,
                 InstalledIntent {
@@ -955,21 +840,50 @@ impl IntentStore {
         })
     }
 
-    /// Interns one plan into the (rebuilding) global table, claiming
-    /// pre-churn ids via `old_intern` when the key is unchanged (see
-    /// [`IntentStore::replan_all_for_churn`]). Same interning
-    /// discipline as [`IntentStore::install`].
-    fn rebuild_intern(
+    /// Allocates the next intent id, or claims an explicit one (for
+    /// deterministic replay), which must be unused.
+    fn claim_id(&mut self, id: Option<IntentId>) -> Result<IntentId, PlanError> {
+        let id = id.unwrap_or(IntentId(self.next_intent));
+        if self.intents.contains_key(&id.0) || self.parked.contains_key(&id.0) {
+            return Err(PlanError::Unsupported(format!(
+                "intent id {id} is already installed"
+            )));
+        }
+        self.next_intent = self.next_intent.max(id.0 + 1);
+        Ok(id)
+    }
+
+    /// The interning context of a packet space, added if new.
+    fn context_of(&mut self, space: &PacketSpace) -> usize {
+        self.contexts
+            .iter()
+            .position(|c| c == space)
+            .unwrap_or_else(|| {
+                self.contexts.push(space.clone());
+                self.contexts.len() - 1
+            })
+    }
+
+    /// Interns one plan's DPVNet slice into the global table,
+    /// children-first so sharing with existing cones is found
+    /// bottom-up. A node whose hash-consing key is in the table is
+    /// shared; otherwise it is created, under the id `old_intern`
+    /// records for that key when a rebuild wants pre-churn ids kept
+    /// (see [`IntentStore::replan_all_for_churn`]). Returns the
+    /// local → global mapping, the nodes created, and the existing
+    /// nodes that gained their first contributor on some upstream edge.
+    fn intern_plan(
         &mut self,
         id: u64,
         plan: &CountingPlan,
         ctx: usize,
         old_intern: &BTreeMap<SigKey, NodeId>,
-    ) -> Vec<NodeId> {
+    ) -> (Vec<NodeId>, BTreeSet<NodeId>, BTreeSet<NodeId>) {
         let by_local = local_tasks(plan);
         let order = topo_order(&by_local);
         let mut to_global = vec![NodeId(u32::MAX); by_local.len()];
         let mut occ: BTreeMap<SigKey, u32> = BTreeMap::new();
+        let mut fresh: BTreeSet<NodeId> = BTreeSet::new();
         for ln in order {
             let t = &by_local[&ln];
             let children = sorted_edges(
@@ -984,6 +898,8 @@ impl IntentStore {
                 children: children.clone(),
                 occurrence: 0,
             };
+            // Nth structurally identical duplicate within this intent
+            // claims the Nth matching global node.
             let o = occ.entry(key.clone()).or_insert(0);
             key.occurrence = *o;
             *o += 1;
@@ -1010,25 +926,26 @@ impl IntentStore {
                             key,
                         },
                     );
+                    fresh.insert(g);
                     g
                 }
             };
             to_global[ln.0 as usize] = g;
         }
+        let mut grown: BTreeSet<NodeId> = BTreeSet::new();
         for t in by_local.values() {
             let pg = to_global[t.node.0 as usize];
             for (cl, _) in &t.downstream {
                 let cg = to_global[cl.0 as usize];
-                self.nodes
-                    .get_mut(&cg)
-                    .expect("child exists")
-                    .upstream
-                    .entry((pg, t.dev))
-                    .or_default()
-                    .insert(id);
+                let node = self.nodes.get_mut(&cg).expect("child exists");
+                let edge = node.upstream.entry((pg, t.dev)).or_default();
+                if edge.is_empty() {
+                    grown.insert(cg);
+                }
+                edge.insert(id);
             }
         }
-        to_global
+        (to_global, fresh, grown)
     }
 }
 
@@ -1118,7 +1035,7 @@ fn sorted_edges(it: impl Iterator<Item = (NodeId, DeviceId)>) -> Vec<(NodeId, De
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::count::CountExpr;
     use crate::planner::Planner;
@@ -1133,7 +1050,7 @@ mod tests {
     }
 
     /// The Figure 2a network (S → A → {B, W} → D).
-    fn fig2a_network() -> Network {
+    pub(crate) fn fig2a_network() -> Network {
         let mut t = Topology::new();
         let s = t.add_device("S");
         let a = t.add_device("A");
@@ -1176,7 +1093,7 @@ mod tests {
         net
     }
 
-    fn plan_for(net: &Network, expr: &str) -> (Invariant, CountingPlan) {
+    pub(crate) fn plan_for(net: &Network, expr: &str) -> (Invariant, CountingPlan) {
         let inv = Invariant::builder()
             .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
             .ingress([expr.split_whitespace().next().unwrap()])

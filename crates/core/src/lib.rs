@@ -27,6 +27,9 @@
 //! * [`intent`] — the runtime intent store: invariant add/remove as
 //!   first-class events, per-intent DPVNet slices, counting tasks
 //!   deduplicated (refcounted) across overlapping intents.
+//! * [`control`] — the control plane: the one owner of the intent and
+//!   churn lifecycle, mapping each event to a per-device
+//!   [`control::FencePlan`] that substrates only deliver.
 //! * [`event`] — the unified [`event::RuntimeEvent`] /
 //!   [`event::Substrate`] API every execution substrate consumes.
 //! * [`explain`] — the explain engine: ranked causal chains for
@@ -36,6 +39,7 @@
 //!   runner drive the same verifiers asynchronously).
 
 pub mod churn;
+pub mod control;
 pub mod count;
 pub mod dpvnet;
 pub mod dvm;

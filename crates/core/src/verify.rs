@@ -7,17 +7,17 @@
 //! latencies; this driver is the convenient synchronous API (and the
 //! reference semantics the others are tested against).
 
-use crate::churn::{ChurnState, TopologyEvent};
+use crate::churn::TopologyEvent;
+use crate::control::{ControlPlane, FencePlan};
 use crate::count::Counts;
 use crate::dpvnet::NodeId;
 use crate::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
-use crate::intent::{
-    plan_intent_on, IntentDelta, IntentId, IntentStore, StoreReplan, MAX_INTENT_RETRIES,
-};
+use crate::event::{EventOutcome, RuntimeEvent, Substrate};
+use crate::intent::{IntentDelta, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
-use crate::planner::{CountingPlan, NodeTask, Plan, PlanError, PlanKind, Planner};
+use crate::planner::{CountingPlan, NodeTask, Plan, PlanError, PlanKind};
 use crate::spec::{Invariant, PacketSpace};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tulkun_bdd::serial::{self, PortablePred};
 use tulkun_bdd::{BddManager, HeaderLayout};
@@ -218,31 +218,17 @@ pub fn compile_packet_space(layout: &HeaderLayout, ps: &PacketSpace) -> Portable
     serial::export(&m, p)
 }
 
-/// A live distributed-counting session over a network snapshot.
+/// A live distributed-counting session over a network snapshot: the
+/// clockless reference substrate. Lifecycle decisions are the
+/// [`ControlPlane`]'s; the session only builds verifiers, queues each
+/// device's fence output and delivers to quiescence.
 pub struct Session {
-    plan: CountingPlan,
+    control: ControlPlane,
     packet_space: PortablePred,
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
     queue: VecDeque<Envelope>,
     /// Messages processed since creation.
     pub messages_processed: usize,
-    /// Event-fence generation: bumped by every applied churn event and
-    /// every intent install/remove.
-    epoch: u64,
-    /// Cumulative link/device churn.
-    churn: ChurnState,
-    /// Applied topology-churn events (freshness marking is churn-era
-    /// only; intent churn alone never degrades a report).
-    churn_events: u64,
-    /// Devices currently quarantined (no deliveries, no recounting).
-    quarantined: BTreeSet<DeviceId>,
-    /// Old-plan nodes stranded on quarantined devices.
-    unreachable: BTreeMap<NodeId, DeviceId>,
-    /// Live intents and the shared (deduplicated) global node table.
-    store: IntentStore,
-    /// Intent id → the epoch whose fence degraded it (freshness
-    /// attribution; cleared when a later fence revives the intent).
-    degraded_epochs: BTreeMap<u64, u64>,
     /// The network snapshot, kept current under rule updates so
     /// verifiers can be built lazily for devices a later intent pulls
     /// into the plan.
@@ -283,66 +269,70 @@ impl Session {
         ps: &PacketSpace,
         backend: BackendKind,
     ) -> Session {
-        let kind = backend.resolve(tulkun_predicate::network_ip_only(net), 0.0);
-        let packet_space = compile_packet_space(&net.layout, ps);
-        let cfg = VerifierConfig {
-            n_exprs: cp.exprs.len(),
-            track_escapes: cp.track_escapes,
-            reduce: cp.reduce,
-            dest_mode: DestMode::Axiomatic,
+        let tel = Telemetry::disabled();
+        let mut session = Session {
+            control: ControlPlane::new(
+                &net.topology,
+                net.layout,
+                &cp,
+                ps,
+                cp.tasks.iter().map(|t| t.dev),
+                false,
+                tel.clone(),
+            ),
+            packet_space: compile_packet_space(&net.layout, ps),
+            verifiers: BTreeMap::new(),
+            queue: VecDeque::new(),
+            messages_processed: 0,
+            net: net.clone(),
+            cfg: VerifierConfig {
+                n_exprs: cp.exprs.len(),
+                track_escapes: cp.track_escapes,
+                reduce: cp.reduce,
+                dest_mode: DestMode::Axiomatic,
+            },
+            backend_kind: backend.resolve(tulkun_predicate::network_ip_only(net), 0.0),
+            tel,
         };
         // Group tasks by device.
         let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-        for t in &cp.tasks {
-            by_dev.entry(t.dev).or_default().push(t.clone());
+        for t in cp.tasks {
+            by_dev.entry(t.dev).or_default().push(t);
         }
-        let mut verifiers = BTreeMap::new();
-        let mut queue = VecDeque::new();
         for (dev, tasks) in by_dev {
-            let mut v = DeviceVerifier::builder(
-                dev,
-                net.layout,
-                net.fib(dev).clone(),
-                &packet_space,
-                cfg.clone(),
-            )
-            .backend(kind)
-            .tasks(tasks)
-            .build();
-            v.init(&mut queue);
-            verifiers.insert(dev, v);
+            session.build_verifier(dev, tasks);
         }
-        let store = IntentStore::with_base(cp.clone(), ps.clone(), None);
-        Session {
-            plan: cp,
-            packet_space,
-            verifiers,
-            queue,
-            messages_processed: 0,
-            epoch: 0,
-            churn: ChurnState::new(),
-            churn_events: 0,
-            quarantined: BTreeSet::new(),
-            unreachable: BTreeMap::new(),
-            store,
-            degraded_epochs: BTreeMap::new(),
-            net: net.clone(),
-            cfg,
-            backend_kind: kind,
-            tel: Telemetry::disabled(),
-        }
+        session
+    }
+
+    /// Builds and initializes one device's verifier against the current
+    /// FIB snapshot.
+    fn build_verifier(&mut self, dev: DeviceId, tasks: Vec<NodeTask>) {
+        let mut v = DeviceVerifier::builder(
+            dev,
+            self.net.layout,
+            self.net.fib(dev).clone(),
+            &self.packet_space,
+            self.cfg.clone(),
+        )
+        .backend(self.backend_kind)
+        .tasks(tasks)
+        .build();
+        v.init(&mut self.queue);
+        self.verifiers.insert(dev, v);
     }
 
     /// Attach an observability handle: flight-recorder journal entries
     /// for every fence/churn/intent event the session applies. The
     /// default handle is disabled (every record call is one branch).
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
+        self.control.set_telemetry(tel.clone());
         self.tel = tel;
     }
 
     /// The counting plan driving this session.
     pub fn plan(&self) -> &CountingPlan {
-        &self.plan
+        self.control.plan()
     }
 
     /// Access a device's verifier.
@@ -362,7 +352,7 @@ impl Session {
         let mut n = 0;
         while let Some(env) = self.queue.pop_front() {
             n += 1;
-            if self.quarantined.contains(&env.to) {
+            if self.control.is_quarantined(env.to) {
                 continue;
             }
             if let Some(v) = self.verifiers.get_mut(&env.to) {
@@ -404,10 +394,14 @@ impl Session {
         for (dev, ops) in batch.coalesced() {
             if !journaled {
                 journaled = true;
-                self.tel
-                    .journal(JournalKind::BatchApplied, dev, self.epoch, 0, None, || {
-                        format!("{n} updates")
-                    });
+                self.tel.journal(
+                    JournalKind::BatchApplied,
+                    dev,
+                    self.epoch(),
+                    0,
+                    None,
+                    || format!("{n} updates"),
+                );
             }
             if let Some(v) = self.verifiers.get_mut(&dev) {
                 v.handle_fib_batch(&ops, &mut self.queue);
@@ -426,7 +420,7 @@ impl Session {
     /// endpoint devices and re-runs to quiescence.
     pub fn apply_link_event(&mut self, a: DeviceId, b: DeviceId, up: bool) -> usize {
         self.tel
-            .journal(JournalKind::LinkEvent, a, self.epoch, 0, None, || {
+            .journal(JournalKind::LinkEvent, a, self.epoch(), 0, None, || {
                 let dir = if up { "up" } else { "down" };
                 format!("link-{dir} d{}-d{}", a.0, b.0)
             });
@@ -439,197 +433,75 @@ impl Session {
         self.run_to_quiescence()
     }
 
-    /// The current topology generation (0 until the first churn event).
+    /// The current fence generation (0 until the first churn event or
+    /// intent install/remove).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.control.epoch()
     }
 
-    /// Applies one live topology churn event: folds it into the
-    /// cumulative churn state, re-plans the invariant against the
-    /// post-churn topology (`base` is the *original* topology; `inv`
-    /// the invariant this session's plan was compiled from), bumps the
-    /// epoch fence, applies the incremental task diff, has every
-    /// reachable device re-announce its durable state under the new
-    /// epoch, and re-runs to quiescence. Returns the number of messages
-    /// the churn caused.
-    ///
-    /// Devices named by `DeviceDown` are quarantined: no deliveries, no
-    /// recounting; their old-plan nodes show up `Unreachable` in the
-    /// report. Every *live* intent is re-planned under the same fence
-    /// ([`IntentStore::replan_all_for_churn`]): unaffected slices keep
-    /// their node ids and ship zero tasks, slices the churned topology
-    /// cannot host degrade per-intent (excluded from evaluation, marked
-    /// stale/unreachable in the report) instead of rejecting the event,
-    /// and parked installs get their bounded retry against the new
-    /// epoch. Only a failure to re-plan the *base* invariant leaves the
-    /// session on the old epoch.
+    /// Delivers one fence: builds the verifiers it pulls in, queues
+    /// every device's fence output and runs to quiescence. Returns the
+    /// messages the fence caused (0 when there is nothing to deliver).
+    fn deliver(&mut self, fence: Option<FencePlan>) -> usize {
+        let Some(plan) = fence else {
+            return 0;
+        };
+        for (dev, fence) in plan.devices {
+            if !self.verifiers.contains_key(&dev) {
+                self.build_verifier(dev, Vec::new());
+            }
+            let v = self.verifiers.get_mut(&dev).expect("built above");
+            v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
+        }
+        self.run_to_quiescence()
+    }
+
+    /// Applies one live topology churn event
+    /// ([`ControlPlane::topology_event`]; `base` is the *original*
+    /// topology, `inv` the invariant this session's plan was compiled
+    /// from) and re-runs to quiescence. Returns the number of messages
+    /// the churn caused. An `Err` leaves the session on the old epoch.
     pub fn apply_topology_event(
         &mut self,
         ev: &TopologyEvent,
         base: &Topology,
         inv: &Invariant,
     ) -> Result<usize, PlanError> {
-        let mut churn = self.churn.clone();
-        if !churn.apply(ev) {
-            return Ok(0);
-        }
-        // Transactional: an Err re-planning the base invariant happens
-        // before the store mutates anything.
-        let replan = self
-            .store
-            .replan_all_for_churn(base, Some(inv), &churn, None)?;
-        self.churn = churn;
-        self.churn_events += 1;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.tel.journal(
-            JournalKind::TopologyChurn,
-            ev.primary_device(),
-            epoch,
-            0,
-            None,
-            || ev.describe(),
-        );
-        self.tel.journal(
-            JournalKind::EpochFence,
-            ev.primary_device(),
-            epoch,
-            0,
-            None,
-            || format!("fence to epoch {epoch} (churn)"),
-        );
-        journal_replan_transitions(
-            &self.tel,
-            &mut self.degraded_epochs,
-            &replan,
-            ev.primary_device(),
-            epoch,
-            0,
-            &ev.describe(),
-        );
-        for v in self.verifiers.values_mut() {
-            v.set_epoch(epoch);
-        }
-        match ev {
-            TopologyEvent::DeviceDown(d) => {
-                self.quarantined.insert(*d);
-            }
-            TopologyEvent::DeviceUp(d) => {
-                // Revived: clean slate — soft state from before the
-                // outage is meaningless under the new plan.
-                self.quarantined.remove(d);
-                if let Some(v) = self.verifiers.get_mut(d) {
-                    let all = v.node_ids();
-                    v.remove_nodes(&all);
-                }
-            }
-            TopologyEvent::LinkDown(..) | TopologyEvent::LinkUp(..) => {}
-        }
-        for (dev, gone) in &replan.removed {
-            if let Some(v) = self.verifiers.get_mut(dev) {
-                v.remove_nodes(gone);
-            }
-        }
-        // New nodes import their context's packet space; compile each
-        // referenced context once.
-        let mut spaces: BTreeMap<usize, PortablePred> = BTreeMap::new();
-        for groups in replan.changed.values() {
-            for g in groups {
-                if let Some(c) = g.ctx {
-                    spaces.entry(c).or_insert_with(|| {
-                        compile_packet_space(&self.net.layout, self.store.context_space(c))
-                    });
-                }
-            }
-        }
-        // Build verifiers lazily for devices the re-plan pulls in (e.g.
-        // a detour through a device the base plan never tasked).
-        for dev in replan.changed.keys() {
-            if !self.verifiers.contains_key(dev) {
-                let mut v = DeviceVerifier::builder(
-                    *dev,
-                    self.net.layout,
-                    self.net.fib(*dev).clone(),
-                    &self.packet_space,
-                    self.cfg.clone(),
-                )
-                .backend(self.backend_kind)
-                .tasks(Vec::new())
-                .build();
-                v.init(&mut self.queue);
-                self.verifiers.insert(*dev, v);
-            }
-        }
-        for (dev, groups) in &replan.changed {
-            let v = self.verifiers.get_mut(dev).expect("built above");
-            for g in groups {
-                match g.ctx {
-                    None => v.set_tasks(g.tasks.clone(), &mut self.queue),
-                    Some(c) => v.install_tasks(g.tasks.clone(), &spaces[&c], &mut self.queue),
-                }
-            }
-        }
-        // Everyone reachable re-announces: the epoch fence dropped
-        // whatever was in flight, re-announcement repairs it.
-        for (dev, v) in self.verifiers.iter_mut() {
-            if !self.quarantined.contains(dev) {
-                v.reannounce(&mut self.queue);
-            }
-        }
-        self.unreachable.retain(|_, d| self.churn.is_down(*d));
-        for (n, d) in &replan.unreachable {
-            self.unreachable.insert(*n, *d);
-        }
-        if let Some(p) = self.store.base_plan() {
-            self.plan = p.clone();
-        }
-        Ok(self.run_to_quiescence())
+        let decision = self.control.topology_event(ev, base, inv, 0)?;
+        Ok(self.deliver(decision.fence))
     }
 
     /// Evaluates every live intent at its DPVNet sources (each universe
     /// of each packet set must satisfy the intent's formula).
     pub fn report(&mut self) -> Report {
-        let store = &self.store;
         let verifiers = &mut self.verifiers;
-        let mut r = evaluate_intents(store, |dev, node| {
+        let mut r = evaluate_intents(self.control.intents(), |dev, node| {
             verifiers
                 .get_mut(&dev)
                 .map_or_else(Vec::new, |v| v.node_result(node, None))
         });
         r.messages = self.messages_processed;
-        if self.churn_events > 0 {
-            mark_freshness_store(
-                &mut r,
-                &self.store,
-                &self.unreachable,
-                self.quarantined.iter().copied(),
-                &BTreeMap::new(),
-                &self.degraded_epochs,
-            );
-        }
+        self.control.annotate(&mut r, &BTreeMap::new());
         r
     }
 
     /// The live intents and their shared global node table.
     pub fn intents(&self) -> &IntentStore {
-        &self.store
+        self.control.intents()
     }
 
-    /// Compiles `inv` against the session's topology and installs it as
-    /// a new runtime intent: the invariant's DPVNet slice is interned
-    /// into the shared node table (nodes already installed by other
-    /// intents are reused, not duplicated), only the devices in the
-    /// slice receive new or re-announced tasks, the epoch fence is
-    /// bumped so superseded in-flight messages can never corrupt the
-    /// new fixpoint, and the session re-converges. Returns the new
-    /// intent id and the applied delta (its `reused_nodes` /
-    /// `touched_devices` evidence slicing locality).
+    /// Compiles `inv` against the session's topology, installs it as a
+    /// new runtime intent ([`ControlPlane::install`]) and re-converges.
+    /// Returns the new intent id and the applied delta (its
+    /// `reused_nodes` / `touched_devices` evidence slicing locality).
     pub fn install_intent(
         &mut self,
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.install_intent_inner(None, name, inv)
+        let mut d = self.control.install(None, name, inv, 0)?;
+        self.deliver(d.fence.take());
+        Ok((d.intent.expect("installs name their intent"), d.delta))
     }
 
     /// [`Session::install_intent`] under a caller-chosen id — for
@@ -641,171 +513,17 @@ impl Session {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.install_intent_inner(Some(id), name, inv)
+        let mut d = self.control.install(Some(id), name, inv, 0)?;
+        self.deliver(d.fence.take());
+        Ok((id, d.delta))
     }
 
-    fn install_intent_inner(
-        &mut self,
-        id: Option<IntentId>,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let cp = if self.churn.is_quiet() {
-            let plan = Planner::new(&self.net.topology).plan(inv)?;
-            let PlanKind::Counting(cp) = &plan.kind else {
-                return Err(PlanError::Unsupported(
-                    "runtime intents require a counting plan (local-contract \
-                     behaviors have no DPVNet slice to install)"
-                        .to_string(),
-                ));
-            };
-            cp.clone()
-        } else {
-            // The install races an active topology fence: plan against
-            // the effective (post-churn) topology; a slice it cannot
-            // host is *parked* for bounded retry on the next fence
-            // instead of rejected.
-            let effective = self.churn.apply_to(&self.net.topology);
-            match plan_intent_on(&effective, inv, &self.churn, None) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    let id = self.store.park(id, name, inv.clone())?;
-                    let epoch = self.epoch;
-                    self.tel.journal(
-                        JournalKind::IntentParked,
-                        DeviceId(0),
-                        epoch,
-                        0,
-                        Some(id.0),
-                        || format!("parked behind fence @epoch {epoch}: {e}"),
-                    );
-                    return Ok((id, IntentDelta::default()));
-                }
-            }
-        };
-        let (id, delta) =
-            self.store
-                .install(id, name, Some(inv.clone()), cp, inv.packet_space.clone())?;
-        let space = compile_packet_space(
-            &self.net.layout,
-            delta.space.as_ref().unwrap_or(&inv.packet_space),
-        );
-        // Build verifiers lazily for devices the slice pulls in.
-        for dev in delta.changed.keys() {
-            if !self.verifiers.contains_key(dev) {
-                let mut v = DeviceVerifier::builder(
-                    *dev,
-                    self.net.layout,
-                    self.net.fib(*dev).clone(),
-                    &self.packet_space,
-                    self.cfg.clone(),
-                )
-                .backend(self.backend_kind)
-                .tasks(Vec::new())
-                .build();
-                v.init(&mut self.queue);
-                self.verifiers.insert(*dev, v);
-            }
-        }
-        self.fence_and_apply(&delta, Some(&space));
-        if self.tel.journal_on() {
-            let dev = delta.changed.keys().next().copied().unwrap_or(DeviceId(0));
-            let name = name.to_string();
-            self.tel.journal(
-                JournalKind::IntentInstalled,
-                dev,
-                self.epoch,
-                0,
-                Some(id.0),
-                || format!("intent {name:?} installed"),
-            );
-        }
-        Ok((id, delta))
-    }
-
-    /// Removes a live intent: its ownership references are dropped and
-    /// only nodes no surviving intent owns are uninstalled (shared
-    /// tasks stay, cheaper by exactly the dedup), under the same epoch
-    /// fence as [`Session::install_intent`]. Removing the base intent
-    /// (id 0) is allowed once other intents exist; removing the last
-    /// intent leaves an empty (trivially holding) session.
+    /// Removes a live intent ([`ControlPlane::remove`]) and
+    /// re-converges. Removing the base intent (id 0) is an `Err`.
     pub fn remove_intent(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
-        // A parked or degraded intent owns no on-device state: removing
-        // it drains the bookkeeping without a fence.
-        let no_footprint =
-            self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
-        let delta = self.store.remove(id)?;
-        self.degraded_epochs.remove(&id.0);
-        if !no_footprint {
-            self.fence_and_apply(&delta, None);
-        }
-        self.tel.journal(
-            JournalKind::IntentRemoved,
-            delta
-                .removed
-                .keys()
-                .chain(delta.changed.keys())
-                .next()
-                .copied()
-                .unwrap_or(DeviceId(0)),
-            self.epoch,
-            0,
-            Some(id.0),
-            || format!("intent {} removed", id.0),
-        );
-        Ok(delta)
-    }
-
-    /// Bumps the epoch fence, applies an intent delta's removals and
-    /// task changes (`space` is the base packet space for new nodes —
-    /// `None` for removals, which never create nodes), re-announces
-    /// durable state and re-converges.
-    fn fence_and_apply(&mut self, delta: &IntentDelta, space: Option<&PortablePred>) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        if self.tel.journal_on() {
-            let first = delta
-                .changed
-                .keys()
-                .chain(delta.removed.keys())
-                .next()
-                .copied()
-                .unwrap_or(DeviceId(0));
-            self.tel
-                .journal(JournalKind::EpochFence, first, epoch, 0, None, || {
-                    format!("fence to epoch {epoch} (intent churn)")
-                });
-        }
-        for v in self.verifiers.values_mut() {
-            v.set_epoch(epoch);
-        }
-        for (dev, gone) in &delta.removed {
-            if let Some(v) = self.verifiers.get_mut(dev) {
-                v.remove_nodes(gone);
-            }
-        }
-        for (dev, tasks) in &delta.changed {
-            let v = self.verifiers.get_mut(dev).expect("verifier built above");
-            match space {
-                Some(sp) => v.install_tasks(tasks.clone(), sp, &mut self.queue),
-                None => v.set_tasks(tasks.clone(), &mut self.queue),
-            }
-        }
-        // The fence dropped whatever was in flight; re-announcement
-        // repairs it and feeds shared nodes' results to new upstream
-        // edges.
-        for (dev, v) in self.verifiers.iter_mut() {
-            if !self.quarantined.contains(dev) {
-                v.reannounce(&mut self.queue);
-            }
-        }
-        self.run_to_quiescence();
-    }
-
-    /// Installs `inv` as a single anonymous intent.
-    #[deprecated(note = "use install_intent / remove_intent")]
-    pub fn set_tasks(&mut self, inv: &Invariant) -> Result<IntentId, PlanError> {
-        self.install_intent("anonymous", inv).map(|(id, _)| id)
+        let mut d = self.control.remove(id, 0)?;
+        self.deliver(d.fence.take());
+        Ok(d.delta)
     }
 
     /// The invariant's packet space as a portable predicate.
@@ -814,51 +532,39 @@ impl Session {
     }
 }
 
-impl crate::event::Substrate for Session {
-    fn apply_event(
-        &mut self,
-        ev: &crate::event::RuntimeEvent,
-    ) -> Result<crate::event::EventOutcome, PlanError> {
-        use crate::event::{EventOutcome, RuntimeEvent as E};
-        match ev {
-            E::Batch(updates) => Ok(EventOutcome {
-                messages: self.apply_batch(updates),
-                ..EventOutcome::default()
-            }),
+impl Substrate for Session {
+    fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
+        use RuntimeEvent as E;
+        let mut d = match ev {
+            E::Batch(updates) => {
+                return Ok(EventOutcome {
+                    messages: self.apply_batch(updates),
+                    ..EventOutcome::default()
+                })
+            }
+            E::CrashRestart(_) => {
+                return Err(PlanError::Unsupported(
+                    "the synchronous reference session has no crash/restart model".to_string(),
+                ))
+            }
+            E::SetBackend(_) => {
+                return Err(PlanError::Unsupported(
+                    "the synchronous reference session cannot hot-swap backends; rebuild it"
+                        .to_string(),
+                ))
+            }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => Ok(EventOutcome {
-                messages: self.apply_topology_event(event, base, invariant)?,
-                ..EventOutcome::default()
-            }),
-            E::CrashRestart(_) => Err(PlanError::Unsupported(
-                "the synchronous reference session has no crash/restart model".to_string(),
-            )),
-            E::SetBackend(_) => Err(PlanError::Unsupported(
-                "the synchronous reference session cannot hot-swap backends; rebuild it"
-                    .to_string(),
-            )),
+            } => self.control.topology_event(event, base, invariant, 0)?,
             E::InstallIntent { name, invariant } => {
-                let (id, delta) = self.install_intent(name, invariant)?;
-                Ok(EventOutcome {
-                    messages: 0,
-                    intent: Some(id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: self.store.is_parked(id),
-                })
+                self.control.install(None, name, invariant, 0)?
             }
-            E::RemoveIntent(id) => {
-                let delta = self.remove_intent(*id)?;
-                Ok(EventOutcome {
-                    messages: 0,
-                    intent: Some(*id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: false,
-                })
-            }
-        }
+            E::RemoveIntent(id) => self.control.remove(*id, 0)?,
+        };
+        let messages = self.deliver(d.fence.take());
+        Ok(d.outcome(messages, 0))
     }
 }
 
@@ -933,147 +639,6 @@ pub fn evaluate_sources(
         violations,
         messages: 0,
         ..Report::default()
-    }
-}
-
-/// Fills a churn-era report's freshness and quarantine fields: every
-/// node of the *current* plan is `Fresh` unless its device appears in
-/// `stale_devices` (the watchdog's stall map, device → epoch at stall),
-/// and every entry of `unreachable` (old-plan nodes on quarantined
-/// devices) is appended as `Unreachable`. Node ids are plan-relative, so
-/// an `Unreachable` entry refers to the superseded plan's numbering;
-/// both entries are kept when an id collides.
-pub fn mark_freshness(
-    r: &mut Report,
-    plan: &CountingPlan,
-    unreachable: &BTreeMap<NodeId, DeviceId>,
-    quarantined: impl IntoIterator<Item = DeviceId>,
-    stale_devices: &BTreeMap<DeviceId, u64>,
-) {
-    let mut fr: Vec<(NodeId, Freshness)> = plan
-        .tasks
-        .iter()
-        .map(|t| match stale_devices.get(&t.dev) {
-            Some(e) => (t.node, Freshness::Stale(*e)),
-            None => (t.node, Freshness::Fresh),
-        })
-        .collect();
-    fr.extend(unreachable.keys().map(|n| (*n, Freshness::Unreachable)));
-    fr.sort_by_key(|(n, _)| *n);
-    r.freshness = fr;
-    r.quarantined = quarantined.into_iter().collect();
-}
-
-/// [`mark_freshness`] over an intent store's global node table: every
-/// global node a non-degraded intent owns is `Fresh` unless its device
-/// appears in `stale_devices`; `unreachable` entries (old-table nodes
-/// stranded on quarantined devices) are `Unreachable`; a *degraded*
-/// intent's last-good source nodes are `Stale(e)` at the epoch whose
-/// fence degraded it (`degraded_epochs`), or `Unreachable` when they
-/// sit on a quarantined device. Degraded entries refer to the
-/// superseded table's numbering (like `unreachable`); both entries are
-/// kept when an id collides.
-pub fn mark_freshness_store(
-    r: &mut Report,
-    store: &IntentStore,
-    unreachable: &BTreeMap<NodeId, DeviceId>,
-    quarantined: impl IntoIterator<Item = DeviceId>,
-    stale_devices: &BTreeMap<DeviceId, u64>,
-    degraded_epochs: &BTreeMap<u64, u64>,
-) {
-    let q: Vec<DeviceId> = quarantined.into_iter().collect();
-    let qset: BTreeSet<DeviceId> = q.iter().copied().collect();
-    let mut fr: Vec<(NodeId, Freshness)> = Vec::new();
-    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-    for intent in store.live().filter(|i| !i.is_degraded()) {
-        for t in &intent.plan.tasks {
-            let g = intent.to_global[t.node.0 as usize];
-            if !seen.insert(g) {
-                continue;
-            }
-            fr.push(match stale_devices.get(&t.dev) {
-                Some(e) => (g, Freshness::Stale(*e)),
-                None => (g, Freshness::Fresh),
-            });
-        }
-    }
-    fr.extend(unreachable.keys().map(|n| (*n, Freshness::Unreachable)));
-    for intent in store.live().filter(|i| i.is_degraded()) {
-        let e = degraded_epochs.get(&intent.id.0).copied().unwrap_or(0);
-        for (dev, local) in intent.plan.dpvnet.sources() {
-            let g = intent.to_global[local.0 as usize];
-            let f = if qset.contains(dev) {
-                Freshness::Unreachable
-            } else {
-                Freshness::Stale(e)
-            };
-            fr.push((g, f));
-        }
-    }
-    fr.sort_by_key(|(n, _)| *n);
-    r.freshness = fr;
-    r.quarantined = q;
-}
-
-/// Journals the per-intent lifecycle transitions of one churn fence
-/// (degrade / revive / unpark / give-up) and maintains the substrate's
-/// intent → degradation-epoch record used for freshness attribution.
-/// `StoreReplan::degraded` lists *every* currently-unplannable intent,
-/// so only newly degraded ones (absent from `degraded_epochs`) get a
-/// journal entry — a slice stays degraded silently across fences that
-/// do not change its fate.
-pub fn journal_replan_transitions(
-    tel: &Telemetry,
-    degraded_epochs: &mut BTreeMap<u64, u64>,
-    replan: &StoreReplan,
-    dev: DeviceId,
-    epoch: u64,
-    trace: u64,
-    cause: &str,
-) {
-    for (id, reason) in &replan.degraded {
-        if let std::collections::btree_map::Entry::Vacant(e) = degraded_epochs.entry(id.0) {
-            e.insert(epoch);
-            tel.journal(
-                JournalKind::IntentDegraded,
-                dev,
-                epoch,
-                trace,
-                Some(id.0),
-                || format!("degraded by {cause}: {reason}"),
-            );
-        }
-    }
-    for id in &replan.revived {
-        degraded_epochs.remove(&id.0);
-        tel.journal(
-            JournalKind::IntentReplanned,
-            dev,
-            epoch,
-            trace,
-            Some(id.0),
-            || format!("revived by {cause} at epoch {epoch}"),
-        );
-    }
-    for id in &replan.unparked {
-        tel.journal(
-            JournalKind::IntentReplanned,
-            dev,
-            epoch,
-            trace,
-            Some(id.0),
-            || format!("unparked: re-planned against epoch {epoch}"),
-        );
-    }
-    for (id, reason) in &replan.rejected {
-        tel.journal(
-            JournalKind::IntentRejected,
-            dev,
-            epoch,
-            trace,
-            Some(id.0),
-            || format!("parked install gave up after {MAX_INTENT_RETRIES} fences: {reason}"),
-        );
     }
 }
 

@@ -1,160 +1,19 @@
 //! The distributed runner: one OS thread per device verifier, in-order
 //! channels for DVM links — the deployment shape of the paper's
-//! prototype (one verification agent per switch over TCP). A thin
-//! wrapper over [`ThreadedEngine`], the runtime layer's concurrent
-//! substrate.
+//! prototype (one verification agent per switch over TCP). It *is*
+//! [`ThreadedEngine`], the runtime layer's concurrent substrate, under
+//! its deployment name.
 //!
 //! Quiescence is detected with the runtime's in-flight gauge: a
 //! message's outputs are enqueued (and counted) before its own count is
 //! released, so the gauge only reaches zero when no message is queued
 //! or being processed anywhere.
 
-use crate::runtime::{
-    DevicePanic, EngineConfig, LecCache, RuntimeStats, ThreadedEngine, WatchdogConfig,
-    WatchdogVerdict,
-};
-use tulkun_core::churn::TopologyEvent;
-use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
-use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
-use tulkun_core::planner::{CountingPlan, PlanError};
-use tulkun_core::spec::{Invariant, PacketSpace};
-use tulkun_core::verify::Report;
-use tulkun_netmodel::network::{Network, RuleUpdate};
+use crate::runtime::ThreadedEngine;
 
 /// A running distributed verification: per-device threads plus the
 /// in-flight accounting needed to observe quiescence.
-pub struct DistributedRun {
-    engine: ThreadedEngine,
-}
-
-impl DistributedRun {
-    /// Spawns one verifier thread per participating device and performs
-    /// the initial (burst) exchange.
-    pub fn spawn(net: &Network, plan: &CountingPlan, ps: &PacketSpace) -> DistributedRun {
-        let cache = LecCache::new();
-        Self::spawn_with(net, plan, ps, &EngineConfig::default(), &cache)
-    }
-
-    /// Like [`DistributedRun::spawn`], with explicit engine options and
-    /// a shared LEC cache (`parallel_init` builds device verifiers
-    /// concurrently before the threads start).
-    pub fn spawn_with(
-        net: &Network,
-        plan: &CountingPlan,
-        ps: &PacketSpace,
-        cfg: &EngineConfig,
-        lec_cache: &LecCache,
-    ) -> DistributedRun {
-        DistributedRun {
-            engine: ThreadedEngine::spawn(net, plan, ps, cfg, lec_cache),
-        }
-    }
-
-    /// Blocks until no DVM message is queued or being processed.
-    pub fn quiesce(&self) {
-        self.engine.wait_quiescent();
-    }
-
-    /// Injects a rule update at its device (counts as one in-flight
-    /// event until processed).
-    pub fn inject_update(&self, update: RuleUpdate) {
-        self.engine.inject_update(update);
-    }
-
-    /// Injects a burst of rule updates, coalesced into one batch
-    /// message per affected device (see
-    /// [`crate::runtime::ThreadedEngine::inject_batch`]).
-    pub fn inject_batch(&self, updates: Vec<RuleUpdate>) {
-        self.engine.inject_batch(updates);
-    }
-
-    /// Crashes and restarts one device's verification agent; every
-    /// other device replays its durable protocol state toward it. Call
-    /// [`DistributedRun::quiesce`] to let the recovery exchange drain.
-    pub fn crash_restart(&mut self, dev: tulkun_netmodel::DeviceId) {
-        self.engine.crash_restart(dev);
-    }
-
-    /// Waits for quiescence under the convergence watchdog: per-device
-    /// progress heartbeats distinguish "still converging" from a
-    /// wedged, dead or partitioned device (see
-    /// [`crate::runtime::ThreadedEngine::wait_quiescent_watched`]).
-    pub fn quiesce_watched(&self, cfg: &WatchdogConfig) -> WatchdogVerdict {
-        self.engine.wait_quiescent_watched(cfg)
-    }
-
-    /// Applies one live topology churn event (epoch fence + incremental
-    /// re-plan, delivered as one atomic bundle per device thread); call
-    /// [`DistributedRun::quiesce`] or
-    /// [`DistributedRun::quiesce_watched`] to let re-convergence drain.
-    pub fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &tulkun_netmodel::topology::Topology,
-        inv: &tulkun_core::spec::Invariant,
-    ) -> Result<(), tulkun_core::planner::PlanError> {
-        self.engine.apply_topology_event(ev, base, inv)
-    }
-
-    /// The current topology generation (0 until the first churn event).
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch()
-    }
-
-    /// The runtime intent store (read-only).
-    pub fn intents(&self) -> &IntentStore {
-        self.engine.intents()
-    }
-
-    /// Compiles an invariant and installs it as a runtime intent (one
-    /// atomic bundle per device thread); call
-    /// [`DistributedRun::quiesce`] to let re-convergence drain. Spawn
-    /// with [`EngineConfig::all_devices`] if intents may task devices
-    /// the initial plan skipped.
-    pub fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.engine.install_intent(name, inv)
-    }
-
-    /// [`DistributedRun::install_intent`] under a caller-chosen id.
-    pub fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.engine.install_intent_as(id, name, inv)
-    }
-
-    /// Removes a live intent (shared nodes survive); call
-    /// [`DistributedRun::quiesce`] to let re-convergence drain.
-    pub fn remove_intent(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
-        self.engine.remove_intent(id)
-    }
-
-    /// Collects source results and evaluates the invariant.
-    pub fn report(&self) -> Report {
-        self.engine.report()
-    }
-
-    /// Shuts all device threads down, joining every handle. Returns the
-    /// merged per-device runtime stats, or the panics of crashed device
-    /// tasks. Dropping without calling this still joins all threads.
-    pub fn shutdown(self) -> Result<RuntimeStats, Vec<DevicePanic>> {
-        self.engine.shutdown()
-    }
-}
-
-impl Substrate for DistributedRun {
-    /// Applies one [`RuntimeEvent`] and waits for quiescence (delegates
-    /// to the threaded engine's uniform entry point).
-    fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
-        self.engine.apply_event(ev)
-    }
-}
+pub type DistributedRun = ThreadedEngine;
 
 #[cfg(test)]
 mod tests {
@@ -164,6 +23,7 @@ mod tests {
     use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
     use tulkun_datasets::fig2a_network;
     use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
+    use tulkun_netmodel::network::RuleUpdate;
 
     #[test]
     fn distributed_run_matches_reference() {
@@ -181,7 +41,7 @@ mod tests {
         let cp = plan.counting().unwrap();
 
         let run = DistributedRun::spawn(&net, cp, &inv.packet_space);
-        run.quiesce();
+        run.wait_quiescent();
         let report = run.report();
         assert!(!report.holds());
         assert_eq!(report.violations.len(), 1);
@@ -197,7 +57,7 @@ mod tests {
                 action: Action::fwd(w),
             },
         });
-        run.quiesce();
+        run.wait_quiescent();
         let report = run.report();
         assert!(report.holds(), "{:?}", report.violations);
         let stats = run.shutdown().expect("clean shutdown");

@@ -12,250 +12,42 @@
 //! including the propagation delays").
 
 use crate::faults::FaultyTransport;
-use crate::models::SwitchModel;
-use crate::runtime::{Engine, EngineConfig, LatencyTransport, RuntimeStats, VirtualClock};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-use tulkun_core::churn::TopologyEvent;
-use tulkun_core::dvm::DeviceVerifier;
-use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
+use crate::runtime::{Engine, EngineConfig, LatencyTransport, VirtualClock};
 use tulkun_core::fault::FaultProfile;
-use tulkun_core::intent::{IntentDelta, IntentId};
-use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
-use tulkun_core::spec::{Invariant, PacketSpace};
-use tulkun_core::verify::Report;
-use tulkun_netmodel::network::{Network, RuleUpdate};
-use tulkun_netmodel::DeviceId;
-use tulkun_predicate::BackendKind;
-use tulkun_telemetry::Telemetry;
+use tulkun_core::planner::CountingPlan;
+use tulkun_core::spec::PacketSpace;
+use tulkun_netmodel::network::Network;
 
 pub use crate::runtime::{DeviceStats, LecCache, RunOutcome as SimResult};
 
-/// Simulator configuration.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Switch model whose CPU factor scales measured host time.
-    pub model: SwitchModel,
-    /// Latency used when two communicating devices share no direct link
-    /// (only possible for virtual constructions).
-    pub fallback_latency_ns: u64,
-    /// Build per-device verifiers concurrently (see
-    /// [`EngineConfig::parallel_init`]).
-    pub parallel_init: bool,
-    /// Telemetry handle shared by every verifier and the driver loop
-    /// (disabled by default: a no-op that takes no locks).
-    pub telemetry: Arc<Telemetry>,
-    /// Predicate backend for every verifier (see
-    /// [`EngineConfig::backend`]).
-    pub backend: BackendKind,
-    /// Expected rule updates in the upcoming window, consumed by the
-    /// `Auto` backend heuristic (see [`EngineConfig::update_rate_hint`]).
-    pub update_rate_hint: f64,
-    /// Build a verifier for every topology device so runtime intents
-    /// can task any of them (see [`EngineConfig::all_devices`]).
-    pub all_devices: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            model: SwitchModel::MELLANOX,
-            fallback_latency_ns: 10_000,
-            parallel_init: false,
-            telemetry: Telemetry::disabled(),
-            backend: BackendKind::Bdd,
-            update_rate_hint: 0.0,
-            all_devices: false,
-        }
-    }
-}
-
-impl From<SimConfig> for EngineConfig {
-    fn from(cfg: SimConfig) -> EngineConfig {
-        EngineConfig {
-            model: cfg.model,
-            fallback_latency_ns: cfg.fallback_latency_ns,
-            parallel_init: cfg.parallel_init,
-            telemetry: cfg.telemetry,
-            backend: cfg.backend,
-            update_rate_hint: cfg.update_rate_hint,
-            all_devices: cfg.all_devices,
-        }
-    }
-}
+/// Simulator configuration: the engine's, under its historical name.
+pub type SimConfig = EngineConfig;
 
 /// The simulator: a virtual-time instantiation of the runtime engine.
-pub struct DvmSim {
-    engine: Engine<LatencyTransport, VirtualClock>,
-}
+pub type DvmSim = Engine<LatencyTransport, VirtualClock>;
 
 impl DvmSim {
     /// Builds a simulator over a network snapshot and a counting plan.
     /// Verifier construction (LEC building and initial counting) is
-    /// timed as initialization; call [`DvmSim::burst`] to run it.
+    /// timed as initialization; call [`Engine::burst`] to run it.
     pub fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: SimConfig) -> DvmSim {
-        let cache = LecCache::new();
-        Self::new_cached(net, plan, ps, cfg, &cache)
+        Self::with_cache(net, plan, ps, cfg, &LecCache::new())
     }
 
     /// Like [`DvmSim::new`], but shares a per-device LEC cache across
     /// simulators (one device builds its LEC table once for all
     /// invariants — the paper's §8 architecture). The cached build cost
     /// is still charged to init time on the first build.
-    pub fn new_cached(
+    pub fn with_cache(
         net: &Network,
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: SimConfig,
         lec_cache: &LecCache,
     ) -> DvmSim {
-        let ecfg: EngineConfig = cfg.into();
-        let transport = LatencyTransport::new(net.topology.clone(), ecfg.fallback_latency_ns);
-        let clock = VirtualClock::new(ecfg.model);
-        DvmSim {
-            engine: Engine::new_cached(net, plan, ps, &ecfg, lec_cache, transport, clock),
-        }
-    }
-
-    /// The burst phase: all FIBs arrive at t=0 (already ingested during
-    /// construction); runs the initial counting to quiescence.
-    pub fn burst(&mut self) -> SimResult {
-        self.engine.burst()
-    }
-
-    /// One incremental rule update: arrives at its device "now"
-    /// (relative clock reset to 0 so results are per-update times).
-    pub fn incremental(&mut self, update: &RuleUpdate) -> SimResult {
-        self.engine.incremental(update)
-    }
-
-    /// Applies a burst of rule updates as coalesced per-device batches
-    /// (see [`crate::runtime::Engine::apply_batch`]).
-    pub fn apply_batch(&mut self, updates: &[RuleUpdate]) -> SimResult {
-        self.engine.apply_batch(updates)
-    }
-
-    /// A link failure/recovery event delivered to both endpoints at t=0.
-    pub fn link_event(&mut self, a: DeviceId, b: DeviceId, up: bool) -> SimResult {
-        self.engine.link_event(a, b, up)
-    }
-
-    /// Swaps every verifier to a fault-scene task view (after link-state
-    /// flooding, §6) and recounts. `flood_ns` models the flooding delay
-    /// added to the completion time.
-    pub fn apply_scene(&mut self, tasks: &[NodeTask], flood_ns: u64) -> SimResult {
-        self.engine.apply_scene(tasks, flood_ns)
-    }
-
-    /// Evaluates the invariant at the sources.
-    pub fn report(&mut self) -> Report {
-        self.engine.report()
-    }
-
-    /// Per-device overhead counters.
-    pub fn device_stats(&self) -> &BTreeMap<DeviceId, DeviceStats> {
-        &self.engine.stats().per_device
-    }
-
-    /// The full runtime observability surface (per-message samples,
-    /// totals).
-    pub fn stats(&self) -> &RuntimeStats {
-        self.engine.stats()
-    }
-
-    /// Mutable stats access (the Fig. 15 harness drains the
-    /// per-message samples through this).
-    pub fn stats_mut(&mut self) -> &mut RuntimeStats {
-        self.engine.stats_mut()
-    }
-
-    /// Crashes and restarts one device's verification agent and drives
-    /// the recovery exchange (neighbor replays) to quiescence.
-    pub fn crash_restart(&mut self, dev: DeviceId) -> SimResult {
-        self.engine.crash_restart(dev)
-    }
-
-    /// Applies one live topology churn event (epoch fence + incremental
-    /// re-plan + re-announcement) and runs re-convergence to
-    /// quiescence. See [`crate::runtime::Engine::apply_topology_event`].
-    pub fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &tulkun_netmodel::topology::Topology,
-        inv: &Invariant,
-    ) -> Result<SimResult, PlanError> {
-        self.engine.apply_topology_event(ev, base, inv)
-    }
-
-    /// Like [`DvmSim::apply_topology_event`], also returning the
-    /// re-plan delta's `(total_nodes, reused_nodes)` (for the churn
-    /// ablation bench and the CLI).
-    pub fn apply_topology_event_with_delta(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &tulkun_netmodel::topology::Topology,
-        inv: &Invariant,
-    ) -> Result<(SimResult, usize, usize), PlanError> {
-        self.engine.apply_topology_event_with_delta(ev, base, inv)
-    }
-
-    /// Stages a batch of rule updates (enqueued, not yet drained) so a
-    /// churn event can land mid-flight; drain with
-    /// [`DvmSim::run_staged`].
-    pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
-        self.engine.stage_batch(updates)
-    }
-
-    /// Drains staged and churn-induced traffic to quiescence.
-    pub fn run_staged(&mut self) -> SimResult {
-        self.engine.run_staged()
-    }
-
-    /// The current topology generation (0 until the first churn event).
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch()
-    }
-
-    /// Mutable access to one verifier (used by the replay harness).
-    pub fn verifier_mut(&mut self, dev: DeviceId) -> Option<&mut DeviceVerifier> {
-        self.engine.verifier_mut(dev)
-    }
-
-    /// The runtime intent store (read-only).
-    pub fn intents(&self) -> &tulkun_core::intent::IntentStore {
-        self.engine.intents()
-    }
-
-    /// Installs an invariant as a runtime intent and drives
-    /// re-convergence (see [`crate::runtime::Engine::install_intent`]).
-    pub fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        self.engine.install_intent(name, inv)
-    }
-
-    /// [`DvmSim::install_intent`] under a caller-chosen id (replay).
-    pub fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        self.engine.install_intent_as(id, name, inv)
-    }
-
-    /// Removes a live intent and drives re-convergence (see
-    /// [`crate::runtime::Engine::remove_intent`]).
-    pub fn remove_intent(&mut self, id: IntentId) -> Result<(IntentDelta, SimResult), PlanError> {
-        self.engine.remove_intent(id)
-    }
-}
-
-impl Substrate for DvmSim {
-    fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
-        self.engine.apply_event(ev)
+        let transport = LatencyTransport::new(net.topology.clone(), cfg.fallback_latency_ns);
+        let clock = VirtualClock::new(cfg.model);
+        Engine::new_cached(net, plan, ps, &cfg, lec_cache, transport, clock)
     }
 }
 
@@ -266,9 +58,7 @@ impl Substrate for DvmSim {
 /// [`FaultProfile`] and recovered by the at-least-once reliability
 /// layer. The Report converges to the same fixpoint as the perfect-
 /// channel simulator; `stats().fault` records what it cost.
-pub struct FaultyDvmSim {
-    engine: Engine<FaultyTransport<LatencyTransport>, VirtualClock>,
-}
+pub type FaultyDvmSim = Engine<FaultyTransport<LatencyTransport>, VirtualClock>;
 
 impl FaultyDvmSim {
     /// Builds a fault-injecting simulator (see [`DvmSim::new`]).
@@ -279,132 +69,13 @@ impl FaultyDvmSim {
         cfg: SimConfig,
         profile: FaultProfile,
     ) -> FaultyDvmSim {
-        let cache = LecCache::new();
-        Self::new_cached(net, plan, ps, cfg, profile, &cache)
-    }
-
-    /// Like [`FaultyDvmSim::new`] with a shared LEC cache.
-    pub fn new_cached(
-        net: &Network,
-        plan: &CountingPlan,
-        ps: &PacketSpace,
-        cfg: SimConfig,
-        profile: FaultProfile,
-        lec_cache: &LecCache,
-    ) -> FaultyDvmSim {
-        let ecfg: EngineConfig = cfg.into();
         let transport = FaultyTransport::with_telemetry(
-            LatencyTransport::new(net.topology.clone(), ecfg.fallback_latency_ns),
+            LatencyTransport::new(net.topology.clone(), cfg.fallback_latency_ns),
             profile,
-            ecfg.telemetry.clone(),
+            cfg.telemetry.clone(),
         );
-        let clock = VirtualClock::new(ecfg.model);
-        FaultyDvmSim {
-            engine: Engine::new_cached(net, plan, ps, &ecfg, lec_cache, transport, clock),
-        }
-    }
-
-    /// The burst phase under faults (see [`DvmSim::burst`]).
-    pub fn burst(&mut self) -> SimResult {
-        self.engine.burst()
-    }
-
-    /// One incremental rule update under faults.
-    pub fn incremental(&mut self, update: &RuleUpdate) -> SimResult {
-        self.engine.incremental(update)
-    }
-
-    /// Applies a burst of rule updates as coalesced per-device batches,
-    /// delivered over the faulty channel.
-    pub fn apply_batch(&mut self, updates: &[RuleUpdate]) -> SimResult {
-        self.engine.apply_batch(updates)
-    }
-
-    /// A link failure/recovery event delivered to both endpoints at t=0.
-    pub fn link_event(&mut self, a: DeviceId, b: DeviceId, up: bool) -> SimResult {
-        self.engine.link_event(a, b, up)
-    }
-
-    /// Crashes and restarts one device's verification agent and drives
-    /// the recovery exchange — over the faulty channel — to quiescence.
-    pub fn crash_restart(&mut self, dev: DeviceId) -> SimResult {
-        self.engine.crash_restart(dev)
-    }
-
-    /// Evaluates the invariant at the sources.
-    pub fn report(&mut self) -> Report {
-        self.engine.report()
-    }
-
-    /// Applies one live topology churn event over the faulty channel:
-    /// the epoch fence additionally wipes the reliability layer's
-    /// in-flight state (windows, reorder buffers, delayed copies).
-    pub fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &tulkun_netmodel::topology::Topology,
-        inv: &Invariant,
-    ) -> Result<SimResult, PlanError> {
-        self.engine.apply_topology_event(ev, base, inv)
-    }
-
-    /// Stages a batch of rule updates without draining them.
-    pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
-        self.engine.stage_batch(updates)
-    }
-
-    /// Drains staged and churn-induced traffic to quiescence.
-    pub fn run_staged(&mut self) -> SimResult {
-        self.engine.run_staged()
-    }
-
-    /// The current topology generation (0 until the first churn event).
-    pub fn epoch(&self) -> u64 {
-        self.engine.epoch()
-    }
-
-    /// The runtime observability surface; `stats().fault` holds the
-    /// reliability-layer counters (drops, retransmits, acks, …).
-    pub fn stats(&self) -> &RuntimeStats {
-        self.engine.stats()
-    }
-
-    /// The runtime intent store (read-only).
-    pub fn intents(&self) -> &tulkun_core::intent::IntentStore {
-        self.engine.intents()
-    }
-
-    /// Installs an invariant as a runtime intent over the faulty
-    /// channel: dropped/duplicated/reordered install-wave messages are
-    /// recovered by the reliability layer and the report still
-    /// converges to the clean-channel fixpoint.
-    pub fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        self.engine.install_intent(name, inv)
-    }
-
-    /// [`FaultyDvmSim::install_intent`] under a caller-chosen id.
-    pub fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        self.engine.install_intent_as(id, name, inv)
-    }
-
-    /// Removes a live intent over the faulty channel.
-    pub fn remove_intent(&mut self, id: IntentId) -> Result<(IntentDelta, SimResult), PlanError> {
-        self.engine.remove_intent(id)
-    }
-}
-
-impl Substrate for FaultyDvmSim {
-    fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
-        self.engine.apply_event(ev)
+        let clock = VirtualClock::new(cfg.model);
+        Engine::new_cached(net, plan, ps, &cfg, &LecCache::new(), transport, clock)
     }
 }
 
@@ -416,6 +87,7 @@ mod tests {
     use tulkun_core::spec::PacketSpace;
     use tulkun_datasets::fig2a_network;
     use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
+    use tulkun_netmodel::network::RuleUpdate;
 
     fn waypoint_sim() -> (tulkun_netmodel::Network, DvmSim) {
         let net = fig2a_network();
@@ -526,7 +198,8 @@ mod tests {
                 },
             );
             sim.burst();
-            sim.device_stats()
+            sim.stats()
+                .per_device
                 .values()
                 .map(|s| s.init_ns + s.busy_ns)
                 .sum::<u64>()
@@ -643,12 +316,12 @@ mod tests {
     fn device_stats_are_collected() {
         let (_, mut sim) = waypoint_sim();
         sim.burst();
-        let stats = sim.device_stats();
+        let stats = &sim.stats().per_device;
         assert!(!stats.is_empty());
         assert!(stats.values().any(|s| s.messages > 0));
         assert!(stats.values().all(|s| s.bdd_nodes > 2));
         // Per-message samples are drainable for the Fig. 15 harness.
-        let total_msgs: u64 = sim.device_stats().values().map(|s| s.messages).sum();
+        let total_msgs: u64 = sim.stats().per_device.values().map(|s| s.messages).sum();
         let samples = sim.stats_mut().drain_msg_samples();
         assert_eq!(samples.len() as u64, total_msgs);
         assert!(sim.stats().msg_ns_samples.is_empty());

@@ -10,9 +10,9 @@
 //!   detection, result collection, report assembly), the concurrent
 //!   [`ThreadedEngine`], and the single [`RuntimeStats`] observability
 //!   surface every harness reads.
-//! * [`event`] — the discrete-event simulator: the engine with a
-//!   virtual-time heap ([`runtime::LatencyTransport`]) and a
-//!   [`runtime::VirtualClock`]; per-event CPU time is *measured* (not
+//! * [`event`] — the discrete-event simulator, as type aliases: the
+//!   engine with a virtual-time heap ([`runtime::LatencyTransport`])
+//!   and a [`runtime::VirtualClock`]; per-event CPU time is *measured* (not
 //!   modeled) and DVM messages travel with the topology's link
 //!   latencies. Verification time is the quiescence instant, exactly as
 //!   the paper measures it (§9.3.1).
@@ -23,8 +23,8 @@
 //!   runtime's [`runtime::CollectionClock`]), then the baseline's
 //!   measured compute time is added.
 //! * [`distributed`] — one OS thread per on-device verifier with
-//!   in-order channels (the deployment shape of the paper's prototype),
-//!   wrapping [`runtime::ThreadedEngine`].
+//!   in-order channels (the deployment shape of the paper's prototype):
+//!   an alias of [`runtime::ThreadedEngine`].
 //! * [`localsim`] — `equal`-operator local contracts (communication-
 //!   free; time = slowest device), instrumented through the same
 //!   runtime clock and stats.
@@ -37,10 +37,12 @@
 //!   device crash/restarts (`Engine::crash_restart`,
 //!   `ThreadedEngine::crash_restart`).
 //!
-//! Live topology churn (`tulkun_core::churn::TopologyEvent`) is a
-//! first-class event on every substrate: `apply_topology_event`
-//! epoch-fences in-flight traffic, applies the incremental re-plan
-//! diff and re-announces durable state, converging to the same report
+//! Live topology churn (`tulkun_core::churn::TopologyEvent`) and
+//! runtime intent install/remove are decided once, by the
+//! `tulkun_core::control::ControlPlane` each engine embeds; an engine
+//! only delivers the resulting per-device fences (epoch-fencing
+//! in-flight traffic, applying the task diff, re-announcing durable
+//! state) and drives to quiescence, converging to the same report
 //! as a fresh plan of the post-churn topology. The threaded substrate
 //! adds a convergence watchdog ([`runtime::WatchdogConfig`]) that
 //! distinguishes "still converging" from a wedged or partitioned

@@ -38,15 +38,15 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tulkun_bdd::serial::PortablePred;
-use tulkun_bdd::HeaderLayout;
-use tulkun_core::churn::{ChurnState, TopologyEvent};
+use tulkun_core::churn::TopologyEvent;
+use tulkun_core::control::{ControlPlane, Decision, FencePlan};
 use tulkun_core::count::Counts;
 use tulkun_core::dpvnet::NodeId;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::fault::FaultStats;
-use tulkun_core::intent::{plan_intent_on, IntentDelta, IntentId, IntentStore};
-use tulkun_core::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
+use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
+use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
 use tulkun_core::spec::{Invariant, PacketSpace};
 use tulkun_core::verify::{self, Report};
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
@@ -384,6 +384,29 @@ pub trait Transport {
     fn set_topology(&mut self, _topo: &Topology) {}
 }
 
+/// A boxed transport is a transport: lets one engine type run over a
+/// transport chosen at run time (the service's clean or lossy channel).
+impl<T: Transport + ?Sized> Transport for Box<T> {
+    fn send(&mut self, from: DeviceId, at: u64, env: Envelope) {
+        (**self).send(from, at, env)
+    }
+    fn recv(&mut self) -> Option<(u64, Envelope)> {
+        (**self).recv()
+    }
+    fn fault_stats(&self) -> Option<FaultStats> {
+        (**self).fault_stats()
+    }
+    fn epoch_fence(&mut self, epoch: u64) {
+        (**self).epoch_fence(epoch)
+    }
+    fn purge_for_restart(&mut self, dev: DeviceId) {
+        (**self).purge_for_restart(dev)
+    }
+    fn set_topology(&mut self, topo: &Topology) {
+        (**self).set_topology(topo)
+    }
+}
+
 /// Delivery through the topology's links: each envelope arrives after
 /// its link's propagation latency, and the earliest arrival is
 /// delivered first (a virtual-time event heap).
@@ -715,11 +738,22 @@ pub struct RunOutcome {
     pub bytes: u64,
 }
 
+impl From<RunOutcome> for EventOutcome {
+    fn from(r: RunOutcome) -> EventOutcome {
+        EventOutcome {
+            messages: r.messages,
+            completion_ns: r.completion_ns,
+            ..EventOutcome::default()
+        }
+    }
+}
+
 /// The generic single-driver engine: owns the verifiers, a [`Clock`],
 /// a [`Transport`] and the [`RuntimeStats`]; every deterministic
 /// substrate is an instantiation of this one loop.
 pub struct Engine<T: Transport, C: Clock> {
-    plan: CountingPlan,
+    /// The lifecycle owner: intents, churn, epoch, journal and gauges.
+    control: ControlPlane,
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
     transport: T,
     clock: C,
@@ -728,29 +762,8 @@ pub struct Engine<T: Transport, C: Clock> {
     tel: Arc<Telemetry>,
     /// Next causal trace id handed to an injected internal event.
     next_trace: u64,
-    /// Topology generation (0 = pre-churn). Stamped into every envelope
-    /// by the verifiers; stale-epoch arrivals are fenced off.
-    epoch: u64,
-    /// Cumulative live-churn state (down links/devices).
-    churn: ChurnState,
-    /// Topology churn events applied so far (the epoch also advances
-    /// on intent installs/removals, so freshness marking keys off this
-    /// counter instead).
-    churn_events: u64,
-    /// Devices currently quarantined (down): no deliveries, no
-    /// recounting.
-    quarantined: BTreeSet<DeviceId>,
-    /// Old-plan nodes stranded on quarantined devices, reported
-    /// `Unreachable`.
-    unreachable: BTreeMap<NodeId, DeviceId>,
-    /// The runtime intent store: the base plan is intent 0; installs
-    /// intern their DPVNet slices against it.
-    store: IntentStore,
-    /// Intent id → the epoch whose fence degraded it (freshness
-    /// attribution; cleared when a later fence revives the intent).
-    degraded_epochs: BTreeMap<u64, u64>,
     /// Network snapshot kept current across [`Engine::stage_batch`], so
-    /// intent compilation and lazy verifier builds see live FIBs.
+    /// lazy verifier builds see live FIBs.
     net: Network,
     /// Compiled base packet space, for lazily built verifiers.
     packet_space: PortablePred,
@@ -790,7 +803,15 @@ impl<T: Transport, C: Clock> Engine<T, C> {
             verifiers.insert(b.dev, b.verifier);
         }
         Engine {
-            plan: plan.clone(),
+            control: ControlPlane::new(
+                &net.topology,
+                net.layout,
+                plan,
+                ps,
+                verifiers.keys().copied(),
+                false,
+                cfg.telemetry.clone(),
+            ),
             verifiers,
             transport,
             clock,
@@ -798,13 +819,6 @@ impl<T: Transport, C: Clock> Engine<T, C> {
             watermark: 0,
             tel: cfg.telemetry.clone(),
             next_trace: FIRST_EVENT_TRACE,
-            epoch: 0,
-            churn: ChurnState::new(),
-            churn_events: 0,
-            quarantined: BTreeSet::new(),
-            unreachable: BTreeMap::new(),
-            store: IntentStore::with_base(plan.clone(), ps.clone(), None),
-            degraded_epochs: BTreeMap::new(),
             net: net.clone(),
             packet_space,
             vcfg: plan_vcfg(plan),
@@ -827,7 +841,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         let mut last_finish = self.watermark;
         while let Some((arrival, env)) = self.transport.recv() {
             let dev = env.to;
-            if self.quarantined.contains(&dev) {
+            if self.control.is_quarantined(dev) {
                 continue;
             }
             let Some(v) = self.verifiers.get_mut(&dev) else {
@@ -928,7 +942,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
             self.tel.journal(
                 JournalKind::BatchApplied,
                 first,
-                self.epoch,
+                self.epoch(),
                 trace,
                 None,
                 || format!("{n} updates"),
@@ -971,7 +985,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         self.reset_time();
         let trace = self.alloc_trace();
         self.tel
-            .journal(JournalKind::LinkEvent, a, self.epoch, trace, None, || {
+            .journal(JournalKind::LinkEvent, a, self.epoch(), trace, None, || {
                 let dir = if up { "up" } else { "down" };
                 format!("link-{dir} d{}-d{}", a.0, b.0)
             });
@@ -1003,7 +1017,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
             self.tel.journal(
                 JournalKind::SceneApplied,
                 first,
-                self.epoch,
+                self.epoch(),
                 trace,
                 None,
                 || format!("fault-scene recount over {n} tasks"),
@@ -1047,7 +1061,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         self.tel.journal(
             JournalKind::CrashRestart,
             dev,
-            self.epoch,
+            self.epoch(),
             trace,
             None,
             || format!("verification agent on d{} crashed and restarted", dev.0),
@@ -1100,228 +1114,94 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         self.clock.reset();
     }
 
-    /// The current topology generation (0 until the first churn event).
+    /// The current fence generation (0 until the first churn event or
+    /// intent install/remove).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.control.epoch()
     }
 
-    /// Applies one live topology churn event and drives re-convergence
-    /// to quiescence: folds the event into the cumulative churn state,
-    /// incrementally re-plans against the post-churn topology (`base` is
-    /// the original topology, `inv` the invariant the running plan was
-    /// compiled from), bumps the epoch fence — the transport drops every
-    /// in-flight envelope, verifiers discard stragglers from superseded
-    /// epochs — applies the per-device task diff, and has every
-    /// reachable device re-announce its durable state under the new
-    /// epoch.
-    ///
-    /// `DeviceDown` quarantines its device (no deliveries, old nodes
-    /// reported `Unreachable`); `DeviceUp` lifts the quarantine, wipes
-    /// the revived verifier's soft counting state and re-tasks it.
-    /// Every *live* intent is re-planned under the same fence
-    /// ([`IntentStore::replan_all_for_churn`]): unaffected slices keep
-    /// their node ids and ship zero tasks, slices the churned topology
-    /// cannot host degrade per-intent instead of rejecting the event,
-    /// and parked installs get their bounded retry against the new
-    /// epoch. Only a failure to re-plan the *base* invariant leaves the
-    /// engine on the old epoch.
+    /// Has the control plane decide one event under a fresh trace id,
+    /// then delivers the resulting fence (if any) to quiescence.
+    fn fenced(
+        &mut self,
+        decide: impl FnOnce(&mut ControlPlane, u64) -> Result<Decision, PlanError>,
+    ) -> Result<(Decision, RunOutcome), PlanError> {
+        let trace = self.alloc_trace();
+        let begin = self.tel.host_tick();
+        let wall = Instant::now();
+        let mut decision = decide(&mut self.control, trace)?;
+        let Some(plan) = decision.fence.take() else {
+            return Ok((decision, RunOutcome::default()));
+        };
+        if self.tel.is_enabled() {
+            let first = self.verifiers.keys().next().copied().unwrap_or(DeviceId(0));
+            let plan_ns = (wall.elapsed().as_nanos() as u64).max(1);
+            self.tel.span_aux(
+                first,
+                "fence.plan",
+                "fence",
+                begin,
+                plan_ns,
+                trace,
+                plan.epoch,
+            );
+        }
+        Ok((decision, self.deliver(plan, trace)))
+    }
+
+    /// Delivers one fence. The transport drops everything in flight
+    /// *before* any new-epoch send (re-announcement repairs what it
+    /// carried); then every device applies its share at t=0 on its own
+    /// clock, and the exchange is driven to quiescence.
+    fn deliver(&mut self, plan: FencePlan, trace: u64) -> RunOutcome {
+        self.reset_time();
+        self.transport.epoch_fence(plan.epoch);
+        if let Some(topo) = &plan.topology {
+            self.transport.set_topology(topo);
+        }
+        for (dev, fence) in plan.devices {
+            if !self.verifiers.contains_key(&dev) {
+                self.build_verifier_lazily(dev, trace);
+            }
+            let v = self.verifiers.get_mut(&dev).expect("built above");
+            let begin = self.tel.host_tick();
+            let wall = Instant::now();
+            let mut replies = Vec::new();
+            v.apply_fence(plan.epoch, trace, fence, &mut replies);
+            let host_ns = wall.elapsed().as_nanos() as u64;
+            let span = self.clock.charge(dev, 0, host_ns);
+            self.stats.per_device.entry(dev).or_default().busy_ns += span.cpu_ns;
+            if self.tel.is_enabled() {
+                self.tel.span_aux(
+                    dev,
+                    "fence.apply",
+                    "fence",
+                    begin,
+                    host_ns.max(1),
+                    trace,
+                    plan.epoch,
+                );
+            }
+            for env in replies {
+                self.transport.send(dev, span.finish, env);
+            }
+        }
+        self.run()
+    }
+
+    /// Applies one live topology churn event
+    /// ([`ControlPlane::topology_event`]; `base` is the original
+    /// topology, `inv` the invariant the running plan was compiled
+    /// from) and drives re-convergence to quiescence. An `Err` leaves
+    /// the engine on the old epoch.
     pub fn apply_topology_event(
         &mut self,
         ev: &TopologyEvent,
         base: &Topology,
         inv: &Invariant,
     ) -> Result<RunOutcome, PlanError> {
-        self.apply_topology_event_inner(ev, base, inv)
-            .map(|(r, _, _)| r)
-    }
-
-    fn apply_topology_event_inner(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &Topology,
-        inv: &Invariant,
-    ) -> Result<(RunOutcome, usize, usize), PlanError> {
-        let mut churn = self.churn.clone();
-        if !churn.apply(ev) {
-            let n = self.plan.tasks.len();
-            return Ok((RunOutcome::default(), n, n));
-        }
-        let replan_begin = self.tel.host_tick();
-        let replan_wall = Instant::now();
-        // Transactional: an Err re-planning the base invariant happens
-        // before the store mutates anything.
-        let replan = self
-            .store
-            .replan_all_for_churn(base, Some(inv), &churn, None)?;
-        self.reset_time();
-        self.churn = churn;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let trace = self.alloc_trace();
-        if self.tel.is_enabled() {
-            let first = self.verifiers.keys().next().copied().unwrap_or(DeviceId(0));
-            self.tel.span_aux(
-                first,
-                "churn.replan",
-                "churn",
-                replan_begin,
-                (replan_wall.elapsed().as_nanos() as u64).max(1),
-                trace,
-                epoch,
-            );
-            self.tel.count(first, "tulkun_epoch_bumps_total", 1);
-        }
-        self.tel.journal(
-            JournalKind::TopologyChurn,
-            ev.primary_device(),
-            epoch,
-            trace,
-            None,
-            || ev.describe(),
-        );
-        self.tel.journal(
-            JournalKind::EpochFence,
-            ev.primary_device(),
-            epoch,
-            trace,
-            None,
-            || format!("fence to epoch {epoch} (churn)"),
-        );
-        verify::journal_replan_transitions(
-            &self.tel,
-            &mut self.degraded_epochs,
-            &replan,
-            ev.primary_device(),
-            epoch,
-            trace,
-            &ev.describe(),
-        );
-        for v in self.verifiers.values_mut() {
-            v.set_epoch(epoch);
-        }
-        match ev {
-            TopologyEvent::DeviceDown(d) => {
-                self.quarantined.insert(*d);
-                self.tel.count(*d, "tulkun_quarantined_total", 1);
-            }
-            TopologyEvent::DeviceUp(d) => {
-                // Revived: soft state from before the outage is
-                // meaningless under the new plan — clean slate.
-                self.quarantined.remove(d);
-                if let Some(v) = self.verifiers.get_mut(d) {
-                    let all = v.node_ids();
-                    v.remove_nodes(&all);
-                }
-            }
-            TopologyEvent::LinkDown(..) | TopologyEvent::LinkUp(..) => {}
-        }
-        // Fence *before* any new-epoch send: everything in flight is
-        // superseded; re-announcement repairs what it carried.
-        self.transport.epoch_fence(epoch);
-        self.transport.set_topology(&replan.topology);
-        for (dev, gone) in &replan.removed {
-            if let Some(v) = self.verifiers.get_mut(dev) {
-                v.remove_nodes(gone);
-            }
-        }
-        // New nodes import their context's packet space; compile each
-        // referenced context once.
-        let mut spaces: BTreeMap<usize, PortablePred> = BTreeMap::new();
-        for groups in replan.changed.values() {
-            for g in groups {
-                if let Some(c) = g.ctx {
-                    spaces.entry(c).or_insert_with(|| {
-                        verify::compile_packet_space(&self.net.layout, self.store.context_space(c))
-                    });
-                }
-            }
-        }
-        // Build verifiers lazily for devices the re-plan pulls in (e.g.
-        // a detour through a device no prior plan tasked).
-        let missing: Vec<DeviceId> = replan
-            .changed
-            .keys()
-            .filter(|d| !self.verifiers.contains_key(d))
-            .copied()
-            .collect();
-        for dev in missing {
-            self.build_verifier_lazily(dev, trace);
-        }
-        for (dev, groups) in &replan.changed {
-            let v = self.verifiers.get_mut(dev).expect("built above");
-            let begin = self.tel.host_tick();
-            let wall = Instant::now();
-            let mut replies = Vec::new();
-            v.set_trace(trace);
-            for g in groups {
-                match g.ctx {
-                    None => v.set_tasks(g.tasks.clone(), &mut replies),
-                    Some(c) => v.install_tasks(g.tasks.clone(), &spaces[&c], &mut replies),
-                }
-            }
-            let host_ns = wall.elapsed().as_nanos() as u64;
-            let span = self.clock.charge(*dev, 0, host_ns);
-            self.stats.per_device.entry(*dev).or_default().busy_ns += span.cpu_ns;
-            if self.tel.is_enabled() {
-                self.tel.span_aux(
-                    *dev,
-                    "churn.retask",
-                    "churn",
-                    begin,
-                    host_ns.max(1),
-                    trace,
-                    epoch,
-                );
-            }
-            for env in replies {
-                self.transport.send(*dev, span.finish, env);
-            }
-        }
-        // Every reachable device re-announces its durable state under
-        // the new epoch — including unchanged devices, whose in-flight
-        // messages the fence just dropped.
-        let devs: Vec<DeviceId> = self
-            .verifiers
-            .keys()
-            .copied()
-            .filter(|d| !self.quarantined.contains(d))
-            .collect();
-        for dev in devs {
-            let v = self.verifiers.get_mut(&dev).unwrap();
-            let wall = Instant::now();
-            let mut replies = Vec::new();
-            v.set_trace(trace);
-            v.reannounce(&mut replies);
-            if replies.is_empty() {
-                continue;
-            }
-            let span = self.clock.charge(dev, 0, wall.elapsed().as_nanos() as u64);
-            self.stats.per_device.entry(dev).or_default().busy_ns += span.cpu_ns;
-            for env in replies {
-                self.transport.send(dev, span.finish, env);
-            }
-        }
-        self.unreachable.retain(|_, d| self.churn.is_down(*d));
-        for (n, d) in &replan.unreachable {
-            self.unreachable.insert(*n, *d);
-        }
-        self.churn_events += 1;
-        if let Some(p) = self.store.base_plan() {
-            self.plan = p.clone();
-        }
-        let r = self.run();
-        Ok((r, replan.total_nodes, replan.reused_nodes))
-    }
-
-    /// Like [`Engine::apply_topology_event`], also returning the
-    /// re-plan's reuse statistics (for the churn ablation bench).
-    pub fn apply_topology_event_with_delta(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &Topology,
-        inv: &Invariant,
-    ) -> Result<(RunOutcome, usize, usize), PlanError> {
-        self.apply_topology_event_inner(ev, base, inv)
+        self.fenced(|c, trace| c.topology_event(ev, base, inv, trace))
+            .map(|(_, r)| r)
     }
 
     /// Builds one verifier after construction time, for a device a
@@ -1365,36 +1245,23 @@ impl<T: Transport, C: Clock> Engine<T, C> {
     /// markers and the quarantined-device list.
     pub fn report(&mut self) -> Report {
         let verifiers = &mut self.verifiers;
-        let mut r = verify::evaluate_intents(&self.store, |dev, node| {
+        let mut r = verify::evaluate_intents(self.control.intents(), |dev, node| {
             verifiers
                 .get_mut(&dev)
                 .map(|v| v.node_result(node, None))
                 .unwrap_or_default()
         });
-        if self.churn_events > 0 {
-            verify::mark_freshness_store(
-                &mut r,
-                &self.store,
-                &self.unreachable,
-                self.quarantined.iter().copied(),
-                &BTreeMap::new(),
-                &self.degraded_epochs,
-            );
-        }
+        self.control.annotate(&mut r, &BTreeMap::new());
         r
     }
 
     /// The runtime intent store (read-only).
     pub fn intents(&self) -> &IntentStore {
-        &self.store
+        self.control.intents()
     }
 
-    /// Compiles `inv` against the engine's topology and installs it as
-    /// a new runtime intent under an epoch bump: the invariant's DPVNet
-    /// slice is interned into the shared node table (nodes other live
-    /// intents already installed are reused, not duplicated), only the
-    /// devices in the slice are re-tasked, verifiers are lazily built
-    /// for devices the slice pulls in, and the exchange is driven to
+    /// Compiles `inv`, installs it as a new runtime intent
+    /// ([`ControlPlane::install`]) and drives the exchange to
     /// quiescence. Returns the new id, the applied delta (its
     /// `reused_nodes` / `touched_devices` evidence slicing locality)
     /// and the driven round.
@@ -1403,7 +1270,8 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        self.install_intent_inner(None, name, inv)
+        let (d, r) = self.fenced(|c, trace| c.install(None, name, inv, trace))?;
+        Ok((d.intent.expect("installs name their intent"), d.delta, r))
     }
 
     /// [`Engine::install_intent`] under a caller-chosen id — for
@@ -1415,219 +1283,15 @@ impl<T: Transport, C: Clock> Engine<T, C> {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        self.install_intent_inner(Some(id), name, inv)
+        let (d, r) = self.fenced(|c, trace| c.install(Some(id), name, inv, trace))?;
+        Ok((id, d.delta, r))
     }
 
-    fn install_intent_inner(
-        &mut self,
-        id: Option<IntentId>,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let cp = if self.churn.is_quiet() {
-            let plan = Planner::new(&self.net.topology).plan(inv)?;
-            let PlanKind::Counting(cp) = &plan.kind else {
-                return Err(PlanError::Unsupported(
-                    "runtime intents require a counting plan (local-contract \
-                     behaviors have no DPVNet slice to install)"
-                        .to_string(),
-                ));
-            };
-            cp.clone()
-        } else {
-            // The install races an active topology fence: plan against
-            // the effective (post-churn) topology; a slice it cannot
-            // host is *parked* for bounded retry on the next fence
-            // instead of rejected.
-            let effective = self.churn.apply_to(&self.net.topology);
-            match plan_intent_on(&effective, inv, &self.churn, None) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    let id = self.store.park(id, name, inv.clone())?;
-                    let epoch = self.epoch;
-                    self.tel.journal(
-                        JournalKind::IntentParked,
-                        DeviceId(0),
-                        epoch,
-                        0,
-                        Some(id.0),
-                        || format!("parked behind fence @epoch {epoch}: {e}"),
-                    );
-                    return Ok((id, IntentDelta::default(), RunOutcome::default()));
-                }
-            }
-        };
-        let (id, delta) =
-            self.store
-                .install(id, name, Some(inv.clone()), cp, inv.packet_space.clone())?;
-        let space = verify::compile_packet_space(
-            &self.net.layout,
-            delta.space.as_ref().unwrap_or(&inv.packet_space),
-        );
-        self.reset_time();
-        let trace = self.alloc_trace();
-        // Build verifiers lazily for devices the slice pulls in.
-        let missing: Vec<DeviceId> = delta
-            .changed
-            .keys()
-            .filter(|d| !self.verifiers.contains_key(d))
-            .copied()
-            .collect();
-        for dev in missing {
-            self.build_verifier_lazily(dev, trace);
-        }
-        let r = self.fence_and_apply(&delta, Some(&space), trace, "intent.install");
-        let dev = delta.changed.keys().next().copied().unwrap_or(DeviceId(0));
-        let name = name.to_string();
-        self.tel.journal(
-            JournalKind::IntentInstalled,
-            dev,
-            self.epoch,
-            trace,
-            Some(id.0),
-            || format!("intent {name:?} installed"),
-        );
-        self.tel
-            .gauge_set(dev, "tulkun_intent_count", self.store.live().count() as i64);
-        Ok((id, delta, r))
-    }
-
-    /// Removes a live intent under the same epoch fence as
-    /// [`Engine::install_intent`]: only nodes no surviving intent owns
-    /// are uninstalled (shared tasks stay — cheaper by exactly the
-    /// dedup), and the exchange re-converges.
+    /// Removes a live intent ([`ControlPlane::remove`]) and
+    /// re-converges.
     pub fn remove_intent(&mut self, id: IntentId) -> Result<(IntentDelta, RunOutcome), PlanError> {
-        // A parked or degraded intent owns no on-device state: removing
-        // it drains the bookkeeping without a fence.
-        let no_footprint =
-            self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
-        let delta = self.store.remove(id)?;
-        self.degraded_epochs.remove(&id.0);
-        let (r, trace) = if no_footprint {
-            (RunOutcome::default(), 0)
-        } else {
-            self.reset_time();
-            let trace = self.alloc_trace();
-            (
-                self.fence_and_apply(&delta, None, trace, "intent.remove"),
-                trace,
-            )
-        };
-        let dev = delta
-            .removed
-            .keys()
-            .chain(delta.changed.keys())
-            .next()
-            .copied()
-            .unwrap_or(DeviceId(0));
-        self.tel.journal(
-            JournalKind::IntentRemoved,
-            dev,
-            self.epoch,
-            trace,
-            Some(id.0),
-            || format!("intent {} removed", id.0),
-        );
-        self.tel
-            .gauge_set(dev, "tulkun_intent_count", self.store.live().count() as i64);
-        Ok((delta, r))
-    }
-
-    /// Bumps the epoch fence, applies an intent delta's removals and
-    /// task changes (`space` is the base packet space for new nodes —
-    /// `None` for removals, which never create nodes), re-announces
-    /// durable state on every reachable device and drives the exchange
-    /// to quiescence.
-    fn fence_and_apply(
-        &mut self,
-        delta: &IntentDelta,
-        space: Option<&PortablePred>,
-        trace: u64,
-        span_name: &'static str,
-    ) -> RunOutcome {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        if self.tel.is_enabled() {
-            let first = self.verifiers.keys().next().copied().unwrap_or(DeviceId(0));
-            self.tel.count(first, "tulkun_epoch_bumps_total", 1);
-        }
-        if self.tel.journal_on() {
-            let first = delta
-                .changed
-                .keys()
-                .chain(delta.removed.keys())
-                .next()
-                .copied()
-                .unwrap_or(DeviceId(0));
-            self.tel
-                .journal(JournalKind::EpochFence, first, epoch, trace, None, || {
-                    format!("fence to epoch {epoch} (intent churn)")
-                });
-        }
-        for v in self.verifiers.values_mut() {
-            v.set_epoch(epoch);
-        }
-        // Fence *before* any new-epoch send: everything in flight is
-        // superseded; re-announcement repairs what it carried.
-        self.transport.epoch_fence(epoch);
-        for (dev, gone) in &delta.removed {
-            if let Some(v) = self.verifiers.get_mut(dev) {
-                v.remove_nodes(gone);
-            }
-        }
-        for (dev, tasks) in &delta.changed {
-            let v = self.verifiers.get_mut(dev).expect("verifier built above");
-            let begin = self.tel.host_tick();
-            let wall = Instant::now();
-            let mut replies = Vec::new();
-            v.set_trace(trace);
-            match space {
-                Some(sp) => v.install_tasks(tasks.clone(), sp, &mut replies),
-                None => v.set_tasks(tasks.clone(), &mut replies),
-            }
-            let host_ns = wall.elapsed().as_nanos() as u64;
-            let span = self.clock.charge(*dev, 0, host_ns);
-            self.stats.per_device.entry(*dev).or_default().busy_ns += span.cpu_ns;
-            if self.tel.is_enabled() {
-                self.tel.span_aux(
-                    *dev,
-                    span_name,
-                    "intent",
-                    begin,
-                    host_ns.max(1),
-                    trace,
-                    epoch,
-                );
-            }
-            for env in replies {
-                self.transport.send(*dev, span.finish, env);
-            }
-        }
-        // Every reachable device re-announces its durable state under
-        // the new epoch — including unchanged devices, whose in-flight
-        // messages the fence just dropped.
-        let devs: Vec<DeviceId> = self
-            .verifiers
-            .keys()
-            .copied()
-            .filter(|d| !self.quarantined.contains(d))
-            .collect();
-        for dev in devs {
-            let v = self.verifiers.get_mut(&dev).unwrap();
-            let wall = Instant::now();
-            let mut replies = Vec::new();
-            v.set_trace(trace);
-            v.reannounce(&mut replies);
-            if replies.is_empty() {
-                continue;
-            }
-            let span = self.clock.charge(dev, 0, wall.elapsed().as_nanos() as u64);
-            self.stats.per_device.entry(dev).or_default().busy_ns += span.cpu_ns;
-            for env in replies {
-                self.transport.send(dev, span.finish, env);
-            }
-        }
-        self.run()
+        let (d, r) = self.fenced(|c, trace| c.remove(id, trace))?;
+        Ok((d.delta, r))
     }
 
     /// The runtime observability surface.
@@ -1647,7 +1311,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
 
     /// The counting plan driving this engine.
     pub fn plan(&self) -> &CountingPlan {
-        &self.plan
+        self.control.plan()
     }
 }
 
@@ -1658,56 +1322,27 @@ impl<T: Transport, C: Clock> Substrate for Engine<T, C> {
     /// rejected here.
     fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
         use RuntimeEvent as E;
-        match ev {
-            E::Batch(updates) => {
-                let r = self.apply_batch(updates);
-                Ok(EventOutcome {
-                    messages: r.messages,
-                    ..EventOutcome::default()
-                })
+        let (d, r) = match ev {
+            E::Batch(updates) => return Ok(self.apply_batch(updates).into()),
+            E::CrashRestart(dev) => return Ok(self.crash_restart(*dev).into()),
+            E::SetBackend(_) => {
+                return Err(PlanError::Unsupported(
+                    "hot backend swap is a service-layer event (the engine \
+                     must be rebuilt); use the verification service"
+                        .to_string(),
+                ))
             }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => {
-                let r = self.apply_topology_event(event, base, invariant)?;
-                Ok(EventOutcome {
-                    messages: r.messages,
-                    ..EventOutcome::default()
-                })
-            }
-            E::CrashRestart(dev) => {
-                let r = self.crash_restart(*dev);
-                Ok(EventOutcome {
-                    messages: r.messages,
-                    ..EventOutcome::default()
-                })
-            }
-            E::SetBackend(_) => Err(PlanError::Unsupported(
-                "hot backend swap is a service-layer event (the engine \
-                 must be rebuilt); use the verification service"
-                    .to_string(),
-            )),
+            } => self.fenced(|c, t| c.topology_event(event, base, invariant, t))?,
             E::InstallIntent { name, invariant } => {
-                let (id, delta, r) = self.install_intent(name, invariant)?;
-                Ok(EventOutcome {
-                    messages: r.messages,
-                    intent: Some(id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: self.store.is_parked(id),
-                })
+                self.fenced(|c, t| c.install(None, name, invariant, t))?
             }
-            E::RemoveIntent(id) => {
-                let (delta, r) = self.remove_intent(*id)?;
-                Ok(EventOutcome {
-                    messages: r.messages,
-                    intent: Some(*id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: false,
-                })
-            }
-        }
+            E::RemoveIntent(id) => self.fenced(|c, t| c.remove(*id, t))?,
+        };
+        Ok(d.outcome(r.messages, r.completion_ns))
     }
 }
 
@@ -1718,37 +1353,19 @@ impl<T: Transport, C: Clock> Substrate for Engine<T, C> {
 /// One node's exported counting results.
 type NodeResults = Vec<(NodeId, Vec<(PortablePred, Counts)>)>;
 
+/// A verifier operation the coordinator injects from outside the DVM
+/// exchange, run on the device's own thread.
+type Injected = Box<dyn FnOnce(&mut DeviceVerifier, &mut Vec<Envelope>) + Send>;
+
 enum DeviceMsg {
     Dvm(Envelope),
-    /// A coalesced per-device batch of FIB updates, applied with one
-    /// LEC delta. Carries the causal trace id of the injected burst.
-    FibBatch(Vec<RuleUpdate>, u64),
+    /// An injected operation — a coalesced FIB batch, a reboot, a
+    /// replay toward a restarted peer, or this device's share of an
+    /// epoch fence (atomic, and by per-channel FIFO applied before any
+    /// post-fence message from a peer that already fenced) — under
+    /// the causal trace id of the wave it starts.
+    Inject(u64, Injected),
     Collect(Vec<NodeId>, mpsc::Sender<NodeResults>),
-    /// Crash + restart this device's verification agent: drop all soft
-    /// counting state and recount from scratch. Carries the trace id of
-    /// the recovery wave.
-    Reboot(u64),
-    /// Replay durable protocol state toward a freshly restarted device,
-    /// tagged with the recovery wave's trace id.
-    ReplayFor(DeviceId, u64),
-    /// One device's share of an epoch bump, applied atomically by its
-    /// thread: fence to the new epoch, optionally wipe/swap/remove
-    /// tasks, then re-announce durable state (unless quarantined).
-    Churn {
-        epoch: u64,
-        trace: u64,
-        /// Task groups to apply in order, when the re-plan changed this
-        /// device: `None` re-tasks existing nodes under their current
-        /// base packet space; `Some(sp)` installs new nodes counting
-        /// over `sp` (their intent context's space).
-        groups: Vec<(Option<PortablePred>, Vec<NodeTask>)>,
-        /// Old-plan nodes no longer assigned here.
-        remove: Vec<NodeId>,
-        /// Revived device: drop *all* soft node state first.
-        wipe: bool,
-        /// Re-announce after applying (false for quarantined devices).
-        reannounce: bool,
-    },
     #[cfg(test)]
     Crash,
     /// Test-only: block the device thread until the paired sender is
@@ -1917,7 +1534,9 @@ pub struct DevicePanic {
 /// Construction, quiescence accounting, stats and report assembly are
 /// the runtime layer's; only the driver loop runs on worker threads.
 pub struct ThreadedEngine {
-    plan: CountingPlan,
+    /// The lifecycle owner: intents, churn, epoch, journal and gauges.
+    /// Its roster is fixed to the device threads spawned here.
+    control: ControlPlane,
     senders: BTreeMap<DeviceId, mpsc::Sender<DeviceMsg>>,
     inflight: Arc<InflightGauge>,
     handles: Vec<(DeviceId, std::thread::JoinHandle<DeviceStats>)>,
@@ -1926,16 +1545,6 @@ pub struct ThreadedEngine {
     /// injections count up from [`FIRST_EVENT_TRACE`]). Atomic because
     /// `inject_batch` takes `&self`.
     next_trace: AtomicU64,
-    /// Topology generation (0 = pre-churn). Atomic so the watchdog and
-    /// report paths can read it through `&self`.
-    epoch: AtomicU64,
-    /// Cumulative live-churn state (down links/devices).
-    churn: ChurnState,
-    /// Devices currently quarantined: injections skip them and their
-    /// old-plan nodes report `Unreachable`.
-    quarantined: BTreeSet<DeviceId>,
-    /// Old-plan nodes stranded on quarantined devices.
-    unreachable: BTreeMap<NodeId, DeviceId>,
     /// Per-device progress counters feeding the convergence watchdog.
     progress: Arc<Progress>,
     /// Devices the watchdog declared stalled (device → epoch at stall);
@@ -1943,26 +1552,20 @@ pub struct ThreadedEngine {
     stalled: Mutex<BTreeMap<DeviceId, u64>>,
     tel: Arc<Telemetry>,
     joined: bool,
-    /// The runtime intent store: the base plan is intent 0.
-    store: IntentStore,
-    /// Topology snapshot for runtime intent compilation (planning is
-    /// FIB-independent, so no live FIB copy is needed here).
-    topology: Topology,
-    /// Header layout for compiling intent packet spaces.
-    layout: HeaderLayout,
-    /// Intent id → the epoch whose fence degraded it (freshness
-    /// attribution; cleared when a later fence revives the intent).
-    degraded_epochs: BTreeMap<u64, u64>,
-    /// Topology churn events applied so far (the epoch also advances
-    /// on intent installs/removals; freshness keys off this counter).
-    churn_events: u64,
 }
 
 impl ThreadedEngine {
     /// Spawns one verifier thread per participating device and injects
     /// the initial (burst) exchange; call
     /// [`ThreadedEngine::wait_quiescent`] to let it drain.
-    pub fn spawn(
+    pub fn spawn(net: &Network, plan: &CountingPlan, ps: &PacketSpace) -> ThreadedEngine {
+        Self::spawn_with(net, plan, ps, &EngineConfig::default(), &LecCache::new())
+    }
+
+    /// Like [`ThreadedEngine::spawn`], with explicit engine options and
+    /// a shared LEC cache (`parallel_init` builds device verifiers
+    /// concurrently before the threads start).
+    pub fn spawn_with(
         net: &Network,
         plan: &CountingPlan,
         ps: &PacketSpace,
@@ -2054,77 +1657,16 @@ impl ThreadedEngine {
                                 progress.note_processed(dev);
                                 inflight.release();
                             }
-                            DeviceMsg::FibBatch(us, trace) => {
-                                let wall = Instant::now();
-                                let mut out = Vec::new();
-                                verifier.set_trace(trace);
-                                verifier.handle_fib_batch(&us, &mut out);
-                                stats.busy_ns += model.scale_ns(wall.elapsed().as_nanos() as u64);
-                                route(&peers, out, &inflight, &progress);
-                                progress.note_processed(dev);
-                                inflight.release();
-                            }
-                            DeviceMsg::Reboot(trace) => {
-                                let wall = Instant::now();
-                                let mut out = Vec::new();
-                                verifier.set_trace(trace);
-                                verifier.reboot(&mut out);
-                                stats.busy_ns += model.scale_ns(wall.elapsed().as_nanos() as u64);
-                                route(&peers, out, &inflight, &progress);
-                                progress.note_processed(dev);
-                                inflight.release();
-                            }
-                            DeviceMsg::ReplayFor(d, trace) => {
-                                let wall = Instant::now();
-                                let mut out = Vec::new();
-                                verifier.set_trace(trace);
-                                verifier.replay_for_restart(d, &mut out);
-                                stats.busy_ns += model.scale_ns(wall.elapsed().as_nanos() as u64);
-                                route(&peers, out, &inflight, &progress);
-                                progress.note_processed(dev);
-                                inflight.release();
-                            }
-                            DeviceMsg::Churn {
-                                epoch,
-                                trace,
-                                groups,
-                                remove,
-                                wipe,
-                                reannounce,
-                            } => {
+                            DeviceMsg::Inject(trace, op) => {
                                 let begin = tel.host_tick();
                                 let wall = Instant::now();
                                 let mut out = Vec::new();
                                 verifier.set_trace(trace);
-                                verifier.set_epoch(epoch);
-                                if wipe {
-                                    let all = verifier.node_ids();
-                                    verifier.remove_nodes(&all);
-                                }
-                                if !remove.is_empty() {
-                                    verifier.remove_nodes(&remove);
-                                }
-                                for (base, tasks) in groups {
-                                    match &base {
-                                        Some(sp) => verifier.install_tasks(tasks, sp, &mut out),
-                                        None => verifier.set_tasks(tasks, &mut out),
-                                    }
-                                }
-                                if reannounce {
-                                    verifier.reannounce(&mut out);
-                                }
+                                op(&mut verifier, &mut out);
                                 let host_ns = wall.elapsed().as_nanos() as u64;
                                 stats.busy_ns += model.scale_ns(host_ns);
                                 if tel.is_enabled() {
-                                    tel.span_aux(
-                                        dev,
-                                        "churn.apply",
-                                        "churn",
-                                        begin,
-                                        host_ns.max(1),
-                                        trace,
-                                        epoch,
-                                    );
+                                    tel.span(dev, "inject", "dvm", begin, host_ns.max(1), trace);
                                 }
                                 route(&peers, out, &inflight, &progress);
                                 progress.note_processed(dev);
@@ -2155,25 +1697,38 @@ impl ThreadedEngine {
         }
 
         ThreadedEngine {
-            plan: plan.clone(),
+            control: ControlPlane::new(
+                &net.topology,
+                net.layout,
+                plan,
+                ps,
+                senders.keys().copied(),
+                true,
+                cfg.telemetry.clone(),
+            ),
             senders,
             inflight,
             handles,
             init_stats,
             next_trace: AtomicU64::new(FIRST_EVENT_TRACE),
-            epoch: AtomicU64::new(0),
-            churn: ChurnState::new(),
-            quarantined: BTreeSet::new(),
-            unreachable: BTreeMap::new(),
             progress,
             stalled: Mutex::new(BTreeMap::new()),
             tel: cfg.telemetry.clone(),
             joined: false,
-            store: IntentStore::with_base(plan.clone(), ps.clone(), None),
-            topology: net.topology.clone(),
-            layout: net.layout,
-            degraded_epochs: BTreeMap::new(),
-            churn_events: 0,
+        }
+    }
+
+    /// Enqueues one message on a device's channel, counted as in flight
+    /// until its thread has processed it.
+    fn post(&self, dev: DeviceId, msg: DeviceMsg) {
+        let Some(tx) = self.senders.get(&dev) else {
+            return;
+        };
+        self.inflight.add(1);
+        if tx.send(msg).is_ok() {
+            self.progress.note_enqueued(dev);
+        } else {
+            self.inflight.release();
         }
     }
 
@@ -2211,7 +1766,7 @@ impl ThreadedEngine {
             stalls += 1;
             if stalls >= cfg.stall_heartbeats.max(1) {
                 let devices = self.progress.lagging();
-                let epoch = self.epoch.load(Ordering::SeqCst);
+                let epoch = self.epoch();
                 let mut stalled = self.stalled.lock().unwrap();
                 for d in &devices {
                     stalled.insert(*d, epoch);
@@ -2237,157 +1792,67 @@ impl ThreadedEngine {
         }
     }
 
-    /// The current topology generation (0 until the first churn event).
+    /// The current fence generation (0 until the first churn event or
+    /// intent install/remove).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.control.epoch()
     }
 
-    /// Applies one live topology churn event: incrementally re-plans,
-    /// bumps the epoch fence and sends each device thread its share of
-    /// the bump (epoch + task diff + re-announcement) as one atomic
-    /// channel message. Per-channel FIFO guarantees each device fences
-    /// before touching any post-churn message from a peer that already
-    /// bumped; stragglers from the old epoch are discarded by the
-    /// verifier-level fence and repaired by re-announcement. Call
-    /// [`ThreadedEngine::wait_quiescent`] (or the watched variant)
-    /// afterwards to let re-convergence drain.
-    ///
-    /// Every *live* intent is re-planned under the same fence
-    /// ([`IntentStore::replan_all_for_churn`]): unaffected slices keep
-    /// their node ids and ship zero tasks, slices the churned topology
-    /// cannot host (or that would task a thread-less device — threads
-    /// are fixed at spawn) degrade per-intent instead of rejecting the
-    /// event, and parked installs get their bounded retry against the
-    /// new epoch. Only a failure to re-plan the *base* invariant leaves
-    /// the engine on the old epoch.
+    /// Has the control plane decide one event under a fresh trace id,
+    /// then sends each device thread its share of the resulting fence
+    /// as one atomic channel message. Stragglers from the old epoch are
+    /// discarded by the verifier-level fence and repaired by
+    /// re-announcement.
+    fn fenced(
+        &mut self,
+        decide: impl FnOnce(&mut ControlPlane, u64) -> Result<Decision, PlanError>,
+    ) -> Result<Decision, PlanError> {
+        let trace = self.alloc_trace();
+        let mut decision = decide(&mut self.control, trace)?;
+        if let Some(FencePlan { epoch, devices, .. }) = decision.fence.take() {
+            for (dev, fence) in devices {
+                let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+                    v.apply_fence(epoch, trace, fence, out)
+                };
+                self.post(dev, DeviceMsg::Inject(trace, Box::new(op)));
+            }
+        }
+        Ok(decision)
+    }
+
+    /// Applies one live topology churn event
+    /// ([`ControlPlane::topology_event`]). Device threads are fixed at
+    /// spawn, so a slice that would task a thread-less device degrades
+    /// (the base plan doing so is an `Err`, leaving the old epoch).
+    /// Call [`ThreadedEngine::wait_quiescent`] (or the watched
+    /// variant) afterwards to let re-convergence drain.
     pub fn apply_topology_event(
         &mut self,
         ev: &TopologyEvent,
         base: &Topology,
         inv: &Invariant,
     ) -> Result<(), PlanError> {
-        let mut churn = self.churn.clone();
-        if !churn.apply(ev) {
-            return Ok(());
-        }
-        // Transactional: an Err re-planning the base invariant happens
-        // before the store mutates anything. The thread roster caps
-        // what any re-plan may task.
-        let roster: BTreeSet<DeviceId> = self.senders.keys().copied().collect();
-        let replan = self
-            .store
-            .replan_all_for_churn(base, Some(inv), &churn, Some(&roster))?;
-        self.churn = churn;
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let trace = self.alloc_trace();
-        self.tel.journal(
-            JournalKind::TopologyChurn,
-            ev.primary_device(),
-            epoch,
-            trace,
-            None,
-            || ev.describe(),
-        );
-        self.tel.journal(
-            JournalKind::EpochFence,
-            ev.primary_device(),
-            epoch,
-            trace,
-            None,
-            || format!("fence to epoch {epoch} (churn)"),
-        );
-        verify::journal_replan_transitions(
-            &self.tel,
-            &mut self.degraded_epochs,
-            &replan,
-            ev.primary_device(),
-            epoch,
-            trace,
-            &ev.describe(),
-        );
-        match ev {
-            TopologyEvent::DeviceDown(d) => {
-                self.quarantined.insert(*d);
-                self.tel.count(*d, "tulkun_quarantined_total", 1);
-            }
-            TopologyEvent::DeviceUp(d) => {
-                self.quarantined.remove(d);
-            }
-            TopologyEvent::LinkDown(..) | TopologyEvent::LinkUp(..) => {}
-        }
-        let wipe_dev = match ev {
-            TopologyEvent::DeviceUp(d) => Some(*d),
-            _ => None,
-        };
-        // New nodes import their context's packet space; compile each
-        // referenced context once.
-        let mut spaces: BTreeMap<usize, PortablePred> = BTreeMap::new();
-        for groups in replan.changed.values() {
-            for g in groups {
-                if let Some(c) = g.ctx {
-                    spaces.entry(c).or_insert_with(|| {
-                        verify::compile_packet_space(&self.layout, self.store.context_space(c))
-                    });
-                }
-            }
-        }
-        for (dev, tx) in &self.senders {
-            let groups = replan
-                .changed
-                .get(dev)
-                .map(|gs| {
-                    gs.iter()
-                        .map(|g| (g.ctx.map(|c| spaces[&c].clone()), g.tasks.clone()))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let bundle = DeviceMsg::Churn {
-                epoch,
-                trace,
-                groups,
-                remove: replan.removed.get(dev).cloned().unwrap_or_default(),
-                wipe: wipe_dev == Some(*dev),
-                reannounce: !self.quarantined.contains(dev),
-            };
-            self.inflight.add(1);
-            if tx.send(bundle).is_ok() {
-                self.progress.note_enqueued(*dev);
-            } else {
-                self.inflight.release();
-            }
-        }
-        self.unreachable.retain(|_, d| self.churn.is_down(*d));
-        for (n, d) in &replan.unreachable {
-            self.unreachable.insert(*n, *d);
-        }
-        self.churn_events += 1;
-        if let Some(p) = self.store.base_plan() {
-            self.plan = p.clone();
-        }
-        Ok(())
+        self.fenced(|c, trace| c.topology_event(ev, base, inv, trace))
+            .map(|_| ())
     }
 
     /// The runtime intent store (read-only).
     pub fn intents(&self) -> &IntentStore {
-        &self.store
+        self.control.intents()
     }
 
-    /// Compiles `inv` and installs it as a runtime intent under an
-    /// epoch bump, fanning each device's share (fence + task diff with
-    /// the intent's base packet space + re-announcement) out as one
-    /// atomic channel message. Call [`ThreadedEngine::wait_quiescent`]
-    /// afterwards to let re-convergence drain.
-    ///
-    /// Device threads are fixed at [`ThreadedEngine::spawn`], so an
-    /// intent whose slice touches a thread-less device is rejected
-    /// *before* the store is touched (spawn with
-    /// [`EngineConfig::all_devices`] to keep every device taskable).
+    /// Compiles `inv` and installs it as a runtime intent
+    /// ([`ControlPlane::install`]). Device threads are fixed at spawn,
+    /// so a slice touching a thread-less device is rejected (spawn
+    /// with [`EngineConfig::all_devices`] to keep every device
+    /// taskable). Call [`ThreadedEngine::wait_quiescent`] afterwards.
     pub fn install_intent(
         &mut self,
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.install_intent_inner(None, name, inv)
+        let d = self.fenced(|c, trace| c.install(None, name, inv, trace))?;
+        Ok((d.intent.expect("installs name their intent"), d.delta))
     }
 
     /// [`ThreadedEngine::install_intent`] under a caller-chosen id —
@@ -2398,160 +1863,14 @@ impl ThreadedEngine {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        self.install_intent_inner(Some(id), name, inv)
+        let d = self.fenced(|c, trace| c.install(Some(id), name, inv, trace))?;
+        Ok((id, d.delta))
     }
 
-    fn install_intent_inner(
-        &mut self,
-        id: Option<IntentId>,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let cp = if self.churn.is_quiet() {
-            let plan = Planner::new(&self.topology).plan(inv)?;
-            let PlanKind::Counting(cp) = &plan.kind else {
-                return Err(PlanError::Unsupported(
-                    "runtime intents require a counting plan (local-contract \
-                     behaviors have no DPVNet slice to install)"
-                        .to_string(),
-                ));
-            };
-            // Transactionality: reject a slice touching a thread-less
-            // device *before* the store commits anything.
-            for t in &cp.tasks {
-                if !self.senders.contains_key(&t.dev) {
-                    return Err(PlanError::Unsupported(format!(
-                        "intent {name:?} tasks device {:?}, which has no \
-                         verifier thread (spawn with EngineConfig::all_devices)",
-                        t.dev
-                    )));
-                }
-            }
-            cp.clone()
-        } else {
-            // The install races an active topology fence: plan against
-            // the effective (post-churn) topology; a slice it cannot
-            // host is *parked* for bounded retry on the next fence
-            // instead of rejected.
-            let roster: BTreeSet<DeviceId> = self.senders.keys().copied().collect();
-            let effective = self.churn.apply_to(&self.topology);
-            match plan_intent_on(&effective, inv, &self.churn, Some(&roster)) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    let id = self.store.park(id, name, inv.clone())?;
-                    let epoch = self.epoch.load(Ordering::SeqCst);
-                    self.tel.journal(
-                        JournalKind::IntentParked,
-                        DeviceId(0),
-                        epoch,
-                        0,
-                        Some(id.0),
-                        || format!("parked behind fence @epoch {epoch}: {e}"),
-                    );
-                    return Ok((id, IntentDelta::default()));
-                }
-            }
-        };
-        let (id, delta) =
-            self.store
-                .install(id, name, Some(inv.clone()), cp, inv.packet_space.clone())?;
-        let space = verify::compile_packet_space(
-            &self.layout,
-            delta.space.as_ref().unwrap_or(&inv.packet_space),
-        );
-        self.fence_and_fan_out(&delta, Some(space));
-        let dev = delta.changed.keys().next().copied().unwrap_or(DeviceId(0));
-        let name = name.to_string();
-        self.tel.journal(
-            JournalKind::IntentInstalled,
-            dev,
-            self.epoch.load(Ordering::SeqCst),
-            0,
-            Some(id.0),
-            || format!("intent {name:?} installed"),
-        );
-        self.tel
-            .gauge_set(dev, "tulkun_intent_count", self.store.live().count() as i64);
-        Ok((id, delta))
-    }
-
-    /// Removes a live intent under the same epoch fence: only nodes no
-    /// surviving intent owns are uninstalled. Call
+    /// Removes a live intent ([`ControlPlane::remove`]). Call
     /// [`ThreadedEngine::wait_quiescent`] afterwards.
     pub fn remove_intent(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
-        // A parked or degraded intent owns no on-device state: removing
-        // it drains the bookkeeping without a fence.
-        let no_footprint =
-            self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
-        let delta = self.store.remove(id)?;
-        self.degraded_epochs.remove(&id.0);
-        if !no_footprint {
-            self.fence_and_fan_out(&delta, None);
-        }
-        let dev = delta
-            .removed
-            .keys()
-            .chain(delta.changed.keys())
-            .next()
-            .copied()
-            .unwrap_or(DeviceId(0));
-        self.tel.journal(
-            JournalKind::IntentRemoved,
-            dev,
-            self.epoch.load(Ordering::SeqCst),
-            0,
-            Some(id.0),
-            || format!("intent {} removed", id.0),
-        );
-        self.tel
-            .gauge_set(dev, "tulkun_intent_count", self.store.live().count() as i64);
-        Ok(delta)
-    }
-
-    /// Bumps the epoch and sends every device thread its share of an
-    /// intent delta as one atomic [`DeviceMsg::Churn`] bundle (fence +
-    /// removals + task diff + re-announcement). `base` is the packet
-    /// space new nodes count over (`None` for removals).
-    fn fence_and_fan_out(&mut self, delta: &IntentDelta, base: Option<PortablePred>) {
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let trace = self.alloc_trace();
-        if self.tel.is_enabled() {
-            let first = self.senders.keys().next().copied().unwrap_or(DeviceId(0));
-            self.tel.count(first, "tulkun_epoch_bumps_total", 1);
-        }
-        if self.tel.journal_on() {
-            let first = delta
-                .changed
-                .keys()
-                .chain(delta.removed.keys())
-                .next()
-                .copied()
-                .unwrap_or(DeviceId(0));
-            self.tel
-                .journal(JournalKind::EpochFence, first, epoch, trace, None, || {
-                    format!("fence to epoch {epoch} (intent churn)")
-                });
-        }
-        for (dev, tx) in &self.senders {
-            let groups = match delta.changed.get(dev) {
-                Some(tasks) => vec![(base.clone(), tasks.clone())],
-                None => Vec::new(),
-            };
-            let bundle = DeviceMsg::Churn {
-                epoch,
-                trace,
-                groups,
-                remove: delta.removed.get(dev).cloned().unwrap_or_default(),
-                wipe: false,
-                reannounce: !self.quarantined.contains(dev),
-            };
-            self.inflight.add(1);
-            if tx.send(bundle).is_ok() {
-                self.progress.note_enqueued(*dev);
-            } else {
-                self.inflight.release();
-            }
-        }
+        Ok(self.fenced(|c, trace| c.remove(id, trace))?.delta)
     }
 
     /// Injects a rule update at its device (counts as one in-flight
@@ -2576,7 +1895,7 @@ impl ThreadedEngine {
             self.tel.journal(
                 JournalKind::BatchApplied,
                 first,
-                self.epoch.load(Ordering::SeqCst),
+                self.epoch(),
                 trace,
                 None,
                 || format!("{n} updates"),
@@ -2587,14 +1906,10 @@ impl ThreadedEngine {
             // (no plan nodes, so nothing is announced) so `DeviceUp`
             // revives them against the current data plane — mirroring
             // the single-driver engine and the reference session.
-            if let Some(tx) = self.senders.get(&dev) {
-                self.inflight.add(1);
-                if tx.send(DeviceMsg::FibBatch(ops, trace)).is_ok() {
-                    self.progress.note_enqueued(dev);
-                } else {
-                    self.inflight.release();
-                }
-            }
+            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+                v.handle_fib_batch(&ops, out)
+            };
+            self.post(dev, DeviceMsg::Inject(trace, Box::new(op)));
         }
     }
 
@@ -2607,34 +1922,27 @@ impl ThreadedEngine {
     /// [`ThreadedEngine::wait_quiescent`] afterwards to let the
     /// recovery exchange drain.
     pub fn crash_restart(&mut self, dev: DeviceId) {
-        let Some(tx) = self.senders.get(&dev) else {
+        if !self.senders.contains_key(&dev) {
             return;
-        };
+        }
         let trace = self.alloc_trace();
         self.tel.journal(
             JournalKind::CrashRestart,
             dev,
-            self.epoch.load(Ordering::SeqCst),
+            self.epoch(),
             trace,
             None,
             || format!("verification agent on d{} crashed and restarted", dev.0),
         );
-        self.inflight.add(1);
-        if tx.send(DeviceMsg::Reboot(trace)).is_err() {
-            self.inflight.release();
-            return;
-        }
-        self.progress.note_enqueued(dev);
-        for (nb, tx) in &self.senders {
-            if *nb == dev {
-                continue;
-            }
-            self.inflight.add(1);
-            if tx.send(DeviceMsg::ReplayFor(dev, trace)).is_ok() {
-                self.progress.note_enqueued(*nb);
-            } else {
-                self.inflight.release();
-            }
+        self.post(
+            dev,
+            DeviceMsg::Inject(trace, Box::new(|v, out| v.reboot(out))),
+        );
+        for nb in self.senders.keys().filter(|nb| **nb != dev) {
+            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+                v.replay_for_restart(dev, out)
+            };
+            self.post(*nb, DeviceMsg::Inject(trace, Box::new(op)));
         }
         self.init_stats.crashes_recovered += 1;
     }
@@ -2665,7 +1973,7 @@ impl ThreadedEngine {
         // intent's source nodes (global ids, deduplicated across
         // overlapping slices).
         let mut by_dev: BTreeMap<DeviceId, BTreeSet<NodeId>> = BTreeMap::new();
-        for intent in self.store.live() {
+        for intent in self.control.intents().live() {
             if intent.is_degraded() {
                 // Not evaluated; its stale global ids may have been
                 // reassigned by a later fence.
@@ -2695,20 +2003,11 @@ impl ThreadedEngine {
                 }
             }
         }
-        let mut r = verify::evaluate_intents(&self.store, |dev, node| {
+        let mut r = verify::evaluate_intents(self.control.intents(), |dev, node| {
             results.get(&(dev, node)).cloned().unwrap_or_default()
         });
-        if self.churn_events > 0 {
-            let stalled = self.stalled.lock().unwrap().clone();
-            verify::mark_freshness_store(
-                &mut r,
-                &self.store,
-                &self.unreachable,
-                self.quarantined.iter().copied(),
-                &stalled,
-                &self.degraded_epochs,
-            );
-        }
+        let stalled = self.stalled.lock().unwrap().clone();
+        self.control.annotate(&mut r, &stalled);
         r
     }
 
@@ -2756,14 +2055,6 @@ impl Substrate for ThreadedEngine {
                 self.inject_batch(updates.clone());
                 EventOutcome::default()
             }
-            E::Topology {
-                event,
-                base,
-                invariant,
-            } => {
-                self.apply_topology_event(event, base, invariant)?;
-                EventOutcome::default()
-            }
             E::CrashRestart(dev) => {
                 self.crash_restart(*dev);
                 EventOutcome::default()
@@ -2776,24 +2067,17 @@ impl Substrate for ThreadedEngine {
                         .to_string(),
                 ))
             }
-            E::InstallIntent { name, invariant } => {
-                let (id, delta) = self.install_intent(name, invariant)?;
-                EventOutcome {
-                    messages: 0,
-                    intent: Some(id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: self.store.is_parked(id),
-                }
-            }
-            E::RemoveIntent(id) => {
-                let delta = self.remove_intent(*id)?;
-                EventOutcome {
-                    messages: 0,
-                    intent: Some(*id),
-                    slice: Some((delta.total_nodes, delta.reused_nodes)),
-                    parked: false,
-                }
-            }
+            E::Topology {
+                event,
+                base,
+                invariant,
+            } => self
+                .fenced(|c, t| c.topology_event(event, base, invariant, t))?
+                .outcome(0, 0),
+            E::InstallIntent { name, invariant } => self
+                .fenced(|c, t| c.install(None, name, invariant, t))?
+                .outcome(0, 0),
+            E::RemoveIntent(id) => self.fenced(|c, t| c.remove(*id, t))?.outcome(0, 0),
         };
         self.wait_quiescent();
         Ok(out)
@@ -2849,6 +2133,7 @@ fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tulkun_core::churn::ChurnState;
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::{Behavior, Invariant, PathExpr};
@@ -2951,8 +2236,7 @@ mod tests {
     fn threaded_engine_converges_and_reports() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let cache = LecCache::new();
-        let engine = ThreadedEngine::spawn(&net, &cp, &ps, &EngineConfig::default(), &cache);
+        let engine = ThreadedEngine::spawn(&net, &cp, &ps);
         engine.wait_quiescent();
         let report = engine.report();
         assert!(!report.holds());
@@ -2965,8 +2249,7 @@ mod tests {
     fn threaded_engine_surfaces_device_panics() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let cache = LecCache::new();
-        let engine = ThreadedEngine::spawn(&net, &cp, &ps, &EngineConfig::default(), &cache);
+        let engine = ThreadedEngine::spawn(&net, &cp, &ps);
         engine.wait_quiescent();
         let participants = engine.handles.len();
         assert!(participants > 1, "test needs surviving threads");
@@ -3024,8 +2307,7 @@ mod tests {
     fn threaded_engine_crash_restart_reconverges() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let cache = LecCache::new();
-        let mut engine = ThreadedEngine::spawn(&net, &cp, &ps, &EngineConfig::default(), &cache);
+        let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
         engine.wait_quiescent();
         let before = engine.report().canonical_bytes();
         let dev = net.topology.device("W").unwrap();
@@ -3237,8 +2519,7 @@ mod tests {
                 .unwrap();
         }
 
-        let cache = LecCache::new();
-        let mut threaded = ThreadedEngine::spawn(&net, &cp, &ps, &EngineConfig::default(), &cache);
+        let mut threaded = ThreadedEngine::spawn(&net, &cp, &ps);
         threaded.wait_quiescent();
         let cfg = WatchdogConfig::default();
         for ev in &events {
@@ -3276,8 +2557,7 @@ mod tests {
         let a = net.topology.device("A").unwrap();
         let b = net.topology.device("B").unwrap();
         let w = net.topology.device("W").unwrap();
-        let cache = LecCache::new();
-        let mut engine = ThreadedEngine::spawn(&net, &cp, &ps, &EngineConfig::default(), &cache);
+        let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
         engine.wait_quiescent();
 
         // Bump the epoch once so freshness marking is active.

@@ -24,13 +24,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::event::{DvmSim, FaultyDvmSim, SimConfig, SimResult};
+use crate::event::SimResult;
+use crate::faults::FaultyTransport;
+use crate::runtime::{Engine, EngineConfig, LatencyTransport, LecCache, Transport, VirtualClock};
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::FaultProfile;
-use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
+use tulkun_core::intent::{IntentId, IntentStore};
 use tulkun_core::planner::{CountingPlan, PlanError};
 use tulkun_core::spec::Invariant;
 use tulkun_core::verify::{Freshness, Report};
@@ -238,85 +240,9 @@ impl ServiceStatus {
     }
 }
 
-/// One harness, either over perfect or lossy channels. The service
-/// drives whichever it was configured with; both converge to the same
-/// Report fixpoint.
-enum Harness {
-    Clean(Box<DvmSim>),
-    Faulty(Box<FaultyDvmSim>),
-}
-
-impl Harness {
-    fn apply_batch(&mut self, updates: &[RuleUpdate]) -> SimResult {
-        match self {
-            Harness::Clean(s) => s.apply_batch(updates),
-            Harness::Faulty(s) => s.apply_batch(updates),
-        }
-    }
-
-    fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &Topology,
-        inv: &Invariant,
-    ) -> Result<SimResult, PlanError> {
-        match self {
-            Harness::Clean(s) => s.apply_topology_event(ev, base, inv),
-            Harness::Faulty(s) => s.apply_topology_event(ev, base, inv),
-        }
-    }
-
-    fn report(&mut self) -> Report {
-        match self {
-            Harness::Clean(s) => s.report(),
-            Harness::Faulty(s) => s.report(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Harness::Clean(s) => s.epoch(),
-            Harness::Faulty(s) => s.epoch(),
-        }
-    }
-
-    fn intents(&self) -> &IntentStore {
-        match self {
-            Harness::Clean(s) => s.intents(),
-            Harness::Faulty(s) => s.intents(),
-        }
-    }
-
-    fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        match self {
-            Harness::Clean(s) => s.install_intent(name, inv),
-            Harness::Faulty(s) => s.install_intent(name, inv),
-        }
-    }
-
-    fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, SimResult), PlanError> {
-        match self {
-            Harness::Clean(s) => s.install_intent_as(id, name, inv),
-            Harness::Faulty(s) => s.install_intent_as(id, name, inv),
-        }
-    }
-
-    fn remove_intent(&mut self, id: IntentId) -> Result<(IntentDelta, SimResult), PlanError> {
-        match self {
-            Harness::Clean(s) => s.remove_intent(id),
-            Harness::Faulty(s) => s.remove_intent(id),
-        }
-    }
-}
+/// The one long-lived engine the service drives, over perfect or lossy
+/// channels as configured; both converge to the same Report fixpoint.
+type Harness = Engine<Box<dyn Transport>, VirtualClock>;
 
 /// The always-on verification service. See the module docs for the
 /// admission/ordering contract.
@@ -358,15 +284,7 @@ impl Service {
         // The service's own always-enabled telemetry handle: the SLO
         // windows are the product, not an optional debugging aid.
         let tel = Telemetry::new(TelemetryConfig::enabled());
-        let mut harness = Service::build_harness(net, plan, inv, &cfg, &tel);
-        match &mut harness {
-            Harness::Clean(s) => {
-                s.burst();
-            }
-            Harness::Faulty(s) => {
-                s.burst();
-            }
-        }
+        let harness = Service::build_harness(net, plan, inv, &cfg, &tel);
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
         // windows start from the post-burst baseline.
@@ -394,6 +312,8 @@ impl Service {
         }
     }
 
+    /// Builds the engine over the configured channel and runs the
+    /// initial burst.
     fn build_harness(
         net: &Network,
         plan: &CountingPlan,
@@ -401,21 +321,29 @@ impl Service {
         cfg: &ServiceConfig,
         tel: &Arc<Telemetry>,
     ) -> Harness {
-        let sim_cfg = SimConfig {
+        let ecfg = EngineConfig {
             telemetry: tel.clone(),
             backend: cfg.backend,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
-        match cfg.faults {
-            Some(profile) => Harness::Faulty(Box::new(FaultyDvmSim::new(
-                net,
-                plan,
-                &inv.packet_space,
-                sim_cfg,
-                profile,
-            ))),
-            None => Harness::Clean(Box::new(DvmSim::new(net, plan, &inv.packet_space, sim_cfg))),
-        }
+        let links = LatencyTransport::new(net.topology.clone(), ecfg.fallback_latency_ns);
+        let transport: Box<dyn Transport> = match cfg.faults {
+            Some(profile) => Box::new(FaultyTransport::with_telemetry(links, profile, tel.clone())),
+            None => Box::new(links),
+        };
+        let clock = VirtualClock::new(ecfg.model);
+        let cache = LecCache::new();
+        let mut harness = Engine::new_cached(
+            net,
+            plan,
+            &inv.packet_space,
+            &ecfg,
+            &cache,
+            transport,
+            clock,
+        );
+        harness.burst();
+        harness
     }
 
     /// Offers one request from `source`. Under [`AdmissionPolicy::Shed`]
@@ -524,99 +452,71 @@ impl Service {
                     });
                 self.dump_pending = true;
             }
-            self.tel.gauge_set(
-                DeviceId(0),
-                "tulkun_intent_count",
-                self.harness.intents().live().count() as i64,
-            );
-            self.tel.gauge_set(
-                DeviceId(0),
-                "tulkun_rejected_intents",
-                self.rejected_intents as i64,
-            );
-            self.tel.gauge_set(
-                DeviceId(0),
-                "tulkun_parked_intents",
-                self.harness.intents().parked_count() as i64,
-            );
-            self.tel.gauge_set(
-                DeviceId(0),
-                "tulkun_degraded_intents",
-                self.harness.intents().degraded_count() as i64,
-            );
+            self.export_intent_gauges();
         }
         n
     }
 
-    /// Applies one request to the harness; `None` means a rejected
-    /// churn event (counted, epoch unchanged).
+    /// Refreshes the plain intent-population gauges
+    /// (`tulkun_intent_count` is the control plane's own).
+    fn export_intent_gauges(&self) {
+        let store = self.harness.intents();
+        for (name, value) in [
+            ("tulkun_rejected_intents", self.rejected_intents as usize),
+            ("tulkun_parked_intents", store.parked_count()),
+            ("tulkun_degraded_intents", store.degraded_count()),
+        ] {
+            self.tel.gauge_set(DeviceId(0), name, value as i64);
+        }
+    }
+
+    /// Applies one request to the harness; `None` means the control
+    /// plane rejected it (counted and journaled, epoch unchanged).
     fn apply(&mut self, req: ServiceRequest) -> Option<SimResult> {
-        match req {
+        let h = &mut self.harness;
+        let (kind, why, dev, intent) = match req {
             ServiceRequest::Batch(updates) => {
                 for u in &updates {
                     self.net.apply(u);
                 }
-                Some(self.harness.apply_batch(&updates))
+                return Some(h.apply_batch(&updates));
             }
             ServiceRequest::Churn(ev) => {
-                match self
-                    .harness
-                    .apply_topology_event(&ev, &self.base_topo, &self.inv)
-                {
+                match h.apply_topology_event(&ev, &self.base_topo, &self.inv) {
                     Ok(outcome) => {
                         self.churn_log.push(ev);
-                        Some(outcome)
+                        return Some(outcome);
                     }
                     Err(e) => {
                         self.rejected_churn += 1;
-                        let epoch = self.harness.epoch();
-                        self.tel.journal(
-                            JournalKind::ChurnRejected,
-                            ev.primary_device(),
-                            epoch,
-                            0,
-                            None,
-                            || format!("planner rejected {}: {e:?}", ev.describe()),
-                        );
-                        None
+                        let why = format!("planner rejected {}: {e:?}", ev.describe());
+                        (JournalKind::ChurnRejected, why, ev.primary_device(), None)
                     }
                 }
             }
             ServiceRequest::IntentAdd { name, invariant } => {
-                match self.harness.install_intent(&name, &invariant) {
-                    Ok((_, _, outcome)) => Some(outcome),
+                match h.install_intent(&name, &invariant) {
+                    Ok((_, _, outcome)) => return Some(outcome),
                     Err(e) => {
-                        self.rejected_intents += 1;
-                        let epoch = self.harness.epoch();
-                        self.tel.journal(
-                            JournalKind::IntentRejected,
-                            DeviceId(0),
-                            epoch,
-                            0,
-                            None,
-                            || format!("install of intent {name:?} rejected: {e:?}"),
-                        );
-                        None
+                        let why = format!("install of intent {name:?} rejected: {e:?}");
+                        (JournalKind::IntentRejected, why, DeviceId(0), None)
                     }
                 }
             }
-            ServiceRequest::IntentRemove(id) => match self.harness.remove_intent(id) {
-                Ok((_, outcome)) => Some(outcome),
+            ServiceRequest::IntentRemove(id) => match h.remove_intent(id) {
+                Ok((_, outcome)) => return Some(outcome),
                 Err(e) => {
-                    self.rejected_intents += 1;
-                    let epoch = self.harness.epoch();
-                    self.tel.journal(
-                        JournalKind::IntentRejected,
-                        DeviceId(0),
-                        epoch,
-                        0,
-                        Some(id.0),
-                        || format!("remove of intent {id} rejected: {e:?}"),
-                    );
-                    None
+                    let why = format!("remove of intent {id} rejected: {e:?}");
+                    (JournalKind::IntentRejected, why, DeviceId(0), Some(id.0))
                 }
             },
+        };
+        if kind == JournalKind::IntentRejected {
+            self.rejected_intents += 1;
         }
+        self.tel
+            .journal(kind, dev, self.harness.epoch(), 0, intent, || why);
+        None
     }
 
     /// A Report snapshot *without* draining the ingress queues: the
@@ -660,24 +560,12 @@ impl Service {
                 }
             })
             .collect();
-        // Observability gauges (satellite of the flight recorder): the
-        // intent population and per-intent slice freshness, exported
-        // through the Prometheus surface. Refreshed here because slice
-        // freshness needs the report this method just computed.
-        self.tel
-            .gauge_set(DeviceId(0), "tulkun_intent_count", intents.len() as i64);
-        self.tel.gauge_set(
-            DeviceId(0),
-            "tulkun_rejected_intents",
-            self.rejected_intents as i64,
-        );
+        // Per-intent slice freshness needs the report this method just
+        // computed, so the labeled gauges are refreshed here.
+        self.export_intent_gauges();
         let store = self.harness.intents();
         let (parked, degraded) = (store.parked_count() as u64, store.degraded_count() as u64);
         let parked_ids: Vec<u64> = store.parked().map(|p| p.id.0).collect();
-        self.tel
-            .gauge_set(DeviceId(0), "tulkun_parked_intents", parked as i64);
-        self.tel
-            .gauge_set(DeviceId(0), "tulkun_degraded_intents", degraded as i64);
         for i in &intents {
             self.tel.gauge_set_labeled(
                 DeviceId(0),
@@ -806,14 +694,6 @@ impl Service {
             .collect();
         let mut harness =
             Service::build_harness(&self.net, &self.plan, &self.inv, &self.cfg, &self.tel);
-        match &mut harness {
-            Harness::Clean(s) => {
-                s.burst();
-            }
-            Harness::Faulty(s) => {
-                s.burst();
-            }
-        }
         // Intents first, churn second: the churn replay's fences then
         // re-plan every slice exactly as the live history did, so an
         // intent whose slice churn severed comes back *degraded* (not
@@ -991,17 +871,13 @@ impl Substrate for Service {
             ));
         }
         Ok(EventOutcome {
-            messages: 0,
             intent: match ev {
                 E::InstallIntent { .. } => next_id,
                 E::RemoveIntent(id) => Some(*id),
                 _ => None,
             },
-            slice: None,
-            parked: match (ev, next_id) {
-                (E::InstallIntent { .. }, Some(id)) => self.harness.intents().is_parked(id),
-                _ => false,
-            },
+            parked: next_id.is_some_and(|id| self.harness.intents().is_parked(id)),
+            ..EventOutcome::default()
         })
     }
 }
@@ -1009,6 +885,7 @@ impl Substrate for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{DvmSim, SimConfig};
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::{Behavior, PacketSpace, PathExpr};

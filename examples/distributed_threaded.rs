@@ -25,7 +25,7 @@ fn main() {
         cp.dpvnet.num_nodes()
     );
     let run = DistributedRun::spawn(&net, cp, &invariant.packet_space);
-    run.quiesce();
+    run.wait_quiescent();
     let report = run.report();
     println!("burst verdict: holds = {}", report.holds());
     assert!(!report.holds());
@@ -41,7 +41,7 @@ fn main() {
             action: Action::fwd(w),
         },
     });
-    run.quiesce();
+    run.wait_quiescent();
     let report = run.report();
     println!("after live update: holds = {}", report.holds());
     assert!(report.holds());

@@ -18,6 +18,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::fault::FaultProfile;
 use tulkun::core::planner::{Plan, PlanKind, Planner, PlannerOptions};
 use tulkun::core::spec::Invariant;
@@ -612,12 +613,12 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
         let cache = tulkun::sim::LecCache::new();
         let mut run =
             tulkun::sim::DistributedRun::spawn_with(net, &cp, &inv.packet_space, &ecfg, &cache);
-        run.quiesce();
+        run.wait_quiescent();
         let cfg = tulkun::sim::WatchdogConfig::default();
         for ev in &schedule.0 {
             run.apply_topology_event(ev, topo, &inv)
                 .map_err(|e| format!("churn re-plan failed: {e}"))?;
-            let verdict = run.quiesce_watched(&cfg);
+            let verdict = run.wait_quiescent_watched(&cfg);
             println!(
                 "epoch {:>3}  {:<28} watchdog={verdict:?}",
                 run.epoch(),
@@ -666,9 +667,14 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
                 let mut sim = DvmSim::new(net, &cp, &inv.packet_space, cfg);
                 sim.burst();
                 for ev in &schedule.0 {
-                    let (r, total, reused) = sim
-                        .apply_topology_event_with_delta(ev, topo, &inv)
+                    let r = sim
+                        .apply_event(&RuntimeEvent::Topology {
+                            event: *ev,
+                            base: topo.clone(),
+                            invariant: inv.clone(),
+                        })
                         .map_err(|e| format!("churn re-plan failed: {e}"))?;
+                    let (total, reused) = r.slice.unwrap_or_default();
                     println!(
                         "epoch {:>3}  {:<28} reused {reused}/{total} nodes, messages={} \
                          completion_ns={}",

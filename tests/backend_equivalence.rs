@@ -133,11 +133,11 @@ fn backends_agree_on_the_threaded_runner() {
         };
         let cache = LecCache::new();
         let run = DistributedRun::spawn_with(&net, &cp, &inv.packet_space, &ecfg, &cache);
-        run.quiesce();
+        run.wait_quiescent();
         for u in &trace {
             run.inject_update(u.clone());
         }
-        run.quiesce();
+        run.wait_quiescent();
         let report = run.report().canonical_bytes();
         run.shutdown().expect("device task panicked");
         report

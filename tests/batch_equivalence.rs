@@ -231,9 +231,9 @@ fn multi_device_batch_agrees_on_all_four_substrates() {
     assert_eq!(sim.report().canonical_bytes(), expect, "event sim");
 
     let run = DistributedRun::spawn(&net, cp, &inv.packet_space);
-    run.quiesce();
+    run.wait_quiescent();
     run.inject_batch(updates);
-    run.quiesce();
+    run.wait_quiescent();
     assert_eq!(run.report().canonical_bytes(), expect, "threaded runner");
     run.shutdown().expect("clean shutdown");
 }

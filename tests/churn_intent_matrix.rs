@@ -36,7 +36,11 @@ use tulkun::core::verify::{Freshness, Report, Session};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::{DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, LecCache, SimConfig};
+use tulkun::sim::{
+    DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, LecCache, SimConfig, Telemetry,
+    TelemetryConfig,
+};
+use tulkun::telemetry::JournalKind;
 
 /// The fixed CI seed matrix (same as `churn_matrix`/`intent_matrix`).
 const SEEDS: [u64; 4] = [1, 7, 23, 101];
@@ -201,6 +205,41 @@ fn check_lifecycle_agreement(
     evaluated
 }
 
+/// A flight recorder roomy enough that a lossy run's fault entries
+/// never evict a lifecycle entry before it is compared.
+fn recorder() -> std::sync::Arc<Telemetry> {
+    Telemetry::new(TelemetryConfig {
+        journal_capacity: 1 << 16,
+        ..TelemetryConfig::enabled()
+    })
+}
+
+/// The lifecycle entries one substrate journaled since `seen` (advanced
+/// to the newest entry), as `(kind, epoch, intent, trace)`.
+fn lifecycle_since(tel: &Telemetry, seen: &mut u64) -> Vec<(JournalKind, u64, Option<u64>, u64)> {
+    use JournalKind as K;
+    let events = tel.journal_events();
+    let fresh = events.iter().filter(|e| e.seq > *seen);
+    let out = fresh
+        .filter(|e| {
+            matches!(
+                e.kind,
+                K::TopologyChurn
+                    | K::EpochFence
+                    | K::IntentParked
+                    | K::IntentInstalled
+                    | K::IntentRemoved
+                    | K::IntentDegraded
+                    | K::IntentReplanned
+                    | K::IntentRejected
+            )
+        })
+        .map(|e| (e.kind, e.epoch, e.intent, e.trace))
+        .collect();
+    *seen = events.last().map_or(*seen, |e| e.seq);
+    out
+}
+
 /// Drives one op sequence through all three substrates in lockstep via
 /// the unified event API, asserting: no intent op is ever rejected,
 /// equal accept/reject for churn events, lifecycle agreement, and
@@ -216,27 +255,29 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
 
     // Intents may task devices the base plan skipped, so every
     // substrate gets a verifier per topology device up front.
-    let sim_cfg = SimConfig {
+    // One recorder per substrate: the lifecycle is decided in one
+    // place, so all three must journal and count it identically.
+    let recorders = [recorder(), recorder(), recorder()];
+    let mut seen = [0u64; 3];
+    let sim_cfg = |tel: &std::sync::Arc<Telemetry>| SimConfig {
         all_devices: true,
+        telemetry: tel.clone(),
         ..SimConfig::default()
     };
-    let mut clean = DvmSim::new(&net, &cp, &base.packet_space, sim_cfg.clone());
+    let mut clean = DvmSim::new(&net, &cp, &base.packet_space, sim_cfg(&recorders[0]));
     clean.burst();
     let mut lossy = FaultyDvmSim::new(
         &net,
         &cp,
         &base.packet_space,
-        sim_cfg,
+        sim_cfg(&recorders[1]),
         FaultProfile::loss(seed, loss),
     );
     lossy.burst();
-    let ecfg = EngineConfig {
-        all_devices: true,
-        ..EngineConfig::default()
-    };
+    let ecfg: EngineConfig = sim_cfg(&recorders[2]);
     let mut threaded =
         DistributedRun::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
-    threaded.quiesce();
+    threaded.wait_quiescent();
 
     // The model: every admitted intent (live, parked or degraded) plus
     // the base, the cumulative accepted churn, and the current FIBs.
@@ -317,7 +358,7 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
                 let a = clean.apply_topology_event(ev, &net.topology, &base);
                 let b = lossy.apply_topology_event(ev, &net.topology, &base);
                 let c = threaded.apply_topology_event(ev, &net.topology, &base);
-                threaded.quiesce();
+                threaded.wait_quiescent();
                 assert_eq!(a.is_ok(), b.is_ok(), "clean/lossy accept divergence {ctx}");
                 assert_eq!(
                     a.is_ok(),
@@ -335,12 +376,44 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
                 clean.crash_restart(*dev);
                 lossy.crash_restart(*dev);
                 threaded.crash_restart(*dev);
-                threaded.quiesce();
+                threaded.wait_quiescent();
             }
         }
 
         assert_eq!(clean.epoch(), lossy.epoch(), "epoch skew {ctx}");
         assert_eq!(clean.epoch(), threaded.epoch(), "epoch skew {ctx}");
+        let journaled: Vec<_> = recorders
+            .iter()
+            .zip(seen.iter_mut())
+            .map(|(tel, seen)| lifecycle_since(tel, seen))
+            .collect();
+        for (tel, entries) in recorders.iter().zip(&journaled) {
+            assert_eq!(
+                tel.metrics().counters.get("tulkun_epoch_bumps_total"),
+                recorders[0]
+                    .metrics()
+                    .counters
+                    .get("tulkun_epoch_bumps_total"),
+                "epoch-bump counter skew {ctx}"
+            );
+            let strip = |es: &[(JournalKind, u64, Option<u64>, u64)]| -> Vec<_> {
+                es.iter().map(|(k, e, i, _)| (*k, *e, *i)).collect()
+            };
+            assert_eq!(
+                strip(entries),
+                strip(&journaled[0]),
+                "lifecycle journal skew {ctx}"
+            );
+            for (kind, _, intent, trace) in entries {
+                let fenced = |(k, _, _, t): &(JournalKind, u64, Option<u64>, u64)| {
+                    *k == JournalKind::EpochFence && t == trace
+                };
+                assert!(
+                    *kind != JournalKind::IntentInstalled || entries.iter().any(fenced),
+                    "install of intent {intent:?} shares no trace with its fence {ctx}"
+                );
+            }
+        }
         let evaluated = check_lifecycle_agreement(
             [clean.intents(), lossy.intents(), threaded.intents()],
             &mut tracked,

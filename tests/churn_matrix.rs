@@ -102,7 +102,7 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
     );
     lossy.burst();
     let mut threaded = DistributedRun::spawn(net, &cp, &inv.packet_space);
-    threaded.quiesce();
+    threaded.wait_quiescent();
 
     let mut churn = ChurnState::new();
     for (i, op) in ops.iter().enumerate() {
@@ -111,7 +111,7 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
                 let a = clean.apply_topology_event(ev, &net.topology, inv);
                 let b = lossy.apply_topology_event(ev, &net.topology, inv);
                 let c = threaded.apply_topology_event(ev, &net.topology, inv);
-                threaded.quiesce();
+                threaded.wait_quiescent();
                 assert_eq!(
                     a.is_ok(),
                     b.is_ok(),
@@ -133,7 +133,7 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
                 clean.crash_restart(*dev);
                 lossy.crash_restart(*dev);
                 threaded.crash_restart(*dev);
-                threaded.quiesce();
+                threaded.wait_quiescent();
             }
         }
         assert_eq!(clean.epoch(), lossy.epoch(), "epoch skew at op {i}");

@@ -201,6 +201,41 @@ fn intent_protocol_round_trips() {
     let status = ok(session.handle_line("status"));
     assert!(status.contains("\"rejected_intents\":1"), "{status}");
     assert!(status.contains("\"intent_count\":1"), "{status}");
+
+    // The exported gauge follows removals wherever in the network the
+    // removed slices lived: three intents from the three highest-numbered
+    // ingresses (their slices start on different devices, hence metric
+    // shards), then the two oldest removed.
+    let topo = session.topology().clone();
+    let (dst, _) = topo.external_map().next().expect("external dst");
+    let prefix = topo.external_prefixes(dst)[0];
+    let ingresses: Vec<_> = topo.devices().filter(|d| *d != dst).collect();
+    for (i, ingress) in ingresses.iter().rev().take(3).enumerate() {
+        let spec = format!(
+            "(dstIP={prefix}, [{}], (subset, /. * {}/ loop_free (<= shortest+2)))",
+            topo.name(*ingress),
+            topo.name(dst)
+        );
+        let payload = format!(
+            "{{\"name\":\"far-{i}\",\"spec\":{}}}",
+            tulkun::json::to_string(spec.as_str())
+        );
+        ok(session.handle_line(&format!("intent add ops {payload}")));
+    }
+    ok(session.handle_line("drain"));
+    let status = ok(session.handle_line("status"));
+    assert!(status.contains("\"intent_count\":4"), "{status}");
+    ok(session.handle_line("intent remove ops 2"));
+    ok(session.handle_line("intent remove ops 3"));
+    ok(session.handle_line("drain"));
+    let status = ok(session.handle_line("status"));
+    assert!(status.contains("\"intent_count\":2"), "{status}");
+    let metrics = ok(session.handle_line("metrics"));
+    let exported = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("tulkun_intent_count "))
+        .expect("tulkun_intent_count is exported");
+    assert_eq!(exported.trim(), "2", "`metrics` disagrees with `status`");
 }
 
 #[test]

@@ -155,7 +155,7 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
     };
     let mut threaded =
         DistributedRun::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
-    threaded.quiesce();
+    threaded.wait_quiescent();
 
     // The model the substrates must track: live intents + current FIBs.
     let mut live: Vec<(u64, Invariant)> = vec![(0, base.clone())];

@@ -93,14 +93,14 @@ fn all_substrates_agree_byte_for_byte() {
     // Threaded runner: real concurrency, nondeterministic interleaving —
     // the verdict must still converge to the same bytes.
     let run = DistributedRun::spawn(&net, cp, &inv.packet_space);
-    run.quiesce();
+    run.wait_quiescent();
     assert_eq!(
         run.report().canonical_bytes(),
         ref_before,
         "threaded, burst"
     );
     run.inject_update(update);
-    run.quiesce();
+    run.wait_quiescent();
     assert_eq!(
         run.report().canonical_bytes(),
         ref_after,

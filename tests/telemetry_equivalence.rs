@@ -122,9 +122,9 @@ fn run_threaded(
     };
     let cache = LecCache::new();
     let run = DistributedRun::spawn_with(net, cp, ps, &cfg, &cache);
-    run.quiesce();
+    run.wait_quiescent();
     run.inject_update(update.clone());
-    run.quiesce();
+    run.wait_quiescent();
     let bytes = run.report().canonical_bytes();
     run.shutdown().expect("clean shutdown");
     bytes
