@@ -15,37 +15,33 @@
 #                 check: the intent/churn lifecycle (its journal kinds
 #                 and the IntentStore mutators) is named nowhere under
 #                 crates/sim or in core/verify.rs, so a copy of
-#                 core/control.rs cannot grow back in a substrate
+#                 core/control.rs cannot grow back in a substrate; and
+#                 the predicate layer (LEC builder, boundary partition,
+#                 backend selection) has no second home outside
+#                 crates/predicate
 #   fmt           rustfmt check
-#   fault-matrix  substrate equivalence under injected faults: fixed
-#                 seeds {1,7,23,101} x loss {0%,1%,10%} plus chaos and
-#                 crash/restart profiles; fails on any Report
-#                 divergence (tests/fault_matrix.rs, release mode)
-#   churn-matrix  substrate equivalence under live topology churn:
-#                 seeds {1,7,23,101} x loss {0%,10%} x crash/restart
-#                 interleaved with link/device down/up events; fails on
-#                 any epoch-final Report divergence
-#                 (tests/churn_matrix.rs, release mode)
-#   intent-matrix substrate equivalence under runtime intent churn:
-#                 seeds {1,7,23,101} x loss {0%,10%} x intent
-#                 install/remove interleaved with FIB batches, driven
-#                 through the unified RuntimeEvent API on all four
-#                 substrates; fails if any per-op Report diverges from
-#                 the merged standalone per-intent reference
-#                 (tests/intent_matrix.rs, release mode)
-#   churn-intent-matrix  substrate equivalence under *overlapping*
-#                 intent and topology churn: installs/removals racing
-#                 link/device events x loss {0%,10%} x crash/restart,
-#                 with no rejected arms — installs racing a fence park,
-#                 severed slices degrade; fails if lifecycle state or
-#                 any per-op Report diverges from the merged
-#                 from-scratch reference
-#                 (tests/churn_intent_matrix.rs, release mode)
-#   backend-matrix  predicate-backend equivalence: backend {deltanet,
-#                 intervals, auto} x substrate {event sim, faulty event
-#                 sim, threaded run} x loss {0%,10%} must produce
-#                 byte-equal Reports (tests/backend_equivalence.rs plus
-#                 the baselines agreement property test, release mode)
+#   equivalence   the house invariant — byte-equal Reports across
+#                 substrates, backends, loss and churn — as one release
+#                 build running the matrix test binaries:
+#                   fault_matrix         seeds {1,7,23,101} x loss
+#                     {0%,1%,10%} plus chaos and crash/restart profiles
+#                   churn_matrix         live link/device churn x loss
+#                     {0%,10%} x crash/restart; epoch-final Reports
+#                   intent_matrix        runtime intent install/remove
+#                     interleaved with FIB batches through the unified
+#                     RuntimeEvent API on all four substrates, held to
+#                     the merged standalone per-intent reference
+#                   churn_intent_matrix  *overlapping* intent and
+#                     topology churn with no rejected arms (installs
+#                     racing a fence park, severed slices degrade);
+#                     lifecycle state and per-op Reports
+#                   backend_equivalence  backend {deltanet, intervals} x
+#                     substrate {event sim, faulty event sim, threaded
+#                     run} x loss {0%,10%} against bdd
+#                   backend_agreement    (crates/predicate) random-FIB
+#                     LEC classification agrees across backends, wire
+#                     bytes included
+#                 any Report divergence fails the stage
 #   bench-smoke   runs the ablation harness on tiny topologies and
 #                 validates every figure in ABLATION_FIGURES (structure
 #                 only, no timing assertions -- the CI box has 1 CPU);
@@ -132,31 +128,22 @@ stage_lint() {
         echo "lint: lifecycle logic outside crates/core/src/control.rs (see above)" >&2
         exit 1
     fi
+    if grep -rn --include='*.rs' \
+        'fn local_equivalence_classes\|struct \(IntervalAtoms\|AtomPartition\|AtomAction\)\|update_rate_hint' \
+        crates src tests examples | grep -v '^crates/predicate/'; then
+        echo "lint: predicate-layer logic outside crates/predicate (see above)" >&2
+        exit 1
+    fi
 }
 
 stage_fmt() {
     cargo fmt --check
 }
 
-stage_fault_matrix() {
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test fault_matrix
-}
-
-stage_churn_matrix() {
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test churn_matrix
-}
-
-stage_intent_matrix() {
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test intent_matrix
-}
-
-stage_churn_intent_matrix() {
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test churn_intent_matrix
-}
-
-stage_backend_matrix() {
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test backend_equivalence
-    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun-baselines --test backend_agreement
+stage_equivalence() {
+    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun -p tulkun-predicate \
+        --test fault_matrix --test churn_matrix --test intent_matrix \
+        --test churn_intent_matrix --test backend_equivalence --test backend_agreement
 }
 
 stage_bench_smoke() {
@@ -309,19 +296,18 @@ stage_doc_check() {
 run_stage() {
     echo "== ci.sh: $1 =="
     case "$1" in
-        build|test|lint|fmt|fault-matrix|churn-matrix|intent-matrix|churn-intent-matrix|backend-matrix|bench-smoke|perf-gate|obs-smoke|doc-check)
+        build|test|lint|fmt|equivalence|bench-smoke|perf-gate|obs-smoke|doc-check)
             run_with_timeout "$1"
             ;;
         all)
-            for s in build test lint fmt fault-matrix churn-matrix \
-                     intent-matrix churn-intent-matrix backend-matrix \
+            for s in build test lint fmt equivalence \
                      bench-smoke perf-gate obs-smoke doc-check; do
                 run_stage "$s"
             done
             ;;
         *)
             echo "ci.sh: unknown stage '$1'" >&2
-            echo "stages: build test lint fmt fault-matrix churn-matrix intent-matrix churn-intent-matrix backend-matrix bench-smoke perf-gate obs-smoke doc-check all" >&2
+            echo "stages: build test lint fmt equivalence bench-smoke perf-gate obs-smoke doc-check all" >&2
             exit 2
             ;;
     esac

@@ -6,25 +6,9 @@
 
 use crate::common::{reach_set, BaselineReport, CentralizedDpv, Workload};
 use tulkun_bdd::{BddManager, HeaderLayout, Pred};
-use tulkun_netmodel::fib::Action;
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
-
-/// A resolved per-atom action (device next hops + external delivery).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct AtomAction {
-    next_hops: Vec<DeviceId>,
-    delivers: bool,
-}
-
-impl AtomAction {
-    fn from_action(a: &Action) -> AtomAction {
-        AtomAction {
-            next_hops: a.device_next_hops(),
-            delivers: a.delivers_external(),
-        }
-    }
-}
+use tulkun_predicate::AtomAction;
 
 struct State {
     mgr: BddManager,

@@ -4,14 +4,14 @@
 //! of an atoms × devices table (the memory-out of the paper's NGDC run).
 
 use crate::common::{reach_set, BaselineReport, CentralizedDpv, Workload};
-use crate::intervals::{paint_device, AtomAction, IntervalAtoms};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
+use tulkun_predicate::{AtomAction, AtomPartition};
 
 /// The Delta-net baseline.
 #[derive(Default)]
 pub struct DeltaNet {
-    atoms: IntervalAtoms,
+    atoms: AtomPartition,
     /// `table[atom][device]`.
     table: Vec<Vec<AtomAction>>,
     net: Option<Network>,
@@ -22,7 +22,7 @@ impl DeltaNet {
     /// Fresh instance.
     pub fn new() -> Self {
         DeltaNet {
-            atoms: IntervalAtoms::new(),
+            atoms: AtomPartition::new(),
             table: Vec::new(),
             net: None,
             workload: Workload { pairs: Vec::new() },
@@ -74,14 +74,10 @@ impl CentralizedDpv for DeltaNet {
             .flat_map(|f| f.rules().iter().map(|r| &r.matches.dst));
         let wl_prefixes = workload.pairs.iter().map(|(_, p)| p);
         let all: Vec<_> = rule_prefixes.chain(wl_prefixes).cloned().collect();
-        self.atoms = IntervalAtoms::from_prefixes(all.iter());
+        self.atoms = AtomPartition::from_prefixes(all.iter());
 
         // Paint all devices, then transpose to atom-major.
-        let per_dev: Vec<Vec<AtomAction>> = net
-            .fibs
-            .iter()
-            .map(|f| paint_device(&self.atoms, f))
-            .collect();
+        let per_dev: Vec<Vec<AtomAction>> = net.fibs.iter().map(|f| self.atoms.paint(f)).collect();
         let n_atoms = self.atoms.len();
         self.table = (0..n_atoms)
             .map(|a| per_dev.iter().map(|col| col[a].clone()).collect())
@@ -107,7 +103,7 @@ impl CentralizedDpv for DeltaNet {
         // Repaint only the updated device over the touched atoms.
         let range = self.atoms.atoms_of(&prefix);
         let fib = self.net.as_ref().unwrap().fib(dev).clone();
-        let painted = paint_device(&self.atoms, &fib);
+        let painted = self.atoms.paint(&fib);
         let affected: Vec<usize> = range.collect();
         for &a in &affected {
             self.table[a][dev.idx()] = painted[a].clone();

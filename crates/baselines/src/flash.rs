@@ -4,14 +4,14 @@
 //! incomplete information (§1's missing-devices experiment).
 
 use crate::common::{reach_set, BaselineReport, CentralizedDpv, Workload};
-use crate::intervals::{paint_device, AtomAction, IntervalAtoms};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
+use tulkun_predicate::{AtomAction, AtomPartition};
 
 /// The Flash baseline.
 #[derive(Default)]
 pub struct Flash {
-    atoms: IntervalAtoms,
+    atoms: AtomPartition,
     /// `table[device][atom]` (device-major: Flash's per-device batch
     /// painting).
     table: Vec<Vec<AtomAction>>,
@@ -23,7 +23,7 @@ impl Flash {
     /// Fresh instance.
     pub fn new() -> Self {
         Flash {
-            atoms: IntervalAtoms::new(),
+            atoms: AtomPartition::new(),
             table: Vec::new(),
             net: None,
             workload: Workload { pairs: Vec::new() },
@@ -38,12 +38,8 @@ impl Flash {
             .flat_map(|f| f.rules().iter().map(|r| &r.matches.dst));
         let wl_prefixes = self.workload.pairs.iter().map(|(_, p)| p);
         let all: Vec<_> = rule_prefixes.chain(wl_prefixes).cloned().collect();
-        self.atoms = IntervalAtoms::from_prefixes(all.iter());
-        self.table = net
-            .fibs
-            .iter()
-            .map(|f| paint_device(&self.atoms, f))
-            .collect();
+        self.atoms = AtomPartition::from_prefixes(all.iter());
+        self.table = net.fibs.iter().map(|f| self.atoms.paint(f)).collect();
     }
 
     fn verify_atoms(&self, filter: Option<std::ops::Range<usize>>) -> BaselineReport {

@@ -23,13 +23,14 @@
 //! All baselines verify the same workload: for every announced
 //! `(destination device, prefix)` pair, every other device must reach
 //! the destination (no blackholes, no loops). The common verdict
-//! machinery lives in [`common`].
+//! machinery lives in [`common`]; the interval baselines (Delta-net,
+//! VeriFlow, Flash) share the atom partition of
+//! [`tulkun_predicate::atoms`] with the on-device Delta-net backend.
 
 pub mod ap;
 pub mod common;
 pub mod deltanet;
 pub mod flash;
-pub mod intervals;
 pub mod veriflow;
 
 pub use common::{BaselineReport, CentralizedDpv, Workload};

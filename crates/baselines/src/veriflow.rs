@@ -4,10 +4,11 @@
 //! everything and updates recompute the overlapping ECs.
 
 use crate::common::{reach_set, BaselineReport, CentralizedDpv, Workload};
-use crate::intervals::{prefix_range, AtomAction, IntervalAtoms};
 use tulkun_netmodel::fib::Fib;
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::{DeviceId, IpPrefix};
+use tulkun_predicate::ipset::prefix_iv;
+use tulkun_predicate::{AtomAction, AtomPartition};
 
 /// The VeriFlow baseline.
 #[derive(Default)]
@@ -27,7 +28,7 @@ impl VeriFlow {
 
     /// Local ECs of a prefix: boundaries contributed by every rule that
     /// overlaps it, across all devices.
-    fn local_atoms(net: &Network, prefix: &IpPrefix) -> IntervalAtoms {
+    fn local_atoms(net: &Network, prefix: &IpPrefix) -> AtomPartition {
         let overlapping: Vec<IpPrefix> = net
             .fibs
             .iter()
@@ -35,14 +36,14 @@ impl VeriFlow {
             .filter(|p| p.overlaps(prefix))
             .chain(std::iter::once(*prefix))
             .collect();
-        IntervalAtoms::from_prefixes(overlapping.iter())
+        AtomPartition::from_prefixes(overlapping.iter())
     }
 
     /// Resolves one device's action for an atom by longest-priority
     /// lookup on a sample address.
     fn resolve(fib: &Fib, sample: u64) -> AtomAction {
         for rule in fib.rules() {
-            let (lo, hi) = prefix_range(&rule.matches.dst);
+            let (lo, hi) = prefix_iv(&rule.matches.dst);
             if (lo..hi).contains(&sample) {
                 return AtomAction::from_action(&rule.action);
             }
@@ -62,9 +63,9 @@ impl VeriFlow {
         let atoms = Self::local_atoms(net, prefix);
         let mut report = BaselineReport::default();
         for atom in atoms.atoms_of(prefix) {
-            let sample = atoms.sample(atom);
+            let sample = atoms.span(atom).0;
             if let Some(scope) = scope {
-                let (lo, hi) = prefix_range(scope);
+                let (lo, hi) = prefix_iv(scope);
                 if !(lo..hi).contains(&sample) {
                     continue;
                 }

@@ -103,6 +103,15 @@ impl BddManager {
         self.nodes.len()
     }
 
+    /// Drops the operation memo tables and their allocations. Every
+    /// handle and result stays valid — the tables only memoize — so
+    /// this trades recomputation for memory after a bulk build whose
+    /// intermediate results will not recur.
+    pub fn clear_caches(&mut self) {
+        self.cache = HashMap::new();
+        self.not_cache = HashMap::new();
+    }
+
     /// The empty predicate (no packets).
     pub fn falsum(&self) -> Pred {
         Pred::FALSE

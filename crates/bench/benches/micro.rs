@@ -16,6 +16,7 @@ use tulkun_core::verify::Session;
 use tulkun_datasets::{by_name, fig2a_network, rule_updates, Scale};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::RuleUpdate;
+use tulkun_predicate::{lecs, BddBackend};
 
 const WARMUP: usize = 2;
 const SAMPLES: usize = 10;
@@ -80,8 +81,7 @@ fn bench_lec(c: &Bencher) {
     let dev = ds.network.topology.devices().next().unwrap();
     let fib = ds.network.fib(dev).clone();
     c.bench("lec/build_inet2_device", || {
-        let mut m = BddManager::new(layout.num_vars());
-        fib.local_equivalence_classes(&mut m, &layout).len()
+        lecs(&fib, &mut BddBackend::new(layout)).len()
     });
 }
 

@@ -317,6 +317,7 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
 /// The stable snake_case journal event names of `JournalKind::as_str`.
 const JOURNAL_KINDS: &[&str] = &[
     "batch_applied",
+    "batch_rejected",
     "link_event",
     "scene_applied",
     "epoch_fence",

@@ -50,9 +50,7 @@ pub fn replay_trace(
     replay_trace_with(net, cp, ps, trace, burst, BackendKind::Bdd)
 }
 
-/// Like [`replay_trace`], on an explicit predicate backend. The trace
-/// length doubles as the `Auto` update-rate hint, so `Auto` picks the
-/// Delta-net encoding for IP-only bursty replays.
+/// Like [`replay_trace`], on an explicit predicate backend.
 pub fn replay_trace_with(
     net: &Network,
     cp: &CountingPlan,
@@ -70,7 +68,6 @@ pub fn replay_trace_with(
         SimConfig {
             telemetry: telemetry.clone(),
             backend,
-            update_rate_hint: trace.len() as f64,
             ..SimConfig::default()
         },
     );

@@ -10,12 +10,12 @@
 //! [`FencePlan`] holding one [`DeviceFence`] per device. It never
 //! touches a verifier or a message: a substrate (`Session`, `Engine`,
 //! `ThreadedEngine`) delivers each `DeviceFence` its own way through
-//! [`DeviceVerifierIn::apply_fence`] and drives to quiescence.
+//! [`DeviceVerifier::apply_fence`] and drives to quiescence.
 //!
 //! Every entry point is transactional: an `Err` leaves the control
 //! plane exactly as it was before the call.
 //!
-//! [`DeviceVerifierIn::apply_fence`]: crate::dvm::DeviceVerifierIn::apply_fence
+//! [`DeviceVerifier::apply_fence`]: crate::dvm::DeviceVerifier::apply_fence
 
 use crate::churn::{ChurnState, TopologyEvent};
 use crate::dpvnet::NodeId;
@@ -45,7 +45,7 @@ const SHARD: DeviceId = DeviceId(0);
 pub type TaskGroup = (Option<PortablePred>, Vec<NodeTask>);
 
 /// One device's share of an epoch fence, applied atomically by
-/// [`DeviceVerifierIn::apply_fence`](crate::dvm::DeviceVerifierIn::apply_fence):
+/// [`DeviceVerifier::apply_fence`](crate::dvm::DeviceVerifier::apply_fence):
 /// move to the new epoch, optionally wipe, drop `remove`, apply
 /// `groups` in order, then re-announce.
 #[derive(Debug, Clone, Default)]

@@ -14,7 +14,4 @@ pub mod verifier;
 
 pub use message::{EdgeRef, Envelope, Outbox, Payload};
 pub use reliable::{Accepted, ReceiverLedger, SenderWindow};
-pub use verifier::{
-    DestMode, DeviceVerifier, DeviceVerifierIn, VerifierBuilder, VerifierBuilderIn, VerifierConfig,
-    VerifierStats,
-};
+pub use verifier::{DestMode, DeviceVerifier, VerifierBuilder, VerifierConfig, VerifierStats};

@@ -12,12 +12,10 @@
 //! * the counting scope (invariant packet space, grown by `SUBSCRIBE`
 //!   messages when upstream devices rewrite headers).
 //!
-//! The verifier is generic over the backend ([`DeviceVerifierIn`]);
+//! The backend is chosen at runtime ([`VerifierBuilder::backend`]);
 //! wire messages always carry the canonical [`PortablePred`] ROBDD
 //! encoding, so verifiers running different backends interoperate
 //! byte-for-byte (the wire-format invariant of `tulkun-predicate`).
-//! [`DeviceVerifier`] is the runtime-selected form used by the
-//! substrates.
 //!
 //! Deviation from §5.2, documented in DESIGN.md: affected `LocCIB`
 //! entries are recomputed from the stored `CIBIn` tables instead of
@@ -38,7 +36,7 @@ use tulkun_bdd::HeaderLayout;
 use tulkun_netmodel::fib::{Action, ActionType, Fib, NextHop, Rewrite};
 use tulkun_netmodel::network::RuleUpdate;
 use tulkun_netmodel::DeviceId;
-use tulkun_predicate::{BackendKind, DynBackend, PredicateBackend};
+use tulkun_predicate::{BackendKind, DynBackend, DynPred, PredicateBackend};
 use tulkun_telemetry::{Telemetry, CIB_RECOMPUTE_NS, FIB_BATCH_NS, LEC_DELTA_NS};
 
 /// How destination nodes count their own delivery.
@@ -93,41 +91,41 @@ pub struct VerifierStats {
 }
 
 #[derive(Debug)]
-struct NodeState<P> {
+struct NodeState {
     task: NodeTask,
     /// The node's base packet space: the space of the intent (or plan)
     /// that installed it. Nodes of one verifier may belong to different
     /// intents with different packet spaces; `scope` always starts at —
     /// and a reboot resets it to — this base.
-    base: P,
+    base: DynPred,
     /// Packet sets this node counts for (base space + subscriptions).
-    scope: P,
+    scope: DynPred,
     /// Indices of LEC classes intersecting `scope` — the only classes
     /// counting ever touches (devices hold thousands of classes, an
     /// invariant's packet space usually overlaps a handful).
     relevant: Vec<usize>,
     /// Latest results per downstream node (predicates in downstream
     /// header space). Missing coverage means count zero.
-    cib_in: BTreeMap<NodeId, Vec<(P, Counts)>>,
+    cib_in: BTreeMap<NodeId, Vec<(DynPred, Counts)>>,
     /// This node's counting results (partitions `scope`).
-    loc_cib: Vec<(P, Counts)>,
+    loc_cib: Vec<(DynPred, Counts)>,
     /// What upstream currently believes (reduced counts; partitions
     /// `scope`).
-    cib_out: Vec<(P, Counts)>,
+    cib_out: Vec<(DynPred, Counts)>,
     /// Scope already requested from each downstream device.
-    sent_subs: BTreeMap<NodeId, P>,
+    sent_subs: BTreeMap<NodeId, DynPred>,
 }
 
-/// The event-driven on-device verifier, generic over the predicate
-/// backend `B`. See [`DeviceVerifier`] for the runtime-selected form.
-pub struct DeviceVerifierIn<B: PredicateBackend> {
+/// The event-driven on-device verifier, over the predicate backend
+/// chosen at build time.
+pub struct DeviceVerifier {
     dev: DeviceId,
-    backend: B,
+    backend: DynBackend,
     fib: Fib,
-    lecs: Vec<(B::Pred, Action)>,
+    lecs: Vec<(DynPred, Action)>,
     cfg: VerifierConfig,
-    packet_space: B::Pred,
-    nodes: BTreeMap<NodeId, NodeState<B::Pred>>,
+    packet_space: DynPred,
+    nodes: BTreeMap<NodeId, NodeState>,
     /// Neighbor devices currently unreachable (failed adjacent links).
     down_neighbors: BTreeSet<DeviceId>,
     /// Causal trace id of the event currently being processed; stamped
@@ -144,22 +142,18 @@ pub struct DeviceVerifierIn<B: PredicateBackend> {
     pub stats: VerifierStats,
 }
 
-/// The on-device verifier with its backend chosen at runtime (the form
-/// every substrate instantiates).
-pub type DeviceVerifier = DeviceVerifierIn<DynBackend>;
-
-/// Builds a [`DeviceVerifierIn`]: mandatory device/FIB/packet-space
+/// Builds a [`DeviceVerifier`]: mandatory device/FIB/packet-space
 /// context plus the optional parts (planner tasks, a pre-built LEC
 /// table, a destination-mode override).
 ///
 /// One device's LEC table is shared by all its tasks across invariants
 /// (§8 — re-deriving it per invariant would be wasted work); seed it
-/// with [`VerifierBuilderIn::lecs`]. Cached tables are stored in the
+/// with [`VerifierBuilder::lecs`]. Cached tables are stored in the
 /// backend-neutral wire encoding, so a table exported under one backend
 /// seeds a verifier running any other. The caller must guarantee the
 /// exported table matches `fib`.
-pub struct VerifierBuilderIn<'a, B: PredicateBackend> {
-    backend: B,
+pub struct VerifierBuilder<'a> {
+    backend: DynBackend,
     dev: DeviceId,
     fib: Fib,
     packet_space: &'a PortablePred,
@@ -169,10 +163,16 @@ pub struct VerifierBuilderIn<'a, B: PredicateBackend> {
     tel: Option<Arc<Telemetry>>,
 }
 
-/// Builder for the runtime-selected [`DeviceVerifier`].
-pub type VerifierBuilder<'a> = VerifierBuilderIn<'a, DynBackend>;
+impl<'a> VerifierBuilder<'a> {
+    /// Swaps the predicate backend (the default is BDDs). The caller
+    /// has checked the kind against the workload
+    /// ([`BackendKind::check`]).
+    pub fn backend(mut self, kind: BackendKind) -> Self {
+        let layout = *self.backend.layout();
+        self.backend = DynBackend::new(kind, layout);
+        self
+    }
 
-impl<'a, B: PredicateBackend> VerifierBuilderIn<'a, B> {
     /// The counting tasks the planner assigned to this device.
     pub fn tasks(mut self, tasks: Vec<NodeTask>) -> Self {
         self.tasks = tasks;
@@ -208,8 +208,8 @@ impl<'a, B: PredicateBackend> VerifierBuilderIn<'a, B> {
 
     /// Builds the verifier (computing the LEC table unless one was
     /// provided).
-    pub fn build(self) -> DeviceVerifierIn<B> {
-        let VerifierBuilderIn {
+    pub fn build(self) -> DeviceVerifier {
+        let VerifierBuilder {
             mut backend,
             dev,
             fib,
@@ -242,7 +242,7 @@ impl<'a, B: PredicateBackend> VerifierBuilderIn<'a, B> {
                 },
             );
         }
-        let mut v = DeviceVerifierIn {
+        let mut v = DeviceVerifier {
             dev,
             backend,
             fib,
@@ -270,17 +270,6 @@ impl<'a, B: PredicateBackend> VerifierBuilderIn<'a, B> {
     }
 }
 
-impl<'a> VerifierBuilder<'a> {
-    /// Swaps the predicate backend for the given (concrete) kind.
-    /// Resolve [`BackendKind::Auto`] via [`BackendKind::resolve`]
-    /// before calling; passing it here panics.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        let layout = *self.backend.layout();
-        self.backend = DynBackend::new(kind, layout);
-        self
-    }
-}
-
 impl DeviceVerifier {
     /// Starts building a verifier for `dev` with the default (BDD)
     /// backend; select another with [`VerifierBuilder::backend`].
@@ -294,29 +283,8 @@ impl DeviceVerifier {
         packet_space: &PortablePred,
         cfg: VerifierConfig,
     ) -> VerifierBuilder<'_> {
-        DeviceVerifierIn::builder_in(
-            DynBackend::new(BackendKind::Bdd, layout),
-            dev,
-            fib,
-            packet_space,
-            cfg,
-        )
-    }
-}
-
-impl<B: PredicateBackend> DeviceVerifierIn<B> {
-    /// Starts building a verifier for `dev` over an explicit backend
-    /// instance (the fully generic entry point; [`DeviceVerifier`]
-    /// users go through [`DeviceVerifier::builder`]).
-    pub fn builder_in(
-        backend: B,
-        dev: DeviceId,
-        fib: Fib,
-        packet_space: &PortablePred,
-        cfg: VerifierConfig,
-    ) -> VerifierBuilderIn<'_, B> {
-        VerifierBuilderIn {
-            backend,
+        VerifierBuilder {
+            backend: DynBackend::new(BackendKind::Bdd, layout),
             dev,
             fib,
             packet_space,
@@ -328,7 +296,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     }
 
     /// Exports the LEC table for reuse by another verifier of the same
-    /// device (see [`VerifierBuilderIn::lecs`]). The export is in the
+    /// device (see [`VerifierBuilder::lecs`]). The export is in the
     /// canonical wire encoding, hence backend-neutral.
     pub fn export_lecs(&self) -> Vec<(PortablePred, Action)> {
         self.lecs
@@ -343,7 +311,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     }
 
     /// The predicate backend in use.
-    pub fn backend(&self) -> &B {
+    pub fn backend(&self) -> &DynBackend {
         &self.backend
     }
 
@@ -356,7 +324,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     /// envelopes. Runtimes call this before injecting an internal
     /// event (FIB batch, link event, reboot, replay) so the whole
     /// resulting UPDATE wave shares one id; incoming envelopes set it
-    /// automatically in [`DeviceVerifierIn::handle`].
+    /// automatically in [`DeviceVerifier::handle`].
     pub fn set_trace(&mut self, trace: u64) {
         self.trace = trace;
     }
@@ -406,7 +374,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     }
 
     /// Backend memory proxy for §9.4 (historical name; same value as
-    /// [`DeviceVerifierIn::mem_units`]).
+    /// [`DeviceVerifier::mem_units`]).
     pub fn bdd_nodes(&self) -> usize {
         self.backend.mem_units()
     }
@@ -436,7 +404,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
     /// The LEC classes that can matter for one node (those intersecting
     /// its scope).
-    fn relevant_lecs(&self, node: NodeId) -> Vec<(B::Pred, Action)> {
+    fn relevant_lecs(&self, node: NodeId) -> Vec<(DynPred, Action)> {
         let st = &self.nodes[&node];
         st.relevant.iter().map(|&i| self.lecs[i].clone()).collect()
     }
@@ -543,7 +511,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     /// Upstream region affected by a change of downstream predicates `w`
     /// at neighbor device `vdev` (the causality lookup of §5.2): LEC
     /// classes forwarding to `vdev`, pulled back through any rewrite.
-    fn affected_region(&mut self, node: NodeId, vdev: DeviceId, w: B::Pred) -> B::Pred {
+    fn affected_region(&mut self, node: NodeId, vdev: DeviceId, w: DynPred) -> DynPred {
         let mut region = self.backend.falsum();
         let lecs = self.relevant_lecs(node);
         for (pred, action) in &lecs {
@@ -604,7 +572,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
     /// Applies one FIB rule update (internal event, §5.2), writing the
     /// resulting messages to `out`. Single-update form of
-    /// [`DeviceVerifierIn::handle_fib_batch`].
+    /// [`DeviceVerifier::handle_fib_batch`].
     pub fn handle_fib_update(&mut self, update: &RuleUpdate, out: &mut dyn Outbox) {
         self.handle_fib_batch(std::slice::from_ref(update), out);
     }
@@ -667,7 +635,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
         // Old effective actions inside the region (for the changed-region
         // diff), keyed by action.
-        let mut old_in: Vec<(B::Pred, Action)> = Vec::new();
+        let mut old_in: Vec<(DynPred, Action)> = Vec::new();
         for (p, a) in &self.lecs.clone() {
             let i = self.backend.and(*p, m);
             if !self.backend.is_false(i) {
@@ -728,7 +696,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     }
 
     /// Installs (or re-tasks) DPVNet nodes whose *base packet space* is
-    /// `space` — the per-intent form of [`DeviceVerifierIn::set_tasks`].
+    /// `space` — the per-intent form of [`DeviceVerifier::set_tasks`].
     /// Existing nodes keep the base they were installed with (only
     /// their task — upstream/downstream edges, accept flags — is
     /// replaced); new nodes start counting over `space`.
@@ -742,7 +710,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
         self.install_tasks_pred(tasks, base, out);
     }
 
-    fn install_tasks_pred(&mut self, tasks: Vec<NodeTask>, base: B::Pred, out: &mut dyn Outbox) {
+    fn install_tasks_pred(&mut self, tasks: Vec<NodeTask>, base: DynPred, out: &mut dyn Outbox) {
         let mut touched = Vec::with_capacity(tasks.len());
         for task in tasks {
             assert_eq!(task.dev, self.dev);
@@ -852,7 +820,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
                     self.emit(env, out);
                 }
             }
-            let downs: Vec<(NodeId, DeviceId, B::Pred)> = self.nodes[&node]
+            let downs: Vec<(NodeId, DeviceId, DynPred)> = self.nodes[&node]
                 .task
                 .downstream
                 .iter()
@@ -911,7 +879,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     ///
     /// Recovery of the *inputs* (neighbors' last counting results and
     /// subscriptions) is driven by the runtime calling
-    /// [`DeviceVerifierIn::replay_for_restart`] on each neighbor.
+    /// [`DeviceVerifier::replay_for_restart`] on each neighbor.
     pub fn reboot(&mut self, out: &mut dyn Outbox) {
         let dim = self.cfg.dim();
         for st in self.nodes.values_mut() {
@@ -969,7 +937,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
                     self.emit(env, out);
                 }
             }
-            let downs: Vec<(NodeId, B::Pred)> = self.nodes[&node]
+            let downs: Vec<(NodeId, DynPred)> = self.nodes[&node]
                 .task
                 .downstream
                 .iter()
@@ -995,6 +963,13 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
     /// Exports a node's current counting results, optionally restricted
     /// to the entries intersecting a packet-space filter.
+    ///
+    /// The export is canonical: `LocCIB` may hold one outcome split over
+    /// several disjoint predicates (regions recomputed by different
+    /// messages are spliced in, never re-merged — which halves arrive
+    /// first follows delivery order), so entries with equal counts are
+    /// unioned here, where Reports read them. Equal converged states
+    /// then export byte-equal results on every substrate.
     pub fn node_result(
         &mut self,
         node: NodeId,
@@ -1004,17 +979,24 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
         let Some(st) = self.nodes.get(&node) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
+        let mut merged: Vec<(DynPred, &Counts)> = Vec::new();
         for (p, c) in st.loc_cib.iter() {
             let keep = match q {
                 None => true,
                 Some(q) => self.backend.intersects(*p, q),
             };
-            if keep {
-                out.push((self.backend.export(*p), c.clone()));
+            if !keep {
+                continue;
+            }
+            match merged.iter_mut().find(|(_, mc)| *mc == c) {
+                Some((mp, _)) => *mp = self.backend.or(*mp, *p),
+                None => merged.push((*p, c)),
             }
         }
-        out
+        merged
+            .into_iter()
+            .map(|(p, c)| (self.backend.export(p), c.clone()))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1056,7 +1038,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     /// Recomputes `LocCIB` over `region` for one node and writes the
     /// UPDATE messages for its upstream neighbors (steps 2–3 of §5.2)
     /// to `out`.
-    fn recompute_node(&mut self, node: NodeId, region: B::Pred, out: &mut dyn Outbox) {
+    fn recompute_node(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
         if !self.tel.is_enabled() {
             return self.recompute_node_inner(node, region, out);
         }
@@ -1069,7 +1051,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
         tel.observe(self.dev, &CIB_RECOMPUTE_NS, dur);
     }
 
-    fn recompute_node_inner(&mut self, node: NodeId, region: B::Pred, out: &mut dyn Outbox) {
+    fn recompute_node_inner(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
         let scope = self.nodes[&node].scope;
         let r = self.backend.and(region, scope);
         if self.backend.is_false(r) {
@@ -1089,7 +1071,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
         }
 
         // Reduce (Proposition 1) and diff against CIBOut.
-        let reduced: Vec<(B::Pred, Counts)> = new_entries
+        let reduced: Vec<(DynPred, Counts)> = new_entries
             .iter()
             .map(|(p, c)| (*p, c.reduce(self.cfg.reduce)))
             .collect();
@@ -1109,7 +1091,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
             return;
         }
         // Update CIBOut over the changed region.
-        let mut out_results: Vec<(B::Pred, Counts)> = Vec::new();
+        let mut out_results: Vec<(DynPred, Counts)> = Vec::new();
         {
             let be = &mut self.backend;
             let st = self.nodes.get_mut(&node).unwrap();
@@ -1153,10 +1135,10 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
     /// Computes fresh `(predicate, counts)` entries partitioning `r`
     /// (Equations (1) and (2) refined per packet set).
-    fn compute_entries(&mut self, node: NodeId, r: B::Pred) -> Vec<(B::Pred, Counts)> {
+    fn compute_entries(&mut self, node: NodeId, r: DynPred) -> Vec<(DynPred, Counts)> {
         let lecs = self.relevant_lecs(node);
         let accept = self.nodes[&node].task.accept.clone();
-        let mut out: Vec<(B::Pred, Counts)> = Vec::new();
+        let mut out: Vec<(DynPred, Counts)> = Vec::new();
         for (lp, action) in &lecs {
             let p0 = self.backend.and(*lp, r);
             if self.backend.is_false(p0) {
@@ -1177,10 +1159,10 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     fn combine(
         &mut self,
         node: NodeId,
-        p0: B::Pred,
+        p0: DynPred,
         accept: &[bool],
         action: &Action,
-    ) -> Vec<(B::Pred, Counts)> {
+    ) -> Vec<(DynPred, Counts)> {
         let accepting_any = accept.iter().any(|&a| a);
         let base = self.base(accept, action);
         let (mode, hops, rewrite, ext) = match action {
@@ -1270,13 +1252,13 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     fn refine(
         &mut self,
         node: NodeId,
-        p0: B::Pred,
+        p0: DynPred,
         relevant: &[NodeId],
         rewrite: Option<&Rewrite>,
-    ) -> Vec<(B::Pred, Vec<Counts>)> {
-        let mut pieces: Vec<(B::Pred, Vec<Counts>)> = vec![(p0, Vec::new())];
+    ) -> Vec<(DynPred, Vec<Counts>)> {
+        let mut pieces: Vec<(DynPred, Vec<Counts>)> = vec![(p0, Vec::new())];
         for v in relevant {
-            let parts: Vec<(B::Pred, Counts)> =
+            let parts: Vec<(DynPred, Counts)> =
                 self.nodes[&node].cib_in.get(v).cloned().unwrap_or_default();
             let mut next = Vec::with_capacity(pieces.len().max(parts.len()));
             for (p, cs) in pieces {
@@ -1311,12 +1293,12 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
 
     /// Image of a packet set under a rewrite: the top `to.len` bits of
     /// the destination address are replaced by the prefix bits.
-    fn image(&mut self, p: B::Pred, rw: &Rewrite) -> B::Pred {
+    fn image(&mut self, p: DynPred, rw: &Rewrite) -> DynPred {
         self.backend.rewrite_image(p, rw)
     }
 
     /// Preimage of a downstream packet set under a rewrite.
-    fn preimage(&mut self, q: B::Pred, rw: &Rewrite) -> B::Pred {
+    fn preimage(&mut self, q: DynPred, rw: &Rewrite) -> DynPred {
         self.backend.rewrite_preimage(q, rw)
     }
 
@@ -1325,7 +1307,7 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
     /// transformed space for rewriting classes, and any subscribed
     /// region beyond the invariant's packet space for plain forwarding
     /// (subscriptions propagate transitively toward destinations).
-    fn emit_subscriptions(&mut self, node: NodeId, region: B::Pred, out: &mut dyn Outbox) {
+    fn emit_subscriptions(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
         let lecs = self.relevant_lecs(node);
         let scope = self.nodes[&node].scope;
         let r = self.backend.and(region, scope);
@@ -1382,6 +1364,66 @@ impl<B: PredicateBackend> DeviceVerifierIn<B> {
                 );
                 self.emit(env, out);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tulkun_netmodel::fib::MatchSpec;
+
+    /// One outcome split over two disjoint `LocCIB` predicates (what
+    /// message-order-dependent splicing can leave behind) exports as
+    /// their union — byte-equal to the unsplit table, on every backend.
+    #[test]
+    fn node_result_merges_split_loc_cib_entries() {
+        let layout = HeaderLayout::ipv4_tcp();
+        let dst = |s: &str| MatchSpec::dst(s.parse().unwrap());
+        let node = NodeId(0);
+        for kind in BackendKind::CONCRETE {
+            let mut be = DynBackend::new(kind, layout);
+            let whole = be.match_pred(&dst("10.0.0.0/23"));
+            let space = be.export(whole);
+            let mut v = DeviceVerifier::builder(
+                DeviceId(0),
+                layout,
+                Fib::new(),
+                &space,
+                VerifierConfig {
+                    n_exprs: 1,
+                    track_escapes: false,
+                    reduce: ReduceMode::None,
+                    dest_mode: DestMode::Axiomatic,
+                },
+            )
+            .backend(kind)
+            .tasks(vec![NodeTask {
+                node,
+                dev: DeviceId(0),
+                downstream: Vec::new(),
+                upstream: Vec::new(),
+                accept: vec![true],
+            }])
+            .build();
+            let unsplit = v.node_result(node, None);
+            assert_eq!(unsplit.len(), 1);
+
+            let lo = v.backend.match_pred(&dst("10.0.0.0/24"));
+            let hi = v.backend.match_pred(&dst("10.0.1.0/24"));
+            let other = v.backend.match_pred(&dst("10.9.0.0/24"));
+            let counts = unsplit[0].1.clone();
+            let st = v.nodes.get_mut(&node).unwrap();
+            st.loc_cib = vec![
+                (hi, counts.clone()),
+                (other, Counts::single(vec![7])),
+                (lo, counts),
+            ];
+            let merged = v.node_result(node, None);
+            assert_eq!(merged.len(), 2, "{kind}: equal counts stay split");
+            assert_eq!(merged[0], unsplit[0], "{kind}: union is not the whole");
+            // The packet-space filter still selects by intersection.
+            assert_eq!(v.node_result(node, Some(&space)), unsplit);
         }
     }
 }

@@ -99,7 +99,7 @@ fn severity(kind: JournalKind) -> u32 {
         K::AdmissionShed | K::AdmissionBlocked => 5,
         K::SloBreach => 6,
         K::EpochFence => 7,
-        K::ChurnRejected | K::IntentRejected => 8,
+        K::BatchRejected | K::ChurnRejected | K::IntentRejected => 8,
         K::IntentInstalled | K::IntentRemoved | K::IntentReplanned | K::BackendSwap => 9,
         K::LinkEvent | K::SceneApplied => 10,
         K::BatchApplied => 11,

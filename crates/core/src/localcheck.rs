@@ -8,10 +8,11 @@
 //! all-shortest-path availability.
 
 use crate::planner::LocalContract;
-use tulkun_bdd::serial::{self, PortablePred};
-use tulkun_bdd::{BddManager, HeaderLayout, Pred};
+use tulkun_bdd::serial::PortablePred;
+use tulkun_bdd::{HeaderLayout, Pred};
 use tulkun_netmodel::fib::{Action, Fib};
 use tulkun_netmodel::DeviceId;
+use tulkun_predicate::{lecs, BddBackend, PredicateBackend};
 
 /// A local-contract violation found on a device.
 #[derive(Debug, Clone)]
@@ -35,13 +36,12 @@ pub struct ContractViolation {
 /// communication.
 pub struct LocalChecker {
     dev: DeviceId,
-    mgr: BddManager,
-    layout: HeaderLayout,
+    backend: BddBackend,
     fib: Fib,
     contracts: Vec<LocalContract>,
     packet_space: Pred,
     /// LEC table, rebuilt lazily when the FIB changes.
-    lecs: Option<Vec<tulkun_netmodel::fib::Lec>>,
+    lecs: Option<Vec<(Pred, Action)>>,
 }
 
 impl LocalChecker {
@@ -65,25 +65,21 @@ impl LocalChecker {
         fib: Fib,
         contracts: Vec<LocalContract>,
         packet_space: &PortablePred,
-        lecs: Option<&[(PortablePred, tulkun_netmodel::fib::Action)]>,
+        lecs: Option<&[(PortablePred, Action)]>,
     ) -> Self {
-        let mut mgr = BddManager::new(layout.num_vars());
-        let ps = serial::import(&mut mgr, packet_space).expect("packet space import");
+        let mut backend = BddBackend::new(layout);
+        let ps = backend.import(packet_space);
         for c in &contracts {
             assert_eq!(c.dev, dev, "contract assigned to the wrong device");
         }
         let lecs = lecs.map(|ls| {
             ls.iter()
-                .map(|(p, a)| tulkun_netmodel::fib::Lec {
-                    pred: serial::import(&mut mgr, p).expect("lec import"),
-                    action: a.clone(),
-                })
+                .map(|(p, a)| (backend.import(p), a.clone()))
                 .collect()
         });
         LocalChecker {
             dev,
-            mgr,
-            layout,
+            backend,
             fib,
             contracts,
             packet_space: ps,
@@ -92,22 +88,19 @@ impl LocalChecker {
     }
 
     /// Exports the LEC table for reuse (builds it if needed).
-    pub fn export_lecs(&mut self) -> Vec<(PortablePred, tulkun_netmodel::fib::Action)> {
+    pub fn export_lecs(&mut self) -> Vec<(PortablePred, Action)> {
         self.ensure_lecs();
         self.lecs
             .as_ref()
             .unwrap()
             .iter()
-            .map(|l| (serial::export(&self.mgr, l.pred), l.action.clone()))
+            .map(|(p, a)| (self.backend.export(*p), a.clone()))
             .collect()
     }
 
     fn ensure_lecs(&mut self) {
         if self.lecs.is_none() {
-            self.lecs = Some(
-                self.fib
-                    .local_equivalence_classes(&mut self.mgr, &self.layout),
-            );
+            self.lecs = Some(lecs(&self.fib, &mut self.backend));
         }
     }
 
@@ -126,15 +119,15 @@ impl LocalChecker {
             if contract.required_next_hops.is_empty() && !contract.must_deliver {
                 continue; // dead node: nothing to check locally
             }
-            for lec in &lecs {
-                let p = self.mgr.and(lec.pred, self.packet_space);
-                if self.mgr.is_false(p) {
+            for (pred, action) in &lecs {
+                let p = self.backend.and(*pred, self.packet_space);
+                if self.backend.is_false(p) {
                     continue;
                 }
-                let mut found = lec.action.device_next_hops();
+                let mut found = action.device_next_hops();
                 found.sort();
                 found.dedup();
-                let delivers = lec.action.delivers_external();
+                let delivers = action.delivers_external();
                 let reason = if found != contract.required_next_hops {
                     Some(format!(
                         "forwarding group {found:?} differs from contract {:?}",
@@ -147,7 +140,7 @@ impl LocalChecker {
                         "unexpected external delivery".to_string()
                     })
                 } else if matches!(
-                    lec.action,
+                    action,
                     Action::Forward {
                         rewrite: Some(_),
                         ..
@@ -161,7 +154,7 @@ impl LocalChecker {
                     out.push(ContractViolation {
                         device: self.dev,
                         node: contract.node,
-                        pred: serial::export(&self.mgr, p),
+                        pred: self.backend.export(p),
                         expected: contract.required_next_hops.clone(),
                         found,
                         reason,
@@ -178,6 +171,7 @@ mod tests {
     use super::*;
     use crate::planner::Planner;
     use crate::spec::{table1, PacketSpace};
+    use tulkun_bdd::{serial, BddManager};
     use tulkun_netmodel::fib::{MatchSpec, Rule};
     use tulkun_netmodel::routing::{generate_fibs, RoutingOptions};
     use tulkun_netmodel::topology::Topology;

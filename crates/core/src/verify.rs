@@ -260,9 +260,9 @@ impl Session {
     }
 
     /// Like [`Session::from_counting`], with an explicit predicate
-    /// backend. [`BackendKind::Auto`] resolves against the network
-    /// (sessions have no update stream, so the rate hint is zero and
-    /// `Auto` stays on BDDs).
+    /// backend. Panics if the network is outside the backend's
+    /// capabilities; callers that take the kind from outside the
+    /// program run [`BackendKind::check`] themselves first.
     pub fn from_counting_with_backend(
         net: &Network,
         cp: CountingPlan,
@@ -291,7 +291,9 @@ impl Session {
                 reduce: cp.reduce,
                 dest_mode: DestMode::Axiomatic,
             },
-            backend_kind: backend.resolve(tulkun_predicate::network_ip_only(net), 0.0),
+            backend_kind: backend
+                .check(tulkun_predicate::network_ip_only(net))
+                .unwrap_or_else(|e| panic!("{e}")),
             tel,
         };
         // Group tasks by device.

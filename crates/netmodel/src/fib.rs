@@ -1,5 +1,5 @@
-//! Prioritized match-action tables (the paper's data plane model, §2.1)
-//! and the LEC builder (§5.1).
+//! Prioritized match-action tables (the paper's data plane model, §2.1).
+//! Compiling a table into LECs (§5.1) is `tulkun_predicate::lecs`.
 
 use crate::prefix::IpPrefix;
 use crate::topology::DeviceId;
@@ -169,16 +169,6 @@ pub struct Fib {
     rules: Vec<Rule>,
 }
 
-/// One local equivalence class: a set of packets (as a predicate) with an
-/// identical action at this device (§5.1).
-#[derive(Debug, Clone)]
-pub struct Lec {
-    /// The packets of the class.
-    pub pred: Pred,
-    /// Their shared action.
-    pub action: Action,
-}
-
 impl Fib {
     /// Empty table (drops everything).
     pub fn new() -> Self {
@@ -214,80 +204,6 @@ impl Fib {
     /// True when the table has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// The **LEC builder** (§8): compresses the prioritized table into a
-    /// minimal list of `(predicate, action)` classes that partition the
-    /// full packet space. Packets matching no rule fall into a `Drop`
-    /// class. Classes with identical actions are merged.
-    pub fn local_equivalence_classes(&self, m: &mut BddManager, layout: &HeaderLayout) -> Vec<Lec> {
-        let mut remaining = m.verum();
-        // Group matched spaces by action.
-        let mut by_action: Vec<(Action, Pred)> = Vec::new();
-        for rule in &self.rules {
-            if m.is_false(remaining) {
-                break;
-            }
-            let mp = rule.matches.to_pred(m, layout);
-            let eff = m.and(mp, remaining);
-            if m.is_false(eff) {
-                continue;
-            }
-            remaining = m.diff(remaining, mp);
-            match by_action.iter_mut().find(|(a, _)| *a == rule.action) {
-                Some((_, p)) => *p = m.or(*p, eff),
-                None => by_action.push((rule.action.clone(), eff)),
-            }
-        }
-        if !m.is_false(remaining) {
-            match by_action.iter_mut().find(|(a, _)| *a == Action::Drop) {
-                Some((_, p)) => *p = m.or(*p, remaining),
-                None => by_action.push((Action::Drop, remaining)),
-            }
-        }
-        by_action
-            .into_iter()
-            .map(|(action, pred)| Lec { pred, action })
-            .collect()
-    }
-
-    /// Like [`Fib::local_equivalence_classes`], but restricted to the
-    /// packets in `region`: returns classes partitioning `region` only.
-    /// Used for incremental LEC maintenance after a rule update (only
-    /// the updated rule's match region can change class).
-    pub fn local_equivalence_classes_in(
-        &self,
-        region: Pred,
-        m: &mut BddManager,
-        layout: &HeaderLayout,
-    ) -> Vec<Lec> {
-        let mut remaining = region;
-        let mut by_action: Vec<(Action, Pred)> = Vec::new();
-        for rule in &self.rules {
-            if m.is_false(remaining) {
-                break;
-            }
-            let mp = rule.matches.to_pred(m, layout);
-            let eff = m.and(mp, remaining);
-            if m.is_false(eff) {
-                continue;
-            }
-            remaining = m.diff(remaining, mp);
-            match by_action.iter_mut().find(|(a, _)| *a == rule.action) {
-                Some((_, p)) => *p = m.or(*p, eff),
-                None => by_action.push((rule.action.clone(), eff)),
-            }
-        }
-        if !m.is_false(remaining) {
-            match by_action.iter_mut().find(|(a, _)| *a == Action::Drop) {
-                Some((_, p)) => *p = m.or(*p, remaining),
-                None => by_action.push((Action::Drop, remaining)),
-            }
-        }
-        by_action
-            .into_iter()
-            .map(|(action, pred)| Lec { pred, action })
-            .collect()
     }
 
     /// Looks up the effective action for a single concrete packet given as
@@ -452,114 +368,6 @@ mod tests {
         });
         let prios: Vec<u32> = fib.rules().iter().map(|r| r.priority).collect();
         assert_eq!(prios, vec![30, 20, 10]);
-    }
-
-    #[test]
-    fn lec_partitions_full_space() {
-        let (layout, mut m) = layout_and_mgr();
-        let mut fib = Fib::new();
-        fib.insert(Rule {
-            priority: 20,
-            matches: MatchSpec::dst(pfx("10.0.0.0/24")),
-            action: Action::fwd(DeviceId(1)),
-        });
-        fib.insert(Rule {
-            priority: 10,
-            matches: MatchSpec::dst(pfx("10.0.0.0/16")),
-            action: Action::fwd(DeviceId(2)),
-        });
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-        // Classes must be disjoint and cover everything.
-        let mut union = m.falsum();
-        for (i, a) in lecs.iter().enumerate() {
-            for b in &lecs[i + 1..] {
-                assert!(!m.intersects(a.pred, b.pred), "LECs overlap");
-            }
-            union = m.or(union, a.pred);
-        }
-        assert!(m.is_true(union), "LECs do not cover the packet space");
-        assert_eq!(lecs.len(), 3); // /24 → dev1, /16 minus /24 → dev2, rest → drop
-    }
-
-    #[test]
-    fn lec_respects_priority_shadowing() {
-        let (layout, mut m) = layout_and_mgr();
-        let mut fib = Fib::new();
-        // Low priority broad rule fully shadowed on the /24.
-        fib.insert(Rule {
-            priority: 5,
-            matches: MatchSpec::dst(pfx("10.0.0.0/24")),
-            action: Action::fwd(DeviceId(9)),
-        });
-        fib.insert(Rule {
-            priority: 50,
-            matches: MatchSpec::dst(pfx("10.0.0.0/24")),
-            action: Action::Drop,
-        });
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-        // The /24 must be dropped; device 9 never appears.
-        assert!(lecs
-            .iter()
-            .all(|l| l.action.device_next_hops() != vec![DeviceId(9)]));
-    }
-
-    #[test]
-    fn lec_merges_identical_actions() {
-        let (layout, mut m) = layout_and_mgr();
-        let mut fib = Fib::new();
-        fib.insert(Rule {
-            priority: 10,
-            matches: MatchSpec::dst(pfx("10.0.0.0/24")),
-            action: Action::fwd(DeviceId(1)),
-        });
-        fib.insert(Rule {
-            priority: 10,
-            matches: MatchSpec::dst(pfx("10.0.1.0/24")),
-            action: Action::fwd(DeviceId(1)),
-        });
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-        assert_eq!(lecs.len(), 2); // merged class + default drop
-        let (layout2, mut m2) = layout_and_mgr();
-        let expect = pfx("10.0.0.0/23").to_pred(&mut m2, &layout2);
-        let got = lecs.iter().find(|l| l.action != Action::Drop).unwrap().pred;
-        // Same canonical shape in both managers (fresh managers, same build order).
-        assert_eq!(m.sat_count(got), m2.sat_count(expect));
-    }
-
-    #[test]
-    fn empty_fib_drops_everything() {
-        let (layout, mut m) = layout_and_mgr();
-        let fib = Fib::new();
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-        assert_eq!(lecs.len(), 1);
-        assert_eq!(lecs[0].action, Action::Drop);
-        assert!(m.is_true(lecs[0].pred));
-    }
-
-    #[test]
-    fn port_match_refines_classes() {
-        let (layout, mut m) = layout_and_mgr();
-        let mut fib = Fib::new();
-        fib.insert(Rule {
-            priority: 20,
-            matches: MatchSpec::dst(pfx("10.0.1.0/24")).with_port(80),
-            action: Action::fwd(DeviceId(1)),
-        });
-        fib.insert(Rule {
-            priority: 10,
-            matches: MatchSpec::dst(pfx("10.0.1.0/24")),
-            action: Action::fwd(DeviceId(2)),
-        });
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-        assert_eq!(lecs.len(), 3);
-        // Port-80 class is a strict subset of the /24 predicate.
-        let p24 = pfx("10.0.1.0/24").to_pred(&mut m, &layout);
-        let c80 = lecs
-            .iter()
-            .find(|l| l.action == Action::fwd(DeviceId(1)))
-            .unwrap()
-            .pred;
-        assert!(m.implies(c80, p24));
     }
 
     #[test]

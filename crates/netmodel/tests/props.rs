@@ -1,89 +1,9 @@
-#![allow(clippy::needless_range_loop)] // bit-packing loops read clearer indexed
-//! Property tests for the network substrate: LEC tables must partition
-//! the packet space and agree with priority-ordered rule lookup; routing
-//! must produce shortest paths.
+//! Property tests for the network substrate: routing must produce
+//! shortest paths.
 
 use proptest::prelude::*;
-use tulkun_bdd::{BddManager, HeaderLayout};
-use tulkun_netmodel::fib::{Action, Fib, MatchSpec, Rule};
 use tulkun_netmodel::routing::{generate_fibs, shortest_path_next_hops, RoutingOptions};
 use tulkun_netmodel::topology::{DeviceId, Topology};
-use tulkun_netmodel::IpPrefix;
-
-fn random_fib() -> impl Strategy<Value = Fib> {
-    proptest::collection::vec(
-        (
-            0u32..4,
-            16u8..28,
-            0u32..40,
-            0u32..5,
-            proptest::option::of(0u16..100),
-        ),
-        1..12,
-    )
-    .prop_map(|rules| {
-        let mut fib = Fib::new();
-        for (prio, plen, net, act, port) in rules {
-            // Prefixes inside 10.0.0.0/8 with varying length.
-            let addr = 0x0A00_0000u32 | (net << 12);
-            let mut matches = MatchSpec::dst(IpPrefix::new(addr, plen));
-            if let Some(p) = port {
-                matches = matches.with_port(p);
-            }
-            let action = match act {
-                0 => Action::Drop,
-                1 => Action::deliver(),
-                2 => Action::fwd(DeviceId(1)),
-                3 => Action::fwd_all([DeviceId(1), DeviceId(2)]),
-                _ => Action::fwd_any([DeviceId(2), DeviceId(3)]),
-            };
-            fib.insert(Rule {
-                priority: prio,
-                matches,
-                action,
-            });
-        }
-        fib
-    })
-}
-
-proptest! {
-    #[test]
-    fn lecs_partition_and_agree_with_lookup(fib in random_fib(), probes in proptest::collection::vec((any::<u32>(), any::<u16>()), 16)) {
-        let layout = HeaderLayout::ipv4_tcp();
-        let mut m = BddManager::new(layout.num_vars());
-        let lecs = fib.local_equivalence_classes(&mut m, &layout);
-
-        // Disjoint cover of the full space.
-        let mut union = m.falsum();
-        for (i, a) in lecs.iter().enumerate() {
-            for b in &lecs[i + 1..] {
-                prop_assert!(!m.intersects(a.pred, b.pred), "LECs overlap");
-            }
-            union = m.or(union, a.pred);
-        }
-        prop_assert!(m.is_true(union), "LECs do not cover");
-
-        // Each probe packet's LEC action equals priority-ordered lookup.
-        for (ip, port) in probes {
-            let ip = 0x0A00_0000 | (ip & 0x00FF_FFFF); // inside 10/8
-            let mut bits = vec![false; layout.num_vars() as usize];
-            for i in 0..32 {
-                bits[i] = (ip >> (31 - i)) & 1 == 1;
-            }
-            for i in 0..16 {
-                bits[32 + i] = (port >> (15 - i)) & 1 == 1;
-            }
-            let expected = fib.lookup(&mut m, &layout, &bits);
-            let via_lec = lecs
-                .iter()
-                .find(|l| m.eval(l.pred, &bits))
-                .map(|l| l.action.clone())
-                .unwrap();
-            prop_assert_eq!(expected, via_lec);
-        }
-    }
-}
 
 fn random_topology() -> impl Strategy<Value = Topology> {
     (

@@ -1,30 +1,39 @@
-//! IP-interval atoms over the destination address space — the shared
-//! machinery behind Delta-net, VeriFlow and Flash (all of which reason
-//! about destination-IP ranges rather than full header spaces).
+//! Delta-net *atoms*: the partition of the 32-bit destination space
+//! induced by a set of boundaries, and the per-atom action a FIB
+//! resolves to on it.
+//!
+//! This is the one boundary-partition implementation of the workspace:
+//! [`crate::DeltaNetBackend`] keeps its predicates as atom-id lists over
+//! an [`AtomPartition`], and the centralized interval baselines
+//! (Delta-net, VeriFlow, Flash) keep their per-atom forwarding tables
+//! aligned with one.
+
+use std::ops::Range;
 
 use tulkun_netmodel::fib::{Action, Fib};
-use tulkun_netmodel::IpPrefix;
+use tulkun_netmodel::{DeviceId, IpPrefix};
 
-/// Half-open range `[lo, hi)` of a prefix in the 2³²-address space.
-pub fn prefix_range(p: &IpPrefix) -> (u64, u64) {
-    let lo = p.addr as u64;
-    let size = 1u64 << (32 - p.len as u32);
-    (lo, lo + size)
-}
+use crate::ipset::{prefix_iv, Iv};
 
 /// A partition of `[0, 2³²)` into elementary intervals (*atoms*, in
 /// Delta-net's terminology) induced by a set of boundaries.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalAtoms {
+#[derive(Debug, Clone)]
+pub struct AtomPartition {
     /// Sorted, deduplicated boundaries; always starts with 0 and ends
     /// with 2³². Atom `i` is `[bounds[i], bounds[i+1])`.
     bounds: Vec<u64>,
 }
 
-impl IntervalAtoms {
+impl Default for AtomPartition {
+    fn default() -> Self {
+        AtomPartition::new()
+    }
+}
+
+impl AtomPartition {
     /// The trivial partition (one atom covering everything).
     pub fn new() -> Self {
-        IntervalAtoms {
+        AtomPartition {
             bounds: vec![0, 1 << 32],
         }
     }
@@ -33,13 +42,13 @@ impl IntervalAtoms {
     pub fn from_prefixes<'a>(prefixes: impl Iterator<Item = &'a IpPrefix>) -> Self {
         let mut bounds = vec![0u64, 1 << 32];
         for p in prefixes {
-            let (lo, hi) = prefix_range(p);
+            let (lo, hi) = prefix_iv(p);
             bounds.push(lo);
             bounds.push(hi);
         }
         bounds.sort_unstable();
         bounds.dedup();
-        IntervalAtoms { bounds }
+        AtomPartition { bounds }
     }
 
     /// Number of atoms.
@@ -52,14 +61,40 @@ impl IntervalAtoms {
         self.len() == 1
     }
 
-    /// The atom index range covering a prefix (assumes the prefix's
-    /// boundaries are present — they are whenever the prefix came from a
-    /// rule used to build the partition).
-    pub fn atoms_of(&self, p: &IpPrefix) -> std::ops::Range<usize> {
-        let (lo, hi) = prefix_range(p);
+    /// The addresses of atom `i`; its low end doubles as a
+    /// representative address inside the atom.
+    pub fn span(&self, i: usize) -> Iv {
+        (self.bounds[i], self.bounds[i + 1])
+    }
+
+    /// The atom index range covering `[lo, hi)` (exact when both ends
+    /// are boundaries).
+    pub fn atoms_in(&self, (lo, hi): Iv) -> Range<usize> {
         let a = self.bounds.partition_point(|&b| b < lo);
         let b = self.bounds.partition_point(|&b| b < hi);
         a..b
+    }
+
+    /// The atom index range covering a prefix (assumes the prefix's
+    /// boundaries are present — they are whenever the prefix came from a
+    /// rule used to build the partition).
+    pub fn atoms_of(&self, p: &IpPrefix) -> Range<usize> {
+        self.atoms_in(prefix_iv(p))
+    }
+
+    /// Makes `v` a boundary. Returns the index of the atom it split in
+    /// two (atoms after it shift up by one), or `None` if `v` already
+    /// was a boundary.
+    pub fn split_at(&mut self, v: u64) -> Option<usize> {
+        debug_assert!(v <= 1 << 32);
+        match self.bounds.binary_search(&v) {
+            Ok(_) => None,
+            Err(i) => {
+                // v falls strictly inside atom i-1.
+                self.bounds.insert(i, v);
+                Some(i - 1)
+            }
+        }
     }
 
     /// Inserts the boundaries of a prefix. Returns *duplication events*:
@@ -67,49 +102,38 @@ impl IntervalAtoms {
     /// with the atoms must execute `t.insert(e, t[e].clone())` — the atom
     /// at `e` was split in two.
     pub fn insert(&mut self, p: &IpPrefix) -> Vec<usize> {
-        let (lo, hi) = prefix_range(p);
-        let mut events = Vec::new();
-        for v in [lo, hi] {
-            let i = self.bounds.partition_point(|&b| b < v);
-            if self.bounds.get(i) != Some(&v) {
-                // v falls strictly inside atom i-1.
-                self.bounds.insert(i, v);
-                events.push(i - 1);
+        let (lo, hi) = prefix_iv(p);
+        [lo, hi]
+            .into_iter()
+            .filter_map(|v| self.split_at(v))
+            .collect()
+    }
+
+    /// Resolves a device's next hops per atom by painting rules from
+    /// lowest to highest priority (higher priority wins). Returns, per
+    /// atom, the device next hops (empty = drop) and whether it delivers
+    /// externally.
+    pub fn paint(&self, fib: &Fib) -> Vec<AtomAction> {
+        let mut out = vec![AtomAction::default(); self.len()];
+        // `Fib::rules()` is descending priority; paint in reverse.
+        for rule in fib.rules().iter().rev() {
+            // Interval machinery models destination-IP forwarding only (the
+            // same restriction the paper notes for Delta-net's atoms); port
+            // or proto constraints are ignored here.
+            let act = AtomAction::from_action(&rule.action);
+            for slot in &mut out[self.atoms_of(&rule.matches.dst)] {
+                *slot = act.clone();
             }
         }
-        events
+        out
     }
-
-    /// A representative address inside atom `i`.
-    pub fn sample(&self, i: usize) -> u64 {
-        self.bounds[i]
-    }
-}
-
-/// Resolves a device's next hops per atom by painting rules from lowest
-/// to highest priority (higher priority wins). Returns, per atom, the
-/// device next hops (empty = drop) and whether it delivers externally.
-pub fn paint_device(atoms: &IntervalAtoms, fib: &Fib) -> Vec<AtomAction> {
-    let mut out = vec![AtomAction::default(); atoms.len()];
-    // `Fib::rules()` is descending priority; paint in reverse.
-    for rule in fib.rules().iter().rev() {
-        // Interval machinery models destination-IP forwarding only (the
-        // same restriction the paper notes for Delta-net's atoms); port
-        // or proto constraints are ignored here.
-        let range = atoms.atoms_of(&rule.matches.dst);
-        let act = AtomAction::from_action(&rule.action);
-        for slot in &mut out[range] {
-            *slot = act.clone();
-        }
-    }
-    out
 }
 
 /// A resolved per-atom action.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AtomAction {
     /// Device next hops for the atom.
-    pub next_hops: Vec<tulkun_netmodel::DeviceId>,
+    pub next_hops: Vec<DeviceId>,
     /// Does the device deliver the atom externally?
     pub delivers: bool,
 }
@@ -128,7 +152,6 @@ impl AtomAction {
 mod tests {
     use super::*;
     use tulkun_netmodel::fib::{MatchSpec, Rule};
-    use tulkun_netmodel::DeviceId;
 
     fn pfx(s: &str) -> IpPrefix {
         s.parse().unwrap()
@@ -137,7 +160,7 @@ mod tests {
     #[test]
     fn partition_from_prefixes() {
         let ps = [pfx("10.0.0.0/24"), pfx("10.0.0.0/23"), pfx("10.0.1.0/24")];
-        let atoms = IntervalAtoms::from_prefixes(ps.iter());
+        let atoms = AtomPartition::from_prefixes(ps.iter());
         // Boundaries: 0, 10.0.0.0, 10.0.1.0, 10.0.2.0, 2^32 → 4 atoms.
         assert_eq!(atoms.len(), 4);
         assert_eq!(atoms.atoms_of(&pfx("10.0.0.0/23")), 1..3);
@@ -147,7 +170,7 @@ mod tests {
 
     #[test]
     fn insert_splits_atoms() {
-        let mut atoms = IntervalAtoms::from_prefixes([pfx("10.0.0.0/23")].iter());
+        let mut atoms = AtomPartition::from_prefixes([pfx("10.0.0.0/23")].iter());
         assert_eq!(atoms.len(), 3);
         let split = atoms.insert(&pfx("10.0.0.0/24"));
         // 10.0.0.0 existed; 10.0.1.0 splits the middle atom (index 1).
@@ -159,7 +182,7 @@ mod tests {
 
     #[test]
     fn insert_can_split_twice() {
-        let mut atoms = IntervalAtoms::new();
+        let mut atoms = AtomPartition::new();
         let events = atoms.insert(&pfx("10.0.0.0/24"));
         assert_eq!(events, vec![0, 1]);
         assert_eq!(atoms.len(), 3);
@@ -173,7 +196,7 @@ mod tests {
 
     #[test]
     fn paint_respects_priority() {
-        let atoms = IntervalAtoms::from_prefixes([pfx("10.0.0.0/23"), pfx("10.0.0.0/24")].iter());
+        let atoms = AtomPartition::from_prefixes([pfx("10.0.0.0/23"), pfx("10.0.0.0/24")].iter());
         let mut fib = Fib::new();
         fib.insert(Rule {
             priority: 23,
@@ -185,7 +208,7 @@ mod tests {
             matches: MatchSpec::dst(pfx("10.0.0.0/24")),
             action: Action::Drop,
         });
-        let painted = paint_device(&atoms, &fib);
+        let painted = atoms.paint(&fib);
         let r24 = atoms.atoms_of(&pfx("10.0.0.0/24"));
         assert!(
             painted[r24.start].next_hops.is_empty(),

@@ -7,7 +7,7 @@ use tulkun_bdd::serial::{self, PortablePred};
 use tulkun_bdd::{BddManager, Pred};
 use tulkun_netmodel::fib::{MatchSpec, Rewrite};
 
-use crate::{BackendCaps, PredicateBackend};
+use crate::PredicateBackend;
 
 /// ROBDD predicate backend over a private [`BddManager`].
 pub struct BddBackend {
@@ -108,8 +108,8 @@ impl PredicateBackend for BddBackend {
         self.mgr.node_count()
     }
 
-    fn caps(&self) -> BackendCaps {
-        BackendCaps::FULL
+    fn trim(&mut self) {
+        self.mgr.clear_caches();
     }
 
     fn name(&self) -> &'static str {

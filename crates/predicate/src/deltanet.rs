@@ -12,157 +12,99 @@
 //! Inserting a new boundary splits one atom and renumbers the ones
 //! after it; all interned predicates are remapped in place, so handles
 //! held by the verifier stay valid (handle 0 stays the empty set,
-//! handle 1 the full space). Like [`crate::IntervalSetBackend`] this
-//! backend is destination-prefix-only.
+//! handle 1 the full space).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use crate::atoms::AtomPartition;
+use crate::dst_only::{DstOnlyBackend, DstRepr, Interner};
+use crate::ipset::Iv;
 
-use tulkun_bdd::builder::HeaderLayout;
-use tulkun_bdd::serial::PortablePred;
-use tulkun_netmodel::fib::{MatchSpec, Rewrite};
-
-use crate::ipset::{self, Iv};
-use crate::{BackendCaps, PredicateBackend};
-
-/// Interned handle to a sorted atom-id list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DnPred(pub(crate) u32);
-
-/// Predicate backend over a splittable global atom partition.
-pub struct DeltaNetBackend {
-    layout: HeaderLayout,
-    /// Sorted boundary array from 0 to 2^32; atom `k` spans
-    /// `[bounds[k], bounds[k + 1])`.
-    bounds: Vec<u64>,
-    /// Interned sorted atom-id lists; id 0 = empty, id 1 = all atoms.
-    sets: Vec<Vec<u32>>,
-    intern: HashMap<Vec<u32>, u32>,
+/// The atom-list representation over a splittable global
+/// [`AtomPartition`].
+#[derive(Default)]
+pub struct AtomRepr {
+    atoms: AtomPartition,
     /// Atom splits performed since construction (boundary insertions).
     splits: u64,
-    // Wire encoding rebuilds the canonical ROBDD in a scratch manager,
-    // which dominates the per-message cost. A handle's concrete set
-    // survives atom splits (remapping preserves meaning), so exports
-    // memoize per handle and imports per wire predicate. Wire bytes
-    // are a pure function of the concrete set, so an import seeds the
-    // export cache.
-    exports: RefCell<HashMap<u32, PortablePred>>,
-    imports: HashMap<PortablePred, u32>,
 }
 
+/// Predicate backend over a splittable global atom partition.
+pub type DeltaNetBackend = DstOnlyBackend<AtomRepr>;
+
 impl DeltaNetBackend {
-    /// Fresh backend with the single whole-space atom.
-    pub fn new(layout: HeaderLayout) -> Self {
-        let mut be = DeltaNetBackend {
-            layout,
-            bounds: vec![0, 1 << 32],
-            sets: Vec::new(),
-            intern: HashMap::new(),
-            splits: 0,
-            exports: RefCell::new(HashMap::new()),
-            imports: HashMap::new(),
-        };
-        be.intern(Vec::new());
-        be.intern(vec![0]);
-        be
-    }
-
-    /// The header layout used for wire encoding.
-    pub fn layout(&self) -> &HeaderLayout {
-        &self.layout
-    }
-
-    /// Number of atoms in the current partition.
-    pub fn atom_count(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
     /// Atom splits performed so far (zero in steady state).
     pub fn split_count(&self) -> u64 {
-        self.splits
+        self.repr().splits
+    }
+}
+
+impl DstRepr for AtomRepr {
+    type Elem = u32;
+    const NAME: &'static str = "deltanet";
+
+    fn and(a: &[u32], b: &[u32]) -> Vec<u32> {
+        merge_intersect(a, b)
     }
 
-    fn intern(&mut self, set: Vec<u32>) -> DnPred {
-        if let Some(&id) = self.intern.get(&set) {
-            return DnPred(id);
-        }
-        let id = self.sets.len() as u32;
-        self.sets.push(set.clone());
-        self.intern.insert(set, id);
-        DnPred(id)
+    fn or(a: &[u32], b: &[u32]) -> Vec<u32> {
+        merge_union(a, b)
     }
 
-    fn set(&self, p: DnPred) -> &[u32] {
-        &self.sets[p.0 as usize]
+    fn diff(a: &[u32], b: &[u32]) -> Vec<u32> {
+        merge_diff(a, b)
     }
 
-    /// Ensures `b` is a boundary, splitting the atom containing it and
-    /// remapping every interned predicate if it is new.
-    fn ensure_bound(&mut self, b: u64) {
-        debug_assert!(b <= 1 << 32);
-        let pos = match self.bounds.binary_search(&b) {
-            Ok(_) => return,
-            Err(pos) => pos,
-        };
-        // Atom `pos - 1` splits into `pos - 1` and `pos`; atoms at or
-        // after `pos` shift up by one.
-        self.bounds.insert(pos, b);
-        self.splits += 1;
-        let split = (pos - 1) as u32;
-        for set in &mut self.sets {
-            let mut remapped = Vec::with_capacity(set.len() + 1);
-            for &id in set.iter() {
-                if id < split {
-                    remapped.push(id);
-                } else if id == split {
-                    remapped.push(split);
-                    remapped.push(split + 1);
-                } else {
-                    remapped.push(id + 1);
-                }
+    fn overlaps(a: &[u32], b: &[u32]) -> bool {
+        sorted_overlap(a, b)
+    }
+
+    fn encode(&mut self, ivs: &[Iv], sets: &mut Interner<u32>) -> Vec<u32> {
+        for &(lo, hi) in ivs {
+            for bound in [lo, hi] {
+                let Some(split) = self.atoms.split_at(bound) else {
+                    continue;
+                };
+                // Atom `split` became `split` and `split + 1`; later
+                // atoms shifted up by one.
+                self.splits += 1;
+                let split = split as u32;
+                sets.remap(|set| {
+                    let mut remapped = Vec::with_capacity(set.len() + 1);
+                    for &id in set {
+                        if id < split {
+                            remapped.push(id);
+                        } else if id == split {
+                            remapped.push(split);
+                            remapped.push(split + 1);
+                        } else {
+                            remapped.push(id + 1);
+                        }
+                    }
+                    remapped
+                });
             }
-            *set = remapped;
-        }
-        self.intern = self
-            .sets
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-    }
-
-    /// Atom ids covering `[lo, hi)` exactly (both must be boundaries).
-    fn atoms_in(&self, lo: u64, hi: u64) -> Vec<u32> {
-        let a = self.bounds.binary_search(&lo).expect("lo is a boundary");
-        let b = self.bounds.binary_search(&hi).expect("hi is a boundary");
-        (a as u32..b as u32).collect()
-    }
-
-    fn intervals_to_atoms(&mut self, ivs: &[Iv]) -> Vec<u32> {
-        for &(lo, hi) in ivs {
-            self.ensure_bound(lo);
-            self.ensure_bound(hi);
-        }
-        let mut out = Vec::new();
-        for &(lo, hi) in ivs {
-            out.extend(self.atoms_in(lo, hi));
         }
         // Canonical interval lists are sorted and disjoint, so the atom
         // runs are already in ascending order.
-        out
+        ivs.iter()
+            .flat_map(|&iv| self.atoms.atoms_in(iv))
+            .map(|a| a as u32)
+            .collect()
     }
 
-    fn atoms_to_intervals(&self, set: &[u32]) -> Vec<Iv> {
+    fn decode(&self, set: &[u32]) -> Vec<Iv> {
         let mut out: Vec<Iv> = Vec::new();
         for &id in set {
-            let lo = self.bounds[id as usize];
-            let hi = self.bounds[id as usize + 1];
+            let (lo, hi) = self.atoms.span(id as usize);
             match out.last_mut() {
                 Some(last) if last.1 == lo => last.1 = hi,
                 _ => out.push((lo, hi)),
             }
         }
         out
+    }
+
+    fn overhead_units(&self) -> usize {
+        self.atoms.len() + 1
     }
 }
 
@@ -234,121 +176,12 @@ fn sorted_overlap(a: &[u32], b: &[u32]) -> bool {
     false
 }
 
-impl PredicateBackend for DeltaNetBackend {
-    type Pred = DnPred;
-
-    fn falsum(&self) -> DnPred {
-        DnPred(0)
-    }
-
-    fn verum(&self) -> DnPred {
-        DnPred(1)
-    }
-
-    fn and(&mut self, a: DnPred, b: DnPred) -> DnPred {
-        if a == b {
-            return a;
-        }
-        if a == self.verum() {
-            return b;
-        }
-        if b == self.verum() {
-            return a;
-        }
-        let r = merge_intersect(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn or(&mut self, a: DnPred, b: DnPred) -> DnPred {
-        if a == b {
-            return a;
-        }
-        let r = merge_union(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn diff(&mut self, a: DnPred, b: DnPred) -> DnPred {
-        if a == b {
-            return DnPred(0);
-        }
-        let r = merge_diff(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn is_false(&self, p: DnPred) -> bool {
-        p.0 == 0
-    }
-
-    fn intersects(&mut self, a: DnPred, b: DnPred) -> bool {
-        sorted_overlap(self.set(a), self.set(b))
-    }
-
-    fn match_pred(&mut self, m: &MatchSpec) -> DnPred {
-        assert!(
-            m.dst_port.is_none() && m.proto.is_none(),
-            "delta-net backend supports destination-prefix-only workloads \
-             (got a port/proto match); use --backend bdd"
-        );
-        let iv = ipset::prefix_iv(m.dst.addr, m.dst.len);
-        let atoms = self.intervals_to_atoms(&[iv]);
-        self.intern(atoms)
-    }
-
-    fn rewrite_image(&mut self, _p: DnPred, _rw: &Rewrite) -> DnPred {
-        panic!(
-            "delta-net backend supports destination-prefix-only workloads \
-             (got a rewrite action); use --backend bdd"
-        );
-    }
-
-    fn rewrite_preimage(&mut self, _q: DnPred, _rw: &Rewrite) -> DnPred {
-        panic!(
-            "delta-net backend supports destination-prefix-only workloads \
-             (got a rewrite action); use --backend bdd"
-        );
-    }
-
-    fn import(&mut self, p: &PortablePred) -> DnPred {
-        if let Some(&id) = self.imports.get(p) {
-            return DnPred(id);
-        }
-        let ivs = ipset::from_portable(p);
-        let atoms = self.intervals_to_atoms(&ivs);
-        let h = self.intern(atoms);
-        self.imports.insert(p.clone(), h.0);
-        self.exports
-            .borrow_mut()
-            .entry(h.0)
-            .or_insert_with(|| p.clone());
-        h
-    }
-
-    fn export(&self, p: DnPred) -> PortablePred {
-        self.exports
-            .borrow_mut()
-            .entry(p.0)
-            .or_insert_with(|| {
-                ipset::to_portable(&self.atoms_to_intervals(self.set(p)), &self.layout)
-            })
-            .clone()
-    }
-
-    fn mem_units(&self) -> usize {
-        self.bounds.len() + self.sets.iter().map(Vec::len).sum::<usize>()
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps::DST_ONLY
-    }
-
-    fn name(&self) -> &'static str {
-        "deltanet"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ipset, PredicateBackend};
+    use tulkun_bdd::builder::HeaderLayout;
+    use tulkun_netmodel::fib::MatchSpec;
     use tulkun_netmodel::prefix::IpPrefix;
 
     fn dst(addr: u32, len: u8) -> MatchSpec {
@@ -365,11 +198,8 @@ mod tests {
         let b = be.match_pred(&dst(0x0a000000, 9)); // 10.0/9
         assert!(be.split_count() > 0);
         assert_eq!(be.and(a, b), b, "10.0/9 is inside 10/8");
-        assert_eq!(
-            be.atoms_to_intervals(be.set(a)),
-            vec![(0x0a000000, 0x0b000000)]
-        );
-        assert_eq!(be.atoms_to_intervals(be.set(full)), vec![ipset::FULL]);
+        assert_eq!(be.ivs(a), vec![(0x0a000000, 0x0b000000)]);
+        assert_eq!(be.ivs(full), vec![ipset::FULL]);
         let rest = be.diff(full, a);
         assert_eq!(be.or(rest, a), full);
     }

@@ -1,21 +1,20 @@
 //! Runtime backend selection.
 //!
 //! [`DynBackend`] wraps the three concrete backends behind one type so
-//! the verifier substrates can pick an encoding per run (CLI flag,
-//! config, or the auto heuristic) without monomorphising the whole
-//! engine three times. Handles are erased to a plain `u32`
-//! ([`DynPred`]); every concrete backend's handle is a `u32` underneath
-//! and keeps its canonicity, so erased handle equality still means set
-//! equality within one backend instance.
+//! the verifier substrates can pick an encoding per run (CLI flag or
+//! config) without monomorphising the whole engine three times.
+//! Handles are erased to a plain `u32` ([`DynPred`]); every concrete
+//! backend's handle is a `u32` underneath and keeps its canonicity, so
+//! erased handle equality still means set equality within one backend
+//! instance.
 
 use tulkun_bdd::builder::HeaderLayout;
 use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::Pred;
 use tulkun_netmodel::fib::{MatchSpec, Rewrite};
 
-use crate::{
-    BackendCaps, BackendKind, BddBackend, DeltaNetBackend, IntervalSetBackend, PredicateBackend,
-};
+use crate::dst_only::DstPred;
+use crate::{BackendKind, BddBackend, DeltaNetBackend, IntervalSetBackend, PredicateBackend};
 
 /// Erased predicate handle for [`DynBackend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,17 +30,26 @@ pub enum DynBackend {
     Intervals(IntervalSetBackend),
 }
 
+/// Runs `$body` on whichever concrete backend `$dyn` wraps, bound to
+/// `$be`. Every arm is the same expression: handles cross the erasure
+/// through the `From` impls below.
+macro_rules! on_backend {
+    ($dyn:expr, $be:ident => $body:expr) => {
+        match $dyn {
+            DynBackend::Bdd($be) => $body,
+            DynBackend::DeltaNet($be) => $body,
+            DynBackend::Intervals($be) => $body,
+        }
+    };
+}
+
 impl DynBackend {
-    /// Instantiates the backend for a resolved, concrete kind.
-    ///
-    /// Panics on [`BackendKind::Auto`]: callers resolve it first via
-    /// [`BackendKind::resolve`] with workload facts in hand.
+    /// Instantiates the backend of the given kind.
     pub fn new(kind: BackendKind, layout: HeaderLayout) -> Self {
         match kind {
             BackendKind::Bdd => DynBackend::Bdd(BddBackend::new(layout)),
             BackendKind::DeltaNet => DynBackend::DeltaNet(DeltaNetBackend::new(layout)),
             BackendKind::Intervals => DynBackend::Intervals(IntervalSetBackend::new(layout)),
-            BackendKind::Auto => panic!("resolve BackendKind::Auto before constructing a backend"),
         }
     }
 
@@ -56,11 +64,7 @@ impl DynBackend {
 
     /// The header layout the wrapped backend encodes.
     pub fn layout(&self) -> &HeaderLayout {
-        match self {
-            DynBackend::Bdd(b) => b.layout(),
-            DynBackend::DeltaNet(b) => b.layout(),
-            DynBackend::Intervals(b) => b.layout(),
-        }
+        on_backend!(self, be => be.layout())
     }
 }
 
@@ -70,157 +74,85 @@ impl From<Pred> for DynPred {
     }
 }
 
+impl From<DynPred> for Pred {
+    fn from(p: DynPred) -> Pred {
+        Pred::from_index(p.0)
+    }
+}
+
+impl From<DstPred> for DynPred {
+    fn from(p: DstPred) -> DynPred {
+        DynPred(p.0)
+    }
+}
+
+impl From<DynPred> for DstPred {
+    fn from(p: DynPred) -> DstPred {
+        DstPred(p.0)
+    }
+}
+
 impl PredicateBackend for DynBackend {
     type Pred = DynPred;
 
     fn falsum(&self) -> DynPred {
-        match self {
-            DynBackend::Bdd(b) => b.falsum().into(),
-            DynBackend::DeltaNet(b) => DynPred(b.falsum().0),
-            DynBackend::Intervals(b) => DynPred(b.falsum().0),
-        }
+        on_backend!(self, be => be.falsum().into())
     }
 
     fn verum(&self) -> DynPred {
-        match self {
-            DynBackend::Bdd(b) => b.verum().into(),
-            DynBackend::DeltaNet(b) => DynPred(b.verum().0),
-            DynBackend::Intervals(b) => DynPred(b.verum().0),
-        }
+        on_backend!(self, be => be.verum().into())
     }
 
     fn and(&mut self, a: DynPred, b: DynPred) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.and(Pred::from_index(a.0), Pred::from_index(b.0)).into(),
-            DynBackend::DeltaNet(be) => DynPred(
-                be.and(super::deltanet::DnPred(a.0), super::deltanet::DnPred(b.0))
-                    .0,
-            ),
-            DynBackend::Intervals(be) => DynPred(
-                be.and(super::intervals::IvPred(a.0), super::intervals::IvPred(b.0))
-                    .0,
-            ),
-        }
+        on_backend!(self, be => be.and(a.into(), b.into()).into())
     }
 
     fn or(&mut self, a: DynPred, b: DynPred) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.or(Pred::from_index(a.0), Pred::from_index(b.0)).into(),
-            DynBackend::DeltaNet(be) => DynPred(
-                be.or(super::deltanet::DnPred(a.0), super::deltanet::DnPred(b.0))
-                    .0,
-            ),
-            DynBackend::Intervals(be) => DynPred(
-                be.or(super::intervals::IvPred(a.0), super::intervals::IvPred(b.0))
-                    .0,
-            ),
-        }
+        on_backend!(self, be => be.or(a.into(), b.into()).into())
     }
 
     fn diff(&mut self, a: DynPred, b: DynPred) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.diff(Pred::from_index(a.0), Pred::from_index(b.0)).into(),
-            DynBackend::DeltaNet(be) => DynPred(
-                be.diff(super::deltanet::DnPred(a.0), super::deltanet::DnPred(b.0))
-                    .0,
-            ),
-            DynBackend::Intervals(be) => DynPred(
-                be.diff(super::intervals::IvPred(a.0), super::intervals::IvPred(b.0))
-                    .0,
-            ),
-        }
+        on_backend!(self, be => be.diff(a.into(), b.into()).into())
     }
 
     fn is_false(&self, p: DynPred) -> bool {
-        match self {
-            DynBackend::Bdd(be) => be.is_false(Pred::from_index(p.0)),
-            DynBackend::DeltaNet(be) => be.is_false(super::deltanet::DnPred(p.0)),
-            DynBackend::Intervals(be) => be.is_false(super::intervals::IvPred(p.0)),
-        }
+        on_backend!(self, be => be.is_false(p.into()))
     }
 
     fn intersects(&mut self, a: DynPred, b: DynPred) -> bool {
-        match self {
-            DynBackend::Bdd(be) => be.intersects(Pred::from_index(a.0), Pred::from_index(b.0)),
-            DynBackend::DeltaNet(be) => {
-                be.intersects(super::deltanet::DnPred(a.0), super::deltanet::DnPred(b.0))
-            }
-            DynBackend::Intervals(be) => {
-                be.intersects(super::intervals::IvPred(a.0), super::intervals::IvPred(b.0))
-            }
-        }
+        on_backend!(self, be => be.intersects(a.into(), b.into()))
     }
 
     fn match_pred(&mut self, m: &MatchSpec) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.match_pred(m).into(),
-            DynBackend::DeltaNet(be) => DynPred(be.match_pred(m).0),
-            DynBackend::Intervals(be) => DynPred(be.match_pred(m).0),
-        }
+        on_backend!(self, be => be.match_pred(m).into())
     }
 
     fn rewrite_image(&mut self, p: DynPred, rw: &Rewrite) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.rewrite_image(Pred::from_index(p.0), rw).into(),
-            DynBackend::DeltaNet(be) => {
-                DynPred(be.rewrite_image(super::deltanet::DnPred(p.0), rw).0)
-            }
-            DynBackend::Intervals(be) => {
-                DynPred(be.rewrite_image(super::intervals::IvPred(p.0), rw).0)
-            }
-        }
+        on_backend!(self, be => be.rewrite_image(p.into(), rw).into())
     }
 
     fn rewrite_preimage(&mut self, q: DynPred, rw: &Rewrite) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.rewrite_preimage(Pred::from_index(q.0), rw).into(),
-            DynBackend::DeltaNet(be) => {
-                DynPred(be.rewrite_preimage(super::deltanet::DnPred(q.0), rw).0)
-            }
-            DynBackend::Intervals(be) => {
-                DynPred(be.rewrite_preimage(super::intervals::IvPred(q.0), rw).0)
-            }
-        }
+        on_backend!(self, be => be.rewrite_preimage(q.into(), rw).into())
     }
 
     fn import(&mut self, p: &PortablePred) -> DynPred {
-        match self {
-            DynBackend::Bdd(be) => be.import(p).into(),
-            DynBackend::DeltaNet(be) => DynPred(be.import(p).0),
-            DynBackend::Intervals(be) => DynPred(be.import(p).0),
-        }
+        on_backend!(self, be => be.import(p).into())
     }
 
     fn export(&self, p: DynPred) -> PortablePred {
-        match self {
-            DynBackend::Bdd(be) => be.export(Pred::from_index(p.0)),
-            DynBackend::DeltaNet(be) => be.export(super::deltanet::DnPred(p.0)),
-            DynBackend::Intervals(be) => be.export(super::intervals::IvPred(p.0)),
-        }
+        on_backend!(self, be => be.export(p.into()))
+    }
+
+    fn trim(&mut self) {
+        on_backend!(self, be => be.trim())
     }
 
     fn mem_units(&self) -> usize {
-        match self {
-            DynBackend::Bdd(be) => be.mem_units(),
-            DynBackend::DeltaNet(be) => be.mem_units(),
-            DynBackend::Intervals(be) => be.mem_units(),
-        }
-    }
-
-    fn caps(&self) -> BackendCaps {
-        match self {
-            DynBackend::Bdd(be) => be.caps(),
-            DynBackend::DeltaNet(be) => be.caps(),
-            DynBackend::Intervals(be) => be.caps(),
-        }
+        on_backend!(self, be => be.mem_units())
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            DynBackend::Bdd(be) => be.name(),
-            DynBackend::DeltaNet(be) => be.name(),
-            DynBackend::Intervals(be) => be.name(),
-        }
+        on_backend!(self, be => be.name())
     }
 }
 

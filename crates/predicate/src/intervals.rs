@@ -3,182 +3,55 @@
 //! Represents each predicate as a canonical sorted list of disjoint,
 //! non-adjacent half-open address intervals (the encoding of the
 //! IntervalSet/veriflow-style baselines, promoted to a first-class
-//! on-device backend). Handles are interned list ids, so handle
-//! equality is set equality — exactly what the CIB dedup paths need.
-//!
-//! Destination-prefix-only: matches on ports or protocol, and rewrite
-//! image/preimage, panic. [`crate::BackendKind::resolve`] refuses to
-//! select this backend for workloads outside that fragment.
+//! on-device backend); set operations are the linear merges of
+//! [`crate::ipset`].
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use tulkun_bdd::builder::HeaderLayout;
-use tulkun_bdd::serial::PortablePred;
-use tulkun_netmodel::fib::{MatchSpec, Rewrite};
-
+use crate::dst_only::{DstOnlyBackend, DstRepr, Interner};
 use crate::ipset::{self, Iv};
-use crate::{BackendCaps, PredicateBackend};
 
-/// Interned handle to a canonical interval list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct IvPred(pub(crate) u32);
+/// The interval-list representation: the wire decoder's output is
+/// already the stored form.
+#[derive(Default)]
+pub struct IntervalRepr;
+
+impl DstRepr for IntervalRepr {
+    type Elem = Iv;
+    const NAME: &'static str = "intervals";
+
+    fn and(a: &[Iv], b: &[Iv]) -> Vec<Iv> {
+        ipset::intersect(a, b)
+    }
+
+    fn or(a: &[Iv], b: &[Iv]) -> Vec<Iv> {
+        ipset::union(a, b)
+    }
+
+    fn diff(a: &[Iv], b: &[Iv]) -> Vec<Iv> {
+        ipset::diff(a, b)
+    }
+
+    fn overlaps(a: &[Iv], b: &[Iv]) -> bool {
+        ipset::overlaps(a, b)
+    }
+
+    fn encode(&mut self, ivs: &[Iv], _sets: &mut Interner<Iv>) -> Vec<Iv> {
+        ivs.to_vec()
+    }
+
+    fn decode(&self, set: &[Iv]) -> Vec<Iv> {
+        set.to_vec()
+    }
+}
 
 /// Predicate backend over canonical destination-interval sets.
-pub struct IntervalSetBackend {
-    layout: HeaderLayout,
-    sets: Vec<Vec<Iv>>,
-    intern: HashMap<Vec<Iv>, u32>,
-    // Wire encoding rebuilds the canonical ROBDD in a scratch manager,
-    // which dominates the per-message cost; handles are interned (one
-    // id per concrete set, forever), so exports memoize per handle and
-    // imports per wire predicate. Wire bytes are a pure function of
-    // the concrete set, so an import seeds the export cache.
-    exports: RefCell<HashMap<u32, PortablePred>>,
-    imports: HashMap<PortablePred, u32>,
-}
-
-impl IntervalSetBackend {
-    /// Fresh backend; handle 0 is the empty set, handle 1 the full
-    /// destination space.
-    pub fn new(layout: HeaderLayout) -> Self {
-        let mut be = IntervalSetBackend {
-            layout,
-            sets: Vec::new(),
-            intern: HashMap::new(),
-            exports: RefCell::new(HashMap::new()),
-            imports: HashMap::new(),
-        };
-        be.intern(Vec::new());
-        be.intern(vec![ipset::FULL]);
-        be
-    }
-
-    /// The header layout used for wire encoding.
-    pub fn layout(&self) -> &HeaderLayout {
-        &self.layout
-    }
-
-    fn intern(&mut self, set: Vec<Iv>) -> IvPred {
-        if let Some(&id) = self.intern.get(&set) {
-            return IvPred(id);
-        }
-        let id = self.sets.len() as u32;
-        self.sets.push(set.clone());
-        self.intern.insert(set, id);
-        IvPred(id)
-    }
-
-    fn set(&self, p: IvPred) -> &[Iv] {
-        &self.sets[p.0 as usize]
-    }
-}
-
-impl PredicateBackend for IntervalSetBackend {
-    type Pred = IvPred;
-
-    fn falsum(&self) -> IvPred {
-        IvPred(0)
-    }
-
-    fn verum(&self) -> IvPred {
-        IvPred(1)
-    }
-
-    fn and(&mut self, a: IvPred, b: IvPred) -> IvPred {
-        if a == b {
-            return a;
-        }
-        let r = ipset::intersect(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn or(&mut self, a: IvPred, b: IvPred) -> IvPred {
-        if a == b {
-            return a;
-        }
-        let r = ipset::union(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn diff(&mut self, a: IvPred, b: IvPred) -> IvPred {
-        if a == b {
-            return IvPred(0);
-        }
-        let r = ipset::diff(self.set(a), self.set(b));
-        self.intern(r)
-    }
-
-    fn is_false(&self, p: IvPred) -> bool {
-        p.0 == 0
-    }
-
-    fn intersects(&mut self, a: IvPred, b: IvPred) -> bool {
-        ipset::overlaps(self.set(a), self.set(b))
-    }
-
-    fn match_pred(&mut self, m: &MatchSpec) -> IvPred {
-        assert!(
-            m.dst_port.is_none() && m.proto.is_none(),
-            "interval backend supports destination-prefix-only workloads \
-             (got a port/proto match); use --backend bdd"
-        );
-        let iv = ipset::prefix_iv(m.dst.addr, m.dst.len);
-        self.intern(vec![iv])
-    }
-
-    fn rewrite_image(&mut self, _p: IvPred, _rw: &Rewrite) -> IvPred {
-        panic!(
-            "interval backend supports destination-prefix-only workloads \
-             (got a rewrite action); use --backend bdd"
-        );
-    }
-
-    fn rewrite_preimage(&mut self, _q: IvPred, _rw: &Rewrite) -> IvPred {
-        panic!(
-            "interval backend supports destination-prefix-only workloads \
-             (got a rewrite action); use --backend bdd"
-        );
-    }
-
-    fn import(&mut self, p: &PortablePred) -> IvPred {
-        if let Some(&id) = self.imports.get(p) {
-            return IvPred(id);
-        }
-        let set = ipset::from_portable(p);
-        let h = self.intern(set);
-        self.imports.insert(p.clone(), h.0);
-        self.exports
-            .borrow_mut()
-            .entry(h.0)
-            .or_insert_with(|| p.clone());
-        h
-    }
-
-    fn export(&self, p: IvPred) -> PortablePred {
-        self.exports
-            .borrow_mut()
-            .entry(p.0)
-            .or_insert_with(|| ipset::to_portable(self.set(p), &self.layout))
-            .clone()
-    }
-
-    fn mem_units(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
-    fn caps(&self) -> BackendCaps {
-        BackendCaps::DST_ONLY
-    }
-
-    fn name(&self) -> &'static str {
-        "intervals"
-    }
-}
+pub type IntervalSetBackend = DstOnlyBackend<IntervalRepr>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredicateBackend;
+    use tulkun_bdd::builder::HeaderLayout;
+    use tulkun_netmodel::fib::MatchSpec;
     use tulkun_netmodel::prefix::IpPrefix;
 
     #[test]

@@ -16,6 +16,7 @@
 use tulkun_bdd::builder::HeaderLayout;
 use tulkun_bdd::serial::{self, PortablePred};
 use tulkun_bdd::BddManager;
+use tulkun_netmodel::IpPrefix;
 
 /// One half-open interval `[lo, hi)` of destination addresses.
 pub type Iv = (u64, u64);
@@ -111,13 +112,12 @@ pub fn overlaps(a: &[Iv], b: &[Iv]) -> bool {
     false
 }
 
-/// The addresses of a destination prefix as one interval (`None` for a
-/// zero-length prefix covering everything — callers treat it as
-/// [`FULL`]).
-pub fn prefix_iv(addr: u32, len: u8) -> Iv {
-    assert!(len <= 32);
-    let span = 1u64 << (32 - len as u64);
-    let lo = (addr as u64) & !(span - 1);
+/// The addresses of a destination prefix as one interval — the one
+/// prefix→range helper of the workspace.
+pub fn prefix_iv(p: &IpPrefix) -> Iv {
+    assert!(p.len <= 32);
+    let span = 1u64 << (32 - p.len as u64);
+    let lo = (p.addr as u64) & !(span - 1);
     (lo, lo + span)
 }
 
@@ -221,9 +221,10 @@ mod tests {
 
     #[test]
     fn prefix_interval() {
-        assert_eq!(prefix_iv(0x0a000000, 8), (0x0a000000, 0x0b000000));
-        assert_eq!(prefix_iv(0xffffffff, 32), (0xffffffff, 0x100000000));
-        assert_eq!(prefix_iv(0, 0), FULL);
+        let iv = |addr, len| prefix_iv(&IpPrefix::new(addr, len));
+        assert_eq!(iv(0x0a000000, 8), (0x0a000000, 0x0b000000));
+        assert_eq!(iv(0xffffffff, 32), (0xffffffff, 0x100000000));
+        assert_eq!(iv(0, 0), FULL);
     }
 
     #[test]
@@ -232,7 +233,7 @@ mod tests {
         let cases: Vec<Vec<Iv>> = vec![
             vec![],
             vec![FULL],
-            vec![prefix_iv(0x0a000000, 23)],
+            vec![prefix_iv(&IpPrefix::new(0x0a000000, 23))],
             vec![(3, 17), (1u64 << 31, (1u64 << 31) + 1000)],
             vec![(0, 1), (0xfffffffe, 0x100000000)],
         ];

@@ -33,14 +33,17 @@
 //!
 //! # Selection
 //!
-//! [`BackendKind`] names a backend (`bdd`, `deltanet`, `intervals`, or
-//! `auto`); [`BackendKind::resolve`] implements the `auto` heuristic:
-//! interval representations require a destination-prefix-only workload
-//! (no port/proto matches, no header rewrites — see
-//! [`network_ip_only`]) and pay off once the update stream dominates,
-//! so `auto` picks Delta-net for IP-only workloads at or above
-//! [`AUTO_RATE_THRESHOLD`] expected updates and falls back to BDDs
-//! otherwise.
+//! [`BackendKind`] names a backend (`bdd`, `deltanet` or `intervals`;
+//! `bdd` is the default). Interval representations require a
+//! destination-prefix-only workload (no port/proto matches, no header
+//! rewrites — see [`network_ip_only`]); [`BackendKind::check`] is the
+//! one place that rule lives, and every substrate constructor, the CLI
+//! and the daemon's `config backend` / `batch` paths go through it.
+//!
+//! # One LEC builder
+//!
+//! [`lecs`] / [`lecs_in`] compile a FIB into its LEC table on any
+//! backend; nothing else in the workspace does.
 
 use std::fmt;
 use std::hash::Hash;
@@ -48,21 +51,25 @@ use std::str::FromStr;
 
 use tulkun_bdd::serial::PortablePred;
 use tulkun_netmodel::fib::{Action, Fib, MatchSpec, Rewrite};
-use tulkun_netmodel::network::Network;
+use tulkun_netmodel::network::{Network, RuleUpdate};
 
+pub mod atoms;
 mod bdd_backend;
 mod deltanet;
+mod dst_only;
 mod dynamic;
 mod intervals;
 pub mod ipset;
 
+pub use atoms::{AtomAction, AtomPartition};
 pub use bdd_backend::BddBackend;
 pub use deltanet::DeltaNetBackend;
 pub use dynamic::{DynBackend, DynPred};
 pub use intervals::IntervalSetBackend;
 
-/// What a backend can represent. Upstream code checks capabilities
-/// before selecting a backend; the builder methods of an unsupported
+/// What a backend can represent ([`BackendKind::caps`]). Upstream code
+/// checks capabilities before selecting a backend
+/// ([`BackendKind::check`]); the builder methods of an unsupported
 /// feature panic with a clear message if the check is bypassed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendCaps {
@@ -134,11 +141,15 @@ pub trait PredicateBackend {
     /// (the wire-format invariant).
     fn export(&self, p: Self::Pred) -> PortablePred;
 
+    /// Releases memoization scratch a bulk build leaves behind (handles
+    /// and results stay valid). [`lecs`] ends with it: compiling a whole
+    /// FIB fills the BDD operation memo with intermediate results that
+    /// never recur, several times the size of the table it built.
+    fn trim(&mut self) {}
+
     /// Memory proxy: BDD nodes, stored intervals, or atoms + list
     /// entries, depending on the representation.
     fn mem_units(&self) -> usize;
-    /// What this backend can represent.
-    fn caps(&self) -> BackendCaps;
     /// Short stable name (`"bdd"`, `"deltanet"`, `"intervals"`).
     fn name(&self) -> &'static str;
 }
@@ -147,11 +158,11 @@ pub trait PredicateBackend {
 /// compresses a prioritized table into `(predicate, action)` classes
 /// that partition the full packet space; packets matching no rule fall
 /// into a `Drop` class, classes with identical actions are merged.
-/// Same algorithm and class order as the original
-/// `Fib::local_equivalence_classes`.
 pub fn lecs<B: PredicateBackend>(fib: &Fib, b: &mut B) -> Vec<(B::Pred, Action)> {
     let full = b.verum();
-    lecs_in(fib, full, b)
+    let classes = lecs_in(fib, full, b);
+    b.trim();
+    classes
 }
 
 /// Like [`lecs`], restricted to the packets in `region`: returns
@@ -189,13 +200,7 @@ pub fn lecs_in<B: PredicateBackend>(
     by_action.into_iter().map(|(a, p)| (p, a)).collect()
 }
 
-/// Expected update rate (updates per replay window) at or above which
-/// `auto` prefers the Delta-net representation on IP-only workloads.
-/// Below it the one-off encode/decode and atom-boundary setup costs
-/// dominate and BDDs stay the safer default.
-pub const AUTO_RATE_THRESHOLD: f64 = 8.0;
-
-/// Names a predicate backend (or the `auto` selection policy).
+/// Names a predicate backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// ROBDDs (the original representation; full capability).
@@ -205,45 +210,50 @@ pub enum BackendKind {
     DeltaNet,
     /// Canonical disjoint interval sets (IP-only workloads).
     Intervals,
-    /// Pick from the workload: Delta-net for IP-only workloads with an
-    /// update rate at or above [`AUTO_RATE_THRESHOLD`], BDDs otherwise.
-    Auto,
 }
 
+/// A workload outside the named backend's [`BackendCaps`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnsupportedWorkload(pub BackendKind);
+
+impl fmt::Display for UnsupportedWorkload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "backend {} supports destination-prefix-only workloads, but this one uses \
+             port/proto matches or header rewrites; use backend bdd",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedWorkload {}
+
 impl BackendKind {
-    /// All concrete (non-`Auto`) kinds, for matrix tests and benches.
+    /// Every kind, for matrix tests and benches.
     pub const CONCRETE: [BackendKind; 3] = [
         BackendKind::Bdd,
         BackendKind::DeltaNet,
         BackendKind::Intervals,
     ];
 
-    /// Resolves `Auto` against the observed workload: `ip_only` is
-    /// whether the workload needs nothing beyond destination prefixes
-    /// (see [`network_ip_only`]); `update_rate_hint` is the expected
-    /// number of rule updates in the upcoming window. Concrete kinds
-    /// resolve to themselves after validating `ip_only` (an explicitly
-    /// chosen interval backend on a port/rewrite workload is a
-    /// configuration error and panics here, at build time, rather than
-    /// deep inside a rule compile).
-    pub fn resolve(self, ip_only: bool, update_rate_hint: f64) -> BackendKind {
+    /// What a backend of this kind can represent.
+    pub fn caps(self) -> BackendCaps {
         match self {
-            BackendKind::Bdd => BackendKind::Bdd,
-            BackendKind::DeltaNet | BackendKind::Intervals => {
-                assert!(
-                    ip_only,
-                    "backend {self} supports destination-prefix-only workloads, but this \
-                     network uses port/proto matches or header rewrites; use --backend bdd"
-                );
-                self
-            }
-            BackendKind::Auto => {
-                if ip_only && update_rate_hint >= AUTO_RATE_THRESHOLD {
-                    BackendKind::DeltaNet
-                } else {
-                    BackendKind::Bdd
-                }
-            }
+            BackendKind::Bdd => BackendCaps::FULL,
+            BackendKind::DeltaNet | BackendKind::Intervals => BackendCaps::DST_ONLY,
+        }
+    }
+
+    /// The capability check: may this backend run a workload that is
+    /// (`ip_only`) or is not within the destination-prefix-only
+    /// fragment (see [`network_ip_only`], [`update_ip_only`])? Returns
+    /// the kind itself so constructors can chain on it.
+    pub fn check(self, ip_only: bool) -> Result<BackendKind, UnsupportedWorkload> {
+        if ip_only || self.caps() == BackendCaps::FULL {
+            Ok(self)
+        } else {
+            Err(UnsupportedWorkload(self))
         }
     }
 }
@@ -254,7 +264,6 @@ impl fmt::Display for BackendKind {
             BackendKind::Bdd => "bdd",
             BackendKind::DeltaNet => "deltanet",
             BackendKind::Intervals => "intervals",
-            BackendKind::Auto => "auto",
         })
     }
 }
@@ -267,7 +276,7 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backend {:?}; expected bdd, deltanet, intervals or auto",
+            "unknown backend {:?}; expected bdd, deltanet or intervals",
             self.0
         )
     }
@@ -283,26 +292,37 @@ impl FromStr for BackendKind {
             "bdd" => Ok(BackendKind::Bdd),
             "deltanet" | "delta-net" => Ok(BackendKind::DeltaNet),
             "intervals" | "intervalset" => Ok(BackendKind::Intervals),
-            "auto" => Ok(BackendKind::Auto),
             other => Err(ParseBackendError(other.to_string())),
         }
     }
 }
 
+fn rule_ip_only(matches: &MatchSpec, action: Option<&Action>) -> bool {
+    matches.dst_port.is_none()
+        && matches.proto.is_none()
+        && !matches!(
+            action,
+            Some(Action::Forward {
+                rewrite: Some(_),
+                ..
+            })
+        )
+}
+
 /// Does a FIB need nothing beyond destination prefixes? (No
 /// destination-port or protocol match conditions, no header rewrites.)
 pub fn fib_ip_only(fib: &Fib) -> bool {
-    fib.rules().iter().all(|r| {
-        r.matches.dst_port.is_none()
-            && r.matches.proto.is_none()
-            && !matches!(
-                &r.action,
-                Action::Forward {
-                    rewrite: Some(_),
-                    ..
-                }
-            )
-    })
+    fib.rules()
+        .iter()
+        .all(|r| rule_ip_only(&r.matches, Some(&r.action)))
+}
+
+/// Does a rule update stay within the destination-prefix-only fragment?
+pub fn update_ip_only(update: &RuleUpdate) -> bool {
+    match update {
+        RuleUpdate::Insert { rule, .. } => rule_ip_only(&rule.matches, Some(&rule.action)),
+        RuleUpdate::Remove { matches, .. } => rule_ip_only(matches, None),
+    }
 }
 
 /// Does every device FIB of the network stay within the
@@ -321,32 +341,59 @@ mod tests {
             ("bdd", BackendKind::Bdd),
             ("deltanet", BackendKind::DeltaNet),
             ("intervals", BackendKind::Intervals),
-            ("auto", BackendKind::Auto),
         ] {
             assert_eq!(s.parse::<BackendKind>().unwrap(), k);
             assert_eq!(k.to_string(), s);
         }
-        assert!("jdd".parse::<BackendKind>().is_err());
+        for unknown in ["jdd", "auto"] {
+            assert!(unknown.parse::<BackendKind>().is_err());
+        }
     }
 
     #[test]
-    fn auto_resolution_follows_the_heuristic() {
-        assert_eq!(
-            BackendKind::Auto.resolve(true, AUTO_RATE_THRESHOLD),
-            BackendKind::DeltaNet
-        );
-        assert_eq!(BackendKind::Auto.resolve(true, 0.0), BackendKind::Bdd);
-        assert_eq!(
-            BackendKind::Auto.resolve(false, 1e9),
-            BackendKind::Bdd,
-            "port/rewrite workloads must never auto-select an interval backend"
-        );
-        assert_eq!(BackendKind::Bdd.resolve(false, 1e9), BackendKind::Bdd);
+    fn check_admits_what_the_caps_cover() {
+        for kind in BackendKind::CONCRETE {
+            assert_eq!(kind.check(true), Ok(kind), "{kind} runs ip-only workloads");
+        }
+        assert_eq!(BackendKind::Bdd.check(false), Ok(BackendKind::Bdd));
     }
 
     #[test]
-    #[should_panic(expected = "destination-prefix-only")]
-    fn explicit_interval_backend_rejects_rich_workloads() {
-        BackendKind::DeltaNet.resolve(false, 100.0);
+    fn check_rejects_rich_workloads_on_interval_backends() {
+        for kind in [BackendKind::DeltaNet, BackendKind::Intervals] {
+            let err = kind.check(false).unwrap_err();
+            assert_eq!(err, UnsupportedWorkload(kind));
+            assert!(err.to_string().contains("destination-prefix-only"));
+        }
+    }
+
+    #[test]
+    fn ip_only_sees_ports_protos_and_rewrites() {
+        use tulkun_netmodel::fib::Rule;
+        use tulkun_netmodel::{DeviceId, IpPrefix};
+        let dst = MatchSpec::dst(IpPrefix::new(0x0a000000, 8));
+        let insert = |matches, action| RuleUpdate::Insert {
+            device: DeviceId(0),
+            rule: Rule {
+                priority: 1,
+                matches,
+                action,
+            },
+        };
+        assert!(update_ip_only(&insert(dst, Action::Drop)));
+        assert!(!update_ip_only(&insert(dst.with_port(80), Action::Drop)));
+        let rewriting = Action::Forward {
+            mode: tulkun_netmodel::fib::ActionType::All,
+            next_hops: vec![],
+            rewrite: Some(Rewrite {
+                to: IpPrefix::new(0, 8),
+            }),
+        };
+        assert!(!update_ip_only(&insert(dst, rewriting)));
+        assert!(!update_ip_only(&RuleUpdate::Remove {
+            device: DeviceId(0),
+            priority: 1,
+            matches: dst.with_port(80),
+        }));
     }
 }

@@ -1,7 +1,7 @@
 //! Backend agreement on LEC classification.
 //!
-//! The Delta-net and interval-set encodings started life in this crate
-//! as centralized baselines; promoted to on-device backends, they must
+//! The Delta-net and interval-set encodings started life as
+//! centralized baselines; promoted to on-device backends, they must
 //! classify *any* destination-prefix FIB exactly like the BDD backend:
 //! same equivalence classes in the same order, same action per class,
 //! and byte-identical exported wire predicates (the invariant that

@@ -76,5 +76,5 @@ pub use service::{
     AdmissionPolicy, IntentStatus, Service, ServiceConfig, ServiceError, ServiceRequest,
     ServiceStatus,
 };
-pub use tulkun_predicate::{network_ip_only, BackendKind, AUTO_RATE_THRESHOLD};
+pub use tulkun_predicate::{network_ip_only, BackendKind};
 pub use tulkun_telemetry::{Telemetry, TelemetryConfig};

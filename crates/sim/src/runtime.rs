@@ -547,15 +547,12 @@ pub struct EngineConfig {
     /// handle, under which every record call is a single branch — no
     /// locks on the disabled path.
     pub telemetry: Arc<Telemetry>,
-    /// Predicate backend every verifier runs on. [`BackendKind::Auto`]
-    /// resolves at engine construction from the network (interval
-    /// backends require a destination-prefix-only workload) and
-    /// [`EngineConfig::update_rate_hint`].
+    /// Predicate backend every verifier runs on. Engine construction
+    /// panics if the network is outside its capabilities (interval
+    /// backends require a destination-prefix-only workload); callers
+    /// that take the kind from outside the program run
+    /// [`BackendKind::check`] themselves first.
     pub backend: BackendKind,
-    /// Expected number of rule updates in the upcoming window; the
-    /// `Auto` heuristic picks Delta-net at or above
-    /// [`tulkun_predicate::AUTO_RATE_THRESHOLD`] on IP-only workloads.
-    pub update_rate_hint: f64,
     /// Build a verifier for *every* topology device, not only those
     /// with tasks in the initial plan. The threaded substrate cannot
     /// add device threads after spawn, so runtime intent installs
@@ -573,7 +570,6 @@ impl Default for EngineConfig {
             parallel_init: false,
             telemetry: Telemetry::disabled(),
             backend: BackendKind::Bdd,
-            update_rate_hint: 0.0,
             all_devices: false,
         }
     }
@@ -592,6 +588,13 @@ fn dvm_span_name(payload: &Payload) -> &'static str {
         Payload::Subscribe { .. } => "dvm.subscribe",
         Payload::Ack { .. } => "dvm.ack",
     }
+}
+
+/// The configured backend, checked against the network's workload.
+fn checked_backend(cfg: &EngineConfig, net: &Network) -> BackendKind {
+    cfg.backend
+        .check(network_ip_only(net))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One constructed device verifier with its init byproducts.
@@ -638,12 +641,9 @@ fn build_verifiers(
         }
     }
 
-    // Resolve the backend once for the whole engine: every verifier of
-    // one run uses the same encoding (wire bytes are backend-neutral,
-    // so this is a pure performance choice).
-    let kind = cfg
-        .backend
-        .resolve(network_ip_only(net), cfg.update_rate_hint);
+    // Every verifier of one run uses the same encoding (wire bytes are
+    // backend-neutral, so this is a pure performance choice).
+    let kind = checked_backend(cfg, net);
 
     let tel = &cfg.telemetry;
     let build_one = |dev: DeviceId, tasks: Vec<NodeTask>, worker: u64| -> BuiltVerifier {
@@ -769,7 +769,7 @@ pub struct Engine<T: Transport, C: Clock> {
     packet_space: PortablePred,
     /// Verifier profile shared by every intent of this engine.
     vcfg: VerifierConfig,
-    /// Resolved predicate backend (every verifier of one run uses the
+    /// Predicate backend (every verifier of one run uses the
     /// same encoding).
     kind: BackendKind,
 }
@@ -822,9 +822,7 @@ impl<T: Transport, C: Clock> Engine<T, C> {
             net: net.clone(),
             packet_space,
             vcfg: plan_vcfg(plan),
-            kind: cfg
-                .backend
-                .resolve(network_ip_only(net), cfg.update_rate_hint),
+            kind: checked_backend(cfg, net),
         }
     }
 

@@ -38,7 +38,7 @@ use tulkun_core::spec::Invariant;
 use tulkun_core::verify::{Freshness, Report};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::topology::{DeviceId, Topology};
-use tulkun_predicate::BackendKind;
+use tulkun_predicate::{network_ip_only, update_ip_only, BackendKind};
 use tulkun_telemetry::{
     JournalEvent, JournalKind, SloPolicy, SloTracker, SloVerdict, Telemetry, TelemetryConfig,
     CONVERGENCE_LAG_NS,
@@ -147,6 +147,9 @@ pub struct ServiceStatus {
     pub shed: u64,
     /// Requests applied to the harness since start.
     pub processed: u64,
+    /// FIB batches refused because they carry a rule outside the
+    /// running backend's capabilities (FIBs unchanged).
+    pub rejected_batches: u64,
     /// Churn events the planner rejected (epoch unchanged).
     pub rejected_churn: u64,
     /// Intent requests the planner or store rejected (e.g. a slice the
@@ -196,6 +199,10 @@ impl ServiceStatus {
             ("admitted".into(), Json::Int(self.admitted as i64)),
             ("shed".into(), Json::Int(self.shed as i64)),
             ("processed".into(), Json::Int(self.processed as i64)),
+            (
+                "rejected_batches".into(),
+                Json::Int(self.rejected_batches as i64),
+            ),
             (
                 "rejected_churn".into(),
                 Json::Int(self.rejected_churn as i64),
@@ -265,6 +272,7 @@ pub struct Service {
     admitted: u64,
     shed: u64,
     processed: u64,
+    rejected_batches: u64,
     rejected_churn: u64,
     rejected_intents: u64,
     drains: u64,
@@ -279,7 +287,8 @@ pub struct Service {
 impl Service {
     /// Builds the service over a network snapshot and runs the initial
     /// burst (all FIBs at t=0) so the first report is already the
-    /// converged baseline.
+    /// converged baseline. Panics if the network is outside
+    /// `cfg.backend`'s capabilities ([`BackendKind::check`]).
     pub fn new(net: &Network, plan: &CountingPlan, inv: &Invariant, cfg: ServiceConfig) -> Service {
         // The service's own always-enabled telemetry handle: the SLO
         // windows are the product, not an optional debugging aid.
@@ -302,6 +311,7 @@ impl Service {
             admitted: 0,
             shed: 0,
             processed: 0,
+            rejected_batches: 0,
             rejected_churn: 0,
             rejected_intents: 0,
             drains: 0,
@@ -470,16 +480,27 @@ impl Service {
         }
     }
 
-    /// Applies one request to the harness; `None` means the control
-    /// plane rejected it (counted and journaled, epoch unchanged).
+    /// Applies one request to the harness; `None` means it was rejected
+    /// (counted and journaled; FIBs, epoch and Report unchanged).
     fn apply(&mut self, req: ServiceRequest) -> Option<SimResult> {
         let h = &mut self.harness;
         let (kind, why, dev, intent) = match req {
             ServiceRequest::Batch(updates) => {
-                for u in &updates {
-                    self.net.apply(u);
+                let ip_only = updates.iter().all(update_ip_only);
+                match self.cfg.backend.check(ip_only) {
+                    Ok(_) => {
+                        for u in &updates {
+                            self.net.apply(u);
+                        }
+                        return Some(h.apply_batch(&updates));
+                    }
+                    Err(e) => {
+                        self.rejected_batches += 1;
+                        let why = format!("batch of {} rejected: {e}", updates.len());
+                        let dev = updates.first().map_or(DeviceId(0), RuleUpdate::device);
+                        (JournalKind::BatchRejected, why, dev, None)
+                    }
                 }
-                return Some(h.apply_batch(&updates));
             }
             ServiceRequest::Churn(ev) => {
                 match h.apply_topology_event(&ev, &self.base_topo, &self.inv) {
@@ -601,6 +622,7 @@ impl Service {
             admitted: self.admitted,
             shed: self.shed,
             processed: self.processed,
+            rejected_batches: self.rejected_batches,
             rejected_churn: self.rejected_churn,
             rejected_intents: self.rejected_intents,
             parked,
@@ -615,6 +637,12 @@ impl Service {
                 .collect(),
             intents,
         }
+    }
+
+    /// Requests currently queued across all sources (what an admission
+    /// reply echoes — no Report evaluation, unlike [`Service::status`]).
+    pub fn queued(&self) -> usize {
+        self.queued
     }
 
     /// The runtime intent store (read-only).
@@ -671,8 +699,19 @@ impl Service {
     /// applied to the new harness. The rebuild's init wave lands in the
     /// SLO windows — a backend switch is not free, and the tracker says
     /// so.
+    ///
+    /// Transactional: a backend that cannot run the current network
+    /// ([`BackendKind::check`]) or a failed replay returns
+    /// [`ServiceError::Rejected`] with configuration, harness, queues
+    /// and counters untouched.
     pub fn set_backend(&mut self, backend: BackendKind) -> Result<(), ServiceError> {
-        self.cfg.backend = backend;
+        backend
+            .check(network_ip_only(&self.net))
+            .map_err(|e| ServiceError::Rejected(e.to_string()))?;
+        let cfg = ServiceConfig {
+            backend,
+            ..self.cfg.clone()
+        };
         // Live non-base intents, read off the old harness before it is
         // dropped (the base intent is re-seeded by construction).
         let live: Vec<(IntentId, String, Option<Invariant>)> = self
@@ -692,8 +731,7 @@ impl Service {
             .parked()
             .map(|p| (p.id, p.name.clone(), p.invariant.clone()))
             .collect();
-        let mut harness =
-            Service::build_harness(&self.net, &self.plan, &self.inv, &self.cfg, &self.tel);
+        let mut harness = Service::build_harness(&self.net, &self.plan, &self.inv, &cfg, &self.tel);
         // Intents first, churn second: the churn replay's fences then
         // re-plan every slice exactly as the live history did, so an
         // intent whose slice churn severed comes back *degraded* (not
@@ -720,6 +758,7 @@ impl Service {
                 .map_err(|e| ServiceError::Rejected(format!("parked replay failed: {e:?}")))?;
         }
         self.harness = harness;
+        self.cfg = cfg;
         let epoch = self.harness.epoch();
         self.tel.journal(
             JournalKind::BackendSwap,
@@ -857,7 +896,7 @@ impl Substrate for Service {
         // Flush queued work first so the id the store will hand our
         // install is known before it is enqueued.
         self.drain();
-        let before = (self.rejected_churn, self.rejected_intents);
+        let before = self.rejected_batches + self.rejected_churn + self.rejected_intents;
         let next_id = match ev {
             E::InstallIntent { .. } => Some(IntentId(self.harness.intents().next_intent_id())),
             _ => None,
@@ -865,7 +904,7 @@ impl Substrate for Service {
         self.offer("event", req)
             .map_err(|e| PlanError::Unsupported(e.to_string()))?;
         self.drain();
-        if self.rejected_churn > before.0 || self.rejected_intents > before.1 {
+        if self.rejected_batches + self.rejected_churn + self.rejected_intents > before {
             return Err(PlanError::Unsupported(
                 "the harness rejected the event (see status counters)".to_string(),
             ));

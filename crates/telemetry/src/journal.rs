@@ -33,6 +33,9 @@ use tulkun_netmodel::topology::DeviceId;
 pub enum JournalKind {
     /// A burst of FIB rule updates was injected.
     BatchApplied,
+    /// A FIB batch was refused (a rule outside the running predicate
+    /// backend's capabilities); the FIBs are unchanged.
+    BatchRejected,
     /// A raw link up/down event was delivered to both endpoints.
     LinkEvent,
     /// A fault-scene task swap (link-state flooding recount).
@@ -84,6 +87,7 @@ impl JournalKind {
         use JournalKind as K;
         match self {
             K::BatchApplied => "batch_applied",
+            K::BatchRejected => "batch_rejected",
             K::LinkEvent => "link_event",
             K::SceneApplied => "scene_applied",
             K::EpochFence => "epoch_fence",

@@ -209,20 +209,20 @@ fn usage() -> ExitCode {
          [--no-consistency-check]\n  \
          tulkun plan --network net.json --invariant \"(...)\" [--dot out.dot]\n  \
          tulkun trace [--name <NAME>] [--scale tiny|paper] [--updates N] [--seed S] \
-         [--backend bdd|deltanet|intervals|auto] [--faults SEED] [--off] [--out trace.json] \
+         [--backend bdd|deltanet|intervals] [--faults SEED] [--off] [--out trace.json] \
          [--journal-out journal.json] [--stats]\n  \
          tulkun metrics [--name <NAME>] [--scale tiny|paper] [--updates N] [--seed S] \
-         [--backend bdd|deltanet|intervals|auto] [--faults SEED] [--off] [--out metrics.prom] \
+         [--backend bdd|deltanet|intervals] [--faults SEED] [--off] [--out metrics.prom] \
          [--journal-out journal.json] [--stats]\n  \
          tulkun churn [--name <NAME>] [--scale tiny|paper] [--seed S] [--events N] \
-         [--backend bdd|deltanet|intervals|auto] [--faults SEED] [--threaded]\n  \
+         [--backend bdd|deltanet|intervals] [--faults SEED] [--threaded]\n  \
          tulkun daemon [--name <NAME>] [--scale tiny|paper] \
-         [--backend bdd|deltanet|intervals|auto] [--faults SEED] [--policy shed|block] \
+         [--backend bdd|deltanet|intervals] [--faults SEED] [--policy shed|block] \
          [--queue-cap N] [--per-source-cap N] [--drain-every N] [--slo-p50 NS] [--slo-p90 NS] \
          [--slo-p99 NS] [--slo-lag-p99 NS] [--uds PATH] [--journal-dump PATH]\n  \
          tulkun status --uds PATH\n  \
          tulkun explain [--name <NAME>] [--scale tiny|paper] [--seed S] \
-         [--backend bdd|deltanet|intervals|auto] [--subject <device|intent:<id>>] [--json]"
+         [--backend bdd|deltanet|intervals] [--subject <device|intent:<id>>] [--json]"
     );
     ExitCode::FAILURE
 }
@@ -264,8 +264,7 @@ fn observed_run(
     let updates: usize = get("--updates").and_then(|v| v.parse().ok()).unwrap_or(16);
     let cfg = SimConfig {
         telemetry: telemetry.clone(),
-        backend: parse_backend(get)?,
-        update_rate_hint: updates as f64,
+        backend: checked_backend(get, net)?,
         ..SimConfig::default()
     };
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
@@ -312,6 +311,17 @@ fn parse_backend(get: &dyn Fn(&str) -> Option<String>) -> Result<tulkun::sim::Ba
         Some(s) => s.parse().map_err(|e| format!("{e}")),
         None => Ok(tulkun::sim::BackendKind::default()),
     }
+}
+
+/// [`parse_backend`], refusing a backend that cannot run `net`'s
+/// workload (the daemon does the same check when it loads its dataset).
+fn checked_backend(
+    get: &dyn Fn(&str) -> Option<String>,
+    net: &tulkun::netmodel::network::Network,
+) -> Result<tulkun::sim::BackendKind, String> {
+    parse_backend(get)?
+        .check(tulkun::sim::network_ip_only(net))
+        .map_err(|e| e.to_string())
 }
 
 // The dataset workload construction lives in the library now (the
@@ -473,7 +483,7 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
     // seed, so the explanation is byte-identical across reruns.
     let cfg = SimConfig {
         telemetry: telemetry.clone(),
-        backend: parse_backend(get)?,
+        backend: checked_backend(get, net)?,
         model: tulkun::sim::SwitchModel::LOCKSTEP,
         ..SimConfig::default()
     };
@@ -569,7 +579,7 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
     let (inv, cp) = dataset_session(net, &name)?;
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
     let events: usize = get("--events").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let backend = parse_backend(get)?;
+    let backend = checked_backend(get, net)?;
     let schedule = ChurnSchedule::seeded(topo, &inv, seed, events);
     if schedule.is_empty() {
         return Err("no plannable churn events for this dataset/invariant".into());

@@ -24,7 +24,7 @@
 //! metrics                                       Prometheus exposition
 //! events <source> [n]                           flight-recorder entries
 //! explain <source> <node|intent:<id>>           ranked causal chain JSON
-//! config backend <bdd|deltanet|intervals|auto>  hot-swap the backend
+//! config backend <bdd|deltanet|intervals>       hot-swap the backend
 //! config policy <shed|block>                    admission policy
 //! config drain-every <n>                        auto-drain cadence
 //! config slo <p50> <p90> <p99> <lag-p99>        budgets, ns
@@ -128,8 +128,9 @@ pub struct DaemonConfig {
     pub scale: crate::datasets::Scale,
     /// Admission/SLO/backend/fault configuration of the service.
     pub service: ServiceConfig,
-    /// Auto-drain after this many admitted requests (0 = only drain on
-    /// explicit `drain` requests or `Block`-policy backpressure).
+    /// Drain automatically after this many admitted requests (0 = only
+    /// drain on explicit `drain` requests or `Block`-policy
+    /// backpressure).
     pub drain_every: usize,
 }
 
@@ -191,6 +192,10 @@ impl DaemonSession {
             )
         })?;
         let (inv, cp) = dataset_session(&ds.network, &cfg.name)?;
+        cfg.service
+            .backend
+            .check(crate::sim::network_ip_only(&ds.network))
+            .map_err(|e| e.to_string())?;
         let service = Service::new(&ds.network, &cp, &inv, cfg.service);
         Ok(DaemonSession {
             service,
@@ -303,10 +308,7 @@ impl DaemonSession {
         match self.service.offer(source, ServiceRequest::Batch(updates)) {
             Ok(()) => {
                 self.after_admit();
-                Reply::ok(format!(
-                    "admitted={n} queued={}",
-                    self.service.status().queued
-                ))
+                Reply::ok(format!("admitted={n} queued={}", self.service.queued()))
             }
             Err(e) => Reply::err(e.to_string()),
         }
@@ -346,7 +348,7 @@ impl DaemonSession {
         match self.service.offer(parts[0], ServiceRequest::Churn(ev)) {
             Ok(()) => {
                 self.after_admit();
-                Reply::ok(format!("queued={}", self.service.status().queued))
+                Reply::ok(format!("queued={}", self.service.queued()))
             }
             Err(e) => Reply::err(e.to_string()),
         }
@@ -391,7 +393,7 @@ impl DaemonSession {
         match self.service.offer(source, req) {
             Ok(()) => {
                 self.after_admit();
-                Reply::ok(format!("queued={}", self.service.status().queued))
+                Reply::ok(format!("queued={}", self.service.queued()))
             }
             Err(e) => Reply::err(e.to_string()),
         }

@@ -5,7 +5,7 @@
 //! are a pure function of the packet set — so swapping encodings can
 //! never change a verdict.
 //!
-//! Matrix: backend {deltanet, intervals, auto} x substrate {event sim,
+//! Matrix: backend {deltanet, intervals} x substrate {event sim,
 //! faulty event sim, threaded run} x loss {0%, 10%}, on one WAN
 //! destination's counting session over tiny INet2 with a 24-update
 //! churn trace applied in bursts of 8.
@@ -56,20 +56,12 @@ fn inet2_setup() -> (
 fn sim_cfg(backend: BackendKind) -> SimConfig {
     SimConfig {
         backend,
-        // 24 updates over the session: past the Auto threshold, so
-        // `auto` exercises the Delta-net encoding here.
-        update_rate_hint: 24.0,
         ..SimConfig::default()
     }
 }
 
-/// The non-reference backends under test. `Auto` resolves to Delta-net
-/// for this IP-only bursty workload, covering the selection heuristic.
-const BACKENDS: [BackendKind; 3] = [
-    BackendKind::DeltaNet,
-    BackendKind::Intervals,
-    BackendKind::Auto,
-];
+/// The non-reference backends under test.
+const BACKENDS: [BackendKind; 2] = [BackendKind::DeltaNet, BackendKind::Intervals];
 
 #[test]
 fn backends_agree_on_the_event_simulator() {
@@ -128,7 +120,6 @@ fn backends_agree_on_the_threaded_runner() {
     let run = |backend| {
         let ecfg = EngineConfig {
             backend,
-            update_rate_hint: 24.0,
             ..EngineConfig::default()
         };
         let cache = LecCache::new();

@@ -9,9 +9,14 @@
 use std::process::{Command, Stdio};
 
 use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::fault::FaultProfile;
+use tulkun::core::verify::Session;
 use tulkun::daemon::{dataset_session, DaemonConfig, DaemonSession};
-use tulkun::sim::{DvmSim, ServiceConfig, SimConfig};
+use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
+use tulkun::netmodel::network::RuleUpdate;
+use tulkun::netmodel::topology::DeviceId;
+use tulkun::sim::{BackendKind, DvmSim, ServiceConfig, SimConfig};
 
 /// Renders a churn event as its protocol line from source `src`.
 fn churn_line(
@@ -330,4 +335,149 @@ fn daemon_binary_speaks_the_protocol_over_stdin() {
         replies[9]
     );
     assert_eq!(replies[10], "ok bye");
+}
+
+fn reply(session: &mut DaemonSession, line: &str) -> String {
+    session.handle_line(line).expect("reply").text
+}
+
+/// The port-matching ACL drops `datasets::gen::add_acls` adds to a
+/// network, as the rule updates a client would send for them.
+fn acl_batch(net: &tulkun::netmodel::network::Network) -> String {
+    let mut with_acls = net.clone();
+    tulkun::datasets::gen::add_acls(&mut with_acls, 1, 5);
+    let acls: Vec<RuleUpdate> = with_acls
+        .topology
+        .devices()
+        .flat_map(|device| {
+            let rules = with_acls.fib(device).rules();
+            rules
+                .iter()
+                .filter(|r| r.matches.dst_port.is_some())
+                .map(move |rule| RuleUpdate::Insert {
+                    device,
+                    rule: rule.clone(),
+                })
+        })
+        .collect();
+    assert!(!acls.is_empty());
+    format!("batch acl {}", tulkun::json::to_string(&acls))
+}
+
+/// `config backend` to an encoding the current network is outside of
+/// is an `err` reply that changes nothing — not a daemon panic.
+#[test]
+fn config_backend_refuses_a_network_it_cannot_run() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    assert!(reply(&mut session, &acl_batch(&ds.network)).starts_with("ok "));
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+    // One more request left queued: a rejected swap must not touch it.
+    let update = tulkun::datasets::rule_updates(&ds.network, 1, 13);
+    let queued = format!("batch cp {}", tulkun::json::to_string(&update));
+    assert!(reply(&mut session, &queued).ends_with("queued=1"));
+
+    let status = reply(&mut session, "status");
+    let report = reply(&mut session, "report");
+    for kind in ["intervals", "deltanet"] {
+        let refused = reply(&mut session, &format!("config backend {kind}"));
+        assert!(
+            refused.starts_with("err rejected: ") && refused.contains("destination-prefix-only"),
+            "{refused}"
+        );
+        assert_eq!(reply(&mut session, "status"), status, "after {kind}");
+        assert_eq!(reply(&mut session, "report"), report, "after {kind}");
+    }
+    assert_eq!(session.service_mut().config().backend, BackendKind::Bdd);
+    assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+}
+
+/// A batch carrying a rule the running interval backend cannot encode
+/// is refused when it is applied — journaled, counted, Report and FIBs
+/// untouched — and goes through once the daemon is back on BDDs.
+#[test]
+fn interval_backend_refuses_a_rich_batch() {
+    let cfg = DaemonConfig {
+        service: ServiceConfig {
+            backend: BackendKind::Intervals,
+            ..ServiceConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let mut session = DaemonSession::new(cfg).expect("daemon session");
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let acls = acl_batch(&ds.network);
+    let report = reply(&mut session, "report");
+
+    assert!(reply(&mut session, &acls).starts_with("ok "));
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"rejected_batches\":1"), "{status}");
+    assert_eq!(reply(&mut session, "report"), report, "old Report stands");
+    let events = reply(&mut session, "events acl");
+    assert!(events.contains("\"kind\":\"batch_rejected\""), "{events}");
+    assert!(events.contains("destination-prefix-only"), "{events}");
+
+    // The refused rules never reached the FIBs: the network is still
+    // ip-only, so the interval backends stay legal...
+    assert_eq!(
+        reply(&mut session, "config backend deltanet"),
+        "ok backend=deltanet"
+    );
+    // ...and on BDDs the same batch is ordinary work.
+    assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
+    assert!(reply(&mut session, &acls).starts_with("ok "));
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"rejected_batches\":1"), "{status}");
+}
+
+/// Reports are canonical: after every op of a single-update script the
+/// daemon's `report` is byte-equal to the synchronous reference
+/// `Session`'s. On this script (found in the benchmark's `trickle-read`
+/// workload) the event-driven engine converges with one violation's
+/// packets spread over two `LocCIB` entries with equal counts where the
+/// session holds one; both must export the union.
+#[test]
+fn daemon_report_is_byte_equal_to_the_reference_session() {
+    let cfg = DaemonConfig {
+        name: "AT1-2".into(),
+        ..DaemonConfig::default()
+    };
+    let mut session = DaemonSession::new(cfg).expect("daemon session");
+    let ds = tulkun::datasets::by_name("AT1-2", tulkun::datasets::Scale::Tiny).unwrap();
+    let (inv, cp) = dataset_session(&ds.network, "AT1-2").unwrap();
+    let mut reference = Session::from_counting(&ds.network, cp, &inv.packet_space);
+    reference.run_to_quiescence();
+
+    let insert = |device: u32, priority: u32, dst: &str, action: Action| RuleUpdate::Insert {
+        device: DeviceId(device),
+        rule: Rule {
+            priority,
+            matches: MatchSpec::dst(dst.parse().unwrap()),
+            action,
+        },
+    };
+    let script = [
+        insert(23, 62, "10.0.2.0/24", Action::fwd(DeviceId(9))),
+        insert(9, 90, "10.0.2.128/25", Action::Drop),
+        insert(17, 69, "10.0.2.0/24", Action::fwd(DeviceId(23))),
+        insert(1, 64, "10.0.2.0/24", Action::fwd(DeviceId(18))),
+    ];
+    for (i, update) in script.into_iter().enumerate() {
+        let batch = vec![update];
+        let line = format!("batch cp {}", tulkun::json::to_string(&batch));
+        assert!(reply(&mut session, &line).starts_with("ok "));
+        assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+        reference
+            .apply_event(&RuntimeEvent::Batch(batch))
+            .expect("reference applies the batch");
+        let want = String::from_utf8(reference.report().canonical_bytes()).unwrap();
+        assert_eq!(
+            reply(&mut session, "report"),
+            format!("ok {want}"),
+            "daemon and reference Reports differ after op {i}"
+        );
+    }
 }
