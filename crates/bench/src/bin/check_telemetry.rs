@@ -15,7 +15,9 @@
 //!   `# TYPE` lines, `name{labels} value` samples, and every histogram
 //!   has monotonically non-decreasing cumulative buckets ending in
 //!   `le="+Inf"` plus `_sum` and `_count` lines, with `_count` equal
-//!   to the `+Inf` bucket.
+//!   to the `+Inf` bucket; and a repair wave is a kind of fence, so
+//!   `tulkun_fence_repairs_total` never exceeds
+//!   `tulkun_epoch_bumps_total`.
 //! * `--journal <file>`: the file is a `tulkun-journal-v1` flight-
 //!   recorder dump — `schema`/`dropped`/`events`, every event carries
 //!   `seq`/`kind`/`device`/`epoch`/`trace`/`detail`, `kind` is one of
@@ -209,6 +211,7 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     }
     let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
     let mut samples = 0usize;
+    let (mut bumps, mut repairs) = (0.0f64, 0.0f64);
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -281,10 +284,19 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             .and_then(|base| hists.get_mut(base))
         {
             h.count = Some(value as u64);
+        } else if name_part == "tulkun_epoch_bumps_total" {
+            bumps = value;
+        } else if name_part == "tulkun_fence_repairs_total" {
+            repairs = value;
         }
     }
     if samples == 0 {
         return Err("no samples".into());
+    }
+    if repairs > bumps {
+        return Err(format!(
+            "tulkun_fence_repairs_total {repairs} exceeds tulkun_epoch_bumps_total {bumps}"
+        ));
     }
     for (name, h) in &hists {
         if h.buckets.is_empty() {

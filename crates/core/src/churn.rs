@@ -6,9 +6,9 @@
 //! incremental re-planner ([`replan_for_churn`]) compiles the invariant
 //! against the post-churn topology and diffs the resulting per-device
 //! task lists against the running plan, and the runtime applies only the
-//! diff: devices with changed tasks swap them in, everything else merely
-//! re-announces its durable state under the new epoch
-//! ([`crate::dvm::DeviceVerifier::reannounce`]). LEC tables, BDD
+//! diff: devices with changed tasks swap them in (a re-tasked node that
+//! gains an upstream edge tells that one new listener its whole
+//! `CIBOut`), everything else only learns the new epoch. LEC tables, BDD
 //! managers and FIB state are untouched — re-planning is cheap exactly
 //! because the expensive per-device state survives.
 //!
@@ -16,8 +16,10 @@
 //! every bump of the generation number invalidates envelopes stamped
 //! with the old epoch (see [`crate::dvm::message::Envelope::epoch`]), so
 //! results computed against the superseded DPVNet cannot corrupt the new
-//! round; re-announcement repairs exactly the state those dropped
-//! messages carried.
+//! round. Only a fence that really discarded something pays for it: the
+//! repair wave ([`crate::dvm::DeviceVerifier::reannounce`]) re-sends
+//! every node's durable state and repairs exactly what those dropped
+//! messages carried; a fence on a quiescent exchange skips it.
 
 use crate::dpvnet::NodeId;
 use crate::fault::{link_pair, subtopology, FaultScene, LinkPair};
@@ -172,8 +174,8 @@ fn tasks_by_device(tasks: &[NodeTask]) -> BTreeMap<DeviceId, Vec<NodeTask>> {
 /// The diff is per device: a device appears in `changed` iff its sorted
 /// task list differs from the old plan's (new nodes, dropped nodes, or
 /// re-wired neighbor lists all count), and in `removed` with the node
-/// ids it must forget. Everything else keeps its counting state and only
-/// re-announces under the new epoch.
+/// ids it must forget. Everything else keeps its counting state and has
+/// nothing to send.
 ///
 /// Fails with the planner's error when the post-churn topology no longer
 /// supports the invariant at all (e.g. the destination is unreachable

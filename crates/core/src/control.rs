@@ -47,7 +47,7 @@ pub type TaskGroup = (Option<PortablePred>, Vec<NodeTask>);
 /// One device's share of an epoch fence, applied atomically by
 /// [`DeviceVerifier::apply_fence`](crate::dvm::DeviceVerifier::apply_fence):
 /// move to the new epoch, optionally wipe, drop `remove`, apply
-/// `groups` in order, then re-announce.
+/// `groups` in order, then repair if `reannounce`.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceFence {
     /// Revived device: drop *all* soft node state first.
@@ -56,7 +56,10 @@ pub struct DeviceFence {
     pub remove: Vec<NodeId>,
     /// Task groups to apply, in order.
     pub groups: Vec<TaskGroup>,
-    /// Re-announce durable state afterwards (false while quarantined).
+    /// Run the repair wave afterwards: the device is not quarantined
+    /// *and* the substrate's fence discarded in-flight state. Planned
+    /// `true` for every live device; [`ControlPlane::seal`] clears it
+    /// when the substrate reports that nothing was lost.
     pub reannounce: bool,
 }
 
@@ -72,6 +75,9 @@ pub struct FencePlan {
     /// One fence per roster device — every device that has, or after
     /// this fence needs, a verifier.
     pub devices: BTreeMap<DeviceId, DeviceFence>,
+    /// The device and cause the `EpochFence` record is journaled
+    /// under, once [`ControlPlane::seal`] knows what the fence cost.
+    anchor: (DeviceId, &'static str),
 }
 
 /// What the control plane decided for one event.
@@ -222,20 +228,34 @@ impl ControlPlane {
             .journal(kind, dev, self.epoch, trace, intent, detail);
     }
 
-    /// Counts and journals the epoch bump the caller just made.
-    fn note_fence(&self, dev: DeviceId, trace: u64, cause: &str) {
+    /// Seals a fence with what the substrate's own fence discarded
+    /// (`dropped` envelopes in flight under older epochs): counts and
+    /// journals the epoch bump, and keeps the repair wave only if
+    /// something was lost. Call once per [`FencePlan`], after dropping
+    /// in-flight state and before delivering any [`DeviceFence`]; an
+    /// unsealed plan repairs everywhere, which is correct but costs a
+    /// full re-announcement.
+    pub fn seal(&self, plan: &mut FencePlan, dropped: usize, trace: u64) {
         self.tel.count(SHARD, "tulkun_epoch_bumps_total", 1);
-        self.note(JournalKind::EpochFence, dev, trace, None, || {
-            format!("fence to epoch {} ({cause})", self.epoch)
-        });
+        if dropped == 0 {
+            plan.devices.values_mut().for_each(|f| f.reannounce = false);
+        } else {
+            self.tel.count(SHARD, "tulkun_fence_repairs_total", 1);
+        }
+        let (dev, cause) = plan.anchor;
+        let epoch = plan.epoch;
+        let detail = || format!("fence to epoch {epoch} ({cause}), {dropped} in flight dropped");
+        self.tel
+            .journal(JournalKind::EpochFence, dev, epoch, trace, None, detail);
     }
 
     /// One fence per roster device (grown first by whatever `groups`
     /// pulls in) at the current epoch: its share of `remove` and
-    /// `groups`, wiped if it is the `revived` device, silent while
-    /// quarantined.
+    /// `groups`, wiped if it is the `revived` device, repairing unless
+    /// quarantined. `anchor` is the journal device and cause.
     fn fence_plan(
         &mut self,
+        anchor: (DeviceId, &'static str),
         topology: Option<Topology>,
         revived: Option<DeviceId>,
         mut remove: BTreeMap<DeviceId, Vec<NodeId>>,
@@ -259,6 +279,7 @@ impl ControlPlane {
             epoch: self.epoch,
             topology,
             devices,
+            anchor,
         }
     }
 
@@ -294,7 +315,6 @@ impl ControlPlane {
         self.note(JournalKind::TopologyChurn, dev, trace, None, || {
             ev.describe()
         });
-        self.note_fence(dev, trace, "churn");
         self.journal_transitions(&replan, dev, trace, &ev.describe());
         let revived = match ev {
             TopologyEvent::DeviceDown(d) => {
@@ -330,7 +350,13 @@ impl ControlPlane {
         }
         self.export_intent_count();
         Ok(Decision {
-            fence: Some(self.fence_plan(Some(replan.topology), revived, replan.removed, groups)),
+            fence: Some(self.fence_plan(
+                (dev, "churn"),
+                Some(replan.topology),
+                revived,
+                replan.removed,
+                groups,
+            )),
             ..Decision::counted(replan.total_nodes, replan.reused_nodes)
         })
     }
@@ -434,7 +460,7 @@ impl ControlPlane {
             &self.layout,
             delta.space.as_ref().unwrap_or(&inv.packet_space),
         );
-        let fence = self.intent_fence(&delta, Some(space), trace);
+        let fence = self.intent_fence(&delta, Some(space));
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
@@ -457,7 +483,7 @@ impl ControlPlane {
             self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
         let delta = self.store.remove(id)?;
         self.degraded_epochs.remove(&id.0);
-        let fence = (!no_footprint).then(|| self.intent_fence(&delta, None, trace));
+        let fence = (!no_footprint).then(|| self.intent_fence(&delta, None));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
         let dev = touched.next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
@@ -475,22 +501,17 @@ impl ControlPlane {
     /// Bumps the epoch for one intent delta and plans its fence.
     /// `space` is the base packet space of new nodes — `None` for
     /// removals, which never create nodes.
-    fn intent_fence(
-        &mut self,
-        delta: &IntentDelta,
-        space: Option<PortablePred>,
-        trace: u64,
-    ) -> FencePlan {
+    fn intent_fence(&mut self, delta: &IntentDelta, space: Option<PortablePred>) -> FencePlan {
         self.epoch += 1;
         let mut touched = delta.changed.keys().chain(delta.removed.keys());
         let first = touched.next().copied().unwrap_or(SHARD);
-        self.note_fence(first, trace, "intent churn");
         let groups = delta
             .changed
             .iter()
             .map(|(dev, tasks)| (*dev, vec![(space.clone(), tasks.clone())]))
             .collect();
-        self.fence_plan(None, None, delta.removed.clone(), groups)
+        let anchor = (first, "intent churn");
+        self.fence_plan(anchor, None, None, delta.removed.clone(), groups)
     }
 
     /// Fills a churn-era report's freshness and quarantine fields (a
@@ -690,6 +711,44 @@ mod tests {
         c.annotate(&mut r, &BTreeMap::new());
         assert!(r.quarantined.is_empty());
         assert!(r.freshness.iter().all(|(_, f)| *f == Freshness::Fresh));
+    }
+
+    /// `seal` is where a fence learns what it cost: the repair wave
+    /// survives only if the substrate lost in-flight state, and the
+    /// `EpochFence` record and the repair counter say so.
+    #[test]
+    fn seal_keeps_the_repair_wave_only_after_loss() {
+        use tulkun_telemetry::TelemetryConfig;
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D", false);
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        c.set_telemetry(tel.clone());
+        let dev = |n: &str| net.topology.expect_device(n);
+        let counter = |name: &str| tel.metrics().counters.get(name).copied().unwrap_or(0);
+        let fence_detail = || {
+            let fences = tel.journal_events();
+            let last = fences.iter().rfind(|e| e.kind == JournalKind::EpochFence);
+            last.map(|e| (e.epoch, e.trace, e.detail.clone()))
+        };
+
+        let down = TopologyEvent::DeviceDown(dev("B"));
+        let d = c.topology_event(&down, &net.topology, &base, 5).unwrap();
+        let mut lossy = d.fence.unwrap();
+        assert_eq!(fence_detail(), None, "journaled at seal, with the cost");
+        c.seal(&mut lossy, 3, 5);
+        for (d, f) in &lossy.devices {
+            assert_eq!(f.reannounce, *d != dev("B"), "quarantine stays silent");
+        }
+        let detail = "fence to epoch 1 (churn), 3 in flight dropped".to_string();
+        assert_eq!(fence_detail(), Some((1, 5, detail)));
+
+        let up = TopologyEvent::DeviceUp(dev("B"));
+        let d = c.topology_event(&up, &net.topology, &base, 6).unwrap();
+        let mut quiet = d.fence.unwrap();
+        c.seal(&mut quiet, 0, 6);
+        assert!(quiet.devices.values().all(|f| !f.reannounce));
+        assert_eq!(counter("tulkun_epoch_bumps_total"), 2);
+        assert_eq!(counter("tulkun_fence_repairs_total"), 1);
     }
 
     #[test]

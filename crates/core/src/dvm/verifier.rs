@@ -135,6 +135,12 @@ pub struct DeviceVerifier {
     /// onto every emitted envelope (see [`Envelope::epoch`]). Incoming
     /// envelopes from an older generation are discarded at the fence.
     epoch: u64,
+    /// Envelopes stamped with a *newer* generation than `epoch`: a peer
+    /// applied its share of a fence this device has not seen yet. They
+    /// describe a node table this verifier does not hold yet, so they
+    /// wait here and [`DeviceVerifier::apply_fence`] replays them once
+    /// the epochs match.
+    early: Vec<Envelope>,
     /// Telemetry sink (disabled handle by default — every record call
     /// is then a single branch).
     tel: Arc<Telemetry>,
@@ -253,6 +259,7 @@ impl<'a> VerifierBuilder<'a> {
             down_neighbors: BTreeSet::new(),
             trace: 0,
             epoch: 0,
+            early: Vec::new(),
             tel: tel.unwrap_or_else(Telemetry::disabled),
             stats: VerifierStats::default(),
         };
@@ -385,21 +392,23 @@ impl DeviceVerifier {
         self.refresh_relevance();
     }
 
-    /// Recomputes each node's relevant-LEC index after the LEC table or
-    /// a scope changed.
+    /// Recomputes every node's relevant-LEC index after the LEC table
+    /// changed.
     fn refresh_relevance(&mut self) {
-        let lecs = self.lecs.clone();
-        let ids = self.node_ids();
-        for id in ids {
-            let scope = self.nodes[&id].scope;
-            let relevant = lecs
-                .iter()
-                .enumerate()
-                .filter(|(_, (p, _))| self.backend.intersects(*p, scope))
-                .map(|(i, _)| i)
-                .collect();
-            self.nodes.get_mut(&id).unwrap().relevant = relevant;
+        for id in self.node_ids() {
+            self.refresh_relevance_of(id);
         }
+    }
+
+    /// Recomputes one node's relevant-LEC index after its scope changed
+    /// (or it was just installed).
+    fn refresh_relevance_of(&mut self, node: NodeId) {
+        let scope = self.nodes[&node].scope;
+        let (lecs, be) = (&self.lecs, &mut self.backend);
+        let relevant = (0..lecs.len())
+            .filter(|&i| be.intersects(lecs[i].0, scope))
+            .collect();
+        self.nodes.get_mut(&node).expect("hosted node").relevant = relevant;
     }
 
     /// The LEC classes that can matter for one node (those intersecting
@@ -428,9 +437,16 @@ impl DeviceVerifier {
     /// than this verifier's is in-flight residue of a superseded
     /// topology and is discarded unprocessed — its counting results
     /// describe a DPVNet that no longer exists, and applying them would
-    /// corrupt the new round.
+    /// corrupt the new round. An envelope from a *newer* generation is
+    /// held aside until this device's share of that fence arrives
+    /// (fences reach devices one at a time; a peer that already applied
+    /// its share may speak first).
     pub fn handle(&mut self, env: &Envelope, out: &mut dyn Outbox) {
         assert_eq!(env.to, self.dev, "message routed to the wrong device");
+        if env.epoch > self.epoch {
+            self.early.push(env.clone());
+            return;
+        }
         if env.epoch < self.epoch {
             self.stats.epoch_discarded += 1;
             self.tel.count(self.dev, "tulkun_epoch_discarded_total", 1);
@@ -555,17 +571,7 @@ impl DeviceVerifier {
             st.cib_out.push((grow, zero));
         }
         // The grown scope may make more LEC classes relevant.
-        {
-            let lecs = self.lecs.clone();
-            let scope = self.nodes[&node].scope;
-            let relevant: Vec<usize> = lecs
-                .iter()
-                .enumerate()
-                .filter(|(_, (p, _))| self.backend.intersects(*p, scope))
-                .map(|(i, _)| i)
-                .collect();
-            self.nodes.get_mut(&node).unwrap().relevant = relevant;
-        }
+        self.refresh_relevance_of(node);
         self.emit_subscriptions(node, grow, out);
         self.recompute_node(node, grow, out);
     }
@@ -711,14 +717,24 @@ impl DeviceVerifier {
     }
 
     fn install_tasks_pred(&mut self, tasks: Vec<NodeTask>, base: DynPred, out: &mut dyn Outbox) {
-        let mut touched = Vec::with_capacity(tasks.len());
+        // Per touched node, the upstream edges it did not have before.
+        // Only an existing node can gain a listener that has not heard
+        // it: a new node starts at the zero its upstream assumes, and
+        // its first recount below tells every edge what differs.
+        let mut touched: Vec<(NodeId, Vec<(NodeId, DeviceId)>)> = Vec::with_capacity(tasks.len());
         for task in tasks {
             assert_eq!(task.dev, self.dev);
             let node = task.node;
-            let keep: Vec<NodeId> = task.downstream.iter().map(|(n, _)| *n).collect();
+            let mut gained = Vec::new();
             if let Some(st) = self.nodes.get_mut(&node) {
+                gained.extend(
+                    task.upstream
+                        .iter()
+                        .filter(|e| !st.task.upstream.contains(e)),
+                );
+                st.cib_in
+                    .retain(|n, _| task.downstream.iter().any(|(d, _)| d == n));
                 st.task = task;
-                st.cib_in.retain(|n, _| keep.contains(n));
             } else {
                 let zero = Counts::zero(self.cfg.dim());
                 self.nodes.insert(
@@ -734,17 +750,21 @@ impl DeviceVerifier {
                         sent_subs: BTreeMap::new(),
                     },
                 );
+                // A new node's relevance index is empty; recounting
+                // through it would see no LEC classes and silently zero
+                // the node out. Untouched nodes keep theirs: neither
+                // their scope nor the LEC table changed.
+                self.refresh_relevance_of(node);
             }
-            touched.push(node);
+            touched.push((node, gained));
         }
-        // New nodes start with an empty relevance index; recomputing
-        // through it would see no LEC classes and silently zero the
-        // node out. Rebuild relevance before the first recount.
-        self.refresh_relevance();
-        for node in touched {
+        for (node, gained) in touched {
             let scope = self.nodes[&node].scope;
             self.emit_subscriptions(node, scope, out);
             self.recompute_node(node, scope, out);
+            // After the recount, so the gained edge's last word on this
+            // channel is the whole current `CIBOut`.
+            self.announce(node, |e| gained.contains(e), |_| false, out);
         }
     }
 
@@ -762,7 +782,10 @@ impl DeviceVerifier {
     /// the steps are sequenced: move to the new epoch (so every
     /// emission below carries it), drop all soft node state if the
     /// device was revived, drop nodes no longer assigned here, apply
-    /// the task groups in order, then re-announce durable state.
+    /// the task groups in order (a re-tasked node that gains an
+    /// upstream edge announces its `CIBOut` to that edge), run the
+    /// repair wave if the fence discarded in-flight state, then replay
+    /// whatever faster peers already sent under the new epoch.
     pub fn apply_fence(
         &mut self,
         epoch: u64,
@@ -785,61 +808,74 @@ impl DeviceVerifier {
         if fence.reannounce {
             self.reannounce(out);
         }
+        for env in std::mem::take(&mut self.early) {
+            self.handle(&env, out);
+        }
     }
 
-    /// Re-announces this device's durable protocol state to *all*
-    /// neighbors after an epoch bump: a full-scope UPDATE carrying the
-    /// current `CIBOut` on every upstream edge (the `withdrawn = scope`
-    /// form makes it idempotent) and a SUBSCRIBE re-stating every grown
-    /// scope on every downstream edge. The epoch fence dropped whatever
-    /// was in flight when the topology churned; re-announcing repairs
-    /// exactly the `CIBIn`/scope entries those lost messages carried, so
-    /// the new epoch re-converges to the fixpoint of a fresh plan.
-    pub fn reannounce(&mut self, out: &mut dyn Outbox) {
-        let ids = self.node_ids();
-        for node in ids {
-            let st = &self.nodes[&node];
-            let ups: Vec<(NodeId, DeviceId)> = st.task.upstream.clone();
-            if !ups.is_empty() {
-                let withdrawn = vec![self.backend.export(st.scope)];
-                let results: Vec<(PortablePred, Counts)> = st
-                    .cib_out
-                    .iter()
-                    .map(|(p, c)| (self.backend.export(*p), c.clone()))
-                    .collect();
-                for (un, ud) in ups {
-                    let env = Envelope::data(
-                        self.dev,
-                        ud,
-                        Payload::Update {
-                            edge: EdgeRef { up: un, down: node },
-                            withdrawn: withdrawn.clone(),
-                            results: results.clone(),
-                        },
-                    );
-                    self.emit(env, out);
-                }
-            }
-            let downs: Vec<(NodeId, DeviceId, DynPred)> = self.nodes[&node]
-                .task
-                .downstream
+    /// Sends one node's durable protocol state along the edges the
+    /// filters keep: a full-scope UPDATE carrying the current `CIBOut`
+    /// on each kept upstream edge (the `withdrawn = scope` form makes it
+    /// idempotent) and a SUBSCRIBE re-stating everything ever requested
+    /// beyond the base packet space toward each kept downstream device.
+    fn announce(
+        &mut self,
+        node: NodeId,
+        ups: impl Fn(&(NodeId, DeviceId)) -> bool,
+        downs: impl Fn(DeviceId) -> bool,
+        out: &mut dyn Outbox,
+    ) {
+        let st = &self.nodes[&node];
+        let ups: Vec<(NodeId, DeviceId)> = st
+            .task
+            .upstream
+            .iter()
+            .copied()
+            .filter(|e| ups(e))
+            .collect();
+        let downs: Vec<(NodeId, DeviceId, DynPred)> = st
+            .task
+            .downstream
+            .iter()
+            .filter(|(_, d)| downs(*d))
+            .filter_map(|(n, d)| st.sent_subs.get(n).map(|s| (*n, *d, *s)))
+            .filter(|(_, _, s)| !self.backend.is_false(*s))
+            .collect();
+        if !ups.is_empty() {
+            let withdrawn = vec![self.backend.export(st.scope)];
+            let results: Vec<(PortablePred, Counts)> = st
+                .cib_out
                 .iter()
-                .filter_map(|(n, d)| self.nodes[&node].sent_subs.get(n).map(|s| (*n, *d, *s)))
+                .map(|(p, c)| (self.backend.export(*p), c.clone()))
                 .collect();
-            for (vn, vd, space) in downs {
-                if self.backend.is_false(space) {
-                    continue;
-                }
-                let env = Envelope::data(
-                    self.dev,
-                    vd,
-                    Payload::Subscribe {
-                        edge: EdgeRef { up: node, down: vn },
-                        space: self.backend.export(space),
-                    },
-                );
-                self.emit(env, out);
+            for (un, ud) in ups {
+                let payload = Payload::Update {
+                    edge: EdgeRef { up: un, down: node },
+                    withdrawn: withdrawn.clone(),
+                    results: results.clone(),
+                };
+                self.emit(Envelope::data(self.dev, ud, payload), out);
             }
+        }
+        for (vn, vd, space) in downs {
+            let payload = Payload::Subscribe {
+                edge: EdgeRef { up: node, down: vn },
+                space: self.backend.export(space),
+            };
+            self.emit(Envelope::data(self.dev, vd, payload), out);
+        }
+    }
+
+    /// The repair wave: re-announces every node's durable protocol
+    /// state to *all* its neighbors (`announce` on every edge). An
+    /// epoch fence that lands on a non-quiescent exchange discards
+    /// whatever was in flight; re-announcing repairs exactly the
+    /// `CIBIn`/scope entries those lost messages carried, so the new
+    /// epoch re-converges to the fixpoint of a fresh plan. A fence that
+    /// dropped nothing needs no repair ([`DeviceFence::reannounce`]).
+    pub fn reannounce(&mut self, out: &mut dyn Outbox) {
+        for node in self.node_ids() {
+            self.announce(node, |_| true, |_| true, out);
         }
     }
 
@@ -907,57 +943,8 @@ impl DeviceVerifier {
     /// Replays are plain DVM messages, so the protocol re-converges to
     /// the same fixpoint it held before the crash.
     pub fn replay_for_restart(&mut self, restarted: DeviceId, out: &mut dyn Outbox) {
-        let ids = self.node_ids();
-        for node in ids {
-            let st = &self.nodes[&node];
-            let ups: Vec<NodeId> = st
-                .task
-                .upstream
-                .iter()
-                .filter(|(_, d)| *d == restarted)
-                .map(|(n, _)| *n)
-                .collect();
-            if !ups.is_empty() {
-                let withdrawn = vec![self.backend.export(st.scope)];
-                let results: Vec<(PortablePred, Counts)> = st
-                    .cib_out
-                    .iter()
-                    .map(|(p, c)| (self.backend.export(*p), c.clone()))
-                    .collect();
-                for un in ups {
-                    let env = Envelope::data(
-                        self.dev,
-                        restarted,
-                        Payload::Update {
-                            edge: EdgeRef { up: un, down: node },
-                            withdrawn: withdrawn.clone(),
-                            results: results.clone(),
-                        },
-                    );
-                    self.emit(env, out);
-                }
-            }
-            let downs: Vec<(NodeId, DynPred)> = self.nodes[&node]
-                .task
-                .downstream
-                .iter()
-                .filter(|(_, d)| *d == restarted)
-                .filter_map(|(n, _)| self.nodes[&node].sent_subs.get(n).map(|s| (*n, *s)))
-                .collect();
-            for (vn, space) in downs {
-                if self.backend.is_false(space) {
-                    continue;
-                }
-                let env = Envelope::data(
-                    self.dev,
-                    restarted,
-                    Payload::Subscribe {
-                        edge: EdgeRef { up: node, down: vn },
-                        space: self.backend.export(space),
-                    },
-                );
-                self.emit(env, out);
-            }
+        for node in self.node_ids() {
+            self.announce(node, |(_, d)| *d == restarted, |d| d == restarted, out);
         }
     }
 
@@ -1371,7 +1358,139 @@ impl DeviceVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tulkun_netmodel::fib::MatchSpec;
+    use tulkun_netmodel::fib::{MatchSpec, Rule};
+
+    /// A two-device line `d1 -> d0`: `d0` hosts destination node 0,
+    /// already counting, with no upstream yet; `d1` forwards the packet
+    /// space to `d0` and hosts nothing. Returns both verifiers and the
+    /// packet space.
+    fn dest_and_idle_upstream() -> (DeviceVerifier, DeviceVerifier, PortablePred) {
+        let layout = HeaderLayout::ipv4_tcp();
+        let dst = MatchSpec::dst("10.0.0.0/24".parse().unwrap());
+        let mut be = DynBackend::new(BackendKind::Bdd, layout);
+        let whole = be.match_pred(&dst);
+        let space = be.export(whole);
+        let cfg = VerifierConfig {
+            n_exprs: 1,
+            track_escapes: false,
+            reduce: ReduceMode::None,
+            dest_mode: DestMode::Axiomatic,
+        };
+        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), &space, cfg.clone())
+            .tasks(vec![dest_task(Vec::new())])
+            .build();
+        d0.init(&mut Vec::new());
+        let mut fib = Fib::new();
+        fib.insert(Rule {
+            priority: 10,
+            matches: dst,
+            action: Action::fwd(DeviceId(0)),
+        });
+        let d1 = DeviceVerifier::builder(DeviceId(1), layout, fib, &space, cfg).build();
+        (d0, d1, space)
+    }
+
+    fn dest_task(upstream: Vec<(NodeId, DeviceId)>) -> NodeTask {
+        NodeTask {
+            node: NodeId(0),
+            dev: DeviceId(0),
+            downstream: Vec::new(),
+            upstream,
+            accept: vec![true],
+        }
+    }
+
+    /// The fence that re-tasks `d0`'s node 0 under new upstream node 1.
+    fn gain_edge_fence() -> DeviceFence {
+        DeviceFence {
+            groups: vec![(None, vec![dest_task(vec![(NodeId(1), DeviceId(1))])])],
+            ..DeviceFence::default()
+        }
+    }
+
+    /// A fence costs what it changes: nothing to apply and nothing lost
+    /// emits nothing, even from a node with listeners; gaining one
+    /// upstream edge emits exactly one full-scope UPDATE, to that edge;
+    /// only the repair wave speaks to everyone.
+    #[test]
+    fn fence_announces_only_to_gained_edges() {
+        let (mut d0, _, space) = dest_and_idle_upstream();
+        let mut out: Vec<Envelope> = Vec::new();
+        d0.apply_fence(1, 7, gain_edge_fence(), &mut out);
+        assert_eq!(out.len(), 1, "one gained edge, one envelope: {out:?}");
+        let env = &out[0];
+        assert_eq!((env.to, env.epoch, env.trace), (DeviceId(1), 1, 7));
+        let Payload::Update {
+            edge,
+            withdrawn,
+            results,
+        } = &env.payload
+        else {
+            panic!("gained edge gets an UPDATE, got {env:?}");
+        };
+        let (up, down) = (NodeId(1), NodeId(0));
+        assert_eq!(*edge, EdgeRef { up, down });
+        assert_eq!(withdrawn, &[space], "full scope");
+        assert_eq!(results, &d0.node_result(NodeId(0), None), "whole CIBOut");
+
+        out.clear();
+        d0.apply_fence(2, 8, DeviceFence::default(), &mut out);
+        assert!(out.is_empty(), "a quiet fence emits nothing: {out:?}");
+        // Re-tasking under the same edges gains nothing either.
+        d0.apply_fence(3, 9, gain_edge_fence(), &mut out);
+        assert!(out.is_empty(), "no gained edge, no envelope: {out:?}");
+
+        let repair = DeviceFence {
+            reannounce: true,
+            ..DeviceFence::default()
+        };
+        d0.apply_fence(4, 10, repair, &mut out);
+        assert_eq!(out.len(), 1, "the repair wave covers every upstream edge");
+    }
+
+    /// Fences reach devices one at a time, so a peer that fenced first
+    /// can get a new-epoch UPDATE in ahead of this device's own fence —
+    /// naming a node only that fence creates. Early delivery must end
+    /// in the state in-order delivery reaches.
+    #[test]
+    fn early_newer_epoch_envelope_waits_for_the_fence() {
+        let run = |early: bool| {
+            let (mut d0, mut d1, space) = dest_and_idle_upstream();
+            let mut update: Vec<Envelope> = Vec::new();
+            d0.apply_fence(1, 7, gain_edge_fence(), &mut update);
+            let fence = DeviceFence {
+                groups: vec![(
+                    Some(space),
+                    vec![NodeTask {
+                        node: NodeId(1),
+                        dev: DeviceId(1),
+                        downstream: vec![(NodeId(0), DeviceId(0))],
+                        upstream: Vec::new(),
+                        accept: vec![false],
+                    }],
+                )],
+                ..DeviceFence::default()
+            };
+            let mut out: Vec<Envelope> = Vec::new();
+            if early {
+                d1.handle(&update[0], &mut out);
+                assert_eq!(d1.stats.updates_processed, 0, "held, not applied");
+                d1.apply_fence(1, 7, fence, &mut out);
+            } else {
+                d1.apply_fence(1, 7, fence, &mut out);
+                d1.handle(&update[0], &mut out);
+            }
+            assert_eq!(
+                (d1.stats.updates_processed, d1.stats.epoch_discarded),
+                (1, 0)
+            );
+            d1.node_result(NodeId(1), None)
+        };
+        let in_order = run(false);
+        assert_eq!(in_order.len(), 1);
+        assert_eq!(in_order[0].1, Counts::single(vec![1]), "d0's copy arrived");
+        assert_eq!(run(true), in_order);
+    }
 
     /// One outcome split over two disjoint `LocCIB` predicates (what
     /// message-order-dependent splicing can leave behind) exports as

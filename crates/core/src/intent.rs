@@ -19,9 +19,14 @@
 //!   removing an intent only uninstalls what no surviving intent needs.
 //! * **Epoch interaction** — the store is pure bookkeeping, mutated
 //!   only by [`crate::control::ControlPlane`], which turns every
-//!   [`IntentDelta`] into an epoch fence (bump, apply tasks,
-//!   re-announce), so in-flight CIB messages from a superseded intent
-//!   set can never corrupt the new fixpoint.
+//!   [`IntentDelta`] into an epoch fence (bump, apply tasks, repair if
+//!   anything in flight was lost), so in-flight CIB messages from a
+//!   superseded intent set can never corrupt the new fixpoint. A fence
+//!   costs what it changes because global node ids are never recycled:
+//!   the key pins a node's downstream cone, so a node that keeps its id
+//!   keeps its children and the `CIBIn` it holds for them, and a parent
+//!   that is new to it always shows up as a *gained* upstream edge —
+//!   the only listener it has to announce to.
 //!
 //! Soundness of sharing: a node's counting results depend only on its
 //! downstream cone (accept flags + structure), its device's FIB, and
@@ -262,7 +267,7 @@ pub struct StoreReplan {
     /// Nodes in the rebuilt global table.
     pub total_nodes: usize,
     /// Nodes whose id *and* task survived the re-plan verbatim (no
-    /// recount, no re-task — only a re-announce under the new epoch).
+    /// recount, no re-task, nothing to send).
     pub reused_nodes: usize,
 }
 
@@ -643,7 +648,10 @@ impl IntentStore {
     /// pre-churn node keeps that node's id. By bottom-up induction the
     /// whole unchanged cone keeps its exact ids *and* tasks, so it
     /// appears in neither `changed` nor `removed` — unaffected slices
-    /// ship zero tasks and only re-announce under the new epoch.
+    /// ship zero tasks and send nothing. An id that drops out of the
+    /// table is gone for good (`next_node` only grows, and only the
+    /// immediately preceding table's ids can be reclaimed), so a node
+    /// that reappears later is new to every neighbour.
     ///
     /// `taskable` restricts which devices plans may task (substrates
     /// with a fixed thread-per-device set pass their roster; lazily

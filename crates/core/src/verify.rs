@@ -442,12 +442,15 @@ impl Session {
     }
 
     /// Delivers one fence: builds the verifiers it pulls in, queues
-    /// every device's fence output and runs to quiescence. Returns the
+    /// every device's fence output and runs to quiescence. Whatever is
+    /// still queued belongs to an older epoch — every verifier discards
+    /// it on delivery — so it is what this fence loses. Returns the
     /// messages the fence caused (0 when there is nothing to deliver).
     fn deliver(&mut self, fence: Option<FencePlan>) -> usize {
-        let Some(plan) = fence else {
+        let Some(mut plan) = fence else {
             return 0;
         };
+        self.control.seal(&mut plan, self.queue.len(), 0);
         for (dev, fence) in plan.devices {
             if !self.verifiers.contains_key(&dev) {
                 self.build_verifier(dev, Vec::new());

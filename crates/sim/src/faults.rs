@@ -17,6 +17,11 @@
 //! that many retransmissions an envelope bypasses the injector, and
 //! re-acks prompted by suppressed duplicates always bypass it.
 //!
+//! An epoch fence wipes all of it — copies in flight, stashes, parked
+//! sends, both reliability endpoints — and reports how much there was:
+//! zero exactly when the fence lands at quiescence, which is what lets
+//! the engine skip the repair wave (see [`Transport::epoch_fence`]).
+//!
 //! Everything is driven by one seeded ChaCha stream, so a run under
 //! faults is exactly reproducible — the property the `fault-matrix` CI
 //! stage builds on.
@@ -386,16 +391,22 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     /// duplicates, delayed copies, stashed reorders, parked sends and
     /// acks alike are dropped, and both reliability endpoints restart
     /// (sequences from 1, empty windows). Coherent because the engine
-    /// fences before any new-epoch send; re-announcement repairs the
-    /// state the dropped messages carried.
-    fn epoch_fence(&mut self, epoch: u64) {
+    /// fences before any new-epoch send. The return counts every copy
+    /// dropped plus every unacknowledged send; at quiescence (`recv`
+    /// returned `None`) all of these are empty, so a quiet fence
+    /// reports zero and the engine skips the repair wave, while any
+    /// loss makes re-announcement repair the state the dropped
+    /// messages carried.
+    fn epoch_fence(&mut self, epoch: u64) -> usize {
         self.cur_epoch = epoch;
+        let dropped =
+            self.ready.len() + self.held.len() + self.backlog.len() + self.sender.outstanding();
         self.ready.clear();
         self.held.clear();
         self.backlog.clear();
         self.sender.reset();
         self.receiver.reset();
-        self.inner.epoch_fence(epoch);
+        dropped + self.inner.epoch_fence(epoch)
     }
 
     /// Clears every pending envelope addressed to a crash-restarted
@@ -568,13 +579,14 @@ mod tests {
             t.send(DeviceId(1), 0, data(1, 2));
             t.send(DeviceId(3), 0, data(3, 2));
         }
-        t.epoch_fence(1);
+        assert!(t.epoch_fence(1) >= 40, "every unacked send counts as lost");
         let got = drain(&mut t);
         assert!(got.is_empty(), "fence must drop every in-flight envelope");
         t.send(DeviceId(1), 0, data(1, 2));
         let got = drain(&mut t);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 1, "channels restart after the fence");
+        assert_eq!(t.epoch_fence(2), 0, "a quiescent fence loses nothing");
     }
 
     #[test]

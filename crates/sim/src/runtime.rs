@@ -22,6 +22,12 @@
 //! before its own count is released) and its [`RuntimeStats`]; only the
 //! driver loop runs on worker threads instead of a pull loop.
 //!
+//! Epoch fences cost what they change. [`Transport::epoch_fence`]
+//! returns what it dropped and [`ThreadedEngine`] reads its in-flight
+//! gauge; only a non-zero answer makes the devices run the repair wave
+//! (`ControlPlane::seal`). A fence on a quiescent exchange delivers the
+//! changed tasks and nothing else.
+//!
 //! Every substrate reports through one [`RuntimeStats`] so the Fig. 14
 //! (init overhead), Fig. 15 (message overhead) and ablation harnesses
 //! read a single API regardless of how the verifiers were driven.
@@ -367,12 +373,16 @@ pub trait Transport {
         None
     }
     /// Epoch fence: the topology generation bumped, so every in-flight
-    /// envelope (data *and* acks) is superseded — drop them all and
-    /// reset any reliability state. Called by the engine *before* any
-    /// new-epoch send, so the wipe is coherent: re-announcement under
-    /// the new epoch repairs exactly the state the dropped messages
-    /// carried.
-    fn epoch_fence(&mut self, _epoch: u64) {}
+    /// envelope (data *and* acks) is superseded — drop them all, reset
+    /// any reliability state, and return how many were dropped. Called
+    /// by the engine *before* any new-epoch send, so the wipe is
+    /// coherent; a non-zero return is what makes the engine run the
+    /// repair wave (re-announcement under the new epoch repairs exactly
+    /// the state the dropped messages carried), zero means the fence
+    /// landed on a quiescent exchange and lost nothing.
+    fn epoch_fence(&mut self, _epoch: u64) -> usize {
+        0
+    }
     /// A device's verification agent crashed and restarted: drop every
     /// pending envelope addressed to it (delayed/duplicated copies must
     /// not land on the fresh state) plus any stale acks it originated,
@@ -396,7 +406,7 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     fn fault_stats(&self) -> Option<FaultStats> {
         (**self).fault_stats()
     }
-    fn epoch_fence(&mut self, epoch: u64) {
+    fn epoch_fence(&mut self, epoch: u64) -> usize {
         (**self).epoch_fence(epoch)
     }
     fn purge_for_restart(&mut self, dev: DeviceId) {
@@ -409,7 +419,10 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 
 /// Delivery through the topology's links: each envelope arrives after
 /// its link's propagation latency, and the earliest arrival is
-/// delivered first (a virtual-time event heap).
+/// delivered first (a virtual-time event heap). A link is an in-order
+/// channel: a later send never overtakes an earlier one on the same
+/// directed link, even when the engine rewinds its clock for a new
+/// round while a staged wave is still in flight.
 pub struct LatencyTransport {
     topo: Topology,
     /// Latency used when two communicating devices share no direct
@@ -417,6 +430,9 @@ pub struct LatencyTransport {
     fallback_latency_ns: u64,
     queue: BinaryHeap<Reverse<(u64, u64, EnvelopeOrd)>>,
     seq: u64,
+    /// Latest arrival scheduled per directed link among the envelopes
+    /// in flight (emptied whenever the queue runs dry).
+    last_arrival: BTreeMap<(DeviceId, DeviceId), u64>,
 }
 
 impl LatencyTransport {
@@ -427,6 +443,7 @@ impl LatencyTransport {
             fallback_latency_ns,
             queue: BinaryHeap::new(),
             seq: 0,
+            last_arrival: BTreeMap::new(),
         }
     }
 
@@ -443,20 +460,28 @@ impl LatencyTransport {
 
 impl Transport for LatencyTransport {
     fn send(&mut self, from: DeviceId, at: u64, env: Envelope) {
-        let arrival = at + self.latency(from, env.to);
+        let due = at + self.latency(from, env.to);
+        let last = self.last_arrival.entry((from, env.to)).or_default();
+        let arrival = due.max(*last);
+        *last = arrival;
         self.seq += 1;
         self.queue
             .push(Reverse((arrival, self.seq, EnvelopeOrd(env))));
     }
 
     fn recv(&mut self) -> Option<(u64, Envelope)> {
-        self.queue
-            .pop()
-            .map(|Reverse((arrival, _, EnvelopeOrd(env)))| (arrival, env))
+        let next = self.queue.pop();
+        if next.is_none() {
+            self.last_arrival.clear();
+        }
+        next.map(|Reverse((arrival, _, EnvelopeOrd(env)))| (arrival, env))
     }
 
-    fn epoch_fence(&mut self, _epoch: u64) {
+    fn epoch_fence(&mut self, _epoch: u64) -> usize {
+        let dropped = self.queue.len();
         self.queue.clear();
+        self.last_arrival.clear();
+        dropped
     }
 
     fn purge_for_restart(&mut self, dev: DeviceId) {
@@ -498,8 +523,10 @@ impl Transport for FifoTransport {
         self.queue.pop_front().map(|env| (0, env))
     }
 
-    fn epoch_fence(&mut self, _epoch: u64) {
+    fn epoch_fence(&mut self, _epoch: u64) -> usize {
+        let dropped = self.queue.len();
         self.queue.clear();
+        dropped
     }
 
     fn purge_for_restart(&mut self, dev: DeviceId) {
@@ -1148,12 +1175,14 @@ impl<T: Transport, C: Clock> Engine<T, C> {
     }
 
     /// Delivers one fence. The transport drops everything in flight
-    /// *before* any new-epoch send (re-announcement repairs what it
-    /// carried); then every device applies its share at t=0 on its own
-    /// clock, and the exchange is driven to quiescence.
-    fn deliver(&mut self, plan: FencePlan, trace: u64) -> RunOutcome {
+    /// *before* any new-epoch send, and what it dropped decides whether
+    /// the devices run the repair wave; then every device applies its
+    /// share at t=0 on its own clock, and the exchange is driven to
+    /// quiescence.
+    fn deliver(&mut self, mut plan: FencePlan, trace: u64) -> RunOutcome {
         self.reset_time();
-        self.transport.epoch_fence(plan.epoch);
+        let dropped = self.transport.epoch_fence(plan.epoch);
+        self.control.seal(&mut plan, dropped, trace);
         if let Some(topo) = &plan.topology {
             self.transport.set_topology(topo);
         }
@@ -1359,9 +1388,10 @@ enum DeviceMsg {
     Dvm(Envelope),
     /// An injected operation — a coalesced FIB batch, a reboot, a
     /// replay toward a restarted peer, or this device's share of an
-    /// epoch fence (atomic, and by per-channel FIFO applied before any
-    /// post-fence message from a peer that already fenced) — under
-    /// the causal trace id of the wave it starts.
+    /// epoch fence (atomic; a peer that fenced first may get a
+    /// new-epoch message in ahead of it, which the verifier holds until
+    /// the fence arrives) — under the causal trace id of the wave it
+    /// starts.
     Inject(u64, Injected),
     Collect(Vec<NodeId>, mpsc::Sender<NodeResults>),
     #[cfg(test)]
@@ -1401,6 +1431,11 @@ impl InflightGauge {
             let _guard = self.lock.lock().unwrap();
             self.zero.notify_all();
         }
+    }
+
+    /// Messages queued or being processed right now.
+    fn current(&self) -> usize {
+        self.count.load(Ordering::SeqCst).max(0) as usize
     }
 
     fn wait_zero(&self) {
@@ -1798,17 +1833,22 @@ impl ThreadedEngine {
 
     /// Has the control plane decide one event under a fresh trace id,
     /// then sends each device thread its share of the resulting fence
-    /// as one atomic channel message. Stragglers from the old epoch are
-    /// discarded by the verifier-level fence and repaired by
-    /// re-announcement.
+    /// as one atomic channel message. Whatever the in-flight gauge
+    /// counts at that moment is old-epoch traffic: the verifier-level
+    /// fence discards it (or what it would have caused), so a non-zero
+    /// gauge is what makes the devices run the repair wave. Only this
+    /// coordinator injects work (`&mut self`), so a zero gauge stays
+    /// zero until the fences are posted.
     fn fenced(
         &mut self,
         decide: impl FnOnce(&mut ControlPlane, u64) -> Result<Decision, PlanError>,
     ) -> Result<Decision, PlanError> {
         let trace = self.alloc_trace();
         let mut decision = decide(&mut self.control, trace)?;
-        if let Some(FencePlan { epoch, devices, .. }) = decision.fence.take() {
-            for (dev, fence) in devices {
+        if let Some(mut plan) = decision.fence.take() {
+            self.control.seal(&mut plan, self.inflight.current(), trace);
+            let epoch = plan.epoch;
+            for (dev, fence) in plan.devices {
                 let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                     v.apply_fence(epoch, trace, fence, out)
                 };
@@ -2647,6 +2687,34 @@ mod tests {
             assert_eq!(engine.report().quarantined, vec![d]);
         }
         let _ = s;
+    }
+
+    /// A link is an in-order channel even when the engine rewinds its
+    /// clock with a staged wave in flight: the later send may not
+    /// overtake. Once the link runs dry the clamp is gone.
+    #[test]
+    fn latency_transport_links_are_fifo_across_a_clock_rewind() {
+        let net = fig2a_network();
+        let (a, b) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("B"),
+        );
+        let latency = net.topology.link(net.topology.link_between(a, b).unwrap());
+        let latency = latency.latency_ns;
+        let mut t = LatencyTransport::new(net.topology.clone(), 10_000);
+        let numbered = |of| Envelope::data(a, b, Payload::Ack { of });
+        t.send(a, 5_000, numbered(1));
+        t.send(a, 0, numbered(2)); // the clock was reset in between
+        let got: Vec<_> = std::iter::from_fn(|| t.recv()).collect();
+        let order: Vec<_> = got.iter().map(|(_, e)| e.payload.clone()).collect();
+        assert_eq!(order, [Payload::Ack { of: 1 }, Payload::Ack { of: 2 }]);
+        assert_eq!(
+            got[1].0,
+            5_000 + latency,
+            "held back to the earlier arrival"
+        );
+        t.send(a, 0, numbered(3));
+        assert_eq!(t.recv().map(|(at, _)| at), Some(latency));
     }
 
     #[test]

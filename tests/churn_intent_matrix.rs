@@ -8,7 +8,11 @@
 //! loss and mid-sequence `crash_restart` — across the event simulator
 //! ([`tulkun::sim::DvmSim`]), the lossy event simulator
 //! ([`tulkun::sim::FaultyDvmSim`]) and the per-device-thread runner
-//! ([`tulkun::sim::DistributedRun`]).
+//! ([`tulkun::sim::DistributedRun`]), with the synchronous reference
+//! [`Session`] driven alongside for its Report. A FIB batch may be
+//! *staged* — applied at its device, its UPDATE wave left in flight —
+//! so the next fence lands on a non-quiescent exchange, discards that
+//! wave and must repair it.
 //!
 //! There are no "rejected" arms for intent ops: an install racing a
 //! fence *parks* (bounded retry against the next epoch) and an intent
@@ -82,7 +86,9 @@ enum Op {
     /// or degraded alike (skipped when none exist).
     Remove(usize),
     /// Toggle B's `10.0.1.0/24` route (withdraw, then restore, ...).
-    FibToggle,
+    /// `staged` leaves the resulting UPDATE wave undelivered, for the
+    /// next op to land on.
+    FibToggle { staged: bool },
     /// A topology churn event.
     Churn(TopologyEvent),
     /// Crash/restart one device's agent between events.
@@ -214,6 +220,15 @@ fn recorder() -> std::sync::Arc<Telemetry> {
     })
 }
 
+/// Fences so far that re-announced (`tulkun_fence_repairs_total`).
+fn repairs(tel: &Telemetry) -> u64 {
+    let counters = tel.metrics().counters;
+    counters
+        .get("tulkun_fence_repairs_total")
+        .copied()
+        .unwrap_or(0)
+}
+
 /// The lifecycle entries one substrate journaled since `seen` (advanced
 /// to the newest entry), as `(kind, epoch, intent, trace)`.
 fn lifecycle_since(tel: &Telemetry, seen: &mut u64) -> Vec<(JournalKind, u64, Option<u64>, u64)> {
@@ -244,8 +259,9 @@ fn lifecycle_since(tel: &Telemetry, seen: &mut u64) -> Vec<(JournalKind, u64, Op
 /// the unified event API, asserting: no intent op is ever rejected,
 /// equal accept/reject for churn events, lifecycle agreement, and
 /// byte-identical Reports equal to the merged from-scratch reference
-/// after every op.
-fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
+/// after every op. Returns how many fences made the clean engine run
+/// the repair wave — only ones that landed on a staged exchange may.
+fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
     let net = tulkun::datasets::fig2a_network();
     let base = invariant("reach", "S .* D");
     let pool = intent_pool();
@@ -278,6 +294,11 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
     let mut threaded =
         DistributedRun::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
     threaded.wait_quiescent();
+    // The reference session has no crash model (a crash recovers to
+    // the fixpoint it interrupted, so skipping it changes no Report);
+    // only its Report is compared.
+    let mut session = Session::new(&net, &plan);
+    session.run_to_quiescence();
 
     // The model: every admitted intent (live, parked or degraded) plus
     // the base, the cumulative accepted churn, and the current FIBs.
@@ -285,9 +306,14 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
     let mut churn = ChurnState::new();
     let mut net_now = net.clone();
     let mut withdrawn = false;
+    // A staged wave nothing has driven to quiescence yet.
+    let mut undrained = false;
 
     for (i, op) in ops.iter().enumerate() {
         let ctx = format!("at op {i} ({op:?}, seed {seed}, loss {loss})");
+        let epoch_before = clean.epoch();
+        let repairs_before = recorders.each_ref().map(|tel| repairs(tel));
+        let quiescent_before = !undrained;
         match op {
             Op::Install(p) => {
                 let (name, inv) = &pool[p % pool.len()];
@@ -306,6 +332,9 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
                 });
                 let c = threaded.apply_event(&ev).unwrap_or_else(|e| {
                     panic!("threaded rejected an install {ctx}: {e:?}");
+                });
+                session.apply_event(&ev).unwrap_or_else(|e| {
+                    panic!("session rejected an install {ctx}: {e:?}");
                 });
                 let id = a.intent.expect("install outcome carries the id");
                 assert_eq!(b.intent, Some(id), "lossy allocated a different id {ctx}");
@@ -336,29 +365,46 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
                     ("clean", clean.apply_event(&ev)),
                     ("lossy", lossy.apply_event(&ev)),
                     ("threaded", threaded.apply_event(&ev)),
+                    ("session", session.apply_event(&ev)),
                 ] {
                     r.unwrap_or_else(|e| panic!("{s} rejected a removal {ctx}: {e:?}"));
                 }
                 tracked.retain(|(t, _)| *t != id);
             }
-            Op::FibToggle => {
+            Op::FibToggle { staged } => {
                 let u = if withdrawn {
                     restore_update(&net)
                 } else {
                     withdraw_update(&net)
                 };
                 withdrawn = !withdrawn;
-                let ev = RuntimeEvent::Batch(vec![u.clone()]);
-                clean.apply_event(&ev).unwrap();
-                lossy.apply_event(&ev).unwrap();
-                threaded.apply_event(&ev).unwrap();
                 net_now.apply(&u);
+                if *staged {
+                    let batch = std::slice::from_ref(&u);
+                    clean.stage_batch(batch);
+                    lossy.stage_batch(batch);
+                    threaded.inject_batch(vec![u.clone()]);
+                    session.stage_batch(batch);
+                } else {
+                    let ev = RuntimeEvent::Batch(vec![u]);
+                    clean.apply_event(&ev).unwrap();
+                    lossy.apply_event(&ev).unwrap();
+                    threaded.apply_event(&ev).unwrap();
+                    session.apply_event(&ev).unwrap();
+                }
+                undrained = *staged;
             }
             Op::Churn(ev) => {
                 let a = clean.apply_topology_event(ev, &net.topology, &base);
                 let b = lossy.apply_topology_event(ev, &net.topology, &base);
                 let c = threaded.apply_topology_event(ev, &net.topology, &base);
                 threaded.wait_quiescent();
+                let d = session.apply_topology_event(ev, &net.topology, &base);
+                assert_eq!(
+                    a.is_ok(),
+                    d.is_ok(),
+                    "clean/session accept divergence {ctx}"
+                );
                 assert_eq!(a.is_ok(), b.is_ok(), "clean/lossy accept divergence {ctx}");
                 assert_eq!(
                     a.is_ok(),
@@ -377,11 +423,29 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
                 lossy.crash_restart(*dev);
                 threaded.crash_restart(*dev);
                 threaded.wait_quiescent();
+                // The crash drove the engines to quiescence; the
+                // session sits the crash out, so it drains by hand.
+                session.run_to_quiescence();
+                undrained = false;
+            }
+        }
+        // Every fence is driven to quiescence; an op that burned no
+        // epoch (a parked install, a no-footprint removal, a repeated
+        // or rejected churn event) leaves a staged wave in flight.
+        undrained &= clean.epoch() == epoch_before;
+        // The event simulators know exactly what a fence discards: one
+        // that lands on a quiescent exchange repairs nothing. (The
+        // threaded runner's in-flight gauge may also see traffic this
+        // harness did not stage — a crash recovery still draining.)
+        if quiescent_before {
+            for (tel, before) in recorders.iter().zip(repairs_before).take(2) {
+                assert_eq!(repairs(tel), before, "a quiet fence repaired {ctx}");
             }
         }
 
         assert_eq!(clean.epoch(), lossy.epoch(), "epoch skew {ctx}");
         assert_eq!(clean.epoch(), threaded.epoch(), "epoch skew {ctx}");
+        assert_eq!(clean.epoch(), session.epoch(), "epoch skew {ctx}");
         let journaled: Vec<_> = recorders
             .iter()
             .zip(seen.iter_mut())
@@ -421,24 +485,30 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
             &churn,
             &ctx,
         );
+        if undrained && i + 1 < ops.len() {
+            continue; // not converged yet: a later op (or the end) drains
+        }
+        if undrained {
+            clean.run_staged();
+            lossy.run_staged();
+            threaded.wait_quiescent();
+            session.run_to_quiescence();
+        }
         let expect = merged_reference(&net_now, &churn, &evaluated);
-        assert_eq!(
-            clean.report().canonical_bytes(),
-            expect,
-            "clean Report diverged from merged reference {ctx}"
-        );
-        assert_eq!(
-            lossy.report().canonical_bytes(),
-            expect,
-            "lossy Report diverged from merged reference {ctx}"
-        );
-        assert_eq!(
-            threaded.report().canonical_bytes(),
-            expect,
-            "threaded Report diverged from merged reference {ctx}"
-        );
+        for (name, bytes) in [
+            ("clean", clean.report().canonical_bytes()),
+            ("lossy", lossy.report().canonical_bytes()),
+            ("threaded", threaded.report().canonical_bytes()),
+            ("session", session.report().canonical_bytes()),
+        ] {
+            assert!(
+                bytes == expect,
+                "{name} Report diverged from merged reference {ctx}"
+            );
+        }
     }
     threaded.shutdown().expect("clean shutdown");
+    repairs(&recorders[0])
 }
 
 /// The deterministic CI matrix: installs racing a device-down window
@@ -457,11 +527,11 @@ fn seed_matrix_overlapping_intent_and_topology_churn() {
         Op::Install(2),
         Op::Crash(w),
         Op::Install(1),
-        Op::FibToggle,
+        Op::FibToggle { staged: false },
         Op::Remove(1),
         Op::Churn(TopologyEvent::DeviceUp(b)),
         Op::Install(2),
-        Op::FibToggle,
+        Op::FibToggle { staged: false },
     ];
     for seed in SEEDS {
         for loss in LOSS_RATES {
@@ -486,13 +556,44 @@ fn remove_while_parked_drains_the_pending_queue_everywhere() {
     drive_interleaving(&ops, 0.10, 23);
 }
 
+/// Fences that land on a non-quiescent exchange — a staged FIB wave
+/// still in flight when a link flap, an intent install, a device death
+/// and a removal arrive — discard that wave and must repair it: every
+/// substrate ends byte-equal to the fresh plan (held per op by
+/// `drive_interleaving`), with and without loss.
+#[test]
+fn fences_on_a_staged_exchange_repair_and_match_fresh() {
+    let net = tulkun::datasets::fig2a_network();
+    let a = net.topology.expect_device("A");
+    let b = net.topology.expect_device("B");
+    let staged = Op::FibToggle { staged: true };
+    let ops = [
+        Op::Install(0),
+        staged.clone(),
+        Op::Churn(TopologyEvent::LinkDown(a, b)),
+        staged.clone(),
+        Op::Install(1),
+        staged.clone(),
+        Op::Churn(TopologyEvent::DeviceDown(b)),
+        staged.clone(),
+        Op::Remove(0),
+        Op::Churn(TopologyEvent::DeviceUp(b)),
+        staged,
+    ];
+    for loss in LOSS_RATES {
+        // Every fence but the revival's lands on a staged wave (a
+        // quarantined B still announces toward its old-plan parents).
+        assert_eq!(drive_interleaving(&ops, loss, 7), 4, "loss {loss}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn random_overlapping_interleavings_stay_byte_identical(
         (raw, schedule_seed, loss_idx, device_churn, crash_pos) in (
-            proptest::collection::vec((0usize..5, 0usize..4), 2..8),
+            proptest::collection::vec((0usize..5, 0usize..8), 2..8),
             1u64..512,
             0usize..2,
             any::<bool>(),
@@ -511,7 +612,8 @@ proptest! {
             .map(|(kind, idx)| match kind {
                 0 => Op::Install(idx),
                 1 => Op::Remove(idx),
-                2 => Op::FibToggle,
+                // The index's third bit: leave the wave in flight.
+                2 => Op::FibToggle { staged: idx >= 4 },
                 _ => match link_events.next() {
                     Some(ev) => Op::Churn(ev),
                     None => Op::Install(idx),

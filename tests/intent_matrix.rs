@@ -365,3 +365,100 @@ fn inet2_intent_install_is_slice_local() {
     assert!(rm.removed.values().map(Vec::len).sum::<usize>() <= delta.total_nodes);
     assert_eq!(sim.report().canonical_bytes(), before);
 }
+
+/// A fence costs what it changes. On a quiescent session holding the
+/// base and one other runtime intent, swapping a third intent out and
+/// back in delivers messages only to the devices the two deltas touch
+/// and their DPVNet neighbours — every other device's slice keeps the
+/// `CIBIn` it already holds and hears nothing — and the re-install
+/// costs no more messages than installing the same intent beside the
+/// base alone (sharing can only save work).
+#[test]
+fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
+    use std::collections::BTreeSet;
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let net = &ds.network;
+    let topo = &net.topology;
+    // Reachability from one ingress to a destination's first external
+    // prefix, along loop-free paths at most one hop off the shortest.
+    let reach = |from: &str, to: &str| {
+        let prefix = topo.external_prefixes(topo.expect_device(to))[0];
+        let path = PathExpr::parse(&format!("{from} .* {to}")).unwrap();
+        Invariant::builder()
+            .name(format!("{from}->{to}"))
+            .packet_space(PacketSpace::DstPrefix(prefix))
+            .ingress([from])
+            .behavior(Behavior::exist(
+                CountExpr::ge(1),
+                path.loop_free().shortest_plus(1),
+            ))
+            .build()
+            .unwrap()
+    };
+    let base = reach("SEAT", "NEWY");
+    let (other, swapped) = (reach("LOSA", "WASH"), reach("KANS", "CHIC"));
+    let plan = Planner::new(topo).plan(&base).unwrap();
+    let cp = plan.counting().unwrap();
+    let engine = || {
+        let cfg = SimConfig {
+            all_devices: true,
+            ..SimConfig::default()
+        };
+        let mut e = DvmSim::new(net, cp, &base.packet_space, cfg);
+        e.burst();
+        e
+    };
+
+    let mut shared = engine();
+    shared.install_intent("other", &other).unwrap();
+    let (id, ..) = shared.install_intent("swapped", &swapped).unwrap();
+    // Devices hosting a slice node adjacent to one on a touched device.
+    let neighbours = |e: &DvmSim, touched: &BTreeSet<DeviceId>| -> BTreeSet<DeviceId> {
+        let tasks = e.intents().global_tasks();
+        let near = tasks.iter().filter(|t| touched.contains(&t.dev));
+        near.flat_map(|t| t.upstream.iter().chain(&t.downstream))
+            .map(|(_, d)| *d)
+            .collect()
+    };
+    let heard = |e: &DvmSim| -> Vec<(DeviceId, u64)> {
+        let per_device = &e.stats().per_device;
+        per_device.iter().map(|(d, s)| (*d, s.messages)).collect()
+    };
+    let before = heard(&shared);
+    let (removed, _) = shared.remove_intent(id).unwrap();
+    let mut reached = removed.touched_devices();
+    reached.extend(neighbours(&shared, &removed.touched_devices()));
+    let (_, added, outcome) = shared.install_intent("swapped", &swapped).unwrap();
+    reached.extend(added.touched_devices());
+    reached.extend(neighbours(&shared, &added.touched_devices()));
+    assert!(
+        outcome.messages > 0,
+        "the swap announces to its new parents"
+    );
+    let quiet: Vec<_> = before
+        .iter()
+        .filter(|(d, _)| !reached.contains(d))
+        .collect();
+    // Not vacuous: some untouched device hosts a node with children,
+    // the audience of a network-wide re-announcement.
+    let tasks = shared.intents().global_tasks();
+    let listens = |d: &DeviceId| {
+        tasks
+            .iter()
+            .any(|t| t.dev == *d && !t.downstream.is_empty())
+    };
+    assert!(quiet.iter().any(|(d, _)| listens(d)), "{quiet:?}");
+    for (d, n) in &quiet {
+        let now = shared.stats().per_device[d].messages;
+        assert_eq!(now, *n, "untouched {d:?} heard the swap");
+    }
+
+    let mut solo = engine();
+    let (.., alone) = solo.install_intent("swapped", &swapped).unwrap();
+    assert!(
+        outcome.messages <= alone.messages,
+        "installing beside another intent cost {} messages, alone {}",
+        outcome.messages,
+        alone.messages
+    );
+}
