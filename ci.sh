@@ -15,10 +15,14 @@
 #                 check: the intent/churn lifecycle (its journal kinds
 #                 and the IntentStore mutators) is named nowhere under
 #                 crates/sim or in core/verify.rs, so a copy of
-#                 core/control.rs cannot grow back in a substrate; and
-#                 the predicate layer (LEC builder, boundary partition,
+#                 core/control.rs cannot grow back in a substrate; the
+#                 predicate layer (LEC builder, boundary partition,
 #                 backend selection) has no second home outside
-#                 crates/predicate
+#                 crates/predicate; and the event lifecycle is written
+#                 once over the two fabrics (batch staging, crash/
+#                 restart, scene swap and fence delivery each occur
+#                 exactly once under crates/sim/src, and the deleted
+#                 second names of the engines stay deleted)
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — as one release
@@ -135,6 +139,21 @@ stage_lint() {
         'fn local_equivalence_classes\|struct \(IntervalAtoms\|AtomPartition\|AtomAction\)\|update_rate_hint' \
         crates src tests examples | grep -v '^crates/predicate/'; then
         echo "lint: predicate-layer logic outside crates/predicate (see above)" >&2
+        exit 1
+    fi
+    for once in 'JournalKind::BatchApplied' 'JournalKind::CrashRestart' \
+                'JournalKind::SceneApplied' 'fn fenced'; do
+        n="$(grep -rn --include='*.rs' "$once" crates/sim/src | wc -l)"
+        if [ "$n" -ne 1 ]; then
+            grep -rn --include='*.rs' "$once" crates/sim/src >&2 || true
+            echo "lint: '$once' occurs $n times under crates/sim/src, want 1 (one lifecycle, two fabrics)" >&2
+            exit 1
+        fi
+    done
+    if grep -rnw --include='*.rs' \
+        'DvmSim\|FaultyDvmSim\|SimConfig\|SimResult\|DistributedRun\|InstantClock' \
+        crates src tests examples; then
+        echo "lint: a deleted engine alias or clock is back (see above)" >&2
         exit 1
     fi
 }

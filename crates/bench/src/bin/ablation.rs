@@ -28,9 +28,8 @@ use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
 use tulkun_datasets::by_name;
 use tulkun_netmodel::network::Network;
-use tulkun_sim::event::LecCache;
 use tulkun_sim::{
-    network_ip_only, BackendKind, DvmSim, FaultyDvmSim, SimConfig, Telemetry, TelemetryConfig,
+    network_ip_only, BackendKind, Engine, EngineConfig, LecCache, Telemetry, TelemetryConfig,
 };
 
 fn main() {
@@ -156,14 +155,14 @@ fn bench_backends(cli: &Cli) {
         let mut bdd_churn: Option<(u64, Vec<u8>)> = None;
         for &backend in &backends {
             let telemetry = Telemetry::new(TelemetryConfig::enabled());
-            let mut sim = DvmSim::new(
+            let mut sim = Engine::new(
                 &ds.network,
                 cp,
                 &inv.packet_space,
-                SimConfig {
+                EngineConfig {
                     backend,
                     telemetry: telemetry.clone(),
-                    ..SimConfig::default()
+                    ..EngineConfig::default()
                 },
             );
             sim.burst();
@@ -243,7 +242,7 @@ fn ablate_churn(cli: &Cli) {
         let cp = plan.counting().unwrap();
 
         let schedule = ChurnSchedule::seeded(topo, &inv, 7, 4);
-        let mut sim = DvmSim::new(&ds.network, cp, &inv.packet_space, SimConfig::default());
+        let mut sim = Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
         sim.burst();
         let mut churn = ChurnState::new();
         for ev in &schedule.0 {
@@ -269,7 +268,8 @@ fn ablate_churn(cli: &Cli) {
             let t1 = Instant::now();
             let fresh_plan = Planner::new(&post.topology).plan(&inv).unwrap();
             let fresh_cp = fresh_plan.counting().unwrap();
-            let mut fresh = DvmSim::new(&post, fresh_cp, &inv.packet_space, SimConfig::default());
+            let mut fresh =
+                Engine::new(&post, fresh_cp, &inv.packet_space, EngineConfig::default());
             let fr = fresh.burst();
             let reinit_wall = t1.elapsed().as_nanos() as u64;
 
@@ -410,11 +410,11 @@ fn ablate_parallel_init(cli: &Cli) {
         let run = |parallel_init: bool| {
             let telemetry = Telemetry::new(TelemetryConfig::enabled());
             let t0 = Instant::now();
-            let mut sim = DvmSim::new(
+            let mut sim = Engine::new(
                 &ds.network,
                 cp,
                 &inv.packet_space,
-                SimConfig {
+                EngineConfig {
                     parallel_init,
                     telemetry: telemetry.clone(),
                     ..Default::default()
@@ -476,16 +476,16 @@ fn ablate_fault_overhead(cli: &Cli) {
         let plan = Planner::new(topo).plan(&inv).unwrap();
         let cp = plan.counting().unwrap();
 
-        let mut clean = DvmSim::new(&ds.network, cp, &inv.packet_space, SimConfig::default());
+        let mut clean = Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
         clean.burst();
         let reference = clean.report().canonical_bytes();
 
         for loss in [0.0, 0.01, 0.10] {
-            let mut sim = FaultyDvmSim::new(
+            let mut sim = Engine::lossy(
                 &ds.network,
                 cp,
                 &inv.packet_space,
-                SimConfig::default(),
+                EngineConfig::default(),
                 FaultProfile::loss(23, loss),
             );
             let r = sim.burst();
@@ -640,15 +640,16 @@ fn ablate_lec_sharing(cli: &Cli) {
             for (plan, inv) in &plans {
                 let cp = plan.counting().unwrap();
                 if share {
-                    let _ = DvmSim::with_cache(
+                    let _ = Engine::with_cache(
                         &ds.network,
                         cp,
                         &inv.packet_space,
-                        SimConfig::default(),
+                        EngineConfig::default(),
                         &cache,
                     );
                 } else {
-                    let _ = DvmSim::new(&ds.network, cp, &inv.packet_space, SimConfig::default());
+                    let _ =
+                        Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
                 }
             }
             t0.elapsed().as_nanos() as u64

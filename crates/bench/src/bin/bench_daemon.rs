@@ -35,7 +35,7 @@ use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PathExpr};
 use tulkun_datasets::{by_name, rule_updates};
 use tulkun_netmodel::network::{Network, RuleUpdate};
-use tulkun_sim::{AdmissionPolicy, DvmSim, Service, ServiceConfig, ServiceRequest, SimConfig};
+use tulkun_sim::{AdmissionPolicy, Engine, EngineConfig, Service, ServiceConfig, ServiceRequest};
 use tulkun_telemetry::{CONVERGENCE_LAG_NS, HANDLE_NS};
 
 /// Repetitions of each row's session; the fastest is reported.
@@ -247,11 +247,11 @@ fn main() {
                 let verdict = svc.slo();
 
                 // Reference: the same admitted requests, applied directly.
-                let sim_cfg = SimConfig {
+                let sim_cfg = EngineConfig {
                     all_devices: true,
-                    ..SimConfig::default()
+                    ..EngineConfig::default()
                 };
-                let mut reference = DvmSim::new(net, &cp, &inv.packet_space, sim_cfg);
+                let mut reference = Engine::new(net, &cp, &inv.packet_space, sim_cfg);
                 reference.burst();
                 for a in &applied {
                     match a {

@@ -12,7 +12,7 @@ use tulkun_bench::{all_pair_workload, fmt_ns, quantile, Cli, FigureTable};
 use tulkun_core::fault::{plan_fault_tolerant, sample_scenes, FaultScene};
 use tulkun_core::spec::FaultSpec;
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
-use tulkun_sim::{central_burst, central_update, DvmSim, SimConfig};
+use tulkun_sim::{central_burst, central_update, Engine, EngineConfig};
 
 /// Flooding delay model: one diameter worth of propagation.
 fn flood_ns(topo: &tulkun_netmodel::Topology) -> u64 {
@@ -110,7 +110,12 @@ fn main() {
                 continue;
             }
         };
-        let mut sim = DvmSim::new(&ds.network, &plan, &inv.packet_space, SimConfig::default());
+        let mut sim = Engine::new(
+            &ds.network,
+            &plan,
+            &inv.packet_space,
+            EngineConfig::default(),
+        );
         sim.burst();
         let fl = flood_ns(topo);
         let mut scene_times: Vec<u64> = Vec::new();

@@ -5,7 +5,7 @@
 use tulkun_bench::{fmt_ns, quantile, Cli, FigureTable};
 use tulkun_core::planner::Planner;
 use tulkun_datasets::all_datasets;
-use tulkun_sim::{DvmSim, SimConfig, SwitchModel};
+use tulkun_sim::{Engine, EngineConfig, SwitchModel};
 
 fn main() {
     let cli = Cli::parse();
@@ -87,7 +87,7 @@ fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
     let inv = tulkun_bench::workload::wan_invariant(net, dst, &prefixes);
     let plan = Planner::new(&net.topology).plan(&inv).expect("plan");
     let cp = plan.counting().expect("counting plan");
-    let mut sim = DvmSim::new(net, cp, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(net, cp, &inv.packet_space, EngineConfig::default());
     let r = sim.burst();
     sim.stats()
         .per_device

@@ -9,7 +9,7 @@ use tulkun_core::planner::CountingPlan;
 use tulkun_core::spec::PacketSpace;
 use tulkun_datasets::rule_updates;
 use tulkun_netmodel::network::{Network, RuleUpdate};
-use tulkun_sim::{BackendKind, DvmSim, SimConfig, Telemetry, TelemetryConfig};
+use tulkun_sim::{BackendKind, Engine, EngineConfig, Telemetry, TelemetryConfig};
 use tulkun_telemetry::HANDLE_NS;
 
 /// Cost and verdict of one trace replay.
@@ -61,14 +61,14 @@ pub fn replay_trace_with(
 ) -> ReplayOutcome {
     assert!(burst > 0, "burst size must be positive");
     let telemetry = Telemetry::new(TelemetryConfig::enabled());
-    let mut sim = DvmSim::new(
+    let mut sim = Engine::new(
         net,
         cp,
         ps,
-        SimConfig {
+        EngineConfig {
             telemetry: telemetry.clone(),
             backend,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         },
     );
     sim.burst();

@@ -15,9 +15,8 @@ use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::{DeviceId, IpPrefix};
-use tulkun_sim::event::LecCache;
 use tulkun_sim::localsim::LocalSim;
-use tulkun_sim::{DvmSim, SimConfig, SwitchModel};
+use tulkun_sim::{Engine, EngineConfig, LecCache, SwitchModel};
 
 /// The baseline workload for a dataset (all announced pairs).
 pub fn all_pair_workload(net: &Network) -> BaselineWorkload {
@@ -84,7 +83,7 @@ pub fn dc_invariant(net: &Network, dst: DeviceId, prefixes: &[IpPrefix]) -> Inva
 enum PerDst {
     Counting {
         prefixes: Vec<IpPrefix>,
-        sim: DvmSim,
+        sim: Engine,
     },
     Local {
         prefixes: Vec<IpPrefix>,
@@ -152,11 +151,11 @@ fn build_per_dst(
     *plan_ns += t0.elapsed().as_nanos() as u64;
     match &plan.kind {
         tulkun_core::planner::PlanKind::Counting(cp) => {
-            let sim = DvmSim::with_cache(
+            let sim = Engine::with_cache(
                 net,
                 cp,
                 &plan.invariant.packet_space,
-                SimConfig {
+                EngineConfig {
                     model,
                     ..Default::default()
                 },

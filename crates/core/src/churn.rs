@@ -3,14 +3,15 @@
 //! §3's `fault_scenes` cover *statically declared* failures; this module
 //! makes live topology change a first-class event. A churn event
 //! ([`TopologyEvent`]) folds into a cumulative [`ChurnState`], the
-//! incremental re-planner ([`replan_for_churn`]) compiles the invariant
-//! against the post-churn topology and diffs the resulting per-device
-//! task lists against the running plan, and the runtime applies only the
-//! diff: devices with changed tasks swap them in (a re-tasked node that
-//! gains an upstream edge tells that one new listener its whole
-//! `CIBOut`), everything else only learns the new epoch. LEC tables, BDD
-//! managers and FIB state are untouched — re-planning is cheap exactly
-//! because the expensive per-device state survives.
+//! control plane ([`crate::control::ControlPlane::topology_event`])
+//! re-plans every live intent against the post-churn topology and
+//! diffs the resulting per-device task lists against the running ones,
+//! and the runtime applies only the diff: devices with changed tasks
+//! swap them in (a re-tasked node that gains an upstream edge tells
+//! that one new listener its whole `CIBOut`), everything else only
+//! learns the new epoch. LEC tables, BDD managers and FIB state are
+//! untouched — re-planning is cheap exactly because the expensive
+//! per-device state survives.
 //!
 //! The **epoch fence** makes this safe while messages are in flight:
 //! every bump of the generation number invalidates envelopes stamped
@@ -21,11 +22,10 @@
 //! every node's durable state and repairs exactly what those dropped
 //! messages carried; a fence on a quiescent exchange skips it.
 
-use crate::dpvnet::NodeId;
 use crate::fault::{link_pair, subtopology, FaultScene, LinkPair};
-use crate::planner::{CountingPlan, NodeTask, PlanError, Planner};
+use crate::planner::Planner;
 use crate::spec::Invariant;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use tulkun_netmodel::topology::{DeviceId, Topology};
 
 /// One live topology change.
@@ -129,130 +129,6 @@ impl ChurnState {
     }
 }
 
-/// What an incremental re-plan asks the runtime to do.
-#[derive(Debug, Clone)]
-pub struct ReplanDelta {
-    /// The full post-churn counting plan (becomes the runtime's plan).
-    pub plan: CountingPlan,
-    /// The post-churn topology the plan was compiled against.
-    pub topology: Topology,
-    /// Per device: the new task list, present only where it differs
-    /// from the old plan. These devices swap tasks and recount.
-    pub changed: BTreeMap<DeviceId, Vec<NodeTask>>,
-    /// Per device: nodes of the old plan no longer assigned to it.
-    pub removed: BTreeMap<DeviceId, Vec<NodeId>>,
-    /// Nodes of the *old* plan hosted on now-quarantined devices; their
-    /// last results are reported `Unreachable`, not recomputed.
-    pub unreachable: Vec<(NodeId, DeviceId)>,
-    /// Nodes in the new plan.
-    pub total_nodes: usize,
-    /// Nodes whose task survived the re-plan verbatim (no recount).
-    pub reused_nodes: usize,
-}
-
-impl ReplanDelta {
-    /// Devices whose task list changed (must recount).
-    pub fn changed_devices(&self) -> usize {
-        self.changed.len()
-    }
-}
-
-fn tasks_by_device(tasks: &[NodeTask]) -> BTreeMap<DeviceId, Vec<NodeTask>> {
-    let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-    for t in tasks {
-        by_dev.entry(t.dev).or_default().push(t.clone());
-    }
-    for list in by_dev.values_mut() {
-        list.sort_by_key(|t| t.node);
-    }
-    by_dev
-}
-
-/// Re-plans the invariant against the post-churn topology and diffs the
-/// result against the running plan.
-///
-/// The diff is per device: a device appears in `changed` iff its sorted
-/// task list differs from the old plan's (new nodes, dropped nodes, or
-/// re-wired neighbor lists all count), and in `removed` with the node
-/// ids it must forget. Everything else keeps its counting state and has
-/// nothing to send.
-///
-/// Fails with the planner's error when the post-churn topology no longer
-/// supports the invariant at all (e.g. the destination is unreachable
-/// from every ingress); the caller decides whether to keep verifying the
-/// old epoch or surface the error.
-pub fn replan_for_churn(
-    base: &Topology,
-    inv: &Invariant,
-    old: &CountingPlan,
-    churn: &ChurnState,
-) -> Result<ReplanDelta, PlanError> {
-    let topology = churn.apply_to(base);
-    let plan = Planner::new(&topology).plan(inv)?;
-    let new = plan
-        .counting()
-        .ok_or_else(|| PlanError::Unsupported("churn re-planning needs a counting plan".into()))?
-        .clone();
-
-    let old_by_dev = tasks_by_device(&old.tasks);
-    let new_by_dev = tasks_by_device(&new.tasks);
-    let mut changed = BTreeMap::new();
-    let mut removed = BTreeMap::new();
-    let mut unreachable = Vec::new();
-    let mut reused_nodes = 0;
-    let devices: BTreeSet<DeviceId> = old_by_dev
-        .keys()
-        .chain(new_by_dev.keys())
-        .copied()
-        .collect();
-    for dev in devices {
-        let old_tasks = old_by_dev.get(&dev);
-        let new_tasks = new_by_dev.get(&dev);
-        if churn.is_down(dev) {
-            // Quarantined: its old nodes become unreachable; it is not
-            // asked to recount (the planner assigns it nothing anyway —
-            // no path crosses an isolated device).
-            if let Some(old_tasks) = old_tasks {
-                unreachable.extend(old_tasks.iter().map(|t| (t.node, dev)));
-            }
-            continue;
-        }
-        match (old_tasks, new_tasks) {
-            (Some(o), Some(n)) if o == n => {
-                reused_nodes += n.len();
-            }
-            (o, n) => {
-                if let Some(n) = n {
-                    changed.insert(dev, n.clone());
-                }
-                let kept: BTreeSet<NodeId> = n
-                    .map(|n| n.iter().map(|t| t.node).collect())
-                    .unwrap_or_default();
-                let gone: Vec<NodeId> = o
-                    .map(|o| {
-                        o.iter()
-                            .map(|t| t.node)
-                            .filter(|id| !kept.contains(id))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if !gone.is_empty() {
-                    removed.insert(dev, gone);
-                }
-            }
-        }
-    }
-    Ok(ReplanDelta {
-        total_nodes: new.tasks.len(),
-        plan: new,
-        topology,
-        changed,
-        removed,
-        unreachable,
-        reused_nodes,
-    })
-}
-
 /// A deterministic sequence of churn events.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnSchedule(pub Vec<TopologyEvent>);
@@ -275,14 +151,14 @@ impl ChurnSchedule {
         };
         let all_links: Vec<LinkPair> = base.links().iter().map(|l| link_pair(l.a, l.b)).collect();
         let mut churn = ChurnState::new();
-        let old = match Planner::new(base)
-            .plan(inv)
-            .ok()
-            .and_then(|p| p.counting().cloned())
-        {
-            Some(cp) => cp,
-            None => return ChurnSchedule(Vec::new()),
+        // Plannable: the invariant still compiles to a counting plan.
+        let plannable = |topo: &Topology| {
+            let plan = Planner::new(topo).plan(inv);
+            plan.is_ok_and(|p| p.counting().is_some())
         };
+        if !plannable(base) {
+            return ChurnSchedule(Vec::new());
+        }
         let mut events = Vec::new();
         'outer: while events.len() < len {
             // Candidates: recover any down link, or fail any up link.
@@ -303,7 +179,7 @@ impl ChurnSchedule {
                 let ev = cands.swap_remove(i);
                 let mut trial = churn.clone();
                 trial.apply(&ev);
-                if replan_for_churn(base, inv, &old, &trial).is_ok() {
+                if plannable(&trial.apply_to(base)) {
                     churn = trial;
                     events.push(ev);
                     continue 'outer;
@@ -331,140 +207,158 @@ impl ChurnSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{table1, PacketSpace};
+    use crate::control::{ControlPlane, FencePlan};
+    use crate::intent::tests::{fig2a_network, plan_for};
+    use crate::planner::NodeTask;
+    use std::collections::BTreeMap;
+    use tulkun_netmodel::network::Network;
+    use tulkun_telemetry::Telemetry;
 
-    fn fig2a_topo() -> Topology {
-        let mut t = Topology::new();
-        let s = t.add_device("S");
-        let a = t.add_device("A");
-        let b = t.add_device("B");
-        let w = t.add_device("W");
-        let d = t.add_device("D");
-        t.add_link(s, a, 1000);
-        t.add_link(a, b, 1000);
-        t.add_link(a, w, 1000);
-        t.add_link(b, w, 1000);
-        t.add_link(b, d, 1000);
-        t.add_link(w, d, 1000);
-        t.add_external_prefix(d, "10.0.0.0/23".parse().unwrap());
-        t
+    /// A control plane over fig2a with the waypoint invariant as its
+    /// base intent and every device on the roster.
+    fn control(net: &Network) -> (ControlPlane, Invariant) {
+        let (inv, cp) = plan_for(net, "S .* W .* D");
+        let roster = (0..net.topology.num_devices() as u32).map(DeviceId);
+        let tel = Telemetry::disabled();
+        let ps = &inv.packet_space;
+        let c = ControlPlane::new(&net.topology, net.layout, &cp, ps, roster, false, tel);
+        (c, inv)
     }
 
-    fn waypoint() -> Invariant {
-        table1::waypoint(PacketSpace::dst_prefix("10.0.0.0/23"), "S", "W", "D").unwrap()
+    /// Applies one event and returns its fence (`None`: nothing changed).
+    fn fence(
+        c: &mut ControlPlane,
+        net: &Network,
+        inv: &Invariant,
+        ev: TopologyEvent,
+    ) -> Option<FencePlan> {
+        c.topology_event(&ev, &net.topology, inv, 0).unwrap().fence
     }
 
-    fn base_plan(topo: &Topology, inv: &Invariant) -> CountingPlan {
-        Planner::new(topo)
-            .plan(inv)
-            .unwrap()
-            .counting()
-            .unwrap()
-            .clone()
+    fn by_device(tasks: &[NodeTask]) -> BTreeMap<DeviceId, Vec<NodeTask>> {
+        let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
+        for t in tasks {
+            by_dev.entry(t.dev).or_default().push(t.clone());
+        }
+        by_dev.values_mut().for_each(|l| l.sort_by_key(|t| t.node));
+        by_dev
     }
 
-    #[test]
-    fn no_churn_diffs_to_nothing() {
-        let topo = fig2a_topo();
-        let inv = waypoint();
-        let old = base_plan(&topo, &inv);
-        let delta = replan_for_churn(&topo, &inv, &old, &ChurnState::new()).unwrap();
-        assert!(delta.changed.is_empty(), "identical plan must diff empty");
-        assert!(delta.removed.is_empty());
-        assert!(delta.unreachable.is_empty());
-        assert_eq!(delta.reused_nodes, delta.total_nodes);
+    /// The per-device tasks after `fence` is applied to `before`: drop
+    /// `remove`, then each re-tasked node replaces its old task.
+    fn apply(before: &[NodeTask], fence: &FencePlan) -> BTreeMap<DeviceId, Vec<NodeTask>> {
+        let mut tasks = by_device(before);
+        for (dev, f) in &fence.devices {
+            let list = tasks.entry(*dev).or_default();
+            list.retain(|t| !f.remove.contains(&t.node));
+            for new in f.groups.iter().flat_map(|(_, g)| g) {
+                list.retain(|t| t.node != new.node);
+                list.push(new.clone());
+            }
+            list.sort_by_key(|t| t.node);
+        }
+        tasks.retain(|_, l| !l.is_empty());
+        tasks
     }
 
     #[test]
     fn link_down_then_up_round_trips() {
-        let topo = fig2a_topo();
-        let inv = waypoint();
-        let old = base_plan(&topo, &inv);
-        let a = topo.expect_device("A");
-        let b = topo.expect_device("B");
+        let net = fig2a_network();
+        let (mut c, inv) = control(&net);
+        let base_tasks = by_device(&c.plan().tasks);
+        let (a, b) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("B"),
+        );
         let mut churn = ChurnState::new();
         assert!(churn.apply(&TopologyEvent::LinkDown(a, b)));
         assert!(!churn.apply(&TopologyEvent::LinkDown(b, a)), "idempotent");
-        let down = replan_for_churn(&topo, &inv, &old, &churn).unwrap();
+        let down = fence(&mut c, &net, &inv, TopologyEvent::LinkDown(a, b)).unwrap();
         assert!(
-            !down.changed.is_empty(),
+            down.devices.values().any(|f| !f.groups.is_empty()),
             "losing a link on valid paths must change some tasks"
         );
-        assert_eq!(down.topology.num_links(), topo.num_links() - 1);
+        let post = down.topology.expect("a churn fence carries its topology");
+        assert_eq!(post.num_links(), net.topology.num_links() - 1);
+        assert!(fence(&mut c, &net, &inv, TopologyEvent::LinkDown(b, a)).is_none());
         assert!(churn.apply(&TopologyEvent::LinkUp(a, b)));
         assert!(churn.is_quiet());
-        let up = replan_for_churn(&topo, &inv, &old, &churn).unwrap();
-        assert!(up.changed.is_empty(), "recovery restores the exact plan");
-        assert_eq!(up.reused_nodes, old.tasks.len());
+        fence(&mut c, &net, &inv, TopologyEvent::LinkUp(a, b)).unwrap();
+        assert_eq!(
+            by_device(&c.plan().tasks),
+            base_tasks,
+            "recovery restores the exact plan"
+        );
     }
 
     #[test]
     fn device_down_isolates_and_quarantines() {
-        let topo = fig2a_topo();
-        let inv = waypoint();
-        let old = base_plan(&topo, &inv);
-        let b = topo.expect_device("B");
+        let net = fig2a_network();
+        let (mut c, inv) = control(&net);
+        let b = net.topology.expect_device("B");
+        // B had nodes in the old plan (paths S-A-B-W-D etc. cross it).
+        assert!(c.intents().global_tasks().iter().any(|t| t.dev == b));
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
         assert!(churn.is_down(b));
-        let delta = replan_for_churn(&topo, &inv, &old, &churn).unwrap();
-        // B had nodes in the old plan (paths S-A-B-W-D etc. cross it).
+        let down = fence(&mut c, &net, &inv, TopologyEvent::DeviceDown(b)).unwrap();
+        assert!(c.is_quarantined(b));
         assert!(
-            delta.unreachable.iter().any(|(_, d)| *d == b),
-            "quarantined device's old nodes must be reported unreachable"
-        );
-        assert!(
-            !delta.changed.contains_key(&b),
+            down.devices[&b].groups.is_empty() && !down.devices[&b].reannounce,
             "a quarantined device is never asked to recount"
         );
-        assert!(delta.plan.tasks.iter().all(|t| t.dev != b));
+        assert!(c.intents().global_tasks().iter().all(|t| t.dev != b));
+        let mut report = crate::verify::Report::default();
+        c.annotate(&mut report, &BTreeMap::new());
+        assert_eq!(report.quarantined, vec![b]);
+        assert!(
+            report
+                .freshness
+                .iter()
+                .any(|(_, f)| *f == crate::verify::Freshness::Unreachable),
+            "quarantined device's old nodes must be reported unreachable"
+        );
         // All B links are gone from the post-churn topology.
-        for l in delta.topology.links() {
+        for l in down.topology.unwrap().links() {
             assert!(l.a != b && l.b != b);
         }
     }
 
     #[test]
-    fn delta_reconstructs_the_fresh_plan() {
-        // Applying (changed ∪ kept-old − removed) per device must equal
-        // the fresh plan's task map exactly.
-        let topo = fig2a_topo();
-        let inv = waypoint();
-        let old = base_plan(&topo, &inv);
-        let a = topo.expect_device("A");
-        let w = topo.expect_device("W");
-        let mut churn = ChurnState::new();
-        churn.apply(&TopologyEvent::LinkDown(a, w));
-        let delta = replan_for_churn(&topo, &inv, &old, &churn).unwrap();
-        let mut rebuilt = tasks_by_device(&old.tasks);
-        for (dev, gone) in &delta.removed {
-            if let Some(list) = rebuilt.get_mut(dev) {
-                list.retain(|t| !gone.contains(&t.node));
-            }
-        }
-        for (dev, tasks) in &delta.changed {
-            rebuilt.insert(*dev, tasks.clone());
-        }
-        rebuilt.retain(|_, v| !v.is_empty());
-        assert_eq!(rebuilt, tasks_by_device(&delta.plan.tasks));
+    fn fence_reconstructs_the_fresh_plan() {
+        // Applying the fence (old − removed, re-tasked replaced) per
+        // device must equal the post-churn task map exactly.
+        let net = fig2a_network();
+        let (mut c, inv) = control(&net);
+        let before = c.intents().global_tasks();
+        let (a, w) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("W"),
+        );
+        let down = fence(&mut c, &net, &inv, TopologyEvent::LinkDown(a, w)).unwrap();
+        assert_eq!(
+            apply(&before, &down),
+            by_device(&c.intents().global_tasks())
+        );
     }
 
     #[test]
     fn seeded_schedules_are_deterministic_and_plannable() {
-        let topo = fig2a_topo();
-        let inv = waypoint();
-        let s1 = ChurnSchedule::seeded(&topo, &inv, 7, 6);
-        let s2 = ChurnSchedule::seeded(&topo, &inv, 7, 6);
+        let net = fig2a_network();
+        let topo = &net.topology;
+        let (_, inv) = control(&net);
+        let s1 = ChurnSchedule::seeded(topo, &inv, 7, 6);
+        let s2 = ChurnSchedule::seeded(topo, &inv, 7, 6);
         assert_eq!(s1, s2, "same seed, same schedule");
         assert_eq!(s1.len(), 6);
-        let s3 = ChurnSchedule::seeded(&topo, &inv, 23, 6);
+        let s3 = ChurnSchedule::seeded(topo, &inv, 23, 6);
         assert_ne!(s1, s3, "different seeds should diverge on fig2a");
         // Every prefix of the schedule leaves the invariant plannable.
-        let old = base_plan(&topo, &inv);
         let mut churn = ChurnState::new();
         for ev in &s1.0 {
             churn.apply(ev);
-            replan_for_churn(&topo, &inv, &old, &churn).unwrap();
+            let plan = Planner::new(&churn.apply_to(topo)).plan(&inv).unwrap();
+            assert!(plan.counting().is_some());
         }
     }
 }

@@ -200,6 +200,12 @@ impl ControlPlane {
         &self.store
     }
 
+    /// The devices that have a verifier (grown by every fence a
+    /// growable roster absorbs).
+    pub fn roster(&self) -> &BTreeSet<DeviceId> {
+        &self.roster
+    }
+
     /// Whether `dev` is down: no deliveries, no re-announcement.
     pub fn is_quarantined(&self, dev: DeviceId) -> bool {
         self.churn.is_down(dev)

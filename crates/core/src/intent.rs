@@ -9,7 +9,7 @@
 //!
 //! * **Slicing** — installing an intent only produces tasks for the
 //!   devices its DPVNet actually touches ([`IntentDelta::changed`]);
-//!   the rest of the network is untouched (the `ReplanDelta`-style
+//!   the rest of the network is untouched (the delta's
 //!   `total_nodes`/`reused_nodes` counters evidence this).
 //! * **Dedup** — structurally identical nodes of different intents
 //!   (same packet-space context, device, accept flags and downstream
@@ -524,15 +524,6 @@ impl IntentStore {
     /// Whether no intent is installed.
     pub fn is_empty(&self) -> bool {
         self.intents.is_empty()
-    }
-
-    /// Whether the base intent (id 0) is the *only* live intent.
-    /// Topology churn no longer requires this
-    /// ([`replan_all_for_churn`](Self::replan_all_for_churn) re-plans
-    /// every live slice); it remains the fast-path predicate for
-    /// whole-plan shortcuts that skip per-intent accounting.
-    pub fn only_base(&self) -> bool {
-        self.intents.len() == 1 && self.intents.contains_key(&0)
     }
 
     /// Number of distinct global nodes currently installed.
@@ -1162,7 +1153,10 @@ pub(crate) mod tests {
         let removed: usize = delta_rm.removed.values().map(Vec::len).sum();
         assert_eq!(removed, delta_b.total_nodes - delta_b.reused_nodes);
         assert_eq!(store.node_count(), before);
-        assert!(store.only_base());
+        assert_eq!(
+            store.live().map(|i| i.id).collect::<Vec<_>>(),
+            [IntentId::BASE]
+        );
     }
 
     /// Installing the same invariant twice is a full interning hit.
@@ -1432,6 +1426,9 @@ pub(crate) mod tests {
         store
             .replan_all_for_churn(&net.topology, None, &churn, None)
             .unwrap();
-        assert!(store.only_base());
+        assert_eq!(
+            store.live().map(|i| i.id).collect::<Vec<_>>(),
+            [IntentId::BASE]
+        );
     }
 }

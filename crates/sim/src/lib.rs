@@ -5,26 +5,27 @@
 //! testbed while running the *real* verifier code. All substrates sit
 //! on one shared device-runtime layer:
 //!
-//! * [`runtime`] — the [`Transport`]/[`Clock`] traits, the generic
-//!   [`Engine`] (verifier construction, envelope routing, quiescence
-//!   detection, result collection, report assembly), the concurrent
-//!   [`ThreadedEngine`], and the single [`RuntimeStats`] observability
-//!   surface every harness reads.
-//! * [`event`] — the discrete-event simulator, as type aliases: the
-//!   engine with a virtual-time heap ([`runtime::LatencyTransport`])
-//!   and a [`runtime::VirtualClock`]; per-event CPU time is *measured* (not
-//!   modeled) and DVM messages travel with the topology's link
-//!   latencies. Verification time is the quiescence instant, exactly as
-//!   the paper measures it (§9.3.1).
+//! * [`runtime`] — the event lifecycle ([`runtime::Runtime`]: FIB
+//!   batches, crash/restart, epoch fences, scene swaps, report
+//!   assembly), written once over a [`runtime::Fabric`], and the single
+//!   [`RuntimeStats`] observability surface every harness reads. Two
+//!   fabrics, two engines:
+//!   - [`Engine`] — the discrete-event simulator: one pull loop, a
+//!     boxed [`Transport`] and a [`runtime::VirtualClock`]; per-event
+//!     CPU time is *measured* (not modeled) and DVM messages travel
+//!     with the topology's link latencies. Verification time is the
+//!     quiescence instant, exactly as the paper measures it (§9.3.1).
+//!     [`Engine::new`] runs over clean links, [`Engine::lossy`] over
+//!     the faulty management network below — one type either way.
+//!   - [`ThreadedEngine`] — one OS thread per on-device verifier with
+//!     in-order channels (the deployment shape of the paper's
+//!     prototype).
 //! * [`models`] — the four commodity switch models of §9.4 as CPU speed
 //!   factors.
 //! * [`central`] — the harness for centralized baselines: data planes
 //!   travel to a verifier device over lowest-latency paths (the
 //!   runtime's [`runtime::CollectionClock`]), then the baseline's
 //!   measured compute time is added.
-//! * [`distributed`] — one OS thread per on-device verifier with
-//!   in-order channels (the deployment shape of the paper's prototype):
-//!   an alias of [`runtime::ThreadedEngine`].
 //! * [`localsim`] — `equal`-operator local contracts (communication-
 //!   free; time = slowest device), instrumented through the same
 //!   runtime clock and stats.
@@ -32,10 +33,8 @@
 //!   ([`faults::FaultyTransport`]): seeded drops, duplicates, reorders
 //!   and delays per a `FaultProfile`, recovered by the at-least-once
 //!   reliability layer (`tulkun_core::dvm::reliable`) so Reports stay
-//!   byte-identical under loss; [`event::FaultyDvmSim`] is the event
-//!   simulator over this channel, and both engines recover injected
-//!   device crash/restarts (`Engine::crash_restart`,
-//!   `ThreadedEngine::crash_restart`).
+//!   byte-identical under loss; both engines recover injected device
+//!   crash/restarts (`Runtime::crash_restart`).
 //!
 //! Live topology churn (`tulkun_core::churn::TopologyEvent`) and
 //! runtime intent install/remove are decided once, by the
@@ -50,14 +49,11 @@
 //! markers) instead of hanging.
 //!
 //! [`Transport`]: runtime::Transport
-//! [`Clock`]: runtime::Clock
 //! [`Engine`]: runtime::Engine
 //! [`ThreadedEngine`]: runtime::ThreadedEngine
 //! [`RuntimeStats`]: runtime::RuntimeStats
 
 pub mod central;
-pub mod distributed;
-pub mod event;
 pub mod faults;
 pub mod localsim;
 pub mod models;
@@ -65,12 +61,11 @@ pub mod runtime;
 pub mod service;
 
 pub use central::{central_burst, central_update, CentralRun};
-pub use distributed::DistributedRun;
-pub use event::{DeviceStats, DvmSim, FaultyDvmSim, SimConfig, SimResult};
 pub use faults::FaultyTransport;
 pub use models::SwitchModel;
 pub use runtime::{
-    Engine, EngineConfig, LecCache, RuntimeStats, ThreadedEngine, WatchdogConfig, WatchdogVerdict,
+    DeviceStats, Engine, EngineConfig, LecCache, RuntimeStats, ThreadedEngine, WatchdogConfig,
+    WatchdogVerdict,
 };
 pub use service::{
     AdmissionPolicy, IntentStatus, Service, ServiceConfig, ServiceError, ServiceRequest,

@@ -11,7 +11,7 @@
 //! `RuntimeStats::fault` counters stay zero by construction.
 
 use crate::models::SwitchModel;
-use crate::runtime::{Clock, LecCache, RuntimeStats, VirtualClock};
+use crate::runtime::{LecCache, RuntimeStats, VirtualClock};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use tulkun_core::localcheck::{ContractViolation, LocalChecker};

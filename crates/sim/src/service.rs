@@ -24,9 +24,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::event::SimResult;
-use crate::faults::FaultyTransport;
-use crate::runtime::{Engine, EngineConfig, LatencyTransport, LecCache, Transport, VirtualClock};
+use crate::runtime::{Engine, EngineConfig, RunOutcome};
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
@@ -247,15 +245,14 @@ impl ServiceStatus {
     }
 }
 
-/// The one long-lived engine the service drives, over perfect or lossy
-/// channels as configured; both converge to the same Report fixpoint.
-type Harness = Engine<Box<dyn Transport>, VirtualClock>;
-
 /// The always-on verification service. See the module docs for the
 /// admission/ordering contract.
 pub struct Service {
     cfg: ServiceConfig,
-    harness: Harness,
+    /// The one long-lived engine the service drives, over perfect or
+    /// lossy channels as configured; both converge to the same Report
+    /// fixpoint.
+    harness: Engine,
     /// The network with every *processed* batch folded in — the
     /// rebuild source for [`Service::set_backend`].
     net: Network,
@@ -330,28 +327,16 @@ impl Service {
         inv: &Invariant,
         cfg: &ServiceConfig,
         tel: &Arc<Telemetry>,
-    ) -> Harness {
+    ) -> Engine {
         let ecfg = EngineConfig {
             telemetry: tel.clone(),
             backend: cfg.backend,
             ..EngineConfig::default()
         };
-        let links = LatencyTransport::new(net.topology.clone(), ecfg.fallback_latency_ns);
-        let transport: Box<dyn Transport> = match cfg.faults {
-            Some(profile) => Box::new(FaultyTransport::with_telemetry(links, profile, tel.clone())),
-            None => Box::new(links),
+        let mut harness = match cfg.faults {
+            Some(profile) => Engine::lossy(net, plan, &inv.packet_space, ecfg, profile),
+            None => Engine::new(net, plan, &inv.packet_space, ecfg),
         };
-        let clock = VirtualClock::new(ecfg.model);
-        let cache = LecCache::new();
-        let mut harness = Engine::new_cached(
-            net,
-            plan,
-            &inv.packet_space,
-            &ecfg,
-            &cache,
-            transport,
-            clock,
-        );
         harness.burst();
         harness
     }
@@ -482,7 +467,7 @@ impl Service {
 
     /// Applies one request to the harness; `None` means it was rejected
     /// (counted and journaled; FIBs, epoch and Report unchanged).
-    fn apply(&mut self, req: ServiceRequest) -> Option<SimResult> {
+    fn apply(&mut self, req: ServiceRequest) -> Option<RunOutcome> {
         let h = &mut self.harness;
         let (kind, why, dev, intent) = match req {
             ServiceRequest::Batch(updates) => {
@@ -924,7 +909,6 @@ impl Substrate for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DvmSim, SimConfig};
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::{Behavior, PacketSpace, PathExpr};
@@ -1080,7 +1064,7 @@ mod tests {
         svc.drain();
         assert_eq!(svc.status().epoch, 1);
 
-        let mut reference = DvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default());
+        let mut reference = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
         reference.burst();
         reference.apply_batch(std::slice::from_ref(&up));
         reference
@@ -1108,7 +1092,7 @@ mod tests {
                 .unwrap();
         }
         svc.drain();
-        let mut clean = DvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default());
+        let mut clean = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
         clean.burst();
         for i in 0..4 {
             clean.apply_batch(&[some_update(&net, 40 + i)]);
@@ -1135,7 +1119,7 @@ mod tests {
         assert_eq!(svc.report().canonical_bytes(), before, "swap is invisible");
         assert_eq!(svc.status().queued, 1, "queued work survives the swap");
         svc.drain();
-        let mut reference = DvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default());
+        let mut reference = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
         reference.burst();
         reference.apply_batch(&[some_update(&net, 40)]);
         reference.apply_batch(&[some_update(&net, 41)]);

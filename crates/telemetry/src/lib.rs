@@ -30,7 +30,7 @@
 //! creation), a causal `trace` id threaded through `Envelope` so one
 //! FIB update's UPDATE wave can be reconstructed across devices, and
 //! an `aux` word for substrate-specific context (the virtual-clock
-//! time under `DvmSim`, the worker index for `parallel_init` spans).
+//! time under `Engine`, the worker index for `parallel_init` spans).
 
 mod export;
 mod journal;

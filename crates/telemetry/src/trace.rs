@@ -14,7 +14,7 @@ use crate::SHARDS;
 /// `begin` is a monotonic tick in nanoseconds — host-monotonic time
 /// since the owning [`crate::Telemetry`] handle was created, one
 /// coherent timeline across every device and thread of a run. The
-/// substrate's own clock reading (virtual time under `DvmSim`) rides
+/// substrate's own clock reading (virtual time under `Engine`) rides
 /// along in `aux` where relevant, so traces can be re-keyed offline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {

@@ -9,7 +9,7 @@
 
 use tulkun::core::planner::Planner;
 use tulkun::prelude::*;
-use tulkun::sim::distributed::DistributedRun;
+use tulkun::sim::ThreadedEngine;
 
 fn main() {
     let net = tulkun::datasets::fig2a_network();
@@ -24,7 +24,7 @@ fn main() {
         net.topology.num_devices(),
         cp.dpvnet.num_nodes()
     );
-    let run = DistributedRun::spawn(&net, cp, &invariant.packet_space);
+    let mut run = ThreadedEngine::spawn(&net, cp, &invariant.packet_space);
     run.wait_quiescent();
     let report = run.report();
     println!("burst verdict: holds = {}", report.holds());
@@ -33,7 +33,7 @@ fn main() {
     // Stream the Fig. 2 repair update into device B, live.
     let b = net.topology.expect_device("B");
     let w = net.topology.expect_device("W");
-    run.inject_update(tulkun::netmodel::network::RuleUpdate::Insert {
+    run.incremental(&tulkun::netmodel::network::RuleUpdate::Insert {
         device: b,
         rule: Rule {
             priority: 50,
@@ -41,7 +41,6 @@ fn main() {
             action: Action::fwd(w),
         },
     });
-    run.wait_quiescent();
     let report = run.report();
     println!("after live update: holds = {}", report.holds());
     assert!(report.holds());

@@ -9,7 +9,7 @@
 use tulkun::core::fault::{plan_fault_tolerant, FaultScene};
 use tulkun::core::spec::FaultSpec;
 use tulkun::prelude::*;
-use tulkun::sim::{DvmSim, SimConfig};
+use tulkun::sim::{Engine, EngineConfig};
 
 fn main() {
     let net = tulkun::datasets::fig2a_network();
@@ -50,7 +50,7 @@ fn main() {
     }
 
     // Burst-verify the base scene.
-    let mut sim = DvmSim::new(&net, &plan, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(&net, &plan, &inv.packet_space, EngineConfig::default());
     sim.burst();
     println!("scene 0 (no failures): holds = {}", sim.report().holds());
     assert!(sim.report().holds());

@@ -25,7 +25,7 @@ use tulkun::core::spec::Invariant;
 use tulkun::core::verify::{verify_snapshot, ViolationKind};
 use tulkun::json::Json;
 use tulkun::netmodel::network::Network;
-use tulkun::sim::{DvmSim, FaultyDvmSim, RuntimeStats, SimConfig, Telemetry, TelemetryConfig};
+use tulkun::sim::{Engine, EngineConfig, RuntimeStats, Telemetry, TelemetryConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -262,41 +262,26 @@ fn observed_run(
         Telemetry::new(TelemetryConfig::enabled())
     };
     let updates: usize = get("--updates").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let cfg = SimConfig {
+    let cfg = EngineConfig {
         telemetry: telemetry.clone(),
         backend: checked_backend(get, net)?,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
     let trace = tulkun::datasets::rule_updates(net, updates, seed);
     let burst = (updates / 2).max(1);
 
-    let (stats, holds) = match get("--faults").and_then(|v| v.parse::<u64>().ok()) {
-        Some(fault_seed) => {
-            let mut sim = FaultyDvmSim::new(
-                net,
-                &cp,
-                &inv.packet_space,
-                cfg,
-                FaultProfile::loss(fault_seed, 0.10),
-            );
-            sim.burst();
-            for chunk in trace.chunks(burst) {
-                sim.apply_batch(chunk);
-            }
-            let holds = sim.report().holds();
-            (sim.stats().clone(), holds)
-        }
-        None => {
-            let mut sim = DvmSim::new(net, &cp, &inv.packet_space, cfg);
-            sim.burst();
-            for chunk in trace.chunks(burst) {
-                sim.apply_batch(chunk);
-            }
-            let holds = sim.report().holds();
-            (sim.stats().clone(), holds)
-        }
+    let ps = &inv.packet_space;
+    let mut sim = match get("--faults").and_then(|v| v.parse::<u64>().ok()) {
+        Some(fault_seed) => Engine::lossy(net, &cp, ps, cfg, FaultProfile::loss(fault_seed, 0.10)),
+        None => Engine::new(net, &cp, ps, cfg),
     };
+    sim.burst();
+    for chunk in trace.chunks(burst) {
+        sim.apply_batch(chunk);
+    }
+    let holds = sim.report().holds();
+    let stats = sim.stats().clone();
     Ok(ObservedRun {
         telemetry,
         stats,
@@ -481,13 +466,13 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
     // The lockstep model makes the virtual timeline — and with it the
     // fault RNG draw order and the journal — a pure function of the
     // seed, so the explanation is byte-identical across reruns.
-    let cfg = SimConfig {
+    let cfg = EngineConfig {
         telemetry: telemetry.clone(),
         backend: checked_backend(get, net)?,
         model: tulkun::sim::SwitchModel::LOCKSTEP,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = FaultyDvmSim::new(
+    let mut sim = Engine::lossy(
         net,
         &cp,
         &inv.packet_space,
@@ -615,6 +600,12 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
         );
     };
 
+    let churn = |ev: &TopologyEvent| RuntimeEvent::Topology {
+        event: *ev,
+        base: topo.clone(),
+        invariant: inv.clone(),
+    };
+
     if args.iter().any(|a| a == "--threaded") {
         let ecfg = tulkun::sim::EngineConfig {
             backend,
@@ -622,11 +613,13 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
         };
         let cache = tulkun::sim::LecCache::new();
         let mut run =
-            tulkun::sim::DistributedRun::spawn_with(net, &cp, &inv.packet_space, &ecfg, &cache);
+            tulkun::sim::ThreadedEngine::spawn_with(net, &cp, &inv.packet_space, &ecfg, &cache);
         run.wait_quiescent();
         let cfg = tulkun::sim::WatchdogConfig::default();
         for ev in &schedule.0 {
-            run.apply_topology_event(ev, topo, &inv)
+            // Staged, not driven: the watchdog is what tells a slow
+            // re-convergence from a wedged device.
+            run.stage_event(&churn(ev))
                 .map_err(|e| format!("churn re-plan failed: {e}"))?;
             let verdict = run.wait_quiescent_watched(&cfg);
             println!(
@@ -640,63 +633,38 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
             .map_err(|p| format!("{} device task(s) panicked", p.len()))?;
     } else {
         let faults = get("--faults").and_then(|v| v.parse::<u64>().ok());
-        let cfg = SimConfig {
+        let cfg = EngineConfig {
             backend,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
-        match faults {
-            Some(fs) => {
-                let mut sim = FaultyDvmSim::new(
-                    net,
-                    &cp,
-                    &inv.packet_space,
-                    cfg,
-                    FaultProfile::loss(fs, 0.10),
-                );
-                sim.burst();
-                for ev in &schedule.0 {
-                    let r = sim
-                        .apply_topology_event(ev, topo, &inv)
-                        .map_err(|e| format!("churn re-plan failed: {e}"))?;
-                    println!(
-                        "epoch {:>3}  {:<28} messages={} completion_ns={}",
-                        sim.epoch(),
-                        describe(ev),
-                        r.messages,
-                        r.completion_ns
-                    );
-                }
-                let f = sim.stats().fault;
-                println!(
-                    "fault channel: drops={} retransmits={} backpressure={}",
-                    f.drops, f.retransmits, f.backpressure
-                );
-                summarize(&sim.report());
-            }
-            None => {
-                let mut sim = DvmSim::new(net, &cp, &inv.packet_space, cfg);
-                sim.burst();
-                for ev in &schedule.0 {
-                    let r = sim
-                        .apply_event(&RuntimeEvent::Topology {
-                            event: *ev,
-                            base: topo.clone(),
-                            invariant: inv.clone(),
-                        })
-                        .map_err(|e| format!("churn re-plan failed: {e}"))?;
-                    let (total, reused) = r.slice.unwrap_or_default();
-                    println!(
-                        "epoch {:>3}  {:<28} reused {reused}/{total} nodes, messages={} \
-                         completion_ns={}",
-                        sim.epoch(),
-                        describe(ev),
-                        r.messages,
-                        r.completion_ns
-                    );
-                }
-                summarize(&sim.report());
-            }
+        let ps = &inv.packet_space;
+        let mut sim = match faults {
+            Some(fs) => Engine::lossy(net, &cp, ps, cfg, FaultProfile::loss(fs, 0.10)),
+            None => Engine::new(net, &cp, ps, cfg),
+        };
+        sim.burst();
+        for ev in &schedule.0 {
+            let r = sim
+                .apply_event(&churn(ev))
+                .map_err(|e| format!("churn re-plan failed: {e}"))?;
+            let (total, reused) = r.slice.unwrap_or_default();
+            println!(
+                "epoch {:>3}  {:<28} reused {reused}/{total} nodes, messages={} \
+                 completion_ns={}",
+                sim.epoch(),
+                describe(ev),
+                r.messages,
+                r.completion_ns
+            );
         }
+        if faults.is_some() {
+            let f = sim.stats().fault;
+            println!(
+                "fault channel: drops={} retransmits={} backpressure={}",
+                f.drops, f.retransmits, f.backpressure
+            );
+        }
+        summarize(&sim.report());
     }
     Ok(ExitCode::SUCCESS)
 }

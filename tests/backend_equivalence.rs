@@ -14,9 +14,7 @@ use tulkun::core::fault::FaultProfile;
 use tulkun::core::planner::Planner;
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::{
-    BackendKind, DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, LecCache, SimConfig,
-};
+use tulkun::sim::{BackendKind, Engine, EngineConfig, LecCache, ThreadedEngine};
 
 const BURST: usize = 8;
 
@@ -53,10 +51,10 @@ fn inet2_setup() -> (
     (net, inv, cp, trace)
 }
 
-fn sim_cfg(backend: BackendKind) -> SimConfig {
-    SimConfig {
+fn sim_cfg(backend: BackendKind) -> EngineConfig {
+    EngineConfig {
         backend,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     }
 }
 
@@ -67,7 +65,7 @@ const BACKENDS: [BackendKind; 2] = [BackendKind::DeltaNet, BackendKind::Interval
 fn backends_agree_on_the_event_simulator() {
     let (net, inv, cp, trace) = inet2_setup();
     let run = |backend| {
-        let mut sim = DvmSim::new(&net, &cp, &inv.packet_space, sim_cfg(backend));
+        let mut sim = Engine::new(&net, &cp, &inv.packet_space, sim_cfg(backend));
         sim.burst();
         for chunk in trace.chunks(BURST) {
             sim.apply_batch(chunk);
@@ -88,7 +86,7 @@ fn backends_agree_on_the_event_simulator() {
 fn backends_agree_under_loss() {
     let (net, inv, cp, trace) = inet2_setup();
     let run = |backend, loss| {
-        let mut sim = FaultyDvmSim::new(
+        let mut sim = Engine::lossy(
             &net,
             &cp,
             &inv.packet_space,
@@ -123,10 +121,10 @@ fn backends_agree_on_the_threaded_runner() {
             ..EngineConfig::default()
         };
         let cache = LecCache::new();
-        let run = DistributedRun::spawn_with(&net, &cp, &inv.packet_space, &ecfg, &cache);
+        let mut run = ThreadedEngine::spawn_with(&net, &cp, &inv.packet_space, &ecfg, &cache);
         run.wait_quiescent();
         for u in &trace {
-            run.inject_update(u.clone());
+            run.stage_batch(std::slice::from_ref(u));
         }
         run.wait_quiescent();
         let report = run.report().canonical_bytes();

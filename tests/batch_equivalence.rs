@@ -6,13 +6,13 @@
 //! UPDATE per device per batch), never the verdict.
 
 use tulkun::core::fault::FaultProfile;
-use tulkun::core::planner::Planner;
+use tulkun::core::planner::{CountingPlan, Planner};
 use tulkun::core::verify::Session;
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::{RuleUpdate, UpdateBatch};
 use tulkun::prelude::*;
-use tulkun::sim::runtime::{Engine, FifoTransport, InstantClock, LecCache};
-use tulkun::sim::{DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, SimConfig};
+use tulkun::sim::runtime::FifoTransport;
+use tulkun::sim::{Engine, EngineConfig, LecCache, ThreadedEngine};
 
 const SEEDS: [u64; 3] = [1, 7, 23];
 
@@ -35,6 +35,12 @@ fn repair(net: &Network) -> RuleUpdate {
             action: Action::fwd(w),
         },
     }
+}
+
+/// The reference semantics: the engine over the in-order fake.
+fn fifo_engine(net: &Network, cp: &CountingPlan, ps: &PacketSpace) -> Engine {
+    let (cfg, cache) = (EngineConfig::default(), LecCache::new());
+    Engine::over(net, cp, ps, &cfg, &cache, Box::<FifoTransport>::default())
 }
 
 /// A per-destination reachability invariant on a dataset network.
@@ -106,16 +112,7 @@ fn batched_trace_agrees_across_substrates() {
         }
         let expect = reference.report().canonical_bytes();
 
-        let cache = LecCache::new();
-        let mut engine = Engine::new_cached(
-            &net,
-            cp,
-            &inv.packet_space,
-            &EngineConfig::default(),
-            &cache,
-            FifoTransport::default(),
-            InstantClock,
-        );
+        let mut engine = fifo_engine(&net, cp, &inv.packet_space);
         engine.burst();
         for chunk in trace.chunks(6) {
             engine.apply_batch(chunk);
@@ -126,7 +123,7 @@ fn batched_trace_agrees_across_substrates() {
             "seed {seed}: fifo engine batched trace"
         );
 
-        let mut sim = DvmSim::new(&net, cp, &inv.packet_space, SimConfig::default());
+        let mut sim = Engine::new(&net, cp, &inv.packet_space, EngineConfig::default());
         sim.burst();
         for chunk in trace.chunks(6) {
             sim.apply_batch(chunk);
@@ -211,29 +208,19 @@ fn multi_device_batch_agrees_on_all_four_substrates() {
     let expect = reference.report().canonical_bytes();
     assert!(reference.report().holds());
 
-    let cache = LecCache::new();
-    let mut engine = Engine::new_cached(
-        &net,
-        cp,
-        &inv.packet_space,
-        &EngineConfig::default(),
-        &cache,
-        FifoTransport::default(),
-        InstantClock,
-    );
+    let mut engine = fifo_engine(&net, cp, &inv.packet_space);
     engine.burst();
     engine.apply_batch(&updates);
     assert_eq!(engine.report().canonical_bytes(), expect, "fifo engine");
 
-    let mut sim = DvmSim::new(&net, cp, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(&net, cp, &inv.packet_space, EngineConfig::default());
     sim.burst();
     sim.apply_batch(&updates);
     assert_eq!(sim.report().canonical_bytes(), expect, "event sim");
 
-    let run = DistributedRun::spawn(&net, cp, &inv.packet_space);
+    let mut run = ThreadedEngine::spawn(&net, cp, &inv.packet_space);
     run.wait_quiescent();
-    run.inject_batch(updates);
-    run.wait_quiescent();
+    run.apply_batch(&updates);
     assert_eq!(run.report().canonical_bytes(), expect, "threaded runner");
     run.shutdown().expect("clean shutdown");
 }
@@ -259,17 +246,17 @@ fn batched_burst_survives_ten_percent_loss() {
         },
     ];
 
-    let mut clean = DvmSim::new(&net, cp, &inv.packet_space, SimConfig::default());
+    let mut clean = Engine::new(&net, cp, &inv.packet_space, EngineConfig::default());
     clean.burst();
     clean.apply_batch(&updates);
     let expect = clean.report().canonical_bytes();
 
     for seed in SEEDS {
-        let mut sim = FaultyDvmSim::new(
+        let mut sim = Engine::lossy(
             &net,
             cp,
             &inv.packet_space,
-            SimConfig::default(),
+            EngineConfig::default(),
             FaultProfile::loss(seed, 0.10),
         );
         sim.burst();

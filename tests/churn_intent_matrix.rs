@@ -6,9 +6,9 @@
 //! frozen intent set. This suite interleaves both at once — installs
 //! and removals racing link/device events, under 10% management-plane
 //! loss and mid-sequence `crash_restart` — across the event simulator
-//! ([`tulkun::sim::DvmSim`]), the lossy event simulator
-//! ([`tulkun::sim::FaultyDvmSim`]) and the per-device-thread runner
-//! ([`tulkun::sim::DistributedRun`]), with the synchronous reference
+//! ([`tulkun::sim::Engine::new`]), the lossy event simulator
+//! ([`tulkun::sim::Engine::lossy`]) and the per-device-thread runner
+//! ([`tulkun::sim::ThreadedEngine`]), with the synchronous reference
 //! [`Session`] driven alongside for its Report. A FIB batch may be
 //! *staged* — applied at its device, its UPDATE wave left in flight —
 //! so the next fence lands on a non-quiescent exchange, discards that
@@ -40,10 +40,7 @@ use tulkun::core::verify::{Freshness, Report, Session};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::{
-    DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, LecCache, SimConfig, Telemetry,
-    TelemetryConfig,
-};
+use tulkun::sim::{Engine, EngineConfig, LecCache, Telemetry, TelemetryConfig, ThreadedEngine};
 use tulkun::telemetry::JournalKind;
 
 /// The fixed CI seed matrix (same as `churn_matrix`/`intent_matrix`).
@@ -275,14 +272,14 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
     // place, so all three must journal and count it identically.
     let recorders = [recorder(), recorder(), recorder()];
     let mut seen = [0u64; 3];
-    let sim_cfg = |tel: &std::sync::Arc<Telemetry>| SimConfig {
+    let sim_cfg = |tel: &std::sync::Arc<Telemetry>| EngineConfig {
         all_devices: true,
         telemetry: tel.clone(),
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut clean = DvmSim::new(&net, &cp, &base.packet_space, sim_cfg(&recorders[0]));
+    let mut clean = Engine::new(&net, &cp, &base.packet_space, sim_cfg(&recorders[0]));
     clean.burst();
-    let mut lossy = FaultyDvmSim::new(
+    let mut lossy = Engine::lossy(
         &net,
         &cp,
         &base.packet_space,
@@ -292,7 +289,7 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
     lossy.burst();
     let ecfg: EngineConfig = sim_cfg(&recorders[2]);
     let mut threaded =
-        DistributedRun::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
+        ThreadedEngine::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
     threaded.wait_quiescent();
     // The reference session has no crash model (a crash recovers to
     // the fixpoint it interrupted, so skipping it changes no Report);
@@ -383,7 +380,7 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
                     let batch = std::slice::from_ref(&u);
                     clean.stage_batch(batch);
                     lossy.stage_batch(batch);
-                    threaded.inject_batch(vec![u.clone()]);
+                    threaded.stage_batch(batch);
                     session.stage_batch(batch);
                 } else {
                     let ev = RuntimeEvent::Batch(vec![u]);
@@ -398,7 +395,6 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
                 let a = clean.apply_topology_event(ev, &net.topology, &base);
                 let b = lossy.apply_topology_event(ev, &net.topology, &base);
                 let c = threaded.apply_topology_event(ev, &net.topology, &base);
-                threaded.wait_quiescent();
                 let d = session.apply_topology_event(ev, &net.topology, &base);
                 assert_eq!(
                     a.is_ok(),
@@ -422,7 +418,6 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
                 clean.crash_restart(*dev);
                 lossy.crash_restart(*dev);
                 threaded.crash_restart(*dev);
-                threaded.wait_quiescent();
                 // The crash drove the engines to quiescence; the
                 // session sits the crash out, so it drains by hand.
                 session.run_to_quiescence();
@@ -431,7 +426,9 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) -> u64 {
         }
         // Every fence is driven to quiescence; an op that burned no
         // epoch (a parked install, a no-footprint removal, a repeated
-        // or rejected churn event) leaves a staged wave in flight.
+        // or rejected churn event) leaves a staged wave in flight on
+        // the session (the engines drain on every event entry point,
+        // so for them `undrained` is only conservative).
         undrained &= clean.epoch() == epoch_before;
         // The event simulators know exactly what a fence discards: one
         // that lands on a quiescent exchange repairs nothing. (The
@@ -653,11 +650,11 @@ fn eight_intents_survive_a_link_flap_under_loss() {
     // net-zero, so nothing may stay parked, degraded or stale.
     let plan = Planner::new(&net.topology).plan(&base).unwrap();
     let cp = plan.counting().unwrap().clone();
-    let sim_cfg = SimConfig {
+    let sim_cfg = EngineConfig {
         all_devices: true,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = FaultyDvmSim::new(
+    let mut sim = Engine::lossy(
         &net,
         &cp,
         &base.packet_space,

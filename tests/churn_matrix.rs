@@ -4,9 +4,9 @@
 //! Random interleavings of churn events (seeded link schedules plus
 //! device down/up), message loss in {0%, 10%}, and mid-sequence
 //! `crash_restart` are driven simultaneously against the event
-//! simulator ([`tulkun::sim::DvmSim`]), the lossy event simulator
-//! ([`tulkun::sim::FaultyDvmSim`]) and the per-device-thread runner
-//! ([`tulkun::sim::DistributedRun`]). After every interleaving the
+//! simulator ([`tulkun::sim::Engine::new`]), the lossy event simulator
+//! ([`tulkun::sim::Engine::lossy`]) and the per-device-thread runner
+//! ([`tulkun::sim::ThreadedEngine`]). After every interleaving the
 //! epoch-final Reports must be *byte-identical* across substrates and
 //! — for the reachable portion of the network — identical to a fresh
 //! plan of the post-churn topology. Any divergence is a protocol bug
@@ -21,7 +21,7 @@ use tulkun::core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
 use tulkun::core::fault::FaultProfile;
 use tulkun::core::planner::Planner;
 use tulkun::prelude::*;
-use tulkun::sim::{DistributedRun, DvmSim, FaultyDvmSim, SimConfig};
+use tulkun::sim::{Engine, EngineConfig, ThreadedEngine};
 
 /// The fixed CI seed matrix (same as `fault_matrix`).
 const SEEDS: [u64; 4] = [1, 7, 23, 101];
@@ -78,7 +78,7 @@ fn fresh_report_bytes(net: &Network, inv: &Invariant, churn: &ChurnState) -> Opt
     };
     let plan = Planner::new(&post.topology).plan(inv).ok()?;
     let cp = plan.counting()?.clone();
-    let mut sim = DvmSim::new(&post, &cp, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(&post, &cp, &inv.packet_space, EngineConfig::default());
     sim.burst();
     Some(sim.report().canonical_bytes())
 }
@@ -91,17 +91,17 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
     let plan = Planner::new(&net.topology).plan(inv).unwrap();
     let cp = plan.counting().unwrap().clone();
 
-    let mut clean = DvmSim::new(net, &cp, &inv.packet_space, SimConfig::default());
+    let mut clean = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
     clean.burst();
-    let mut lossy = FaultyDvmSim::new(
+    let mut lossy = Engine::lossy(
         net,
         &cp,
         &inv.packet_space,
-        SimConfig::default(),
+        EngineConfig::default(),
         FaultProfile::loss(seed, loss),
     );
     lossy.burst();
-    let mut threaded = DistributedRun::spawn(net, &cp, &inv.packet_space);
+    let mut threaded = ThreadedEngine::spawn(net, &cp, &inv.packet_space);
     threaded.wait_quiescent();
 
     let mut churn = ChurnState::new();
@@ -111,7 +111,6 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
                 let a = clean.apply_topology_event(ev, &net.topology, inv);
                 let b = lossy.apply_topology_event(ev, &net.topology, inv);
                 let c = threaded.apply_topology_event(ev, &net.topology, inv);
-                threaded.wait_quiescent();
                 assert_eq!(
                     a.is_ok(),
                     b.is_ok(),
@@ -133,7 +132,6 @@ fn drive_interleaving(net: &Network, inv: &Invariant, ops: &[Op], loss: f64, see
                 clean.crash_restart(*dev);
                 lossy.crash_restart(*dev);
                 threaded.crash_restart(*dev);
-                threaded.wait_quiescent();
             }
         }
         assert_eq!(clean.epoch(), lossy.epoch(), "epoch skew at op {i}");

@@ -16,7 +16,7 @@ use tulkun::daemon::{dataset_session, DaemonConfig, DaemonSession};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::netmodel::topology::DeviceId;
-use tulkun::sim::{BackendKind, DvmSim, ServiceConfig, SimConfig};
+use tulkun::sim::{BackendKind, Engine, EngineConfig, ServiceConfig};
 
 /// Renders a churn event as its protocol line from source `src`.
 fn churn_line(
@@ -105,7 +105,7 @@ fn run_scripted_session(batches: usize, faults: Option<FaultProfile>) {
 
     // Direct replay of the same script against a fresh clean simulator
     // (the lossy session must converge to the clean fixpoint).
-    let mut reference = DvmSim::new(&ds.network, &cp, &inv.packet_space, SimConfig::default());
+    let mut reference = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
     reference.burst();
     for step in &expected {
         match step {

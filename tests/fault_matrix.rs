@@ -1,22 +1,23 @@
-//! The `ci.sh fault-matrix` gate: substrate equivalence under injected
-//! message faults.
+//! Substrate equivalence under injected message faults (part of the
+//! `ci.sh equivalence` gate).
 //!
 //! With a fixed fault seed, the event simulator over a lossy management
-//! network ([`tulkun::sim::FaultyDvmSim`]) must produce Reports
+//! network ([`tulkun::sim::Engine`]) must produce Reports
 //! *byte-identical* to the perfect-channel reference — at every loss
 //! rate in {0%, 1%, 10%}, for every seed in the matrix, before and
 //! after the Figure 2a repair update. Retransmission makes loss
 //! invisible to results; these tests fail on any divergence.
 //!
-//! Run via `./ci.sh fault-matrix` (a release-mode invocation of this
-//! file); the same tests also run in the plain workspace test pass.
+//! Run via `./ci.sh equivalence` (a release-mode invocation of the
+//! matrix files); the same tests also run in the plain workspace test
+//! pass.
 
 use tulkun::core::fault::FaultProfile;
-use tulkun::core::planner::Planner;
+use tulkun::core::planner::{CountingPlan, Planner};
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::{DvmSim, FaultyDvmSim, SimConfig};
+use tulkun::sim::{Engine, EngineConfig};
 
 /// The fixed CI seed matrix.
 const SEEDS: [u64; 4] = [1, 7, 23, 101];
@@ -40,44 +41,46 @@ fn fig2_setup() -> (Network, Invariant, RuleUpdate) {
     (net, inv, update)
 }
 
-/// Reference Reports (burst, post-update) from the perfect-channel
-/// event simulator.
-fn reference_reports(net: &Network, inv: &Invariant, update: &RuleUpdate) -> (Vec<u8>, Vec<u8>) {
-    let plan = Planner::new(&net.topology).plan(inv).unwrap();
-    let cp = plan.counting().unwrap().clone();
-    let mut sim = DvmSim::new(net, &cp, &inv.packet_space, SimConfig::default());
+/// Burst, then the repair update: the Reports before and after — one
+/// body for a clean and a lossy engine alike.
+fn drive(sim: &mut Engine, update: &RuleUpdate) -> (Vec<u8>, Vec<u8>) {
     sim.burst();
     let before = sim.report().canonical_bytes();
     sim.incremental(update);
-    let after = sim.report().canonical_bytes();
+    (before, sim.report().canonical_bytes())
+}
+
+/// Reference Reports (burst, post-update) over the perfect channel.
+fn reference_reports(
+    net: &Network,
+    cp: &CountingPlan,
+    inv: &Invariant,
+    update: &RuleUpdate,
+) -> (Vec<u8>, Vec<u8>) {
+    let mut sim = Engine::new(net, cp, &inv.packet_space, EngineConfig::default());
+    let (before, after) = drive(&mut sim, update);
     assert_ne!(before, after, "repair update must change the verdict");
     (before, after)
+}
+
+fn lossy(net: &Network, cp: &CountingPlan, inv: &Invariant, profile: FaultProfile) -> Engine {
+    Engine::lossy(net, cp, &inv.packet_space, EngineConfig::default(), profile)
 }
 
 #[test]
 fn seed_matrix_loss_rates_leave_reports_byte_identical() {
     let (net, inv, update) = fig2_setup();
-    let (ref_before, ref_after) = reference_reports(&net, &inv, &update);
     let plan = Planner::new(&net.topology).plan(&inv).unwrap();
-    let cp = plan.counting().unwrap().clone();
+    let cp = plan.counting().unwrap();
+    let reference = reference_reports(&net, cp, &inv, &update);
 
     let mut high_loss_drops = 0u64;
     for seed in SEEDS {
         for rate in LOSS_RATES {
-            let profile = FaultProfile::loss(seed, rate);
-            let mut sim =
-                FaultyDvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default(), profile);
-            sim.burst();
-            assert_eq!(
-                sim.report().canonical_bytes(),
-                ref_before,
-                "burst Report diverged (seed {seed}, loss {rate})"
-            );
-            sim.incremental(&update);
-            assert_eq!(
-                sim.report().canonical_bytes(),
-                ref_after,
-                "post-update Report diverged (seed {seed}, loss {rate})"
+            let mut sim = lossy(&net, cp, &inv, FaultProfile::loss(seed, rate));
+            assert!(
+                drive(&mut sim, &update) == reference,
+                "burst or post-update Report diverged (seed {seed}, loss {rate})"
             );
             let f = sim.stats().fault;
             if rate == 0.0 {
@@ -107,25 +110,15 @@ fn chaos_profile_reports_stay_byte_identical() {
     // Drops + duplicates + reorders + delays together, same matrix
     // seeds: the reliability layer must mask all four fault kinds.
     let (net, inv, update) = fig2_setup();
-    let (ref_before, ref_after) = reference_reports(&net, &inv, &update);
     let plan = Planner::new(&net.topology).plan(&inv).unwrap();
-    let cp = plan.counting().unwrap().clone();
+    let cp = plan.counting().unwrap();
+    let reference = reference_reports(&net, cp, &inv, &update);
 
     for seed in SEEDS {
-        let profile = FaultProfile::chaos(seed);
-        let mut sim =
-            FaultyDvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default(), profile);
-        sim.burst();
-        assert_eq!(
-            sim.report().canonical_bytes(),
-            ref_before,
-            "chaos burst Report diverged (seed {seed})"
-        );
-        sim.incremental(&update);
-        assert_eq!(
-            sim.report().canonical_bytes(),
-            ref_after,
-            "chaos post-update Report diverged (seed {seed})"
+        let mut sim = lossy(&net, cp, &inv, FaultProfile::chaos(seed));
+        assert!(
+            drive(&mut sim, &update) == reference,
+            "chaos burst or post-update Report diverged (seed {seed})"
         );
     }
 }
@@ -134,29 +127,37 @@ fn chaos_profile_reports_stay_byte_identical() {
 fn crash_restart_under_loss_recovers_the_report() {
     // Device crash/restart on top of a lossy channel: the restarted
     // agent recounts from scratch, neighbors replay their durable
-    // state, and the Report must land back on the reference bytes.
+    // state, and the Report must land back on the pre-crash bytes. A
+    // clean and a lossy engine are one type: both sit in one `Vec` and
+    // run through one loop body, to byte-equal Reports at every step.
     let (net, inv, update) = fig2_setup();
-    let (_, ref_after) = reference_reports(&net, &inv, &update);
     let plan = Planner::new(&net.topology).plan(&inv).unwrap();
-    let cp = plan.counting().unwrap().clone();
+    let cp = plan.counting().unwrap();
 
     let w = net.topology.expect_device("W");
     let s = net.topology.expect_device("S");
     for seed in SEEDS {
-        let profile = FaultProfile::loss(seed, 0.05);
-        let mut sim =
-            FaultyDvmSim::new(&net, &cp, &inv.packet_space, SimConfig::default(), profile);
-        sim.burst();
-        sim.incremental(&update);
-        for dev in [w, s] {
-            sim.crash_restart(dev);
-            assert_eq!(
-                sim.report().canonical_bytes(),
-                ref_after,
-                "crash of {:?} under loss diverged (seed {seed})",
-                net.topology.name(dev)
-            );
+        let mut engines: Vec<Engine> = vec![
+            Engine::new(&net, cp, &inv.packet_space, EngineConfig::default()),
+            lossy(&net, cp, &inv, FaultProfile::loss(seed, 0.05)),
+        ];
+        let mut reports = Vec::new();
+        for sim in &mut engines {
+            let (_, after) = drive(sim, &update);
+            for dev in [w, s] {
+                sim.crash_restart(dev);
+                assert!(
+                    sim.report().canonical_bytes() == after,
+                    "crash of {:?} diverged (seed {seed})",
+                    net.topology.name(dev)
+                );
+            }
+            assert_eq!(sim.stats().crashes_recovered, 2);
+            reports.push(after);
         }
-        assert_eq!(sim.stats().crashes_recovered, 2);
+        assert!(
+            reports[0] == reports[1],
+            "loss changed the Report (seed {seed})"
+        );
     }
 }

@@ -10,7 +10,7 @@ use tulkun::core::fault::{plan_fault_tolerant, subtopology, FaultScene};
 use tulkun::core::planner::Planner;
 use tulkun::core::spec::FaultSpec;
 use tulkun::prelude::*;
-use tulkun::sim::{DvmSim, FaultyDvmSim, SimConfig, Telemetry, TelemetryConfig};
+use tulkun::sim::{Engine, EngineConfig, Telemetry, TelemetryConfig};
 use tulkun::telemetry::JournalKind;
 
 fn ft_invariant(net: &Network) -> Invariant {
@@ -66,7 +66,7 @@ fn online_recounting_matches_fresh_planning_per_scene() {
     let net = tulkun::datasets::fig2a_network();
     let inv = ft_invariant(&net);
     let (plan, ft) = plan_fault_tolerant(&net.topology, &inv, 10_000, 100_000).unwrap();
-    let mut sim = DvmSim::new(&net, &plan, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(&net, &plan, &inv.packet_space, EngineConfig::default());
     sim.burst();
     let base_holds = sim.report().holds();
     assert!(base_holds);
@@ -158,12 +158,12 @@ fn explain_scene(seed: u64) -> (TopologyEvent, tulkun::netmodel::DeviceId, Expla
     let topo = &net.topology;
     let (inv, cp) = tulkun::daemon::dataset_session(net, "INet2").unwrap();
     let telemetry = Telemetry::new(TelemetryConfig::enabled());
-    let cfg = SimConfig {
+    let cfg = EngineConfig {
         telemetry: telemetry.clone(),
         model: tulkun::sim::SwitchModel::LOCKSTEP,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = FaultyDvmSim::new(
+    let mut sim = Engine::lossy(
         net,
         &cp,
         &inv.packet_space,

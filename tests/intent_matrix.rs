@@ -5,9 +5,9 @@
 //! all delivered through the unified [`RuntimeEvent`] API — are driven
 //! simultaneously against the synchronous reference session
 //! ([`tulkun::core::verify::Session`]), the event simulator
-//! ([`tulkun::sim::DvmSim`]), the lossy event simulator
-//! ([`tulkun::sim::FaultyDvmSim`], 10% management-plane loss) and the
-//! per-device-thread runner ([`tulkun::sim::DistributedRun`]). After
+//! ([`tulkun::sim::Engine::new`]), the lossy event simulator
+//! ([`tulkun::sim::Engine::lossy`], 10% management-plane loss) and the
+//! per-device-thread runner ([`tulkun::sim::ThreadedEngine`]). After
 //! every op the Reports must be *byte-identical* across substrates and
 //! equal to the merged standalone verdict of the surviving intent set
 //! against the current FIBs (each intent freshly planned from scratch,
@@ -28,7 +28,7 @@ use tulkun::core::verify::{Report, Session};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::{DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, LecCache, SimConfig};
+use tulkun::sim::{Engine, EngineConfig, LecCache, ThreadedEngine};
 
 /// The fixed CI seed matrix (same as `churn_matrix`).
 const SEEDS: [u64; 4] = [1, 7, 23, 101];
@@ -135,13 +135,13 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
 
     // Intents may task devices the base plan skipped, so every
     // substrate gets a verifier per topology device up front.
-    let sim_cfg = SimConfig {
+    let sim_cfg = EngineConfig {
         all_devices: true,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut clean = DvmSim::new(&net, &cp, &base.packet_space, sim_cfg.clone());
+    let mut clean = Engine::new(&net, &cp, &base.packet_space, sim_cfg.clone());
     clean.burst();
-    let mut lossy = FaultyDvmSim::new(
+    let mut lossy = Engine::lossy(
         &net,
         &cp,
         &base.packet_space,
@@ -154,7 +154,7 @@ fn drive_interleaving(ops: &[Op], loss: f64, seed: u64) {
         ..EngineConfig::default()
     };
     let mut threaded =
-        DistributedRun::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
+        ThreadedEngine::spawn_with(&net, &cp, &base.packet_space, &ecfg, &LecCache::new());
     threaded.wait_quiescent();
 
     // The model the substrates must track: live intents + current FIBs.
@@ -316,11 +316,11 @@ fn inet2_intent_install_is_slice_local() {
     let net = &ds.network;
     let (inv, cp) = tulkun::daemon::dataset_session(net, "INet2").unwrap();
 
-    let sim_cfg = SimConfig {
+    let sim_cfg = EngineConfig {
         all_devices: true,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = DvmSim::new(net, &cp, &inv.packet_space, sim_cfg);
+    let mut sim = Engine::new(net, &cp, &inv.packet_space, sim_cfg);
     sim.burst();
     let before = sim.report().canonical_bytes();
 
@@ -400,11 +400,11 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
     let plan = Planner::new(topo).plan(&base).unwrap();
     let cp = plan.counting().unwrap();
     let engine = || {
-        let cfg = SimConfig {
+        let cfg = EngineConfig {
             all_devices: true,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
-        let mut e = DvmSim::new(net, cp, &base.packet_space, cfg);
+        let mut e = Engine::new(net, cp, &base.packet_space, cfg);
         e.burst();
         e
     };
@@ -413,14 +413,14 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
     shared.install_intent("other", &other).unwrap();
     let (id, ..) = shared.install_intent("swapped", &swapped).unwrap();
     // Devices hosting a slice node adjacent to one on a touched device.
-    let neighbours = |e: &DvmSim, touched: &BTreeSet<DeviceId>| -> BTreeSet<DeviceId> {
+    let neighbours = |e: &Engine, touched: &BTreeSet<DeviceId>| -> BTreeSet<DeviceId> {
         let tasks = e.intents().global_tasks();
         let near = tasks.iter().filter(|t| touched.contains(&t.dev));
         near.flat_map(|t| t.upstream.iter().chain(&t.downstream))
             .map(|(_, d)| *d)
             .collect()
     };
-    let heard = |e: &DvmSim| -> Vec<(DeviceId, u64)> {
+    let heard = |e: &Engine| -> Vec<(DeviceId, u64)> {
         let per_device = &e.stats().per_device;
         per_device.iter().map(|(d, s)| (*d, s.messages)).collect()
     };

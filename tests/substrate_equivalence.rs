@@ -3,10 +3,10 @@
 //! Figure 2a waypoint workflow — before and after the repair update.
 //!
 //! Substrates compared against the reference `Session`:
-//! * `Engine<FifoTransport, InstantClock>` — reference semantics on the
+//! * `Engine` over `FifoTransport` — reference delivery order on the
 //!   shared engine loop,
-//! * `DvmSim` — discrete-event simulator (latency heap + virtual clock),
-//! * `DistributedRun` — one OS thread per device, channel transport.
+//! * `Engine` — discrete-event simulator (latency heap + virtual clock),
+//! * `ThreadedEngine` — one OS thread per device, channel transport.
 //!
 //! The local-contract substrate cannot express the waypoint counting
 //! invariant (it needs DVM counting), so a second test pins the local
@@ -17,8 +17,8 @@ use tulkun::core::verify::Session;
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::runtime::{Engine, FifoTransport, InstantClock, LecCache};
-use tulkun::sim::{DistributedRun, DvmSim, EngineConfig, SimConfig};
+use tulkun::sim::runtime::FifoTransport;
+use tulkun::sim::{Engine, EngineConfig, LecCache, ThreadedEngine};
 
 fn fig2_setup() -> (Network, Invariant, RuleUpdate) {
     let net = tulkun::datasets::fig2a_network();
@@ -51,17 +51,10 @@ fn all_substrates_agree_byte_for_byte() {
     let ref_after = session.report().canonical_bytes();
     assert_ne!(ref_before, ref_after, "repair update must change verdict");
 
-    // Engine with reference FIFO transport and zero-cost clock.
-    let cache = LecCache::new();
-    let mut engine = Engine::new_cached(
-        &net,
-        cp,
-        &inv.packet_space,
-        &EngineConfig::default(),
-        &cache,
-        FifoTransport::default(),
-        InstantClock,
-    );
+    // Engine over the reference FIFO transport.
+    let (cfg, cache) = (EngineConfig::default(), LecCache::new());
+    let fifo = Box::<FifoTransport>::default();
+    let mut engine = Engine::over(&net, cp, &inv.packet_space, &cfg, &cache, fifo);
     engine.burst();
     assert_eq!(
         engine.report().canonical_bytes(),
@@ -76,7 +69,7 @@ fn all_substrates_agree_byte_for_byte() {
     );
 
     // Discrete-event simulator (latency-ordered delivery, virtual time).
-    let mut sim = DvmSim::new(&net, cp, &inv.packet_space, SimConfig::default());
+    let mut sim = Engine::new(&net, cp, &inv.packet_space, EngineConfig::default());
     sim.burst();
     assert_eq!(
         sim.report().canonical_bytes(),
@@ -92,15 +85,14 @@ fn all_substrates_agree_byte_for_byte() {
 
     // Threaded runner: real concurrency, nondeterministic interleaving —
     // the verdict must still converge to the same bytes.
-    let run = DistributedRun::spawn(&net, cp, &inv.packet_space);
+    let mut run = ThreadedEngine::spawn(&net, cp, &inv.packet_space);
     run.wait_quiescent();
     assert_eq!(
         run.report().canonical_bytes(),
         ref_before,
         "threaded, burst"
     );
-    run.inject_update(update);
-    run.wait_quiescent();
+    run.incremental(&update);
     assert_eq!(
         run.report().canonical_bytes(),
         ref_after,

@@ -2,8 +2,8 @@
 //! verification result by a single byte, on any substrate.
 //!
 //! For each execution substrate — the reference `Engine` on a FIFO
-//! transport, the discrete-event `DvmSim`, the fault-injecting
-//! `FaultyDvmSim`, and the threaded `DistributedRun` — the Figure 2a
+//! transport, the discrete-event `Engine`, the fault-injecting
+//! `Engine`, and the threaded `ThreadedEngine` — the Figure 2a
 //! workflow runs twice: once with the default (disabled) telemetry
 //! handle and once with an enabled one. The final
 //! `Report::canonical_bytes()` must match exactly, while the enabled
@@ -22,8 +22,8 @@ use tulkun::core::planner::{CountingPlan, Planner};
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::prelude::*;
-use tulkun::sim::runtime::{Engine, FifoTransport, InstantClock, LecCache};
-use tulkun::sim::{DistributedRun, DvmSim, EngineConfig, FaultyDvmSim, SimConfig};
+use tulkun::sim::runtime::FifoTransport;
+use tulkun::sim::{Engine, EngineConfig, LecCache, ThreadedEngine};
 use tulkun::telemetry::{HistogramSpec, Telemetry, TelemetryConfig};
 
 fn fig2_setup() -> (Network, Invariant, RuleUpdate) {
@@ -56,15 +56,7 @@ fn run_fifo(
         ..EngineConfig::default()
     };
     let cache = LecCache::new();
-    let mut engine = Engine::new_cached(
-        net,
-        cp,
-        ps,
-        &cfg,
-        &cache,
-        FifoTransport::default(),
-        InstantClock,
-    );
+    let mut engine = Engine::over(net, cp, ps, &cfg, &cache, Box::<FifoTransport>::default());
     engine.burst();
     engine.incremental(update);
     engine.report().canonical_bytes()
@@ -78,11 +70,11 @@ fn run_sim(
     update: &RuleUpdate,
     telemetry: Arc<Telemetry>,
 ) -> Vec<u8> {
-    let cfg = SimConfig {
+    let cfg = EngineConfig {
         telemetry,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = DvmSim::new(net, cp, ps, cfg);
+    let mut sim = Engine::new(net, cp, ps, cfg);
     sim.burst();
     sim.incremental(update);
     sim.report().canonical_bytes()
@@ -97,11 +89,11 @@ fn run_faulty(
     update: &RuleUpdate,
     telemetry: Arc<Telemetry>,
 ) -> Vec<u8> {
-    let cfg = SimConfig {
+    let cfg = EngineConfig {
         telemetry,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
-    let mut sim = FaultyDvmSim::new(net, cp, ps, cfg, FaultProfile::loss(23, 0.10));
+    let mut sim = Engine::lossy(net, cp, ps, cfg, FaultProfile::loss(23, 0.10));
     sim.burst();
     sim.incremental(update);
     sim.crash_restart(net.topology.expect_device("W"));
@@ -121,10 +113,9 @@ fn run_threaded(
         ..EngineConfig::default()
     };
     let cache = LecCache::new();
-    let run = DistributedRun::spawn_with(net, cp, ps, &cfg, &cache);
+    let mut run = ThreadedEngine::spawn_with(net, cp, ps, &cfg, &cache);
     run.wait_quiescent();
-    run.inject_update(update.clone());
-    run.wait_quiescent();
+    run.incremental(update);
     let bytes = run.report().canonical_bytes();
     run.shutdown().expect("clean shutdown");
     bytes
