@@ -22,7 +22,13 @@
 #                 once over the two fabrics (batch staging, crash/
 #                 restart, scene swap and fence delivery each occur
 #                 exactly once under crates/sim/src, and the deleted
-#                 second names of the engines stay deleted)
+#                 second names of the engines stay deleted); and
+#                 the FIB write path compiles rules in one place
+#                 (`lecs_in` has exactly one caller outside
+#                 crates/predicate, and the verifier never calls
+#                 `match_pred` itself — what the work-count test in
+#                 crates/predicate/tests/lecs.rs bounds is therefore
+#                 what `handle_fib_batch` does)
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — as one release
@@ -46,6 +52,13 @@
 #                   backend_agreement    (crates/predicate) random-FIB
 #                     LEC classification agrees across backends, wire
 #                     bytes included
+#                   lecs                 (crates/predicate) the LEC
+#                     builder, incl. the work-count gate: a FIB burst
+#                     compiles the rules it overlaps, not the table
+#                   daemon_session       the line protocol against a
+#                     direct replay, incl. the 20 000-round soak that
+#                     holds the BDD memo within its bound (a debug
+#                     build runs 2 000 rounds)
 #                 any Report divergence fails the stage
 #   bench-smoke   runs the ablation harness on tiny topologies and
 #                 validates every figure in ABLATION_FIGURES (structure
@@ -68,8 +81,10 @@
 #   obs-smoke     runs `tulkun trace` / `tulkun metrics` on tiny INet2
 #                 and validates the Chrome-trace JSON and Prometheus
 #                 text with check_telemetry (structure only, no timing
-#                 -- the CI box has 1 CPU); also asserts a run with
-#                 telemetry disabled (--off) emits zero output
+#                 -- the CI box has 1 CPU; the predicate-memory gauges
+#                 tulkun_bdd_nodes / tulkun_bdd_memo_entries must be
+#                 there, the memo within its bound); also asserts a run
+#                 with telemetry disabled (--off) emits zero output
 #   doc-check     README/DESIGN must document the core runtime types
 #
 # Every stage runs under a wall-clock cap (CI_STAGE_TIMEOUT seconds,
@@ -150,6 +165,24 @@ stage_lint() {
             exit 1
         fi
     done
+    # The verifier is the one home of the LEC delta; its test module
+    # sits at the end of the file, so only lines above the first
+    # `#[cfg(test)]` count.
+    verifier=crates/core/src/dvm/verifier.rs
+    if grep -rl --include='*.rs' 'lecs_in(' crates src tests examples \
+        | grep -v "^crates/predicate/\|^$verifier\$"; then
+        echo "lint: lecs_in called outside crates/predicate and the verifier (see above)" >&2
+        exit 1
+    fi
+    n="$(sed '/#\[cfg(test)\]/q' "$verifier" | grep -c 'lecs_in(' || true)"
+    if [ "$n" -ne 1 ]; then
+        echo "lint: the verifier calls lecs_in $n times outside its tests, want 1 (the LEC delta)" >&2
+        exit 1
+    fi
+    if sed '/#\[cfg(test)\]/q' "$verifier" | grep -n 'match_pred('; then
+        echo "lint: the verifier compiles a rule itself (see above); the FIB write path goes through lecs_in" >&2
+        exit 1
+    fi
     if grep -rnw --include='*.rs' \
         'DvmSim\|FaultyDvmSim\|SimConfig\|SimResult\|DistributedRun\|InstantClock' \
         crates src tests examples; then
@@ -165,7 +198,8 @@ stage_fmt() {
 stage_equivalence() {
     TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun -p tulkun-predicate \
         --test fault_matrix --test churn_matrix --test intent_matrix \
-        --test churn_intent_matrix --test backend_equivalence --test backend_agreement
+        --test churn_intent_matrix --test backend_equivalence --test backend_agreement \
+        --test lecs --test daemon_session
 }
 
 stage_bench_smoke() {

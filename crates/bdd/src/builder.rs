@@ -27,13 +27,16 @@ impl Field {
     /// bits of `value` (a longest-prefix match). `plen == 0` matches all.
     pub fn prefix(&self, m: &mut BddManager, value: u64, plen: u32) -> Pred {
         assert!(plen <= self.width, "prefix length exceeds field width");
-        let mut acc = m.verum();
-        for i in 0..plen {
+        // A prefix is one chain of `plen` nodes; built from its last bit
+        // up, each step is one hash-consed node — no intermediate
+        // chains, no memo entries (conjoining literals top-down rebuilt
+        // the whole chain per bit: `plen²/2` nodes, all but `plen` of
+        // them garbage the arena never frees).
+        let mut acc = Pred::TRUE;
+        for i in (0..plen).rev() {
             // Bit i of the prefix is bit (width-1-i) of the value.
             let bit = (value >> (self.width - 1 - i)) & 1;
-            let var = self.offset + i;
-            let lit = if bit == 1 { m.var(var) } else { m.nvar(var) };
-            acc = m.and(acc, lit);
+            acc = m.literal_then(self.offset + i, bit == 1, acc);
         }
         acc
     }
@@ -162,6 +165,28 @@ mod tests {
             bits[(layout.dst_port.offset + i) as usize] = (port >> (15 - i)) & 1 == 1;
         }
         m.eval(p, &bits)
+    }
+
+    /// A prefix is the conjunction of its literals — and costs one node
+    /// per bit and no memo entry to build.
+    #[test]
+    fn prefix_is_one_chain() {
+        let layout = HeaderLayout::ipv4_tcp();
+        let mut m = BddManager::new(layout.num_vars());
+        let (addr, plen) = (0x0A64_2A80u64, 25);
+        let p = layout.dst_ip.prefix(&mut m, addr, plen);
+        assert_eq!((m.node_count(), m.memo_entries()), (2 + plen as usize, 0));
+        let conj = (0..plen).fold(Pred::TRUE, |acc, i| {
+            let var = layout.dst_ip.offset + i;
+            let lit = if addr >> (31 - i) & 1 == 1 {
+                m.var(var)
+            } else {
+                m.nvar(var)
+            };
+            m.and(acc, lit)
+        });
+        assert_eq!(p, conj);
+        assert_eq!(layout.dst_ip.prefix(&mut m, addr, 0), Pred::TRUE);
     }
 
     #[test]

@@ -51,14 +51,23 @@ enum Op {
     And,
     Or,
     Xor,
+    /// `a \ b`; the only non-commutative operation.
+    Diff,
+    /// "`a ∧ b` is non-empty", as a terminal: memoised like the rest,
+    /// builds nothing.
+    Meet,
 }
+
+/// Operation-memo entries every manager may keep regardless of its
+/// size (see [`BddManager::memo_bound`]).
+const MEMO_FLOOR: usize = 4096;
 
 /// An arena of reduced, ordered, hash-consed BDD nodes.
 ///
 /// Variables are `0..num_vars`, ordered by index (variable 0 is the root
-/// level). The manager grows monotonically; Tulkun's per-device predicate
-/// working sets are small enough (the paper reports ≤ tens of MB per
-/// device) that garbage collection is unnecessary here.
+/// level). The node table grows monotonically (no garbage collection);
+/// the operation memo does not: it is dropped whenever it outgrows the
+/// node table it serves ([`BddManager::memo_bound`]).
 #[derive(Debug, Clone)]
 pub struct BddManager {
     nodes: Vec<Node>,
@@ -103,13 +112,45 @@ impl BddManager {
         self.nodes.len()
     }
 
-    /// Drops the operation memo tables and their allocations. Every
-    /// handle and result stays valid — the tables only memoize — so
-    /// this trades recomputation for memory after a bulk build whose
-    /// intermediate results will not recur.
+    /// Entries currently held by the operation memo. Between
+    /// operations this never exceeds [`BddManager::memo_bound`].
+    pub fn memo_entries(&self) -> usize {
+        self.cache.len() + self.not_cache.len()
+    }
+
+    /// The most entries the operation memo may hold between operations:
+    /// `max(4096, 4 × node_count)`. A long-running manager whose
+    /// operands keep changing (one FIB update after another) would
+    /// otherwise keep every intermediate result it ever saw. The rule
+    /// is a constant, not a setting: a memo entry is about half a
+    /// node's bytes (arena slot plus unique-table entry), so the memo
+    /// may cost up to twice the table it indexes and no more — while
+    /// the recurring working set of a converged verifier (measured:
+    /// 0.3–1.9 entries per node) stays well clear of it. That margin
+    /// is the point: a bound *at* the working set refills and clears in
+    /// a loop, and every clear recomputes what the next operation
+    /// needs.
+    pub fn memo_bound(&self) -> usize {
+        MEMO_FLOOR.max(4 * self.nodes.len())
+    }
+
+    /// Drops the operation memo and its allocations (what fills it
+    /// next is a different working set of unknown size). Every handle
+    /// and result stays valid — the tables only memoize.
     pub fn clear_caches(&mut self) {
         self.cache = HashMap::new();
         self.not_cache = HashMap::new();
+    }
+
+    /// Runs one top-level operation and then enforces the memo bound.
+    /// Never mid-recursion: an operation keeps its own sub-results
+    /// until it returns, so its complexity bound is untouched.
+    fn bounded(&mut self, op: impl FnOnce(&mut Self) -> u32) -> Pred {
+        let r = op(self);
+        if self.memo_entries() > self.memo_bound() {
+            self.clear_caches();
+        }
+        Pred(r)
     }
 
     /// The empty predicate (no packets).
@@ -193,9 +234,25 @@ impl BddManager {
                     return a;
                 }
             }
+            Op::Diff => {
+                if a == 0 || b == 1 || a == b {
+                    return 0;
+                }
+                if b == 0 {
+                    return a;
+                }
+                if a == 1 {
+                    return self.not_rec(b);
+                }
+            }
+            Op::Meet => unreachable!("meet_rec builds no node and never applies"),
         }
         // Commutative ops: normalize the cache key.
-        let key = if a <= b { (op, a, b) } else { (op, b, a) };
+        let key = if a <= b || op == Op::Diff {
+            (op, a, b)
+        } else {
+            (op, b, a)
+        };
         if let Some(&r) = self.cache.get(&key) {
             return r;
         }
@@ -217,22 +274,22 @@ impl BddManager {
 
     /// Set intersection.
     pub fn and(&mut self, a: Pred, b: Pred) -> Pred {
-        Pred(self.apply(Op::And, a.0, b.0))
+        self.bounded(|m| m.apply(Op::And, a.0, b.0))
     }
 
     /// Set union.
     pub fn or(&mut self, a: Pred, b: Pred) -> Pred {
-        Pred(self.apply(Op::Or, a.0, b.0))
+        self.bounded(|m| m.apply(Op::Or, a.0, b.0))
     }
 
     /// Symmetric difference.
     pub fn xor(&mut self, a: Pred, b: Pred) -> Pred {
-        Pred(self.apply(Op::Xor, a.0, b.0))
+        self.bounded(|m| m.apply(Op::Xor, a.0, b.0))
     }
 
     /// Set complement.
     pub fn not(&mut self, a: Pred) -> Pred {
-        Pred(self.not_rec(a.0))
+        self.bounded(|m| m.not_rec(a.0))
     }
 
     fn not_rec(&mut self, a: u32) -> u32 {
@@ -254,10 +311,10 @@ impl BddManager {
         r
     }
 
-    /// Set difference `a \ b`.
+    /// Set difference `a \ b`, applied directly: `¬b` is never built
+    /// (only the sub-diagrams of it that end up in the result are).
     pub fn diff(&mut self, a: Pred, b: Pred) -> Pred {
-        let nb = self.not(b);
-        self.and(a, nb)
+        self.bounded(|m| m.apply(Op::Diff, a.0, b.0))
     }
 
     /// Is the predicate the empty set?
@@ -275,9 +332,36 @@ impl BddManager {
         self.diff(a, b) == Pred::FALSE
     }
 
-    /// Do `a` and `b` share at least one packet?
+    /// Do `a` and `b` share at least one packet? Walks the product
+    /// until the first common path; the product itself is never built
+    /// (no node is allocated — only the verdicts are memoised).
     pub fn intersects(&mut self, a: Pred, b: Pred) -> bool {
-        self.and(a, b) != Pred::FALSE
+        self.bounded(|m| m.meet_rec(a.0, b.0)) == Pred::TRUE
+    }
+
+    fn meet_rec(&mut self, a: u32, b: u32) -> u32 {
+        if a == 0 || b == 0 {
+            return 0;
+        }
+        // Reduced diagrams: every non-FALSE node has a satisfying path.
+        if a == 1 || b == 1 || a == b {
+            return 1;
+        }
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        if let Some(&r) = self.cache.get(&(Op::Meet, a, b)) {
+            return r;
+        }
+        let (na, nb) = (self.node(a), self.node(b));
+        let (alo, ahi, blo, bhi) = if na.var < nb.var {
+            (na.lo, na.hi, b, b)
+        } else if nb.var < na.var {
+            (a, a, nb.lo, nb.hi)
+        } else {
+            (na.lo, na.hi, nb.lo, nb.hi)
+        };
+        let r = u32::from(self.meet_rec(alo, blo) == 1 || self.meet_rec(ahi, bhi) == 1);
+        self.cache.insert((Op::Meet, a, b), r);
+        r
     }
 
     /// Number of satisfying assignments over all `num_vars` variables,
@@ -320,7 +404,7 @@ impl BddManager {
     /// under a header rewrite.
     pub fn exists_range(&mut self, a: Pred, lo: u32, hi: u32) -> Pred {
         let mut memo = HashMap::new();
-        Pred(self.exists_rec(a.0, lo, hi, &mut memo))
+        self.bounded(|m| m.exists_rec(a.0, lo, hi, &mut memo))
     }
 
     fn exists_rec(&mut self, idx: u32, lo: u32, hi: u32, memo: &mut HashMap<u32, u32>) -> u32 {
@@ -415,6 +499,17 @@ impl BddManager {
 
     pub(crate) fn mk_raw(&mut self, var: u32, lo: u32, hi: u32) -> u32 {
         self.mk(var, lo, hi)
+    }
+
+    /// `(var == value) ∧ rest`, for a `rest` over later variables only:
+    /// one node, no apply.
+    pub(crate) fn literal_then(&mut self, var: u32, value: bool, rest: Pred) -> Pred {
+        debug_assert!(var < self.num_vars && self.level(rest.0) > var);
+        Pred(if value {
+            self.mk(var, 0, rest.0)
+        } else {
+            self.mk(var, rest.0, 0)
+        })
     }
 }
 

@@ -149,4 +149,76 @@ proptest! {
         }
         prop_assert_eq!(imp, model_subset);
     }
+
+    #[test]
+    fn diff_and_intersects_agree_with_and_not(a in expr_strategy(), b in expr_strategy()) {
+        let mut m = BddManager::new(VARS);
+        let pa = build(&mut m, &a);
+        let pb = build(&mut m, &b);
+        // `intersects` first: it must answer from a cold product
+        // without building it.
+        let nodes = m.node_count();
+        let hit = m.intersects(pa, pb);
+        prop_assert_eq!(m.node_count(), nodes);
+        let d = m.diff(pa, pb);
+        let nb = m.not(pb);
+        prop_assert_eq!(d, m.and(pa, nb));
+        prop_assert_eq!(hit, m.and(pa, pb) != Pred::FALSE);
+        // Warm now: a memoised verdict answers instead of the walk.
+        prop_assert_eq!(m.intersects(pa, pb), hit);
+    }
+}
+
+/// 10^5 operations shaped like a daemon folding in one FIB update
+/// after another — a fresh prefix moved between a dozen long-lived
+/// classes — never leave more memo entries behind than `memo_bound()`,
+/// and the bound engages (every step mints more entries than nodes).
+#[test]
+fn memo_stays_bounded_over_random_ops() {
+    use rand::{Rng, RngCore, SeedableRng};
+    const BITS: u32 = 32;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
+    let mut m = BddManager::new(BITS);
+    let mut classes = [Pred::FALSE; 12];
+    classes[0] = Pred::TRUE;
+    let (mut ops, mut cleared, mut last) = (0usize, 0u32, 0usize);
+    while ops < 100_000 {
+        let (addr, len) = (rng.next_u32(), rng.gen_range(8..=BITS));
+        // Low bits first: each step adds one node to the chain.
+        let prefix = (0..len).rev().fold(Pred::TRUE, |p, i| {
+            let bit = if addr >> (31 - i) & 1 == 1 {
+                m.var(i)
+            } else {
+                m.nvar(i)
+            };
+            m.and(p, bit)
+        });
+        let to = rng.gen_range(0..classes.len());
+        for (i, class) in classes.iter_mut().enumerate() {
+            // What a verifier asks about an update before splicing it.
+            let old = m.and(*class, prefix);
+            let rest = m.diff(prefix, *class);
+            assert_eq!(m.intersects(*class, prefix), old != Pred::FALSE);
+            assert_eq!(m.or(old, rest), prefix);
+            *class = if i == to {
+                m.or(*class, prefix)
+            } else {
+                m.diff(*class, prefix)
+            };
+        }
+        ops += len as usize + 5 * classes.len();
+        let memo = m.memo_entries();
+        assert_eq!(m.memo_bound(), (4 * m.node_count()).max(4096));
+        assert!(
+            memo <= m.memo_bound(),
+            "after {ops} ops: {memo} memo entries over {} nodes",
+            m.node_count()
+        );
+        cleared += u32::from(memo < last);
+        last = memo;
+    }
+    // The classes still partition the space: the memo only memoises.
+    let all = classes.iter().fold(Pred::FALSE, |u, c| m.or(u, *c));
+    assert_eq!(all, Pred::TRUE);
+    assert!(cleared > 0, "the bound never engaged: {last} entries");
 }

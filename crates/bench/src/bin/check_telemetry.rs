@@ -15,9 +15,11 @@
 //!   `# TYPE` lines, `name{labels} value` samples, and every histogram
 //!   has monotonically non-decreasing cumulative buckets ending in
 //!   `le="+Inf"` plus `_sum` and `_count` lines, with `_count` equal
-//!   to the `+Inf` bucket; and a repair wave is a kind of fence, so
+//!   to the `+Inf` bucket; a repair wave is a kind of fence, so
 //!   `tulkun_fence_repairs_total` never exceeds
-//!   `tulkun_epoch_bumps_total`.
+//!   `tulkun_epoch_bumps_total`; and the per-device predicate-memory
+//!   gauges `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are
+//!   exported, the memo within its bound of `max(4096, 4 x nodes)`.
 //! * `--journal <file>`: the file is a `tulkun-journal-v1` flight-
 //!   recorder dump — `schema`/`dropped`/`events`, every event carries
 //!   `seq`/`kind`/`device`/`epoch`/`trace`/`detail`, `kind` is one of
@@ -212,6 +214,7 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
     let mut samples = 0usize;
     let (mut bumps, mut repairs) = (0.0f64, 0.0f64);
+    let (mut bdd_nodes, mut bdd_memo) = (None, None);
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -288,6 +291,10 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             bumps = value;
         } else if name_part == "tulkun_fence_repairs_total" {
             repairs = value;
+        } else if name_part == "tulkun_bdd_nodes" {
+            bdd_nodes = Some(value);
+        } else if name_part == "tulkun_bdd_memo_entries" {
+            bdd_memo = Some(value);
         }
     }
     if samples == 0 {
@@ -297,6 +304,17 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
         return Err(format!(
             "tulkun_fence_repairs_total {repairs} exceeds tulkun_epoch_bumps_total {bumps}"
         ));
+    }
+    // Both gauges report the heaviest device, so the heaviest memo is
+    // within the bound of the heaviest table.
+    match (bdd_nodes, bdd_memo) {
+        (Some(nodes), Some(memo)) if memo <= (4.0 * nodes).max(4096.0) => {}
+        (Some(nodes), Some(memo)) => {
+            return Err(format!(
+                "tulkun_bdd_memo_entries {memo} exceeds its bound beside tulkun_bdd_nodes {nodes}"
+            ))
+        }
+        _ => return Err("missing tulkun_bdd_nodes / tulkun_bdd_memo_entries gauge".into()),
     }
     for (name, h) in &hists {
         if h.buckets.is_empty() {

@@ -23,7 +23,7 @@
 //! messages carried; a fence on a quiescent exchange skips it.
 
 use crate::fault::{link_pair, subtopology, FaultScene, LinkPair};
-use crate::planner::Planner;
+use crate::intent::plan_intent_on;
 use crate::spec::Invariant;
 use std::collections::BTreeSet;
 use tulkun_netmodel::topology::{DeviceId, Topology};
@@ -136,9 +136,11 @@ pub struct ChurnSchedule(pub Vec<TopologyEvent>);
 impl ChurnSchedule {
     /// Generates `len` seeded link-churn events (downs and recoveries)
     /// that always leave the invariant plannable: each candidate event
-    /// is admitted only if re-planning the resulting cumulative state
-    /// succeeds. Deterministic per `(seed, len)`; composes with the
-    /// equally seeded message-fault profiles for chaos testing.
+    /// is admitted only if the live re-planner would accept the
+    /// resulting cumulative state as a base slice
+    /// ([`plan_intent_on`] — the rule itself, not a copy of it).
+    /// Deterministic per `(seed, len)`; composes with the equally
+    /// seeded message-fault profiles for chaos testing.
     pub fn seeded(base: &Topology, inv: &Invariant, seed: u64, len: usize) -> ChurnSchedule {
         // xorshift, as in `sample_scenes` — reproducible without a rand
         // dependency in core.
@@ -151,12 +153,9 @@ impl ChurnSchedule {
         };
         let all_links: Vec<LinkPair> = base.links().iter().map(|l| link_pair(l.a, l.b)).collect();
         let mut churn = ChurnState::new();
-        // Plannable: the invariant still compiles to a counting plan.
-        let plannable = |topo: &Topology| {
-            let plan = Planner::new(topo).plan(inv);
-            plan.is_ok_and(|p| p.counting().is_some())
-        };
-        if !plannable(base) {
+        let plannable =
+            |churn: &ChurnState| plan_intent_on(&churn.apply_to(base), inv, churn, None).is_ok();
+        if !plannable(&churn) {
             return ChurnSchedule(Vec::new());
         }
         let mut events = Vec::new();
@@ -179,7 +178,7 @@ impl ChurnSchedule {
                 let ev = cands.swap_remove(i);
                 let mut trial = churn.clone();
                 trial.apply(&ev);
-                if plannable(&trial.apply_to(base)) {
+                if plannable(&trial) {
                     churn = trial;
                     events.push(ev);
                     continue 'outer;
@@ -353,12 +352,15 @@ mod tests {
         assert_eq!(s1.len(), 6);
         let s3 = ChurnSchedule::seeded(topo, &inv, 23, 6);
         assert_ne!(s1, s3, "different seeds should diverge on fig2a");
-        // Every prefix of the schedule leaves the invariant plannable.
-        let mut churn = ChurnState::new();
-        for ev in &s1.0 {
-            churn.apply(ev);
-            let plan = Planner::new(&churn.apply_to(topo)).plan(&inv).unwrap();
-            assert!(plan.counting().is_some());
+        // Every scheduled event is one the live control plane accepts
+        // (seed 7 used to schedule a cut that still "planned" — onto an
+        // empty DPVNet — which the re-planner refuses as a base slice).
+        for seed in [7, 23] {
+            let (mut c, inv) = control(&net);
+            for ev in &ChurnSchedule::seeded(topo, &inv, seed, 6).0 {
+                let decided = c.topology_event(ev, topo, &inv, 0);
+                assert!(decided.is_ok(), "seed {seed}: {ev:?} refused: {decided:?}");
+            }
         }
     }
 }

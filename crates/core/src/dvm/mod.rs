@@ -14,4 +14,6 @@ pub mod verifier;
 
 pub use message::{EdgeRef, Envelope, Outbox, Payload};
 pub use reliable::{Accepted, ReceiverLedger, SenderWindow};
-pub use verifier::{DestMode, DeviceVerifier, VerifierBuilder, VerifierConfig, VerifierStats};
+pub use verifier::{
+    DestMode, DeviceVerifier, NodeResult, VerifierBuilder, VerifierConfig, VerifierStats,
+};

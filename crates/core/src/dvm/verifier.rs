@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::HeaderLayout;
-use tulkun_netmodel::fib::{Action, ActionType, Fib, NextHop, Rewrite};
+use tulkun_netmodel::fib::{Action, ActionType, Fib, MatchSpec, NextHop, Rewrite};
 use tulkun_netmodel::network::RuleUpdate;
 use tulkun_netmodel::DeviceId;
 use tulkun_predicate::{BackendKind, DynBackend, DynPred, PredicateBackend};
@@ -108,12 +108,61 @@ struct NodeState {
     /// header space). Missing coverage means count zero.
     cib_in: BTreeMap<NodeId, Vec<(DynPred, Counts)>>,
     /// This node's counting results (partitions `scope`).
-    loc_cib: Vec<(DynPred, Counts)>,
+    loc_cib: LocCib,
     /// What upstream currently believes (reduced counts; partitions
     /// `scope`).
     cib_out: Vec<(DynPred, Counts)>,
     /// Scope already requested from each downstream device.
     sent_subs: BTreeMap<NodeId, DynPred>,
+}
+
+/// One node's exported counting results ([`DeviceVerifier::node_result`]):
+/// shared, so a reader that keeps none of it copies none of it.
+pub type NodeResult = Arc<[(PortablePred, Counts)]>;
+
+use loc_cib::LocCib;
+
+mod loc_cib {
+    use super::{Counts, DynPred, NodeResult};
+
+    /// A node's `LocCIB` together with the memo of its unfiltered
+    /// export. The fields are private to this module so the table can
+    /// only change through [`LocCib::edit`] — the memo's single
+    /// invalidation point. (A node that is removed, wiped or re-created
+    /// takes its memo with it.)
+    #[derive(Debug)]
+    pub(super) struct LocCib {
+        entries: Vec<(DynPred, Counts)>,
+        exported: Option<NodeResult>,
+    }
+
+    impl LocCib {
+        pub(super) fn new(entries: Vec<(DynPred, Counts)>) -> LocCib {
+            LocCib {
+                entries,
+                exported: None,
+            }
+        }
+
+        pub(super) fn entries(&self) -> &[(DynPred, Counts)] {
+            &self.entries
+        }
+
+        /// Mutable access to the table; forgets the exported form.
+        pub(super) fn edit(&mut self) -> &mut Vec<(DynPred, Counts)> {
+            self.exported = None;
+            &mut self.entries
+        }
+
+        pub(super) fn exported(&self) -> Option<&NodeResult> {
+            self.exported.as_ref()
+        }
+
+        /// Remembers `result` as the export of the current table.
+        pub(super) fn set_exported(&mut self, result: NodeResult) {
+            self.exported = Some(result);
+        }
+    }
 }
 
 /// The event-driven on-device verifier, over the predicate backend
@@ -242,7 +291,7 @@ impl<'a> VerifierBuilder<'a> {
                     scope: ps,
                     relevant: Vec::new(),
                     cib_in: BTreeMap::new(),
-                    loc_cib: vec![(ps, Counts::zero(dim))],
+                    loc_cib: LocCib::new(vec![(ps, Counts::zero(dim))]),
                     cib_out: vec![(ps, Counts::zero(dim))],
                     sent_subs: BTreeMap::new(),
                 },
@@ -273,6 +322,7 @@ impl<'a> VerifierBuilder<'a> {
             }
             None => v.rebuild_lecs(),
         }
+        v.export_mem_gauges();
         v
     }
 }
@@ -384,6 +434,22 @@ impl DeviceVerifier {
     /// [`DeviceVerifier::mem_units`]).
     pub fn bdd_nodes(&self) -> usize {
         self.backend.mem_units()
+    }
+
+    /// Exports this device's predicate-memory gauges (§9.4, Fig. 15):
+    /// backend table size and operation-memo size. Set where the table
+    /// grows in bulk — build, FIB batch, fence — into the device's
+    /// shard; a metrics snapshot reports the maximum across shards,
+    /// i.e. the heaviest device.
+    fn export_mem_gauges(&self) {
+        if !self.tel.is_enabled() {
+            return;
+        }
+        let nodes = self.backend.mem_units() as i64;
+        let memo = self.backend.memo_entries() as i64;
+        self.tel.gauge_set(self.dev, "tulkun_bdd_nodes", nodes);
+        self.tel
+            .gauge_set(self.dev, "tulkun_bdd_memo_entries", memo);
     }
 
     fn rebuild_lecs(&mut self) {
@@ -567,7 +633,7 @@ impl DeviceVerifier {
             let st = self.nodes.get_mut(&node).unwrap();
             st.scope = be.or(st.scope, grow);
             // The new region starts at the implicit zero on both tables.
-            st.loc_cib.push((grow, zero.clone()));
+            st.loc_cib.edit().push((grow, zero.clone()));
             st.cib_out.push((grow, zero));
         }
         // The grown scope may make more LEC classes relevant.
@@ -587,10 +653,12 @@ impl DeviceVerifier {
     /// *single* LEC delta and one CIB recompute per affected node,
     /// emitting one coalesced UPDATE per upstream edge instead of one
     /// per rule. The LEC table is maintained *incrementally*: only the
-    /// updated rules' match regions can change class, so the table is
-    /// re-derived inside the union of those regions and spliced in — the
-    /// §5.1 "maintain a table of a minimal number of LECs" behaviour,
-    /// without a full rebuild.
+    /// updated rules' match regions can change class, so the classes
+    /// inside the union of those regions are re-derived — from the
+    /// rules whose destination prefix overlaps the burst, not from the
+    /// table ([`tulkun_predicate::lecs_in`]) — and spliced in: the §5.1
+    /// "maintain a table of a minimal number of LECs" behaviour at the
+    /// cost of what the burst touches.
     ///
     /// The batch leaves the verifier in exactly the state sequential
     /// application would: the FIB mutations happen in order, and the LEC
@@ -610,15 +678,39 @@ impl DeviceVerifier {
         tel.span(self.dev, "fib.batch", "dvm", begin, dur, self.trace);
         tel.observe(self.dev, &FIB_BATCH_NS, dur);
         tel.count(self.dev, "tulkun_fib_updates_total", updates.len() as u64);
+        self.export_mem_gauges();
     }
 
     fn fib_batch_inner(&mut self, updates: &[RuleUpdate], out: &mut dyn Outbox) {
-        // Apply every FIB mutation in order, unioning the touched match
-        // regions.
-        let mut m = self.backend.falsum();
+        let touched = self.fold_into_fib(updates);
+        self.stats.lec_rebuilds += 1;
+        let lec_timer = self
+            .tel
+            .is_enabled()
+            .then(|| (self.tel.host_tick(), Instant::now()));
+        let changed = self.splice_lecs(&touched);
+        if let Some((begin, wall)) = lec_timer {
+            let dur = (wall.elapsed().as_nanos() as u64).max(1);
+            let tel = self.tel.clone();
+            tel.span(self.dev, "lec.delta", "dvm", begin, dur, self.trace);
+            tel.observe(self.dev, &LEC_DELTA_NS, dur);
+        }
+        if self.backend.is_false(changed) {
+            return;
+        }
+        let ids = self.node_ids();
+        for id in ids {
+            self.emit_subscriptions(id, changed, out);
+            self.recompute_node(id, changed, out);
+        }
+    }
+
+    /// Applies every FIB mutation in order; returns what each touched.
+    fn fold_into_fib(&mut self, updates: &[RuleUpdate]) -> Vec<MatchSpec> {
+        let mut touched = Vec::with_capacity(updates.len());
         for update in updates {
             assert_eq!(update.device(), self.dev);
-            let matches = match update {
+            touched.push(match update {
                 RuleUpdate::Insert { rule, .. } => {
                     self.fib.insert(rule.clone());
                     rule.matches
@@ -629,35 +721,34 @@ impl DeviceVerifier {
                     self.fib.remove(*priority, matches);
                     *matches
                 }
-            };
-            let mp = self.backend.match_pred(&matches);
-            m = self.backend.or(m, mp);
+            });
         }
-        self.stats.lec_rebuilds += 1;
-        let lec_timer = self
-            .tel
-            .is_enabled()
-            .then(|| (self.tel.host_tick(), Instant::now()));
+        touched
+    }
 
-        // Old effective actions inside the region (for the changed-region
-        // diff), keyed by action.
+    /// The LEC delta: brings the table in line with the (already
+    /// mutated) FIB inside the `touched` match regions and returns the
+    /// packets whose action changed.
+    fn splice_lecs(&mut self, touched: &[MatchSpec]) -> DynPred {
+        // The final classes inside the union `m` of the touched regions.
+        let (m, fresh) = tulkun_predicate::lecs_in(&self.fib, touched, &mut self.backend);
+        // Splice, first half: strip the region from every class it
+        // reaches, keeping the old effective actions inside it (for
+        // the changed-region diff).
         let mut old_in: Vec<(DynPred, Action)> = Vec::new();
-        for (p, a) in &self.lecs.clone() {
-            let i = self.backend.and(*p, m);
-            if !self.backend.is_false(i) {
-                old_in.push((i, a.clone()));
-            }
-        }
-        // Splice: strip the region from every class, re-derive classes
-        // inside it, merge same-action classes back.
-        let fresh = tulkun_predicate::lecs_in(&self.fib, m, &mut self.backend);
         {
             let be = &mut self.backend;
-            self.lecs.retain_mut(|(p, _)| {
+            self.lecs.retain_mut(|(p, a)| {
+                let inside = be.and(*p, m);
+                if be.is_false(inside) {
+                    return true;
+                }
+                old_in.push((inside, a.clone()));
                 *p = be.diff(*p, m);
                 !be.is_false(*p)
             });
         }
+        // Second half: merge the fresh same-action classes back.
         let mut changed = self.backend.falsum();
         for (fp, fa) in fresh {
             // Changed where the new action differs from the old one.
@@ -674,20 +765,7 @@ impl DeviceVerifier {
             }
         }
         self.refresh_relevance();
-        if let Some((begin, wall)) = lec_timer {
-            let dur = (wall.elapsed().as_nanos() as u64).max(1);
-            let tel = self.tel.clone();
-            tel.span(self.dev, "lec.delta", "dvm", begin, dur, self.trace);
-            tel.observe(self.dev, &LEC_DELTA_NS, dur);
-        }
-        if self.backend.is_false(changed) {
-            return;
-        }
-        let ids = self.node_ids();
-        for id in ids {
-            self.emit_subscriptions(id, changed, out);
-            self.recompute_node(id, changed, out);
-        }
+        changed
     }
 
     /// Swaps this device's tasks for a new fault-scene view (§6: after
@@ -745,7 +823,7 @@ impl DeviceVerifier {
                         scope: base,
                         relevant: Vec::new(),
                         cib_in: BTreeMap::new(),
-                        loc_cib: vec![(base, zero.clone())],
+                        loc_cib: LocCib::new(vec![(base, zero.clone())]),
                         cib_out: vec![(base, zero)],
                         sent_subs: BTreeMap::new(),
                     },
@@ -811,6 +889,7 @@ impl DeviceVerifier {
         for env in std::mem::take(&mut self.early) {
             self.handle(&env, out);
         }
+        self.export_mem_gauges();
     }
 
     /// Sends one node's durable protocol state along the edges the
@@ -921,7 +1000,7 @@ impl DeviceVerifier {
         for st in self.nodes.values_mut() {
             st.scope = st.base;
             st.cib_in.clear();
-            st.loc_cib = vec![(st.base, Counts::zero(dim))];
+            *st.loc_cib.edit() = vec![(st.base, Counts::zero(dim))];
             st.cib_out = vec![(st.base, Counts::zero(dim))];
             st.sent_subs.clear();
         }
@@ -957,32 +1036,44 @@ impl DeviceVerifier {
     /// first follows delivery order), so entries with equal counts are
     /// unioned here, where Reports read them. Equal converged states
     /// then export byte-equal results on every substrate.
-    pub fn node_result(
-        &mut self,
-        node: NodeId,
-        space: Option<&PortablePred>,
-    ) -> Vec<(PortablePred, Counts)> {
-        let q = space.map(|s| self.backend.import(s));
+    ///
+    /// The unfiltered export is memoised per node until the node's
+    /// `LocCIB` next changes (see [`LocCib`]): a report, status or
+    /// explain read re-exports only the nodes an update reached.
+    pub fn node_result(&mut self, node: NodeId, space: Option<&PortablePred>) -> NodeResult {
         let Some(st) = self.nodes.get(&node) else {
-            return Vec::new();
+            return Vec::new().into();
         };
+        if let (None, Some(memo)) = (space, st.loc_cib.exported().cloned()) {
+            debug_assert_eq!(*memo, *self.merged_export(node, None), "stale export memo");
+            return memo;
+        }
+        let q = space.map(|s| self.backend.import(s));
+        let result: NodeResult = self.merged_export(node, q).into();
+        if space.is_none() {
+            let st = self.nodes.get_mut(&node).expect("hosted, checked above");
+            st.loc_cib.set_exported(result.clone());
+        }
+        result
+    }
+
+    /// The canonical export behind [`DeviceVerifier::node_result`]:
+    /// the hosted node's entries that intersect `q`, merged by outcome.
+    fn merged_export(&mut self, node: NodeId, q: Option<DynPred>) -> Vec<(PortablePred, Counts)> {
+        let (st, be) = (&self.nodes[&node], &mut self.backend);
         let mut merged: Vec<(DynPred, &Counts)> = Vec::new();
-        for (p, c) in st.loc_cib.iter() {
-            let keep = match q {
-                None => true,
-                Some(q) => self.backend.intersects(*p, q),
-            };
-            if !keep {
+        for (p, c) in st.loc_cib.entries() {
+            if q.is_some_and(|q| !be.intersects(*p, q)) {
                 continue;
             }
             match merged.iter_mut().find(|(_, mc)| *mc == c) {
-                Some((mp, _)) => *mp = self.backend.or(*mp, *p),
+                Some((mp, _)) => *mp = be.or(*mp, *p),
                 None => merged.push((*p, c)),
             }
         }
         merged
             .into_iter()
-            .map(|(p, c)| (self.backend.export(p), c.clone()))
+            .map(|(p, c)| (be.export(p), c.clone()))
             .collect()
     }
 
@@ -1050,11 +1141,12 @@ impl DeviceVerifier {
         {
             let be = &mut self.backend;
             let st = self.nodes.get_mut(&node).unwrap();
-            st.loc_cib.retain_mut(|(p, _)| {
+            let loc_cib = st.loc_cib.edit();
+            loc_cib.retain_mut(|(p, _)| {
                 *p = be.diff(*p, r);
                 !be.is_false(*p)
             });
-            st.loc_cib.extend(new_entries.iter().cloned());
+            loc_cib.extend(new_entries.iter().cloned());
         }
 
         // Reduce (Proposition 1) and diff against CIBOut.
@@ -1358,7 +1450,9 @@ impl DeviceVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tulkun_netmodel::fib::{MatchSpec, Rule};
+    use proptest::prelude::*;
+    use tulkun_netmodel::fib::Rule;
+    use tulkun_netmodel::IpPrefix;
 
     /// A two-device line `d1 -> d0`: `d0` hosts destination node 0,
     /// already counting, with no upstream yet; `d1` forwards the packet
@@ -1431,7 +1525,7 @@ mod tests {
         let (up, down) = (NodeId(1), NodeId(0));
         assert_eq!(*edge, EdgeRef { up, down });
         assert_eq!(withdrawn, &[space], "full scope");
-        assert_eq!(results, &d0.node_result(NodeId(0), None), "whole CIBOut");
+        assert_eq!(**results, *d0.node_result(NodeId(0), None), "whole CIBOut");
 
         out.clear();
         d0.apply_fence(2, 8, DeviceFence::default(), &mut out);
@@ -1533,7 +1627,7 @@ mod tests {
             let other = v.backend.match_pred(&dst("10.9.0.0/24"));
             let counts = unsplit[0].1.clone();
             let st = v.nodes.get_mut(&node).unwrap();
-            st.loc_cib = vec![
+            *st.loc_cib.edit() = vec![
                 (hi, counts.clone()),
                 (other, Counts::single(vec![7])),
                 (lo, counts),
@@ -1543,6 +1637,132 @@ mod tests {
             assert_eq!(merged[0], unsplit[0], "{kind}: union is not the whole");
             // The packet-space filter still selects by intersection.
             assert_eq!(v.node_result(node, Some(&space)), unsplit);
+        }
+    }
+
+    /// A rule drawn from a small space so bursts overlap the table and
+    /// each other: few priorities (ties), nested prefixes inside
+    /// 10.0.0.0/8, few actions; `rich` adds port and protocol matches.
+    fn rule_of((prio, plen, net, act, port, proto): RuleSeed, rich: bool) -> Rule {
+        let mut matches = MatchSpec::dst(IpPrefix::new(0x0A00_0000 | (net << 12), plen));
+        if rich {
+            matches.dst_port = port.map(|p| (p, p + 3));
+            matches.proto = proto;
+        }
+        let action = match act {
+            0 => Action::Drop,
+            1 => Action::deliver(),
+            2 => Action::fwd(DeviceId(1)),
+            _ => Action::fwd_all([DeviceId(1), DeviceId(2)]),
+        };
+        Rule {
+            priority: prio,
+            matches,
+            action,
+        }
+    }
+
+    type RuleSeed = (u32, u8, u32, u32, Option<u16>, Option<u8>);
+
+    fn rule_seed() -> impl Strategy<Value = RuleSeed> {
+        (
+            0u32..4,
+            14u8..28,
+            0u32..48,
+            0u32..4,
+            proptest::option::of(0u16..6),
+            proptest::option::of(6u8..8),
+        )
+    }
+
+    /// A table as the set of its `(wire predicate, action)` classes.
+    fn wire_classes(
+        be: &DynBackend,
+        classes: &[(DynPred, Action)],
+    ) -> BTreeSet<(PortablePred, Action)> {
+        let wire = classes.iter().map(|(p, a)| (be.export(*p), a.clone()));
+        wire.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The LEC delta against the from-scratch builder: after every
+        /// burst the spliced table is the table `lecs()` derives from
+        /// the mutated FIB, and the `changed` region is exactly where
+        /// the old and new from-scratch tables disagree on the action —
+        /// on every backend (port/proto rules on `bdd` only).
+        #[test]
+        fn lec_delta_equals_a_rebuild(
+            table in proptest::collection::vec(rule_seed(), 0..24),
+            bursts in proptest::collection::vec(
+                proptest::collection::vec((any::<bool>(), rule_seed(), 0usize..64), 1..17),
+                1..5,
+            ),
+        ) {
+            let layout = HeaderLayout::ipv4_tcp();
+            for kind in BackendKind::CONCRETE {
+                let rich = kind == BackendKind::Bdd;
+                let mut fib = Fib::new();
+                for seed in &table {
+                    fib.insert(rule_of(*seed, rich));
+                }
+                let space = DynBackend::new(kind, layout);
+                let space = space.export(space.verum());
+                let cfg = VerifierConfig {
+                    n_exprs: 1,
+                    track_escapes: false,
+                    reduce: ReduceMode::None,
+                    dest_mode: DestMode::Axiomatic,
+                };
+                let mut v = DeviceVerifier::builder(DeviceId(0), layout, fib, &space, cfg)
+                    .backend(kind)
+                    .build();
+                for burst in &bursts {
+                    let updates: Vec<RuleUpdate> = burst
+                        .iter()
+                        .map(|(insert, seed, victim)| {
+                            let rule = rule_of(*seed, rich);
+                            // Remove a rule that exists (by index) when
+                            // there is one, else whatever the seed names.
+                            let live = v.fib.rules();
+                            match (insert, live.get(victim % live.len().max(1))) {
+                                (true, _) => RuleUpdate::Insert { device: v.dev, rule },
+                                (false, live) => {
+                                    let r = live.unwrap_or(&rule);
+                                    RuleUpdate::Remove {
+                                        device: v.dev,
+                                        priority: r.priority,
+                                        matches: r.matches,
+                                    }
+                                }
+                            }
+                        })
+                        .collect();
+                    let mut scratch = DynBackend::new(kind, layout);
+                    let before = tulkun_predicate::lecs(&v.fib, &mut scratch);
+                    let touched = v.fold_into_fib(&updates);
+                    let changed = v.splice_lecs(&touched);
+                    let after = tulkun_predicate::lecs(&v.fib, &mut scratch);
+                    prop_assert_eq!(
+                        wire_classes(&v.backend, &v.lecs),
+                        wire_classes(&scratch, &after),
+                        "{}: spliced table differs from a rebuild", kind
+                    );
+                    let mut moved = scratch.falsum();
+                    for (op, oa) in &before {
+                        for (np, _) in after.iter().filter(|(_, na)| na != oa) {
+                            let both = scratch.and(*op, *np);
+                            moved = scratch.or(moved, both);
+                        }
+                    }
+                    prop_assert_eq!(
+                        v.backend.export(changed),
+                        scratch.export(moved),
+                        "{}: changed region differs from the rebuilds' diff", kind
+                    );
+                }
+            }
         }
     }
 }

@@ -325,9 +325,9 @@ pub fn verify_hierarchical(hp: &HierarchicalPlan) -> HierarchicalReport {
             let sources: Vec<_> = plan_sources(&plan, sub_entry);
             for node in sources {
                 if let Some(v) = session.verifier_mut(sub_entry) {
-                    for (pred, counts) in v.node_result(node, None) {
-                        if let Ok(p) = serial::import(&mut m, &pred) {
-                            universes.push((p, counts));
+                    for (pred, counts) in v.node_result(node, None).iter() {
+                        if let Ok(p) = serial::import(&mut m, pred) {
+                            universes.push((p, counts.clone()));
                         }
                     }
                 }

@@ -11,7 +11,7 @@ use crate::churn::TopologyEvent;
 use crate::control::{ControlPlane, FencePlan};
 use crate::count::Counts;
 use crate::dpvnet::NodeId;
-use crate::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
+use crate::dvm::{DestMode, DeviceVerifier, Envelope, NodeResult, VerifierConfig};
 use crate::event::{EventOutcome, RuntimeEvent, Substrate};
 use crate::intent::{IntentDelta, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
@@ -481,9 +481,8 @@ impl Session {
     pub fn report(&mut self) -> Report {
         let verifiers = &mut self.verifiers;
         let mut r = evaluate_intents(self.control.intents(), |dev, node| {
-            verifiers
-                .get_mut(&dev)
-                .map_or_else(Vec::new, |v| v.node_result(node, None))
+            let v = verifiers.get_mut(&dev);
+            v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
         });
         r.messages = self.messages_processed;
         self.control.annotate(&mut r, &BTreeMap::new());
@@ -582,7 +581,7 @@ impl Substrate for Session {
 /// intents tagged).
 pub fn evaluate_intents(
     store: &IntentStore,
-    mut node_result: impl FnMut(DeviceId, NodeId) -> Vec<(PortablePred, Counts)>,
+    mut node_result: impl FnMut(DeviceId, NodeId) -> NodeResult,
 ) -> Report {
     let mut violations = Vec::new();
     for intent in store.live() {
@@ -594,7 +593,8 @@ pub fn evaluate_intents(
         let escape_idx = intent.plan.escape_idx();
         for (dev, local) in intent.plan.dpvnet.sources() {
             let global = intent.to_global[local.0 as usize];
-            for (pred, counts) in node_result(*dev, global) {
+            // Only a violating entry is copied out of the shared export.
+            for (pred, counts) in node_result(*dev, global).iter() {
                 let bad = counts
                     .iter()
                     .any(|u| !intent.plan.formula.eval(u, escape_idx));
@@ -602,8 +602,10 @@ pub fn evaluate_intents(
                     violations.push(Violation {
                         device: *dev,
                         node: *local,
-                        pred,
-                        kind: ViolationKind::Counting { counts },
+                        pred: pred.clone(),
+                        kind: ViolationKind::Counting {
+                            counts: counts.clone(),
+                        },
                         intent: intent.id.0,
                     });
                 }
@@ -622,19 +624,21 @@ pub fn evaluate_intents(
 /// the threaded runner, which own their verifiers).
 pub fn evaluate_sources(
     plan: &CountingPlan,
-    mut node_result: impl FnMut(DeviceId, NodeId) -> Vec<(PortablePred, Counts)>,
+    mut node_result: impl FnMut(DeviceId, NodeId) -> NodeResult,
 ) -> Report {
     let escape_idx = plan.escape_idx();
     let mut violations = Vec::new();
     for (dev, node) in plan.dpvnet.sources() {
-        for (pred, counts) in node_result(*dev, *node) {
+        for (pred, counts) in node_result(*dev, *node).iter() {
             let bad = counts.iter().any(|u| !plan.formula.eval(u, escape_idx));
             if bad {
                 violations.push(Violation {
                     device: *dev,
                     node: *node,
-                    pred,
-                    kind: ViolationKind::Counting { counts },
+                    pred: pred.clone(),
+                    kind: ViolationKind::Counting {
+                        counts: counts.clone(),
+                    },
                     intent: 0,
                 });
             }

@@ -112,6 +112,10 @@ impl PredicateBackend for BddBackend {
         self.mgr.clear_caches();
     }
 
+    fn memo_entries(&self) -> usize {
+        self.mgr.memo_entries()
+    }
+
     fn name(&self) -> &'static str {
         "bdd"
     }

@@ -147,6 +147,10 @@ impl PredicateBackend for DynBackend {
         on_backend!(self, be => be.trim())
     }
 
+    fn memo_entries(&self) -> usize {
+        on_backend!(self, be => be.memo_entries())
+    }
+
     fn mem_units(&self) -> usize {
         on_backend!(self, be => be.mem_units())
     }

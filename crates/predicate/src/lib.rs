@@ -52,6 +52,7 @@ use std::str::FromStr;
 use tulkun_bdd::serial::PortablePred;
 use tulkun_netmodel::fib::{Action, Fib, MatchSpec, Rewrite};
 use tulkun_netmodel::network::{Network, RuleUpdate};
+use tulkun_netmodel::prefix::IpPrefix;
 
 pub mod atoms;
 mod bdd_backend;
@@ -143,9 +144,17 @@ pub trait PredicateBackend {
 
     /// Releases memoization scratch a bulk build leaves behind (handles
     /// and results stay valid). [`lecs`] ends with it: compiling a whole
-    /// FIB fills the BDD operation memo with intermediate results that
-    /// never recur, several times the size of the table it built.
+    /// FIB leaves the BDD operation memo full of intermediate results
+    /// that never recur — within its bound, but a table's worth per
+    /// device.
     fn trim(&mut self) {}
+
+    /// Entries the backend's operation memo currently holds — the
+    /// scratch [`PredicateBackend::trim`] drops. Zero for
+    /// representations that memoise nothing per operation.
+    fn memo_entries(&self) -> usize {
+        0
+    }
 
     /// Memory proxy: BDD nodes, stored intervals, or atoms + list
     /// entries, depending on the representation.
@@ -159,24 +168,40 @@ pub trait PredicateBackend {
 /// that partition the full packet space; packets matching no rule fall
 /// into a `Drop` class, classes with identical actions are merged.
 pub fn lecs<B: PredicateBackend>(fib: &Fib, b: &mut B) -> Vec<(B::Pred, Action)> {
-    let full = b.verum();
-    let classes = lecs_in(fib, full, b);
+    // The default route's prefix touches every rule.
+    let everything = MatchSpec::dst(IpPrefix::new(0, 0));
+    let (_, classes) = lecs_in(fib, &[everything], b);
     b.trim();
     classes
 }
 
-/// Like [`lecs`], restricted to the packets in `region`: returns
-/// classes partitioning `region` only. Used for incremental LEC
-/// maintenance after a rule update (only the updated rules' match
-/// regions can change class).
+/// [`lecs`] restricted to the packets the `touched` match conditions
+/// cover: returns that region and the classes partitioning it. This is
+/// incremental LEC maintenance after a rule update — only the updated
+/// rules' match regions can change class — and it costs the rules that
+/// *overlap* the update, not the table (the Delta-net argument): a rule
+/// whose destination prefix overlaps no touched prefix is skipped
+/// before any backend call. The skip is exact, not a heuristic: port
+/// and protocol conditions only narrow a match, so disjoint prefixes
+/// mean the rule matches nothing in the region — it would have
+/// contributed an empty class and removed nothing from `remaining`.
 pub fn lecs_in<B: PredicateBackend>(
     fib: &Fib,
-    region: B::Pred,
+    touched: &[MatchSpec],
     b: &mut B,
-) -> Vec<(B::Pred, Action)> {
+) -> (B::Pred, Vec<(B::Pred, Action)>) {
+    let mut region = b.falsum();
+    for m in touched {
+        let mp = b.match_pred(m);
+        region = b.or(region, mp);
+    }
     let mut remaining = region;
     let mut by_action: Vec<(Action, B::Pred)> = Vec::new();
     for rule in fib.rules() {
+        if !touched.iter().any(|m| m.dst.overlaps(&rule.matches.dst)) {
+            continue;
+        }
+        // Nothing left to classify: lower priorities are shadowed.
         if b.is_false(remaining) {
             break;
         }
@@ -197,7 +222,8 @@ pub fn lecs_in<B: PredicateBackend>(
             None => by_action.push((Action::Drop, remaining)),
         }
     }
-    by_action.into_iter().map(|(a, p)| (p, a)).collect()
+    let classes = by_action.into_iter().map(|(a, p)| (p, a)).collect();
+    (region, classes)
 }
 
 /// Names a predicate backend.

@@ -5,11 +5,13 @@
 //! backend; port matches need the BDD backend.
 
 use proptest::prelude::*;
+use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::HeaderLayout;
+use tulkun_netmodel::fib::Rewrite;
 use tulkun_netmodel::fib::{Action, Fib, MatchSpec, Rule};
 use tulkun_netmodel::topology::DeviceId;
 use tulkun_netmodel::IpPrefix;
-use tulkun_predicate::{lecs, BackendKind, BddBackend, DynBackend, PredicateBackend};
+use tulkun_predicate::{lecs, lecs_in, BackendKind, BddBackend, DynBackend, PredicateBackend};
 
 fn pfx(s: &str) -> IpPrefix {
     s.parse().unwrap()
@@ -150,6 +152,128 @@ fn port_match_refines_classes() {
         .0;
     assert!(be.manager_mut().implies(c80, p24));
     assert_ne!(c80, p24);
+}
+
+/// Counts the rules a builder compiles (`match_pred` calls) on the way
+/// to the wrapped backend — work done, whatever the host's clock says.
+struct Counting<B> {
+    inner: B,
+    compiled: usize,
+}
+
+impl<B: PredicateBackend> PredicateBackend for Counting<B> {
+    type Pred = B::Pred;
+
+    fn falsum(&self) -> B::Pred {
+        self.inner.falsum()
+    }
+    fn verum(&self) -> B::Pred {
+        self.inner.verum()
+    }
+    fn and(&mut self, a: B::Pred, b: B::Pred) -> B::Pred {
+        self.inner.and(a, b)
+    }
+    fn or(&mut self, a: B::Pred, b: B::Pred) -> B::Pred {
+        self.inner.or(a, b)
+    }
+    fn diff(&mut self, a: B::Pred, b: B::Pred) -> B::Pred {
+        self.inner.diff(a, b)
+    }
+    fn is_false(&self, p: B::Pred) -> bool {
+        self.inner.is_false(p)
+    }
+    fn intersects(&mut self, a: B::Pred, b: B::Pred) -> bool {
+        self.inner.intersects(a, b)
+    }
+    fn match_pred(&mut self, m: &MatchSpec) -> B::Pred {
+        self.compiled += 1;
+        self.inner.match_pred(m)
+    }
+    fn rewrite_image(&mut self, p: B::Pred, rw: &Rewrite) -> B::Pred {
+        self.inner.rewrite_image(p, rw)
+    }
+    fn rewrite_preimage(&mut self, q: B::Pred, rw: &Rewrite) -> B::Pred {
+        self.inner.rewrite_preimage(q, rw)
+    }
+    fn import(&mut self, p: &PortablePred) -> B::Pred {
+        self.inner.import(p)
+    }
+    fn export(&self, p: B::Pred) -> PortablePred {
+        self.inner.export(p)
+    }
+    fn mem_units(&self) -> usize {
+        self.inner.mem_units()
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// A FIB burst costs the rules it overlaps, not the table: on a
+/// 1 000-rule FIB the LEC delta of a 1–16 update burst compiles at most
+/// the burst itself plus the rules whose prefix overlaps it — and what
+/// it derives is the from-scratch table restricted to the region. This
+/// is the deterministic gate for the write path (`handle_fib_batch`
+/// compiles rules nowhere else; `ci.sh lint` holds that).
+#[test]
+fn lec_delta_compiles_only_overlapping_rules() {
+    // 1 000 /24s under 10.0.0.0/8, four of them under every /22, over a
+    // default route and a few aggregates.
+    let mut rules: Vec<(u32, MatchSpec, Action)> = (0..1000u32)
+        .map(|i| {
+            let prefix = IpPrefix::new(0x0A00_0000 | (i << 8), 24);
+            (24, MatchSpec::dst(prefix), Action::fwd(DeviceId(i % 7)))
+        })
+        .collect();
+    rules.push((0, MatchSpec::dst(pfx("0.0.0.0/0")), Action::deliver()));
+    rules.push((8, MatchSpec::dst(pfx("10.0.0.0/8")), Action::Drop));
+    rules.push((
+        16,
+        MatchSpec::dst(pfx("10.1.0.0/16")),
+        Action::fwd(DeviceId(9)),
+    ));
+    let fib = fib_of(rules);
+    for kind in BackendKind::CONCRETE {
+        let mut be = Counting {
+            inner: DynBackend::new(kind, HeaderLayout::ipv4_tcp()),
+            compiled: 0,
+        };
+        let table = lecs(&fib, &mut be);
+        assert_eq!(
+            be.compiled,
+            fib.len() + 1,
+            "{kind}: a full build compiles the table"
+        );
+        for burst in [1usize, 4, 16] {
+            // Touch every 61st /24 (spread over the table) and one /22.
+            let mut touched: Vec<MatchSpec> = (0..burst as u32 - 1)
+                .map(|k| MatchSpec::dst(IpPrefix::new(0x0A00_0000 | ((k * 61 + 5) << 8), 24)))
+                .collect();
+            touched.push(MatchSpec::dst(pfx("10.2.4.0/22")));
+            let overlapping = fib
+                .rules()
+                .iter()
+                .filter(|r| touched.iter().any(|m| m.dst.overlaps(&r.matches.dst)))
+                .count();
+            assert!(
+                overlapping <= 3 * burst + 6,
+                "{kind}: test FIB is not sparse"
+            );
+            be.compiled = 0;
+            let (region, fresh) = lecs_in(&fib, &touched, &mut be);
+            assert!(
+                be.compiled <= overlapping + burst,
+                "{kind}: burst of {burst} compiled {} rules, {overlapping} overlap it",
+                be.compiled
+            );
+            // Bit-identical to the full table inside the region.
+            for (class, action) in &table {
+                let expect = be.and(*class, region);
+                let got = fresh.iter().find(|(_, a)| a == action).map(|(p, _)| *p);
+                assert_eq!(got.unwrap_or(be.falsum()), expect, "{kind}: {action:?}");
+            }
+        }
+    }
 }
 
 fn random_fib() -> impl Strategy<Value = Fib> {

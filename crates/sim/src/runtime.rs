@@ -54,9 +54,8 @@ use std::time::{Duration, Instant};
 use tulkun_bdd::serial::PortablePred;
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::control::{ControlPlane, Decision, FencePlan};
-use tulkun_core::count::Counts;
 use tulkun_core::dpvnet::NodeId;
-use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
+use tulkun_core::dvm::{DeviceVerifier, Envelope, NodeResult, Payload, VerifierConfig};
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::fault::{FaultProfile, FaultStats};
 use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
@@ -711,9 +710,6 @@ pub struct RunOutcome {
     pub bytes: u64,
 }
 
-/// One node's exported counting results.
-type NodeResult = Vec<(PortablePred, Counts)>;
-
 /// A verifier operation the lifecycle injects from outside the DVM
 /// exchange: a coalesced FIB batch, a reboot, a replay toward a
 /// restarted peer, a scene swap, or a device's share of an epoch fence.
@@ -1251,7 +1247,7 @@ impl Fabric for Driver {
 
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult {
         let v = self.verifiers.get_mut(&dev);
-        v.map(|v| v.node_result(node, None)).unwrap_or_default()
+        v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
     }
 
     fn note_batch(&mut self, batch: &UpdateBatch) {
@@ -1599,10 +1595,10 @@ impl Fabric for Threads {
             .senders
             .get(&dev)
             .is_some_and(|tx| tx.send(DeviceMsg::Collect(node, reply_tx)).is_ok());
-        if !sent {
-            return Vec::new();
+        match reply_rx.recv() {
+            Ok(result) if sent => result,
+            _ => Vec::new().into(),
         }
-        reply_rx.recv().unwrap_or_default()
     }
 
     fn stalled(&self) -> BTreeMap<DeviceId, u64> {
@@ -2077,6 +2073,110 @@ mod tests {
         assert_eq!(
             engine.stats().crashes_recovered,
             engine.fabric.verifiers.len() as u64
+        );
+    }
+
+    /// The export memo has one invalidation point, so no event may
+    /// leave it stale: after every event of the churn-intent alphabet
+    /// (FIB batches — driven and staged under a fence —, link and
+    /// device churn, intent install/remove) plus a crash/restart of
+    /// every device, each hosted node's memoised `node_result` equals
+    /// a fresh merge/export of its `LocCIB`. (A filter that keeps
+    /// everything bypasses the memo; the unfiltered read before it
+    /// fills the memo for the *next* event to invalidate or not.)
+    #[test]
+    fn export_memo_is_never_stale() {
+        let net = fig2a_network();
+        let (cp, ps) = waypoint_plan(&net);
+        let mut engine = Engine::lossy(
+            &net,
+            &cp,
+            &ps,
+            EngineConfig::default(),
+            FaultProfile::loss(7, 0.10),
+        );
+        engine.burst();
+        let everything = verify::compile_packet_space(&net.layout, &PacketSpace::All);
+        type Exports = BTreeMap<(DeviceId, NodeId), NodeResult>;
+        let check = |engine: &mut Engine, after: &str| -> Exports {
+            let mut seen = Exports::new();
+            for (dev, v) in engine.fabric.verifiers.iter_mut() {
+                for node in v.node_ids() {
+                    let memo = v.node_result(node, None);
+                    let fresh = v.node_result(node, Some(&everything));
+                    assert_eq!(
+                        memo, fresh,
+                        "stale export of {node:?} on {dev:?} after {after}"
+                    );
+                    seen.insert((*dev, node), memo);
+                }
+            }
+            seen
+        };
+        let dev = |name: &str| net.topology.expect_device(name);
+        let route = MatchSpec::dst("10.0.1.0/24".parse().unwrap());
+        let withdraw = RuleUpdate::Remove {
+            device: dev("B"),
+            priority: 10,
+            matches: route,
+        };
+        let restore = RuleUpdate::Insert {
+            device: dev("B"),
+            rule: Rule {
+                priority: 10,
+                matches: route,
+                action: Action::fwd(dev("D")),
+            },
+        };
+        let install = |name: &str, path: &str| RuntimeEvent::InstallIntent {
+            name: name.to_string(),
+            invariant: exist_inv(path),
+        };
+        let mut script: Vec<(&str, RuntimeEvent)> = vec![
+            ("withdraw", RuntimeEvent::Batch(vec![withdraw.clone()])),
+            ("install a-reach", install("a-reach", "A .* D")),
+            (
+                "link-down",
+                churn_event(&net, TopologyEvent::LinkDown(dev("A"), dev("B"))),
+            ),
+            ("restore", RuntimeEvent::Batch(vec![restore])),
+            ("install b-way", install("b-way", "S .* B .* D")),
+            (
+                "device-down",
+                churn_event(&net, TopologyEvent::DeviceDown(dev("B"))),
+            ),
+            ("remove a-reach", RuntimeEvent::RemoveIntent(IntentId(1))),
+            (
+                "device-up",
+                churn_event(&net, TopologyEvent::DeviceUp(dev("B"))),
+            ),
+            (
+                "link-up",
+                churn_event(&net, TopologyEvent::LinkUp(dev("A"), dev("B"))),
+            ),
+        ];
+        for d in engine.control.roster().clone() {
+            script.push(("crash", RuntimeEvent::CrashRestart(d)));
+        }
+        let mut last = check(&mut engine, "the burst");
+        let mut moved = 0;
+        for (what, ev) in &script {
+            engine
+                .apply_event(ev)
+                .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            let now = check(&mut engine, what);
+            moved += usize::from(now != last);
+            last = now;
+        }
+        // A wave left in flight when the next fence lands.
+        engine.stage_batch(&[withdraw]);
+        check(&mut engine, "a staged withdraw");
+        let flap = churn_event(&net, TopologyEvent::LinkDown(dev("A"), dev("W")));
+        engine.apply_event(&flap).unwrap();
+        check(&mut engine, "a fence over a staged wave");
+        assert!(
+            moved >= 4,
+            "the script must move exports to test anything: {moved}"
         );
     }
 

@@ -16,6 +16,7 @@ use tulkun::daemon::{dataset_session, DaemonConfig, DaemonSession};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::netmodel::topology::DeviceId;
+use tulkun::netmodel::IpPrefix;
 use tulkun::sim::{BackendKind, Engine, EngineConfig, ServiceConfig};
 
 /// Renders a churn event as its protocol line from source `src`.
@@ -480,4 +481,87 @@ fn daemon_report_is_byte_equal_to_the_reference_session() {
             "daemon and reference Reports differ after op {i}"
         );
     }
+}
+
+/// Reads one plain gauge out of a `metrics` reply.
+fn gauge(metrics: &str, name: &str) -> usize {
+    let line = metrics
+        .lines()
+        .find(|l| l.split(' ').next() == Some(name))
+        .unwrap_or_else(|| panic!("`metrics` exports no {name}"));
+    line.rsplit(' ').next().unwrap().parse().unwrap()
+}
+
+/// A long-lived daemon folding in one FIB update after another does
+/// not accumulate BDD memo: 20 000 single-update `batch` / `drain` /
+/// `report` rounds on tiny AT1-2 (2 000 in a debug build; the release
+/// run is part of `ci.sh equivalence`), a window of 64 live host
+/// routes that never repeat (so every round brings operands no memo
+/// entry knows), and at every sample the heaviest device's
+/// `tulkun_bdd_memo_entries` is within the constant rule of its
+/// `tulkun_bdd_nodes` — `max(4096, 4 x nodes)` — instead of growing
+/// with the operations executed. The node table has no collector yet;
+/// its slope is printed (`--nocapture`) for the issue that adds one.
+#[test]
+fn soak_keeps_the_bdd_memo_within_its_bound() {
+    let rounds = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        20_000
+    };
+    let cfg = DaemonConfig {
+        name: "AT1-2".into(),
+        ..DaemonConfig::default()
+    };
+    let mut session = DaemonSession::new(cfg).expect("daemon session");
+    let ds = tulkun::datasets::by_name("AT1-2", tulkun::datasets::Scale::Tiny).unwrap();
+    let pool: Vec<(DeviceId, Rule)> = tulkun::datasets::rule_updates(&ds.network, 512, 29)
+        .into_iter()
+        .filter_map(|u| match u {
+            RuleUpdate::Insert { device, rule } => Some((device, rule)),
+            RuleUpdate::Remove { .. } => None,
+        })
+        .collect();
+    let mut live: std::collections::VecDeque<(DeviceId, Rule)> = Default::default();
+    let mut samples: Vec<(usize, usize, usize)> = Vec::new();
+    for round in 0..rounds {
+        // Oldest out once the window is full, else the next pool entry.
+        let update = if live.len() == 64 {
+            let (device, rule) = live.pop_front().unwrap();
+            RuleUpdate::Remove {
+                device,
+                priority: rule.priority,
+                matches: rule.matches,
+            }
+        } else {
+            // A host route inside the pool rule's prefix, new each time.
+            let (device, mut rule) = pool[(round * 7) % pool.len()].clone();
+            let host = (round as u32).wrapping_mul(2_654_435_761) >> rule.matches.dst.len.max(1);
+            rule.matches.dst = IpPrefix::new(rule.matches.dst.addr | host, 32);
+            live.push_back((device, rule.clone()));
+            RuleUpdate::Insert { device, rule }
+        };
+        let line = format!("batch soak {}", tulkun::json::to_string(&vec![update]));
+        assert!(reply(&mut session, &line).starts_with("ok "), "{line}");
+        assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+        assert!(reply(&mut session, "report").starts_with("ok "));
+        if (round + 1) % (rounds / 20) == 0 {
+            let metrics = reply(&mut session, "metrics");
+            let nodes = gauge(&metrics, "tulkun_bdd_nodes");
+            let memo = gauge(&metrics, "tulkun_bdd_memo_entries");
+            assert!(
+                memo <= (4 * nodes).max(4096),
+                "round {round}: {memo} memo entries beside {nodes} nodes"
+            );
+            samples.push((round + 1, nodes, memo));
+        }
+    }
+    let (first, last) = (samples[0], samples[samples.len() - 1]);
+    println!(
+        "soak: {rounds} rounds; heaviest device {} -> {} nodes ({:.2} nodes/round), memo {:?}",
+        first.1,
+        last.1,
+        (last.1 - first.1) as f64 / (last.0 - first.0) as f64,
+        samples.iter().map(|s| s.2).collect::<Vec<_>>()
+    );
 }

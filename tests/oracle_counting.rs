@@ -118,10 +118,10 @@ fn dvm_counts(session: &mut Session, net: &Network, src: DeviceId) -> Counts {
         bits[i] = (addr >> (31 - i)) & 1 == 1;
     }
     bits[32 + 15] = true; // port 1
-    for (pred, counts) in v.node_result(snode, None) {
-        let p = tulkun::bdd::serial::import(&mut m, &pred).unwrap();
+    for (pred, counts) in v.node_result(snode, None).iter() {
+        let p = tulkun::bdd::serial::import(&mut m, pred).unwrap();
         if m.eval(p, &bits) {
-            return counts;
+            return counts.clone();
         }
     }
     panic!("no LocCIB entry covers the probe packet");
