@@ -28,7 +28,9 @@
 #                 crates/predicate, and the verifier never calls
 #                 `match_pred` itself — what the work-count test in
 #                 crates/predicate/tests/lecs.rs bounds is therefore
-#                 what `handle_fib_batch` does)
+#                 what `handle_fib_batch` does); and the panic audit's
+#                 ledger: the non-test unwrap/expect/panic!/unreachable!
+#                 sites of each audited file, a count that may only fall
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — as one release
@@ -189,6 +191,24 @@ stage_lint() {
         echo "lint: a deleted engine alias or clock is back (see above)" >&2
         exit 1
     fi
+    # Panic audit (ROADMAP: a daemon path that never panics): sites
+    # that can panic above each audited file's test module (the first
+    # column-0 `#[cfg(test)]`). A file joins at the count its audit
+    # left; the number may only fall, and a site a change really needs
+    # is argued for here, next to the number it raises.
+    for audited in crates/core/src/intent.rs:0 crates/core/src/control.rs:0 \
+                   crates/sim/src/faults.rs:0; do
+        file="${audited%:*}"
+        budget="${audited#*:}"
+        sites="$(sed '/^#\[cfg(test)\]/q' "$file" \
+            | grep -n '\.unwrap()\|\.expect(\|panic!\|unreachable!' || true)"
+        n="$(printf '%s' "$sites" | grep -c . || true)"
+        if [ "$n" -gt "$budget" ]; then
+            printf '%s\n' "$sites" >&2
+            echo "lint: $file has $n non-test unwrap/expect/panic!/unreachable! sites, budget $budget (see above)" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_fmt() {

@@ -17,9 +17,12 @@
 //!   `le="+Inf"` plus `_sum` and `_count` lines, with `_count` equal
 //!   to the `+Inf` bucket; a repair wave is a kind of fence, so
 //!   `tulkun_fence_repairs_total` never exceeds
-//!   `tulkun_epoch_bumps_total`; and the per-device predicate-memory
+//!   `tulkun_epoch_bumps_total`; the per-device predicate-memory
 //!   gauges `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are
-//!   exported, the memo within its bound of `max(4096, 4 x nodes)`.
+//!   exported, the memo within its bound of `max(4096, 4 x nodes)`;
+//!   and the control plane's planning work counters
+//!   `tulkun_planner_calls_total` / `tulkun_plan_table_hits_total` are
+//!   exported (from zero: a run without churn still shows both).
 //! * `--journal <file>`: the file is a `tulkun-journal-v1` flight-
 //!   recorder dump — `schema`/`dropped`/`events`, every event carries
 //!   `seq`/`kind`/`device`/`epoch`/`trace`/`detail`, `kind` is one of
@@ -215,6 +218,7 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     let mut samples = 0usize;
     let (mut bumps, mut repairs) = (0.0f64, 0.0f64);
     let (mut bdd_nodes, mut bdd_memo) = (None, None);
+    let (mut planner_calls, mut table_hits) = (false, false);
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -295,6 +299,10 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             bdd_nodes = Some(value);
         } else if name_part == "tulkun_bdd_memo_entries" {
             bdd_memo = Some(value);
+        } else if name_part == "tulkun_planner_calls_total" {
+            planner_calls = true;
+        } else if name_part == "tulkun_plan_table_hits_total" {
+            table_hits = true;
         }
     }
     if samples == 0 {
@@ -315,6 +323,11 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             ))
         }
         _ => return Err("missing tulkun_bdd_nodes / tulkun_bdd_memo_entries gauge".into()),
+    }
+    if !(planner_calls && table_hits) {
+        return Err(
+            "missing tulkun_planner_calls_total / tulkun_plan_table_hits_total counter".into(),
+        );
     }
     for (name, h) in &hists {
         if h.buckets.is_empty() {

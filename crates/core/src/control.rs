@@ -13,7 +13,9 @@
 //! [`DeviceVerifier::apply_fence`] and drives to quiescence.
 //!
 //! Every entry point is transactional: an `Err` leaves the control
-//! plane exactly as it was before the call.
+//! plane exactly as it was before the call, as far as anything can
+//! observe (an intent's scene table may have learned what a scene
+//! gives — see [`IntentStore::replan_all_for_churn`]).
 //!
 //! [`DeviceVerifier::apply_fence`]: crate::dvm::DeviceVerifier::apply_fence
 
@@ -21,7 +23,7 @@ use crate::churn::{ChurnState, TopologyEvent};
 use crate::dpvnet::NodeId;
 use crate::event::EventOutcome;
 use crate::intent::{
-    plan_intent_on, IntentDelta, IntentId, IntentStore, StoreReplan, MAX_INTENT_RETRIES,
+    plan_intent_on, IntentDelta, IntentId, IntentStore, PlanWork, StoreReplan, MAX_INTENT_RETRIES,
 };
 use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
@@ -136,9 +138,15 @@ pub struct ControlPlane {
     unreachable: BTreeMap<NodeId, DeviceId>,
     /// Intent id → the epoch whose fence degraded it.
     degraded_epochs: BTreeMap<u64, u64>,
-    /// The base intent's current counting plan.
-    plan: CountingPlan,
+    /// The base intent's current counting plan (the store's pointer).
+    plan: Arc<CountingPlan>,
+    /// The base topology: what installs plan on, and — with `base_inv`
+    /// — what every intent's scene table answers for.
     topology: Topology,
+    /// The base invariant the scene tables were filled under, learned
+    /// from the first topology event (the store's base intent carries
+    /// none of its own).
+    base_inv: Option<Invariant>,
     layout: HeaderLayout,
     /// Devices that have a verifier. A fixed roster caps what any plan
     /// may task; a growable one absorbs the devices a plan pulls in.
@@ -161,6 +169,7 @@ impl ControlPlane {
         fixed_roster: bool,
         tel: Arc<Telemetry>,
     ) -> ControlPlane {
+        let plan = Arc::new(plan.clone());
         let cp = ControlPlane {
             store: IntentStore::with_base(plan.clone(), space.clone(), None),
             churn: ChurnState::new(),
@@ -168,14 +177,16 @@ impl ControlPlane {
             churn_events: 0,
             unreachable: BTreeMap::new(),
             degraded_epochs: BTreeMap::new(),
-            plan: plan.clone(),
+            plan,
             topology: topology.clone(),
+            base_inv: None,
             layout,
             roster: roster.into_iter().collect(),
             fixed_roster,
             tel,
         };
         cp.export_intent_count();
+        cp.count_planning(PlanWork::default());
         cp
     }
 
@@ -183,6 +194,7 @@ impl ControlPlane {
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.tel = tel;
         self.export_intent_count();
+        self.count_planning(PlanWork::default());
     }
 
     /// The current fence generation (0 until the first fence).
@@ -218,6 +230,15 @@ impl ControlPlane {
     fn export_intent_count(&self) {
         self.tel
             .gauge_set(SHARD, "tulkun_intent_count", self.store.len() as i64);
+    }
+
+    /// Counts planning work done on the live path: planner runs, and
+    /// scene-table hits that avoided one. Counting nothing still
+    /// exports both counters, so `metrics` shows them from the start.
+    fn count_planning(&self, work: PlanWork) {
+        let tel = &self.tel;
+        tel.count(SHARD, "tulkun_planner_calls_total", work.planner_calls);
+        tel.count(SHARD, "tulkun_plan_table_hits_total", work.table_hits);
     }
 
     /// Journals one lifecycle record at the current epoch.
@@ -293,7 +314,12 @@ impl ControlPlane {
     /// churn, re-plans **every** live intent against the post-churn
     /// topology under one fence (`base` is the original topology,
     /// `inv` the invariant the base plan was compiled from), and
-    /// returns each device's share. Slices the new topology cannot
+    /// returns each device's share. A scene an intent has been planned
+    /// on before costs no planner run (its scene table answers); the
+    /// tables answer for this control plane's own base topology and
+    /// one `inv`, so a call that brings another `inv` empties them
+    /// first, and one that brings another `base` neither reads nor
+    /// leaves anything in them. Slices the new topology cannot
     /// host degrade, parked installs get their bounded retry, and only
     /// a base plan that no longer plans is an `Err`. A `DeviceDown`
     /// quarantines its device; a `DeviceUp` wipes and re-tasks it.
@@ -309,11 +335,22 @@ impl ControlPlane {
             let n = self.store.node_count();
             return Ok(Decision::counted(n, n));
         }
+        let foreign = *base != self.topology;
+        if foreign || self.base_inv.as_ref() != Some(inv) {
+            self.store.forget_scenes();
+            self.base_inv = Some(inv.clone());
+        }
         // `taskable()`, spelled out so the store can be borrowed mutably.
         let taskable = self.fixed_roster.then_some(&self.roster);
+        let mut work = PlanWork::default();
         let replan = self
             .store
-            .replan_all_for_churn(base, Some(inv), &churn, taskable)?;
+            .replan_all_for_churn(base, Some(inv), &churn, taskable, &mut work);
+        if foreign {
+            self.store.forget_scenes();
+        }
+        self.count_planning(work);
+        let replan = replan?;
         self.churn = churn;
         self.churn_events += 1;
         self.epoch += 1;
@@ -352,7 +389,7 @@ impl ControlPlane {
         self.unreachable.retain(|_, d| self.churn.is_down(*d));
         self.unreachable.extend(replan.unreachable);
         if let Some(p) = self.store.base_plan() {
-            self.plan = p.clone();
+            self.plan = Arc::clone(p);
         }
         self.export_intent_count();
         Ok(Decision {
@@ -414,7 +451,8 @@ impl ControlPlane {
     /// change are re-tasked. On a quiet topology a slice that does not
     /// plan — or that tasks a device outside a fixed roster — is an
     /// `Err`; while churn is in effect it is *parked* for bounded retry
-    /// on the next topology fence instead.
+    /// on the next topology fence instead. Either way the plan opens
+    /// the intent's scene table under the churn in force.
     pub fn install(
         &mut self,
         id: Option<IntentId>,
@@ -422,6 +460,10 @@ impl ControlPlane {
         inv: &Invariant,
         trace: u64,
     ) -> Result<Decision, PlanError> {
+        self.count_planning(PlanWork {
+            planner_calls: 1,
+            table_hits: 0,
+        });
         let cp = if self.churn.is_quiet() {
             let plan = Planner::new(&self.topology).plan(inv)?;
             let PlanKind::Counting(cp) = plan.kind else {
@@ -459,9 +501,14 @@ impl ControlPlane {
                 }
             }
         };
-        let (id, delta) =
-            self.store
-                .install(id, name, Some(inv.clone()), cp, inv.packet_space.clone())?;
+        let (id, delta) = self.store.install(
+            id,
+            name,
+            Some(inv.clone()),
+            Arc::new(cp),
+            inv.packet_space.clone(),
+            &self.churn,
+        )?;
         let space = compile_packet_space(
             &self.layout,
             delta.space.as_ref().unwrap_or(&inv.packet_space),
@@ -574,6 +621,7 @@ impl ControlPlane {
 mod tests {
     use super::*;
     use crate::intent::tests::{fig2a_network, plan_for};
+    use crate::intent::MAX_SCENES;
     use crate::spec::table1;
     use proptest::prelude::*;
     use tulkun_netmodel::network::Network;
@@ -605,7 +653,14 @@ mod tests {
                 .collect::<Vec<_>>(),
             c.store
                 .live()
-                .map(|i| (i.id, i.is_degraded()))
+                .map(|i| {
+                    (
+                        i.id,
+                        i.is_degraded(),
+                        i.plan.tasks.clone(),
+                        i.to_global.clone(),
+                    )
+                })
                 .collect::<Vec<_>>(),
             (c.store.global_tasks(), c.store.next_intent_id()),
             (c.unreachable.clone(), c.degraded_epochs.clone()),
@@ -812,63 +867,267 @@ mod tests {
         assert!(c.install(None, "from-s", &from_s, 0).unwrap().parked);
     }
 
+    /// A generated 13-device network: a ring `n0..n11`, a chord from
+    /// every third device to the third after it, and `leaf` hanging off
+    /// `n1` by the first link (losing it cuts an ingress off). `n11`
+    /// announces the prefix [`plan_for`] asks about.
+    fn ring_network() -> Network {
+        let mut t = Topology::new();
+        let n: Vec<DeviceId> = (0..12).map(|i| t.add_device(format!("n{i}"))).collect();
+        let leaf = t.add_device("leaf");
+        t.add_link(leaf, n[1], 1000);
+        for i in 0..12 {
+            t.add_link(n[i], n[(i + 1) % 12], 1000);
+        }
+        for i in (0..12).step_by(3) {
+            t.add_link(n[i], n[(i + 3) % 12], 1000);
+        }
+        t.add_external_prefix(n[11], "10.0.0.0/23".parse().unwrap());
+        Network::new(t)
+    }
+
+    /// A network, the base intent's path, the intents and the topology
+    /// events a random history draws from. `events[4]` takes the base
+    /// intent's destination down: always rejected.
+    struct World {
+        net: Network,
+        base: &'static str,
+        pool: Vec<Invariant>,
+        events: Vec<TopologyEvent>,
+    }
+
+    fn fig2a_world() -> World {
+        let net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        use TopologyEvent as Ev;
+        let events = vec![
+            Ev::DeviceDown(dev("B")),
+            Ev::DeviceUp(dev("B")),
+            Ev::LinkDown(dev("A"), dev("W")),
+            Ev::LinkUp(dev("A"), dev("W")),
+            Ev::DeviceDown(dev("D")), // the base cannot plan: Err
+            Ev::DeviceDown(dev("S")), // likewise
+            Ev::LinkDown(dev("B"), dev("D")),
+            Ev::LinkUp(dev("B"), dev("D")),
+        ];
+        let ps = PacketSpace::dst_prefix("10.0.0.0/23");
+        let pool = vec![
+            plan_for(&net, "B .* D").0,
+            plan_for(&net, "A .* D").0,
+            plan_for(&net, "S .* W .* D").0,
+            // A local-contract behavior has no slice to install: Err.
+            table1::all_shortest_path(ps, "S", "D").unwrap(),
+        ];
+        let base = "S .* D";
+        World {
+            net,
+            base,
+            pool,
+            events,
+        }
+    }
+
+    fn ring_world() -> World {
+        let net = ring_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        use TopologyEvent as Ev;
+        let events = vec![
+            Ev::LinkDown(dev("leaf"), dev("n1")),
+            Ev::LinkUp(dev("leaf"), dev("n1")),
+            Ev::DeviceDown(dev("n6")),
+            Ev::DeviceUp(dev("n6")),
+            Ev::DeviceDown(dev("n11")), // the base cannot plan: Err
+            Ev::LinkDown(dev("n0"), dev("n11")),
+            Ev::LinkUp(dev("n0"), dev("n11")),
+            Ev::DeviceDown(dev("n2")),
+            Ev::DeviceUp(dev("n2")),
+            Ev::LinkDown(dev("n3"), dev("n6")),
+            Ev::LinkUp(dev("n3"), dev("n6")),
+        ];
+        let pool = ["leaf .* n11", "n2 .* n11", "n5 .* n7 .* n11", "n6 .* n11"];
+        let pool = pool.iter().map(|path| plan_for(&net, path).0).collect();
+        let base = "n0 .* n11";
+        World {
+            net,
+            base,
+            pool,
+            events,
+        }
+    }
+
+    /// The work-count gate of the scene tables: flapping every link of
+    /// a 16-link pool under eight long-lived intents plans each
+    /// (intent, scene) pair at most once — refusals included — and a
+    /// second pass over the pool never runs the planner.
+    #[test]
+    fn a_second_pass_over_the_link_pool_makes_no_planner_call() {
+        use tulkun_telemetry::TelemetryConfig;
+        let net = ring_network();
+        let (mut c, base) = control(&net, "n0 .* n11", false);
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        c.set_telemetry(tel.clone());
+        let counter = |name: &str| tel.metrics().counters.get(name).copied().unwrap_or(0);
+        let work = || {
+            let calls = counter("tulkun_planner_calls_total");
+            (calls, counter("tulkun_plan_table_hits_total"))
+        };
+        assert_eq!(work(), (0, 0), "both counters are exported from the start");
+        let paths = ["leaf", "n2", "n3", "n4", "n5 .* n7", "n6", "n8", "n9"];
+        for path in paths {
+            let inv = plan_for(&net, &format!("{path} .* n11")).0;
+            c.install(None, path, &inv, 0).unwrap();
+        }
+        assert_eq!(work(), (paths.len() as u64, 0));
+
+        // One pass: every pool link goes down and comes back. Returns
+        // the planner calls and table hits it cost, and how many
+        // intents its link losses degraded.
+        let pool = &net.topology.links()[..16];
+        let mut pass = || {
+            let before = work();
+            let mut degrading = 0;
+            for l in pool {
+                use TopologyEvent as Ev;
+                for ev in [Ev::LinkDown(l.a, l.b), Ev::LinkUp(l.a, l.b)] {
+                    c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+                    degrading += c.intents().degraded_count();
+                }
+            }
+            let after = work();
+            (after.0 - before.0, after.1 - before.1, degrading)
+        };
+        let intents = 1 + paths.len() as u64;
+        let (scenes, events) = (1 + pool.len() as u64, 2 * pool.len() as u64);
+        let (calls, hits, degrading) = pass();
+        assert!(calls <= intents * scenes, "{calls} planner calls");
+        assert_eq!(calls + hits, intents * events);
+        assert!(degrading > 0, "losing the leaf link cuts an ingress off");
+        assert_eq!(pass(), (0, intents * events, degrading));
+    }
+
+    /// The scene tables against a planner that remembers nothing: every
+    /// live intent runs exactly the plan a fresh [`plan_intent_on`]
+    /// makes on the scene in force, an intent is degraded exactly when
+    /// that refuses, and no table outgrows its bound. `topology` and
+    /// `base` are the ones the last topology event was given.
+    fn assert_plans_are_fresh(c: &ControlPlane, topology: &Topology, base: &Invariant) {
+        let effective = c.churn.apply_to(topology);
+        for intent in c.store.live() {
+            let inv = intent.invariant.as_ref().unwrap_or(base);
+            let id = intent.id;
+            match plan_intent_on(&effective, inv, &c.churn, c.taskable()) {
+                Ok(fresh) => {
+                    assert!(!intent.is_degraded(), "intent {id} plans: {:?}", c.churn);
+                    assert_eq!(intent.plan.tasks, fresh.tasks, "intent {id}: {:?}", c.churn);
+                }
+                Err(_) => assert!(intent.is_degraded(), "intent {id}: {:?}", c.churn),
+            }
+            assert!(intent.scenes_remembered() <= MAX_SCENES);
+        }
+    }
+
+    /// The tables answer for the control plane's own base topology and
+    /// one base invariant: a topology event that brings another of
+    /// either is planned afresh, and what it planned is never recalled
+    /// for the pair it does not belong to.
+    #[test]
+    fn another_base_or_invariant_never_hits_the_scene_tables() {
+        let net = fig2a_network();
+        let home = &net.topology;
+        let (mut c, base) = control(&net, "S .* D", false);
+        let dev = |n: &str| home.expect_device(n);
+        let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
+        let up = TopologyEvent::LinkUp(dev("B"), dev("D"));
+        let mut apply = |ev, topology, inv| {
+            c.topology_event(ev, topology, inv, 0).unwrap();
+            assert_plans_are_fresh(&c, topology, inv);
+        };
+        // Both scenes of the flap are remembered under each invariant
+        // in turn: the waypoint plans differ from the reachability ones.
+        let waypoint = plan_for(&net, "S .* W .* D").0;
+        for inv in [&base, &waypoint] {
+            apply(&down, home, inv);
+            apply(&up, home, inv);
+        }
+        // Without A–W only one waypoint path survives the loss of B–D:
+        // the remembered scene must not answer for this base, nor what
+        // is planned here for the control plane's own.
+        let scene = crate::fault::FaultScene::new([(dev("A"), dev("W"))]);
+        let elsewhere = crate::fault::subtopology(home, &scene);
+        apply(&down, &elsewhere, &waypoint);
+        apply(&up, home, &waypoint);
+        apply(&down, home, &waypoint);
+    }
+
+    /// A scene table dies with its intent: an id re-used by another
+    /// invariant is planned for that invariant on every scene the old
+    /// holder of the id had seen.
+    #[test]
+    fn a_reused_id_starts_with_an_empty_scene_table() {
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D", false);
+        let dev = |n: &str| net.topology.expect_device(n);
+        let flap = [
+            TopologyEvent::LinkDown(dev("B"), dev("D")),
+            TopologyEvent::LinkUp(dev("B"), dev("D")),
+        ];
+        let id = IntentId(1);
+        for path in ["A .* D", "B .* D"] {
+            c.install(Some(id), path, &plan_for(&net, path).0, 0)
+                .unwrap();
+            for ev in &flap {
+                c.topology_event(ev, &net.topology, &base, 0).unwrap();
+                assert_plans_are_fresh(&c, &net.topology, &base);
+            }
+            c.remove(id, 0).unwrap();
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Transactionality: whatever the history, a call that returns
-        /// `Err` leaves the control plane as it found it, and a call
-        /// that returns `Ok` burns an epoch exactly when it fences.
+        /// Whatever the history — link and device churn, installs that
+        /// land or park, removals, ids re-used by another invariant —
+        /// every plan is the one a fresh planner makes (the scene
+        /// tables cannot be seen), a call that returns `Err` leaves the
+        /// control plane as it found it, and a call that returns `Ok`
+        /// burns an epoch exactly when it fences.
         #[test]
-        fn an_err_leaves_the_control_plane_untouched(
-            (ops, fixed_roster) in (
-                proptest::collection::vec((0usize..4, 0usize..8), 1..24),
+        fn plans_match_a_fresh_planner_and_an_err_leaves_no_trace(
+            (ops, fixed_roster, ring) in (
+                proptest::collection::vec((0usize..5, 0usize..60), 1..24),
+                any::<bool>(),
                 any::<bool>(),
             )
         ) {
-            let net = fig2a_network();
-            let (mut c, base) = control(&net, "S .* D", fixed_roster);
-            let dev = |n: &str| net.topology.expect_device(n);
-            use TopologyEvent as Ev;
-            let events = [
-                Ev::DeviceDown(dev("B")),
-                Ev::DeviceUp(dev("B")),
-                Ev::LinkDown(dev("A"), dev("W")),
-                Ev::LinkUp(dev("A"), dev("W")),
-                Ev::DeviceDown(dev("D")), // the base cannot plan: Err
-                Ev::DeviceDown(dev("S")), // likewise
-                Ev::LinkDown(dev("B"), dev("D")),
-                Ev::LinkUp(dev("B"), dev("D")),
-            ];
-            let ps = base.packet_space.clone();
-            let pool = [
-                plan_for(&net, "B .* D").0,
-                plan_for(&net, "A .* D").0,
-                plan_for(&net, "S .* W .* D").0,
-                // A local-contract behavior has no slice to install: Err.
-                table1::all_shortest_path(ps, "S", "D").unwrap(),
-            ];
-            // Applies one op, holding the property; returns `is_err`.
+            let world = if ring { ring_world() } else { fig2a_world() };
+            let World { net, base, pool, events } = world;
+            let (mut c, base) = control(&net, base, fixed_roster);
+            // Applies one op, holding the properties; returns `is_err`.
             let mut step = |kind: usize, i: usize| {
                 let before = (fingerprint(&c), c.epoch());
                 let result = match kind {
-                    0 => c.topology_event(&events[i], &net.topology, &base, 0),
-                    1 => c.install(None, "p", &pool[i % pool.len()], 0),
-                    // A replay id collides with any id already handed out.
-                    2 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[0], 0),
+                    0 | 1 => c.topology_event(&events[i % events.len()], &net.topology, &base, 0),
+                    2 => c.install(None, "p", &pool[i % pool.len()], 0),
+                    // A replay id collides with an id in use, and
+                    // re-uses a removed one under any invariant.
+                    3 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[i / 3 % pool.len()], 0),
                     _ => c.remove(IntentId(i as u64 % 4), 0),
                 };
                 match &result {
                     Err(_) => assert!(before.0 == fingerprint(&c), "Err mutated state"),
                     Ok(d) => assert_eq!(c.epoch(), before.1 + d.fence.is_some() as u64),
                 }
+                assert_plans_are_fresh(&c, &net.topology, &base);
                 result.is_err()
             };
             for (kind, i) in ops {
                 step(kind, i);
             }
             // Whatever the history, these three are rejected: the base
-            // cannot plan without D, id 0 is taken, the base is pinned.
-            prop_assert!(step(0, 4) && step(2, 0) && step(3, 0));
+            // cannot plan without its destination, id 0 is taken, the
+            // base is pinned.
+            prop_assert!(step(0, 4) && step(3, 0) && step(4, 0));
         }
     }
 }

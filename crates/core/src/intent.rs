@@ -28,6 +28,14 @@
 //!   that is new to it always shows up as a *gained* upstream edge —
 //!   the only listener it has to announce to.
 //!
+//! * **Scenes** — every installed intent carries a *scene table*: the
+//!   plans (or planner refusals) of the topology scenes it has been
+//!   planned on, keyed by [`ChurnState`] (see [`SceneTable`]). It is
+//!   §6's scene-labelled fault-tolerant plan filled lazily, one scene
+//!   at a time, and the only way a plan reaches the store: the second
+//!   half of every link flap returns to a scene already planned and
+//!   costs a pointer copy instead of a planner run.
+//!
 //! Soundness of sharing: a node's counting results depend only on its
 //! downstream cone (accept flags + structure), its device's FIB, and
 //! its base packet space. The interning key covers all three — the
@@ -38,9 +46,11 @@
 use crate::churn::ChurnState;
 use crate::count::ReduceMode;
 use crate::dpvnet::NodeId;
-use crate::planner::{CountingPlan, NodeTask, PlanError, Planner};
+use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::DeviceId;
 
@@ -86,6 +96,73 @@ impl IntentProfile {
     }
 }
 
+/// Scenes one intent remembers at most; the least recently used goes
+/// first. A constant, like the BDD memo's bound: a table serves the
+/// handful of scenes a flapping network keeps returning to, so its
+/// size follows from what recurs, not from a deployment.
+pub(crate) const MAX_SCENES: usize = 32;
+
+/// What planning one intent on one scene gave: its slice, or why the
+/// scene cannot host it.
+type Planned = Result<Arc<CountingPlan>, PlanError>;
+
+/// One intent's plans by scene — §6's fault-tolerant DPVNet, learned
+/// one scene at a time instead of precomputed from an operator's scene
+/// list. A scene is the cumulative [`ChurnState`] (down links and down
+/// devices). That key is complete because everything else a plan
+/// depends on is fixed for the table's lifetime: the intent's own
+/// invariant, the base topology and base invariant of the owning
+/// control plane (which calls [`IntentStore::forget_scenes`] when a
+/// caller hands it different ones), and the taskable roster, which is
+/// constant whenever it is `Some`. Refusals are remembered too: a
+/// scene that degrades the intent degrades it again without a planner
+/// run. The table lives inside its [`InstalledIntent`], so it dies
+/// with it — a re-used id starts empty.
+#[derive(Debug, Clone, Default)]
+struct SceneTable {
+    /// Most recently used first.
+    seen: Vec<(ChurnState, Planned)>,
+}
+
+impl SceneTable {
+    /// The table of an intent that enters the store with `plan`, made
+    /// for `scene`. An empty slice is the one plan an install accepts
+    /// and the re-planner refuses (it degrades), so it is not
+    /// remembered.
+    fn opened_by(scene: &ChurnState, plan: &Arc<CountingPlan>) -> SceneTable {
+        let mut table = SceneTable::default();
+        if !plan.tasks.is_empty() {
+            table.record(scene, Ok(plan.clone()));
+        }
+        table
+    }
+
+    /// What this scene gave last time, if remembered (a pointer copy).
+    fn get(&mut self, scene: &ChurnState) -> Option<Planned> {
+        let at = self.seen.iter().position(|(s, _)| s == scene)?;
+        self.seen[..=at].rotate_right(1);
+        Some(self.seen[0].1.clone())
+    }
+
+    /// Remembers what a scene gave, dropping the least recently used
+    /// scene beyond [`MAX_SCENES`].
+    fn record(&mut self, scene: &ChurnState, planned: Planned) {
+        self.seen.retain(|(s, _)| s != scene);
+        self.seen.insert(0, (scene.clone(), planned));
+        self.seen.truncate(MAX_SCENES);
+    }
+}
+
+/// Planning work done on the live path, for the control plane's
+/// counters: planner runs, and scene-table hits that avoided one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanWork {
+    /// Planner runs ([`plan_intent_on`] or `Planner::plan`).
+    pub planner_calls: u64,
+    /// Plans answered from an intent's scene table.
+    pub table_hits: u64,
+}
+
 /// One installed intent: its own counting plan (intent-local node ids)
 /// plus the mapping onto the store's global node table.
 #[derive(Debug, Clone)]
@@ -97,13 +174,17 @@ pub struct InstalledIntent {
     /// The invariant, when known. The base intent of a store built
     /// straight from a counting plan has none.
     pub invariant: Option<Invariant>,
-    /// The intent's counting plan, in intent-local node ids — exactly
-    /// what a standalone session for this invariant would run.
-    pub plan: CountingPlan,
+    /// The intent's counting plan on the scene in force, in
+    /// intent-local node ids — exactly what a standalone session for
+    /// this invariant would run. Shared with the intent's scene table
+    /// (and, for the base intent, the control plane): a churn fence
+    /// that returns to a remembered scene swaps the pointer.
+    pub plan: Arc<CountingPlan>,
     /// Intent-local node id (as index) → global node id.
     pub to_global: Vec<NodeId>,
     ctx: usize,
     degraded: bool,
+    scenes: SceneTable,
 }
 
 impl InstalledIntent {
@@ -130,6 +211,12 @@ impl InstalledIntent {
     /// The devices this intent's slice touches.
     pub fn devices(&self) -> BTreeSet<DeviceId> {
         self.plan.tasks.iter().map(|t| t.dev).collect()
+    }
+
+    /// Scenes this intent's table remembers (never above its bound).
+    #[cfg(test)]
+    pub(crate) fn scenes_remembered(&self) -> usize {
+        self.scenes.seen.len()
     }
 }
 
@@ -293,8 +380,9 @@ impl IntentStore {
     /// A store seeded with the *base* intent (id 0) under an
     /// **identity** local↔global node mapping, so a legacy single-plan
     /// substrate behaves byte-identically to before the store existed.
+    /// The plan is remembered as the base intent's quiet scene.
     pub fn with_base(
-        plan: CountingPlan,
+        plan: Arc<CountingPlan>,
         space: PacketSpace,
         invariant: Option<Invariant>,
     ) -> IntentStore {
@@ -303,7 +391,12 @@ impl IntentStore {
         store
     }
 
-    fn seed_base(&mut self, plan: CountingPlan, space: PacketSpace, invariant: Option<Invariant>) {
+    fn seed_base(
+        &mut self,
+        plan: Arc<CountingPlan>,
+        space: PacketSpace,
+        invariant: Option<Invariant>,
+    ) {
         assert!(self.intents.is_empty(), "base intent must be seeded first");
         self.profile = Some(IntentProfile::of(&plan));
         self.contexts.push(space);
@@ -342,13 +435,13 @@ impl IntentStore {
         }
         for t in by_local.values() {
             for (cl, _) in &t.downstream {
-                self.nodes
-                    .get_mut(cl)
-                    .expect("downstream node exists")
-                    .upstream
-                    .entry((t.node, t.dev))
-                    .or_default()
-                    .insert(0);
+                // An edge to a node the plan has no task for has no
+                // listener to register with.
+                let Some(child) = self.nodes.get_mut(cl) else {
+                    continue;
+                };
+                let edge = child.upstream.entry((t.node, t.dev)).or_default();
+                edge.insert(0);
             }
         }
         let to_global: Vec<NodeId> = (0..n_local as u32).map(NodeId).collect();
@@ -358,6 +451,7 @@ impl IntentStore {
                 id: IntentId(0),
                 name: "base".to_string(),
                 invariant,
+                scenes: SceneTable::opened_by(&ChurnState::new(), &plan),
                 plan,
                 to_global,
                 ctx: 0,
@@ -372,14 +466,16 @@ impl IntentStore {
     /// bottom-up) and returns the per-device delta a substrate must
     /// apply under an epoch bump. Pass `id = None` to allocate the
     /// next id; an explicit id is for deterministic replay (hot
-    /// backend swap) and must be unused.
+    /// backend swap) and must be unused. `scene` is the churn in force,
+    /// which the plan was made for: it opens the intent's scene table.
     pub(crate) fn install(
         &mut self,
         id: Option<IntentId>,
         name: &str,
         invariant: Option<Invariant>,
-        plan: CountingPlan,
+        plan: Arc<CountingPlan>,
         space: PacketSpace,
+        scene: &ChurnState,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
         let profile = IntentProfile::of(&plan);
         match self.profile {
@@ -418,6 +514,7 @@ impl IntentStore {
                 id,
                 name: name.to_string(),
                 invariant,
+                scenes: SceneTable::opened_by(scene, &plan),
                 plan,
                 to_global,
                 ctx,
@@ -429,7 +526,8 @@ impl IntentStore {
 
     /// Removes an intent: drops its ownership refs, removes nodes no
     /// surviving intent owns, shrinks upstream edge sets, and returns
-    /// the delta a substrate must apply under an epoch bump.
+    /// the delta a substrate must apply under an epoch bump. The
+    /// intent's scene table goes with it.
     pub(crate) fn remove(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
         if id == IntentId::BASE {
             return Err(PlanError::Unsupported(
@@ -461,7 +559,11 @@ impl IntentStore {
             let pdev = t.dev;
             for (cl, _) in &t.downstream {
                 let cg = intent.to_global[cl.0 as usize];
-                let node = self.nodes.get_mut(&cg).expect("child exists");
+                // A live slice's map names table nodes only; one that
+                // is gone has no edge left to withdraw.
+                let Some(node) = self.nodes.get_mut(&cg) else {
+                    continue;
+                };
                 if let Some(refs) = node.upstream.get_mut(&(pg, pdev)) {
                     refs.remove(&id.0);
                     if refs.is_empty() {
@@ -474,10 +576,12 @@ impl IntentStore {
         // Drop ownership; sweep nodes nobody owns anymore.
         let mut delta = IntentDelta::default();
         for g in intent.global_nodes() {
-            let node = self.nodes.get_mut(&g).expect("owned node exists");
-            node.owners.remove(&id.0);
-            if node.owners.is_empty() {
-                let node = self.nodes.remove(&g).unwrap();
+            let Entry::Occupied(mut node) = self.nodes.entry(g) else {
+                continue;
+            };
+            node.get_mut().owners.remove(&id.0);
+            if node.get().owners.is_empty() {
+                let node = node.remove();
                 self.intern.remove(&node.key);
                 shrunk.remove(&g);
                 delta.removed.entry(node.dev).or_default().push(g);
@@ -608,8 +712,17 @@ impl IntentStore {
 
     /// The base intent's counting plan (`None` only for an empty
     /// store). After a churn fence this is the post-churn base plan.
-    pub fn base_plan(&self) -> Option<&CountingPlan> {
+    pub fn base_plan(&self) -> Option<&Arc<CountingPlan>> {
         self.intents.get(&0).map(|i| &i.plan)
+    }
+
+    /// Empties every intent's scene table. The tables answer for one
+    /// base topology and one base invariant (see [`SceneTable`]); the
+    /// control plane calls this when handed any other.
+    pub(crate) fn forget_scenes(&mut self) {
+        for intent in self.intents.values_mut() {
+            intent.scenes = SceneTable::default();
+        }
     }
 
     /// The packet space of one interning context (see
@@ -624,9 +737,20 @@ impl IntentStore {
     /// and returns the per-device diff plus the intent lifecycle
     /// transitions.
     ///
+    /// "Re-plans" asks each intent's scene table first ([`SceneTable`]):
+    /// a scene the intent has been planned on before — the second half
+    /// of every flap, every later flap of the same link — is a pointer
+    /// copy; only a scene it has never seen runs [`plan_intent_on`],
+    /// and the answer, slice or refusal, is remembered. `work` counts
+    /// both. The rebuild and the diff run either way: this is the one
+    /// re-planner, with one rebuild behind it. The caller keeps `base`
+    /// and `base_inv` the same from call to call, or calls
+    /// [`IntentStore::forget_scenes`].
+    ///
     /// * The **base** intent failing to plan rejects the whole event
-    ///   (`Err`, store untouched) — the session keeps verifying the
-    ///   old epoch, exactly like the single-intent re-planner.
+    ///   (`Err`; nothing but scene tables touched, and those only
+    ///   learn) — the session keeps verifying the old epoch, exactly
+    ///   like the single-intent re-planner.
     /// * Any **other** intent failing degrades that intent only: it
     ///   stays installed but owns no nodes and is skipped by
     ///   evaluation until a later fence revives it.
@@ -654,15 +778,17 @@ impl IntentStore {
         base_inv: Option<&Invariant>,
         churn: &ChurnState,
         taskable: Option<&BTreeSet<DeviceId>>,
+        work: &mut PlanWork,
     ) -> Result<StoreReplan, PlanError> {
         let topology = churn.apply_to(base);
 
         // Phase 1: plan every live intent (degraded ones included, so
-        // recovery revives them). Nothing is committed until the base
-        // plan is known good.
-        let mut new_plans: BTreeMap<u64, CountingPlan> = BTreeMap::new();
+        // recovery revives them), from its scene table where it can.
+        // Nothing but the tables is committed until the base plan is
+        // known good.
+        let mut new_plans: BTreeMap<u64, Arc<CountingPlan>> = BTreeMap::new();
         let mut degraded: Vec<(IntentId, String)> = Vec::new();
-        for intent in self.intents.values() {
+        for intent in self.intents.values_mut() {
             let inv = match intent.invariant.as_ref() {
                 Some(inv) => inv,
                 None if intent.id == IntentId::BASE => match base_inv {
@@ -681,7 +807,19 @@ impl IntentStore {
                     continue;
                 }
             };
-            match plan_intent_on(&topology, inv, churn, taskable) {
+            let planned = match intent.scenes.get(churn) {
+                Some(remembered) => {
+                    work.table_hits += 1;
+                    remembered
+                }
+                None => {
+                    work.planner_calls += 1;
+                    let fresh = plan_intent_on(&topology, inv, churn, taskable).map(Arc::new);
+                    intent.scenes.record(churn, fresh.clone());
+                    fresh
+                }
+            };
+            match planned {
                 Ok(cp) => {
                     new_plans.insert(intent.id.0, cp);
                 }
@@ -690,11 +828,13 @@ impl IntentStore {
             }
         }
 
-        // Phase 2: retry parked installs against the new topology.
-        let mut unpark_plans: Vec<(PendingIntent, CountingPlan)> = Vec::new();
+        // Phase 2: retry parked installs against the new topology (a
+        // parked install has no table yet: it gets one when it lands).
+        let mut unpark_plans: Vec<(PendingIntent, Arc<CountingPlan>)> = Vec::new();
         let mut rejected: Vec<(IntentId, String)> = Vec::new();
         let mut still_parked: BTreeMap<u64, PendingIntent> = BTreeMap::new();
         for (pid, mut p) in std::mem::take(&mut self.parked) {
+            work.planner_calls += 1;
             let attempt = plan_intent_on(&topology, &p.invariant, churn, taskable).and_then(|cp| {
                 let profile = IntentProfile::of(&cp);
                 match self.profile {
@@ -707,7 +847,7 @@ impl IntentStore {
                 }
             });
             match attempt {
-                Ok(cp) => unpark_plans.push((p, cp)),
+                Ok(cp) => unpark_plans.push((p, Arc::new(cp))),
                 Err(e) => {
                     p.retries += 1;
                     if p.retries >= MAX_INTENT_RETRIES {
@@ -736,25 +876,25 @@ impl IntentStore {
         let old_intern = std::mem::take(&mut self.intern);
         self.nodes.clear();
 
-        let degraded_now: BTreeSet<u64> = degraded.iter().map(|(i, _)| i.0).collect();
         let mut revived: Vec<IntentId> = Vec::new();
-        let ids: Vec<u64> = self.intents.keys().copied().collect();
-        for id in ids {
-            if degraded_now.contains(&id) {
-                self.intents.get_mut(&id).unwrap().degraded = true;
+        // `intern_plan` works on the node table alone, so the intents
+        // can sit outside the store while it runs.
+        let mut intents = std::mem::take(&mut self.intents);
+        for (id, it) in intents.iter_mut() {
+            // Phase 1 planned every intent it did not degrade.
+            let Some(cp) = new_plans.remove(id) else {
+                it.degraded = true;
                 continue;
-            }
-            let cp = new_plans.remove(&id).expect("planned in phase 1");
-            let ctx = self.intents[&id].ctx;
-            let (to_global, ..) = self.intern_plan(id, &cp, ctx, &old_intern);
-            let it = self.intents.get_mut(&id).unwrap();
+            };
+            let (to_global, ..) = self.intern_plan(*id, &cp, it.ctx, &old_intern);
             it.plan = cp;
             it.to_global = to_global;
             if it.degraded {
                 it.degraded = false;
-                revived.push(IntentId(id));
+                revived.push(it.id);
             }
         }
+        self.intents = intents;
         let mut unparked: Vec<IntentId> = Vec::new();
         for (p, cp) in unpark_plans {
             if self.profile.is_none() {
@@ -768,6 +908,7 @@ impl IntentStore {
                     id: p.id,
                     name: p.name,
                     invariant: Some(p.invariant),
+                    scenes: SceneTable::opened_by(churn, &cp),
                     plan: cp,
                     to_global,
                     ctx,
@@ -904,7 +1045,10 @@ impl IntentStore {
             *o += 1;
             let g = match self.intern.get(&key) {
                 Some(&g) => {
-                    self.nodes.get_mut(&g).unwrap().owners.insert(id);
+                    // `intern` and `nodes` move in lockstep: `g` is in both.
+                    if let Some(node) = self.nodes.get_mut(&g) {
+                        node.owners.insert(id);
+                    }
                     g
                 }
                 None => {
@@ -936,7 +1080,11 @@ impl IntentStore {
             let pg = to_global[t.node.0 as usize];
             for (cl, _) in &t.downstream {
                 let cg = to_global[cl.0 as usize];
-                let node = self.nodes.get_mut(&cg).expect("child exists");
+                // An edge to a node the plan has no task for has no
+                // listener to register with.
+                let Some(node) = self.nodes.get_mut(&cg) else {
+                    continue;
+                };
                 let edge = node.upstream.entry((pg, t.dev)).or_default();
                 if edge.is_empty() {
                     grown.insert(cg);
@@ -948,8 +1096,10 @@ impl IntentStore {
     }
 }
 
-/// Plans one invariant against a (post-churn) topology, returning its
-/// counting plan. Rejects plans that task a quarantined device (the
+/// Plans one invariant against a (post-churn) topology from scratch,
+/// returning its counting plan — the planner run a scene-table miss
+/// costs ([`IntentStore::replan_all_for_churn`]), and what a hit must
+/// equal. Rejects plans that task a quarantined device (the
 /// device is down — nothing can run there; e.g. an intent whose
 /// ingress is the isolated device still "plans" onto it) and, with
 /// `taskable`, plans that task a device outside the roster (fixed
@@ -962,11 +1112,11 @@ pub fn plan_intent_on(
     churn: &ChurnState,
     taskable: Option<&BTreeSet<DeviceId>>,
 ) -> Result<CountingPlan, PlanError> {
-    let plan = Planner::new(topology).plan(inv)?;
-    let cp = plan
-        .counting()
-        .ok_or_else(|| PlanError::Unsupported("churn re-planning needs a counting plan".into()))?
-        .clone();
+    let PlanKind::Counting(cp) = Planner::new(topology).plan(inv)?.kind else {
+        return Err(PlanError::Unsupported(
+            "churn re-planning needs a counting plan".into(),
+        ));
+    };
     if cp.tasks.is_empty() {
         // No DPVNet node materialized (e.g. the ingress is isolated):
         // there is nothing to count anywhere, which would report the
@@ -1092,7 +1242,7 @@ pub(crate) mod tests {
         net
     }
 
-    pub(crate) fn plan_for(net: &Network, expr: &str) -> (Invariant, CountingPlan) {
+    pub(crate) fn plan_for(net: &Network, expr: &str) -> (Invariant, Arc<CountingPlan>) {
         let inv = Invariant::builder()
             .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
             .ingress([expr.split_whitespace().next().unwrap()])
@@ -1104,7 +1254,7 @@ pub(crate) mod tests {
             .unwrap();
         let plan = Planner::new(&net.topology).plan(&inv).unwrap();
         let cp = plan.counting().unwrap().clone();
-        (inv, cp)
+        (inv, Arc::new(cp))
     }
 
     /// Overlapping intents share tasks; removal keeps shared tasks
@@ -1127,6 +1277,7 @@ pub(crate) mod tests {
                 Some(inv_b.clone()),
                 cp_b.clone(),
                 inv_b.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         assert!(
@@ -1173,6 +1324,7 @@ pub(crate) mod tests {
                 Some(inv.clone()),
                 cp.clone(),
                 inv.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         assert_eq!(delta.total_nodes, delta.reused_nodes, "{delta:?}");
@@ -1209,8 +1361,9 @@ pub(crate) mod tests {
                 None,
                 "other-space",
                 Some(other.clone()),
-                ocp,
+                Arc::new(ocp),
                 other.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         assert_eq!(delta.reused_nodes, 0, "{delta:?}");
@@ -1241,14 +1394,22 @@ pub(crate) mod tests {
                 None,
                 "covered",
                 Some(covered.clone()),
-                ccp,
+                Arc::new(ccp),
                 covered.packet_space.clone(),
+                &ChurnState::new(),
             );
             assert!(err.is_err());
         }
     }
 
     use crate::churn::{ChurnState, TopologyEvent};
+
+    /// One churn fence on `store` that the base slice survives.
+    fn replan(store: &mut IntentStore, net: &Network, churn: &ChurnState) -> StoreReplan {
+        let mut work = PlanWork::default();
+        let r = store.replan_all_for_churn(&net.topology, None, churn, None, &mut work);
+        r.unwrap()
+    }
 
     fn two_intent_store(net: &Network) -> (IntentStore, IntentId) {
         let (inv_a, cp_a) = plan_for(net, "S .* D");
@@ -1262,9 +1423,44 @@ pub(crate) mod tests {
                 Some(inv_b.clone()),
                 cp_b,
                 inv_b.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         (store, id_b)
+    }
+
+    /// A scene table holds [`MAX_SCENES`] scenes and forgets the one
+    /// least recently used, which a hit is a use of.
+    #[test]
+    fn scene_table_forgets_the_least_recently_used_scene() {
+        let scene = |i: usize| {
+            let mut churn = ChurnState::new();
+            churn.apply(&TopologyEvent::LinkDown(
+                DeviceId(0),
+                DeviceId(1 + i as u32),
+            ));
+            churn
+        };
+        let refusal = || Err(PlanError::Unsupported("unplannable".into()));
+        let mut table = SceneTable::default();
+        for i in 0..MAX_SCENES {
+            table.record(&scene(i), refusal());
+        }
+        assert!(table.get(&scene(0)).is_some());
+        table.record(&scene(MAX_SCENES), refusal());
+        assert_eq!(table.seen.len(), MAX_SCENES);
+        assert!(table.get(&scene(0)).is_some(), "the hit kept scene 0");
+        assert!(table.get(&scene(1)).is_none(), "scene 1 made room");
+        assert!(table.get(&scene(MAX_SCENES)).is_some());
+
+        // A slice with tasks opens its intent's table; an empty one
+        // (which the re-planner would refuse) is not remembered.
+        let (_, cp) = plan_for(&fig2a_network(), "S .* D");
+        assert_eq!(SceneTable::opened_by(&scene(0), &cp).seen.len(), 1);
+        let mut empty = CountingPlan::clone(&cp);
+        empty.tasks.clear();
+        let table = SceneTable::opened_by(&scene(0), &Arc::new(empty));
+        assert!(table.seen.is_empty());
     }
 
     /// A fence with no effective topology change must rebuild the
@@ -1277,9 +1473,7 @@ pub(crate) mod tests {
         let before_base = store.get(IntentId::BASE).unwrap().to_global.clone();
         let before_b = store.get(id_b).unwrap().to_global.clone();
         let nodes_before = store.node_count();
-        let r = store
-            .replan_all_for_churn(&net.topology, None, &ChurnState::new(), None)
-            .unwrap();
+        let r = replan(&mut store, &net, &ChurnState::new());
         assert!(
             r.changed.is_empty(),
             "unchanged plan must diff empty: {r:?}"
@@ -1309,14 +1503,13 @@ pub(crate) mod tests {
                 Some(inv_b.clone()),
                 cp_b,
                 inv_b.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         let b = net.topology.expect_device("B");
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
-        let r = store
-            .replan_all_for_churn(&net.topology, None, &churn, None)
-            .unwrap();
+        let r = replan(&mut store, &net, &churn);
         assert_eq!(r.degraded.len(), 1, "{r:?}");
         assert_eq!(r.degraded[0].0, id_b);
         assert!(store.get(id_b).unwrap().is_degraded());
@@ -1327,9 +1520,7 @@ pub(crate) mod tests {
         assert!(!store.get(IntentId::BASE).unwrap().is_degraded());
         // Recovery re-plans the degraded slice back in.
         churn.apply(&TopologyEvent::DeviceUp(b));
-        let r = store
-            .replan_all_for_churn(&net.topology, None, &churn, None)
-            .unwrap();
+        let r = replan(&mut store, &net, &churn);
         assert_eq!(r.revived, vec![id_b], "{r:?}");
         assert!(!store.get(id_b).unwrap().is_degraded());
         assert_eq!(store.degraded_count(), 0);
@@ -1346,9 +1537,7 @@ pub(crate) mod tests {
         let (inv_a, _) = plan_for(&net, "A .* D");
         let id = store.park(None, "from-a", inv_a).unwrap();
         assert!(store.is_parked(id));
-        let r = store
-            .replan_all_for_churn(&net.topology, None, &ChurnState::new(), None)
-            .unwrap();
+        let r = replan(&mut store, &net, &ChurnState::new());
         assert_eq!(r.unparked, vec![id], "{r:?}");
         assert!(!store.is_parked(id));
         assert!(!store.get(id).unwrap().is_degraded());
@@ -1359,9 +1548,7 @@ pub(crate) mod tests {
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
         for round in 1..=MAX_INTENT_RETRIES {
-            let r = store
-                .replan_all_for_churn(&net.topology, None, &churn, None)
-                .unwrap();
+            let r = replan(&mut store, &net, &churn);
             if round < MAX_INTENT_RETRIES {
                 assert!(store.is_parked(hopeless), "round {round}: {r:?}");
                 assert!(r.rejected.is_empty());
@@ -1388,9 +1575,7 @@ pub(crate) mod tests {
         assert!(delta.changed.is_empty() && delta.removed.is_empty());
         assert_eq!(store.parked_count(), 0);
         // The drained park never resurrects on the next fence.
-        let r = store
-            .replan_all_for_churn(&net.topology, None, &ChurnState::new(), None)
-            .unwrap();
+        let r = replan(&mut store, &net, &ChurnState::new());
         assert!(r.unparked.is_empty());
         assert!(store.get(id).is_none());
     }
@@ -1411,21 +1596,18 @@ pub(crate) mod tests {
                 Some(inv_b.clone()),
                 cp_b,
                 inv_b.packet_space.clone(),
+                &ChurnState::new(),
             )
             .unwrap();
         let b = net.topology.expect_device("B");
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
-        store
-            .replan_all_for_churn(&net.topology, None, &churn, None)
-            .unwrap();
+        replan(&mut store, &net, &churn);
         assert!(store.get(id_b).unwrap().is_degraded());
         let delta = store.remove(id_b).unwrap();
         assert!(delta.changed.is_empty() && delta.removed.is_empty());
         assert!(store.get(id_b).is_none());
-        store
-            .replan_all_for_churn(&net.topology, None, &churn, None)
-            .unwrap();
+        replan(&mut store, &net, &churn);
         assert_eq!(
             store.live().map(|i| i.id).collect::<Vec<_>>(),
             [IntentId::BASE]

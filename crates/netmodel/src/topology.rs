@@ -45,7 +45,7 @@ impl Link {
 
 /// The network topology: devices, named; links with latencies; and the
 /// `(device, IP prefix)` mapping for external ports (§3).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     names: Vec<String>,
     by_name: HashMap<String, DeviceId>,

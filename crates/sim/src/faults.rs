@@ -22,6 +22,15 @@
 //! zero exactly when the fence lands at quiescence, which is what lets
 //! the engine skip the repair wave (see [`Transport::epoch_fence`]).
 //!
+//! The transport keeps its own clock (`now`: retransmission timers fire
+//! no earlier than the latest send or arrival seen), and that clock is
+//! **per round, like the engine's**: the driver rewinds every device
+//! timeline to t=0 when the exchange reaches quiescence, so `now`
+//! rewinds at the same point — where `recv` returns `None`. A clock
+//! that only grew would fire every later round's retransmissions at
+//! the end of all earlier rounds and make completion times cumulative
+//! over the run.
+//!
 //! Everything is driven by one seeded ChaCha stream, so a run under
 //! faults is exactly reproducible — the property the `fault-matrix` CI
 //! stage builds on.
@@ -54,7 +63,8 @@ pub struct FaultyTransport<T: Transport> {
     /// re-enter the sender window in order as acks free capacity.
     backlog: VecDeque<(DeviceId, Envelope)>,
     stats: FaultStats,
-    /// Latest substrate time observed (send or arrival).
+    /// Latest substrate time observed (send or arrival) in this round;
+    /// rewinds to 0 at quiescence, with the engine's timelines.
     now: u64,
     /// Current fence generation (updated by `epoch_fence`), stamped
     /// onto journal entries.
@@ -324,7 +334,8 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     /// Delivers the next in-order data envelope; acks, duplicates and
     /// retransmissions are consumed here and never reach the engine.
     /// Returns `None` only at true quiescence: inner transport dry, no
-    /// stashed copies, every data envelope acknowledged.
+    /// stashed copies, every data envelope acknowledged. That is where
+    /// the engine's round ends and its clock rewinds, so ours does too.
     fn recv(&mut self) -> Option<(u64, Envelope)> {
         loop {
             if let Some(ready) = self.ready.pop_front() {
@@ -377,6 +388,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                     }
                     debug_assert!(self.sender.is_empty(), "quiescent with unacked data");
                     debug_assert!(self.backlog.is_empty(), "quiescent with parked sends");
+                    self.now = 0;
                     return None;
                 }
             }
@@ -432,7 +444,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::FifoTransport;
+    use crate::runtime::{FifoTransport, LatencyTransport};
     use tulkun_core::dpvnet::NodeId;
     use tulkun_core::dvm::EdgeRef;
 
@@ -587,6 +599,42 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].seq, 1, "channels restart after the fence");
         assert_eq!(t.epoch_fence(2), 0, "a quiescent fence loses nothing");
+    }
+
+    /// The transport's clock is per round: after a round that ended
+    /// late, a retransmission of the next round fires one timeout after
+    /// its own send, not at the old round's end.
+    #[test]
+    fn a_quiescent_round_rewinds_the_retransmission_clock() {
+        // Every first copy (and every first ack) is lost; the first
+        // retransmission bypasses the injector.
+        let profile = FaultProfile {
+            force_after_attempts: 1,
+            ..FaultProfile::loss(3, 1.0)
+        };
+        // Three unlinked devices: every hop costs the fallback latency.
+        let hop = 10;
+        let mut topo = Topology::new();
+        for name in ["x", "y", "z"] {
+            topo.add_device(name);
+        }
+        let links = LatencyTransport::new(topo, hop);
+        let mut t = FaultyTransport::new(links, profile);
+        let late = 50 * profile.rto_ns;
+        t.send(DeviceId(1), late, data(1, 2));
+        let (arrival, _) = t.recv().expect("the retransmission delivers");
+        assert_eq!(arrival, late + profile.rto_ns + hop);
+        assert!(t.recv().is_none(), "round one quiesces");
+        t.send(DeviceId(1), 0, data(1, 2));
+        let (arrival, env) = t.recv().expect("the retransmission delivers");
+        assert_eq!(env.seq, 2);
+        assert_eq!(
+            arrival,
+            profile.rto_ns + hop,
+            "timers restart with the round"
+        );
+        assert!(t.recv().is_none());
+        assert_eq!(t.stats().drops, 2);
     }
 
     #[test]

@@ -2657,6 +2657,50 @@ mod tests {
         );
     }
 
+    /// Completion times are per round over a lossy network too: the
+    /// transport's retransmission clock rewinds with the engine's, so
+    /// the fortieth flap of a link converges as fast as the first. (On
+    /// WAN-scale links: with fig2a's 1 µs links what follows a late
+    /// retransmission is too short for a stale clock to show.)
+    #[test]
+    fn repeated_flaps_under_loss_do_not_accumulate_completion_time() {
+        let mut net = fig2a_network();
+        let mut wan = Topology::new();
+        for d in net.topology.devices() {
+            wan.add_device(net.topology.name(d));
+        }
+        for l in net.topology.links() {
+            wan.add_link(l.a, l.b, 1_000_000);
+        }
+        for (d, prefix) in net.topology.external_map() {
+            wan.add_external_prefix(d, prefix);
+        }
+        net.topology = wan;
+        let inv = waypoint_inv();
+        let (cp, ps) = waypoint_plan(&net);
+        let profile = FaultProfile::loss(9, 0.10);
+        let mut faulty = Engine::lossy(&net, &cp, &ps, EngineConfig::default(), profile);
+        faulty.burst();
+        let a = net.topology.device("A").unwrap();
+        let b = net.topology.device("B").unwrap();
+        use TopologyEvent as Ev;
+        let mut flaps = Vec::new();
+        for _ in 0..40 {
+            let mut ns = 0;
+            for ev in [Ev::LinkDown(a, b), Ev::LinkUp(a, b)] {
+                let r = faulty.apply_topology_event(&ev, &net.topology, &inv);
+                ns += r.unwrap().completion_ns;
+            }
+            flaps.push(ns);
+        }
+        let mean = |r: &[u64]| r.iter().sum::<u64>() / r.len() as u64;
+        let (first, last) = (mean(&flaps[..10]), mean(&flaps[30..]));
+        assert!(
+            last <= 2 * first,
+            "first ten {first} ns, last ten {last} ns"
+        );
+    }
+
     #[test]
     fn device_stats_are_collected() {
         let (_, mut sim) = waypoint_sim();
