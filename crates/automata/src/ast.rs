@@ -95,6 +95,15 @@ impl Regex {
         out
     }
 
+    /// Number of nodes in the expression tree.
+    fn size(&self) -> usize {
+        match self {
+            Regex::Empty | Regex::Epsilon | Regex::Sym(_) => 1,
+            Regex::Concat(a, b) | Regex::Alt(a, b) => 1 + a.size() + b.size(),
+            Regex::Star(a) => 1 + a.size(),
+        }
+    }
+
     fn collect_refs<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Regex::Empty | Regex::Epsilon => {}
@@ -250,6 +259,9 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
     Ok(out)
 }
 
+/// Largest tree `+` will copy (see [`Parser::rep`]).
+const MAX_PLUS_OPERAND: usize = 256;
+
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
@@ -294,6 +306,14 @@ impl Parser {
                 }
                 Some(Tok::Plus) => {
                     self.pos += 1;
+                    // `x+` is `x x*`: the operand is copied, so nested
+                    // `+` groups double the tree per level. Refuse
+                    // before copying what no real path expression has.
+                    if atom.size() > MAX_PLUS_OPERAND {
+                        return Err(ParseError::new(format!(
+                            "operand of '+' has more than {MAX_PLUS_OPERAND} nodes"
+                        )));
+                    }
                     atom = Regex::Concat(
                         Box::new(atom.clone()),
                         Box::new(Regex::Star(Box::new(atom))),
@@ -405,6 +425,14 @@ mod tests {
                 Regex::Alt(Box::new(Regex::dev("B")), Box::new(Regex::Epsilon)),
             ])
         );
+    }
+
+    #[test]
+    fn nested_plus_cannot_blow_up_the_tree() {
+        // Each level doubles: 40 levels would be 2^40 nodes.
+        let nested = format!("{}a{}", "(".repeat(40), "+)".repeat(40));
+        assert!(Regex::parse(&nested).is_err());
+        assert!(Regex::parse("((a b)+ c)+").is_ok());
     }
 
     #[test]

@@ -2,41 +2,30 @@
 //!
 //! Two modes:
 //!
-//! **Scan** (default): the `bench-smoke` CI stage runs a bench binary
-//! on a tiny topology and then runs this tool to assert the run
+//! **Scan** (default): the `bench-smoke` CI stage runs the `figures`
+//! binary on tiny topologies and then runs this tool to assert the run
 //! actually produced well-formed output: every `*.json` under
 //! `target/figures/` must parse back into a [`FigureTable`] with
 //! consistent row widths, and every id named on the command line must
-//! exist with at least one row. `--ablation-set` expands to every id
-//! in [`tulkun_bench::ABLATION_FIGURES`].
+//! exist with at least one row. `--all` expands to every id listed in
+//! [`tulkun_bench::FIGURES`].
 //!
 //! **Diff** (`--diff OLD NEW`): compares two FigureTable snapshots —
 //! the committed `BENCH_*.json` baseline against a fresh run. The
 //! schema (id, headers, row count) must match exactly. `--exact COLS`
 //! names comma-separated columns whose cells must be stringwise equal
-//! row-by-row (labels, counters, correctness bits). `--gate COL` names
-//! one numeric column gated by `--tolerance PCT` (default 25): each
-//! new cell must be ≤ old × (1 + PCT/100). `--inflate FACTOR`
-//! multiplies the new gated value first — the perf-gate's self-test
-//! knob, proving the gate trips on a synthetic regression.
+//! row-by-row (labels, counters, correctness bits).
 //!
 //! Usage:
-//!   `check_figures [--ablation-set] [required-id ...]`
-//!   `check_figures --diff OLD NEW [--exact COLS] [--gate COL]
-//!                  [--tolerance PCT] [--inflate FACTOR]`
+//!   `check_figures [--all] [required-id ...]`
+//!   `check_figures --diff OLD NEW [--exact COLS]`
 //!
-//! Scan mode checks no timing anywhere — the CI box has 1 CPU, so the
-//! smoke stage guards structure, not speed. Diff mode's gate column is
-//! opt-in for the same reason.
+//! Neither mode checks timing — what a run costs is the business of
+//! the benchmark in `benchmark/`, which compares parent and change on
+//! one host; this tool guards structure and verdicts.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use tulkun_bench::{FigureTable, ABLATION_FIGURES};
-
-fn figures_dir() -> PathBuf {
-    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
-        .join("figures")
-}
+use tulkun_bench::{figures_dir, FigureTable, FIGURES};
 
 fn load_table(path: &str) -> Result<FigureTable, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -46,14 +35,7 @@ fn load_table(path: &str) -> Result<FigureTable, String> {
 }
 
 /// `--diff` mode. Returns the list of failures (empty = pass).
-fn diff_tables(
-    old: &FigureTable,
-    new: &FigureTable,
-    exact: &[String],
-    gate: Option<&str>,
-    tolerance_pct: f64,
-    inflate: f64,
-) -> Vec<String> {
+fn diff_tables(old: &FigureTable, new: &FigureTable, exact: &[String]) -> Vec<String> {
     let mut fails = Vec::new();
     if old.id != new.id {
         fails.push(format!("id mismatch: {:?} vs {:?}", old.id, new.id));
@@ -89,39 +71,6 @@ fn diff_tables(
             }
         }
     }
-    if let Some(name) = gate {
-        let Some(c) = col(name) else {
-            fails.push(format!("--gate column {name:?} not in headers"));
-            return fails;
-        };
-        for (i, (o, n)) in old.rows.iter().zip(&new.rows).enumerate() {
-            let parse = |row: &[String], which: &str| -> Result<f64, String> {
-                row.get(c)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| format!("row {i} column {name:?}: {which} cell is not numeric"))
-            };
-            let (ov, nv) = match (parse(o, "old"), parse(n, "new")) {
-                (Ok(ov), Ok(nv)) => (ov, nv * inflate),
-                (o, n) => {
-                    fails.extend(o.err());
-                    fails.extend(n.err());
-                    continue;
-                }
-            };
-            let budget = ov * (1.0 + tolerance_pct / 100.0);
-            if nv > budget {
-                fails.push(format!(
-                    "row {i} column {name:?}: {nv:.0} exceeds {ov:.0} by more than \
-                     {tolerance_pct}% (budget {budget:.0})"
-                ));
-            } else {
-                println!(
-                    "check_figures: gate ok row {i} {name:?}: {nv:.0} <= {budget:.0} \
-                     ({ov:.0} +{tolerance_pct}%)"
-                );
-            }
-        }
-    }
     fails
 }
 
@@ -129,9 +78,6 @@ fn run_diff(args: &[String]) -> ExitCode {
     let mut old_path = None;
     let mut new_path = None;
     let mut exact: Vec<String> = Vec::new();
-    let mut gate: Option<String> = None;
-    let mut tolerance = 25.0f64;
-    let mut inflate = 1.0f64;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -141,21 +87,6 @@ fn run_diff(args: &[String]) -> ExitCode {
                     .get(i)
                     .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
                     .unwrap_or_default();
-            }
-            "--gate" => {
-                i += 1;
-                gate = args.get(i).cloned();
-            }
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(tolerance);
-            }
-            "--inflate" => {
-                i += 1;
-                inflate = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(inflate);
             }
             p if old_path.is_none() => old_path = Some(p.to_string()),
             p if new_path.is_none() => new_path = Some(p.to_string()),
@@ -179,14 +110,13 @@ fn run_diff(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let fails = diff_tables(&old, &new, &exact, gate.as_deref(), tolerance, inflate);
+    let fails = diff_tables(&old, &new, &exact);
     if fails.is_empty() {
         println!(
-            "check_figures: diff ok {} ({} rows, {} exact col(s), gate {:?})",
+            "check_figures: diff ok {} ({} rows, {} exact col(s))",
             old.id,
             old.rows.len(),
-            exact.len(),
-            gate
+            exact.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -205,8 +135,13 @@ fn main() -> ExitCode {
 
     let mut required: Vec<String> = Vec::new();
     for a in &args {
-        if a == "--ablation-set" {
-            required.extend(ABLATION_FIGURES.iter().map(|s| s.to_string()));
+        if a == "--all" {
+            required.extend(
+                FIGURES
+                    .iter()
+                    .flat_map(|(.., ids)| *ids)
+                    .map(|s| s.to_string()),
+            );
         } else {
             required.push(a.clone());
         }

@@ -361,7 +361,6 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
 const JOURNAL_KINDS: &[&str] = &[
     "batch_applied",
     "batch_rejected",
-    "link_event",
     "scene_applied",
     "epoch_fence",
     "topology_churn",

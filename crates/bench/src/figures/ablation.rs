@@ -16,8 +16,9 @@
 //!    loss rate, with a report-equality check against the perfect
 //!    channel.
 
+use crate::workload::first_destination_session;
+use crate::{fmt_ns, Cli, FigureTable};
 use std::time::Instant;
-use tulkun_bench::{fmt_ns, Cli, FigureTable};
 use tulkun_core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
 use tulkun_core::count::ReduceMode;
 use tulkun_core::dpvnet::{self, DpvNet};
@@ -26,40 +27,23 @@ use tulkun_core::fault::{build_ft_dpvnet, expand_fault_spec, FaultProfile};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
-use tulkun_datasets::by_name;
+use tulkun_datasets::{by_name, rule_updates};
 use tulkun_netmodel::network::Network;
 use tulkun_sim::{
     network_ip_only, BackendKind, Engine, EngineConfig, LecCache, Telemetry, TelemetryConfig,
 };
 
-fn main() {
-    let cli = Cli::parse();
-    ablate_reduction(&cli);
-    ablate_suffix_merging(&cli);
-    ablate_lec_sharing(&cli);
-    ablate_scene_reuse(&cli);
-    ablate_parallel_init(&cli);
-    ablate_fault_overhead(&cli);
-    ablate_burst_updates(&cli);
-    ablate_churn(&cli);
-    bench_backends(&cli);
-
-    // The canonical figure list (tulkun_bench::ABLATION_FIGURES) and
-    // this binary's emissions must agree: a figure added above without
-    // being listed — or listed without being emitted — fails right
-    // here, before CI's check_figures --ablation-set ever runs.
-    let dir = std::path::PathBuf::from(
-        std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()),
-    )
-    .join("figures");
-    for id in tulkun_bench::ABLATION_FIGURES {
-        let path = dir.join(format!("{id}.json"));
-        assert!(
-            path.exists(),
-            "ABLATION_FIGURES lists {id:?} but this run did not emit {}",
-            path.display()
-        );
-    }
+/// Runs every ablation and the backend race, one figure each.
+pub fn run(cli: &Cli) {
+    ablate_reduction(cli);
+    ablate_suffix_merging(cli);
+    ablate_lec_sharing(cli);
+    ablate_scene_reuse(cli);
+    ablate_parallel_init(cli);
+    ablate_fault_overhead(cli);
+    ablate_burst_updates(cli);
+    ablate_churn(cli);
+    bench_backends(cli);
 }
 
 /// The predicate backends a network's workload admits: all of
@@ -101,21 +85,17 @@ fn bench_backends(cli: &Cli) {
         }
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap();
-        let trace = tulkun_bench::churn_trace(&ds.network, cli.updates.min(96), 7);
+        let (inv, cp) = first_destination_session(&ds.network);
+        let trace = rule_updates(&ds.network, cli.updates.min(96), 7);
         let backends = admitted_backends(&ds.network);
 
         // Burst replay at two coalescing regimes.
         for burst in [8usize, 32] {
-            let mut bdd_ref: Option<tulkun_bench::ReplayOutcome> = None;
+            let mut bdd_ref: Option<crate::ReplayOutcome> = None;
             for &backend in &backends {
-                let r = tulkun_bench::replay_trace_with(
+                let r = crate::replay_trace_with(
                     &ds.network,
-                    cp,
+                    &cp,
                     &inv.packet_space,
                     &trace,
                     burst,
@@ -157,7 +137,7 @@ fn bench_backends(cli: &Cli) {
             let telemetry = Telemetry::new(TelemetryConfig::enabled());
             let mut sim = Engine::new(
                 &ds.network,
-                cp,
+                &cp,
                 &inv.packet_space,
                 EngineConfig {
                     backend,
@@ -235,14 +215,10 @@ fn ablate_churn(cli: &Cli) {
         }
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap();
+        let (inv, cp) = first_destination_session(&ds.network);
 
         let schedule = ChurnSchedule::seeded(topo, &inv, 7, 4);
-        let mut sim = Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
+        let mut sim = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
         sim.burst();
         let mut churn = ChurnState::new();
         for ev in &schedule.0 {
@@ -324,20 +300,15 @@ fn ablate_burst_updates(cli: &Cli) {
             continue;
         }
         let ds = by_name(name, cli.scale).unwrap();
-        let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap();
+        let (inv, cp) = first_destination_session(&ds.network);
 
-        let trace = tulkun_bench::churn_trace(&ds.network, cli.updates.min(96), 7);
+        let trace = rule_updates(&ds.network, cli.updates.min(96), 7);
         let mut reference = None;
         for backend in admitted_backends(&ds.network) {
             for burst in [1usize, 4, 16, 64] {
-                let r = tulkun_bench::replay_trace_with(
+                let r = crate::replay_trace_with(
                     &ds.network,
-                    cp,
+                    &cp,
                     &inv.packet_space,
                     &trace,
                     burst,
@@ -397,12 +368,7 @@ fn ablate_parallel_init(cli: &Cli) {
             continue;
         }
         let ds = by_name(name, cli.scale).unwrap();
-        let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap();
+        let (inv, cp) = first_destination_session(&ds.network);
 
         // Per-worker construction timings come from the telemetry
         // `init.build` spans (worker index in `aux`), so the figure can
@@ -412,7 +378,7 @@ fn ablate_parallel_init(cli: &Cli) {
             let t0 = Instant::now();
             let mut sim = Engine::new(
                 &ds.network,
-                cp,
+                &cp,
                 &inv.packet_space,
                 EngineConfig {
                     parallel_init,
@@ -469,21 +435,16 @@ fn ablate_fault_overhead(cli: &Cli) {
             continue;
         }
         let ds = by_name(name, cli.scale).unwrap();
-        let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap();
+        let (inv, cp) = first_destination_session(&ds.network);
 
-        let mut clean = Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
+        let mut clean = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
         clean.burst();
         let reference = clean.report().canonical_bytes();
 
         for loss in [0.0, 0.01, 0.10] {
             let mut sim = Engine::lossy(
                 &ds.network,
-                cp,
+                &cp,
                 &inv.packet_space,
                 EngineConfig::default(),
                 FaultProfile::loss(23, loss),
@@ -521,7 +482,7 @@ fn ablate_reduction(cli: &Cli) {
         let topo = &ds.network.topology;
         let (dst, _) = topo.external_map().next().unwrap();
         let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
+        let inv = crate::workload::wan_invariant(&ds.network, dst, &prefixes);
         // The all-pair invariant tracks escapes → reduction off by
         // design; ablate on the pure reachability variant instead.
         let inv = tulkun_core::spec::Invariant {
@@ -622,14 +583,14 @@ fn ablate_lec_sharing(cli: &Cli) {
         }
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
-        let dsts: Vec<_> = tulkun_bench::workload::destinations(&ds.network)
+        let dsts: Vec<_> = crate::workload::destinations(&ds.network)
             .into_iter()
             .take(8)
             .collect();
         let plans: Vec<_> = dsts
             .iter()
             .map(|(dst, prefixes)| {
-                let inv = tulkun_bench::workload::wan_invariant(&ds.network, *dst, prefixes);
+                let inv = crate::workload::wan_invariant(&ds.network, *dst, prefixes);
                 (Planner::new(topo).plan(&inv).unwrap(), inv)
             })
             .collect();

@@ -10,18 +10,18 @@
 //! only three randomly chosen devices, in 9 out of 11 LAN/WAN datasets,
 //! Flash detects zero errors in 80% of the experiment cases."
 
+use crate::{all_pair_workload, Cli, FigureTable, TulkunAllPairs};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tulkun_baselines::flash::Flash;
 use tulkun_baselines::CentralizedDpv;
-use tulkun_bench::{all_pair_workload, Cli, FigureTable, TulkunAllPairs};
 use tulkun_datasets::{all_datasets, NetKind};
 use tulkun_netmodel::routing::{inject_errors, InjectedError};
 use tulkun_netmodel::DeviceId;
 use tulkun_sim::SwitchModel;
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `exp_flash_miss`.
+pub fn run(cli: &Cli) {
     let mut table = FigureTable::new(
         "exp_flash_miss",
         "Errors detected when the verifier misses 3 devices' latest updates (10 trials)",

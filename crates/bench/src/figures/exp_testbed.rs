@@ -2,13 +2,15 @@
 //! Experiment 1 (burst update) and Experiment 2 (incremental updates),
 //! Tulkun vs the best centralized baseline.
 
+use crate::{
+    all_pair_workload, fmt_ns, pct_under_10ms, quantile, Cli, FigureTable, TulkunAllPairs,
+};
 use tulkun_baselines::all_baselines;
-use tulkun_bench::{all_pair_workload, fmt_ns, quantile, Cli, FigureTable, TulkunAllPairs};
 use tulkun_datasets::{by_name, rule_updates};
 use tulkun_sim::{central_burst, central_update, SwitchModel};
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `exp_testbed_burst` and `exp_testbed_incremental`.
+pub fn run(cli: &Cli) {
     let ds = by_name("INet2", cli.scale).expect("INet2");
     let wl = all_pair_workload(&ds.network);
     let verifier_loc = ds.network.topology.devices().next().unwrap();
@@ -23,7 +25,7 @@ fn main() {
     }
 
     // Baselines.
-    let mut rows: Vec<(String, u64, u64, f64)> = Vec::new();
+    let mut rows: Vec<(String, u64, u64, String)> = Vec::new();
     for mut tool in all_baselines() {
         let name = tool.name().to_string();
         let b = central_burst(tool.as_mut(), &ds.network, &wl, verifier_loc);
@@ -31,11 +33,12 @@ fn main() {
         for u in &updates {
             incr.push(central_update(tool.as_mut(), &ds.network, u, verifier_loc).total_ns);
         }
-        let q80 = quantile(&incr, 0.8);
-        let lt10ms = incr.iter().filter(|&&t| t < 10_000_000).count() as f64
-            / incr.len().max(1) as f64
-            * 100.0;
-        rows.push((name, b.total_ns, q80, lt10ms));
+        rows.push((
+            name,
+            b.total_ns,
+            quantile(&incr, 0.8),
+            pct_under_10ms(&incr),
+        ));
     }
 
     let mut t1 = FigureTable::new(
@@ -66,9 +69,6 @@ fn main() {
     );
 
     let q80_t = quantile(&tulkun_incr, 0.8);
-    let lt10_t = tulkun_incr.iter().filter(|&&t| t < 10_000_000).count() as f64
-        / tulkun_incr.len().max(1) as f64
-        * 100.0;
     let mut t2 = FigureTable::new(
         "exp_testbed_incremental",
         "Experiment 2 — incremental updates on INet2",
@@ -82,14 +82,14 @@ fn main() {
     t2.row(vec![
         "Tulkun".into(),
         fmt_ns(q80_t),
-        format!("{lt10_t:.1}%"),
+        pct_under_10ms(&tulkun_incr),
         "1.00x".into(),
     ]);
     for (name, _, q80, lt10) in &rows {
         t2.row(vec![
             name.clone(),
             fmt_ns(*q80),
-            format!("{lt10:.1}%"),
+            lt10.clone(),
             format!("{:.2}x", *q80 as f64 / q80_t.max(1) as f64),
         ]);
     }

@@ -1,11 +1,11 @@
 //! Figure 10: dataset statistics — devices, links, rules, kind — for the
 //! thirteen (generated) evaluation datasets.
 
-use tulkun_bench::{Cli, FigureTable};
+use crate::{Cli, FigureTable};
 use tulkun_datasets::{all_datasets, NetKind};
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig10`.
+pub fn run(cli: &Cli) {
     let mut table = FigureTable::new(
         "fig10",
         "Dataset statistics",

@@ -2,14 +2,14 @@
 //! datasets, and the acceleration ratio of each centralized baseline
 //! over Tulkun (ratio > 1 means Tulkun is faster).
 
+use crate::workload::burst_streaming;
+use crate::{all_pair_workload, fmt_ns, Cli, FigureTable};
 use tulkun_baselines::all_baselines;
-use tulkun_bench::workload::burst_streaming;
-use tulkun_bench::{all_pair_workload, fmt_ns, Cli, FigureTable};
 use tulkun_datasets::{all_datasets, NetKind};
 use tulkun_sim::{central_burst, SwitchModel};
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig11a`.
+pub fn run(cli: &Cli) {
     let mut table = FigureTable::new(
         "fig11a",
         "Burst update: Tulkun time and baseline/Tulkun acceleration ratios",

@@ -2,14 +2,16 @@
 //! updates verified in under 10 ms, and the 80%-quantile incremental
 //! verification time, per tool per dataset.
 
+use crate::workload::destinations;
+use crate::{
+    all_pair_workload, fmt_ns, pct_under_10ms, quantile, Cli, FigureTable, TulkunAllPairs,
+};
 use tulkun_baselines::all_baselines;
-use tulkun_bench::workload::destinations;
-use tulkun_bench::{all_pair_workload, fmt_ns, quantile, Cli, FigureTable, TulkunAllPairs};
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
 use tulkun_sim::{central_burst, central_update, SwitchModel};
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig11b` and `fig11c`.
+pub fn run(cli: &Cli) {
     let mut b = FigureTable::new(
         "fig11b",
         "Incremental verification: % of updates verified < 10 ms",
@@ -100,17 +102,8 @@ fn main() {
             base_times.push((tool.name().to_string(), times));
         }
 
-        let pct10 = |xs: &[u64]| {
-            if xs.is_empty() {
-                return "n/a".to_string();
-            }
-            format!(
-                "{:.1}%",
-                xs.iter().filter(|&&t| t < 10_000_000).count() as f64 / xs.len() as f64 * 100.0
-            )
-        };
-        let mut row_b = vec![ds.spec.name.clone(), pct10(&t_times)];
-        row_b.extend(base_times.iter().map(|(_, xs)| pct10(xs)));
+        let mut row_b = vec![ds.spec.name.clone(), pct_under_10ms(&t_times)];
+        row_b.extend(base_times.iter().map(|(_, xs)| pct_under_10ms(xs)));
         b.row(row_b);
 
         let q80_t = quantile(&t_times, 0.8);

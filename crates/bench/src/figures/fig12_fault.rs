@@ -7,8 +7,8 @@
 //! * 12b/c — incremental rule updates inside fault scenes: % < 10 ms
 //!   and the 80% quantile.
 
+use crate::{all_pair_workload, fmt_ns, pct_under_10ms, quantile, Cli, FigureTable};
 use tulkun_baselines::all_baselines;
-use tulkun_bench::{all_pair_workload, fmt_ns, quantile, Cli, FigureTable};
 use tulkun_core::fault::{plan_fault_tolerant, sample_scenes, FaultScene};
 use tulkun_core::spec::FaultSpec;
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
@@ -19,8 +19,8 @@ fn flood_ns(topo: &tulkun_netmodel::Topology) -> u64 {
     topo.links().iter().map(|l| l.latency_ns).max().unwrap_or(0) * topo.diameter_hops() as u64
 }
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig12a`, `fig12b` and `fig12c`.
+pub fn run(cli: &Cli) {
     let mut a = FigureTable::new(
         "fig12a",
         "Fault scenes: re-verification time (avg over scenes) and baseline/Tulkun ratio",
@@ -157,14 +157,7 @@ fn main() {
         let wl = all_pair_workload(&ds.network);
         let loc = topo.devices().next().unwrap();
         let mut ratios = Vec::new();
-        let mut pct_cells = vec![ds.spec.name.clone(), {
-            let n10 = incr_times.iter().filter(|&&t| t < 10_000_000).count();
-            if incr_times.is_empty() {
-                "n/a".into()
-            } else {
-                format!("{:.1}%", n10 as f64 / incr_times.len() as f64 * 100.0)
-            }
-        }];
+        let mut pct_cells = vec![ds.spec.name.clone(), pct_under_10ms(&incr_times)];
         let mut q_cells = vec![ds.spec.name.clone(), fmt_ns(quantile(&incr_times, 0.8))];
         for mut tool in all_baselines() {
             central_burst(tool.as_mut(), &ds.network, &wl, loc);
@@ -182,12 +175,7 @@ fn main() {
             for u in updates.iter().take(per_scene * fault_scenes.len()) {
                 bt.push(central_update(tool.as_mut(), &ds.network, u, loc).total_ns);
             }
-            let n10 = bt.iter().filter(|&&t| t < 10_000_000).count();
-            pct_cells.push(if bt.is_empty() {
-                "n/a".into()
-            } else {
-                format!("{:.1}%", n10 as f64 / bt.len() as f64 * 100.0)
-            });
+            pct_cells.push(pct_under_10ms(&bt));
             q_cells.push(fmt_ns(quantile(&bt, 0.8)));
         }
         let mut row = vec![ds.spec.name.clone(), fmt_ns(t_avg)];

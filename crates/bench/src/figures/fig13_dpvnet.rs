@@ -6,8 +6,8 @@
 //! scenes of up to k failures (sampling scenes above a cap so every row
 //! completes; the sampled fraction is reported).
 
+use crate::{fmt_ns, Cli, FigureTable};
 use std::time::Instant;
-use tulkun_bench::{fmt_ns, Cli, FigureTable};
 use tulkun_core::fault::{build_ft_dpvnet, expand_fault_spec, sample_scenes, FaultScene};
 use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_datasets::all_datasets;
@@ -15,8 +15,8 @@ use tulkun_datasets::all_datasets;
 /// Scenes above this count are sampled.
 const SCENE_CAP: usize = 400;
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig13`.
+pub fn run(cli: &Cli) {
     let mut table = FigureTable::new(
         "fig13",
         "Fault-tolerant DPVNet computation latency (k = failed links)",

@@ -2,13 +2,12 @@
 //! the four commodity switch models — CDF quantiles of total time,
 //! maximal memory and CPU load per device.
 
-use tulkun_bench::{fmt_ns, quantile, Cli, FigureTable};
-use tulkun_core::planner::Planner;
+use crate::{fmt_ns, quantile, Cli, FigureTable};
 use tulkun_datasets::all_datasets;
 use tulkun_sim::{Engine, EngineConfig, SwitchModel};
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig14`.
+pub fn run(cli: &Cli) {
     // Collect per-device init overheads across the WAN/LAN datasets (the
     // paper pools 414 WAN/LAN devices plus representative DC devices).
     let mut init_ns: Vec<u64> = Vec::new();
@@ -18,21 +17,14 @@ fn main() {
         if !cli.wants(&ds.spec.name) {
             continue;
         }
-        if matches!(ds.spec.name.as_str(), "FT-48" | "NGDC") && cli.datasets.is_none() {
-            // DC fabrics use local contracts; their init is measured by
-            // the localsim path. Sample a handful of devices through one
-            // counting invariant instead (edge/agg/core), like the paper
-            // takes 6 DC devices.
-            sample_dc_devices(&ds, &mut init_ns, &mut mem_bytes, &mut cpu_load);
-            continue;
-        }
         eprintln!("[fig14] {}", ds.spec.name);
         // One representative destination session measures each device's
         // init (LEC build + initial counting) — the LEC build dominates
         // and is shared across destinations (§8), so one session per
-        // device is the right sample.
-        let stats = tulkun_stats(&ds);
-        for (init, mem, load) in stats {
+        // device is the right sample. The DC fabrics (whose own
+        // invariants are local contracts) go through the same counting
+        // session.
+        for (init, mem, load) in tulkun_stats(&ds) {
             init_ns.push(init);
             mem_bytes.push(mem);
             cpu_load.push(load);
@@ -77,17 +69,8 @@ fn main() {
 /// dataset's first destination invariant.
 fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
     let net = &ds.network;
-    let (dst, prefixes) = {
-        let mut map: std::collections::BTreeMap<_, Vec<_>> = Default::default();
-        for (d, p) in net.topology.external_map() {
-            map.entry(d).or_default().push(p);
-        }
-        map.into_iter().next().expect("announced prefix")
-    };
-    let inv = tulkun_bench::workload::wan_invariant(net, dst, &prefixes);
-    let plan = Planner::new(&net.topology).plan(&inv).expect("plan");
-    let cp = plan.counting().expect("counting plan");
-    let mut sim = Engine::new(net, cp, &inv.packet_space, EngineConfig::default());
+    let (inv, cp) = crate::workload::first_destination_session(net);
+    let mut sim = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
     let r = sim.burst();
     sim.stats()
         .per_device
@@ -101,18 +84,4 @@ fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
             )
         })
         .collect()
-}
-
-fn sample_dc_devices(
-    ds: &tulkun_datasets::Dataset,
-    init_ns: &mut Vec<u64>,
-    mem: &mut Vec<u64>,
-    load: &mut Vec<f64>,
-) {
-    eprintln!("[fig14] {} (sampled devices)", ds.spec.name);
-    for (i, m, l) in tulkun_stats(ds) {
-        init_ns.push(i);
-        mem.push(m);
-        load.push(l);
-    }
 }

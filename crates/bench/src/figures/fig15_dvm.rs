@@ -2,12 +2,12 @@
 //! time, memory, CPU load, and per-message processing time, replayed
 //! across the four switch models.
 
-use tulkun_bench::{fmt_ns, quantile, Cli, FigureTable, TulkunAllPairs};
+use crate::{fmt_ns, quantile, Cli, FigureTable, TulkunAllPairs};
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
 use tulkun_sim::SwitchModel;
 
-fn main() {
-    let cli = Cli::parse();
+/// Emits `fig15`.
+pub fn run(cli: &Cli) {
     // Gather message-processing samples by running burst + an update
     // stream across WAN/LAN datasets.
     let mut per_msg_ns: Vec<u64> = Vec::new();
@@ -22,7 +22,7 @@ fn main() {
         eprintln!("[fig15] {}", ds.spec.name);
         // Bound memory on large datasets: a 16-destination subset yields
         // the same per-message-time distribution.
-        let keep: Vec<_> = tulkun_bench::workload::destinations(&ds.network)
+        let keep: Vec<_> = crate::workload::destinations(&ds.network)
             .into_iter()
             .take(16)
             .map(|(d, _)| d)

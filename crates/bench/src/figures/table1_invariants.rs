@@ -2,13 +2,14 @@
 //! each built with its constructor, planned against the Figure 2a
 //! network and verified (both textual form and verdict are printed).
 
-use tulkun_bench::FigureTable;
+use crate::{Cli, FigureTable};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{table1, Invariant, PacketSpace};
 use tulkun_core::verify::verify_snapshot;
 use tulkun_datasets::fig2a_network;
 
-fn main() {
+/// Emits `table1`; takes no option.
+pub fn run(_cli: &Cli) {
     let net = fig2a_network();
     let ps = || PacketSpace::dst_prefix("10.0.0.0/23");
     let rows: Vec<(&str, Invariant)> = vec![

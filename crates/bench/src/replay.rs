@@ -7,7 +7,6 @@
 
 use tulkun_core::planner::CountingPlan;
 use tulkun_core::spec::PacketSpace;
-use tulkun_datasets::rule_updates;
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_sim::{BackendKind, Engine, EngineConfig, Telemetry, TelemetryConfig};
 use tulkun_telemetry::HANDLE_NS;
@@ -38,19 +37,8 @@ pub struct ReplayOutcome {
 }
 
 /// Replays `trace` in chunks of `burst` updates (each chunk applied as
-/// one coalesced [`tulkun_netmodel::UpdateBatch`]); `burst = 1` is the
-/// per-rule baseline.
-pub fn replay_trace(
-    net: &Network,
-    cp: &CountingPlan,
-    ps: &PacketSpace,
-    trace: &[RuleUpdate],
-    burst: usize,
-) -> ReplayOutcome {
-    replay_trace_with(net, cp, ps, trace, burst, BackendKind::Bdd)
-}
-
-/// Like [`replay_trace`], on an explicit predicate backend.
+/// one coalesced [`tulkun_netmodel::UpdateBatch`]) on the given
+/// predicate backend; `burst = 1` is the per-rule baseline.
 pub fn replay_trace_with(
     net: &Network,
     cp: &CountingPlan,
@@ -98,23 +86,24 @@ pub fn replay_trace_with(
     out
 }
 
-/// A deterministic churn trace for a dataset network (first announced
-/// destination's session replays it).
-pub fn churn_trace(net: &Network, n: usize, seed: u64) -> Vec<RuleUpdate> {
-    rule_updates(net, n, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tulkun_bench_testutil::*;
+    use tulkun_datasets::{by_name, rule_updates, Scale};
+
+    /// One WAN destination's counting session on tiny INet2.
+    fn inet2_session() -> (Network, CountingPlan, PacketSpace) {
+        let ds = by_name("INet2", Scale::Tiny).unwrap();
+        let (inv, cp) = crate::workload::first_destination_session(&ds.network);
+        (ds.network.clone(), cp, inv.packet_space)
+    }
 
     #[test]
     fn burst_sizes_agree_on_the_verdict() {
         let (net, cp, ps) = inet2_session();
-        let trace = churn_trace(&net, 24, 7);
-        let per_rule = replay_trace(&net, &cp, &ps, &trace, 1);
-        let batched = replay_trace(&net, &cp, &ps, &trace, 8);
+        let trace = rule_updates(&net, 24, 7);
+        let per_rule = replay_trace_with(&net, &cp, &ps, &trace, 1, BackendKind::Bdd);
+        let batched = replay_trace_with(&net, &cp, &ps, &trace, 8, BackendKind::Bdd);
         assert_eq!(per_rule.updates, 24);
         assert_eq!(per_rule.batches, 24);
         assert_eq!(batched.batches, 3);
@@ -130,7 +119,7 @@ mod tests {
     #[test]
     fn backends_agree_on_the_replayed_report() {
         let (net, cp, ps) = inet2_session();
-        let trace = churn_trace(&net, 24, 7);
+        let trace = rule_updates(&net, 24, 7);
         let bdd = replay_trace_with(&net, &cp, &ps, &trace, 8, BackendKind::Bdd);
         for kind in [BackendKind::DeltaNet, BackendKind::Intervals] {
             let other = replay_trace_with(&net, &cp, &ps, &trace, 8, kind);
@@ -139,25 +128,5 @@ mod tests {
                 "{kind} backend diverged from bdd on the replayed report"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod tulkun_bench_testutil {
-    use tulkun_core::planner::{CountingPlan, Planner};
-    use tulkun_core::spec::PacketSpace;
-    use tulkun_datasets::{by_name, Scale};
-    use tulkun_netmodel::network::Network;
-
-    /// One WAN destination's counting session on tiny INet2.
-    pub fn inet2_session() -> (Network, CountingPlan, PacketSpace) {
-        let ds = by_name("INet2", Scale::Tiny).unwrap();
-        let topo = &ds.network.topology;
-        let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = crate::workload::wan_invariant(&ds.network, dst, &prefixes);
-        let plan = Planner::new(topo).plan(&inv).unwrap();
-        let cp = plan.counting().unwrap().clone();
-        (ds.network.clone(), cp, inv.packet_space)
     }
 }

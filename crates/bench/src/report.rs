@@ -1,6 +1,23 @@
 //! Table printing and JSON figure output.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// Ids saved by this process, in order (see [`take_emitted`]).
+static EMITTED: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// Where the JSON sidecars live: `<target dir>/figures`.
+pub fn figures_dir() -> PathBuf {
+    PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
+        .join("figures")
+}
+
+/// The ids of the figures saved since the last call, in emission
+/// order — what the `figures` binary holds against the list each
+/// entry of [`crate::FIGURES`] declares.
+pub fn take_emitted() -> Vec<String> {
+    std::mem::take(&mut *EMITTED.lock().expect("no emitter panics holding the lock"))
+}
 
 /// A printable figure/table with a JSON sidecar.
 #[derive(Debug, Clone)]
@@ -9,9 +26,6 @@ pub struct FigureTable {
     pub title: String,
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
-    /// Machine-readable annotations riding along with the data — e.g.
-    /// why a gate was skipped (`"perf-gate: SKIP(reason=1cpu)"`).
-    pub notes: Vec<String>,
 }
 
 impl FigureTable {
@@ -22,24 +36,13 @@ impl FigureTable {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            notes: Vec::new(),
         }
-    }
-
-    /// The table as a compact JSON string.
-    pub fn to_json_string(&self) -> String {
-        tulkun_json::to_string(self)
     }
 
     /// Adds a row.
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells);
-    }
-
-    /// Adds a machine-readable note to the JSON sidecar.
-    pub fn note(&mut self, note: impl Into<String>) {
-        self.notes.push(note.into());
     }
 
     /// Prints the table with aligned columns.
@@ -72,12 +75,14 @@ impl FigureTable {
 
     /// Writes the JSON sidecar to `target/figures/<id>.json`.
     pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir =
-            PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
-                .join("figures");
+        let dir = figures_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.id));
         std::fs::write(&path, tulkun_json::to_string_pretty(self))?;
+        EMITTED
+            .lock()
+            .expect("no emitter panics holding the lock")
+            .push(self.id.clone());
         Ok(path)
     }
 
@@ -95,8 +100,7 @@ tulkun_json::impl_json_object!(FigureTable {
     id,
     title,
     headers,
-    rows,
-    notes
+    rows
 });
 
 #[cfg(test)]
@@ -107,7 +111,7 @@ mod tests {
     fn table_builds_and_serializes() {
         let mut t = FigureTable::new("test", "demo", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
-        let json = t.to_json_string();
+        let json = tulkun_json::to_string(&t);
         assert!(json.contains("demo"));
         let back: FigureTable = tulkun_json::from_str(&json).unwrap();
         assert_eq!(back.rows, t.rows);

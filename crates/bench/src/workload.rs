@@ -8,9 +8,10 @@
 //! * DC: all-ToR-pair shortest-path availability — `equal` behaviors
 //!   verified as communication-free local contracts (RCDC-style).
 
+use std::collections::BTreeMap;
 use tulkun_baselines::Workload as BaselineWorkload;
 use tulkun_core::count::CountExpr;
-use tulkun_core::planner::{Planner, PlannerOptions};
+use tulkun_core::planner::{CountingPlan, Planner, PlannerOptions};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
 use tulkun_netmodel::network::{Network, RuleUpdate};
@@ -49,6 +50,18 @@ pub fn wan_invariant(net: &Network, dst: DeviceId, prefixes: &[IpPrefix]) -> Inv
         .behavior(Behavior::exist(CountExpr::ge(1), path.clone()).and(Behavior::covered(path)))
         .build()
         .expect("wan invariant")
+}
+
+/// The first announced destination's [`wan_invariant`] with its
+/// counting plan: the one-destination session the ablations, Fig. 14
+/// and the micro-benchmarks drive.
+pub fn first_destination_session(net: &Network) -> (Invariant, CountingPlan) {
+    let topo = &net.topology;
+    let (dst, _) = topo.external_map().next().expect("announced prefix");
+    let inv = wan_invariant(net, dst, topo.external_prefixes(dst));
+    let plan = Planner::new(topo).plan(&inv).expect("plan");
+    let cp = plan.counting().expect("counting plan").clone();
+    (inv, cp)
 }
 
 /// The per-destination DC invariant: all-ToR-pair shortest-path
@@ -174,6 +187,58 @@ fn build_per_dst(
     }
 }
 
+/// Folds the burst of one destination after another into the
+/// all-pair result.
+#[derive(Default)]
+struct BurstTally {
+    run: AllPairRun,
+    max_dst: u64,
+    per_device_busy: BTreeMap<DeviceId, u64>,
+    /// The LEC table is shared across all destination tasks on one
+    /// device (it depends only on the FIB), so its build cost is paid
+    /// once per device, not once per destination: the max init, not
+    /// the sum.
+    per_device_init: BTreeMap<DeviceId, u64>,
+}
+
+impl BurstTally {
+    fn burst(&mut self, pd: &mut PerDst) {
+        match pd {
+            PerDst::Counting { sim, .. } => {
+                let r = sim.burst();
+                self.max_dst = self.max_dst.max(r.completion_ns);
+                self.run.messages += r.messages;
+                self.run.bytes += r.bytes;
+                self.run.violations += sim.report().violations.len();
+                for (dev, st) in &sim.stats().per_device {
+                    *self.per_device_busy.entry(*dev).or_default() += st.busy_ns;
+                    let e = self.per_device_init.entry(*dev).or_default();
+                    *e = (*e).max(st.init_ns);
+                }
+            }
+            PerDst::Local { sim, .. } => {
+                let r = sim.burst();
+                self.max_dst = self.max_dst.max(r.completion_ns);
+                self.run.violations += r.violations.len();
+                for (dev, ns) in &r.per_device {
+                    *self.per_device_busy.entry(*dev).or_default() += ns;
+                }
+            }
+        }
+    }
+
+    fn finish(mut self) -> AllPairRun {
+        let max_dev = self
+            .per_device_busy
+            .iter()
+            .map(|(d, b)| b + self.per_device_init.get(d).copied().unwrap_or(0))
+            .max()
+            .unwrap_or(0);
+        self.run.completion_ns = self.max_dst.max(max_dev);
+        self.run
+    }
+}
+
 impl TulkunAllPairs {
     /// Plans and instantiates the session for a dataset (all
     /// destinations held in memory — use [`TulkunAllPairs::build_for`]
@@ -203,45 +268,11 @@ impl TulkunAllPairs {
 
     /// Runs the burst phase for every destination.
     pub fn burst(&mut self) -> AllPairRun {
-        let mut run = AllPairRun::default();
-        let mut per_device_busy: std::collections::BTreeMap<DeviceId, u64> = Default::default();
-        // The LEC table is shared across all destination tasks on one
-        // device (it depends only on the FIB), so its build cost is paid
-        // once per device, not once per destination: charge the max init
-        // rather than the sum.
-        let mut per_device_init: std::collections::BTreeMap<DeviceId, u64> = Default::default();
-        let mut max_dst = 0u64;
+        let mut tally = BurstTally::default();
         for pd in &mut self.per_dst {
-            match pd {
-                PerDst::Counting { sim, .. } => {
-                    let r = sim.burst();
-                    max_dst = max_dst.max(r.completion_ns);
-                    run.messages += r.messages;
-                    run.bytes += r.bytes;
-                    run.violations += sim.report().violations.len();
-                    for (dev, st) in &sim.stats().per_device {
-                        *per_device_busy.entry(*dev).or_default() += st.busy_ns;
-                        let e = per_device_init.entry(*dev).or_default();
-                        *e = (*e).max(st.init_ns);
-                    }
-                }
-                PerDst::Local { sim, .. } => {
-                    let r = sim.burst();
-                    max_dst = max_dst.max(r.completion_ns);
-                    run.violations += r.violations.len();
-                    for (dev, ns) in &r.per_device {
-                        *per_device_busy.entry(*dev).or_default() += ns;
-                    }
-                }
-            }
+            tally.burst(pd);
         }
-        let max_dev = per_device_busy
-            .iter()
-            .map(|(d, b)| b + per_device_init.get(d).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        run.completion_ns = max_dst.max(max_dev);
-        run
+        tally.finish()
     }
 
     /// Applies one rule update, re-verifying only the destinations whose
@@ -279,17 +310,6 @@ impl TulkunAllPairs {
         run
     }
 
-    /// Total current violations across destinations.
-    pub fn violations(&mut self) -> usize {
-        self.per_dst
-            .iter_mut()
-            .map(|pd| match pd {
-                PerDst::Counting { sim, .. } => sim.report().violations.len(),
-                PerDst::Local { .. } => 0, // local checks report at check time
-            })
-            .sum()
-    }
-
     /// Number of destination sessions.
     pub fn destinations(&self) -> usize {
         self.per_dst.len()
@@ -299,7 +319,7 @@ impl TulkunAllPairs {
     /// `(busy, memory, load)` triples from all counting sims (Fig. 15).
     pub fn drain_message_stats(&mut self) -> (Vec<u64>, Vec<(u64, u64, f64)>) {
         let mut msg = Vec::new();
-        let mut dev: std::collections::BTreeMap<DeviceId, (u64, u64)> = Default::default();
+        let mut dev: BTreeMap<DeviceId, (u64, u64)> = Default::default();
         for pd in &mut self.per_dst {
             if let PerDst::Counting { sim, .. } = pd {
                 msg.append(&mut sim.stats_mut().drain_msg_samples());
@@ -322,44 +342,14 @@ impl TulkunAllPairs {
 /// Streaming burst: builds, bursts and drops one destination at a time —
 /// constant memory in the number of destinations.
 pub fn burst_streaming(ds: &Dataset, model: SwitchModel) -> (AllPairRun, u64) {
-    let mut run = AllPairRun::default();
-    let mut per_device_busy: std::collections::BTreeMap<DeviceId, u64> = Default::default();
-    let mut per_device_init: std::collections::BTreeMap<DeviceId, u64> = Default::default();
-    let mut max_dst = 0u64;
+    let mut tally = BurstTally::default();
     let mut plan_ns = 0u64;
     let lec_cache = LecCache::new();
     for (dst, prefixes) in destinations(&ds.network) {
-        let pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &lec_cache);
-        match pd {
-            PerDst::Counting { mut sim, .. } => {
-                let r = sim.burst();
-                max_dst = max_dst.max(r.completion_ns);
-                run.messages += r.messages;
-                run.bytes += r.bytes;
-                run.violations += sim.report().violations.len();
-                for (dev, st) in &sim.stats().per_device {
-                    *per_device_busy.entry(*dev).or_default() += st.busy_ns;
-                    let e = per_device_init.entry(*dev).or_default();
-                    *e = (*e).max(st.init_ns);
-                }
-            }
-            PerDst::Local { mut sim, .. } => {
-                let r = sim.burst();
-                max_dst = max_dst.max(r.completion_ns);
-                run.violations += r.violations.len();
-                for (dev, ns) in &r.per_device {
-                    *per_device_busy.entry(*dev).or_default() += ns;
-                }
-            }
-        }
+        let mut pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &lec_cache);
+        tally.burst(&mut pd);
     }
-    let max_dev = per_device_busy
-        .iter()
-        .map(|(d, b)| b + per_device_init.get(d).copied().unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    run.completion_ns = max_dst.max(max_dev);
-    (run, plan_ns)
+    (tally.finish(), plan_ns)
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::count::{Counts, ReduceMode};
 use crate::dpvnet::NodeId;
 use crate::dvm::message::{EdgeRef, Envelope, Outbox, Payload};
 use crate::planner::NodeTask;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tulkun_bdd::serial::PortablePred;
@@ -175,8 +175,6 @@ pub struct DeviceVerifier {
     cfg: VerifierConfig,
     packet_space: DynPred,
     nodes: BTreeMap<NodeId, NodeState>,
-    /// Neighbor devices currently unreachable (failed adjacent links).
-    down_neighbors: BTreeSet<DeviceId>,
     /// Causal trace id of the event currently being processed; stamped
     /// onto every emitted envelope (see [`Envelope::trace`]).
     trace: u64,
@@ -305,7 +303,6 @@ impl<'a> VerifierBuilder<'a> {
             cfg,
             packet_space: ps,
             nodes,
-            down_neighbors: BTreeSet::new(),
             trace: 0,
             epoch: 0,
             early: Vec::new(),
@@ -958,39 +955,12 @@ impl DeviceVerifier {
         }
     }
 
-    /// Marks the link to a neighbor device down/up and recounts (§6:
-    /// predicates forwarded over a failed link count zero).
-    pub fn handle_link_event(&mut self, neighbor: DeviceId, up: bool, out: &mut dyn Outbox) {
-        let changed = if up {
-            self.down_neighbors.remove(&neighbor)
-        } else {
-            self.down_neighbors.insert(neighbor)
-        };
-        if !changed {
-            return;
-        }
-        // Region: everything forwarded toward that neighbor (per node,
-        // over its relevant classes only).
-        let ids = self.node_ids();
-        for id in ids {
-            let mut region = self.backend.falsum();
-            for (pred, action) in self.relevant_lecs(id) {
-                if action.device_next_hops().contains(&neighbor) {
-                    region = self.backend.or(region, pred);
-                }
-            }
-            self.recompute_node(id, region, out);
-        }
-    }
-
     /// Simulates a device crash + restart of the verification agent:
     /// all soft counting state (`CIBIn`, `LocCIB`, `CIBOut`, grown
     /// scopes, subscription ledger) is lost and re-initialized, then the
     /// verifier recounts from scratch and returns its fresh initial
     /// messages. The FIB and the LEC table survive — they live in the
-    /// switch hardware / FIB agent, not in the verification process —
-    /// and so does local link state (`down_neighbors`), which the agent
-    /// re-reads from the platform on start.
+    /// switch hardware / FIB agent, not in the verification process.
     ///
     /// Recovery of the *inputs* (neighbors' last counting results and
     /// subscriptions) is driven by the runtime calling
@@ -1277,10 +1247,6 @@ impl DeviceVerifier {
         let mut relevant: Vec<NodeId> = Vec::new();
         let mut missing = 0u32;
         for h in &hops {
-            if self.down_neighbors.contains(h) {
-                missing += 1;
-                continue;
-            }
             match task_down.iter().find(|(_, d)| d == h) {
                 Some((n, _)) => relevant.push(*n),
                 None => missing += 1,
@@ -1451,6 +1417,7 @@ impl DeviceVerifier {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use tulkun_netmodel::fib::Rule;
     use tulkun_netmodel::IpPrefix;
 

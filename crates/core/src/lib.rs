@@ -48,7 +48,6 @@ pub mod explain;
 pub mod fault;
 pub mod intent;
 pub mod localcheck;
-pub mod multipath;
 pub mod partition;
 pub mod planner;
 pub mod spec;

@@ -209,9 +209,6 @@ impl From<DpvNetError> for PlanError {
 pub struct PlannerOptions {
     /// Path-enumeration safety cap.
     pub path_cap: usize,
-    /// Use the `(device, slack)` fast path for `src .* dst (<= shortest+k)`
-    /// reachability when the topology has at least this many devices.
-    pub slack_fastpath_devices: usize,
     /// Skip the §3 destination-consistency check (useful when the
     /// topology carries no external-port map).
     pub skip_consistency_check: bool,
@@ -221,7 +218,6 @@ impl Default for PlannerOptions {
     fn default() -> Self {
         PlannerOptions {
             path_cap: crate::dpvnet::DEFAULT_PATH_CAP,
-            slack_fastpath_devices: 200,
             skip_consistency_check: false,
         }
     }
@@ -376,13 +372,17 @@ impl<'a> Planner<'a> {
         })
     }
 
+    /// Topologies with at least this many devices take the
+    /// `(device, slack)` fast path.
+    const SLACK_FASTPATH_DEVICES: usize = 200;
+
     /// Detects `src .* dst` with a single `<= shortest+k` filter on large
     /// topologies and builds the `(device, slack)` DAG instead of
     /// enumerating paths.
     fn try_slack_fastpath(&self, exprs: &[PathExpr], ingress: &[DeviceId]) -> Option<DpvNet> {
         if exprs.len() != 1
             || ingress.len() != 1
-            || self.topo.num_devices() < self.opts.slack_fastpath_devices
+            || self.topo.num_devices() < Self::SLACK_FASTPATH_DEVICES
         {
             return None;
         }

@@ -418,23 +418,6 @@ impl Session {
         self.queue.len()
     }
 
-    /// Signals a link failure (`up = false`) or recovery to both
-    /// endpoint devices and re-runs to quiescence.
-    pub fn apply_link_event(&mut self, a: DeviceId, b: DeviceId, up: bool) -> usize {
-        self.tel
-            .journal(JournalKind::LinkEvent, a, self.epoch(), 0, None, || {
-                let dir = if up { "up" } else { "down" };
-                format!("link-{dir} d{}-d{}", a.0, b.0)
-            });
-        if let Some(v) = self.verifiers.get_mut(&a) {
-            v.handle_link_event(b, up, &mut self.queue);
-        }
-        if let Some(v) = self.verifiers.get_mut(&b) {
-            v.handle_link_event(a, up, &mut self.queue);
-        }
-        self.run_to_quiescence()
-    }
-
     /// The current fence generation (0 until the first churn event or
     /// intent install/remove).
     pub fn epoch(&self) -> u64 {

@@ -3,6 +3,7 @@
 //! the 5-device network, its data plane, the waypoint invariant, the
 //! backward counting result, and the incremental update of §2.2.3.
 
+use tulkun_core::churn::TopologyEvent;
 use tulkun_core::count::CountExpr;
 use tulkun_core::count::Counts;
 use tulkun_core::planner::Planner;
@@ -291,19 +292,22 @@ fn blackhole_freeness_fails_because_b_drops_p2() {
 fn link_event_recounting() {
     // Kill link W–D: the only waypoint paths die, so even P2/P4 violate.
     let net = fig2a_network();
-    let plan = Planner::new(&net.topology)
-        .plan(&fig2b_invariant())
-        .unwrap();
+    let inv = fig2b_invariant();
+    let plan = Planner::new(&net.topology).plan(&inv).unwrap();
     let mut session = Session::new(&net, &plan);
     session.run_to_quiescence();
 
     let w = net.topology.device("W").unwrap();
     let d = net.topology.device("D").unwrap();
-    session.apply_link_event(w, d, false);
+    session
+        .apply_topology_event(&TopologyEvent::LinkDown(w, d), &net.topology, &inv)
+        .unwrap();
     let report = session.report();
     assert!(!report.holds());
     // Bring it back: the original single violation returns.
-    session.apply_link_event(w, d, true);
+    session
+        .apply_topology_event(&TopologyEvent::LinkUp(w, d), &net.topology, &inv)
+        .unwrap();
     let report = session.report();
     assert_eq!(report.violations.len(), 1);
 }

@@ -505,9 +505,6 @@ impl Ord for EnvelopeOrd {
 pub struct EngineConfig {
     /// Switch model whose CPU factor scales measured host time.
     pub model: SwitchModel,
-    /// Latency used when two communicating devices share no direct
-    /// link.
-    pub fallback_latency_ns: u64,
     /// Build per-device verifiers (LEC tables + initial counting)
     /// concurrently with scoped threads. The resulting [`Report`] is
     /// identical to sequential init — construction is deterministic
@@ -538,7 +535,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             model: SwitchModel::MELLANOX,
-            fallback_latency_ns: 10_000,
             parallel_init: false,
             telemetry: Telemetry::disabled(),
             backend: BackendKind::Bdd,
@@ -546,6 +542,10 @@ impl Default for EngineConfig {
         }
     }
 }
+
+/// Latency the engines' [`LatencyTransport`] charges when two
+/// communicating devices share no direct link.
+const FALLBACK_LATENCY_NS: u64 = 10_000;
 
 /// Causal trace id of the initial burst wave (every later internal
 /// event allocates a fresh id starting at [`FIRST_EVENT_TRACE`]).
@@ -1276,7 +1276,7 @@ impl Runtime<Driver> {
         cfg: EngineConfig,
         lec_cache: &LecCache,
     ) -> Engine {
-        let links = LatencyTransport::new(net.topology.clone(), cfg.fallback_latency_ns);
+        let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         Self::over(net, plan, ps, &cfg, lec_cache, Box::new(links))
     }
 
@@ -1293,7 +1293,7 @@ impl Runtime<Driver> {
         cfg: EngineConfig,
         profile: FaultProfile,
     ) -> Engine {
-        let links = LatencyTransport::new(net.topology.clone(), cfg.fallback_latency_ns);
+        let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         let lossy = FaultyTransport::with_telemetry(links, profile, cfg.telemetry.clone());
         Self::over(net, plan, ps, &cfg, &LecCache::new(), Box::new(lossy))
     }

@@ -36,8 +36,6 @@ pub enum JournalKind {
     /// A FIB batch was refused (a rule outside the running predicate
     /// backend's capabilities); the FIBs are unchanged.
     BatchRejected,
-    /// A raw link up/down event was delivered to both endpoints.
-    LinkEvent,
     /// A fault-scene task swap (link-state flooding recount).
     SceneApplied,
     /// The epoch fence was bumped: everything in flight is superseded.
@@ -88,7 +86,6 @@ impl JournalKind {
         match self {
             K::BatchApplied => "batch_applied",
             K::BatchRejected => "batch_rejected",
-            K::LinkEvent => "link_event",
             K::SceneApplied => "scene_applied",
             K::EpochFence => "epoch_fence",
             K::TopologyChurn => "topology_churn",

@@ -14,8 +14,7 @@
 //! Verdicts are quantized to the histogram's 1-2-5 bucket grid: a
 //! reported p99 is the upper bound of the bucket holding the 99th
 //! percentile. That is deliberate — bucket bounds are stable across
-//! runs while raw tail samples jitter, which is what lets CI gate on
-//! them (see `ci.sh perf-gate`).
+//! runs while raw tail samples jitter.
 
 use std::collections::VecDeque;
 

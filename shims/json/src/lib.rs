@@ -221,9 +221,17 @@ impl fmt::Display for Json {
 
 // ---------------------------------------------------------------- parser
 
+/// Arrays and objects may nest this deep. The parser recurses per
+/// level, so without a bound one line of `[[[[…` from outside the
+/// program overflows the stack; nothing the workspace serializes nests
+/// past a dozen levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -270,8 +278,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -380,16 +399,25 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is valid UTF-8:
-                    // we only parse from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
+                    // A run of ordinary characters, up to the next
+                    // quote, escape or control byte. Those are ASCII,
+                    // so the run ends on a character boundary of the
+                    // input, which is valid UTF-8 (we only parse from
+                    // &str). Taking the run whole keeps a long string
+                    // linear in its length.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(self.err("control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -442,6 +470,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -733,6 +762,13 @@ mod tests {
             parse(&rendered).unwrap(),
             Json::Str("tab\there \u{1}".into())
         );
+        // Unescaped multi-byte characters pass through whole; a raw
+        // control character does not.
+        assert_eq!(
+            parse("\"é日本😀\\n\"").unwrap(),
+            Json::Str("é日本😀\n".into())
+        );
+        assert!(parse("\"a\u{1}b\"").is_err());
     }
 
     #[test]
@@ -751,6 +787,16 @@ mod tests {
         ] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Unclosed and far past the bound: an error, not a stack overflow.
+        let e = parse(&"[{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper"), "{e}");
     }
 
     #[derive(Debug, PartialEq)]

@@ -119,6 +119,12 @@ pub fn dataset_session(net: &Network, name: &str) -> Result<(Invariant, Counting
     Ok((inv, cp))
 }
 
+/// Longest intent spec `intent add` hands to the parsers. The spec and
+/// path-expression parsers recurse once per nesting level, so bounding
+/// the text is what bounds their stack against a hostile line; the
+/// specs of the paper's Table 1 are all under 200 bytes.
+const MAX_SPEC_BYTES: usize = 1024;
+
 /// Configuration for a [`DaemonSession`].
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -375,6 +381,12 @@ impl DaemonSession {
                 let Some(spec) = obj.get("spec").and_then(|v| v.as_str()) else {
                     return Reply::err("intent json needs a string \"spec\" field");
                 };
+                if spec.len() > MAX_SPEC_BYTES {
+                    return Reply::err(format!(
+                        "intent spec is {} bytes, limit {MAX_SPEC_BYTES}",
+                        spec.len()
+                    ));
+                }
                 let invariant = match Invariant::parse(spec) {
                     Ok(inv) => inv,
                     Err(e) => return Reply::err(format!("bad intent spec: {e}")),

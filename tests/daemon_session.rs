@@ -4,20 +4,27 @@
 //! in a state byte-equal to applying the same events directly to a
 //! fresh simulator — the daemon adds liveness, never semantics. Held
 //! clean and over a 10% lossy management network, plus a smoke test of
-//! the real binary over a stdin pipe.
+//! the real binary over a stdin pipe. Below the protocol, a multi-source
+//! [`Service`] session under each admission policy is held to its exact
+//! admission counters and to a replay of exactly what it admitted.
 
 use std::process::{Command, Stdio};
 
+use proptest::prelude::*;
 use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
 use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::fault::FaultProfile;
+use tulkun::core::intent::IntentId;
+use tulkun::core::spec::Invariant;
 use tulkun::core::verify::Session;
 use tulkun::daemon::{dataset_session, DaemonConfig, DaemonSession};
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::netmodel::topology::DeviceId;
 use tulkun::netmodel::IpPrefix;
-use tulkun::sim::{BackendKind, Engine, EngineConfig, ServiceConfig};
+use tulkun::sim::{
+    AdmissionPolicy, BackendKind, Engine, EngineConfig, Service, ServiceConfig, ServiceRequest,
+};
 
 /// Renders a churn event as its protocol line from source `src`.
 fn churn_line(
@@ -37,6 +44,51 @@ fn churn_line(
     }
 }
 
+/// One request a session applied, in apply order, for the reference
+/// replay.
+enum Applied {
+    Batch(Vec<RuleUpdate>),
+    Churn(TopologyEvent),
+    /// An install of the narrow intent the service accepted, under the
+    /// id it allocated.
+    IntentAdd(IntentId, Invariant),
+    IntentRemove(IntentId),
+}
+
+/// The canonical Report of a fresh clean engine after `applied`, in
+/// order — what a daemon session that applied the same requests must
+/// have converged to, however lossy its management network.
+fn direct_replay(
+    net: &tulkun::netmodel::network::Network,
+    (inv, cp): &(Invariant, tulkun::core::planner::CountingPlan),
+    cfg: EngineConfig,
+    applied: &[Applied],
+) -> Vec<u8> {
+    let mut reference = Engine::new(net, cp, &inv.packet_space, cfg);
+    reference.burst();
+    for a in applied {
+        match a {
+            Applied::Batch(batch) => {
+                reference.apply_batch(batch);
+            }
+            // The daemon counts a planner-rejected event without
+            // applying it; it changes nothing here either.
+            Applied::Churn(ev) => {
+                let _ = reference.apply_topology_event(ev, &net.topology, inv);
+            }
+            Applied::IntentAdd(id, narrow) => {
+                reference
+                    .install_intent_as(*id, "narrow", narrow)
+                    .expect("replay install");
+            }
+            Applied::IntentRemove(id) => {
+                reference.remove_intent(*id).expect("replay remove");
+            }
+        }
+    }
+    reference.report().canonical_bytes()
+}
+
 /// Drives a scripted session through [`DaemonSession::handle_line`] and
 /// asserts the final drained Report is byte-equal to a direct replay.
 ///
@@ -54,25 +106,24 @@ fn run_scripted_session(batches: usize, faults: Option<FaultProfile>) {
     let topo = session.topology().clone();
 
     let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
-    let (inv, cp) = dataset_session(&ds.network, "INet2").unwrap();
+    let planned = dataset_session(&ds.network, "INet2").unwrap();
     let trace = tulkun::datasets::rule_updates(&ds.network, batches, 13);
-    let churn = ChurnSchedule::seeded(&topo, &inv, 17, batches / 25).0;
+    let churn = ChurnSchedule::seeded(&topo, &planned.0, 17, batches / 25).0;
 
     // The script: one batch line per update; every 25th batch is
     // followed by a churn event; every 10th by a drain; every 50th by
     // the invariant queries (report/status/slo). All single-source.
     let mut script: Vec<String> = Vec::new();
     let mut churn_events = churn.iter();
-    let mut expected: Vec<Result<Vec<tulkun::netmodel::network::RuleUpdate>, TopologyEvent>> =
-        Vec::new();
+    let mut expected: Vec<Applied> = Vec::new();
     for (i, up) in trace.iter().enumerate() {
         let batch = vec![up.clone()];
         script.push(format!("batch cp {}", tulkun::json::to_string(&batch)));
-        expected.push(Ok(batch));
+        expected.push(Applied::Batch(batch));
         if (i + 1) % 25 == 0 {
             if let Some(ev) = churn_events.next() {
                 script.push(churn_line(&topo, "cp", ev));
-                expected.push(Err(*ev));
+                expected.push(Applied::Churn(*ev));
             }
         }
         if (i + 1) % 10 == 0 {
@@ -106,21 +157,8 @@ fn run_scripted_session(batches: usize, faults: Option<FaultProfile>) {
 
     // Direct replay of the same script against a fresh clean simulator
     // (the lossy session must converge to the clean fixpoint).
-    let mut reference = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
-    reference.burst();
-    for step in &expected {
-        match step {
-            Ok(batch) => {
-                reference.apply_batch(batch);
-            }
-            // Planner-rejected events change nothing on either side.
-            Err(ev) => {
-                let _ = reference.apply_topology_event(ev, &topo, &inv);
-            }
-        }
-    }
-    let reference_report =
-        String::from_utf8(reference.report().canonical_bytes()).expect("utf8 report");
+    let reference = direct_replay(&ds.network, &planned, EngineConfig::default(), &expected);
+    let reference_report = String::from_utf8(reference).expect("utf8 report");
     assert_eq!(
         final_report, reference_report,
         "daemon diverged from direct replay"
@@ -163,14 +201,175 @@ fn narrow_intent_spec(topo: &tulkun::netmodel::topology::Topology) -> String {
     format!("(dstIP={prefix}, [{ingress}], (subset, /. * {dst_name}/ loop_free (<= shortest+2)))")
 }
 
+/// The always-on service shape: FIB batches from two sources, seeded
+/// churn from a third, a fourth toggling a narrow intent, status and
+/// report queries in between — under `Block`, `Shed`, and `Shed` over a
+/// 10% lossy management network. Admission depends only on queue
+/// lengths, churn state and seeded loss, never on timing, so every
+/// counter is exact; and the drained Report must be byte-equal to
+/// applying exactly the admitted requests (installs under the ids the
+/// service allocated) to a fresh *clean* engine — the lossy session
+/// must converge to the clean fixpoint.
+#[test]
+fn multi_source_session_matches_replay_of_admitted_requests() {
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let net = &ds.network;
+    let topo = &net.topology;
+    let planned = dataset_session(net, "INet2").unwrap();
+    let (inv, cp) = &planned;
+    let narrow = Invariant::parse(&narrow_intent_spec(topo)).expect("narrow intent");
+    let trace = tulkun::datasets::rule_updates(net, 200, 7);
+    let churn = ChurnSchedule::seeded(topo, inv, 11, 6).0;
+
+    for (policy, loss, admitted_shed_processed) in [
+        (AdmissionPolicy::Block, 0.0, (58, 0, 58)),
+        (AdmissionPolicy::Shed, 0.0, (42, 16, 42)),
+        (AdmissionPolicy::Shed, 0.10, (42, 16, 42)),
+    ] {
+        let cfg = ServiceConfig {
+            policy,
+            // Three sub-batches per source turn against a cap of 2:
+            // Block drains mid-turn and stays lossless, Shed drops the
+            // third — the configurations differ only in policy and loss.
+            per_source_cap: 2,
+            faults: (loss > 0.0).then(|| FaultProfile::loss(31, loss)),
+            ..ServiceConfig::default()
+        };
+        let mut svc = Service::new(net, cp, inv, cfg);
+
+        // The session overlaps its regimes: every 3rd source turn a
+        // fourth source toggles the narrow intent (install when
+        // untracked, remove when live *or* parked), interleaved with
+        // the FIB batches — including through the final third, where
+        // every 2nd turn the "net" source offers one churn event and
+        // drains again (its own round — drain is round-robin across
+        // sources, so sharing a round would interleave the churn
+        // between batches and break the linear replay below). Installs
+        // landing while a fence is active park and re-plan at the next
+        // epoch rather than being rejected, so `rejected_intents` stays
+        // 0 here. Every 4th turn queries status + report. Only state
+        // the service actually committed (reconciled against the intent
+        // store around each drain, counting parked installs as
+        // committed — `install_intent_as` re-parks them
+        // deterministically in the replay) enters the reference.
+        let mut applied: Vec<Applied> = Vec::new();
+        let (mut batches, mut churn_admitted, mut intent_ops, mut queries) = (0, 0, 0, 0);
+        let mut churn_iter = churn.iter().cycle();
+        let groups = trace.chunks(12).count();
+        let churn_start = groups * 2 / 3;
+        // Tracked = live + parked: a parked install is committed state
+        // (it lands at the next fence), so the toggle must see it or it
+        // would double-install.
+        let tracked_non_base = |svc: &Service| -> Vec<u64> {
+            let mut ids: Vec<u64> = svc
+                .intents()
+                .live()
+                .map(|i| i.id.0)
+                .chain(svc.intents().parked().map(|p| p.id.0))
+                .filter(|id| *id != 0)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        for (g, group) in trace.chunks(12).enumerate() {
+            let source = if g % 2 == 0 { "cp" } else { "ops" };
+            for chunk in group.chunks(4) {
+                batches += 1;
+                if svc
+                    .offer(source, ServiceRequest::Batch(chunk.to_vec()))
+                    .is_ok()
+                {
+                    applied.push(Applied::Batch(chunk.to_vec()));
+                }
+            }
+            svc.drain();
+            if g >= churn_start && g % 2 == 1 {
+                if let Some(ev) = churn_iter.next() {
+                    if svc.offer("net", ServiceRequest::Churn(*ev)).is_ok() {
+                        // Planner-rejected events are still counted by
+                        // the service and mirrored in the replay below.
+                        applied.push(Applied::Churn(*ev));
+                        churn_admitted += 1;
+                    }
+                }
+                svc.drain();
+            }
+            if g % 3 == 2 {
+                let before = tracked_non_base(&svc);
+                let req = match before.last() {
+                    Some(id) => ServiceRequest::IntentRemove(IntentId(*id)),
+                    None => ServiceRequest::IntentAdd {
+                        name: "narrow".into(),
+                        invariant: narrow.clone(),
+                    },
+                };
+                let next_id = svc.intents().next_intent_id();
+                if svc.offer("intent", req).is_ok() {
+                    svc.drain();
+                    let now = tracked_non_base(&svc);
+                    if now.contains(&next_id) && !before.contains(&next_id) {
+                        applied.push(Applied::IntentAdd(IntentId(next_id), narrow.clone()));
+                        intent_ops += 1;
+                    } else if let Some(id) = before.iter().find(|id| !now.contains(id)) {
+                        applied.push(Applied::IntentRemove(IntentId(*id)));
+                        intent_ops += 1;
+                    }
+                }
+            }
+            if g % 4 == 3 {
+                let _ = svc.status();
+                let _ = svc.report();
+                queries += 2;
+            }
+        }
+        svc.drain();
+        let final_report = svc.report().canonical_bytes();
+        let status = svc.status();
+
+        // Reference: the same admitted requests, applied directly.
+        let sim_cfg = EngineConfig {
+            all_devices: true,
+            ..EngineConfig::default()
+        };
+        let reference = direct_replay(net, &planned, sim_cfg, &applied);
+
+        let row = format!("{policy:?} at {loss} loss");
+        assert_eq!(
+            (batches, churn_admitted, intent_ops, queries),
+            (50, 3, 5, 8),
+            "{row}: offered batches / admitted churn / intent toggles / queries"
+        );
+        assert_eq!(
+            (status.admitted, status.shed, status.processed),
+            admitted_shed_processed,
+            "{row}: admitted / shed / processed"
+        );
+        assert_eq!(
+            (status.rejected_intents, status.parked, status.degraded),
+            (0, 0, 0),
+            "{row}: rejected intents / parked / degraded"
+        );
+        assert!(
+            reference == final_report,
+            "{row}: service diverged from a replay of what it admitted"
+        );
+    }
+}
+
+/// The JSON object `intent add` takes: a name and the spec text.
+fn intent_json(name: &str, spec: &str) -> String {
+    format!(
+        "{{\"name\":{},\"spec\":{}}}",
+        tulkun::json::to_string(name),
+        tulkun::json::to_string(spec)
+    )
+}
+
 #[test]
 fn intent_protocol_round_trips() {
     let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
     let spec = narrow_intent_spec(&session.topology().clone());
-    let payload = format!(
-        "{{\"name\":\"narrow\",\"spec\":{}}}",
-        tulkun::json::to_string(spec.as_str())
-    );
+    let payload = intent_json("narrow", &spec);
 
     let ok = |r: Option<tulkun::daemon::Reply>| {
         let r = r.expect("reply");
@@ -222,10 +421,7 @@ fn intent_protocol_round_trips() {
             topo.name(*ingress),
             topo.name(dst)
         );
-        let payload = format!(
-            "{{\"name\":\"far-{i}\",\"spec\":{}}}",
-            tulkun::json::to_string(spec.as_str())
-        );
+        let payload = intent_json(&format!("far-{i}"), &spec);
         ok(session.handle_line(&format!("intent add ops {payload}")));
     }
     ok(session.handle_line("drain"));
@@ -251,10 +447,7 @@ fn daemon_binary_speaks_the_protocol_over_stdin() {
     let update = tulkun::datasets::rule_updates(&ds.network, 1, 5).remove(0);
     let batch_json = tulkun::json::to_string(&vec![update]);
 
-    let intent_json = format!(
-        "{{\"name\":\"narrow\",\"spec\":{}}}",
-        tulkun::json::to_string(narrow_intent_spec(&ds.network.topology).as_str())
-    );
+    let narrow_json = intent_json("narrow", &narrow_intent_spec(&ds.network.topology));
     let script = format!(
         "# smoke script\n\
          status\n\
@@ -263,7 +456,7 @@ fn daemon_binary_speaks_the_protocol_over_stdin() {
          drain\n\
          report\n\
          slo\n\
-         intent add ops {intent_json}\n\
+         intent add ops {narrow_json}\n\
          intent remove ops 1\n\
          drain\n\
          badcmd\n\
@@ -564,4 +757,154 @@ fn soak_keeps_the_bdd_memo_within_its_bound() {
         (last.1 - first.1) as f64 / (last.0 - first.0) as f64,
         samples.iter().map(|s| s.2).collect::<Vec<_>>()
     );
+}
+
+/// One well-formed line per verb and argument shape of the protocol.
+fn well_formed_lines(net: &tulkun::netmodel::network::Network) -> Vec<String> {
+    let updates = tulkun::datasets::rule_updates(net, 2, 5);
+    let intent = intent_json("narrow", &narrow_intent_spec(&net.topology));
+    let mut lines = vec![
+        format!("batch cp {}", tulkun::json::to_string(&updates)),
+        format!("intent add ops {intent}"),
+    ];
+    lines.extend(
+        [
+            "churn net link-down SEAT LOSA",
+            "churn net link-up SEAT LOSA",
+            "churn net device-down SEAT",
+            "churn net device-up SEAT",
+            "intent remove ops 1",
+            "drain",
+            "drain 3",
+            "report",
+            "status",
+            "slo",
+            "metrics",
+            "events * 5",
+            "events cp",
+            "explain * SEAT",
+            "explain cp intent:0",
+            "config backend deltanet",
+            "config policy shed",
+            "config drain-every 2",
+            "config slo 1 2 3 4",
+            "quit",
+        ]
+        .map(String::from),
+    );
+    lines
+}
+
+/// Damages one well-formed (ASCII) line: a token deleted, duplicated
+/// or replaced by garbage (printable noise, or a number of up to 23
+/// digits), or the line cut short — inside its JSON payload when it
+/// has one.
+fn damage(line: &str, kind: usize, pos: usize, garbage: &str) -> String {
+    let mut tokens: Vec<&str> = line.split(' ').collect();
+    let i = pos % tokens.len();
+    match kind {
+        0 => {
+            tokens.remove(i);
+        }
+        1 => tokens.insert(i, tokens[i]),
+        2 => tokens[i] = garbage,
+        _ => {
+            let json = line.find(['{', '[']).unwrap_or(0);
+            return line[..json + pos % (line.len() - json)].to_string();
+        }
+    }
+    tokens.join(" ")
+}
+
+/// Lines built to exhaust the stack or memory of whatever parses them
+/// — each one used to abort the daemon — are refused with `err` and
+/// change nothing: JSON nested 200 000 deep, an intent spec whose path
+/// expression, behavior or `not` chain nests as deep or whose path is
+/// 200 000 tokens long, and nested `+` groups (a tree that doubles
+/// per level).
+#[test]
+fn stack_and_memory_bombs_are_refused() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let n = 200_000;
+    let intent = |spec: String| format!("intent add ops {}", intent_json("x", &spec));
+    let around = |path: String| format!("(dstIP=10.0.0.0/23, [SEAT], (exist >= 1, /{path}/))");
+    let bombs = [
+        format!("batch cp {}", "[".repeat(n)),
+        format!("intent add ops {}", "{\"name\":".repeat(n)),
+        intent(around(format!("{}SEAT{}", "(".repeat(n), ")".repeat(n)))),
+        intent(around(format!("SEAT{} LOSA", " .*".repeat(n)))),
+        intent(around(format!(
+            "{}SEAT{} .* LOSA",
+            "(".repeat(40),
+            "+)".repeat(40)
+        ))),
+        intent(format!(
+            "(dstIP=10.0.0.0/23, [SEAT], {}exist >= 1, /SEAT .* LOSA/{})",
+            "(".repeat(n),
+            ")".repeat(n)
+        )),
+        intent(format!(
+            "(dstIP=10.0.0.0/23, [SEAT], {}(exist >= 1, /SEAT .* LOSA/))",
+            "not ".repeat(n)
+        )),
+    ];
+    let status = reply(&mut session, "status");
+    for bomb in &bombs {
+        let answer = reply(&mut session, bomb);
+        let shown = &bomb[..bomb.len().min(60)];
+        assert!(answer.starts_with("err "), "{shown}… -> {answer}");
+        assert_eq!(reply(&mut session, "status"), status, "after {shown}…");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever an operator or a broken client types, the daemon
+    /// answers instead of panicking, and a line it answers `err` has
+    /// changed nothing `status` can see. Each step is either arbitrary
+    /// printable ASCII (one time in five) or a well-formed line of some
+    /// verb, damaged. (Admission control's own refusal, `err shed`,
+    /// is counted by design; these sessions are far too short to fill
+    /// a queue.)
+    #[test]
+    fn hostile_lines_get_an_answer_and_a_refusal_changes_nothing(
+        steps in proptest::collection::vec(
+            (
+                0usize..5,
+                (any::<u16>(), 0usize..4, any::<u16>()),
+                prop_oneof![
+                    proptest::collection::vec(0x21u8..0x7f, 0..12),
+                    proptest::collection::vec(b'0'..=b'9', 1..24),
+                ],
+                proptest::collection::vec(0x20u8..0x7f, 0..=512),
+            ),
+            1..24,
+        )
+    ) {
+        let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+        let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+        let well_formed = well_formed_lines(&ds.network);
+        for (class, (template, kind, pos), garbage, noise) in steps {
+            let line = if class == 0 {
+                String::from_utf8(noise).expect("ascii")
+            } else {
+                damage(
+                    &well_formed[template as usize % well_formed.len()],
+                    kind,
+                    pos as usize,
+                    std::str::from_utf8(&garbage).expect("ascii"),
+                )
+            };
+            let before = reply(&mut session, "status");
+            let Some(answer) = session.handle_line(&line) else {
+                continue;
+            };
+            if answer.text.starts_with("err ") {
+                prop_assert_eq!(reply(&mut session, "status"), before, "after {:?}", line);
+            } else {
+                prop_assert!(answer.text.starts_with("ok "), "{:?} -> {}", line, answer.text);
+            }
+        }
+    }
 }
