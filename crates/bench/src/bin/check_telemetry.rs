@@ -20,9 +20,10 @@
 //!   `tulkun_epoch_bumps_total`; the per-device predicate-memory
 //!   gauges `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are
 //!   exported, the memo within its bound of `max(4096, 4 x nodes)`;
-//!   and the control plane's planning work counters
-//!   `tulkun_planner_calls_total` / `tulkun_plan_table_hits_total` are
-//!   exported (from zero: a run without churn still shows both).
+//!   and the control plane's work counters ([`CONTROL_COUNTERS`]:
+//!   planner runs and scene-table hits, tasks shipped, nodes removed
+//!   and nodes kept verbatim by churn fences) are exported (from zero:
+//!   a run without churn still shows all of them).
 //! * `--journal <file>`: the file is a `tulkun-journal-v1` flight-
 //!   recorder dump — `schema`/`dropped`/`events`, every event carries
 //!   `seq`/`kind`/`device`/`epoch`/`trace`/`detail`, `kind` is one of
@@ -202,6 +203,15 @@ struct HistAcc {
     count: Option<u64>,
 }
 
+/// The control plane's work counters, exported from zero.
+const CONTROL_COUNTERS: [&str; 5] = [
+    "tulkun_planner_calls_total",
+    "tulkun_plan_table_hits_total",
+    "tulkun_fence_tasks_shipped_total",
+    "tulkun_fence_nodes_removed_total",
+    "tulkun_fence_nodes_reused_total",
+];
+
 /// Validates Prometheus text exposition (structure only).
 fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     if expect_empty {
@@ -218,7 +228,7 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     let mut samples = 0usize;
     let (mut bumps, mut repairs) = (0.0f64, 0.0f64);
     let (mut bdd_nodes, mut bdd_memo) = (None, None);
-    let (mut planner_calls, mut table_hits) = (false, false);
+    let mut control_counters: Vec<&str> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -299,10 +309,8 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             bdd_nodes = Some(value);
         } else if name_part == "tulkun_bdd_memo_entries" {
             bdd_memo = Some(value);
-        } else if name_part == "tulkun_planner_calls_total" {
-            planner_calls = true;
-        } else if name_part == "tulkun_plan_table_hits_total" {
-            table_hits = true;
+        } else if let Some(name) = CONTROL_COUNTERS.iter().find(|c| **c == name_part) {
+            control_counters.push(name);
         }
     }
     if samples == 0 {
@@ -324,10 +332,11 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
         }
         _ => return Err("missing tulkun_bdd_nodes / tulkun_bdd_memo_entries gauge".into()),
     }
-    if !(planner_calls && table_hits) {
-        return Err(
-            "missing tulkun_planner_calls_total / tulkun_plan_table_hits_total counter".into(),
-        );
+    if let Some(missing) = CONTROL_COUNTERS
+        .iter()
+        .find(|c| !control_counters.contains(c))
+    {
+        return Err(format!("missing {missing} counter"));
     }
     for (name, h) in &hists {
         if h.buckets.is_empty() {

@@ -187,6 +187,7 @@ impl ControlPlane {
         };
         cp.export_intent_count();
         cp.count_planning(PlanWork::default());
+        cp.count_fence_work(0, 0, 0);
         cp
     }
 
@@ -195,6 +196,7 @@ impl ControlPlane {
         self.tel = tel;
         self.export_intent_count();
         self.count_planning(PlanWork::default());
+        self.count_fence_work(0, 0, 0);
     }
 
     /// The current fence generation (0 until the first fence).
@@ -239,6 +241,17 @@ impl ControlPlane {
         let tel = &self.tel;
         tel.count(SHARD, "tulkun_planner_calls_total", work.planner_calls);
         tel.count(SHARD, "tulkun_plan_table_hits_total", work.table_hits);
+    }
+
+    /// Counts what one churn fence asks of the devices: tasks shipped
+    /// (new nodes and re-tasks), nodes removed, and nodes that kept id
+    /// and task and so cost nothing. Exported from zero, like the
+    /// planning counters.
+    fn count_fence_work(&self, shipped: usize, removed: usize, reused: usize) {
+        let tel = &self.tel;
+        tel.count(SHARD, "tulkun_fence_tasks_shipped_total", shipped as u64);
+        tel.count(SHARD, "tulkun_fence_nodes_removed_total", removed as u64);
+        tel.count(SHARD, "tulkun_fence_nodes_reused_total", reused as u64);
     }
 
     /// Journals one lifecycle record at the current epoch.
@@ -359,6 +372,12 @@ impl ControlPlane {
             ev.describe()
         });
         self.journal_transitions(&replan, dev, trace, &ev.describe());
+        let groups = replan.changed.values().flatten();
+        self.count_fence_work(
+            groups.map(|g| g.tasks.len()).sum(),
+            replan.removed.values().map(Vec::len).sum(),
+            replan.reused_nodes,
+        );
         let revived = match ev {
             TopologyEvent::DeviceDown(d) => {
                 self.tel.count(*d, "tulkun_quarantined_total", 1);
@@ -785,7 +804,6 @@ mod tests {
         let tel = Telemetry::new(TelemetryConfig::enabled());
         c.set_telemetry(tel.clone());
         let dev = |n: &str| net.topology.expect_device(n);
-        let counter = |name: &str| tel.metrics().counters.get(name).copied().unwrap_or(0);
         let fence_detail = || {
             let fences = tel.journal_events();
             let last = fences.iter().rfind(|e| e.kind == JournalKind::EpochFence);
@@ -808,8 +826,8 @@ mod tests {
         let mut quiet = d.fence.unwrap();
         c.seal(&mut quiet, 0, 6);
         assert!(quiet.devices.values().all(|f| !f.reannounce));
-        assert_eq!(counter("tulkun_epoch_bumps_total"), 2);
-        assert_eq!(counter("tulkun_fence_repairs_total"), 1);
+        assert_eq!(counter(&tel, "tulkun_epoch_bumps_total"), 2);
+        assert_eq!(counter(&tel, "tulkun_fence_repairs_total"), 1);
     }
 
     #[test]
@@ -845,6 +863,73 @@ mod tests {
         assert!(c.remove(IntentId::BASE, 0).is_err());
         assert!(c.remove(live, 0).is_err(), "already gone");
         assert_eq!(c.epoch(), 4);
+    }
+
+    /// Freshness names nodes by id, and a degraded intent's entries
+    /// name the ids its slice had in the table its degradation
+    /// superseded. So no slice that is still live may inherit one of
+    /// those ids from it: an heir takes only an id its own intent
+    /// owned. Here `from-a` (no invariant on record, so any topology
+    /// event degrades it) owns the source node at A alone, and the
+    /// waypoint intent's own node at A loses its edge to B in the same
+    /// fence — by shared edges the two old nodes tie, and the lower id
+    /// is the degraded intent's.
+    #[test]
+    fn a_live_slice_never_inherits_an_id_only_a_degraded_intent_owned() {
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "B .* D", false);
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (from_a, cp) = plan_for(&net, "A .* D");
+        let no_invariant = None;
+        let quiet = ChurnState::new();
+        let space = from_a.packet_space.clone();
+        let (orphan, _) = c
+            .store
+            .install(None, "from-a", no_invariant, cp, space, &quiet)
+            .unwrap();
+        let waypoint = plan_for(&net, "S .* W .* D").0;
+        let live = c.install(None, "waypoint", &waypoint, 0).unwrap();
+        let live = live.intent.unwrap();
+
+        let sources = |c: &ControlPlane, id: IntentId| -> Vec<NodeId> {
+            let it = c.store.get(id).unwrap();
+            let sources = it.plan.dpvnet.sources().iter();
+            sources.map(|(_, n)| it.to_global[n.0 as usize]).collect()
+        };
+        let lone = sources(&c, orphan);
+        assert!(lone.iter().all(|g| c.store.owner_count(*g) == 1));
+        let at_a = |c: &ControlPlane| -> BTreeSet<NodeId> {
+            let it = c.store.get(live).unwrap();
+            let there = it.plan.tasks.iter().filter(|t| t.dev == dev("A"));
+            there.map(|t| it.to_global[t.node.0 as usize]).collect()
+        };
+        let before = (c.store.names(), at_a(&c));
+        let cut = TopologyEvent::LinkDown(dev("A"), dev("B"));
+        c.topology_event(&cut, &net.topology, &base, 0).unwrap();
+        c.store.assert_consistent(Some(&before.0));
+        assert_eq!(c.store.degraded_ids(), [orphan]);
+        assert_eq!(at_a(&c), before.1, "the live node at A kept its own id");
+
+        let mut r = Report::default();
+        c.annotate(&mut r, &BTreeMap::new());
+        for g in lone {
+            let said: Vec<&Freshness> = r
+                .freshness
+                .iter()
+                .filter(|(n, _)| *n == g)
+                .map(|(_, f)| f)
+                .collect();
+            assert_eq!(
+                said,
+                [&Freshness::Stale(c.epoch())],
+                "{g:?}: {:?}",
+                r.freshness
+            );
+        }
+        assert!(sources(&c, live).iter().all(|g| {
+            let fresh = (*g, Freshness::Fresh);
+            r.freshness.contains(&fresh)
+        }));
     }
 
     #[test]
@@ -955,29 +1040,38 @@ mod tests {
         }
     }
 
+    /// The ring network under nine long-lived intents — the base and
+    /// the eight returned paths, each to `n11` — with counters on.
+    fn nine_intents_on_the_ring() -> (Network, ControlPlane, Invariant, Arc<Telemetry>) {
+        use tulkun_telemetry::TelemetryConfig;
+        let net = ring_network();
+        let (mut c, base) = control(&net, "n0 .* n11", false);
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        c.set_telemetry(tel.clone());
+        for path in ["leaf", "n2", "n3", "n4", "n5 .* n7", "n6", "n8", "n9"] {
+            let inv = plan_for(&net, &format!("{path} .* n11")).0;
+            c.install(None, path, &inv, 0).unwrap();
+        }
+        (net, c, base, tel)
+    }
+
+    fn counter(tel: &Telemetry, name: &str) -> u64 {
+        tel.metrics().counters.get(name).copied().unwrap_or(0)
+    }
+
     /// The work-count gate of the scene tables: flapping every link of
     /// a 16-link pool under eight long-lived intents plans each
     /// (intent, scene) pair at most once — refusals included — and a
     /// second pass over the pool never runs the planner.
     #[test]
     fn a_second_pass_over_the_link_pool_makes_no_planner_call() {
-        use tulkun_telemetry::TelemetryConfig;
-        let net = ring_network();
-        let (mut c, base) = control(&net, "n0 .* n11", false);
-        let tel = Telemetry::new(TelemetryConfig::enabled());
-        c.set_telemetry(tel.clone());
-        let counter = |name: &str| tel.metrics().counters.get(name).copied().unwrap_or(0);
+        let (net, mut c, base, tel) = nine_intents_on_the_ring();
         let work = || {
-            let calls = counter("tulkun_planner_calls_total");
-            (calls, counter("tulkun_plan_table_hits_total"))
+            let calls = counter(&tel, "tulkun_planner_calls_total");
+            (calls, counter(&tel, "tulkun_plan_table_hits_total"))
         };
-        assert_eq!(work(), (0, 0), "both counters are exported from the start");
-        let paths = ["leaf", "n2", "n3", "n4", "n5 .* n7", "n6", "n8", "n9"];
-        for path in paths {
-            let inv = plan_for(&net, &format!("{path} .* n11")).0;
-            c.install(None, path, &inv, 0).unwrap();
-        }
-        assert_eq!(work(), (paths.len() as u64, 0));
+        let intents = c.intents().len() as u64;
+        assert_eq!(work(), (intents - 1, 0), "one planner run per install");
 
         // One pass: every pool link goes down and comes back. Returns
         // the planner calls and table hits it cost, and how many
@@ -996,13 +1090,113 @@ mod tests {
             let after = work();
             (after.0 - before.0, after.1 - before.1, degrading)
         };
-        let intents = 1 + paths.len() as u64;
         let (scenes, events) = (1 + pool.len() as u64, 2 * pool.len() as u64);
         let (calls, hits, degrading) = pass();
         assert!(calls <= intents * scenes, "{calls} planner calls");
         assert_eq!(calls + hits, intents * events);
         assert!(degrading > 0, "losing the leaf link cuts an ingress off");
         assert_eq!(pass(), (0, intents * events, degrading));
+    }
+
+    /// The work-count gate of node identity, on the same world: a link
+    /// event ships tasks for the nodes it changed and their
+    /// neighbours, not for everything above them. `BEFORE` is what
+    /// each event of a pass cost — tasks shipped plus nodes removed —
+    /// when ids were hash-consed over the whole cone and one lost edge
+    /// renamed every ancestor (the commit before inheritance, both
+    /// passes alike). On this ring most of what is left is nodes that
+    /// really come and go with the link and the neighbours that must
+    /// hear of it.
+    #[test]
+    fn a_link_event_ships_tasks_for_what_it_changed() {
+        const BEFORE: [u64; 32] = [
+            5, 5, 65, 65, 64, 64, 65, 65, 69, 69, 70, 70, 69, 69, 71, 71, 71, 71, 70, 70, 79, 79,
+            79, 79, 79, 79, 68, 68, 69, 69, 68, 68,
+        ];
+        let (net, mut c, base, tel) = nine_intents_on_the_ring();
+        let cost = || {
+            let shipped = counter(&tel, "tulkun_fence_tasks_shipped_total");
+            shipped + counter(&tel, "tulkun_fence_nodes_removed_total")
+        };
+        assert_eq!(cost(), 0, "installs are not churn fences");
+        let table = |c: &ControlPlane| -> BTreeMap<NodeId, NodeTask> {
+            let tasks = c.store.global_tasks().into_iter();
+            tasks.map(|t| (t.node, t)).collect()
+        };
+        let mut costs: Vec<u64> = Vec::new();
+        // Nodes no cone of which, before or after, holds an edge over
+        // the flapped link; and those of them whose downstream changed
+        // all the same (a child was renamed under them).
+        let (mut apart, mut renamed) = (0u64, 0u64);
+        // Nodes whose whole cone came through unchanged and whose id
+        // had all the same gone to an heir interned before them: the
+        // greedy match's known miss, here once per returning link (a
+        // node new to the slice takes the id of an unchanged node at
+        // its site that is interned after it).
+        let mut displaced = 0;
+        let pool = &net.topology.links()[..16];
+        for l in pool.iter().chain(pool) {
+            use TopologyEvent as Ev;
+            for ev in [Ev::LinkDown(l.a, l.b), Ev::LinkUp(l.a, l.b)] {
+                let (names, old, before) = (c.store.names(), table(&c), cost());
+                let d = c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+                c.store.assert_consistent(Some(&names));
+                displaced += names.displaced(&c.store).len();
+                costs.push(cost() - before);
+                let fences = d.fence.unwrap().devices.into_values();
+                let in_fences = |f: DeviceFence| {
+                    let tasks: usize = f.groups.iter().map(|(_, tasks)| tasks.len()).sum();
+                    (tasks + f.remove.len()) as u64
+                };
+                let delivered: u64 = fences.map(in_fences).sum();
+                assert_eq!(Some(&delivered), costs.last(), "{ev:?}: counters vs fence");
+
+                let new = table(&c);
+                let over_the_link = |table: &BTreeMap<NodeId, NodeTask>, g: NodeId| {
+                    let (mut seen, mut stack) = (BTreeSet::new(), vec![g]);
+                    while let Some(t) = stack.pop().map(|n| &table[&n]) {
+                        for (child, dev) in &t.downstream {
+                            if [(t.dev, *dev), (*dev, t.dev)].contains(&(l.a, l.b)) {
+                                return true;
+                            }
+                            if seen.insert(*child) {
+                                stack.push(*child);
+                            }
+                        }
+                    }
+                    false
+                };
+                for (g, was) in &old {
+                    let Some(is) = new.get(g) else { continue };
+                    if over_the_link(&old, *g) || over_the_link(&new, *g) {
+                        continue;
+                    }
+                    apart += 1;
+                    renamed += u64::from(was.downstream != is.downstream);
+                }
+            }
+        }
+        for (i, now) in costs.iter().enumerate() {
+            let then = BEFORE[i % BEFORE.len()];
+            assert!(
+                now <= &then,
+                "event {i}: {now} tasks + removals, {then} before"
+            );
+        }
+        let (now, then) = (costs.iter().sum::<u64>(), 2 * BEFORE.iter().sum::<u64>());
+        let events = costs.len();
+        assert!(
+            5 * now <= 2 * then,
+            "{events} link events shipped + removed {now}; {then} before ids were inherited"
+        );
+        assert!(
+            displaced <= events / 2,
+            "{displaced} unchanged cones renamed in {events} link events"
+        );
+        assert!(
+            100 * renamed <= apart,
+            "{renamed} of {apart} nodes away from the link had a child renamed"
+        );
     }
 
     /// The scene tables against a planner that remembers nothing: every
@@ -1089,9 +1283,12 @@ mod tests {
         /// Whatever the history — link and device churn, installs that
         /// land or park, removals, ids re-used by another invariant —
         /// every plan is the one a fresh planner makes (the scene
-        /// tables cannot be seen), a call that returns `Err` leaves the
-        /// control plane as it found it, and a call that returns `Ok`
-        /// burns an epoch exactly when it fences.
+        /// tables cannot be seen), the node table is one the slices
+        /// map onto (ids unique, every `to_global` entry resolves, an
+        /// inherited id stays at its site and with an owner), a call
+        /// that returns `Err` leaves the control plane as it found it,
+        /// and a call that returns `Ok` burns an epoch exactly when it
+        /// fences.
         #[test]
         fn plans_match_a_fresh_planner_and_an_err_leaves_no_trace(
             (ops, fixed_roster, ring) in (
@@ -1106,6 +1303,7 @@ mod tests {
             // Applies one op, holding the properties; returns `is_err`.
             let mut step = |kind: usize, i: usize| {
                 let before = (fingerprint(&c), c.epoch());
+                let names = c.store.names();
                 let result = match kind {
                     0 | 1 => c.topology_event(&events[i % events.len()], &net.topology, &base, 0),
                     2 => c.install(None, "p", &pool[i % pool.len()], 0),
@@ -1119,6 +1317,7 @@ mod tests {
                     Ok(d) => assert_eq!(c.epoch(), before.1 + d.fence.is_some() as u64),
                 }
                 assert_plans_are_fresh(&c, &net.topology, &base);
+                c.store.assert_consistent(Some(&names));
                 result.is_err()
             };
             for (kind, i) in ops {

@@ -769,8 +769,10 @@ impl DeviceVerifier {
     /// link-state flooding, verifiers recount along the DPVNet subgraph
     /// of the current scene without contacting the planner). `CIBOut` is
     /// preserved — it still reflects what upstream neighbors believe, so
-    /// diff-based UPDATEs stay correct — and `CIBIn` keeps entries for
-    /// surviving downstream nodes.
+    /// diff-based UPDATEs stay correct — and `CIBIn` and the
+    /// subscription ledger keep their entries for surviving downstream
+    /// nodes only. This is also how a churn fence re-tasks a node that
+    /// kept its id while its edges changed.
     pub fn set_tasks(&mut self, tasks: Vec<NodeTask>, out: &mut dyn Outbox) {
         let base = self.packet_space;
         self.install_tasks_pred(tasks, base, out);
@@ -807,8 +809,14 @@ impl DeviceVerifier {
                         .iter()
                         .filter(|e| !st.task.upstream.contains(e)),
                 );
-                st.cib_in
-                    .retain(|n, _| task.downstream.iter().any(|(d, _)| d == n));
+                // A child this node no longer has is forgotten whole: a
+                // node outlives many tables (its downstream is fixed
+                // within one, not for life), and a child that returns
+                // is subscribed again, into a scope that already
+                // covers the request.
+                let kept = |n: &NodeId| task.downstream.iter().any(|(d, _)| d == n);
+                st.cib_in.retain(|n, _| kept(n));
+                st.sent_subs.retain(|n, _| kept(n));
                 st.task = task;
             } else {
                 let zero = Counts::zero(self.cfg.dim());
@@ -1551,6 +1559,247 @@ mod tests {
         assert_eq!(in_order.len(), 1);
         assert_eq!(in_order[0].1, Counts::single(vec![1]), "d0's copy arrived");
         assert_eq!(run(true), in_order);
+    }
+
+    const MID: NodeId = NodeId(1);
+    const LISTENER: NodeId = NodeId(9);
+
+    /// A node that keeps its id while a re-plan changes its edges:
+    /// `d1` hosts [`MID`], whose FIB replicates `10.0.0.0/24` to `d2`
+    /// and `d3` (rewritten into `rewrite`, if given) and whose only
+    /// child so far is node 2 on `d2`; `d9` hosts [`LISTENER`], its one
+    /// upstream neighbour, which forwards the same space to `d1`.
+    /// Both are initialised and the listener has heard `MID`'s zero.
+    struct Retasked {
+        mid: DeviceVerifier,
+        listener: DeviceVerifier,
+        space: PortablePred,
+        epoch: u64,
+    }
+
+    fn mid_task(child: u32) -> NodeTask {
+        NodeTask {
+            node: MID,
+            dev: DeviceId(1),
+            downstream: vec![(NodeId(child), DeviceId(child))],
+            upstream: vec![(LISTENER, DeviceId(9))],
+            accept: vec![false],
+        }
+    }
+
+    impl Retasked {
+        fn new(rewrite: Option<Rewrite>) -> Retasked {
+            let layout = HeaderLayout::ipv4_tcp();
+            let dst = MatchSpec::dst("10.0.0.0/24".parse().unwrap());
+            let mut be = DynBackend::new(BackendKind::Bdd, layout);
+            let whole = be.match_pred(&dst);
+            let space = be.export(whole);
+            let cfg = VerifierConfig {
+                n_exprs: 1,
+                track_escapes: false,
+                reduce: ReduceMode::None,
+                dest_mode: DestMode::Axiomatic,
+            };
+            let fib_to = |action: Action| {
+                let mut fib = Fib::new();
+                fib.insert(Rule {
+                    priority: 10,
+                    matches: dst,
+                    action,
+                });
+                fib
+            };
+            let replicate = Action::Forward {
+                mode: ActionType::All,
+                next_hops: vec![NextHop::Device(DeviceId(2)), NextHop::Device(DeviceId(3))],
+                rewrite,
+            };
+            let builder = DeviceVerifier::builder;
+            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), &space, cfg.clone())
+                .tasks(vec![mid_task(2)])
+                .build();
+            let listening = NodeTask {
+                node: LISTENER,
+                dev: DeviceId(9),
+                downstream: vec![(MID, DeviceId(1))],
+                upstream: Vec::new(),
+                accept: vec![false],
+            };
+            let to_mid = fib_to(Action::fwd(DeviceId(1)));
+            let mut listener = builder(DeviceId(9), layout, to_mid, &space, cfg)
+                .tasks(vec![listening])
+                .build();
+            listener.init(&mut Vec::new());
+            let mut out = Vec::new();
+            mid.init(&mut out);
+            let mut world = Retasked {
+                mid,
+                listener,
+                space,
+                epoch: 0,
+            };
+            world.relay(out);
+            world
+        }
+
+        /// Delivers what `MID` emitted: UPDATEs to the listener, the
+        /// rest (SUBSCRIBEs to children nobody plays) dropped. Returns
+        /// the UPDATEs.
+        fn relay(&mut self, out: Vec<Envelope>) -> Vec<Envelope> {
+            let ups: Vec<Envelope> = out
+                .into_iter()
+                .filter(|e| matches!(e.payload, Payload::Update { .. }))
+                .collect();
+            for env in &ups {
+                assert_eq!(env.to, DeviceId(9), "UPDATEs go upstream: {env:?}");
+                self.listener.handle(env, &mut Vec::new());
+            }
+            ups
+        }
+
+        /// Child `child` tells `MID` its whole result; returns the
+        /// UPDATEs `MID` sent upstream because of it.
+        fn child_says(
+            &mut self,
+            child: u32,
+            results: Vec<(PortablePred, Counts)>,
+        ) -> Vec<Envelope> {
+            let payload = Payload::Update {
+                edge: EdgeRef {
+                    up: MID,
+                    down: NodeId(child),
+                },
+                withdrawn: vec![self.space.clone()],
+                results,
+            };
+            let mut env = Envelope::data(DeviceId(child), DeviceId(1), payload);
+            env.epoch = self.epoch;
+            let mut out = Vec::new();
+            self.mid.handle(&env, &mut out);
+            self.relay(out)
+        }
+
+        /// The next fence re-tasks `MID` under child `child` (both
+        /// devices move to its epoch); returns `MID`'s upstream UPDATEs.
+        fn retask(&mut self, child: u32) -> Vec<Envelope> {
+            self.epoch += 1;
+            let fence = DeviceFence {
+                groups: vec![(None, vec![mid_task(child)])],
+                ..DeviceFence::default()
+            };
+            let quiet = DeviceFence::default();
+            self.listener
+                .apply_fence(self.epoch, 0, quiet, &mut Vec::new());
+            let mut out = Vec::new();
+            self.mid.apply_fence(self.epoch, 0, fence, &mut out);
+            self.relay(out)
+        }
+
+        fn heard(&mut self) -> NodeResult {
+            self.listener.node_result(LISTENER, None)
+        }
+    }
+
+    /// The re-task path a node takes when it keeps its id while its
+    /// child moves from node 2 to node 3. The fence recounts with
+    /// nothing heard from the new child yet (one UPDATE, to zero), the
+    /// child's announce brings the counts back (one UPDATE); with equal
+    /// counts the listener ends where it began and nothing further is
+    /// owed, and `CIBIn` no longer holds the old child.
+    #[test]
+    fn a_moved_downstream_edge_with_equal_counts_leaves_upstream_as_it_was() {
+        let mut w = Retasked::new(None);
+        let one = vec![(w.space.clone(), Counts::single(vec![1]))];
+        assert_eq!(w.child_says(2, one.clone()).len(), 1);
+        let before = w.heard();
+        assert_eq!(*before, *one, "the listener counts what the child does");
+
+        assert_eq!(w.retask(3).len(), 1, "the old child's counts are withdrawn");
+        assert_ne!(w.heard(), before);
+        let st = &w.mid.nodes[&MID];
+        assert!(
+            !st.cib_in.contains_key(&NodeId(2)),
+            "CIBIn[old child] is gone"
+        );
+        assert_eq!(
+            w.child_says(3, one).len(),
+            1,
+            "the new child's counts arrive"
+        );
+        assert_eq!(w.heard(), before, "equal counts: upstream is as it was");
+        // Settled: the same task again changes nothing and says nothing.
+        assert!(w.retask(3).is_empty());
+        assert_eq!(w.heard(), before);
+    }
+
+    /// Same move, but the new child counts differently on half of the
+    /// space: the UPDATE its announce causes carries exactly the two
+    /// halves, and the listener ends on the new child's counts.
+    #[test]
+    fn a_moved_downstream_edge_with_other_counts_sends_the_difference() {
+        let mut w = Retasked::new(None);
+        let one = vec![(w.space.clone(), Counts::single(vec![1]))];
+        w.child_says(2, one);
+        w.retask(3);
+        let mut be = DynBackend::new(BackendKind::Bdd, HeaderLayout::ipv4_tcp());
+        let mut half = |s: &str| {
+            let p = be.match_pred(&MatchSpec::dst(s.parse().unwrap()));
+            be.export(p)
+        };
+        let halves = vec![
+            (half("10.0.0.0/25"), Counts::single(vec![1])),
+            (half("10.0.0.128/25"), Counts::single(vec![2])),
+        ];
+        let ups = w.child_says(3, halves.clone());
+        assert_eq!(ups.len(), 1, "one upstream edge, one UPDATE: {ups:?}");
+        let Payload::Update {
+            withdrawn, results, ..
+        } = &ups[0].payload
+        else {
+            unreachable!("relay keeps UPDATEs only");
+        };
+        assert_eq!(withdrawn, &[w.space.clone()], "all of it was zero");
+        let sent: BTreeSet<_> = results.iter().cloned().collect();
+        assert_eq!(sent, halves.iter().cloned().collect::<BTreeSet<_>>());
+        assert_eq!(w.heard().len(), 2);
+        assert!(halves.iter().all(|h| w.heard().contains(h)));
+    }
+
+    /// A node that lives across many tables holds state for the
+    /// children it has now, not for every child it ever had: 200 flaps,
+    /// each moving the edge to a child with a new id, leave `CIBIn` and
+    /// the subscription ledger (in use here: the FIB rewrites out of
+    /// the base space, so every child is subscribed) at one entry.
+    #[test]
+    fn two_hundred_flaps_leave_one_child_in_cib_in_and_the_ledger() {
+        let to = "10.9.0.0/24".parse().unwrap();
+        let mut w = Retasked::new(Some(Rewrite { to }));
+        for flap in 0..200u32 {
+            // Children alternate between the two next hops.
+            let child = 2 + flap % 2;
+            let mut task = mid_task(child);
+            task.downstream[0].0 = NodeId(100 + flap);
+            w.epoch += 1;
+            let fence = DeviceFence {
+                groups: vec![(None, vec![task.clone()])],
+                ..DeviceFence::default()
+            };
+            let mut out: Vec<Envelope> = Vec::new();
+            w.mid.apply_fence(w.epoch, 0, fence, &mut out);
+            let subscribed = |e: &Envelope| {
+                let wanted = EdgeRef {
+                    up: MID,
+                    down: NodeId(100 + flap),
+                };
+                matches!(&e.payload, Payload::Subscribe { edge, .. } if *edge == wanted)
+            };
+            assert!(out.iter().any(subscribed), "flap {flap}: {out:?}");
+            let st = &w.mid.nodes[&MID];
+            let children: Vec<NodeId> = task.downstream.iter().map(|(n, _)| *n).collect();
+            let ledger: Vec<NodeId> = st.sent_subs.keys().copied().collect();
+            assert_eq!(ledger, children, "flap {flap}");
+            assert!(st.cib_in.keys().all(|n| children.contains(n)));
+        }
     }
 
     /// One outcome split over two disjoint `LocCIB` predicates (what

@@ -22,11 +22,17 @@
 //!   [`IntentDelta`] into an epoch fence (bump, apply tasks, repair if
 //!   anything in flight was lost), so in-flight CIB messages from a
 //!   superseded intent set can never corrupt the new fixpoint. A fence
-//!   costs what it changes because global node ids are never recycled:
-//!   the key pins a node's downstream cone, so a node that keeps its id
-//!   keeps its children and the `CIBIn` it holds for them, and a parent
-//!   that is new to it always shows up as a *gained* upstream edge —
-//!   the only listener it has to announce to.
+//!   costs what it changes because an id is a name for one place in
+//!   one slice, not for a cone: within one table the key pins a node's
+//!   downstream cone, and across a churn re-plan a node whose cone
+//!   changed keeps the id of the node it replaces (see "Id stability"
+//!   on [`IntentStore::replan_all_for_churn`]), so everything above it
+//!   finds its children under the ids it knew and is not re-tasked. A
+//!   node that keeps its id keeps the `CIBIn` it holds for the
+//!   children it still has, is re-tasked when its edges changed, and a
+//!   parent that is new to it always shows up as a *gained* upstream
+//!   edge — the only listener it has to announce to. Ids are never
+//!   recycled: one that drops out of the table is gone for good.
 //!
 //! * **Scenes** — every installed intent carries a *scene table*: the
 //!   plans (or planner refusals) of the topology scenes it has been
@@ -102,9 +108,55 @@ impl IntentProfile {
 /// size follows from what recurs, not from a deployment.
 pub(crate) const MAX_SCENES: usize = 32;
 
+/// One intent's slice as the store holds it: the plan and, worked
+/// out once where the plan enters the store, the order its tasks are
+/// interned in — a function of the plan alone that every rebuild on
+/// the scene would otherwise recompute.
+#[derive(Debug, Clone)]
+struct Slice {
+    plan: Arc<CountingPlan>,
+    /// Indices into `plan.tasks`, children first: an iterative DFS
+    /// post-order from every node in ascending id, along downstream
+    /// edges (deterministic, so replicas mint the same ids).
+    order: Arc<[u32]>,
+}
+
+impl Slice {
+    fn of(plan: Arc<CountingPlan>) -> Slice {
+        let index: BTreeMap<NodeId, u32> = (0u32..)
+            .zip(&plan.tasks)
+            .map(|(i, t)| (t.node, i))
+            .collect();
+        let mut order = Vec::with_capacity(index.len());
+        let mut done = vec![false; plan.tasks.len()];
+        for &root in index.values() {
+            // (task, next child index) stack.
+            let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
+            while let Some((n, i)) = stack.pop() {
+                if done[n as usize] {
+                    continue;
+                }
+                if let Some((c, _)) = plan.tasks[n as usize].downstream.get(i) {
+                    stack.push((n, i + 1));
+                    // An edge to a node the plan has no task for
+                    // leads nowhere.
+                    stack.extend(index.get(c).map(|c| (*c, 0)));
+                } else {
+                    done[n as usize] = true;
+                    order.push(n);
+                }
+            }
+        }
+        Slice {
+            plan,
+            order: order.into(),
+        }
+    }
+}
+
 /// What planning one intent on one scene gave: its slice, or why the
 /// scene cannot host it.
-type Planned = Result<Arc<CountingPlan>, PlanError>;
+type Planned = Result<Slice, PlanError>;
 
 /// One intent's plans by scene — §6's fault-tolerant DPVNet, learned
 /// one scene at a time instead of precomputed from an operator's scene
@@ -129,10 +181,10 @@ impl SceneTable {
     /// for `scene`. An empty slice is the one plan an install accepts
     /// and the re-planner refuses (it degrades), so it is not
     /// remembered.
-    fn opened_by(scene: &ChurnState, plan: &Arc<CountingPlan>) -> SceneTable {
+    fn opened_by(scene: &ChurnState, slice: &Slice) -> SceneTable {
         let mut table = SceneTable::default();
-        if !plan.tasks.is_empty() {
-            table.record(scene, Ok(plan.clone()));
+        if !slice.plan.tasks.is_empty() {
+            table.record(scene, Ok(slice.clone()));
         }
         table
     }
@@ -226,10 +278,12 @@ impl InstalledIntent {
 type NodeSig = (DeviceId, Vec<bool>, Vec<(NodeId, DeviceId)>);
 
 /// Hash-consing key of a global node. `children` are *global* ids, so
-/// a node's identity is exact (its whole downstream cone is pinned by
-/// construction); `occurrence` separates structurally identical
-/// duplicates *within* one intent so a standalone plan's node
-/// multiplicity is preserved.
+/// within one table a node's identity is exact (its whole downstream
+/// cone is pinned by construction); `occurrence` separates
+/// structurally identical duplicates *within* one intent so a
+/// standalone plan's node multiplicity is preserved. The first three
+/// fields are the node's *site*, which its id names for life; the
+/// rest may change when a churn re-plan hands the id on.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct SigKey {
     ctx: usize,
@@ -244,8 +298,10 @@ struct SigKey {
 struct GlobalNode {
     dev: DeviceId,
     accept: Vec<bool>,
-    /// Downstream edges (global child ids), fixed for the node's
-    /// lifetime — part of its hash-consed identity.
+    /// Downstream edges (global child ids), fixed within one table —
+    /// part of the node's hash-consed identity there. A churn re-plan
+    /// may hand the id to the node that takes this one's place, with
+    /// other edges.
     downstream: Vec<(NodeId, DeviceId)>,
     /// Upstream edges → the intents contributing each. An edge dies
     /// when its last contributor is removed.
@@ -253,6 +309,60 @@ struct GlobalNode {
     /// Intents that installed this node.
     owners: BTreeSet<u64>,
     key: SigKey,
+}
+
+/// The table a rebuild supersedes — where a rebuilt node's id comes
+/// from ([`IntentStore::replan_all_for_churn`], "Id stability").
+/// Installs and removals build on the live table and pass an empty one.
+#[derive(Debug, Default)]
+struct PrevTable {
+    intern: BTreeMap<SigKey, NodeId>,
+    nodes: BTreeMap<NodeId, GlobalNode>,
+}
+
+impl PrevTable {
+    /// The id of this table that intent `intent`'s rebuilt node `key`
+    /// takes, if any: the node with exactly that key, else the node at
+    /// the same site — context, device, accept vector — that `intent`
+    /// owned and that shares the most downstream edges with `key`
+    /// (lowest id on ties). `claimed` is the table being built; an id
+    /// in it names a node of that table already and is not offered
+    /// twice.
+    fn id_for(
+        &self,
+        key: &SigKey,
+        intent: u64,
+        claimed: &BTreeMap<NodeId, GlobalNode>,
+    ) -> Option<NodeId> {
+        let free = |g: &NodeId| !claimed.contains_key(g);
+        if let Some(g) = self.intern.get(key).copied().filter(free) {
+            return Some(g);
+        }
+        // `intern` is ordered by site first: one site is one range.
+        let site = SigKey {
+            ctx: key.ctx,
+            dev: key.dev,
+            accept: key.accept.clone(),
+            children: Vec::new(),
+            occurrence: 0,
+        };
+        let same_site = |k: &SigKey| (k.ctx, k.dev, &k.accept) == (key.ctx, key.dev, &key.accept);
+        self.intern
+            .range(&site..)
+            .take_while(|(k, _)| same_site(k))
+            .filter(|(_, g)| {
+                free(g)
+                    && self
+                        .nodes
+                        .get(g)
+                        .is_some_and(|n| n.owners.contains(&intent))
+            })
+            .max_by_key(|(k, g)| {
+                let common = k.children.iter().filter(|e| key.children.contains(e));
+                (common.count(), std::cmp::Reverse(**g))
+            })
+            .map(|(_, g)| *g)
+    }
 }
 
 /// What a substrate must apply after an install/remove: per-device
@@ -400,12 +510,11 @@ impl IntentStore {
         assert!(self.intents.is_empty(), "base intent must be seeded first");
         self.profile = Some(IntentProfile::of(&plan));
         self.contexts.push(space);
-        let by_local = local_tasks(&plan);
-        let order = topo_order(&by_local);
-        let n_local = by_local.len();
+        let slice = Slice::of(plan);
+        let tasks = &slice.plan.tasks;
         let mut occ: BTreeMap<NodeSig, u32> = BTreeMap::new();
-        for ln in order {
-            let t = &by_local[&ln];
+        for t in slice.order.iter().map(|&i| &tasks[i as usize]) {
+            let ln = t.node;
             // Identity mapping: the base intent's local ids ARE the
             // global ids.
             let children = sorted_edges(t.downstream.iter().map(|(n, d)| (*n, *d)));
@@ -433,7 +542,7 @@ impl IntentStore {
             );
             self.next_node = self.next_node.max(ln.0 + 1);
         }
-        for t in by_local.values() {
+        for t in tasks {
             for (cl, _) in &t.downstream {
                 // An edge to a node the plan has no task for has no
                 // listener to register with.
@@ -444,15 +553,15 @@ impl IntentStore {
                 edge.insert(0);
             }
         }
-        let to_global: Vec<NodeId> = (0..n_local as u32).map(NodeId).collect();
+        let to_global: Vec<NodeId> = (0..tasks.len() as u32).map(NodeId).collect();
         self.intents.insert(
             0,
             InstalledIntent {
                 id: IntentId(0),
                 name: "base".to_string(),
                 invariant,
-                scenes: SceneTable::opened_by(&ChurnState::new(), &plan),
-                plan,
+                scenes: SceneTable::opened_by(&ChurnState::new(), &slice),
+                plan: slice.plan,
                 to_global,
                 ctx: 0,
                 degraded: false,
@@ -491,7 +600,8 @@ impl IntentStore {
         }
         let id = self.claim_id(id)?;
         let ctx = self.context_of(&space);
-        let (to_global, fresh, grown) = self.intern_plan(id.0, &plan, ctx, &BTreeMap::new());
+        let slice = Slice::of(plan);
+        let (to_global, fresh, grown) = self.intern_plan(id.0, &slice, ctx, &PrevTable::default());
         // Every local node either created a global node or shared one.
         let reused = to_global.len() - fresh.len();
         // A grown upstream edge set means the child must be re-tasked
@@ -514,8 +624,8 @@ impl IntentStore {
                 id,
                 name: name.to_string(),
                 invariant,
-                scenes: SceneTable::opened_by(scene, &plan),
-                plan,
+                scenes: SceneTable::opened_by(scene, &slice),
+                plan: slice.plan,
                 to_global,
                 ctx,
                 degraded: false,
@@ -551,10 +661,9 @@ impl IntentStore {
             // record is the whole removal.
             return Ok(IntentDelta::default());
         }
-        let by_local = local_tasks(&intent.plan);
         // Withdraw this intent's upstream-edge contributions.
         let mut shrunk: BTreeSet<NodeId> = BTreeSet::new();
-        for t in by_local.values() {
+        for t in &intent.plan.tasks {
             let pg = intent.to_global[t.node.0 as usize];
             let pdev = t.dev;
             for (cl, _) in &t.downstream {
@@ -763,10 +872,25 @@ impl IntentStore {
     /// pre-churn node keeps that node's id. By bottom-up induction the
     /// whole unchanged cone keeps its exact ids *and* tasks, so it
     /// appears in neither `changed` nor `removed` — unaffected slices
-    /// ship zero tasks and send nothing. An id that drops out of the
-    /// table is gone for good (`next_node` only grows, and only the
-    /// immediately preceding table's ids can be reclaimed), so a node
-    /// that reappears later is new to every neighbour.
+    /// ship zero tasks and send nothing. A rebuilt node whose key
+    /// matches nothing — it lost or gained an edge — *inherits* the id
+    /// of a pre-churn node no rebuilt node has claimed yet, at the same
+    /// site (context, device, accept vector) and owned by the same
+    /// intent: the one sharing the most downstream edges, the lowest
+    /// id on ties ([`PrevTable::id_for`]). Children are interned first,
+    /// so once the changed node has its old id its parents' keys match
+    /// exactly again: the renaming stops at the nodes the event
+    /// touched, which are re-tasked, instead of running up to every
+    /// source. Ids are names — the devices are told each node's task
+    /// by id, and a re-tasked node recounts — so any assignment that
+    /// gives distinct nodes distinct ids and keeps an id on its device
+    /// and packet space computes the same Report; how well heirs are
+    /// matched decides only how much is re-tasked. The owner rule
+    /// keeps a degraded intent's last ids, which freshness still
+    /// reports, out of other intents' slices. An id that drops out of
+    /// the table is gone for good (`next_node` only grows, and only
+    /// the immediately preceding table's ids can be reclaimed), so a
+    /// node that reappears later is new to every neighbour.
     ///
     /// `taskable` restricts which devices plans may task (substrates
     /// with a fixed thread-per-device set pass their roster; lazily
@@ -786,7 +910,7 @@ impl IntentStore {
         // recovery revives them), from its scene table where it can.
         // Nothing but the tables is committed until the base plan is
         // known good.
-        let mut new_plans: BTreeMap<u64, Arc<CountingPlan>> = BTreeMap::new();
+        let mut new_plans: BTreeMap<u64, Slice> = BTreeMap::new();
         let mut degraded: Vec<(IntentId, String)> = Vec::new();
         for intent in self.intents.values_mut() {
             let inv = match intent.invariant.as_ref() {
@@ -814,7 +938,8 @@ impl IntentStore {
                 }
                 None => {
                     work.planner_calls += 1;
-                    let fresh = plan_intent_on(&topology, inv, churn, taskable).map(Arc::new);
+                    let fresh = plan_intent_on(&topology, inv, churn, taskable)
+                        .map(|cp| Slice::of(Arc::new(cp)));
                     intent.scenes.record(churn, fresh.clone());
                     fresh
                 }
@@ -830,7 +955,7 @@ impl IntentStore {
 
         // Phase 2: retry parked installs against the new topology (a
         // parked install has no table yet: it gets one when it lands).
-        let mut unpark_plans: Vec<(PendingIntent, Arc<CountingPlan>)> = Vec::new();
+        let mut unpark_plans: Vec<(PendingIntent, Slice)> = Vec::new();
         let mut rejected: Vec<(IntentId, String)> = Vec::new();
         let mut still_parked: BTreeMap<u64, PendingIntent> = BTreeMap::new();
         for (pid, mut p) in std::mem::take(&mut self.parked) {
@@ -847,7 +972,7 @@ impl IntentStore {
                 }
             });
             match attempt {
-                Ok(cp) => unpark_plans.push((p, Arc::new(cp))),
+                Ok(cp) => unpark_plans.push((p, Slice::of(Arc::new(cp)))),
                 Err(e) => {
                     p.retries += 1;
                     if p.retries >= MAX_INTENT_RETRIES {
@@ -867,14 +992,17 @@ impl IntentStore {
         self.parked = still_parked;
 
         // Phase 3: snapshot the old table and rebuild from scratch,
-        // claiming old ids wherever the hash-consing key survives.
+        // claiming old ids wherever the hash-consing key survives and,
+        // where it does not, the id of the node the new one replaces.
         let old_tasks: BTreeMap<NodeId, NodeTask> = self
             .nodes
             .keys()
             .map(|g| (*g, self.global_task(*g)))
             .collect();
-        let old_intern = std::mem::take(&mut self.intern);
-        self.nodes.clear();
+        let prev = PrevTable {
+            intern: std::mem::take(&mut self.intern),
+            nodes: std::mem::take(&mut self.nodes),
+        };
 
         let mut revived: Vec<IntentId> = Vec::new();
         // `intern_plan` works on the node table alone, so the intents
@@ -886,8 +1014,8 @@ impl IntentStore {
                 it.degraded = true;
                 continue;
             };
-            let (to_global, ..) = self.intern_plan(*id, &cp, it.ctx, &old_intern);
-            it.plan = cp;
+            let (to_global, ..) = self.intern_plan(*id, &cp, it.ctx, &prev);
+            it.plan = cp.plan;
             it.to_global = to_global;
             if it.degraded {
                 it.degraded = false;
@@ -898,10 +1026,10 @@ impl IntentStore {
         let mut unparked: Vec<IntentId> = Vec::new();
         for (p, cp) in unpark_plans {
             if self.profile.is_none() {
-                self.profile = Some(IntentProfile::of(&cp));
+                self.profile = Some(IntentProfile::of(&cp.plan));
             }
             let ctx = self.context_of(&p.invariant.packet_space);
-            let (to_global, ..) = self.intern_plan(p.id.0, &cp, ctx, &old_intern);
+            let (to_global, ..) = self.intern_plan(p.id.0, &cp, ctx, &prev);
             self.intents.insert(
                 p.id.0,
                 InstalledIntent {
@@ -909,7 +1037,7 @@ impl IntentStore {
                     name: p.name,
                     invariant: Some(p.invariant),
                     scenes: SceneTable::opened_by(churn, &cp),
-                    plan: cp,
+                    plan: cp.plan,
                     to_global,
                     ctx,
                     degraded: false,
@@ -1007,25 +1135,23 @@ impl IntentStore {
     /// Interns one plan's DPVNet slice into the global table,
     /// children-first so sharing with existing cones is found
     /// bottom-up. A node whose hash-consing key is in the table is
-    /// shared; otherwise it is created, under the id `old_intern`
-    /// records for that key when a rebuild wants pre-churn ids kept
-    /// (see [`IntentStore::replan_all_for_churn`]). Returns the
-    /// local → global mapping, the nodes created, and the existing
-    /// nodes that gained their first contributor on some upstream edge.
+    /// shared; otherwise it is created, under the id `prev` offers it
+    /// when a rebuild wants pre-churn ids kept ([`PrevTable::id_for`])
+    /// and a new one when it offers none. Returns the local → global
+    /// mapping, the nodes created, and the existing nodes that gained
+    /// their first contributor on some upstream edge.
     fn intern_plan(
         &mut self,
         id: u64,
-        plan: &CountingPlan,
+        slice: &Slice,
         ctx: usize,
-        old_intern: &BTreeMap<SigKey, NodeId>,
+        prev: &PrevTable,
     ) -> (Vec<NodeId>, BTreeSet<NodeId>, BTreeSet<NodeId>) {
-        let by_local = local_tasks(plan);
-        let order = topo_order(&by_local);
-        let mut to_global = vec![NodeId(u32::MAX); by_local.len()];
+        let tasks = &slice.plan.tasks;
+        let mut to_global = vec![NodeId(u32::MAX); tasks.len()];
         let mut occ: BTreeMap<SigKey, u32> = BTreeMap::new();
         let mut fresh: BTreeSet<NodeId> = BTreeSet::new();
-        for ln in order {
-            let t = &by_local[&ln];
+        for t in slice.order.iter().map(|&i| &tasks[i as usize]) {
             let children = sorted_edges(
                 t.downstream
                     .iter()
@@ -1052,7 +1178,7 @@ impl IntentStore {
                     g
                 }
                 None => {
-                    let g = old_intern.get(&key).copied().unwrap_or_else(|| {
+                    let g = prev.id_for(&key, id, &self.nodes).unwrap_or_else(|| {
                         let g = NodeId(self.next_node);
                         self.next_node += 1;
                         g
@@ -1073,10 +1199,10 @@ impl IntentStore {
                     g
                 }
             };
-            to_global[ln.0 as usize] = g;
+            to_global[t.node.0 as usize] = g;
         }
         let mut grown: BTreeSet<NodeId> = BTreeSet::new();
-        for t in by_local.values() {
+        for t in tasks {
             let pg = to_global[t.node.0 as usize];
             for (cl, _) in &t.downstream {
                 let cg = to_global[cl.0 as usize];
@@ -1143,37 +1269,6 @@ pub fn plan_intent_on(
         }
     }
     Ok(cp)
-}
-
-/// Tasks of one plan keyed by their local node id.
-fn local_tasks(plan: &CountingPlan) -> BTreeMap<NodeId, &NodeTask> {
-    plan.tasks.iter().map(|t| (t.node, t)).collect()
-}
-
-/// Children-first deterministic order: iterative DFS post-order from
-/// every node in ascending id, following downstream edges.
-fn topo_order(by_local: &BTreeMap<NodeId, &NodeTask>) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(by_local.len());
-    let mut done: BTreeSet<NodeId> = BTreeSet::new();
-    for &root in by_local.keys() {
-        if done.contains(&root) {
-            continue;
-        }
-        // (node, next child index) stack.
-        let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
-        while let Some((n, i)) = stack.pop() {
-            let t = &by_local[&n];
-            if let Some((c, _)) = t.downstream.get(i) {
-                stack.push((n, i + 1));
-                if !done.contains(c) && by_local.contains_key(c) {
-                    stack.push((*c, 0));
-                }
-            } else if done.insert(n) {
-                out.push(n);
-            }
-        }
-    }
-    out
 }
 
 fn sorted_edges(it: impl Iterator<Item = (NodeId, DeviceId)>) -> Vec<(NodeId, DeviceId)> {
@@ -1404,10 +1499,98 @@ pub(crate) mod tests {
 
     use crate::churn::{ChurnState, TopologyEvent};
 
+    /// The names of one table: each id's hash-consing key and owners.
+    pub(crate) struct Names(BTreeMap<NodeId, (SigKey, BTreeSet<u64>)>);
+
+    impl Names {
+        /// Ids of this table whose key is in `after` under another id.
+        pub(crate) fn displaced(&self, after: &IntentStore) -> Vec<NodeId> {
+            let moved = |(g, (key, _)): (&NodeId, &(SigKey, BTreeSet<u64>))| {
+                after
+                    .intern
+                    .get(key)
+                    .is_some_and(|now| now != g)
+                    .then_some(*g)
+            };
+            self.0.iter().filter_map(moved).collect()
+        }
+    }
+
+    impl IntentStore {
+        pub(crate) fn names(&self) -> Names {
+            let named = |(g, n): (&NodeId, &GlobalNode)| (*g, (n.key.clone(), n.owners.clone()));
+            Names(self.nodes.iter().map(named).collect())
+        }
+
+        /// Holds the table to what every substrate assumes of it: one
+        /// id per node and one node per id, and every live slice maps
+        /// node by node (distinct local nodes to distinct ids) onto
+        /// table nodes it owns, at its tasks' device, accept vector
+        /// and — through the map — edges. With `before`, the table
+        /// the last fence superseded, also holds that fence to the
+        /// inheritance rule: an id in both tables names the same site
+        /// (context, device, accept vector), and one whose cone
+        /// changed stayed with an intent that owned it.
+        pub(crate) fn assert_consistent(&self, before: Option<&Names>) {
+            assert_eq!(self.intern.len(), self.nodes.len(), "one key per id");
+            for (key, g) in &self.intern {
+                let node = self.nodes.get(g).expect("an interned id is in the table");
+                assert_eq!(node.key, *key, "{g:?} is filed under its own key");
+                assert!(g.0 < self.next_node, "{g:?} was minted");
+            }
+            for it in self.intents.values().filter(|it| !it.degraded) {
+                let id = it.id;
+                assert_eq!(it.to_global.len(), it.plan.tasks.len(), "intent {id}");
+                let distinct = it.global_nodes().len();
+                assert_eq!(
+                    distinct,
+                    it.to_global.len(),
+                    "intent {id}: two nodes, one id"
+                );
+                let global = |n: &NodeId| it.to_global[n.0 as usize];
+                for t in &it.plan.tasks {
+                    let g = global(&t.node);
+                    let node = self.nodes.get(&g);
+                    let node =
+                        node.unwrap_or_else(|| panic!("intent {id}: {g:?} not in the table"));
+                    assert_eq!(
+                        (node.key.ctx, node.dev, &node.accept),
+                        (it.ctx, t.dev, &t.accept)
+                    );
+                    let children = sorted_edges(t.downstream.iter().map(|(n, d)| (global(n), *d)));
+                    assert_eq!(node.downstream, children, "intent {id}: {g:?}");
+                    assert!(node.owners.contains(&id.0), "intent {id} owns {g:?}");
+                    for (c, _) in &children {
+                        let heard = &self.nodes[c].upstream[&(g, t.dev)];
+                        assert!(heard.contains(&id.0), "intent {id}: edge {g:?} -> {c:?}");
+                    }
+                }
+            }
+            let Some(Names(before)) = before else {
+                return;
+            };
+            for (g, node) in &self.nodes {
+                let Some((old, owners)) = before.get(g) else {
+                    continue;
+                };
+                let site = |k: &SigKey| (k.ctx, k.dev, k.accept.clone());
+                assert_eq!(site(old), site(&node.key), "{g:?} moved site");
+                let kept = old.children == node.key.children;
+                let by_owner = !owners.is_disjoint(&node.owners);
+                assert!(
+                    kept || by_owner,
+                    "{g:?} went to a stranger: {owners:?} -> {node:?}"
+                );
+            }
+        }
+    }
+
     /// One churn fence on `store` that the base slice survives.
     fn replan(store: &mut IntentStore, net: &Network, churn: &ChurnState) -> StoreReplan {
         let mut work = PlanWork::default();
+        let before = store.names();
         let r = store.replan_all_for_churn(&net.topology, None, churn, None, &mut work);
+        store.assert_consistent(Some(&before));
         r.unwrap()
     }
 
@@ -1456,10 +1639,15 @@ pub(crate) mod tests {
         // A slice with tasks opens its intent's table; an empty one
         // (which the re-planner would refuse) is not remembered.
         let (_, cp) = plan_for(&fig2a_network(), "S .* D");
-        assert_eq!(SceneTable::opened_by(&scene(0), &cp).seen.len(), 1);
+        assert_eq!(
+            SceneTable::opened_by(&scene(0), &Slice::of(cp.clone()))
+                .seen
+                .len(),
+            1
+        );
         let mut empty = CountingPlan::clone(&cp);
         empty.tasks.clear();
-        let table = SceneTable::opened_by(&scene(0), &Arc::new(empty));
+        let table = SceneTable::opened_by(&scene(0), &Slice::of(Arc::new(empty)));
         assert!(table.seen.is_empty());
     }
 
@@ -1484,6 +1672,138 @@ pub(crate) mod tests {
         assert_eq!(store.node_count(), nodes_before);
         assert_eq!(store.get(IntentId::BASE).unwrap().to_global, before_base);
         assert_eq!(store.get(id_b).unwrap().to_global, before_b);
+    }
+
+    /// The inheritance rule clause by clause, on a hand-made previous
+    /// table: one rightful predecessor and, beside it, a node that
+    /// shares more edges with the rebuilt key but is off by exactly one
+    /// clause — another context, device or accept vector, another
+    /// owner, or an id already claimed.
+    #[test]
+    fn an_heir_comes_from_the_same_site_and_owner_and_is_claimed_once() {
+        let (x, y, z) = (NodeId(90), NodeId(91), NodeId(92));
+        let edges = |ns: &[NodeId]| -> Vec<(NodeId, DeviceId)> {
+            ns.iter().map(|n| (*n, DeviceId(9))).collect()
+        };
+        let site = |ctx: usize, dev: u32, accept: bool, children: &[NodeId]| SigKey {
+            ctx,
+            dev: DeviceId(dev),
+            accept: vec![accept],
+            children: edges(children),
+            occurrence: 0,
+        };
+        let mut prev = PrevTable::default();
+        let mut add = |g: u32, key: SigKey, owner: u64| {
+            prev.intern.insert(key.clone(), NodeId(g));
+            let node = GlobalNode {
+                dev: key.dev,
+                accept: key.accept.clone(),
+                downstream: key.children.clone(),
+                upstream: BTreeMap::new(),
+                owners: BTreeSet::from([owner]),
+                key,
+            };
+            prev.nodes.insert(NodeId(g), node);
+        };
+        let me = 7;
+        add(1, site(0, 1, false, &[x]), me); // the predecessor: one edge lost
+        add(2, site(0, 1, false, &[y]), me); // ties with it on shared edges
+        add(3, site(1, 1, false, &[x, y]), me); // another context
+        add(4, site(0, 2, false, &[x, y]), me); // another device
+        add(5, site(0, 1, true, &[x, y]), me); // another accept vector
+        add(6, site(0, 1, false, &[x, y]), 8); // another intent's
+        let rebuilt = site(0, 1, false, &[x, y, z]);
+        let mut claimed: BTreeMap<NodeId, GlobalNode> = BTreeMap::new();
+        let heir =
+            |claimed: &BTreeMap<NodeId, GlobalNode>, key: &SigKey| prev.id_for(key, me, claimed);
+        assert_eq!(
+            heir(&claimed, &rebuilt),
+            Some(NodeId(1)),
+            "lowest id on ties"
+        );
+        // An exact key wins over any number of shared edges, whoever
+        // owned it (a cone that is unchanged is the same node).
+        assert_eq!(heir(&claimed, &site(0, 1, false, &[x, y])), Some(NodeId(6)));
+        // Once claimed an id is not offered again: not to the next
+        // best match, not to the exact one.
+        claimed.insert(NodeId(1), prev.nodes[&NodeId(1)].clone());
+        assert_eq!(heir(&claimed, &rebuilt), Some(NodeId(2)));
+        assert_eq!(heir(&claimed, &site(0, 1, false, &[x])), Some(NodeId(2)));
+        claimed.insert(NodeId(2), prev.nodes[&NodeId(2)].clone());
+        assert_eq!(
+            heir(&claimed, &rebuilt),
+            None,
+            "nothing left at this site: a new id"
+        );
+    }
+
+    /// A link event re-tasks the nodes it changed and nothing above
+    /// them. On fig2a under `S .* D`, losing A–W takes away A's edge
+    /// to its W child and the two nodes below that edge; A keeps its
+    /// id, so S — whose only child is A — is not touched at all, on the
+    /// way down or on the way back.
+    #[test]
+    fn a_link_down_retasks_only_the_nodes_that_lost_an_edge_and_their_neighbours() {
+        let net = fig2a_network();
+        let (inv, cp) = plan_for(&net, "S .* D");
+        let mut store = IntentStore::with_base(cp, inv.packet_space.clone(), Some(inv));
+        let dev = |n: &str| net.topology.expect_device(n);
+        let tasks = |store: &IntentStore| -> BTreeMap<NodeId, NodeTask> {
+            let tasks = store.global_tasks().into_iter();
+            tasks.map(|t| (t.node, t)).collect()
+        };
+        let shipped = |r: &StoreReplan| -> Vec<NodeTask> {
+            let groups = r.changed.values().flatten();
+            groups.flat_map(|g| g.tasks.iter().cloned()).collect()
+        };
+        let quiet = tasks(&store);
+        let only_on = |name: &str| {
+            let mut here = quiet.values().filter(|t| t.dev == dev(name));
+            let node = here.next().map(|t| t.node);
+            node.filter(|_| here.next().is_none())
+        };
+        let (s, a) = (only_on("S").unwrap(), only_on("A").unwrap());
+
+        let mut churn = ChurnState::new();
+        churn.apply(&TopologyEvent::LinkDown(dev("A"), dev("W")));
+        let r = replan(&mut store, &net, &churn);
+        let down = tasks(&store);
+        let removed: BTreeSet<NodeId> = r.removed.values().flatten().copied().collect();
+        assert_eq!(removed.len(), 2, "the W child of A and the B node below it");
+        assert!(
+            down.keys().all(|g| quiet.contains_key(g)),
+            "a loss mints no id"
+        );
+        // The one node that lost a downstream edge is A, under the id
+        // it had; every other task shipped is for a direct neighbour
+        // of a node that went.
+        let lost_an_edge = |g: &NodeId| quiet[g].downstream != down[g].downstream;
+        let edged: Vec<NodeId> = down.keys().copied().filter(lost_an_edge).collect();
+        assert_eq!(edged, [a]);
+        for t in shipped(&r) {
+            let was = &quiet[&t.node];
+            let mut edges = was.upstream.iter().chain(&was.downstream);
+            let beside = edges.any(|(n, _)| removed.contains(n));
+            assert!(
+                beside,
+                "shipped a task for a node the loss did not touch: {t:?}"
+            );
+            assert_ne!(t.node, s, "S only hears from A");
+        }
+        assert_eq!(down[&s], quiet[&s]);
+        assert_eq!(r.reused_nodes + shipped(&r).len(), r.total_nodes);
+
+        // The way back mints the two nodes again and A takes the edge
+        // back under its id: S is still not told anything.
+        churn.apply(&TopologyEvent::LinkUp(dev("A"), dev("W")));
+        let r = replan(&mut store, &net, &churn);
+        let back = tasks(&store);
+        assert_eq!(back.len(), quiet.len());
+        assert_eq!(back.keys().filter(|g| !down.contains_key(g)).count(), 2);
+        assert_eq!(back[&a].upstream, quiet[&a].upstream);
+        assert_eq!(back[&a].downstream.len(), quiet[&a].downstream.len());
+        assert!(shipped(&r).iter().all(|t| t.node != s));
+        assert_eq!(back[&s], quiet[&s]);
     }
 
     /// An intent whose ingress goes down degrades (stays installed,
