@@ -34,27 +34,25 @@
 #                 may only fall; and crates/bench/src/bin holds exactly
 #                 figures, check_figures and check_telemetry, with the
 #                 deleted link-event mechanism and second benchmark
-#                 harness named nowhere in the tree
+#                 harness named nowhere in the tree, nor the nine
+#                 equivalence files tests/matrix.rs replaced named in
+#                 ci.sh, tests/, README or DESIGN
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
-#                 substrates, backends, loss and churn — as one release
-#                 build running the matrix test binaries:
-#                   fault_matrix         seeds {1,7,23,101} x loss
-#                     {0%,1%,10%} plus chaos and crash/restart profiles
-#                   churn_matrix         live link/device churn x loss
-#                     {0%,10%} x crash/restart; epoch-final Reports
-#                   intent_matrix        runtime intent install/remove
-#                     interleaved with FIB batches through the unified
-#                     RuntimeEvent API on all four substrates, held to
-#                     the merged standalone per-intent reference
-#                   churn_intent_matrix  *overlapping* intent and
-#                     topology churn with no rejected arms (installs
-#                     racing a fence park, severed slices degrade)
-#                     and with FIB waves left in flight under a fence;
-#                     lifecycle state and per-op Reports
-#                   backend_equivalence  backend {deltanet, intervals} x
-#                     substrate {event sim, faulty event sim, threaded
-#                     run} x loss {0%,10%} against bdd
+#                 substrates, backends, loss and churn — and its truth,
+#                 as one release build running four test binaries:
+#                   matrix               seeded networks, intents and
+#                     scripts over the whole RuntimeEvent alphabet, fed
+#                     in lockstep to Session, the fifo / event / lossy
+#                     engines and the threaded runner (one backend,
+#                     loss profile, telemetry mode and batching mode
+#                     per case); after every op each Report must equal
+#                     the merged per-intent fresh Session, the
+#                     substrates one lifecycle, journal and fault
+#                     accounting, and every verdict an explicit-state
+#                     oracle that shares no code with the verifier;
+#                     plus the paper's fixed scripts and the INet2
+#                     locality tests; prints its coverage table
 #                   backend_agreement    (crates/predicate) random-FIB
 #                     LEC classification agrees across backends, wire
 #                     bytes included
@@ -69,7 +67,8 @@
 #                     changes nothing); the 20 000-round soak that
 #                     holds the BDD memo within its bound (a debug
 #                     build runs 2 000 rounds)
-#                 any Report divergence fails the stage
+#                 any divergence, or any disagreement with the oracle,
+#                 fails the stage
 #   bench-smoke   runs every entry of the FIGURES table in crates/bench
 #                 (`figures all`: the paper's Table 1, §9.2 and Figs.
 #                 10-15 plus the ablations) on tiny topologies — each
@@ -210,6 +209,13 @@ stage_lint() {
         echo "lint: a deleted link-event or second-benchmark name is back (see above)" >&2
         exit 1
     fi
+    # One equivalence harness (tests/matrix.rs): the nine files it
+    # replaced stay retired.
+    if grep -rn 'fault''_matrix\|churn''_matrix\|intent''_matrix\|backend''_equivalence\|batch''_equivalence\|substrate''_equivalence\|telemetry''_equivalence\|oracle''_counting' \
+        ci.sh tests README.md DESIGN.md; then
+        echo "lint: a retired equivalence file is named again (see above); it is tests/matrix.rs now" >&2
+        exit 1
+    fi
     # Panic audit (ROADMAP: a daemon path that never panics): sites
     # that can panic above each audited file's test module (the first
     # column-0 `#[cfg(test)]`). A file joins at the count its audit
@@ -239,10 +245,9 @@ stage_fmt() {
 }
 
 stage_equivalence() {
+    TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun --test matrix -- --nocapture
     TULKUN_WORKSPACE_TESTS=1 cargo test --release -q -p tulkun -p tulkun-predicate \
-        --test fault_matrix --test churn_matrix --test intent_matrix \
-        --test churn_intent_matrix --test backend_equivalence --test backend_agreement \
-        --test lecs --test daemon_session
+        --test backend_agreement --test lecs --test daemon_session
 }
 
 stage_bench_smoke() {

@@ -130,10 +130,16 @@ impl Regex {
     /// `S .* W .* D` and `S.*W.*D` parse (device names are maximal
     /// identifier runs; in the compact form a name boundary is any
     /// non-identifier character).
+    ///
+    /// Input nesting deeper than [`MAX_NESTING`] is refused.
     pub fn parse(input: &str) -> Result<Regex, ParseError> {
         let tokens = lex(input)?;
-        let mut p = Parser { tokens, pos: 0 };
-        let re = p.alt()?;
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            groups: 0,
+        };
+        let (re, _) = p.alt()?;
         if p.pos != p.tokens.len() {
             return Err(ParseError::new(format!("unexpected token at {}", p.pos)));
         }
@@ -262,9 +268,31 @@ fn lex(input: &str) -> Result<Vec<Tok>, ParseError> {
 /// Largest tree `+` will copy (see [`Parser::rep`]).
 const MAX_PLUS_OPERAND: usize = 256;
 
+/// Deepest nesting either parser of the specification language accepts
+/// — the JSON shim's bound. Groups may nest this deep, and a syntax
+/// tree may have this many levels; every postfix operator and every
+/// link of a `|` or juxtaposition chain is one. Deeper input is a parse
+/// error instead of a stack overflow: parsing recurses per group, and
+/// building, walking or dropping a tree recurses per level.
+pub const MAX_NESTING: usize = 128;
+
+/// `depth` levels of nesting, or the error refusing them.
+fn bounded(depth: usize) -> Result<usize, ParseError> {
+    if depth > MAX_NESTING {
+        return Err(ParseError::new(format!(
+            "nesting deeper than {MAX_NESTING}"
+        )));
+    }
+    Ok(depth)
+}
+
+/// Recursive descent; every rule returns its tree with the tree's
+/// depth.
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// Groups open at the current position.
+    groups: usize,
 }
 
 impl Parser {
@@ -272,36 +300,43 @@ impl Parser {
         self.tokens.get(self.pos)
     }
 
-    fn alt(&mut self) -> Result<Regex, ParseError> {
-        let mut lhs = self.cat()?;
+    fn alt(&mut self) -> Result<(Regex, usize), ParseError> {
+        let (mut lhs, mut depth) = self.cat()?;
         while self.peek() == Some(&Tok::Pipe) {
             self.pos += 1;
-            let rhs = self.cat()?;
+            let (rhs, d) = self.cat()?;
+            depth = bounded(1 + depth.max(d))?;
             lhs = Regex::Alt(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn cat(&mut self) -> Result<Regex, ParseError> {
-        let mut parts = Vec::new();
+    /// Juxtaposition, associating to the left like [`Regex::seq`].
+    fn cat(&mut self) -> Result<(Regex, usize), ParseError> {
+        let mut acc: Option<(Regex, usize)> = None;
         while matches!(
             self.peek(),
             Some(Tok::Dev(_)) | Some(Tok::Dot) | Some(Tok::LParen) | Some(Tok::LBracket)
         ) {
-            parts.push(self.rep()?);
+            let (part, d) = self.rep()?;
+            acc = Some(match acc {
+                None => (part, d),
+                Some((lhs, ld)) => (
+                    Regex::Concat(Box::new(lhs), Box::new(part)),
+                    bounded(1 + ld.max(d))?,
+                ),
+            });
         }
-        if parts.is_empty() {
-            return Err(ParseError::new("expected a device, '.', '(' or '['"));
-        }
-        Ok(Regex::seq(parts))
+        acc.ok_or_else(|| ParseError::new("expected a device, '.', '(' or '['"))
     }
 
-    fn rep(&mut self) -> Result<Regex, ParseError> {
-        let mut atom = self.atom()?;
+    fn rep(&mut self) -> Result<(Regex, usize), ParseError> {
+        let (mut atom, mut depth) = self.atom()?;
         loop {
             match self.peek() {
                 Some(Tok::Star) => {
                     self.pos += 1;
+                    depth = bounded(depth + 1)?;
                     atom = Regex::Star(Box::new(atom));
                 }
                 Some(Tok::Plus) => {
@@ -314,6 +349,7 @@ impl Parser {
                             "operand of '+' has more than {MAX_PLUS_OPERAND} nodes"
                         )));
                     }
+                    depth = bounded(depth + 2)?;
                     atom = Regex::Concat(
                         Box::new(atom.clone()),
                         Box::new(Regex::Star(Box::new(atom))),
@@ -321,31 +357,35 @@ impl Parser {
                 }
                 Some(Tok::Quest) => {
                     self.pos += 1;
+                    depth = bounded(depth + 1)?;
                     atom = Regex::Alt(Box::new(atom), Box::new(Regex::Epsilon));
                 }
                 _ => break,
             }
         }
-        Ok(atom)
+        Ok((atom, depth))
     }
 
-    fn atom(&mut self) -> Result<Regex, ParseError> {
+    fn atom(&mut self) -> Result<(Regex, usize), ParseError> {
         match self.peek().cloned() {
             Some(Tok::Dev(name)) => {
                 self.pos += 1;
-                Ok(Regex::dev(name))
+                Ok((Regex::dev(name), 1))
             }
             Some(Tok::Dot) => {
                 self.pos += 1;
-                Ok(Regex::any())
+                Ok((Regex::any(), 1))
             }
             Some(Tok::LParen) => {
                 self.pos += 1;
+                self.groups += 1;
+                bounded(self.groups)?;
                 let inner = self.alt()?;
                 if self.peek() != Some(&Tok::RParen) {
                     return Err(ParseError::new("expected ')'"));
                 }
                 self.pos += 1;
+                self.groups -= 1;
                 Ok(inner)
             }
             Some(Tok::LBracket) => {
@@ -368,11 +408,12 @@ impl Parser {
                 if devs.is_empty() {
                     return Err(ParseError::new("empty device class"));
                 }
-                Ok(Regex::Sym(if negated {
+                let class = if negated {
                     SymClass::NotIn(devs)
                 } else {
                     SymClass::In(devs)
-                }))
+                };
+                Ok((Regex::Sym(class), 1))
             }
             other => Err(ParseError::new(format!("unexpected token {other:?}"))),
         }
@@ -433,6 +474,25 @@ mod tests {
         let nested = format!("{}a{}", "(".repeat(40), "+)".repeat(40));
         assert!(Regex::parse(&nested).is_err());
         assert!(Regex::parse("((a b)+ c)+").is_ok());
+    }
+
+    #[test]
+    fn nesting_is_refused_before_it_overflows_the_stack() {
+        let n = 200_000;
+        for deep in [
+            format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            "a ".repeat(n),
+            format!("a{}", " | a".repeat(n)),
+            format!("a{}", "*".repeat(n)),
+        ] {
+            let err = Regex::parse(&deep).unwrap_err();
+            assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        }
+        let groups = |k| format!("{}a{}", "(".repeat(k), ")".repeat(k));
+        assert!(Regex::parse(&groups(MAX_NESTING)).is_ok());
+        assert!(Regex::parse(&groups(MAX_NESTING + 1)).is_err());
+        assert!(Regex::parse(&"a ".repeat(MAX_NESTING)).is_ok());
+        assert!(Regex::parse(&"a ".repeat(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

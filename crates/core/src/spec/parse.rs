@@ -15,12 +15,17 @@
 //! Path expressions are written between slashes; `loop_free` and
 //! parenthesized length filters follow. Behaviors combine with `and`,
 //! `or`, `not`; `subset` expands to the pair of §3.
+//!
+//! Like the path-expression parser, this one refuses input nesting
+//! deeper than [`MAX_NESTING`]: parenthesized behaviors, `not` and `!`
+//! chains, and the levels of an `and` / `or` / `&&` / `||` chain.
 
 use super::{
     Behavior, FaultSpec, FilterOp, Invariant, LengthBound, LengthFilter, PacketSpace, PathExpr,
     SpecError,
 };
 use crate::count::CountExpr;
+use tulkun_automata::ast::MAX_NESTING;
 
 /// Parses one invariant.
 pub fn parse_invariant(input: &str) -> Result<Invariant, SpecError> {
@@ -36,11 +41,37 @@ pub fn parse_invariant(input: &str) -> Result<Invariant, SpecError> {
 struct Cursor<'a> {
     src: &'a str,
     pos: usize,
+    /// Recursion depth: open parenthesized behaviors, `not`s and `!`s.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(src: &'a str) -> Self {
-        Cursor { src, pos: 0 }
+        Cursor {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// One level deeper into the recursion, refused past
+    /// [`MAX_NESTING`]; [`Cursor::leave`] undoes it.
+    fn enter(&mut self) -> Result<(), SpecError> {
+        self.depth += 1;
+        self.bounded(self.depth)?;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// A tree `depth` levels deep, or the error refusing it.
+    fn bounded(&self, depth: usize) -> Result<usize, SpecError> {
+        if depth > MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING}")));
+        }
+        Ok(depth)
     }
 
     fn rest(&self) -> &'a str {
@@ -136,7 +167,7 @@ fn parse_inv(c: &mut Cursor) -> Result<Invariant, SpecError> {
     c.expect(",")?;
     let ingress = parse_ingress(c)?;
     c.expect(",")?;
-    let behavior = parse_behavior(c)?;
+    let (behavior, _) = parse_behavior(c)?;
     let fault_scenes = if c.eat(",") {
         c.expect("faults")?;
         c.expect(":")?;
@@ -159,24 +190,40 @@ fn parse_packet_space(c: &mut Cursor) -> Result<PacketSpace, SpecError> {
     if c.eat("*") {
         return Ok(PacketSpace::All);
     }
-    let mut acc = parse_ps_term(c)?;
+    let (mut acc, mut depth) = parse_ps_term(c)?;
     loop {
-        if c.eat("&&") {
-            let rhs = parse_ps_term(c)?;
-            acc = acc.and(rhs);
+        let and = if c.eat("&&") {
+            true
         } else if c.eat("||") {
-            let rhs = parse_ps_term(c)?;
-            acc = acc.or(rhs);
+            false
         } else {
             return Ok(acc);
-        }
+        };
+        let (rhs, d) = parse_ps_term(c)?;
+        depth = c.bounded(1 + depth.max(d))?;
+        acc = if and { acc.and(rhs) } else { acc.or(rhs) };
     }
 }
 
-fn parse_ps_term(c: &mut Cursor) -> Result<PacketSpace, SpecError> {
+/// One term of a packet space, with its depth.
+fn parse_ps_term(c: &mut Cursor) -> Result<(PacketSpace, usize), SpecError> {
     if c.eat("!") {
-        return Ok(parse_ps_term(c)?.not());
+        c.enter()?;
+        let (term, d) = parse_ps_term(c)?;
+        c.leave();
+        return Ok((term.not(), c.bounded(d + 1)?));
     }
+    parse_ps_atom(c).map(|ps| {
+        let depth = if matches!(ps, PacketSpace::Not(_)) {
+            2
+        } else {
+            1
+        };
+        (ps, depth)
+    })
+}
+
+fn parse_ps_atom(c: &mut Cursor) -> Result<PacketSpace, SpecError> {
     if c.eat_kw("dstIP") {
         c.expect("=")?;
         c.skip_ws();
@@ -226,27 +273,33 @@ fn parse_ingress(c: &mut Cursor) -> Result<Vec<String>, SpecError> {
     Ok(out)
 }
 
-fn parse_behavior(c: &mut Cursor) -> Result<Behavior, SpecError> {
-    let mut acc = parse_behavior_and(c)?;
+/// A behavior with its depth (as every behavior rule returns it).
+fn parse_behavior(c: &mut Cursor) -> Result<(Behavior, usize), SpecError> {
+    let (mut acc, mut depth) = parse_behavior_and(c)?;
     while c.eat_kw("or") {
-        let rhs = parse_behavior_and(c)?;
+        let (rhs, d) = parse_behavior_and(c)?;
+        depth = c.bounded(1 + depth.max(d))?;
         acc = acc.or(rhs);
     }
-    Ok(acc)
+    Ok((acc, depth))
 }
 
-fn parse_behavior_and(c: &mut Cursor) -> Result<Behavior, SpecError> {
-    let mut acc = parse_behavior_not(c)?;
+fn parse_behavior_and(c: &mut Cursor) -> Result<(Behavior, usize), SpecError> {
+    let (mut acc, mut depth) = parse_behavior_not(c)?;
     while c.eat_kw("and") {
-        let rhs = parse_behavior_not(c)?;
+        let (rhs, d) = parse_behavior_not(c)?;
+        depth = c.bounded(1 + depth.max(d))?;
         acc = acc.and(rhs);
     }
-    Ok(acc)
+    Ok((acc, depth))
 }
 
-fn parse_behavior_not(c: &mut Cursor) -> Result<Behavior, SpecError> {
+fn parse_behavior_not(c: &mut Cursor) -> Result<(Behavior, usize), SpecError> {
     if c.eat_kw("not") {
-        return Ok(parse_behavior_not(c)?.not());
+        c.enter()?;
+        let (b, d) = parse_behavior_not(c)?;
+        c.leave();
+        return Ok((b.not(), c.bounded(d + 1)?));
     }
     c.expect("(")?;
     let b = if c.eat_kw("exist") {
@@ -266,12 +319,16 @@ fn parse_behavior_not(c: &mut Cursor) -> Result<Behavior, SpecError> {
         Behavior::subset(parse_pathspec(c)?)
     } else {
         // Nested behavior in parentheses.
+        c.enter()?;
         let inner = parse_behavior(c)?;
         c.expect(")")?;
+        c.leave();
         return Ok(inner);
     };
     c.expect(")")?;
-    Ok(b)
+    // `subset` is the pair under one `and`.
+    let depth = if matches!(b, Behavior::And(..)) { 2 } else { 1 };
+    Ok((b, depth))
 }
 
 #[derive(Clone, Copy)]
@@ -516,6 +573,89 @@ mod tests {
             assert_eq!(inv.behavior, back.behavior, "{printed}");
             assert_eq!(inv.ingress, back.ingress, "{printed}");
             assert_eq!(inv.fault_scenes, back.fault_scenes, "{printed}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_refused_before_it_overflows_the_stack() {
+        let n = 200_000;
+        let leaf = "(exist >= 1, /S .* D/)";
+        let around = |b: String| format!("(*, [S], {b})");
+        for bomb in [
+            around(format!("{}{leaf}", "not ".repeat(n))),
+            around(format!("{}{leaf}{}", "(".repeat(n), ")".repeat(n))),
+            around(format!("{leaf}{}", format!(" and {leaf}").repeat(n))),
+            around(format!("{leaf}{}", format!(" or {leaf}").repeat(n))),
+            format!("({}dstPort=80, [S], {leaf})", "!".repeat(n)),
+            format!("(dstPort=80{}, [S], {leaf})", " && dstPort=80".repeat(n)),
+            around(format!(
+                "(exist >= 1, /{}S{}/)",
+                "(".repeat(n),
+                ")".repeat(n)
+            )),
+        ] {
+            let err = parse_invariant(&bomb).unwrap_err();
+            assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        }
+        let nots = |k| around(format!("{}{leaf}", "not ".repeat(k)));
+        assert!(parse_invariant(&nots(MAX_NESTING - 1)).is_ok());
+        assert!(parse_invariant(&nots(MAX_NESTING + 1)).is_err());
+    }
+
+    /// Spec lines in every shape the grammar has, for the hostile-line
+    /// property below.
+    const LINES: [&str; 9] = [
+        "(dstIP=10.0.0.0/23, [S], (exist >= 1, /S .* W .* D/ loop_free))",
+        "(dstIP=10.0.1.0/24 && dstPort!=80, [S, B], (exist == 0, /S .* D/ (<= 4)))",
+        "(!proto=6 || dstPort=80, [S], (subset, /S [^A B]* D/ (<= shortest+1)))",
+        "(*, [S], (equal, /S .* D/ (== shortest)))",
+        "(*, [S], not ((exist >= 1, /S .* D/) and (covered, /(S|A)+ D?/ loop_free)))",
+        "(*, [S], (exist >= 1, /S .* D/ (<= shortest+1)), faults: any 2)",
+        "(*, [S], (exist < 2, /S .* D/), faults: {(A,B)} {(B,W) (B,D)})",
+        "(*, [S], (exist > 0, /S .* D/) or (covered, /S .* D/))",
+        "(*, [S], (exist <= 1, /S . . D | S . D/ (>= 2) (< 5)))",
+    ];
+
+    /// Damages one line: a token deleted, duplicated or replaced by
+    /// garbage, or the line cut short.
+    fn damage(line: &str, kind: usize, pos: usize, garbage: &str) -> String {
+        let mut tokens: Vec<&str> = line.split(' ').collect();
+        let i = pos % tokens.len();
+        match kind {
+            0 => drop(tokens.remove(i)),
+            1 => tokens.insert(i, tokens[i]),
+            2 => tokens[i] = garbage,
+            _ => return line[..pos % line.len()].to_string(),
+        }
+        tokens.join(" ")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whatever a spec line holds — printable noise, or a
+        /// well-formed line damaged — both parsers answer (a spec or an
+        /// error) instead of panicking, and a spec they accept prints
+        /// back to text that parses to it again.
+        #[test]
+        fn hostile_lines_get_an_answer_from_both_parsers(
+            (class, template, kind, pos) in (0usize..5, 0usize..9, 0usize..4, 0usize..512),
+            garbage in proptest::collection::vec(0x21u8..0x7f, 0..12),
+            noise in proptest::collection::vec(0x20u8..0x7f, 0..=512),
+        ) {
+            let line = if class == 0 {
+                String::from_utf8(noise).expect("ascii")
+            } else {
+                let garbage = std::str::from_utf8(&garbage).expect("ascii");
+                damage(LINES[template], kind, pos, garbage)
+            };
+            if let Ok(inv) = parse_invariant(&line) {
+                let printed = inv.to_string();
+                let back = parse_invariant(&printed);
+                proptest::prop_assert!(back.as_ref().is_ok_and(|b| *b == inv), "{line:?} -> {printed:?}");
+            }
+            let path = line.split('/').nth(1).unwrap_or(&line);
+            let _ = tulkun_automata::Regex::parse(path);
         }
     }
 

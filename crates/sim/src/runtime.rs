@@ -2799,7 +2799,8 @@ mod tests {
 
     /// One script of every lifecycle event, through the uniform entry
     /// point of both fabrics: the journals must agree record for record
-    /// — the property `churn_intent_matrix` checks at scale.
+    /// — what the equivalence harness (`tests/matrix.rs`) checks after
+    /// every op of every case.
     #[test]
     fn both_fabrics_journal_one_lifecycle() {
         let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv(), true);

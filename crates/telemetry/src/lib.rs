@@ -504,6 +504,38 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_match_hand_computed_sequence() {
+        const SPEC: HistogramSpec = HistogramSpec {
+            name: "test_hand_computed",
+            bounds: &[10, 20, 50],
+        };
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        // Observed from two devices so the sharded registry must merge:
+        // one value at each bucket's upper bound, one just above it.
+        for v in [1, 10, 11, 20] {
+            tel.observe(dev(0), &SPEC, v);
+        }
+        for v in [21, 50, 51, 1000] {
+            tel.observe(dev(4), &SPEC, v);
+        }
+        let snap = tel.metrics();
+        let h = snap.hists.get(SPEC.name).expect("histogram recorded");
+        assert_eq!(h.bounds, vec![10, 20, 50]);
+        // Buckets are non-cumulative per bound plus one overflow bucket;
+        // bounds are inclusive, so 10/20/50 land in their own buckets.
+        assert_eq!(h.buckets, vec![2, 2, 2, 2]);
+        assert_eq!(h.count, 8);
+        assert_eq!(h.sum, 1 + 10 + 11 + 20 + 21 + 50 + 51 + 1000);
+        // Quantiles are quantized to bucket upper bounds; the overflow
+        // bucket reports the last finite bound as a lower bound.
+        assert_eq!(h.quantile(0.25), Some(10));
+        assert_eq!(h.quantile(0.50), Some(20));
+        assert_eq!(h.quantile(0.75), Some(50));
+        assert_eq!(h.quantile(0.99), Some(50));
+        assert_eq!(snap.percentile(SPEC.name, 0.50), Some(20));
+    }
+
+    #[test]
     fn reservoir_keeps_everything_under_cap() {
         let mut r = Reservoir::with_capacity(8);
         for v in 0..8 {

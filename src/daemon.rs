@@ -119,10 +119,10 @@ pub fn dataset_session(net: &Network, name: &str) -> Result<(Invariant, Counting
     Ok((inv, cp))
 }
 
-/// Longest intent spec `intent add` hands to the parsers. The spec and
-/// path-expression parsers recurse once per nesting level, so bounding
-/// the text is what bounds their stack against a hostile line; the
-/// specs of the paper's Table 1 are all under 200 bytes.
+/// Longest intent spec `intent add` hands to the parsers. The parsers
+/// bound their own nesting; this bounds the work one line can ask of
+/// the planner. The specs of the paper's Table 1 are all under 200
+/// bytes.
 const MAX_SPEC_BYTES: usize = 1024;
 
 /// Configuration for a [`DaemonSession`].
