@@ -20,9 +20,9 @@
 #                 backend selection) has no second home outside
 #                 crates/predicate; and the event lifecycle is written
 #                 once over the two fabrics (batch staging, crash/
-#                 restart, scene swap and fence delivery each occur
-#                 exactly once under crates/sim/src, and the deleted
-#                 second names of the engines stay deleted); and
+#                 restart and fence delivery each occur exactly once
+#                 under crates/sim/src, and the deleted second names
+#                 of the engines stay deleted); and
 #                 the FIB write path compiles rules in one place
 #                 (`lecs_in` has exactly one caller outside
 #                 crates/predicate, and the verifier never calls
@@ -33,8 +33,9 @@
 #                 sites of each file on the daemon path, a count that
 #                 may only fall; and crates/bench/src/bin holds exactly
 #                 figures, check_figures and check_telemetry, with the
-#                 deleted link-event mechanism and second benchmark
-#                 harness named nowhere in the tree, nor the nine
+#                 deleted link-event mechanism, the batch fault-scene
+#                 delivery and the second benchmark harness named
+#                 nowhere in the tree, nor the nine
 #                 equivalence files tests/matrix.rs replaced named in
 #                 ci.sh, tests/, README or DESIGN
 #   fmt           rustfmt check
@@ -160,8 +161,7 @@ stage_lint() {
         echo "lint: predicate-layer logic outside crates/predicate (see above)" >&2
         exit 1
     fi
-    for once in 'JournalKind::BatchApplied' 'JournalKind::CrashRestart' \
-                'JournalKind::SceneApplied' 'fn fenced'; do
+    for once in 'JournalKind::BatchApplied' 'JournalKind::CrashRestart' 'fn fenced'; do
         n="$(grep -rn --include='*.rs' "$once" crates/sim/src | wc -l)"
         if [ "$n" -ne 1 ]; then
             grep -rn --include='*.rs' "$once" crates/sim/src >&2 || true
@@ -194,8 +194,9 @@ stage_lint() {
         exit 1
     fi
     # One benchmark harness (benchmark/), one figures binary, one way a
-    # link fails (the fence path): the retired names stay retired. The
-    # pattern is split so this file does not match itself.
+    # link fails and one way a fault scene is applied (the fence path):
+    # the retired names stay retired. The patterns are split so this
+    # file does not match itself.
     bins="$(ls crates/bench/src/bin | tr '\n' ' ')"
     case "$bins" in
         "check_figures.rs check_telemetry.rs figures.rs "|"check_figures.rs check_telemetry.rs figures ") ;;
@@ -207,6 +208,11 @@ stage_lint() {
     if grep -rnw 'handle_link''_event\|down''_neighbors\|apply_link''_event\|bench''_daemon\|PERF_GATE''_TOLERANCE\|TULKUN_PERF''_GATE_FORCE' \
         crates src tests examples ci.sh; then
         echo "lint: a deleted link-event or second-benchmark name is back (see above)" >&2
+        exit 1
+    fi
+    if grep -rn 'apply''_scene\|Scene''Applied\|scene''_applied\|plan_fault''_tolerant\|scene''_tasks' \
+        crates src tests examples ci.sh; then
+        echo "lint: the batch fault-scene delivery is back (see above); a scene is LinkDown/LinkUp events" >&2
         exit 1
     fi
     # One equivalence harness (tests/matrix.rs): the nine files it
@@ -225,7 +231,7 @@ stage_lint() {
                    crates/sim/src/faults.rs:0 crates/sim/src/service.rs:0 \
                    src/daemon.rs:0 crates/core/src/dvm/reliable.rs:0 \
                    crates/core/src/churn.rs:0 crates/core/src/explain.rs:0 \
-                   crates/sim/src/runtime.rs:19 crates/core/src/dvm/verifier.rs:8 \
+                   crates/sim/src/runtime.rs:3 crates/core/src/dvm/verifier.rs:8 \
                    crates/core/src/verify.rs:4; do
         file="${audited%:*}"
         budget="${audited#*:}"

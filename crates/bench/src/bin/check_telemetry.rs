@@ -370,7 +370,6 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
 const JOURNAL_KINDS: &[&str] = &[
     "batch_applied",
     "batch_rejected",
-    "scene_applied",
     "epoch_fence",
     "topology_churn",
     "churn_rejected",

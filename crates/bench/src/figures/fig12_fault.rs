@@ -1,16 +1,19 @@
 //! Figure 12: verification under fault scenes (WAN/LAN datasets).
 //!
 //! * 12a — time to re-verify the complete network after a fault scene
-//!   happens (Tulkun: link-state flooding + recounting along the
-//!   fault-tolerant DPVNet; baselines: re-verification on cached ECs,
-//!   which the paper notes favors Delta-net).
+//!   happens (Tulkun: link-state flooding, then each failed link's
+//!   epoch fence and the recount along the surviving DPVNet; baselines:
+//!   re-verification on cached ECs, which the paper notes favors
+//!   Delta-net).
 //! * 12b/c — incremental rule updates inside fault scenes: % < 10 ms
 //!   and the 80% quantile.
 
 use crate::{all_pair_workload, fmt_ns, pct_under_10ms, quantile, Cli, FigureTable};
 use tulkun_baselines::all_baselines;
-use tulkun_core::fault::{plan_fault_tolerant, sample_scenes, FaultScene};
-use tulkun_core::spec::FaultSpec;
+use tulkun_core::churn::TopologyEvent;
+use tulkun_core::event::{RuntimeEvent, Substrate};
+use tulkun_core::fault::sample_scenes;
+use tulkun_core::planner::Planner;
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
 use tulkun_sim::{central_burst, central_update, Engine, EngineConfig};
 
@@ -68,11 +71,11 @@ pub fn run(cli: &Cli) {
         eprintln!("[fig12] {}", ds.spec.name);
         let topo = &ds.network.topology;
         let scenes = sample_scenes(topo, 3, cli.scenes, 0xF12);
-        let fault_scenes: Vec<FaultScene> = scenes.iter().skip(1).cloned().collect();
+        let fault_scenes = &scenes[1..];
 
-        // Tulkun: one fault-tolerant plan per destination is expensive to
-        // build for every dataset, so use one representative destination
-        // (the paper verifies the full all-pair invariant; the per-scene
+        // Tulkun: one plan per destination is expensive to build for
+        // every dataset, so use one representative destination (the
+        // paper verifies the full all-pair invariant; the per-scene
         // recount cost is per-DPVNet and scales linearly).
         let (dst, prefix) = topo.external_map().next().unwrap();
         let src = topo.devices().find(|d| *d != dst).unwrap();
@@ -91,20 +94,10 @@ pub fn run(cli: &Cli) {
                 .loop_free()
                 .shortest_plus(2),
             ))
-            .fault_scenes(FaultSpec::Scenes(
-                fault_scenes
-                    .iter()
-                    .map(|s| {
-                        s.0.iter()
-                            .map(|(x, y)| (topo.name(*x).to_string(), topo.name(*y).to_string()))
-                            .collect()
-                    })
-                    .collect(),
-            ))
             .build()
             .unwrap();
-        let (plan, ft) = match plan_fault_tolerant(topo, &inv, 10_000, 500_000) {
-            Ok(x) => x,
+        let plan = match Planner::new(topo).plan(&inv) {
+            Ok(plan) => plan,
             Err(e) => {
                 eprintln!("  skipping {}: {e}", ds.spec.name);
                 continue;
@@ -112,10 +105,15 @@ pub fn run(cli: &Cli) {
         };
         let mut sim = Engine::new(
             &ds.network,
-            &plan,
+            plan.counting().unwrap(),
             &inv.packet_space,
             EngineConfig::default(),
         );
+        let link = |event| RuntimeEvent::Topology {
+            event,
+            base: topo.clone(),
+            invariant: inv.clone(),
+        };
         sim.burst();
         let fl = flood_ns(topo);
         let mut scene_times: Vec<u64> = Vec::new();
@@ -124,26 +122,36 @@ pub fn run(cli: &Cli) {
         // state); cap the stream on heavy datasets.
         let per_scene = if ds.spec.rules > 50_000 { 3 } else { 10 };
         let updates = rule_updates(&ds.network, cli.updates.min(100), 0xF12F);
-        for scene in &fault_scenes {
-            let Some(idx) = ft.scene_index(scene) else {
-                continue;
-            };
-            if ft.intolerable.contains(&idx) {
-                continue;
-            }
-            let tasks = ft.scene_tasks(idx);
-            let r = sim.apply_scene(&tasks, fl);
-            scene_times.push(r.completion_ns);
-            // A few rule updates inside the scene.
-            for u in updates.iter().take(per_scene) {
-                if u.device() == dst {
-                    continue;
+        for scene in fault_scenes {
+            // A scene is its link-downs, each fenced and recounted. A
+            // link-down the base plan cannot survive comes back `Err`
+            // with the epoch unchanged: the scene is intolerable and
+            // skipped.
+            let mut down = Vec::new();
+            let mut t = fl;
+            for &(x, y) in &scene.0 {
+                match sim.apply_event(&link(TopologyEvent::LinkDown(x, y))) {
+                    Ok(r) => t += r.completion_ns,
+                    Err(_) => break,
                 }
-                incr_times.push(sim.incremental(u).completion_ns);
+                down.push((x, y));
             }
-            // Restore the base scene for the next iteration.
-            let tasks0 = ft.scene_tasks(0);
-            sim.apply_scene(&tasks0, fl);
+            if down.len() == scene.len() {
+                scene_times.push(t);
+                // A few rule updates inside the scene.
+                for u in updates.iter().take(per_scene) {
+                    if u.device() == dst {
+                        continue;
+                    }
+                    incr_times.push(sim.incremental(u).completion_ns);
+                }
+            }
+            // Link-ups restore the intact network for the next scene,
+            // retracing states the way down already accepted.
+            for (x, y) in down.into_iter().rev() {
+                let up = sim.apply_event(&link(TopologyEvent::LinkUp(x, y)));
+                up.expect("the way down accepted this state");
+            }
         }
         let t_avg = if scene_times.is_empty() {
             0
@@ -163,7 +171,7 @@ pub fn run(cli: &Cli) {
             central_burst(tool.as_mut(), &ds.network, &wl, loc);
             // 12a: average re-verification across scenes.
             let mut times = Vec::new();
-            for _ in &fault_scenes {
+            for _ in fault_scenes {
                 let t0 = std::time::Instant::now();
                 tool.reverify();
                 times.push(t0.elapsed().as_nanos() as u64 + fl);

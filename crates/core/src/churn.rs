@@ -1,7 +1,8 @@
 //! Runtime topology churn: epoch-fenced incremental re-planning.
 //!
-//! §3's `fault_scenes` cover *statically declared* failures; this module
-//! makes live topology change a first-class event. A churn event
+//! Live topology change is a first-class event, and the only way a
+//! failed link reaches the verifiers: a scene declared in §3's
+//! `fault_scenes` arrives as its link-downs like any other. A churn event
 //! ([`TopologyEvent`]) folds into a cumulative [`ChurnState`], the
 //! control plane ([`crate::control::ControlPlane::topology_event`])
 //! re-plans every live intent against the post-churn topology and
@@ -18,7 +19,7 @@
 //! with the old epoch (see [`crate::dvm::message::Envelope::epoch`]), so
 //! results computed against the superseded DPVNet cannot corrupt the new
 //! round. Only a fence that really discarded something pays for it: the
-//! repair wave ([`crate::dvm::DeviceVerifier::reannounce`]) re-sends
+//! repair wave ([`crate::control::DeviceFence::reannounce`]) re-sends
 //! every node's durable state and repairs exactly what those dropped
 //! messages carried; a fence on a quiescent exchange skips it.
 

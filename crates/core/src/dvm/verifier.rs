@@ -765,34 +765,14 @@ impl DeviceVerifier {
         changed
     }
 
-    /// Swaps this device's tasks for a new fault-scene view (§6: after
-    /// link-state flooding, verifiers recount along the DPVNet subgraph
-    /// of the current scene without contacting the planner). `CIBOut` is
-    /// preserved — it still reflects what upstream neighbors believe, so
-    /// diff-based UPDATEs stay correct — and `CIBIn` and the
+    /// Installs (or re-tasks) DPVNet nodes; a new node counts over
+    /// `base`. An existing node keeps the base it was installed with and
+    /// only its task (edges, accept flags) is replaced: `CIBOut` is
+    /// preserved — it still reflects what upstream neighbours believe,
+    /// so diff-based UPDATEs stay correct — and `CIBIn` and the
     /// subscription ledger keep their entries for surviving downstream
-    /// nodes only. This is also how a churn fence re-tasks a node that
-    /// kept its id while its edges changed.
-    pub fn set_tasks(&mut self, tasks: Vec<NodeTask>, out: &mut dyn Outbox) {
-        let base = self.packet_space;
-        self.install_tasks_pred(tasks, base, out);
-    }
-
-    /// Installs (or re-tasks) DPVNet nodes whose *base packet space* is
-    /// `space` — the per-intent form of [`DeviceVerifier::set_tasks`].
-    /// Existing nodes keep the base they were installed with (only
-    /// their task — upstream/downstream edges, accept flags — is
-    /// replaced); new nodes start counting over `space`.
-    pub fn install_tasks(
-        &mut self,
-        tasks: Vec<NodeTask>,
-        space: &PortablePred,
-        out: &mut dyn Outbox,
-    ) {
-        let base = self.backend.import(space);
-        self.install_tasks_pred(tasks, base, out);
-    }
-
+    /// nodes only. This is how a fence re-tasks a node that kept its id
+    /// while its edges changed.
     fn install_tasks_pred(&mut self, tasks: Vec<NodeTask>, base: DynPred, out: &mut dyn Outbox) {
         // Per touched node, the upstream edges it did not have before.
         // Only an existing node can gain a listener that has not heard
@@ -851,16 +831,6 @@ impl DeviceVerifier {
         }
     }
 
-    /// Drops DPVNet nodes a re-plan no longer assigns to this device
-    /// (their paths vanished with the churned topology). In-flight
-    /// messages naming a removed node are tolerated by the stale-node
-    /// guard in UPDATE handling.
-    pub fn remove_nodes(&mut self, nodes: &[NodeId]) {
-        for n in nodes {
-            self.nodes.remove(n);
-        }
-    }
-
     /// Applies this device's share of an epoch fence — the one place
     /// the steps are sequenced: move to the new epoch (so every
     /// emission below carries it), drop all soft node state if the
@@ -881,12 +851,18 @@ impl DeviceVerifier {
         if fence.wipe {
             self.nodes.clear();
         }
-        self.remove_nodes(&fence.remove);
+        // Nodes a re-plan no longer assigns here. In-flight messages
+        // naming one are tolerated by the stale-node guard in UPDATE
+        // handling.
+        for n in &fence.remove {
+            self.nodes.remove(n);
+        }
         for (space, tasks) in fence.groups {
-            match space {
-                Some(sp) => self.install_tasks(tasks, &sp, out),
-                None => self.set_tasks(tasks, out),
-            }
+            let base = match space {
+                Some(sp) => self.backend.import(&sp),
+                None => self.packet_space,
+            };
+            self.install_tasks_pred(tasks, base, out);
         }
         if fence.reannounce {
             self.reannounce(out);
@@ -957,7 +933,7 @@ impl DeviceVerifier {
     /// `CIBIn`/scope entries those lost messages carried, so the new
     /// epoch re-converges to the fixpoint of a fresh plan. A fence that
     /// dropped nothing needs no repair ([`DeviceFence::reannounce`]).
-    pub fn reannounce(&mut self, out: &mut dyn Outbox) {
+    fn reannounce(&mut self, out: &mut dyn Outbox) {
         for node in self.node_ids() {
             self.announce(node, |_| true, |_| true, out);
         }

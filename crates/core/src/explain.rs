@@ -101,8 +101,7 @@ fn severity(kind: JournalKind) -> u32 {
         K::EpochFence => 7,
         K::BatchRejected | K::ChurnRejected | K::IntentRejected => 8,
         K::IntentInstalled | K::IntentRemoved | K::IntentReplanned | K::BackendSwap => 9,
-        K::SceneApplied => 10,
-        K::BatchApplied => 11,
+        K::BatchApplied => 10,
     }
 }
 

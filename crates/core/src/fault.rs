@@ -1,13 +1,15 @@
-//! Fault-tolerant verification (§6): precomputed fault-tolerant DPVNets
-//! and online recounting with minimal planner involvement.
+//! Fault-tolerant verification (§6): fault scenes and the
+//! fault-tolerant DPVNet.
 //!
-//! The planner expands an invariant's `fault_scenes` into concrete
-//! scenes, computes the union of valid paths over all scenes (iterating
-//! scenes in ascending failure count and reusing path sets when
-//! Proposition 2 applies), and labels every DPVNet edge and acceptance
-//! flag with the scenes it is valid in. When a scene happens, verifiers
-//! switch to the corresponding task view and recount — the planner is
-//! contacted only for unspecified scenes.
+//! [`expand_fault_spec`] turns an invariant's `fault_scenes` into
+//! concrete scenes, and [`build_ft_dpvnet`] computes the union of valid
+//! paths over all of them (iterating scenes in ascending failure count
+//! and reusing path sets when Proposition 2 applies), labelling every
+//! DPVNet edge and acceptance flag with the scenes it is valid in. The
+//! Fig. 13 and scene-reuse figures measure that union. A scene reaches
+//! the running verifiers one way only: as `LinkDown` / `LinkUp` topology
+//! events through the control plane's epoch fence, where each intent's
+//! scene table answers a scene it has planned before.
 //!
 //! Besides *data-plane* faults (failed links), this module also models
 //! *management-plane* faults: [`FaultProfile`] describes a lossy
@@ -18,8 +20,8 @@
 //! surfaces.
 
 use crate::dpvnet::{self, DpvNet, DpvNetError, NodeId, ValidPath};
-use crate::planner::{CountingPlan, NodeTask, PlanError};
-use crate::spec::{FaultSpec, Invariant, PathExpr};
+use crate::planner::PlanError;
+use crate::spec::{FaultSpec, PathExpr};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use tulkun_netmodel::topology::{DeviceId, Topology};
 
@@ -360,47 +362,6 @@ pub struct FtDpvNet {
     pub reused_scenes: usize,
 }
 
-impl FtDpvNet {
-    /// Finds the scene matching a set of failed links. `None` means the
-    /// scene was not pre-specified (report to the planner).
-    pub fn scene_index(&self, failed: &FaultScene) -> Option<usize> {
-        self.scenes.iter().position(|s| s == failed)
-    }
-
-    /// The task view for one scene: per node, only the edges and
-    /// acceptance flags valid in that scene.
-    pub fn scene_tasks(&self, scene: usize) -> Vec<NodeTask> {
-        self.dpvnet
-            .iter()
-            .map(|(id, n)| {
-                let downstream: Vec<(NodeId, DeviceId)> = n
-                    .out
-                    .iter()
-                    .filter(|&&o| self.edge_scenes[&(id, o)].get(scene))
-                    .map(|&o| (o, self.dpvnet.node(o).dev))
-                    .collect();
-                let upstream: Vec<(NodeId, DeviceId)> = n
-                    .inn
-                    .iter()
-                    .filter(|&&i| self.edge_scenes[&(i, id)].get(scene))
-                    .map(|&i| (i, self.dpvnet.node(i).dev))
-                    .collect();
-                let accept: Vec<bool> = self.accept_scenes[id.idx()]
-                    .iter()
-                    .map(|m| m.get(scene))
-                    .collect();
-                NodeTask {
-                    node: id,
-                    dev: n.dev,
-                    downstream,
-                    upstream,
-                    accept,
-                }
-            })
-            .collect()
-    }
-}
-
 /// Builds the fault-tolerant DPVNet for an invariant's path expressions
 /// over the given scenes (§6's iterative computation).
 pub fn build_ft_dpvnet(
@@ -619,50 +580,6 @@ pub fn build_ft_dpvnet(
     })
 }
 
-/// Builds a fault-tolerant counting plan for an invariant: the union
-/// DPVNet with scene-0 tasks plus the scene table.
-pub fn plan_fault_tolerant(
-    topo: &Topology,
-    inv: &Invariant,
-    scene_cap: usize,
-    path_cap: usize,
-) -> Result<(CountingPlan, FtDpvNet), PlanError> {
-    let scenes = expand_fault_spec(topo, &inv.fault_scenes, scene_cap)?;
-    let ingress: Vec<DeviceId> = inv
-        .ingress
-        .iter()
-        .map(|n| {
-            topo.device(n)
-                .ok_or_else(|| PlanError::UnknownDevice(n.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    let exprs: Vec<PathExpr> = inv.behavior.path_exprs().into_iter().cloned().collect();
-    let ft =
-        build_ft_dpvnet(topo, &ingress, &exprs, &scenes, path_cap).map_err(PlanError::DpvNet)?;
-
-    // Compile the behavior like the regular planner does.
-    let base = crate::planner::Planner::with_options(
-        topo,
-        crate::planner::PlannerOptions {
-            skip_consistency_check: true,
-            ..Default::default()
-        },
-    )
-    .plan(&Invariant {
-        fault_scenes: FaultSpec::None,
-        ..inv.clone()
-    })?;
-    let Some(cp) = base.counting() else {
-        return Err(PlanError::Unsupported(
-            "fault tolerance requires a counting behavior".into(),
-        ));
-    };
-    let mut plan = cp.clone();
-    plan.dpvnet = ft.dpvnet.clone();
-    plan.tasks = ft.scene_tasks(0);
-    Ok((plan, ft))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,10 +660,7 @@ mod tests {
 
         // Scene 0 view reproduces the failure-free DPVNet's path count.
         let base = DpvNet::build(&topo, &[s], std::slice::from_ref(&pe)).unwrap();
-        let view0 = ft.scene_tasks(0);
-        let srcs: Vec<usize> = ft.dpvnet.sources().iter().map(|(_, n)| n.idx()).collect();
-        let paths0 = count_paths(&view0, &srcs);
-        assert_eq!(paths0, base.num_paths());
+        assert_eq!(count_paths(&ft, 0), base.num_paths());
 
         // The union has at least as many paths as the base.
         assert!(ft.dpvnet.num_paths() >= base.num_paths());
@@ -775,44 +689,44 @@ mod tests {
             .shortest_plus(1);
         let scenes = expand_fault_spec(&topo, &crate::spec::FaultSpec::AnyK(1), 1000).unwrap();
         let ft = build_ft_dpvnet(&topo, &[s], &[pe], &scenes, 100_000).unwrap();
-        // Scene where link B–D fails: no valid path uses B–D.
-        let idx = ft.scene_index(&FaultScene::new([(b, d)])).unwrap();
-        let tasks = ft.scene_tasks(idx);
-        for t in &tasks {
-            if ft.dpvnet.node(t.node).dev == b {
+        // Scene where link B–D fails: no edge from B to D is labelled
+        // with it.
+        let scene = FaultScene::new([(b, d)]);
+        let idx = ft.scenes.iter().position(|sc| *sc == scene).unwrap();
+        for (id, n) in ft.dpvnet.iter().filter(|(_, n)| n.dev == b) {
+            for &o in n.out.iter().filter(|&&o| ft.dpvnet.node(o).dev == d) {
                 assert!(
-                    t.downstream.iter().all(|(_, dev)| *dev != d),
+                    !ft.edge_scenes[&(id, o)].get(idx),
                     "B must not point at D in this scene"
                 );
             }
         }
-        // Unknown scenes are reported as None.
+        // An undeclared scene has no index.
         let w = topo.device("W").unwrap();
-        assert!(ft
-            .scene_index(&FaultScene::new([(b, d), (w, d), (s, w)]))
-            .is_none());
+        assert!(!ft
+            .scenes
+            .contains(&FaultScene::new([(b, d), (w, d), (s, w)])));
     }
 
-    /// Counts source→accept paths in a task view, starting from the
-    /// given source node indices.
-    fn count_paths(tasks: &[NodeTask], sources: &[usize]) -> f64 {
-        let n = tasks.len();
-        let mut memo = vec![-1.0f64; n];
-        fn rec(tasks: &[NodeTask], i: usize, memo: &mut Vec<f64>) -> f64 {
-            if memo[i] >= 0.0 {
-                return memo[i];
+    /// Counts source→accept paths in one scene's view of the union:
+    /// only the edges and acceptance flags labelled with `scene`.
+    fn count_paths(ft: &FtDpvNet, scene: usize) -> f64 {
+        fn rec(ft: &FtDpvNet, n: NodeId, scene: usize, memo: &mut HashMap<NodeId, f64>) -> f64 {
+            if let Some(&c) = memo.get(&n) {
+                return c;
             }
-            let mut c = if tasks[i].accept.iter().any(|&a| a) {
-                1.0
-            } else {
-                0.0
-            };
-            for (o, _) in &tasks[i].downstream {
-                c += rec(tasks, o.idx(), memo);
+            let accept = ft.accept_scenes[n.idx()].iter().any(|m| m.get(scene));
+            let mut c = if accept { 1.0 } else { 0.0 };
+            for &o in &ft.dpvnet.node(n).out {
+                if ft.edge_scenes[&(n, o)].get(scene) {
+                    c += rec(ft, o, scene, memo);
+                }
             }
-            memo[i] = c;
+            memo.insert(n, c);
             c
         }
-        sources.iter().map(|&i| rec(tasks, i, &mut memo)).sum()
+        let mut memo = HashMap::new();
+        let sources = ft.dpvnet.sources().iter();
+        sources.map(|(_, n)| rec(ft, *n, scene, &mut memo)).sum()
     }
 }

@@ -420,9 +420,9 @@ pub struct PendingIntent {
 /// One per-device task group of a [`StoreReplan`]. Groups carry the
 /// packet-space context their *new* nodes must be seeded with:
 /// `ctx: None` means every node in the group already exists on the
-/// device (pure re-task — apply with `set_tasks`); `ctx: Some(i)`
-/// means the group introduces nodes of context `i` (apply with
-/// `install_tasks` under [`IntentStore::context_space`]). Groups for
+/// device (pure re-task, under the verifier's own packet space);
+/// `ctx: Some(i)` means the group introduces nodes of context `i`
+/// (seeded with [`IntentStore::context_space`]). Groups for
 /// one device are ordered `None` first, then contexts ascending.
 #[derive(Debug, Clone)]
 pub struct ReplanTaskGroup {

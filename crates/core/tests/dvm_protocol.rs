@@ -3,6 +3,7 @@
 //! bookkeeping.
 
 use tulkun_bdd::{serial, BddManager};
+use tulkun_core::control::DeviceFence;
 use tulkun_core::count::{CountExpr, Counts};
 use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, Payload, VerifierConfig};
 use tulkun_core::planner::Planner;
@@ -308,8 +309,9 @@ fn loccib_partitions_scope() {
 
 #[test]
 fn set_tasks_keeps_upstream_consistent() {
-    // Scene switching must preserve CIBOut semantics: removing the only
-    // downstream edge drives the source's count to 0 via a real UPDATE.
+    // A fence that re-tasks a node must preserve CIBOut semantics:
+    // removing the only downstream edge drives the source's count to 0
+    // via a real UPDATE.
     let (net, plan) = line_setup();
     let cp = plan.counting().unwrap().clone();
     let mut session = Session::new(&net, &plan);
@@ -324,8 +326,8 @@ fn set_tasks_keeps_upstream_consistent() {
             t.downstream.clear();
         }
     }
-    // Apply to A's verifier via the public API (simulating a scene) —
-    // use a fresh Session-less driver.
+    // Deliver it through the fence, the one way a device's tasks
+    // change — on a fresh Session-less driver.
     let psp = compile_packet_space(&net.layout, &plan.invariant.packet_space);
     let cfg = VerifierConfig {
         n_exprs: 1,
@@ -353,12 +355,16 @@ fn set_tasks_keeps_upstream_consistent() {
             v.handle(&env, &mut queue);
         }
     }
-    // Switch A's tasks.
+    // Fence every device to epoch 1; A's share re-tasks its node under
+    // its own packet space.
     let new_a_tasks: Vec<_> = tasks.iter().filter(|t| t.dev == a).cloned().collect();
-    verifiers
-        .get_mut(&a)
-        .unwrap()
-        .set_tasks(new_a_tasks, &mut queue);
+    for (dev, v) in verifiers.iter_mut() {
+        let mut fence = DeviceFence::default();
+        if *dev == a {
+            fence.groups = vec![(None, new_a_tasks.clone())];
+        }
+        v.apply_fence(1, 0, fence, &mut queue);
+    }
     while let Some(env) = queue.pop_front() {
         if let Some(v) = verifiers.get_mut(&env.to) {
             v.handle(&env, &mut queue);

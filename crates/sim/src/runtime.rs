@@ -4,8 +4,8 @@
 //! runs everywhere — testbed switches, simulation, emulation (§8–9).
 //! This module is the repro's embodiment of that claim: the event
 //! lifecycle — stage a FIB batch, crash/restart an agent, deliver an
-//! epoch fence, swap a fault scene, assemble a [`Report`] — is written
-//! once, in [`Runtime`], over the only thing two substrates differ in:
+//! epoch fence, assemble a [`Report`] — is written once, in
+//! [`Runtime`], over the only thing two substrates differ in:
 //! a [`Fabric`], which runs an injected operation on one device, moves
 //! the envelopes it emits, and says when the exchange is quiescent.
 //!
@@ -49,7 +49,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tulkun_bdd::serial::PortablePred;
 use tulkun_core::churn::TopologyEvent;
@@ -69,6 +69,19 @@ use tulkun_telemetry::{JournalKind, Reservoir, Telemetry, HANDLE_NS};
 
 /// One device's exported LEC table (predicates + actions).
 pub type LecTable = Vec<(PortablePred, tulkun_netmodel::fib::Action)>;
+
+/// The value behind a lock, poisoned or not. Every lock and condvar in
+/// this module goes through here: a poisoned lock means a device thread
+/// or an init worker panicked while holding it, which
+/// [`ThreadedEngine::shutdown`] already reports as a [`DevicePanic`]
+/// (and a scoped init worker re-raises), so the data is read on rather
+/// than turned into a second panic on the coordinator. That is sound
+/// because every update made under these locks is one map or vector
+/// operation (or none: the gauge's lock guards `()`), so the data is
+/// whole at whatever step a holder panicked.
+fn unpoisoned<T>(r: LockResult<T>) -> T {
+    r.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Number of lock shards in a [`LecCache`]. Device ids hash trivially
 /// (`idx % SHARDS`), so any modest power of two spreads contention.
@@ -106,22 +119,22 @@ impl<V> LecCache<V> {
 
     /// The cached LEC table of a device, if any.
     pub fn get(&self, dev: DeviceId) -> Option<Arc<V>> {
-        self.shard(dev).lock().unwrap().get(&dev).cloned()
+        unpoisoned(self.shard(dev).lock()).get(&dev).cloned()
     }
 
     /// Caches a device's exported LEC table.
     pub fn insert(&self, dev: DeviceId, lecs: V) {
-        self.shard(dev).lock().unwrap().insert(dev, Arc::new(lecs));
+        unpoisoned(self.shard(dev).lock()).insert(dev, Arc::new(lecs));
     }
 
     /// Number of devices with a cached table.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards.iter().map(|s| unpoisoned(s.lock()).len()).sum()
     }
 
     /// True if no device has a cached table.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().unwrap().is_empty())
+        self.shards.iter().all(|s| unpoisoned(s.lock()).is_empty())
     }
 }
 
@@ -564,6 +577,8 @@ fn dvm_span_name(payload: &Payload) -> &'static str {
 
 /// The configured backend, checked against the network's workload.
 fn checked_backend(cfg: &EngineConfig, net: &Network) -> BackendKind {
+    // The contract `EngineConfig::backend` documents: callers holding
+    // outside input run `BackendKind::check` first.
     cfg.backend
         .check(network_ip_only(net))
         .unwrap_or_else(|e| panic!("{e}"))
@@ -683,23 +698,25 @@ fn build_verifiers(
             let results = &results;
             let build_one = &build_one;
             s.spawn(move || {
+                // The block drops the queue's guard before the build;
+                // a `while let` scrutinee's guard would live through it.
                 while let Some((dev, tasks)) = {
-                    let mut q = jobs.lock().unwrap();
+                    let mut q = unpoisoned(jobs.lock());
                     q.pop()
                 } {
                     let built = build_one(dev, tasks, w as u64);
-                    results.lock().unwrap().push(built);
+                    unpoisoned(results.lock()).push(built);
                 }
             });
         }
     });
-    let mut out = results.into_inner().unwrap();
+    let mut out = unpoisoned(results.into_inner());
     out.sort_by_key(|b| b.dev);
     out
 }
 
-/// The outcome of one driven round (burst, incremental update, link
-/// event or fault-scene swap).
+/// The outcome of one driven round (burst, incremental update, crash
+/// recovery, topology or intent event).
 #[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Substrate completion (quiescence) time in ns.
@@ -712,18 +729,18 @@ pub struct RunOutcome {
 
 /// A verifier operation the lifecycle injects from outside the DVM
 /// exchange: a coalesced FIB batch, a reboot, a replay toward a
-/// restarted peer, a scene swap, or a device's share of an epoch fence.
+/// restarted peer, or a device's share of an epoch fence.
 type Injected = Box<dyn FnOnce(&mut DeviceVerifier, &mut Vec<Envelope>) + Send>;
 
 /// What the two substrates differ in: how an operation reaches one
 /// device's verifier, how the envelopes it emits travel, and when the
 /// exchange is quiescent. Everything else is [`Runtime`].
 pub trait Fabric {
-    /// Runs `op` on `dev`'s verifier at substrate time `at` under the
-    /// causal `trace` id, books its cost and sends what it emitted. A
-    /// device without a verifier is skipped. A fabric that ran the op
+    /// Runs `op` on `dev`'s verifier at the start of the round under
+    /// the causal `trace` id, books its cost and sends what it emitted.
+    /// A device without a verifier is skipped. A fabric that ran the op
     /// before returning reports its host `(begin tick, ns)`.
-    fn inject(&mut self, dev: DeviceId, at: u64, trace: u64, op: Injected) -> Option<(u64, u64)>;
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)>;
     /// Epoch fence: supersedes everything in flight *before* any
     /// new-epoch send, makes every device of `plan` injectable, and
     /// returns how many envelopes were dropped (or may still land on
@@ -840,32 +857,8 @@ impl<F: Fabric> Runtime<F> {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.handle_fib_batch(&ops, out)
             };
-            self.fabric.inject(dev, 0, trace, Box::new(op));
+            self.fabric.inject(dev, trace, Box::new(op));
         }
-    }
-
-    /// Swaps every verifier to a fault-scene task view (after
-    /// link-state flooding, §6) and recounts. `flood_ns` models the
-    /// flooding delay added to the completion time.
-    pub fn apply_scene(&mut self, tasks: &[NodeTask], flood_ns: u64) -> RunOutcome {
-        let trace = self.alloc_trace();
-        let first = tasks.first().map_or(DeviceId(0), |t| t.dev);
-        let (n, epoch) = (tasks.len(), self.epoch());
-        self.tel
-            .journal(JournalKind::SceneApplied, first, epoch, trace, None, || {
-                format!("fault-scene recount over {n} tasks")
-            });
-        let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-        for t in tasks {
-            by_dev.entry(t.dev).or_default().push(t.clone());
-        }
-        for (dev, tasks) in by_dev {
-            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| v.set_tasks(tasks, out);
-            self.fabric.inject(dev, flood_ns, trace, Box::new(op));
-        }
-        let mut r = self.drain();
-        r.completion_ns = r.completion_ns.max(flood_ns);
-        r
     }
 
     /// Crashes and restarts one device's verification agent (§8: the
@@ -899,12 +892,12 @@ impl<F: Fabric> Runtime<F> {
         // replayed messages land on the fresh state too.
         self.fabric.purge_for_restart(dev);
         self.fabric
-            .inject(dev, 0, trace, Box::new(|v, out| v.reboot(out)));
+            .inject(dev, trace, Box::new(|v, out| v.reboot(out)));
         for nb in self.control.roster().iter().filter(|nb| **nb != dev) {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.replay_for_restart(dev, out)
             };
-            self.fabric.inject(*nb, 0, trace, Box::new(op));
+            self.fabric.inject(*nb, trace, Box::new(op));
         }
     }
 
@@ -944,7 +937,7 @@ impl<F: Fabric> Runtime<F> {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.apply_fence(epoch, trace, fence, out)
             };
-            if let Some((begin, ns)) = self.fabric.inject(dev, 0, trace, Box::new(op)) {
+            if let Some((begin, ns)) = self.fabric.inject(dev, trace, Box::new(op)) {
                 self.tel
                     .span_aux(dev, "fence.apply", "fence", begin, ns.max(1), trace, epoch);
             }
@@ -1019,6 +1012,7 @@ impl<F: Fabric> Runtime<F> {
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
         let d = self.fenced(|c, trace| c.install(None, name, inv, trace))?;
+        // `ControlPlane::install` names the intent on every `Ok`.
         let id = d.intent.expect("installs name their intent");
         Ok((id, d.delta, self.drain()))
     }
@@ -1111,10 +1105,11 @@ pub struct Driver {
 
 impl Driver {
     /// The one accounting step behind every operation the lifecycle
-    /// injects: charges the device's timeline from `at`, books the
-    /// busy time, and sends what the operation emitted at its finish.
-    fn book(&mut self, dev: DeviceId, at: u64, host_ns: u64, out: Vec<Envelope>) -> Span {
-        let span = self.clock.charge(dev, at, host_ns);
+    /// injects: charges the device's timeline from the start of the
+    /// round, books the busy time, and sends what the operation emitted
+    /// at its finish.
+    fn book(&mut self, dev: DeviceId, host_ns: u64, out: Vec<Envelope>) -> Span {
+        let span = self.clock.charge(dev, 0, host_ns);
         self.stats.per_device.entry(dev).or_default().busy_ns += span.cpu_ns;
         self.watermark = self.watermark.max(span.finish);
         for env in out {
@@ -1146,7 +1141,7 @@ impl Driver {
         let host_ns = wall.elapsed().as_nanos() as u64;
         self.tel
             .span_aux(dev, "init.build", "init", begin, host_ns.max(1), trace, 0);
-        let span = self.book(dev, 0, host_ns, out);
+        let span = self.book(dev, host_ns, out);
         let st = self.stats.per_device.entry(dev).or_default();
         st.init_ns = span.cpu_ns;
         st.bdd_nodes = v.bdd_nodes();
@@ -1155,7 +1150,7 @@ impl Driver {
 }
 
 impl Fabric for Driver {
-    fn inject(&mut self, dev: DeviceId, at: u64, trace: u64, op: Injected) -> Option<(u64, u64)> {
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)> {
         let v = self.verifiers.get_mut(&dev)?;
         let begin = self.tel.host_tick();
         let wall = Instant::now();
@@ -1163,7 +1158,7 @@ impl Fabric for Driver {
         v.set_trace(trace);
         op(v, &mut out);
         let host_ns = wall.elapsed().as_nanos() as u64;
-        self.book(dev, at, host_ns, out);
+        self.book(dev, host_ns, out);
         Some((begin, host_ns))
     }
 
@@ -1405,7 +1400,7 @@ impl InflightGauge {
 
     fn release(&self) {
         if self.count.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = self.lock.lock().unwrap();
+            let _guard = unpoisoned(self.lock.lock());
             self.zero.notify_all();
         }
     }
@@ -1416,9 +1411,9 @@ impl InflightGauge {
     }
 
     fn wait_zero(&self) {
-        let mut guard = self.lock.lock().unwrap();
+        let mut guard = unpoisoned(self.lock.lock());
         while self.count.load(Ordering::SeqCst) != 0 {
-            guard = self.zero.wait(guard).unwrap();
+            guard = unpoisoned(self.zero.wait(guard));
         }
     }
 
@@ -1426,13 +1421,13 @@ impl InflightGauge {
     /// Returns whether quiescence was observed.
     fn wait_zero_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut guard = self.lock.lock().unwrap();
+        let mut guard = unpoisoned(self.lock.lock());
         while self.count.load(Ordering::SeqCst) != 0 {
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            let (g, _) = self.zero.wait_timeout(guard, deadline - now).unwrap();
+            let (g, _) = unpoisoned(self.zero.wait_timeout(guard, deadline - now));
             guard = g;
         }
         true
@@ -1559,7 +1554,7 @@ pub struct Threads {
 impl Fabric for Threads {
     /// Enqueues the op on the device's channel, counted as in flight
     /// until its thread has run it.
-    fn inject(&mut self, dev: DeviceId, _at: u64, trace: u64, op: Injected) -> Option<(u64, u64)> {
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)> {
         let tx = self.senders.get(&dev)?;
         self.inflight.add(1);
         if tx.send(DeviceMsg::Inject(trace, op)).is_ok() {
@@ -1602,7 +1597,7 @@ impl Fabric for Threads {
     }
 
     fn stalled(&self) -> BTreeMap<DeviceId, u64> {
-        self.stalled.lock().unwrap().clone()
+        unpoisoned(self.stalled.lock()).clone()
     }
 }
 
@@ -1671,17 +1666,17 @@ impl Runtime<Threads> {
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
-        let mut senders: BTreeMap<DeviceId, mpsc::Sender<DeviceMsg>> = BTreeMap::new();
-        let mut receivers: BTreeMap<DeviceId, mpsc::Receiver<DeviceMsg>> = BTreeMap::new();
-        for b in &built {
-            let (tx, rx) = mpsc::channel();
-            senders.insert(b.dev, tx);
-            receivers.insert(b.dev, rx);
-        }
+        let channels: Vec<(mpsc::Sender<DeviceMsg>, mpsc::Receiver<DeviceMsg>)> =
+            built.iter().map(|_| mpsc::channel()).collect();
+        let senders: BTreeMap<DeviceId, mpsc::Sender<DeviceMsg>> = built
+            .iter()
+            .zip(&channels)
+            .map(|(b, (tx, _))| (b.dev, tx.clone()))
+            .collect();
 
         let mut init_stats = RuntimeStats::default();
         let mut handles = Vec::new();
-        for b in built {
+        for (b, (_, rx)) in built.into_iter().zip(channels) {
             let BuiltVerifier {
                 dev,
                 mut verifier,
@@ -1693,7 +1688,6 @@ impl Runtime<Threads> {
                 st.init_ns = init_ns;
                 st.bdd_nodes = verifier.bdd_nodes();
             }
-            let rx = receivers.remove(&dev).expect("receiver");
             let peers = senders.clone();
             let inflight = inflight.clone();
             let progress = progress.clone();
@@ -1769,6 +1763,7 @@ impl Runtime<Threads> {
                             DeviceMsg::Collect(node, reply) => {
                                 let _ = reply.send(verifier.node_result(node, None));
                             }
+                            // Test-only: the device panic the shutdown test stages.
                             #[cfg(test)]
                             DeviceMsg::Crash => panic!("injected device-task crash"),
                             #[cfg(test)]
@@ -1825,7 +1820,7 @@ impl Runtime<Threads> {
         let mut stalls = 0u32;
         loop {
             if self.fabric.inflight.wait_zero_timeout(cfg.heartbeat) {
-                self.fabric.stalled.lock().unwrap().clear();
+                unpoisoned(self.fabric.stalled.lock()).clear();
                 return WatchdogVerdict::Converged;
             }
             let snap = self.fabric.progress.snapshot_processed();
@@ -1838,7 +1833,7 @@ impl Runtime<Threads> {
             if stalls >= cfg.stall_heartbeats.max(1) {
                 let devices = self.fabric.progress.lagging();
                 let epoch = self.epoch();
-                let mut stalled = self.fabric.stalled.lock().unwrap();
+                let mut stalled = unpoisoned(self.fabric.stalled.lock());
                 for d in &devices {
                     stalled.insert(*d, epoch);
                     self.tel.count(*d, "tulkun_watchdog_stalls_total", 1);
@@ -2781,19 +2776,31 @@ mod tests {
     }
 
     #[test]
-    fn a_scene_swap_books_busy_time_on_every_retasked_device() {
-        let (_, mut sim) = waypoint_sim();
+    fn a_link_down_fence_books_busy_time_on_every_retasked_device() {
+        let (net, mut sim) = waypoint_sim();
         sim.burst();
-        let tasks = sim.plan().tasks.clone();
+        let tasks = sim.intents().global_tasks();
         let busy = |sim: &Engine| -> BTreeMap<DeviceId, u64> {
             let per_device = sim.stats().per_device.iter();
             per_device.map(|(d, s)| (*d, s.busy_ns)).collect()
         };
         let before = busy(&sim);
-        sim.apply_scene(&tasks, 0);
+        let (a, b) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("B"),
+        );
+        let down = churn_event(&net, TopologyEvent::LinkDown(a, b));
+        sim.apply_event(&down).unwrap();
         let after = busy(&sim);
-        for dev in tasks.iter().map(|t| t.dev) {
-            assert!(after[&dev] > before[&dev], "{dev:?} was re-tasked for free");
+        let retasked = sim.intents().global_tasks().into_iter();
+        let retasked: Vec<DeviceId> = retasked
+            .filter(|t| !tasks.contains(t))
+            .map(|t| t.dev)
+            .collect();
+        assert!(!retasked.is_empty(), "losing A–B re-tasks someone");
+        for dev in retasked {
+            let was = before.get(&dev).copied().unwrap_or(0);
+            assert!(after[&dev] > was, "{dev:?} was re-tasked for free");
         }
     }
 

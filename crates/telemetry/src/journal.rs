@@ -36,8 +36,6 @@ pub enum JournalKind {
     /// A FIB batch was refused (a rule outside the running predicate
     /// backend's capabilities); the FIBs are unchanged.
     BatchRejected,
-    /// A fault-scene task swap (link-state flooding recount).
-    SceneApplied,
     /// The epoch fence was bumped: everything in flight is superseded.
     EpochFence,
     /// A live topology churn event (link/device up/down) was applied.
@@ -86,7 +84,6 @@ impl JournalKind {
         match self {
             K::BatchApplied => "batch_applied",
             K::BatchRejected => "batch_rejected",
-            K::SceneApplied => "scene_applied",
             K::EpochFence => "epoch_fence",
             K::TopologyChurn => "topology_churn",
             K::ChurnRejected => "churn_rejected",

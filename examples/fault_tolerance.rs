@@ -1,15 +1,17 @@
-//! Fault-tolerant verification (§6): precompute a fault-tolerant DPVNet
-//! for 2-link-failure reachability, fail links, and watch the on-device
-//! verifiers recount without contacting the planner.
+//! Fault-tolerant verification (§6): a failed link is a topology event.
+//! The control plane fences the on-device verifiers onto the surviving
+//! DPVNet and they recount. The planner runs the first time a scene is
+//! seen; after that the scene table answers.
 //!
 //! ```sh
 //! cargo run --example fault_tolerance
 //! ```
 
-use tulkun::core::fault::{plan_fault_tolerant, FaultScene};
+use tulkun::core::churn::TopologyEvent;
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::spec::FaultSpec;
 use tulkun::prelude::*;
-use tulkun::sim::{Engine, EngineConfig};
+use tulkun::sim::{Engine, EngineConfig, Telemetry, TelemetryConfig};
 
 fn main() {
     let net = tulkun::datasets::fig2a_network();
@@ -32,40 +34,43 @@ fn main() {
         .build()
         .unwrap();
 
-    let (plan, ft) = plan_fault_tolerant(topo, &inv, 10_000, 100_000).unwrap();
-    println!(
-        "fault-tolerant DPVNet: {} nodes, {} scenes ({} reused via Prop. 2), {} intolerable",
-        ft.dpvnet.num_nodes(),
-        ft.scenes.len(),
-        ft.reused_scenes,
-        ft.intolerable.len()
-    );
-    for &i in &ft.intolerable {
-        let names: Vec<String> = ft.scenes[i]
-            .0
-            .iter()
-            .map(|(a, b)| format!("{}–{}", topo.name(*a), topo.name(*b)))
-            .collect();
-        println!("  intolerable scene: {{{}}}", names.join(", "));
-    }
-
-    // Burst-verify the base scene.
-    let mut sim = Engine::new(&net, &plan, &inv.packet_space, EngineConfig::default());
+    // Burst-verify the intact network.
+    let plan = Planner::new(topo).plan(&inv).unwrap();
+    let tel = Telemetry::new(TelemetryConfig::enabled());
+    let cfg = EngineConfig {
+        telemetry: tel.clone(),
+        ..EngineConfig::default()
+    };
+    let mut sim = Engine::new(&net, plan.counting().unwrap(), &inv.packet_space, cfg);
     sim.burst();
-    println!("scene 0 (no failures): holds = {}", sim.report().holds());
+    println!("no failures: holds = {}", sim.report().holds());
     assert!(sim.report().holds());
 
-    // Fail link B–D: verifiers flood the event, switch to the scene's
-    // task view, and recount — with no planner involvement. The FIBs
-    // have NOT been repaired yet, so the copies B used to push over the
-    // dead link are lost and the verifiers catch it instantly.
     let b = topo.expect_device("B");
+    let d = topo.expect_device("D");
     let w = topo.expect_device("W");
-    let scene = FaultScene::new([(b, topo.expect_device("D"))]);
-    let idx = ft.scene_index(&scene).expect("pre-specified scene");
-    let r = sim.apply_scene(&ft.scene_tasks(idx), 10_000);
+    let link = |event| RuntimeEvent::Topology {
+        event,
+        base: topo.clone(),
+        invariant: inv.clone(),
+    };
+    let planner_calls = || {
+        let counters = tel.metrics().counters;
+        counters
+            .get("tulkun_planner_calls_total")
+            .copied()
+            .unwrap_or(0)
+    };
+
+    // Fail link B–D: the verifiers are fenced onto the surviving
+    // subgraph and recount. The FIBs have NOT been repaired yet, so the
+    // copies B still pushes over the dead link are lost, and the
+    // recount flags it.
+    let r = sim
+        .apply_event(&link(TopologyEvent::LinkDown(b, d)))
+        .unwrap();
     println!(
-        "scene {{B–D}}, routes not yet repaired: recounted in {} messages, holds = {}",
+        "B–D down, routes not yet repaired: recounted in {} messages, holds = {}",
         r.messages,
         sim.report().holds()
     );
@@ -91,11 +96,17 @@ fn main() {
     );
     assert!(sim.report().holds());
 
-    // An unspecified 3-link scene is reported to the planner.
-    let s = topo.expect_device("S");
-    let a = topo.expect_device("A");
-    let d = topo.expect_device("D");
-    let wild = FaultScene::new([(b, d), (w, d), (s, a)]);
-    assert!(ft.scene_index(&wild).is_none());
-    println!("unspecified 3-link scene correctly routed to the planner");
+    // B–D comes back up.
+    sim.apply_event(&link(TopologyEvent::LinkUp(b, d))).unwrap();
+    assert!(sim.report().holds());
+
+    // A second flap revisits two scenes the intent has been planned on:
+    // its scene table answers both, and the planner is not called.
+    let calls = planner_calls();
+    for event in [TopologyEvent::LinkDown(b, d), TopologyEvent::LinkUp(b, d)] {
+        sim.apply_event(&link(event)).unwrap();
+        assert!(sim.report().holds());
+    }
+    assert_eq!(planner_calls(), calls, "a revisited scene is a table hit");
+    println!("second B–D flap: +0 planner calls, holds = true");
 }

@@ -1,19 +1,21 @@
-//! Fault-tolerance integration (§6 / Figure 8): online scene switching
-//! must produce the same verdict as planning each failed topology from
-//! scratch — for every single-link scene of the example network, and
-//! for scene round-trips (fail → recover).
+//! Fault-tolerance integration (§6 / Figure 8): a declared fault scene
+//! reaches the verifiers as topology events through the epoch fence.
+//! Every single-link scene of the example network must give the verdict
+//! of planning the failed topology from scratch, the link's return must
+//! give back the base verdict, and a second walk over the scenes is
+//! answered by the scene tables without one planner call.
 
 use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
 use tulkun::core::count::CountExpr;
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::explain::{device_verdict, explain, Explanation, Subject};
-use tulkun::core::fault::{plan_fault_tolerant, subtopology, FaultScene};
-use tulkun::core::planner::Planner;
+use tulkun::core::fault::{build_ft_dpvnet, expand_fault_spec, subtopology, FaultScene, FtDpvNet};
 use tulkun::core::spec::FaultSpec;
 use tulkun::prelude::*;
 use tulkun::sim::{Engine, EngineConfig, Telemetry, TelemetryConfig};
 use tulkun::telemetry::JournalKind;
 
-fn ft_invariant(net: &Network) -> Invariant {
+fn ft_invariant(faults: FaultSpec, shortest_plus: i32) -> Invariant {
     Invariant::builder()
         .name("ft reachability")
         .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
@@ -23,39 +25,32 @@ fn ft_invariant(net: &Network) -> Invariant {
             PathExpr::parse("S .* D")
                 .unwrap()
                 .loop_free()
-                .shortest_plus(1),
+                .shortest_plus(shortest_plus),
         ))
-        .fault_scenes(FaultSpec::AnyK(1))
+        .fault_scenes(faults)
         .build()
-        .unwrap_or_else(|e| panic!("{e} for {net:?}"))
+        .unwrap()
 }
 
-/// Fresh verdict for one scene: re-plan on the failed topology.
-fn fresh_verdict(net: &Network, scene: &FaultScene) -> Option<bool> {
+/// The fault-tolerant DPVNet of `inv` over its declared scenes.
+fn ft_dpvnet(net: &Network, inv: &Invariant) -> FtDpvNet {
+    let topo = &net.topology;
+    let scenes = expand_fault_spec(topo, &inv.fault_scenes, 10_000).unwrap();
+    let exprs: Vec<PathExpr> = inv.behavior.path_exprs().into_iter().cloned().collect();
+    let ingress = [topo.expect_device("S")];
+    build_ft_dpvnet(topo, &ingress, &exprs, &scenes, 100_000).unwrap()
+}
+
+/// Fresh verdict for one scene: plan the failed topology from scratch
+/// and run it over the same FIBs (a forward over a removed link has no
+/// DPVNet edge to count along). `None` when the scene leaves no valid
+/// path to count.
+fn fresh_verdict(net: &Network, inv: &Invariant, scene: &FaultScene) -> Option<bool> {
     let sub = subtopology(&net.topology, scene);
-    let inv = Invariant::builder()
-        .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
-        .ingress(["S"])
-        .behavior(Behavior::exist(
-            CountExpr::ge(1),
-            PathExpr::parse("S .* D")
-                .unwrap()
-                .loop_free()
-                .shortest_plus(1),
-        ))
-        .build()
-        .unwrap();
-    let planner = Planner::with_options(
-        &sub,
-        tulkun::core::planner::PlannerOptions {
-            skip_consistency_check: true,
-            ..Default::default()
-        },
-    );
-    let plan = planner.plan(&inv).ok()?;
-    // Use the same FIBs over the surviving topology; counting treats
-    // forwards over removed links as escapes because the DPVNet has no
-    // such edge.
+    let plan = Planner::new(&sub).plan(inv).ok()?;
+    if plan.counting()?.tasks.is_empty() {
+        return None;
+    }
     let mut sub_net = Network::new(sub);
     sub_net.fibs = net.fibs.clone();
     Some(verify_snapshot(&sub_net, &plan).holds())
@@ -64,44 +59,96 @@ fn fresh_verdict(net: &Network, scene: &FaultScene) -> Option<bool> {
 #[test]
 fn online_recounting_matches_fresh_planning_per_scene() {
     let net = tulkun::datasets::fig2a_network();
-    let inv = ft_invariant(&net);
-    let (plan, ft) = plan_fault_tolerant(&net.topology, &inv, 10_000, 100_000).unwrap();
-    let mut sim = Engine::new(&net, &plan, &inv.packet_space, EngineConfig::default());
+    let topo = &net.topology;
+    let inv = ft_invariant(FaultSpec::AnyK(1), 1);
+    let plan = Planner::new(topo).plan(&inv).unwrap();
+    let tel = Telemetry::new(TelemetryConfig::enabled());
+    let cfg = EngineConfig {
+        telemetry: tel.clone(),
+        ..EngineConfig::default()
+    };
+    let mut sim = Engine::new(&net, plan.counting().unwrap(), &inv.packet_space, cfg);
     sim.burst();
-    let base_holds = sim.report().holds();
-    assert!(base_holds);
+    let base = sim.report();
+    assert!(base.holds());
+    let event = |event| RuntimeEvent::Topology {
+        event,
+        base: topo.clone(),
+        invariant: inv.clone(),
+    };
+    let work = || {
+        let counters = tel.metrics().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let calls = count("tulkun_planner_calls_total");
+        (calls, count("tulkun_plan_table_hits_total"))
+    };
+    let scenes = expand_fault_spec(topo, &inv.fault_scenes, 10_000).unwrap();
 
-    for (idx, scene) in ft.scenes.iter().enumerate().skip(1) {
-        if ft.intolerable.contains(&idx) {
-            continue; // no valid path at all: the planner alerts instead
+    // One walk over the declared scenes, one event at a time: the scene
+    // goes down, then comes back up. Returns the scenes the live path
+    // refused, the events issued, and the planner calls and table hits
+    // they cost.
+    let mut walk = || {
+        let (before, mut events, mut refused) = (work(), 0, Vec::new());
+        for scene in &scenes[1..] {
+            let &[(x, y)] = scene.0.as_slice() else {
+                panic!("AnyK(1) declares single links: {scene:?}");
+            };
+            let epoch = sim.epoch();
+            events += 1;
+            match sim.apply_event(&event(TopologyEvent::LinkDown(x, y))) {
+                Ok(_) => {
+                    let online = sim.report().holds();
+                    let fresh = fresh_verdict(&net, &inv, scene);
+                    assert_eq!(Some(online), fresh, "{scene:?}: online != fresh planning");
+                    events += 1;
+                    sim.apply_event(&event(TopologyEvent::LinkUp(x, y)))
+                        .unwrap();
+                    let back = sim.report().canonical_bytes();
+                    assert_eq!(back, base.canonical_bytes(), "{scene:?} came back wrong");
+                }
+                Err(e) => {
+                    assert_eq!(fresh_verdict(&net, &inv, scene), None, "{scene:?}: {e}");
+                    assert_eq!(sim.epoch(), epoch, "a refused scene burns no epoch");
+                    refused.push(scene.clone());
+                }
+            }
         }
-        sim.apply_scene(&ft.scene_tasks(idx), 1_000);
-        let online = sim.report().holds();
-        let fresh = fresh_verdict(&net, scene).expect("plan per scene");
-        assert_eq!(
-            online, fresh,
-            "scene {scene:?}: online recount disagrees with fresh planning"
-        );
-        // Restore the base scene and confirm the verdict returns.
-        sim.apply_scene(&ft.scene_tasks(0), 1_000);
-        assert_eq!(
-            sim.report().holds(),
-            base_holds,
-            "scene round-trip broke state"
-        );
-    }
+        let after = work();
+        (refused, events, after.0 - before.0, after.1 - before.1)
+    };
+
+    let (refused, events, calls, _) = walk();
+    assert!(calls > 0, "the first walk plans what it has not seen");
+    // S–A is the only cut link for S→D, and the live path refuses
+    // exactly the scenes the fault-tolerant DPVNet finds intolerable.
+    let (s, a) = (topo.expect_device("S"), topo.expect_device("A"));
+    assert_eq!(refused, [FaultScene::new([(s, a)])]);
+    let ft = ft_dpvnet(&net, &inv);
+    let intolerable: Vec<_> = ft
+        .intolerable
+        .iter()
+        .map(|&i| ft.scenes[i].clone())
+        .collect();
+    assert_eq!(refused, intolerable);
+
+    assert_eq!(
+        walk(),
+        (refused, events, 0, events),
+        "the second walk is all table hits"
+    );
 }
 
 #[test]
 fn intolerable_scenes_are_identified() {
     let net = tulkun::datasets::fig2a_network();
-    let inv = ft_invariant(&net);
-    let (_, ft) = plan_fault_tolerant(&net.topology, &inv, 10_000, 100_000).unwrap();
+    let ft = ft_dpvnet(&net, &ft_invariant(FaultSpec::AnyK(1), 1));
     // S–A is the only cut link for S→D: exactly its scene is intolerable
     // among single-failure scenes.
     let s = net.topology.expect_device("S");
     let a = net.topology.expect_device("A");
-    let idx = ft.scene_index(&FaultScene::new([(s, a)])).unwrap();
+    let cut = FaultScene::new([(s, a)]);
+    let idx = ft.scenes.iter().position(|sc| *sc == cut).unwrap();
     assert!(ft.intolerable.contains(&idx));
     assert_eq!(
         ft.intolerable
@@ -120,24 +167,11 @@ fn symbolic_filter_widens_the_ft_dpvnet() {
     // route is S,A,W,B,D with 4 hops) admits paths outside the
     // no-failure DPVNet — the union must be strictly larger.
     let net = tulkun::datasets::fig2a_network();
-    let base_pe = PathExpr::parse("S .* D")
-        .unwrap()
-        .loop_free()
-        .shortest_plus(0);
-    let inv = Invariant::builder()
-        .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
-        .ingress(["S"])
-        .behavior(Behavior::exist(CountExpr::ge(1), base_pe.clone()))
-        .fault_scenes(FaultSpec::AnyK(2))
-        .build()
-        .unwrap();
-    let (_, ft) = plan_fault_tolerant(&net.topology, &inv, 10_000, 100_000).unwrap();
-    let base = tulkun::core::dpvnet::DpvNet::build(
-        &net.topology,
-        &[net.topology.expect_device("S")],
-        std::slice::from_ref(&base_pe),
-    )
-    .unwrap();
+    let inv = ft_invariant(FaultSpec::AnyK(2), 0);
+    let ft = ft_dpvnet(&net, &inv);
+    let pe = inv.behavior.path_exprs()[0].clone();
+    let ingress = [net.topology.expect_device("S")];
+    let base = DpvNet::build(&net.topology, &ingress, std::slice::from_ref(&pe)).unwrap();
     assert!(
         ft.dpvnet.num_paths() > base.num_paths(),
         "fault-tolerant union ({}) must exceed the base path set ({})",
