@@ -204,9 +204,10 @@ struct HistAcc {
 }
 
 /// The control plane's work counters, exported from zero.
-const CONTROL_COUNTERS: [&str; 5] = [
+const CONTROL_COUNTERS: [&str; 6] = [
     "tulkun_planner_calls_total",
     "tulkun_plan_table_hits_total",
+    "tulkun_plan_unaffected_total",
     "tulkun_fence_tasks_shipped_total",
     "tulkun_fence_nodes_removed_total",
     "tulkun_fence_nodes_reused_total",

@@ -22,8 +22,10 @@
 use crate::churn::{ChurnState, TopologyEvent};
 use crate::dpvnet::NodeId;
 use crate::event::EventOutcome;
+use crate::fault::link_pair;
 use crate::intent::{
-    plan_intent_on, IntentDelta, IntentId, IntentStore, PlanWork, StoreReplan, MAX_INTENT_RETRIES,
+    plan_intent_on, Cut, IntentDelta, IntentId, IntentStore, PlanWork, StoreReplan,
+    MAX_INTENT_RETRIES,
 };
 use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
@@ -143,11 +145,17 @@ pub struct ControlPlane {
     /// The base topology: what installs plan on, and — with `base_inv`
     /// — what every intent's scene table answers for.
     topology: Topology,
+    /// `churn` applied to `topology`: the effective topology installs
+    /// under churn plan on, and a link-down's [`Cut`] starts from.
+    effective: Topology,
     /// The base invariant the scene tables were filled under, learned
     /// from the first topology event (the store's base intent carries
     /// none of its own).
     base_inv: Option<Invariant>,
     layout: HeaderLayout,
+    /// The store's packet-space contexts compiled, by index: contexts
+    /// are append-only, so each is compiled once.
+    spaces: Vec<PortablePred>,
     /// Devices that have a verifier. A fixed roster caps what any plan
     /// may task; a growable one absorbs the devices a plan pulls in.
     roster: BTreeSet<DeviceId>,
@@ -179,8 +187,10 @@ impl ControlPlane {
             degraded_epochs: BTreeMap::new(),
             plan,
             topology: topology.clone(),
+            effective: topology.clone(),
             base_inv: None,
             layout,
+            spaces: Vec::new(),
             roster: roster.into_iter().collect(),
             fixed_roster,
             tel,
@@ -235,12 +245,23 @@ impl ControlPlane {
     }
 
     /// Counts planning work done on the live path: planner runs, and
-    /// scene-table hits that avoided one. Counting nothing still
-    /// exports both counters, so `metrics` shows them from the start.
+    /// the scene-table hits and unaffected slices that avoided one.
+    /// Counting nothing still exports the counters, so `metrics` shows
+    /// them from the start.
     fn count_planning(&self, work: PlanWork) {
         let tel = &self.tel;
         tel.count(SHARD, "tulkun_planner_calls_total", work.planner_calls);
         tel.count(SHARD, "tulkun_plan_table_hits_total", work.table_hits);
+        tel.count(SHARD, "tulkun_plan_unaffected_total", work.unaffected);
+    }
+
+    /// The compiled packet space of store context `ctx`.
+    fn space(&mut self, ctx: usize) -> PortablePred {
+        while self.spaces.len() <= ctx {
+            let next = self.store.context_space(self.spaces.len());
+            self.spaces.push(compile_packet_space(&self.layout, next));
+        }
+        self.spaces[ctx].clone()
     }
 
     /// Counts what one churn fence asks of the devices: tasks shipped
@@ -328,11 +349,13 @@ impl ControlPlane {
     /// topology under one fence (`base` is the original topology,
     /// `inv` the invariant the base plan was compiled from), and
     /// returns each device's share. A scene an intent has been planned
-    /// on before costs no planner run (its scene table answers); the
-    /// tables answer for this control plane's own base topology and
-    /// one `inv`, so a call that brings another `inv` empties them
-    /// first, and one that brings another `base` neither reads nor
-    /// leaves anything in them. Slices the new topology cannot
+    /// on before costs no planner run (its scene table answers), and
+    /// neither does a link-down that a slice is outside of ([`Cut`]);
+    /// the tables answer for this control plane's own base topology
+    /// and, the base intent's, for one `inv`, so a call that brings
+    /// another `inv` empties the base intent's first, and one that
+    /// brings another `base` neither reads nor leaves anything in
+    /// any. Slices the new topology cannot
     /// host degrade, parked installs get their bounded retry, and only
     /// a base plan that no longer plans is an `Err`. A `DeviceDown`
     /// quarantines its device; a `DeviceUp` wipes and re-tasks it.
@@ -350,20 +373,33 @@ impl ControlPlane {
         }
         let foreign = *base != self.topology;
         if foreign || self.base_inv.as_ref() != Some(inv) {
-            self.store.forget_scenes();
+            self.store
+                .forget_scenes((!foreign).then_some(IntentId::BASE));
             self.base_inv = Some(inv.clone());
         }
+        let cut = match *ev {
+            TopologyEvent::LinkDown(a, b) if !foreign => Some(Cut {
+                link: link_pair(a, b),
+                before: &self.effective,
+            }),
+            _ => None,
+        };
         // `taskable()`, spelled out so the store can be borrowed mutably.
         let taskable = self.fixed_roster.then_some(&self.roster);
         let mut work = PlanWork::default();
-        let replan = self
-            .store
-            .replan_all_for_churn(base, Some(inv), &churn, taskable, &mut work);
+        let replan =
+            self.store
+                .replan_all_for_churn(base, Some(inv), &churn, taskable, cut, &mut work);
         if foreign {
-            self.store.forget_scenes();
+            self.store.forget_scenes(None);
         }
         self.count_planning(work);
         let replan = replan?;
+        self.effective = if foreign {
+            churn.apply_to(&self.topology)
+        } else {
+            replan.topology.clone()
+        };
         self.churn = churn;
         self.churn_events += 1;
         self.epoch += 1;
@@ -386,25 +422,13 @@ impl ControlPlane {
             TopologyEvent::DeviceUp(d) => Some(*d),
             _ => None,
         };
-        // New nodes import their context's packet space; compile each
-        // referenced context once.
-        let mut spaces: BTreeMap<usize, PortablePred> = BTreeMap::new();
-        for g in replan.changed.values().flatten() {
-            if let Some(c) = g.ctx {
-                spaces.entry(c).or_insert_with(|| {
-                    compile_packet_space(&self.layout, self.store.context_space(c))
-                });
-            }
+        // New nodes import their context's packet space.
+        let mut groups: BTreeMap<DeviceId, Vec<TaskGroup>> = BTreeMap::new();
+        for (dev, gs) in replan.changed {
+            let gs = gs.into_iter();
+            let gs = gs.map(|g| (g.ctx.map(|c| self.space(c)), g.tasks));
+            groups.insert(dev, gs.collect());
         }
-        let groups = replan
-            .changed
-            .into_iter()
-            .map(|(dev, gs)| {
-                let gs = gs.into_iter();
-                let gs = gs.map(|g| (g.ctx.map(|c| spaces[&c].clone()), g.tasks));
-                (dev, gs.collect())
-            })
-            .collect();
         self.unreachable.retain(|_, d| self.churn.is_down(*d));
         self.unreachable.extend(replan.unreachable);
         if let Some(p) = self.store.base_plan() {
@@ -481,7 +505,7 @@ impl ControlPlane {
     ) -> Result<Decision, PlanError> {
         self.count_planning(PlanWork {
             planner_calls: 1,
-            table_hits: 0,
+            ..PlanWork::default()
         });
         let cp = if self.churn.is_quiet() {
             let plan = Planner::new(&self.topology).plan(inv)?;
@@ -504,8 +528,7 @@ impl ControlPlane {
             }
             cp
         } else {
-            let effective = self.churn.apply_to(&self.topology);
-            match plan_intent_on(&effective, inv, &self.churn, self.taskable()) {
+            match plan_intent_on(&self.effective, inv, &self.churn, self.taskable()) {
                 Ok(cp) => cp,
                 Err(e) => {
                     let id = self.store.park(id, name, inv.clone())?;
@@ -528,11 +551,8 @@ impl ControlPlane {
             inv.packet_space.clone(),
             &self.churn,
         )?;
-        let space = compile_packet_space(
-            &self.layout,
-            delta.space.as_ref().unwrap_or(&inv.packet_space),
-        );
-        let fence = self.intent_fence(&delta, Some(space));
+        let space = delta.ctx.map(|c| self.space(c));
+        let fence = self.intent_fence(&delta, space);
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
@@ -1061,21 +1081,23 @@ mod tests {
 
     /// The work-count gate of the scene tables: flapping every link of
     /// a 16-link pool under eight long-lived intents plans each
-    /// (intent, scene) pair at most once — refusals included — and a
+    /// (intent, scene) pair at most once — refusals included — every
+    /// link-down a slice is outside of costs it no planner run, and a
     /// second pass over the pool never runs the planner.
     #[test]
     fn a_second_pass_over_the_link_pool_makes_no_planner_call() {
         let (net, mut c, base, tel) = nine_intents_on_the_ring();
         let work = || {
             let calls = counter(&tel, "tulkun_planner_calls_total");
-            (calls, counter(&tel, "tulkun_plan_table_hits_total"))
+            let hits = counter(&tel, "tulkun_plan_table_hits_total");
+            (calls, hits, counter(&tel, "tulkun_plan_unaffected_total"))
         };
         let intents = c.intents().len() as u64;
-        assert_eq!(work(), (intents - 1, 0), "one planner run per install");
+        assert_eq!(work(), (intents - 1, 0, 0), "one planner run per install");
 
         // One pass: every pool link goes down and comes back. Returns
-        // the planner calls and table hits it cost, and how many
-        // intents its link losses degraded.
+        // the planner calls, table hits and unaffected slices it cost,
+        // and how many intents its link losses degraded.
         let pool = &net.topology.links()[..16];
         let mut pass = || {
             let before = work();
@@ -1088,14 +1110,19 @@ mod tests {
                 }
             }
             let after = work();
-            (after.0 - before.0, after.1 - before.1, degrading)
+            let spent = (after.0 - before.0, after.1 - before.1);
+            (spent.0, spent.1, after.2 - before.2, degrading)
         };
         let (scenes, events) = (1 + pool.len() as u64, 2 * pool.len() as u64);
-        let (calls, hits, degrading) = pass();
-        assert!(calls <= intents * scenes, "{calls} planner calls");
-        assert_eq!(calls + hits, intents * events);
+        let (calls, hits, unaffected, degrading) = pass();
+        assert_eq!(calls + hits + unaffected, intents * events);
+        // Before slices kept their plan across a cut, this pass made 153
+        // planner calls, one per (intent, scene) pair; now 133: on this
+        // ring most slices hold most links.
+        assert!(calls <= 133, "{calls} planner calls");
+        assert!(unaffected > 0 && calls + unaffected <= intents * scenes);
         assert!(degrading > 0, "losing the leaf link cuts an ingress off");
-        assert_eq!(pass(), (0, intents * events, degrading));
+        assert_eq!(pass(), (0, intents * events, 0, degrading));
     }
 
     /// The work-count gate of node identity, on the same world: a link
@@ -1251,6 +1278,90 @@ mod tests {
         apply(&down, &elsewhere, &waypoint);
         apply(&up, home, &waypoint);
         apply(&down, home, &waypoint);
+    }
+
+    /// A control plane over `net` with counters on, and a reader of its
+    /// planning counters: planner calls and unaffected slices.
+    fn counted(net: &Network, base: &str) -> (ControlPlane, Invariant, impl Fn() -> (u64, u64)) {
+        use tulkun_telemetry::TelemetryConfig;
+        let (mut c, inv) = control(net, base, false);
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        c.set_telemetry(tel.clone());
+        let work = move || {
+            let calls = counter(&tel, "tulkun_planner_calls_total");
+            (calls, counter(&tel, "tulkun_plan_unaffected_total"))
+        };
+        (c, inv, work)
+    }
+
+    /// A cut the slice is outside of keeps its plan only if it moves no
+    /// distance the planner reads. Fig. 2a plus a link A–D, under
+    /// `S .* W .* D` within one hop of the shortest S→D path: the slice
+    /// is S–A–W–D alone, and A–D is on no path of it. Losing A–D
+    /// stretches the shortest S→D path from two hops to three, which
+    /// admits S–A–B–W–D and S–A–W–B–D: the slice is re-planned. Losing
+    /// B–D instead moves nothing it reads, so it keeps its plan.
+    #[test]
+    fn a_cut_that_moves_a_distance_the_slice_reads_replans_it() {
+        let mut net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (a, b, d) = (dev("A"), dev("B"), dev("D"));
+        net.topology.add_link(a, d, 1000);
+        let (mut c, base, work) = counted(&net, "S .* D");
+        let waypoint = Invariant::builder()
+            .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
+            .ingress(["S"])
+            .behavior(crate::spec::Behavior::exist(
+                crate::count::CountExpr::ge(1),
+                crate::spec::PathExpr::parse("S .* W .* D")
+                    .unwrap()
+                    .loop_free()
+                    .shortest_plus(1),
+            ))
+            .build()
+            .unwrap();
+        let id = c.install(None, "waypoint", &waypoint, 0).unwrap().intent;
+        let id = id.unwrap();
+        let paths = |c: &ControlPlane| c.store.get(id).unwrap().plan.dpvnet.num_paths();
+        assert_eq!(paths(&c), 1.0, "S-A-W-D");
+        let mut apply = |ev: TopologyEvent| {
+            let before = work();
+            c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+            assert_plans_are_fresh(&c, &net.topology, &base);
+            let after = work();
+            (after.0 - before.0, after.1 - before.1, paths(&c))
+        };
+        // Both slices re-planned: the base runs over A–D.
+        assert_eq!(apply(TopologyEvent::LinkDown(a, d)), (2, 0, 3.0));
+        apply(TopologyEvent::LinkUp(a, d));
+        // The base runs over B–D; the waypoint slice does not, and the
+        // shortest S→D path is still S–A–D.
+        assert_eq!(apply(TopologyEvent::LinkDown(b, d)), (1, 1, 1.0));
+    }
+
+    /// A link-up never keeps a plan, even one whose slice is outside the
+    /// link and whose distances it leaves alone: a link that comes back
+    /// can add valid paths. On Fig. 2a with A–W and B–W down, `S .* D`
+    /// is S–A–B–D alone; B–W coming back adds S–A–B–W–D and leaves the
+    /// shortest S→D path at three hops.
+    #[test]
+    fn a_link_up_never_keeps_a_plan() {
+        let net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (a, b, w) = (dev("A"), dev("B"), dev("W"));
+        let (mut c, base, work) = counted(&net, "S .* D");
+        // B–W first, so the scene B–W's return leads to is new.
+        for ev in [TopologyEvent::LinkDown(b, w), TopologyEvent::LinkDown(a, w)] {
+            c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+        }
+        assert_eq!(c.plan().dpvnet.num_paths(), 1.0, "S-A-B-D");
+        let before = work();
+        let up = TopologyEvent::LinkUp(b, w);
+        c.topology_event(&up, &net.topology, &base, 0).unwrap();
+        assert_plans_are_fresh(&c, &net.topology, &base);
+        assert_eq!(c.plan().dpvnet.num_paths(), 2.0);
+        let after = work();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 0));
     }
 
     /// A scene table dies with its intent: an id re-used by another

@@ -471,7 +471,9 @@ impl DeviceVerifier {
         let relevant = (0..lecs.len())
             .filter(|&i| be.intersects(lecs[i].0, scope))
             .collect();
-        self.nodes.get_mut(&node).expect("hosted node").relevant = relevant;
+        if let Some(st) = self.nodes.get_mut(&node) {
+            st.relevant = relevant;
+        }
     }
 
     /// The LEC classes that can matter for one node (those intersecting
@@ -561,7 +563,9 @@ impl DeviceVerifier {
             incoming.push((p, c.clone()));
         }
         {
-            let st = self.nodes.get_mut(&node).unwrap();
+            let Some(st) = self.nodes.get_mut(&node) else {
+                return;
+            };
             let entry = st.cib_in.entry(v).or_default();
             let be = &mut self.backend;
             entry.retain_mut(|(p, _)| {
@@ -627,7 +631,9 @@ impl DeviceVerifier {
         let zero = self.zero();
         {
             let be = &mut self.backend;
-            let st = self.nodes.get_mut(&node).unwrap();
+            let Some(st) = self.nodes.get_mut(&node) else {
+                return;
+            };
             st.scope = be.or(st.scope, grow);
             // The new region starts at the implicit zero on both tables.
             st.loc_cib.edit().push((grow, zero.clone()));
@@ -1005,8 +1011,10 @@ impl DeviceVerifier {
         let q = space.map(|s| self.backend.import(s));
         let result: NodeResult = self.merged_export(node, q).into();
         if space.is_none() {
-            let st = self.nodes.get_mut(&node).expect("hosted, checked above");
-            st.loc_cib.set_exported(result.clone());
+            // Hosted: checked on entry.
+            if let Some(st) = self.nodes.get_mut(&node) {
+                st.loc_cib.set_exported(result.clone());
+            }
         }
         result
     }
@@ -1044,7 +1052,9 @@ impl DeviceVerifier {
     fn esc(&self, n: u32) -> Counts {
         if self.cfg.track_escapes && n > 0 {
             let mut v = vec![0u32; self.cfg.dim()];
-            *v.last_mut().unwrap() = n;
+            if let Some(escapes) = v.last_mut() {
+                *escapes = n;
+            }
             Counts::single(v)
         } else {
             self.zero()
@@ -1094,7 +1104,9 @@ impl DeviceVerifier {
         // Replace the region in LocCIB.
         {
             let be = &mut self.backend;
-            let st = self.nodes.get_mut(&node).unwrap();
+            let Some(st) = self.nodes.get_mut(&node) else {
+                return;
+            };
             let loc_cib = st.loc_cib.edit();
             loc_cib.retain_mut(|(p, _)| {
                 *p = be.diff(*p, r);
@@ -1127,7 +1139,9 @@ impl DeviceVerifier {
         let mut out_results: Vec<(DynPred, Counts)> = Vec::new();
         {
             let be = &mut self.backend;
-            let st = self.nodes.get_mut(&node).unwrap();
+            let Some(st) = self.nodes.get_mut(&node) else {
+                return;
+            };
             st.cib_out.retain_mut(|(p, _)| {
                 *p = be.diff(*p, changed);
                 !be.is_false(*p)
@@ -1375,13 +1389,9 @@ impl DeviceVerifier {
                 if self.backend.is_false(newspace) {
                     continue;
                 }
-                {
-                    let merged = self.backend.or(already, newspace);
-                    self.nodes
-                        .get_mut(&node)
-                        .unwrap()
-                        .sent_subs
-                        .insert(vn, merged);
+                let merged = self.backend.or(already, newspace);
+                if let Some(st) = self.nodes.get_mut(&node) {
+                    st.sent_subs.insert(vn, merged);
                 }
                 let env = Envelope::data(
                     self.dev,

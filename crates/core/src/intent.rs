@@ -33,6 +33,12 @@
 //!   parent that is new to it always shows up as a *gained* upstream
 //!   edge — the only listener it has to announce to. Ids are never
 //!   recycled: one that drops out of the table is gone for good.
+//! * **In place** — every change to the table is one re-intern of the
+//!   slices that changed ([`Table::refit`]: install, revive, unpark and
+//!   re-plan take a plan, remove and degrade give one up), against the
+//!   live table where their old nodes still sit. A slice whose plan did
+//!   not change is not read, and only the nodes the re-intern wrote are
+//!   diffed, so a fence costs what it changed, not the table's size.
 //!
 //! * **Scenes** — every installed intent carries a *scene table*: the
 //!   plans (or planner refusals) of the topology scenes it has been
@@ -40,7 +46,9 @@
 //!   §6's scene-labelled fault-tolerant plan filled lazily, one scene
 //!   at a time, and the only way a plan reaches the store: the second
 //!   half of every link flap returns to a scene already planned and
-//!   costs a pointer copy instead of a planner run.
+//!   costs a pointer copy instead of a planner run, and a link failure
+//!   a slice is outside of keeps the slice's plan without one
+//!   ([`Cut`]).
 //!
 //! Soundness of sharing: a node's counting results depend only on its
 //! downstream cone (accept flags + structure), its device's FIB, and
@@ -52,9 +60,10 @@
 use crate::churn::ChurnState;
 use crate::count::ReduceMode;
 use crate::dpvnet::NodeId;
+use crate::fault::{link_pair, LinkPair};
 use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
-use std::collections::btree_map::Entry;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tulkun_netmodel::topology::Topology;
@@ -109,16 +118,22 @@ impl IntentProfile {
 pub(crate) const MAX_SCENES: usize = 32;
 
 /// One intent's slice as the store holds it: the plan and, worked
-/// out once where the plan enters the store, the order its tasks are
-/// interned in — a function of the plan alone that every rebuild on
+/// out once where the plan enters the store, how its tasks are
+/// interned — a function of the plan alone that every re-intern on
 /// the scene would otherwise recompute.
 #[derive(Debug, Clone)]
 struct Slice {
     plan: Arc<CountingPlan>,
-    /// Indices into `plan.tasks`, children first: an iterative DFS
-    /// post-order from every node in ascending id, along downstream
-    /// edges (deterministic, so replicas mint the same ids).
-    order: Arc<[u32]>,
+    /// `(index into plan.tasks, occurrence)`, children first: an
+    /// iterative DFS post-order from every node in ascending id, along
+    /// downstream edges (deterministic, so replicas mint the same ids).
+    /// The occurrence counts the tasks before this one in that order
+    /// with the same device, accept vector and children; a slice maps
+    /// distinct local nodes to distinct ids, so local children are
+    /// equal exactly when global ones are, and it numbers a
+    /// structurally identical duplicate (a [`SigKey`] field) before any
+    /// child has an id.
+    order: Arc<[(u32, u32)]>,
 }
 
 impl Slice {
@@ -147,10 +162,18 @@ impl Slice {
                 }
             }
         }
-        Slice {
-            plan,
-            order: order.into(),
-        }
+        let mut seen: BTreeMap<(DeviceId, &[bool], Vec<NodeId>), u32> = BTreeMap::new();
+        let order = order.into_iter().map(|i| {
+            let t = &plan.tasks[i as usize];
+            let mut children: Vec<NodeId> = t.downstream.iter().map(|(c, _)| *c).collect();
+            children.sort();
+            children.dedup();
+            let o = seen.entry((t.dev, &t.accept, children)).or_insert(0);
+            *o += 1;
+            (i, *o - 1)
+        });
+        let order = order.collect();
+        Slice { plan, order }
     }
 }
 
@@ -163,13 +186,16 @@ type Planned = Result<Slice, PlanError>;
 /// list. A scene is the cumulative [`ChurnState`] (down links and down
 /// devices). That key is complete because everything else a plan
 /// depends on is fixed for the table's lifetime: the intent's own
-/// invariant, the base topology and base invariant of the owning
-/// control plane (which calls [`IntentStore::forget_scenes`] when a
-/// caller hands it different ones), and the taskable roster, which is
-/// constant whenever it is `Some`. Refusals are remembered too: a
-/// scene that degrades the intent degrades it again without a planner
-/// run. The table lives inside its [`InstalledIntent`], so it dies
-/// with it — a re-used id starts empty.
+/// invariant (for the base intent, the base invariant of the owning
+/// control plane), the control plane's base topology (it calls
+/// [`IntentStore::forget_scenes`] when a caller hands it another of
+/// either), and the taskable roster, which is constant whenever it is
+/// `Some`. An entry is what the planner gives on its scene, whether a
+/// planner run put it there or a [`Cut`] showed the run would return
+/// the plan already in force. Refusals are remembered too: a scene
+/// that degrades the intent degrades it again without a planner run.
+/// The table lives inside its [`InstalledIntent`], so it dies with it
+/// — a re-used id starts empty.
 #[derive(Debug, Clone, Default)]
 struct SceneTable {
     /// Most recently used first.
@@ -206,13 +232,116 @@ impl SceneTable {
 }
 
 /// Planning work done on the live path, for the control plane's
-/// counters: planner runs, and scene-table hits that avoided one.
+/// counters: planner runs, and the plans that needed none.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanWork {
     /// Planner runs ([`plan_intent_on`] or `Planner::plan`).
     pub planner_calls: u64,
     /// Plans answered from an intent's scene table.
     pub table_hits: u64,
+    /// Slices that kept their plan across a link-down they are outside
+    /// of ([`Cut`]).
+    pub unaffected: u64,
+}
+
+/// A link-down as a re-plan may read it: the failed link and the
+/// effective topology the plans in force were made on, with the link
+/// still up. The caller passes one only for a `LinkDown` that adds that
+/// one link to the scene in force, on the base topology the scene
+/// tables answer for.
+///
+/// A live slice whose plan is current ([`InstalledIntent`]) keeps it
+/// without a planner run when the slice is non-empty, no DPVNet edge
+/// of it runs over the link, and the link moves no distance the planner
+/// reads for it ([`Reads`]). That is exact: every valid path of the
+/// plan survives the cut and the cut adds none, each path's length
+/// filters and the enumeration bound compare the same distances, and
+/// the enumeration walks the surviving neighbours in the same order —
+/// so a planner run would return the plan already in force.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut<'a> {
+    /// The failed link.
+    pub link: LinkPair,
+    /// The effective topology before it failed.
+    pub before: &'a Topology,
+}
+
+/// What the planner reads of a topology for one intent besides the
+/// links of its valid paths: the distance from each ingress to each
+/// destination device of its path expressions (length filters and the
+/// enumeration bound), and on the `(device, slack)` fast path every
+/// device's distance from the destination (the DAG's node labels). The
+/// devices are a function of the invariant and the base's device
+/// names, so they are worked out once per intent.
+#[derive(Debug, Clone)]
+struct Reads {
+    ingress: Vec<DeviceId>,
+    dests: Vec<DeviceId>,
+    slack_dst: Option<DeviceId>,
+}
+
+impl Reads {
+    fn of(base: &Topology, inv: &Invariant) -> Reads {
+        let planner = Planner::new(base);
+        let exprs = inv.behavior.path_exprs().into_iter();
+        let mut dests: Vec<DeviceId> = exprs
+            .flat_map(|pe| planner.destination_devices(&pe.regex))
+            .collect();
+        dests.sort();
+        dests.dedup();
+        Reads {
+            ingress: inv.ingress.iter().filter_map(|n| base.device(n)).collect(),
+            dests,
+            slack_dst: planner.slack_destination(inv),
+        }
+    }
+}
+
+/// One re-plan's [`Cut`] with the topology after it, and the BFS
+/// distances read so far, before and after, by source device.
+struct CutCheck<'a> {
+    cut: Cut<'a>,
+    after: &'a Topology,
+    hops: BTreeMap<DeviceId, [Vec<u32>; 2]>,
+}
+
+impl CutCheck<'_> {
+    /// Whether `plan`, what the planner gave on the scene before the
+    /// cut, is what it gives on the scene after (see [`Cut`]).
+    fn keeps(&mut self, plan: &CountingPlan, reads: &Reads) -> bool {
+        // The re-planner refuses an empty slice; it must see this one.
+        if plan.tasks.is_empty() {
+            return false;
+        }
+        let link = self.cut.link;
+        let crosses = |t: &NodeTask| {
+            t.downstream
+                .iter()
+                .any(|(_, d)| link_pair(t.dev, *d) == link)
+        };
+        if plan.tasks.iter().any(crosses) {
+            return false;
+        }
+        let dests = &reads.dests;
+        if !reads.ingress.iter().all(|i| self.unmoved(*i, dests)) {
+            return false;
+        }
+        reads.slack_dst.is_none_or(|d| {
+            let devices: Vec<DeviceId> = plan.tasks.iter().map(|t| t.dev).collect();
+            self.unmoved(d, &devices)
+        })
+    }
+
+    /// Whether the cut leaves the distance from `from` to every device
+    /// of `to` as it was.
+    fn unmoved(&mut self, from: DeviceId, to: &[DeviceId]) -> bool {
+        let (before, after) = (self.cut.before, self.after);
+        let [was, is] = self
+            .hops
+            .entry(from)
+            .or_insert_with(|| [before.bfs_hops(from, &[]), after.bfs_hops(from, &[])]);
+        to.iter().all(|d| was[d.idx()] == is[d.idx()])
+    }
 }
 
 /// One installed intent: its own counting plan (intent-local node ids)
@@ -234,12 +363,53 @@ pub struct InstalledIntent {
     pub plan: Arc<CountingPlan>,
     /// Intent-local node id (as index) → global node id.
     pub to_global: Vec<NodeId>,
+    /// `plan`'s interning order ([`Slice::order`]).
+    order: Arc<[(u32, u32)]>,
     ctx: usize,
     degraded: bool,
+    /// Whether `plan` is what the planner gives on the scene in force
+    /// for what the scene table answers for: set wherever a plan is
+    /// committed, cleared with the table. Only a current plan may be
+    /// kept across a [`Cut`].
+    current: bool,
     scenes: SceneTable,
+    /// What the planner reads for this intent, once a [`Cut`] asked.
+    reads: Option<Reads>,
 }
 
 impl InstalledIntent {
+    /// An intent entering the store with `slice`, planned for `scene`.
+    fn new(
+        id: IntentId,
+        name: String,
+        invariant: Option<Invariant>,
+        slice: Slice,
+        to_global: Vec<NodeId>,
+        ctx: usize,
+        scene: &ChurnState,
+    ) -> InstalledIntent {
+        InstalledIntent {
+            id,
+            name,
+            invariant,
+            scenes: SceneTable::opened_by(scene, &slice),
+            plan: slice.plan,
+            order: slice.order,
+            to_global,
+            ctx,
+            degraded: false,
+            current: true,
+            reads: None,
+        }
+    }
+
+    fn slice(&self) -> Slice {
+        Slice {
+            plan: Arc::clone(&self.plan),
+            order: Arc::clone(&self.order),
+        }
+    }
+
     /// Index of the intent's packet-space context in its store (nodes
     /// only ever merge within one context).
     pub fn context(&self) -> usize {
@@ -272,11 +442,6 @@ impl InstalledIntent {
     }
 }
 
-/// The structural part of a [`SigKey`]: device, accept vector, sorted
-/// downstream edges. Used to count same-signature duplicates while
-/// seeding.
-type NodeSig = (DeviceId, Vec<bool>, Vec<(NodeId, DeviceId)>);
-
 /// Hash-consing key of a global node. `children` are *global* ids, so
 /// within one table a node's identity is exact (its whole downstream
 /// cone is pinned by construction); `occurrence` separates
@@ -293,15 +458,34 @@ struct SigKey {
     occurrence: u32,
 }
 
+impl SigKey {
+    /// The key of task `t` of a slice in context `ctx`, once every
+    /// child has an id in `map` (local id as index); `None` before.
+    fn of(ctx: usize, t: &NodeTask, occurrence: u32, map: &[Option<NodeId>]) -> Option<SigKey> {
+        let mut children = Vec::with_capacity(t.downstream.len());
+        for (c, d) in &t.downstream {
+            children.push((map[c.idx()]?, *d));
+        }
+        children.sort();
+        children.dedup();
+        Some(SigKey {
+            ctx,
+            dev: t.dev,
+            accept: t.accept.clone(),
+            children,
+            occurrence,
+        })
+    }
+}
+
 /// One node of the global table, refcounted by owning intents.
 #[derive(Debug, Clone)]
 struct GlobalNode {
     dev: DeviceId,
     accept: Vec<bool>,
-    /// Downstream edges (global child ids), fixed within one table —
-    /// part of the node's hash-consed identity there. A churn re-plan
-    /// may hand the id to the node that takes this one's place, with
-    /// other edges.
+    /// Downstream edges (global child ids) — part of the node's
+    /// hash-consed identity. A re-plan may hand the id to the node that
+    /// takes this one's place, with other edges.
     downstream: Vec<(NodeId, DeviceId)>,
     /// Upstream edges → the intents contributing each. An edge dies
     /// when its last contributor is removed.
@@ -311,58 +495,394 @@ struct GlobalNode {
     key: SigKey,
 }
 
-/// The table a rebuild supersedes — where a rebuilt node's id comes
-/// from ([`IntentStore::replan_all_for_churn`], "Id stability").
-/// Installs and removals build on the live table and pass an empty one.
-#[derive(Debug, Default)]
-struct PrevTable {
-    intern: BTreeMap<SigKey, NodeId>,
+/// The global node table: the nodes, the hash-consing index over their
+/// keys, and the next id to mint.
+#[derive(Debug, Clone, Default)]
+struct Table {
     nodes: BTreeMap<NodeId, GlobalNode>,
+    intern: BTreeMap<SigKey, NodeId>,
+    /// Only grows: an id that left the table is never minted again.
+    next_node: u32,
 }
 
-impl PrevTable {
-    /// The id of this table that intent `intent`'s rebuilt node `key`
-    /// takes, if any: the node with exactly that key, else the node at
-    /// the same site — context, device, accept vector — that `intent`
-    /// owned and that shares the most downstream edges with `key`
-    /// (lowest id on ties). `claimed` is the table being built; an id
-    /// in it names a node of that table already and is not offered
-    /// twice.
-    fn id_for(
+/// One slice's part in a [`Table::refit`].
+struct Refit<'a> {
+    intent: u64,
+    ctx: usize,
+    /// The slice's map onto the table; `None` when it owns nothing (an
+    /// install, a revive, an unpark).
+    old: Option<&'a [NodeId]>,
+    /// The slice it takes; `None` when it gives its nodes up (a
+    /// removal, a degradation).
+    new: Option<&'a Slice>,
+}
+
+/// The working state of one [`Table::refit`].
+#[derive(Default)]
+struct Refitting {
+    /// The intents whose slices the refit names.
+    changing: BTreeSet<u64>,
+    /// Per refit, what pass 1 found: each new node's exact match.
+    exact: Vec<Vec<Option<NodeId>>>,
+    /// Old id → the (refit, local node) pairs that expect it.
+    expected: BTreeMap<NodeId, Vec<(usize, usize)>>,
+    /// Ids pass 2 has given to a node.
+    claimed: BTreeSet<NodeId>,
+    /// Every node written, with its task before (`None`: minted).
+    written: BTreeMap<NodeId, Option<NodeTask>>,
+}
+
+/// What a [`Table::refit`] changed on the devices.
+struct Refitted {
+    /// Per refit, in order: the new slice's local → global map (empty
+    /// for a withdrawal).
+    maps: Vec<Vec<NodeId>>,
+    /// Per device, in id order: every node written whose task changed,
+    /// with `Some(ctx)` when it is new to the table.
+    shipped: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>>,
+    /// Per device, in id order: the nodes that left the table.
+    removed: BTreeMap<DeviceId, Vec<NodeId>>,
+}
+
+impl Table {
+    /// The current [`NodeTask`] of one global node (global ids, sorted
+    /// edges).
+    fn task(&self, g: NodeId) -> NodeTask {
+        let node = &self.nodes[&g];
+        NodeTask {
+            node: g,
+            dev: node.dev,
+            downstream: node.downstream.clone(),
+            upstream: node.upstream.keys().copied().collect(),
+            accept: node.accept.clone(),
+        }
+    }
+
+    /// Remembers `g`'s task before its first write.
+    fn note(&self, written: &mut BTreeMap<NodeId, Option<NodeTask>>, g: NodeId) {
+        if self.nodes.contains_key(&g) {
+            written.entry(g).or_insert_with(|| Some(self.task(g)));
+        }
+    }
+
+    /// Re-interns the slices that changed, in place, in three passes
+    /// over `refits` (in order), and reports what the devices must
+    /// apply. Slices not named are not read: their nodes keep id, key
+    /// and task.
+    ///
+    /// 1. Each new plan is hash-consed children-first against the table
+    ///    as it stands, writing nothing, to learn which old node each of
+    ///    its nodes *expects*: the one whose key it matches exactly, its
+    ///    whole cone below unchanged.
+    /// 2. A slice at a time, its plan gets ids children-first. A node
+    ///    whose key is in the table is that node (it may share one an
+    ///    earlier slice just wrote); one that matches nothing inherits
+    ///    an id ([`Table::heir`]) or mints one. An heir never takes a
+    ///    node a later slice expects, and takes one a later node of its
+    ///    own slice expects only when that is the cheaper of the two: a
+    ///    node that merged with its twin when a link went down and
+    ///    splits from it when the link comes back keeps the twin's id
+    ///    with whichever of the two has more parents, so fewer parents
+    ///    re-point (the id with the heir re-keys one node more, hence
+    ///    a margin of one). A node that is written gets its new key and
+    ///    downstream edges.
+    /// 3. Each slice's ownership and upstream-edge contributions are
+    ///    diffed, old against new, and only the differences written. A
+    ///    node no slice owns any more leaves the table.
+    ///
+    /// Only the nodes written are diffed for the devices.
+    fn refit(&mut self, refits: &[Refit]) -> Refitted {
+        let mut work = Refitting {
+            changing: refits.iter().map(|r| r.intent).collect(),
+            ..Refitting::default()
+        };
+        for (k, r) in refits.iter().enumerate() {
+            let exact = r.new.map(|s| self.exact(r.ctx, s)).unwrap_or_default();
+            for (n, g) in exact.iter().enumerate() {
+                if let Some(g) = g {
+                    work.expected.entry(*g).or_default().push((k, n));
+                }
+            }
+            work.exact.push(exact);
+        }
+        let mut maps: Vec<Vec<NodeId>> = Vec::with_capacity(refits.len());
+        for (k, r) in refits.iter().enumerate() {
+            let map = r.new.map(|slice| self.place(k, r, slice, &mut work));
+            maps.push(map.unwrap_or_default());
+        }
+        let Refitting { mut written, .. } = work;
+        let mut released: BTreeSet<NodeId> = BTreeSet::new();
+        for (r, map) in refits.iter().zip(&maps) {
+            self.transfer(r, map, &mut released, &mut written);
+        }
+        for g in released {
+            if self.nodes.get(&g).is_some_and(|n| n.owners.is_empty()) {
+                self.note(&mut written, g);
+                if let Some(node) = self.nodes.remove(&g) {
+                    self.intern.remove(&node.key);
+                }
+            }
+        }
+        let mut done = Refitted {
+            maps,
+            shipped: BTreeMap::new(),
+            removed: BTreeMap::new(),
+        };
+        for (g, before) in written {
+            match (self.nodes.get(&g), before) {
+                (Some(node), before) => {
+                    let now = self.task(g);
+                    if before.as_ref() != Some(&now) {
+                        let fresh = before.is_none().then_some(node.key.ctx);
+                        done.shipped.entry(node.dev).or_default().push((fresh, now));
+                    }
+                }
+                (None, Some(old)) => done.removed.entry(old.dev).or_default().push(g),
+                // Pass 3 gives every node written in pass 2 an owner.
+                (None, None) => {}
+            }
+        }
+        done
+    }
+
+    /// Pass 1 of [`Table::refit`]: the id of every node of `slice` whose
+    /// key is in the table as it stands.
+    fn exact(&self, ctx: usize, slice: &Slice) -> Vec<Option<NodeId>> {
+        let tasks = &slice.plan.tasks;
+        let mut map = vec![None; tasks.len()];
+        for &(i, occurrence) in slice.order.iter() {
+            let t = &tasks[i as usize];
+            if let Some(key) = SigKey::of(ctx, t, occurrence, &map) {
+                map[t.node.idx()] = self.intern.get(&key).copied();
+            }
+        }
+        map
+    }
+
+    /// Pass 2 of [`Table::refit`] for refit `k`, `r`, which takes
+    /// `slice`: its local → global map.
+    fn place(&mut self, k: usize, r: &Refit, slice: &Slice, work: &mut Refitting) -> Vec<NodeId> {
+        let tasks = &slice.plan.tasks;
+        // The slice's old nodes, by device: where its heirs come from.
+        let mut mine: BTreeMap<DeviceId, Vec<NodeId>> = BTreeMap::new();
+        for g in r.old.into_iter().flatten() {
+            if let Some(node) = self.nodes.get(g) {
+                mine.entry(node.dev).or_default().push(*g);
+            }
+        }
+        let mut map: Vec<Option<NodeId>> = vec![None; tasks.len()];
+        for &(i, occurrence) in slice.order.iter() {
+            let t = &tasks[i as usize];
+            // A node whose children kept the ids pass 1 found them under
+            // is the node pass 1 found, unless an heir has taken it since
+            // (an id written here is an heir's or new).
+            let exact = &work.exact[k];
+            let kept = |(c, _): &(NodeId, DeviceId)| map[c.idx()] == exact[c.idx()];
+            if let Some(g) = exact[t.node.idx()] {
+                if !work.written.contains_key(&g) && t.downstream.iter().all(kept) {
+                    work.claimed.insert(g);
+                    map[t.node.idx()] = Some(g);
+                    continue;
+                }
+            }
+            // Children come first in the order: each has its id.
+            let Some(key) = SigKey::of(r.ctx, t, occurrence, &map) else {
+                continue;
+            };
+            let g = match self.intern.get(&key) {
+                Some(g) => *g,
+                None => {
+                    // An old node a later slice expects stays with it; one
+                    // that a later node `n` of this slice expects goes to
+                    // `t` only if `t` has two parents more than `n`.
+                    let parents = |n: usize| tasks[n].upstream.len();
+                    let yields = |(by, n): (usize, usize)| {
+                        by < k
+                            || (by == k && (map[n].is_some() || parents(n) + 1 < t.upstream.len()))
+                    };
+                    let free = |g: &&NodeId| {
+                        let expects = work.expected.get(*g).into_iter().flatten();
+                        !work.claimed.contains(*g) && expects.copied().all(yields)
+                    };
+                    let mine = mine.get(&key.dev).into_iter().flatten().filter(free);
+                    match self.heir(&key, r.intent, mine.copied(), &work.changing) {
+                        Some(g) => {
+                            self.note(&mut work.written, g);
+                            self.rekey(g, key);
+                            g
+                        }
+                        None => {
+                            let g = self.mint(key);
+                            work.written.insert(g, None);
+                            g
+                        }
+                    }
+                }
+            };
+            work.claimed.insert(g);
+            map[t.node.idx()] = Some(g);
+        }
+        // Every node got an id: a DPVNet is acyclic.
+        map.into_iter()
+            .map(|g| g.unwrap_or(NodeId(u32::MAX)))
+            .collect()
+    }
+
+    /// The id `intent`'s node `key`, which matches no key in the table,
+    /// inherits from `candidates`, its slice's old nodes on the key's
+    /// device that are still free: one at the key's site (context,
+    /// device, accept vector) that only slices in `changing` own — each
+    /// of which lets go of it or re-keys it in this refit, so no slice
+    /// left alone loses a node. Of those, the one sharing the most
+    /// downstream edges with `key`, the lowest id on ties; `None` when
+    /// there is none.
+    fn heir(
         &self,
         key: &SigKey,
         intent: u64,
-        claimed: &BTreeMap<NodeId, GlobalNode>,
+        candidates: impl Iterator<Item = NodeId>,
+        changing: &BTreeSet<u64>,
     ) -> Option<NodeId> {
-        let free = |g: &NodeId| !claimed.contains_key(g);
-        if let Some(g) = self.intern.get(key).copied().filter(free) {
-            return Some(g);
-        }
-        // `intern` is ordered by site first: one site is one range.
-        let site = SigKey {
-            ctx: key.ctx,
+        let site =
+            |n: &GlobalNode| (n.key.ctx, n.dev, &n.accept) == (key.ctx, key.dev, &key.accept);
+        candidates
+            .filter_map(|g| self.nodes.get(&g).map(|n| (g, n)))
+            .filter(|(_, n)| site(n) && n.owners.contains(&intent) && n.owners.is_subset(changing))
+            .max_by_key(|(g, n)| {
+                let shared = n
+                    .downstream
+                    .iter()
+                    .filter(|e| key.children.binary_search(e).is_ok());
+                (shared.count(), Reverse(*g))
+            })
+            .map(|(g, _)| g)
+    }
+
+    /// Hands `g` to the node `key`: new key, new downstream edges.
+    fn rekey(&mut self, g: NodeId, key: SigKey) {
+        let Some(node) = self.nodes.get_mut(&g) else {
+            return;
+        };
+        self.intern.remove(&node.key);
+        self.intern.insert(key.clone(), g);
+        node.downstream = key.children.clone();
+        node.key = key;
+    }
+
+    /// A new node `key`, under a new id; owners and upstream edges come
+    /// with pass 3.
+    fn mint(&mut self, key: SigKey) -> NodeId {
+        let g = NodeId(self.next_node);
+        self.next_node += 1;
+        self.intern.insert(key.clone(), g);
+        let node = GlobalNode {
             dev: key.dev,
             accept: key.accept.clone(),
-            children: Vec::new(),
-            occurrence: 0,
+            downstream: key.children.clone(),
+            upstream: BTreeMap::new(),
+            owners: BTreeSet::new(),
+            key,
         };
-        let same_site = |k: &SigKey| (k.ctx, k.dev, &k.accept) == (key.ctx, key.dev, &key.accept);
-        self.intern
-            .range(&site..)
-            .take_while(|(k, _)| same_site(k))
-            .filter(|(_, g)| {
-                free(g)
-                    && self
-                        .nodes
-                        .get(g)
-                        .is_some_and(|n| n.owners.contains(&intent))
-            })
-            .max_by_key(|(k, g)| {
-                let common = k.children.iter().filter(|e| key.children.contains(e));
-                (common.count(), std::cmp::Reverse(**g))
-            })
-            .map(|(_, g)| *g)
+        self.nodes.insert(g, node);
+        g
     }
+
+    /// Pass 3 of [`Table::refit`] for one slice: moves its ownership and
+    /// upstream-edge contributions from its old map to `map`, writing
+    /// only what differs. Nodes it let go of are `released`.
+    ///
+    /// A slice contributes, for each node it owns, that node's edges to
+    /// its children, so only the nodes it took or let go of and the
+    /// nodes pass 2 re-keyed can move an edge; the rest are skipped.
+    fn transfer(
+        &mut self,
+        r: &Refit,
+        map: &[NodeId],
+        released: &mut BTreeSet<NodeId>,
+        written: &mut BTreeMap<NodeId, Option<NodeTask>>,
+    ) {
+        let id = r.intent;
+        let sorted = |m: &[NodeId]| {
+            let mut m = m.to_vec();
+            m.sort();
+            m.dedup();
+            m
+        };
+        let old = r.old.map(sorted).unwrap_or_default();
+        let new = sorted(map);
+        // A node's edges before this refit (its first write kept its
+        // old task) and now.
+        let edges = |g: &NodeId, then: bool| -> Vec<Edge> {
+            let was = written.get(g).and_then(Option::as_ref).filter(|_| then);
+            let Some(node) = self.nodes.get(g) else {
+                return Vec::new();
+            };
+            let down = was.map_or(&node.downstream, |t| &t.downstream);
+            down.iter().map(|(c, _)| (*c, (*g, node.dev))).collect()
+        };
+        let (lost, took): (Vec<NodeId>, Vec<NodeId>) = (
+            only_in(&old, &new).copied().collect(),
+            only_in(&new, &old).copied().collect(),
+        );
+        let mut gone: Vec<Edge> = lost.iter().flat_map(|g| edges(g, true)).collect();
+        let mut came: Vec<Edge> = took.iter().flat_map(|g| edges(g, false)).collect();
+        let kept = |g: &&NodeId| old.binary_search(g).is_ok() && new.binary_search(g).is_ok();
+        for g in written.keys().filter(kept) {
+            let (was, is) = (edges(g, true), edges(g, false));
+            gone.extend(only_in(&was, &is));
+            came.extend(only_in(&is, &was));
+        }
+        for g in &lost {
+            if let Some(node) = self.nodes.get_mut(g) {
+                node.owners.remove(&id);
+            }
+        }
+        for g in &took {
+            if let Some(node) = self.nodes.get_mut(g) {
+                node.owners.insert(id);
+            }
+        }
+        released.extend(lost);
+        for (child, up) in &gone {
+            let last = |n: &GlobalNode| {
+                n.upstream
+                    .get(up)
+                    .is_some_and(|refs| refs.iter().all(|i| *i == id))
+            };
+            if self.nodes.get(child).is_some_and(last) {
+                self.note(written, *child);
+            }
+            let Some(node) = self.nodes.get_mut(child) else {
+                continue;
+            };
+            if let Some(refs) = node.upstream.get_mut(up) {
+                refs.remove(&id);
+                if refs.is_empty() {
+                    node.upstream.remove(up);
+                }
+            }
+        }
+        for (child, up) in &came {
+            if self
+                .nodes
+                .get(child)
+                .is_some_and(|n| !n.upstream.contains_key(up))
+            {
+                self.note(written, *child);
+            }
+            if let Some(node) = self.nodes.get_mut(child) {
+                node.upstream.entry(*up).or_default().insert(id);
+            }
+        }
+    }
+}
+
+/// A child's upstream edge: the child, and the parent with its device.
+type Edge = (NodeId, (NodeId, DeviceId));
+
+/// The items of sorted `a` that sorted `b` lacks.
+fn only_in<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> {
+    a.iter().filter(|x| b.binary_search(x).is_err())
 }
 
 /// What a substrate must apply after an install/remove: per-device
@@ -374,9 +894,10 @@ pub struct IntentDelta {
     pub changed: BTreeMap<DeviceId, Vec<NodeTask>>,
     /// Nodes to drop, per device.
     pub removed: BTreeMap<DeviceId, Vec<NodeId>>,
-    /// Base packet space for *new* nodes (the installing intent's);
-    /// `None` for removals (removals never create nodes).
-    pub space: Option<PacketSpace>,
+    /// The packet-space context new nodes count over (the installing
+    /// intent's, see [`IntentStore::context_space`]); `None` for
+    /// removals, which never create nodes.
+    pub ctx: Option<usize>,
     /// Distinct global nodes in the intent's slice.
     pub total_nodes: usize,
     /// Slice nodes shared with previously installed intents.
@@ -473,11 +994,9 @@ pub struct StoreReplan {
 pub struct IntentStore {
     profile: Option<IntentProfile>,
     contexts: Vec<PacketSpace>,
-    nodes: BTreeMap<NodeId, GlobalNode>,
-    intern: BTreeMap<SigKey, NodeId>,
+    table: Table,
     intents: BTreeMap<u64, InstalledIntent>,
     parked: BTreeMap<u64, PendingIntent>,
-    next_node: u32,
     next_intent: u64,
 }
 
@@ -512,25 +1031,22 @@ impl IntentStore {
         self.contexts.push(space);
         let slice = Slice::of(plan);
         let tasks = &slice.plan.tasks;
-        let mut occ: BTreeMap<NodeSig, u32> = BTreeMap::new();
-        for t in slice.order.iter().map(|&i| &tasks[i as usize]) {
-            let ln = t.node;
+        let table = &mut self.table;
+        for &(i, occurrence) in slice.order.iter() {
+            let t = &tasks[i as usize];
             // Identity mapping: the base intent's local ids ARE the
             // global ids.
-            let children = sorted_edges(t.downstream.iter().map(|(n, d)| (*n, *d)));
-            let sig = (t.dev, t.accept.clone(), children.clone());
-            let o = occ.entry(sig).or_insert(0);
+            let children = sorted_edges(t.downstream.iter().copied());
             let key = SigKey {
                 ctx: 0,
                 dev: t.dev,
                 accept: t.accept.clone(),
                 children: children.clone(),
-                occurrence: *o,
+                occurrence,
             };
-            *o += 1;
-            self.intern.insert(key.clone(), ln);
-            self.nodes.insert(
-                ln,
+            table.intern.insert(key.clone(), t.node);
+            table.nodes.insert(
+                t.node,
                 GlobalNode {
                     dev: t.dev,
                     accept: t.accept.clone(),
@@ -540,13 +1056,13 @@ impl IntentStore {
                     key,
                 },
             );
-            self.next_node = self.next_node.max(ln.0 + 1);
+            table.next_node = table.next_node.max(t.node.0 + 1);
         }
         for t in tasks {
             for (cl, _) in &t.downstream {
                 // An edge to a node the plan has no task for has no
                 // listener to register with.
-                let Some(child) = self.nodes.get_mut(cl) else {
+                let Some(child) = table.nodes.get_mut(cl) else {
                     continue;
                 };
                 let edge = child.upstream.entry((t.node, t.dev)).or_default();
@@ -554,19 +1070,9 @@ impl IntentStore {
             }
         }
         let to_global: Vec<NodeId> = (0..tasks.len() as u32).map(NodeId).collect();
-        self.intents.insert(
-            0,
-            InstalledIntent {
-                id: IntentId(0),
-                name: "base".to_string(),
-                invariant,
-                scenes: SceneTable::opened_by(&ChurnState::new(), &slice),
-                plan: slice.plan,
-                to_global,
-                ctx: 0,
-                degraded: false,
-            },
-        );
+        let (id, quiet) = (IntentId::BASE, ChurnState::new());
+        let base = InstalledIntent::new(id, "base".into(), invariant, slice, to_global, 0, &quiet);
+        self.intents.insert(0, base);
         self.next_intent = 1;
     }
 
@@ -601,36 +1107,27 @@ impl IntentStore {
         let id = self.claim_id(id)?;
         let ctx = self.context_of(&space);
         let slice = Slice::of(plan);
-        let (to_global, fresh, grown) = self.intern_plan(id.0, &slice, ctx, &PrevTable::default());
-        // Every local node either created a global node or shared one.
-        let reused = to_global.len() - fresh.len();
-        // A grown upstream edge set means the child must be re-tasked
-        // so it announces along the new edge.
-        let retask: BTreeSet<NodeId> = fresh.union(&grown).copied().collect();
-
-        let mut delta = IntentDelta {
-            space: Some(self.contexts[ctx].clone()),
-            total_nodes: to_global.iter().collect::<BTreeSet<_>>().len(),
-            reused_nodes: reused,
-            ..IntentDelta::default()
+        let install = Refit {
+            intent: id.0,
+            ctx,
+            old: None,
+            new: Some(&slice),
         };
-        for g in retask {
-            let task = self.global_task(g);
-            delta.changed.entry(task.dev).or_default().push(task);
-        }
-        self.intents.insert(
-            id.0,
-            InstalledIntent {
-                id,
-                name: name.to_string(),
-                invariant,
-                scenes: SceneTable::opened_by(scene, &slice),
-                plan: slice.plan,
-                to_global,
-                ctx,
-                degraded: false,
-            },
-        );
+        let mut done = self.table.refit(&[install]);
+        let to_global = done.maps.pop().unwrap_or_default();
+        // A new node or a grown upstream edge set is shipped, so the
+        // child announces along the new edge; every local node either
+        // created a global node or shared one.
+        let (changed, fresh) = tasks_of(done.shipped);
+        let delta = IntentDelta {
+            changed,
+            removed: done.removed,
+            ctx: Some(ctx),
+            total_nodes: to_global.iter().collect::<BTreeSet<_>>().len(),
+            reused_nodes: to_global.len() - fresh,
+        };
+        let intent = InstalledIntent::new(id, name.into(), invariant, slice, to_global, ctx, scene);
+        self.intents.insert(id.0, intent);
         Ok((id, delta))
     }
 
@@ -661,62 +1158,22 @@ impl IntentStore {
             // record is the whole removal.
             return Ok(IntentDelta::default());
         }
-        // Withdraw this intent's upstream-edge contributions.
-        let mut shrunk: BTreeSet<NodeId> = BTreeSet::new();
-        for t in &intent.plan.tasks {
-            let pg = intent.to_global[t.node.0 as usize];
-            let pdev = t.dev;
-            for (cl, _) in &t.downstream {
-                let cg = intent.to_global[cl.0 as usize];
-                // A live slice's map names table nodes only; one that
-                // is gone has no edge left to withdraw.
-                let Some(node) = self.nodes.get_mut(&cg) else {
-                    continue;
-                };
-                if let Some(refs) = node.upstream.get_mut(&(pg, pdev)) {
-                    refs.remove(&id.0);
-                    if refs.is_empty() {
-                        node.upstream.remove(&(pg, pdev));
-                        shrunk.insert(cg);
-                    }
-                }
-            }
-        }
-        // Drop ownership; sweep nodes nobody owns anymore.
-        let mut delta = IntentDelta::default();
-        for g in intent.global_nodes() {
-            let Entry::Occupied(mut node) = self.nodes.entry(g) else {
-                continue;
-            };
-            node.get_mut().owners.remove(&id.0);
-            if node.get().owners.is_empty() {
-                let node = node.remove();
-                self.intern.remove(&node.key);
-                shrunk.remove(&g);
-                delta.removed.entry(node.dev).or_default().push(g);
-            }
-        }
-        for g in shrunk {
-            let task = self.global_task(g);
-            delta.changed.entry(task.dev).or_default().push(task);
-        }
-        delta.total_nodes = intent.to_global.iter().collect::<BTreeSet<_>>().len();
-        delta.reused_nodes =
-            delta.total_nodes - delta.removed.values().map(Vec::len).sum::<usize>();
-        Ok(delta)
-    }
-
-    /// The current [`NodeTask`] of one global node (global ids, sorted
-    /// edges).
-    fn global_task(&self, g: NodeId) -> NodeTask {
-        let node = &self.nodes[&g];
-        NodeTask {
-            node: g,
-            dev: node.dev,
-            downstream: node.downstream.clone(),
-            upstream: node.upstream.keys().copied().collect(),
-            accept: node.accept.clone(),
-        }
+        let withdraw = Refit {
+            intent: id.0,
+            ctx: intent.ctx,
+            old: Some(&intent.to_global),
+            new: None,
+        };
+        let done = self.table.refit(&[withdraw]);
+        let total_nodes = intent.global_nodes().len();
+        let removed: usize = done.removed.values().map(Vec::len).sum();
+        Ok(IntentDelta {
+            changed: tasks_of(done.shipped).0,
+            removed: done.removed,
+            ctx: None,
+            total_nodes,
+            reused_nodes: total_nodes - removed,
+        })
     }
 
     /// Live intents, in id order.
@@ -741,18 +1198,22 @@ impl IntentStore {
 
     /// Number of distinct global nodes currently installed.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.table.nodes.len()
     }
 
     /// Every installed node's current task (global ids) — the union
     /// task table across intents, deduplicated.
     pub fn global_tasks(&self) -> Vec<NodeTask> {
-        self.nodes.keys().map(|g| self.global_task(*g)).collect()
+        self.table
+            .nodes
+            .keys()
+            .map(|g| self.table.task(*g))
+            .collect()
     }
 
     /// The devices currently hosting at least one node.
     pub fn devices(&self) -> BTreeSet<DeviceId> {
-        self.nodes.values().map(|n| n.dev).collect()
+        self.table.nodes.values().map(|n| n.dev).collect()
     }
 
     /// The id the next `install(None, ..)` will allocate (ids are
@@ -763,7 +1224,7 @@ impl IntentStore {
 
     /// How many intents own the given global node (dedup evidence).
     pub fn owner_count(&self, g: NodeId) -> usize {
-        self.nodes.get(&g).map_or(0, |n| n.owners.len())
+        self.table.nodes.get(&g).map_or(0, |n| n.owners.len())
     }
 
     /// Parks an install that raced a topology fence: allocates the
@@ -825,12 +1286,19 @@ impl IntentStore {
         self.intents.get(&0).map(|i| &i.plan)
     }
 
-    /// Empties every intent's scene table. The tables answer for one
-    /// base topology and one base invariant (see [`SceneTable`]); the
-    /// control plane calls this when handed any other.
-    pub(crate) fn forget_scenes(&mut self) {
-        for intent in self.intents.values_mut() {
+    /// Empties the scene tables of `only` that intent, or of every
+    /// intent for `None`, and marks their plans no longer current. The
+    /// tables answer for one base topology and, the base intent's, for
+    /// one base invariant (see [`SceneTable`]); the control plane calls
+    /// this for every intent when handed another base topology, and for
+    /// the base intent alone when handed another base invariant, which
+    /// no other plan reads.
+    pub(crate) fn forget_scenes(&mut self, only: Option<IntentId>) {
+        let forgotten = self.intents.values_mut();
+        for intent in forgotten.filter(|i| only.is_none_or(|id| id == i.id)) {
             intent.scenes = SceneTable::default();
+            intent.current = false;
+            intent.reads = None;
         }
     }
 
@@ -841,20 +1309,21 @@ impl IntentStore {
     }
 
     /// Re-plans **every** live intent slice against the post-churn
-    /// topology under one shared fence, rebuilds the global node table
-    /// with stable ids for unchanged cones, retries parked installs,
-    /// and returns the per-device diff plus the intent lifecycle
-    /// transitions.
+    /// topology under one shared fence, re-interns in place the slices
+    /// whose plan changed, retries parked installs, and returns the
+    /// per-device diff plus the intent lifecycle transitions.
     ///
     /// "Re-plans" asks each intent's scene table first ([`SceneTable`]):
     /// a scene the intent has been planned on before — the second half
     /// of every flap, every later flap of the same link — is a pointer
-    /// copy; only a scene it has never seen runs [`plan_intent_on`],
-    /// and the answer, slice or refusal, is remembered. `work` counts
-    /// both. The rebuild and the diff run either way: this is the one
-    /// re-planner, with one rebuild behind it. The caller keeps `base`
-    /// and `base_inv` the same from call to call, or calls
-    /// [`IntentStore::forget_scenes`].
+    /// copy. Then, given the `cut` of a link-down, a live slice the
+    /// link is outside of keeps its plan ([`Cut`]). Only what neither
+    /// answers runs [`plan_intent_on`]; either way the answer, slice or
+    /// refusal, is remembered, and `work` counts all three. A slice
+    /// whose plan comes back as the pointer in force is not touched:
+    /// this is the one re-planner, and it costs what changed. The
+    /// caller keeps `base` and `base_inv` the same from call to call,
+    /// or calls [`IntentStore::forget_scenes`].
     ///
     /// * The **base** intent failing to plan rejects the whole event
     ///   (`Err`; nothing but scene tables touched, and those only
@@ -867,30 +1336,31 @@ impl IntentStore {
     ///   intents (`unparked`), failures burn one retry, and at
     ///   [`MAX_INTENT_RETRIES`] they are dropped (`rejected`).
     ///
-    /// Id stability: a rebuilt node whose hash-consing key (context,
-    /// device, accept vector, global downstream cone) matches a
-    /// pre-churn node keeps that node's id. By bottom-up induction the
-    /// whole unchanged cone keeps its exact ids *and* tasks, so it
-    /// appears in neither `changed` nor `removed` — unaffected slices
-    /// ship zero tasks and send nothing. A rebuilt node whose key
-    /// matches nothing — it lost or gained an edge — *inherits* the id
-    /// of a pre-churn node no rebuilt node has claimed yet, at the same
-    /// site (context, device, accept vector) and owned by the same
-    /// intent: the one sharing the most downstream edges, the lowest
-    /// id on ties ([`PrevTable::id_for`]). Children are interned first,
-    /// so once the changed node has its old id its parents' keys match
-    /// exactly again: the renaming stops at the nodes the event
-    /// touched, which are re-tasked, instead of running up to every
-    /// source. Ids are names — the devices are told each node's task
-    /// by id, and a re-tasked node recounts — so any assignment that
-    /// gives distinct nodes distinct ids and keeps an id on its device
-    /// and packet space computes the same Report; how well heirs are
-    /// matched decides only how much is re-tasked. The owner rule
-    /// keeps a degraded intent's last ids, which freshness still
-    /// reports, out of other intents' slices. An id that drops out of
-    /// the table is gone for good (`next_node` only grows, and only
-    /// the immediately preceding table's ids can be reclaimed), so a
-    /// node that reappears later is new to every neighbour.
+    /// Id stability ([`Table::refit`]): a re-interned node whose
+    /// hash-consing key (context, device, accept vector, global
+    /// downstream cone) is in the table is that node. By bottom-up
+    /// induction a whole unchanged cone keeps its exact ids *and*
+    /// tasks, so it appears in neither `changed` nor `removed`. A node
+    /// whose key matches nothing — it lost or gained an edge —
+    /// *inherits* the id of an old node of its own slice at the same
+    /// site (context, device, accept vector) that only slices changing
+    /// in this fence own and that nothing has claimed: the one sharing
+    /// the most downstream edges, the lowest id on ties
+    /// ([`Table::heir`]). Children are interned first, so once the
+    /// changed node has its old id its parents' keys match exactly
+    /// again: the renaming stops at the nodes the event touched, which
+    /// are re-tasked, instead of running up to every source. Ids are
+    /// names — the devices are told each node's task by id, and a
+    /// re-tasked node recounts — so any assignment that gives distinct
+    /// nodes distinct ids and keeps an id on its device and packet
+    /// space computes the same Report; how well heirs are matched
+    /// decides only how much is re-tasked. Taking heirs from the
+    /// slice's own nodes keeps a degraded intent's last ids, which
+    /// freshness still reports, out of other intents' slices. An id
+    /// that drops out of the table is gone for good (ids are minted
+    /// from a counter that only grows, and an heir is a node still in
+    /// the table), so a node that reappears later is new to every
+    /// neighbour.
     ///
     /// `taskable` restricts which devices plans may task (substrates
     /// with a fixed thread-per-device set pass their roster; lazily
@@ -902,14 +1372,20 @@ impl IntentStore {
         base_inv: Option<&Invariant>,
         churn: &ChurnState,
         taskable: Option<&BTreeSet<DeviceId>>,
+        cut: Option<Cut>,
         work: &mut PlanWork,
     ) -> Result<StoreReplan, PlanError> {
         let topology = churn.apply_to(base);
 
         // Phase 1: plan every live intent (degraded ones included, so
-        // recovery revives them), from its scene table where it can.
-        // Nothing but the tables is committed until the base plan is
-        // known good.
+        // recovery revives them), from its scene table or the cut where
+        // it can. Nothing but the tables is committed until the base
+        // plan is known good.
+        let mut cut = cut.map(|cut| CutCheck {
+            cut,
+            after: &topology,
+            hops: BTreeMap::new(),
+        });
         let mut new_plans: BTreeMap<u64, Slice> = BTreeMap::new();
         let mut degraded: Vec<(IntentId, String)> = Vec::new();
         for intent in self.intents.values_mut() {
@@ -931,18 +1407,26 @@ impl IntentStore {
                     continue;
                 }
             };
-            let planned = match intent.scenes.get(churn) {
-                Some(remembered) => {
-                    work.table_hits += 1;
-                    remembered
-                }
-                None => {
-                    work.planner_calls += 1;
-                    let fresh = plan_intent_on(&topology, inv, churn, taskable)
-                        .map(|cp| Slice::of(Arc::new(cp)));
-                    intent.scenes.record(churn, fresh.clone());
-                    fresh
-                }
+            let live = intent.current && !intent.degraded;
+            let planned = if let Some(remembered) = intent.scenes.get(churn) {
+                work.table_hits += 1;
+                remembered
+            } else if live
+                && cut.as_mut().is_some_and(|cut| {
+                    let reads = intent.reads.get_or_insert_with(|| Reads::of(base, inv));
+                    cut.keeps(&intent.plan, reads)
+                })
+            {
+                work.unaffected += 1;
+                let kept = Ok(intent.slice());
+                intent.scenes.record(churn, kept.clone());
+                kept
+            } else {
+                work.planner_calls += 1;
+                let fresh = plan_intent_on(&topology, inv, churn, taskable)
+                    .map(|cp| Slice::of(Arc::new(cp)));
+                intent.scenes.record(churn, fresh.clone());
+                fresh
             };
             match planned {
                 Ok(cp) => {
@@ -991,111 +1475,101 @@ impl IntentStore {
         }
         self.parked = still_parked;
 
-        // Phase 3: snapshot the old table and rebuild from scratch,
-        // claiming old ids wherever the hash-consing key survives and,
-        // where it does not, the id of the node the new one replaces.
-        let old_tasks: BTreeMap<NodeId, NodeTask> = self
-            .nodes
-            .keys()
-            .map(|g| (*g, self.global_task(*g)))
+        // Phase 3: re-intern in place the slices that changed — a new
+        // plan, a degradation, a revival, an unpark — and only those.
+        if self.profile.is_none() {
+            self.profile = unpark_plans
+                .first()
+                .map(|(_, s)| IntentProfile::of(&s.plan));
+        }
+        let unpark_ctx: Vec<usize> = unpark_plans
+            .iter()
+            .map(|(p, _)| self.context_of(&p.invariant.packet_space))
             .collect();
-        let prev = PrevTable {
-            intern: std::mem::take(&mut self.intern),
-            nodes: std::mem::take(&mut self.nodes),
-        };
-
-        let mut revived: Vec<IntentId> = Vec::new();
-        // `intern_plan` works on the node table alone, so the intents
-        // can sit outside the store while it runs.
-        let mut intents = std::mem::take(&mut self.intents);
-        for (id, it) in intents.iter_mut() {
-            // Phase 1 planned every intent it did not degrade.
-            let Some(cp) = new_plans.remove(id) else {
-                it.degraded = true;
-                continue;
+        let mut refits: Vec<Refit> = Vec::new();
+        for (id, it) in &self.intents {
+            let old = (!it.degraded).then_some(it.to_global.as_slice());
+            let new = new_plans.get(id);
+            let same = match new {
+                Some(s) => old.is_some() && Arc::ptr_eq(&it.plan, &s.plan),
+                None => old.is_none(),
             };
-            let (to_global, ..) = self.intern_plan(*id, &cp, it.ctx, &prev);
-            it.plan = cp.plan;
-            it.to_global = to_global;
-            if it.degraded {
-                it.degraded = false;
-                revived.push(it.id);
-            }
-        }
-        self.intents = intents;
-        let mut unparked: Vec<IntentId> = Vec::new();
-        for (p, cp) in unpark_plans {
-            if self.profile.is_none() {
-                self.profile = Some(IntentProfile::of(&cp.plan));
-            }
-            let ctx = self.context_of(&p.invariant.packet_space);
-            let (to_global, ..) = self.intern_plan(p.id.0, &cp, ctx, &prev);
-            self.intents.insert(
-                p.id.0,
-                InstalledIntent {
-                    id: p.id,
-                    name: p.name,
-                    invariant: Some(p.invariant),
-                    scenes: SceneTable::opened_by(churn, &cp),
-                    plan: cp.plan,
-                    to_global,
-                    ctx,
-                    degraded: false,
-                },
-            );
-            unparked.push(p.id);
-        }
-
-        // Phase 4: diff old table vs new. Down devices' old nodes are
-        // unreachable (never removed — the planner tasks them with
-        // nothing and a later DeviceUp wipes the verifier anyway).
-        let mut removed: BTreeMap<DeviceId, Vec<NodeId>> = BTreeMap::new();
-        let mut unreachable: Vec<(NodeId, DeviceId)> = Vec::new();
-        for (g, old) in &old_tasks {
-            if churn.is_down(old.dev) {
-                unreachable.push((*g, old.dev));
-            } else if !self.nodes.contains_key(g) {
-                removed.entry(old.dev).or_default().push(*g);
-            }
-        }
-        for list in removed.values_mut() {
-            list.sort();
-        }
-        let mut reused_nodes = 0usize;
-        let mut retask: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-        let mut fresh: BTreeMap<DeviceId, BTreeMap<usize, Vec<NodeTask>>> = BTreeMap::new();
-        for (g, node) in &self.nodes {
-            let task = self.global_task(*g);
-            match old_tasks.get(g) {
-                Some(old) if *old == task => reused_nodes += 1,
-                Some(_) => retask.entry(node.dev).or_default().push(task),
-                None => fresh
-                    .entry(node.dev)
-                    .or_default()
-                    .entry(node.key.ctx)
-                    .or_default()
-                    .push(task),
-            }
-        }
-        let mut changed: BTreeMap<DeviceId, Vec<ReplanTaskGroup>> = BTreeMap::new();
-        for (dev, mut tasks) in retask {
-            tasks.sort_by_key(|t| t.node);
-            changed
-                .entry(dev)
-                .or_default()
-                .push(ReplanTaskGroup { ctx: None, tasks });
-        }
-        for (dev, by_ctx) in fresh {
-            for (ctx, mut tasks) in by_ctx {
-                tasks.sort_by_key(|t| t.node);
-                changed.entry(dev).or_default().push(ReplanTaskGroup {
-                    ctx: Some(ctx),
-                    tasks,
+            if !same {
+                refits.push(Refit {
+                    intent: *id,
+                    ctx: it.ctx,
+                    old,
+                    new,
                 });
             }
         }
+        for ((p, slice), ctx) in unpark_plans.iter().zip(&unpark_ctx) {
+            let (ctx, new) = (*ctx, Some(slice));
+            refits.push(Refit {
+                intent: p.id.0,
+                ctx,
+                old: None,
+                new,
+            });
+        }
+        let done = self.table.refit(&refits);
+        let refitted: Vec<u64> = refits.iter().map(|r| r.intent).collect();
+        let mut maps: BTreeMap<u64, Vec<NodeId>> = refitted.into_iter().zip(done.maps).collect();
+
+        let mut revived: Vec<IntentId> = Vec::new();
+        for (id, it) in self.intents.iter_mut() {
+            // Phase 1 planned every intent it did not degrade.
+            match new_plans.remove(id) {
+                None => it.degraded = true,
+                Some(slice) => {
+                    if let Some(map) = maps.remove(id) {
+                        it.to_global = map;
+                    }
+                    (it.plan, it.order) = (slice.plan, slice.order);
+                    if it.degraded {
+                        it.degraded = false;
+                        revived.push(it.id);
+                    }
+                }
+            }
+            it.current = !it.degraded;
+        }
+        let mut unparked: Vec<IntentId> = Vec::new();
+        for ((p, slice), ctx) in unpark_plans.into_iter().zip(unpark_ctx) {
+            let to_global = maps.remove(&p.id.0).unwrap_or_default();
+            let (inv, scene) = (Some(p.invariant), churn);
+            let intent = InstalledIntent::new(p.id, p.name, inv, slice, to_global, ctx, scene);
+            self.intents.insert(p.id.0, intent);
+            unparked.push(p.id);
+        }
+
+        // Phase 4: what the refit wrote, for the devices. Down devices'
+        // old nodes are unreachable, not removed (the planner tasks them
+        // with nothing and a later DeviceUp wipes the verifier anyway).
+        let mut removed: BTreeMap<DeviceId, Vec<NodeId>> = BTreeMap::new();
+        let mut unreachable: Vec<(NodeId, DeviceId)> = Vec::new();
+        for (dev, gone) in done.removed {
+            if churn.is_down(dev) {
+                unreachable.extend(gone.into_iter().map(|g| (g, dev)));
+            } else {
+                removed.insert(dev, gone);
+            }
+        }
+        let mut shipped = 0;
+        let mut changed: BTreeMap<DeviceId, Vec<ReplanTaskGroup>> = BTreeMap::new();
+        for (dev, tasks) in done.shipped {
+            shipped += tasks.len();
+            let mut groups: BTreeMap<Option<usize>, Vec<NodeTask>> = BTreeMap::new();
+            for (ctx, task) in tasks {
+                groups.entry(ctx).or_default().push(task);
+            }
+            let groups = groups.into_iter();
+            let groups = groups.map(|(ctx, tasks)| ReplanTaskGroup { ctx, tasks });
+            changed.insert(dev, groups.collect());
+        }
+        let total_nodes = self.table.nodes.len();
         Ok(StoreReplan {
-            total_nodes: self.nodes.len(),
+            total_nodes,
             topology,
             changed,
             removed,
@@ -1104,7 +1578,7 @@ impl IntentStore {
             revived,
             unparked,
             rejected,
-            reused_nodes,
+            reused_nodes: total_nodes - shipped,
         })
     }
 
@@ -1130,95 +1604,6 @@ impl IntentStore {
                 self.contexts.push(space.clone());
                 self.contexts.len() - 1
             })
-    }
-
-    /// Interns one plan's DPVNet slice into the global table,
-    /// children-first so sharing with existing cones is found
-    /// bottom-up. A node whose hash-consing key is in the table is
-    /// shared; otherwise it is created, under the id `prev` offers it
-    /// when a rebuild wants pre-churn ids kept ([`PrevTable::id_for`])
-    /// and a new one when it offers none. Returns the local → global
-    /// mapping, the nodes created, and the existing nodes that gained
-    /// their first contributor on some upstream edge.
-    fn intern_plan(
-        &mut self,
-        id: u64,
-        slice: &Slice,
-        ctx: usize,
-        prev: &PrevTable,
-    ) -> (Vec<NodeId>, BTreeSet<NodeId>, BTreeSet<NodeId>) {
-        let tasks = &slice.plan.tasks;
-        let mut to_global = vec![NodeId(u32::MAX); tasks.len()];
-        let mut occ: BTreeMap<SigKey, u32> = BTreeMap::new();
-        let mut fresh: BTreeSet<NodeId> = BTreeSet::new();
-        for t in slice.order.iter().map(|&i| &tasks[i as usize]) {
-            let children = sorted_edges(
-                t.downstream
-                    .iter()
-                    .map(|(n, d)| (to_global[n.0 as usize], *d)),
-            );
-            let mut key = SigKey {
-                ctx,
-                dev: t.dev,
-                accept: t.accept.clone(),
-                children: children.clone(),
-                occurrence: 0,
-            };
-            // Nth structurally identical duplicate within this intent
-            // claims the Nth matching global node.
-            let o = occ.entry(key.clone()).or_insert(0);
-            key.occurrence = *o;
-            *o += 1;
-            let g = match self.intern.get(&key) {
-                Some(&g) => {
-                    // `intern` and `nodes` move in lockstep: `g` is in both.
-                    if let Some(node) = self.nodes.get_mut(&g) {
-                        node.owners.insert(id);
-                    }
-                    g
-                }
-                None => {
-                    let g = prev.id_for(&key, id, &self.nodes).unwrap_or_else(|| {
-                        let g = NodeId(self.next_node);
-                        self.next_node += 1;
-                        g
-                    });
-                    self.intern.insert(key.clone(), g);
-                    self.nodes.insert(
-                        g,
-                        GlobalNode {
-                            dev: t.dev,
-                            accept: t.accept.clone(),
-                            downstream: children,
-                            upstream: BTreeMap::new(),
-                            owners: BTreeSet::from([id]),
-                            key,
-                        },
-                    );
-                    fresh.insert(g);
-                    g
-                }
-            };
-            to_global[t.node.0 as usize] = g;
-        }
-        let mut grown: BTreeSet<NodeId> = BTreeSet::new();
-        for t in tasks {
-            let pg = to_global[t.node.0 as usize];
-            for (cl, _) in &t.downstream {
-                let cg = to_global[cl.0 as usize];
-                // An edge to a node the plan has no task for has no
-                // listener to register with.
-                let Some(node) = self.nodes.get_mut(&cg) else {
-                    continue;
-                };
-                let edge = node.upstream.entry((pg, t.dev)).or_default();
-                if edge.is_empty() {
-                    grown.insert(cg);
-                }
-                edge.insert(id);
-            }
-        }
-        (to_global, fresh, grown)
     }
 }
 
@@ -1276,6 +1661,20 @@ fn sorted_edges(it: impl Iterator<Item = (NodeId, DeviceId)>) -> Vec<(NodeId, De
     v.sort();
     v.dedup();
     v
+}
+
+/// A refit's shipped tasks as an intent delta lists them, and how many
+/// of them are new to the table.
+fn tasks_of(
+    shipped: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>>,
+) -> (BTreeMap<DeviceId, Vec<NodeTask>>, usize) {
+    let mut fresh = 0;
+    let mut changed = BTreeMap::new();
+    for (dev, tasks) in shipped {
+        fresh += tasks.iter().filter(|(ctx, _)| ctx.is_some()).count();
+        changed.insert(dev, tasks.into_iter().map(|(_, t)| t).collect());
+    }
+    (changed, fresh)
 }
 
 #[cfg(test)]
@@ -1507,6 +1906,7 @@ pub(crate) mod tests {
         pub(crate) fn displaced(&self, after: &IntentStore) -> Vec<NodeId> {
             let moved = |(g, (key, _)): (&NodeId, &(SigKey, BTreeSet<u64>))| {
                 after
+                    .table
                     .intern
                     .get(key)
                     .is_some_and(|now| now != g)
@@ -1519,7 +1919,7 @@ pub(crate) mod tests {
     impl IntentStore {
         pub(crate) fn names(&self) -> Names {
             let named = |(g, n): (&NodeId, &GlobalNode)| (*g, (n.key.clone(), n.owners.clone()));
-            Names(self.nodes.iter().map(named).collect())
+            Names(self.table.nodes.iter().map(named).collect())
         }
 
         /// Holds the table to what every substrate assumes of it: one
@@ -1532,11 +1932,16 @@ pub(crate) mod tests {
         /// (context, device, accept vector), and one whose cone
         /// changed stayed with an intent that owned it.
         pub(crate) fn assert_consistent(&self, before: Option<&Names>) {
-            assert_eq!(self.intern.len(), self.nodes.len(), "one key per id");
-            for (key, g) in &self.intern {
-                let node = self.nodes.get(g).expect("an interned id is in the table");
+            let Table {
+                nodes,
+                intern,
+                next_node,
+            } = &self.table;
+            assert_eq!(intern.len(), nodes.len(), "one key per id");
+            for (key, g) in intern {
+                let node = nodes.get(g).expect("an interned id is in the table");
                 assert_eq!(node.key, *key, "{g:?} is filed under its own key");
-                assert!(g.0 < self.next_node, "{g:?} was minted");
+                assert!(g.0 < *next_node, "{g:?} was minted");
             }
             for it in self.intents.values().filter(|it| !it.degraded) {
                 let id = it.id;
@@ -1550,7 +1955,7 @@ pub(crate) mod tests {
                 let global = |n: &NodeId| it.to_global[n.0 as usize];
                 for t in &it.plan.tasks {
                     let g = global(&t.node);
-                    let node = self.nodes.get(&g);
+                    let node = nodes.get(&g);
                     let node =
                         node.unwrap_or_else(|| panic!("intent {id}: {g:?} not in the table"));
                     assert_eq!(
@@ -1561,7 +1966,7 @@ pub(crate) mod tests {
                     assert_eq!(node.downstream, children, "intent {id}: {g:?}");
                     assert!(node.owners.contains(&id.0), "intent {id} owns {g:?}");
                     for (c, _) in &children {
-                        let heard = &self.nodes[c].upstream[&(g, t.dev)];
+                        let heard = &nodes[c].upstream[&(g, t.dev)];
                         assert!(heard.contains(&id.0), "intent {id}: edge {g:?} -> {c:?}");
                     }
                 }
@@ -1569,7 +1974,7 @@ pub(crate) mod tests {
             let Some(Names(before)) = before else {
                 return;
             };
-            for (g, node) in &self.nodes {
+            for (g, node) in nodes {
                 let Some((old, owners)) = before.get(g) else {
                     continue;
                 };
@@ -1589,7 +1994,7 @@ pub(crate) mod tests {
     fn replan(store: &mut IntentStore, net: &Network, churn: &ChurnState) -> StoreReplan {
         let mut work = PlanWork::default();
         let before = store.names();
-        let r = store.replan_all_for_churn(&net.topology, None, churn, None, &mut work);
+        let r = store.replan_all_for_churn(&net.topology, None, churn, None, None, &mut work);
         store.assert_consistent(Some(&before));
         r.unwrap()
     }
@@ -1674,11 +2079,11 @@ pub(crate) mod tests {
         assert_eq!(store.get(id_b).unwrap().to_global, before_b);
     }
 
-    /// The inheritance rule clause by clause, on a hand-made previous
-    /// table: one rightful predecessor and, beside it, a node that
-    /// shares more edges with the rebuilt key but is off by exactly one
-    /// clause — another context, device or accept vector, another
-    /// owner, or an id already claimed.
+    /// The inheritance rule clause by clause, on a hand-made table: one
+    /// rightful predecessor and, beside it, nodes that share more edges
+    /// with the new key but are each off by exactly one clause —
+    /// another context, device or accept vector, not the intent's own,
+    /// also held by a slice that is not changing, or already claimed.
     #[test]
     fn an_heir_comes_from_the_same_site_and_owner_and_is_claimed_once() {
         let (x, y, z) = (NodeId(90), NodeId(91), NodeId(92));
@@ -1692,49 +2097,41 @@ pub(crate) mod tests {
             children: edges(children),
             occurrence: 0,
         };
-        let mut prev = PrevTable::default();
-        let mut add = |g: u32, key: SigKey, owner: u64| {
-            prev.intern.insert(key.clone(), NodeId(g));
+        let mut table = Table::default();
+        let mut add = |g: u32, key: SigKey, owners: &[u64]| {
+            table.intern.insert(key.clone(), NodeId(g));
             let node = GlobalNode {
                 dev: key.dev,
                 accept: key.accept.clone(),
                 downstream: key.children.clone(),
                 upstream: BTreeMap::new(),
-                owners: BTreeSet::from([owner]),
+                owners: owners.iter().copied().collect(),
                 key,
             };
-            prev.nodes.insert(NodeId(g), node);
+            table.nodes.insert(NodeId(g), node);
         };
-        let me = 7;
-        add(1, site(0, 1, false, &[x]), me); // the predecessor: one edge lost
-        add(2, site(0, 1, false, &[y]), me); // ties with it on shared edges
-        add(3, site(1, 1, false, &[x, y]), me); // another context
-        add(4, site(0, 2, false, &[x, y]), me); // another device
-        add(5, site(0, 1, true, &[x, y]), me); // another accept vector
-        add(6, site(0, 1, false, &[x, y]), 8); // another intent's
-        let rebuilt = site(0, 1, false, &[x, y, z]);
-        let mut claimed: BTreeMap<NodeId, GlobalNode> = BTreeMap::new();
-        let heir =
-            |claimed: &BTreeMap<NodeId, GlobalNode>, key: &SigKey| prev.id_for(key, me, claimed);
-        assert_eq!(
-            heir(&claimed, &rebuilt),
-            Some(NodeId(1)),
-            "lowest id on ties"
-        );
-        // An exact key wins over any number of shared edges, whoever
-        // owned it (a cone that is unchanged is the same node).
-        assert_eq!(heir(&claimed, &site(0, 1, false, &[x, y])), Some(NodeId(6)));
-        // Once claimed an id is not offered again: not to the next
-        // best match, not to the exact one.
-        claimed.insert(NodeId(1), prev.nodes[&NodeId(1)].clone());
-        assert_eq!(heir(&claimed, &rebuilt), Some(NodeId(2)));
-        assert_eq!(heir(&claimed, &site(0, 1, false, &[x])), Some(NodeId(2)));
-        claimed.insert(NodeId(2), prev.nodes[&NodeId(2)].clone());
-        assert_eq!(
-            heir(&claimed, &rebuilt),
-            None,
-            "nothing left at this site: a new id"
-        );
+        let (me, other, bystander) = (7, 8, 9);
+        add(1, site(0, 1, false, &[x]), &[me, other]); // the predecessor: one edge lost
+        add(2, site(0, 1, false, &[y]), &[me]); // ties with it on shared edges
+        add(3, site(1, 1, false, &[x, y]), &[me]); // another context
+        add(4, site(0, 2, false, &[x, y]), &[me]); // another device
+        add(5, site(0, 1, true, &[x, y]), &[me]); // another accept vector
+        add(6, site(0, 1, false, &[x, y]), &[other]); // another intent's
+        add(7, site(0, 1, false, &[x, y]), &[me, bystander]); // held by a slice left alone
+        let mine: Vec<NodeId> = (1..=7).map(NodeId).collect();
+        let changing = BTreeSet::from([me, other]);
+        let mut claimed: BTreeSet<NodeId> = BTreeSet::new();
+        let new = site(0, 1, false, &[x, y, z]);
+        let heir = |claimed: &BTreeSet<NodeId>| {
+            let free = mine.iter().filter(|g| !claimed.contains(g));
+            table.heir(&new, me, free.copied(), &changing)
+        };
+        assert_eq!(heir(&claimed), Some(NodeId(1)), "lowest id on ties");
+        // Once claimed an id is not offered again.
+        claimed.insert(NodeId(1));
+        assert_eq!(heir(&claimed), Some(NodeId(2)));
+        claimed.insert(NodeId(2));
+        assert_eq!(heir(&claimed), None, "nothing left at this site: a new id");
     }
 
     /// A link event re-tasks the nodes it changed and nothing above
@@ -1835,7 +2232,8 @@ pub(crate) mod tests {
         assert!(store.get(id_b).unwrap().is_degraded());
         assert_eq!(store.degraded_count(), 1);
         // The degraded slice owns nothing in the rebuilt table.
-        assert!(store.nodes.values().all(|n| !n.owners.contains(&id_b.0)));
+        let nodes = &store.table.nodes;
+        assert!(nodes.values().all(|n| !n.owners.contains(&id_b.0)));
         // The base intent still verifies (S→A→W→D survives B's loss).
         assert!(!store.get(IntentId::BASE).unwrap().is_degraded());
         // Recovery re-plans the degraded slice back in.

@@ -380,6 +380,17 @@ impl<'a> Planner<'a> {
     /// topologies and builds the `(device, slack)` DAG instead of
     /// enumerating paths.
     fn try_slack_fastpath(&self, exprs: &[PathExpr], ingress: &[DeviceId]) -> Option<DpvNet> {
+        let (src, dst, k) = self.slack_fastpath(exprs, ingress)?;
+        Some(DpvNet::slack_dag(self.topo, src, dst, k))
+    }
+
+    /// The `(src, dst, k)` of the `(device, slack)` fast path, when the
+    /// planner takes it for these expressions and ingress.
+    fn slack_fastpath(
+        &self,
+        exprs: &[PathExpr],
+        ingress: &[DeviceId],
+    ) -> Option<(DeviceId, DeviceId, u32)> {
         if exprs.len() != 1
             || ingress.len() != 1
             || self.topo.num_devices() < Self::SLACK_FASTPATH_DEVICES
@@ -397,10 +408,16 @@ impl<'a> Planner<'a> {
         };
         let src = self.topo.device(&src)?;
         let dst = self.topo.device(&dst)?;
-        if ingress != [src] {
-            return None;
-        }
-        Some(DpvNet::slack_dag(self.topo, src, dst, k))
+        (ingress == [src]).then_some((src, dst, k))
+    }
+
+    /// The destination of `inv`'s `(device, slack)` DAG, when its
+    /// counting plan takes that fast path: the DAG's nodes are then
+    /// labelled by every device's distance from it.
+    pub(crate) fn slack_destination(&self, inv: &Invariant) -> Option<DeviceId> {
+        let ingress = self.resolve_devices(&inv.ingress).ok()?;
+        let exprs: Vec<PathExpr> = inv.behavior.path_exprs().into_iter().cloned().collect();
+        self.slack_fastpath(&exprs, &ingress).map(|(_, dst, _)| dst)
     }
 
     fn plan_local(&self, inv: &Invariant, ingress: &[DeviceId]) -> Result<LocalPlan, PlanError> {

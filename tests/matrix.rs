@@ -1536,6 +1536,24 @@ fn case_95_an_heir_stays_on_its_device() {
     generated_prefix(95, 8);
 }
 
+/// An intent installed with an empty slice does not keep it across a
+/// link-down it is outside of: the re-planner refuses an empty slice.
+#[test]
+fn case_28_an_empty_slice_is_replanned() {
+    let ops = [
+        Remove(0),
+        Remove(0),
+        Updates(1),
+        Remove(2),
+        Install(3),
+        Updates(3),
+        Install(3),
+        DeviceDown(2),
+        LinkDown(2, 4),
+    ];
+    run(&World::generated(28), &ops);
+}
+
 // ---------------------------------------------------------------------
 // Slice locality (INet2)
 // ---------------------------------------------------------------------
