@@ -21,8 +21,10 @@
 #                 crates/predicate; and the event lifecycle is written
 #                 once over the two fabrics (batch staging, crash/
 #                 restart and fence delivery each occur exactly once
-#                 under crates/sim/src, and the deleted second names
-#                 of the engines stay deleted); and
+#                 under crates/sim/src, as do the verifier constructor
+#                 and the device step in its non-test code, and the
+#                 deleted second names of the engines and the retired
+#                 roster option and fork stay deleted); and
 #                 the FIB write path compiles rules in one place
 #                 (`lecs_in` has exactly one caller outside
 #                 crates/predicate, and the verifier never calls
@@ -169,6 +171,16 @@ stage_lint() {
             exit 1
         fi
     done
+    # One constructor and one device step serve both fabrics: counted
+    # above each file's test module (the first column-0 `#[cfg(test)]`).
+    for once in 'DeviceVerifier::builder(' '.handle(&'; do
+        n="$(for f in crates/sim/src/*.rs; do sed '/^#\[cfg(test)\]/q' "$f"; done \
+            | grep -cF "$once" || true)"
+        if [ "$n" -ne 1 ]; then
+            echo "lint: '$once' occurs $n times in non-test code under crates/sim/src, want 1 (one lifecycle, two fabrics)" >&2
+            exit 1
+        fi
+    done
     # The verifier is the one home of the LEC delta; its test module
     # sits at the end of the file, so only lines above the first
     # `#[cfg(test)]` count.
@@ -221,6 +233,12 @@ stage_lint() {
         echo "lint: a table rebuild is back (see above); a fence re-interns the slices that changed in place" >&2
         exit 1
     fi
+    # Which devices host a verifier is each fabric's own rule: the
+    # fixed-roster fork and the option that papered over it stay retired.
+    if grep -rnw 'all_devices\|fixed_roster\|taskable' crates src tests examples; then
+        echo "lint: a roster option or fork is back (see above); Threads spawns every device" >&2
+        exit 1
+    fi
     # One equivalence harness (tests/matrix.rs): the nine files it
     # replaced stay retired.
     if grep -rn 'fault''_matrix\|churn''_matrix\|intent''_matrix\|backend''_equivalence\|batch''_equivalence\|substrate''_equivalence\|telemetry''_equivalence\|oracle''_counting' \
@@ -237,8 +255,8 @@ stage_lint() {
                    crates/sim/src/faults.rs:0 crates/sim/src/service.rs:0 \
                    src/daemon.rs:0 crates/core/src/dvm/reliable.rs:0 \
                    crates/core/src/churn.rs:0 crates/core/src/explain.rs:0 \
-                   crates/sim/src/runtime.rs:3 crates/core/src/dvm/verifier.rs:0 \
-                   crates/core/src/verify.rs:4; do
+                   crates/sim/src/runtime.rs:2 crates/core/src/dvm/verifier.rs:0 \
+                   crates/core/src/verify.rs:2; do
         file="${audited%:*}"
         budget="${audited#*:}"
         sites="$(sed '/^#\[cfg(test)\]/q' "$file" \

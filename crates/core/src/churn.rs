@@ -155,7 +155,7 @@ impl ChurnSchedule {
         let all_links: Vec<LinkPair> = base.links().iter().map(|l| link_pair(l.a, l.b)).collect();
         let mut churn = ChurnState::new();
         let plannable =
-            |churn: &ChurnState| plan_intent_on(&churn.apply_to(base), inv, churn, None).is_ok();
+            |churn: &ChurnState| plan_intent_on(&churn.apply_to(base), inv, churn).is_ok();
         if !plannable(&churn) {
             return ChurnSchedule(Vec::new());
         }
@@ -215,13 +215,11 @@ mod tests {
     use tulkun_telemetry::Telemetry;
 
     /// A control plane over fig2a with the waypoint invariant as its
-    /// base intent and every device on the roster.
+    /// base intent.
     fn control(net: &Network) -> (ControlPlane, Invariant) {
         let (inv, cp) = plan_for(net, "S .* W .* D");
-        let roster = (0..net.topology.num_devices() as u32).map(DeviceId);
         let tel = Telemetry::disabled();
-        let ps = &inv.packet_space;
-        let c = ControlPlane::new(&net.topology, net.layout, &cp, ps, roster, false, tel);
+        let c = ControlPlane::new(&net.topology, net.layout, &cp, &inv.packet_space, tel);
         (c, inv)
     }
 

@@ -76,8 +76,10 @@ pub struct FencePlan {
     /// The post-churn topology, for topology fences (latency-aware
     /// transports re-route against it); `None` for intent fences.
     pub topology: Option<Topology>,
-    /// One fence per roster device — every device that has, or after
-    /// this fence needs, a verifier.
+    /// One fence per device some plan has tasked since construction,
+    /// this fence's included: every device whose verifier holds, or
+    /// after this fence needs, counting state. A fabric that hosts a
+    /// verifier on any other device leaves it be until a plan tasks it.
     pub devices: BTreeMap<DeviceId, DeviceFence>,
     /// The device and cause the `EpochFence` record is journaled
     /// under, once [`ControlPlane::seal`] knows what the fence cost.
@@ -87,8 +89,6 @@ pub struct FencePlan {
 /// What the control plane decided for one event.
 #[derive(Debug, Clone, Default)]
 pub struct Decision {
-    /// The intent an install created (or parked) or a removal named.
-    pub intent: Option<IntentId>,
     /// The install raced a topology fence and waits for the next one.
     pub parked: bool,
     /// The store-level delta of an intent event; for topology events
@@ -113,14 +113,16 @@ impl Decision {
         }
     }
 
-    /// The uniform event outcome, given what delivering the fence cost.
-    pub fn outcome(&self, messages: usize, completion_ns: u64) -> EventOutcome {
+    /// The uniform event outcome of the event that named `intent`,
+    /// given the messages delivering the fence caused (a substrate with
+    /// a clock adds the completion time).
+    pub fn outcome(&self, intent: Option<IntentId>, messages: usize) -> EventOutcome {
         EventOutcome {
             messages,
-            intent: self.intent,
+            intent,
             slice: Some((self.delta.total_nodes, self.delta.reused_nodes)),
             parked: self.parked,
-            completion_ns,
+            completion_ns: 0,
         }
     }
 }
@@ -156,27 +158,22 @@ pub struct ControlPlane {
     /// The store's packet-space contexts compiled, by index: contexts
     /// are append-only, so each is compiled once.
     spaces: Vec<PortablePred>,
-    /// Devices that have a verifier. A fixed roster caps what any plan
-    /// may task; a growable one absorbs the devices a plan pulls in.
-    roster: BTreeSet<DeviceId>,
-    fixed_roster: bool,
+    /// Every device some plan has tasked since construction: the
+    /// devices each fence goes to.
+    tasked: BTreeSet<DeviceId>,
     tel: Arc<Telemetry>,
 }
 
 impl ControlPlane {
     /// A control plane whose store holds `plan` as the base intent.
-    /// `roster` is the substrate's device set; `fixed_roster` says the
-    /// substrate cannot build verifiers later (one thread per device),
-    /// so no plan may task a device outside it.
     pub fn new(
         topology: &Topology,
         layout: HeaderLayout,
         plan: &CountingPlan,
         space: &PacketSpace,
-        roster: impl IntoIterator<Item = DeviceId>,
-        fixed_roster: bool,
         tel: Arc<Telemetry>,
     ) -> ControlPlane {
+        let tasked = plan.tasks.iter().map(|t| t.dev).collect();
         let plan = Arc::new(plan.clone());
         let cp = ControlPlane {
             store: IntentStore::with_base(plan.clone(), space.clone(), None),
@@ -191,8 +188,7 @@ impl ControlPlane {
             base_inv: None,
             layout,
             spaces: Vec::new(),
-            roster: roster.into_iter().collect(),
-            fixed_roster,
+            tasked,
             tel,
         };
         cp.export_intent_count();
@@ -224,19 +220,9 @@ impl ControlPlane {
         &self.store
     }
 
-    /// The devices that have a verifier (grown by every fence a
-    /// growable roster absorbs).
-    pub fn roster(&self) -> &BTreeSet<DeviceId> {
-        &self.roster
-    }
-
     /// Whether `dev` is down: no deliveries, no re-announcement.
     pub fn is_quarantined(&self, dev: DeviceId) -> bool {
         self.churn.is_down(dev)
-    }
-
-    fn taskable(&self) -> Option<&BTreeSet<DeviceId>> {
-        self.fixed_roster.then_some(&self.roster)
     }
 
     fn export_intent_count(&self) {
@@ -310,7 +296,7 @@ impl ControlPlane {
             .journal(JournalKind::EpochFence, dev, epoch, trace, None, detail);
     }
 
-    /// One fence per roster device (grown first by whatever `groups`
+    /// One fence per tasked device (`groups` first adds whatever it
     /// pulls in) at the current epoch: its share of `remove` and
     /// `groups`, wiped if it is the `revived` device, repairing unless
     /// quarantined. `anchor` is the journal device and cause.
@@ -322,9 +308,9 @@ impl ControlPlane {
         mut remove: BTreeMap<DeviceId, Vec<NodeId>>,
         mut groups: BTreeMap<DeviceId, Vec<TaskGroup>>,
     ) -> FencePlan {
-        self.roster.extend(groups.keys().copied());
+        self.tasked.extend(groups.keys().copied());
         let devices = self
-            .roster
+            .tasked
             .iter()
             .map(|dev| {
                 let fence = DeviceFence {
@@ -384,12 +370,10 @@ impl ControlPlane {
             }),
             _ => None,
         };
-        // `taskable()`, spelled out so the store can be borrowed mutably.
-        let taskable = self.fixed_roster.then_some(&self.roster);
         let mut work = PlanWork::default();
-        let replan =
-            self.store
-                .replan_all_for_churn(base, Some(inv), &churn, taskable, cut, &mut work);
+        let replan = self
+            .store
+            .replan_all_for_churn(base, Some(inv), &churn, cut, &mut work);
         if foreign {
             self.store.forget_scenes(None);
         }
@@ -492,17 +476,17 @@ impl ControlPlane {
     /// the intent id for deterministic replay): its DPVNet slice is
     /// interned into the shared node table, so only devices whose tasks
     /// change are re-tasked. On a quiet topology a slice that does not
-    /// plan — or that tasks a device outside a fixed roster — is an
-    /// `Err`; while churn is in effect it is *parked* for bounded retry
-    /// on the next topology fence instead. Either way the plan opens
-    /// the intent's scene table under the churn in force.
+    /// plan is an `Err`; while churn is in effect it is *parked* for
+    /// bounded retry on the next topology fence instead. Either way the
+    /// plan opens the intent's scene table under the churn in force.
+    /// Returns the intent's id (installed or parked) and the decision.
     pub fn install(
         &mut self,
         id: Option<IntentId>,
         name: &str,
         inv: &Invariant,
         trace: u64,
-    ) -> Result<Decision, PlanError> {
+    ) -> Result<(IntentId, Decision), PlanError> {
         self.count_planning(PlanWork {
             planner_calls: 1,
             ..PlanWork::default()
@@ -516,30 +500,23 @@ impl ControlPlane {
                         .to_string(),
                 ));
             };
-            let outside = self
-                .taskable()
-                .and_then(|roster| cp.tasks.iter().find(|t| !roster.contains(&t.dev)));
-            if let Some(t) = outside {
-                return Err(PlanError::Unsupported(format!(
-                    "intent {name:?} tasks device {:?}, which has no verifier \
-                     (spawn with EngineConfig::all_devices)",
-                    t.dev
-                )));
-            }
             cp
         } else {
-            match plan_intent_on(&self.effective, inv, &self.churn, self.taskable()) {
+            match plan_intent_on(&self.effective, inv, &self.churn) {
                 Ok(cp) => cp,
                 Err(e) => {
                     let id = self.store.park(id, name, inv.clone())?;
                     self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
                         format!("parked behind fence @epoch {}: {e}", self.epoch)
                     });
-                    return Ok(Decision {
-                        intent: Some(id),
-                        parked: true,
-                        ..Decision::default()
-                    });
+                    let parked = Decision::default();
+                    return Ok((
+                        id,
+                        Decision {
+                            parked: true,
+                            ..parked
+                        },
+                    ));
                 }
             }
         };
@@ -558,12 +535,15 @@ impl ControlPlane {
             format!("intent {name:?} installed")
         });
         self.export_intent_count();
-        Ok(Decision {
-            intent: Some(id),
-            parked: false,
-            delta,
-            fence: Some(fence),
-        })
+        let fence = Some(fence);
+        Ok((
+            id,
+            Decision {
+                parked: false,
+                delta,
+                fence,
+            },
+        ))
     }
 
     /// Removes an intent: only nodes no surviving intent owns are
@@ -583,7 +563,6 @@ impl ControlPlane {
         });
         self.export_intent_count();
         Ok(Decision {
-            intent: Some(id),
             parked: false,
             delta,
             fence,
@@ -665,20 +644,12 @@ mod tests {
     use proptest::prelude::*;
     use tulkun_netmodel::network::Network;
 
-    /// A control plane over fig2a with `base` as intent 0, every device
-    /// on the roster. No verifier, no transport: fences are only read.
-    fn control(net: &Network, base: &str, fixed_roster: bool) -> (ControlPlane, Invariant) {
+    /// A control plane over `net` with `base` as intent 0. No verifier,
+    /// no transport: fences are only read.
+    fn control(net: &Network, base: &str) -> (ControlPlane, Invariant) {
         let (inv, cp) = plan_for(net, base);
-        let roster = (0..net.topology.num_devices() as u32).map(DeviceId);
-        let control = ControlPlane::new(
-            &net.topology,
-            net.layout,
-            &cp,
-            &inv.packet_space,
-            roster,
-            fixed_roster,
-            Telemetry::disabled(),
-        );
+        let tel = Telemetry::disabled();
+        let control = ControlPlane::new(&net.topology, net.layout, &cp, &inv.packet_space, tel);
         (control, inv)
     }
 
@@ -703,14 +674,14 @@ mod tests {
                 .collect::<Vec<_>>(),
             (c.store.global_tasks(), c.store.next_intent_id()),
             (c.unreachable.clone(), c.degraded_epochs.clone()),
-            c.roster.clone(),
+            c.tasked.clone(),
         )
     }
 
     #[test]
     fn parked_install_retries_then_is_rejected() {
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let dev = |n: &str| net.topology.expect_device(n);
         let topo = &net.topology;
         let down_b = TopologyEvent::DeviceDown(dev("B"));
@@ -729,8 +700,7 @@ mod tests {
         assert_eq!(c.epoch(), 1);
 
         let (from_b, _) = plan_for(&net, "B .* D");
-        let d = c.install(None, "from-b", &from_b, 0).unwrap();
-        let id = d.intent.unwrap();
+        let (id, d) = c.install(None, "from-b", &from_b, 0).unwrap();
         assert!(d.parked && d.fence.is_none());
         assert!(c.intents().is_parked(id));
         assert_eq!(c.epoch(), 1, "parking burns no epoch");
@@ -752,19 +722,18 @@ mod tests {
     #[test]
     fn degrade_revive_and_the_fence_each_device_gets() {
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let b = net.topology.expect_device("B");
         let topo = &net.topology;
         let (from_b, _) = plan_for(&net, "B .* D");
-        let d = c.install(None, "from-b", &from_b, 0).unwrap();
-        let id = d.intent.unwrap();
+        let (id, d) = c.install(None, "from-b", &from_b, 0).unwrap();
         let fence = d.fence.expect("a live install fences");
         assert_eq!((fence.epoch, c.epoch()), (1, 1));
         assert!(fence.topology.is_none());
         assert_eq!(
             fence.devices.keys().copied().collect::<BTreeSet<_>>(),
-            c.roster,
-            "one fence per roster device"
+            c.tasked,
+            "one fence per tasked device"
         );
         assert!(fence.devices.values().all(|f| f.reannounce && !f.wipe));
         assert!(fence.devices[&b].groups.iter().all(|(sp, _)| sp.is_some()));
@@ -820,7 +789,7 @@ mod tests {
     fn seal_keeps_the_repair_wave_only_after_loss() {
         use tulkun_telemetry::TelemetryConfig;
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let tel = Telemetry::new(TelemetryConfig::enabled());
         c.set_telemetry(tel.clone());
         let dev = |n: &str| net.topology.expect_device(n);
@@ -853,27 +822,15 @@ mod tests {
     #[test]
     fn removing_a_parked_or_degraded_intent_burns_no_epoch() {
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let b = net.topology.expect_device("B");
         let (from_b, _) = plan_for(&net, "B .* D");
         let (from_a, _) = plan_for(&net, "A .* D");
-        let live = c
-            .install(None, "from-a", &from_a, 0)
-            .unwrap()
-            .intent
-            .unwrap();
-        let degraded = c
-            .install(None, "from-b", &from_b, 0)
-            .unwrap()
-            .intent
-            .unwrap();
+        let (live, _) = c.install(None, "from-a", &from_a, 0).unwrap();
+        let (degraded, _) = c.install(None, "from-b", &from_b, 0).unwrap();
         c.topology_event(&TopologyEvent::DeviceDown(b), &net.topology, &base, 0)
             .unwrap();
-        let parked = c
-            .install(None, "from-b", &from_b, 0)
-            .unwrap()
-            .intent
-            .unwrap();
+        let (parked, _) = c.install(None, "from-b", &from_b, 0).unwrap();
         assert_eq!(c.epoch(), 3);
         assert!(c.remove(parked, 0).unwrap().fence.is_none());
         assert!(c.remove(degraded, 0).unwrap().fence.is_none());
@@ -897,7 +854,7 @@ mod tests {
     #[test]
     fn a_live_slice_never_inherits_an_id_only_a_degraded_intent_owned() {
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "B .* D", false);
+        let (mut c, base) = control(&net, "B .* D");
         let dev = |n: &str| net.topology.expect_device(n);
         let (from_a, cp) = plan_for(&net, "A .* D");
         let no_invariant = None;
@@ -908,8 +865,7 @@ mod tests {
             .install(None, "from-a", no_invariant, cp, space, &quiet)
             .unwrap();
         let waypoint = plan_for(&net, "S .* W .* D").0;
-        let live = c.install(None, "waypoint", &waypoint, 0).unwrap();
-        let live = live.intent.unwrap();
+        let (live, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
 
         let sources = |c: &ControlPlane, id: IntentId| -> Vec<NodeId> {
             let it = c.store.get(id).unwrap();
@@ -950,26 +906,6 @@ mod tests {
             let fresh = (*g, Freshness::Fresh);
             r.freshness.contains(&fresh)
         }));
-    }
-
-    #[test]
-    fn fixed_roster_caps_what_a_plan_may_task() {
-        let net = fig2a_network();
-        let s = net.topology.expect_device("S");
-        let (mut c, base) = control(&net, "A .* D", true);
-        c.roster.remove(&s);
-        let (from_s, _) = plan_for(&net, "S .* D");
-        let before = fingerprint(&c);
-        assert!(c.install(None, "from-s", &from_s, 0).is_err());
-        assert!(before == fingerprint(&c));
-        // Under churn the same slice parks instead.
-        let (a, b) = (
-            net.topology.expect_device("A"),
-            net.topology.expect_device("B"),
-        );
-        c.topology_event(&TopologyEvent::LinkDown(a, b), &net.topology, &base, 0)
-            .unwrap();
-        assert!(c.install(None, "from-s", &from_s, 0).unwrap().parked);
     }
 
     /// A generated 13-device network: a ring `n0..n11`, a chord from
@@ -1065,7 +1001,7 @@ mod tests {
     fn nine_intents_on_the_ring() -> (Network, ControlPlane, Invariant, Arc<Telemetry>) {
         use tulkun_telemetry::TelemetryConfig;
         let net = ring_network();
-        let (mut c, base) = control(&net, "n0 .* n11", false);
+        let (mut c, base) = control(&net, "n0 .* n11");
         let tel = Telemetry::new(TelemetryConfig::enabled());
         c.set_telemetry(tel.clone());
         for path in ["leaf", "n2", "n3", "n4", "n5 .* n7", "n6", "n8", "n9"] {
@@ -1236,7 +1172,7 @@ mod tests {
         for intent in c.store.live() {
             let inv = intent.invariant.as_ref().unwrap_or(base);
             let id = intent.id;
-            match plan_intent_on(&effective, inv, &c.churn, c.taskable()) {
+            match plan_intent_on(&effective, inv, &c.churn) {
                 Ok(fresh) => {
                     assert!(!intent.is_degraded(), "intent {id} plans: {:?}", c.churn);
                     assert_eq!(intent.plan.tasks, fresh.tasks, "intent {id}: {:?}", c.churn);
@@ -1255,7 +1191,7 @@ mod tests {
     fn another_base_or_invariant_never_hits_the_scene_tables() {
         let net = fig2a_network();
         let home = &net.topology;
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let dev = |n: &str| home.expect_device(n);
         let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
         let up = TopologyEvent::LinkUp(dev("B"), dev("D"));
@@ -1284,7 +1220,7 @@ mod tests {
     /// planning counters: planner calls and unaffected slices.
     fn counted(net: &Network, base: &str) -> (ControlPlane, Invariant, impl Fn() -> (u64, u64)) {
         use tulkun_telemetry::TelemetryConfig;
-        let (mut c, inv) = control(net, base, false);
+        let (mut c, inv) = control(net, base);
         let tel = Telemetry::new(TelemetryConfig::enabled());
         c.set_telemetry(tel.clone());
         let work = move || {
@@ -1320,8 +1256,7 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let id = c.install(None, "waypoint", &waypoint, 0).unwrap().intent;
-        let id = id.unwrap();
+        let (id, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
         let paths = |c: &ControlPlane| c.store.get(id).unwrap().plan.dpvnet.num_paths();
         assert_eq!(paths(&c), 1.0, "S-A-W-D");
         let mut apply = |ev: TopologyEvent| {
@@ -1370,7 +1305,7 @@ mod tests {
     #[test]
     fn a_reused_id_starts_with_an_empty_scene_table() {
         let net = fig2a_network();
-        let (mut c, base) = control(&net, "S .* D", false);
+        let (mut c, base) = control(&net, "S .* D");
         let dev = |n: &str| net.topology.expect_device(n);
         let flap = [
             TopologyEvent::LinkDown(dev("B"), dev("D")),
@@ -1402,25 +1337,24 @@ mod tests {
         /// fences.
         #[test]
         fn plans_match_a_fresh_planner_and_an_err_leaves_no_trace(
-            (ops, fixed_roster, ring) in (
+            (ops, ring) in (
                 proptest::collection::vec((0usize..5, 0usize..60), 1..24),
-                any::<bool>(),
                 any::<bool>(),
             )
         ) {
             let world = if ring { ring_world() } else { fig2a_world() };
             let World { net, base, pool, events } = world;
-            let (mut c, base) = control(&net, base, fixed_roster);
+            let (mut c, base) = control(&net, base);
             // Applies one op, holding the properties; returns `is_err`.
             let mut step = |kind: usize, i: usize| {
                 let before = (fingerprint(&c), c.epoch());
                 let names = c.store.names();
                 let result = match kind {
                     0 | 1 => c.topology_event(&events[i % events.len()], &net.topology, &base, 0),
-                    2 => c.install(None, "p", &pool[i % pool.len()], 0),
+                    2 => c.install(None, "p", &pool[i % pool.len()], 0).map(|(_, d)| d),
                     // A replay id collides with an id in use, and
                     // re-uses a removed one under any invariant.
-                    3 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[i / 3 % pool.len()], 0),
+                    3 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[i / 3 % pool.len()], 0).map(|(_, d)| d),
                     _ => c.remove(IntentId(i as u64 % 4), 0),
                 };
                 match &result {

@@ -3,8 +3,9 @@
 //! One [`RuntimeEvent`] enum, consumed by a single
 //! [`Substrate::apply_event`] entry point, covers every mutation a
 //! substrate accepts: the synchronous [`Session`], the discrete-event
-//! `Engine`, the `ThreadedEngine` and the verification `Service`. The
-//! lifecycle decisions behind the topology and intent events are made
+//! `Engine` and the `ThreadedEngine`. (The verification `Service` is
+//! not one: it admits requests through `offer` and applies them at its
+//! own `drain`; a backend swap is its `set_backend`.) The lifecycle decisions behind the topology and intent events are made
 //! once, in [`crate::control::ControlPlane`]; a substrate only
 //! delivers the result.
 //!
@@ -17,7 +18,6 @@ use crate::spec::Invariant;
 use tulkun_netmodel::network::RuleUpdate;
 use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::DeviceId;
-use tulkun_predicate::BackendKind;
 
 /// One runtime mutation, uniform across substrates.
 #[derive(Debug, Clone)]
@@ -39,8 +39,6 @@ pub enum RuntimeEvent {
     /// Crash one device's verification agent and restart it from its
     /// neighbors' durable state.
     CrashRestart(DeviceId),
-    /// Hot-swap the predicate backend.
-    SetBackend(BackendKind),
     /// Compile an invariant and install it as a new runtime intent
     /// (its DPVNet slice is deduplicated against live intents).
     InstallIntent {

@@ -189,8 +189,7 @@ type Planned = Result<Slice, PlanError>;
 /// invariant (for the base intent, the base invariant of the owning
 /// control plane), the control plane's base topology (it calls
 /// [`IntentStore::forget_scenes`] when a caller hands it another of
-/// either), and the taskable roster, which is constant whenever it is
-/// `Some`. An entry is what the planner gives on its scene, whether a
+/// either). An entry is what the planner gives on its scene, whether a
 /// planner run put it there or a [`Cut`] showed the run would return
 /// the plan already in force. Refusals are remembered too: a scene
 /// that degrades the intent degrades it again without a planner run.
@@ -1361,17 +1360,11 @@ impl IntentStore {
     /// from a counter that only grows, and an heir is a node still in
     /// the table), so a node that reappears later is new to every
     /// neighbour.
-    ///
-    /// `taskable` restricts which devices plans may task (substrates
-    /// with a fixed thread-per-device set pass their roster; lazily
-    /// building substrates pass `None`). A base plan tasking an
-    /// unlisted device is an error; any other intent degrades.
     pub(crate) fn replan_all_for_churn(
         &mut self,
         base: &Topology,
         base_inv: Option<&Invariant>,
         churn: &ChurnState,
-        taskable: Option<&BTreeSet<DeviceId>>,
         cut: Option<Cut>,
         work: &mut PlanWork,
     ) -> Result<StoreReplan, PlanError> {
@@ -1423,8 +1416,7 @@ impl IntentStore {
                 kept
             } else {
                 work.planner_calls += 1;
-                let fresh = plan_intent_on(&topology, inv, churn, taskable)
-                    .map(|cp| Slice::of(Arc::new(cp)));
+                let fresh = plan_intent_on(&topology, inv, churn).map(|cp| Slice::of(Arc::new(cp)));
                 intent.scenes.record(churn, fresh.clone());
                 fresh
             };
@@ -1444,7 +1436,7 @@ impl IntentStore {
         let mut still_parked: BTreeMap<u64, PendingIntent> = BTreeMap::new();
         for (pid, mut p) in std::mem::take(&mut self.parked) {
             work.planner_calls += 1;
-            let attempt = plan_intent_on(&topology, &p.invariant, churn, taskable).and_then(|cp| {
+            let attempt = plan_intent_on(&topology, &p.invariant, churn).and_then(|cp| {
                 let profile = IntentProfile::of(&cp);
                 match self.profile {
                     Some(pr) if pr != profile => Err(PlanError::Unsupported(format!(
@@ -1612,16 +1604,13 @@ impl IntentStore {
 /// costs ([`IntentStore::replan_all_for_churn`]), and what a hit must
 /// equal. Rejects plans that task a quarantined device (the
 /// device is down — nothing can run there; e.g. an intent whose
-/// ingress is the isolated device still "plans" onto it) and, with
-/// `taskable`, plans that task a device outside the roster (fixed
-/// thread-per-device substrates cannot grow verifiers after spawn).
+/// ingress is the isolated device still "plans" onto it).
 /// Substrates use this for installs racing an active fence: an `Err`
 /// here means "park it", not "reject it".
 pub fn plan_intent_on(
     topology: &Topology,
     inv: &Invariant,
     churn: &ChurnState,
-    taskable: Option<&BTreeSet<DeviceId>>,
 ) -> Result<CountingPlan, PlanError> {
     let PlanKind::Counting(cp) = Planner::new(topology).plan(inv)?.kind else {
         return Err(PlanError::Unsupported(
@@ -1636,22 +1625,11 @@ pub fn plan_intent_on(
             "slice has no DPVNet nodes on the current topology".into(),
         ));
     }
-    for t in &cp.tasks {
-        if churn.is_down(t.dev) {
-            return Err(PlanError::Unsupported(format!(
-                "slice tasks quarantined device d{}",
-                t.dev.0
-            )));
-        }
-        if let Some(ok) = taskable {
-            if !ok.contains(&t.dev) {
-                return Err(PlanError::Unsupported(format!(
-                    "plan tasks device d{} but this substrate has no verifier \
-                     for it (spawn with all_devices)",
-                    t.dev.0
-                )));
-            }
-        }
+    if let Some(t) = cp.tasks.iter().find(|t| churn.is_down(t.dev)) {
+        return Err(PlanError::Unsupported(format!(
+            "slice tasks quarantined device d{}",
+            t.dev.0
+        )));
     }
     Ok(cp)
 }
@@ -1994,7 +1972,7 @@ pub(crate) mod tests {
     fn replan(store: &mut IntentStore, net: &Network, churn: &ChurnState) -> StoreReplan {
         let mut work = PlanWork::default();
         let before = store.names();
-        let r = store.replan_all_for_churn(&net.topology, None, churn, None, None, &mut work);
+        let r = store.replan_all_for_churn(&net.topology, None, churn, None, &mut work);
         store.assert_consistent(Some(&before));
         r.unwrap()
     }

@@ -5,6 +5,7 @@
 use crate::count::{CountExpr, ReduceMode};
 use crate::dpvnet::{DpvNet, DpvNetError, NodeId};
 use crate::spec::{Behavior, FilterOp, Invariant, LengthBound, PathExpr};
+use std::collections::BTreeMap;
 use std::fmt;
 use tulkun_automata::{Dfa, Regex};
 use tulkun_netmodel::topology::{DeviceId, Topology};
@@ -96,6 +97,15 @@ impl CountingPlan {
     /// Index of the escape component, if tracked.
     pub fn escape_idx(&self) -> Option<usize> {
         self.track_escapes.then_some(self.exprs.len())
+    }
+
+    /// The tasks by device: the verifiers a substrate builds for it.
+    pub fn tasks_by_device(&self) -> BTreeMap<DeviceId, Vec<NodeTask>> {
+        let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
+        for t in &self.tasks {
+            by_dev.entry(t.dev).or_default().push(t.clone());
+        }
+        by_dev
     }
 }
 

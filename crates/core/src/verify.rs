@@ -271,15 +271,7 @@ impl Session {
     ) -> Session {
         let tel = Telemetry::disabled();
         let mut session = Session {
-            control: ControlPlane::new(
-                &net.topology,
-                net.layout,
-                &cp,
-                ps,
-                cp.tasks.iter().map(|t| t.dev),
-                false,
-                tel.clone(),
-            ),
+            control: ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone()),
             packet_space: compile_packet_space(&net.layout, ps),
             verifiers: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -296,32 +288,13 @@ impl Session {
                 .unwrap_or_else(|e| panic!("{e}")),
             tel,
         };
-        // Group tasks by device.
-        let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-        for t in cp.tasks {
-            by_dev.entry(t.dev).or_default().push(t);
-        }
-        for (dev, tasks) in by_dev {
-            session.build_verifier(dev, tasks);
+        let s = &mut session;
+        for (dev, tasks) in cp.tasks_by_device() {
+            let (ps, queue) = (&s.packet_space, &mut s.queue);
+            let v = build_verifier(&s.net, ps, &s.cfg, s.backend_kind, dev, tasks, queue);
+            s.verifiers.insert(dev, v);
         }
         session
-    }
-
-    /// Builds and initializes one device's verifier against the current
-    /// FIB snapshot.
-    fn build_verifier(&mut self, dev: DeviceId, tasks: Vec<NodeTask>) {
-        let mut v = DeviceVerifier::builder(
-            dev,
-            self.net.layout,
-            self.net.fib(dev).clone(),
-            &self.packet_space,
-            self.cfg.clone(),
-        )
-        .backend(self.backend_kind)
-        .tasks(tasks)
-        .build();
-        v.init(&mut self.queue);
-        self.verifiers.insert(dev, v);
     }
 
     /// Attach an observability handle: flight-recorder journal entries
@@ -434,11 +407,11 @@ impl Session {
             return 0;
         };
         self.control.seal(&mut plan, self.queue.len(), 0);
+        let (net, ps, cfg, kind) = (&self.net, &self.packet_space, &self.cfg, self.backend_kind);
         for (dev, fence) in plan.devices {
-            if !self.verifiers.contains_key(&dev) {
-                self.build_verifier(dev, Vec::new());
-            }
-            let v = self.verifiers.get_mut(&dev).expect("built above");
+            let v = self.verifiers.entry(dev).or_insert_with(|| {
+                build_verifier(net, ps, cfg, kind, dev, Vec::new(), &mut self.queue)
+            });
             v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
         }
         self.run_to_quiescence()
@@ -486,9 +459,9 @@ impl Session {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let mut d = self.control.install(None, name, inv, 0)?;
+        let (id, mut d) = self.control.install(None, name, inv, 0)?;
         self.deliver(d.fence.take());
-        Ok((d.intent.expect("installs name their intent"), d.delta))
+        Ok((id, d.delta))
     }
 
     /// [`Session::install_intent`] under a caller-chosen id — for
@@ -500,7 +473,7 @@ impl Session {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let mut d = self.control.install(Some(id), name, inv, 0)?;
+        let (id, mut d) = self.control.install(Some(id), name, inv, 0)?;
         self.deliver(d.fence.take());
         Ok((id, d.delta))
     }
@@ -522,7 +495,7 @@ impl Session {
 impl Substrate for Session {
     fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
         use RuntimeEvent as E;
-        let mut d = match ev {
+        let (intent, mut d) = match ev {
             E::Batch(updates) => {
                 return Ok(EventOutcome {
                     messages: self.apply_batch(updates),
@@ -534,24 +507,22 @@ impl Substrate for Session {
                     "the synchronous reference session has no crash/restart model".to_string(),
                 ))
             }
-            E::SetBackend(_) => {
-                return Err(PlanError::Unsupported(
-                    "the synchronous reference session cannot hot-swap backends; rebuild it"
-                        .to_string(),
-                ))
-            }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => self.control.topology_event(event, base, invariant, 0)?,
+            } => (
+                None,
+                self.control.topology_event(event, base, invariant, 0)?,
+            ),
             E::InstallIntent { name, invariant } => {
-                self.control.install(None, name, invariant, 0)?
+                let (id, d) = self.control.install(None, name, invariant, 0)?;
+                (Some(id), d)
             }
-            E::RemoveIntent(id) => self.control.remove(*id, 0)?,
+            E::RemoveIntent(id) => (Some(*id), self.control.remove(*id, 0)?),
         };
         let messages = self.deliver(d.fence.take());
-        Ok(d.outcome(messages, 0))
+        Ok(d.outcome(intent, messages))
     }
 }
 
@@ -602,36 +573,25 @@ pub fn evaluate_intents(
     }
 }
 
-/// Evaluates an invariant's formula at the DPVNet sources given a way to
-/// read each source node's counting results (used by the simulator and
-/// the threaded runner, which own their verifiers).
-pub fn evaluate_sources(
-    plan: &CountingPlan,
-    mut node_result: impl FnMut(DeviceId, NodeId) -> NodeResult,
-) -> Report {
-    let escape_idx = plan.escape_idx();
-    let mut violations = Vec::new();
-    for (dev, node) in plan.dpvnet.sources() {
-        for (pred, counts) in node_result(*dev, *node).iter() {
-            let bad = counts.iter().any(|u| !plan.formula.eval(u, escape_idx));
-            if bad {
-                violations.push(Violation {
-                    device: *dev,
-                    node: *node,
-                    pred: pred.clone(),
-                    kind: ViolationKind::Counting {
-                        counts: counts.clone(),
-                    },
-                    intent: 0,
-                });
-            }
-        }
-    }
-    Report {
-        violations,
-        messages: 0,
-        ..Report::default()
-    }
+/// Builds `dev`'s verifier over the FIB in `net` and queues what its
+/// init sends: the session's one constructor, at construction and when
+/// a fence first tasks a device.
+fn build_verifier(
+    net: &Network,
+    packet_space: &PortablePred,
+    cfg: &VerifierConfig,
+    kind: BackendKind,
+    dev: DeviceId,
+    tasks: Vec<NodeTask>,
+    queue: &mut VecDeque<Envelope>,
+) -> DeviceVerifier {
+    let fib = net.fib(dev).clone();
+    let mut v = DeviceVerifier::builder(dev, net.layout, fib, packet_space, cfg.clone())
+        .backend(kind)
+        .tasks(tasks)
+        .build();
+    v.init(queue);
+    v
 }
 
 /// Verifies a network snapshot against a plan (counting or local) and

@@ -5,9 +5,10 @@
 
 use tulkun_core::count::CountExpr;
 use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
+use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
-use tulkun_core::verify::{compile_packet_space, evaluate_sources};
+use tulkun_core::verify::{compile_packet_space, evaluate_intents};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::Network;
 use tulkun_netmodel::topology::Topology;
@@ -76,7 +77,8 @@ fn run_with_mode(net: &Network, mode: DestMode) -> bool {
             v.handle(&env, &mut queue);
         }
     }
-    evaluate_sources(cp, |dev, node| {
+    let store = IntentStore::with_base(cp.clone().into(), inv.packet_space, None);
+    evaluate_intents(&store, |dev, node| {
         verifiers
             .get_mut(&dev)
             .map(|v| v.node_result(node, None))

@@ -12,6 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use tulkun_core::count::CountExpr;
 use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
+use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{self, compile_packet_space};
@@ -35,16 +36,12 @@ impl ChannelDriver {
             reduce: cp.reduce,
             dest_mode: DestMode::Axiomatic,
         };
-        let mut by_dev: BTreeMap<DeviceId, Vec<_>> = BTreeMap::new();
-        for t in &cp.tasks {
-            by_dev.entry(t.dev).or_default().push(t.clone());
-        }
         let mut driver = ChannelDriver {
             verifiers: BTreeMap::new(),
             channels: BTreeMap::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
         };
-        for (dev, tasks) in by_dev {
+        for (dev, tasks) in cp.tasks_by_device() {
             let mut v =
                 DeviceVerifier::builder(dev, net.layout, net.fib(dev).clone(), &psp, cfg.clone())
                     .tasks(tasks)
@@ -182,9 +179,10 @@ fn waypoint_plan(net: &Network) -> tulkun_core::planner::Plan {
 }
 
 fn verdict(driver: &mut ChannelDriver, plan: &tulkun_core::planner::Plan) -> usize {
-    let cp = plan.counting().unwrap();
+    let cp = plan.counting().unwrap().clone();
+    let store = IntentStore::with_base(cp.into(), plan.invariant.packet_space.clone(), None);
     let verifiers = &mut driver.verifiers;
-    let report = verify::evaluate_sources(cp, |dev, node| {
+    let report = verify::evaluate_intents(&store, |dev, node| {
         verifiers
             .get_mut(&dev)
             .map(|v| v.node_result(node, None))

@@ -6,8 +6,12 @@
 //! lifecycle — stage a FIB batch, crash/restart an agent, deliver an
 //! epoch fence, assemble a [`Report`] — is written once, in
 //! [`Runtime`], over the only thing two substrates differ in:
-//! a [`Fabric`], which runs an injected operation on one device, moves
-//! the envelopes it emits, and says when the exchange is quiescent.
+//! a [`Fabric`], which hosts the verifiers, runs an injected operation
+//! on one device, moves the envelopes it emits, and says when the
+//! exchange is quiescent. Which devices host a verifier is each
+//! fabric's own rule, and no verdict depends on it: [`Driver`] builds a
+//! device's verifier when a fence first tasks it, [`Threads`] spawns
+//! one per topology device because it cannot add threads later.
 //!
 //! * [`Engine`] is the runtime over the single-driver, virtual-time
 //!   fabric ([`Driver`]): one pull loop owns every verifier, a boxed
@@ -21,9 +25,11 @@
 //!   ([`Engine::new`], [`Engine::lossy`]).
 //! * [`ThreadedEngine`] is the runtime over the thread-per-device
 //!   fabric ([`Threads`]) — the deployment shape of the paper's
-//!   prototype. It shares the constructor ([`build_verifiers`]), the
-//!   quiescence rule (an in-flight gauge: a message's outputs are
-//!   counted before its own count is released) and [`RuntimeStats`].
+//!   prototype. It shares the constructor (`Recipe::build`), the
+//!   device step (`step`: run one envelope or injected op, time it,
+//!   record its span, book its stats), the quiescence rule (an
+//!   in-flight gauge: a message's outputs are counted before its own
+//!   count is released) and [`RuntimeStats`].
 //!
 //! `Transport` is a trait because its implementations are real
 //! alternatives (and `FaultyTransport` is unit-tested over the FIFO
@@ -535,13 +541,6 @@ pub struct EngineConfig {
     /// that take the kind from outside the program run
     /// [`BackendKind::check`] themselves first.
     pub backend: BackendKind,
-    /// Build a verifier for *every* topology device, not only those
-    /// with tasks in the initial plan. The threaded substrate cannot
-    /// add device threads after spawn, so runtime intent installs
-    /// ([`ThreadedEngine::install_intent`]) that pull in a previously
-    /// task-less device need its thread to already exist. Off by
-    /// default: idle verifiers cost init time on large topologies.
-    pub all_devices: bool,
 }
 
 impl Default for EngineConfig {
@@ -551,7 +550,6 @@ impl Default for EngineConfig {
             parallel_init: false,
             telemetry: Telemetry::disabled(),
             backend: BackendKind::Bdd,
-            all_devices: false,
         }
     }
 }
@@ -575,13 +573,82 @@ fn dvm_span_name(payload: &Payload) -> &'static str {
     }
 }
 
-/// The configured backend, checked against the network's workload.
-fn checked_backend(cfg: &EngineConfig, net: &Network) -> BackendKind {
-    // The contract `EngineConfig::backend` documents: callers holding
-    // outside input run `BackendKind::check` first.
-    cfg.backend
-        .check(network_ip_only(net))
-        .unwrap_or_else(|e| panic!("{e}"))
+/// Everything building a verifier takes but the device, its tasks and
+/// the FIB it reads: one per engine, shared by the builds at
+/// construction and the late ones a fence causes.
+struct Recipe {
+    packet_space: PortablePred,
+    vcfg: VerifierConfig,
+    /// Every verifier of one run uses the same encoding (wire bytes
+    /// are backend-neutral, so this is a pure performance choice).
+    kind: BackendKind,
+    tel: Arc<Telemetry>,
+}
+
+impl Recipe {
+    fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: &EngineConfig) -> Recipe {
+        // The contract `EngineConfig::backend` documents: callers holding
+        // outside input run `BackendKind::check` first.
+        let kind = cfg.backend.check(network_ip_only(net));
+        Recipe {
+            packet_space: verify::compile_packet_space(&net.layout, ps),
+            vcfg: VerifierConfig {
+                n_exprs: plan.exprs.len(),
+                track_escapes: plan.track_escapes,
+                reduce: plan.reduce,
+                dest_mode: Default::default(),
+            },
+            kind: kind.unwrap_or_else(|e| panic!("{e}")),
+            tel: cfg.telemetry.clone(),
+        }
+    }
+
+    /// Builds `dev`'s verifier over its FIB in `net` and runs its init
+    /// under the causal `trace`: the one constructor. LECs come from
+    /// `cache` when it holds the device's table, and fill it when it
+    /// does not. Records the `init.build` span (`worker` in aux) and
+    /// returns the verifier, what its init sent and the host ns both
+    /// took.
+    fn build(
+        &self,
+        net: &Network,
+        dev: DeviceId,
+        tasks: Vec<NodeTask>,
+        cache: Option<&LecCache>,
+        trace: u64,
+        worker: u64,
+    ) -> (DeviceVerifier, Vec<Envelope>, u64) {
+        let (tel, ps) = (&self.tel, &self.packet_space);
+        let begin = tel.host_tick();
+        let start = Instant::now();
+        let cached = cache.and_then(|c| c.get(dev));
+        let fib = net.fib(dev).clone();
+        let mut v = DeviceVerifier::builder(dev, net.layout, fib, ps, self.vcfg.clone())
+            .backend(self.kind)
+            .tasks(tasks)
+            .maybe_lecs(cached.as_deref().map(Vec::as_slice))
+            .telemetry(tel.clone())
+            .build();
+        if let (Some(cache), None) = (cache, cached) {
+            cache.insert(dev, v.export_lecs());
+        }
+        v.set_trace(trace);
+        let mut out = Vec::new();
+        v.init(&mut out);
+        let host_ns = start.elapsed().as_nanos() as u64;
+        // Attributed to its worker (aux) so the EXPERIMENTS
+        // parallel-init entry can read actual occupancy.
+        tel.span_aux(
+            dev,
+            "init.build",
+            "init",
+            begin,
+            host_ns.max(1),
+            trace,
+            worker,
+        );
+        (v, out, host_ns)
+    }
 }
 
 /// One constructed device verifier with its init byproducts.
@@ -593,87 +660,28 @@ struct BuiltVerifier {
     init_ns: u64,
 }
 
-/// Builds one `DeviceVerifier` per participating device, timing each
-/// construction (LEC build + initial counting) as init cost. With
-/// `parallel` set, devices build concurrently under scoped threads —
-/// the sharded [`LecCache`] is used directly (per-shard locking, no
-/// global mutex), and results are returned in device order so
-/// downstream scheduling stays deterministic.
-fn plan_vcfg(plan: &CountingPlan) -> VerifierConfig {
-    VerifierConfig {
-        n_exprs: plan.exprs.len(),
-        track_escapes: plan.track_escapes,
-        reduce: plan.reduce,
-        dest_mode: Default::default(),
-    }
-}
-
+/// Builds the verifier of every device in `by_dev`, timing each
+/// construction (LEC build + initial counting) as init cost; the whole
+/// initial burst is one causal wave. With `parallel_init` set, devices
+/// build concurrently under scoped threads — the sharded [`LecCache`]
+/// is used directly (per-shard locking, no global mutex), and results
+/// are returned in device order so downstream scheduling stays
+/// deterministic.
 fn build_verifiers(
     net: &Network,
-    plan: &CountingPlan,
-    packet_space: &PortablePred,
+    by_dev: BTreeMap<DeviceId, Vec<NodeTask>>,
+    recipe: &Recipe,
     cfg: &EngineConfig,
     lec_cache: &LecCache,
 ) -> Vec<BuiltVerifier> {
-    let vcfg = plan_vcfg(plan);
-    let mut by_dev: BTreeMap<DeviceId, Vec<NodeTask>> = BTreeMap::new();
-    for t in &plan.tasks {
-        by_dev.entry(t.dev).or_default().push(t.clone());
-    }
-    if cfg.all_devices {
-        // Idle verifiers (no tasks) for every device the plan skipped,
-        // so runtime intents can task them later.
-        for d in 0..net.topology.num_devices() as u32 {
-            by_dev.entry(DeviceId(d)).or_default();
-        }
-    }
-
-    // Every verifier of one run uses the same encoding (wire bytes are
-    // backend-neutral, so this is a pure performance choice).
-    let kind = checked_backend(cfg, net);
-
-    let tel = &cfg.telemetry;
     let build_one = |dev: DeviceId, tasks: Vec<NodeTask>, worker: u64| -> BuiltVerifier {
-        let begin = tel.host_tick();
-        let start = Instant::now();
-        let cached = lec_cache.get(dev);
-        let mut v = DeviceVerifier::builder(
-            dev,
-            net.layout,
-            net.fib(dev).clone(),
-            packet_space,
-            vcfg.clone(),
-        )
-        .backend(kind)
-        .tasks(tasks)
-        .maybe_lecs(cached.as_deref().map(Vec::as_slice))
-        .telemetry(tel.clone())
-        .build();
-        if cached.is_none() {
-            lec_cache.insert(dev, v.export_lecs());
-        }
-        // The whole initial burst is one causal wave.
-        v.set_trace(INIT_TRACE);
-        let mut init_out = Vec::new();
-        v.init(&mut init_out);
-        let host_ns = start.elapsed().as_nanos() as u64;
-        // Per-device init span, attributed to its worker (aux) so the
-        // EXPERIMENTS parallel-init entry can read actual occupancy.
-        tel.span_aux(
-            dev,
-            "init.build",
-            "init",
-            begin,
-            host_ns.max(1),
-            INIT_TRACE,
-            worker,
-        );
-        let init_ns = cfg.model.scale_ns(host_ns);
+        let (verifier, init_out, host_ns) =
+            recipe.build(net, dev, tasks, Some(lec_cache), INIT_TRACE, worker);
         BuiltVerifier {
             dev,
-            verifier: v,
+            verifier,
             init_out,
-            init_ns,
+            init_ns: cfg.model.scale_ns(host_ns),
         }
     };
 
@@ -732,17 +740,73 @@ pub struct RunOutcome {
 /// restarted peer, or a device's share of an epoch fence.
 type Injected = Box<dyn FnOnce(&mut DeviceVerifier, &mut Vec<Envelope>) + Send>;
 
-/// What the two substrates differ in: how an operation reaches one
-/// device's verifier, how the envelopes it emits travel, and when the
-/// exchange is quiescent. Everything else is [`Runtime`].
+/// One input to a device's verifier.
+enum Input {
+    /// A DVM envelope from a peer.
+    Dvm(Envelope),
+    /// An injected operation under the causal trace id of the wave it
+    /// starts.
+    Op(u64, Injected),
+}
+
+/// Runs one input on a device's verifier: the one device step both
+/// fabrics take. Sets the trace (an envelope carries its own), times
+/// the work, has `charge` turn the host time into the span the device
+/// was busy for, records the span — and, for an envelope, `HANDLE_NS`
+/// — and books it on `stats`. Returns the span and what the verifier
+/// emitted; moving that is the caller's.
+fn step(
+    v: &mut DeviceVerifier,
+    input: Input,
+    tel: &Telemetry,
+    stats: &mut DeviceStats,
+    charge: impl FnOnce(u64) -> Span,
+) -> (Span, Vec<Envelope>) {
+    let begin = tel.host_tick();
+    let wall = Instant::now();
+    let bytes_before = v.stats.bytes_sent;
+    let mut out = Vec::new();
+    let (name, trace, envelope) = match input {
+        Input::Dvm(env) => {
+            v.handle(&env, &mut out);
+            (dvm_span_name(&env.payload), env.trace, true)
+        }
+        Input::Op(trace, op) => {
+            v.set_trace(trace);
+            op(v, &mut out);
+            ("inject", trace, false)
+        }
+    };
+    let host_ns = wall.elapsed().as_nanos() as u64;
+    let span = charge(host_ns);
+    let dev = v.device();
+    if tel.is_enabled() {
+        // Host-tick timeline; the device's virtual begin time rides in
+        // aux for offline re-keying.
+        tel.span_aux(dev, name, "dvm", begin, host_ns.max(1), trace, span.begin);
+        if envelope {
+            tel.observe(dev, &HANDLE_NS, span.cpu_ns);
+        }
+    }
+    if envelope {
+        let sent = v.stats.bytes_sent - bytes_before;
+        stats.absorb_message(span.cpu_ns, sent, v.bdd_nodes());
+    } else {
+        stats.busy_ns += span.cpu_ns;
+    }
+    (span, out)
+}
+
+/// What the two substrates differ in: which devices host a verifier,
+/// how an input reaches one, how the envelopes it emits travel, and
+/// when the exchange is quiescent. Everything else is [`Runtime`].
 pub trait Fabric {
     /// Runs `op` on `dev`'s verifier at the start of the round under
     /// the causal `trace` id, books its cost and sends what it emitted.
-    /// A device without a verifier is skipped. A fabric that ran the op
-    /// before returning reports its host `(begin tick, ns)`.
-    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)>;
+    /// A device without a verifier is skipped.
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected);
     /// Epoch fence: supersedes everything in flight *before* any
-    /// new-epoch send, makes every device of `plan` injectable, and
+    /// new-epoch send, gives every device of `plan` a verifier, and
     /// returns how many envelopes were dropped (or may still land on
     /// old-epoch state) — what decides whether the repair wave runs.
     fn fence(&mut self, plan: &FencePlan, trace: u64) -> usize;
@@ -775,6 +839,8 @@ pub struct Runtime<F> {
     /// Next causal trace id handed to an injected event (init is
     /// [`INIT_TRACE`]).
     next_trace: u64,
+    /// Topology devices: the ids a crash may name.
+    devices: u32,
 }
 
 /// The single-driver engine: deterministic, virtual-time, over a clean
@@ -787,12 +853,20 @@ pub type Engine = Runtime<Driver>;
 pub type ThreadedEngine = Runtime<Threads>;
 
 impl<F: Fabric> Runtime<F> {
-    fn assemble(control: ControlPlane, fabric: F, cfg: &EngineConfig) -> Runtime<F> {
+    fn assemble(
+        net: &Network,
+        plan: &CountingPlan,
+        ps: &PacketSpace,
+        fabric: F,
+        cfg: &EngineConfig,
+    ) -> Runtime<F> {
+        let tel = cfg.telemetry.clone();
         Runtime {
-            control,
+            control: ControlPlane::new(&net.topology, net.layout, plan, ps, tel.clone()),
             fabric,
-            tel: cfg.telemetry.clone(),
+            tel,
             next_trace: FIRST_EVENT_TRACE,
+            devices: net.topology.num_devices() as u32,
         }
     }
 
@@ -868,15 +942,18 @@ impl<F: Fabric> Runtime<F> {
     /// replays its durable protocol state toward the restarted device
     /// ([`DeviceVerifier::replay_for_restart`]), and the exchange is
     /// driven to quiescence — the run recovers instead of aborting, and
-    /// the Report re-converges to the pre-crash fixpoint. A device
-    /// without a verifier has no agent to crash: a no-op.
+    /// the Report re-converges to the pre-crash fixpoint. Every
+    /// topology device has an agent, whether or not it hosts a node —
+    /// each fabric reboots and replays what it hosts — so the crash is
+    /// journaled and counted alike on both; an id outside the topology
+    /// is a no-op.
     pub fn crash_restart(&mut self, dev: DeviceId) -> RunOutcome {
         self.stage_crash(dev);
         self.drain()
     }
 
     fn stage_crash(&mut self, dev: DeviceId) {
-        if !self.control.roster().contains(&dev) {
+        if dev.0 >= self.devices {
             return;
         }
         let trace = self.alloc_trace();
@@ -893,11 +970,11 @@ impl<F: Fabric> Runtime<F> {
         self.fabric.purge_for_restart(dev);
         self.fabric
             .inject(dev, trace, Box::new(|v, out| v.reboot(out)));
-        for nb in self.control.roster().iter().filter(|nb| **nb != dev) {
+        for nb in (0..self.devices).map(DeviceId).filter(|nb| *nb != dev) {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.replay_for_restart(dev, out)
             };
-            self.fabric.inject(*nb, trace, Box::new(op));
+            self.fabric.inject(nb, trace, Box::new(op));
         }
     }
 
@@ -937,24 +1014,36 @@ impl<F: Fabric> Runtime<F> {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.apply_fence(epoch, trace, fence, out)
             };
-            if let Some((begin, ns)) = self.fabric.inject(dev, trace, Box::new(op)) {
-                self.tel
-                    .span_aux(dev, "fence.apply", "fence", begin, ns.max(1), trace, epoch);
-            }
+            self.fabric.inject(dev, trace, Box::new(op));
         }
         Ok(decision)
+    }
+
+    /// Installs `inv` as a runtime intent under its fence
+    /// ([`ControlPlane::install`]; `id` pins the id). Not driven.
+    fn stage_install(
+        &mut self,
+        id: Option<IntentId>,
+        name: &str,
+        inv: &Invariant,
+    ) -> Result<(IntentId, Decision), PlanError> {
+        let mut named = IntentId::BASE;
+        let d = self.fenced(|c, trace| {
+            let (id, d) = c.install(id, name, inv, trace)?;
+            named = id;
+            Ok(d)
+        })?;
+        Ok((named, d))
     }
 
     /// Applies one [`RuntimeEvent`] without driving the exchange: its
     /// operations are injected and their messages left in flight. On
     /// the threaded substrate this is the non-blocking entry point —
     /// follow with [`ThreadedEngine::wait_quiescent_watched`] to tell
-    /// a slow convergence from a wedged device. Backend hot-swap lives
-    /// in the service layer (it rebuilds the engine), so
-    /// [`RuntimeEvent::SetBackend`] is rejected here.
+    /// a slow convergence from a wedged device.
     pub fn stage_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
         use RuntimeEvent as E;
-        let d = match ev {
+        let (intent, d) = match ev {
             E::Batch(updates) => {
                 self.stage_batch(updates);
                 return Ok(EventOutcome::default());
@@ -963,24 +1052,21 @@ impl<F: Fabric> Runtime<F> {
                 self.stage_crash(*dev);
                 return Ok(EventOutcome::default());
             }
-            E::SetBackend(_) => {
-                return Err(PlanError::Unsupported(
-                    "hot backend swap is a service-layer event (the engine \
-                     must be rebuilt); use the verification service"
-                        .to_string(),
-                ))
-            }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => self.fenced(|c, t| c.topology_event(event, base, invariant, t))?,
+            } => (
+                None,
+                self.fenced(|c, t| c.topology_event(event, base, invariant, t))?,
+            ),
             E::InstallIntent { name, invariant } => {
-                self.fenced(|c, t| c.install(None, name, invariant, t))?
+                let (id, d) = self.stage_install(None, name, invariant)?;
+                (Some(id), d)
             }
-            E::RemoveIntent(id) => self.fenced(|c, t| c.remove(*id, t))?,
+            E::RemoveIntent(id) => (Some(*id), self.fenced(|c, t| c.remove(*id, t))?),
         };
-        Ok(d.outcome(0, 0))
+        Ok(d.outcome(intent, 0))
     }
 
     /// Applies one live topology churn event
@@ -1002,18 +1088,13 @@ impl<F: Fabric> Runtime<F> {
     /// ([`ControlPlane::install`]) and drives the exchange to
     /// quiescence. Returns the new id, the applied delta (its
     /// `reused_nodes` / `touched_devices` evidence slicing locality)
-    /// and the driven round. On a fixed roster (device threads cannot
-    /// be added after spawn) a slice touching a verifier-less device
-    /// is rejected; build with [`EngineConfig::all_devices`] to keep
-    /// every device taskable.
+    /// and the driven round.
     pub fn install_intent(
         &mut self,
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let d = self.fenced(|c, trace| c.install(None, name, inv, trace))?;
-        // `ControlPlane::install` names the intent on every `Ok`.
-        let id = d.intent.expect("installs name their intent");
+        let (id, d) = self.stage_install(None, name, inv)?;
         Ok((id, d.delta, self.drain()))
     }
 
@@ -1026,7 +1107,7 @@ impl<F: Fabric> Runtime<F> {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let d = self.fenced(|c, trace| c.install(Some(id), name, inv, trace))?;
+        let (id, d) = self.stage_install(Some(id), name, inv)?;
         Ok((id, d.delta, self.drain()))
     }
 
@@ -1087,79 +1168,54 @@ pub struct Driver {
     transport: Box<dyn Transport>,
     clock: VirtualClock,
     stats: RuntimeStats,
-    /// Latest finish time of this round's injected work, so its
-    /// completion time covers work that caused no message.
+    /// Latest finish time of this round's work, so its completion time
+    /// covers work that caused no message.
     watermark: u64,
-    tel: Arc<Telemetry>,
     /// Network snapshot kept current across FIB batches, so a verifier
     /// built after construction time sees live FIBs.
     net: Network,
-    /// Compiled base packet space, for late-built verifiers.
-    packet_space: PortablePred,
-    /// Verifier profile shared by every intent of this engine.
-    vcfg: VerifierConfig,
-    /// Predicate backend (every verifier of one run uses the
-    /// same encoding).
-    kind: BackendKind,
+    recipe: Recipe,
 }
 
 impl Driver {
-    /// The one accounting step behind every operation the lifecycle
-    /// injects: charges the device's timeline from the start of the
-    /// round, books the busy time, and sends what the operation emitted
-    /// at its finish.
-    fn book(&mut self, dev: DeviceId, host_ns: u64, out: Vec<Envelope>) -> Span {
-        let span = self.clock.charge(dev, 0, host_ns);
-        self.stats.per_device.entry(dev).or_default().busy_ns += span.cpu_ns;
+    /// The one device step on this fabric: runs `input` on `dev`'s
+    /// verifier, charged to the device's timeline from `arrival`, and
+    /// sends what it emitted at the span's finish. `None` if `dev` has
+    /// no verifier.
+    fn run(&mut self, dev: DeviceId, arrival: u64, input: Input) -> Option<Span> {
+        let v = self.verifiers.get_mut(&dev)?;
+        let (clock, tel) = (&mut self.clock, &self.recipe.tel);
+        let stats = self.stats.per_device.entry(dev).or_default();
+        let (span, out) = step(v, input, tel, stats, |ns| clock.charge(dev, arrival, ns));
         self.watermark = self.watermark.max(span.finish);
         for env in out {
             self.transport.send(dev, span.finish, env);
         }
-        span
+        Some(span)
     }
 
     /// Builds one verifier after construction time, for a device a
     /// later intent or churn re-plan pulls into the plan (no LEC cache:
-    /// a late-joining device builds its table once).
+    /// a late-joining device builds its table once). Its init is
+    /// charged from the start of the round.
     fn build_late(&mut self, dev: DeviceId, trace: u64) {
-        let begin = self.tel.host_tick();
-        let wall = Instant::now();
-        let mut v = DeviceVerifier::builder(
-            dev,
-            self.net.layout,
-            self.net.fib(dev).clone(),
-            &self.packet_space,
-            self.vcfg.clone(),
-        )
-        .backend(self.kind)
-        .tasks(Vec::new())
-        .telemetry(self.tel.clone())
-        .build();
-        v.set_trace(trace);
-        let mut out = Vec::new();
-        v.init(&mut out);
-        let host_ns = wall.elapsed().as_nanos() as u64;
-        self.tel
-            .span_aux(dev, "init.build", "init", begin, host_ns.max(1), trace, 0);
-        let span = self.book(dev, host_ns, out);
+        let (v, out, host_ns) = self
+            .recipe
+            .build(&self.net, dev, Vec::new(), None, trace, 0);
+        let span = self.clock.charge(dev, 0, host_ns);
         let st = self.stats.per_device.entry(dev).or_default();
-        st.init_ns = span.cpu_ns;
-        st.bdd_nodes = v.bdd_nodes();
+        (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.bdd_nodes());
+        self.watermark = self.watermark.max(span.finish);
+        for env in out {
+            self.transport.send(dev, span.finish, env);
+        }
         self.verifiers.insert(dev, v);
     }
 }
 
 impl Fabric for Driver {
-    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)> {
-        let v = self.verifiers.get_mut(&dev)?;
-        let begin = self.tel.host_tick();
-        let wall = Instant::now();
-        let mut out = Vec::new();
-        v.set_trace(trace);
-        op(v, &mut out);
-        let host_ns = wall.elapsed().as_nanos() as u64;
-        self.book(dev, host_ns, out);
-        Some((begin, host_ns))
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) {
+        self.run(dev, 0, Input::Op(trace, op));
     }
 
     fn fence(&mut self, plan: &FencePlan, trace: u64) -> usize {
@@ -1183,54 +1239,21 @@ impl Fabric for Driver {
     /// Delivers messages until the transport runs dry (quiescence).
     fn drain(&mut self, control: &ControlPlane) -> RunOutcome {
         let mut out = RunOutcome::default();
-        let mut last_finish = self.watermark;
         while let Some((arrival, env)) = self.transport.recv() {
-            let dev = env.to;
-            if control.is_quarantined(dev) {
+            if control.is_quarantined(env.to) {
                 continue;
             }
-            let Some(v) = self.verifiers.get_mut(&dev) else {
+            let bytes = env.wire_bytes() as u64;
+            let Some(span) = self.run(env.to, arrival, Input::Dvm(env)) else {
                 continue;
             };
-            let begin_tick = self.tel.host_tick();
-            let wall = Instant::now();
-            let bytes_before = v.stats.bytes_sent;
-            let mut replies = Vec::new();
-            v.handle(&env, &mut replies);
-            let host_ns = wall.elapsed().as_nanos() as u64;
-            let sent = v.stats.bytes_sent - bytes_before;
-            let bdd_nodes = v.bdd_nodes();
-            let span = self.clock.charge(dev, arrival, host_ns);
-            if self.tel.is_enabled() {
-                // Host-tick timeline; the substrate's virtual begin
-                // time rides in aux for offline re-keying.
-                self.tel.span_aux(
-                    dev,
-                    dvm_span_name(&env.payload),
-                    "dvm",
-                    begin_tick,
-                    host_ns.max(1),
-                    env.trace,
-                    span.begin,
-                );
-                self.tel.observe(dev, &HANDLE_NS, span.cpu_ns);
-            }
-            last_finish = last_finish.max(span.finish);
             out.messages += 1;
-            out.bytes += env.wire_bytes() as u64;
+            out.bytes += bytes;
             self.stats.messages += 1;
-            self.stats.bytes += env.wire_bytes() as u64;
+            self.stats.bytes += bytes;
             self.stats.msg_ns_samples.push(span.cpu_ns);
-            self.stats
-                .per_device
-                .entry(dev)
-                .or_default()
-                .absorb_message(span.cpu_ns, sent, bdd_nodes);
-            for env in replies {
-                self.transport.send(dev, span.finish, env);
-            }
         }
-        out.completion_ns = last_finish;
+        out.completion_ns = self.watermark;
         // The next round starts at t=0 on every device.
         self.watermark = 0;
         self.clock.reset();
@@ -1303,8 +1326,8 @@ impl Runtime<Driver> {
         lec_cache: &LecCache,
         mut transport: Box<dyn Transport>,
     ) -> Engine {
-        let packet_space = verify::compile_packet_space(&net.layout, ps);
-        let built = build_verifiers(net, plan, &packet_space, cfg, lec_cache);
+        let recipe = Recipe::new(net, plan, ps, cfg);
+        let built = build_verifiers(net, plan.tasks_by_device(), &recipe, cfg, lec_cache);
         let mut clock = VirtualClock::new(cfg.model);
         let mut verifiers = BTreeMap::new();
         let mut stats = RuntimeStats::default();
@@ -1318,29 +1341,16 @@ impl Runtime<Driver> {
             }
             verifiers.insert(b.dev, b.verifier);
         }
-        let roster = verifiers.keys().copied();
-        let control = ControlPlane::new(
-            &net.topology,
-            net.layout,
-            plan,
-            ps,
-            roster,
-            false,
-            cfg.telemetry.clone(),
-        );
         let driver = Driver {
             verifiers,
             transport,
             clock,
             stats,
             watermark: 0,
-            tel: cfg.telemetry.clone(),
             net: net.clone(),
-            packet_space,
-            vcfg: plan_vcfg(plan),
-            kind: checked_backend(cfg, net),
+            recipe,
         };
-        Runtime::assemble(control, driver, cfg)
+        Runtime::assemble(net, plan, ps, driver, cfg)
     }
 
     /// The runtime observability surface.
@@ -1359,12 +1369,11 @@ impl Runtime<Driver> {
 // ---------------------------------------------------------------------
 
 enum DeviceMsg {
-    Dvm(Envelope),
-    /// An injected operation under the causal trace id of the wave it
-    /// starts. A device's share of an epoch fence is one such message
-    /// (atomic; a peer that fenced first may get a new-epoch message in
-    /// ahead of it, which the verifier holds until the fence arrives).
-    Inject(u64, Injected),
+    /// One input for the device step. A device's share of an epoch
+    /// fence is one injected op (atomic; a peer that fenced first may
+    /// get a new-epoch message in ahead of it, which the verifier holds
+    /// until the fence arrives).
+    Run(Input),
     Collect(NodeId, mpsc::Sender<NodeResult>),
     #[cfg(test)]
     Crash,
@@ -1535,7 +1544,8 @@ pub struct DevicePanic {
 /// The thread-per-device fabric: every verifier runs on its own OS
 /// thread behind an in-order channel, an in-flight gauge detects
 /// quiescence and per-device progress counters feed the convergence
-/// watchdog. The roster is fixed at spawn.
+/// watchdog. Threads cannot be added after spawn, so every topology
+/// device gets one.
 pub struct Threads {
     senders: BTreeMap<DeviceId, mpsc::Sender<DeviceMsg>>,
     inflight: Arc<InflightGauge>,
@@ -1554,15 +1564,16 @@ pub struct Threads {
 impl Fabric for Threads {
     /// Enqueues the op on the device's channel, counted as in flight
     /// until its thread has run it.
-    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) -> Option<(u64, u64)> {
-        let tx = self.senders.get(&dev)?;
+    fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected) {
+        let Some(tx) = self.senders.get(&dev) else {
+            return;
+        };
         self.inflight.add(1);
-        if tx.send(DeviceMsg::Inject(trace, op)).is_ok() {
+        if tx.send(DeviceMsg::Run(Input::Op(trace, op))).is_ok() {
             self.progress.note_enqueued(dev);
         } else {
             self.inflight.release();
         }
-        None
     }
 
     /// Whatever the in-flight gauge counts right now is old-epoch
@@ -1644,9 +1655,9 @@ impl Drop for Threads {
 }
 
 impl Runtime<Threads> {
-    /// Spawns one verifier thread per participating device and injects
-    /// the initial (burst) exchange; call
-    /// [`ThreadedEngine::wait_quiescent`] to let it drain.
+    /// Spawns one verifier thread per topology device and injects the
+    /// initial (burst) exchange; call [`ThreadedEngine::wait_quiescent`]
+    /// to let it drain.
     pub fn spawn(net: &Network, plan: &CountingPlan, ps: &PacketSpace) -> ThreadedEngine {
         Self::spawn_with(net, plan, ps, &EngineConfig::default(), &LecCache::new())
     }
@@ -1661,8 +1672,12 @@ impl Runtime<Threads> {
         cfg: &EngineConfig,
         lec_cache: &LecCache,
     ) -> ThreadedEngine {
-        let packet_space = verify::compile_packet_space(&net.layout, ps);
-        let built = build_verifiers(net, plan, &packet_space, cfg, lec_cache);
+        let recipe = Recipe::new(net, plan, ps, cfg);
+        let mut by_dev = plan.tasks_by_device();
+        for d in 0..net.topology.num_devices() as u32 {
+            by_dev.entry(DeviceId(d)).or_default();
+        }
+        let built = build_verifiers(net, by_dev, &recipe, cfg, lec_cache);
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
@@ -1696,66 +1711,27 @@ impl Runtime<Threads> {
 
             // The initial messages count as in-flight before any thread
             // starts, so quiescence cannot be observed prematurely.
-            inflight.add(init_out.len() as i64);
-            for env in init_out {
-                match peers.get(&env.to) {
-                    Some(tx) => {
-                        let to = env.to;
-                        if tx.send(DeviceMsg::Dvm(env)).is_ok() {
-                            progress.note_enqueued(to);
-                        } else {
-                            inflight.release();
-                        }
-                    }
-                    _ => inflight.release(),
-                }
-            }
+            route(&peers, init_out, &inflight, &progress);
 
             handles.push((
                 dev,
                 std::thread::spawn(move || {
                     let mut stats = DeviceStats::default();
+                    // No shared timeline: a step is busy for its scaled
+                    // host time.
+                    let scaled = |ns| {
+                        let cpu_ns = model.scale_ns(ns);
+                        Span {
+                            begin: 0,
+                            cpu_ns,
+                            finish: cpu_ns,
+                        }
+                    };
                     while let Ok(msg) = rx.recv() {
                         match msg {
-                            DeviceMsg::Dvm(env) => {
-                                let begin = tel.host_tick();
-                                let wall = Instant::now();
-                                let bytes_before = verifier.stats.bytes_sent;
-                                let mut out = Vec::new();
-                                verifier.handle(&env, &mut out);
-                                let host_ns = wall.elapsed().as_nanos() as u64;
-                                let cpu = model.scale_ns(host_ns);
-                                stats.absorb_message(
-                                    cpu,
-                                    verifier.stats.bytes_sent - bytes_before,
-                                    verifier.bdd_nodes(),
-                                );
-                                if tel.is_enabled() {
-                                    tel.span(
-                                        dev,
-                                        dvm_span_name(&env.payload),
-                                        "dvm",
-                                        begin,
-                                        host_ns.max(1),
-                                        env.trace,
-                                    );
-                                    tel.observe(dev, &HANDLE_NS, cpu);
-                                }
-                                route(&peers, out, &inflight, &progress);
-                                progress.note_processed(dev);
-                                inflight.release();
-                            }
-                            DeviceMsg::Inject(trace, op) => {
-                                let begin = tel.host_tick();
-                                let wall = Instant::now();
-                                let mut out = Vec::new();
-                                verifier.set_trace(trace);
-                                op(&mut verifier, &mut out);
-                                let host_ns = wall.elapsed().as_nanos() as u64;
-                                stats.busy_ns += model.scale_ns(host_ns);
-                                if tel.is_enabled() {
-                                    tel.span(dev, "inject", "dvm", begin, host_ns.max(1), trace);
-                                }
+                            DeviceMsg::Run(input) => {
+                                let v = &mut verifier;
+                                let (_, out) = step(v, input, &tel, &mut stats, scaled);
                                 route(&peers, out, &inflight, &progress);
                                 progress.note_processed(dev);
                                 inflight.release();
@@ -1781,15 +1757,6 @@ impl Runtime<Threads> {
             ));
         }
 
-        let control = ControlPlane::new(
-            &net.topology,
-            net.layout,
-            plan,
-            ps,
-            senders.keys().copied(),
-            true,
-            cfg.telemetry.clone(),
-        );
         let threads = Threads {
             senders,
             inflight,
@@ -1799,7 +1766,7 @@ impl Runtime<Threads> {
             stalled: Mutex::new(BTreeMap::new()),
             joined: false,
         };
-        Runtime::assemble(control, threads, cfg)
+        Runtime::assemble(net, plan, ps, threads, cfg)
     }
 
     /// Blocks until no DVM message is queued or being processed.
@@ -1896,6 +1863,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Sends each envelope down its device's channel, counted in flight
+/// until that device has run it.
 fn route(
     peers: &BTreeMap<DeviceId, mpsc::Sender<DeviceMsg>>,
     out: Vec<Envelope>,
@@ -1906,7 +1875,7 @@ fn route(
     for env in out {
         let to = env.to;
         match peers.get(&to) {
-            Some(tx) if tx.send(DeviceMsg::Dvm(env)).is_ok() => {
+            Some(tx) if tx.send(DeviceMsg::Run(Input::Dvm(env))).is_ok() => {
                 progress.note_enqueued(to);
             }
             _ => inflight.release(),
@@ -2150,7 +2119,7 @@ mod tests {
                 churn_event(&net, TopologyEvent::LinkUp(dev("A"), dev("B"))),
             ),
         ];
-        for d in engine.control.roster().clone() {
+        for d in net.topology.devices() {
             script.push(("crash", RuntimeEvent::CrashRestart(d)));
         }
         let mut last = check(&mut engine, "the burst");
@@ -2735,18 +2704,14 @@ mod tests {
         exist_inv("A .* D")
     }
 
-    /// Both fabrics over one plan of fig2a, converged, each journaling
-    /// into its own recorder.
-    fn both_fabrics(
-        inv: &Invariant,
-        all_devices: bool,
-    ) -> (Network, Engine, ThreadedEngine, [Arc<Telemetry>; 2]) {
+    /// Both fabrics over one plan of fig2a under the default config,
+    /// converged, each journaling into its own recorder.
+    fn both_fabrics(inv: &Invariant) -> (Network, Engine, ThreadedEngine, [Arc<Telemetry>; 2]) {
         let net = fig2a_network();
         let plan = Planner::new(&net.topology).plan(inv).unwrap();
         let (cp, ps) = (plan.counting().unwrap(), &inv.packet_space);
         let tels = [(); 2].map(|()| Telemetry::new(tulkun_telemetry::TelemetryConfig::enabled()));
         let cfg = |tel: &Arc<Telemetry>| EngineConfig {
-            all_devices,
             telemetry: tel.clone(),
             ..EngineConfig::default()
         };
@@ -2757,22 +2722,72 @@ mod tests {
         (net, engine, threaded, tels)
     }
 
+    /// A recorder's journal as (kind, epoch, intent) records.
+    fn lifecycle(tel: &Telemetry) -> Vec<(JournalKind, u64, Option<u64>)> {
+        let events = tel.journal_events();
+        events.iter().map(|e| (e.kind, e.epoch, e.intent)).collect()
+    }
+
+    /// Fig. 2a's base `A .* D` tasks nothing on S. Installing `S .* D`
+    /// tasks it, and losing A–B re-plans both slices: each fabric takes
+    /// every event — the engine builds S's verifier when the install's
+    /// fence first tasks it, the threaded one spawned it — and they end
+    /// on one Report and one journal.
     #[test]
-    fn crashing_a_device_without_a_verifier_is_a_noop_on_both_fabrics() {
-        let (net, mut engine, mut threaded, tels) = both_fabrics(&from_a(), false);
+    fn a_threaded_engine_hosts_an_intent_the_base_skips() {
+        let (net, mut engine, mut threaded, tels) = both_fabrics(&from_a());
+        let dev = |name: &str| net.topology.expect_device(name);
+        let on_s = |e: &Engine| e.intents().global_tasks().iter().any(|t| t.dev == dev("S"));
+        assert!(!on_s(&engine));
+        let script = [
+            RuntimeEvent::InstallIntent {
+                name: "from-s".into(),
+                invariant: exist_inv("S .* D"),
+            },
+            RuntimeEvent::Topology {
+                event: TopologyEvent::LinkDown(dev("A"), dev("B")),
+                base: net.topology.clone(),
+                invariant: from_a(),
+            },
+        ];
+        for ev in &script {
+            let x = engine.apply_event(ev).unwrap();
+            let y = threaded.apply_event(ev).unwrap();
+            assert_eq!((x.intent, x.parked), (y.intent, y.parked));
+            assert_eq!(
+                engine.report().canonical_bytes(),
+                threaded.report().canonical_bytes(),
+                "after {ev:?}"
+            );
+        }
+        assert!(on_s(&engine), "the install tasks S");
+        assert_eq!(engine.epoch(), 2);
+        assert_eq!(lifecycle(&tels[0]), lifecycle(&tels[1]));
+        threaded.shutdown().expect("no panics");
+    }
+
+    /// A crash names a topology device, not a verifier: crashing S,
+    /// which hosts no node of `A .* D`, is journaled and counted alike
+    /// on both fabrics and leaves the Report as it was; an id outside
+    /// the topology names no agent.
+    #[test]
+    fn crashing_a_device_that_hosts_no_node_is_journaled_alike_on_both_fabrics() {
+        let (net, mut engine, mut threaded, tels) = both_fabrics(&from_a());
         let s = net.topology.expect_device("S");
-        assert!(engine.plan().tasks.iter().all(|t| t.dev != s));
-        let journaled = tels.each_ref().map(|t| t.journal_recorded());
-        let r = engine.crash_restart(s);
-        assert_eq!((r.messages, r.completion_ns), (0, 0));
-        threaded.crash_restart(s);
-        assert_eq!(engine.stats().crashes_recovered, 0);
-        assert_eq!(
-            tels.each_ref().map(|t| t.journal_recorded()),
-            journaled,
-            "no agent crashed: nothing to journal"
-        );
-        assert_eq!(threaded.shutdown().unwrap().crashes_recovered, 0);
+        assert!(engine.intents().global_tasks().iter().all(|t| t.dev != s));
+        let before = engine.report().canonical_bytes();
+        for dev in [s, DeviceId(net.topology.num_devices() as u32)] {
+            engine.crash_restart(dev);
+            threaded.crash_restart(dev);
+        }
+        assert_eq!(engine.report().canonical_bytes(), before);
+        assert_eq!(threaded.report().canonical_bytes(), before);
+        let journal = lifecycle(&tels[0]);
+        let kinds: Vec<&str> = journal.iter().map(|e| e.0.as_str()).collect();
+        assert_eq!(kinds, ["crash_restart"]);
+        assert_eq!(lifecycle(&tels[1]), journal);
+        assert_eq!(engine.stats().crashes_recovered, 1);
+        assert_eq!(threaded.shutdown().unwrap().crashes_recovered, 1);
     }
 
     #[test]
@@ -2810,7 +2825,7 @@ mod tests {
     /// every op of every case.
     #[test]
     fn both_fabrics_journal_one_lifecycle() {
-        let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv(), true);
+        let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv());
         let (a, b) = (
             net.topology.expect_device("A"),
             net.topology.expect_device("B"),
@@ -2830,10 +2845,6 @@ mod tests {
             let y = threaded.apply_event(ev).unwrap();
             assert_eq!((x.intent, x.slice, x.parked), (y.intent, y.slice, y.parked));
         }
-        let lifecycle = |tel: &Telemetry| -> Vec<_> {
-            let events = tel.journal_events();
-            events.iter().map(|e| (e.kind, e.epoch, e.intent)).collect()
-        };
         assert_eq!(lifecycle(&tels[0]).len(), 8, "{:?}", lifecycle(&tels[0]));
         assert_eq!(lifecycle(&tels[0]), lifecycle(&tels[1]));
         assert_eq!(

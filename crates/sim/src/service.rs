@@ -27,11 +27,10 @@ use std::sync::Arc;
 use crate::runtime::{Engine, EngineConfig, RunOutcome};
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
-use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::FaultProfile;
 use tulkun_core::intent::{IntentId, IntentStore};
-use tulkun_core::planner::{CountingPlan, PlanError};
+use tulkun_core::planner::CountingPlan;
 use tulkun_core::spec::Invariant;
 use tulkun_core::verify::{Freshness, Report};
 use tulkun_netmodel::network::{Network, RuleUpdate};
@@ -846,63 +845,6 @@ impl Service {
         }
         let events = self.journal_events(source, usize::MAX);
         explain::explain(&events, Subject::Intent(id), &verdict)
-    }
-}
-
-impl Substrate for Service {
-    /// The uniform event entry point: intent and batch/churn events are
-    /// *offered* through admission control under the synthetic source
-    /// `"event"` and drained immediately (one-request round);
-    /// [`RuntimeEvent::SetBackend`] maps to the rebuild path and
-    /// [`RuntimeEvent::CrashRestart`] is outside the service's model.
-    fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
-        use RuntimeEvent as E;
-        let req = match ev {
-            E::Batch(updates) => ServiceRequest::Batch(updates.clone()),
-            E::Topology { event, .. } => ServiceRequest::Churn(*event),
-            E::CrashRestart(_) => {
-                return Err(PlanError::Unsupported(
-                    "the service drives a simulator harness without \
-                     crash injection; use the sim substrates directly"
-                        .to_string(),
-                ))
-            }
-            E::SetBackend(kind) => {
-                self.set_backend(*kind)
-                    .map_err(|e| PlanError::Unsupported(e.to_string()))?;
-                return Ok(EventOutcome::default());
-            }
-            E::InstallIntent { name, invariant } => ServiceRequest::IntentAdd {
-                name: name.clone(),
-                invariant: invariant.clone(),
-            },
-            E::RemoveIntent(id) => ServiceRequest::IntentRemove(*id),
-        };
-        // Flush queued work first so the id the store will hand our
-        // install is known before it is enqueued.
-        self.drain();
-        let before = self.rejected_batches + self.rejected_churn + self.rejected_intents;
-        let next_id = match ev {
-            E::InstallIntent { .. } => Some(IntentId(self.harness.intents().next_intent_id())),
-            _ => None,
-        };
-        self.offer("event", req)
-            .map_err(|e| PlanError::Unsupported(e.to_string()))?;
-        self.drain();
-        if self.rejected_batches + self.rejected_churn + self.rejected_intents > before {
-            return Err(PlanError::Unsupported(
-                "the harness rejected the event (see status counters)".to_string(),
-            ));
-        }
-        Ok(EventOutcome {
-            intent: match ev {
-                E::InstallIntent { .. } => next_id,
-                E::RemoveIntent(id) => Some(*id),
-                _ => None,
-            },
-            parked: next_id.is_some_and(|id| self.harness.intents().is_parked(id)),
-            ..EventOutcome::default()
-        })
     }
 }
 

@@ -327,11 +327,7 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
         let status = svc.status();
 
         // Reference: the same admitted requests, applied directly.
-        let sim_cfg = EngineConfig {
-            all_devices: true,
-            ..EngineConfig::default()
-        };
-        let reference = direct_replay(net, &planned, sim_cfg, &applied);
+        let reference = direct_replay(net, &planned, EngineConfig::default(), &applied);
 
         let row = format!("{policy:?} at {loss} loss");
         assert_eq!(

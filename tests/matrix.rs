@@ -7,7 +7,9 @@
 //! `RuntimeEvent` alphabet. One lockstep loop feeds each op to five
 //! substrates — `Session`, `Engine` over `FifoTransport`, `Engine::new`,
 //! `Engine::lossy` and `ThreadedEngine` — built with one backend,
-//! telemetry mode and batching mode per case. After every op, judge (i)
+//! telemetry mode and batching mode per case and otherwise the default
+//! `EngineConfig`, so the clocked engines build a device's verifier
+//! late, when a fence first tasks it. After every op, judge (i)
 //! holds every Report byte-equal to the merged per-intent fresh
 //! `Session` on the effective network and the substrates to one
 //! lifecycle; judge (ii), the [`oracle`], which shares no code with the
@@ -533,6 +535,10 @@ struct Subs {
     event: Engine,
     lossy: Engine,
     threaded: ThreadedEngine,
+    /// Devices the base plan tasks: the verifiers a clocked engine
+    /// builds up front; it builds the rest when a fence first tasks
+    /// them.
+    tasked: usize,
 }
 
 /// `[$e; 5]`, `$e` evaluated with `$s` bound to each substrate of
@@ -577,11 +583,9 @@ impl Subs {
             .plan(&world.base)
             .expect("the base plans");
         let cp = plan.counting().expect("a counting base");
-        // Intents may task devices the base plan skips.
         let cfg = |i: usize| EngineConfig {
             backend,
             telemetry: tels[i].clone(),
-            all_devices: true,
             ..EngineConfig::default()
         };
         let mut session = Session::from_counting_with_backend(net, cp.clone(), ps, backend);
@@ -593,6 +597,12 @@ impl Subs {
             event: Engine::new(net, cp, ps, cfg(2)),
             lossy: Engine::lossy(net, cp, ps, cfg(3), world.axes.loss),
             threaded: ThreadedEngine::spawn_with(net, cp, ps, &cfg(4), &LecCache::new()),
+            tasked: cp
+                .tasks
+                .iter()
+                .map(|t| t.dev)
+                .collect::<BTreeSet<_>>()
+                .len(),
         };
         subs.drain();
         subs
@@ -1017,6 +1027,8 @@ fn finish(
         fresh,
     );
     let (repairs, holds) = (counter(&tels[2], REPAIRS), subs.session.report().holds());
+    let built = subs.event.stats().per_device.len();
+    cov.add("late builds", (built - subs.tasked) as u64);
     let mut recovered = vec![
         subs.threaded
             .shutdown()
@@ -1064,7 +1076,7 @@ const EVENTS: &str =
     "batch|staged batch|link down|link up|device down|device up|crash/restart|install|remove";
 const AXES: &str = "backend bdd|backend deltanet|backend intervals|loss 0%|loss 1%|loss 10%|\
     loss chaos|drops at 10% loss|telemetry Off|telemetry On|telemetry NoJournal|\
-    one batch of k|k singleton batches";
+    one batch of k|k singleton batches|late builds";
 const VERDICTS: &str = "exist|covered|equal|not|and|or|==|>=|>|<=|<";
 
 /// How often each cell of the coverage table was exercised.
@@ -1567,11 +1579,7 @@ fn inet2_intent_install_is_slice_local() {
     let net = &ds.network;
     let (inv, cp) = tulkun::daemon::dataset_session(net, "INet2").unwrap();
 
-    let sim_cfg = EngineConfig {
-        all_devices: true,
-        ..EngineConfig::default()
-    };
-    let mut sim = Engine::new(net, &cp, &inv.packet_space, sim_cfg);
+    let mut sim = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
     sim.burst();
     let before = sim.report().canonical_bytes();
 
@@ -1651,11 +1659,7 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
     let plan = Planner::new(topo).plan(&base).unwrap();
     let cp = plan.counting().unwrap();
     let engine = || {
-        let cfg = EngineConfig {
-            all_devices: true,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(net, cp, &base.packet_space, cfg);
+        let mut e = Engine::new(net, cp, &base.packet_space, EngineConfig::default());
         e.burst();
         e
     };
