@@ -39,7 +39,9 @@
 #                 delivery, the node-table rebuild and the second
 #                 benchmark harness named nowhere in the tree, nor the nine
 #                 equivalence files tests/matrix.rs replaced named in
-#                 ci.sh, tests/, README or DESIGN
+#                 ci.sh, tests/, README or DESIGN; and one latency
+#                 instrument: the fixed-bucket tables, the sample
+#                 reservoir and the hand-rolled span timer stay retired
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -90,7 +92,11 @@
 #                 text with check_telemetry (structure only, no timing
 #                 -- the CI box has 1 CPU; the predicate-memory gauges
 #                 tulkun_bdd_nodes / tulkun_bdd_memo_entries must be
-#                 there, the memo within its bound); also asserts a run
+#                 there, the memo within its bound, no histogram over
+#                 32 `le` lines); the init-build, inject and handle
+#                 histograms must be exported, and a scripted daemon
+#                 session's `metrics` reply must carry the fence-plan
+#                 histogram of its churn; also asserts a run
 #                 with telemetry disabled (--off) emits zero output
 #   doc-check     README/DESIGN must document the core runtime types
 #
@@ -239,6 +245,15 @@ stage_lint() {
         echo "lint: a roster option or fork is back (see above); Threads spawns every device" >&2
         exit 1
     fi
+    # One latency instrument: the log-linear Histogram. The fixed-bucket
+    # tables, the sample reservoir and the raw span recorder a timing
+    # block was hand-rolled from stay retired; a span with a duration
+    # is a timed Layer (`timed`, or `start` + `finish`).
+    if grep -rnw 'Reser''voir\|RESERVOIR''_CAP\|NS_''BOUNDS\|Histogram''Spec\|msg_ns''_samples\|max_msg''_ns\|host''_tick\|span''_aux' \
+        crates src tests examples ci.sh README.md DESIGN.md EXPERIMENTS.md; then
+        echo "lint: a retired latency instrument is back (see above); time a layer with Telemetry::timed" >&2
+        exit 1
+    fi
     # One equivalence harness (tests/matrix.rs): the nine files it
     # replaced stay retired.
     if grep -rn 'fault''_matrix\|churn''_matrix\|intent''_matrix\|backend''_equivalence\|batch''_equivalence\|substrate''_equivalence\|telemetry''_equivalence\|oracle''_counting' \
@@ -316,6 +331,14 @@ stage_obs_smoke() {
     cargo run --release -p tulkun-bench --bin check_telemetry -- \
         --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.prom" \
         --journal "$obs_dir/journal.json"
+    # Every timed layer the run exercises exports its histogram: the
+    # verifier builds and the injected FIB batches among them.
+    for hist in tulkun_init_build_ns tulkun_inject_ns tulkun_dvm_handle_ns; do
+        grep -q "^${hist}_count [1-9]" "$obs_dir/metrics.prom" || {
+            echo "obs-smoke: tulkun metrics exports no $hist histogram" >&2
+            exit 1
+        }
+    done
     # The disabled path must be a no-op: zero spans, zero metrics, and
     # literally zero journal bytes.
     cargo run --release -p tulkun --bin tulkun -- \
@@ -348,6 +371,7 @@ stage_obs_smoke() {
         "drain" \
         "events ci" \
         "explain ci SEAT" \
+        "metrics" \
         "quit" \
     | cargo run --release -p tulkun --bin tulkun -- \
         daemon --name INet2 --scale tiny --faults 7 \
@@ -355,6 +379,11 @@ stage_obs_smoke() {
         > "$obs_dir/daemon.out"
     grep -q '"kind":"topology_churn"' "$obs_dir/daemon.out" || {
         echo "obs-smoke: daemon events reply has no topology_churn entry" >&2
+        exit 1
+    }
+    # The churn's control-plane decision is a timed layer too.
+    grep -q '^tulkun_fence_plan_ns_count [1-9]' "$obs_dir/daemon.out" || {
+        echo "obs-smoke: daemon metrics reply has no tulkun_fence_plan_ns histogram" >&2
         exit 1
     }
     sed -n 's/^ok \({"schema":"tulkun-explain-v1".*\)$/\1/p' \

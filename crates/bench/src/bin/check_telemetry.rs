@@ -15,8 +15,9 @@
 //!   `# TYPE` lines, `name{labels} value` samples, and every histogram
 //!   has monotonically non-decreasing cumulative buckets ending in
 //!   `le="+Inf"` plus `_sum` and `_count` lines, with `_count` equal
-//!   to the `+Inf` bucket; a repair wave is a kind of fence, so
-//!   `tulkun_fence_repairs_total` never exceeds
+//!   to the `+Inf` bucket, in at most [`MAX_LE_LINES`] `le` lines
+//!   (one per power of two the histogram spans); a repair wave is a
+//!   kind of fence, so `tulkun_fence_repairs_total` never exceeds
 //!   `tulkun_epoch_bumps_total`; the per-device predicate-memory
 //!   gauges `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are
 //!   exported, the memo within its bound of `max(4096, 4 x nodes)`;
@@ -213,6 +214,10 @@ const CONTROL_COUNTERS: [&str; 6] = [
     "tulkun_fence_nodes_reused_total",
 ];
 
+/// The most `le` lines one histogram may export, `+Inf` included: its
+/// power-of-two edges span at most 31 octaves.
+const MAX_LE_LINES: usize = 32;
+
 /// Validates Prometheus text exposition (structure only).
 fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     if expect_empty {
@@ -345,6 +350,12 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
         }
         if !h.saw_inf {
             return Err(format!("histogram {name}: missing le=\"+Inf\" bucket"));
+        }
+        if h.buckets.len() > MAX_LE_LINES {
+            return Err(format!(
+                "histogram {name}: {} le lines, more than {MAX_LE_LINES}",
+                h.buckets.len()
+            ));
         }
         if h.buckets.windows(2).any(|w| w[0] > w[1]) {
             return Err(format!("histogram {name}: buckets not cumulative"));

@@ -156,11 +156,8 @@ fn bench_backends(cli: &Cli) {
                 bytes += r.bytes;
             }
             let report = sim.report().canonical_bytes();
-            let m = telemetry.metrics();
-            let pct = |p| {
-                m.percentile(tulkun_telemetry::HANDLE_NS.name, p)
-                    .unwrap_or(0)
-            };
+            let handle = telemetry.histogram(tulkun_telemetry::HANDLE_NS);
+            let pct = |p| handle.quantile(p).unwrap_or(0);
             let (speedup, same) = match &bdd_churn {
                 None => ("1.00x".into(), true),
                 Some((b_ns, b_report)) => (

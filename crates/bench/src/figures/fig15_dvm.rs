@@ -5,12 +5,13 @@
 use crate::{fmt_ns, quantile, Cli, FigureTable, TulkunAllPairs};
 use tulkun_datasets::{all_datasets, rule_updates, NetKind};
 use tulkun_sim::SwitchModel;
+use tulkun_telemetry::Histogram;
 
 /// Emits `fig15`.
 pub fn run(cli: &Cli) {
-    // Gather message-processing samples by running burst + an update
-    // stream across WAN/LAN datasets.
-    let mut per_msg_ns: Vec<u64> = Vec::new();
+    // Gather the message-processing distribution by running burst + an
+    // update stream across WAN/LAN datasets.
+    let mut per_msg_ns = Histogram::default();
     let mut per_dev_total: Vec<u64> = Vec::new();
     let mut per_dev_mem: Vec<u64> = Vec::new();
     let mut per_dev_load: Vec<f64> = Vec::new();
@@ -35,8 +36,8 @@ pub fn run(cli: &Cli) {
             let r = tulkun.incremental(&u);
             total_messages += r.messages as u64;
         }
-        let (msg_times, dev_stats) = tulkun.drain_message_stats();
-        per_msg_ns.extend(msg_times);
+        let (msg_times, dev_stats) = tulkun.message_stats();
+        per_msg_ns.merge(&msg_times);
         for (busy, mem, load) in dev_stats {
             per_dev_total.push(busy);
             per_dev_mem.push(mem);
@@ -65,7 +66,7 @@ pub fn run(cli: &Cli) {
                 .map(|&t| (t as f64 * f) as u64)
                 .collect::<Vec<_>>()
         };
-        let msg = scale(&per_msg_ns);
+        let msg = |q| fmt_ns((per_msg_ns.quantile(q).unwrap_or(0) as f64 * f) as u64);
         let tot = scale(&per_dev_total);
         let mut loads: Vec<u64> = per_dev_load.iter().map(|&l| (l * 1000.0) as u64).collect();
         loads.sort_unstable();
@@ -74,15 +75,15 @@ pub fn run(cli: &Cli) {
             fmt_ns(quantile(&tot, 0.9)),
             fmt_ns(quantile(&tot, 1.0)),
             format!("{:.2}MB", quantile(&per_dev_mem, 0.9) as f64 / 1e6),
-            fmt_ns(quantile(&msg, 0.5)),
-            fmt_ns(quantile(&msg, 0.9)),
-            fmt_ns(quantile(&msg, 1.0)),
+            msg(0.5),
+            msg(0.9),
+            msg(1.0),
             format!("{:.2}", quantile(&loads, 0.9) as f64 / 1000.0),
         ]);
     }
     table.finish();
     println!(
         "messages replayed: {total_messages}; per-message samples: {}",
-        per_msg_ns.len()
+        per_msg_ns.count()
     );
 }

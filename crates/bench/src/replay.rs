@@ -28,7 +28,7 @@ pub struct ReplayOutcome {
     pub report: Vec<u8>,
     /// Per-message handle-time percentiles (scaled ns), derived from
     /// the telemetry `tulkun_dvm_handle_ns` histogram — bucket upper
-    /// bounds, so values are quantized to the 1-2-5 grid.
+    /// edges, within 3.2 % of the exact value.
     pub p50_ns: u64,
     /// 90th percentile of per-message handle time (scaled ns).
     pub p90_ns: u64,
@@ -79,10 +79,10 @@ pub fn replay_trace_with(
         out.bytes += r.bytes;
     }
     out.report = sim.report().canonical_bytes();
-    let m = telemetry.metrics();
-    out.p50_ns = m.percentile(HANDLE_NS.name, 0.50).unwrap_or(0);
-    out.p90_ns = m.percentile(HANDLE_NS.name, 0.90).unwrap_or(0);
-    out.p99_ns = m.percentile(HANDLE_NS.name, 0.99).unwrap_or(0);
+    let h = telemetry.histogram(HANDLE_NS);
+    out.p50_ns = h.quantile(0.50).unwrap_or(0);
+    out.p90_ns = h.quantile(0.90).unwrap_or(0);
+    out.p99_ns = h.quantile(0.99).unwrap_or(0);
     out
 }
 

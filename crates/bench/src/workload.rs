@@ -18,6 +18,7 @@ use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::{DeviceId, IpPrefix};
 use tulkun_sim::localsim::LocalSim;
 use tulkun_sim::{Engine, EngineConfig, LecCache, SwitchModel};
+use tulkun_telemetry::Histogram;
 
 /// The baseline workload for a dataset (all announced pairs).
 pub fn all_pair_workload(net: &Network) -> BaselineWorkload {
@@ -315,14 +316,14 @@ impl TulkunAllPairs {
         self.per_dst.len()
     }
 
-    /// Drains per-message processing-time samples and per-device
-    /// `(busy, memory, load)` triples from all counting sims (Fig. 15).
-    pub fn drain_message_stats(&mut self) -> (Vec<u64>, Vec<(u64, u64, f64)>) {
-        let mut msg = Vec::new();
+    /// The per-message processing-time histogram and per-device
+    /// `(busy, memory, load)` triples of all counting sims (Fig. 15).
+    pub fn message_stats(&self) -> (Histogram, Vec<(u64, u64, f64)>) {
+        let mut msg = Histogram::default();
         let mut dev: BTreeMap<DeviceId, (u64, u64)> = Default::default();
-        for pd in &mut self.per_dst {
+        for pd in &self.per_dst {
             if let PerDst::Counting { sim, .. } = pd {
-                msg.append(&mut sim.stats_mut().drain_msg_samples());
+                msg.merge(&sim.stats().msg_ns());
                 for (d, st) in &sim.stats().per_device {
                     let e = dev.entry(*d).or_default();
                     e.0 += st.busy_ns;

@@ -293,20 +293,11 @@ impl SenderWindow {
         let timeout = rto_ns.saturating_mul(1u64 << p.attempts.min(max_backoff_exp));
         p.deadline = now.max(p.deadline).saturating_add(timeout);
         let (env, attempts) = (p.env.clone(), p.attempts);
-        if self.tel.is_enabled() {
-            self.tel.count(ch.0, "tulkun_reliable_retransmits_total", 1);
-            // Event tick is host time (one timeline per trace); the
-            // substrate's virtual `now` rides in aux.
-            self.tel.span_aux(
-                ch.0,
-                "reliable.retransmit",
-                "reliable",
-                self.tel.host_tick(),
-                0,
-                env.trace,
-                now,
-            );
-        }
+        self.tel.count(ch.0, "tulkun_reliable_retransmits_total", 1);
+        // Event tick is host time (one timeline per trace); the
+        // substrate's virtual `now` rides in aux.
+        self.tel
+            .instant(ch.0, "reliable.retransmit", "reliable", env.trace, now);
         Some((env, attempts))
     }
 
@@ -406,19 +397,15 @@ impl ReceiverLedger {
                     .count(env.to, "tulkun_reliable_backpressure_total", 1);
                 return Err(ReliableError::ReorderFull { ch, cap: self.cap });
             }
-            if self.tel.is_enabled() {
-                self.tel
-                    .count(env.to, "tulkun_reliable_gap_buffered_total", 1);
-                self.tel.span_aux(
-                    env.to,
-                    "reliable.gap_buffer",
-                    "reliable",
-                    self.tel.host_tick(),
-                    0,
-                    env.trace,
-                    arrival,
-                );
-            }
+            self.tel
+                .count(env.to, "tulkun_reliable_gap_buffered_total", 1);
+            self.tel.instant(
+                env.to,
+                "reliable.gap_buffer",
+                "reliable",
+                env.trace,
+                arrival,
+            );
             slot.insert(env.seq, (arrival, env));
             return Ok(Accepted::Buffered);
         }

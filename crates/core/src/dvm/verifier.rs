@@ -30,14 +30,13 @@ use crate::dvm::message::{EdgeRef, Envelope, Outbox, Payload};
 use crate::planner::NodeTask;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::HeaderLayout;
 use tulkun_netmodel::fib::{Action, ActionType, Fib, MatchSpec, NextHop, Rewrite};
 use tulkun_netmodel::network::RuleUpdate;
 use tulkun_netmodel::DeviceId;
 use tulkun_predicate::{BackendKind, DynBackend, DynPred, PredicateBackend};
-use tulkun_telemetry::{Telemetry, CIB_RECOMPUTE_NS, FIB_BATCH_NS, LEC_DELTA_NS};
+use tulkun_telemetry::{Telemetry, CIB_RECOMPUTE, FIB_BATCH, LEC_DELTA};
 
 /// How destination nodes count their own delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -670,16 +669,10 @@ impl DeviceVerifier {
         if updates.is_empty() {
             return;
         }
-        if !self.tel.is_enabled() {
-            return self.fib_batch_inner(updates, out);
-        }
-        let begin = self.tel.host_tick();
-        let wall = Instant::now();
-        self.fib_batch_inner(updates, out);
-        let dur = (wall.elapsed().as_nanos() as u64).max(1);
         let tel = self.tel.clone();
-        tel.span(self.dev, "fib.batch", "dvm", begin, dur, self.trace);
-        tel.observe(self.dev, &FIB_BATCH_NS, dur);
+        tel.timed(self.dev, &FIB_BATCH, self.trace, 0, || {
+            self.fib_batch_inner(updates, out)
+        });
         tel.count(self.dev, "tulkun_fib_updates_total", updates.len() as u64);
         self.export_mem_gauges();
     }
@@ -687,17 +680,10 @@ impl DeviceVerifier {
     fn fib_batch_inner(&mut self, updates: &[RuleUpdate], out: &mut dyn Outbox) {
         let touched = self.fold_into_fib(updates);
         self.stats.lec_rebuilds += 1;
-        let lec_timer = self
-            .tel
-            .is_enabled()
-            .then(|| (self.tel.host_tick(), Instant::now()));
-        let changed = self.splice_lecs(&touched);
-        if let Some((begin, wall)) = lec_timer {
-            let dur = (wall.elapsed().as_nanos() as u64).max(1);
-            let tel = self.tel.clone();
-            tel.span(self.dev, "lec.delta", "dvm", begin, dur, self.trace);
-            tel.observe(self.dev, &LEC_DELTA_NS, dur);
-        }
+        let tel = self.tel.clone();
+        let changed = tel.timed(self.dev, &LEC_DELTA, self.trace, 0, || {
+            self.splice_lecs(&touched)
+        });
         if self.backend.is_false(changed) {
             return;
         }
@@ -1081,16 +1067,10 @@ impl DeviceVerifier {
     /// UPDATE messages for its upstream neighbors (steps 2–3 of §5.2)
     /// to `out`.
     fn recompute_node(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
-        if !self.tel.is_enabled() {
-            return self.recompute_node_inner(node, region, out);
-        }
-        let begin = self.tel.host_tick();
-        let wall = Instant::now();
-        self.recompute_node_inner(node, region, out);
-        let dur = (wall.elapsed().as_nanos() as u64).max(1);
         let tel = self.tel.clone();
-        tel.span(self.dev, "cib.recompute", "dvm", begin, dur, self.trace);
-        tel.observe(self.dev, &CIB_RECOMPUTE_NS, dur);
+        tel.timed(self.dev, &CIB_RECOMPUTE, self.trace, 0, || {
+            self.recompute_node_inner(node, region, out)
+        });
     }
 
     fn recompute_node_inner(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {

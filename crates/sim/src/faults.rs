@@ -172,10 +172,7 @@ impl<T: Transport> FaultyTransport<T> {
     /// in `aux`) and a flight-recorder entry; a single branch per sink
     /// when telemetry is disabled.
     fn fault_event(&self, dev: DeviceId, name: &'static str, trace: u64, at: u64) {
-        if self.tel.is_enabled() {
-            self.tel
-                .span_aux(dev, name, "fault", self.tel.host_tick(), 0, trace, at);
-        }
+        self.tel.instant(dev, name, "fault", trace, at);
         self.tel.journal(
             JournalKind::FaultInjected,
             dev,

@@ -71,7 +71,10 @@ use tulkun_core::verify::{self, Report};
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
 use tulkun_netmodel::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, BackendKind};
-use tulkun_telemetry::{JournalKind, Reservoir, Telemetry, HANDLE_NS};
+use tulkun_telemetry::{
+    Histogram, JournalKind, Layer, Telemetry, DVM_ACK, DVM_SUBSCRIBE, DVM_UPDATE, FENCE_PLAN,
+    INIT_BUILD, INJECT,
+};
 
 /// One device's exported LEC table (predicates + actions).
 pub type LecTable = Vec<(PortablePred, tulkun_netmodel::fib::Action)>;
@@ -151,7 +154,7 @@ impl<V> Default for LecCache<V> {
 }
 
 /// Per-device counters for the §9.4 overhead figures.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DeviceStats {
     /// Scaled CPU time spent initializing (LEC + initial counting).
     pub init_ns: u64,
@@ -164,16 +167,16 @@ pub struct DeviceStats {
     /// Backend memory units allocated (BDD nodes, stored intervals or
     /// atom-list entries, depending on the predicate backend).
     pub bdd_nodes: usize,
-    /// Largest scaled single-message processing time (ns). Per-message
-    /// *samples* live in [`RuntimeStats::msg_ns_samples`].
-    pub max_msg_ns: u64,
+    /// Scaled per-message processing time (ns), one observation per
+    /// DVM message, booked by the device step on either fabric.
+    pub msg_ns: Histogram,
 }
 
 impl DeviceStats {
     fn absorb_message(&mut self, cpu_ns: u64, bytes_sent: u64, bdd_nodes: usize) {
         self.busy_ns += cpu_ns;
         self.messages += 1;
-        self.max_msg_ns = self.max_msg_ns.max(cpu_ns);
+        self.msg_ns.observe(cpu_ns);
         self.bytes_sent += bytes_sent;
         self.bdd_nodes = bdd_nodes;
     }
@@ -186,14 +189,6 @@ impl DeviceStats {
 pub struct RuntimeStats {
     /// Per-device overhead counters.
     pub per_device: BTreeMap<DeviceId, DeviceStats>,
-    /// Scaled per-message processing-time samples (ns), offered in
-    /// delivery order to a bounded reservoir
-    /// ([`tulkun_telemetry::RESERVOIR_CAP`] = 65 536 kept samples, a
-    /// deterministic uniform sample once a long replay exceeds the
-    /// cap — unbounded growth was a leak on multi-million-message
-    /// runs). Drain with [`RuntimeStats::drain_msg_samples`] (the
-    /// Fig. 15 harness does).
-    pub msg_ns_samples: Reservoir,
     /// Messages delivered across all devices.
     pub messages: usize,
     /// Total bytes on the wire.
@@ -206,20 +201,15 @@ pub struct RuntimeStats {
 }
 
 impl RuntimeStats {
-    /// Takes the per-message samples kept so far, leaving the
-    /// reservoir empty (so repeated harness phases don't
-    /// double-count).
-    pub fn drain_msg_samples(&mut self) -> Vec<u64> {
-        self.msg_ns_samples.drain()
-    }
-
-    /// Largest single-message processing time across all devices.
-    pub fn max_msg_ns(&self) -> u64 {
-        self.per_device
-            .values()
-            .map(|s| s.max_msg_ns)
-            .max()
-            .unwrap_or(0)
+    /// Scaled per-message processing time across every device (the
+    /// Fig. 15 distribution): quantiles within 3.2 %, count and max
+    /// exact.
+    pub fn msg_ns(&self) -> Histogram {
+        let mut all = Histogram::default();
+        for st in self.per_device.values() {
+            all.merge(&st.msg_ns);
+        }
+        all
     }
 
     fn merge_device(&mut self, dev: DeviceId, st: DeviceStats) {
@@ -229,7 +219,7 @@ impl RuntimeStats {
         e.messages += st.messages;
         e.bytes_sent += st.bytes_sent;
         e.bdd_nodes = st.bdd_nodes;
-        e.max_msg_ns = e.max_msg_ns.max(st.max_msg_ns);
+        e.msg_ns.merge(&st.msg_ns);
     }
 }
 
@@ -564,12 +554,12 @@ const INIT_TRACE: u64 = 1;
 /// First trace id handed to post-burst events.
 const FIRST_EVENT_TRACE: u64 = 2;
 
-/// Span name for one handled DVM envelope, by payload kind.
-fn dvm_span_name(payload: &Payload) -> &'static str {
+/// The timed layer of one handled DVM envelope, by payload kind.
+fn dvm_layer(payload: &Payload) -> &'static Layer {
     match payload {
-        Payload::Update { .. } => "dvm.update",
-        Payload::Subscribe { .. } => "dvm.subscribe",
-        Payload::Ack { .. } => "dvm.ack",
+        Payload::Update { .. } => &DVM_UPDATE,
+        Payload::Subscribe { .. } => &DVM_SUBSCRIBE,
+        Payload::Ack { .. } => &DVM_ACK,
     }
 }
 
@@ -606,9 +596,9 @@ impl Recipe {
     /// Builds `dev`'s verifier over its FIB in `net` and runs its init
     /// under the causal `trace`: the one constructor. LECs come from
     /// `cache` when it holds the device's table, and fill it when it
-    /// does not. Records the `init.build` span (`worker` in aux) and
-    /// returns the verifier, what its init sent and the host ns both
-    /// took.
+    /// does not. Times the build as the `init.build` layer (`worker`
+    /// in aux) and returns the verifier, what its init sent and the
+    /// host ns both took.
     fn build(
         &self,
         net: &Network,
@@ -619,35 +609,27 @@ impl Recipe {
         worker: u64,
     ) -> (DeviceVerifier, Vec<Envelope>, u64) {
         let (tel, ps) = (&self.tel, &self.packet_space);
-        let begin = tel.host_tick();
         let start = Instant::now();
-        let cached = cache.and_then(|c| c.get(dev));
-        let fib = net.fib(dev).clone();
-        let mut v = DeviceVerifier::builder(dev, net.layout, fib, ps, self.vcfg.clone())
-            .backend(self.kind)
-            .tasks(tasks)
-            .maybe_lecs(cached.as_deref().map(Vec::as_slice))
-            .telemetry(tel.clone())
-            .build();
-        if let (Some(cache), None) = (cache, cached) {
-            cache.insert(dev, v.export_lecs());
-        }
-        v.set_trace(trace);
-        let mut out = Vec::new();
-        v.init(&mut out);
-        let host_ns = start.elapsed().as_nanos() as u64;
         // Attributed to its worker (aux) so the EXPERIMENTS
         // parallel-init entry can read actual occupancy.
-        tel.span_aux(
-            dev,
-            "init.build",
-            "init",
-            begin,
-            host_ns.max(1),
-            trace,
-            worker,
-        );
-        (v, out, host_ns)
+        let (v, out) = tel.timed(dev, &INIT_BUILD, trace, worker, || {
+            let cached = cache.and_then(|c| c.get(dev));
+            let fib = net.fib(dev).clone();
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, ps, self.vcfg.clone())
+                .backend(self.kind)
+                .tasks(tasks)
+                .maybe_lecs(cached.as_deref().map(Vec::as_slice))
+                .telemetry(tel.clone())
+                .build();
+            if let (Some(cache), None) = (cache, cached) {
+                cache.insert(dev, v.export_lecs());
+            }
+            v.set_trace(trace);
+            let mut out = Vec::new();
+            v.init(&mut out);
+            (v, out)
+        });
+        (v, out, start.elapsed().as_nanos() as u64)
     }
 }
 
@@ -752,7 +734,8 @@ enum Input {
 /// Runs one input on a device's verifier: the one device step both
 /// fabrics take. Sets the trace (an envelope carries its own), times
 /// the work, has `charge` turn the host time into the span the device
-/// was busy for, records the span — and, for an envelope, `HANDLE_NS`
+/// was busy for, records it as the input's layer — an envelope feeds
+/// `HANDLE_NS` its charged time, an injected op `INJECT` its host time
 /// — and books it on `stats`. Returns the span and what the verifier
 /// emitted; moving that is the caller's.
 fn step(
@@ -762,32 +745,27 @@ fn step(
     stats: &mut DeviceStats,
     charge: impl FnOnce(u64) -> Span,
 ) -> (Span, Vec<Envelope>) {
-    let begin = tel.host_tick();
+    let begin = tel.start();
     let wall = Instant::now();
     let bytes_before = v.stats.bytes_sent;
     let mut out = Vec::new();
-    let (name, trace, envelope) = match input {
+    let (layer, trace, envelope) = match input {
         Input::Dvm(env) => {
             v.handle(&env, &mut out);
-            (dvm_span_name(&env.payload), env.trace, true)
+            (dvm_layer(&env.payload), env.trace, true)
         }
         Input::Op(trace, op) => {
             v.set_trace(trace);
             op(v, &mut out);
-            ("inject", trace, false)
+            (&INJECT, trace, false)
         }
     };
-    let host_ns = wall.elapsed().as_nanos() as u64;
-    let span = charge(host_ns);
+    let span = charge(wall.elapsed().as_nanos() as u64);
     let dev = v.device();
-    if tel.is_enabled() {
-        // Host-tick timeline; the device's virtual begin time rides in
-        // aux for offline re-keying.
-        tel.span_aux(dev, name, "dvm", begin, host_ns.max(1), trace, span.begin);
-        if envelope {
-            tel.observe(dev, &HANDLE_NS, span.cpu_ns);
-        }
-    }
+    // Host-tick timeline; the device's virtual begin time rides in aux
+    // for offline re-keying.
+    let charged = envelope.then_some(span.cpu_ns);
+    tel.finish(dev, layer, trace, span.begin, begin, charged);
     if envelope {
         let sent = v.stats.bytes_sent - bytes_before;
         stats.absorb_message(span.cpu_ns, sent, v.bdd_nodes());
@@ -995,19 +973,15 @@ impl<F: Fabric> Runtime<F> {
         decide: impl FnOnce(&mut ControlPlane, u64) -> Result<Decision, PlanError>,
     ) -> Result<Decision, PlanError> {
         let trace = self.alloc_trace();
-        let begin = self.tel.host_tick();
-        let wall = Instant::now();
+        let begin = self.tel.start();
         let mut decision = decide(&mut self.control, trace)?;
         let Some(mut plan) = decision.fence.take() else {
             return Ok(decision);
         };
         let epoch = plan.epoch;
-        if self.tel.is_enabled() {
-            let first = plan.devices.keys().next().copied().unwrap_or(DeviceId(0));
-            let plan_ns = (wall.elapsed().as_nanos() as u64).max(1);
-            self.tel
-                .span_aux(first, "fence.plan", "fence", begin, plan_ns, trace, epoch);
-        }
+        let first = plan.devices.keys().next().copied().unwrap_or(DeviceId(0));
+        self.tel
+            .finish(first, &FENCE_PLAN, trace, epoch, begin, None);
         let dropped = self.fabric.fence(&plan, trace);
         self.control.seal(&mut plan, dropped, trace);
         for (dev, fence) in plan.devices {
@@ -1244,14 +1218,13 @@ impl Fabric for Driver {
                 continue;
             }
             let bytes = env.wire_bytes() as u64;
-            let Some(span) = self.run(env.to, arrival, Input::Dvm(env)) else {
+            if self.run(env.to, arrival, Input::Dvm(env)).is_none() {
                 continue;
-            };
+            }
             out.messages += 1;
             out.bytes += bytes;
             self.stats.messages += 1;
             self.stats.bytes += bytes;
-            self.stats.msg_ns_samples.push(span.cpu_ns);
         }
         out.completion_ns = self.watermark;
         // The next round starts at t=0 on every device.
@@ -1804,17 +1777,8 @@ impl Runtime<Threads> {
                 for d in &devices {
                     stalled.insert(*d, epoch);
                     self.tel.count(*d, "tulkun_watchdog_stalls_total", 1);
-                    if self.tel.is_enabled() {
-                        self.tel.span_aux(
-                            *d,
-                            "churn.watchdog_stall",
-                            "churn",
-                            self.tel.host_tick(),
-                            1,
-                            0,
-                            epoch,
-                        );
-                    }
+                    self.tel
+                        .instant(*d, "churn.watchdog_stall", "churn", 0, epoch);
                     self.tel
                         .journal(JournalKind::WatchdogStall, *d, epoch, 0, None, || {
                             format!("watchdog declared d{} stalled (unprocessed backlog)", d.0)
@@ -2673,11 +2637,88 @@ mod tests {
         assert!(!stats.is_empty());
         assert!(stats.values().any(|s| s.messages > 0));
         assert!(stats.values().all(|s| s.bdd_nodes > 2));
-        // Per-message samples are drainable for the Fig. 15 harness.
-        let total_msgs: u64 = sim.stats().per_device.values().map(|s| s.messages).sum();
-        let samples = sim.stats_mut().drain_msg_samples();
-        assert_eq!(samples.len() as u64, total_msgs);
-        assert!(sim.stats().msg_ns_samples.is_empty());
+    }
+
+    /// Fig. 15's per-message distribution is booked by the device step,
+    /// so both fabrics fill it: one observation per delivered message,
+    /// its maximum the largest device's.
+    #[test]
+    fn both_fabrics_book_the_per_message_distribution() {
+        let (net, mut engine, mut threaded, _) = both_fabrics(&waypoint_inv());
+        engine.incremental(&repair(&net));
+        threaded.incremental(&repair(&net));
+        let engine_stats = engine.stats().clone();
+        for stats in [engine_stats, threaded.shutdown().expect("no panics")] {
+            let msg_ns = stats.msg_ns();
+            assert!(stats.messages > 0);
+            assert_eq!(msg_ns.count(), stats.messages as u64);
+            let max = stats.per_device.values().map(|s| s.msg_ns.max()).max();
+            assert_eq!(Some(msg_ns.max()), max);
+        }
+    }
+
+    /// Every span with a duration is a timed layer feeding exactly one
+    /// histogram: over a burst, a FIB batch, an install, a link-down and
+    /// a crash on either fabric, each layer's span count equals its
+    /// histogram's count, the envelope layers together `HANDLE_NS`'s.
+    #[test]
+    fn every_duration_span_feeds_one_histogram() {
+        use tulkun_telemetry::{CIB_RECOMPUTE, FIB_BATCH, HANDLE_NS, LEC_DELTA};
+        let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv());
+        let (a, b) = (
+            net.topology.expect_device("A"),
+            net.topology.expect_device("B"),
+        );
+        let script = [
+            RuntimeEvent::Batch(vec![repair(&net)]),
+            RuntimeEvent::InstallIntent {
+                name: "from-a".into(),
+                invariant: from_a(),
+            },
+            churn_event(&net, TopologyEvent::LinkDown(a, b)),
+            RuntimeEvent::CrashRestart(net.topology.expect_device("W")),
+        ];
+        for ev in &script {
+            engine.apply_event(ev).unwrap();
+            threaded.apply_event(ev).unwrap();
+        }
+        threaded.shutdown().expect("no panics");
+        let layers = [
+            DVM_UPDATE,
+            DVM_SUBSCRIBE,
+            DVM_ACK,
+            INJECT,
+            FIB_BATCH,
+            LEC_DELTA,
+            CIB_RECOMPUTE,
+            INIT_BUILD,
+            FENCE_PLAN,
+        ];
+        // A rewriting hop subscribes (fig2a has none), and the reliable
+        // transport consumes acks before any verifier sees them.
+        let never = [DVM_SUBSCRIBE.span, DVM_ACK.span];
+        for tel in &tels {
+            assert_eq!(tel.spans_dropped(), 0);
+            let spans = tel.spans();
+            let timed: Vec<&str> = spans.iter().filter(|s| s.dur > 0).map(|s| s.name).collect();
+            let mut per_hist: BTreeMap<&str, u64> = BTreeMap::new();
+            for l in &layers {
+                let n = timed.iter().filter(|&&name| name == l.span).count() as u64;
+                assert_eq!(n == 0, never.contains(&l.span), "{}: {n} spans", l.span);
+                *per_hist.entry(l.hist).or_default() += n;
+            }
+            assert_eq!(
+                per_hist.values().sum::<u64>(),
+                timed.len() as u64,
+                "{timed:?}"
+            );
+            for (hist, n) in per_hist {
+                assert_eq!(tel.histogram(hist).count(), n, "{hist}");
+            }
+            let envelopes = [DVM_UPDATE, DVM_SUBSCRIBE, DVM_ACK].map(|l| l.span);
+            let handled = timed.iter().filter(|name| envelopes.contains(name)).count();
+            assert_eq!(tel.histogram(HANDLE_NS).count(), handled as u64);
+        }
     }
 
     #[test]
@@ -2852,15 +2893,5 @@ mod tests {
             threaded.report().canonical_bytes()
         );
         threaded.shutdown().expect("no panics");
-    }
-
-    #[test]
-    fn samples_drain_once() {
-        let mut stats = RuntimeStats::default();
-        for s in [5, 50, 500, 5000] {
-            stats.msg_ns_samples.push(s);
-        }
-        assert_eq!(stats.drain_msg_samples().len(), 4);
-        assert!(stats.msg_ns_samples.is_empty());
     }
 }

@@ -293,7 +293,7 @@ impl Service {
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
         // windows start from the post-burst baseline.
-        slo.roll(&tel.metrics());
+        slo.roll(&tel);
         Service {
             harness,
             net: net.clone(),
@@ -427,7 +427,7 @@ impl Service {
                 *self.processed_by.entry(src.clone()).or_default() += 1;
                 if let Some(outcome) = outcome {
                     round_ns = round_ns.saturating_add(outcome.completion_ns);
-                    self.tel.observe(DeviceId(0), &CONVERGENCE_LAG_NS, round_ns);
+                    self.tel.observe(DeviceId(0), CONVERGENCE_LAG_NS, round_ns);
                 }
             }
             if !any {
@@ -436,7 +436,7 @@ impl Service {
         }
         if n > 0 {
             self.drains += 1;
-            self.slo.roll(&self.tel.metrics());
+            self.slo.roll(&self.tel);
             if !self.slo.verdict().ok() {
                 let epoch = self.harness.epoch();
                 let drains = self.drains;
@@ -758,7 +758,7 @@ impl Service {
                 )
             },
         );
-        self.slo.roll(&self.tel.metrics());
+        self.slo.roll(&self.tel);
         Ok(())
     }
 

@@ -104,6 +104,10 @@ pub fn chrome_trace_json_with_journal(spans: &[SpanEvent], journal: &[JournalEve
 /// Render a metrics snapshot in Prometheus text exposition format:
 /// `# TYPE` comments, cumulative `_bucket{le="..."}` lines, `_sum`
 /// and `_count` per histogram. Deterministic: sorted by metric name.
+///
+/// A histogram writes one `le` line per power of two, from the edge of
+/// its lowest non-empty bucket to that of its highest, then `+Inf`:
+/// every power of two is a bucket edge, so each count is exact.
 pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, v) in &snap.counters {
@@ -124,15 +128,22 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     }
     for (name, h) in &snap.hists {
         let _ = writeln!(out, "# TYPE {name} histogram");
+        let edges = std::iter::once(0).chain((0..64).map(|k| 1u64 << k));
+        let lowest = h.buckets().next().map_or(u64::MAX, |(hi, _)| hi);
+        let mut buckets = h.buckets().peekable();
         let mut cum = 0u64;
-        for (bound, c) in h.bounds.iter().zip(&h.buckets) {
-            cum += c;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cum}");
+        for le in edges.skip_while(|&e| e < lowest) {
+            while let Some((_, c)) = buckets.next_if(|&(hi, _)| hi <= le) {
+                cum += c;
+            }
+            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
+            if buckets.peek().is_none() {
+                break;
+            }
         }
-        cum += h.buckets.last().copied().unwrap_or(0);
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cum}");
-        let _ = writeln!(out, "{name}_sum {}", h.sum);
-        let _ = writeln!(out, "{name}_count {}", h.count);
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
+        let _ = writeln!(out, "{name}_sum {}", h.sum());
+        let _ = writeln!(out, "{name}_count {}", h.count());
     }
     out
 }
@@ -140,20 +151,15 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HistogramSpec, MetricsRegistry, Telemetry};
+    use crate::{MetricsRegistry, Telemetry, DVM_UPDATE, FIB_BATCH};
     use tulkun_netmodel::topology::DeviceId;
-
-    const TINY: HistogramSpec = HistogramSpec {
-        name: "tiny_ns",
-        bounds: &[10, 100],
-    };
 
     #[test]
     fn chrome_trace_round_trips_and_links_devices() {
         let tel = Telemetry::enabled();
-        tel.span(DeviceId(0), "fib.batch", "dvm", 100, 50, 7);
-        tel.span(DeviceId(2), "dvm.update", "dvm", 200, 25, 7);
-        tel.instant(DeviceId(2), "reliable.retransmit", "reliable", 300, 7);
+        tel.timed(DeviceId(0), &FIB_BATCH, 7, 0, || {});
+        tel.finish(DeviceId(2), &DVM_UPDATE, 7, 0, tel.start(), None);
+        tel.instant(DeviceId(2), "reliable.retransmit", "reliable", 7, 0);
         let text = tel.chrome_trace_json();
         let doc = tulkun_json::parse(&text).expect("exporter emits valid JSON");
         let events = doc
@@ -185,9 +191,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.count(DeviceId(0), "b_total", 2);
         reg.count(DeviceId(0), "a_total", 1);
-        reg.observe(DeviceId(0), &TINY, 5);
-        reg.observe(DeviceId(0), &TINY, 50);
-        reg.observe(DeviceId(0), &TINY, 5000);
+        // 5 and 8 share the edge 8; 50 lies in (32, 64]; nothing lies
+        // in (8, 16] or (16, 32], which still get their lines.
+        for v in [5, 8, 50, 5000] {
+            reg.observe(DeviceId(0), "tiny_ns", v);
+        }
         let text = prometheus_text(&reg.snapshot());
         let expected = "\
 # TYPE a_total counter
@@ -195,13 +203,41 @@ a_total 1
 # TYPE b_total counter
 b_total 2
 # TYPE tiny_ns histogram
-tiny_ns_bucket{le=\"10\"} 1
-tiny_ns_bucket{le=\"100\"} 2
-tiny_ns_bucket{le=\"+Inf\"} 3
-tiny_ns_sum 5055
-tiny_ns_count 3
+tiny_ns_bucket{le=\"8\"} 2
+tiny_ns_bucket{le=\"16\"} 2
+tiny_ns_bucket{le=\"32\"} 2
+tiny_ns_bucket{le=\"64\"} 3
+tiny_ns_bucket{le=\"128\"} 3
+tiny_ns_bucket{le=\"256\"} 3
+tiny_ns_bucket{le=\"512\"} 3
+tiny_ns_bucket{le=\"1024\"} 3
+tiny_ns_bucket{le=\"2048\"} 3
+tiny_ns_bucket{le=\"4096\"} 3
+tiny_ns_bucket{le=\"8192\"} 4
+tiny_ns_bucket{le=\"+Inf\"} 4
+tiny_ns_sum 5063
+tiny_ns_count 4
 ";
         assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn prometheus_edges_span_zero_to_the_top_octave() {
+        let reg = MetricsRegistry::new();
+        reg.observe(DeviceId(0), "wide", 0);
+        reg.observe(DeviceId(0), "wide", u64::MAX);
+        let text = prometheus_text(&reg.snapshot());
+        let les: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split_once("le=\"")?.1.split_once('"'))
+            .map(|(le, _)| le)
+            .collect();
+        // 0, 1, 2, 4, ..., 2^63, +Inf: u64::MAX lies above every
+        // finite edge.
+        assert_eq!(les.len(), 66);
+        assert_eq!((les[0], les[1], les[64]), ("0", "1", "9223372036854775808"));
+        assert!(text.contains("wide_bucket{le=\"9223372036854775808\"} 1\n"));
+        assert!(text.contains("wide_bucket{le=\"+Inf\"} 2\n"));
     }
 
     #[test]

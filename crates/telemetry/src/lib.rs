@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 //! Observability for the Tulkun runtimes: a span tracer with
 //! per-device ring buffers, a sharded metrics registry (counters,
-//! gauges, fixed-bucket histograms), and deterministic exporters for
+//! gauges, log-linear [`Histogram`]s), and deterministic exporters for
 //! Chrome `trace_event` JSON (Perfetto / `about:tracing`) and
 //! Prometheus text exposition.
 //!
@@ -26,11 +26,18 @@
 //! `LecCache` — so the `ThreadedEngine`'s one-thread-per-device
 //! workers never contend on a telemetry lock.
 //!
+//! A span with a duration is always a timed [`Layer`]: one call
+//! ([`Telemetry::timed`], or [`Telemetry::start`] and
+//! [`Telemetry::finish`] when the device is known only at the end)
+//! records the span and feeds the layer's histogram, so every layer's
+//! span count equals its histogram count. Everything else is an
+//! instantaneous event ([`Telemetry::instant`]).
+//!
 //! Spans carry a monotonic tick (nanoseconds since the handle's
 //! creation), a causal `trace` id threaded through `Envelope` so one
 //! FIB update's UPDATE wave can be reconstructed across devices, and
 //! an `aux` word for substrate-specific context (the virtual-clock
-//! time under `Engine`, the worker index for `parallel_init` spans).
+//! time under `Engine`, the worker index for `init.build` spans).
 
 mod export;
 mod journal;
@@ -40,10 +47,7 @@ mod trace;
 
 pub use export::{chrome_trace_json, chrome_trace_json_with_journal, prometheus_text};
 pub use journal::{journal_json, Journal, JournalEvent, JournalKind};
-pub use metrics::{
-    HistSnapshot, HistogramSpec, MetricsRegistry, MetricsSnapshot, CIB_RECOMPUTE_NS,
-    CONVERGENCE_LAG_NS, FIB_BATCH_NS, HANDLE_NS, LEC_DELTA_NS, NS_BOUNDS,
-};
+pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, CONVERGENCE_LAG_NS, HANDLE_NS};
 pub use slo::{SloPolicy, SloTracker, SloVerdict};
 pub use trace::{SpanEvent, Tracer};
 
@@ -57,6 +61,42 @@ use tulkun_netmodel::topology::DeviceId;
 /// mirrors the runtime's `LecCache` so one-thread-per-device workers
 /// land on distinct shards.
 pub const SHARDS: usize = 16;
+
+/// A timed layer: the span it records and the histogram (ns) its
+/// durations feed. Declared as a `const`, so a call site carries no
+/// allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct Layer {
+    /// Span name, e.g. `"fib.batch"`.
+    pub span: &'static str,
+    /// Span category, e.g. `"dvm"`.
+    pub cat: &'static str,
+    /// Histogram name, e.g. `"tulkun_fib_batch_ns"`.
+    pub hist: &'static str,
+}
+
+const fn layer(span: &'static str, cat: &'static str, hist: &'static str) -> Layer {
+    Layer { span, cat, hist }
+}
+
+/// One handled UPDATE envelope (charged ns into [`HANDLE_NS`]).
+pub const DVM_UPDATE: Layer = layer("dvm.update", "dvm", HANDLE_NS);
+/// One handled SUBSCRIBE envelope (charged ns into [`HANDLE_NS`]).
+pub const DVM_SUBSCRIBE: Layer = layer("dvm.subscribe", "dvm", HANDLE_NS);
+/// One handled ACK envelope (charged ns into [`HANDLE_NS`]).
+pub const DVM_ACK: Layer = layer("dvm.ack", "dvm", HANDLE_NS);
+/// One injected operation: a fence share, FIB batch, reboot or replay.
+pub const INJECT: Layer = layer("inject", "dvm", "tulkun_inject_ns");
+/// One whole `handle_fib_batch` call.
+pub const FIB_BATCH: Layer = layer("fib.batch", "dvm", "tulkun_fib_batch_ns");
+/// The LEC table delta/splice inside a FIB batch.
+pub const LEC_DELTA: Layer = layer("lec.delta", "dvm", "tulkun_lec_delta_ns");
+/// One node's CIB recomputation.
+pub const CIB_RECOMPUTE: Layer = layer("cib.recompute", "dvm", "tulkun_cib_recompute_ns");
+/// One verifier construction: LEC build plus initial counting.
+pub const INIT_BUILD: Layer = layer("init.build", "init", "tulkun_init_build_ns");
+/// One control-plane decision that produced an epoch fence.
+pub const FENCE_PLAN: Layer = layer("fence.plan", "fence", "tulkun_fence_plan_ns");
 
 /// Configuration for a [`Telemetry`] handle.
 #[derive(Debug, Clone)]
@@ -157,38 +197,71 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Monotonic tick: nanoseconds since this handle was created.
-    /// Returns 0 when disabled so callers need no separate branch.
-    pub fn host_tick(&self) -> u64 {
+    /// The begin tick of a span [`Telemetry::finish`] closes:
+    /// nanoseconds since this handle was created, 0 when disabled.
+    pub fn start(&self) -> u64 {
         if !self.enabled {
             return 0;
         }
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Record a completed span (`dur` > 0) for `dev`.
-    pub fn span(
+    /// Runs `work` as one `layer` span on `dev` and feeds its duration
+    /// to the layer's histogram. When disabled it only runs `work`.
+    pub fn timed<R>(
         &self,
         dev: DeviceId,
-        name: &'static str,
-        cat: &'static str,
-        begin: u64,
-        dur: u64,
+        layer: &Layer,
         trace: u64,
-    ) {
-        self.span_aux(dev, name, cat, begin, dur, trace, 0);
+        aux: u64,
+        work: impl FnOnce() -> R,
+    ) -> R {
+        if !self.enabled {
+            return work();
+        }
+        let begin = self.start();
+        let out = work();
+        self.finish(dev, layer, trace, aux, begin, None);
+        out
     }
 
-    /// Record a completed span with an auxiliary word (virtual-clock
-    /// time, worker index, ...).
-    #[allow(clippy::too_many_arguments)]
-    pub fn span_aux(
+    /// Closes a `layer` span on `dev` begun at `begin` (a
+    /// [`Telemetry::start`] tick) and feeds the layer's histogram its
+    /// duration — or `charged`, the span's time in the histogram's own
+    /// unit, when given.
+    pub fn finish(
+        &self,
+        dev: DeviceId,
+        layer: &Layer,
+        trace: u64,
+        aux: u64,
+        begin: u64,
+        charged: Option<u64>,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        let dur = self.start().saturating_sub(begin).max(1);
+        self.tracer.record(SpanEvent {
+            device: dev,
+            name: layer.span,
+            cat: layer.cat,
+            begin,
+            dur,
+            trace,
+            aux,
+        });
+        self.registry
+            .observe(dev, layer.hist, charged.unwrap_or(dur));
+    }
+
+    /// Record an instantaneous event (duration 0) for `dev`, stamped
+    /// with the current tick; `aux` carries the substrate's own time.
+    pub fn instant(
         &self,
         dev: DeviceId,
         name: &'static str,
         cat: &'static str,
-        begin: u64,
-        dur: u64,
         trace: u64,
         aux: u64,
     ) {
@@ -199,23 +272,11 @@ impl Telemetry {
             device: dev,
             name,
             cat,
-            begin,
-            dur,
+            begin: self.start(),
+            dur: 0,
             trace,
             aux,
         });
-    }
-
-    /// Record an instantaneous event (duration 0) for `dev`.
-    pub fn instant(
-        &self,
-        dev: DeviceId,
-        name: &'static str,
-        cat: &'static str,
-        tick: u64,
-        trace: u64,
-    ) {
-        self.span_aux(dev, name, cat, tick, 0, trace, 0);
     }
 
     /// Add `n` to the counter `name` (shard chosen by `dev`).
@@ -245,13 +306,22 @@ impl Telemetry {
         self.registry.gauge_set_labeled(dev, name, label, value);
     }
 
-    /// Record `value` into the fixed-bucket histogram described by
-    /// `spec` (shard chosen by `dev`).
-    pub fn observe(&self, dev: DeviceId, spec: &HistogramSpec, value: u64) {
+    /// Record `value` into histogram `name` (shard chosen by `dev`) —
+    /// for a value that is not a span's time, such as a convergence lag.
+    pub fn observe(&self, dev: DeviceId, name: &'static str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.registry.observe(dev, spec, value);
+        self.registry.observe(dev, name, value);
+    }
+
+    /// Histogram `name` merged across shards (empty when disabled or
+    /// never observed).
+    pub fn histogram(&self, name: &str) -> Histogram {
+        if !self.enabled {
+            return Histogram::default();
+        }
+        self.registry.histogram(name)
     }
 
     /// All recorded spans, merged across devices and sorted by
@@ -353,106 +423,6 @@ impl Telemetry {
     }
 }
 
-/// Fixed-capacity uniform sample reservoir with a deterministic
-/// xorshift replacement stream. Bounds `RuntimeStats::msg_ns_samples`
-/// over arbitrarily long replay runs: the first [`Reservoir::capacity`]
-/// values are kept verbatim; after that each new value replaces a
-/// random kept one with probability `capacity / seen`, so the kept set
-/// stays a uniform sample of everything pushed. Determinism: the
-/// replacement stream is seeded by a fixed constant, so equal push
-/// sequences keep equal samples on every run.
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    samples: Vec<u64>,
-    cap: usize,
-    seen: u64,
-    rng: u64,
-}
-
-/// Default reservoir capacity (64 Ki samples ≈ 512 KiB).
-pub const RESERVOIR_CAP: usize = 65_536;
-
-impl Default for Reservoir {
-    fn default() -> Self {
-        Reservoir::with_capacity(RESERVOIR_CAP)
-    }
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` samples.
-    pub fn with_capacity(cap: usize) -> Reservoir {
-        assert!(cap > 0, "reservoir capacity must be positive");
-        Reservoir {
-            samples: Vec::new(),
-            cap,
-            seen: 0,
-            rng: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn next_rng(&mut self) -> u64 {
-        // xorshift64*; deterministic, no external dependency.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Offer one value to the reservoir.
-    pub fn push(&mut self, value: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(value);
-            return;
-        }
-        let j = (self.next_rng() % self.seen) as usize;
-        if j < self.cap {
-            self.samples[j] = value;
-        }
-    }
-
-    /// Kept samples (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples are kept.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total values offered, including ones not kept.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// The kept samples, in insertion/replacement order.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.samples
-    }
-
-    /// Take the kept samples, leaving the reservoir empty (seen count
-    /// resets too, matching `drain_msg_samples` semantics).
-    pub fn drain(&mut self) -> Vec<u64> {
-        self.seen = 0;
-        std::mem::take(&mut self.samples)
-    }
-
-    /// Merge another reservoir's kept samples into this one.
-    pub fn absorb(&mut self, other: &mut Reservoir) {
-        for v in other.drain() {
-            self.push(v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,24 +431,69 @@ mod tests {
         DeviceId(i)
     }
 
+    /// Records one finished span with explicit ticks.
+    fn span(tel: &Telemetry, d: u32, name: &'static str, begin: u64, trace: u64) {
+        tel.tracer.record(SpanEvent {
+            device: dev(d),
+            name,
+            cat: "test",
+            begin,
+            dur: 5,
+            trace,
+            aux: 0,
+        });
+    }
+
     #[test]
     fn disabled_handle_records_nothing() {
         let tel = Telemetry::disabled();
-        tel.span(dev(0), "x", "test", 1, 2, 3);
+        assert_eq!(tel.timed(dev(0), &FIB_BATCH, 3, 0, || 7), 7);
+        tel.finish(dev(0), &FENCE_PLAN, 3, 0, tel.start(), None);
+        tel.instant(dev(0), "x", "test", 3, 0);
         tel.count(dev(0), "c", 5);
-        tel.observe(dev(0), &HANDLE_NS, 100);
+        tel.observe(dev(0), HANDLE_NS, 100);
         assert!(tel.spans().is_empty());
         let m = tel.metrics();
         assert!(m.counters.is_empty() && m.hists.is_empty());
-        assert_eq!(tel.host_tick(), 0);
+        assert_eq!(tel.start(), 0);
+    }
+
+    #[test]
+    fn a_timed_layer_records_its_span_and_its_histogram() {
+        let tel = Telemetry::enabled();
+        tel.timed(dev(2), &FIB_BATCH, 9, 4, || {});
+        let begin = tel.start();
+        tel.finish(dev(3), &DVM_UPDATE, 9, 0, begin, Some(1_000));
+        tel.instant(dev(3), "reliable.retransmit", "reliable", 9, 0);
+        let spans = tel.spans();
+        let names: Vec<_> = spans.iter().map(|s| (s.name, s.dur > 0)).collect();
+        assert_eq!(
+            names,
+            [
+                ("fib.batch", true),
+                ("dvm.update", true),
+                ("reliable.retransmit", false)
+            ]
+        );
+        assert_eq!(spans[0].aux, 4);
+        assert_eq!(tel.histogram(FIB_BATCH.hist).count(), 1);
+        assert_eq!(
+            tel.histogram(FIB_BATCH.hist).sum(),
+            u128::from(spans[0].dur)
+        );
+        assert_eq!(
+            tel.histogram(HANDLE_NS).sum(),
+            1_000,
+            "charged, not measured"
+        );
     }
 
     #[test]
     fn spans_merge_sorted_across_devices() {
         let tel = Telemetry::enabled();
-        tel.span(dev(3), "b", "test", 20, 5, 1);
-        tel.span(dev(1), "a", "test", 10, 5, 1);
-        tel.span(dev(1), "c", "test", 30, 5, 2);
+        span(&tel, 3, "b", 20, 1);
+        span(&tel, 1, "a", 10, 1);
+        span(&tel, 1, "c", 30, 2);
         let spans = tel.spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].begin, 10);
@@ -493,75 +508,13 @@ mod tests {
             ring_capacity: 2,
             ..TelemetryConfig::default()
         });
-        tel.span(dev(0), "a", "t", 1, 1, 0);
-        tel.span(dev(0), "b", "t", 2, 1, 0);
-        tel.span(dev(0), "c", "t", 3, 1, 0);
+        span(&tel, 0, "a", 1, 0);
+        span(&tel, 0, "b", 2, 0);
+        span(&tel, 0, "c", 3, 0);
         let spans = tel.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "b");
         assert_eq!(spans[1].name, "c");
         assert_eq!(tel.spans_dropped(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_match_hand_computed_sequence() {
-        const SPEC: HistogramSpec = HistogramSpec {
-            name: "test_hand_computed",
-            bounds: &[10, 20, 50],
-        };
-        let tel = Telemetry::new(TelemetryConfig::enabled());
-        // Observed from two devices so the sharded registry must merge:
-        // one value at each bucket's upper bound, one just above it.
-        for v in [1, 10, 11, 20] {
-            tel.observe(dev(0), &SPEC, v);
-        }
-        for v in [21, 50, 51, 1000] {
-            tel.observe(dev(4), &SPEC, v);
-        }
-        let snap = tel.metrics();
-        let h = snap.hists.get(SPEC.name).expect("histogram recorded");
-        assert_eq!(h.bounds, vec![10, 20, 50]);
-        // Buckets are non-cumulative per bound plus one overflow bucket;
-        // bounds are inclusive, so 10/20/50 land in their own buckets.
-        assert_eq!(h.buckets, vec![2, 2, 2, 2]);
-        assert_eq!(h.count, 8);
-        assert_eq!(h.sum, 1 + 10 + 11 + 20 + 21 + 50 + 51 + 1000);
-        // Quantiles are quantized to bucket upper bounds; the overflow
-        // bucket reports the last finite bound as a lower bound.
-        assert_eq!(h.quantile(0.25), Some(10));
-        assert_eq!(h.quantile(0.50), Some(20));
-        assert_eq!(h.quantile(0.75), Some(50));
-        assert_eq!(h.quantile(0.99), Some(50));
-        assert_eq!(snap.percentile(SPEC.name, 0.50), Some(20));
-    }
-
-    #[test]
-    fn reservoir_keeps_everything_under_cap() {
-        let mut r = Reservoir::with_capacity(8);
-        for v in 0..8 {
-            r.push(v);
-        }
-        assert_eq!(r.as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(r.seen(), 8);
-        let drained = r.drain();
-        assert_eq!(drained.len(), 8);
-        assert!(r.is_empty());
-        assert_eq!(r.seen(), 0);
-    }
-
-    #[test]
-    fn reservoir_is_bounded_and_deterministic() {
-        let run = || {
-            let mut r = Reservoir::with_capacity(16);
-            for v in 0..10_000u64 {
-                r.push(v);
-            }
-            r.as_slice().to_vec()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.len(), 16);
-        assert_eq!(a, b, "replacement stream must be deterministic");
-        assert!(a.iter().any(|&v| v >= 16), "late values must be sampled in");
     }
 }

@@ -1,7 +1,15 @@
-//! Metrics registry: named counters, gauges and fixed-bucket
-//! histograms behind [`crate::SHARDS`] lock shards keyed by device
-//! index — the `LecCache` sharding rule, so one-thread-per-device
-//! runtimes never contend.
+//! Metrics registry: named counters, gauges and log-linear histograms
+//! behind [`crate::SHARDS`] lock shards keyed by device index — the
+//! `LecCache` sharding rule, so one-thread-per-device runtimes never
+//! contend.
+//!
+//! One [`Histogram`] type serves every use: shard storage, the merged
+//! snapshot, an SLO window (the [`Histogram::delta`] of two cumulative
+//! snapshots) and the merge of windows. Its buckets follow one rule:
+//! values up to `SUB` = 32 are exact, and every power-of-two octave above
+//! splits into `SUB` equal sub-buckets. A quantile therefore lands
+//! within 1/`SUB` (3.2 %) of the exact value anywhere in the `u64`
+//! range, every power of two is a bucket edge, and no value overflows.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -10,99 +18,167 @@ use tulkun_netmodel::topology::DeviceId;
 
 use crate::SHARDS;
 
-/// Static description of a histogram: name + ascending bucket upper
-/// bounds. Values above the last bound land in an implicit overflow
-/// (`+Inf`) bucket. Declare as `const` so call sites carry no
-/// allocation.
-#[derive(Debug, Clone, Copy)]
-pub struct HistogramSpec {
-    /// Metric name (Prometheus-style, e.g. `tulkun_dvm_handle_ns`).
-    pub name: &'static str,
-    /// Ascending upper bounds, in the metric's unit.
-    pub bounds: &'static [u64],
-}
-
-/// Shared nanosecond bucket bounds: 1 µs … 1 s, roughly 1-2-5.
-pub const NS_BOUNDS: &[u64] = &[
-    1_000,
-    2_000,
-    5_000,
-    10_000,
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    1_000_000,
-    2_000_000,
-    5_000_000,
-    10_000_000,
-    20_000_000,
-    50_000_000,
-    100_000_000,
-    1_000_000_000,
-];
-
-/// Per-message `DeviceVerifier::handle` latency.
-pub const HANDLE_NS: HistogramSpec = HistogramSpec {
-    name: "tulkun_dvm_handle_ns",
-    bounds: NS_BOUNDS,
-};
-
-/// LEC table delta/splice latency inside `handle_fib_batch`.
-pub const LEC_DELTA_NS: HistogramSpec = HistogramSpec {
-    name: "tulkun_lec_delta_ns",
-    bounds: NS_BOUNDS,
-};
-
-/// Single-node CIB recomputation latency.
-pub const CIB_RECOMPUTE_NS: HistogramSpec = HistogramSpec {
-    name: "tulkun_cib_recompute_ns",
-    bounds: NS_BOUNDS,
-};
-
-/// Whole `handle_fib_batch` call latency.
-pub const FIB_BATCH_NS: HistogramSpec = HistogramSpec {
-    name: "tulkun_fib_batch_ns",
-    bounds: NS_BOUNDS,
-};
+/// Per-envelope device-step time, in charged (switch-model-scaled) ns:
+/// the unit the SLO budgets and the benchmark's handle rows read.
+pub const HANDLE_NS: &str = "tulkun_dvm_handle_ns";
 
 /// Per-request convergence lag in the always-on service: virtual ns
 /// from a request's admission to the quiescence of the round it was
 /// applied in.
-pub const CONVERGENCE_LAG_NS: HistogramSpec = HistogramSpec {
-    name: "tulkun_convergence_lag_ns",
-    bounds: NS_BOUNDS,
-};
+pub const CONVERGENCE_LAG_NS: &str = "tulkun_convergence_lag_ns";
 
-#[derive(Debug, Clone)]
-struct Hist {
-    bounds: &'static [u64],
-    /// One count per bound plus the overflow bucket.
-    buckets: Vec<u64>,
-    sum: u64,
-    count: u64,
+/// log2 of `SUB`.
+const SUB_BITS: u32 = 5;
+/// Linear sub-buckets per power of two, and the largest exact value.
+const SUB: u64 = 1 << SUB_BITS;
+
+/// The bucket holding `v`: buckets `0..=SUB` hold their own value;
+/// above, the octave `(2^k, 2^(k+1)]` splits into `SUB` sub-buckets
+/// of width `2^(k - SUB_BITS)`.
+fn bucket(v: u64) -> usize {
+    if v <= SUB {
+        return v as usize;
+    }
+    let u = v - 1;
+    let shift = 63 - u.leading_zeros() - SUB_BITS;
+    (1 + (shift as u64) * SUB + (u >> shift)) as usize
 }
 
-impl Hist {
-    fn new(bounds: &'static [u64]) -> Hist {
-        Hist {
-            bounds,
-            buckets: vec![0; bounds.len() + 1],
-            sum: 0,
-            count: 0,
+/// The largest value bucket `i` holds (saturating at `u64::MAX`).
+fn upper(i: usize) -> u64 {
+    let i = i as u64;
+    if i <= SUB {
+        return i;
+    }
+    let (j, shift) = (i - 1, (i - 1) / SUB - 1);
+    u64::try_from(u128::from(j % SUB + SUB + 1) << shift).unwrap_or(u64::MAX)
+}
+
+/// A log-linear histogram (see the module docs for the bucket rule).
+/// `count`, `sum` and `max` are exact; quantiles are bucket edges.
+/// Only the buckets from the lowest to the highest non-empty one are
+/// stored, so equal observations make equal histograms.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Histogram {
+    /// The bucket `counts[0]` counts (0 when empty).
+    first: usize,
+    /// Counts of buckets `first..`; neither end is an empty bucket.
+    counts: Vec<u64>,
+    count: u64,
+    sum: u128,
+    max: u64,
+}
+
+impl Histogram {
+    /// Stores buckets `lo..=hi` too.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.first = lo;
+        } else if lo < self.first {
+            let below = std::iter::repeat_n(0, self.first - lo);
+            self.counts.splice(0..0, below);
+            self.first = lo;
+        }
+        if hi >= self.first + self.counts.len() {
+            self.counts.resize(hi + 1 - self.first, 0);
         }
     }
 
-    fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx] += 1;
-        self.sum = self.sum.saturating_add(value);
+    /// Records one value.
+    pub fn observe(&mut self, value: u64) {
+        let i = bucket(value);
+        self.cover(i, i);
+        self.counts[i - self.first] += 1;
         self.count += 1;
+        self.sum += u128::from(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of the observed values.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Largest observed value (0 when empty). For a [`Histogram::delta`]
+    /// window it is exact when the window holds the later snapshot's
+    /// maximum, and otherwise the upper edge of its highest bucket.
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// The nearest-rank `q`-quantile (0 < q ≤ 1): the upper edge of the
+    /// bucket holding it, capped at `max` — never below the exact value
+    /// and within 1/`SUB` of it. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count.max(1));
+        let mut cum = 0;
+        let k = self.counts.iter().position(|&c| {
+            cum += c;
+            cum >= rank
+        })?;
+        Some(upper(self.first + k).min(self.max))
+    }
+
+    /// `(upper edge, count)` of every non-empty bucket, ascending.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let nonempty = self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        nonempty.map(|(k, &c)| (upper(self.first + k), c))
+    }
+
+    /// Adds `other`'s observations to this histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.is_empty() {
+            return;
+        }
+        self.cover(other.first, other.first + other.counts.len() - 1);
+        let at = other.first - self.first;
+        for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
+    /// The observations made between `prev` and `self`, two cumulative
+    /// snapshots of one histogram (saturating if `prev` is not an
+    /// earlier snapshot).
+    pub fn delta(&self, prev: &Histogram) -> Histogram {
+        let mut counts = self.counts.clone();
+        for (k, b) in prev.counts.iter().enumerate() {
+            let at = (prev.first + k).checked_sub(self.first);
+            if let Some(a) = at.and_then(|i| counts.get_mut(i)) {
+                *a = a.saturating_sub(*b);
+            }
+        }
+        let lead = counts.iter().take_while(|&&c| c == 0).count();
+        counts.drain(..lead);
+        while counts.last() == Some(&0) {
+            counts.pop();
+        }
+        let first = if counts.is_empty() {
+            0
+        } else {
+            self.first + lead
+        };
+        // A maximum above `prev`'s was observed inside the window.
+        let max = match counts.len() {
+            0 => 0,
+            _ if self.max > prev.max => self.max,
+            n => upper(first + n - 1).min(self.max),
+        };
+        Histogram {
+            first,
+            counts,
+            count: self.count.saturating_sub(prev.count),
+            sum: self.sum.saturating_sub(prev.sum),
+            max,
+        }
     }
 }
 
@@ -113,7 +189,7 @@ struct Shard {
     /// Labeled gauge families: `(family, label)` → value, where
     /// `label` is one rendered Prometheus pair like `intent="3"`.
     labeled_gauges: BTreeMap<(&'static str, String), i64>,
-    hists: BTreeMap<&'static str, Hist>,
+    hists: BTreeMap<&'static str, Histogram>,
 }
 
 /// Sharded metrics sink; see [`crate::Telemetry`] for the recording
@@ -163,18 +239,25 @@ impl MetricsRegistry {
         s.labeled_gauges.insert((name, label.to_string()), value);
     }
 
-    /// Record `value` into the histogram described by `spec`.
-    pub fn observe(&self, dev: DeviceId, spec: &HistogramSpec, value: u64) {
+    /// Record `value` into histogram `name` in `dev`'s shard.
+    pub fn observe(&self, dev: DeviceId, name: &'static str, value: u64) {
         let mut s = self.shard(dev).lock().unwrap();
-        s.hists
-            .entry(spec.name)
-            .or_insert_with(|| Hist::new(spec.bounds))
-            .observe(value);
+        s.hists.entry(name).or_default().observe(value);
     }
 
-    /// Merge every shard into one snapshot: counters and histogram
-    /// buckets sum; gauges take the shard maximum (they track
-    /// high-water marks).
+    /// Histogram `name` merged across shards (empty if never observed).
+    pub fn histogram(&self, name: &str) -> Histogram {
+        let mut h = Histogram::default();
+        for shard in &self.shards {
+            if let Some(s) = shard.lock().unwrap().hists.get(name) {
+                h.merge(s);
+            }
+        }
+        h
+    }
+
+    /// Merge every shard into one snapshot: counters and histograms
+    /// sum; gauges take the shard maximum (they track high-water marks).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for shard in &self.shards {
@@ -194,106 +277,10 @@ impl MetricsRegistry {
                 *e = (*e).max(v);
             }
             for (&name, h) in &s.hists {
-                let e = snap
-                    .hists
-                    .entry(name.to_string())
-                    .or_insert_with(|| HistSnapshot {
-                        bounds: h.bounds.to_vec(),
-                        buckets: vec![0; h.buckets.len()],
-                        sum: 0,
-                        count: 0,
-                    });
-                for (b, v) in e.buckets.iter_mut().zip(&h.buckets) {
-                    *b += v;
-                }
-                e.sum = e.sum.saturating_add(h.sum);
-                e.count += h.count;
+                snap.hists.entry(name.to_string()).or_default().merge(h);
             }
         }
         snap
-    }
-}
-
-/// Merged view of one histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Ascending bucket upper bounds.
-    pub bounds: Vec<u64>,
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub buckets: Vec<u64>,
-    /// Sum of observed values (saturating).
-    pub sum: u64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl HistSnapshot {
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (0 < q ≤ 1). Observations in the overflow bucket report the
-    /// last finite bound — a lower bound on the true quantile. `None`
-    /// when empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return Some(if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    *self.bounds.last().expect("histogram has bounds")
-                });
-            }
-        }
-        self.bounds.last().copied()
-    }
-
-    /// An empty snapshot over the same bucket bounds.
-    pub fn empty_like(&self) -> HistSnapshot {
-        HistSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: vec![0; self.buckets.len()],
-            sum: 0,
-            count: 0,
-        }
-    }
-
-    /// Bucket-wise difference `self - prev` of two cumulative
-    /// snapshots of the same histogram (counters are monotone, so the
-    /// result is the observations made between the two snapshots).
-    /// Saturates rather than panicking if `prev` is not actually an
-    /// earlier snapshot (mismatched bounds fall back to `self`).
-    pub fn delta(&self, prev: &HistSnapshot) -> HistSnapshot {
-        if prev.bounds != self.bounds || prev.buckets.len() != self.buckets.len() {
-            return self.clone();
-        }
-        HistSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&prev.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            sum: self.sum.saturating_sub(prev.sum),
-            count: self.count.saturating_sub(prev.count),
-        }
-    }
-
-    /// Adds another snapshot's buckets into this one (same bounds
-    /// required; mismatches are ignored).
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if other.bounds != self.bounds || other.buckets.len() != self.buckets.len() {
-            return;
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum = self.sum.saturating_add(other.sum);
-        self.count += other.count;
     }
 }
 
@@ -307,85 +294,102 @@ pub struct MetricsSnapshot {
     /// Labeled gauge `(family, rendered label pair)` → maximum shard
     /// value, e.g. `("tulkun_intent_fresh", "intent=\"3\"")`.
     pub labeled_gauges: BTreeMap<(String, String), i64>,
-    /// Histogram name → merged buckets.
-    pub hists: BTreeMap<String, HistSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.labeled_gauges.is_empty()
-            && self.hists.is_empty()
-    }
-
-    /// `quantile(q)` of histogram `name`, if present and non-empty.
-    pub fn percentile(&self, name: &str, q: f64) -> Option<u64> {
-        self.hists.get(name).and_then(|h| h.quantile(q))
-    }
+    /// Histogram name → merged histogram.
+    pub hists: BTreeMap<String, Histogram>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dev(i: u32) -> DeviceId {
         DeviceId(i)
     }
 
-    const TINY: HistogramSpec = HistogramSpec {
-        name: "tiny",
-        bounds: &[10, 100, 1000],
-    };
+    fn of(values: &[u64]) -> Histogram {
+        let mut h = Histogram::default();
+        values.iter().for_each(|&v| h.observe(v));
+        h
+    }
 
-    #[test]
-    fn hand_computed_bucket_counts_are_exact() {
-        let reg = MetricsRegistry::new();
-        // Buckets: (..=10], (..=100], (..=1000], +Inf.
-        for v in [1, 10, 11, 100, 101, 1000, 1001, 5000] {
-            reg.observe(dev(3), &TINY, v);
-        }
-        let snap = reg.snapshot();
-        let h = &snap.hists["tiny"];
-        assert_eq!(h.buckets, vec![2, 2, 2, 2]);
-        assert_eq!(h.count, 8);
-        assert_eq!(h.sum, 1 + 10 + 11 + 100 + 101 + 1000 + 1001 + 5000);
+    /// Values spread over every magnitude of the `u64` range.
+    fn values() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec((any::<u64>(), 0u32..64).prop_map(|(v, s)| v >> s), 0..200)
     }
 
     #[test]
-    fn shards_merge_counters_and_buckets() {
+    fn buckets_tile_the_u64_range_with_power_of_two_edges() {
+        for i in 0..bucket(u64::MAX) {
+            assert_eq!(bucket(upper(i)), i, "upper edge of bucket {i}");
+            assert_eq!(
+                bucket(upper(i) + 1),
+                i + 1,
+                "bucket {i} is followed by {}",
+                i + 1
+            );
+        }
+        assert_eq!(upper(bucket(u64::MAX)), u64::MAX);
+        for k in 0..64 {
+            assert_eq!(upper(bucket(1 << k)), 1 << k, "2^{k} is a bucket edge");
+        }
+    }
+
+    #[test]
+    fn shards_merge_counters_and_histograms() {
         let reg = MetricsRegistry::new();
         // Devices 0 and 16 share a shard; 1 lands elsewhere.
         reg.count(dev(0), "msgs", 2);
         reg.count(dev(16), "msgs", 3);
         reg.count(dev(1), "msgs", 5);
-        reg.observe(dev(0), &TINY, 5);
-        reg.observe(dev(1), &TINY, 500);
+        reg.observe(dev(0), "tiny", 5);
+        reg.observe(dev(1), "tiny", 500);
         reg.gauge_set(dev(0), "hw", 7);
         reg.gauge_set(dev(1), "hw", 4);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["msgs"], 10);
-        assert_eq!(snap.hists["tiny"].buckets, vec![1, 0, 1, 0]);
+        assert_eq!(snap.hists["tiny"], of(&[5, 500]));
+        assert_eq!(reg.histogram("tiny"), of(&[5, 500]));
+        assert_eq!(reg.histogram("absent"), Histogram::default());
         assert_eq!(snap.gauges["hw"], 7);
     }
 
-    #[test]
-    fn quantiles_from_buckets() {
-        let reg = MetricsRegistry::new();
-        for _ in 0..90 {
-            reg.observe(dev(0), &TINY, 10);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every quantile is within 5 % of the exact nearest-rank value
+        /// (and never below it), `count`/`sum`/`max` are exact, `merge`
+        /// commutes, and the delta of `a` merged with `b` against `a`
+        /// is `b` — its maximum exact whenever `b` holds the larger one.
+        #[test]
+        fn histogram_is_a_faithful_sketch(a in values(), b in values()) {
+            let (ha, hb) = (of(&a), of(&b));
+            let mut sorted = a.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(ha.count(), a.len() as u64);
+            prop_assert_eq!(ha.sum(), a.iter().map(|&v| u128::from(v)).sum::<u128>());
+            prop_assert_eq!(ha.max(), sorted.last().copied().unwrap_or(0));
+            for q in [0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                let Some(got) = ha.quantile(q) else {
+                    prop_assert!(a.is_empty());
+                    continue;
+                };
+                let rank = ((q * a.len() as f64).ceil() as usize).clamp(1, a.len());
+                let exact = sorted[rank - 1];
+                prop_assert!(got >= exact, "q{q}: {got} < exact {exact}");
+                prop_assert!((got - exact) as f64 <= 0.05 * exact as f64, "q{q}: {got} vs {exact}");
+            }
+            let (mut ab, mut ba) = (ha.clone(), hb.clone());
+            ab.merge(&hb);
+            ba.merge(&ha);
+            prop_assert_eq!(&ab, &ba);
+            let d = ab.delta(&ha);
+            if ha.max() <= hb.max() {
+                prop_assert_eq!(&d, &hb);
+            } else {
+                prop_assert_eq!(&d, &Histogram { max: d.max(), ..hb.clone() });
+                prop_assert!(d.max() >= hb.max() && bucket(d.max()) == bucket(hb.max()));
+            }
         }
-        for _ in 0..9 {
-            reg.observe(dev(0), &TINY, 100);
-        }
-        reg.observe(dev(0), &TINY, 99_999); // overflow bucket
-        let snap = reg.snapshot();
-        assert_eq!(snap.percentile("tiny", 0.50), Some(10));
-        assert_eq!(snap.percentile("tiny", 0.90), Some(10));
-        assert_eq!(snap.percentile("tiny", 0.95), Some(100));
-        // p100 sits in the overflow bucket → last finite bound.
-        assert_eq!(snap.percentile("tiny", 1.0), Some(1000));
-        assert_eq!(snap.percentile("absent", 0.5), None);
     }
 }

@@ -1,24 +1,25 @@
-//! Rolling SLO windows over the metrics registry.
+//! Rolling SLO windows over two histograms of the metrics registry.
 //!
 //! The always-on service must *hold* a latency budget, not just record
-//! one: [`SloTracker`] turns the cumulative histograms of a
-//! [`crate::MetricsRegistry`] into a bounded ring of per-window deltas
-//! and judges the merged tail against a [`SloPolicy`]. Because the
-//! registry's counters are monotone, a window is simply the bucket-wise
-//! difference of two snapshots ([`HistSnapshot::delta`]), so the
-//! tracker adds no per-observation cost to the hot path — verifiers
-//! keep recording into the same sharded registry they always did, and
-//! the service rolls a window at its own cadence (once per drained
-//! request round).
+//! one: [`SloTracker`] keeps the cumulative [`HANDLE_NS`] and
+//! [`CONVERGENCE_LAG_NS`] histograms as of its last few rolls and
+//! judges the windows between them against a [`SloPolicy`]. Because a
+//! histogram's counts are monotone, a window is the bucket-wise
+//! difference of two snapshots ([`Histogram::delta`]) and the whole
+//! ring is the newest minus the oldest, so the tracker adds no
+//! per-observation cost to the hot path — verifiers keep recording into
+//! the same sharded registry they always did, and the service rolls a
+//! window at its own cadence (once per drained request round), reading
+//! those two histograms by name.
 //!
-//! Verdicts are quantized to the histogram's 1-2-5 bucket grid: a
-//! reported p99 is the upper bound of the bucket holding the 99th
-//! percentile. That is deliberate — bucket bounds are stable across
-//! runs while raw tail samples jitter.
+//! A reported quantile is the upper edge of the log-linear bucket
+//! holding it: never below the true value and within 3.2 % of it, at
+//! any magnitude — a lag of seconds breaches a one-second budget.
 
 use std::collections::VecDeque;
 
-use crate::metrics::{HistSnapshot, MetricsSnapshot, CONVERGENCE_LAG_NS, HANDLE_NS};
+use crate::metrics::{Histogram, CONVERGENCE_LAG_NS, HANDLE_NS};
+use crate::Telemetry;
 
 /// Latency budgets for the always-on service. All values are
 /// nanoseconds in the metric's own unit: `p*_ns` bound the per-message
@@ -58,20 +59,23 @@ impl Default for SloPolicy {
     }
 }
 
-/// One rolled window: the handle-time and convergence-lag observations
-/// made between two registry snapshots.
-#[derive(Debug, Clone)]
-struct SloWindow {
-    handle: Option<HistSnapshot>,
-    lag: Option<HistSnapshot>,
+/// The cumulative handle-time and convergence-lag histograms at one
+/// roll.
+#[derive(Debug, Clone, Default)]
+struct Snapshot {
+    handle: Histogram,
+    lag: Histogram,
 }
 
-/// Rolling-window SLO judge over cumulative [`MetricsSnapshot`]s.
+/// Rolling-window SLO judge over the cumulative [`HANDLE_NS`] and
+/// [`CONVERGENCE_LAG_NS`] histograms.
 #[derive(Debug)]
 pub struct SloTracker {
     policy: SloPolicy,
-    last: MetricsSnapshot,
-    ring: VecDeque<SloWindow>,
+    /// The histograms at the last `policy.windows + 1` rolls (at first,
+    /// one empty snapshot): the windows are the deltas between
+    /// neighbours, so the ring merged is the newest minus the oldest.
+    snaps: VecDeque<Snapshot>,
     rolls: u64,
 }
 
@@ -80,8 +84,7 @@ impl SloTracker {
     pub fn new(policy: SloPolicy) -> SloTracker {
         SloTracker {
             policy,
-            last: MetricsSnapshot::default(),
-            ring: VecDeque::new(),
+            snaps: VecDeque::from([Snapshot::default()]),
             rolls: 0,
         }
     }
@@ -95,31 +98,24 @@ impl SloTracker {
     /// roll; surplus old windows are dropped immediately).
     pub fn set_policy(&mut self, policy: SloPolicy) {
         self.policy = policy;
-        while self.ring.len() > self.policy.windows.max(1) {
-            self.ring.pop_front();
+        self.trim();
+    }
+
+    fn trim(&mut self) {
+        while self.snaps.len() > self.policy.windows.max(1) + 1 {
+            self.snaps.pop_front();
         }
     }
 
-    /// Rolls one window: the delta of `snap` against the previous roll
-    /// becomes the newest window, the oldest beyond the policy's ring
-    /// size falls off.
-    pub fn roll(&mut self, snap: &MetricsSnapshot) {
-        let delta_of = |name: &str, snap: &MetricsSnapshot, last: &MetricsSnapshot| {
-            let cur = snap.hists.get(name)?;
-            Some(match last.hists.get(name) {
-                Some(prev) => cur.delta(prev),
-                None => cur.clone(),
-            })
-        };
-        let w = SloWindow {
-            handle: delta_of(HANDLE_NS.name, snap, &self.last),
-            lag: delta_of(CONVERGENCE_LAG_NS.name, snap, &self.last),
-        };
-        self.ring.push_back(w);
-        while self.ring.len() > self.policy.windows.max(1) {
-            self.ring.pop_front();
-        }
-        self.last = snap.clone();
+    /// Rolls one window: what `tel`'s two histograms gained since the
+    /// previous roll becomes the newest window, the oldest beyond the
+    /// policy's ring size falls off.
+    pub fn roll(&mut self, tel: &Telemetry) {
+        self.snaps.push_back(Snapshot {
+            handle: tel.histogram(HANDLE_NS),
+            lag: tel.histogram(CONVERGENCE_LAG_NS),
+        });
+        self.trim();
         self.rolls += 1;
     }
 
@@ -131,29 +127,16 @@ impl SloTracker {
 
     /// Judges the merged ring against the policy.
     pub fn verdict(&self) -> SloVerdict {
-        let merged = |pick: fn(&SloWindow) -> &Option<HistSnapshot>| -> Option<HistSnapshot> {
-            let mut acc: Option<HistSnapshot> = None;
-            for w in &self.ring {
-                if let Some(h) = pick(w) {
-                    match &mut acc {
-                        Some(a) => a.merge(h),
-                        None => acc = Some(h.clone()),
-                    }
-                }
-            }
-            acc
-        };
-        let handle = merged(|w| &w.handle);
-        let lag = merged(|w| &w.lag);
-        let q = |h: &Option<HistSnapshot>, p: f64| h.as_ref().and_then(|h| h.quantile(p));
+        let (first, last) = (&self.snaps[0], &self.snaps[self.snaps.len() - 1]);
+        let (handle, lag) = (last.handle.delta(&first.handle), last.lag.delta(&first.lag));
         let mut v = SloVerdict {
-            p50_ns: q(&handle, 0.50),
-            p90_ns: q(&handle, 0.90),
-            p99_ns: q(&handle, 0.99),
-            lag_p99_ns: q(&lag, 0.99),
-            samples: handle.as_ref().map_or(0, |h| h.count),
-            lag_samples: lag.as_ref().map_or(0, |h| h.count),
-            windows: self.ring.len(),
+            p50_ns: handle.quantile(0.50),
+            p90_ns: handle.quantile(0.90),
+            p99_ns: handle.quantile(0.99),
+            lag_p99_ns: lag.quantile(0.99),
+            samples: handle.count(),
+            lag_samples: lag.count(),
+            windows: self.snaps.len() - 1,
             breaches: Vec::new(),
         };
         if v.samples >= self.policy.min_samples {
@@ -177,7 +160,7 @@ impl SloTracker {
 /// The outcome of judging the rolling windows against the budgets.
 #[derive(Debug, Clone, Default)]
 pub struct SloVerdict {
-    /// Median handle time over the merged windows (bucket bound).
+    /// Median handle time over the merged windows (bucket edge).
     pub p50_ns: Option<u64>,
     /// 90th-percentile handle time.
     pub p90_ns: Option<u64>,
@@ -250,12 +233,9 @@ impl SloVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
     use tulkun_netmodel::topology::DeviceId;
 
-    fn dev(i: u32) -> DeviceId {
-        DeviceId(i)
-    }
+    const D0: DeviceId = DeviceId(0);
 
     fn policy() -> SloPolicy {
         SloPolicy {
@@ -270,24 +250,24 @@ mod tests {
 
     #[test]
     fn windows_are_deltas_not_cumulative() {
-        let reg = MetricsRegistry::new();
+        let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(policy());
         for _ in 0..10 {
-            reg.observe(dev(0), &HANDLE_NS, 5_000);
+            tel.observe(D0, HANDLE_NS, 5_000);
         }
-        slo.roll(&reg.snapshot());
+        slo.roll(&tel);
         assert_eq!(slo.verdict().samples, 10);
         // A second roll with no new observations is an empty window.
-        slo.roll(&reg.snapshot());
+        slo.roll(&tel);
         assert_eq!(
             slo.verdict().samples,
             10,
             "delta windows must not double-count"
         );
         for _ in 0..4 {
-            reg.observe(dev(0), &HANDLE_NS, 5_000);
+            tel.observe(D0, HANDLE_NS, 5_000);
         }
-        slo.roll(&reg.snapshot());
+        slo.roll(&tel);
         // Ring size 2: the first 10-sample window fell off.
         assert_eq!(slo.verdict().samples, 4);
         assert_eq!(slo.rolls(), 3);
@@ -295,33 +275,55 @@ mod tests {
 
     #[test]
     fn breaches_name_the_budget() {
-        let reg = MetricsRegistry::new();
+        let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(policy());
         for _ in 0..98 {
-            reg.observe(dev(0), &HANDLE_NS, 1_000);
+            tel.observe(D0, HANDLE_NS, 1_000);
         }
-        reg.observe(dev(0), &HANDLE_NS, 40_000_000); // blown tail
-        reg.observe(dev(0), &HANDLE_NS, 40_000_000); // rank 99 of 100 lands here
-        reg.observe(dev(0), &CONVERGENCE_LAG_NS, 1_000_000);
-        slo.roll(&reg.snapshot());
+        tel.observe(D0, HANDLE_NS, 40_000_000); // blown tail
+        tel.observe(D0, HANDLE_NS, 40_000_000); // rank 99 of 100 lands here
+        tel.observe(D0, CONVERGENCE_LAG_NS, 1_000_000);
+        slo.roll(&tel);
         let v = slo.verdict();
         assert!(!v.ok());
         assert_eq!(v.breaches.len(), 1, "{:?}", v.breaches);
         assert!(v.breaches[0].contains("handle p99"));
-        assert_eq!(v.p50_ns, Some(1_000));
+        // 1 000 lies in the bucket (992, 1 008].
+        assert_eq!(v.p50_ns, Some(1_008));
         assert_eq!(v.lag_p99_ns, Some(1_000_000));
         assert!(v.prometheus_text().contains("tulkun_slo_ok 0"));
     }
 
     #[test]
+    fn a_lag_above_one_second_breaches_the_default_budget() {
+        let tel = Telemetry::enabled();
+        let mut slo = SloTracker::new(SloPolicy::default());
+        for _ in 0..16 {
+            tel.observe(D0, HANDLE_NS, 10_000);
+        }
+        for _ in 0..4 {
+            tel.observe(D0, CONVERGENCE_LAG_NS, 5_000_000_000);
+        }
+        slo.roll(&tel);
+        let v = slo.verdict();
+        assert_eq!(v.lag_p99_ns, Some(5_000_000_000));
+        assert!(!v.ok(), "{v:?}");
+        assert!(
+            v.breaches[0].contains("convergence-lag p99"),
+            "{:?}",
+            v.breaches
+        );
+    }
+
+    #[test]
     fn too_few_samples_abstains() {
-        let reg = MetricsRegistry::new();
+        let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(SloPolicy {
             min_samples: 100,
             ..policy()
         });
-        reg.observe(dev(0), &HANDLE_NS, u64::MAX / 2);
-        slo.roll(&reg.snapshot());
+        tel.observe(D0, HANDLE_NS, u64::MAX / 2);
+        slo.roll(&tel);
         let v = slo.verdict();
         assert!(v.ok(), "abstaining verdicts hold");
         assert_eq!(v.samples, 1);

@@ -727,6 +727,17 @@ fn stats_json(run: &ObservedRun) -> Json {
         ("acks".into(), int(f.acks)),
         ("ack_bytes".into(), int(f.ack_bytes)),
     ]);
+    // Per-message processing time: quantiles within 3.2 %, count and
+    // max exact.
+    let h = s.msg_ns();
+    let q = |q| int(h.quantile(q).unwrap_or(0));
+    let msg_ns = Json::Object(vec![
+        ("count".into(), int(h.count())),
+        ("p50".into(), q(0.5)),
+        ("p90".into(), q(0.9)),
+        ("p99".into(), q(0.99)),
+        ("max".into(), int(h.max())),
+    ]);
     let per_device = Json::Object(
         s.per_device
             .iter()
@@ -739,7 +750,7 @@ fn stats_json(run: &ObservedRun) -> Json {
                         ("messages".into(), int(d.messages)),
                         ("bytes_sent".into(), int(d.bytes_sent)),
                         ("bdd_nodes".into(), int(d.bdd_nodes as u64)),
-                        ("max_msg_ns".into(), int(d.max_msg_ns)),
+                        ("msg_ns_max".into(), int(d.msg_ns.max())),
                     ]),
                 )
             })
@@ -749,12 +760,7 @@ fn stats_json(run: &ObservedRun) -> Json {
         ("holds".into(), Json::Bool(run.holds)),
         ("messages".into(), int(s.messages as u64)),
         ("bytes".into(), int(s.bytes)),
-        ("max_msg_ns".into(), int(s.max_msg_ns())),
-        (
-            "msg_samples_kept".into(),
-            int(s.msg_ns_samples.len() as u64),
-        ),
-        ("msg_samples_seen".into(), int(s.msg_ns_samples.seen())),
+        ("msg_ns".into(), msg_ns),
         ("crashes_recovered".into(), int(s.crashes_recovered)),
         ("fault".into(), fault),
         ("per_device".into(), per_device),
