@@ -95,8 +95,10 @@
 #                 there, the memo within its bound, no histogram over
 #                 32 `le` lines); the init-build, inject and handle
 #                 histograms must be exported, and a scripted daemon
-#                 session's `metrics` reply must carry the fence-plan
-#                 histogram of its churn; also asserts a run
+#                 session's `metrics` reply must carry the fence-plan,
+#                 planner and refit histograms of its churn and a
+#                 scene-table hit for its repeated link-down; also
+#                 asserts a run
 #                 with telemetry disabled (--off) emits zero output
 #   doc-check     README/DESIGN must document the core runtime types
 #
@@ -371,6 +373,10 @@ stage_obs_smoke() {
         "drain" \
         "events ci" \
         "explain ci SEAT" \
+        "churn ci link-up SEAT LOSA" \
+        "drain" \
+        "churn ci link-down SEAT LOSA" \
+        "drain" \
         "metrics" \
         "quit" \
     | cargo run --release -p tulkun --bin tulkun -- \
@@ -384,6 +390,18 @@ stage_obs_smoke() {
     # The churn's control-plane decision is a timed layer too.
     grep -q '^tulkun_fence_plan_ns_count [1-9]' "$obs_dir/daemon.out" || {
         echo "obs-smoke: daemon metrics reply has no tulkun_fence_plan_ns histogram" >&2
+        exit 1
+    }
+    # The planner runs and re-interns inside it are timed layers, and the
+    # second SEAT–LOSA link-down is answered by a scene table.
+    for hist in tulkun_planner_ns tulkun_refit_ns; do
+        grep -q "^${hist}_count [1-9]" "$obs_dir/daemon.out" || {
+            echo "obs-smoke: daemon metrics reply has no $hist histogram" >&2
+            exit 1
+        }
+    done
+    grep -q '^tulkun_plan_table_hits_total [1-9]' "$obs_dir/daemon.out" || {
+        echo "obs-smoke: the repeated link-down was not a scene-table hit" >&2
         exit 1
     }
     sed -n 's/^ok \({"schema":"tulkun-explain-v1".*\)$/\1/p' \

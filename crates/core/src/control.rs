@@ -14,8 +14,8 @@
 //!
 //! Every entry point is transactional: an `Err` leaves the control
 //! plane exactly as it was before the call, as far as anything can
-//! observe (an intent's scene table may have learned what a scene
-//! gives — see [`IntentStore::replan_all_for_churn`]).
+//! observe (a scene table may have learned what a scene gives — see
+//! [`IntentStore::replan_all_for_churn`]).
 //!
 //! [`DeviceVerifier::apply_fence`]: crate::dvm::DeviceVerifier::apply_fence
 
@@ -41,7 +41,7 @@ use tulkun_telemetry::{JournalKind, Telemetry};
 /// The metric shard every control-plane gauge and counter is written
 /// to. Gauges snapshot as the maximum across shards, so a gauge that
 /// can fall must only ever be written to one.
-const SHARD: DeviceId = DeviceId(0);
+pub(crate) const SHARD: DeviceId = DeviceId(0);
 
 /// One task group of a [`DeviceFence`]: `None` re-tasks existing nodes
 /// under their current base packet space; `Some(space)` installs new
@@ -144,15 +144,14 @@ pub struct ControlPlane {
     degraded_epochs: BTreeMap<u64, u64>,
     /// The base intent's current counting plan (the store's pointer).
     plan: Arc<CountingPlan>,
-    /// The base topology: what installs plan on, and — with `base_inv`
-    /// — what every intent's scene table answers for.
+    /// The base topology: what installs plan on, and what every scene
+    /// table answers for.
     topology: Topology,
     /// `churn` applied to `topology`: the effective topology installs
     /// under churn plan on, and a link-down's [`Cut`] starts from.
     effective: Topology,
-    /// The base invariant the scene tables were filled under, learned
-    /// from the first topology event (the store's base intent carries
-    /// none of its own).
+    /// The base intent's plan key, learned from the first topology
+    /// event (the store's base intent carries no invariant of its own).
     base_inv: Option<Invariant>,
     layout: HeaderLayout,
     /// The store's packet-space contexts compiled, by index: contexts
@@ -192,7 +191,7 @@ impl ControlPlane {
             tel,
         };
         cp.export_intent_count();
-        cp.count_planning(PlanWork::default());
+        cp.count_planning(&cp.work(0));
         cp.count_fence_work(0, 0, 0);
         cp
     }
@@ -201,7 +200,7 @@ impl ControlPlane {
     pub fn set_telemetry(&mut self, tel: Arc<Telemetry>) {
         self.tel = tel;
         self.export_intent_count();
-        self.count_planning(PlanWork::default());
+        self.count_planning(&self.work(0));
         self.count_fence_work(0, 0, 0);
     }
 
@@ -230,11 +229,16 @@ impl ControlPlane {
             .gauge_set(SHARD, "tulkun_intent_count", self.store.len() as i64);
     }
 
+    /// No planning work yet, for the decision traced as `trace`.
+    fn work(&self, trace: u64) -> PlanWork {
+        PlanWork::new(&self.tel, trace)
+    }
+
     /// Counts planning work done on the live path: planner runs, and
     /// the scene-table hits and unaffected slices that avoided one.
     /// Counting nothing still exports the counters, so `metrics` shows
     /// them from the start.
-    fn count_planning(&self, work: PlanWork) {
+    fn count_planning(&self, work: &PlanWork) {
         let tel = &self.tel;
         tel.count(SHARD, "tulkun_planner_calls_total", work.planner_calls);
         tel.count(SHARD, "tulkun_plan_table_hits_total", work.table_hits);
@@ -334,14 +338,14 @@ impl ControlPlane {
     /// churn, re-plans **every** live intent against the post-churn
     /// topology under one fence (`base` is the original topology,
     /// `inv` the invariant the base plan was compiled from), and
-    /// returns each device's share. A scene an intent has been planned
-    /// on before costs no planner run (its scene table answers), and
-    /// neither does a link-down that a slice is outside of ([`Cut`]);
-    /// the tables answer for this control plane's own base topology
-    /// and, the base intent's, for one `inv`, so a call that brings
-    /// another `inv` empties the base intent's first, and one that
-    /// brings another `base` neither reads nor leaves anything in
-    /// any. Slices the new topology cannot
+    /// returns each device's share. A scene an intent's plan key has
+    /// been planned on before costs no planner run (its scene table
+    /// answers), and neither does a link-down that a slice is outside
+    /// of ([`Cut`]); `inv` is the base intent's plan key. The tables
+    /// answer for this control plane's own base topology, so a call
+    /// that brings another `base` neither reads nor leaves anything in
+    /// any; one that brings another `inv` only stops trusting the base
+    /// intent's plan. Slices the new topology cannot
     /// host degrade, parked installs get their bounded retry, and only
     /// a base plan that no longer plans is an `Err`. A `DeviceDown`
     /// quarantines its device; a `DeviceUp` wipes and re-tasks it.
@@ -358,9 +362,11 @@ impl ControlPlane {
             return Ok(Decision::counted(n, n));
         }
         let foreign = *base != self.topology;
-        if foreign || self.base_inv.as_ref() != Some(inv) {
-            self.store
-                .forget_scenes((!foreign).then_some(IntentId::BASE));
+        if foreign {
+            self.store.forget_scenes();
+        }
+        if self.base_inv.as_ref() != Some(inv) {
+            self.store.rekey_base();
             self.base_inv = Some(inv.clone());
         }
         let cut = match *ev {
@@ -370,14 +376,14 @@ impl ControlPlane {
             }),
             _ => None,
         };
-        let mut work = PlanWork::default();
+        let mut work = self.work(trace);
         let replan = self
             .store
             .replan_all_for_churn(base, Some(inv), &churn, cut, &mut work);
         if foreign {
-            self.store.forget_scenes(None);
+            self.store.forget_scenes();
         }
-        self.count_planning(work);
+        self.count_planning(&work);
         let replan = replan?;
         self.effective = if foreign {
             churn.apply_to(&self.topology)
@@ -477,8 +483,9 @@ impl ControlPlane {
     /// interned into the shared node table, so only devices whose tasks
     /// change are re-tasked. On a quiet topology a slice that does not
     /// plan is an `Err`; while churn is in effect it is *parked* for
-    /// bounded retry on the next topology fence instead. Either way the
-    /// plan opens the intent's scene table under the churn in force.
+    /// bounded retry on the next topology fence instead. The plan
+    /// comes from the scene table of `inv`'s plan key when it holds the
+    /// churn in force, and is remembered there when it does not.
     /// Returns the intent's id (installed or parked) and the decision.
     pub fn install(
         &mut self,
@@ -487,46 +494,49 @@ impl ControlPlane {
         inv: &Invariant,
         trace: u64,
     ) -> Result<(IntentId, Decision), PlanError> {
-        self.count_planning(PlanWork {
-            planner_calls: 1,
-            ..PlanWork::default()
-        });
-        let cp = if self.churn.is_quiet() {
-            let plan = Planner::new(&self.topology).plan(inv)?;
-            let PlanKind::Counting(cp) = plan.kind else {
-                return Err(PlanError::Unsupported(
+        let mut work = self.work(trace);
+        let quiet = self.churn.is_quiet();
+        let (topology, effective, churn) = (&self.topology, &self.effective, &self.churn);
+        let plan = || {
+            if !quiet {
+                return plan_intent_on(effective, inv, churn);
+            }
+            match Planner::new(topology).plan(inv)?.kind {
+                PlanKind::Counting(cp) => Ok(cp),
+                _ => Err(PlanError::Unsupported(
                     "runtime intents require a counting plan (local-contract \
                      behaviors have no DPVNet slice to install)"
                         .to_string(),
+                )),
+            }
+        };
+        let planned = self.store.plan_install(inv, churn, &mut work, plan);
+        self.count_planning(&work);
+        let slice = match planned {
+            Ok(slice) => slice,
+            Err(e) if quiet => return Err(e),
+            Err(e) => {
+                let id = self.store.park(id, name, inv.clone())?;
+                self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
+                    format!("parked behind fence @epoch {}: {e}", self.epoch)
+                });
+                let parked = Decision::default();
+                return Ok((
+                    id,
+                    Decision {
+                        parked: true,
+                        ..parked
+                    },
                 ));
-            };
-            cp
-        } else {
-            match plan_intent_on(&self.effective, inv, &self.churn) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    let id = self.store.park(id, name, inv.clone())?;
-                    self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
-                        format!("parked behind fence @epoch {}: {e}", self.epoch)
-                    });
-                    let parked = Decision::default();
-                    return Ok((
-                        id,
-                        Decision {
-                            parked: true,
-                            ..parked
-                        },
-                    ));
-                }
             }
         };
         let (id, delta) = self.store.install(
             id,
             name,
             Some(inv.clone()),
-            Arc::new(cp),
+            slice,
             inv.packet_space.clone(),
-            &self.churn,
+            &work,
         )?;
         let space = delta.ctx.map(|c| self.space(c));
         let fence = self.intent_fence(&delta, space);
@@ -553,7 +563,7 @@ impl ControlPlane {
     pub fn remove(&mut self, id: IntentId, trace: u64) -> Result<Decision, PlanError> {
         let no_footprint =
             self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
-        let delta = self.store.remove(id)?;
+        let delta = self.store.remove(id, &self.work(trace))?;
         self.degraded_epochs.remove(&id.0);
         let fence = (!no_footprint).then(|| self.intent_fence(&delta, None));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
@@ -638,8 +648,8 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intent::tests::{fig2a_network, plan_for};
-    use crate::intent::MAX_SCENES;
+    use crate::intent::tests::{fig2a_network, plan_for, work};
+    use crate::intent::Slice;
     use crate::spec::table1;
     use proptest::prelude::*;
     use tulkun_netmodel::network::Network;
@@ -858,11 +868,10 @@ mod tests {
         let dev = |n: &str| net.topology.expect_device(n);
         let (from_a, cp) = plan_for(&net, "A .* D");
         let no_invariant = None;
-        let quiet = ChurnState::new();
         let space = from_a.packet_space.clone();
         let (orphan, _) = c
             .store
-            .install(None, "from-a", no_invariant, cp, space, &quiet)
+            .install(None, "from-a", no_invariant, Slice::of(cp), space, &work())
             .unwrap();
         let waypoint = plan_for(&net, "S .* W .* D").0;
         let (live, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
@@ -1179,14 +1188,16 @@ mod tests {
                 }
                 Err(_) => assert!(intent.is_degraded(), "intent {id}: {:?}", c.churn),
             }
-            assert!(intent.scenes_remembered() <= MAX_SCENES);
         }
+        c.store.assert_tables_bounded();
     }
 
-    /// The tables answer for the control plane's own base topology and
-    /// one base invariant: a topology event that brings another of
-    /// either is planned afresh, and what it planned is never recalled
-    /// for the pair it does not belong to.
+    /// The tables answer for the control plane's own base topology, and
+    /// the base intent reads the table of the base invariant it is
+    /// handed: a topology event that brings another base is planned
+    /// afresh, one that brings another invariant reads that
+    /// invariant's table, and what either planned is never recalled for
+    /// the pair it does not belong to.
     #[test]
     fn another_base_or_invariant_never_hits_the_scene_tables() {
         let net = fig2a_network();
@@ -1214,6 +1225,9 @@ mod tests {
         apply(&down, &elsewhere, &waypoint);
         apply(&up, home, &waypoint);
         apply(&down, home, &waypoint);
+        // Back under the first invariant, its own table answers.
+        apply(&up, home, &base);
+        apply(&down, home, &base);
     }
 
     /// A control plane over `net` with counters on, and a reader of its
@@ -1299,11 +1313,11 @@ mod tests {
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 0));
     }
 
-    /// A scene table dies with its intent: an id re-used by another
-    /// invariant is planned for that invariant on every scene the old
-    /// holder of the id had seen.
+    /// A scene table belongs to a plan key, not to an id: an id re-used
+    /// by another invariant is planned for that invariant on every
+    /// scene the old holder of the id had seen.
     #[test]
-    fn a_reused_id_starts_with_an_empty_scene_table() {
+    fn a_reused_id_is_planned_for_its_new_invariant() {
         let net = fig2a_network();
         let (mut c, base) = control(&net, "S .* D");
         let dev = |n: &str| net.topology.expect_device(n);
@@ -1320,6 +1334,133 @@ mod tests {
                 assert_plans_are_fresh(&c, &net.topology, &base);
             }
             c.remove(id, 0).unwrap();
+        }
+    }
+
+    /// Parked installs read and fill the scene tables like live
+    /// intents: an install under churn whose scene is a remembered
+    /// refusal parks, and a parked retry on one burns its retry, with
+    /// no planner run; a retry on a scene with a remembered slice
+    /// unparks with none. Each answer is a table hit.
+    #[test]
+    fn parked_installs_read_the_scene_tables() {
+        use tulkun_telemetry::TelemetryConfig;
+        let net = fig2a_network();
+        let (mut c, base) = control(&net, "S .* D");
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        c.set_telemetry(tel.clone());
+        let dev = |n: &str| net.topology.expect_device(n);
+        let mut spent = {
+            let mut last = (0, 0);
+            move || {
+                let hits = counter(&tel, "tulkun_plan_table_hits_total");
+                let now = (counter(&tel, "tulkun_planner_calls_total"), hits);
+                let spent = (now.0 - last.0, now.1 - last.1);
+                last = now;
+                spent
+            }
+        };
+        let apply = |c: &mut ControlPlane, ev: TopologyEvent| {
+            c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+            assert_plans_are_fresh(c, &net.topology, &base);
+        };
+        let from_b = plan_for(&net, "B .* D").0;
+        // The quiet scene's slice is remembered, then B goes down.
+        let (id, _) = c.install(None, "from-b", &from_b, 0).unwrap();
+        c.remove(id, 0).unwrap();
+        apply(&mut c, TopologyEvent::DeviceDown(dev("B")));
+        assert_eq!(spent(), (2, 0), "the install; the base on a new scene");
+        let (first, d) = c.install(None, "first", &from_b, 0).unwrap();
+        assert!(d.parked);
+        assert_eq!(spent(), (1, 0), "the first install learns the refusal");
+        let (second, d) = c.install(None, "second", &from_b, 0).unwrap();
+        assert!(d.parked);
+        assert_eq!(spent(), (0, 1), "the second parks on it");
+        // A new scene is planned once for both retries; returning to a
+        // remembered refusal burns their retries for free.
+        apply(&mut c, TopologyEvent::LinkDown(dev("B"), dev("D")));
+        assert_eq!(spent(), (1, 1), "the base is outside the cut");
+        apply(&mut c, TopologyEvent::LinkUp(dev("B"), dev("D")));
+        assert_eq!(spent(), (0, 3), "every answer remembered");
+        let retries: Vec<u32> = c.store.parked().map(|p| p.retries).collect();
+        assert_eq!(retries, [2, 2]);
+        // B's return is the remembered quiet scene: both land from it.
+        apply(&mut c, TopologyEvent::DeviceUp(dev("B")));
+        assert_eq!(spent(), (1, 2), "the base on quiet; both unparks hit");
+        assert_eq!(c.store.parked_count(), 0);
+        let plan = |id| Arc::clone(&c.store.get(id).unwrap().plan);
+        assert!(Arc::ptr_eq(&plan(first), &plan(second)));
+    }
+
+    /// The plan key is everything the planner reads of an invariant.
+    /// Against an intent that has planned the quiet scene and a link
+    /// flap, a second intent that differs from it only in ingress, only
+    /// in packet space or only in behavior plans its own — on install,
+    /// beside it and after it is gone — while one that differs only in
+    /// name is installed from its table and shares its plan pointer.
+    #[test]
+    fn intents_share_plans_exactly_when_only_their_names_differ() {
+        use crate::count::CountExpr;
+        use crate::spec::{Behavior, PathExpr};
+        use tulkun_telemetry::TelemetryConfig;
+        let net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let flap = [
+            TopologyEvent::LinkDown(dev("B"), dev("D")),
+            TopologyEvent::LinkUp(dev("B"), dev("D")),
+        ];
+        let intent = |name: &str, space: &str, ingress: &str, path: &str| {
+            let path = PathExpr::parse(path).unwrap().loop_free();
+            Invariant::builder()
+                .name(name)
+                .packet_space(PacketSpace::dst_prefix(space))
+                .ingress([ingress])
+                .behavior(Behavior::exist(CountExpr::ge(1), path))
+                .build()
+                .unwrap()
+        };
+        let first = intent("first", "10.0.0.0/23", "A", ".* D");
+        let others = [
+            (
+                "ingress",
+                intent("first", "10.0.0.0/23", "B", ".* D"),
+                false,
+            ),
+            ("space", intent("first", "10.0.0.0/24", "A", ".* D"), false),
+            (
+                "behavior",
+                intent("first", "10.0.0.0/23", "A", ".* W .* D"),
+                false,
+            ),
+            ("name", intent("second", "10.0.0.0/23", "A", ".* D"), true),
+        ];
+        for (differs_in, other, shares) in others {
+            let (mut c, base) = control(&net, "S .* D");
+            let tel = Telemetry::new(TelemetryConfig::enabled());
+            c.set_telemetry(tel.clone());
+            let work = || {
+                let hits = counter(&tel, "tulkun_plan_table_hits_total");
+                (counter(&tel, "tulkun_planner_calls_total"), hits)
+            };
+            let apply = |c: &mut ControlPlane, ev: &TopologyEvent| {
+                c.topology_event(ev, &net.topology, &base, 0).unwrap();
+                assert_plans_are_fresh(c, &net.topology, &base);
+            };
+            let (id, _) = c.install(None, "first", &first, 0).unwrap();
+            flap.iter().for_each(|ev| apply(&mut c, ev));
+            let before = work();
+            let (other_id, _) = c.install(None, "other", &other, 0).unwrap();
+            let after = work();
+            let spent = (after.0 - before.0, after.1 - before.1);
+            let hit = if shares { (0, 1) } else { (1, 0) };
+            assert_eq!(spent, hit, "{differs_in}: planner calls, table hits");
+            let plan = |c: &ControlPlane, id| Arc::clone(&c.store.get(id).unwrap().plan);
+            let shared = Arc::ptr_eq(&plan(&c, id), &plan(&c, other_id));
+            assert_eq!(shared, shares, "{differs_in}: one plan");
+            assert_plans_are_fresh(&c, &net.topology, &base);
+            flap.iter().for_each(|ev| apply(&mut c, ev));
+            c.remove(id, 0).unwrap();
+            flap.iter().for_each(|ev| apply(&mut c, ev));
         }
     }
 

@@ -40,15 +40,18 @@
 //!   not change is not read, and only the nodes the re-intern wrote are
 //!   diffed, so a fence costs what it changed, not the table's size.
 //!
-//! * **Scenes** — every installed intent carries a *scene table*: the
-//!   plans (or planner refusals) of the topology scenes it has been
-//!   planned on, keyed by [`ChurnState`] (see [`SceneTable`]). It is
-//!   §6's scene-labelled fault-tolerant plan filled lazily, one scene
-//!   at a time, and the only way a plan reaches the store: the second
-//!   half of every link flap returns to a scene already planned and
-//!   costs a pointer copy instead of a planner run, and a link failure
-//!   a slice is outside of keeps the slice's plan without one
-//!   ([`Cut`]).
+//! * **Scenes** — the store keeps *scene tables*: for each plan key
+//!   (an invariant without its name, see [`SceneTable`]) the plans, or
+//!   planner refusals, of the topology scenes it has been planned on,
+//!   keyed by [`ChurnState`]. They are §6's scene-labelled
+//!   fault-tolerant plan filled lazily, one scene at a time, and the
+//!   only way a plan reaches the store: the second half of every link
+//!   flap returns to a scene already planned, a re-installed invariant
+//!   or a second intent with the same one finds the scenes the first
+//!   planned, and each costs a pointer copy instead of a planner run; a
+//!   link failure a slice is outside of keeps the slice's plan without
+//!   one ([`Cut`]). A table belongs to its key, not to an intent: it
+//!   outlives the intents that filled it.
 //!
 //! Soundness of sharing: a node's counting results depend only on its
 //! downstream cone (accept flags + structure), its device's FIB, and
@@ -58,6 +61,7 @@
 //! exactly what each owning intent's standalone plan would.
 
 use crate::churn::ChurnState;
+use crate::control::SHARD;
 use crate::count::ReduceMode;
 use crate::dpvnet::NodeId;
 use crate::fault::{link_pair, LinkPair};
@@ -68,6 +72,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::DeviceId;
+use tulkun_telemetry::{Telemetry, INTENT_REFIT, PLANNER_PLAN};
 
 /// Identifier of one installed intent. Id 0 is the *base* intent: the
 /// plan the substrate was constructed with (legacy single-plan
@@ -111,18 +116,25 @@ impl IntentProfile {
     }
 }
 
-/// Scenes one intent remembers at most; the least recently used goes
+/// Scenes one table remembers at most; the least recently used goes
 /// first. A constant, like the BDD memo's bound: a table serves the
 /// handful of scenes a flapping network keeps returning to, so its
 /// size follows from what recurs, not from a deployment.
 pub(crate) const MAX_SCENES: usize = 32;
+
+/// Tables the store keeps at most besides those of the invariants it
+/// holds (live and parked intents, and the base invariant of the last
+/// re-plan); the least recently used goes first. A constant for the
+/// reason [`MAX_SCENES`] is: the tables of retired invariants serve the
+/// handful an operator keeps rotating back in.
+pub(crate) const MAX_TABLES: usize = 32;
 
 /// One intent's slice as the store holds it: the plan and, worked
 /// out once where the plan enters the store, how its tasks are
 /// interned — a function of the plan alone that every re-intern on
 /// the scene would otherwise recompute.
 #[derive(Debug, Clone)]
-struct Slice {
+pub(crate) struct Slice {
     plan: Arc<CountingPlan>,
     /// `(index into plan.tasks, occurrence)`, children first: an
     /// iterative DFS post-order from every node in ascending id, along
@@ -137,7 +149,7 @@ struct Slice {
 }
 
 impl Slice {
-    fn of(plan: Arc<CountingPlan>) -> Slice {
+    pub(crate) fn of(plan: Arc<CountingPlan>) -> Slice {
         let index: BTreeMap<NodeId, u32> = (0u32..)
             .zip(&plan.tasks)
             .map(|(i, t)| (t.node, i))
@@ -177,43 +189,54 @@ impl Slice {
     }
 }
 
-/// What planning one intent on one scene gave: its slice, or why the
-/// scene cannot host it.
+/// What planning one invariant on one scene gave: its slice, or why
+/// the scene cannot host it.
 type Planned = Result<Slice, PlanError>;
 
-/// One intent's plans by scene — §6's fault-tolerant DPVNet, learned
+/// Whether `a` and `b` are one plan key: whether every field the
+/// planner may read of an invariant is equal — all but the diagnostic
+/// name. The destructuring names every field, so a field added to
+/// [`Invariant`] does not compile until it is ruled in or out here.
+fn same_plan_key(a: &Invariant, b: &Invariant) -> bool {
+    let Invariant {
+        name: _,
+        packet_space,
+        ingress,
+        behavior,
+        fault_scenes,
+    } = a;
+    packet_space == &b.packet_space
+        && ingress == &b.ingress
+        && behavior == &b.behavior
+        && fault_scenes == &b.fault_scenes
+}
+
+/// One plan key's plans by scene — §6's fault-tolerant DPVNet, learned
 /// one scene at a time instead of precomputed from an operator's scene
-/// list. A scene is the cumulative [`ChurnState`] (down links and down
-/// devices). That key is complete because everything else a plan
-/// depends on is fixed for the table's lifetime: the intent's own
-/// invariant (for the base intent, the base invariant of the owning
-/// control plane), the control plane's base topology (it calls
-/// [`IntentStore::forget_scenes`] when a caller hands it another of
-/// either). An entry is what the planner gives on its scene, whether a
-/// planner run put it there or a [`Cut`] showed the run would return
-/// the plan already in force. Refusals are remembered too: a scene
-/// that degrades the intent degrades it again without a planner run.
-/// The table lives inside its [`InstalledIntent`], so it dies with it
-/// — a re-used id starts empty.
-#[derive(Debug, Clone, Default)]
+/// list. The key is an invariant without its name ([`same_plan_key`])
+/// and a scene the cumulative [`ChurnState`] (down links and down
+/// devices). Together they are complete because the only other thing
+/// a plan depends on, the control plane's base topology, is fixed for
+/// the table's lifetime: the control plane calls
+/// [`IntentStore::forget_scenes`] when a caller hands it another. An
+/// entry is what the planner gives on its scene, whether a planner run
+/// put it there or a [`Cut`] showed the run would return the plan
+/// already in force. Refusals are remembered too: a scene that degrades
+/// an intent degrades it again without a planner run. Every intent with
+/// the key — the base intent's key is the base invariant the last
+/// re-plan was handed — reads and fills the one table, which outlives
+/// them all ([`MAX_TABLES`]).
+#[derive(Debug, Clone)]
 struct SceneTable {
+    /// The plan key.
+    key: Invariant,
     /// Most recently used first.
     seen: Vec<(ChurnState, Planned)>,
+    /// What the planner reads for the key, once a [`Cut`] asked.
+    reads: Option<Reads>,
 }
 
 impl SceneTable {
-    /// The table of an intent that enters the store with `plan`, made
-    /// for `scene`. An empty slice is the one plan an install accepts
-    /// and the re-planner refuses (it degrades), so it is not
-    /// remembered.
-    fn opened_by(scene: &ChurnState, slice: &Slice) -> SceneTable {
-        let mut table = SceneTable::default();
-        if !slice.plan.tasks.is_empty() {
-            table.record(scene, Ok(slice.clone()));
-        }
-        table
-    }
-
     /// What this scene gave last time, if remembered (a pointer copy).
     fn get(&mut self, scene: &ChurnState) -> Option<Planned> {
         let at = self.seen.iter().position(|(s, _)| s == scene)?;
@@ -230,17 +253,90 @@ impl SceneTable {
     }
 }
 
-/// Planning work done on the live path, for the control plane's
-/// counters: planner runs, and the plans that needed none.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The store's scene tables, most recently used first.
+#[derive(Debug, Clone, Default)]
+struct SceneTables(Vec<SceneTable>);
+
+impl SceneTables {
+    /// The table of `inv`'s plan key, opened empty if there is none;
+    /// looking it up is a use.
+    fn of(&mut self, inv: &Invariant) -> &mut SceneTable {
+        let at = self.0.iter().position(|t| same_plan_key(&t.key, inv));
+        let at = at.unwrap_or_else(|| {
+            let key = Invariant {
+                name: String::new(),
+                ..inv.clone()
+            };
+            self.0.push(SceneTable {
+                key,
+                seen: Vec::new(),
+                reads: None,
+            });
+            self.0.len() - 1
+        });
+        self.0[..=at].rotate_right(1);
+        &mut self.0[0]
+    }
+
+    /// Drops the least recently used tables beyond [`MAX_TABLES`] whose
+    /// key none of `held` has.
+    fn trim(&mut self, held: &[&Invariant]) {
+        if self.0.len() <= MAX_TABLES {
+            return;
+        }
+        let mut free = 0;
+        self.0.retain(|t| {
+            let kept = held.iter().any(|inv| same_plan_key(&t.key, inv));
+            free += usize::from(!kept);
+            kept || free <= MAX_TABLES
+        });
+    }
+}
+
+/// Planning work done on the live path: planner runs and the plans
+/// that needed none, for the control plane's counters. Every planner
+/// run ([`PLANNER_PLAN`]) and every re-intern ([`INTENT_REFIT`]) is
+/// timed on the control plane's telemetry under the decision's trace.
+#[derive(Debug, Clone)]
 pub struct PlanWork {
+    tel: Arc<Telemetry>,
+    trace: u64,
     /// Planner runs ([`plan_intent_on`] or `Planner::plan`).
     pub planner_calls: u64,
-    /// Plans answered from an intent's scene table.
+    /// Plans answered from a scene table.
     pub table_hits: u64,
     /// Slices that kept their plan across a link-down they are outside
     /// of ([`Cut`]).
     pub unaffected: u64,
+}
+
+impl PlanWork {
+    /// No work yet, for the decision traced as `trace`.
+    pub(crate) fn new(tel: &Arc<Telemetry>, trace: u64) -> PlanWork {
+        PlanWork {
+            tel: Arc::clone(tel),
+            trace,
+            planner_calls: 0,
+            table_hits: 0,
+            unaffected: 0,
+        }
+    }
+
+    /// One planner run, as a slice.
+    fn plan(&mut self, run: impl FnOnce() -> Result<CountingPlan, PlanError>) -> Planned {
+        self.planner_calls += 1;
+        let planned = self.tel.timed(SHARD, &PLANNER_PLAN, self.trace, 0, run);
+        planned.map(|cp| Slice::of(Arc::new(cp)))
+    }
+
+    /// One [`Table::refit`]; none when no slice changed.
+    fn refit(&self, table: &mut Table, refits: &[Refit]) -> Refitted {
+        if refits.is_empty() {
+            return Refitted::default();
+        }
+        let refit = || table.refit(refits);
+        self.tel.timed(SHARD, &INTENT_REFIT, self.trace, 0, refit)
+    }
 }
 
 /// A link-down as a re-plan may read it: the failed link and the
@@ -265,13 +361,13 @@ pub(crate) struct Cut<'a> {
     pub before: &'a Topology,
 }
 
-/// What the planner reads of a topology for one intent besides the
+/// What the planner reads of a topology for one plan key besides the
 /// links of its valid paths: the distance from each ingress to each
 /// destination device of its path expressions (length filters and the
 /// enumeration bound), and on the `(device, slack)` fast path every
 /// device's distance from the destination (the DAG's node labels). The
 /// devices are a function of the invariant and the base's device
-/// names, so they are worked out once per intent.
+/// names, so they are worked out once per scene table.
 #[derive(Debug, Clone)]
 struct Reads {
     ingress: Vec<DeviceId>,
@@ -356,7 +452,7 @@ pub struct InstalledIntent {
     pub invariant: Option<Invariant>,
     /// The intent's counting plan on the scene in force, in
     /// intent-local node ids — exactly what a standalone session for
-    /// this invariant would run. Shared with the intent's scene table
+    /// this invariant would run. Shared with its key's scene table
     /// (and, for the base intent, the control plane): a churn fence
     /// that returns to a remembered scene swaps the pointer.
     pub plan: Arc<CountingPlan>,
@@ -367,17 +463,14 @@ pub struct InstalledIntent {
     ctx: usize,
     degraded: bool,
     /// Whether `plan` is what the planner gives on the scene in force
-    /// for what the scene table answers for: set wherever a plan is
-    /// committed, cleared with the table. Only a current plan may be
-    /// kept across a [`Cut`].
+    /// for the intent's plan key: set wherever a plan is committed,
+    /// cleared when the key's scene tables are forgotten or the key
+    /// changes. Only a current plan may be kept across a [`Cut`].
     current: bool,
-    scenes: SceneTable,
-    /// What the planner reads for this intent, once a [`Cut`] asked.
-    reads: Option<Reads>,
 }
 
 impl InstalledIntent {
-    /// An intent entering the store with `slice`, planned for `scene`.
+    /// An intent entering the store with `slice`.
     fn new(
         id: IntentId,
         name: String,
@@ -385,20 +478,17 @@ impl InstalledIntent {
         slice: Slice,
         to_global: Vec<NodeId>,
         ctx: usize,
-        scene: &ChurnState,
     ) -> InstalledIntent {
         InstalledIntent {
             id,
             name,
             invariant,
-            scenes: SceneTable::opened_by(scene, &slice),
             plan: slice.plan,
             order: slice.order,
             to_global,
             ctx,
             degraded: false,
             current: true,
-            reads: None,
         }
     }
 
@@ -432,12 +522,6 @@ impl InstalledIntent {
     /// The devices this intent's slice touches.
     pub fn devices(&self) -> BTreeSet<DeviceId> {
         self.plan.tasks.iter().map(|t| t.dev).collect()
-    }
-
-    /// Scenes this intent's table remembers (never above its bound).
-    #[cfg(test)]
-    pub(crate) fn scenes_remembered(&self) -> usize {
-        self.scenes.seen.len()
     }
 }
 
@@ -532,6 +616,7 @@ struct Refitting {
 }
 
 /// What a [`Table::refit`] changed on the devices.
+#[derive(Default)]
 struct Refitted {
     /// Per refit, in order: the new slice's local → global map (empty
     /// for a withdrawal).
@@ -997,6 +1082,7 @@ pub struct IntentStore {
     intents: BTreeMap<u64, InstalledIntent>,
     parked: BTreeMap<u64, PendingIntent>,
     next_intent: u64,
+    scenes: SceneTables,
 }
 
 impl IntentStore {
@@ -1008,7 +1094,8 @@ impl IntentStore {
     /// A store seeded with the *base* intent (id 0) under an
     /// **identity** local↔global node mapping, so a legacy single-plan
     /// substrate behaves byte-identically to before the store existed.
-    /// The plan is remembered as the base intent's quiet scene.
+    /// With an invariant, the plan is remembered as its key's quiet
+    /// scene.
     pub fn with_base(
         plan: Arc<CountingPlan>,
         space: PacketSpace,
@@ -1069,10 +1156,58 @@ impl IntentStore {
             }
         }
         let to_global: Vec<NodeId> = (0..tasks.len() as u32).map(NodeId).collect();
-        let (id, quiet) = (IntentId::BASE, ChurnState::new());
-        let base = InstalledIntent::new(id, "base".into(), invariant, slice, to_global, 0, &quiet);
+        if let Some(inv) = &invariant {
+            self.remember_install(inv, &ChurnState::new(), &Ok(slice.clone()));
+        }
+        let id = IntentId::BASE;
+        let base = InstalledIntent::new(id, "base".into(), invariant, slice, to_global, 0);
         self.intents.insert(0, base);
         self.next_intent = 1;
+    }
+
+    /// What an install of `inv` on `scene`, the churn in force, gets:
+    /// the key's scene table answers when it can, else `run` plans it
+    /// (`Planner::plan` on a quiet topology, [`plan_intent_on`] under
+    /// churn) and the answer is remembered where it is the re-planner's
+    /// (see [`IntentStore::remember_install`]). A remembered slice is
+    /// installed as it is; a remembered refusal answers only under
+    /// churn, where `run` is the re-planner itself.
+    pub(crate) fn plan_install(
+        &mut self,
+        inv: &Invariant,
+        scene: &ChurnState,
+        work: &mut PlanWork,
+        run: impl FnOnce() -> Result<CountingPlan, PlanError>,
+    ) -> Result<Slice, PlanError> {
+        let remembered = self.scenes.of(inv).get(scene);
+        let planned = match remembered {
+            Some(hit) if hit.is_ok() || !scene.is_quiet() => {
+                work.table_hits += 1;
+                hit
+            }
+            _ => {
+                let planned = work.plan(run);
+                self.remember_install(inv, scene, &planned);
+                planned
+            }
+        };
+        self.trim_tables(None);
+        planned
+    }
+
+    /// Remembers what an install planned for `inv` on `scene`, where
+    /// the re-planner would give the same: not an empty slice, which an
+    /// install accepts and the re-planner refuses (it degrades), and
+    /// not a refusal on a quiet topology, which `Planner::plan` words
+    /// its own way.
+    fn remember_install(&mut self, inv: &Invariant, scene: &ChurnState, planned: &Planned) {
+        let replanner = match planned {
+            Ok(slice) => !slice.plan.tasks.is_empty(),
+            Err(_) => !scene.is_quiet(),
+        };
+        if replanner {
+            self.scenes.of(inv).record(scene, planned.clone());
+        }
     }
 
     /// Installs an intent: interns its DPVNet slice into the global
@@ -1080,18 +1215,17 @@ impl IntentStore {
     /// bottom-up) and returns the per-device delta a substrate must
     /// apply under an epoch bump. Pass `id = None` to allocate the
     /// next id; an explicit id is for deterministic replay (hot
-    /// backend swap) and must be unused. `scene` is the churn in force,
-    /// which the plan was made for: it opens the intent's scene table.
+    /// backend swap) and must be unused.
     pub(crate) fn install(
         &mut self,
         id: Option<IntentId>,
         name: &str,
         invariant: Option<Invariant>,
-        plan: Arc<CountingPlan>,
+        slice: Slice,
         space: PacketSpace,
-        scene: &ChurnState,
+        work: &PlanWork,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let profile = IntentProfile::of(&plan);
+        let profile = IntentProfile::of(&slice.plan);
         match self.profile {
             None => self.profile = Some(profile),
             Some(p) if p == profile => {}
@@ -1105,14 +1239,13 @@ impl IntentStore {
         }
         let id = self.claim_id(id)?;
         let ctx = self.context_of(&space);
-        let slice = Slice::of(plan);
         let install = Refit {
             intent: id.0,
             ctx,
             old: None,
             new: Some(&slice),
         };
-        let mut done = self.table.refit(&[install]);
+        let mut done = work.refit(&mut self.table, &[install]);
         let to_global = done.maps.pop().unwrap_or_default();
         // A new node or a grown upstream edge set is shipped, so the
         // child announces along the new edge; every local node either
@@ -1125,16 +1258,20 @@ impl IntentStore {
             total_nodes: to_global.iter().collect::<BTreeSet<_>>().len(),
             reused_nodes: to_global.len() - fresh,
         };
-        let intent = InstalledIntent::new(id, name.into(), invariant, slice, to_global, ctx, scene);
+        let intent = InstalledIntent::new(id, name.into(), invariant, slice, to_global, ctx);
         self.intents.insert(id.0, intent);
         Ok((id, delta))
     }
 
     /// Removes an intent: drops its ownership refs, removes nodes no
     /// surviving intent owns, shrinks upstream edge sets, and returns
-    /// the delta a substrate must apply under an epoch bump. The
-    /// intent's scene table goes with it.
-    pub(crate) fn remove(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
+    /// the delta a substrate must apply under an epoch bump. Its key's
+    /// scene table stays, for the next intent with the key.
+    pub(crate) fn remove(
+        &mut self,
+        id: IntentId,
+        work: &PlanWork,
+    ) -> Result<IntentDelta, PlanError> {
         if id == IntentId::BASE {
             return Err(PlanError::Unsupported(
                 "the base intent anchors the session and cannot be removed".into(),
@@ -1163,7 +1300,7 @@ impl IntentStore {
             old: Some(&intent.to_global),
             new: None,
         };
-        let done = self.table.refit(&[withdraw]);
+        let done = work.refit(&mut self.table, &[withdraw]);
         let total_nodes = intent.global_nodes().len();
         let removed: usize = done.removed.values().map(Vec::len).sum();
         Ok(IntentDelta {
@@ -1285,19 +1422,21 @@ impl IntentStore {
         self.intents.get(&0).map(|i| &i.plan)
     }
 
-    /// Empties the scene tables of `only` that intent, or of every
-    /// intent for `None`, and marks their plans no longer current. The
-    /// tables answer for one base topology and, the base intent's, for
-    /// one base invariant (see [`SceneTable`]); the control plane calls
-    /// this for every intent when handed another base topology, and for
-    /// the base intent alone when handed another base invariant, which
-    /// no other plan reads.
-    pub(crate) fn forget_scenes(&mut self, only: Option<IntentId>) {
-        let forgotten = self.intents.values_mut();
-        for intent in forgotten.filter(|i| only.is_none_or(|id| id == i.id)) {
-            intent.scenes = SceneTable::default();
-            intent.current = false;
-            intent.reads = None;
+    /// Empties every scene table and marks every plan no longer
+    /// current: the tables answer for one base topology (see
+    /// [`SceneTable`]), and the control plane calls this when handed
+    /// another.
+    pub(crate) fn forget_scenes(&mut self) {
+        self.scenes = SceneTables::default();
+        self.intents.values_mut().for_each(|i| i.current = false);
+    }
+
+    /// Marks the base intent's plan no longer current: its plan key,
+    /// the base invariant the control plane is handed, changed. No table
+    /// is forgotten — each answers for its own key.
+    pub(crate) fn rekey_base(&mut self) {
+        if let Some(base) = self.intents.get_mut(&IntentId::BASE.0) {
+            base.current = false;
         }
     }
 
@@ -1312,17 +1451,21 @@ impl IntentStore {
     /// whose plan changed, retries parked installs, and returns the
     /// per-device diff plus the intent lifecycle transitions.
     ///
-    /// "Re-plans" asks each intent's scene table first ([`SceneTable`]):
-    /// a scene the intent has been planned on before — the second half
-    /// of every flap, every later flap of the same link — is a pointer
-    /// copy. Then, given the `cut` of a link-down, a live slice the
-    /// link is outside of keeps its plan ([`Cut`]). Only what neither
-    /// answers runs [`plan_intent_on`]; either way the answer, slice or
-    /// refusal, is remembered, and `work` counts all three. A slice
-    /// whose plan comes back as the pointer in force is not touched:
-    /// this is the one re-planner, and it costs what changed. The
-    /// caller keeps `base` and `base_inv` the same from call to call,
-    /// or calls [`IntentStore::forget_scenes`].
+    /// "Re-plans" asks the scene table of each intent's plan key first
+    /// ([`SceneTable`]; the base intent's key is `base_inv` unless it
+    /// carries an invariant of its own): a scene the key has been
+    /// planned on before — by this intent or another with the key, the
+    /// second half of every flap, every later flap of the same link —
+    /// is a pointer copy. Then, given the `cut` of a link-down, a live
+    /// slice the link is outside of keeps its plan ([`Cut`]). Only what
+    /// neither answers runs [`plan_intent_on`]; either way the answer,
+    /// slice or refusal, is remembered, and `work` counts all three.
+    /// Parked installs ask the table too. A slice whose plan comes back
+    /// as the pointer in force is not touched: this is the one
+    /// re-planner, and it costs what changed. The caller keeps `base`
+    /// the same from call to call, or calls
+    /// [`IntentStore::forget_scenes`], and calls
+    /// [`IntentStore::rekey_base`] when `base_inv` changes.
     ///
     /// * The **base** intent failing to plan rejects the whole event
     ///   (`Err`; nothing but scene tables touched, and those only
@@ -1371,9 +1514,9 @@ impl IntentStore {
         let topology = churn.apply_to(base);
 
         // Phase 1: plan every live intent (degraded ones included, so
-        // recovery revives them), from its scene table or the cut where
-        // it can. Nothing but the tables is committed until the base
-        // plan is known good.
+        // recovery revives them), from its key's scene table or the cut
+        // where it can. Nothing but the tables is committed until the
+        // base plan is known good.
         let mut cut = cut.map(|cut| CutCheck {
             cut,
             after: &topology,
@@ -1401,24 +1544,28 @@ impl IntentStore {
                 }
             };
             let live = intent.current && !intent.degraded;
-            let planned = if let Some(remembered) = intent.scenes.get(churn) {
-                work.table_hits += 1;
-                remembered
-            } else if live
-                && cut.as_mut().is_some_and(|cut| {
-                    let reads = intent.reads.get_or_insert_with(|| Reads::of(base, inv));
-                    cut.keeps(&intent.plan, reads)
-                })
-            {
-                work.unaffected += 1;
-                let kept = Ok(intent.slice());
-                intent.scenes.record(churn, kept.clone());
-                kept
-            } else {
-                work.planner_calls += 1;
-                let fresh = plan_intent_on(&topology, inv, churn).map(|cp| Slice::of(Arc::new(cp)));
-                intent.scenes.record(churn, fresh.clone());
-                fresh
+            let table = self.scenes.of(inv);
+            let planned = match table.get(churn) {
+                Some(remembered) => {
+                    work.table_hits += 1;
+                    remembered
+                }
+                None if live
+                    && cut.as_mut().is_some_and(|cut| {
+                        let reads = table.reads.get_or_insert_with(|| Reads::of(base, inv));
+                        cut.keeps(&intent.plan, reads)
+                    }) =>
+                {
+                    work.unaffected += 1;
+                    let kept = Ok(intent.slice());
+                    table.record(churn, kept.clone());
+                    kept
+                }
+                None => {
+                    let fresh = work.plan(|| plan_intent_on(&topology, inv, churn));
+                    table.record(churn, fresh.clone());
+                    fresh
+                }
             };
             match planned {
                 Ok(cp) => {
@@ -1429,26 +1576,37 @@ impl IntentStore {
             }
         }
 
-        // Phase 2: retry parked installs against the new topology (a
-        // parked install has no table yet: it gets one when it lands).
+        // Phase 2: retry parked installs against the new topology, from
+        // their keys' scene tables where they can.
         let mut unpark_plans: Vec<(PendingIntent, Slice)> = Vec::new();
         let mut rejected: Vec<(IntentId, String)> = Vec::new();
         let mut still_parked: BTreeMap<u64, PendingIntent> = BTreeMap::new();
         for (pid, mut p) in std::mem::take(&mut self.parked) {
-            work.planner_calls += 1;
-            let attempt = plan_intent_on(&topology, &p.invariant, churn).and_then(|cp| {
-                let profile = IntentProfile::of(&cp);
+            let table = self.scenes.of(&p.invariant);
+            let planned = match table.get(churn) {
+                Some(remembered) => {
+                    work.table_hits += 1;
+                    remembered
+                }
+                None => {
+                    let fresh = work.plan(|| plan_intent_on(&topology, &p.invariant, churn));
+                    table.record(churn, fresh.clone());
+                    fresh
+                }
+            };
+            let attempt = planned.and_then(|slice| {
+                let profile = IntentProfile::of(&slice.plan);
                 match self.profile {
                     Some(pr) if pr != profile => Err(PlanError::Unsupported(format!(
                         "intent {:?} has counting profile {profile:?}, \
                          but this session runs {pr:?}",
                         p.name
                     ))),
-                    _ => Ok(cp),
+                    _ => Ok(slice),
                 }
             });
             match attempt {
-                Ok(cp) => unpark_plans.push((p, Slice::of(Arc::new(cp)))),
+                Ok(slice) => unpark_plans.push((p, slice)),
                 Err(e) => {
                     p.retries += 1;
                     if p.retries >= MAX_INTENT_RETRIES {
@@ -1504,7 +1662,7 @@ impl IntentStore {
                 new,
             });
         }
-        let done = self.table.refit(&refits);
+        let done = work.refit(&mut self.table, &refits);
         let refitted: Vec<u64> = refits.iter().map(|r| r.intent).collect();
         let mut maps: BTreeMap<u64, Vec<NodeId>> = refitted.into_iter().zip(done.maps).collect();
 
@@ -1529,11 +1687,12 @@ impl IntentStore {
         let mut unparked: Vec<IntentId> = Vec::new();
         for ((p, slice), ctx) in unpark_plans.into_iter().zip(unpark_ctx) {
             let to_global = maps.remove(&p.id.0).unwrap_or_default();
-            let (inv, scene) = (Some(p.invariant), churn);
-            let intent = InstalledIntent::new(p.id, p.name, inv, slice, to_global, ctx, scene);
+            let inv = Some(p.invariant);
+            let intent = InstalledIntent::new(p.id, p.name, inv, slice, to_global, ctx);
             self.intents.insert(p.id.0, intent);
             unparked.push(p.id);
         }
+        self.trim_tables(base_inv);
 
         // Phase 4: what the refit wrote, for the devices. Down devices'
         // old nodes are unreachable, not removed (the planner tasks them
@@ -1572,6 +1731,16 @@ impl IntentStore {
             rejected,
             reused_nodes: total_nodes - shipped,
         })
+    }
+
+    /// Drops the least recently used scene tables beyond
+    /// [`MAX_TABLES`] whose key no live or parked intent, nor
+    /// `base_inv`, holds.
+    fn trim_tables(&mut self, base_inv: Option<&Invariant>) {
+        let live = self.intents.values().filter_map(|i| i.invariant.as_ref());
+        let parked = self.parked.values().map(|p| &p.invariant);
+        let held: Vec<&Invariant> = live.chain(parked).chain(base_inv).collect();
+        self.scenes.trim(&held);
     }
 
     /// Allocates the next intent id, or claims an explicit one (for
@@ -1747,9 +1916,9 @@ pub(crate) mod tests {
                 None,
                 "b",
                 Some(inv_b.clone()),
-                cp_b.clone(),
+                Slice::of(cp_b.clone()),
                 inv_b.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         assert!(
@@ -1769,7 +1938,7 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(shared.len(), delta_b.reused_nodes);
         // ...and removing one intent keeps every shared node alive.
-        let delta_rm = store.remove(id_b).unwrap();
+        let delta_rm = store.remove(id_b, &work()).unwrap();
         for g in &shared {
             assert_eq!(store.owner_count(*g), 1, "shared node {g:?} must survive");
         }
@@ -1794,15 +1963,15 @@ pub(crate) mod tests {
                 None,
                 "dup",
                 Some(inv.clone()),
-                cp.clone(),
+                Slice::of(cp.clone()),
                 inv.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         assert_eq!(delta.total_nodes, delta.reused_nodes, "{delta:?}");
         assert!(delta.removed.is_empty());
         let before = store.node_count();
-        let delta_rm = store.remove(id).unwrap();
+        let delta_rm = store.remove(id, &work()).unwrap();
         assert!(delta_rm.removed.is_empty(), "{delta_rm:?}");
         assert_eq!(store.node_count(), before);
     }
@@ -1833,9 +2002,9 @@ pub(crate) mod tests {
                 None,
                 "other-space",
                 Some(other.clone()),
-                Arc::new(ocp),
+                Slice::of(Arc::new(ocp)),
                 other.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         assert_eq!(delta.reused_nodes, 0, "{delta:?}");
@@ -1866,9 +2035,9 @@ pub(crate) mod tests {
                 None,
                 "covered",
                 Some(covered.clone()),
-                Arc::new(ccp),
+                Slice::of(Arc::new(ccp)),
                 covered.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             );
             assert!(err.is_err());
         }
@@ -1894,7 +2063,22 @@ pub(crate) mod tests {
         }
     }
 
+    /// No planning work yet, timed nowhere.
+    pub(crate) fn work() -> PlanWork {
+        PlanWork::new(&Telemetry::disabled(), 0)
+    }
+
     impl IntentStore {
+        /// Holds the scene tables to their bounds: [`MAX_SCENES`] scenes
+        /// each, and [`MAX_TABLES`] besides one per invariant the store
+        /// holds, the base's included.
+        pub(crate) fn assert_tables_bounded(&self) {
+            let SceneTables(tables) = &self.scenes;
+            assert!(tables.iter().all(|t| t.seen.len() <= MAX_SCENES));
+            let held = self.intents.len() + self.parked.len() + 1;
+            assert!(tables.len() <= MAX_TABLES + held, "{} tables", tables.len());
+        }
+
         pub(crate) fn names(&self) -> Names {
             let named = |(g, n): (&NodeId, &GlobalNode)| (*g, (n.key.clone(), n.owners.clone()));
             Names(self.table.nodes.iter().map(named).collect())
@@ -1970,7 +2154,7 @@ pub(crate) mod tests {
 
     /// One churn fence on `store` that the base slice survives.
     fn replan(store: &mut IntentStore, net: &Network, churn: &ChurnState) -> StoreReplan {
-        let mut work = PlanWork::default();
+        let mut work = work();
         let before = store.names();
         let r = store.replan_all_for_churn(&net.topology, None, churn, None, &mut work);
         store.assert_consistent(Some(&before));
@@ -1987,18 +2171,20 @@ pub(crate) mod tests {
                 None,
                 "b",
                 Some(inv_b.clone()),
-                cp_b,
+                Slice::of(cp_b),
                 inv_b.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         (store, id_b)
     }
 
-    /// A scene table holds [`MAX_SCENES`] scenes and forgets the one
-    /// least recently used, which a hit is a use of.
+    /// The store keeps at most [`MAX_TABLES`] scene tables besides
+    /// those of the invariants it holds, and each at most
+    /// [`MAX_SCENES`] scenes; the least recently used goes first, and a
+    /// lookup is a use. A name is no part of a key.
     #[test]
-    fn scene_table_forgets_the_least_recently_used_scene() {
+    fn scene_tables_forget_the_least_recently_used_key_and_scene() {
         let scene = |i: usize| {
             let mut churn = ChurnState::new();
             churn.apply(&TopologyEvent::LinkDown(
@@ -2008,7 +2194,9 @@ pub(crate) mod tests {
             churn
         };
         let refusal = || Err(PlanError::Unsupported("unplannable".into()));
-        let mut table = SceneTable::default();
+        let (inv, _) = plan_for(&fig2a_network(), "S .* D");
+        let mut tables = SceneTables::default();
+        let table = tables.of(&inv);
         for i in 0..MAX_SCENES {
             table.record(&scene(i), refusal());
         }
@@ -2019,19 +2207,68 @@ pub(crate) mod tests {
         assert!(table.get(&scene(1)).is_none(), "scene 1 made room");
         assert!(table.get(&scene(MAX_SCENES)).is_some());
 
-        // A slice with tasks opens its intent's table; an empty one
-        // (which the re-planner would refuse) is not remembered.
-        let (_, cp) = plan_for(&fig2a_network(), "S .* D");
-        assert_eq!(
-            SceneTable::opened_by(&scene(0), &Slice::of(cp.clone()))
-                .seen
-                .len(),
-            1
-        );
+        let renamed = Invariant {
+            name: "another name".into(),
+            ..inv.clone()
+        };
+        assert!(tables.of(&renamed).get(&scene(0)).is_some());
+        let keyed = |i: usize| Invariant {
+            packet_space: PacketSpace::dst_prefix(&format!("10.1.{i}.0/24")),
+            ..inv.clone()
+        };
+        for i in 0..=MAX_TABLES {
+            tables.of(&keyed(i)).record(&scene(0), refusal());
+        }
+        tables.of(&keyed(0));
+        let has = |tables: &SceneTables, inv: &Invariant| {
+            tables.0.iter().any(|t| same_plan_key(&t.key, inv))
+        };
+        // `inv`'s table is the least recently used, but held.
+        tables.trim(&[&inv]);
+        assert_eq!(tables.0.len(), MAX_TABLES + 1);
+        assert!(has(&tables, &inv) && has(&tables, &keyed(0)));
+        assert!(!has(&tables, &keyed(1)), "keyed(1) made room");
+        tables.trim(&[]);
+        assert_eq!(tables.0.len(), MAX_TABLES);
+        assert!(!has(&tables, &inv));
+    }
+
+    /// An install remembers what it planned where the re-planner would
+    /// give the same, and is answered from the table where that is
+    /// exact: a slice on any scene, a refusal under churn only.
+    #[test]
+    fn an_install_remembers_what_the_replanner_would_give() {
+        let net = fig2a_network();
+        let (inv, cp) = plan_for(&net, "S .* D");
+        let mut store =
+            IntentStore::with_base(cp.clone(), inv.packet_space.clone(), Some(inv.clone()));
+        let (quiet, mut churn) = (ChurnState::new(), ChurnState::new());
+        churn.apply(&TopologyEvent::LinkDown(DeviceId(0), DeviceId(1)));
+        let other = plan_for(&net, "A .* D").0;
         let mut empty = CountingPlan::clone(&cp);
         empty.tasks.clear();
-        let table = SceneTable::opened_by(&scene(0), &Slice::of(Arc::new(empty)));
-        assert!(table.seen.is_empty());
+        let refuse = || Err(PlanError::Unsupported("unplannable".into()));
+        let mut w = work();
+        // An empty slice and a refusal on a quiet topology are the
+        // install's own answers, not the re-planner's.
+        let planned = store.plan_install(&other, &quiet, &mut w, || Ok(empty.clone()));
+        assert!(planned.is_ok_and(|s| s.plan.tasks.is_empty()));
+        assert!(store.plan_install(&other, &quiet, &mut w, refuse).is_err());
+        assert_eq!((w.planner_calls, w.table_hits), (2, 0));
+        // A refusal under churn is.
+        assert!(store.plan_install(&other, &churn, &mut w, refuse).is_err());
+        assert!(store
+            .plan_install(&other, &churn, &mut w, || unreachable!())
+            .is_err());
+        assert_eq!((w.planner_calls, w.table_hits), (3, 1));
+        // A slice is, and comes back as the same pointer; the base plan
+        // was remembered by `with_base`.
+        let planned = store.plan_install(&other, &quiet, &mut w, || Ok(CountingPlan::clone(&cp)));
+        let again = store.plan_install(&other, &quiet, &mut w, || unreachable!());
+        assert!(Arc::ptr_eq(&planned.unwrap().plan, &again.unwrap().plan));
+        let base = store.plan_install(&inv, &quiet, &mut w, || unreachable!());
+        assert!(Arc::ptr_eq(&base.unwrap().plan, store.base_plan().unwrap()));
+        assert_eq!((w.planner_calls, w.table_hits), (4, 3));
     }
 
     /// A fence with no effective topology change must rebuild the
@@ -2196,9 +2433,9 @@ pub(crate) mod tests {
                 None,
                 "from-b",
                 Some(inv_b.clone()),
-                cp_b,
+                Slice::of(cp_b),
                 inv_b.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         let b = net.topology.expect_device("B");
@@ -2267,7 +2504,7 @@ pub(crate) mod tests {
             IntentStore::with_base(cp_s, inv_s.packet_space.clone(), Some(inv_s.clone()));
         let (inv_a, _) = plan_for(&net, "A .* D");
         let id = store.park(None, "from-a", inv_a).unwrap();
-        let delta = store.remove(id).expect("drain, not Unsupported");
+        let delta = store.remove(id, &work()).expect("drain, not Unsupported");
         assert!(delta.changed.is_empty() && delta.removed.is_empty());
         assert_eq!(store.parked_count(), 0);
         // The drained park never resurrects on the next fence.
@@ -2290,9 +2527,9 @@ pub(crate) mod tests {
                 None,
                 "from-b",
                 Some(inv_b.clone()),
-                cp_b,
+                Slice::of(cp_b),
                 inv_b.packet_space.clone(),
-                &ChurnState::new(),
+                &work(),
             )
             .unwrap();
         let b = net.topology.expect_device("B");
@@ -2300,7 +2537,7 @@ pub(crate) mod tests {
         churn.apply(&TopologyEvent::DeviceDown(b));
         replan(&mut store, &net, &churn);
         assert!(store.get(id_b).unwrap().is_degraded());
-        let delta = store.remove(id_b).unwrap();
+        let delta = store.remove(id_b, &work()).unwrap();
         assert!(delta.changed.is_empty() && delta.removed.is_empty());
         assert!(store.get(id_b).is_none());
         replan(&mut store, &net, &churn);

@@ -2661,9 +2661,13 @@ mod tests {
     /// histogram: over a burst, a FIB batch, an install, a link-down and
     /// a crash on either fabric, each layer's span count equals its
     /// histogram's count, the envelope layers together `HANDLE_NS`'s.
+    /// The install and the link-down run the planner and re-intern the
+    /// slices they changed, each inside its `fence.plan` span.
     #[test]
     fn every_duration_span_feeds_one_histogram() {
-        use tulkun_telemetry::{CIB_RECOMPUTE, FIB_BATCH, HANDLE_NS, LEC_DELTA};
+        use tulkun_telemetry::{
+            SpanEvent, CIB_RECOMPUTE, FIB_BATCH, HANDLE_NS, INTENT_REFIT, LEC_DELTA, PLANNER_PLAN,
+        };
         let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv());
         let (a, b) = (
             net.topology.expect_device("A"),
@@ -2693,6 +2697,8 @@ mod tests {
             CIB_RECOMPUTE,
             INIT_BUILD,
             FENCE_PLAN,
+            PLANNER_PLAN,
+            INTENT_REFIT,
         ];
         // A rewriting hop subscribes (fig2a has none), and the reliable
         // transport consumes acks before any verifier sees them.
@@ -2718,6 +2724,20 @@ mod tests {
             let envelopes = [DVM_UPDATE, DVM_SUBSCRIBE, DVM_ACK].map(|l| l.span);
             let handled = timed.iter().filter(|name| envelopes.contains(name)).count();
             assert_eq!(tel.histogram(HANDLE_NS).count(), handled as u64);
+            let within = |outer: &SpanEvent, inner: &SpanEvent| {
+                outer.begin <= inner.begin && inner.begin + inner.dur <= outer.begin + outer.dur
+            };
+            let fences: Vec<&SpanEvent> =
+                spans.iter().filter(|s| s.name == FENCE_PLAN.span).collect();
+            for inner in spans
+                .iter()
+                .filter(|s| [PLANNER_PLAN.span, INTENT_REFIT.span].contains(&s.name))
+            {
+                assert!(
+                    fences.iter().any(|f| within(f, inner)),
+                    "{inner:?} outside every fence.plan"
+                );
+            }
         }
     }
 

@@ -97,6 +97,10 @@ pub const CIB_RECOMPUTE: Layer = layer("cib.recompute", "dvm", "tulkun_cib_recom
 pub const INIT_BUILD: Layer = layer("init.build", "init", "tulkun_init_build_ns");
 /// One control-plane decision that produced an epoch fence.
 pub const FENCE_PLAN: Layer = layer("fence.plan", "fence", "tulkun_fence_plan_ns");
+/// One planner run on the live path, inside a control-plane decision.
+pub const PLANNER_PLAN: Layer = layer("planner.plan", "fence", "tulkun_planner_ns");
+/// One in-place re-intern of the slices a decision changed.
+pub const INTENT_REFIT: Layer = layer("intent.refit", "fence", "tulkun_refit_ns");
 
 /// Configuration for a [`Telemetry`] handle.
 #[derive(Debug, Clone)]

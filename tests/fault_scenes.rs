@@ -3,14 +3,22 @@
 //! Every single-link scene of the example network must give the verdict
 //! of planning the failed topology from scratch, the link's return must
 //! give back the base verdict, and a second walk over the scenes is
-//! answered by the scene tables without one planner call.
+//! answered by the scene tables without one planner call. The tables
+//! belong to plan keys, so a churning intent set that keeps rotating
+//! invariants back in runs the planner on almost no link event.
 
-use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
+use std::collections::VecDeque;
+use tulkun::core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
+use tulkun::core::control::ControlPlane;
 use tulkun::core::count::CountExpr;
 use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::explain::{device_verdict, explain, Explanation, Subject};
 use tulkun::core::fault::{build_ft_dpvnet, expand_fault_spec, subtopology, FaultScene, FtDpvNet};
+use tulkun::core::intent::{plan_intent_on, IntentId};
+use tulkun::core::planner::NodeTask;
 use tulkun::core::spec::FaultSpec;
+use tulkun::netmodel::topology::LinkId;
+use tulkun::netmodel::DeviceId;
 use tulkun::prelude::*;
 use tulkun::sim::{Engine, EngineConfig, Telemetry, TelemetryConfig};
 use tulkun::telemetry::JournalKind;
@@ -137,6 +145,177 @@ fn online_recounting_matches_fresh_planning_per_scene() {
         (refused, events, 0, events),
         "the second walk is all table hits"
     );
+}
+
+/// Indices `0..n`, visited in seeded order and reshuffled every pass —
+/// the order the benchmark's pools are drawn in.
+struct Pool {
+    n: usize,
+    order: VecDeque<usize>,
+    seed: u64,
+}
+
+impl Pool {
+    fn new(n: usize, seed: u64) -> Pool {
+        let order = VecDeque::new();
+        Pool { n, order, seed }
+    }
+
+    /// The next index of this pass that `usable` accepts; a pass with
+    /// none left is over.
+    fn next(&mut self, usable: impl Fn(usize) -> bool) -> usize {
+        loop {
+            if let Some(at) = self.order.iter().position(|i| usable(*i)) {
+                return self.order.remove(at).unwrap_or_default();
+            }
+            let mut order: Vec<usize> = (0..self.n).collect();
+            for i in (1..self.n).rev() {
+                self.seed = self.seed.wrapping_mul(6_364_136_223_846_793_005);
+                self.seed = self.seed.wrapping_add(1_442_695_040_888_963_407);
+                order.swap(i, (self.seed >> 33) as usize % (i + 1));
+            }
+            self.order = order.into();
+        }
+    }
+}
+
+/// The work-count gate of the scene tables, shaped like the
+/// `plan-churn` benchmark: NTT (tiny) under its dataset session, a pool
+/// of 16 subset-reachability invariants with 8 live, a swap (the oldest
+/// out, the pool's next invariant that is not live in) every third op
+/// and link flaps over a 16-link pool in between, both pools visited in
+/// seeded order. Once the tables are warm, the planner runs at most 0.2
+/// times per link event and re-installing an invariant is a table hit;
+/// every live plan is the one a fresh planner makes, all along.
+#[test]
+fn a_warm_churn_session_almost_never_runs_the_planner() {
+    let ds = tulkun::datasets::by_name("NTT", tulkun::datasets::Scale::Tiny).unwrap();
+    let net = &ds.network;
+    let topo = &net.topology;
+    let (base, cp) = tulkun::daemon::dataset_session(net, "NTT").unwrap();
+    let tel = Telemetry::new(TelemetryConfig::enabled());
+    let mut c = ControlPlane::new(topo, net.layout, &cp, &base.packet_space, tel.clone());
+    let work = || {
+        let counters = tel.metrics().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        let calls = count("tulkun_planner_calls_total");
+        (calls, count("tulkun_plan_table_hits_total"))
+    };
+
+    // Invariants to every destination but the base's, each from an
+    // ingress two hops away; links whose loss leaves NTT connected.
+    let (base_dst, _) = topo.external_map().next().unwrap();
+    let name = |d: DeviceId| topo.name(d).to_string();
+    let pool: Vec<Invariant> = topo
+        .devices()
+        .filter(|d| *d != base_dst)
+        .filter_map(|dst| {
+            let prefix = topo.external_prefixes(dst).first()?;
+            let hops = topo.bfs_hops(dst, &[]);
+            let ingress = topo.devices().find(|d| hops[d.idx()] == 2)?;
+            let (from, to) = (name(ingress), name(dst));
+            let spec = format!(
+                "(dstIP={prefix}, [{from}], (subset, /. * {to}/ loop_free (<= shortest+2)))"
+            );
+            Some(Invariant::parse(&spec).unwrap())
+        })
+        .take(16)
+        .collect();
+    let links: Vec<(DeviceId, DeviceId)> = (0..topo.links().len())
+        .filter(|i| topo.connected_without(&[LinkId(*i as u32)]))
+        .map(|i| (topo.links()[i].a, topo.links()[i].b))
+        .take(16)
+        .collect();
+    assert_eq!((pool.len(), links.len()), (16, 16));
+
+    let (mut intents, mut link_pool) = (Pool::new(16, 7), Pool::new(16, 8));
+    let mut live: VecDeque<(IntentId, usize)> = VecDeque::new();
+    let mut installed = [false; 16];
+    let mut install = |c: &mut ControlPlane, live: &mut VecDeque<(IntentId, usize)>| {
+        let next = intents.next(|i| live.iter().all(|(_, l)| *l != i));
+        let before = work();
+        let (id, d) = c.install(None, "pooled", &pool[next], 0).unwrap();
+        assert!(!d.parked, "swaps happen on the quiet scene");
+        let after = work();
+        live.push_back((id, next));
+        let seen = std::mem::replace(&mut installed[next], true);
+        (seen, (after.0 - before.0, after.1 - before.1))
+    };
+    for _ in 0..8 {
+        install(&mut c, &mut live);
+    }
+    // A fresh planner, remembering what it planned for an invariant
+    // (`None`: the base) on a scene so the check stays cheap; it is
+    // deterministic, so that changes no answer.
+    type Answer = ((Option<usize>, ChurnState), Option<Vec<NodeTask>>);
+    let mut oracle: Vec<Answer> = Vec::new();
+    let mut assert_fresh =
+        |c: &ControlPlane, live: &VecDeque<(IntentId, usize)>, churn: &ChurnState| {
+            for intent in c.intents().live() {
+                let pooled = live
+                    .iter()
+                    .find(|(id, _)| *id == intent.id)
+                    .map(|(_, i)| *i);
+                let key = (pooled, churn.clone());
+                let fresh = match oracle.iter().find(|(k, _)| *k == key) {
+                    Some((_, fresh)) => fresh.clone(),
+                    None => {
+                        let inv = pooled.map_or(&base, |i| &pool[i]);
+                        let plan = plan_intent_on(&churn.apply_to(topo), inv, churn);
+                        let fresh = plan.ok().map(|p| p.tasks);
+                        oracle.push((key, fresh.clone()));
+                        fresh
+                    }
+                };
+                match fresh {
+                    Some(tasks) => assert_eq!(intent.plan.tasks, tasks, "{churn:?}"),
+                    None => assert!(intent.is_degraded(), "{churn:?}"),
+                }
+            }
+        };
+
+    // Four passes over the link pool warm the tables (≈ 128 link
+    // events); the next four are measured.
+    let (flaps, passes) = (16, 8);
+    let mut churn = ChurnState::new();
+    let (mut link_events, mut link_calls, mut reinstalls) = (0, 0, 0);
+    let mut down = None;
+    for op in 0..3 * flaps * passes {
+        let warm = op >= 3 * flaps * passes / 2;
+        let before = work();
+        if op % 3 == 0 {
+            let (gone, _) = live.pop_front().unwrap();
+            c.remove(gone, 0).unwrap();
+            let (seen, spent) = install(&mut c, &mut live);
+            if warm && seen {
+                assert_eq!(spent, (0, 1), "a re-install is a table hit");
+                reinstalls += 1;
+            }
+        } else {
+            let ev = match down.take() {
+                Some((a, b)) => TopologyEvent::LinkUp(a, b),
+                None => {
+                    let (a, b) = links[link_pool.next(|_| true)];
+                    down = Some((a, b));
+                    TopologyEvent::LinkDown(a, b)
+                }
+            };
+            churn.apply(&ev);
+            c.topology_event(&ev, topo, &base, 0).unwrap();
+            if warm {
+                link_events += 1;
+                link_calls += work().0 - before.0;
+            }
+        }
+        assert_fresh(&c, &live, &churn);
+    }
+    assert!(reinstalls > 0);
+    assert!(
+        5 * link_calls <= link_events,
+        "{link_calls} planner calls over {link_events} warm link events"
+    );
+    let planner_ns = tel.histogram("tulkun_planner_ns");
+    assert_eq!(planner_ns.count(), work().0, "every planner run is timed");
 }
 
 #[test]
