@@ -41,7 +41,10 @@
 #                 equivalence files tests/matrix.rs replaced named in
 #                 ci.sh, tests/, README or DESIGN; and one latency
 #                 instrument: the fixed-bucket tables, the sample
-#                 reservoir and the hand-rolled span timer stay retired
+#                 reservoir and the hand-rolled span timer stay retired;
+#                 and one way into the intent store: the scene-table
+#                 forks, the destination-delivery option and the §7
+#                 partitioner stay deleted
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -245,6 +248,16 @@ stage_lint() {
     # fixed-roster fork and the option that papered over it stay retired.
     if grep -rnw 'all_devices\|fixed_roster\|taskable' crates src tests examples; then
         echo "lint: a roster option or fork is back (see above); Threads spawns every device" >&2
+        exit 1
+    fi
+    # One way into the intent store: every plan is the re-planner's,
+    # through its key's scene table, on the session's one base topology
+    # and invariant. One destination semantics: §2.2.2's axiomatic
+    # base. §7 partitioning is deleted. Their retired names stay
+    # retired.
+    if grep -rnw 'forget''_scenes\|rekey''_base\|remember''_install\|Dest''Mode\|Check''Delivery\|plan''_hierarchical\|Partition''ing' \
+        crates src tests examples ci.sh; then
+        echo "lint: a retired planning fork, destination mode or partitioner is back (see above)" >&2
         exit 1
     fi
     # One latency instrument: the log-linear Histogram. The fixed-bucket

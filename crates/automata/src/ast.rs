@@ -64,11 +64,6 @@ impl Regex {
         Regex::Sym(SymClass::Any)
     }
 
-    /// `.*` — any path segment (including empty).
-    pub fn any_star() -> Regex {
-        Regex::Star(Box::new(Regex::any()))
-    }
-
     /// Concatenation of many parts.
     pub fn seq(parts: impl IntoIterator<Item = Regex>) -> Regex {
         parts

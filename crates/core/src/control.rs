@@ -24,10 +24,9 @@ use crate::dpvnet::NodeId;
 use crate::event::EventOutcome;
 use crate::fault::link_pair;
 use crate::intent::{
-    plan_intent_on, Cut, IntentDelta, IntentId, IntentStore, PlanWork, StoreReplan,
-    MAX_INTENT_RETRIES,
+    Cut, IntentDelta, IntentId, IntentStore, PlanWork, StoreReplan, MAX_INTENT_RETRIES,
 };
-use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
+use crate::planner::{CountingPlan, NodeTask, PlanError};
 use crate::spec::{Invariant, PacketSpace};
 use crate::verify::{compile_packet_space, Freshness, Report};
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,15 +143,12 @@ pub struct ControlPlane {
     degraded_epochs: BTreeMap<u64, u64>,
     /// The base intent's current counting plan (the store's pointer).
     plan: Arc<CountingPlan>,
-    /// The base topology: what installs plan on, and what every scene
-    /// table answers for.
+    /// The base topology: the one every topology event must name, and
+    /// what every scene table answers for.
     topology: Topology,
     /// `churn` applied to `topology`: the effective topology installs
-    /// under churn plan on, and a link-down's [`Cut`] starts from.
+    /// plan on, and a link-down's [`Cut`] starts from.
     effective: Topology,
-    /// The base intent's plan key, learned from the first topology
-    /// event (the store's base intent carries no invariant of its own).
-    base_inv: Option<Invariant>,
     layout: HeaderLayout,
     /// The store's packet-space contexts compiled, by index: contexts
     /// are append-only, so each is compiled once.
@@ -175,7 +171,7 @@ impl ControlPlane {
         let tasked = plan.tasks.iter().map(|t| t.dev).collect();
         let plan = Arc::new(plan.clone());
         let cp = ControlPlane {
-            store: IntentStore::with_base(plan.clone(), space.clone(), None),
+            store: IntentStore::with_base(plan.clone(), space.clone()),
             churn: ChurnState::new(),
             epoch: 0,
             churn_events: 0,
@@ -184,7 +180,6 @@ impl ControlPlane {
             plan,
             topology: topology.clone(),
             effective: topology.clone(),
-            base_inv: None,
             layout,
             spaces: Vec::new(),
             tasked,
@@ -336,19 +331,19 @@ impl ControlPlane {
 
     /// Applies one live topology event: folds it into the cumulative
     /// churn, re-plans **every** live intent against the post-churn
-    /// topology under one fence (`base` is the original topology,
-    /// `inv` the invariant the base plan was compiled from), and
-    /// returns each device's share. A scene an intent's plan key has
-    /// been planned on before costs no planner run (its scene table
-    /// answers), and neither does a link-down that a slice is outside
-    /// of ([`Cut`]); `inv` is the base intent's plan key. The tables
-    /// answer for this control plane's own base topology, so a call
-    /// that brings another `base` neither reads nor leaves anything in
-    /// any; one that brings another `inv` only stops trusting the base
-    /// intent's plan. Slices the new topology cannot
-    /// host degrade, parked installs get their bounded retry, and only
-    /// a base plan that no longer plans is an `Err`. A `DeviceDown`
-    /// quarantines its device; a `DeviceUp` wipes and re-tasks it.
+    /// topology under one fence, and returns each device's share. The
+    /// event must name this control plane's base topology (`base`, the
+    /// one it was constructed with) and the base invariant (`inv`, the
+    /// one its plan was compiled from, recorded by the first event that
+    /// re-plans it): any other is refused with an `Err` that leaves
+    /// everything untouched, since the scene tables answer for that one
+    /// pair. A scene an intent's plan key has been planned on before
+    /// costs no planner run (its scene table answers), and neither does
+    /// a link-down that a slice is outside of ([`Cut`]). Slices the new
+    /// topology cannot host degrade, parked installs get their bounded
+    /// retry, and only a base plan that no longer plans is an `Err`. A
+    /// `DeviceDown` quarantines its device; a `DeviceUp` wipes and
+    /// re-tasks it.
     pub fn topology_event(
         &mut self,
         ev: &TopologyEvent,
@@ -356,21 +351,27 @@ impl ControlPlane {
         inv: &Invariant,
         trace: u64,
     ) -> Result<Decision, PlanError> {
+        if *base != self.topology {
+            return Err(PlanError::Unsupported(
+                "a topology event must name the session's base topology".into(),
+            ));
+        }
+        let recorded = self
+            .store
+            .get(IntentId::BASE)
+            .and_then(|b| b.invariant.as_ref());
+        if recorded.is_some_and(|b| b != inv) {
+            return Err(PlanError::Unsupported(
+                "a topology event must name the session's base invariant".into(),
+            ));
+        }
         let mut churn = self.churn.clone();
         if !churn.apply(ev) {
             let n = self.store.node_count();
             return Ok(Decision::counted(n, n));
         }
-        let foreign = *base != self.topology;
-        if foreign {
-            self.store.forget_scenes();
-        }
-        if self.base_inv.as_ref() != Some(inv) {
-            self.store.rekey_base();
-            self.base_inv = Some(inv.clone());
-        }
         let cut = match *ev {
-            TopologyEvent::LinkDown(a, b) if !foreign => Some(Cut {
+            TopologyEvent::LinkDown(a, b) => Some(Cut {
                 link: link_pair(a, b),
                 before: &self.effective,
             }),
@@ -379,17 +380,10 @@ impl ControlPlane {
         let mut work = self.work(trace);
         let replan = self
             .store
-            .replan_all_for_churn(base, Some(inv), &churn, cut, &mut work);
-        if foreign {
-            self.store.forget_scenes();
-        }
+            .replan_all_for_churn(&self.topology, inv, &churn, cut, &mut work);
         self.count_planning(&work);
         let replan = replan?;
-        self.effective = if foreign {
-            churn.apply_to(&self.topology)
-        } else {
-            replan.topology.clone()
-        };
+        self.effective = replan.topology.clone();
         self.churn = churn;
         self.churn_events += 1;
         self.epoch += 1;
@@ -481,11 +475,11 @@ impl ControlPlane {
     /// Compiles `inv` and installs it as a runtime intent (`id` pins
     /// the intent id for deterministic replay): its DPVNet slice is
     /// interned into the shared node table, so only devices whose tasks
-    /// change are re-tasked. On a quiet topology a slice that does not
-    /// plan is an `Err`; while churn is in effect it is *parked* for
-    /// bounded retry on the next topology fence instead. The plan
-    /// comes from the scene table of `inv`'s plan key when it holds the
-    /// churn in force, and is remembered there when it does not.
+    /// change are re-tasked. The plan is the re-planner's on the scene
+    /// in force, from the scene table of `inv`'s plan key
+    /// ([`IntentStore::plan_install`]). A slice the scene cannot host
+    /// is an `Err` on a quiet topology; while churn is in effect it is
+    /// *parked* for bounded retry on the next topology fence instead.
     /// Returns the intent's id (installed or parked) and the decision.
     pub fn install(
         &mut self,
@@ -495,49 +489,25 @@ impl ControlPlane {
         trace: u64,
     ) -> Result<(IntentId, Decision), PlanError> {
         let mut work = self.work(trace);
-        let quiet = self.churn.is_quiet();
-        let (topology, effective, churn) = (&self.topology, &self.effective, &self.churn);
-        let plan = || {
-            if !quiet {
-                return plan_intent_on(effective, inv, churn);
-            }
-            match Planner::new(topology).plan(inv)?.kind {
-                PlanKind::Counting(cp) => Ok(cp),
-                _ => Err(PlanError::Unsupported(
-                    "runtime intents require a counting plan (local-contract \
-                     behaviors have no DPVNet slice to install)"
-                        .to_string(),
-                )),
-            }
-        };
-        let planned = self.store.plan_install(inv, churn, &mut work, plan);
+        let (effective, churn) = (&self.effective, &self.churn);
+        let planned = self.store.plan_install(inv, effective, churn, &mut work);
         self.count_planning(&work);
         let slice = match planned {
             Ok(slice) => slice,
-            Err(e) if quiet => return Err(e),
+            Err(e) if self.churn.is_quiet() => return Err(e),
             Err(e) => {
                 let id = self.store.park(id, name, inv.clone())?;
                 self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
                     format!("parked behind fence @epoch {}: {e}", self.epoch)
                 });
-                let parked = Decision::default();
-                return Ok((
-                    id,
-                    Decision {
-                        parked: true,
-                        ..parked
-                    },
-                ));
+                let parked = Decision {
+                    parked: true,
+                    ..Decision::default()
+                };
+                return Ok((id, parked));
             }
         };
-        let (id, delta) = self.store.install(
-            id,
-            name,
-            Some(inv.clone()),
-            slice,
-            inv.packet_space.clone(),
-            &work,
-        )?;
+        let (id, delta) = self.store.install(id, name, inv.clone(), slice, &work)?;
         let space = delta.ctx.map(|c| self.space(c));
         let fence = self.intent_fence(&delta, space);
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
@@ -649,7 +619,7 @@ impl ControlPlane {
 mod tests {
     use super::*;
     use crate::intent::tests::{fig2a_network, plan_for, work};
-    use crate::intent::Slice;
+    use crate::intent::{plan_intent_on, Slice};
     use crate::spec::table1;
     use proptest::prelude::*;
     use tulkun_netmodel::network::Network;
@@ -675,8 +645,7 @@ mod tests {
                 .live()
                 .map(|i| {
                     (
-                        i.id,
-                        i.is_degraded(),
+                        (i.id, i.is_degraded(), i.invariant.clone()),
                         i.plan.tasks.clone(),
                         i.to_global.clone(),
                     )
@@ -856,22 +825,21 @@ mod tests {
     /// name the ids its slice had in the table its degradation
     /// superseded. So no slice that is still live may inherit one of
     /// those ids from it: an heir takes only an id its own intent
-    /// owned. Here `from-a` (no invariant on record, so any topology
-    /// event degrades it) owns the source node at A alone, and the
-    /// waypoint intent's own node at A loses its edge to B in the same
-    /// fence — by shared edges the two old nodes tie, and the lower id
-    /// is the degraded intent's.
+    /// owned. Here `from-a` — `A .* D`'s plan, on record under `A B D`,
+    /// which losing A–B leaves no path, so the fence degrades it — owns
+    /// the source node at A alone, and the waypoint intent's own node at
+    /// A loses its edge to B in the same fence — by shared edges the two
+    /// old nodes tie, and the lower id is the degraded intent's.
     #[test]
     fn a_live_slice_never_inherits_an_id_only_a_degraded_intent_owned() {
         let net = fig2a_network();
         let (mut c, base) = control(&net, "B .* D");
         let dev = |n: &str| net.topology.expect_device(n);
-        let (from_a, cp) = plan_for(&net, "A .* D");
-        let no_invariant = None;
-        let space = from_a.packet_space.clone();
+        let cp = plan_for(&net, "A .* D").1;
+        let only_over_a_b = plan_for(&net, "A B D").0;
         let (orphan, _) = c
             .store
-            .install(None, "from-a", no_invariant, Slice::of(cp), space, &work())
+            .install(None, "from-a", only_over_a_b, Slice::of(cp), &work())
             .unwrap();
         let waypoint = plan_for(&net, "S .* W .* D").0;
         let (live, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
@@ -1192,44 +1160,6 @@ mod tests {
         c.store.assert_tables_bounded();
     }
 
-    /// The tables answer for the control plane's own base topology, and
-    /// the base intent reads the table of the base invariant it is
-    /// handed: a topology event that brings another base is planned
-    /// afresh, one that brings another invariant reads that
-    /// invariant's table, and what either planned is never recalled for
-    /// the pair it does not belong to.
-    #[test]
-    fn another_base_or_invariant_never_hits_the_scene_tables() {
-        let net = fig2a_network();
-        let home = &net.topology;
-        let (mut c, base) = control(&net, "S .* D");
-        let dev = |n: &str| home.expect_device(n);
-        let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
-        let up = TopologyEvent::LinkUp(dev("B"), dev("D"));
-        let mut apply = |ev, topology, inv| {
-            c.topology_event(ev, topology, inv, 0).unwrap();
-            assert_plans_are_fresh(&c, topology, inv);
-        };
-        // Both scenes of the flap are remembered under each invariant
-        // in turn: the waypoint plans differ from the reachability ones.
-        let waypoint = plan_for(&net, "S .* W .* D").0;
-        for inv in [&base, &waypoint] {
-            apply(&down, home, inv);
-            apply(&up, home, inv);
-        }
-        // Without A–W only one waypoint path survives the loss of B–D:
-        // the remembered scene must not answer for this base, nor what
-        // is planned here for the control plane's own.
-        let scene = crate::fault::FaultScene::new([(dev("A"), dev("W"))]);
-        let elsewhere = crate::fault::subtopology(home, &scene);
-        apply(&down, &elsewhere, &waypoint);
-        apply(&up, home, &waypoint);
-        apply(&down, home, &waypoint);
-        // Back under the first invariant, its own table answers.
-        apply(&up, home, &base);
-        apply(&down, home, &base);
-    }
-
     /// A control plane over `net` with counters on, and a reader of its
     /// planning counters: planner calls and unaffected slices.
     fn counted(net: &Network, base: &str) -> (ControlPlane, Invariant, impl Fn() -> (u64, u64)) {
@@ -1464,55 +1394,277 @@ mod tests {
         }
     }
 
+    /// `exist >= 1` over `S D` on Fig. 2a: S and D are not adjacent, so
+    /// no path is valid.
+    fn no_valid_path() -> Invariant {
+        Invariant::builder()
+            .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
+            .ingress(["S"])
+            .behavior(crate::spec::Behavior::exist(
+                crate::count::CountExpr::ge(1),
+                crate::spec::PathExpr::parse("S D").unwrap(),
+            ))
+            .build()
+            .unwrap()
+    }
+
+    /// An install with no valid path never lands as an empty slice: it
+    /// is refused on a quiet network with the re-planner's reason, and
+    /// the refusal changes nothing; while a link is down it parks; once
+    /// the flap has returned to the quiet topology it is refused again.
+    #[test]
+    fn an_install_with_no_valid_path_is_refused_quiet_and_parks_under_churn() {
+        let net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (mut c, base) = control(&net, "S .* D");
+        let inv = no_valid_path();
+        let refused = |c: &mut ControlPlane| {
+            let before = (fingerprint(c), c.epoch());
+            let e = c.install(None, "s-d", &inv, 0).unwrap_err();
+            assert!(e.to_string().contains("slice has no DPVNet nodes"), "{e}");
+            assert_eq!(
+                (fingerprint(c), c.epoch()),
+                before,
+                "a refusal changed state"
+            );
+        };
+        refused(&mut c);
+        let (a, w) = (dev("A"), dev("W"));
+        c.topology_event(&TopologyEvent::LinkDown(a, w), &net.topology, &base, 0)
+            .unwrap();
+        let (id, d) = c.install(None, "s-d", &inv, 0).unwrap();
+        assert!(d.parked && c.intents().is_parked(id));
+        c.topology_event(&TopologyEvent::LinkUp(a, w), &net.topology, &base, 0)
+            .unwrap();
+        refused(&mut c);
+        assert_eq!(c.store.live().count(), 1, "only the base intent is live");
+    }
+
+    /// A behavior the planner answers with local contracts has no slice
+    /// to install: the re-planner refuses it on a quiet network, and the
+    /// refusal changes nothing.
+    #[test]
+    fn a_local_contract_install_is_refused_and_changes_nothing() {
+        let net = fig2a_network();
+        let (mut c, _) = control(&net, "S .* D");
+        let space = PacketSpace::dst_prefix("10.0.0.0/23");
+        let equal = table1::all_shortest_path(space, "S", "D").unwrap();
+        let before = (fingerprint(&c), c.epoch());
+        let e = c.install(None, "equal", &equal, 0).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("runtime intents need a counting plan"),
+            "{e}"
+        );
+        assert_eq!((fingerprint(&c), c.epoch()), before);
+    }
+
+    /// One counting profile per session, checked in one place: an
+    /// install whose plan has another outcome-vector shape (two path
+    /// expressions against the base's one) is refused quiet or under
+    /// churn — never parked, since no scene would fix it — and the
+    /// refusal changes nothing.
+    #[test]
+    fn an_install_of_another_counting_profile_is_refused_never_parked() {
+        use crate::count::CountExpr;
+        use crate::spec::{Behavior, PathExpr};
+        let net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (mut c, base) = control(&net, "S .* D");
+        let exist =
+            |p: &str| Behavior::exist(CountExpr::ge(1), PathExpr::parse(p).unwrap().loop_free());
+        let two = Invariant::builder()
+            .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
+            .ingress(["S"])
+            .behavior(exist("S .* D").and(exist("S .* W .* D")))
+            .build()
+            .unwrap();
+        let refused = |c: &mut ControlPlane| {
+            let before = (fingerprint(c), c.epoch());
+            let e = c.install(None, "two", &two, 0).unwrap_err();
+            assert!(e.to_string().contains("counting profile"), "{e}");
+            assert_eq!((fingerprint(c), c.epoch()), before);
+        };
+        refused(&mut c);
+        let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
+        c.topology_event(&down, &net.topology, &base, 0).unwrap();
+        refused(&mut c);
+        assert_eq!(c.intents().parked_count(), 0);
+    }
+
+    /// The scene tables answer for one base topology: an event naming
+    /// another is an `Err` — before and after the base has recorded its
+    /// invariant — that runs no planner, burns no epoch and changes
+    /// nothing, while the same event on the control plane's own base is
+    /// taken.
+    #[test]
+    fn an_event_naming_another_base_topology_is_refused() {
+        let net = fig2a_network();
+        let home = &net.topology;
+        let dev = |n: &str| home.expect_device(n);
+        let (mut c, base, work) = counted(&net, "S .* D");
+        let scene = crate::fault::FaultScene::new([(dev("A"), dev("W"))]);
+        let elsewhere = crate::fault::subtopology(home, &scene);
+        let flap = [
+            TopologyEvent::LinkDown(dev("B"), dev("D")),
+            TopologyEvent::LinkUp(dev("B"), dev("D")),
+        ];
+        for ev in &flap {
+            let before = (fingerprint(&c), c.epoch(), work());
+            let e = c.topology_event(ev, &elsewhere, &base, 0).unwrap_err();
+            assert!(e.to_string().contains("base topology"), "{e}");
+            assert_eq!((fingerprint(&c), c.epoch(), work()), before);
+            c.topology_event(ev, home, &base, 0).unwrap();
+            assert_eq!(c.epoch(), before.1 + 1);
+            assert_plans_are_fresh(&c, home, &base);
+        }
+    }
+
+    /// The base intent records the invariant its first re-plan names;
+    /// from then on an event naming another invariant is an `Err` that
+    /// changes nothing, and the recorded one is still taken.
+    #[test]
+    fn an_event_naming_another_invariant_is_refused_once_the_base_records_its_own() {
+        let net = fig2a_network();
+        let home = &net.topology;
+        let dev = |n: &str| home.expect_device(n);
+        let (mut c, base) = control(&net, "S .* D");
+        let recorded = |c: &ControlPlane| c.store.get(IntentId::BASE).unwrap().invariant.clone();
+        assert_eq!(recorded(&c), None);
+        let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
+        let up = TopologyEvent::LinkUp(dev("B"), dev("D"));
+        c.topology_event(&down, home, &base, 0).unwrap();
+        assert_eq!(recorded(&c), Some(base.clone()));
+        let waypoint = plan_for(&net, "S .* W .* D").0;
+        let before = (fingerprint(&c), c.epoch());
+        let e = c.topology_event(&up, home, &waypoint, 0).unwrap_err();
+        assert!(e.to_string().contains("base invariant"), "{e}");
+        assert_eq!((fingerprint(&c), c.epoch()), before);
+        c.topology_event(&up, home, &base, 0).unwrap();
+        assert_eq!(c.epoch(), before.1 + 1);
+        assert_plans_are_fresh(&c, home, &base);
+    }
+
+    /// A plan is kept across a link-down only for a live intent that
+    /// carries its invariant; the base intent carries one only from its
+    /// first re-plan on. Fig. 2a plus a link A–D, with the base
+    /// `S .* W .* D` within one hop of the shortest S→D path: its slice
+    /// is S–A–W–D alone, and losing B–W or B–D moves no distance it
+    /// reads. The first cut still re-plans it; a later one keeps it.
+    #[test]
+    fn the_base_keeps_no_plan_across_a_cut_until_it_records_its_invariant() {
+        use tulkun_telemetry::TelemetryConfig;
+        let mut net = fig2a_network();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let (a, b, w, d) = (dev("A"), dev("B"), dev("W"), dev("D"));
+        net.topology.add_link(a, d, 1000);
+        let base = Invariant::builder()
+            .packet_space(PacketSpace::dst_prefix("10.0.0.0/23"))
+            .ingress(["S"])
+            .behavior(crate::spec::Behavior::exist(
+                crate::count::CountExpr::ge(1),
+                crate::spec::PathExpr::parse("S .* W .* D")
+                    .unwrap()
+                    .loop_free()
+                    .shortest_plus(1),
+            ))
+            .build()
+            .unwrap();
+        let planned = crate::planner::Planner::new(&net.topology).plan(&base);
+        let cp = planned.unwrap().counting().unwrap().clone();
+        let tel = Telemetry::new(TelemetryConfig::enabled());
+        let mut c = ControlPlane::new(
+            &net.topology,
+            net.layout,
+            &cp,
+            &base.packet_space,
+            tel.clone(),
+        );
+        let mut apply = |ev: TopologyEvent| {
+            let work = || {
+                let calls = counter(&tel, "tulkun_planner_calls_total");
+                (calls, counter(&tel, "tulkun_plan_unaffected_total"))
+            };
+            let before = work();
+            c.topology_event(&ev, &net.topology, &base, 0).unwrap();
+            assert_plans_are_fresh(&c, &net.topology, &base);
+            let after = work();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        assert_eq!(
+            apply(TopologyEvent::LinkDown(b, w)),
+            (1, 0),
+            "not yet recorded"
+        );
+        apply(TopologyEvent::LinkUp(b, w));
+        assert_eq!(apply(TopologyEvent::LinkDown(b, d)), (0, 1), "kept");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whatever the history — link and device churn, installs that
-        /// land or park, removals, ids re-used by another invariant —
-        /// every plan is the one a fresh planner makes (the scene
-        /// tables cannot be seen), the node table is one the slices
-        /// map onto (ids unique, every `to_global` entry resolves, an
-        /// inherited id stays at its site and with an owner), a call
-        /// that returns `Err` leaves the control plane as it found it,
-        /// and a call that returns `Ok` burns an epoch exactly when it
-        /// fences.
+        /// land, park or are refused, removals, ids re-used by another
+        /// invariant, topology events naming another base topology or
+        /// invariant — every plan is the one a fresh planner makes (the
+        /// scene tables cannot be seen), the node table is one the
+        /// slices map onto (ids unique, every `to_global` entry
+        /// resolves, an inherited id stays at its site and with an
+        /// owner), a call that returns `Err` leaves the control plane
+        /// as it found it, a call that returns `Ok` burns an epoch
+        /// exactly when it fences, and an event naming another base
+        /// topology, or another invariant once the base has recorded
+        /// its own, is an `Err`.
         #[test]
         fn plans_match_a_fresh_planner_and_an_err_leaves_no_trace(
             (ops, ring) in (
-                proptest::collection::vec((0usize..5, 0usize..60), 1..24),
+                proptest::collection::vec((0usize..7, 0usize..60), 1..24),
                 any::<bool>(),
             )
         ) {
             let world = if ring { ring_world() } else { fig2a_world() };
             let World { net, base, pool, events } = world;
             let (mut c, base) = control(&net, base);
+            let home = &net.topology;
+            let l = &home.links()[0];
+            let elsewhere = crate::fault::subtopology(home, &crate::fault::FaultScene::new([(l.a, l.b)]));
             // Applies one op, holding the properties; returns `is_err`.
             let mut step = |kind: usize, i: usize| {
                 let before = (fingerprint(&c), c.epoch());
                 let names = c.store.names();
+                let ev = &events[i % events.len()];
+                let recorded = c.store.get(IntentId::BASE).is_some_and(|b| b.invariant.is_some());
+                let foreign = kind == 5 || (kind == 6 && recorded);
                 let result = match kind {
-                    0 | 1 => c.topology_event(&events[i % events.len()], &net.topology, &base, 0),
+                    0 | 1 => c.topology_event(ev, home, &base, 0),
                     2 => c.install(None, "p", &pool[i % pool.len()], 0).map(|(_, d)| d),
                     // A replay id collides with an id in use, and
                     // re-uses a removed one under any invariant.
                     3 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[i / 3 % pool.len()], 0).map(|(_, d)| d),
-                    _ => c.remove(IntentId(i as u64 % 4), 0),
+                    4 => c.remove(IntentId(i as u64 % 4), 0),
+                    5 => c.topology_event(ev, &elsewhere, &base, 0),
+                    // Until the base has recorded an invariant, the
+                    // event that re-plans it first names the one it
+                    // records: the base's own.
+                    _ => c.topology_event(ev, home, if recorded { &pool[i % pool.len()] } else { &base }, 0),
                 };
                 match &result {
                     Err(_) => assert!(before.0 == fingerprint(&c), "Err mutated state"),
                     Ok(d) => assert_eq!(c.epoch(), before.1 + d.fence.is_some() as u64),
                 }
-                assert_plans_are_fresh(&c, &net.topology, &base);
+                assert!(!foreign || result.is_err(), "a foreign event was taken");
+                assert_plans_are_fresh(&c, home, &base);
                 c.store.assert_consistent(Some(&names));
                 result.is_err()
             };
             for (kind, i) in ops {
                 step(kind, i);
             }
-            // Whatever the history, these three are rejected: the base
+            // Whatever the history, these four are rejected: the base
             // cannot plan without its destination, id 0 is taken, the
-            // base is pinned.
-            prop_assert!(step(0, 4) && step(3, 0) && step(4, 0));
+            // base is pinned, and another base topology is not this
+            // control plane's.
+            prop_assert!(step(0, 4) && step(3, 0) && step(4, 0) && step(5, 0));
         }
     }
 }

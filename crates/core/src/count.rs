@@ -152,12 +152,6 @@ impl Counts {
         Counts { dim: 1, elems }
     }
 
-    /// The unit vector `e_i` scaled by acceptance flags: 1 in every
-    /// position where `accept[i]`, 0 elsewhere.
-    pub fn accept_base(accept: &[bool]) -> Counts {
-        Counts::single(accept.iter().map(|&a| u32::from(a)).collect())
-    }
-
     /// Vector dimension (number of path expressions).
     pub fn dim(&self) -> usize {
         self.dim

@@ -14,6 +14,4 @@ pub mod verifier;
 
 pub use message::{EdgeRef, Envelope, Outbox, Payload};
 pub use reliable::{Accepted, ReceiverLedger, SenderWindow};
-pub use verifier::{
-    DestMode, DeviceVerifier, NodeResult, VerifierBuilder, VerifierConfig, VerifierStats,
-};
+pub use verifier::{DeviceVerifier, NodeResult, VerifierBuilder, VerifierConfig, VerifierStats};

@@ -38,19 +38,6 @@ use tulkun_netmodel::DeviceId;
 use tulkun_predicate::{BackendKind, DynBackend, DynPred, PredicateBackend};
 use tulkun_telemetry::{Telemetry, CIB_RECOMPUTE, FIB_BATCH, LEC_DELTA};
 
-/// How destination nodes count their own delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DestMode {
-    /// The paper's semantics: a destination node contributes one copy
-    /// axiomatically ("one copy will be sent to the correct external
-    /// ports", §2.2.2).
-    #[default]
-    Axiomatic,
-    /// Stricter: the destination contributes one copy only for packets
-    /// its FIB actually delivers out an external port.
-    CheckDelivery,
-}
-
 /// Static configuration shared by all verifiers of one plan.
 #[derive(Debug, Clone)]
 pub struct VerifierConfig {
@@ -60,8 +47,6 @@ pub struct VerifierConfig {
     pub track_escapes: bool,
     /// Minimal-counting-information reduction (Proposition 1).
     pub reduce: ReduceMode,
-    /// Destination-delivery semantics.
-    pub dest_mode: DestMode,
 }
 
 impl VerifierConfig {
@@ -245,12 +230,6 @@ impl<'a> VerifierBuilder<'a> {
         self
     }
 
-    /// Overrides the destination-delivery semantics of the config.
-    pub fn dest_mode(mut self, mode: DestMode) -> Self {
-        self.cfg.dest_mode = mode;
-        self
-    }
-
     /// Attaches a telemetry handle; omitted, the verifier uses the
     /// disabled handle (recording is a no-op).
     pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
@@ -368,11 +347,6 @@ impl DeviceVerifier {
         &self.backend
     }
 
-    /// Short name of the predicate backend in use.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
     /// Sets the causal trace id stamped onto subsequently emitted
     /// envelopes. Runtimes call this before injecting an internal
     /// event (FIB batch, link event, reboot, replay) so the whole
@@ -413,11 +387,6 @@ impl DeviceVerifier {
     /// DPVNet nodes hosted here.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.keys().copied().collect()
-    }
-
-    /// Current LEC count (§9.4 initialization overhead).
-    pub fn lec_count(&self) -> usize {
-        self.lecs.len()
     }
 
     /// Backend memory proxy for §9.4: BDD nodes, stored intervals, or
@@ -1047,18 +1016,13 @@ impl DeviceVerifier {
         }
     }
 
-    /// Base contribution of a node: its own acceptance (destination
-    /// initialization, §2.2.2).
-    fn base(&self, accept: &[bool], action: &Action) -> Counts {
-        let delivered = match self.cfg.dest_mode {
-            DestMode::Axiomatic => true,
-            DestMode::CheckDelivery => action.delivers_external(),
-        };
+    /// Base contribution of a node: its own acceptance, axiomatically
+    /// (destination initialization, §2.2.2: "one copy will be sent to
+    /// the correct external ports", whatever its own FIB does).
+    fn base(&self, accept: &[bool]) -> Counts {
         let mut v = vec![0u32; self.cfg.dim()];
-        if delivered {
-            for (i, &a) in accept.iter().enumerate() {
-                v[i] = u32::from(a);
-            }
+        for (i, &a) in accept.iter().enumerate() {
+            v[i] = u32::from(a);
         }
         Counts::single(v)
     }
@@ -1191,7 +1155,7 @@ impl DeviceVerifier {
         action: &Action,
     ) -> Vec<(DynPred, Counts)> {
         let accepting_any = accept.iter().any(|&a| a);
-        let base = self.base(accept, action);
+        let base = self.base(accept);
         let (mode, hops, rewrite, ext) = match action {
             Action::Drop => {
                 let c = base.cross_sum(&self.esc(u32::from(!accepting_any)));
@@ -1409,7 +1373,6 @@ mod tests {
             n_exprs: 1,
             track_escapes: false,
             reduce: ReduceMode::None,
-            dest_mode: DestMode::Axiomatic,
         };
         let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), &space, cfg.clone())
             .tasks(vec![dest_task(Vec::new())])
@@ -1564,7 +1527,6 @@ mod tests {
                 n_exprs: 1,
                 track_escapes: false,
                 reduce: ReduceMode::None,
-                dest_mode: DestMode::Axiomatic,
             };
             let fib_to = |action: Action| {
                 let mut fib = Fib::new();
@@ -1789,7 +1751,6 @@ mod tests {
                     n_exprs: 1,
                     track_escapes: false,
                     reduce: ReduceMode::None,
-                    dest_mode: DestMode::Axiomatic,
                 },
             )
             .backend(kind)
@@ -1895,7 +1856,6 @@ mod tests {
                     n_exprs: 1,
                     track_escapes: false,
                     reduce: ReduceMode::None,
-                    dest_mode: DestMode::Axiomatic,
                 };
                 let mut v = DeviceVerifier::builder(DeviceId(0), layout, fib, &space, cfg)
                     .backend(kind)

@@ -24,14 +24,14 @@ use tulkun_netmodel::DeviceId;
 pub enum RuntimeEvent {
     /// A burst of FIB rule updates, coalesced per device.
     Batch(Vec<RuleUpdate>),
-    /// A live topology churn event. Carries the *base* (pre-churn)
-    /// topology and the invariant the running base plan was compiled
-    /// from — exactly the extra arguments every substrate's
-    /// `apply_topology_event` took.
+    /// A live topology churn event. Names the session's base: the
+    /// topology the substrate was constructed on and the invariant its
+    /// base plan was compiled from. An event naming another is refused
+    /// ([`crate::control::ControlPlane::topology_event`]).
     Topology {
         /// The link/device up/down event.
         event: TopologyEvent,
-        /// The original topology the cumulative churn applies to.
+        /// The base topology the cumulative churn applies to.
         base: Topology,
         /// The base invariant to re-plan.
         invariant: Invariant,

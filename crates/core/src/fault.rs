@@ -180,11 +180,6 @@ impl FaultScene {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Is `other` a subset of this scene?
-    pub fn contains_scene(&self, other: &FaultScene) -> bool {
-        other.0.iter().all(|p| self.0.contains(p))
-    }
 }
 
 /// Expands a [`FaultSpec`] into concrete scenes. Scene 0 is always the

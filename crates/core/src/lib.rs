@@ -48,7 +48,6 @@ pub mod explain;
 pub mod fault;
 pub mod intent;
 pub mod localcheck;
-pub mod partition;
 pub mod planner;
 pub mod spec;
 pub mod verify;

@@ -11,7 +11,7 @@ use crate::churn::TopologyEvent;
 use crate::control::{ControlPlane, FencePlan};
 use crate::count::Counts;
 use crate::dpvnet::NodeId;
-use crate::dvm::{DestMode, DeviceVerifier, Envelope, NodeResult, VerifierConfig};
+use crate::dvm::{DeviceVerifier, Envelope, NodeResult, VerifierConfig};
 use crate::event::{EventOutcome, RuntimeEvent, Substrate};
 use crate::intent::{IntentDelta, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
@@ -281,7 +281,6 @@ impl Session {
                 n_exprs: cp.exprs.len(),
                 track_escapes: cp.track_escapes,
                 reduce: cp.reduce,
-                dest_mode: DestMode::Axiomatic,
             },
             backend_kind: backend
                 .check(tulkun_predicate::network_ip_only(net))
@@ -418,10 +417,11 @@ impl Session {
     }
 
     /// Applies one live topology churn event
-    /// ([`ControlPlane::topology_event`]; `base` is the *original*
-    /// topology, `inv` the invariant this session's plan was compiled
-    /// from) and re-runs to quiescence. Returns the number of messages
-    /// the churn caused. An `Err` leaves the session on the old epoch.
+    /// ([`ControlPlane::topology_event`]; `base` must be the topology
+    /// the session was constructed on, `inv` the invariant its base plan
+    /// was compiled from) and re-runs to quiescence. Returns the number
+    /// of messages the churn caused. An `Err` leaves the session on the
+    /// old epoch.
     pub fn apply_topology_event(
         &mut self,
         ev: &TopologyEvent,

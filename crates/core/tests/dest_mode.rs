@@ -1,10 +1,9 @@
 //! Destination-delivery semantics: the paper's axiomatic destination
 //! initialization (§2.2.2, "one copy will be sent to the correct
-//! external ports") vs the stricter mode that checks the destination's
-//! own FIB.
+//! external ports"), whatever the destination's own FIB does.
 
 use tulkun_core::count::CountExpr;
-use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
+use tulkun_core::dvm::{DeviceVerifier, Envelope, VerifierConfig};
 use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
@@ -38,7 +37,7 @@ fn net_with_dst_drop() -> Network {
     net
 }
 
-fn run_with_mode(net: &Network, mode: DestMode) -> bool {
+fn holds(net: &Network) -> bool {
     let inv = Invariant::builder()
         .packet_space(PacketSpace::dst_prefix("10.0.0.0/24"))
         .ingress(["S"])
@@ -55,7 +54,6 @@ fn run_with_mode(net: &Network, mode: DestMode) -> bool {
         n_exprs: 1,
         track_escapes: false,
         reduce: cp.reduce,
-        dest_mode: mode,
     };
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();
@@ -77,7 +75,7 @@ fn run_with_mode(net: &Network, mode: DestMode) -> bool {
             v.handle(&env, &mut queue);
         }
     }
-    let store = IntentStore::with_base(cp.clone().into(), inv.packet_space, None);
+    let store = IntentStore::with_base(cp.clone().into(), inv.packet_space);
     evaluate_intents(&store, |dev, node| {
         verifiers
             .get_mut(&dev)
@@ -89,20 +87,24 @@ fn run_with_mode(net: &Network, mode: DestMode) -> bool {
 
 #[test]
 fn axiomatic_mode_trusts_the_destination() {
-    // The paper's semantics: D1 counts 1 by definition, so the invariant
+    // The paper's semantics: D counts 1 by definition, so the invariant
     // holds even though D's FIB drops.
-    let net = net_with_dst_drop();
-    assert!(run_with_mode(&net, DestMode::Axiomatic));
+    assert!(holds(&net_with_dst_drop()));
 }
 
 #[test]
-fn check_delivery_mode_catches_last_hop_blackholes() {
-    let net = net_with_dst_drop();
-    assert!(!run_with_mode(&net, DestMode::CheckDelivery));
+fn a_blackhole_before_the_destination_is_a_violation() {
+    // Trusting the destination is not trusting the path: when A drops,
+    // no copy reaches D and the count at S is 0.
+    let mut net = net_with_dst_drop();
+    let a = net.topology.device("A").unwrap();
+    let p = "10.0.0.0/24".parse().unwrap();
+    assert_eq!(net.fib_mut(a).remove(24, &MatchSpec::dst(p)), 1);
+    assert!(!holds(&net));
 }
 
 #[test]
-fn check_delivery_passes_when_destination_delivers() {
+fn a_destination_that_delivers_holds_too() {
     let mut net = net_with_dst_drop();
     let d = net.topology.device("D").unwrap();
     net.fib_mut(d).insert(Rule {
@@ -110,6 +112,5 @@ fn check_delivery_passes_when_destination_delivers() {
         matches: MatchSpec::dst("10.0.0.0/24".parse().unwrap()),
         action: Action::deliver(),
     });
-    assert!(run_with_mode(&net, DestMode::CheckDelivery));
-    assert!(run_with_mode(&net, DestMode::Axiomatic));
+    assert!(holds(&net));
 }

@@ -5,7 +5,7 @@
 use tulkun_bdd::{serial, BddManager};
 use tulkun_core::control::DeviceFence;
 use tulkun_core::count::{CountExpr, Counts};
-use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, Payload, VerifierConfig};
+use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{compile_packet_space, Session};
@@ -60,7 +60,6 @@ fn init_envelopes(net: &Network, plan: &tulkun_core::planner::Plan) -> Vec<Envel
         n_exprs: 1,
         track_escapes: false,
         reduce: cp.reduce,
-        dest_mode: DestMode::Axiomatic,
     };
     let mut out = Vec::new();
     for task in &cp.tasks {
@@ -333,7 +332,6 @@ fn set_tasks_keeps_upstream_consistent() {
         n_exprs: 1,
         track_escapes: false,
         reduce: cp.reduce,
-        dest_mode: DestMode::Axiomatic,
     };
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();

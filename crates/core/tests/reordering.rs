@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use tulkun_core::count::CountExpr;
-use tulkun_core::dvm::{DestMode, DeviceVerifier, Envelope, VerifierConfig};
+use tulkun_core::dvm::{DeviceVerifier, Envelope, VerifierConfig};
 use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
@@ -34,7 +34,6 @@ impl ChannelDriver {
             n_exprs: cp.exprs.len(),
             track_escapes: cp.track_escapes,
             reduce: cp.reduce,
-            dest_mode: DestMode::Axiomatic,
         };
         let mut driver = ChannelDriver {
             verifiers: BTreeMap::new(),
@@ -180,7 +179,7 @@ fn waypoint_plan(net: &Network) -> tulkun_core::planner::Plan {
 
 fn verdict(driver: &mut ChannelDriver, plan: &tulkun_core::planner::Plan) -> usize {
     let cp = plan.counting().unwrap().clone();
-    let store = IntentStore::with_base(cp.into(), plan.invariant.packet_space.clone(), None);
+    let store = IntentStore::with_base(cp.into(), plan.invariant.packet_space.clone());
     let verifiers = &mut driver.verifiers;
     let report = verify::evaluate_intents(&store, |dev, node| {
         verifiers

@@ -586,7 +586,6 @@ impl Recipe {
                 n_exprs: plan.exprs.len(),
                 track_escapes: plan.track_escapes,
                 reduce: plan.reduce,
-                dest_mode: Default::default(),
             },
             kind: kind.unwrap_or_else(|e| panic!("{e}")),
             tel: cfg.telemetry.clone(),
@@ -1044,10 +1043,10 @@ impl<F: Fabric> Runtime<F> {
     }
 
     /// Applies one live topology churn event
-    /// ([`ControlPlane::topology_event`]; `base` is the original
-    /// topology, `inv` the invariant the running plan was compiled
-    /// from) and drives re-convergence to quiescence. An `Err` leaves
-    /// the engine on the old epoch.
+    /// ([`ControlPlane::topology_event`]; `base` must be the topology
+    /// the engine was constructed on, `inv` the invariant its base plan
+    /// was compiled from) and drives re-convergence to quiescence. An
+    /// `Err` leaves the engine on the old epoch.
     pub fn apply_topology_event(
         &mut self,
         ev: &TopologyEvent,
@@ -1329,11 +1328,6 @@ impl Runtime<Driver> {
     /// The runtime observability surface.
     pub fn stats(&self) -> &RuntimeStats {
         &self.fabric.stats
-    }
-
-    /// Mutable stats access (to drain per-message samples).
-    pub fn stats_mut(&mut self) -> &mut RuntimeStats {
-        &mut self.fabric.stats
     }
 }
 

@@ -554,11 +554,3 @@ pub fn serve<R: std::io::BufRead, W: std::io::Write>(
     }
     Ok(false)
 }
-
-/// A one-line JSON summary a client (e.g. `tulkun status`) can request
-/// remotely and a human can read: status + SLO verdict.
-pub fn status_line(session: &mut DaemonSession) -> String {
-    let status = crate::json::to_string(&session.service.status().to_json());
-    let slo = crate::json::to_string(&session.service.slo().to_json());
-    format!("{{\"status\":{status},\"slo\":{slo}}}")
-}

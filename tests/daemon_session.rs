@@ -436,6 +436,37 @@ fn intent_protocol_round_trips() {
     assert_eq!(exported.trim(), "2", "`metrics` disagrees with `status`");
 }
 
+/// An intent with no valid path — `exist >= 1` over two devices that
+/// are not adjacent — never lands as an empty slice that holds. `intent
+/// add` only admits (its reply is `ok queued=…` by protocol); the drain
+/// refuses it with the re-planner's reason, journaled as
+/// `intent_rejected`, and only the base intent stays live.
+#[test]
+fn an_intent_with_no_valid_path_is_rejected_at_drain() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let topo = session.topology().clone();
+    let (dst, _) = topo.external_map().next().expect("external dst");
+    let prefix = topo.external_prefixes(dst)[0];
+    let adjacent = |d| topo.neighbors(dst).iter().any(|(n, _)| *n == d);
+    let far = topo.devices().find(|d| *d != dst && !adjacent(*d));
+    let far = topo.name(far.expect("a device not adjacent to the destination"));
+    let spec = format!(
+        "(dstIP={prefix}, [{far}], (exist >= 1, /{far} {}/))",
+        topo.name(dst)
+    );
+    let payload = intent_json("no-path", &spec);
+    let queued = reply(&mut session, &format!("intent add ops {payload}"));
+    assert_eq!(queued, "ok queued=1");
+    assert!(reply(&mut session, "drain").starts_with("ok "));
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"intent_count\":1"), "{status}");
+    assert!(status.contains("\"rejected_intents\":1"), "{status}");
+    let events = reply(&mut session, "events *");
+    let rejected = events.lines().find(|l| l.contains("intent_rejected"));
+    let rejected = rejected.unwrap_or_else(|| panic!("no rejection journaled: {events}"));
+    assert!(rejected.contains("slice has no DPVNet nodes"), "{rejected}");
+}
+
 #[test]
 fn daemon_binary_speaks_the_protocol_over_stdin() {
     // A real batch for the wire: one insert on the INet2 dataset.

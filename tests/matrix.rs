@@ -764,15 +764,21 @@ fn step(
                 name,
                 invariant: inv.clone(),
             };
+            // (ii) An install the scene cannot host is refused by every
+            // substrate on a quiet network and parks under churn.
+            let unhosted = !oracle::plannable(&world.net, &m.churn, &inv);
+            if unhosted && m.churn.is_quiet() {
+                let refused = all!(subs, s => s.apply_event(&ev).is_err());
+                assert_eq!(refused, [true; 5], "{ctx}: refused");
+                cov.fed("refused install");
+                return Some(false);
+            }
             let outs: Vec<_> = subs
                 .everywhere(&ev, ctx)
                 .iter()
                 .map(|o| (o.intent, o.parked))
                 .collect();
             assert!(outs.iter().all(|o| *o == outs[0]), "{ctx}: {outs:?}");
-            // (ii) An install parks exactly when churn is in force and
-            // the scene cannot host it.
-            let unhosted = !m.churn.is_quiet() && !oracle::plannable(&world.net, &m.churn, &inv);
             assert_eq!(outs[0].1, unhosted, "{ctx}: parked");
             m.tracked
                 .push((outs[0].0.expect("installs name their intent").0, inv));
@@ -863,9 +869,9 @@ fn journals_agree(tels: &[Arc<Telemetry>], ctx: &str) {
 /// (i) Every store agrees on each admitted intent's lifecycle; (ii) an
 /// intent is parked only on a scene that cannot host it and, after a
 /// fence to a new scene re-planned it, degraded exactly when the scene
-/// cannot host it. (An install on a quiet network lands even with no
-/// valid path: it degrades at the next fence.) Installs every store
-/// gave up on are dropped.
+/// cannot host it. (An install never lands on a scene that cannot host
+/// it: `step` holds it refused on a quiet network and parked under
+/// churn.) Installs every store gave up on are dropped.
 fn lifecycle(subs: &mut Subs, world: &World, m: &mut Model, rescened: bool, ctx: &str) {
     let stores = all!(subs, s => s.intents());
     let churn = &m.churn;
@@ -1548,8 +1554,9 @@ fn case_95_an_heir_stays_on_its_device() {
     generated_prefix(95, 8);
 }
 
-/// An intent installed with an empty slice does not keep it across a
-/// link-down it is outside of: the re-planner refuses an empty slice.
+/// An install whose scene gives it no valid path is refused on a quiet
+/// network: it never lands as an empty slice, which would report
+/// `holds` and which a later link-down it is outside of would keep.
 #[test]
 fn case_28_an_empty_slice_is_replanned() {
     let ops = [
@@ -1563,7 +1570,8 @@ fn case_28_an_empty_slice_is_replanned() {
         DeviceDown(2),
         LinkDown(2, 4),
     ];
-    run(&World::generated(28), &ops);
+    let f = run(&World::generated(28), &ops);
+    assert!(f.cov.get("refused install / session") > 0);
 }
 
 // ---------------------------------------------------------------------
