@@ -100,7 +100,10 @@
 #                 histograms must be exported, and a scripted daemon
 #                 session's `metrics` reply must carry the fence-plan,
 #                 planner and refit histograms of its churn and a
-#                 scene-table hit for its repeated link-down; also
+#                 scene-table hit for its repeated link-down; a clean
+#                 daemon session must start on intervals, move to bdd
+#                 (a journaled backend_swap) on an ACL batch, and time
+#                 its report's build and encode layers; also
 #                 asserts a run
 #                 with telemetry disabled (--off) emits zero output
 #   doc-check     README/DESIGN must document the core runtime types
@@ -427,6 +430,39 @@ stage_obs_smoke() {
     fi
     cargo run --release -p tulkun-bench --bin check_telemetry -- \
         --journal "$obs_dir/daemon_journal.json"
+    # The backend follows the workload: a clean INet2 daemon starts on
+    # intervals, and a batch with a port-matching ACL moves it to bdd,
+    # journaled as a backend_swap. Its `report` is two timed layers.
+    printf '%s\n' \
+        "status" \
+        'batch ci [{"Insert":{"device":1,"rule":{"priority":100,"matches":{"dst":"10.0.0.0/24","dst_port":[22,22],"proto":null},"action":"Drop"}}}]' \
+        "drain" \
+        "status" \
+        "events ci" \
+        "report" \
+        "metrics" \
+        "quit" \
+    | cargo run --release -p tulkun --bin tulkun -- \
+        daemon --name INet2 --scale tiny > "$obs_dir/daemon_clean.out"
+    statuses="$(grep '^ok {"admitted"' "$obs_dir/daemon_clean.out")"
+    printf '%s\n' "$statuses" | sed -n 1p | grep -q '"backend":"intervals"' || {
+        echo "obs-smoke: a clean INet2 daemon does not start on intervals" >&2
+        exit 1
+    }
+    printf '%s\n' "$statuses" | sed -n 2p | grep -q '"backend":"bdd"' || {
+        echo "obs-smoke: an ACL batch did not move the daemon to bdd" >&2
+        exit 1
+    }
+    grep -q '"kind":"backend_swap"' "$obs_dir/daemon_clean.out" || {
+        echo "obs-smoke: daemon events reply has no backend_swap entry" >&2
+        exit 1
+    }
+    for hist in tulkun_report_build_ns tulkun_report_encode_ns; do
+        grep -q "^${hist}_count [1-9]" "$obs_dir/daemon_clean.out" || {
+            echo "obs-smoke: daemon metrics reply has no $hist histogram" >&2
+            exit 1
+        }
+    done
 }
 
 stage_doc_check() {

@@ -21,6 +21,10 @@ use tulkun_netmodel::IpPrefix;
 /// One half-open interval `[lo, hi)` of destination addresses.
 pub type Iv = (u64, u64);
 
+/// Width of the destination field: the first variables of the header
+/// layout, the only ones an interval set can constrain.
+pub const DST_BITS: u32 = 32;
+
 /// The full destination space as a single interval.
 pub const FULL: Iv = (0, 1 << 32);
 
@@ -149,15 +153,15 @@ pub fn to_portable(ivs: &[Iv], layout: &HeaderLayout) -> PortablePred {
 /// destination-prefix-only fragment.
 pub fn from_portable(p: &PortablePred) -> Vec<Iv> {
     // (var, set-over-[0, 2^(32-var))) per local node; terminals pinned.
+    assert!(
+        crate::pred_ip_only(p),
+        "predicate constrains a variable outside the destination field; \
+         interval backends support destination-prefix-only workloads"
+    );
     let mut solved: Vec<(u32, Vec<Iv>)> = Vec::with_capacity(p.len() + 2);
     solved.push((32, Vec::new())); // local 0 = FALSE
     solved.push((32, vec![(0, 1)])); // local 1 = TRUE
     for &(var, lo, hi) in p.nodes() {
-        assert!(
-            var < 32,
-            "predicate constrains variable {var} outside the destination field; \
-             interval backends support destination-prefix-only workloads"
-        );
         let lo_set = lift(&solved[lo as usize].1, solved[lo as usize].0, var + 1);
         let mut hi_set = lift(&solved[hi as usize].1, solved[hi as usize].0, var + 1);
         // Variable `var` is the MSB of the remaining suffix space: the

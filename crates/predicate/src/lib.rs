@@ -33,12 +33,16 @@
 //!
 //! # Selection
 //!
-//! [`BackendKind`] names a backend (`bdd`, `deltanet` or `intervals`;
-//! `bdd` is the default). Interval representations require a
-//! destination-prefix-only workload (no port/proto matches, no header
-//! rewrites — see [`network_ip_only`]); [`BackendKind::check`] is the
-//! one place that rule lives, and every substrate constructor, the CLI
-//! and the daemon's `config backend` / `batch` paths go through it.
+//! [`BackendKind`] names a backend (`bdd`, `deltanet` or `intervals`).
+//! Interval representations require a destination-prefix-only workload
+//! (no port/proto matches, no header rewrites, packet spaces on
+//! destination bits only — see [`network_ip_only`], [`pred_ip_only`]);
+//! [`BackendKind::check`] is the one place that rule lives, and every
+//! substrate constructor, the CLI and the daemon's `config backend`
+//! path go through it. Batch substrates (`Engine`, `Session`, the CLI)
+//! default to `bdd`, the paper's encoding; the daemon's service picks
+//! by capability instead ([`BackendKind::fitting`]): `intervals` while
+//! its workload fits, `bdd` for good once a request does not.
 //!
 //! # One LEC builder
 //!
@@ -263,6 +267,18 @@ impl BackendKind {
         BackendKind::Intervals,
     ];
 
+    /// The backend a long-lived service runs a workload on: the
+    /// interval encoding while the workload stays within the
+    /// destination-prefix-only fragment (`ip_only`) — cheaper to build
+    /// and smaller than BDDs there — and BDDs otherwise.
+    pub fn fitting(ip_only: bool) -> BackendKind {
+        if ip_only {
+            BackendKind::Intervals
+        } else {
+            BackendKind::Bdd
+        }
+    }
+
     /// What a backend of this kind can represent.
     pub fn caps(self) -> BackendCaps {
         match self {
@@ -349,6 +365,12 @@ pub fn update_ip_only(update: &RuleUpdate) -> bool {
         RuleUpdate::Insert { rule, .. } => rule_ip_only(&rule.matches, Some(&rule.action)),
         RuleUpdate::Remove { matches, .. } => rule_ip_only(matches, None),
     }
+}
+
+/// Does a wire predicate constrain destination bits only — the
+/// condition [`ipset::from_portable`] asserts before decoding?
+pub fn pred_ip_only(p: &PortablePred) -> bool {
+    p.nodes().iter().all(|&(var, _, _)| var < ipset::DST_BITS)
 }
 
 /// Does every device FIB of the network stay within the

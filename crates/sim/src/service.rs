@@ -31,11 +31,11 @@ use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::FaultProfile;
 use tulkun_core::intent::{IntentId, IntentStore};
 use tulkun_core::planner::CountingPlan;
-use tulkun_core::spec::Invariant;
-use tulkun_core::verify::{Freshness, Report};
+use tulkun_core::spec::{Invariant, PacketSpace};
+use tulkun_core::verify::{compile_packet_space, Freshness, Report};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::topology::{DeviceId, Topology};
-use tulkun_predicate::{network_ip_only, update_ip_only, BackendKind};
+use tulkun_predicate::{network_ip_only, pred_ip_only, update_ip_only, BackendCaps, BackendKind};
 use tulkun_telemetry::{
     JournalEvent, JournalKind, SloPolicy, SloTracker, SloVerdict, Telemetry, TelemetryConfig,
     CONVERGENCE_LAG_NS,
@@ -67,8 +67,6 @@ pub struct ServiceConfig {
     pub per_source_cap: usize,
     /// Latency budgets for the SLO tracker.
     pub slo: SloPolicy,
-    /// Predicate backend for the device verifiers.
-    pub backend: BackendKind,
     /// Run over a lossy management network (the reliability layer
     /// recovers; the SLO windows see the retransmission cost).
     pub faults: Option<FaultProfile>,
@@ -81,10 +79,15 @@ impl Default for ServiceConfig {
             queue_cap: DEFAULT_CHANNEL_CAP,
             per_source_cap: DEFAULT_CHANNEL_CAP / 4,
             slo: SloPolicy::default(),
-            backend: BackendKind::Bdd,
             faults: None,
         }
     }
+}
+
+/// Does a packet space compile to a predicate on destination bits
+/// only — one the interval encodings can hold?
+fn space_ip_only(net: &Network, ps: &PacketSpace) -> bool {
+    pred_ip_only(&compile_packet_space(&net.layout, ps))
 }
 
 /// One admitted unit of work.
@@ -144,8 +147,8 @@ pub struct ServiceStatus {
     pub shed: u64,
     /// Requests applied to the harness since start.
     pub processed: u64,
-    /// FIB batches refused because they carry a rule outside the
-    /// running backend's capabilities (FIBs unchanged).
+    /// FIB batches refused because the move to a backend that can
+    /// hold their rules failed (FIBs unchanged).
     pub rejected_batches: u64,
     /// Churn events the planner rejected (epoch unchanged).
     pub rejected_churn: u64,
@@ -164,6 +167,8 @@ pub struct ServiceStatus {
     pub drains: u64,
     /// Current topology generation.
     pub epoch: u64,
+    /// The predicate backend the device verifiers run on.
+    pub backend: BackendKind,
     /// Requests applied per source, in source order.
     pub per_source: Vec<(String, u64)>,
     /// Live intents in id order: id, name and slice freshness (`false`
@@ -213,6 +218,7 @@ impl ServiceStatus {
             ("queued".into(), Json::Int(self.queued as i64)),
             ("drains".into(), Json::Int(self.drains as i64)),
             ("epoch".into(), Json::Int(self.epoch as i64)),
+            ("backend".into(), Json::Str(self.backend.to_string())),
             (
                 "per_source".into(),
                 Json::Object(
@@ -248,6 +254,9 @@ impl ServiceStatus {
 /// admission/ordering contract.
 pub struct Service {
     cfg: ServiceConfig,
+    /// The predicate backend the harness runs on (see
+    /// [`Service::new`] for how it is chosen).
+    backend: BackendKind,
     /// The one long-lived engine the service drives, over perfect or
     /// lossy channels as configured; both converge to the same Report
     /// fixpoint.
@@ -283,18 +292,28 @@ pub struct Service {
 impl Service {
     /// Builds the service over a network snapshot and runs the initial
     /// burst (all FIBs at t=0) so the first report is already the
-    /// converged baseline. Panics if the network is outside
-    /// `cfg.backend`'s capabilities ([`BackendKind::check`]).
+    /// converged baseline.
+    ///
+    /// The predicate backend follows the workload, with no option for
+    /// it: the service starts on `intervals` when every FIB rule and
+    /// the invariant's packet space stay within the
+    /// destination-prefix-only fragment, and on `bdd` otherwise. A
+    /// later request the interval encoding cannot hold moves it to
+    /// `bdd` for good (see [`Service::apply`]); `config backend`
+    /// ([`Service::set_backend`]) is the one explicit override.
     pub fn new(net: &Network, plan: &CountingPlan, inv: &Invariant, cfg: ServiceConfig) -> Service {
+        let ip_only = network_ip_only(net) && space_ip_only(net, &inv.packet_space);
+        let backend = BackendKind::fitting(ip_only);
         // The service's own always-enabled telemetry handle: the SLO
         // windows are the product, not an optional debugging aid.
         let tel = Telemetry::new(TelemetryConfig::enabled());
-        let harness = Service::build_harness(net, plan, inv, &cfg, &tel);
+        let harness = Service::build_harness(net, plan, inv, &cfg, backend, &tel);
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
         // windows start from the post-burst baseline.
         slo.roll(&tel);
         Service {
+            backend,
             harness,
             net: net.clone(),
             base_topo: net.topology.clone(),
@@ -325,11 +344,12 @@ impl Service {
         plan: &CountingPlan,
         inv: &Invariant,
         cfg: &ServiceConfig,
+        backend: BackendKind,
         tel: &Arc<Telemetry>,
     ) -> Engine {
         let ecfg = EngineConfig {
             telemetry: tel.clone(),
-            backend: cfg.backend,
+            backend,
             ..EngineConfig::default()
         };
         let mut harness = match cfg.faults {
@@ -338,6 +358,33 @@ impl Service {
         };
         harness.burst();
         harness
+    }
+
+    /// Does the whole workload stay within the destination-prefix-only
+    /// fragment: every FIB rule, and the packet space of the base
+    /// invariant and of every live or parked intent?
+    fn ip_only(&self) -> bool {
+        let store = self.harness.intents();
+        let live = store.live().filter_map(|i| i.invariant.as_ref());
+        let parked = store.parked().map(|p| &p.invariant);
+        network_ip_only(&self.net)
+            && std::iter::once(&self.inv)
+                .chain(live)
+                .chain(parked)
+                .all(|inv| space_ip_only(&self.net, &inv.packet_space))
+    }
+
+    /// Makes room for a request before it is applied: when the request
+    /// carries something the running encoding cannot hold (`fits` is
+    /// false), the service moves to `bdd` first, journaled as a
+    /// `backend_swap` whose detail names `cause`. The move is one-way —
+    /// going back would mean re-scanning every FIB rule at each batch,
+    /// and could thrash between rebuilds. `Err` is a failed swap.
+    fn make_room(&mut self, fits: bool, cause: &str) -> Result<(), ServiceError> {
+        if fits || self.backend.caps() == BackendCaps::FULL {
+            return Ok(());
+        }
+        self.swap_backend(BackendKind::Bdd, cause)
     }
 
     /// Offers one request from `source`. Under [`AdmissionPolicy::Shed`]
@@ -465,29 +512,35 @@ impl Service {
     }
 
     /// Applies one request to the harness; `None` means it was rejected
-    /// (counted and journaled; FIBs, epoch and Report unchanged).
+    /// (counted and journaled; FIBs, epoch and Report unchanged). A
+    /// request the running encoding cannot hold moves the service to
+    /// `bdd` first ([`Service::make_room`]); only a failed move rejects
+    /// it for that reason.
     fn apply(&mut self, req: ServiceRequest) -> Option<RunOutcome> {
-        let h = &mut self.harness;
         let (kind, why, dev, intent) = match req {
             ServiceRequest::Batch(updates) => {
-                let ip_only = updates.iter().all(update_ip_only);
-                match self.cfg.backend.check(ip_only) {
-                    Ok(_) => {
+                let fits = updates.iter().all(update_ip_only);
+                let cause = format!("batch of {}", updates.len());
+                match self.make_room(fits, &cause) {
+                    Ok(()) => {
                         for u in &updates {
                             self.net.apply(u);
                         }
-                        return Some(h.apply_batch(&updates));
+                        return Some(self.harness.apply_batch(&updates));
                     }
                     Err(e) => {
                         self.rejected_batches += 1;
-                        let why = format!("batch of {} rejected: {e}", updates.len());
+                        let why = format!("{cause} rejected: {e}");
                         let dev = updates.first().map_or(DeviceId(0), RuleUpdate::device);
                         (JournalKind::BatchRejected, why, dev, None)
                     }
                 }
             }
             ServiceRequest::Churn(ev) => {
-                match h.apply_topology_event(&ev, &self.base_topo, &self.inv) {
+                match self
+                    .harness
+                    .apply_topology_event(&ev, &self.base_topo, &self.inv)
+                {
                     Ok(outcome) => {
                         self.churn_log.push(ev);
                         return Some(outcome);
@@ -500,15 +553,24 @@ impl Service {
                 }
             }
             ServiceRequest::IntentAdd { name, invariant } => {
-                match h.install_intent(&name, &invariant) {
+                let fits = space_ip_only(&self.net, &invariant.packet_space);
+                let cause = format!("install of intent {name:?}");
+                let installed = match self.make_room(fits, &cause) {
+                    Ok(()) => self
+                        .harness
+                        .install_intent(&name, &invariant)
+                        .map_err(|e| format!("{e:?}")),
+                    Err(e) => Err(e.to_string()),
+                };
+                match installed {
                     Ok((_, _, outcome)) => return Some(outcome),
                     Err(e) => {
-                        let why = format!("install of intent {name:?} rejected: {e:?}");
+                        let why = format!("{cause} rejected: {e}");
                         (JournalKind::IntentRejected, why, DeviceId(0), None)
                     }
                 }
             }
-            ServiceRequest::IntentRemove(id) => match h.remove_intent(id) {
+            ServiceRequest::IntentRemove(id) => match self.harness.remove_intent(id) {
                 Ok((_, outcome)) => return Some(outcome),
                 Err(e) => {
                     let why = format!("remove of intent {id} rejected: {e:?}");
@@ -614,6 +676,7 @@ impl Service {
             queued: self.queued,
             drains: self.drains,
             epoch: self.harness.epoch(),
+            backend: self.backend,
             per_source: self
                 .processed_by
                 .iter()
@@ -673,29 +736,31 @@ impl Service {
         out
     }
 
-    /// Hot-swaps the predicate backend: rebuilds the harness from the
-    /// current network (every processed batch folded in), re-runs the
-    /// burst, replays the successful churn log so the epoch and
-    /// quarantine state carry over, and re-installs every live runtime
-    /// intent *under its original id* (ids are part of the protocol —
-    /// a client holding an id from before the swap can still remove
-    /// it). Queued-but-undrained requests are preserved and will be
-    /// applied to the new harness. The rebuild's init wave lands in the
-    /// SLO windows — a backend switch is not free, and the tracker says
-    /// so.
+    /// Hot-swaps the predicate backend (`config backend`): rebuilds the
+    /// harness from the current network (every processed batch folded
+    /// in), re-runs the burst, replays the successful churn log so the
+    /// epoch and quarantine state carry over, and re-installs every
+    /// live runtime intent *under its original id* (ids are part of the
+    /// protocol — a client holding an id from before the swap can still
+    /// remove it). Queued-but-undrained requests are preserved and will
+    /// be applied to the new harness. The rebuild's init wave lands in
+    /// the SLO windows — a backend switch is not free, and the tracker
+    /// says so.
     ///
-    /// Transactional: a backend that cannot run the current network
-    /// ([`BackendKind::check`]) or a failed replay returns
-    /// [`ServiceError::Rejected`] with configuration, harness, queues
-    /// and counters untouched.
+    /// Transactional: a backend that cannot run the current workload
+    /// ([`BackendKind::check`] over the FIBs and every live or parked
+    /// intent's packet space) or a failed replay returns
+    /// [`ServiceError::Rejected`] with backend, harness, queues and
+    /// counters untouched.
     pub fn set_backend(&mut self, backend: BackendKind) -> Result<(), ServiceError> {
+        self.swap_backend(backend, "config backend")
+    }
+
+    /// [`Service::set_backend`], journaling `cause` as the reason.
+    fn swap_backend(&mut self, backend: BackendKind, cause: &str) -> Result<(), ServiceError> {
         backend
-            .check(network_ip_only(&self.net))
+            .check(self.ip_only())
             .map_err(|e| ServiceError::Rejected(e.to_string()))?;
-        let cfg = ServiceConfig {
-            backend,
-            ..self.cfg.clone()
-        };
         // Live non-base intents, read off the old harness before it is
         // dropped (the base intent is re-seeded by construction).
         let live: Vec<(IntentId, String, Option<Invariant>)> = self
@@ -715,7 +780,9 @@ impl Service {
             .parked()
             .map(|p| (p.id, p.name.clone(), p.invariant.clone()))
             .collect();
-        let mut harness = Service::build_harness(&self.net, &self.plan, &self.inv, &cfg, &self.tel);
+        let mut harness = Service::build_harness(
+            &self.net, &self.plan, &self.inv, &self.cfg, backend, &self.tel,
+        );
         // Intents first, churn second: the churn replay's fences then
         // re-plan every slice exactly as the live history did, so an
         // intent whose slice churn severed comes back *degraded* (not
@@ -742,7 +809,7 @@ impl Service {
                 .map_err(|e| ServiceError::Rejected(format!("parked replay failed: {e:?}")))?;
         }
         self.harness = harness;
-        self.cfg = cfg;
+        self.backend = backend;
         let epoch = self.harness.epoch();
         self.tel.journal(
             JournalKind::BackendSwap,
@@ -752,7 +819,7 @@ impl Service {
             None,
             || {
                 format!(
-                    "hot-swapped predicate backend to {backend} (rebuild + burst + \
+                    "hot-swapped predicate backend to {backend} for {cause} (rebuild + burst + \
                      churn replay + {} intent replays)",
                     live.len()
                 )
@@ -760,6 +827,11 @@ impl Service {
         );
         self.slo.roll(&self.tel);
         Ok(())
+    }
+
+    /// The predicate backend the device verifiers run on.
+    pub fn backend(&self) -> BackendKind {
+        self.backend
     }
 
     /// Journal entries, oldest first, optionally filtered to one
@@ -1043,6 +1115,32 @@ mod tests {
             svc.report().canonical_bytes(),
             clean.report().canonical_bytes()
         );
+    }
+
+    #[test]
+    fn the_backend_follows_the_workload() {
+        let (net, cp, inv) = line_fixture();
+        let svc = Service::new(&net, &cp, &inv, ServiceConfig::default());
+        assert_eq!(svc.backend(), BackendKind::Intervals);
+        // A port in the base packet space, or in one FIB rule, is more
+        // than the interval encoding holds.
+        let web = Invariant {
+            packet_space: inv.packet_space.clone().and(PacketSpace::dst_port(80)),
+            ..inv.clone()
+        };
+        let cp_web = Planner::new(&net.topology).plan(&web).unwrap();
+        let cp_web = cp_web.counting().unwrap().clone();
+        let svc = Service::new(&net, &cp_web, &web, ServiceConfig::default());
+        assert_eq!(svc.backend(), BackendKind::Bdd);
+        let mut acl = net.clone();
+        let b = acl.topology.device("B").unwrap();
+        acl.fib_mut(b).insert(Rule {
+            priority: 90,
+            matches: MatchSpec::dst("10.0.0.0/24".parse().unwrap()).with_port(22),
+            action: Action::Drop,
+        });
+        let svc = Service::new(&acl, &cp, &inv, ServiceConfig::default());
+        assert_eq!(svc.backend(), BackendKind::Bdd);
     }
 
     #[test]

@@ -101,6 +101,10 @@ pub const FENCE_PLAN: Layer = layer("fence.plan", "fence", "tulkun_fence_plan_ns
 pub const PLANNER_PLAN: Layer = layer("planner.plan", "fence", "tulkun_planner_ns");
 /// One in-place re-intern of the slices a decision changed.
 pub const INTENT_REFIT: Layer = layer("intent.refit", "fence", "tulkun_refit_ns");
+/// One daemon `report`: the devices' results gathered into a Report.
+pub const REPORT_BUILD: Layer = layer("report.build", "report", "tulkun_report_build_ns");
+/// One daemon `report`: the Report's canonical encoding.
+pub const REPORT_ENCODE: Layer = layer("report.encode", "report", "tulkun_report_encode_ns");
 
 /// Configuration for a [`Telemetry`] handle.
 #[derive(Debug, Clone)]

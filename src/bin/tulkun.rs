@@ -217,7 +217,7 @@ fn usage() -> ExitCode {
          tulkun churn [--name <NAME>] [--scale tiny|paper] [--seed S] [--events N] \
          [--backend bdd|deltanet|intervals] [--faults SEED] [--threaded]\n  \
          tulkun daemon [--name <NAME>] [--scale tiny|paper] \
-         [--backend bdd|deltanet|intervals] [--faults SEED] [--policy shed|block] \
+         [--faults SEED] [--policy shed|block] \
          [--queue-cap N] [--per-source-cap N] [--drain-every N] [--slo-p50 NS] [--slo-p90 NS] \
          [--slo-p99 NS] [--slo-lag-p99 NS] [--uds PATH] [--journal-dump PATH]\n  \
          tulkun status --uds PATH\n  \
@@ -290,22 +290,17 @@ fn observed_run(
 }
 
 /// Parses `--backend` into a [`tulkun::sim::BackendKind`] (defaulting
-/// to the BDD backend when the flag is absent).
-fn parse_backend(get: &dyn Fn(&str) -> Option<String>) -> Result<tulkun::sim::BackendKind, String> {
-    match get("--backend") {
-        Some(s) => s.parse().map_err(|e| format!("{e}")),
-        None => Ok(tulkun::sim::BackendKind::default()),
-    }
-}
-
-/// [`parse_backend`], refusing a backend that cannot run `net`'s
-/// workload (the daemon does the same check when it loads its dataset).
+/// to the BDD backend, the paper's encoding, when the flag is absent),
+/// refusing a backend that cannot run `net`'s workload.
 fn checked_backend(
     get: &dyn Fn(&str) -> Option<String>,
     net: &tulkun::netmodel::network::Network,
 ) -> Result<tulkun::sim::BackendKind, String> {
-    parse_backend(get)?
-        .check(tulkun::sim::network_ip_only(net))
+    let kind: tulkun::sim::BackendKind = match get("--backend") {
+        Some(s) => s.parse().map_err(|e| format!("{e}"))?,
+        None => tulkun::sim::BackendKind::default(),
+    };
+    kind.check(tulkun::sim::network_ip_only(net))
         .map_err(|e| e.to_string())
 }
 
@@ -346,7 +341,6 @@ fn daemon_run(_args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
             Some(other) => return Err(format!("unknown policy {other:?}")),
         },
         slo,
-        backend: parse_backend(get)?,
         faults: get("--faults")
             .and_then(|v| v.parse::<u64>().ok())
             .map(|seed| FaultProfile::loss(seed, 0.10)),

@@ -24,7 +24,7 @@
 //! metrics                                       Prometheus exposition
 //! events <source> [n]                           flight-recorder entries
 //! explain <source> <node|intent:<id>>           ranked causal chain JSON
-//! config backend <bdd|deltanet|intervals>       hot-swap the backend
+//! config backend <bdd|deltanet|intervals>       override the backend
 //! config policy <shed|block>                    admission policy
 //! config drain-every <n>                        auto-drain cadence
 //! config slo <p50> <p90> <p99> <lag-p99>        budgets, ns
@@ -61,6 +61,16 @@
 //! `degraded` flag), and `explain <source> intent:<id>` walks the
 //! causal chain back to the fence that parked or degraded the intent.
 //!
+//! The predicate backend follows the workload: the session starts on
+//! `intervals` when the dataset and its invariant are
+//! destination-prefix-only, and a request the interval encoding cannot
+//! hold (a batch with a port/proto match or a rewrite, an intent whose
+//! packet space constrains more than destination bits) moves it to
+//! `bdd` for good before it applies — a `backend_swap` journal entry
+//! naming the request, and `"backend"` in `status`. `config backend`
+//! is the explicit override, refused (`err rejected: …`, nothing
+//! changed) when the workload does not fit the named encoding.
+//!
 //! Determinism contract: a scripted session (batches + churn from one
 //! source, drained in order) produces a final Report byte-equal to
 //! applying the same events directly via `apply_batch` /
@@ -73,9 +83,9 @@ use crate::core::intent::IntentId;
 use crate::core::planner::{CountingPlan, Planner};
 use crate::core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use crate::netmodel::network::{Network, RuleUpdate};
-use crate::netmodel::topology::Topology;
+use crate::netmodel::topology::{DeviceId, Topology};
 use crate::sim::{AdmissionPolicy, BackendKind, Service, ServiceConfig, ServiceRequest};
-use crate::telemetry::SloPolicy;
+use crate::telemetry::{SloPolicy, REPORT_BUILD, REPORT_ENCODE};
 
 /// One WAN destination's subset-reachability counting session on a
 /// generated dataset (the §9.3.1 workload shape): every other device
@@ -132,7 +142,7 @@ pub struct DaemonConfig {
     pub name: String,
     /// Dataset scale.
     pub scale: crate::datasets::Scale,
-    /// Admission/SLO/backend/fault configuration of the service.
+    /// Admission/SLO/fault configuration of the service.
     pub service: ServiceConfig,
     /// Drain automatically after this many admitted requests (0 = only
     /// drain on explicit `drain` requests or `Block`-policy
@@ -198,10 +208,6 @@ impl DaemonSession {
             )
         })?;
         let (inv, cp) = dataset_session(&ds.network, &cfg.name)?;
-        cfg.service
-            .backend
-            .check(crate::sim::network_ip_only(&ds.network))
-            .map_err(|e| e.to_string())?;
         let service = Service::new(&ds.network, &cp, &inv, cfg.service);
         Ok(DaemonSession {
             service,
@@ -273,7 +279,11 @@ impl DaemonSession {
                 Reply::ok(format!("processed={n}"))
             }
             "report" => {
-                let bytes = self.service.report().canonical_bytes();
+                let tel = self.service.telemetry().clone();
+                let report = tel.timed(DeviceId(0), &REPORT_BUILD, 0, 0, || self.service.report());
+                let bytes = tel.timed(DeviceId(0), &REPORT_ENCODE, 0, 0, || {
+                    report.canonical_bytes()
+                });
                 Reply::ok(String::from_utf8_lossy(&bytes).into_owned())
             }
             "status" => Reply::ok(crate::json::to_string(&self.service.status().to_json())),

@@ -609,49 +609,135 @@ fn config_backend_refuses_a_network_it_cannot_run() {
         assert_eq!(reply(&mut session, "status"), status, "after {kind}");
         assert_eq!(reply(&mut session, "report"), report, "after {kind}");
     }
-    assert_eq!(session.service_mut().config().backend, BackendKind::Bdd);
+    assert_eq!(session.service_mut().backend(), BackendKind::Bdd);
     assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
     assert_eq!(reply(&mut session, "drain"), "ok processed=1");
 }
 
 /// A batch carrying a rule the running interval backend cannot encode
-/// is refused when it is applied — journaled, counted, Report and FIBs
-/// untouched — and goes through once the daemon is back on BDDs.
+/// moves the service to BDDs before it applies: the batch is ordinary
+/// work (`ok`, nothing rejected), `status` names the new backend, the
+/// journal holds a `backend_swap` naming the batch as its cause, and
+/// the Report is byte-equal to a BDD reference `Session` fed the same
+/// batch.
 #[test]
-fn interval_backend_refuses_a_rich_batch() {
-    let cfg = DaemonConfig {
-        service: ServiceConfig {
-            backend: BackendKind::Intervals,
-            ..ServiceConfig::default()
-        },
-        ..DaemonConfig::default()
-    };
-    let mut session = DaemonSession::new(cfg).expect("daemon session");
+fn a_rich_batch_moves_the_service_to_bdd() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
     let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"backend\":\"intervals\""), "{status}");
+
     let acls = acl_batch(&ds.network);
-    let report = reply(&mut session, "report");
-
     assert!(reply(&mut session, &acls).starts_with("ok "));
     assert_eq!(reply(&mut session, "drain"), "ok processed=1");
     let status = reply(&mut session, "status");
-    assert!(status.contains("\"rejected_batches\":1"), "{status}");
-    assert_eq!(reply(&mut session, "report"), report, "old Report stands");
+    assert!(status.contains("\"backend\":\"bdd\""), "{status}");
+    assert!(status.contains("\"rejected_batches\":0"), "{status}");
     let events = reply(&mut session, "events acl");
-    assert!(events.contains("\"kind\":\"batch_rejected\""), "{events}");
-    assert!(events.contains("destination-prefix-only"), "{events}");
+    let swap = events
+        .lines()
+        .find(|l| l.contains("\"kind\":\"backend_swap\""));
+    let swap = swap.unwrap_or_else(|| panic!("no backend_swap journaled: {events}"));
+    assert!(swap.contains("for batch of "), "{swap}");
+    assert!(swap.contains("\"source\":\"acl\""), "{swap}");
+    assert!(!events.contains("batch_rejected"), "{events}");
 
-    // The refused rules never reached the FIBs: the network is still
-    // ip-only, so the interval backends stay legal...
+    let (inv, cp) = dataset_session(&ds.network, "INet2").unwrap();
+    let mut reference = Session::from_counting(&ds.network, cp, &inv.packet_space);
+    reference.run_to_quiescence();
+    let json = acls.strip_prefix("batch acl ").unwrap();
+    let batch: Vec<RuleUpdate> = tulkun::json::from_str(json).unwrap();
+    reference
+        .apply_event(&RuntimeEvent::Batch(batch))
+        .expect("reference applies the batch");
+    let want = String::from_utf8(reference.report().canonical_bytes()).unwrap();
+    assert_eq!(reply(&mut session, "report"), format!("ok {want}"));
+}
+
+/// A narrow intent whose packet space also constrains the destination
+/// port: more than the interval encodings can hold.
+fn port_intent_spec(topo: &tulkun::netmodel::topology::Topology) -> String {
+    narrow_intent_spec(topo).replacen(", [", " && dstPort=80, [", 1)
+}
+
+/// The `intent add` line installing [`port_intent_spec`] as `web`.
+fn port_intent_line(topo: &tulkun::netmodel::topology::Topology) -> String {
+    format!(
+        "intent add ops {}",
+        intent_json("web", &port_intent_spec(topo))
+    )
+}
+
+/// An intent whose packet space the running interval encoding cannot
+/// hold moves the service to BDDs before it installs — an `ok` drain
+/// and a `backend_swap` naming the install, not a verifier panic — and
+/// the Report is byte-equal to a BDD reference `Session` that
+/// installed the same intent.
+#[test]
+fn a_port_intent_moves_the_service_to_bdd() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let topo = session.topology().clone();
     assert_eq!(
-        reply(&mut session, "config backend deltanet"),
-        "ok backend=deltanet"
+        reply(&mut session, "config backend intervals"),
+        "ok backend=intervals"
     );
-    // ...and on BDDs the same batch is ordinary work.
-    assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
-    assert!(reply(&mut session, &acls).starts_with("ok "));
+    let line = port_intent_line(&topo);
+    assert_eq!(reply(&mut session, &line), "ok queued=1");
     assert_eq!(reply(&mut session, "drain"), "ok processed=1");
     let status = reply(&mut session, "status");
-    assert!(status.contains("\"rejected_batches\":1"), "{status}");
+    assert!(status.contains("\"backend\":\"bdd\""), "{status}");
+    assert!(status.contains("\"intent_count\":2"), "{status}");
+    assert!(status.contains("\"rejected_intents\":0"), "{status}");
+    let events = reply(&mut session, "events ops");
+    let swap = events
+        .lines()
+        .find(|l| l.contains("\"kind\":\"backend_swap\"") && l.contains("backend to bdd"));
+    let swap = swap.unwrap_or_else(|| panic!("no backend_swap journaled: {events}"));
+    assert!(swap.contains("install of intent \\\"web\\\""), "{swap}");
+
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let (inv, cp) = dataset_session(&ds.network, "INet2").unwrap();
+    let mut reference = Session::from_counting(&ds.network, cp, &inv.packet_space);
+    reference.run_to_quiescence();
+    reference
+        .apply_event(&RuntimeEvent::InstallIntent {
+            name: "web".into(),
+            invariant: Invariant::parse(&port_intent_spec(&topo)).unwrap(),
+        })
+        .expect("reference installs the intent");
+    let want = String::from_utf8(reference.report().canonical_bytes()).unwrap();
+    assert_eq!(reply(&mut session, "report"), format!("ok {want}"));
+}
+
+/// `config backend intervals` while a live intent's packet space
+/// constrains more than destination bits is an `err` that changes
+/// nothing — not a panic in the intent replay — and goes through once
+/// that intent is removed.
+#[test]
+fn config_backend_refuses_an_intent_it_cannot_hold() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let topo = session.topology().clone();
+    assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
+    assert_eq!(reply(&mut session, &port_intent_line(&topo)), "ok queued=1");
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+
+    let status = reply(&mut session, "status");
+    let report = reply(&mut session, "report");
+    for kind in ["intervals", "deltanet"] {
+        let refused = reply(&mut session, &format!("config backend {kind}"));
+        assert!(
+            refused.starts_with("err rejected: ") && refused.contains("destination-prefix-only"),
+            "{refused}"
+        );
+        assert_eq!(reply(&mut session, "status"), status, "after {kind}");
+        assert_eq!(reply(&mut session, "report"), report, "after {kind}");
+    }
+    assert_eq!(reply(&mut session, "intent remove ops 1"), "ok queued=1");
+    assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+    assert_eq!(
+        reply(&mut session, "config backend intervals"),
+        "ok backend=intervals"
+    );
 }
 
 /// Reports are canonical: after every op of a single-update script the
@@ -734,6 +820,9 @@ fn soak_keeps_the_bdd_memo_within_its_bound() {
         ..DaemonConfig::default()
     };
     let mut session = DaemonSession::new(cfg).expect("daemon session");
+    // The memo gauge is a BDD figure (0 on the interval encodings the
+    // daemon starts on here), so the soak runs on BDDs.
+    assert_eq!(reply(&mut session, "config backend bdd"), "ok backend=bdd");
     let ds = tulkun::datasets::by_name("AT1-2", tulkun::datasets::Scale::Tiny).unwrap();
     let pool: Vec<(DeviceId, Rule)> = tulkun::datasets::rule_updates(&ds.network, 512, 29)
         .into_iter()
