@@ -103,7 +103,9 @@
 #                 scene-table hit for its repeated link-down; a clean
 #                 daemon session must start on intervals, move to bdd
 #                 (a journaled backend_swap) on an ACL batch, and time
-#                 its report's build and encode layers; also
+#                 its report's build and encode layers, and a second
+#                 report on the unchanged network must reply the same
+#                 bytes and render 0 sources; also
 #                 asserts a run
 #                 with telemetry disabled (--off) emits zero output
 #   doc-check     README/DESIGN must document the core runtime types
@@ -432,13 +434,17 @@ stage_obs_smoke() {
         --journal "$obs_dir/daemon_journal.json"
     # The backend follows the workload: a clean INet2 daemon starts on
     # intervals, and a batch with a port-matching ACL moves it to bdd,
-    # journaled as a backend_swap. Its `report` is two timed layers.
+    # journaled as a backend_swap. Its `report` is two timed layers, and
+    # a second `report` on an unchanged network re-renders no source
+    # and replies the same bytes.
     printf '%s\n' \
         "status" \
         'batch ci [{"Insert":{"device":1,"rule":{"priority":100,"matches":{"dst":"10.0.0.0/24","dst_port":[22,22],"proto":null},"action":"Drop"}}}]' \
         "drain" \
         "status" \
         "events ci" \
+        "report" \
+        "metrics" \
         "report" \
         "metrics" \
         "quit" \
@@ -463,6 +469,20 @@ stage_obs_smoke() {
             exit 1
         }
     done
+    reports="$(grep '^ok \[' "$obs_dir/daemon_clean.out")"
+    [ "$(printf '%s\n' "$reports" | wc -l)" -eq 2 ] &&
+        [ "$(printf '%s\n' "$reports" | sort -u | wc -l)" -eq 1 ] || {
+        echo "obs-smoke: two back-to-back reports differ" >&2
+        exit 1
+    }
+    rendered="$(sed -n 's/^tulkun_report_sources_rendered_total \([0-9]*\)$/\1/p' \
+        "$obs_dir/daemon_clean.out")"
+    first="$(printf '%s\n' "$rendered" | sed -n 1p)"
+    second="$(printf '%s\n' "$rendered" | sed -n 2p)"
+    [ "${first:-0}" -gt 0 ] && [ "$second" = "$first" ] || {
+        echo "obs-smoke: the second report rendered sources ($first then $second in total)" >&2
+        exit 1
+    }
 }
 
 stage_doc_check() {

@@ -36,7 +36,12 @@ impl Field {
         for i in (0..plen).rev() {
             // Bit i of the prefix is bit (width-1-i) of the value.
             let bit = (value >> (self.width - 1 - i)) & 1;
-            acc = m.literal_then(self.offset + i, bit == 1, acc);
+            let var = self.offset + i;
+            acc = if bit == 1 {
+                m.branch(var, Pred::FALSE, acc)
+            } else {
+                m.branch(var, acc, Pred::FALSE)
+            };
         }
         acc
     }
@@ -44,45 +49,51 @@ impl Field {
     /// Predicate: `lo <= field <= hi` (inclusive integer range).
     pub fn range(&self, m: &mut BddManager, lo: u64, hi: u64) -> Pred {
         assert!(lo <= hi, "empty range");
-        let max = if self.width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        };
-        assert!(hi <= max, "range exceeds field width");
-        let ge = self.cmp(m, lo, true);
-        let le = self.cmp(m, hi, false);
-        m.and(ge, le)
+        self.ranges(m, &[(lo, hi + 1)])
     }
 
-    /// Predicate `field >= bound` (when `ge`) or `field <= bound`.
-    fn cmp(&self, m: &mut BddManager, bound: u64, ge: bool) -> Pred {
-        // Build bottom-up from the LSB: at each level the predicate is
-        // "remaining suffix of the field compares correctly with the
-        // corresponding suffix of the bound".
-        let mut acc = m.verum();
-        for i in (0..self.width).rev() {
-            let bit = (bound >> (self.width - 1 - i)) & 1;
-            let var = self.offset + i;
-            let v1 = m.var(var);
-            let v0 = m.nvar(var);
-            acc = if ge {
-                if bit == 1 {
-                    // Need this bit 1 and suffix >= rest.
-                    m.and(v1, acc)
-                } else {
-                    // Bit 1 → anything below wins; bit 0 → recurse.
-                    let rec = m.and(v0, acc);
-                    m.or(v1, rec)
-                }
-            } else if bit == 0 {
-                m.and(v0, acc)
-            } else {
-                let rec = m.and(v1, acc);
-                m.or(v0, rec)
-            };
+    /// Predicate: the field lies in one of `ranges`, sorted, disjoint,
+    /// non-empty half-open `[lo, hi)` ranges with `hi <= 2^width`.
+    ///
+    /// Built top-down by halving the value space: a sub-space no range
+    /// meets is FALSE, one a single range covers is TRUE, and any other
+    /// splits on its top bit into one hash-consed node. Only sub-spaces
+    /// holding a range boundary split, so the cost is O(ranges × width)
+    /// nodes, with no apply and no memo entry; the result is the
+    /// canonical ROBDD of the union.
+    pub fn ranges(&self, m: &mut BddManager, ranges: &[(u64, u64)]) -> Pred {
+        assert!(self.width < 64, "field too wide for half-open ranges");
+        let space = 1u64 << self.width;
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            assert!(
+                lo < hi && hi <= space,
+                "range [{lo}, {hi}) outside the field"
+            );
+            assert!(
+                i == 0 || ranges[i - 1].1 <= lo,
+                "ranges are not sorted and disjoint"
+            );
         }
-        acc
+        self.cover(m, 0, 0, ranges)
+    }
+
+    /// The union of `ranges` within the sub-space `[base, base +
+    /// 2^(width - bit))`, every one of which meets that sub-space.
+    fn cover(&self, m: &mut BddManager, bit: u32, base: u64, ranges: &[(u64, u64)]) -> Pred {
+        let Some(&(lo, hi)) = ranges.first() else {
+            return Pred::FALSE;
+        };
+        let size = 1u64 << (self.width - bit);
+        // A one-value sub-space that a range meets is covered.
+        if bit == self.width || (lo <= base && base + size <= hi) {
+            return Pred::TRUE;
+        }
+        let mid = base + size / 2;
+        let below = ranges.partition_point(|r| r.0 < mid);
+        let above = ranges.partition_point(|r| r.1 <= mid);
+        let lo = self.cover(m, bit + 1, base, &ranges[..below]);
+        let hi = self.cover(m, bit + 1, mid, &ranges[above..]);
+        m.branch(self.offset + bit, lo, hi)
     }
 }
 
@@ -273,6 +284,42 @@ mod tests {
         let a = layout.dst_port_range(&mut m, 443, 443);
         let b = layout.dst_port_eq(&mut m, 443);
         assert_eq!(a, b);
+    }
+
+    /// Every range of a 5-bit field, alone and one value past a second
+    /// range, denotes exactly its values — built with no operation memo.
+    #[test]
+    fn ranges_denote_their_values() {
+        let f = Field {
+            offset: 1,
+            width: 5,
+        };
+        let mut m = BddManager::new(7);
+        let holds = |m: &BddManager, p: Pred, v: u64| {
+            let bits: Vec<bool> = (0..7)
+                .map(|i| (1..6).contains(&i) && v >> (5 - i) & 1 == 1)
+                .collect();
+            m.eval(p, &bits)
+        };
+        for lo in 0..32 {
+            for hi in lo + 1..=32 {
+                let p = f.ranges(&mut m, &[(lo, hi)]);
+                let before = lo.saturating_sub(1);
+                let q = f.ranges(&mut m, &[(0, before), (lo, hi)][usize::from(before == 0)..]);
+                for v in 0..32 {
+                    let (in_p, in_q) = ((lo..hi).contains(&v), v < before);
+                    assert_eq!(holds(&m, p, v), in_p, "[{lo}, {hi}) at {v}");
+                    assert_eq!(
+                        holds(&m, q, v),
+                        in_p || in_q,
+                        "[0, {before}) ∪ [{lo}, {hi}) at {v}"
+                    );
+                }
+            }
+        }
+        assert_eq!(m.memo_entries(), 0);
+        assert_eq!(f.ranges(&mut m, &[]), Pred::FALSE);
+        assert_eq!(f.ranges(&mut m, &[(0, 32)]), Pred::TRUE);
     }
 
     #[test]

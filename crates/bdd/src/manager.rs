@@ -501,15 +501,12 @@ impl BddManager {
         self.mk(var, lo, hi)
     }
 
-    /// `(var == value) ∧ rest`, for a `rest` over later variables only:
-    /// one node, no apply.
-    pub(crate) fn literal_then(&mut self, var: u32, value: bool, rest: Pred) -> Pred {
-        debug_assert!(var < self.num_vars && self.level(rest.0) > var);
-        Pred(if value {
-            self.mk(var, 0, rest.0)
-        } else {
-            self.mk(var, rest.0, 0)
-        })
+    /// The node deciding `var` between `lo` (var = 0) and `hi` (var =
+    /// 1), for children over later variables only: one hash-consed
+    /// node, no apply.
+    pub(crate) fn branch(&mut self, var: u32, lo: Pred, hi: Pred) -> Pred {
+        debug_assert!(var < self.num_vars && self.level(lo.0).min(self.level(hi.0)) > var);
+        Pred(self.mk(var, lo.0, hi.0))
     }
 }
 

@@ -13,7 +13,7 @@ use crate::count::Counts;
 use crate::dpvnet::NodeId;
 use crate::dvm::{DeviceVerifier, Envelope, NodeResult, VerifierConfig};
 use crate::event::{EventOutcome, RuntimeEvent, Substrate};
-use crate::intent::{IntentDelta, IntentId, IntentStore};
+use crate::intent::{InstalledIntent, IntentDelta, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
 use crate::planner::{CountingPlan, NodeTask, Plan, PlanError, PlanKind};
 use crate::spec::{Invariant, PacketSpace};
@@ -196,18 +196,112 @@ impl Report {
     /// post-order over a hash-consed DAG, so equal functions under the
     /// same variable order serialize to equal bytes on every substrate.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut rendered: Vec<String> =
-            self.violations.iter().map(tulkun_json::to_string).collect();
-        rendered.sort();
-        let mut out = String::from("[");
-        for (i, r) in rendered.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(r);
+        let rendered: Vec<String> = self.violations.iter().map(tulkun_json::to_string).collect();
+        splice(rendered.iter().map(String::as_str).collect())
+    }
+}
+
+/// The canonical encoding of rendered violations: sorted, joined into
+/// one JSON array.
+fn splice(mut rendered: Vec<&str>) -> Vec<u8> {
+    rendered.sort_unstable();
+    let len = rendered.iter().map(|r| r.len() + 1).sum::<usize>() + 1;
+    let mut out = Vec::with_capacity(len);
+    out.push(b'[');
+    for (i, r) in rendered.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
         }
-        out.push(']');
-        out.into_bytes()
+        out.extend_from_slice(r.as_bytes());
+    }
+    out.push(b']');
+    out
+}
+
+/// The verdict of every evaluated source as last rendered: what
+/// [`evaluate_intents`] reuses for a source whose export has not
+/// changed, and what a daemon reply splices.
+///
+/// Per hosted live intent it keeps the intent's plan `Arc` and, per
+/// source of that plan in plan order, the export `Arc` last read, the
+/// violations it gave and their rendered JSON. A source whose read
+/// returns the same `Arc` reuses its entry: a verifier replaces a
+/// node's export exactly when the node's `LocCIB` changes, and the memo
+/// holds every `Arc` it compares, so no address is reused under it. A
+/// changed plan pointer drops the intent's entries, since a re-plan may
+/// hand a global node, export and all, to a source with another
+/// intent-local id; so do degradation and removal, and a source that
+/// is no longer visited goes with its plan.
+#[derive(Debug, Default)]
+pub struct Verdicts {
+    intents: BTreeMap<IntentId, IntentVerdicts>,
+}
+
+#[derive(Debug)]
+struct IntentVerdicts {
+    plan: Arc<CountingPlan>,
+    /// One per `plan.dpvnet.sources()`, in order.
+    sources: Vec<SourceVerdict>,
+}
+
+#[derive(Debug)]
+struct SourceVerdict {
+    /// The export the verdict was evaluated on.
+    read: NodeResult,
+    violations: Vec<Violation>,
+    rendered: Vec<String>,
+}
+
+impl SourceVerdict {
+    /// Evaluates `intent`'s formula on every entry `read` exports for
+    /// its source `(dev, local)`, and renders what fails.
+    fn evaluate(intent: &InstalledIntent, dev: DeviceId, local: NodeId, read: NodeResult) -> Self {
+        let (formula, escape_idx) = (&intent.plan.formula, intent.plan.escape_idx());
+        let violations: Vec<Violation> = read
+            .iter()
+            .filter(|(_, counts)| counts.iter().any(|u| !formula.eval(u, escape_idx)))
+            .map(|(pred, counts)| Violation {
+                device: dev,
+                node: local,
+                pred: pred.clone(),
+                kind: ViolationKind::Counting {
+                    counts: counts.clone(),
+                },
+                intent: intent.id.0,
+            })
+            .collect();
+        let rendered = violations.iter().map(tulkun_json::to_string).collect();
+        SourceVerdict {
+            read,
+            violations,
+            rendered,
+        }
+    }
+}
+
+impl Verdicts {
+    fn sources(&self) -> impl Iterator<Item = &SourceVerdict> {
+        self.intents.values().flat_map(|i| &i.sources)
+    }
+
+    /// The verdict as a [`Report`]: every violation, intent by intent
+    /// in id order and source by source in plan order.
+    pub fn report(&self) -> Report {
+        Report {
+            violations: self
+                .sources()
+                .flat_map(|s| &s.violations)
+                .cloned()
+                .collect(),
+            ..Report::default()
+        }
+    }
+
+    /// [`Report::canonical_bytes`] of [`Verdicts::report`], spliced
+    /// from the rendered violations without rendering any.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        let rendered = self.sources().flat_map(|s| &s.rendered);
+        splice(rendered.map(String::as_str).collect())
     }
 }
 
@@ -229,6 +323,7 @@ pub struct Session {
     queue: VecDeque<Envelope>,
     /// Messages processed since creation.
     pub messages_processed: usize,
+    verdicts: Verdicts,
     /// The network snapshot, kept current under rule updates so
     /// verifiers can be built lazily for devices a later intent pulls
     /// into the plan.
@@ -276,6 +371,7 @@ impl Session {
             verifiers: BTreeMap::new(),
             queue: VecDeque::new(),
             messages_processed: 0,
+            verdicts: Verdicts::default(),
             net: net.clone(),
             cfg: VerifierConfig {
                 n_exprs: cp.exprs.len(),
@@ -435,14 +531,21 @@ impl Session {
     /// Evaluates every live intent at its DPVNet sources (each universe
     /// of each packet set must satisfy the intent's formula).
     pub fn report(&mut self) -> Report {
-        let verifiers = &mut self.verifiers;
-        let mut r = evaluate_intents(self.control.intents(), |dev, node| {
-            let v = verifiers.get_mut(&dev);
-            v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
-        });
+        let mut r = self.verdicts().report();
         r.messages = self.messages_processed;
         self.control.annotate(&mut r, &BTreeMap::new());
         r
+    }
+
+    /// Brings the per-source verdicts up to date ([`evaluate_intents`])
+    /// and returns them.
+    pub fn verdicts(&mut self) -> &Verdicts {
+        let verifiers = &mut self.verifiers;
+        evaluate_intents(self.control.intents(), &mut self.verdicts, |dev, node| {
+            let v = verifiers.get_mut(&dev);
+            v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
+        });
+        &self.verdicts
     }
 
     /// The live intents and their shared global node table.
@@ -526,51 +629,44 @@ impl Substrate for Session {
     }
 }
 
-/// Evaluates every live intent's formula at its own DPVNet sources,
-/// given a way to read a *global* node's counting results (used by the
-/// simulator and the threaded runner, which own their verifiers).
-/// Violations carry the intent id and the intent-local source node id,
-/// so a multi-intent report over the shared node table is byte-equal to
-/// the concatenation of each intent's standalone report (with non-base
-/// intents tagged).
+/// Evaluates every live intent's formula at its own DPVNet sources
+/// into `memo`, given a way to read a *global* node's counting results
+/// (each substrate reads its own verifiers). Violations carry the
+/// intent id and the intent-local source node id, so a multi-intent
+/// report over the shared node table is byte-equal to the
+/// concatenation of each intent's standalone report (with non-base
+/// intents tagged). A source whose export is the one `memo` last read
+/// keeps its verdict; returns how many sources were evaluated afresh.
 pub fn evaluate_intents(
     store: &IntentStore,
+    memo: &mut Verdicts,
     mut node_result: impl FnMut(DeviceId, NodeId) -> NodeResult,
-) -> Report {
-    let mut violations = Vec::new();
-    for intent in store.live() {
-        if intent.is_degraded() {
-            // The current topology cannot host this slice; its stale
-            // results are reported via freshness, not as verdicts.
-            continue;
-        }
-        let escape_idx = intent.plan.escape_idx();
-        for (dev, local) in intent.plan.dpvnet.sources() {
-            let global = intent.to_global[local.0 as usize];
-            // Only a violating entry is copied out of the shared export.
-            for (pred, counts) in node_result(*dev, global).iter() {
-                let bad = counts
-                    .iter()
-                    .any(|u| !intent.plan.formula.eval(u, escape_idx));
-                if bad {
-                    violations.push(Violation {
-                        device: *dev,
-                        node: *local,
-                        pred: pred.clone(),
-                        kind: ViolationKind::Counting {
-                            counts: counts.clone(),
-                        },
-                        intent: intent.id.0,
-                    });
+) -> usize {
+    let mut last = std::mem::take(&mut memo.intents);
+    let mut evaluated = 0;
+    // A degraded intent's slice is not hosted by the current topology:
+    // its stale results are reported via freshness, not as verdicts.
+    for intent in store.live().filter(|i| !i.is_degraded()) {
+        let mut kept = match last.remove(&intent.id) {
+            Some(v) if Arc::ptr_eq(&v.plan, &intent.plan) => v.sources.into_iter(),
+            _ => Vec::new().into_iter(),
+        };
+        let mut sources = Vec::with_capacity(intent.plan.dpvnet.sources().len());
+        for &(dev, local) in intent.plan.dpvnet.sources() {
+            let read = node_result(dev, intent.to_global[local.idx()]);
+            sources.push(match kept.next() {
+                Some(v) if Arc::ptr_eq(&v.read, &read) => v,
+                _ => {
+                    evaluated += 1;
+                    SourceVerdict::evaluate(intent, dev, local, read)
                 }
-            }
+            });
         }
+        let plan = Arc::clone(&intent.plan);
+        memo.intents
+            .insert(intent.id, IntentVerdicts { plan, sources });
     }
-    Report {
-        violations,
-        messages: 0,
-        ..Report::default()
-    }
+    evaluated
 }
 
 /// Builds `dev`'s verifier over the FIB in `net` and queues what its

@@ -7,7 +7,7 @@ use tulkun_core::dvm::{DeviceVerifier, Envelope, VerifierConfig};
 use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
-use tulkun_core::verify::{compile_packet_space, evaluate_intents};
+use tulkun_core::verify::{compile_packet_space, evaluate_intents, Verdicts};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::Network;
 use tulkun_netmodel::topology::Topology;
@@ -76,13 +76,14 @@ fn holds(net: &Network) -> bool {
         }
     }
     let store = IntentStore::with_base(cp.clone().into(), inv.packet_space);
-    evaluate_intents(&store, |dev, node| {
+    let mut verdicts = Verdicts::default();
+    evaluate_intents(&store, &mut verdicts, |dev, node| {
         verifiers
             .get_mut(&dev)
             .map(|v| v.node_result(node, None))
             .unwrap_or_default()
-    })
-    .holds()
+    });
+    verdicts.report().holds()
 }
 
 #[test]

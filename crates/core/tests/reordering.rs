@@ -181,13 +181,14 @@ fn verdict(driver: &mut ChannelDriver, plan: &tulkun_core::planner::Plan) -> usi
     let cp = plan.counting().unwrap().clone();
     let store = IntentStore::with_base(cp.into(), plan.invariant.packet_space.clone());
     let verifiers = &mut driver.verifiers;
-    let report = verify::evaluate_intents(&store, |dev, node| {
+    let mut verdicts = verify::Verdicts::default();
+    verify::evaluate_intents(&store, &mut verdicts, |dev, node| {
         verifiers
             .get_mut(&dev)
             .map(|v| v.node_result(node, None))
             .unwrap_or_default()
     });
-    report.violations.len()
+    verdicts.report().violations.len()
 }
 
 #[test]

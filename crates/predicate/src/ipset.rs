@@ -8,10 +8,11 @@
 //! interval backends rely on for complete handle equality.
 //!
 //! The wire codec is the heart of the backend-neutrality story: the
-//! encoder rebuilds the set as an ROBDD in a scratch manager — ROBDD
-//! canonicity under the fixed variable order guarantees the exported
-//! bytes match what [`crate::BddBackend`] would emit for the same set —
-//! and the decoder walks a portable node list back into intervals.
+//! encoder writes the set's ROBDD directly, one node per split of the
+//! address space an interval boundary falls in — ROBDD canonicity under
+//! the fixed variable order guarantees the exported bytes match what
+//! [`crate::BddBackend`] would emit for the same set — and the decoder
+//! walks a portable node list back into intervals.
 
 use tulkun_bdd::builder::HeaderLayout;
 use tulkun_bdd::serial::{self, PortablePred};
@@ -127,19 +128,16 @@ pub fn prefix_iv(p: &IpPrefix) -> Iv {
 
 /// Encodes a canonical interval list as the ROBDD wire predicate.
 ///
-/// Builds the set in a private scratch manager and exports it; ROBDD
-/// canonicity (one reduced DAG per boolean function under a fixed
-/// variable order) plus the deterministic post-order serialization make
-/// the resulting bytes identical to a [`crate::BddBackend`] export of
-/// the same set, whatever sequence of operations produced it there.
+/// Builds the set top-down ([`tulkun_bdd::builder::Field::ranges`]: one node per
+/// split, no apply) and exports it; ROBDD canonicity (one reduced DAG
+/// per boolean function under a fixed variable order) plus the
+/// deterministic post-order serialization make the resulting bytes
+/// identical to a [`crate::BddBackend`] export of the same set, whatever
+/// sequence of operations produced it there.
 pub fn to_portable(ivs: &[Iv], layout: &HeaderLayout) -> PortablePred {
     let mut m = BddManager::new(layout.num_vars());
-    let mut acc = m.falsum();
-    for &(lo, hi) in ivs {
-        let p = layout.dst_ip.range(&mut m, lo, hi - 1);
-        acc = m.or(acc, p);
-    }
-    serial::export(&m, acc)
+    let p = layout.dst_ip.ranges(&mut m, ivs);
+    serial::export(&m, p)
 }
 
 /// Decodes a wire predicate into a canonical interval list.

@@ -67,7 +67,7 @@ use tulkun_core::fault::{FaultProfile, FaultStats};
 use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
 use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
 use tulkun_core::spec::{Invariant, PacketSpace};
-use tulkun_core::verify::{self, Report};
+use tulkun_core::verify::{self, Freshness, Report, Verdicts};
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
 use tulkun_netmodel::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, BackendKind};
@@ -818,6 +818,8 @@ pub struct Runtime<F> {
     next_trace: u64,
     /// Topology devices: the ids a crash may name.
     devices: u32,
+    /// Each source's verdict as last evaluated and rendered.
+    verdicts: Verdicts,
 }
 
 /// The single-driver engine: deterministic, virtual-time, over a clean
@@ -844,6 +846,7 @@ impl<F: Fabric> Runtime<F> {
             tel,
             next_trace: FIRST_EVENT_TRACE,
             devices: net.topology.num_devices() as u32,
+            verdicts: Verdicts::default(),
         }
     }
 
@@ -1096,12 +1099,32 @@ impl<F: Fabric> Runtime<F> {
     /// manager. After a churn event the report also carries per-node
     /// freshness markers and the quarantined-device list.
     pub fn report(&mut self) -> Report {
-        let fabric = &mut self.fabric;
-        let mut r = verify::evaluate_intents(self.control.intents(), |dev, node| {
-            fabric.collect(dev, node)
-        });
+        let mut r = self.verdicts().report();
         self.control.annotate(&mut r, &self.fabric.stalled());
         r
+    }
+
+    /// Brings the per-source verdicts up to date and returns them: a
+    /// source re-renders only when its export changed since the last
+    /// evaluation ([`verify::evaluate_intents`]). The count of sources
+    /// rendered is `tulkun_report_sources_rendered_total`.
+    pub fn verdicts(&mut self) -> &Verdicts {
+        let fabric = &mut self.fabric;
+        let store = self.control.intents();
+        let rendered = verify::evaluate_intents(store, &mut self.verdicts, |dev, node| {
+            fabric.collect(dev, node)
+        });
+        let counter = "tulkun_report_sources_rendered_total";
+        self.tel.count(DeviceId(0), counter, rendered as u64);
+        &self.verdicts
+    }
+
+    /// Per-node freshness after topology churn (empty before any), as
+    /// [`Runtime::report`] carries it, without evaluating a verdict.
+    pub fn freshness(&self) -> Vec<(NodeId, Freshness)> {
+        let mut r = Report::default();
+        self.control.annotate(&mut r, &self.fabric.stalled());
+        r.freshness
     }
 
     /// The runtime intent store (read-only).

@@ -38,7 +38,7 @@ use tulkun_netmodel::topology::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, pred_ip_only, update_ip_only, BackendCaps, BackendKind};
 use tulkun_telemetry::{
     JournalEvent, JournalKind, SloPolicy, SloTracker, SloVerdict, Telemetry, TelemetryConfig,
-    CONVERGENCE_LAG_NS,
+    CONVERGENCE_LAG_NS, REPORT_BUILD, REPORT_ENCODE,
 };
 
 /// What to do with a request that arrives while its queue is full.
@@ -305,8 +305,14 @@ impl Service {
         let ip_only = network_ip_only(net) && space_ip_only(net, &inv.packet_space);
         let backend = BackendKind::fitting(ip_only);
         // The service's own always-enabled telemetry handle: the SLO
-        // windows are the product, not an optional debugging aid.
-        let tel = Telemetry::new(TelemetryConfig::enabled());
+        // windows are the product, not an optional debugging aid. It
+        // keeps histograms, counters and the journal, but no spans: no
+        // verb reads them, and rings that fill with every op would
+        // make memory grow with throughput.
+        let tel = Telemetry::new(TelemetryConfig {
+            ring_capacity: 0,
+            ..TelemetryConfig::enabled()
+        });
         let harness = Service::build_harness(net, plan, inv, &cfg, backend, &tel);
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
@@ -593,20 +599,31 @@ impl Service {
         self.harness.report()
     }
 
+    /// [`Report::canonical_bytes`] of [`Service::report`], in two timed
+    /// layers: `report.build` brings the per-source verdicts up to date
+    /// (only sources whose export changed since the last call are
+    /// evaluated and rendered again), and `report.encode` splices the
+    /// rendered violations ([`tulkun_core::verify::Verdicts::canonical_bytes`]).
+    pub fn report_bytes(&mut self) -> Vec<u8> {
+        let tel = Arc::clone(&self.tel);
+        let verdicts = tel.timed(DeviceId(0), &REPORT_BUILD, 0, 0, || self.harness.verdicts());
+        tel.timed(DeviceId(0), &REPORT_ENCODE, 0, 0, || {
+            verdicts.canonical_bytes()
+        })
+    }
+
     /// Counters, queue state and per-intent freshness. Takes `&mut
-    /// self` because slice freshness reads the current report (result
-    /// export runs through each device's BDD manager); the ingress
-    /// queues are *not* drained.
+    /// self` because an `Unreachable` node arms the journal auto-dump;
+    /// the ingress queues are *not* drained and no verdict is
+    /// evaluated.
     pub fn status(&mut self) -> ServiceStatus {
-        let report = self.harness.report();
-        let stale: std::collections::BTreeSet<_> = report
-            .freshness
+        let freshness = self.harness.freshness();
+        let stale: std::collections::BTreeSet<_> = freshness
             .iter()
             .filter(|(_, f)| !matches!(f, Freshness::Fresh))
             .map(|(n, _)| *n)
             .collect();
-        if report
-            .freshness
+        if freshness
             .iter()
             .any(|(_, f)| matches!(f, Freshness::Unreachable))
         {
@@ -627,8 +644,8 @@ impl Service {
                 }
             })
             .collect();
-        // Per-intent slice freshness needs the report this method just
-        // computed, so the labeled gauges are refreshed here.
+        // Per-intent slice freshness needs the freshness this method
+        // just read, so the labeled gauges are refreshed here.
         self.export_intent_gauges();
         let store = self.harness.intents();
         let (parked, degraded) = (store.parked_count() as u64, store.degraded_count() as u64);
@@ -1091,6 +1108,31 @@ mod tests {
         // SLO machinery saw the work: windows rolled, samples recorded.
         assert!(svc.slo().samples > 0);
         assert!(svc.slo().lag_samples >= 2);
+    }
+
+    /// The service records histograms, counters and its journal but no
+    /// span, and a repeated `report` splices what the first rendered.
+    #[test]
+    fn service_records_no_spans_and_reports_what_changed() {
+        let (net, cp, inv) = fixture();
+        let mut svc = Service::new(&net, &cp, &inv, ServiceConfig::default());
+        svc.offer("cp", ServiceRequest::Batch(vec![some_update(&net, 40)]))
+            .unwrap();
+        svc.drain();
+        let bytes = svc.report_bytes();
+        assert_eq!(bytes, svc.report().canonical_bytes());
+        let tel = Arc::clone(svc.telemetry());
+        assert!(tel.spans().is_empty());
+        assert!(tel.histogram(REPORT_BUILD.hist).count() > 0);
+        let rendered = || tel.metrics().counters["tulkun_report_sources_rendered_total"];
+        let first = rendered();
+        assert!(first > 0, "the first report renders every source");
+        assert_eq!(svc.report_bytes(), bytes);
+        assert_eq!(
+            rendered(),
+            first,
+            "an unchanged source is not rendered again"
+        );
     }
 
     #[test]

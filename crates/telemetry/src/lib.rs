@@ -114,7 +114,8 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Per-device span ring capacity; the oldest span is overwritten
     /// once a device exceeds it (overwrites are counted, see
-    /// [`Telemetry::spans_dropped`]).
+    /// [`Telemetry::spans_dropped`]). 0 records no spans while the
+    /// histograms their durations feed still record.
     pub ring_capacity: usize,
     /// Causal flight-recorder ring capacity; 0 disables the journal
     /// even when spans/metrics are on (the oldest entry is evicted
@@ -507,6 +508,19 @@ mod tests {
         assert_eq!(spans[0].begin, 10);
         assert_eq!(spans[1].begin, 20);
         assert_eq!(spans[2].begin, 30);
+    }
+
+    #[test]
+    fn a_zero_ring_records_no_span_but_every_histogram() {
+        let tel = Telemetry::new(TelemetryConfig {
+            ring_capacity: 0,
+            ..TelemetryConfig::enabled()
+        });
+        tel.timed(dev(2), &FIB_BATCH, 9, 4, || {});
+        tel.instant(dev(3), "reliable.retransmit", "reliable", 9, 0);
+        assert!(tel.spans().is_empty());
+        assert_eq!(tel.spans_dropped(), 0);
+        assert_eq!(tel.histogram(FIB_BATCH.hist).count(), 1);
     }
 
     #[test]

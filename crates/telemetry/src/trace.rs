@@ -83,9 +83,9 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer whose per-device rings hold `ring_capacity` spans.
+    /// A tracer whose per-device rings hold `ring_capacity` spans; 0
+    /// records none.
     pub fn new(ring_capacity: usize) -> Tracer {
-        assert!(ring_capacity > 0, "ring capacity must be positive");
         Tracer {
             shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
             ring_capacity,
@@ -95,6 +95,9 @@ impl Tracer {
 
     /// Record one span into its device's ring.
     pub fn record(&self, ev: SpanEvent) {
+        if self.ring_capacity == 0 {
+            return;
+        }
         let shard = &self.shards[ev.device.idx() % SHARDS];
         let mut rings = shard.lock().unwrap();
         let ring = rings

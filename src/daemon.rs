@@ -83,9 +83,9 @@ use crate::core::intent::IntentId;
 use crate::core::planner::{CountingPlan, Planner};
 use crate::core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use crate::netmodel::network::{Network, RuleUpdate};
-use crate::netmodel::topology::{DeviceId, Topology};
+use crate::netmodel::topology::Topology;
 use crate::sim::{AdmissionPolicy, BackendKind, Service, ServiceConfig, ServiceRequest};
-use crate::telemetry::{SloPolicy, REPORT_BUILD, REPORT_ENCODE};
+use crate::telemetry::SloPolicy;
 
 /// One WAN destination's subset-reachability counting session on a
 /// generated dataset (the §9.3.1 workload shape): every other device
@@ -279,11 +279,7 @@ impl DaemonSession {
                 Reply::ok(format!("processed={n}"))
             }
             "report" => {
-                let tel = self.service.telemetry().clone();
-                let report = tel.timed(DeviceId(0), &REPORT_BUILD, 0, 0, || self.service.report());
-                let bytes = tel.timed(DeviceId(0), &REPORT_ENCODE, 0, 0, || {
-                    report.canonical_bytes()
-                });
+                let bytes = self.service.report_bytes();
                 Reply::ok(String::from_utf8_lossy(&bytes).into_owned())
             }
             "status" => Reply::ok(crate::json::to_string(&self.service.status().to_json())),

@@ -10,7 +10,8 @@
 //! telemetry mode and batching mode per case and otherwise the default
 //! `EngineConfig`, so the clocked engines build a device's verifier
 //! late, when a fence first tasks it. After every op, judge (i)
-//! holds every Report byte-equal to the merged per-intent fresh
+//! holds every Report, and the bytes each substrate's verdict memo
+//! splices for the daemon, byte-equal to the merged per-intent fresh
 //! `Session` on the effective network and the substrates to one
 //! lifecycle; judge (ii), the [`oracle`], which shares no code with the
 //! verifier, checks every verdict. The paper's scenarios are fixed
@@ -965,6 +966,15 @@ fn judge(subs: &mut Subs, world: &World, m: &Model, cov: &mut Coverage, ctx: &st
         ..Report::default()
     }
     .canonical_bytes();
+    // The daemon's path: the bytes spliced from each substrate's
+    // per-source verdict memo, taken before `report` reads it again.
+    let spliced = all!(subs, s => s.verdicts().canonical_bytes());
+    for (bytes, name) in spliced.iter().zip(SUBSTRATES) {
+        assert!(
+            *bytes == expect,
+            "{ctx}: {name}'s spliced Report is not the fresh one"
+        );
+    }
     let reports = all!(subs, s => s.report());
     for (r, name) in reports.iter().zip(SUBSTRATES) {
         assert!(
@@ -1552,6 +1562,14 @@ fn case_9_scenes_differ_by_down_devices() {
 #[test]
 fn case_95_an_heir_stays_on_its_device() {
     generated_prefix(95, 8);
+}
+
+/// A churn re-plan may hand a global node, its export unchanged, to a
+/// source with another intent-local id: the intent's memoised verdicts
+/// go with its old plan.
+#[test]
+fn case_37_a_replanned_intent_drops_its_rendered_verdicts() {
+    generated_prefix(37, 8);
 }
 
 /// An install whose scene gives it no valid path is refused on a quiet
