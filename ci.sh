@@ -102,7 +102,9 @@
 #                 planner and refit histograms of its churn and a
 #                 scene-table hit for its repeated link-down; a clean
 #                 daemon session must start on intervals, move to bdd
-#                 (a journaled backend_swap) on an ACL batch, and time
+#                 (a journaled backend_swap) on an ACL batch with its
+#                 epoch and its journal's intent/churn history as they
+#                 were, and time
 #                 its report's build and encode layers, and a second
 #                 report on the unchanged network must reply the same
 #                 bytes and render 0 sources; also
@@ -285,7 +287,9 @@ stage_lint() {
     # that can panic above each audited file's test module (the first
     # column-0 `#[cfg(test)]`). A file joins at the count its audit
     # left; the number may only fall, and a site a change really needs
-    # is argued for here, next to the number it raises.
+    # is argued for here, next to the number it raises. The two sites
+    # of runtime.rs and of verify.rs are argued for where they stand:
+    # a test-only arm and constructor contracts no daemon input reaches.
     for audited in crates/core/src/intent.rs:0 crates/core/src/control.rs:0 \
                    crates/sim/src/faults.rs:0 crates/sim/src/service.rs:0 \
                    src/daemon.rs:0 crates/core/src/dvm/reliable.rs:0 \
@@ -434,10 +438,19 @@ stage_obs_smoke() {
         --journal "$obs_dir/daemon_journal.json"
     # The backend follows the workload: a clean INet2 daemon starts on
     # intervals, and a batch with a port-matching ACL moves it to bdd,
-    # journaled as a backend_swap. Its `report` is two timed layers, and
-    # a second `report` on an unchanged network re-renders no source
-    # and replies the same bytes.
+    # journaled as a backend_swap. The move re-hosts the verifiers and
+    # nothing else: after an install, a removal and a link-down, the
+    # epoch stays where it was and the journal holds each of those
+    # once. Its `report` is two timed layers, and a second `report` on
+    # an unchanged network re-renders no source and replies the same
+    # bytes.
     printf '%s\n' \
+        'intent add ci {"name":"ci","spec":"(dstIP=10.0.0.0/24, [LOSA], (subset, /. * SEAT/ loop_free (<= shortest+2)))"}' \
+        "drain" \
+        "intent remove ci 1" \
+        "drain" \
+        "churn ci link-down SEAT LOSA" \
+        "drain" \
         "status" \
         'batch ci [{"Insert":{"device":1,"rule":{"priority":100,"matches":{"dst":"10.0.0.0/24","dst_port":[22,22],"proto":null},"action":"Drop"}}}]' \
         "drain" \
@@ -463,6 +476,18 @@ stage_obs_smoke() {
         echo "obs-smoke: daemon events reply has no backend_swap entry" >&2
         exit 1
     }
+    epochs="$(printf '%s\n' "$statuses" | grep -o '"epoch":[0-9]*' | sort -u)"
+    [ "$(printf '%s\n' "$epochs" | wc -l)" -eq 1 ] || {
+        echo "obs-smoke: the move to bdd changed the epoch ($(echo $epochs))" >&2
+        exit 1
+    }
+    for kind in intent_installed topology_churn; do
+        n="$(grep -c "\"kind\":\"$kind\"" "$obs_dir/daemon_clean.out" || true)"
+        [ "$n" -eq 1 ] || {
+            echo "obs-smoke: events ci holds $n $kind entries, not one" >&2
+            exit 1
+        }
+    done
     for hist in tulkun_report_build_ns tulkun_report_encode_ns; do
         grep -q "^${hist}_count [1-9]" "$obs_dir/daemon_clean.out" || {
             echo "obs-smoke: daemon metrics reply has no $hist histogram" >&2

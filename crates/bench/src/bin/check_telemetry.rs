@@ -381,7 +381,6 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
 /// The stable snake_case journal event names of `JournalKind::as_str`.
 const JOURNAL_KINDS: &[&str] = &[
     "batch_applied",
-    "batch_rejected",
     "epoch_fence",
     "topology_churn",
     "churn_rejected",

@@ -249,6 +249,26 @@ impl ControlPlane {
         self.spaces[ctx].clone()
     }
 
+    /// Every node each device hosts, as fence task groups by
+    /// packet-space context (`Some(space)` each): what a verifier
+    /// built from nothing at the current epoch installs to count what
+    /// its predecessor counted. A degraded intent owns no node, and no
+    /// report reads one from a device.
+    pub fn hosted(&mut self) -> BTreeMap<DeviceId, Vec<TaskGroup>> {
+        let mut by_dev: BTreeMap<DeviceId, BTreeMap<usize, Vec<NodeTask>>> = BTreeMap::new();
+        for (ctx, task) in self.store.tasks_in_context() {
+            let groups = by_dev.entry(task.dev).or_default();
+            groups.entry(ctx).or_default().push(task);
+        }
+        let mut hosted = BTreeMap::new();
+        for (dev, groups) in by_dev {
+            let groups = groups.into_iter();
+            let groups = groups.map(|(ctx, tasks)| (Some(self.space(ctx)), tasks));
+            hosted.insert(dev, groups.collect());
+        }
+        hosted
+    }
+
     /// Counts what one churn fence asks of the devices: tasks shipped
     /// (new nodes and re-tasks), nodes removed, and nodes that kept id
     /// and task and so cost nothing. Exported from zero, like the
@@ -472,18 +492,17 @@ impl ControlPlane {
         }
     }
 
-    /// Compiles `inv` and installs it as a runtime intent (`id` pins
-    /// the intent id for deterministic replay): its DPVNet slice is
-    /// interned into the shared node table, so only devices whose tasks
-    /// change are re-tasked. The plan is the re-planner's on the scene
-    /// in force, from the scene table of `inv`'s plan key
-    /// ([`IntentStore::plan_install`]). A slice the scene cannot host
-    /// is an `Err` on a quiet topology; while churn is in effect it is
-    /// *parked* for bounded retry on the next topology fence instead.
-    /// Returns the intent's id (installed or parked) and the decision.
+    /// Compiles `inv` and installs it as a runtime intent under the
+    /// next id: its DPVNet slice is interned into the shared node
+    /// table, so only devices whose tasks change are re-tasked. The
+    /// plan is the re-planner's on the scene in force, from the scene
+    /// table of `inv`'s plan key ([`IntentStore::plan_install`]). A
+    /// slice the scene cannot host is an `Err` on a quiet topology;
+    /// while churn is in effect it is *parked* for bounded retry on the
+    /// next topology fence instead. Returns the intent's id (installed
+    /// or parked) and the decision.
     pub fn install(
         &mut self,
-        id: Option<IntentId>,
         name: &str,
         inv: &Invariant,
         trace: u64,
@@ -496,7 +515,7 @@ impl ControlPlane {
             Ok(slice) => slice,
             Err(e) if self.churn.is_quiet() => return Err(e),
             Err(e) => {
-                let id = self.store.park(id, name, inv.clone())?;
+                let id = self.store.park(name, inv.clone());
                 self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
                     format!("parked behind fence @epoch {}: {e}", self.epoch)
                 });
@@ -507,7 +526,7 @@ impl ControlPlane {
                 return Ok((id, parked));
             }
         };
-        let (id, delta) = self.store.install(id, name, inv.clone(), slice, &work)?;
+        let (id, delta) = self.store.install(name, inv.clone(), slice, &work)?;
         let space = delta.ctx.map(|c| self.space(c));
         let fence = self.intent_fence(&delta, space);
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
@@ -679,7 +698,7 @@ mod tests {
         assert_eq!(c.epoch(), 1);
 
         let (from_b, _) = plan_for(&net, "B .* D");
-        let (id, d) = c.install(None, "from-b", &from_b, 0).unwrap();
+        let (id, d) = c.install("from-b", &from_b, 0).unwrap();
         assert!(d.parked && d.fence.is_none());
         assert!(c.intents().is_parked(id));
         assert_eq!(c.epoch(), 1, "parking burns no epoch");
@@ -705,7 +724,7 @@ mod tests {
         let b = net.topology.expect_device("B");
         let topo = &net.topology;
         let (from_b, _) = plan_for(&net, "B .* D");
-        let (id, d) = c.install(None, "from-b", &from_b, 0).unwrap();
+        let (id, d) = c.install("from-b", &from_b, 0).unwrap();
         let fence = d.fence.expect("a live install fences");
         assert_eq!((fence.epoch, c.epoch()), (1, 1));
         assert!(fence.topology.is_none());
@@ -805,11 +824,11 @@ mod tests {
         let b = net.topology.expect_device("B");
         let (from_b, _) = plan_for(&net, "B .* D");
         let (from_a, _) = plan_for(&net, "A .* D");
-        let (live, _) = c.install(None, "from-a", &from_a, 0).unwrap();
-        let (degraded, _) = c.install(None, "from-b", &from_b, 0).unwrap();
+        let (live, _) = c.install("from-a", &from_a, 0).unwrap();
+        let (degraded, _) = c.install("from-b", &from_b, 0).unwrap();
         c.topology_event(&TopologyEvent::DeviceDown(b), &net.topology, &base, 0)
             .unwrap();
-        let (parked, _) = c.install(None, "from-b", &from_b, 0).unwrap();
+        let (parked, _) = c.install("from-b", &from_b, 0).unwrap();
         assert_eq!(c.epoch(), 3);
         assert!(c.remove(parked, 0).unwrap().fence.is_none());
         assert!(c.remove(degraded, 0).unwrap().fence.is_none());
@@ -839,10 +858,10 @@ mod tests {
         let only_over_a_b = plan_for(&net, "A B D").0;
         let (orphan, _) = c
             .store
-            .install(None, "from-a", only_over_a_b, Slice::of(cp), &work())
+            .install("from-a", only_over_a_b, Slice::of(cp), &work())
             .unwrap();
         let waypoint = plan_for(&net, "S .* W .* D").0;
-        let (live, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
+        let (live, _) = c.install("waypoint", &waypoint, 0).unwrap();
 
         let sources = |c: &ControlPlane, id: IntentId| -> Vec<NodeId> {
             let it = c.store.get(id).unwrap();
@@ -983,7 +1002,7 @@ mod tests {
         c.set_telemetry(tel.clone());
         for path in ["leaf", "n2", "n3", "n4", "n5 .* n7", "n6", "n8", "n9"] {
             let inv = plan_for(&net, &format!("{path} .* n11")).0;
-            c.install(None, path, &inv, 0).unwrap();
+            c.install(path, &inv, 0).unwrap();
         }
         (net, c, base, tel)
     }
@@ -1200,7 +1219,7 @@ mod tests {
             ))
             .build()
             .unwrap();
-        let (id, _) = c.install(None, "waypoint", &waypoint, 0).unwrap();
+        let (id, _) = c.install("waypoint", &waypoint, 0).unwrap();
         let paths = |c: &ControlPlane| c.store.get(id).unwrap().plan.dpvnet.num_paths();
         assert_eq!(paths(&c), 1.0, "S-A-W-D");
         let mut apply = |ev: TopologyEvent| {
@@ -1243,11 +1262,11 @@ mod tests {
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 0));
     }
 
-    /// A scene table belongs to a plan key, not to an id: an id re-used
-    /// by another invariant is planned for that invariant on every
-    /// scene the old holder of the id had seen.
+    /// A scene table belongs to a plan key, not to an id: an install
+    /// after a removal is planned for its own invariant on every scene
+    /// the removed intent had seen.
     #[test]
-    fn a_reused_id_is_planned_for_its_new_invariant() {
+    fn an_install_after_a_removal_is_planned_for_its_own_invariant() {
         let net = fig2a_network();
         let (mut c, base) = control(&net, "S .* D");
         let dev = |n: &str| net.topology.expect_device(n);
@@ -1255,10 +1274,8 @@ mod tests {
             TopologyEvent::LinkDown(dev("B"), dev("D")),
             TopologyEvent::LinkUp(dev("B"), dev("D")),
         ];
-        let id = IntentId(1);
         for path in ["A .* D", "B .* D"] {
-            c.install(Some(id), path, &plan_for(&net, path).0, 0)
-                .unwrap();
+            let (id, _) = c.install(path, &plan_for(&net, path).0, 0).unwrap();
             for ev in &flap {
                 c.topology_event(ev, &net.topology, &base, 0).unwrap();
                 assert_plans_are_fresh(&c, &net.topology, &base);
@@ -1296,14 +1313,14 @@ mod tests {
         };
         let from_b = plan_for(&net, "B .* D").0;
         // The quiet scene's slice is remembered, then B goes down.
-        let (id, _) = c.install(None, "from-b", &from_b, 0).unwrap();
+        let (id, _) = c.install("from-b", &from_b, 0).unwrap();
         c.remove(id, 0).unwrap();
         apply(&mut c, TopologyEvent::DeviceDown(dev("B")));
         assert_eq!(spent(), (2, 0), "the install; the base on a new scene");
-        let (first, d) = c.install(None, "first", &from_b, 0).unwrap();
+        let (first, d) = c.install("first", &from_b, 0).unwrap();
         assert!(d.parked);
         assert_eq!(spent(), (1, 0), "the first install learns the refusal");
-        let (second, d) = c.install(None, "second", &from_b, 0).unwrap();
+        let (second, d) = c.install("second", &from_b, 0).unwrap();
         assert!(d.parked);
         assert_eq!(spent(), (0, 1), "the second parks on it");
         // A new scene is planned once for both retries; returning to a
@@ -1376,10 +1393,10 @@ mod tests {
                 c.topology_event(ev, &net.topology, &base, 0).unwrap();
                 assert_plans_are_fresh(c, &net.topology, &base);
             };
-            let (id, _) = c.install(None, "first", &first, 0).unwrap();
+            let (id, _) = c.install("first", &first, 0).unwrap();
             flap.iter().for_each(|ev| apply(&mut c, ev));
             let before = work();
-            let (other_id, _) = c.install(None, "other", &other, 0).unwrap();
+            let (other_id, _) = c.install("other", &other, 0).unwrap();
             let after = work();
             let spent = (after.0 - before.0, after.1 - before.1);
             let hit = if shares { (0, 1) } else { (1, 0) };
@@ -1420,7 +1437,7 @@ mod tests {
         let inv = no_valid_path();
         let refused = |c: &mut ControlPlane| {
             let before = (fingerprint(c), c.epoch());
-            let e = c.install(None, "s-d", &inv, 0).unwrap_err();
+            let e = c.install("s-d", &inv, 0).unwrap_err();
             assert!(e.to_string().contains("slice has no DPVNet nodes"), "{e}");
             assert_eq!(
                 (fingerprint(c), c.epoch()),
@@ -1432,7 +1449,7 @@ mod tests {
         let (a, w) = (dev("A"), dev("W"));
         c.topology_event(&TopologyEvent::LinkDown(a, w), &net.topology, &base, 0)
             .unwrap();
-        let (id, d) = c.install(None, "s-d", &inv, 0).unwrap();
+        let (id, d) = c.install("s-d", &inv, 0).unwrap();
         assert!(d.parked && c.intents().is_parked(id));
         c.topology_event(&TopologyEvent::LinkUp(a, w), &net.topology, &base, 0)
             .unwrap();
@@ -1450,7 +1467,7 @@ mod tests {
         let space = PacketSpace::dst_prefix("10.0.0.0/23");
         let equal = table1::all_shortest_path(space, "S", "D").unwrap();
         let before = (fingerprint(&c), c.epoch());
-        let e = c.install(None, "equal", &equal, 0).unwrap_err();
+        let e = c.install("equal", &equal, 0).unwrap_err();
         assert!(
             e.to_string()
                 .contains("runtime intents need a counting plan"),
@@ -1481,7 +1498,7 @@ mod tests {
             .unwrap();
         let refused = |c: &mut ControlPlane| {
             let before = (fingerprint(c), c.epoch());
-            let e = c.install(None, "two", &two, 0).unwrap_err();
+            let e = c.install("two", &two, 0).unwrap_err();
             assert!(e.to_string().contains("counting profile"), "{e}");
             assert_eq!((fingerprint(c), c.epoch()), before);
         };
@@ -1637,10 +1654,8 @@ mod tests {
                 let foreign = kind == 5 || (kind == 6 && recorded);
                 let result = match kind {
                     0 | 1 => c.topology_event(ev, home, &base, 0),
-                    2 => c.install(None, "p", &pool[i % pool.len()], 0).map(|(_, d)| d),
-                    // A replay id collides with an id in use, and
-                    // re-uses a removed one under any invariant.
-                    3 => c.install(Some(IntentId(i as u64 % 3)), "replay", &pool[i / 3 % pool.len()], 0).map(|(_, d)| d),
+                    2 => c.install("p", &pool[i % pool.len()], 0).map(|(_, d)| d),
+                    3 => c.install("again", &pool[i / 3 % pool.len()], 0).map(|(_, d)| d),
                     4 => c.remove(IntentId(i as u64 % 4), 0),
                     5 => c.topology_event(ev, &elsewhere, &base, 0),
                     // Until the base has recorded an invariant, the
@@ -1660,11 +1675,10 @@ mod tests {
             for (kind, i) in ops {
                 step(kind, i);
             }
-            // Whatever the history, these four are rejected: the base
-            // cannot plan without its destination, id 0 is taken, the
-            // base is pinned, and another base topology is not this
-            // control plane's.
-            prop_assert!(step(0, 4) && step(3, 0) && step(4, 0) && step(5, 0));
+            // Whatever the history, these three are rejected: the base
+            // cannot plan without its destination, the base is pinned,
+            // and another base topology is not this control plane's.
+            prop_assert!(step(0, 4) && step(4, 0) && step(5, 0));
         }
     }
 }

@@ -5,9 +5,9 @@
 //! substrate accepts: the synchronous [`Session`], the discrete-event
 //! `Engine` and the `ThreadedEngine`. (The verification `Service` is
 //! not one: it admits requests through `offer` and applies them at its
-//! own `drain`; a backend swap is its `set_backend`.) The lifecycle decisions behind the topology and intent events are made
-//! once, in [`crate::control::ControlPlane`]; a substrate only
-//! delivers the result.
+//! own `drain`.) The lifecycle decisions behind the topology and
+//! intent events are made once, in [`crate::control::ControlPlane`];
+//! a substrate only delivers the result.
 //!
 //! [`Session`]: crate::verify::Session
 

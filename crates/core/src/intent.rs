@@ -1206,22 +1206,19 @@ impl IntentStore {
         Ok(slice)
     }
 
-    /// Installs an intent: interns its DPVNet slice into the global
-    /// table (children-first, so sharing with existing cones is found
-    /// bottom-up) and returns the per-device delta a substrate must
-    /// apply under an epoch bump. Pass `id = None` to allocate the
-    /// next id; an explicit id is for deterministic replay (hot
-    /// backend swap) and must be unused.
+    /// Installs an intent under the next id: interns its DPVNet slice
+    /// into the global table (children-first, so sharing with existing
+    /// cones is found bottom-up) and returns the per-device delta a
+    /// substrate must apply under an epoch bump.
     pub(crate) fn install(
         &mut self,
-        id: Option<IntentId>,
         name: &str,
         invariant: Invariant,
         slice: Slice,
         work: &PlanWork,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
         let slice = self.fits(name, slice)?;
-        let id = self.claim_id(id)?;
+        let id = self.claim_id();
         let ctx = self.context_of(&invariant.packet_space);
         let install = Refit {
             intent: id.0,
@@ -1332,12 +1329,19 @@ impl IntentStore {
             .collect()
     }
 
+    /// Every installed node's current task with the packet-space
+    /// context it counts over, in node order.
+    pub(crate) fn tasks_in_context(&self) -> impl Iterator<Item = (usize, NodeTask)> + '_ {
+        let nodes = self.table.nodes.iter();
+        nodes.map(|(g, n)| (n.key.ctx, self.table.task(*g)))
+    }
+
     /// The devices currently hosting at least one node.
     pub fn devices(&self) -> BTreeSet<DeviceId> {
         self.table.nodes.values().map(|n| n.dev).collect()
     }
 
-    /// The id the next `install(None, ..)` will allocate (ids are
+    /// The id the next install or park will allocate (ids are
     /// never reused, so this only ever grows).
     pub fn next_intent_id(&self) -> u64 {
         self.next_intent
@@ -1350,15 +1354,9 @@ impl IntentStore {
 
     /// Parks an install that raced a topology fence: allocates the
     /// intent's id now (so replicas agree on ids) and queues it for
-    /// re-planning on the next fence (see [`PendingIntent`]). An
-    /// explicit id is for deterministic replay and must be unused.
-    pub(crate) fn park(
-        &mut self,
-        id: Option<IntentId>,
-        name: &str,
-        invariant: Invariant,
-    ) -> Result<IntentId, PlanError> {
-        let id = self.claim_id(id)?;
+    /// re-planning on the next fence (see [`PendingIntent`]).
+    pub(crate) fn park(&mut self, name: &str, invariant: Invariant) -> IntentId {
+        let id = self.claim_id();
         self.parked.insert(
             id.0,
             PendingIntent {
@@ -1368,7 +1366,7 @@ impl IntentStore {
                 retries: 0,
             },
         );
-        Ok(id)
+        id
     }
 
     /// Parked installs, in id order.
@@ -1641,17 +1639,10 @@ impl IntentStore {
         self.scenes.trim(&held);
     }
 
-    /// Allocates the next intent id, or claims an explicit one (for
-    /// deterministic replay), which must be unused.
-    fn claim_id(&mut self, id: Option<IntentId>) -> Result<IntentId, PlanError> {
-        let id = id.unwrap_or(IntentId(self.next_intent));
-        if self.intents.contains_key(&id.0) || self.parked.contains_key(&id.0) {
-            return Err(PlanError::Unsupported(format!(
-                "intent id {id} is already installed"
-            )));
-        }
-        self.next_intent = self.next_intent.max(id.0 + 1);
-        Ok(id)
+    /// Allocates the next intent id (ids are never reused).
+    fn claim_id(&mut self) -> IntentId {
+        self.next_intent += 1;
+        IntentId(self.next_intent - 1)
     }
 
     /// The interning context of a packet space, added if new.
@@ -1809,7 +1800,7 @@ pub(crate) mod tests {
         let mut store = IntentStore::with_base(cp_a.clone(), inv_a.packet_space.clone());
         let before = store.node_count();
         let (id_b, delta_b) = store
-            .install(None, "b", inv_b.clone(), Slice::of(cp_b.clone()), &work())
+            .install("b", inv_b.clone(), Slice::of(cp_b.clone()), &work())
             .unwrap();
         assert!(
             delta_b.reused_nodes > 0,
@@ -1848,7 +1839,7 @@ pub(crate) mod tests {
         let (inv, cp) = plan_for(&net, "S .* W .* D");
         let mut store = IntentStore::with_base(cp.clone(), inv.packet_space.clone());
         let (id, delta) = store
-            .install(None, "dup", inv.clone(), Slice::of(cp.clone()), &work())
+            .install("dup", inv.clone(), Slice::of(cp.clone()), &work())
             .unwrap();
         assert_eq!(delta.total_nodes, delta.reused_nodes, "{delta:?}");
         assert!(delta.removed.is_empty());
@@ -1881,7 +1872,6 @@ pub(crate) mod tests {
         let mut store = IntentStore::with_base(cp, inv.packet_space.clone());
         let (_, delta) = store
             .install(
-                None,
                 "other-space",
                 other.clone(),
                 Slice::of(Arc::new(ocp)),
@@ -1913,7 +1903,6 @@ pub(crate) mod tests {
         let mut store = IntentStore::with_base(cp, inv.packet_space.clone());
         if IntentProfile::of(&store.get(IntentId(0)).unwrap().plan) != IntentProfile::of(&ccp) {
             let err = store.install(
-                None,
                 "covered",
                 covered.clone(),
                 Slice::of(Arc::new(ccp)),
@@ -2047,7 +2036,7 @@ pub(crate) mod tests {
         let (inv_b, cp_b) = plan_for(net, "A .* D");
         let mut store = IntentStore::with_base(cp_a, inv_a.packet_space.clone());
         let (id_b, _) = store
-            .install(None, "b", inv_b.clone(), Slice::of(cp_b), &work())
+            .install("b", inv_b.clone(), Slice::of(cp_b), &work())
             .unwrap();
         (store, id_b)
     }
@@ -2319,7 +2308,7 @@ pub(crate) mod tests {
         let (inv_b, cp_b) = plan_for(&net, "B .* D");
         let mut store = IntentStore::with_base(cp_s, inv_s.packet_space.clone());
         let (id_b, _) = store
-            .install(None, "from-b", inv_b.clone(), Slice::of(cp_b), &work())
+            .install("from-b", inv_b.clone(), Slice::of(cp_b), &work())
             .unwrap();
         let b = net.topology.expect_device("B");
         let mut churn = ChurnState::new();
@@ -2350,7 +2339,7 @@ pub(crate) mod tests {
         let (inv_s, cp_s) = plan_for(&net, "S .* D");
         let mut store = IntentStore::with_base(cp_s, inv_s.packet_space.clone());
         let (inv_a, _) = plan_for(&net, "A .* D");
-        let id = store.park(None, "from-a", inv_a).unwrap();
+        let id = store.park("from-a", inv_a);
         assert!(store.is_parked(id));
         let r = replan(&mut store, &net, &ChurnState::new());
         assert_eq!(r.unparked, vec![id], "{r:?}");
@@ -2358,7 +2347,7 @@ pub(crate) mod tests {
         assert!(!store.get(id).unwrap().is_degraded());
         // A never-plannable park burns its retries and is rejected.
         let (inv_b, _) = plan_for(&net, "B .* D");
-        let hopeless = store.park(None, "from-b", inv_b).unwrap();
+        let hopeless = store.park("from-b", inv_b);
         let b = net.topology.expect_device("B");
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
@@ -2384,7 +2373,7 @@ pub(crate) mod tests {
         let (inv_s, cp_s) = plan_for(&net, "S .* D");
         let mut store = IntentStore::with_base(cp_s, inv_s.packet_space.clone());
         let (inv_a, _) = plan_for(&net, "A .* D");
-        let id = store.park(None, "from-a", inv_a).unwrap();
+        let id = store.park("from-a", inv_a);
         let delta = store.remove(id, &work()).expect("drain, not Unsupported");
         assert!(delta.changed.is_empty() && delta.removed.is_empty());
         assert_eq!(store.parked_count(), 0);
@@ -2403,7 +2392,7 @@ pub(crate) mod tests {
         let (inv_b, cp_b) = plan_for(&net, "B .* D");
         let mut store = IntentStore::with_base(cp_s, inv_s.packet_space.clone());
         let (id_b, _) = store
-            .install(None, "from-b", inv_b.clone(), Slice::of(cp_b), &work())
+            .install("from-b", inv_b.clone(), Slice::of(cp_b), &work())
             .unwrap();
         let b = net.topology.expect_device("B");
         let mut churn = ChurnState::new();

@@ -343,6 +343,9 @@ impl Session {
     /// entry point).
     pub fn new(net: &Network, plan: &Plan) -> Session {
         let PlanKind::Counting(cp) = &plan.kind else {
+            // A caller's contract, not an input's: no daemon path builds
+            // a `Session` (the daemon's service runs an `Engine`), and
+            // every caller hands it a plan it planned as counting.
             panic!("Session requires a counting plan; use verify_snapshot for local plans");
         };
         Session::from_counting(net, cp.clone(), &plan.invariant.packet_space)
@@ -378,6 +381,11 @@ impl Session {
                 track_escapes: cp.track_escapes,
                 reduce: cp.reduce,
             },
+            // The contract documented above: a kind from outside the
+            // program is checked by its caller first. The reference
+            // sessions in the tests and the benchmark pick `bdd` or a
+            // kind their destination-only datasets fit; no daemon input
+            // reaches this.
             backend_kind: backend
                 .check(tulkun_predicate::network_ip_only(net))
                 .unwrap_or_else(|e| panic!("{e}")),
@@ -562,21 +570,7 @@ impl Session {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let (id, mut d) = self.control.install(None, name, inv, 0)?;
-        self.deliver(d.fence.take());
-        Ok((id, d.delta))
-    }
-
-    /// [`Session::install_intent`] under a caller-chosen id — for
-    /// deterministic replay (e.g. a hot backend swap re-building the
-    /// session must keep every live intent's id stable).
-    pub fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let (id, mut d) = self.control.install(Some(id), name, inv, 0)?;
+        let (id, mut d) = self.control.install(name, inv, 0)?;
         self.deliver(d.fence.take());
         Ok((id, d.delta))
     }
@@ -619,7 +613,7 @@ impl Substrate for Session {
                 self.control.topology_event(event, base, invariant, 0)?,
             ),
             E::InstallIntent { name, invariant } => {
-                let (id, d) = self.control.install(None, name, invariant, 0)?;
+                let (id, d) = self.control.install(name, invariant, 0)?;
                 (Some(id), d)
             }
             E::RemoveIntent(id) => (Some(*id), self.control.remove(*id, 0)?),

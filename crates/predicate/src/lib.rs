@@ -38,8 +38,7 @@
 //! (no port/proto matches, no header rewrites, packet spaces on
 //! destination bits only — see [`network_ip_only`], [`pred_ip_only`]);
 //! [`BackendKind::check`] is the one place that rule lives, and every
-//! substrate constructor, the CLI and the daemon's `config backend`
-//! path go through it. Batch substrates (`Engine`, `Session`, the CLI)
+//! substrate constructor and the CLI go through it. Batch substrates (`Engine`, `Session`, the CLI)
 //! default to `bdd`, the paper's encoding; the daemon's service picks
 //! by capability instead ([`BackendKind::fitting`]): `intervals` while
 //! its workload fits, `bdd` for good once a request does not.

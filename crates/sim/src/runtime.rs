@@ -58,8 +58,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tulkun_bdd::serial::PortablePred;
+use tulkun_bdd::HeaderLayout;
 use tulkun_core::churn::TopologyEvent;
-use tulkun_core::control::{ControlPlane, Decision, FencePlan};
+use tulkun_core::control::{ControlPlane, Decision, DeviceFence, FencePlan};
 use tulkun_core::dpvnet::NodeId;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, NodeResult, Payload, VerifierConfig};
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
@@ -578,7 +579,10 @@ struct Recipe {
 impl Recipe {
     fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: &EngineConfig) -> Recipe {
         // The contract `EngineConfig::backend` documents: callers holding
-        // outside input run `BackendKind::check` first.
+        // outside input run `BackendKind::check` first. The daemon's
+        // `Service` never reaches the panic below: it picks the backend
+        // the network and base packet space fit, and later moves only to
+        // `bdd`, which holds everything (`Engine::rehost`).
         let kind = cfg.backend.check(network_ip_only(net));
         Recipe {
             packet_space: verify::compile_packet_space(&net.layout, ps),
@@ -996,16 +1000,15 @@ impl<F: Fabric> Runtime<F> {
     }
 
     /// Installs `inv` as a runtime intent under its fence
-    /// ([`ControlPlane::install`]; `id` pins the id). Not driven.
+    /// ([`ControlPlane::install`]). Not driven.
     fn stage_install(
         &mut self,
-        id: Option<IntentId>,
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, Decision), PlanError> {
         let mut named = IntentId::BASE;
         let d = self.fenced(|c, trace| {
-            let (id, d) = c.install(id, name, inv, trace)?;
+            let (id, d) = c.install(name, inv, trace)?;
             named = id;
             Ok(d)
         })?;
@@ -1037,7 +1040,7 @@ impl<F: Fabric> Runtime<F> {
                 self.fenced(|c, t| c.topology_event(event, base, invariant, t))?,
             ),
             E::InstallIntent { name, invariant } => {
-                let (id, d) = self.stage_install(None, name, invariant)?;
+                let (id, d) = self.stage_install(name, invariant)?;
                 (Some(id), d)
             }
             E::RemoveIntent(id) => (Some(*id), self.fenced(|c, t| c.remove(*id, t))?),
@@ -1070,20 +1073,7 @@ impl<F: Fabric> Runtime<F> {
         name: &str,
         inv: &Invariant,
     ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let (id, d) = self.stage_install(None, name, inv)?;
-        Ok((id, d.delta, self.drain()))
-    }
-
-    /// [`Runtime::install_intent`] under a caller-chosen id — for
-    /// deterministic replay (a hot backend swap re-building the engine
-    /// must keep every live intent's id stable).
-    pub fn install_intent_as(
-        &mut self,
-        id: IntentId,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let (id, d) = self.stage_install(Some(id), name, inv)?;
+        let (id, d) = self.stage_install(name, inv)?;
         Ok((id, d.delta, self.drain()))
     }
 
@@ -1168,7 +1158,8 @@ pub struct Driver {
     /// covers work that caused no message.
     watermark: u64,
     /// Network snapshot kept current across FIB batches, so a verifier
-    /// built after construction time sees live FIBs.
+    /// built after construction time (late, or by a backend move) sees
+    /// live FIBs.
     net: Network,
     recipe: Recipe,
 }
@@ -1351,6 +1342,48 @@ impl Runtime<Driver> {
     /// The runtime observability surface.
     pub fn stats(&self) -> &RuntimeStats {
         &self.fabric.stats
+    }
+
+    /// The predicate backend the verifiers run on.
+    pub fn backend(&self) -> BackendKind {
+        self.fabric.recipe.kind
+    }
+
+    /// The header layout of the network the engine verifies.
+    pub fn layout(&self) -> HeaderLayout {
+        self.fabric.net.layout
+    }
+
+    /// Moves every verifier to the `kind` predicate backend in place.
+    /// The lifecycle stays as it is: the control plane keeps intents,
+    /// parked installs, churn and the epoch, trace ids keep counting,
+    /// and the transport keeps its routing and reliability state. Each hosted
+    /// verifier is rebuilt from the fabric's current network (its init
+    /// booked as a late build's) at the current epoch, with every node
+    /// the control plane has it host ([`ControlPlane::hosted`]); later
+    /// late builds use `kind` too. Wire bytes are backend-neutral, so
+    /// the drained Report equals the one before the move. Call it on a
+    /// quiescent engine: a rebuilt node restarts from zero, and so do
+    /// the peers it talks to. `kind` must hold the workload, as for
+    /// [`EngineConfig::backend`] ([`BackendKind::check`]).
+    pub fn rehost(&mut self, kind: BackendKind) -> RunOutcome {
+        let (trace, epoch) = (self.alloc_trace(), self.epoch());
+        let mut hosted = self.control.hosted();
+        let driver = &mut self.fabric;
+        driver.recipe.kind = kind;
+        let devices: Vec<DeviceId> = driver.verifiers.keys().copied().collect();
+        for dev in devices {
+            driver.build_late(dev, trace);
+            let fence = DeviceFence {
+                groups: hosted.remove(&dev).unwrap_or_default(),
+                ..DeviceFence::default()
+            };
+            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+                v.apply_fence(epoch, trace, fence, out)
+            };
+            driver.inject(dev, trace, Box::new(op));
+        }
+        self.drain()
     }
 }
 
@@ -1729,7 +1762,8 @@ impl Runtime<Threads> {
                             DeviceMsg::Collect(node, reply) => {
                                 let _ = reply.send(verifier.node_result(node, None));
                             }
-                            // Test-only: the device panic the shutdown test stages.
+                            // Test-only (compiled out of every other build):
+                            // the device panic the shutdown test stages.
                             #[cfg(test)]
                             DeviceMsg::Crash => panic!("injected device-task crash"),
                             #[cfg(test)]
@@ -2452,6 +2486,72 @@ mod tests {
                 matches: MatchSpec::dst("10.0.1.0/24".parse().unwrap()),
                 action: Action::fwd(net.topology.expect_device("W")),
             },
+        }
+    }
+
+    /// A backend move re-hosts the verifiers under the same lifecycle:
+    /// on a clean and on a lossy fabric, after a link-down and the
+    /// install of an intent over a second packet space, a move from
+    /// intervals to BDDs bumps no epoch and keeps the Report, and a
+    /// batch only BDDs hold then lands as on an engine that ran on BDDs
+    /// from the start.
+    #[test]
+    fn rehost_keeps_the_lifecycle_and_the_report() {
+        // fig2a without its port and proto rules: a network the
+        // intervals hold.
+        let mut net = fig2a_network();
+        let devices: Vec<DeviceId> = net.topology.devices().collect();
+        for dev in devices {
+            let fib = net.fib_mut(dev);
+            let rich: Vec<Rule> = (fib.rules().iter())
+                .filter(|r| r.matches.dst_port.is_some() || r.matches.proto.is_some())
+                .cloned()
+                .collect();
+            for r in rich {
+                fib.remove(r.priority, &r.matches);
+            }
+        }
+        assert!(network_ip_only(&net));
+        let (cp, ps) = waypoint_plan(&net);
+        let inv = waypoint_inv();
+        let dev = |n: &str| net.topology.expect_device(n);
+        let down = TopologyEvent::LinkDown(dev("A"), dev("B"));
+        let narrow = Invariant {
+            packet_space: PacketSpace::dst_prefix("10.0.1.0/24"),
+            ..exist_inv("B .* D")
+        };
+        let acl = RuleUpdate::Insert {
+            device: dev("B"),
+            rule: Rule {
+                priority: 90,
+                matches: MatchSpec::dst("10.0.0.0/24".parse().unwrap()).with_port(22),
+                action: Action::Drop,
+            },
+        };
+        let run = |lossy: bool, rehost: bool| {
+            let cfg = EngineConfig {
+                backend: [BackendKind::Bdd, BackendKind::Intervals][rehost as usize],
+                ..EngineConfig::default()
+            };
+            let mut e = match lossy {
+                true => Engine::lossy(&net, &cp, &ps, cfg, FaultProfile::loss(5, 0.2)),
+                false => Engine::new(&net, &cp, &ps, cfg),
+            };
+            e.burst();
+            e.apply_topology_event(&down, &net.topology, &inv).unwrap();
+            e.install_intent("narrow", &narrow).unwrap();
+            let before = (e.epoch(), e.report().canonical_bytes());
+            if rehost {
+                e.rehost(BackendKind::Bdd);
+                assert_eq!(e.backend(), BackendKind::Bdd);
+                assert_eq!((e.epoch(), e.report().canonical_bytes()), before);
+            }
+            e.apply_batch(&[acl.clone(), repair(&net)]);
+            e.report().canonical_bytes()
+        };
+        let want = run(false, false);
+        for lossy in [false, true] {
+            assert_eq!(run(lossy, true), want, "lossy: {lossy}");
         }
     }
 

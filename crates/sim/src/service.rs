@@ -25,6 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::runtime::{Engine, EngineConfig, RunOutcome};
+use tulkun_bdd::HeaderLayout;
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
 use tulkun_core::explain::{self, Explanation, Subject};
@@ -86,8 +87,8 @@ impl Default for ServiceConfig {
 
 /// Does a packet space compile to a predicate on destination bits
 /// only — one the interval encodings can hold?
-fn space_ip_only(net: &Network, ps: &PacketSpace) -> bool {
-    pred_ip_only(&compile_packet_space(&net.layout, ps))
+fn space_ip_only(layout: &HeaderLayout, ps: &PacketSpace) -> bool {
+    pred_ip_only(&compile_packet_space(layout, ps))
 }
 
 /// One admitted unit of work.
@@ -119,8 +120,10 @@ pub enum ServiceError {
         /// Requests queued for that source at the time.
         queued: usize,
     },
-    /// A churn event the planner rejected (e.g. downing the only
-    /// ingress); the old epoch and report stand.
+    /// A request refused before it was queued (a batch naming a
+    /// device outside the topology), or a churn event the planner
+    /// rejected (e.g. downing the only ingress); the old epoch and
+    /// report stand.
     Rejected(String),
 }
 
@@ -147,9 +150,6 @@ pub struct ServiceStatus {
     pub shed: u64,
     /// Requests applied to the harness since start.
     pub processed: u64,
-    /// FIB batches refused because the move to a backend that can
-    /// hold their rules failed (FIBs unchanged).
-    pub rejected_batches: u64,
     /// Churn events the planner rejected (epoch unchanged).
     pub rejected_churn: u64,
     /// Intent requests the planner or store rejected (e.g. a slice the
@@ -202,10 +202,6 @@ impl ServiceStatus {
             ("shed".into(), Json::Int(self.shed as i64)),
             ("processed".into(), Json::Int(self.processed as i64)),
             (
-                "rejected_batches".into(),
-                Json::Int(self.rejected_batches as i64),
-            ),
-            (
                 "rejected_churn".into(),
                 Json::Int(self.rejected_churn as i64),
             ),
@@ -254,22 +250,14 @@ impl ServiceStatus {
 /// admission/ordering contract.
 pub struct Service {
     cfg: ServiceConfig,
-    /// The predicate backend the harness runs on (see
-    /// [`Service::new`] for how it is chosen).
-    backend: BackendKind,
     /// The one long-lived engine the service drives, over perfect or
     /// lossy channels as configured; both converge to the same Report
-    /// fixpoint.
+    /// fixpoint. It also says which predicate backend the verifiers
+    /// run on (see [`Service::new`] for how it is chosen).
     harness: Engine,
-    /// The network with every *processed* batch folded in — the
-    /// rebuild source for [`Service::set_backend`].
-    net: Network,
     /// The pre-churn topology every churn re-plan diffs against.
     base_topo: Topology,
     inv: Invariant,
-    plan: CountingPlan,
-    /// Successfully applied churn events, replayed on rebuild.
-    churn_log: Vec<TopologyEvent>,
     /// Per-source FIFO queues, drained round-robin in key order.
     queues: BTreeMap<String, VecDeque<ServiceRequest>>,
     queued: usize,
@@ -277,7 +265,6 @@ pub struct Service {
     admitted: u64,
     shed: u64,
     processed: u64,
-    rejected_batches: u64,
     rejected_churn: u64,
     rejected_intents: u64,
     drains: u64,
@@ -299,11 +286,9 @@ impl Service {
     /// the invariant's packet space stay within the
     /// destination-prefix-only fragment, and on `bdd` otherwise. A
     /// later request the interval encoding cannot hold moves it to
-    /// `bdd` for good (see [`Service::apply`]); `config backend`
-    /// ([`Service::set_backend`]) is the one explicit override.
+    /// `bdd` for good, re-hosting the verifiers ([`Engine::rehost`]).
     pub fn new(net: &Network, plan: &CountingPlan, inv: &Invariant, cfg: ServiceConfig) -> Service {
-        let ip_only = network_ip_only(net) && space_ip_only(net, &inv.packet_space);
-        let backend = BackendKind::fitting(ip_only);
+        let ip_only = network_ip_only(net) && space_ip_only(&net.layout, &inv.packet_space);
         // The service's own always-enabled telemetry handle: the SLO
         // windows are the product, not an optional debugging aid. It
         // keeps histograms, counters and the journal, but no spans: no
@@ -313,26 +298,30 @@ impl Service {
             ring_capacity: 0,
             ..TelemetryConfig::enabled()
         });
-        let harness = Service::build_harness(net, plan, inv, &cfg, backend, &tel);
+        let ecfg = EngineConfig {
+            telemetry: tel.clone(),
+            backend: BackendKind::fitting(ip_only),
+            ..EngineConfig::default()
+        };
+        let mut harness = match cfg.faults {
+            Some(profile) => Engine::lossy(net, plan, &inv.packet_space, ecfg, profile),
+            None => Engine::new(net, plan, &inv.packet_space, ecfg),
+        };
+        harness.burst();
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
         // windows start from the post-burst baseline.
         slo.roll(&tel);
         Service {
-            backend,
             harness,
-            net: net.clone(),
             base_topo: net.topology.clone(),
             inv: inv.clone(),
-            plan: plan.clone(),
-            churn_log: Vec::new(),
             queues: BTreeMap::new(),
             queued: 0,
             processed_by: BTreeMap::new(),
             admitted: 0,
             shed: 0,
             processed: 0,
-            rejected_batches: 0,
             rejected_churn: 0,
             rejected_intents: 0,
             drains: 0,
@@ -343,61 +332,55 @@ impl Service {
         }
     }
 
-    /// Builds the engine over the configured channel and runs the
-    /// initial burst.
-    fn build_harness(
-        net: &Network,
-        plan: &CountingPlan,
-        inv: &Invariant,
-        cfg: &ServiceConfig,
-        backend: BackendKind,
-        tel: &Arc<Telemetry>,
-    ) -> Engine {
-        let ecfg = EngineConfig {
-            telemetry: tel.clone(),
-            backend,
-            ..EngineConfig::default()
-        };
-        let mut harness = match cfg.faults {
-            Some(profile) => Engine::lossy(net, plan, &inv.packet_space, ecfg, profile),
-            None => Engine::new(net, plan, &inv.packet_space, ecfg),
-        };
-        harness.burst();
-        harness
-    }
-
-    /// Does the whole workload stay within the destination-prefix-only
-    /// fragment: every FIB rule, and the packet space of the base
-    /// invariant and of every live or parked intent?
-    fn ip_only(&self) -> bool {
-        let store = self.harness.intents();
-        let live = store.live().filter_map(|i| i.invariant.as_ref());
-        let parked = store.parked().map(|p| &p.invariant);
-        network_ip_only(&self.net)
-            && std::iter::once(&self.inv)
-                .chain(live)
-                .chain(parked)
-                .all(|inv| space_ip_only(&self.net, &inv.packet_space))
-    }
-
     /// Makes room for a request before it is applied: when the request
     /// carries something the running encoding cannot hold (`fits` is
-    /// false), the service moves to `bdd` first, journaled as a
-    /// `backend_swap` whose detail names `cause`. The move is one-way —
-    /// going back would mean re-scanning every FIB rule at each batch,
-    /// and could thrash between rebuilds. `Err` is a failed swap.
-    fn make_room(&mut self, fits: bool, cause: &str) -> Result<(), ServiceError> {
-        if fits || self.backend.caps() == BackendCaps::FULL {
-            return Ok(());
+    /// false), the service moves to `bdd` first ([`Engine::rehost`]:
+    /// the verifiers change encoding, the lifecycle does not),
+    /// journaled as one `backend_swap` at the current epoch whose
+    /// detail names `cause`. The move is one-way — going back would
+    /// mean re-scanning every FIB rule at each batch, and could thrash
+    /// between rebuilds. The rebuild's init wave lands in the SLO
+    /// windows: a move is not free, and the tracker says so.
+    fn make_room(&mut self, fits: bool, cause: &str) {
+        if fits || self.harness.backend().caps() == BackendCaps::FULL {
+            return;
         }
-        self.swap_backend(BackendKind::Bdd, cause)
+        let from = self.harness.backend();
+        self.harness.rehost(BackendKind::Bdd);
+        let epoch = self.harness.epoch();
+        let detail = || {
+            format!(
+                "moved the predicate backend to bdd for {cause} \
+                 (verifiers re-hosted from {from})"
+            )
+        };
+        self.tel.journal(
+            JournalKind::BackendSwap,
+            DeviceId(0),
+            epoch,
+            0,
+            None,
+            detail,
+        );
     }
 
-    /// Offers one request from `source`. Under [`AdmissionPolicy::Shed`]
-    /// a full queue returns [`ServiceError::Shed`]; under
-    /// [`AdmissionPolicy::Block`] the service drains everything first
-    /// and then admits.
+    /// Offers one request from `source`. A batch naming a device
+    /// outside the topology is refused with [`ServiceError::Rejected`]
+    /// before it is queued: nothing changes. Under
+    /// [`AdmissionPolicy::Shed`] a full queue returns
+    /// [`ServiceError::Shed`]; under [`AdmissionPolicy::Block`] the
+    /// service drains everything first and then admits.
     pub fn offer(&mut self, source: &str, req: ServiceRequest) -> Result<(), ServiceError> {
+        if let ServiceRequest::Batch(updates) = &req {
+            let devices = self.base_topo.num_devices();
+            let outside = updates.iter().find(|u| u.device().0 as usize >= devices);
+            if let Some(u) = outside {
+                let d = u.device().0;
+                return Err(ServiceError::Rejected(format!(
+                    "batch names device {d}, outside the {devices}-device topology"
+                )));
+            }
+        }
         let per_source = self.queues.get(source).map_or(0, |q| q.len());
         let full = self.queued >= self.cfg.queue_cap.max(1)
             || per_source >= self.cfg.per_source_cap.max(1);
@@ -520,37 +503,20 @@ impl Service {
     /// Applies one request to the harness; `None` means it was rejected
     /// (counted and journaled; FIBs, epoch and Report unchanged). A
     /// request the running encoding cannot hold moves the service to
-    /// `bdd` first ([`Service::make_room`]); only a failed move rejects
-    /// it for that reason.
+    /// `bdd` first ([`Service::make_room`]).
     fn apply(&mut self, req: ServiceRequest) -> Option<RunOutcome> {
         let (kind, why, dev, intent) = match req {
             ServiceRequest::Batch(updates) => {
                 let fits = updates.iter().all(update_ip_only);
-                let cause = format!("batch of {}", updates.len());
-                match self.make_room(fits, &cause) {
-                    Ok(()) => {
-                        for u in &updates {
-                            self.net.apply(u);
-                        }
-                        return Some(self.harness.apply_batch(&updates));
-                    }
-                    Err(e) => {
-                        self.rejected_batches += 1;
-                        let why = format!("{cause} rejected: {e}");
-                        let dev = updates.first().map_or(DeviceId(0), RuleUpdate::device);
-                        (JournalKind::BatchRejected, why, dev, None)
-                    }
-                }
+                self.make_room(fits, &format!("batch of {}", updates.len()));
+                return Some(self.harness.apply_batch(&updates));
             }
             ServiceRequest::Churn(ev) => {
                 match self
                     .harness
                     .apply_topology_event(&ev, &self.base_topo, &self.inv)
                 {
-                    Ok(outcome) => {
-                        self.churn_log.push(ev);
-                        return Some(outcome);
-                    }
+                    Ok(outcome) => return Some(outcome),
                     Err(e) => {
                         self.rejected_churn += 1;
                         let why = format!("planner rejected {}: {e:?}", ev.describe());
@@ -559,19 +525,13 @@ impl Service {
                 }
             }
             ServiceRequest::IntentAdd { name, invariant } => {
-                let fits = space_ip_only(&self.net, &invariant.packet_space);
+                let fits = space_ip_only(&self.harness.layout(), &invariant.packet_space);
                 let cause = format!("install of intent {name:?}");
-                let installed = match self.make_room(fits, &cause) {
-                    Ok(()) => self
-                        .harness
-                        .install_intent(&name, &invariant)
-                        .map_err(|e| format!("{e:?}")),
-                    Err(e) => Err(e.to_string()),
-                };
-                match installed {
+                self.make_room(fits, &cause);
+                match self.harness.install_intent(&name, &invariant) {
                     Ok((_, _, outcome)) => return Some(outcome),
                     Err(e) => {
-                        let why = format!("{cause} rejected: {e}");
+                        let why = format!("{cause} rejected: {e:?}");
                         (JournalKind::IntentRejected, why, DeviceId(0), None)
                     }
                 }
@@ -685,7 +645,6 @@ impl Service {
             admitted: self.admitted,
             shed: self.shed,
             processed: self.processed,
-            rejected_batches: self.rejected_batches,
             rejected_churn: self.rejected_churn,
             rejected_intents: self.rejected_intents,
             parked,
@@ -693,7 +652,7 @@ impl Service {
             queued: self.queued,
             drains: self.drains,
             epoch: self.harness.epoch(),
-            backend: self.backend,
+            backend: self.harness.backend(),
             per_source: self
                 .processed_by
                 .iter()
@@ -753,102 +712,9 @@ impl Service {
         out
     }
 
-    /// Hot-swaps the predicate backend (`config backend`): rebuilds the
-    /// harness from the current network (every processed batch folded
-    /// in), re-runs the burst, replays the successful churn log so the
-    /// epoch and quarantine state carry over, and re-installs every
-    /// live runtime intent *under its original id* (ids are part of the
-    /// protocol — a client holding an id from before the swap can still
-    /// remove it). Queued-but-undrained requests are preserved and will
-    /// be applied to the new harness. The rebuild's init wave lands in
-    /// the SLO windows — a backend switch is not free, and the tracker
-    /// says so.
-    ///
-    /// Transactional: a backend that cannot run the current workload
-    /// ([`BackendKind::check`] over the FIBs and every live or parked
-    /// intent's packet space) or a failed replay returns
-    /// [`ServiceError::Rejected`] with backend, harness, queues and
-    /// counters untouched.
-    pub fn set_backend(&mut self, backend: BackendKind) -> Result<(), ServiceError> {
-        self.swap_backend(backend, "config backend")
-    }
-
-    /// [`Service::set_backend`], journaling `cause` as the reason.
-    fn swap_backend(&mut self, backend: BackendKind, cause: &str) -> Result<(), ServiceError> {
-        backend
-            .check(self.ip_only())
-            .map_err(|e| ServiceError::Rejected(e.to_string()))?;
-        // Live non-base intents, read off the old harness before it is
-        // dropped (the base intent is re-seeded by construction).
-        let live: Vec<(IntentId, String, Option<Invariant>)> = self
-            .harness
-            .intents()
-            .live()
-            .filter(|i| i.id.0 != 0)
-            .map(|i| (i.id, i.name.clone(), i.invariant.clone()))
-            .collect();
-        // Installs parked behind an in-flight fence must survive the
-        // swap too: replayed under the same churn state they park again
-        // deterministically under their original id (the retry budget
-        // restarts — a swap is a fresh admission, not a burned fence).
-        let parked: Vec<(IntentId, String, Invariant)> = self
-            .harness
-            .intents()
-            .parked()
-            .map(|p| (p.id, p.name.clone(), p.invariant.clone()))
-            .collect();
-        let mut harness = Service::build_harness(
-            &self.net, &self.plan, &self.inv, &self.cfg, backend, &self.tel,
-        );
-        // Intents first, churn second: the churn replay's fences then
-        // re-plan every slice exactly as the live history did, so an
-        // intent whose slice churn severed comes back *degraded* (not
-        // parked, not rejected). Parked installs replay last, under the
-        // replayed churn state, and deterministically park again.
-        for (id, name, inv) in &live {
-            let Some(inv) = inv else {
-                return Err(ServiceError::Rejected(format!(
-                    "intent {id} has no stored invariant to replay"
-                )));
-            };
-            harness
-                .install_intent_as(*id, name, inv)
-                .map_err(|e| ServiceError::Rejected(format!("intent replay failed: {e:?}")))?;
-        }
-        for ev in &self.churn_log {
-            harness
-                .apply_topology_event(ev, &self.base_topo, &self.inv)
-                .map_err(|e| ServiceError::Rejected(format!("churn replay failed: {e:?}")))?;
-        }
-        for (id, name, inv) in &parked {
-            harness
-                .install_intent_as(*id, name, inv)
-                .map_err(|e| ServiceError::Rejected(format!("parked replay failed: {e:?}")))?;
-        }
-        self.harness = harness;
-        self.backend = backend;
-        let epoch = self.harness.epoch();
-        self.tel.journal(
-            JournalKind::BackendSwap,
-            DeviceId(0),
-            epoch,
-            0,
-            None,
-            || {
-                format!(
-                    "hot-swapped predicate backend to {backend} for {cause} (rebuild + burst + \
-                     churn replay + {} intent replays)",
-                    live.len()
-                )
-            },
-        );
-        self.slo.roll(&self.tel);
-        Ok(())
-    }
-
     /// The predicate backend the device verifiers run on.
     pub fn backend(&self) -> BackendKind {
-        self.backend
+        self.harness.backend()
     }
 
     /// Journal entries, oldest first, optionally filtered to one
@@ -1189,22 +1055,57 @@ mod tests {
     fn backend_swap_preserves_report_and_queues() {
         let (net, cp, inv) = line_fixture();
         let mut svc = Service::new(&net, &cp, &inv, ServiceConfig::default());
+        assert_eq!(svc.backend(), BackendKind::Intervals);
+        // An intent over its own packet space, so the move re-hosts
+        // nodes of two contexts.
+        let narrow = Invariant::builder()
+            .packet_space(PacketSpace::dst_prefix("10.0.1.0/24"))
+            .ingress(["B"])
+            .behavior(Behavior::exist(
+                CountExpr::ge(1),
+                PathExpr::parse("B .* D").unwrap().loop_free(),
+            ))
+            .build()
+            .unwrap();
+        let b = net.topology.device("B").unwrap();
+        let acl = RuleUpdate::Insert {
+            device: b,
+            rule: Rule {
+                priority: 90,
+                matches: MatchSpec::dst("10.0.0.0/24".parse().unwrap()).with_port(22),
+                action: Action::Drop,
+            },
+        };
+        let install = ServiceRequest::IntentAdd {
+            name: "narrow".into(),
+            invariant: narrow.clone(),
+        };
+        svc.offer("s", install).unwrap();
         svc.offer("s", ServiceRequest::Batch(vec![some_update(&net, 40)]))
             .unwrap();
         svc.drain();
-        let before = svc.report().canonical_bytes();
-        // Queue one request, swap under it, then drain on the new
-        // backend.
+        let epoch = svc.status().epoch;
+        // A rule the intervals cannot hold moves the service to BDDs
+        // before it applies, with one more request queued under it.
+        svc.offer("s", ServiceRequest::Batch(vec![acl.clone()]))
+            .unwrap();
         svc.offer("s", ServiceRequest::Batch(vec![some_update(&net, 41)]))
             .unwrap();
-        svc.set_backend(BackendKind::DeltaNet).unwrap();
-        assert_eq!(svc.report().canonical_bytes(), before, "swap is invisible");
-        assert_eq!(svc.status().queued, 1, "queued work survives the swap");
+        assert_eq!(svc.drain_upto(1), 1);
+        let st = svc.status();
+        assert_eq!(st.backend, BackendKind::Bdd);
+        assert_eq!((st.epoch, st.queued), (epoch, 1), "the lifecycle stays");
+        let swaps = svc.journal_events(None, usize::MAX);
+        let swaps = swaps.iter().filter(|e| e.kind == JournalKind::BackendSwap);
+        assert_eq!(swaps.count(), 1);
         svc.drain();
         let mut reference = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
         reference.burst();
-        reference.apply_batch(&[some_update(&net, 40)]);
-        reference.apply_batch(&[some_update(&net, 41)]);
+        let (id, _, _) = reference.install_intent("narrow", &narrow).unwrap();
+        assert_eq!(id, IntentId(1));
+        for batch in [some_update(&net, 40), acl, some_update(&net, 41)] {
+            reference.apply_batch(&[batch]);
+        }
         assert_eq!(
             svc.report().canonical_bytes(),
             reference.report().canonical_bytes()

@@ -33,9 +33,6 @@ use tulkun_netmodel::topology::DeviceId;
 pub enum JournalKind {
     /// A burst of FIB rule updates was injected.
     BatchApplied,
-    /// A FIB batch was refused (a rule outside the running predicate
-    /// backend's capabilities); the FIBs are unchanged.
-    BatchRejected,
     /// The epoch fence was bumped: everything in flight is superseded.
     EpochFence,
     /// A live topology churn event (link/device up/down) was applied.
@@ -73,7 +70,8 @@ pub enum JournalKind {
     AdmissionBlocked,
     /// A rolling SLO window closed in breach.
     SloBreach,
-    /// The service hot-swapped the predicate backend.
+    /// The service moved its device verifiers to another predicate
+    /// backend (rebuilt in place; the lifecycle state stays).
     BackendSwap,
 }
 
@@ -83,7 +81,6 @@ impl JournalKind {
         use JournalKind as K;
         match self {
             K::BatchApplied => "batch_applied",
-            K::BatchRejected => "batch_rejected",
             K::EpochFence => "epoch_fence",
             K::TopologyChurn => "topology_churn",
             K::ChurnRejected => "churn_rejected",

@@ -24,7 +24,6 @@
 //! metrics                                       Prometheus exposition
 //! events <source> [n]                           flight-recorder entries
 //! explain <source> <node|intent:<id>>           ranked causal chain JSON
-//! config backend <bdd|deltanet|intervals>       override the backend
 //! config policy <shed|block>                    admission policy
 //! config drain-every <n>                        auto-drain cadence
 //! config slo <p50> <p90> <p99> <lag-p99>        budgets, ns
@@ -67,9 +66,9 @@
 //! hold (a batch with a port/proto match or a rewrite, an intent whose
 //! packet space constrains more than destination bits) moves it to
 //! `bdd` for good before it applies — a `backend_swap` journal entry
-//! naming the request, and `"backend"` in `status`. `config backend`
-//! is the explicit override, refused (`err rejected: …`, nothing
-//! changed) when the workload does not fit the named encoding.
+//! naming the request, and `"backend"` in `status`. The move rebuilds
+//! the device verifiers in place; epochs, intents, churn and the
+//! journal carry on as they were.
 //!
 //! Determinism contract: a scripted session (batches + churn from one
 //! source, drained in order) produces a final Report byte-equal to
@@ -84,7 +83,7 @@ use crate::core::planner::{CountingPlan, Planner};
 use crate::core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use crate::netmodel::network::{Network, RuleUpdate};
 use crate::netmodel::topology::Topology;
-use crate::sim::{AdmissionPolicy, BackendKind, Service, ServiceConfig, ServiceRequest};
+use crate::sim::{AdmissionPolicy, Service, ServiceConfig, ServiceRequest};
 use crate::telemetry::SloPolicy;
 
 /// One WAN destination's subset-reachability counting session on a
@@ -470,16 +469,6 @@ impl DaemonSession {
     fn handle_config(&mut self, rest: &str) -> Reply {
         let parts: Vec<&str> = rest.split_whitespace().collect();
         match parts.as_slice() {
-            ["backend", kind] => {
-                let kind: BackendKind = match kind.parse() {
-                    Ok(k) => k,
-                    Err(e) => return Reply::err(format!("{e}")),
-                };
-                match self.service.set_backend(kind) {
-                    Ok(()) => Reply::ok(format!("backend={kind}")),
-                    Err(e) => Reply::err(e.to_string()),
-                }
-            }
             ["policy", p] => {
                 let policy = match *p {
                     "shed" => AdmissionPolicy::Shed,
@@ -515,8 +504,8 @@ impl DaemonSession {
                 }
             }
             _ => Reply::err(
-                "usage: config backend <kind> | config policy <shed|block> | \
-                 config drain-every <n> | config slo <p50> <p90> <p99> <lag-p99>",
+                "usage: config policy <shed|block> | config drain-every <n> | \
+                 config slo <p50> <p90> <p99> <lag-p99>",
             ),
         }
     }

@@ -234,7 +234,7 @@ fn a_warm_churn_session_almost_never_runs_the_planner() {
     let mut install = |c: &mut ControlPlane, live: &mut VecDeque<(IntentId, usize)>| {
         let next = intents.next(|i| live.iter().all(|(_, l)| *l != i));
         let before = work();
-        let (id, d) = c.install(None, "pooled", &pool[next], 0).unwrap();
+        let (id, d) = c.install("pooled", &pool[next], 0).unwrap();
         assert!(!d.parked, "swaps happen on the quiet scene");
         let after = work();
         live.push_back((id, next));
