@@ -24,7 +24,9 @@
 #                 under crates/sim/src, as do the verifier constructor
 #                 and the device step in its non-test code, and the
 #                 deleted second names of the engines and the retired
-#                 roster option and fork stay deleted); and
+#                 roster option, fork, late build and shadow network
+#                 stay deleted: every fabric hosts every topology
+#                 device); and
 #                 the FIB write path compiles rules in one place
 #                 (`lecs_in` has exactly one caller outside
 #                 crates/predicate, and the verifier never calls
@@ -251,10 +253,12 @@ stage_lint() {
         echo "lint: a table rebuild is back (see above); a fence re-interns the slices that changed in place" >&2
         exit 1
     fi
-    # Which devices host a verifier is each fabric's own rule: the
-    # fixed-roster fork and the option that papered over it stay retired.
-    if grep -rnw 'all_devices\|fixed_roster\|taskable' crates src tests examples; then
-        echo "lint: a roster option or fork is back (see above); Threads spawns every device" >&2
+    # One roster: every fabric hosts every topology device, built at
+    # construction, and a verifier is its device's only copy of the FIB.
+    # The fixed-roster fork, the option that papered over it, the late
+    # build and the shadow network it read stay retired.
+    if grep -rnw 'all_devices\|fixed_roster\|taskable\|note_batch\|build_late' crates src tests examples; then
+        echo "lint: a roster option, fork or late build is back (see above); every fabric hosts every topology device" >&2
         exit 1
     fi
     # One way into the intent store: every plan is the re-planner's,

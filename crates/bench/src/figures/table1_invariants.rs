@@ -55,7 +55,6 @@ pub fn run(_cli: &Cli) {
         &net.topology,
         tulkun_core::planner::PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     );
     let mut table = FigureTable::new(

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use tulkun_baselines::Workload as BaselineWorkload;
 use tulkun_core::count::CountExpr;
-use tulkun_core::planner::{CountingPlan, Planner, PlannerOptions};
+use tulkun_core::planner::{CountingPlan, Planner};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
 use tulkun_netmodel::network::{Network, RuleUpdate};
@@ -149,13 +149,7 @@ fn build_per_dst(
     lec_cache: &LecCache,
 ) -> PerDst {
     let net = &ds.network;
-    let planner = Planner::with_options(
-        &net.topology,
-        PlannerOptions {
-            skip_consistency_check: false,
-            ..Default::default()
-        },
-    );
+    let planner = Planner::new(&net.topology);
     let inv = match ds.spec.kind {
         NetKind::Dc => dc_invariant(net, dst, &prefixes),
         _ => wan_invariant(net, dst, &prefixes),

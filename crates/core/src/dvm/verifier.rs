@@ -181,11 +181,11 @@ pub struct DeviceVerifier {
 
 /// Builds a [`DeviceVerifier`]: mandatory device/FIB/packet-space
 /// context plus the optional parts (planner tasks, a pre-built LEC
-/// table, a destination-mode override).
+/// table, a backend, a telemetry handle).
 ///
 /// One device's LEC table is shared by all its tasks across invariants
 /// (§8 — re-deriving it per invariant would be wasted work); seed it
-/// with [`VerifierBuilder::lecs`]. Cached tables are stored in the
+/// with [`VerifierBuilder::maybe_lecs`]. Cached tables are stored in the
 /// backend-neutral wire encoding, so a table exported under one backend
 /// seeds a verifier running any other. The caller must guarantee the
 /// exported table matches `fib`.
@@ -216,15 +216,8 @@ impl<'a> VerifierBuilder<'a> {
         self
     }
 
-    /// Seeds the LEC table from a previously exported one instead of
-    /// deriving it from the FIB.
-    pub fn lecs(mut self, lecs: &'a [(PortablePred, Action)]) -> Self {
-        self.lecs = Some(lecs);
-        self
-    }
-
-    /// Seeds the LEC table when a cached export is available; a `None`
-    /// falls back to deriving from the FIB.
+    /// Seeds the LEC table from a previously exported one when a cached
+    /// export is available; a `None` derives it from the FIB.
     pub fn maybe_lecs(mut self, lecs: Option<&'a [(PortablePred, Action)]>) -> Self {
         self.lecs = lecs;
         self
@@ -305,9 +298,8 @@ impl<'a> VerifierBuilder<'a> {
 impl DeviceVerifier {
     /// Starts building a verifier for `dev` with the default (BDD)
     /// backend; select another with [`VerifierBuilder::backend`].
-    /// `packet_space` is the invariant's packet space; tasks, cached
-    /// LECs and a dest-mode override are supplied on the returned
-    /// [`VerifierBuilder`].
+    /// `packet_space` is the invariant's packet space; tasks and cached
+    /// LECs are supplied on the returned [`VerifierBuilder`].
     pub fn builder(
         dev: DeviceId,
         layout: HeaderLayout,
@@ -328,7 +320,7 @@ impl DeviceVerifier {
     }
 
     /// Exports the LEC table for reuse by another verifier of the same
-    /// device (see [`VerifierBuilder::lecs`]). The export is in the
+    /// device (see [`VerifierBuilder::maybe_lecs`]). The export is in the
     /// canonical wire encoding, hence backend-neutral.
     pub fn export_lecs(&self) -> Vec<(PortablePred, Action)> {
         self.lecs
@@ -340,6 +332,11 @@ impl DeviceVerifier {
     /// The device this verifier runs on.
     pub fn device(&self) -> DeviceId {
         self.dev
+    }
+
+    /// The device's FIB, as every rule update applied so far left it.
+    pub fn fib(&self) -> &Fib {
+        &self.fib
     }
 
     /// The predicate backend in use.
@@ -392,12 +389,6 @@ impl DeviceVerifier {
     /// Backend memory proxy for §9.4: BDD nodes, stored intervals, or
     /// atoms + list entries, depending on the representation.
     pub fn mem_units(&self) -> usize {
-        self.backend.mem_units()
-    }
-
-    /// Backend memory proxy for §9.4 (historical name; same value as
-    /// [`DeviceVerifier::mem_units`]).
-    pub fn bdd_nodes(&self) -> usize {
         self.backend.mem_units()
     }
 
@@ -611,13 +602,6 @@ impl DeviceVerifier {
         self.refresh_relevance_of(node);
         self.emit_subscriptions(node, grow, out);
         self.recompute_node(node, grow, out);
-    }
-
-    /// Applies one FIB rule update (internal event, §5.2), writing the
-    /// resulting messages to `out`. Single-update form of
-    /// [`DeviceVerifier::handle_fib_batch`].
-    pub fn handle_fib_update(&mut self, update: &RuleUpdate, out: &mut dyn Outbox) {
-        self.handle_fib_batch(std::slice::from_ref(update), out);
     }
 
     /// Applies a whole burst of FIB rule updates for this device with a

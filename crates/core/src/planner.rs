@@ -215,22 +215,11 @@ impl From<DpvNetError> for PlanError {
 }
 
 /// Planner options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlannerOptions {
-    /// Path-enumeration safety cap.
-    pub path_cap: usize,
     /// Skip the §3 destination-consistency check (useful when the
     /// topology carries no external-port map).
     pub skip_consistency_check: bool,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            path_cap: crate::dpvnet::DEFAULT_PATH_CAP,
-            skip_consistency_check: false,
-        }
-    }
 }
 
 /// The verification planner.
@@ -359,7 +348,7 @@ impl<'a> Planner<'a> {
 
         let dpvnet = match self.try_slack_fastpath(&exprs, ingress) {
             Some(net) => net,
-            None => DpvNet::build_with_cap(self.topo, ingress, &exprs, self.opts.path_cap)?,
+            None => DpvNet::build(self.topo, ingress, &exprs)?,
         };
 
         let reduce = if exprs.len() == 1 && !track_escapes {
@@ -449,12 +438,7 @@ impl<'a> Planner<'a> {
                     .ok_or(PlanError::UnknownDevice(dst))?;
                 DpvNet::shortest_path_dag(self.topo, dst, &[])
             }
-            _ => DpvNet::build_with_cap(
-                self.topo,
-                ingress,
-                std::slice::from_ref(path),
-                self.opts.path_cap,
-            )?,
+            _ => DpvNet::build(self.topo, ingress, std::slice::from_ref(path))?,
         };
         // Keep only nodes on ingress→destination paths.
         let keep = reachable_from_sources(&dpvnet, ingress);

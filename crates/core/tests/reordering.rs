@@ -93,7 +93,7 @@ impl ChannelDriver {
     fn inject(&mut self, update: &RuleUpdate) {
         let mut out = Vec::new();
         if let Some(v) = self.verifiers.get_mut(&update.device()) {
-            v.handle_fib_update(update, &mut out);
+            v.handle_fib_batch(std::slice::from_ref(update), &mut out);
         }
         for env in out {
             self.push(env);

@@ -78,7 +78,6 @@ fn plan(net: &Network) -> tulkun_core::planner::Plan {
         &net.topology,
         PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     )
     .plan(&nat_invariant())

@@ -44,8 +44,7 @@ pub struct LocalSim {
 impl LocalSim {
     /// Builds one checker per device holding contracts.
     pub fn new(net: &Network, plan: &LocalPlan, ps: &PacketSpace, model: SwitchModel) -> LocalSim {
-        let cache = LecCache::new();
-        Self::new_cached(net, plan, ps, model, &cache)
+        Self::build(net, plan, ps, model, None)
     }
 
     /// Like [`LocalSim::new`], sharing a per-device LEC cache across
@@ -56,6 +55,16 @@ impl LocalSim {
         ps: &PacketSpace,
         model: SwitchModel,
         lec_cache: &LecCache,
+    ) -> LocalSim {
+        Self::build(net, plan, ps, model, Some(lec_cache))
+    }
+
+    fn build(
+        net: &Network,
+        plan: &LocalPlan,
+        ps: &PacketSpace,
+        model: SwitchModel,
+        lec_cache: Option<&LecCache>,
     ) -> LocalSim {
         let psp = compile_packet_space(&net.layout, ps);
         let mut by_dev: BTreeMap<DeviceId, Vec<LocalContract>> = BTreeMap::new();
@@ -68,7 +77,7 @@ impl LocalSim {
             .into_iter()
             .map(|(dev, contracts)| {
                 let wall = Instant::now();
-                let cached = lec_cache.get(dev);
+                let cached = lec_cache.and_then(|c| c.get(dev));
                 let mut checker = LocalChecker::new_with_lecs(
                     dev,
                     net.layout,
@@ -77,8 +86,8 @@ impl LocalSim {
                     &psp,
                     cached.as_deref().map(Vec::as_slice),
                 );
-                if cached.is_none() {
-                    lec_cache.insert(dev, checker.export_lecs());
+                if let (Some(cache), None) = (lec_cache, cached) {
+                    cache.insert(dev, checker.export_lecs());
                 }
                 stats.per_device.entry(dev).or_default().init_ns =
                     model.scale_ns(wall.elapsed().as_nanos() as u64);

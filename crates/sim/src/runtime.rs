@@ -8,10 +8,11 @@
 //! [`Runtime`], over the only thing two substrates differ in:
 //! a [`Fabric`], which hosts the verifiers, runs an injected operation
 //! on one device, moves the envelopes it emits, and says when the
-//! exchange is quiescent. Which devices host a verifier is each
-//! fabric's own rule, and no verdict depends on it: [`Driver`] builds a
-//! device's verifier when a fence first tasks it, [`Threads`] spawns
-//! one per topology device because it cannot add threads later.
+//! exchange is quiescent. Both host one verifier per topology device,
+//! built at construction by one `build_verifiers` call. A verifier is
+//! the runtime's only copy of its device's FIB and LEC table: one that
+//! hosts no node still folds every FIB batch, so the fence that first
+//! tasks it, or a backend move, finds its data plane current.
 //!
 //! * [`Engine`] is the runtime over the single-driver, virtual-time
 //!   fabric ([`Driver`]): one pull loop owns every verifier, a boxed
@@ -69,6 +70,7 @@ use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
 use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
 use tulkun_core::spec::{Invariant, PacketSpace};
 use tulkun_core::verify::{self, Freshness, Report, Verdicts};
+use tulkun_netmodel::fib::Fib;
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
 use tulkun_netmodel::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, BackendKind};
@@ -97,60 +99,42 @@ fn unpoisoned<T>(r: LockResult<T>) -> T {
 /// (`idx % SHARDS`), so any modest power of two spreads contention.
 const LEC_CACHE_SHARDS: usize = 16;
 
-/// A shared per-device LEC-table cache (exported predicates + actions),
-/// valid as long as the device's FIB is unchanged. One device builds
-/// its LEC table once for all invariants — the paper's §8 architecture.
+/// A per-device LEC-table cache (exported predicates + actions) that
+/// engines built over one network share, valid as long as the device's
+/// FIB is unchanged: one device builds its LEC table once for all
+/// invariants — the paper's §8 architecture. Only the constructors
+/// whose callers share one take it ([`Engine::with_cache`],
+/// `LocalSim::new_cached`).
 ///
 /// The cache is sharded per device: each shard has its own lock, and
-/// tables are handed out as `Arc`s, so `parallel_init` workers and
-/// concurrent batch application never serialize on one global `Mutex`.
-/// All methods take `&self`; existing `&mut LecCache` call sites keep
-/// working through auto-coercion.
-///
-/// Generic over the stored value; the default [`LecTable`] holds the
+/// tables are handed out as `Arc`s, so `parallel_init` workers never
+/// serialize on one global `Mutex`. Tables are held in the
 /// backend-neutral wire encoding (exported predicates are canonical
 /// ROBDD bytes whatever backend produced them), so one cache serves
 /// engines running different predicate backends.
-pub struct LecCache<V = LecTable> {
-    shards: [Mutex<BTreeMap<DeviceId, Arc<V>>>; LEC_CACHE_SHARDS],
+#[derive(Default)]
+pub struct LecCache {
+    shards: [Mutex<BTreeMap<DeviceId, Arc<LecTable>>>; LEC_CACHE_SHARDS],
 }
 
-impl<V> LecCache<V> {
+impl LecCache {
     /// An empty cache.
-    pub fn new() -> LecCache<V> {
-        LecCache {
-            shards: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-        }
+    pub fn new() -> LecCache {
+        LecCache::default()
     }
 
-    fn shard(&self, dev: DeviceId) -> &Mutex<BTreeMap<DeviceId, Arc<V>>> {
+    fn shard(&self, dev: DeviceId) -> &Mutex<BTreeMap<DeviceId, Arc<LecTable>>> {
         &self.shards[dev.idx() % LEC_CACHE_SHARDS]
     }
 
     /// The cached LEC table of a device, if any.
-    pub fn get(&self, dev: DeviceId) -> Option<Arc<V>> {
+    pub fn get(&self, dev: DeviceId) -> Option<Arc<LecTable>> {
         unpoisoned(self.shard(dev).lock()).get(&dev).cloned()
     }
 
     /// Caches a device's exported LEC table.
-    pub fn insert(&self, dev: DeviceId, lecs: V) {
+    pub fn insert(&self, dev: DeviceId, lecs: LecTable) {
         unpoisoned(self.shard(dev).lock()).insert(dev, Arc::new(lecs));
-    }
-
-    /// Number of devices with a cached table.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| unpoisoned(s.lock()).len()).sum()
-    }
-
-    /// True if no device has a cached table.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| unpoisoned(s.lock()).is_empty())
-    }
-}
-
-impl<V> Default for LecCache<V> {
-    fn default() -> LecCache<V> {
-        LecCache::new()
     }
 }
 
@@ -566,8 +550,9 @@ fn dvm_layer(payload: &Payload) -> &'static Layer {
 
 /// Everything building a verifier takes but the device, its tasks and
 /// the FIB it reads: one per engine, shared by the builds at
-/// construction and the late ones a fence causes.
+/// construction and the rebuilds of a backend move.
 struct Recipe {
+    layout: HeaderLayout,
     packet_space: PortablePred,
     vcfg: VerifierConfig,
     /// Every verifier of one run uses the same encoding (wire bytes
@@ -585,6 +570,7 @@ impl Recipe {
         // `bdd`, which holds everything (`Engine::rehost`).
         let kind = cfg.backend.check(network_ip_only(net));
         Recipe {
+            layout: net.layout,
             packet_space: verify::compile_packet_space(&net.layout, ps),
             vcfg: VerifierConfig {
                 n_exprs: plan.exprs.len(),
@@ -596,16 +582,16 @@ impl Recipe {
         }
     }
 
-    /// Builds `dev`'s verifier over its FIB in `net` and runs its init
-    /// under the causal `trace`: the one constructor. LECs come from
-    /// `cache` when it holds the device's table, and fill it when it
-    /// does not. Times the build as the `init.build` layer (`worker`
-    /// in aux) and returns the verifier, what its init sent and the
-    /// host ns both took.
+    /// Builds `dev`'s verifier over `fib` and runs its init under the
+    /// causal `trace`: the one constructor. LECs come from `cache` when
+    /// it holds the device's table, and fill it when it does not.
+    /// Times the build as the `init.build` layer (`worker` in aux) and
+    /// returns the verifier, what its init sent and the host ns both
+    /// took.
     fn build(
         &self,
-        net: &Network,
         dev: DeviceId,
+        fib: Fib,
         tasks: Vec<NodeTask>,
         cache: Option<&LecCache>,
         trace: u64,
@@ -617,8 +603,7 @@ impl Recipe {
         // parallel-init entry can read actual occupancy.
         let (v, out) = tel.timed(dev, &INIT_BUILD, trace, worker, || {
             let cached = cache.and_then(|c| c.get(dev));
-            let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, ps, self.vcfg.clone())
+            let mut v = DeviceVerifier::builder(dev, self.layout, fib, ps, self.vcfg.clone())
                 .backend(self.kind)
                 .tasks(tasks)
                 .maybe_lecs(cached.as_deref().map(Vec::as_slice))
@@ -645,23 +630,29 @@ struct BuiltVerifier {
     init_ns: u64,
 }
 
-/// Builds the verifier of every device in `by_dev`, timing each
-/// construction (LEC build + initial counting) as init cost; the whole
-/// initial burst is one causal wave. With `parallel_init` set, devices
-/// build concurrently under scoped threads — the sharded [`LecCache`]
-/// is used directly (per-shard locking, no global mutex), and results
-/// are returned in device order so downstream scheduling stays
+/// Builds the verifier of every topology device — the roster of both
+/// fabrics — with its share of `plan`, timing each construction (LEC
+/// build + initial counting) as init cost; the whole initial burst is
+/// one causal wave. With `parallel_init` set, devices build
+/// concurrently under scoped threads — a shared [`LecCache`] is used
+/// directly (per-shard locking, no global mutex), and results are
+/// returned in device order so downstream scheduling stays
 /// deterministic.
 fn build_verifiers(
     net: &Network,
-    by_dev: BTreeMap<DeviceId, Vec<NodeTask>>,
+    plan: &CountingPlan,
     recipe: &Recipe,
     cfg: &EngineConfig,
-    lec_cache: &LecCache,
+    lec_cache: Option<&LecCache>,
 ) -> Vec<BuiltVerifier> {
+    let mut by_dev = plan.tasks_by_device();
+    for dev in net.topology.devices() {
+        by_dev.entry(dev).or_default();
+    }
     let build_one = |dev: DeviceId, tasks: Vec<NodeTask>, worker: u64| -> BuiltVerifier {
+        let fib = net.fib(dev).clone();
         let (verifier, init_out, host_ns) =
-            recipe.build(net, dev, tasks, Some(lec_cache), INIT_TRACE, worker);
+            recipe.build(dev, fib, tasks, lec_cache, INIT_TRACE, worker);
         BuiltVerifier {
             dev,
             verifier,
@@ -771,7 +762,7 @@ fn step(
     tel.finish(dev, layer, trace, span.begin, begin, charged);
     if envelope {
         let sent = v.stats.bytes_sent - bytes_before;
-        stats.absorb_message(span.cpu_ns, sent, v.bdd_nodes());
+        stats.absorb_message(span.cpu_ns, sent, v.mem_units());
     } else {
         stats.busy_ns += span.cpu_ns;
     }
@@ -784,13 +775,13 @@ fn step(
 pub trait Fabric {
     /// Runs `op` on `dev`'s verifier at the start of the round under
     /// the causal `trace` id, books its cost and sends what it emitted.
-    /// A device without a verifier is skipped.
+    /// An id outside the topology names no verifier and is skipped.
     fn inject(&mut self, dev: DeviceId, trace: u64, op: Injected);
     /// Epoch fence: supersedes everything in flight *before* any
-    /// new-epoch send, gives every device of `plan` a verifier, and
-    /// returns how many envelopes were dropped (or may still land on
-    /// old-epoch state) — what decides whether the repair wave runs.
-    fn fence(&mut self, plan: &FencePlan, trace: u64) -> usize;
+    /// new-epoch send and returns how many envelopes were dropped (or
+    /// may still land on old-epoch state) — what decides whether the
+    /// repair wave runs.
+    fn fence(&mut self, plan: &FencePlan) -> usize;
     /// `dev`'s agent restarts: nothing pending may land on its fresh
     /// state. Counts one recovered crash.
     fn purge_for_restart(&mut self, dev: DeviceId);
@@ -799,9 +790,6 @@ pub trait Fabric {
     fn drain(&mut self, control: &ControlPlane) -> RunOutcome;
     /// Exports `node`'s counting results from `dev`'s verifier.
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult;
-    /// A FIB batch is about to be injected (a fabric that builds
-    /// verifiers later keeps its network snapshot current).
-    fn note_batch(&mut self, _batch: &UpdateBatch) {}
     /// Devices a watchdog declared stalled (device → epoch at stall).
     fn stalled(&self) -> BTreeMap<DeviceId, u64> {
         BTreeMap::new()
@@ -898,7 +886,6 @@ impl<F: Fabric> Runtime<F> {
     pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
         let trace = self.alloc_trace();
         let batch: UpdateBatch = updates.iter().cloned().collect();
-        self.fabric.note_batch(&batch);
         let coalesced = batch.coalesced();
         let first = coalesced.first().map_or(DeviceId(0), |(d, _)| *d);
         let (n, epoch) = (updates.len(), self.epoch());
@@ -907,10 +894,10 @@ impl<F: Fabric> Runtime<F> {
                 format!("{n} updates")
             });
         // Quarantine blocks *protocol* deliveries, not the device's own
-        // FIB: a quarantined verifier still folds in rule updates (it
-        // owns no plan nodes, so nothing is announced), so a later
-        // `DeviceUp` revives it against the current data plane —
-        // mirroring the reference session.
+        // FIB: every verifier, quarantined or hosting no node, folds in
+        // its rule updates (nothing is announced without nodes), so a
+        // later `DeviceUp`, first task or backend move finds the
+        // current data plane — mirroring the reference session.
         for (dev, ops) in coalesced {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.handle_fib_batch(&ops, out)
@@ -988,7 +975,7 @@ impl<F: Fabric> Runtime<F> {
         let first = plan.devices.keys().next().copied().unwrap_or(DeviceId(0));
         self.tel
             .finish(first, &FENCE_PLAN, trace, epoch, begin, None);
-        let dropped = self.fabric.fence(&plan, trace);
+        let dropped = self.fabric.fence(&plan);
         self.control.seal(&mut plan, dropped, trace);
         for (dev, fence) in plan.devices {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
@@ -1157,10 +1144,6 @@ pub struct Driver {
     /// Latest finish time of this round's work, so its completion time
     /// covers work that caused no message.
     watermark: u64,
-    /// Network snapshot kept current across FIB batches, so a verifier
-    /// built after construction time (late, or by a backend move) sees
-    /// live FIBs.
-    net: Network,
     recipe: Recipe,
 }
 
@@ -1181,17 +1164,17 @@ impl Driver {
         Some(span)
     }
 
-    /// Builds one verifier after construction time, for a device a
-    /// later intent or churn re-plan pulls into the plan (no LEC cache:
-    /// a late-joining device builds its table once). Its init is
-    /// charged from the start of the round.
-    fn build_late(&mut self, dev: DeviceId, trace: u64) {
-        let (v, out, host_ns) = self
-            .recipe
-            .build(&self.net, dev, Vec::new(), None, trace, 0);
+    /// Rebuilds `dev`'s verifier, hosting nothing, from the FIB it
+    /// holds under the recipe's current backend. Its init is charged
+    /// from the start of the round.
+    fn rebuild(&mut self, dev: DeviceId, trace: u64) {
+        let Some(fib) = self.verifiers.get(&dev).map(|v| v.fib().clone()) else {
+            return;
+        };
+        let (v, out, host_ns) = self.recipe.build(dev, fib, Vec::new(), None, trace, 0);
         let span = self.clock.charge(dev, 0, host_ns);
         let st = self.stats.per_device.entry(dev).or_default();
-        (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.bdd_nodes());
+        (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.mem_units());
         self.watermark = self.watermark.max(span.finish);
         for env in out {
             self.transport.send(dev, span.finish, env);
@@ -1205,15 +1188,10 @@ impl Fabric for Driver {
         self.run(dev, 0, Input::Op(trace, op));
     }
 
-    fn fence(&mut self, plan: &FencePlan, trace: u64) -> usize {
+    fn fence(&mut self, plan: &FencePlan) -> usize {
         let dropped = self.transport.epoch_fence(plan.epoch);
         if let Some(topo) = &plan.topology {
             self.transport.set_topology(topo);
-        }
-        for dev in plan.devices.keys() {
-            if !self.verifiers.contains_key(dev) {
-                self.build_late(*dev, trace);
-            }
         }
         dropped
     }
@@ -1253,10 +1231,6 @@ impl Fabric for Driver {
         let v = self.verifiers.get_mut(&dev);
         v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
     }
-
-    fn note_batch(&mut self, batch: &UpdateBatch) {
-        self.net.apply_batch(batch);
-    }
 }
 
 impl Runtime<Driver> {
@@ -1266,7 +1240,8 @@ impl Runtime<Driver> {
     /// initial counting) is timed as init cost; call
     /// [`Runtime::burst`] to run the initial exchange to quiescence.
     pub fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: EngineConfig) -> Engine {
-        Self::with_cache(net, plan, ps, cfg, &LecCache::new())
+        let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
+        Self::over(net, plan, ps, &cfg, Box::new(links))
     }
 
     /// Like [`Engine::new`], but shares a per-device LEC cache across
@@ -1281,7 +1256,7 @@ impl Runtime<Driver> {
         lec_cache: &LecCache,
     ) -> Engine {
         let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
-        Self::over(net, plan, ps, &cfg, lec_cache, Box::new(links))
+        Self::on(net, plan, ps, &cfg, Some(lec_cache), Box::new(links))
     }
 
     /// Builds an engine over a *faulty* management network: the same
@@ -1299,28 +1274,40 @@ impl Runtime<Driver> {
     ) -> Engine {
         let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         let lossy = FaultyTransport::with_telemetry(links, profile, cfg.telemetry.clone());
-        Self::over(net, plan, ps, &cfg, &LecCache::new(), Box::new(lossy))
+        Self::over(net, plan, ps, &cfg, Box::new(lossy))
     }
 
     /// Builds an engine over any transport (tests substitute
-    /// [`FifoTransport`]), sharing a per-device LEC cache.
+    /// [`FifoTransport`]).
     pub fn over(
         net: &Network,
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: &EngineConfig,
-        lec_cache: &LecCache,
+        transport: Box<dyn Transport>,
+    ) -> Engine {
+        Self::on(net, plan, ps, cfg, None, transport)
+    }
+
+    /// The one `Driver` assembly; only [`Engine::with_cache`] passes a
+    /// cache.
+    fn on(
+        net: &Network,
+        plan: &CountingPlan,
+        ps: &PacketSpace,
+        cfg: &EngineConfig,
+        lec_cache: Option<&LecCache>,
         mut transport: Box<dyn Transport>,
     ) -> Engine {
         let recipe = Recipe::new(net, plan, ps, cfg);
-        let built = build_verifiers(net, plan.tasks_by_device(), &recipe, cfg, lec_cache);
+        let built = build_verifiers(net, plan, &recipe, cfg, lec_cache);
         let mut clock = VirtualClock::new(cfg.model);
         let mut verifiers = BTreeMap::new();
         let mut stats = RuntimeStats::default();
         for b in built {
             let st = stats.per_device.entry(b.dev).or_default();
             st.init_ns = b.init_ns;
-            st.bdd_nodes = b.verifier.bdd_nodes();
+            st.bdd_nodes = b.verifier.mem_units();
             clock.set_free_at(b.dev, b.init_ns);
             for env in b.init_out {
                 transport.send(b.dev, b.init_ns, env);
@@ -1333,7 +1320,6 @@ impl Runtime<Driver> {
             clock,
             stats,
             watermark: 0,
-            net: net.clone(),
             recipe,
         };
         Runtime::assemble(net, plan, ps, driver, cfg)
@@ -1351,18 +1337,19 @@ impl Runtime<Driver> {
 
     /// The header layout of the network the engine verifies.
     pub fn layout(&self) -> HeaderLayout {
-        self.fabric.net.layout
+        self.fabric.recipe.layout
     }
 
     /// Moves every verifier to the `kind` predicate backend in place.
     /// The lifecycle stays as it is: the control plane keeps intents,
     /// parked installs, churn and the epoch, trace ids keep counting,
-    /// and the transport keeps its routing and reliability state. Each hosted
-    /// verifier is rebuilt from the fabric's current network (its init
-    /// booked as a late build's) at the current epoch, with every node
-    /// the control plane has it host ([`ControlPlane::hosted`]); later
-    /// late builds use `kind` too. Wire bytes are backend-neutral, so
-    /// the drained Report equals the one before the move. Call it on a
+    /// and the transport keeps its routing and reliability state. Each
+    /// verifier is rebuilt from the FIB it holds (every batch reached
+    /// it, quarantined or not; its init booked from the start of the
+    /// round) at the current epoch, with every node the control plane
+    /// has it host ([`ControlPlane::hosted`]). Wire bytes are
+    /// backend-neutral, so the drained Report equals the one before
+    /// the move. Call it on a
     /// quiescent engine: a rebuilt node restarts from zero, and so do
     /// the peers it talks to. `kind` must hold the workload, as for
     /// [`EngineConfig::backend`] ([`BackendKind::check`]).
@@ -1373,7 +1360,7 @@ impl Runtime<Driver> {
         driver.recipe.kind = kind;
         let devices: Vec<DeviceId> = driver.verifiers.keys().copied().collect();
         for dev in devices {
-            driver.build_late(dev, trace);
+            driver.rebuild(dev, trace);
             let fence = DeviceFence {
                 groups: hosted.remove(&dev).unwrap_or_default(),
                 ..DeviceFence::default()
@@ -1603,7 +1590,7 @@ impl Fabric for Threads {
     /// traffic: the verifier-level fence discards it (or what it would
     /// have caused). Only the coordinator injects work (`&mut self`),
     /// so a zero gauge stays zero until the fences are posted.
-    fn fence(&mut self, _plan: &FencePlan, _trace: u64) -> usize {
+    fn fence(&mut self, _plan: &FencePlan) -> usize {
         self.inflight.current()
     }
 
@@ -1682,25 +1669,20 @@ impl Runtime<Threads> {
     /// initial (burst) exchange; call [`ThreadedEngine::wait_quiescent`]
     /// to let it drain.
     pub fn spawn(net: &Network, plan: &CountingPlan, ps: &PacketSpace) -> ThreadedEngine {
-        Self::spawn_with(net, plan, ps, &EngineConfig::default(), &LecCache::new())
+        Self::spawn_with(net, plan, ps, &EngineConfig::default())
     }
 
-    /// Like [`ThreadedEngine::spawn`], with explicit engine options and
-    /// a shared LEC cache (`parallel_init` builds device verifiers
-    /// concurrently before the threads start).
+    /// Like [`ThreadedEngine::spawn`], with explicit engine options
+    /// (`parallel_init` builds device verifiers concurrently before the
+    /// threads start).
     pub fn spawn_with(
         net: &Network,
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: &EngineConfig,
-        lec_cache: &LecCache,
     ) -> ThreadedEngine {
         let recipe = Recipe::new(net, plan, ps, cfg);
-        let mut by_dev = plan.tasks_by_device();
-        for d in 0..net.topology.num_devices() as u32 {
-            by_dev.entry(DeviceId(d)).or_default();
-        }
-        let built = build_verifiers(net, by_dev, &recipe, cfg, lec_cache);
+        let built = build_verifiers(net, plan, &recipe, cfg, None);
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
@@ -1724,7 +1706,7 @@ impl Runtime<Threads> {
             {
                 let st = init_stats.per_device.entry(dev).or_default();
                 st.init_ns = init_ns;
-                st.bdd_nodes = verifier.bdd_nodes();
+                st.bdd_nodes = verifier.mem_units();
             }
             let peers = senders.clone();
             let inflight = inflight.clone();
@@ -1935,8 +1917,8 @@ mod tests {
 
     /// The reference semantics: the engine over the in-order fake.
     fn fifo_engine(net: &Network, cp: &CountingPlan, ps: &PacketSpace) -> Engine {
-        let (cfg, cache) = (EngineConfig::default(), LecCache::new());
-        Engine::over(net, cp, ps, &cfg, &cache, Box::<FifoTransport>::default())
+        let cfg = EngineConfig::default();
+        Engine::over(net, cp, ps, &cfg, Box::<FifoTransport>::default())
     }
 
     /// A live churn event of the waypoint session, as a [`RuntimeEvent`].
@@ -2895,7 +2877,7 @@ mod tests {
         };
         let mut engine = Engine::new(&net, cp, ps, cfg(&tels[0]));
         engine.burst();
-        let threaded = ThreadedEngine::spawn_with(&net, cp, ps, &cfg(&tels[1]), &LecCache::new());
+        let threaded = ThreadedEngine::spawn_with(&net, cp, ps, &cfg(&tels[1]));
         threaded.wait_quiescent();
         (net, engine, threaded, tels)
     }
@@ -2908,9 +2890,9 @@ mod tests {
 
     /// Fig. 2a's base `A .* D` tasks nothing on S. Installing `S .* D`
     /// tasks it, and losing A–B re-plans both slices: each fabric takes
-    /// every event — the engine builds S's verifier when the install's
-    /// fence first tasks it, the threaded one spawned it — and they end
-    /// on one Report and one journal.
+    /// every event — both built S's verifier at construction, and the
+    /// install's fence first tasks it — and they end on one Report and
+    /// one journal.
     #[test]
     fn a_threaded_engine_hosts_an_intent_the_base_skips() {
         let (net, mut engine, mut threaded, tels) = both_fabrics(&from_a());

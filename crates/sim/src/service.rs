@@ -781,25 +781,26 @@ impl Service {
     /// fresh), by intent id (0 = the base intent). A parked install —
     /// one that raced a topology fence and is waiting to be re-planned
     /// — gets a `parked` verdict whose causal chain leads back to the
-    /// fence it raced.
-    pub fn explain_intent(&mut self, source: Option<&str>, id: u64) -> Explanation {
-        let report = self.harness.report();
-        let nodes: Vec<u32> = self
-            .harness
-            .intents()
-            .get(IntentId(id))
-            .map(|i| i.global_nodes().iter().map(|n| n.0).collect())
-            .unwrap_or_default();
-        let verdict = if self.harness.intents().is_parked(IntentId(id)) {
-            format!("parked(awaiting epoch {})", self.harness.epoch() + 1)
-        } else {
-            explain::intent_verdict(&report, id, &nodes)
+    /// fence it raced, and an intent since removed gets `removed`. An
+    /// id no install has allocated is an `Err`.
+    pub fn explain_intent(&mut self, source: Option<&str>, id: u64) -> Result<Explanation, String> {
+        let store = self.harness.intents();
+        if id >= store.next_intent_id() {
+            return Err(format!("unknown intent {id}"));
+        }
+        let parked = store.is_parked(IntentId(id));
+        let live = store.get(IntentId(id));
+        let nodes: Option<Vec<u32>> = live.map(|i| i.global_nodes().iter().map(|n| n.0).collect());
+        let verdict = match (parked, nodes) {
+            (true, _) => format!("parked(awaiting epoch {})", self.harness.epoch() + 1),
+            (false, Some(nodes)) => explain::intent_verdict(&self.harness.report(), id, &nodes),
+            (false, None) => "removed".to_string(),
         };
         if verdict.contains("unreachable") {
             self.dump_pending = true;
         }
         let events = self.journal_events(source, usize::MAX);
-        explain::explain(&events, Subject::Intent(id), &verdict)
+        Ok(explain::explain(&events, Subject::Intent(id), &verdict))
     }
 }
 

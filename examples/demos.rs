@@ -22,7 +22,6 @@ fn check(name: &str, net: &Network, inv: &Invariant, expect_holds: bool) {
         &net.topology,
         tulkun::core::planner::PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     );
     let plan = planner.plan(inv).unwrap();

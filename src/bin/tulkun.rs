@@ -74,7 +74,6 @@ fn main() -> ExitCode {
                 &net.topology,
                 PlannerOptions {
                     skip_consistency_check: args.iter().any(|a| a == "--no-consistency-check"),
-                    ..Default::default()
                 },
             );
             let mut failed = false;
@@ -131,7 +130,6 @@ fn main() -> ExitCode {
                 &net.topology,
                 PlannerOptions {
                     skip_consistency_check: true,
-                    ..Default::default()
                 },
             );
             let plan = match planner.plan(&inv) {
@@ -605,9 +603,7 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
             backend,
             ..Default::default()
         };
-        let cache = tulkun::sim::LecCache::new();
-        let mut run =
-            tulkun::sim::ThreadedEngine::spawn_with(net, &cp, &inv.packet_space, &ecfg, &cache);
+        let mut run = tulkun::sim::ThreadedEngine::spawn_with(net, &cp, &inv.packet_space, &ecfg);
         run.wait_quiescent();
         let cfg = tulkun::sim::WatchdogConfig::default();
         for ev in &schedule.0 {

@@ -456,7 +456,10 @@ impl DaemonSession {
             let Ok(id) = id.parse::<u64>() else {
                 return Reply::err(format!("bad intent id {id:?}"));
             };
-            self.service.explain_intent(filter, id)
+            match self.service.explain_intent(filter, id) {
+                Ok(explanation) => explanation,
+                Err(e) => return Reply::err(e),
+            }
         } else {
             let Some(dev) = self.topo.device(subject) else {
                 return Reply::err(format!("unknown device {subject:?}"));

@@ -17,7 +17,6 @@ fn fig5_anycast_union_dpvnet_no_false_positive() {
         &net.topology,
         tulkun::core::planner::PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     );
     let plan = planner.plan(&inv).unwrap();
@@ -55,7 +54,6 @@ fn fig5_anycast_detects_real_violation() {
         &net.topology,
         tulkun::core::planner::PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     );
     let plan = planner.plan(&inv).unwrap();
@@ -152,7 +150,6 @@ fn multicast_needs_joint_universes_too() {
         &net.topology,
         tulkun::core::planner::PlannerOptions {
             skip_consistency_check: true,
-            ..Default::default()
         },
     );
     let plan = planner.plan(&inv).unwrap();

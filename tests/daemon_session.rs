@@ -435,6 +435,34 @@ fn intent_protocol_round_trips() {
     assert_eq!(exported.trim(), "2", "`metrics` disagrees with `status`");
 }
 
+/// `explain` names only intents an install allocated: an id past the
+/// last one allocated is an `err`, not a healthy-looking `fresh`.
+#[test]
+fn explaining_an_unallocated_intent_is_an_error() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    for id in ["1", "18446744073709551615"] {
+        let got = reply(&mut session, &format!("explain * intent:{id}"));
+        assert_eq!(got, format!("err unknown intent {id}"));
+    }
+    let base = reply(&mut session, "explain * intent:0");
+    assert!(base.contains("\"verdict\":\"fresh\""), "{base}");
+}
+
+/// An intent that was installed and then removed is explained as
+/// `removed`, with the install and removal in its causal chain.
+#[test]
+fn explaining_a_removed_intent_says_removed() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let spec = narrow_intent_spec(&session.topology().clone());
+    let add = format!("intent add ops {}", intent_json("narrow", &spec));
+    for line in [add.as_str(), "drain", "intent remove ops 1", "drain"] {
+        assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+    }
+    let got = reply(&mut session, "explain * intent:1");
+    assert!(got.contains("\"verdict\":\"removed\""), "{got}");
+    assert!(got.contains("intent_removed"), "{got}");
+}
+
 /// An intent with no valid path — `exist >= 1` over two devices that
 /// are not adjacent — never lands as an empty slice that holds. `intent
 /// add` only admits (its reply is `ok queued=…` by protocol); the drain
@@ -589,11 +617,24 @@ fn acl_batch(net: &tulkun::netmodel::network::Network) -> String {
 /// work (`ok`, nothing rejected), `status` names the new backend, the
 /// journal holds a `backend_swap` naming the batch as its cause, and
 /// the Report is byte-equal to a BDD reference `Session` fed the same
-/// batch.
+/// batches. Destination-only batches run first, on the intervals: the
+/// re-hosted verifiers count against the FIBs those batches left, the
+/// only copy of the data plane the service holds.
 #[test]
 fn a_rich_batch_moves_the_service_to_bdd() {
     let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
     let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"backend\":\"intervals\""), "{status}");
+
+    let mut batches: Vec<Vec<RuleUpdate>> = [3, 4]
+        .map(|seed| tulkun::datasets::rule_updates(&ds.network, 40, seed))
+        .into();
+    for batch in &batches {
+        let line = format!("batch cp {}", tulkun::json::to_string(batch));
+        assert!(reply(&mut session, &line).starts_with("ok "));
+        assert_eq!(reply(&mut session, "drain"), "ok processed=1");
+    }
     let status = reply(&mut session, "status");
     assert!(status.contains("\"backend\":\"intervals\""), "{status}");
 
@@ -610,15 +651,25 @@ fn a_rich_batch_moves_the_service_to_bdd() {
     assert!(swap.contains("for batch of "), "{swap}");
     assert!(swap.contains("\"source\":\"acl\""), "{swap}");
 
-    let (inv, cp) = dataset_session(&ds.network, "INet2").unwrap();
-    let mut reference = Session::from_counting(&ds.network, cp, &inv.packet_space);
-    reference.run_to_quiescence();
     let json = acls.strip_prefix("batch acl ").unwrap();
-    let batch: Vec<RuleUpdate> = tulkun::json::from_str(json).unwrap();
-    reference
-        .apply_event(&RuntimeEvent::Batch(batch))
-        .expect("reference applies the batch");
-    let want = String::from_utf8(reference.report().canonical_bytes()).unwrap();
+    batches.push(tulkun::json::from_str(json).unwrap());
+    let (inv, cp) = dataset_session(&ds.network, "INet2").unwrap();
+    let bdd_report = |batches: &[Vec<RuleUpdate>]| {
+        let mut reference = Session::from_counting(&ds.network, cp.clone(), &inv.packet_space);
+        reference.run_to_quiescence();
+        for batch in batches {
+            reference
+                .apply_event(&RuntimeEvent::Batch(batch.clone()))
+                .expect("reference applies the batch");
+        }
+        String::from_utf8(reference.report().canonical_bytes()).unwrap()
+    };
+    let want = bdd_report(&batches);
+    assert_ne!(
+        want,
+        bdd_report(&batches[2..]),
+        "the destination-only batches must show in the Report"
+    );
     assert_eq!(reply(&mut session, "report"), format!("ok {want}"));
 }
 

@@ -8,10 +8,10 @@
 //! substrates — `Session`, `Engine` over `FifoTransport`, `Engine::new`,
 //! `Engine::lossy` and `ThreadedEngine` — built with one backend,
 //! telemetry mode and batching mode per case and otherwise the default
-//! `EngineConfig`, so the clocked engines build a device's verifier
-//! late, when a fence first tasks it. After every op, judge (i)
-//! holds every Report, and the bytes each substrate's verdict memo
-//! splices for the daemon, byte-equal to the merged per-intent fresh
+//! `EngineConfig`; the engines build every device's verifier up front,
+//! `Session` a device's when a fence first tasks it. After every op,
+//! judge (i) holds every Report, and the bytes each substrate's verdict
+//! memo splices for the daemon, byte-equal to the merged per-intent fresh
 //! `Session` on the effective network and the substrates to one
 //! lifecycle; judge (ii), the [`oracle`], which shares no code with the
 //! verifier, checks every verdict. The paper's scenarios are fixed
@@ -39,7 +39,7 @@ use tulkun::netmodel::IpPrefix;
 use tulkun::prelude::*;
 use tulkun::sim::localsim::LocalSim;
 use tulkun::sim::runtime::FifoTransport;
-use tulkun::sim::{BackendKind, Engine, EngineConfig, LecCache, SwitchModel, ThreadedEngine};
+use tulkun::sim::{BackendKind, Engine, EngineConfig, SwitchModel, ThreadedEngine};
 use tulkun::telemetry::{JournalKind as K, Telemetry, TelemetryConfig};
 use Op::*;
 
@@ -536,10 +536,9 @@ struct Subs {
     event: Engine,
     lossy: Engine,
     threaded: ThreadedEngine,
-    /// Devices the base plan tasks: the verifiers a clocked engine
-    /// builds up front; it builds the rest when a fence first tasks
-    /// them.
-    tasked: usize,
+    /// Devices some plan has tasked so far: every other verifier has
+    /// only folded FIB batches since it was built.
+    tasked: BTreeSet<DeviceId>,
 }
 
 /// `[$e; 5]`, `$e` evaluated with `$s` bound to each substrate of
@@ -594,16 +593,11 @@ impl Subs {
         let fifo = Box::<FifoTransport>::default();
         let mut subs = Subs {
             session,
-            fifo: Engine::over(net, cp, ps, &cfg(1), &LecCache::new(), fifo),
+            fifo: Engine::over(net, cp, ps, &cfg(1), fifo),
             event: Engine::new(net, cp, ps, cfg(2)),
             lossy: Engine::lossy(net, cp, ps, cfg(3), world.axes.loss),
-            threaded: ThreadedEngine::spawn_with(net, cp, ps, &cfg(4), &LecCache::new()),
-            tasked: cp
-                .tasks
-                .iter()
-                .map(|t| t.dev)
-                .collect::<BTreeSet<_>>()
-                .len(),
+            threaded: ThreadedEngine::spawn_with(net, cp, ps, &cfg(4)),
+            tasked: cp.tasks.iter().map(|t| t.dev).collect(),
         };
         subs.drain();
         subs
@@ -688,6 +682,15 @@ fn run(world: &World, ops: &[Op]) -> Finish {
         };
         // Every fence is driven to quiescence.
         m.undrained &= subs.session.epoch() == epoch;
+        // Devices first tasked by this op's fence: verifiers that hosted
+        // nothing and only folded FIB batches until now.
+        let store = subs.event.intents();
+        let now: BTreeSet<DeviceId> = store.global_tasks().iter().map(|t| t.dev).collect();
+        cov.add(
+            "first tasked by a fence",
+            now.difference(&subs.tasked).count() as u64,
+        );
+        subs.tasked.extend(now);
         let epochs = all!(&mut subs, s => s.epoch());
         assert!(
             epochs.iter().all(|e| *e == epochs[0]),
@@ -1043,8 +1046,6 @@ fn finish(
         fresh,
     );
     let (repairs, holds) = (counter(&tels[2], REPAIRS), subs.session.report().holds());
-    let built = subs.event.stats().per_device.len();
-    cov.add("late builds", (built - subs.tasked) as u64);
     let mut recovered = vec![
         subs.threaded
             .shutdown()
@@ -1092,7 +1093,7 @@ const EVENTS: &str =
     "batch|staged batch|link down|link up|device down|device up|crash/restart|install|remove";
 const AXES: &str = "backend bdd|backend deltanet|backend intervals|loss 0%|loss 1%|loss 10%|\
     loss chaos|drops at 10% loss|telemetry Off|telemetry On|telemetry NoJournal|\
-    one batch of k|k singleton batches|late builds";
+    one batch of k|k singleton batches|first tasked by a fence";
 const VERDICTS: &str = "exist|covered|equal|not|and|or|==|>=|>|<=|<";
 
 /// How often each cell of the coverage table was exercised.
