@@ -99,11 +99,14 @@
 #                 tulkun_bdd_nodes / tulkun_bdd_memo_entries must be
 #                 there, the memo within its bound, no histogram over
 #                 32 `le` lines); the init-build, inject and handle
-#                 histograms must be exported, and a scripted daemon
+#                 histograms must be exported; `tulkun explain` must
+#                 refuse an unallocated intent id; a scripted daemon
 #                 session's `metrics` reply must carry the fence-plan,
 #                 planner and refit histograms of its churn and a
 #                 scene-table hit for its repeated link-down; a clean
-#                 daemon session must start on intervals, move to bdd
+#                 daemon session must refuse a link-down naming no link
+#                 (a journaled churn_rejected, no epoch burnt), start on
+#                 intervals, move to bdd
 #                 (a journaled backend_swap) on an ACL batch with its
 #                 epoch and its journal's intent/churn history as they
 #                 were, and time
@@ -389,6 +392,18 @@ stage_obs_smoke() {
     cmp "$obs_dir/explain.json" "$obs_dir/explain_rerun.json"
     cargo run --release -p tulkun-bench --bin check_telemetry -- \
         --explain "$obs_dir/explain.json"
+    # The CLI asks the runtime the daemon asks: an intent id no install
+    # allocated is refused, not explained as a healthy `fresh`.
+    if cargo run --release -p tulkun --bin tulkun -- \
+        explain --name INet2 --scale tiny --seed 3 --subject intent:999 \
+        > "$obs_dir/explain_unknown.out" 2>&1; then
+        echo "obs-smoke: tulkun explain accepted an unallocated intent id" >&2
+        exit 1
+    fi
+    grep -q 'unknown intent 999' "$obs_dir/explain_unknown.out" || {
+        echo "obs-smoke: tulkun explain did not name the unknown intent" >&2
+        exit 1
+    }
     # Explain from a live daemon: a scripted faulty session with an
     # impossible SLO budget must answer `events`/`explain` over the
     # wire and auto-dump its journal on the breach.
@@ -445,7 +460,9 @@ stage_obs_smoke() {
     # journaled as a backend_swap. The move re-hosts the verifiers and
     # nothing else: after an install, a removal and a link-down, the
     # epoch stays where it was and the journal holds each of those
-    # once. Its `report` is two timed layers, and a second `report` on
+    # once. A link-down between two devices INet2 does not link (SEAT,
+    # NEWY) is refused at drain: a `churn_rejected` entry, no epoch
+    # burnt, no `topology_churn`. Its `report` is two timed layers, and a second `report` on
     # an unchanged network re-renders no source and replies the same
     # bytes.
     printf '%s\n' \
@@ -456,6 +473,8 @@ stage_obs_smoke() {
         "churn ci link-down SEAT LOSA" \
         "drain" \
         "status" \
+        "churn ci link-down SEAT NEWY" \
+        "drain" \
         'batch ci [{"Insert":{"device":1,"rule":{"priority":100,"matches":{"dst":"10.0.0.0/24","dst_port":[22,22],"proto":null},"action":"Drop"}}}]' \
         "drain" \
         "status" \
@@ -482,7 +501,11 @@ stage_obs_smoke() {
     }
     epochs="$(printf '%s\n' "$statuses" | grep -o '"epoch":[0-9]*' | sort -u)"
     [ "$(printf '%s\n' "$epochs" | wc -l)" -eq 1 ] || {
-        echo "obs-smoke: the move to bdd changed the epoch ($(echo $epochs))" >&2
+        echo "obs-smoke: the refused link-down or the move to bdd changed the epoch ($(echo $epochs))" >&2
+        exit 1
+    }
+    grep -q '"kind":"churn_rejected".*names no link' "$obs_dir/daemon_clean.out" || {
+        echo "obs-smoke: events ci has no churn_rejected entry for the SEAT-NEWY link-down" >&2
         exit 1
     }
     for kind in intent_installed topology_churn; do

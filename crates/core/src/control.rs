@@ -357,13 +357,14 @@ impl ControlPlane {
     /// one its plan was compiled from, recorded by the first event that
     /// re-plans it): any other is refused with an `Err` that leaves
     /// everything untouched, since the scene tables answer for that one
-    /// pair. A scene an intent's plan key has been planned on before
-    /// costs no planner run (its scene table answers), and neither does
-    /// a link-down that a slice is outside of ([`Cut`]). Slices the new
-    /// topology cannot host degrade, parked installs get their bounded
-    /// retry, and only a base plan that no longer plans is an `Err`. A
-    /// `DeviceDown` quarantines its device; a `DeviceUp` wipes and
-    /// re-tasks it.
+    /// pair; so is a link event whose two endpoints the base does not
+    /// link (a self-loop included). A scene an intent's plan key has
+    /// been planned on before costs no planner run (its scene table
+    /// answers), and neither does a link-down that a slice is outside
+    /// of ([`Cut`]). Slices the new topology cannot host degrade, parked
+    /// installs get their bounded retry, and only a base plan that no
+    /// longer plans is an `Err`. A `DeviceDown` quarantines its device;
+    /// a `DeviceUp` wipes and re-tasks it.
     pub fn topology_event(
         &mut self,
         ev: &TopologyEvent,
@@ -384,6 +385,14 @@ impl ControlPlane {
             return Err(PlanError::Unsupported(
                 "a topology event must name the session's base invariant".into(),
             ));
+        }
+        if let TopologyEvent::LinkDown(a, b) | TopologyEvent::LinkUp(a, b) = *ev {
+            let n = base.num_devices() as u32;
+            if a.0 >= n || b.0 >= n || base.link_between(a, b).is_none() {
+                let what = ev.describe();
+                let why = format!("{what} names no link of the base topology");
+                return Err(PlanError::Unsupported(why));
+            }
         }
         let mut churn = self.churn.clone();
         if !churn.apply(ev) {
@@ -1535,6 +1544,37 @@ mod tests {
             assert_eq!(c.epoch(), before.1 + 1);
             assert_plans_are_fresh(&c, home, &base);
         }
+    }
+
+    /// A link event must name a link of the base: one between two
+    /// devices the base does not link, a self-loop or an endpoint
+    /// outside the topology is an `Err` that runs no planner, burns no
+    /// epoch and leaves the churn state as it was; a real link is
+    /// still taken afterwards.
+    #[test]
+    fn a_link_event_naming_no_link_is_refused() {
+        let net = fig2a_network();
+        let home = &net.topology;
+        let dev = |n: &str| home.expect_device(n);
+        let (mut c, base, work) = counted(&net, "S .* D");
+        let (s, d) = (dev("S"), dev("D"));
+        let outside = DeviceId(home.num_devices() as u32);
+        let bogus = [
+            TopologyEvent::LinkDown(s, d),
+            TopologyEvent::LinkUp(s, d),
+            TopologyEvent::LinkDown(s, s),
+            TopologyEvent::LinkUp(d, d),
+            TopologyEvent::LinkDown(s, outside),
+        ];
+        for ev in &bogus {
+            let before = (fingerprint(&c), c.epoch(), work());
+            let e = c.topology_event(ev, home, &base, 0).unwrap_err();
+            assert!(e.to_string().contains("names no link"), "{e}");
+            assert_eq!((fingerprint(&c), c.epoch(), work()), before);
+        }
+        let down = TopologyEvent::LinkDown(dev("B"), dev("D"));
+        c.topology_event(&down, home, &base, 0).unwrap();
+        assert_eq!(c.epoch(), 1);
     }
 
     /// The base intent records the invariant its first re-plan names;

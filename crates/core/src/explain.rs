@@ -27,10 +27,10 @@
 //!    [`MAX_CAUSES`] entries.
 
 use tulkun_json::Json;
-use tulkun_netmodel::topology::DeviceId;
+use tulkun_netmodel::topology::{DeviceId, Topology};
 use tulkun_telemetry::{JournalEvent, JournalKind};
 
-use crate::verify::{Freshness, Report};
+use crate::verify::Freshness;
 
 /// What is being explained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,30 @@ impl Subject {
         match self {
             Subject::Device(d) => format!("device:{}", d.0),
             Subject::Intent(id) => format!("intent:{id}"),
+        }
+    }
+
+    /// Parses the surface syntax the daemon and the CLI share:
+    /// `intent:<id>`, or the name of a device of `topo`.
+    pub fn parse(text: &str, topo: &Topology) -> Result<Subject, String> {
+        match text.strip_prefix("intent:") {
+            Some(id) => id
+                .parse()
+                .map(Subject::Intent)
+                .map_err(|_| format!("bad intent id {id:?}")),
+            None => topo
+                .device(text)
+                .map(Subject::Device)
+                .ok_or_else(|| format!("unknown device {text:?}")),
+        }
+    }
+
+    /// Does a record about `device` (and `intent`, where known) name
+    /// this subject?
+    pub fn names(&self, device: DeviceId, intent: Option<u64>) -> bool {
+        match *self {
+            Subject::Device(d) => device == d,
+            Subject::Intent(id) => intent == Some(id),
         }
     }
 }
@@ -73,8 +97,9 @@ pub struct Cause {
 pub struct Explanation {
     /// The subject label (`"device:3"` / `"intent:2"`).
     pub subject: String,
-    /// The verdict being explained (`"stale(epoch 7)"`,
-    /// `"unreachable"`, `"violated"`, `"fresh"`).
+    /// The verdict being explained ([`verdict`]'s `"fresh"`,
+    /// `"stale(epoch 7)"`, `"unreachable"`, `"violated, …"`, or an
+    /// intent's `"parked(awaiting epoch 3)"` / `"removed"`).
     pub verdict: String,
     /// Ranked causes, most severe first; at most [`MAX_CAUSES`].
     pub causes: Vec<Cause>,
@@ -113,47 +138,22 @@ fn is_global(kind: JournalKind) -> bool {
     )
 }
 
-/// Compute the verdict string for a device from a report: the worst
-/// freshness over the nodes the caller mapped to this device, plus
-/// any violation naming the device. `nodes_on_device` is the node-id
-/// set hosted there (from the counting plan's tasks).
-pub fn device_verdict(report: &Report, dev: DeviceId, nodes_on_device: &[u32]) -> String {
+/// The one verdict vocabulary: the worst freshness among a subject's
+/// judged nodes — `unreachable` outranks any `stale(epoch n)`, and of
+/// several stale entries the last one (in node order) wins; `fresh`
+/// when there is none — prefixed `violated, ` when a violation names
+/// the subject. An intent with no slice to judge is `parked(…)` or
+/// `removed` instead, which the caller answers from the intent store.
+pub fn verdict<'a>(judged: impl IntoIterator<Item = &'a Freshness>, violated: bool) -> String {
     let mut worst = Freshness::Fresh;
-    for (node, f) in &report.freshness {
-        if !nodes_on_device.contains(&node.0) {
-            continue;
-        }
+    for f in judged {
         worst = match (worst, f) {
             (_, Freshness::Unreachable) | (Freshness::Unreachable, _) => Freshness::Unreachable,
             (_, Freshness::Stale(e)) => Freshness::Stale(*e),
             (w, Freshness::Fresh) => w,
         };
     }
-    let violated = report.violations.iter().any(|v| v.device == dev);
-    verdict_string(worst, violated)
-}
-
-/// Compute the verdict string for an intent from a report: the worst
-/// freshness over the intent's global node ids plus any violation
-/// carrying the intent id.
-pub fn intent_verdict(report: &Report, intent: u64, global_nodes: &[u32]) -> String {
-    let mut worst = Freshness::Fresh;
-    for (node, f) in &report.freshness {
-        if !global_nodes.contains(&node.0) {
-            continue;
-        }
-        worst = match (worst, f) {
-            (_, Freshness::Unreachable) | (Freshness::Unreachable, _) => Freshness::Unreachable,
-            (_, Freshness::Stale(e)) => Freshness::Stale(*e),
-            (w, Freshness::Fresh) => w,
-        };
-    }
-    let violated = report.violations.iter().any(|v| v.intent == intent);
-    verdict_string(worst, violated)
-}
-
-fn verdict_string(f: Freshness, violated: bool) -> String {
-    let fresh = match f {
+    let fresh = match worst {
         Freshness::Fresh => "fresh".to_string(),
         Freshness::Stale(e) => format!("stale(epoch {e})"),
         Freshness::Unreachable => "unreachable".to_string(),
@@ -172,11 +172,7 @@ pub fn explain(events: &[JournalEvent], subject: Subject, verdict: &str) -> Expl
     let mut kept: Vec<(&JournalEvent, &'static str)> = Vec::new();
     let mut traces: Vec<u64> = Vec::new();
     for e in events.iter().rev() {
-        let direct = match subject {
-            Subject::Device(d) => e.device == d,
-            Subject::Intent(id) => e.intent == Some(id),
-        };
-        if direct {
+        if subject.names(e.device, e.intent) {
             kept.push((e, "names the subject"));
             if e.trace != 0 && !traces.contains(&e.trace) {
                 traces.push(e.trace);
@@ -366,6 +362,33 @@ mod tests {
         assert_eq!(x.causes[0].event.kind, JournalKind::TopologyChurn);
         assert_eq!(x.causes[1].event.kind, JournalKind::IntentParked);
         assert_eq!(x.causes[1].event.intent, Some(5));
+    }
+
+    #[test]
+    fn one_verdict_vocabulary() {
+        use Freshness::{Fresh, Stale, Unreachable};
+        assert_eq!(verdict(&[], false), "fresh");
+        assert_eq!(verdict(&[Fresh, Stale(2), Fresh], false), "stale(epoch 2)");
+        assert_eq!(verdict(&[Stale(3), Stale(2)], false), "stale(epoch 2)");
+        assert_eq!(verdict(&[Unreachable, Stale(2)], false), "unreachable");
+        assert_eq!(verdict(&[Fresh], true), "violated, fresh");
+    }
+
+    #[test]
+    fn a_subject_parses_from_the_shared_syntax() {
+        let mut topo = Topology::new();
+        topo.add_device("A");
+        topo.add_device("B");
+        assert_eq!(Subject::parse("intent:7", &topo), Ok(Subject::Intent(7)));
+        assert_eq!(Subject::parse("B", &topo), Ok(Subject::Device(DeviceId(1))));
+        assert_eq!(
+            Subject::parse("intent:x", &topo),
+            Err("bad intent id \"x\"".into())
+        );
+        assert_eq!(
+            Subject::parse("C", &topo),
+            Err("unknown device \"C\"".into())
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::dvm::{DeviceVerifier, Envelope, NodeResult, VerifierConfig};
 use crate::event::{EventOutcome, RuntimeEvent, Substrate};
 use crate::intent::{InstalledIntent, IntentDelta, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
-use crate::planner::{CountingPlan, NodeTask, Plan, PlanError, PlanKind};
+use crate::planner::{CountingPlan, Plan, PlanError, PlanKind};
 use crate::spec::{Invariant, PacketSpace};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -284,15 +284,16 @@ impl Verdicts {
         self.intents.values().flat_map(|i| &i.sources)
     }
 
-    /// The verdict as a [`Report`]: every violation, intent by intent
-    /// in id order and source by source in plan order.
+    /// Every violation, intent by intent in id order and source by
+    /// source in plan order.
+    pub fn violations(&self) -> impl Iterator<Item = &Violation> {
+        self.sources().flat_map(|s| &s.violations)
+    }
+
+    /// The verdict as a [`Report`]: [`Verdicts::violations`], cloned.
     pub fn report(&self) -> Report {
         Report {
-            violations: self
-                .sources()
-                .flat_map(|s| &s.violations)
-                .cloned()
-                .collect(),
+            violations: self.violations().cloned().collect(),
             ..Report::default()
         }
     }
@@ -324,12 +325,6 @@ pub struct Session {
     /// Messages processed since creation.
     pub messages_processed: usize,
     verdicts: Verdicts,
-    /// The network snapshot, kept current under rule updates so
-    /// verifiers can be built lazily for devices a later intent pulls
-    /// into the plan.
-    net: Network,
-    cfg: VerifierConfig,
-    backend_kind: BackendKind,
     /// Observability handle (disabled by default; see
     /// [`Session::set_telemetry`]). The reference session records only
     /// flight-recorder journal entries — no spans, its clockless
@@ -338,7 +333,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds verifiers for every device with a task. Panics if the plan
+    /// Builds a verifier for every topology device. Panics if the plan
     /// is not a counting plan (use [`verify_snapshot`] for the generic
     /// entry point).
     pub fn new(net: &Network, plan: &Plan) -> Session {
@@ -367,37 +362,46 @@ impl Session {
         ps: &PacketSpace,
         backend: BackendKind,
     ) -> Session {
+        // The contract documented above: a kind from outside the
+        // program is checked by its caller first. The reference
+        // sessions in the tests and the benchmark pick `bdd` or a kind
+        // their destination-only datasets fit; no daemon input reaches
+        // this.
+        let kind = backend
+            .check(tulkun_predicate::network_ip_only(net))
+            .unwrap_or_else(|e| panic!("{e}"));
+        let cfg = VerifierConfig {
+            n_exprs: cp.exprs.len(),
+            track_escapes: cp.track_escapes,
+            reduce: cp.reduce,
+        };
+        let packet_space = compile_packet_space(&net.layout, ps);
+        let mut queue = VecDeque::new();
+        // Like both fabrics of the runtime: one verifier per topology
+        // device, the only copy of its FIB, so the fence that first
+        // tasks a device finds its data plane current.
+        let mut tasks = cp.tasks_by_device();
+        let verifiers = net.topology.devices().map(|dev| {
+            let tasks = tasks.remove(&dev).unwrap_or_default();
+            let fib = net.fib(dev).clone();
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, &packet_space, cfg.clone())
+                .backend(kind)
+                .tasks(tasks)
+                .build();
+            v.init(&mut queue);
+            (dev, v)
+        });
+        let verifiers = verifiers.collect();
         let tel = Telemetry::disabled();
-        let mut session = Session {
+        Session {
             control: ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone()),
-            packet_space: compile_packet_space(&net.layout, ps),
-            verifiers: BTreeMap::new(),
-            queue: VecDeque::new(),
+            packet_space,
+            verifiers,
+            queue,
             messages_processed: 0,
             verdicts: Verdicts::default(),
-            net: net.clone(),
-            cfg: VerifierConfig {
-                n_exprs: cp.exprs.len(),
-                track_escapes: cp.track_escapes,
-                reduce: cp.reduce,
-            },
-            // The contract documented above: a kind from outside the
-            // program is checked by its caller first. The reference
-            // sessions in the tests and the benchmark pick `bdd` or a
-            // kind their destination-only datasets fit; no daemon input
-            // reaches this.
-            backend_kind: backend
-                .check(tulkun_predicate::network_ip_only(net))
-                .unwrap_or_else(|e| panic!("{e}")),
             tel,
-        };
-        let s = &mut session;
-        for (dev, tasks) in cp.tasks_by_device() {
-            let (ps, queue) = (&s.packet_space, &mut s.queue);
-            let v = build_verifier(&s.net, ps, &s.cfg, s.backend_kind, dev, tasks, queue);
-            s.verifiers.insert(dev, v);
         }
-        session
     }
 
     /// Attach an observability handle: flight-recorder journal entries
@@ -464,9 +468,6 @@ impl Session {
     /// never has to wait for (or force) quiescence.
     pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
         let batch: UpdateBatch = updates.iter().cloned().collect();
-        // Keep the snapshot current: a verifier built lazily for a
-        // later intent must see the post-update FIB.
-        self.net.apply_batch(&batch);
         let n = updates.len();
         let mut journaled = false;
         for (dev, ops) in batch.coalesced() {
@@ -500,22 +501,20 @@ impl Session {
         self.control.epoch()
     }
 
-    /// Delivers one fence: builds the verifiers it pulls in, queues
-    /// every device's fence output and runs to quiescence. Whatever is
-    /// still queued belongs to an older epoch — every verifier discards
-    /// it on delivery — so it is what this fence loses. Returns the
-    /// messages the fence caused (0 when there is nothing to deliver).
+    /// Delivers one fence: queues every device's fence output and runs
+    /// to quiescence. Whatever is still queued belongs to an older
+    /// epoch — every verifier discards it on delivery — so it is what
+    /// this fence loses. Returns the messages the fence caused (0 when
+    /// there is nothing to deliver).
     fn deliver(&mut self, fence: Option<FencePlan>) -> usize {
         let Some(mut plan) = fence else {
             return 0;
         };
         self.control.seal(&mut plan, self.queue.len(), 0);
-        let (net, ps, cfg, kind) = (&self.net, &self.packet_space, &self.cfg, self.backend_kind);
         for (dev, fence) in plan.devices {
-            let v = self.verifiers.entry(dev).or_insert_with(|| {
-                build_verifier(net, ps, cfg, kind, dev, Vec::new(), &mut self.queue)
-            });
-            v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
+            if let Some(v) = self.verifiers.get_mut(&dev) {
+                v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
+            }
         }
         self.run_to_quiescence()
     }
@@ -661,27 +660,6 @@ pub fn evaluate_intents(
             .insert(intent.id, IntentVerdicts { plan, sources });
     }
     evaluated
-}
-
-/// Builds `dev`'s verifier over the FIB in `net` and queues what its
-/// init sends: the session's one constructor, at construction and when
-/// a fence first tasks a device.
-fn build_verifier(
-    net: &Network,
-    packet_space: &PortablePred,
-    cfg: &VerifierConfig,
-    kind: BackendKind,
-    dev: DeviceId,
-    tasks: Vec<NodeTask>,
-    queue: &mut VecDeque<Envelope>,
-) -> DeviceVerifier {
-    let fib = net.fib(dev).clone();
-    let mut v = DeviceVerifier::builder(dev, net.layout, fib, packet_space, cfg.clone())
-        .backend(kind)
-        .tasks(tasks)
-        .build();
-    v.init(queue);
-    v
 }
 
 /// Verifies a network snapshot against a plan (counting or local) and

@@ -163,11 +163,16 @@ fn intent_install_is_slice_local_and_lazy() {
     let base = invariant("a-reach", "A .* D");
     let way = invariant("s-way", "S .* W .* D");
     let mut s = session_for(&net, &base);
-    assert!(s.verifier(net.topology.expect_device("S")).is_none());
+    let hosted = |s: &Session| {
+        s.verifier(net.topology.expect_device("S"))
+            .map(|v| v.node_ids())
+    };
+    assert_eq!(hosted(&s), Some(Vec::new()), "S hosts no node");
 
     let (way_id, delta) = s.install_intent("s-way", &way).unwrap();
-    // S's verifier is built lazily when an intent pulls it in.
-    assert!(s.verifier(net.topology.expect_device("S")).is_some());
+    // S's verifier, built with the session, is tasked when an intent
+    // pulls it in.
+    assert!(hosted(&s).is_some_and(|nodes| !nodes.is_empty()));
     let touched = delta.touched_devices();
     assert!(
         !touched.contains(&net.topology.expect_device("B"))

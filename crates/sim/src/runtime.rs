@@ -53,7 +53,7 @@
 use crate::faults::FaultyTransport;
 use crate::models::SwitchModel;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
@@ -65,11 +65,12 @@ use tulkun_core::control::{ControlPlane, Decision, DeviceFence, FencePlan};
 use tulkun_core::dpvnet::NodeId;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, NodeResult, Payload, VerifierConfig};
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
+use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::{FaultProfile, FaultStats};
 use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
 use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
 use tulkun_core::spec::{Invariant, PacketSpace};
-use tulkun_core::verify::{self, Freshness, Report, Verdicts};
+use tulkun_core::verify::{self, Freshness, Report, Verdicts, Violation};
 use tulkun_netmodel::fib::Fib;
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
 use tulkun_netmodel::{DeviceId, Topology};
@@ -1102,6 +1103,53 @@ impl<F: Fabric> Runtime<F> {
         let mut r = Report::default();
         self.control.annotate(&mut r, &self.fabric.stalled());
         r.freshness
+    }
+
+    /// Why `subject` looks the way it does: its verdict and the ranked
+    /// causal chain ([`explain::explain`]) walked out of the journal
+    /// entries visible to `source` (`None`: every source). A device is
+    /// judged over the nodes it hosts and a live intent over its
+    /// global nodes ([`explain::verdict`], freshness as
+    /// [`Runtime::freshness`] reads it, violations from the
+    /// [`Verdicts`] memo); a parked install is `parked(awaiting epoch
+    /// e+1)` and a removed intent `removed`. An intent id no install
+    /// allocated is an `Err`.
+    pub fn explain(
+        &mut self,
+        source: Option<&str>,
+        subject: Subject,
+    ) -> Result<Explanation, String> {
+        let store = self.control.intents();
+        // The nodes the subject is judged over, or the verdict of an
+        // intent with no slice to judge.
+        let judged: Result<BTreeSet<NodeId>, String> = match subject {
+            Subject::Device(dev) => {
+                let hosted = store.global_tasks().into_iter().filter(|t| t.dev == dev);
+                Ok(hosted.map(|t| t.node).collect())
+            }
+            Subject::Intent(id) if id >= store.next_intent_id() => {
+                return Err(format!("unknown intent {id}"))
+            }
+            Subject::Intent(id) if store.is_parked(IntentId(id)) => {
+                Err(format!("parked(awaiting epoch {})", self.epoch() + 1))
+            }
+            Subject::Intent(id) => store
+                .get(IntentId(id))
+                .map(|i| i.global_nodes())
+                .ok_or_else(|| "removed".to_string()),
+        };
+        let verdict = match judged {
+            Ok(nodes) => {
+                let names = |v: &Violation| subject.names(v.device, Some(v.intent));
+                let violated = self.verdicts().violations().any(names);
+                let freshness = self.freshness();
+                let judged = freshness.iter().filter(|(n, _)| nodes.contains(n));
+                explain::verdict(judged.map(|(_, f)| f), violated)
+            }
+            Err(settled) => settled,
+        };
+        let events = self.tel.journal_visible_to(source, usize::MAX);
+        Ok(explain::explain(&events, subject, &verdict))
     }
 
     /// The runtime intent store (read-only).

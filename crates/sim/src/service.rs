@@ -28,7 +28,7 @@ use crate::runtime::{Engine, EngineConfig, RunOutcome};
 use tulkun_bdd::HeaderLayout;
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
-use tulkun_core::explain::{self, Explanation, Subject};
+use tulkun_core::explain::{Explanation, Subject};
 use tulkun_core::fault::FaultProfile;
 use tulkun_core::intent::{IntentId, IntentStore};
 use tulkun_core::planner::CountingPlan;
@@ -38,8 +38,8 @@ use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::topology::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, pred_ip_only, update_ip_only, BackendCaps, BackendKind};
 use tulkun_telemetry::{
-    JournalEvent, JournalKind, SloPolicy, SloTracker, SloVerdict, Telemetry, TelemetryConfig,
-    CONVERGENCE_LAG_NS, REPORT_BUILD, REPORT_ENCODE,
+    JournalKind, SloPolicy, SloTracker, SloVerdict, Telemetry, TelemetryConfig, CONVERGENCE_LAG_NS,
+    REPORT_BUILD, REPORT_ENCODE,
 };
 
 /// What to do with a request that arrives while its queue is full.
@@ -717,27 +717,6 @@ impl Service {
         self.harness.backend()
     }
 
-    /// Journal entries, oldest first, optionally filtered to one
-    /// ingress source. A source filter keeps that source's entries
-    /// *plus* untagged driver-side entries (bursts, SLO verdicts,
-    /// admission decisions — shared causal context). At most `limit`
-    /// entries are returned, keeping the newest.
-    pub fn journal_events(&self, source: Option<&str>, limit: usize) -> Vec<JournalEvent> {
-        let mut events: Vec<JournalEvent> = self
-            .tel
-            .journal_events()
-            .into_iter()
-            .filter(|e| match source {
-                None => true,
-                Some(s) => e.source.is_none() || e.source.as_deref() == Some(s),
-            })
-            .collect();
-        if events.len() > limit {
-            events.drain(..events.len() - limit);
-        }
-        events
-    }
-
     /// The full journal as one deterministic JSON document
     /// (`tulkun-journal-v1`).
     pub fn journal_json(&self) -> String {
@@ -756,51 +735,17 @@ impl Service {
         &self.tel
     }
 
-    /// Explains why a device's slice is degraded (or confirms it is
-    /// fresh): computes the device's verdict from the current report
-    /// and walks the journal backwards for the ranked causal chain.
-    pub fn explain_device(&mut self, source: Option<&str>, dev: DeviceId) -> Explanation {
-        let report = self.harness.report();
-        let nodes: Vec<u32> = self
-            .harness
-            .intents()
-            .global_tasks()
-            .iter()
-            .filter(|t| t.dev == dev)
-            .map(|t| t.node.0)
-            .collect();
-        let verdict = explain::device_verdict(&report, dev, &nodes);
-        if verdict.contains("unreachable") {
-            self.dump_pending = true;
-        }
-        let events = self.journal_events(source, usize::MAX);
-        explain::explain(&events, Subject::Device(dev), &verdict)
-    }
-
-    /// Explains why an intent's slice is degraded (or confirms it is
-    /// fresh), by intent id (0 = the base intent). A parked install —
-    /// one that raced a topology fence and is waiting to be re-planned
-    /// — gets a `parked` verdict whose causal chain leads back to the
-    /// fence it raced, and an intent since removed gets `removed`. An
-    /// id no install has allocated is an `Err`.
-    pub fn explain_intent(&mut self, source: Option<&str>, id: u64) -> Result<Explanation, String> {
-        let store = self.harness.intents();
-        if id >= store.next_intent_id() {
-            return Err(format!("unknown intent {id}"));
-        }
-        let parked = store.is_parked(IntentId(id));
-        let live = store.get(IntentId(id));
-        let nodes: Option<Vec<u32>> = live.map(|i| i.global_nodes().iter().map(|n| n.0).collect());
-        let verdict = match (parked, nodes) {
-            (true, _) => format!("parked(awaiting epoch {})", self.harness.epoch() + 1),
-            (false, Some(nodes)) => explain::intent_verdict(&self.harness.report(), id, &nodes),
-            (false, None) => "removed".to_string(),
-        };
-        if verdict.contains("unreachable") {
-            self.dump_pending = true;
-        }
-        let events = self.journal_events(source, usize::MAX);
-        Ok(explain::explain(&events, Subject::Intent(id), &verdict))
+    /// Explains a subject's verdict from the journal entries visible to
+    /// `source` ([`Engine::explain`]); an `unreachable` verdict arms the
+    /// journal auto-dump.
+    pub fn explain(
+        &mut self,
+        source: Option<&str>,
+        subject: Subject,
+    ) -> Result<Explanation, String> {
+        let explanation = self.harness.explain(source, subject)?;
+        self.dump_pending |= explanation.verdict.contains("unreachable");
+        Ok(explanation)
     }
 }
 
@@ -1096,7 +1041,7 @@ mod tests {
         let st = svc.status();
         assert_eq!(st.backend, BackendKind::Bdd);
         assert_eq!((st.epoch, st.queued), (epoch, 1), "the lifecycle stays");
-        let swaps = svc.journal_events(None, usize::MAX);
+        let swaps = svc.telemetry().journal_events();
         let swaps = swaps.iter().filter(|e| e.kind == JournalKind::BackendSwap);
         assert_eq!(swaps.count(), 1);
         svc.drain();

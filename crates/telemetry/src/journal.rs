@@ -219,9 +219,26 @@ impl Journal {
         self.inner.lock().unwrap().source = source;
     }
 
-    /// Retained entries, oldest first (seq ascending).
-    pub fn snapshot(&self) -> Vec<JournalEvent> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
+    /// The newest `limit` retained entries `source` sees, oldest first
+    /// (seq ascending). A source sees its own entries plus untagged
+    /// ones (driver-side context: bursts, SLO verdicts, admission
+    /// decisions); `None` sees every entry. The ring is walked
+    /// newest-first under the lock and only what is returned is cloned.
+    pub fn visible_to(&self, source: Option<&str>, limit: usize) -> Vec<JournalEvent> {
+        let inner = self.inner.lock().unwrap();
+        let sees = |e: &&JournalEvent| {
+            source.is_none() || e.source.is_none() || e.source.as_deref() == source
+        };
+        let mut out: Vec<JournalEvent> = inner
+            .ring
+            .iter()
+            .rev()
+            .filter(sees)
+            .take(limit)
+            .cloned()
+            .collect();
+        out.reverse();
+        out
     }
 
     /// Entries evicted because the ring was full.
@@ -275,7 +292,7 @@ mod tests {
                 format!("e{i}"),
             );
         }
-        let snap = j.snapshot();
+        let snap = j.visible_to(None, usize::MAX);
         assert_eq!(snap.len(), 3);
         assert_eq!(
             snap.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -300,10 +317,35 @@ mod tests {
         );
         j.set_source(None);
         j.record(JournalKind::EpochFence, dev(0), 3, 0, None, "post".into());
-        let snap = j.snapshot();
+        let snap = j.visible_to(None, usize::MAX);
         assert_eq!(snap[0].source, None);
         assert_eq!(snap[1].source.as_deref(), Some("cp"));
         assert_eq!(snap[2].source, None);
+    }
+
+    #[test]
+    fn a_source_sees_its_own_and_untagged_entries_newest_kept() {
+        let j = Journal::new(8);
+        for (i, source) in [None, Some("a"), Some("b"), Some("a"), None]
+            .into_iter()
+            .enumerate()
+        {
+            j.set_source(source.map(str::to_string));
+            j.record(
+                JournalKind::EpochFence,
+                dev(0),
+                i as u64,
+                0,
+                None,
+                format!("e{i}"),
+            );
+        }
+        let seqs = |events: Vec<JournalEvent>| events.iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(j.visible_to(Some("a"), usize::MAX)), vec![1, 2, 4, 5]);
+        assert_eq!(seqs(j.visible_to(Some("a"), 2)), vec![4, 5]);
+        assert_eq!(seqs(j.visible_to(Some("c"), usize::MAX)), vec![1, 5]);
+        assert_eq!(seqs(j.visible_to(None, 3)), vec![3, 4, 5]);
+        assert!(j.visible_to(None, 0).is_empty());
     }
 
     #[test]
@@ -326,7 +368,7 @@ mod tests {
                 Some(3),
                 "intent \"waypoint\"".into(),
             );
-            journal_json(&j.snapshot(), j.dropped())
+            journal_json(&j.visible_to(None, usize::MAX), j.dropped())
         };
         let a = run();
         let b = run();
@@ -350,7 +392,7 @@ mod tests {
     fn zero_capacity_records_nothing() {
         let j = Journal::new(0);
         j.record(JournalKind::EpochFence, dev(0), 1, 0, None, "x".into());
-        assert!(j.snapshot().is_empty());
+        assert!(j.visible_to(None, usize::MAX).is_empty());
         assert_eq!(j.recorded(), 0);
     }
 }

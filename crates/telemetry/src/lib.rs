@@ -390,10 +390,17 @@ impl Telemetry {
     /// Retained journal entries, oldest first (seq ascending). Empty
     /// when the journal is inactive.
     pub fn journal_events(&self) -> Vec<JournalEvent> {
+        self.journal_visible_to(None, usize::MAX)
+    }
+
+    /// The newest `limit` retained journal entries visible to `source`
+    /// (`None`: every source), oldest first ([`Journal::visible_to`]):
+    /// the one read behind the daemon's `events` and `explain`.
+    pub fn journal_visible_to(&self, source: Option<&str>, limit: usize) -> Vec<JournalEvent> {
         if !self.journal_on {
             return Vec::new();
         }
-        self.journal.snapshot()
+        self.journal.visible_to(source, limit)
     }
 
     /// Journal entries evicted because the ring filled up.

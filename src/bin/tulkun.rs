@@ -40,19 +40,14 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "datasets" => {
-            let name = get("--name").unwrap_or_else(|| "INet2".into());
-            let scale = match get("--scale").as_deref() {
-                Some("paper") => tulkun::datasets::Scale::Paper,
-                _ => tulkun::datasets::Scale::Tiny,
-            };
-            let Some(ds) = tulkun::datasets::by_name(&name, scale) else {
-                eprintln!(
-                    "unknown dataset {name:?}; available: {}",
-                    tulkun::datasets::DATASET_NAMES.join(", ")
-                );
-                return ExitCode::FAILURE;
-            };
-            write_network(&ds.network, get("--out"))
+            let (name, scale) = dataset_flags(&get);
+            match load_dataset(&name, scale) {
+                Ok(ds) => write_network(&ds.network, get("--out")),
+                Err(e) => {
+                    eprintln!("{e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         "example" => write_network(&tulkun::datasets::fig2a_network(), get("--out")),
         "verify" => {
@@ -240,17 +235,8 @@ fn observed_run(
     args: &[String],
     get: &dyn Fn(&str) -> Option<String>,
 ) -> Result<ObservedRun, String> {
-    let name = get("--name").unwrap_or_else(|| "INet2".into());
-    let scale = match get("--scale").as_deref() {
-        Some("paper") => tulkun::datasets::Scale::Paper,
-        _ => tulkun::datasets::Scale::Tiny,
-    };
-    let ds = tulkun::datasets::by_name(&name, scale).ok_or_else(|| {
-        format!(
-            "unknown dataset {name:?}; available: {}",
-            tulkun::datasets::DATASET_NAMES.join(", ")
-        )
-    })?;
+    let (name, scale) = dataset_flags(get);
+    let ds = load_dataset(&name, scale)?;
     let net = &ds.network;
     let (inv, cp) = dataset_session(net, &name)?;
 
@@ -302,9 +288,20 @@ fn checked_backend(
         .map_err(|e| e.to_string())
 }
 
-// The dataset workload construction lives in the library now (the
-// daemon shares it); see [`tulkun::daemon::dataset_session`].
-use tulkun::daemon::dataset_session;
+// The dataset lookup and workload construction live in the library
+// (the daemon shares them); see [`tulkun::daemon::dataset_session`].
+use tulkun::daemon::{dataset_session, load_dataset};
+
+/// The dataset flags every dataset-driven command shares: `--name`
+/// (default INet2) and `--scale` (`paper`, otherwise tiny).
+fn dataset_flags(get: &dyn Fn(&str) -> Option<String>) -> (String, tulkun::datasets::Scale) {
+    let name = get("--name").unwrap_or_else(|| "INet2".into());
+    let scale = match get("--scale").as_deref() {
+        Some("paper") => tulkun::datasets::Scale::Paper,
+        _ => tulkun::datasets::Scale::Tiny,
+    };
+    (name, scale)
+}
 
 /// `tulkun daemon`: the always-on verification service behind the
 /// line-oriented request protocol (see `tulkun::daemon` module docs),
@@ -315,10 +312,7 @@ fn daemon_run(_args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
     use tulkun::sim::{AdmissionPolicy, ServiceConfig};
     use tulkun::telemetry::SloPolicy;
 
-    let scale = match get("--scale").as_deref() {
-        Some("paper") => tulkun::datasets::Scale::Paper,
-        _ => tulkun::datasets::Scale::Tiny,
-    };
+    let (name, scale) = dataset_flags(get);
     let mut slo = SloPolicy::default();
     if let Some(v) = get("--slo-p50").and_then(|v| v.parse().ok()) {
         slo.p50_ns = v;
@@ -351,7 +345,7 @@ fn daemon_run(_args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
         service.per_source_cap = v;
     }
     let cfg = DaemonConfig {
-        name: get("--name").unwrap_or_else(|| "INet2".into()),
+        name,
         scale,
         service,
         drain_every: get("--drain-every")
@@ -429,37 +423,28 @@ fn status_run(get: &dyn Fn(&str) -> Option<String>) -> Result<ExitCode, String> 
 
 /// `tulkun explain`: runs a seeded fault scene — one link-down plus a
 /// crash/restart of the affected device, over a 10% lossy management
-/// network — against a generated dataset, then asks the explain engine
-/// why the affected device's slice looks the way it does. The walk is
-/// deterministic: the same seed produces byte-identical `--json`
-/// output across reruns. `--subject` redirects the question to another
-/// device (by name) or to `intent:<id>`.
+/// network — against a generated dataset, then asks the runtime why the
+/// affected device's slice looks the way it does (`Engine::explain`,
+/// the path the daemon's `explain` takes, so both answer in one verdict
+/// vocabulary). The walk is deterministic: the same seed produces
+/// byte-identical `--json` output across reruns. `--subject` redirects
+/// the question to another device (by name) or to `intent:<id>`; an id
+/// no install allocated is an error.
 fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<ExitCode, String> {
     use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
-    use tulkun::core::explain::{device_verdict, explain, intent_verdict, Subject};
-    use tulkun::core::intent::IntentId;
+    use tulkun::core::explain::Subject;
 
-    let name = get("--name").unwrap_or_else(|| "INet2".into());
-    let scale = match get("--scale").as_deref() {
-        Some("paper") => tulkun::datasets::Scale::Paper,
-        _ => tulkun::datasets::Scale::Tiny,
-    };
-    let ds = tulkun::datasets::by_name(&name, scale).ok_or_else(|| {
-        format!(
-            "unknown dataset {name:?}; available: {}",
-            tulkun::datasets::DATASET_NAMES.join(", ")
-        )
-    })?;
+    let (name, scale) = dataset_flags(get);
+    let ds = load_dataset(&name, scale)?;
     let net = &ds.network;
     let topo = &net.topology;
     let (inv, cp) = dataset_session(net, &name)?;
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
-    let telemetry = Telemetry::new(TelemetryConfig::enabled());
     // The lockstep model makes the virtual timeline — and with it the
     // fault RNG draw order and the journal — a pure function of the
     // seed, so the explanation is byte-identical across reruns.
     let cfg = EngineConfig {
-        telemetry: telemetry.clone(),
+        telemetry: Telemetry::new(TelemetryConfig::enabled()),
         backend: checked_backend(get, net)?,
         model: tulkun::sim::SwitchModel::LOCKSTEP,
         ..EngineConfig::default()
@@ -485,43 +470,16 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
         .map_err(|e| format!("churn re-plan failed: {e}"))?;
     let hit = ev.primary_device();
     sim.crash_restart(hit);
-    let report = sim.report();
     eprintln!(
         "scene: {} + crash/restart of {} under 10% loss (seed {seed})",
         ev.describe(),
         topo.name(hit)
     );
-    let explanation = match get("--subject") {
-        Some(s) if s.starts_with("intent:") => {
-            let id: u64 = s["intent:".len()..]
-                .parse()
-                .map_err(|_| format!("bad intent id in {s:?}"))?;
-            let nodes: Vec<u32> = sim
-                .intents()
-                .get(IntentId(id))
-                .map(|i| i.global_nodes().iter().map(|n| n.0).collect())
-                .unwrap_or_default();
-            let verdict = intent_verdict(&report, id, &nodes);
-            explain(&telemetry.journal_events(), Subject::Intent(id), &verdict)
-        }
-        other => {
-            let dev = match other {
-                Some(name) => topo
-                    .device(&name)
-                    .ok_or_else(|| format!("unknown device {name:?}"))?,
-                None => hit,
-            };
-            let nodes: Vec<u32> = sim
-                .intents()
-                .global_tasks()
-                .iter()
-                .filter(|t| t.dev == dev)
-                .map(|t| t.node.0)
-                .collect();
-            let verdict = device_verdict(&report, dev, &nodes);
-            explain(&telemetry.journal_events(), Subject::Device(dev), &verdict)
-        }
+    let subject = match get("--subject") {
+        Some(s) => Subject::parse(&s, topo)?,
+        None => Subject::Device(hit),
     };
+    let explanation = sim.explain(None, subject)?;
     if args.iter().any(|a| a == "--json") {
         println!("{}", explanation.to_json());
     } else {
@@ -540,17 +498,8 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
     use tulkun::core::churn::{ChurnSchedule, TopologyEvent};
     use tulkun::core::verify::{Freshness, Report};
 
-    let name = get("--name").unwrap_or_else(|| "INet2".into());
-    let scale = match get("--scale").as_deref() {
-        Some("paper") => tulkun::datasets::Scale::Paper,
-        _ => tulkun::datasets::Scale::Tiny,
-    };
-    let ds = tulkun::datasets::by_name(&name, scale).ok_or_else(|| {
-        format!(
-            "unknown dataset {name:?}; available: {}",
-            tulkun::datasets::DATASET_NAMES.join(", ")
-        )
-    })?;
+    let (name, scale) = dataset_flags(get);
+    let ds = load_dataset(&name, scale)?;
     let net = &ds.network;
     let topo = &net.topology;
     let (inv, cp) = dataset_session(net, &name)?;

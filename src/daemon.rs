@@ -78,13 +78,25 @@
 
 use crate::core::churn::TopologyEvent;
 use crate::core::count::CountExpr;
+use crate::core::explain::Subject;
 use crate::core::intent::IntentId;
 use crate::core::planner::{CountingPlan, Planner};
 use crate::core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
+use crate::datasets::{Dataset, Scale};
 use crate::netmodel::network::{Network, RuleUpdate};
 use crate::netmodel::topology::Topology;
 use crate::sim::{AdmissionPolicy, Service, ServiceConfig, ServiceRequest};
 use crate::telemetry::SloPolicy;
+
+/// The generated dataset `name` at `scale`, or an error listing the
+/// datasets there are: the one lookup behind the daemon and every
+/// dataset-driven `tulkun` command.
+pub fn load_dataset(name: &str, scale: Scale) -> Result<Dataset, String> {
+    crate::datasets::by_name(name, scale).ok_or_else(|| {
+        let names = crate::datasets::DATASET_NAMES.join(", ");
+        format!("unknown dataset {name:?}; available: {names}")
+    })
+}
 
 /// One WAN destination's subset-reachability counting session on a
 /// generated dataset (the §9.3.1 workload shape): every other device
@@ -140,7 +152,7 @@ pub struct DaemonConfig {
     /// Dataset the session verifies (see `tulkun datasets`).
     pub name: String,
     /// Dataset scale.
-    pub scale: crate::datasets::Scale,
+    pub scale: Scale,
     /// Admission/SLO/fault configuration of the service.
     pub service: ServiceConfig,
     /// Drain automatically after this many admitted requests (0 = only
@@ -153,7 +165,7 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             name: "INet2".into(),
-            scale: crate::datasets::Scale::Tiny,
+            scale: Scale::Tiny,
             service: ServiceConfig::default(),
             drain_every: 0,
         }
@@ -199,13 +211,7 @@ impl DaemonSession {
     /// Builds the session: dataset by name → counting plan → service
     /// (initial burst included).
     pub fn new(cfg: DaemonConfig) -> Result<DaemonSession, String> {
-        let ds = crate::datasets::by_name(&cfg.name, cfg.scale).ok_or_else(|| {
-            format!(
-                "unknown dataset {:?}; available: {}",
-                cfg.name,
-                crate::datasets::DATASET_NAMES.join(", ")
-            )
-        })?;
+        let ds = load_dataset(&cfg.name, cfg.scale)?;
         let (inv, cp) = dataset_session(&ds.network, &cfg.name)?;
         let service = Service::new(&ds.network, &cp, &inv, cfg.service);
         Ok(DaemonSession {
@@ -430,7 +436,7 @@ impl DaemonSession {
             _ => return Reply::err("usage: events <source|*> [n]"),
         };
         let filter = (source != "*").then_some(source);
-        let events = self.service.journal_events(filter, limit);
+        let events = self.service.telemetry().journal_visible_to(filter, limit);
         let mut out = format!("ok {}", events.len());
         for e in &events {
             out.push('\n');
@@ -452,21 +458,12 @@ impl DaemonSession {
             return Reply::err("usage: explain <source|*> <node|intent:<id>>");
         };
         let filter = (*source != "*").then_some(*source);
-        let explanation = if let Some(id) = subject.strip_prefix("intent:") {
-            let Ok(id) = id.parse::<u64>() else {
-                return Reply::err(format!("bad intent id {id:?}"));
-            };
-            match self.service.explain_intent(filter, id) {
-                Ok(explanation) => explanation,
-                Err(e) => return Reply::err(e),
-            }
-        } else {
-            let Some(dev) = self.topo.device(subject) else {
-                return Reply::err(format!("unknown device {subject:?}"));
-            };
-            self.service.explain_device(filter, dev)
-        };
-        Reply::ok(explanation.to_json())
+        let explained = Subject::parse(subject, &self.topo)
+            .and_then(|subject| self.service.explain(filter, subject));
+        match explained {
+            Ok(explanation) => Reply::ok(explanation.to_json()),
+            Err(e) => Reply::err(e),
+        }
     }
 
     fn handle_config(&mut self, rest: &str) -> Reply {

@@ -143,3 +143,28 @@ fn cli_dataset_export() {
     let net: tulkun::netmodel::network::Network = tulkun::json::from_slice(&out.stdout).unwrap();
     assert_eq!(net.topology.num_devices(), 9);
 }
+
+/// `tulkun explain` asks the runtime the daemon asks: an intent id no
+/// install allocated is an error, not a healthy-looking `fresh`.
+#[test]
+fn cli_explain_refuses_an_unallocated_intent() {
+    let out = bin()
+        .args([
+            "explain",
+            "--seed",
+            "3",
+            "--subject",
+            "intent:999",
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown intent 999"), "{stderr}");
+}

@@ -448,6 +448,39 @@ fn explaining_an_unallocated_intent_is_an_error() {
     assert!(base.contains("\"verdict\":\"fresh\""), "{base}");
 }
 
+/// A link event must name a link of the base topology. SEAT and NEWY
+/// share no link on INet2 and SEAT–SEAT is a self-loop: each event
+/// resolves its names and is admitted, then the drain refuses it as
+/// `churn_rejected`, counted in `rejected_churn`, with no epoch burnt
+/// and no `topology_churn` journaled.
+#[test]
+fn a_link_event_naming_no_link_is_rejected_at_drain() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let bogus = [
+        "churn s link-down SEAT NEWY",
+        "churn s link-down SEAT SEAT",
+        "churn s link-up SEAT NEWY",
+    ];
+    for line in bogus {
+        assert_eq!(reply(&mut session, line), "ok queued=1", "{line}");
+        assert!(reply(&mut session, "drain").starts_with("ok "));
+    }
+    let status = reply(&mut session, "status");
+    assert!(status.contains("\"epoch\":0"), "{status}");
+    assert!(status.contains("\"rejected_churn\":3"), "{status}");
+    let events = reply(&mut session, "events s");
+    assert_eq!(
+        events.matches("\"kind\":\"churn_rejected\"").count(),
+        3,
+        "{events}"
+    );
+    assert!(
+        events.contains("names no link of the base topology"),
+        "{events}"
+    );
+    assert!(!events.contains("topology_churn"), "{events}");
+}
+
 /// An intent that was installed and then removed is explained as
 /// `removed`, with the install and removal in its causal chain.
 #[test]

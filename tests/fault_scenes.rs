@@ -12,7 +12,7 @@ use tulkun::core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
 use tulkun::core::control::ControlPlane;
 use tulkun::core::count::CountExpr;
 use tulkun::core::event::{RuntimeEvent, Substrate};
-use tulkun::core::explain::{device_verdict, explain, Explanation, Subject};
+use tulkun::core::explain::{Explanation, Subject};
 use tulkun::core::fault::{build_ft_dpvnet, expand_fault_spec, subtopology, FaultScene, FtDpvNet};
 use tulkun::core::intent::{plan_intent_on, IntentId};
 use tulkun::core::planner::NodeTask;
@@ -362,7 +362,8 @@ fn symbolic_filter_widens_the_ft_dpvnet() {
 /// Runs the `tulkun explain` fault scene — seeded link-down + crash of
 /// the affected device over a 10% lossy management network under the
 /// deterministic lockstep clock — and returns the injected event, the
-/// device it names, and the explanation for that device.
+/// device it names, and the runtime's explanation for that device
+/// ([`Engine::explain`], the path `tulkun explain` and the daemon take).
 fn explain_scene(seed: u64) -> (TopologyEvent, tulkun::netmodel::DeviceId, Explanation) {
     use tulkun::core::fault::FaultProfile;
 
@@ -370,9 +371,8 @@ fn explain_scene(seed: u64) -> (TopologyEvent, tulkun::netmodel::DeviceId, Expla
     let net = &ds.network;
     let topo = &net.topology;
     let (inv, cp) = tulkun::daemon::dataset_session(net, "INet2").unwrap();
-    let telemetry = Telemetry::new(TelemetryConfig::enabled());
     let cfg = EngineConfig {
-        telemetry: telemetry.clone(),
+        telemetry: Telemetry::new(TelemetryConfig::enabled()),
         model: tulkun::sim::SwitchModel::LOCKSTEP,
         ..EngineConfig::default()
     };
@@ -393,16 +393,7 @@ fn explain_scene(seed: u64) -> (TopologyEvent, tulkun::netmodel::DeviceId, Expla
     sim.apply_topology_event(&ev, topo, &inv).unwrap();
     let dev = ev.primary_device();
     sim.crash_restart(dev);
-    let report = sim.report();
-    let nodes: Vec<u32> = sim
-        .intents()
-        .global_tasks()
-        .iter()
-        .filter(|t| t.dev == dev)
-        .map(|t| t.node.0)
-        .collect();
-    let verdict = device_verdict(&report, dev, &nodes);
-    let x = explain(&telemetry.journal_events(), Subject::Device(dev), &verdict);
+    let x = sim.explain(None, Subject::Device(dev)).unwrap();
     (ev, dev, x)
 }
 
