@@ -274,6 +274,15 @@ stage_lint() {
         echo "lint: a retired planning fork, destination mode or partitioner is back (see above)" >&2
         exit 1
     fi
+    # One Proposition 2 check (fault::Proposition2) and one suffix-merging
+    # builder (dpvnet::merge_suffixes): the fault-tolerant DPVNet's
+    # private trie, its copy of the scene check and the live path's old
+    # check type stay retired, as do the deleted spec/bulk.rs helpers.
+    if grep -rnw 'T''Node\|F''Node\|touches''_used\|dist''_unchanged\|Cut''Check\|from''_parts\|Device''Set\|owned''_space\|all_pair''_reachability\|all_pair_shortest''_availability' \
+        crates src tests examples ci.sh; then
+        echo "lint: a second scene check, union builder or bulk helper is back (see above)" >&2
+        exit 1
+    fi
     # One latency instrument: the log-linear Histogram. The fixed-bucket
     # tables, the sample reservoir and the raw span recorder a timing
     # block was hand-rolled from stay retired; a span with a duration

@@ -20,8 +20,10 @@
 //!   `<= shortest + k` reachability, linear in `|E| · k`.
 
 use crate::spec::PathExpr;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 use tulkun_automata::Dfa;
 use tulkun_netmodel::topology::{DeviceId, Topology};
 
@@ -228,16 +230,6 @@ impl DpvNet {
         }
         s.push_str("}\n");
         s
-    }
-
-    /// Assembles a DPVNet from raw parts (used by the fault-tolerant
-    /// construction, which builds the union DAG itself).
-    pub fn from_parts(nodes: Vec<DpvNode>, sources: Vec<(DeviceId, NodeId)>, dim: usize) -> DpvNet {
-        DpvNet {
-            nodes,
-            sources,
-            dim,
-        }
     }
 
     /// Builds the DPVNet for a set of path expressions over one topology
@@ -706,42 +698,95 @@ fn dfs(
     Ok(())
 }
 
+/// The scenes a path, a DAG edge or an acceptance flag is valid in, as
+/// [`merge_suffixes`] labels them: `bool` for one path set, §6's
+/// [`SceneMask`](crate::fault::SceneMask) for the fault-tolerant union.
+pub(crate) trait Scenes: Clone + Eq + Hash {
+    /// None of `n` scenes.
+    fn none(n: usize) -> Self;
+    /// Adds scene `i`.
+    fn add(&mut self, i: usize);
+    /// Adds every scene of `other`.
+    fn add_all(&mut self, other: &Self);
+    /// Whether any scene is in.
+    fn any(&self) -> bool;
+}
+
+impl Scenes for bool {
+    fn none(_: usize) -> bool {
+        false
+    }
+
+    fn add(&mut self, _: usize) {
+        *self = true;
+    }
+
+    fn add_all(&mut self, other: &bool) {
+        *self |= other;
+    }
+
+    fn any(&self) -> bool {
+        *self
+    }
+}
+
 /// Builds the minimal suffix-merged DAG from an enumerated path set
 /// (trie insertion + bottom-up hash-consing: the paper's state
 /// minimization step).
 pub fn from_paths(paths: &[ValidPath], dim: usize, topo: &Topology) -> DpvNet {
-    // Trie with a virtual root.
-    #[derive(Clone)]
-    struct TrieNode {
+    merge_suffixes::<bool, _>(std::slice::from_ref(&paths), dim, topo, |_, _, _| {})
+}
+
+/// Builds the minimal suffix-merged DAG of scene-labelled path sets,
+/// `scenes[i]` being scene `i`'s valid paths: trie insertion, then
+/// bottom-up hash-consing of trie nodes on their device, the scenes
+/// each expression accepts at them in, and their children with the
+/// scenes each edge into a child is valid in. Two nodes merge only when
+/// every scene sees them alike, so each scene's view of the DAG is the
+/// minimal DAG of its own paths. A node accepts an expression when it
+/// does so in some scene. `label` is told each new node's acceptance
+/// and out-edge scenes, in node id order.
+pub(crate) fn merge_suffixes<S: Scenes, P: AsRef<[ValidPath]>>(
+    scenes: &[P],
+    dim: usize,
+    topo: &Topology,
+    mut label: impl FnMut(NodeId, &[S], &[(NodeId, S)]),
+) -> DpvNet {
+    // Trie with a virtual root; `edge` is the scenes of the edge from
+    // the parent.
+    struct TrieNode<S> {
         dev: DeviceId,
         children: Vec<(DeviceId, usize)>,
-        accept: Vec<bool>,
+        accept: Vec<S>,
+        edge: S,
     }
-    let mut trie: Vec<TrieNode> = vec![TrieNode {
-        dev: DeviceId(u32::MAX),
+    let n = scenes.len();
+    let node = |dev| TrieNode {
+        dev,
         children: Vec::new(),
-        accept: vec![false; dim],
-    }];
-    for p in paths {
-        let mut cur = 0usize;
-        for &d in &p.devices {
-            cur = match trie[cur].children.iter().find(|(cd, _)| *cd == d) {
-                Some(&(_, idx)) => idx,
-                None => {
-                    let idx = trie.len();
-                    trie.push(TrieNode {
-                        dev: d,
-                        children: Vec::new(),
-                        accept: vec![false; dim],
-                    });
-                    trie[cur].children.push((d, idx));
-                    idx
+        accept: vec![S::none(n); dim],
+        edge: S::none(n),
+    };
+    let mut trie: Vec<TrieNode<S>> = vec![node(DeviceId(u32::MAX))];
+    for (si, paths) in scenes.iter().enumerate() {
+        for p in paths.as_ref() {
+            let mut cur = 0usize;
+            for &d in &p.devices {
+                cur = match trie[cur].children.iter().find(|(cd, _)| *cd == d) {
+                    Some(&(_, idx)) => idx,
+                    None => {
+                        let idx = trie.len();
+                        trie.push(node(d));
+                        trie[cur].children.push((d, idx));
+                        idx
+                    }
+                };
+                trie[cur].edge.add(si);
+            }
+            for (i, &a) in p.accept.iter().enumerate() {
+                if a {
+                    trie[cur].accept[i].add(si);
                 }
-            };
-        }
-        for (i, &a) in p.accept.iter().enumerate() {
-            if a {
-                trie[cur].accept[i] = true;
             }
         }
     }
@@ -749,8 +794,9 @@ pub fn from_paths(paths: &[ValidPath], dim: usize, topo: &Topology) -> DpvNet {
     // Bottom-up hash-consing: canonical id per (dev, accept, children).
     // The trie is a tree, so children always precede parents in a
     // post-order traversal.
+    type Sig<S> = (DeviceId, Vec<S>, Vec<(NodeId, S)>);
     let mut canon_of: Vec<Option<NodeId>> = vec![None; trie.len()];
-    let mut sig_map: HashMap<(DeviceId, Vec<bool>, Vec<NodeId>), NodeId> = HashMap::new();
+    let mut sig_map: HashMap<Sig<S>, NodeId> = HashMap::new();
     let mut nodes: Vec<DpvNode> = Vec::new();
     let mut label_count: HashMap<DeviceId, u32> = HashMap::new();
 
@@ -767,29 +813,37 @@ pub fn from_paths(paths: &[ValidPath], dim: usize, topo: &Topology) -> DpvNet {
         if t == 0 {
             continue; // virtual root has no canonical node
         }
-        let mut kids: Vec<NodeId> = trie[t]
-            .children
-            .iter()
-            .map(|&(_, c)| canon_of[c].unwrap())
-            .collect();
-        kids.sort();
-        kids.dedup();
-        let sig = (trie[t].dev, trie[t].accept.clone(), kids.clone());
-        let id = match sig_map.get(&sig) {
-            Some(&id) => id,
-            None => {
+        let mut kids: Vec<(NodeId, S)> = Vec::with_capacity(trie[t].children.len());
+        for &(_, c) in &trie[t].children {
+            let id = canon_of[c].expect("a child precedes its parent in post-order");
+            kids.push((id, trie[c].edge.clone()));
+        }
+        kids.sort_by_key(|(k, _)| *k);
+        kids.dedup_by(|(k, scenes), (kept, into)| {
+            let same = k == kept;
+            if same {
+                into.add_all(scenes);
+            }
+            same
+        });
+        let dev = trie[t].dev;
+        let sig = (dev, std::mem::take(&mut trie[t].accept), kids);
+        let id = match sig_map.entry(sig) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 let id = NodeId(nodes.len() as u32);
-                let c = label_count.entry(trie[t].dev).or_insert(0);
+                let (_, accept, kids) = e.key();
+                label(id, accept, kids);
+                let c = label_count.entry(dev).or_insert(0);
                 *c += 1;
                 nodes.push(DpvNode {
-                    dev: trie[t].dev,
-                    out: kids,
+                    dev,
+                    out: kids.iter().map(|(k, _)| *k).collect(),
                     inn: Vec::new(),
-                    accept: trie[t].accept.clone(),
-                    label: format!("{}{}", topo.name(trie[t].dev), c),
+                    accept: accept.iter().map(S::any).collect(),
+                    label: format!("{}{}", topo.name(dev), c),
                 });
-                sig_map.insert(sig, id);
-                id
+                *e.insert(id)
             }
         };
         canon_of[t] = Some(id);

@@ -2,20 +2,20 @@
 //! a fired violation) plus the causal flight recorder into a ranked
 //! causal chain a human can read.
 //!
-//! The walk is deterministic by construction: journal entries carry no
-//! wall clock (only their global `seq`), relevance is decided by exact
-//! device/intent/epoch matches plus trace-id closure, and ranking is a
-//! fixed severity order of event kinds with `seq` (newest first) as
-//! the tiebreak — so the same seeded run explains itself with
-//! byte-identical JSON every time.
+//! The walk is a pure function of the journal: entries carry no wall
+//! clock (only their global `seq`), relevance is decided by exact
+//! device/intent matches, global kinds and trace-id closure, and
+//! ranking is a fixed severity order of event kinds with `seq` (newest
+//! first) as the tiebreak. A run whose journal is itself a function of
+//! its seed (a clean one, or one under `SwitchModel::LOCKSTEP`)
+//! therefore explains itself with byte-identical JSON every time.
 //!
 //! The algorithm, given a subject (a device or an intent) and its
 //! verdict:
 //!
 //! 1. **Direct pass** — scan the journal backwards, keeping entries
 //!    that name the subject (same device, or same intent id) and
-//!    global entries (epoch fences, topology churn, SLO breaches)
-//!    whose epoch is at or below the verdict's epoch horizon.
+//!    global entries (epoch fences, topology churn, SLO breaches).
 //! 2. **Trace closure** — collect the causal trace ids of the direct
 //!    hits and sweep once more, pulling in every entry that shares one
 //!    of those trace ids (the rest of the wave the subject was hit

@@ -4,12 +4,22 @@
 //! [`expand_fault_spec`] turns an invariant's `fault_scenes` into
 //! concrete scenes, and [`build_ft_dpvnet`] computes the union of valid
 //! paths over all of them (iterating scenes in ascending failure count
-//! and reusing path sets when Proposition 2 applies), labelling every
-//! DPVNet edge and acceptance flag with the scenes it is valid in. The
-//! Fig. 13 and scene-reuse figures measure that union. A scene reaches
-//! the running verifiers one way only: as `LinkDown` / `LinkUp` topology
-//! events through the control plane's epoch fence, where each intent's
-//! scene table answers a scene it has planned before.
+//! and reusing the base path set when Proposition 2 applies), labelling
+//! every DPVNet edge and acceptance flag with the scenes it is valid
+//! in. The Fig. 13 and scene-reuse figures measure that union.
+//!
+//! Proposition 2 is written once, as `Proposition2`: planning with
+//! some links removed returns what it returned before when no DPVNet
+//! edge runs over a removed link, no ingress → destination-device
+//! distance of the expressions moved and, on the `(device, slack)` fast
+//! path, no destination → slice-device distance moved (`Reads`). The
+//! live re-planner asks it for one failed link against the scene in
+//! force, [`build_ft_dpvnet`] for each declared scene against the base.
+//! The union itself comes from the planner's suffix-merging builder
+//! (`dpvnet::merge_suffixes`) with scene masks as its labels. A scene
+//! reaches the running verifiers one way only: as `LinkDown` / `LinkUp`
+//! topology events through the control plane's epoch fence, where each
+//! intent's scene table answers a scene it has planned before.
 //!
 //! Besides *data-plane* faults (failed links), this module also models
 //! *management-plane* faults: [`FaultProfile`] describes a lossy
@@ -19,9 +29,10 @@
 //! carries the injection/recovery counters every runtime substrate
 //! surfaces.
 
-use crate::dpvnet::{self, DpvNet, DpvNetError, NodeId, ValidPath};
-use crate::planner::PlanError;
-use crate::spec::{FaultSpec, PathExpr};
+use crate::dpvnet::{self, DpvNet, DpvNetError, NodeId, Scenes, ValidPath};
+use crate::planner::{PlanError, Planner};
+use crate::spec::{FaultSpec, Invariant, PathExpr};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use tulkun_netmodel::topology::{DeviceId, Topology};
 
@@ -315,26 +326,29 @@ pub fn subtopology(topo: &Topology, down: &FaultScene) -> Topology {
 pub struct SceneMask(Vec<u64>);
 
 impl SceneMask {
-    /// All-zero mask for `n` scenes.
-    pub fn empty(n: usize) -> SceneMask {
-        SceneMask(vec![0; n.div_ceil(64)])
-    }
-
-    /// Sets scene `i`.
-    pub fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-
     /// Is scene `i` set?
     pub fn get(&self, i: usize) -> bool {
         self.0[i / 64] >> (i % 64) & 1 == 1
     }
+}
 
-    /// Union in place.
-    pub fn or_assign(&mut self, other: &SceneMask) {
+impl Scenes for SceneMask {
+    fn none(n: usize) -> SceneMask {
+        SceneMask(vec![0; n.div_ceil(64)])
+    }
+
+    fn add(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn add_all(&mut self, other: &SceneMask) {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a |= b;
         }
+    }
+
+    fn any(&self) -> bool {
+        self.0.iter().any(|&w| w != 0)
     }
 }
 
@@ -357,8 +371,128 @@ pub struct FtDpvNet {
     pub reused_scenes: usize,
 }
 
+/// What the planner reads of a topology for one plan key besides the
+/// links of its valid paths: the distance from each ingress to each
+/// destination device of its path expressions (length filters and the
+/// enumeration bound), and on the `(device, slack)` fast path every
+/// device's distance from the destination (the DAG's node labels). The
+/// devices are a function of the key and the device names, which a
+/// failed link leaves alone, so they are worked out once per key.
+#[derive(Debug, Clone)]
+pub(crate) struct Reads {
+    ingress: Vec<DeviceId>,
+    dests: Vec<DeviceId>,
+    slack_dst: Option<DeviceId>,
+}
+
+impl Reads {
+    /// What planning `inv` on `topo` reads.
+    pub(crate) fn of(topo: &Topology, inv: &Invariant) -> Reads {
+        let ingress = inv.ingress.iter().filter_map(|n| topo.device(n)).collect();
+        let exprs = inv.behavior.path_exprs().into_iter();
+        Reads {
+            slack_dst: Planner::new(topo).slack_destination(inv),
+            ..Reads::of_paths(topo, ingress, exprs)
+        }
+    }
+
+    /// What enumerating the valid paths of `exprs` from `ingress` reads.
+    fn of_paths<'e>(
+        topo: &Topology,
+        ingress: Vec<DeviceId>,
+        exprs: impl IntoIterator<Item = &'e PathExpr>,
+    ) -> Reads {
+        let planner = Planner::new(topo);
+        let mut dests: Vec<DeviceId> = exprs
+            .into_iter()
+            .flat_map(|pe| planner.destination_devices(&pe.regex))
+            .collect();
+        dests.sort();
+        dests.dedup();
+        Reads {
+            ingress,
+            dests,
+            slack_dst: None,
+        }
+    }
+}
+
+/// §6's Proposition 2: whether planning with the links `down` removed
+/// from `before` (giving `after`) returns what it returned on `before`.
+/// It does when no DPVNet edge of that plan runs over a removed link
+/// and the removal moves no distance the planner reads for the plan's
+/// key ([`Reads`]). That is exact: every valid path of the plan
+/// survives and the removal adds none, each path's length filters and
+/// the enumeration bound compare the same distances, and the
+/// enumeration walks the surviving neighbours in the same order — so
+/// planning `after` returns the plan already made on `before`.
+///
+/// The live re-planner asks it for one failed link against the scene in
+/// force ([`crate::intent`]'s `Cut`), [`build_ft_dpvnet`] for each
+/// declared scene against the base. The BFS distances it reads are
+/// kept, before and after, by source device, so one check serves every
+/// plan of a re-plan.
+pub(crate) struct Proposition2<'a> {
+    before: &'a Topology,
+    after: &'a Topology,
+    down: &'a [LinkPair],
+    hops: BTreeMap<DeviceId, [Vec<u32>; 2]>,
+}
+
+impl<'a> Proposition2<'a> {
+    /// The check for `after`, which is `before` with `down` removed.
+    pub(crate) fn new(
+        before: &'a Topology,
+        after: &'a Topology,
+        down: &'a [LinkPair],
+    ) -> Proposition2<'a> {
+        Proposition2 {
+            before,
+            after,
+            down,
+            hops: BTreeMap::new(),
+        }
+    }
+
+    /// Whether the plan `reads` describes, whose DPVNet edges run
+    /// between the device pairs `edges` and whose nodes sit on
+    /// `devices`, is what planning on `after` gives.
+    pub(crate) fn keeps(
+        &mut self,
+        reads: &Reads,
+        mut edges: impl Iterator<Item = (DeviceId, DeviceId)>,
+        devices: impl Iterator<Item = DeviceId>,
+    ) -> bool {
+        if edges.any(|(a, b)| self.down.contains(&link_pair(a, b))) {
+            return false;
+        }
+        let dests = &reads.dests;
+        if !reads.ingress.iter().all(|&i| self.unmoved(i, dests)) {
+            return false;
+        }
+        reads.slack_dst.is_none_or(|d| {
+            let devices: Vec<DeviceId> = devices.collect();
+            self.unmoved(d, &devices)
+        })
+    }
+
+    /// Whether the removal leaves the distance from `from` to every
+    /// device of `to` as it was.
+    fn unmoved(&mut self, from: DeviceId, to: &[DeviceId]) -> bool {
+        let (before, after) = (self.before, self.after);
+        let [was, is] = self
+            .hops
+            .entry(from)
+            .or_insert_with(|| [before.bfs_hops(from, &[]), after.bfs_hops(from, &[])]);
+        to.iter().all(|d| was[d.idx()] == is[d.idx()])
+    }
+}
+
 /// Builds the fault-tolerant DPVNet for an invariant's path expressions
-/// over the given scenes (§6's iterative computation).
+/// over the given scenes (§6's iterative computation): each scene's
+/// valid paths are the base's when Proposition 2 says so and are
+/// enumerated on its subtopology otherwise, and the planner's
+/// suffix-merging builder (`dpvnet::merge_suffixes`) unions them.
 pub fn build_ft_dpvnet(
     topo: &Topology,
     ingress: &[DeviceId],
@@ -370,201 +504,39 @@ pub fn build_ft_dpvnet(
         !scenes.is_empty() && scenes[0].is_empty(),
         "scene 0 must be the base"
     );
-    let symbolic = exprs.iter().any(PathExpr::has_symbolic_filter);
-
-    // Base path set and the topology edges it uses.
-    let base_paths = dpvnet::enumerate_valid_paths(topo, ingress, exprs, path_cap)?;
-    let mut used: HashSet<LinkPair> = HashSet::new();
-    for p in &base_paths {
-        for w in p.devices.windows(2) {
-            used.insert(link_pair(w[0], w[1]));
-        }
-    }
-    // Endpoints whose shortest distances the symbolic filters depend on.
-    let endpoints: Vec<(DeviceId, DeviceId)> = {
-        let mut v: Vec<(DeviceId, DeviceId)> = base_paths
-            .iter()
-            .filter_map(|p| Some((*p.devices.first()?, *p.devices.last()?)))
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let base_dist: BTreeMap<DeviceId, Vec<u32>> = ingress
+    let base = dpvnet::enumerate_valid_paths(topo, ingress, exprs, path_cap)?;
+    let reads = Reads::of_paths(topo, ingress.to_vec(), exprs);
+    let mut used: Vec<LinkPair> = base
         .iter()
-        .map(|&s| (s, topo.bfs_hops(s, &[])))
+        .flat_map(|p| p.devices.windows(2).map(|w| link_pair(w[0], w[1])))
         .collect();
+    used.sort();
+    used.dedup();
 
-    // Per-scene path sets (Proposition 2: reuse when nothing relevant
-    // changed).
-    let mut per_scene: Vec<Vec<ValidPath>> = Vec::with_capacity(scenes.len());
-    let mut intolerable = Vec::new();
+    let mut per_scene: Vec<Cow<[ValidPath]>> = vec![Cow::Borrowed(&base)];
     let mut reused = 0usize;
-    for (i, scene) in scenes.iter().enumerate() {
-        let paths = if i == 0 {
-            base_paths.clone()
+    for scene in &scenes[1..] {
+        let sub = subtopology(topo, scene);
+        let mut check = Proposition2::new(topo, &sub, &scene.0);
+        if check.keeps(&reads, used.iter().copied(), std::iter::empty()) {
+            reused += 1;
+            per_scene.push(Cow::Borrowed(&base));
         } else {
-            let touches_used = scene.0.iter().any(|p| used.contains(p));
-            let sub = subtopology(topo, scene);
-            let dist_unchanged = !symbolic
-                || endpoints
-                    .iter()
-                    .all(|(s, d)| sub.bfs_hops(*s, &[])[d.idx()] == base_dist[s][d.idx()]);
-            if !touches_used && dist_unchanged {
-                reused += 1;
-                base_paths.clone()
-            } else {
-                dpvnet::enumerate_valid_paths(&sub, ingress, exprs, path_cap)?
-            }
-        };
-        if paths.is_empty() {
-            intolerable.push(i);
-        }
-        per_scene.push(paths);
-    }
-
-    // Union trie with per-scene labels.
-    let dim = exprs.len();
-    let n_scenes = scenes.len();
-    struct TNode {
-        dev: DeviceId,
-        children: Vec<(DeviceId, usize)>,
-        accept: Vec<SceneMask>,
-        /// Scenes in which the edge from the parent into this node is on
-        /// a valid path.
-        edge_mask: SceneMask,
-    }
-    let mk_accept = |n: usize| (0..dim).map(|_| SceneMask::empty(n)).collect::<Vec<_>>();
-    let mut trie: Vec<TNode> = vec![TNode {
-        dev: DeviceId(u32::MAX),
-        children: Vec::new(),
-        accept: mk_accept(n_scenes),
-        edge_mask: SceneMask::empty(n_scenes),
-    }];
-    for (si, paths) in per_scene.iter().enumerate() {
-        for p in paths {
-            let mut cur = 0usize;
-            for &d in &p.devices {
-                cur = match trie[cur].children.iter().find(|(cd, _)| *cd == d) {
-                    Some(&(_, idx)) => idx,
-                    None => {
-                        let idx = trie.len();
-                        trie.push(TNode {
-                            dev: d,
-                            children: Vec::new(),
-                            accept: mk_accept(n_scenes),
-                            edge_mask: SceneMask::empty(n_scenes),
-                        });
-                        trie[cur].children.push((d, idx));
-                        idx
-                    }
-                };
-                trie[cur].edge_mask.set(si);
-            }
-            for (e, &a) in p.accept.iter().enumerate() {
-                if a {
-                    trie[cur].accept[e].set(si);
-                }
-            }
+            let paths = dpvnet::enumerate_valid_paths(&sub, ingress, exprs, path_cap)?;
+            per_scene.push(Cow::Owned(paths));
         }
     }
-
-    // Bottom-up hash-consing with masks in the signature.
-    type Sig = (DeviceId, Vec<SceneMask>, Vec<(NodeId, SceneMask)>);
-    let mut canon_of: Vec<Option<NodeId>> = vec![None; trie.len()];
-    let mut sig_map: HashMap<Sig, NodeId> = HashMap::new();
-    // Final node data (converted to a DpvNet at the end).
-    struct FNode {
-        dev: DeviceId,
-        out: Vec<(NodeId, SceneMask)>,
-        accept_any: Vec<bool>,
-        accept_scenes: Vec<SceneMask>,
-    }
-    let mut fnodes: Vec<FNode> = Vec::new();
-
-    let mut stack: Vec<(usize, bool)> = vec![(0, false)];
-    while let Some((t, expanded)) = stack.pop() {
-        if !expanded {
-            stack.push((t, true));
-            for &(_, c) in &trie[t].children {
-                stack.push((c, false));
-            }
-            continue;
-        }
-        if t == 0 {
-            continue;
-        }
-        let mut kids: Vec<(NodeId, SceneMask)> = Vec::new();
-        for &(_, c) in &trie[t].children {
-            let id = canon_of[c].unwrap();
-            let mask = trie[c].edge_mask.clone();
-            match kids.iter_mut().find(|(k, _)| *k == id) {
-                Some((_, m)) => m.or_assign(&mask),
-                None => kids.push((id, mask)),
-            }
-        }
-        kids.sort_by_key(|(k, _)| *k);
-        let sig: Sig = (trie[t].dev, trie[t].accept.clone(), kids.clone());
-        let id = match sig_map.get(&sig) {
-            Some(&id) => id,
-            None => {
-                let id = NodeId(fnodes.len() as u32);
-                fnodes.push(FNode {
-                    dev: trie[t].dev,
-                    out: kids,
-                    accept_any: trie[t]
-                        .accept
-                        .iter()
-                        .map(|m| m.0.iter().any(|&w| w != 0))
-                        .collect(),
-                    accept_scenes: trie[t].accept.clone(),
-                });
-                sig_map.insert(sig, id);
-                id
-            }
-        };
-        canon_of[t] = Some(id);
-    }
-
-    // Assemble the DpvNet + side tables.
-    let mut edge_scenes: HashMap<(NodeId, NodeId), SceneMask> = HashMap::new();
-    let mut accept_scenes: Vec<Vec<SceneMask>> = Vec::with_capacity(fnodes.len());
-    let mut nodes: Vec<crate::dpvnet::DpvNode> = Vec::with_capacity(fnodes.len());
-    let mut label_count: HashMap<DeviceId, u32> = HashMap::new();
-    for (i, f) in fnodes.iter().enumerate() {
-        let c = label_count.entry(f.dev).or_insert(0);
-        *c += 1;
-        nodes.push(crate::dpvnet::DpvNode {
-            dev: f.dev,
-            out: f.out.iter().map(|(k, _)| *k).collect(),
-            inn: Vec::new(),
-            accept: f.accept_any.clone(),
-            label: format!("{}{}", topo.name(f.dev), c),
-        });
-        for (k, m) in &f.out {
-            edge_scenes.insert((NodeId(i as u32), *k), m.clone());
-        }
-        accept_scenes.push(f.accept_scenes.clone());
-    }
-    for i in 0..nodes.len() {
-        let outs = nodes[i].out.clone();
-        for o in outs {
-            nodes[o.idx()].inn.push(NodeId(i as u32));
-        }
-    }
-    for n in &mut nodes {
-        n.inn.sort();
-        n.inn.dedup();
-    }
-    let mut sources: Vec<(DeviceId, NodeId)> = trie[0]
-        .children
-        .iter()
-        .filter_map(|&(d, c)| canon_of[c].map(|id| (d, id)))
+    let intolerable = (0..scenes.len())
+        .filter(|&i| per_scene[i].is_empty())
         .collect();
-    sources.sort();
-    sources.dedup();
-    let dpvnet = DpvNet::from_parts(nodes, sources, dim);
 
+    let mut edge_scenes = HashMap::new();
+    let mut accept_scenes = Vec::new();
+    let label = |id: NodeId, accept: &[SceneMask], out: &[(NodeId, SceneMask)]| {
+        edge_scenes.extend(out.iter().map(|(o, m)| ((id, *o), m.clone())));
+        accept_scenes.push(accept.to_vec());
+    };
+    let dpvnet = dpvnet::merge_suffixes(&per_scene, exprs.len(), topo, label);
     Ok(FtDpvNet {
         dpvnet,
         scenes: scenes.to_vec(),
@@ -626,15 +598,16 @@ mod tests {
 
     #[test]
     fn scene_masks() {
-        let mut m = SceneMask::empty(130);
-        m.set(0);
-        m.set(64);
-        m.set(129);
+        let mut m = SceneMask::none(130);
+        assert!(!m.any());
+        m.add(0);
+        m.add(64);
+        m.add(129);
         assert!(m.get(0) && m.get(64) && m.get(129));
         assert!(!m.get(1) && !m.get(128));
-        let mut m2 = SceneMask::empty(130);
-        m2.set(5);
-        m2.or_assign(&m);
+        let mut m2 = SceneMask::none(130);
+        m2.add(5);
+        m2.add_all(&m);
         assert!(m2.get(5) && m2.get(129));
     }
 
@@ -701,6 +674,88 @@ mod tests {
         assert!(!ft
             .scenes
             .contains(&FaultScene::new([(b, d), (w, d), (s, w)])));
+    }
+
+    /// Each scene's view of the union has the paths of planning that
+    /// scene alone.
+    fn assert_views_match(topo: &Topology, ingress: &[DeviceId], pe: &PathExpr, ft: &FtDpvNet) {
+        for (i, scene) in ft.scenes.iter().enumerate() {
+            let sub = subtopology(topo, scene);
+            let alone = DpvNet::build(&sub, ingress, std::slice::from_ref(pe)).unwrap();
+            assert_eq!(count_paths(ft, i), alone.num_paths(), "scene {scene:?}");
+        }
+    }
+
+    #[test]
+    fn every_scene_view_is_the_scene_planned_alone() {
+        let topo = fig2a_topo();
+        let s = topo.device("S").unwrap();
+        let pe = PathExpr::parse("S .* D")
+            .unwrap()
+            .loop_free()
+            .shortest_plus(1);
+        let scenes = expand_fault_spec(&topo, &crate::spec::FaultSpec::AnyK(2), 1000).unwrap();
+        let ft = build_ft_dpvnet(&topo, &[s], std::slice::from_ref(&pe), &scenes, 100_000).unwrap();
+        assert_views_match(&topo, &[s], &pe, &ft);
+    }
+
+    #[test]
+    fn a_pair_without_a_base_path_is_read() {
+        // S's only valid paths need S–D down: with it up, S→D is one hop
+        // and `S A W D` is three, over `<= shortest+1`. The base's paths
+        // all start at A, so a check of base-path endpoints alone reuses
+        // the base for scene {S–D} and loses `S A W D`.
+        let mut topo = Topology::new();
+        let [s, a, w, d] = ["S", "A", "W", "D"].map(|n| topo.add_device(n));
+        for (x, y) in [(s, d), (s, a), (a, w), (w, d)] {
+            topo.add_link(x, y, 1000);
+        }
+        let pe = PathExpr::parse("S .* W .* D | A .* W .* D")
+            .unwrap()
+            .loop_free()
+            .shortest_plus(1);
+        let scenes = [FaultScene::none(), FaultScene::new([(s, d)])];
+        let ft = build_ft_dpvnet(&topo, &[s, a], std::slice::from_ref(&pe), &scenes, 100).unwrap();
+        assert_eq!(
+            (ft.reused_scenes, count_paths(&ft, 0), count_paths(&ft, 1)),
+            (0, 1.0, 2.0)
+        );
+        assert_views_match(&topo, &[s, a], &pe, &ft);
+    }
+
+    #[test]
+    fn one_scene_union_is_from_paths() {
+        let topo = fig2a_topo();
+        let [s, b] = ["S", "B"].map(|n| topo.device(n).unwrap());
+        let cases = [
+            (vec![s], vec!["S .* W .* D"]),
+            (vec![s, b], vec!["(S|B) .* D"]),
+            (vec![s], vec!["S .* D", "S .* W"]),
+        ];
+        let shape = |net: &DpvNet| {
+            let nodes: Vec<_> = net
+                .iter()
+                .map(|(_, n)| {
+                    (
+                        n.dev,
+                        n.out.clone(),
+                        n.inn.clone(),
+                        n.accept.clone(),
+                        n.label.clone(),
+                    )
+                })
+                .collect();
+            (nodes, net.sources().to_vec(), net.dim())
+        };
+        for (ingress, exprs) in cases {
+            let exprs: Vec<PathExpr> = exprs
+                .iter()
+                .map(|e| PathExpr::parse(e).unwrap().loop_free())
+                .collect();
+            let one = build_ft_dpvnet(&topo, &ingress, &exprs, &[FaultScene::none()], 100).unwrap();
+            let plain = DpvNet::build(&topo, &ingress, &exprs).unwrap();
+            assert_eq!(shape(&one.dpvnet), shape(&plain), "{exprs:?}");
+        }
     }
 
     /// Counts source→accept paths in one scene's view of the union:

@@ -67,7 +67,7 @@ use crate::churn::ChurnState;
 use crate::control::SHARD;
 use crate::count::ReduceMode;
 use crate::dpvnet::NodeId;
-use crate::fault::{link_pair, LinkPair};
+use crate::fault::{LinkPair, Proposition2, Reads};
 use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
 use std::cmp::Reverse;
@@ -265,15 +265,20 @@ impl SceneTable {
         inv: &Invariant,
         topology: &Topology,
         scene: &ChurnState,
-        kept: Option<(Slice, &mut CutCheck)>,
+        kept: Option<(Slice, &mut Proposition2)>,
         work: &mut PlanWork,
     ) -> Planned {
         if let Some(hit) = self.get(scene) {
             work.table_hits += 1;
             return hit;
         }
-        let kept = kept.and_then(|(slice, cut)| {
-            let keeps = cut.keeps(&slice.plan, &mut self.reads, inv);
+        let kept = kept.and_then(|(slice, check)| {
+            let reads = self.reads.get_or_insert_with(|| Reads::of(topology, inv));
+            let tasks = &slice.plan.tasks;
+            let edges = tasks
+                .iter()
+                .flat_map(|t| t.downstream.iter().map(|(_, d)| (t.dev, *d)));
+            let keeps = check.keeps(reads, edges, tasks.iter().map(|t| t.dev));
             keeps.then_some(slice)
         });
         let planned = match kept {
@@ -379,99 +384,16 @@ impl PlanWork {
 /// effective topology the plans in force were made on, with the link
 /// still up. The caller passes one only for a `LinkDown` that adds that
 /// one link to the scene in force, on the base topology the scene
-/// tables answer for.
-///
-/// A live slice — not degraded and carrying its invariant, so its plan
-/// is what the re-planner gave on the scene in force — keeps its plan
-/// without a planner run when no DPVNet edge of it runs over the link
-/// and the link moves no distance the planner reads for it ([`Reads`]).
-/// That is exact: every valid path of the plan survives the cut and the
-/// cut adds none, each path's length filters and the enumeration bound
-/// compare the same distances, and the enumeration walks the surviving
-/// neighbours in the same order — so a planner run would return the
-/// plan already in force.
+/// tables answer for. A live slice — not degraded and carrying its
+/// invariant, so its plan is what the re-planner gave on the scene in
+/// force — keeps its plan without a planner run when §6's
+/// [`Proposition2`] says a run would return it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cut<'a> {
     /// The failed link.
     pub link: LinkPair,
     /// The effective topology before it failed.
     pub before: &'a Topology,
-}
-
-/// What the planner reads of a topology for one plan key besides the
-/// links of its valid paths: the distance from each ingress to each
-/// destination device of its path expressions (length filters and the
-/// enumeration bound), and on the `(device, slack)` fast path every
-/// device's distance from the destination (the DAG's node labels). The
-/// devices are a function of the invariant and the device names, which
-/// churn leaves alone, so they are worked out once per scene table.
-#[derive(Debug, Clone)]
-struct Reads {
-    ingress: Vec<DeviceId>,
-    dests: Vec<DeviceId>,
-    slack_dst: Option<DeviceId>,
-}
-
-impl Reads {
-    fn of(topo: &Topology, inv: &Invariant) -> Reads {
-        let planner = Planner::new(topo);
-        let exprs = inv.behavior.path_exprs().into_iter();
-        let mut dests: Vec<DeviceId> = exprs
-            .flat_map(|pe| planner.destination_devices(&pe.regex))
-            .collect();
-        dests.sort();
-        dests.dedup();
-        Reads {
-            ingress: inv.ingress.iter().filter_map(|n| topo.device(n)).collect(),
-            dests,
-            slack_dst: planner.slack_destination(inv),
-        }
-    }
-}
-
-/// One re-plan's [`Cut`] with the topology after it, and the BFS
-/// distances read so far, before and after, by source device.
-struct CutCheck<'a> {
-    cut: Cut<'a>,
-    after: &'a Topology,
-    hops: BTreeMap<DeviceId, [Vec<u32>; 2]>,
-}
-
-impl CutCheck<'_> {
-    /// Whether `plan`, what the re-planner gave `inv` on the scene
-    /// before the cut, is what it gives on the scene after (see
-    /// [`Cut`]). `reads` is the key's, worked out here on first use.
-    fn keeps(&mut self, plan: &CountingPlan, reads: &mut Option<Reads>, inv: &Invariant) -> bool {
-        let reads = &*reads.get_or_insert_with(|| Reads::of(self.cut.before, inv));
-        let link = self.cut.link;
-        let crosses = |t: &NodeTask| {
-            t.downstream
-                .iter()
-                .any(|(_, d)| link_pair(t.dev, *d) == link)
-        };
-        if plan.tasks.iter().any(crosses) {
-            return false;
-        }
-        let dests = &reads.dests;
-        if !reads.ingress.iter().all(|i| self.unmoved(*i, dests)) {
-            return false;
-        }
-        reads.slack_dst.is_none_or(|d| {
-            let devices: Vec<DeviceId> = plan.tasks.iter().map(|t| t.dev).collect();
-            self.unmoved(d, &devices)
-        })
-    }
-
-    /// Whether the cut leaves the distance from `from` to every device
-    /// of `to` as it was.
-    fn unmoved(&mut self, from: DeviceId, to: &[DeviceId]) -> bool {
-        let (before, after) = (self.cut.before, self.after);
-        let [was, is] = self
-            .hops
-            .entry(from)
-            .or_insert_with(|| [before.bfs_hops(from, &[]), after.bfs_hops(from, &[])]);
-        to.iter().all(|d| was[d.idx()] == is[d.idx()])
-    }
 }
 
 /// One installed intent: its own counting plan (intent-local node ids)
@@ -1479,11 +1401,9 @@ impl IntentStore {
         // Phase 1: plan every live intent (degraded ones included, so
         // recovery revives them). Nothing but the tables is committed
         // until the base plan is known good.
-        let mut cut = cut.map(|cut| CutCheck {
-            cut,
-            after: &topology,
-            hops: BTreeMap::new(),
-        });
+        let mut cut = cut
+            .as_ref()
+            .map(|c| Proposition2::new(c.before, &topology, std::slice::from_ref(&c.link)));
         let mut new_plans: BTreeMap<u64, Slice> = BTreeMap::new();
         let mut degraded: Vec<(IntentId, String)> = Vec::new();
         for intent in self.intents.values() {

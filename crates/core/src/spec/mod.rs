@@ -15,7 +15,6 @@
 //! [`table1`] provides ready-made constructors for every invariant family
 //! in the paper's Table 1; [`parse`] implements a textual surface syntax.
 
-pub mod bulk;
 pub mod parse;
 pub mod table1;
 

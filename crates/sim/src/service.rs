@@ -609,37 +609,24 @@ impl Service {
         self.export_intent_gauges();
         let store = self.harness.intents();
         let (parked, degraded) = (store.parked_count() as u64, store.degraded_count() as u64);
-        let parked_ids: Vec<u64> = store.parked().map(|p| p.id.0).collect();
-        for i in &intents {
-            self.tel.gauge_set_labeled(
-                DeviceId(0),
-                "tulkun_intent_fresh",
-                &format!("intent=\"{}\"", i.id),
-                i.fresh as i64,
-            );
-            // A live id was either never parked or has since landed;
-            // refreshing both labels to their current state keeps the
-            // exported series honest across park -> land transitions.
-            self.tel.gauge_set_labeled(
-                DeviceId(0),
-                "tulkun_degraded_intents",
-                &format!("intent=\"{}\"", i.id),
-                i.degraded as i64,
-            );
-            self.tel.gauge_set_labeled(
-                DeviceId(0),
-                "tulkun_parked_intents",
-                &format!("intent=\"{}\"", i.id),
-                0,
-            );
-        }
-        for id in &parked_ids {
-            self.tel.gauge_set_labeled(
-                DeviceId(0),
-                "tulkun_parked_intents",
-                &format!("intent=\"{}\"", id),
-                1,
-            );
+        // One series per live or parked id and none for any other, so a
+        // removed or rejected intent's series leave with it. A live id
+        // reads parked 0: it was never parked or has since landed.
+        let label = |id: u64| format!("intent=\"{id}\"");
+        let live = |value: fn(&IntentStatus) -> bool| -> Vec<(String, i64)> {
+            intents
+                .iter()
+                .map(|i| (label(i.id), value(i) as i64))
+                .collect()
+        };
+        let mut parked_series = live(|_| false);
+        parked_series.extend(store.parked().map(|p| (label(p.id.0), 1)));
+        for (name, series) in [
+            ("tulkun_intent_fresh", live(|i| i.fresh)),
+            ("tulkun_degraded_intents", live(|i| i.degraded)),
+            ("tulkun_parked_intents", parked_series),
+        ] {
+            self.tel.gauge_set_family(DeviceId(0), name, series);
         }
         ServiceStatus {
             admitted: self.admitted,

@@ -305,14 +305,14 @@ impl Telemetry {
         self.registry.gauge_set(dev, name, value);
     }
 
-    /// Set one series of the labeled gauge family `name` (shard chosen
-    /// by `dev`). `label` is one rendered Prometheus pair, e.g.
-    /// `intent="3"`.
-    pub fn gauge_set_labeled(&self, dev: DeviceId, name: &'static str, label: &str, value: i64) {
+    /// Replace the labeled gauge family `name` (shard chosen by `dev`)
+    /// with `series`, dropping every series it does not name. Each
+    /// label is one rendered Prometheus pair, e.g. `intent="3"`.
+    pub fn gauge_set_family(&self, dev: DeviceId, name: &'static str, series: Vec<(String, i64)>) {
         if !self.enabled {
             return;
         }
-        self.registry.gauge_set_labeled(dev, name, label, value);
+        self.registry.gauge_set_family(dev, name, series);
     }
 
     /// Record `value` into histogram `name` (shard chosen by `dev`) —

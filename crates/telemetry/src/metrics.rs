@@ -230,13 +230,15 @@ impl MetricsRegistry {
         s.gauges.insert(name, value);
     }
 
-    /// Set one series of the labeled gauge family `name` in `dev`'s
-    /// shard. `label` is a single rendered Prometheus pair, e.g.
-    /// `intent="3"`; the snapshot reports the maximum across shards
-    /// per series.
-    pub fn gauge_set_labeled(&self, dev: DeviceId, name: &'static str, label: &str, value: i64) {
+    /// Replace the labeled gauge family `name` in `dev`'s shard with
+    /// `series`: a series it does not name is dropped. Each label is a
+    /// single rendered Prometheus pair, e.g. `intent="3"`; the snapshot
+    /// reports the maximum across shards per series.
+    pub fn gauge_set_family(&self, dev: DeviceId, name: &'static str, series: Vec<(String, i64)>) {
         let mut s = self.shard(dev).lock().unwrap();
-        s.labeled_gauges.insert((name, label.to_string()), value);
+        s.labeled_gauges.retain(|(family, _), _| *family != name);
+        let series = series.into_iter().map(|(label, v)| ((name, label), v));
+        s.labeled_gauges.extend(series);
     }
 
     /// Record `value` into histogram `name` in `dev`'s shard.

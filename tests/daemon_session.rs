@@ -435,6 +435,56 @@ fn intent_protocol_round_trips() {
     assert_eq!(exported.trim(), "2", "`metrics` disagrees with `status`");
 }
 
+/// Per-intent gauge series leave with their intent: a daemon that
+/// keeps installing and removing intents exports, after each `status`,
+/// series for the live ids only, so `metrics` does not grow with the
+/// ids it has seen.
+#[test]
+fn removed_intents_leave_no_labeled_series() {
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    let spec = narrow_intent_spec(&session.topology().clone());
+    let labeled = |session: &mut DaemonSession| -> Vec<String> {
+        let metrics = reply(session, "metrics");
+        let series = metrics.lines().filter(|l| l.contains("{intent=\""));
+        series
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .collect()
+    };
+    let families = [
+        "tulkun_degraded_intents",
+        "tulkun_intent_fresh",
+        "tulkun_parked_intents",
+    ];
+    let series_of = |ids: &[u64]| -> Vec<String> {
+        let mut v: Vec<String> = families
+            .iter()
+            .flat_map(|f| ids.iter().map(move |id| format!("{f}{{intent=\"{id}\"}}")))
+            .collect();
+        v.sort();
+        v
+    };
+    for id in 1..=4u64 {
+        let add = format!("intent add ops {}", intent_json(&format!("n{id}"), &spec));
+        for line in [add.as_str(), "drain", "status"] {
+            assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+        }
+        assert_eq!(
+            labeled(&mut session),
+            series_of(&[0, id]),
+            "after adding {id}"
+        );
+        let remove = format!("intent remove ops {id}");
+        for line in [remove.as_str(), "drain", "status"] {
+            assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+        }
+        assert_eq!(
+            labeled(&mut session),
+            series_of(&[0]),
+            "after removing {id}"
+        );
+    }
+}
+
 /// `explain` names only intents an install allocated: an id past the
 /// last one allocated is an `err`, not a healthy-looking `fresh`.
 #[test]
