@@ -46,7 +46,10 @@
 #                 reservoir and the hand-rolled span timer stay retired;
 #                 and one way into the intent store: the scene-table
 #                 forks, the destination-delivery option and the §7
-#                 partitioner stay deleted
+#                 partitioner stay deleted; and one path from the
+#                 intent store to a device: one change set, one fence
+#                 builder, and verifiers built empty that host their
+#                 nodes through a fence share (no init in a substrate)
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -281,6 +284,27 @@ stage_lint() {
     if grep -rnw 'T''Node\|F''Node\|touches''_used\|dist''_unchanged\|Cut''Check\|from''_parts\|Device''Set\|owned''_space\|all_pair''_reachability\|all_pair_shortest''_availability' \
         crates src tests examples ci.sh; then
         echo "lint: a second scene check, union builder or bulk helper is back (see above)" >&2
+        exit 1
+    fi
+    # One path from the intent store to a device: one change set
+    # (IntentDelta), one fence builder (ControlPlane::shares), and
+    # construction as a fence share (a verifier is built empty and hosts
+    # its nodes through apply_fence). The churn-only group type, its
+    # conversions and the builder's task list stay retired, and no
+    # substrate runs a verifier's init.
+    if grep -rnw 'ReplanTask''Group\|tasks''_of\|intent''_fence\|Decision::''counted' \
+        crates src tests examples ci.sh; then
+        echo "lint: a second change set or fence builder is back (see above); a delta reaches a device through ControlPlane::shares" >&2
+        exit 1
+    fi
+    if grep -rnF '.tasks''(' crates src tests examples; then
+        echo "lint: the verifier builder takes tasks again (see above); a new verifier hosts its nodes through its fence share" >&2
+        exit 1
+    fi
+    if for f in crates/sim/src/*.rs crates/core/src/verify.rs; do
+        sed '/^#\[cfg(test)\]/q' "$f" | grep -nF '.init(' | sed "s|^|$f:|"
+    done | grep .; then
+        echo "lint: a substrate initialises a verifier (see above); construction is a fence share" >&2
         exit 1
     fi
     # One latency instrument: the log-linear Histogram. The fixed-bucket

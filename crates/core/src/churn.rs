@@ -249,7 +249,7 @@ mod tests {
         for (dev, f) in &fence.devices {
             let list = tasks.entry(*dev).or_default();
             list.retain(|t| !f.remove.contains(&t.node));
-            for new in f.groups.iter().flat_map(|(_, g)| g) {
+            for (_, new) in &f.tasks {
                 list.retain(|t| t.node != new.node);
                 list.push(new.clone());
             }
@@ -273,7 +273,7 @@ mod tests {
         assert!(!churn.apply(&TopologyEvent::LinkDown(b, a)), "idempotent");
         let down = fence(&mut c, &net, &inv, TopologyEvent::LinkDown(a, b)).unwrap();
         assert!(
-            down.devices.values().any(|f| !f.groups.is_empty()),
+            down.devices.values().any(|f| !f.tasks.is_empty()),
             "losing a link on valid paths must change some tasks"
         );
         let post = down.topology.expect("a churn fence carries its topology");
@@ -302,7 +302,7 @@ mod tests {
         let down = fence(&mut c, &net, &inv, TopologyEvent::DeviceDown(b)).unwrap();
         assert!(c.is_quarantined(b));
         assert!(
-            down.devices[&b].groups.is_empty() && !down.devices[&b].reannounce,
+            down.devices[&b].tasks.is_empty() && !down.devices[&b].reannounce,
             "a quarantined device is never asked to recount"
         );
         assert!(c.intents().global_tasks().iter().all(|t| t.dev != b));

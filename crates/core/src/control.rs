@@ -37,28 +37,38 @@ use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::DeviceId;
 use tulkun_telemetry::{JournalKind, Telemetry};
 
+/// The journal cause of an intent fence.
+const INTENT: &str = "intent churn";
+
+/// The device an intent fence is journaled under: the first one whose
+/// tasks change, else the first that drops a node.
+fn first_touched(delta: &IntentDelta) -> DeviceId {
+    let mut touched = delta.changed.keys().chain(delta.removed.keys());
+    touched.next().copied().unwrap_or(SHARD)
+}
+
 /// The metric shard every control-plane gauge and counter is written
 /// to. Gauges snapshot as the maximum across shards, so a gauge that
 /// can fall must only ever be written to one.
 pub(crate) const SHARD: DeviceId = DeviceId(0);
 
-/// One task group of a [`DeviceFence`]: `None` re-tasks existing nodes
-/// under their current base packet space; `Some(space)` installs new
-/// nodes counting over `space`.
-pub type TaskGroup = (Option<PortablePred>, Vec<NodeTask>);
-
 /// One device's share of an epoch fence, applied atomically by
 /// [`DeviceVerifier::apply_fence`](crate::dvm::DeviceVerifier::apply_fence):
 /// move to the new epoch, optionally wipe, drop `remove`, apply
-/// `groups` in order, then repair if `reannounce`.
+/// `tasks` in order, then repair if `reannounce`. A verifier built
+/// from nothing hosts its nodes by applying its share of
+/// [`ControlPlane::hosted`].
 #[derive(Debug, Clone, Default)]
 pub struct DeviceFence {
     /// Revived device: drop *all* soft node state first.
     pub wipe: bool,
     /// Nodes no longer assigned here.
     pub remove: Vec<NodeId>,
-    /// Task groups to apply, in order.
-    pub groups: Vec<TaskGroup>,
+    /// Tasks to apply, in order. A task that creates a node carries the
+    /// compiled packet space the node counts over (its base); one that
+    /// re-tasks a hosted node carries `None`, and the node keeps its
+    /// base.
+    pub tasks: Vec<(Option<PortablePred>, NodeTask)>,
     /// Run the repair wave afterwards: the device is not quarantined
     /// *and* the substrate's fence discarded in-flight state. Planned
     /// `true` for every live device; [`ControlPlane::seal`] clears it
@@ -90,8 +100,8 @@ pub struct FencePlan {
 pub struct Decision {
     /// The install raced a topology fence and waits for the next one.
     pub parked: bool,
-    /// The store-level delta of an intent event; for topology events
-    /// only `total_nodes`/`reused_nodes` are filled.
+    /// The store-level delta of the event: what the fence ships, and
+    /// the slice accounting.
     pub delta: IntentDelta,
     /// The fence to deliver; `None` when nothing on any device changes
     /// (a repeated topology event, a parked install, or the removal of
@@ -100,18 +110,6 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// A decision carrying only `(total_nodes, reused_nodes)`.
-    fn counted(total_nodes: usize, reused_nodes: usize) -> Decision {
-        Decision {
-            delta: IntentDelta {
-                total_nodes,
-                reused_nodes,
-                ..IntentDelta::default()
-            },
-            ..Decision::default()
-        }
-    }
-
     /// The uniform event outcome of the event that named `intent`,
     /// given the messages delivering the fence caused (a substrate with
     /// a clock adds the completion time).
@@ -249,24 +247,33 @@ impl ControlPlane {
         self.spaces[ctx].clone()
     }
 
-    /// Every node each device hosts, as fence task groups by
-    /// packet-space context (`Some(space)` each): what a verifier
-    /// built from nothing at the current epoch installs to count what
-    /// its predecessor counted. A degraded intent owns no node, and no
-    /// report reads one from a device.
-    pub fn hosted(&mut self) -> BTreeMap<DeviceId, Vec<TaskGroup>> {
-        let mut by_dev: BTreeMap<DeviceId, BTreeMap<usize, Vec<NodeTask>>> = BTreeMap::new();
-        for (ctx, task) in self.store.tasks_in_context() {
-            let groups = by_dev.entry(task.dev).or_default();
-            groups.entry(ctx).or_default().push(task);
+    /// Every node each device hosts, as its share of a fence that
+    /// creates them all — built as every fence's shares are: what a
+    /// verifier built from nothing applies at the current epoch to
+    /// count what the table has it count, at construction and on a
+    /// backend move. A degraded intent owns no node, and no report
+    /// reads one from a device.
+    pub fn hosted(&mut self) -> BTreeMap<DeviceId, DeviceFence> {
+        let delta = self.store.hosted();
+        self.shares(&delta)
+    }
+
+    /// Each device's share of `delta`: its removals, and its tasks in
+    /// node order, each that creates a node carrying the compiled space
+    /// of the node's context. The one way a delta reaches the devices.
+    fn shares(&mut self, delta: &IntentDelta) -> BTreeMap<DeviceId, DeviceFence> {
+        let mut shares: BTreeMap<DeviceId, DeviceFence> = BTreeMap::new();
+        for (dev, gone) in &delta.removed {
+            shares.entry(*dev).or_default().remove = gone.clone();
         }
-        let mut hosted = BTreeMap::new();
-        for (dev, groups) in by_dev {
-            let groups = groups.into_iter();
-            let groups = groups.map(|(ctx, tasks)| (Some(self.space(ctx)), tasks));
-            hosted.insert(dev, groups.collect());
+        for (dev, tasks) in &delta.changed {
+            let mut share = Vec::with_capacity(tasks.len());
+            for (ctx, task) in tasks {
+                share.push((ctx.map(|c| self.space(c)), task.clone()));
+            }
+            shares.entry(*dev).or_default().tasks = share;
         }
-        hosted
+        shares
     }
 
     /// Counts what one churn fence asks of the devices: tasks shipped
@@ -315,29 +322,27 @@ impl ControlPlane {
             .journal(JournalKind::EpochFence, dev, epoch, trace, None, detail);
     }
 
-    /// One fence per tasked device (`groups` first adds whatever it
-    /// pulls in) at the current epoch: its share of `remove` and
-    /// `groups`, wiped if it is the `revived` device, repairing unless
-    /// quarantined. `anchor` is the journal device and cause.
+    /// Bumps the epoch and plans its fence: one per tasked device (the
+    /// devices `delta` tasks join them), its share of `delta`, wiped if
+    /// it is the `revived` device, repairing unless quarantined.
+    /// `anchor` is the journal device and cause.
     fn fence_plan(
         &mut self,
         anchor: (DeviceId, &'static str),
         topology: Option<Topology>,
         revived: Option<DeviceId>,
-        mut remove: BTreeMap<DeviceId, Vec<NodeId>>,
-        mut groups: BTreeMap<DeviceId, Vec<TaskGroup>>,
+        delta: &IntentDelta,
     ) -> FencePlan {
-        self.tasked.extend(groups.keys().copied());
+        self.epoch += 1;
+        let mut shares = self.shares(delta);
+        self.tasked.extend(delta.changed.keys().copied());
         let devices = self
             .tasked
             .iter()
             .map(|dev| {
-                let fence = DeviceFence {
-                    wipe: revived == Some(*dev),
-                    remove: remove.remove(dev).unwrap_or_default(),
-                    groups: groups.remove(dev).unwrap_or_default(),
-                    reannounce: !self.churn.is_down(*dev),
-                };
+                let mut fence = shares.remove(dev).unwrap_or_default();
+                fence.wipe = revived == Some(*dev);
+                fence.reannounce = !self.churn.is_down(*dev);
                 (*dev, fence)
             })
             .collect();
@@ -397,7 +402,15 @@ impl ControlPlane {
         let mut churn = self.churn.clone();
         if !churn.apply(ev) {
             let n = self.store.node_count();
-            return Ok(Decision::counted(n, n));
+            let delta = IntentDelta {
+                total_nodes: n,
+                reused_nodes: n,
+                ..IntentDelta::default()
+            };
+            return Ok(Decision {
+                delta,
+                ..Decision::default()
+            });
         }
         let cut = match *ev {
             TopologyEvent::LinkDown(a, b) => Some(Cut {
@@ -412,21 +425,8 @@ impl ControlPlane {
             .replan_all_for_churn(&self.topology, inv, &churn, cut, &mut work);
         self.count_planning(&work);
         let replan = replan?;
-        self.effective = replan.topology.clone();
         self.churn = churn;
         self.churn_events += 1;
-        self.epoch += 1;
-        let dev = ev.primary_device();
-        self.note(JournalKind::TopologyChurn, dev, trace, None, || {
-            ev.describe()
-        });
-        self.journal_transitions(&replan, dev, trace, &ev.describe());
-        let groups = replan.changed.values().flatten();
-        self.count_fence_work(
-            groups.map(|g| g.tasks.len()).sum(),
-            replan.removed.values().map(Vec::len).sum(),
-            replan.reused_nodes,
-        );
         let revived = match ev {
             TopologyEvent::DeviceDown(d) => {
                 self.tel.count(*d, "tulkun_quarantined_total", 1);
@@ -435,28 +435,30 @@ impl ControlPlane {
             TopologyEvent::DeviceUp(d) => Some(*d),
             _ => None,
         };
-        // New nodes import their context's packet space.
-        let mut groups: BTreeMap<DeviceId, Vec<TaskGroup>> = BTreeMap::new();
-        for (dev, gs) in replan.changed {
-            let gs = gs.into_iter();
-            let gs = gs.map(|g| (g.ctx.map(|c| self.space(c)), g.tasks));
-            groups.insert(dev, gs.collect());
-        }
+        let dev = ev.primary_device();
+        let topology = Some(replan.topology.clone());
+        let fence = self.fence_plan((dev, "churn"), topology, revived, &replan.delta);
+        self.note(JournalKind::TopologyChurn, dev, trace, None, || {
+            ev.describe()
+        });
+        self.journal_transitions(&replan, dev, trace, &ev.describe());
+        let delta = replan.delta;
+        self.count_fence_work(
+            delta.changed.values().map(Vec::len).sum(),
+            delta.removed.values().map(Vec::len).sum(),
+            delta.reused_nodes,
+        );
         self.unreachable.retain(|_, d| self.churn.is_down(*d));
         self.unreachable.extend(replan.unreachable);
+        self.effective = replan.topology;
         if let Some(p) = self.store.base_plan() {
             self.plan = Arc::clone(p);
         }
         self.export_intent_count();
         Ok(Decision {
-            fence: Some(self.fence_plan(
-                (dev, "churn"),
-                Some(replan.topology),
-                revived,
-                replan.removed,
-                groups,
-            )),
-            ..Decision::counted(replan.total_nodes, replan.reused_nodes)
+            parked: false,
+            delta,
+            fence: Some(fence),
         })
     }
 
@@ -536,8 +538,7 @@ impl ControlPlane {
             }
         };
         let (id, delta) = self.store.install(name, inv.clone(), slice, &work)?;
-        let space = delta.ctx.map(|c| self.space(c));
-        let fence = self.intent_fence(&delta, space);
+        let fence = self.fence_plan((first_touched(&delta), INTENT), None, None, &delta);
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
@@ -563,7 +564,8 @@ impl ControlPlane {
             self.store.is_parked(id) || self.store.get(id).is_some_and(|i| i.is_degraded());
         let delta = self.store.remove(id, &self.work(trace))?;
         self.degraded_epochs.remove(&id.0);
-        let fence = (!no_footprint).then(|| self.intent_fence(&delta, None));
+        let anchor = (first_touched(&delta), INTENT);
+        let fence = (!no_footprint).then(|| self.fence_plan(anchor, None, None, &delta));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
         let dev = touched.next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
@@ -575,22 +577,6 @@ impl ControlPlane {
             delta,
             fence,
         })
-    }
-
-    /// Bumps the epoch for one intent delta and plans its fence.
-    /// `space` is the base packet space of new nodes — `None` for
-    /// removals, which never create nodes.
-    fn intent_fence(&mut self, delta: &IntentDelta, space: Option<PortablePred>) -> FencePlan {
-        self.epoch += 1;
-        let mut touched = delta.changed.keys().chain(delta.removed.keys());
-        let first = touched.next().copied().unwrap_or(SHARD);
-        let groups = delta
-            .changed
-            .iter()
-            .map(|(dev, tasks)| (*dev, vec![(space.clone(), tasks.clone())]))
-            .collect();
-        let anchor = (first, "intent churn");
-        self.fence_plan(anchor, None, None, delta.removed.clone(), groups)
     }
 
     /// Fills a churn-era report's freshness and quarantine fields (a
@@ -743,7 +729,12 @@ mod tests {
             "one fence per tasked device"
         );
         assert!(fence.devices.values().all(|f| f.reannounce && !f.wipe));
-        assert!(fence.devices[&b].groups.iter().all(|(sp, _)| sp.is_some()));
+        // Every node B's share creates carries its space.
+        let carried = fence.devices[&b].tasks.iter();
+        let carried = carried.filter_map(|(sp, t)| sp.as_ref().map(|_| t.node));
+        let created = d.delta.changed[&b].iter();
+        let created = created.filter_map(|(ctx, t)| ctx.map(|_| t.node));
+        assert_eq!(carried.collect::<Vec<_>>(), created.collect::<Vec<_>>());
 
         let down = c
             .topology_event(&TopologyEvent::DeviceDown(b), topo, &base, 0)
@@ -780,7 +771,7 @@ mod tests {
             assert_eq!(f.wipe, *dev == b, "only the revived device is wiped");
         }
         assert!(
-            !up.devices[&b].groups.is_empty(),
+            !up.devices[&b].tasks.is_empty(),
             "the revived device is re-tasked"
         );
         assert!(!c.intents().get(id).unwrap().is_degraded());
@@ -1112,10 +1103,7 @@ mod tests {
                 displaced += names.displaced(&c.store).len();
                 costs.push(cost() - before);
                 let fences = d.fence.unwrap().devices.into_values();
-                let in_fences = |f: DeviceFence| {
-                    let tasks: usize = f.groups.iter().map(|(_, tasks)| tasks.len()).sum();
-                    (tasks + f.remove.len()) as u64
-                };
+                let in_fences = |f: DeviceFence| (f.tasks.len() + f.remove.len()) as u64;
                 let delivered: u64 = fences.map(in_fences).sum();
                 assert_eq!(Some(&delivered), costs.last(), "{ev:?}: counters vs fence");
 

@@ -157,7 +157,6 @@ pub struct DeviceVerifier {
     fib: Fib,
     lecs: Vec<(DynPred, Action)>,
     cfg: VerifierConfig,
-    packet_space: DynPred,
     nodes: BTreeMap<NodeId, NodeState>,
     /// Causal trace id of the event currently being processed; stamped
     /// onto every emitted envelope (see [`Envelope::trace`]).
@@ -179,9 +178,11 @@ pub struct DeviceVerifier {
     pub stats: VerifierStats,
 }
 
-/// Builds a [`DeviceVerifier`]: mandatory device/FIB/packet-space
-/// context plus the optional parts (planner tasks, a pre-built LEC
-/// table, a backend, a telemetry handle).
+/// Builds a [`DeviceVerifier`] that hosts no node yet: mandatory
+/// device/FIB context plus the optional parts (a pre-built LEC table, a
+/// backend, a telemetry handle). Nodes arrive with a fence share
+/// ([`DeviceVerifier::apply_fence`]), each new one with its base packet
+/// space.
 ///
 /// One device's LEC table is shared by all its tasks across invariants
 /// (§8 — re-deriving it per invariant would be wasted work); seed it
@@ -193,9 +194,7 @@ pub struct VerifierBuilder<'a> {
     backend: DynBackend,
     dev: DeviceId,
     fib: Fib,
-    packet_space: &'a PortablePred,
     cfg: VerifierConfig,
-    tasks: Vec<NodeTask>,
     lecs: Option<&'a [(PortablePred, Action)]>,
     tel: Option<Arc<Telemetry>>,
 }
@@ -207,12 +206,6 @@ impl<'a> VerifierBuilder<'a> {
     pub fn backend(mut self, kind: BackendKind) -> Self {
         let layout = *self.backend.layout();
         self.backend = DynBackend::new(kind, layout);
-        self
-    }
-
-    /// The counting tasks the planner assigned to this device.
-    pub fn tasks(mut self, tasks: Vec<NodeTask>) -> Self {
-        self.tasks = tasks;
         self
     }
 
@@ -234,46 +227,20 @@ impl<'a> VerifierBuilder<'a> {
     /// provided).
     pub fn build(self) -> DeviceVerifier {
         let VerifierBuilder {
-            mut backend,
+            backend,
             dev,
             fib,
-            packet_space,
             cfg,
-            tasks,
             lecs,
             tel,
         } = self;
-        let ps = backend.import(packet_space);
-        let dim = cfg.dim();
-        let mut nodes = BTreeMap::new();
-        for task in tasks {
-            assert_eq!(task.dev, dev, "task assigned to the wrong device");
-            let mut devs: Vec<DeviceId> = task.downstream.iter().map(|(_, d)| *d).collect();
-            devs.sort();
-            let uniq = devs.windows(2).all(|w| w[0] != w[1]);
-            debug_assert!(uniq, "downstream devices of one node must be distinct");
-            nodes.insert(
-                task.node,
-                NodeState {
-                    task,
-                    base: ps,
-                    scope: ps,
-                    relevant: Vec::new(),
-                    cib_in: BTreeMap::new(),
-                    loc_cib: LocCib::new(vec![(ps, Counts::zero(dim))]),
-                    cib_out: vec![(ps, Counts::zero(dim))],
-                    sent_subs: BTreeMap::new(),
-                },
-            );
-        }
         let mut v = DeviceVerifier {
             dev,
             backend,
             fib,
             lecs: Vec::new(),
             cfg,
-            packet_space: ps,
-            nodes,
+            nodes: BTreeMap::new(),
             trace: 0,
             epoch: 0,
             early: Vec::new(),
@@ -286,7 +253,6 @@ impl<'a> VerifierBuilder<'a> {
                     .iter()
                     .map(|(p, a)| (v.backend.import(p), a.clone()))
                     .collect();
-                v.refresh_relevance();
             }
             None => v.rebuild_lecs(),
         }
@@ -298,22 +264,18 @@ impl<'a> VerifierBuilder<'a> {
 impl DeviceVerifier {
     /// Starts building a verifier for `dev` with the default (BDD)
     /// backend; select another with [`VerifierBuilder::backend`].
-    /// `packet_space` is the invariant's packet space; tasks and cached
-    /// LECs are supplied on the returned [`VerifierBuilder`].
-    pub fn builder(
+    /// Cached LECs are supplied on the returned [`VerifierBuilder`].
+    pub fn builder<'a>(
         dev: DeviceId,
         layout: HeaderLayout,
         fib: Fib,
-        packet_space: &PortablePred,
         cfg: VerifierConfig,
-    ) -> VerifierBuilder<'_> {
+    ) -> VerifierBuilder<'a> {
         VerifierBuilder {
             backend: DynBackend::new(BackendKind::Bdd, layout),
             dev,
             fib,
-            packet_space,
             cfg,
-            tasks: Vec::new(),
             lecs: None,
             tel: None,
         }
@@ -442,19 +404,6 @@ impl DeviceVerifier {
         st.relevant.iter().map(|&i| self.lecs[i].clone()).collect()
     }
 
-    /// Initialization (burst start): computes the LEC table and the
-    /// initial counting results; writes the initial UPDATE/SUBSCRIBE
-    /// messages into `out` (destination devices speak first — everyone
-    /// else's results stay at the implicit zero).
-    pub fn init(&mut self, out: &mut dyn Outbox) {
-        let ids = self.node_ids();
-        for id in ids {
-            let scope = self.nodes[&id].scope;
-            self.emit_subscriptions(id, scope, out);
-            self.recompute_node(id, scope, out);
-        }
-    }
-
     /// Handles one incoming DVM message, writing any responses to `out`.
     ///
     /// The **epoch fence**: an envelope stamped with a generation older
@@ -534,9 +483,12 @@ impl DeviceVerifier {
             entry.extend(incoming);
         }
         // Step 2 + 3: recompute the affected region of LocCIB and emit.
-        // An edge absent from the current task (it may have been
-        // deactivated by a fault-scene switch) still refreshes CIBIn but
-        // affects nothing.
+        // An edge absent from the current task still refreshes CIBIn but
+        // affects nothing. A fence re-tasks a child together with the
+        // parent that dropped it, so a child still speaking on a dropped
+        // edge is one no fence re-tasks: a node stranded on a
+        // quarantined device, which keeps folding its FIB batches and
+        // announcing to the parents it had.
         let Some(vdev) = self.nodes[&node]
             .task
             .downstream
@@ -710,22 +662,29 @@ impl DeviceVerifier {
         changed
     }
 
-    /// Installs (or re-tasks) DPVNet nodes; a new node counts over
-    /// `base`. An existing node keeps the base it was installed with and
-    /// only its task (edges, accept flags) is replaced: `CIBOut` is
-    /// preserved — it still reflects what upstream neighbours believe,
-    /// so diff-based UPDATEs stay correct — and `CIBIn` and the
+    /// Installs (or re-tasks) DPVNet nodes, in order. A task for a node
+    /// not hosted here creates it, counting over the space the task
+    /// carries (its base; each distinct space is imported once). An
+    /// existing node keeps the base it was installed with and only its
+    /// task (edges, accept flags) is replaced: `CIBOut` is preserved —
+    /// it still reflects what upstream neighbours believe, so
+    /// diff-based UPDATEs stay correct — and `CIBIn` and the
     /// subscription ledger keep their entries for surviving downstream
     /// nodes only. This is how a fence re-tasks a node that kept its id
     /// while its edges changed.
-    fn install_tasks_pred(&mut self, tasks: Vec<NodeTask>, base: DynPred, out: &mut dyn Outbox) {
+    fn install_tasks(
+        &mut self,
+        tasks: Vec<(Option<PortablePred>, NodeTask)>,
+        out: &mut dyn Outbox,
+    ) {
         // Per touched node, the upstream edges it did not have before.
         // Only an existing node can gain a listener that has not heard
         // it: a new node starts at the zero its upstream assumes, and
         // its first recount below tells every edge what differs.
         let mut touched: Vec<(NodeId, Vec<(NodeId, DeviceId)>)> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            assert_eq!(task.dev, self.dev);
+        let mut imported: Vec<(PortablePred, DynPred)> = Vec::new();
+        for (space, task) in tasks {
+            assert_eq!(task.dev, self.dev, "task assigned to the wrong device");
             let node = task.node;
             let mut gained = Vec::new();
             if let Some(st) = self.nodes.get_mut(&node) {
@@ -744,6 +703,24 @@ impl DeviceVerifier {
                 st.sent_subs.retain(|n, _| kept(n));
                 st.task = task;
             } else {
+                // The control plane ships the space with every node it
+                // creates.
+                debug_assert!(space.is_some(), "new node {node:?} without a base");
+                let Some(space) = space else {
+                    continue;
+                };
+                let mut devs: Vec<DeviceId> = task.downstream.iter().map(|(_, d)| *d).collect();
+                devs.sort();
+                let uniq = devs.windows(2).all(|w| w[0] != w[1]);
+                debug_assert!(uniq, "downstream devices of one node must be distinct");
+                let base = match imported.iter().find(|(p, _)| *p == space) {
+                    Some((_, base)) => *base,
+                    None => {
+                        let base = self.backend.import(&space);
+                        imported.push((space, base));
+                        base
+                    }
+                };
                 let zero = Counts::zero(self.cfg.dim());
                 self.nodes.insert(
                     node,
@@ -777,13 +754,16 @@ impl DeviceVerifier {
     }
 
     /// Applies this device's share of an epoch fence — the one place
-    /// the steps are sequenced: move to the new epoch (so every
-    /// emission below carries it), drop all soft node state if the
-    /// device was revived, drop nodes no longer assigned here, apply
-    /// the task groups in order (a re-tasked node that gains an
-    /// upstream edge announces its `CIBOut` to that edge), run the
-    /// repair wave if the fence discarded in-flight state, then replay
-    /// whatever faster peers already sent under the new epoch.
+    /// the steps are sequenced, and the one way a device's nodes
+    /// change: move to the new epoch (so every emission below carries
+    /// it), drop all soft node state if the device was revived, drop
+    /// nodes no longer assigned here, apply the tasks in order (a new
+    /// node counts over the space its task carries and speaks first; a
+    /// re-tasked node that gains an upstream edge announces its
+    /// `CIBOut` to that edge), run the repair wave if the fence
+    /// discarded in-flight state, then replay whatever faster peers
+    /// already sent under the new epoch. A verifier just built applies
+    /// its share of the nodes its device hosts this way.
     pub fn apply_fence(
         &mut self,
         epoch: u64,
@@ -802,13 +782,7 @@ impl DeviceVerifier {
         for n in &fence.remove {
             self.nodes.remove(n);
         }
-        for (space, tasks) in fence.groups {
-            let base = match space {
-                Some(sp) => self.backend.import(&sp),
-                None => self.packet_space,
-            };
-            self.install_tasks_pred(tasks, base, out);
-        }
+        self.install_tasks(fence.tasks, out);
         if fence.reannounce {
             self.reannounce(out);
         }
@@ -904,7 +878,11 @@ impl DeviceVerifier {
             st.sent_subs.clear();
         }
         self.refresh_relevance();
-        self.init(out);
+        for id in self.node_ids() {
+            let scope = self.nodes[&id].scope;
+            self.emit_subscriptions(id, scope, out);
+            self.recompute_node(id, scope, out);
+        }
     }
 
     /// Re-sends this device's durable protocol state toward a freshly
@@ -1358,18 +1336,26 @@ mod tests {
             track_escapes: false,
             reduce: ReduceMode::None,
         };
-        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), &space, cfg.clone())
-            .tasks(vec![dest_task(Vec::new())])
-            .build();
-        d0.init(&mut Vec::new());
+        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg.clone()).build();
+        host(&mut d0, &space, dest_task(Vec::new()), &mut Vec::new());
         let mut fib = Fib::new();
         fib.insert(Rule {
             priority: 10,
             matches: dst,
             action: Action::fwd(DeviceId(0)),
         });
-        let d1 = DeviceVerifier::builder(DeviceId(1), layout, fib, &space, cfg).build();
+        let d1 = DeviceVerifier::builder(DeviceId(1), layout, fib, cfg).build();
         (d0, d1, space)
+    }
+
+    /// Has a verifier just built host `task`, counting over `space`:
+    /// its share of the nodes its device hosts, applied at epoch 0.
+    fn host(v: &mut DeviceVerifier, space: &PortablePred, task: NodeTask, out: &mut Vec<Envelope>) {
+        let share = DeviceFence {
+            tasks: vec![(Some(space.clone()), task)],
+            ..DeviceFence::default()
+        };
+        v.apply_fence(0, 0, share, out);
     }
 
     fn dest_task(upstream: Vec<(NodeId, DeviceId)>) -> NodeTask {
@@ -1385,7 +1371,7 @@ mod tests {
     /// The fence that re-tasks `d0`'s node 0 under new upstream node 1.
     fn gain_edge_fence() -> DeviceFence {
         DeviceFence {
-            groups: vec![(None, vec![dest_task(vec![(NodeId(1), DeviceId(1))])])],
+            tasks: vec![(None, dest_task(vec![(NodeId(1), DeviceId(1))]))],
             ..DeviceFence::default()
         }
     }
@@ -1430,6 +1416,48 @@ mod tests {
         assert_eq!(out.len(), 1, "the repair wave covers every upstream edge");
     }
 
+    /// A node a fence share creates counts over the space its task
+    /// carries — here another context's than the node the device
+    /// already hosts — and keeps that base when a later share re-tasks
+    /// it, and through a reboot.
+    #[test]
+    fn a_created_node_counts_over_its_context_and_a_retask_keeps_it() {
+        let (mut d0, _, space) = dest_and_idle_upstream();
+        let mut be = DynBackend::new(BackendKind::Bdd, HeaderLayout::ipv4_tcp());
+        let other = be.match_pred(&MatchSpec::dst("10.0.1.0/24".parse().unwrap()));
+        let (node, base) = (NodeId(5), be.import(&space));
+        let task = |upstream| NodeTask {
+            node,
+            dev: DeviceId(0),
+            downstream: Vec::new(),
+            upstream,
+            accept: vec![true],
+        };
+        // The whole packet set `n` counts over, read back through `be`.
+        let counted = |v: &mut DeviceVerifier, be: &mut DynBackend, n: NodeId| {
+            let result = v.node_result(n, None);
+            assert_eq!(result.len(), 1, "one outcome over the scope");
+            be.import(&result[0].0)
+        };
+        let created = DeviceFence {
+            tasks: vec![(Some(be.export(other)), task(Vec::new()))],
+            ..DeviceFence::default()
+        };
+        d0.apply_fence(1, 0, created, &mut Vec::new());
+        assert_eq!(counted(&mut d0, &mut be, node), other);
+        assert_eq!(counted(&mut d0, &mut be, NodeId(0)), base);
+
+        let retask = DeviceFence {
+            tasks: vec![(None, task(vec![(NodeId(1), DeviceId(1))]))],
+            ..DeviceFence::default()
+        };
+        d0.apply_fence(2, 0, retask, &mut Vec::new());
+        assert_eq!(d0.nodes[&node].task.upstream.len(), 1, "re-tasked");
+        assert_eq!(counted(&mut d0, &mut be, node), other);
+        d0.reboot(&mut Vec::new());
+        assert_eq!(counted(&mut d0, &mut be, node), other);
+    }
+
     /// Fences reach devices one at a time, so a peer that fenced first
     /// can get a new-epoch UPDATE in ahead of this device's own fence —
     /// naming a node only that fence creates. Early delivery must end
@@ -1441,15 +1469,15 @@ mod tests {
             let mut update: Vec<Envelope> = Vec::new();
             d0.apply_fence(1, 7, gain_edge_fence(), &mut update);
             let fence = DeviceFence {
-                groups: vec![(
+                tasks: vec![(
                     Some(space),
-                    vec![NodeTask {
+                    NodeTask {
                         node: NodeId(1),
                         dev: DeviceId(1),
                         downstream: vec![(NodeId(0), DeviceId(0))],
                         upstream: Vec::new(),
                         accept: vec![false],
-                    }],
+                    },
                 )],
                 ..DeviceFence::default()
             };
@@ -1527,9 +1555,7 @@ mod tests {
                 rewrite,
             };
             let builder = DeviceVerifier::builder;
-            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), &space, cfg.clone())
-                .tasks(vec![mid_task(2)])
-                .build();
+            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), cfg.clone()).build();
             let listening = NodeTask {
                 node: LISTENER,
                 dev: DeviceId(9),
@@ -1538,12 +1564,10 @@ mod tests {
                 accept: vec![false],
             };
             let to_mid = fib_to(Action::fwd(DeviceId(1)));
-            let mut listener = builder(DeviceId(9), layout, to_mid, &space, cfg)
-                .tasks(vec![listening])
-                .build();
-            listener.init(&mut Vec::new());
+            let mut listener = builder(DeviceId(9), layout, to_mid, cfg).build();
+            host(&mut listener, &space, listening, &mut Vec::new());
             let mut out = Vec::new();
-            mid.init(&mut out);
+            host(&mut mid, &space, mid_task(2), &mut out);
             let mut world = Retasked {
                 mid,
                 listener,
@@ -1596,7 +1620,7 @@ mod tests {
         fn retask(&mut self, child: u32) -> Vec<Envelope> {
             self.epoch += 1;
             let fence = DeviceFence {
-                groups: vec![(None, vec![mid_task(child)])],
+                tasks: vec![(None, mid_task(child))],
                 ..DeviceFence::default()
             };
             let quiet = DeviceFence::default();
@@ -1693,7 +1717,7 @@ mod tests {
             task.downstream[0].0 = NodeId(100 + flap);
             w.epoch += 1;
             let fence = DeviceFence {
-                groups: vec![(None, vec![task.clone()])],
+                tasks: vec![(None, task.clone())],
                 ..DeviceFence::default()
             };
             let mut out: Vec<Envelope> = Vec::new();
@@ -1726,26 +1750,22 @@ mod tests {
             let mut be = DynBackend::new(kind, layout);
             let whole = be.match_pred(&dst("10.0.0.0/23"));
             let space = be.export(whole);
-            let mut v = DeviceVerifier::builder(
-                DeviceId(0),
-                layout,
-                Fib::new(),
-                &space,
-                VerifierConfig {
-                    n_exprs: 1,
-                    track_escapes: false,
-                    reduce: ReduceMode::None,
-                },
-            )
-            .backend(kind)
-            .tasks(vec![NodeTask {
+            let cfg = VerifierConfig {
+                n_exprs: 1,
+                track_escapes: false,
+                reduce: ReduceMode::None,
+            };
+            let mut v = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg)
+                .backend(kind)
+                .build();
+            let task = NodeTask {
                 node,
                 dev: DeviceId(0),
                 downstream: Vec::new(),
                 upstream: Vec::new(),
                 accept: vec![true],
-            }])
-            .build();
+            };
+            host(&mut v, &space, task, &mut Vec::new());
             let unsplit = v.node_result(node, None);
             assert_eq!(unsplit.len(), 1);
 
@@ -1834,14 +1854,12 @@ mod tests {
                 for seed in &table {
                     fib.insert(rule_of(*seed, rich));
                 }
-                let space = DynBackend::new(kind, layout);
-                let space = space.export(space.verum());
                 let cfg = VerifierConfig {
                     n_exprs: 1,
                     track_escapes: false,
                     reduce: ReduceMode::None,
                 };
-                let mut v = DeviceVerifier::builder(DeviceId(0), layout, fib, &space, cfg)
+                let mut v = DeviceVerifier::builder(DeviceId(0), layout, fib, cfg)
                     .backend(kind)
                     .build();
                 for burst in &bursts {

@@ -921,22 +921,24 @@ fn only_in<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item = &'a T> {
     a.iter().filter(|x| b.binary_search(x).is_err())
 }
 
-/// What a substrate must apply after an install/remove: per-device
-/// task changes and node removals (global ids), plus the slice-reuse
-/// accounting that evidences slicing locality.
+/// What a substrate must apply after an install, a removal or a churn
+/// re-plan: per-device tasks and node removals (global ids), plus the
+/// slice-reuse accounting that evidences slicing locality.
 #[derive(Debug, Clone, Default)]
 pub struct IntentDelta {
-    /// Tasks to install or re-task, per device (global node ids).
-    pub changed: BTreeMap<DeviceId, Vec<NodeTask>>,
+    /// Tasks to apply per device, in node order. A task that creates a
+    /// node names the packet-space context it counts over
+    /// ([`IntentStore::context_space`]); one that re-tasks a node the
+    /// device hosts names `None`.
+    pub changed: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>>,
     /// Nodes to drop, per device.
     pub removed: BTreeMap<DeviceId, Vec<NodeId>>,
-    /// The packet-space context new nodes count over (the installing
-    /// intent's, see [`IntentStore::context_space`]); `None` for
-    /// removals, which never create nodes.
-    pub ctx: Option<usize>,
-    /// Distinct global nodes in the intent's slice.
+    /// Distinct global nodes in the intent's slice; for a churn
+    /// re-plan, in the whole table.
     pub total_nodes: usize,
-    /// Slice nodes shared with previously installed intents.
+    /// Slice nodes shared with previously installed intents; for a
+    /// churn re-plan, nodes whose id *and* task survived verbatim (no
+    /// recount, no re-task, nothing to send).
     pub reused_nodes: usize,
 }
 
@@ -974,21 +976,6 @@ pub struct PendingIntent {
     pub retries: u32,
 }
 
-/// One per-device task group of a [`StoreReplan`]. Groups carry the
-/// packet-space context their *new* nodes must be seeded with:
-/// `ctx: None` means every node in the group already exists on the
-/// device (pure re-task, under the verifier's own packet space);
-/// `ctx: Some(i)` means the group introduces nodes of context `i`
-/// (seeded with [`IntentStore::context_space`]). Groups for
-/// one device are ordered `None` first, then contexts ascending.
-#[derive(Debug, Clone)]
-pub struct ReplanTaskGroup {
-    /// Packet-space context index for new nodes; `None` for re-tasks.
-    pub ctx: Option<usize>,
-    /// The tasks, sorted by global node id.
-    pub tasks: Vec<NodeTask>,
-}
-
 /// What [`IntentStore::replan_all_for_churn`] asks a substrate to
 /// apply under one epoch fence, plus the per-intent lifecycle
 /// transitions the fence caused (for journaling and gauges).
@@ -997,12 +984,11 @@ pub struct StoreReplan {
     /// The post-churn topology every surviving slice was planned
     /// against.
     pub topology: Topology,
-    /// Per device: task groups to apply (see [`ReplanTaskGroup`]).
-    /// Devices whose hosted nodes all survived verbatim are absent —
-    /// unaffected slices ship zero tasks.
-    pub changed: BTreeMap<DeviceId, Vec<ReplanTaskGroup>>,
-    /// Per device: nodes of the old table no longer present.
-    pub removed: BTreeMap<DeviceId, Vec<NodeId>>,
+    /// What the devices apply. Devices whose hosted nodes all survived
+    /// verbatim are absent — unaffected slices ship zero tasks — and
+    /// nodes left on quarantined devices are `unreachable`, not
+    /// removed.
+    pub delta: IntentDelta,
     /// Nodes of the *old* table hosted on now-quarantined devices;
     /// their last results are reported `Unreachable`, not recomputed.
     pub unreachable: Vec<(NodeId, DeviceId)>,
@@ -1018,11 +1004,6 @@ pub struct StoreReplan {
     /// Parked installs that exhausted [`MAX_INTENT_RETRIES`], with the
     /// last planner error; they are dropped from the queue.
     pub rejected: Vec<(IntentId, String)>,
-    /// Nodes in the rebuilt global table.
-    pub total_nodes: usize,
-    /// Nodes whose id *and* task survived the re-plan verbatim (no
-    /// recount, no re-task, nothing to send).
-    pub reused_nodes: usize,
 }
 
 /// The `IntentId`-keyed intent store (see the module docs).
@@ -1153,13 +1134,13 @@ impl IntentStore {
         // A new node or a grown upstream edge set is shipped, so the
         // child announces along the new edge; every local node either
         // created a global node or shared one.
-        let (changed, fresh) = tasks_of(done.shipped);
+        let fresh = done.shipped.values().flatten();
+        let fresh = fresh.filter(|(ctx, _)| ctx.is_some()).count();
         let delta = IntentDelta {
-            changed,
-            removed: done.removed,
-            ctx: Some(ctx),
             total_nodes: to_global.iter().collect::<BTreeSet<_>>().len(),
             reused_nodes: to_global.len() - fresh,
+            changed: done.shipped,
+            removed: done.removed,
         };
         let inv = Some(invariant);
         let intent = InstalledIntent::new(id, name.into(), inv, slice, to_global, ctx);
@@ -1208,9 +1189,8 @@ impl IntentStore {
         let total_nodes = intent.global_nodes().len();
         let removed: usize = done.removed.values().map(Vec::len).sum();
         Ok(IntentDelta {
-            changed: tasks_of(done.shipped).0,
+            changed: done.shipped,
             removed: done.removed,
-            ctx: None,
             total_nodes,
             reused_nodes: total_nodes - removed,
         })
@@ -1251,11 +1231,26 @@ impl IntentStore {
             .collect()
     }
 
-    /// Every installed node's current task with the packet-space
-    /// context it counts over, in node order.
-    pub(crate) fn tasks_in_context(&self) -> impl Iterator<Item = (usize, NodeTask)> + '_ {
+    /// Every installed node as a delta that creates it, in node order:
+    /// what devices built from nothing apply to host what the table
+    /// has them host.
+    pub(crate) fn hosted(&self) -> IntentDelta {
+        let mut changed: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>> = BTreeMap::new();
+        for (g, n) in &self.table.nodes {
+            let task = (Some(n.key.ctx), self.table.task(*g));
+            changed.entry(n.dev).or_default().push(task);
+        }
+        IntentDelta {
+            changed,
+            total_nodes: self.table.nodes.len(),
+            ..IntentDelta::default()
+        }
+    }
+
+    /// The ids of the nodes installed on `dev`, in order.
+    pub fn nodes_on(&self, dev: DeviceId) -> impl Iterator<Item = NodeId> + '_ {
         let nodes = self.table.nodes.iter();
-        nodes.map(|(g, n)| (n.key.ctx, self.table.task(*g)))
+        nodes.filter(move |(_, n)| n.dev == dev).map(|(g, _)| *g)
     }
 
     /// The devices currently hosting at least one node.
@@ -1328,7 +1323,7 @@ impl IntentStore {
     }
 
     /// The packet space of one interning context (see
-    /// [`ReplanTaskGroup::ctx`]).
+    /// [`IntentDelta::changed`]).
     pub fn context_space(&self, ctx: usize) -> &PacketSpace {
         &self.contexts[ctx]
     }
@@ -1523,30 +1518,22 @@ impl IntentStore {
                 removed.insert(dev, gone);
             }
         }
-        let mut shipped = 0;
-        let mut changed: BTreeMap<DeviceId, Vec<ReplanTaskGroup>> = BTreeMap::new();
-        for (dev, tasks) in done.shipped {
-            shipped += tasks.len();
-            let mut groups: BTreeMap<Option<usize>, Vec<NodeTask>> = BTreeMap::new();
-            for (ctx, task) in tasks {
-                groups.entry(ctx).or_default().push(task);
-            }
-            let groups = groups.into_iter();
-            let groups = groups.map(|(ctx, tasks)| ReplanTaskGroup { ctx, tasks });
-            changed.insert(dev, groups.collect());
-        }
+        let shipped: usize = done.shipped.values().map(Vec::len).sum();
         let total_nodes = self.table.nodes.len();
-        Ok(StoreReplan {
-            total_nodes,
-            topology,
-            changed,
+        let delta = IntentDelta {
+            changed: done.shipped,
             removed,
+            total_nodes,
+            reused_nodes: total_nodes - shipped,
+        };
+        Ok(StoreReplan {
+            topology,
+            delta,
             unreachable,
             degraded,
             revived,
             unparked,
             rejected,
-            reused_nodes: total_nodes - shipped,
         })
     }
 
@@ -1620,20 +1607,6 @@ fn sorted_edges(it: impl Iterator<Item = (NodeId, DeviceId)>) -> Vec<(NodeId, De
     v.sort();
     v.dedup();
     v
-}
-
-/// A refit's shipped tasks as an intent delta lists them, and how many
-/// of them are new to the table.
-fn tasks_of(
-    shipped: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>>,
-) -> (BTreeMap<DeviceId, Vec<NodeTask>>, usize) {
-    let mut fresh = 0;
-    let mut changed = BTreeMap::new();
-    for (dev, tasks) in shipped {
-        fresh += tasks.iter().filter(|(ctx, _)| ctx.is_some()).count();
-        changed.insert(dev, tasks.into_iter().map(|(_, t)| t).collect());
-    }
-    (changed, fresh)
 }
 
 #[cfg(test)]
@@ -2083,12 +2056,12 @@ pub(crate) mod tests {
         let nodes_before = store.node_count();
         let r = replan(&mut store, &net, &ChurnState::new());
         assert!(
-            r.changed.is_empty(),
+            r.delta.changed.is_empty(),
             "unchanged plan must diff empty: {r:?}"
         );
-        assert!(r.removed.is_empty());
+        assert!(r.delta.removed.is_empty());
         assert!(r.unreachable.is_empty() && r.degraded.is_empty());
-        assert_eq!(r.reused_nodes, r.total_nodes);
+        assert_eq!(r.delta.reused_nodes, r.delta.total_nodes);
         assert_eq!(store.node_count(), nodes_before);
         assert_eq!(store.get(IntentId::BASE).unwrap().to_global, before_base);
         assert_eq!(store.get(id_b).unwrap().to_global, before_b);
@@ -2165,8 +2138,8 @@ pub(crate) mod tests {
             tasks.map(|t| (t.node, t)).collect()
         };
         let shipped = |r: &StoreReplan| -> Vec<NodeTask> {
-            let groups = r.changed.values().flatten();
-            groups.flat_map(|g| g.tasks.iter().cloned()).collect()
+            let tasks = r.delta.changed.values().flatten();
+            tasks.map(|(_, t)| t.clone()).collect()
         };
         let quiet = tasks(&store);
         let only_on = |name: &str| {
@@ -2180,7 +2153,7 @@ pub(crate) mod tests {
         churn.apply(&TopologyEvent::LinkDown(dev("A"), dev("W")));
         let r = replan(&mut store, &net, &churn);
         let down = tasks(&store);
-        let removed: BTreeSet<NodeId> = r.removed.values().flatten().copied().collect();
+        let removed: BTreeSet<NodeId> = r.delta.removed.values().flatten().copied().collect();
         assert_eq!(removed.len(), 2, "the W child of A and the B node below it");
         assert!(
             down.keys().all(|g| quiet.contains_key(g)),
@@ -2203,7 +2176,10 @@ pub(crate) mod tests {
             assert_ne!(t.node, s, "S only hears from A");
         }
         assert_eq!(down[&s], quiet[&s]);
-        assert_eq!(r.reused_nodes + shipped(&r).len(), r.total_nodes);
+        assert_eq!(
+            r.delta.reused_nodes + shipped(&r).len(),
+            r.delta.total_nodes
+        );
 
         // The way back mints the two nodes again and A takes the edge
         // back under its id: S is still not told anything.

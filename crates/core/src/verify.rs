@@ -319,7 +319,6 @@ pub fn compile_packet_space(layout: &HeaderLayout, ps: &PacketSpace) -> Portable
 /// device's fence output and delivers to quiescence.
 pub struct Session {
     control: ControlPlane,
-    packet_space: PortablePred,
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
     queue: VecDeque<Envelope>,
     /// Messages processed since creation.
@@ -333,7 +332,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Builds a verifier for every topology device. Panics if the plan
+    /// Builds a verifier for every topology device, each hosting its
+    /// share of [`ControlPlane::hosted`]. Panics if the plan
     /// is not a counting plan (use [`verify_snapshot`] for the generic
     /// entry point).
     pub fn new(net: &Network, plan: &Plan) -> Session {
@@ -375,27 +375,25 @@ impl Session {
             track_escapes: cp.track_escapes,
             reduce: cp.reduce,
         };
-        let packet_space = compile_packet_space(&net.layout, ps);
+        let tel = Telemetry::disabled();
+        let mut control = ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone());
+        let mut hosted = control.hosted();
         let mut queue = VecDeque::new();
         // Like both fabrics of the runtime: one verifier per topology
         // device, the only copy of its FIB, so the fence that first
         // tasks a device finds its data plane current.
-        let mut tasks = cp.tasks_by_device();
         let verifiers = net.topology.devices().map(|dev| {
-            let tasks = tasks.remove(&dev).unwrap_or_default();
+            let share = hosted.remove(&dev).unwrap_or_default();
             let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, &packet_space, cfg.clone())
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg.clone())
                 .backend(kind)
-                .tasks(tasks)
                 .build();
-            v.init(&mut queue);
+            v.apply_fence(0, 0, share, &mut queue);
             (dev, v)
         });
         let verifiers = verifiers.collect();
-        let tel = Telemetry::disabled();
         Session {
-            control: ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone()),
-            packet_space,
+            control,
             verifiers,
             queue,
             messages_processed: 0,
@@ -580,11 +578,6 @@ impl Session {
         let mut d = self.control.remove(id, 0)?;
         self.deliver(d.fence.take());
         Ok(d.delta)
-    }
-
-    /// The invariant's packet space as a portable predicate.
-    pub fn packet_space(&self) -> &PortablePred {
-        &self.packet_space
     }
 }
 

@@ -2,6 +2,7 @@
 //! initialization (§2.2.2, "one copy will be sent to the correct
 //! external ports"), whatever the destination's own FIB does.
 
+use tulkun_core::control::DeviceFence;
 use tulkun_core::count::CountExpr;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, VerifierConfig};
 use tulkun_core::intent::IntentStore;
@@ -58,16 +59,13 @@ fn holds(net: &Network) -> bool {
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();
     for task in &cp.tasks {
-        let mut v = DeviceVerifier::builder(
-            task.dev,
-            net.layout,
-            net.fib(task.dev).clone(),
-            &psp,
-            cfg.clone(),
-        )
-        .tasks(vec![task.clone()])
-        .build();
-        v.init(&mut queue);
+        let fib = net.fib(task.dev).clone();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        let share = DeviceFence {
+            tasks: vec![(Some(psp.clone()), task.clone())],
+            ..DeviceFence::default()
+        };
+        v.apply_fence(0, 0, share, &mut queue);
         verifiers.insert(task.dev, v);
     }
     while let Some(env) = queue.pop_front() {

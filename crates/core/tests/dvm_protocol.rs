@@ -6,7 +6,7 @@ use tulkun_bdd::{serial, BddManager};
 use tulkun_core::control::DeviceFence;
 use tulkun_core::count::{CountExpr, Counts};
 use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
-use tulkun_core::planner::Planner;
+use tulkun_core::planner::{NodeTask, Planner};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{compile_packet_space, Session};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
@@ -63,18 +63,20 @@ fn init_envelopes(net: &Network, plan: &tulkun_core::planner::Plan) -> Vec<Envel
     };
     let mut out = Vec::new();
     for task in &cp.tasks {
-        let mut v = DeviceVerifier::builder(
-            task.dev,
-            net.layout,
-            net.fib(task.dev).clone(),
-            &psp,
-            cfg.clone(),
-        )
-        .tasks(vec![task.clone()])
-        .build();
-        v.init(&mut out);
+        let fib = net.fib(task.dev).clone();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        v.apply_fence(0, 0, share(&psp, task), &mut out);
     }
     out
+}
+
+/// The fence share that has a verifier just built host `task`, counting
+/// over `psp`.
+fn share(psp: &serial::PortablePred, task: &NodeTask) -> DeviceFence {
+    DeviceFence {
+        tasks: vec![(Some(psp.clone()), task.clone())],
+        ..DeviceFence::default()
+    }
 }
 
 #[test]
@@ -336,16 +338,9 @@ fn set_tasks_keeps_upstream_consistent() {
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();
     for task in &cp.tasks {
-        let mut v = DeviceVerifier::builder(
-            task.dev,
-            net.layout,
-            net.fib(task.dev).clone(),
-            &psp,
-            cfg.clone(),
-        )
-        .tasks(vec![task.clone()])
-        .build();
-        v.init(&mut queue);
+        let fib = net.fib(task.dev).clone();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        v.apply_fence(0, 0, share(&psp, task), &mut queue);
         verifiers.insert(task.dev, v);
     }
     while let Some(env) = queue.pop_front() {
@@ -359,7 +354,7 @@ fn set_tasks_keeps_upstream_consistent() {
     for (dev, v) in verifiers.iter_mut() {
         let mut fence = DeviceFence::default();
         if *dev == a {
-            fence.groups = vec![(None, new_a_tasks.clone())];
+            fence.tasks = new_a_tasks.iter().map(|t| (None, t.clone())).collect();
         }
         v.apply_fence(1, 0, fence, &mut queue);
     }

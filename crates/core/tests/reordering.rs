@@ -10,15 +10,17 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
+use tulkun_core::control::ControlPlane;
 use tulkun_core::count::CountExpr;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, VerifierConfig};
 use tulkun_core::intent::IntentStore;
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
-use tulkun_core::verify::{self, compile_packet_space};
+use tulkun_core::verify;
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
+use tulkun_telemetry::Telemetry;
 
 struct ChannelDriver {
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
@@ -29,7 +31,8 @@ struct ChannelDriver {
 impl ChannelDriver {
     fn new(net: &Network, plan: &tulkun_core::planner::Plan, seed: u64) -> ChannelDriver {
         let cp = plan.counting().unwrap();
-        let psp = compile_packet_space(&net.layout, &plan.invariant.packet_space);
+        let (ps, tel) = (&plan.invariant.packet_space, Telemetry::disabled());
+        let mut control = ControlPlane::new(&net.topology, net.layout, cp, ps, tel);
         let cfg = VerifierConfig {
             n_exprs: cp.exprs.len(),
             track_escapes: cp.track_escapes,
@@ -40,13 +43,11 @@ impl ChannelDriver {
             channels: BTreeMap::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
         };
-        for (dev, tasks) in cp.tasks_by_device() {
-            let mut v =
-                DeviceVerifier::builder(dev, net.layout, net.fib(dev).clone(), &psp, cfg.clone())
-                    .tasks(tasks)
-                    .build();
+        for (dev, share) in control.hosted() {
+            let fib = net.fib(dev).clone();
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg.clone()).build();
             let mut out = Vec::new();
-            v.init(&mut out);
+            v.apply_fence(0, 0, share, &mut out);
             for env in out {
                 driver.push(env);
             }

@@ -68,7 +68,7 @@ use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::{FaultProfile, FaultStats};
 use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
-use tulkun_core::planner::{CountingPlan, NodeTask, PlanError};
+use tulkun_core::planner::{CountingPlan, PlanError};
 use tulkun_core::spec::{Invariant, PacketSpace};
 use tulkun_core::verify::{self, Freshness, Report, Verdicts, Violation};
 use tulkun_netmodel::fib::Fib;
@@ -549,12 +549,11 @@ fn dvm_layer(payload: &Payload) -> &'static Layer {
     }
 }
 
-/// Everything building a verifier takes but the device, its tasks and
-/// the FIB it reads: one per engine, shared by the builds at
-/// construction and the rebuilds of a backend move.
+/// Everything building a verifier takes but the device, its share of
+/// the nodes and the FIB it reads: one per engine, shared by the builds
+/// at construction and the rebuilds of a backend move.
 struct Recipe {
     layout: HeaderLayout,
-    packet_space: PortablePred,
     vcfg: VerifierConfig,
     /// Every verifier of one run uses the same encoding (wire bytes
     /// are backend-neutral, so this is a pure performance choice).
@@ -563,7 +562,7 @@ struct Recipe {
 }
 
 impl Recipe {
-    fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: &EngineConfig) -> Recipe {
+    fn new(net: &Network, plan: &CountingPlan, cfg: &EngineConfig) -> Recipe {
         // The contract `EngineConfig::backend` documents: callers holding
         // outside input run `BackendKind::check` first. The daemon's
         // `Service` never reaches the panic below: it picks the backend
@@ -572,7 +571,6 @@ impl Recipe {
         let kind = cfg.backend.check(network_ip_only(net));
         Recipe {
             layout: net.layout,
-            packet_space: verify::compile_packet_space(&net.layout, ps),
             vcfg: VerifierConfig {
                 n_exprs: plan.exprs.len(),
                 track_escapes: plan.track_escapes,
@@ -583,39 +581,39 @@ impl Recipe {
         }
     }
 
-    /// Builds `dev`'s verifier over `fib` and runs its init under the
-    /// causal `trace`: the one constructor. LECs come from `cache` when
-    /// it holds the device's table, and fill it when it does not.
-    /// Times the build as the `init.build` layer (`worker` in aux) and
-    /// returns the verifier, what its init sent and the host ns both
-    /// took.
+    /// Builds `dev`'s verifier over `fib` and has it apply `share` at
+    /// `epoch` under the causal `trace`: the one constructor. `share`
+    /// is the device's part of [`ControlPlane::hosted`], so a new
+    /// verifier counts what the control plane has its device host.
+    /// LECs come from `cache` when it holds the device's table, and
+    /// fill it when it does not. Times the build as the `init.build`
+    /// layer (`worker` in aux) and returns the verifier, what it sent
+    /// and the host ns both took.
     fn build(
         &self,
         dev: DeviceId,
         fib: Fib,
-        tasks: Vec<NodeTask>,
+        share: DeviceFence,
+        (epoch, trace): (u64, u64),
         cache: Option<&LecCache>,
-        trace: u64,
         worker: u64,
     ) -> (DeviceVerifier, Vec<Envelope>, u64) {
-        let (tel, ps) = (&self.tel, &self.packet_space);
+        let tel = &self.tel;
         let start = Instant::now();
         // Attributed to its worker (aux) so the EXPERIMENTS
         // parallel-init entry can read actual occupancy.
         let (v, out) = tel.timed(dev, &INIT_BUILD, trace, worker, || {
             let cached = cache.and_then(|c| c.get(dev));
-            let mut v = DeviceVerifier::builder(dev, self.layout, fib, ps, self.vcfg.clone())
+            let mut v = DeviceVerifier::builder(dev, self.layout, fib, self.vcfg.clone())
                 .backend(self.kind)
-                .tasks(tasks)
                 .maybe_lecs(cached.as_deref().map(Vec::as_slice))
                 .telemetry(tel.clone())
                 .build();
             if let (Some(cache), None) = (cache, cached) {
                 cache.insert(dev, v.export_lecs());
             }
-            v.set_trace(trace);
             let mut out = Vec::new();
-            v.init(&mut out);
+            v.apply_fence(epoch, trace, share, &mut out);
             (v, out)
         });
         (v, out, start.elapsed().as_nanos() as u64)
@@ -632,28 +630,29 @@ struct BuiltVerifier {
 }
 
 /// Builds the verifier of every topology device — the roster of both
-/// fabrics — with its share of `plan`, timing each construction (LEC
-/// build + initial counting) as init cost; the whole initial burst is
-/// one causal wave. With `parallel_init` set, devices build
-/// concurrently under scoped threads — a shared [`LecCache`] is used
-/// directly (per-shard locking, no global mutex), and results are
-/// returned in device order so downstream scheduling stays
-/// deterministic.
+/// fabrics — with its share of `hosted` ([`ControlPlane::hosted`] at
+/// epoch 0), timing each construction (LEC build + initial counting)
+/// as init cost; the whole initial burst is one causal wave. With
+/// `parallel_init` set, devices build concurrently under scoped
+/// threads — a shared [`LecCache`] is used directly (per-shard locking,
+/// no global mutex), and results are returned in device order so
+/// downstream scheduling stays deterministic.
 fn build_verifiers(
     net: &Network,
-    plan: &CountingPlan,
+    mut hosted: BTreeMap<DeviceId, DeviceFence>,
     recipe: &Recipe,
     cfg: &EngineConfig,
     lec_cache: Option<&LecCache>,
 ) -> Vec<BuiltVerifier> {
-    let mut by_dev = plan.tasks_by_device();
-    for dev in net.topology.devices() {
-        by_dev.entry(dev).or_default();
-    }
-    let build_one = |dev: DeviceId, tasks: Vec<NodeTask>, worker: u64| -> BuiltVerifier {
+    let by_dev = net.topology.devices().map(|dev| {
+        let share = hosted.remove(&dev).unwrap_or_default();
+        (dev, share)
+    });
+    let by_dev: Vec<(DeviceId, DeviceFence)> = by_dev.collect();
+    let build_one = |dev: DeviceId, share: DeviceFence, worker: u64| -> BuiltVerifier {
         let fib = net.fib(dev).clone();
         let (verifier, init_out, host_ns) =
-            recipe.build(dev, fib, tasks, lec_cache, INIT_TRACE, worker);
+            recipe.build(dev, fib, share, (0, INIT_TRACE), lec_cache, worker);
         BuiltVerifier {
             dev,
             verifier,
@@ -665,7 +664,7 @@ fn build_verifiers(
     if !cfg.parallel_init {
         return by_dev
             .into_iter()
-            .map(|(dev, tasks)| build_one(dev, tasks, 0))
+            .map(|(dev, share)| build_one(dev, share, 0))
             .collect();
     }
 
@@ -675,7 +674,7 @@ fn build_verifiers(
     let workers = std::thread::available_parallelism()
         .map_or(1, |n| n.get())
         .min(by_dev.len().max(1));
-    let jobs: Mutex<Vec<(DeviceId, Vec<NodeTask>)>> = Mutex::new(by_dev.into_iter().collect());
+    let jobs: Mutex<Vec<(DeviceId, DeviceFence)>> = Mutex::new(by_dev);
     let results: Mutex<Vec<BuiltVerifier>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for w in 0..workers {
@@ -685,11 +684,11 @@ fn build_verifiers(
             s.spawn(move || {
                 // The block drops the queue's guard before the build;
                 // a `while let` scrutinee's guard would live through it.
-                while let Some((dev, tasks)) = {
+                while let Some((dev, share)) = {
                     let mut q = unpoisoned(jobs.lock());
                     q.pop()
                 } {
-                    let built = build_one(dev, tasks, w as u64);
+                    let built = build_one(dev, share, w as u64);
                     unpoisoned(results.lock()).push(built);
                 }
             });
@@ -825,18 +824,11 @@ pub type Engine = Runtime<Driver>;
 pub type ThreadedEngine = Runtime<Threads>;
 
 impl<F: Fabric> Runtime<F> {
-    fn assemble(
-        net: &Network,
-        plan: &CountingPlan,
-        ps: &PacketSpace,
-        fabric: F,
-        cfg: &EngineConfig,
-    ) -> Runtime<F> {
-        let tel = cfg.telemetry.clone();
+    fn assemble(net: &Network, control: ControlPlane, fabric: F, cfg: &EngineConfig) -> Runtime<F> {
         Runtime {
-            control: ControlPlane::new(&net.topology, net.layout, plan, ps, tel.clone()),
+            control,
             fabric,
-            tel,
+            tel: cfg.telemetry.clone(),
             next_trace: FIRST_EVENT_TRACE,
             devices: net.topology.num_devices() as u32,
             verdicts: Verdicts::default(),
@@ -1123,10 +1115,7 @@ impl<F: Fabric> Runtime<F> {
         // The nodes the subject is judged over, or the verdict of an
         // intent with no slice to judge.
         let judged: Result<BTreeSet<NodeId>, String> = match subject {
-            Subject::Device(dev) => {
-                let hosted = store.global_tasks().into_iter().filter(|t| t.dev == dev);
-                Ok(hosted.map(|t| t.node).collect())
-            }
+            Subject::Device(dev) => Ok(store.nodes_on(dev).collect()),
             Subject::Intent(id) if id >= store.next_intent_id() => {
                 return Err(format!("unknown intent {id}"))
             }
@@ -1212,14 +1201,14 @@ impl Driver {
         Some(span)
     }
 
-    /// Rebuilds `dev`'s verifier, hosting nothing, from the FIB it
-    /// holds under the recipe's current backend. Its init is charged
-    /// from the start of the round.
-    fn rebuild(&mut self, dev: DeviceId, trace: u64) {
+    /// Rebuilds `dev`'s verifier from the FIB it holds under the
+    /// recipe's current backend, hosting `share` at `epoch`. Its init
+    /// is charged from the start of the round.
+    fn rebuild(&mut self, dev: DeviceId, share: DeviceFence, epoch: u64, trace: u64) {
         let Some(fib) = self.verifiers.get(&dev).map(|v| v.fib().clone()) else {
             return;
         };
-        let (v, out, host_ns) = self.recipe.build(dev, fib, Vec::new(), None, trace, 0);
+        let (v, out, host_ns) = self.recipe.build(dev, fib, share, (epoch, trace), None, 0);
         let span = self.clock.charge(dev, 0, host_ns);
         let st = self.stats.per_device.entry(dev).or_default();
         (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.mem_units());
@@ -1347,8 +1336,10 @@ impl Runtime<Driver> {
         lec_cache: Option<&LecCache>,
         mut transport: Box<dyn Transport>,
     ) -> Engine {
-        let recipe = Recipe::new(net, plan, ps, cfg);
-        let built = build_verifiers(net, plan, &recipe, cfg, lec_cache);
+        let mut control =
+            ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
+        let recipe = Recipe::new(net, plan, cfg);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg, lec_cache);
         let mut clock = VirtualClock::new(cfg.model);
         let mut verifiers = BTreeMap::new();
         let mut stats = RuntimeStats::default();
@@ -1370,7 +1361,7 @@ impl Runtime<Driver> {
             watermark: 0,
             recipe,
         };
-        Runtime::assemble(net, plan, ps, driver, cfg)
+        Runtime::assemble(net, control, driver, cfg)
     }
 
     /// The runtime observability surface.
@@ -1394,10 +1385,10 @@ impl Runtime<Driver> {
     /// and the transport keeps its routing and reliability state. Each
     /// verifier is rebuilt from the FIB it holds (every batch reached
     /// it, quarantined or not; its init booked from the start of the
-    /// round) at the current epoch, with every node the control plane
-    /// has it host ([`ControlPlane::hosted`]). Wire bytes are
-    /// backend-neutral, so the drained Report equals the one before
-    /// the move. Call it on a
+    /// round) by the one constructor, hosting at the current epoch
+    /// every node the control plane has it host
+    /// ([`ControlPlane::hosted`]). Wire bytes are backend-neutral, so
+    /// the drained Report equals the one before the move. Call it on a
     /// quiescent engine: a rebuilt node restarts from zero, and so do
     /// the peers it talks to. `kind` must hold the workload, as for
     /// [`EngineConfig::backend`] ([`BackendKind::check`]).
@@ -1408,15 +1399,8 @@ impl Runtime<Driver> {
         driver.recipe.kind = kind;
         let devices: Vec<DeviceId> = driver.verifiers.keys().copied().collect();
         for dev in devices {
-            driver.rebuild(dev, trace);
-            let fence = DeviceFence {
-                groups: hosted.remove(&dev).unwrap_or_default(),
-                ..DeviceFence::default()
-            };
-            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
-                v.apply_fence(epoch, trace, fence, out)
-            };
-            driver.inject(dev, trace, Box::new(op));
+            let share = hosted.remove(&dev).unwrap_or_default();
+            driver.rebuild(dev, share, epoch, trace);
         }
         self.drain()
     }
@@ -1729,8 +1713,10 @@ impl Runtime<Threads> {
         ps: &PacketSpace,
         cfg: &EngineConfig,
     ) -> ThreadedEngine {
-        let recipe = Recipe::new(net, plan, ps, cfg);
-        let built = build_verifiers(net, plan, &recipe, cfg, None);
+        let mut control =
+            ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
+        let recipe = Recipe::new(net, plan, cfg);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg, None);
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
@@ -1820,7 +1806,7 @@ impl Runtime<Threads> {
             stalled: Mutex::new(BTreeMap::new()),
             joined: false,
         };
-        Runtime::assemble(net, plan, ps, threads, cfg)
+        Runtime::assemble(net, control, threads, cfg)
     }
 
     /// Blocks until no DVM message is queued or being processed.
@@ -1935,7 +1921,7 @@ mod tests {
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::{Behavior, Invariant, PathExpr};
-    use tulkun_core::verify::Freshness;
+    use tulkun_core::verify::{Freshness, Session};
     use tulkun_datasets::fig2a_network;
     use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 
@@ -2583,6 +2569,76 @@ mod tests {
         for lossy in [false, true] {
             assert_eq!(run(lossy, true), want, "lossy: {lossy}");
         }
+    }
+
+    /// Construction is a fence share: once built, every device of each
+    /// substrate hosts exactly its share of `ControlPlane::hosted`, and
+    /// after a backend move it hosts its share again, with the Report
+    /// it had before the move.
+    #[test]
+    fn every_device_hosts_its_share_of_hosted() {
+        let net = fig2a_network();
+        let (cp, ps) = waypoint_plan(&net);
+        let inv = waypoint_inv();
+        let devices: Vec<DeviceId> = net.topology.devices().collect();
+        // Per device, the nodes the control plane has it host.
+        let shares = |c: &mut ControlPlane| -> BTreeMap<DeviceId, BTreeSet<NodeId>> {
+            let mut hosted = c.hosted();
+            let mut nodes = |dev| {
+                let share = hosted.remove(dev).unwrap_or_default().tasks.into_iter();
+                share.map(|(_, t)| t.node).collect()
+            };
+            devices.iter().map(|dev| (*dev, nodes(dev))).collect()
+        };
+        let hosts = |e: &Engine| -> BTreeMap<DeviceId, BTreeSet<NodeId>> {
+            let verifiers = e.fabric.verifiers.iter();
+            verifiers
+                .map(|(dev, v)| (*dev, v.node_ids().into_iter().collect()))
+                .collect()
+        };
+
+        let mut session = Session::from_counting(&net, cp.clone(), &ps);
+        let tel = Telemetry::disabled();
+        let mut control = ControlPlane::new(&net.topology, net.layout, &cp, &ps, tel);
+        let by_session = devices.iter().map(|dev| {
+            let v = session.verifier(*dev).expect("a verifier per device");
+            (*dev, v.node_ids().into_iter().collect())
+        });
+        assert_eq!(by_session.collect::<BTreeMap<_, _>>(), shares(&mut control));
+
+        let mut e = Engine::new(&net, &cp, &ps, EngineConfig::default());
+        assert_eq!(hosts(&e), shares(&mut e.control));
+
+        // A threaded device answers for a node exactly when it hosts it
+        // (a hosted node's results cover its scope).
+        let mut t = ThreadedEngine::spawn(&net, &cp, &ps);
+        t.wait_quiescent();
+        let want = shares(&mut t.control);
+        let bound = want.values().flatten().max().map_or(0, |n| n.0 + 4);
+        for dev in &devices {
+            let answers = |n: &u32| !t.fabric.collect(*dev, NodeId(*n)).is_empty();
+            let answered: BTreeSet<NodeId> = (0..bound).filter(answers).map(NodeId).collect();
+            assert_eq!(answered, want[dev], "threaded d{}", dev.0);
+        }
+        session.run_to_quiescence();
+        let reference = session.report().canonical_bytes();
+        assert_eq!(t.report().canonical_bytes(), reference);
+
+        // A churned, two-context engine re-hosted on another backend.
+        e.burst();
+        assert_eq!(e.report().canonical_bytes(), reference);
+        let dev = |n: &str| net.topology.expect_device(n);
+        let down = TopologyEvent::LinkDown(dev("A"), dev("B"));
+        e.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        let narrow = Invariant {
+            packet_space: PacketSpace::dst_prefix("10.0.1.0/24"),
+            ..exist_inv("B .* D")
+        };
+        e.install_intent("narrow", &narrow).unwrap();
+        let before = e.report().canonical_bytes();
+        e.rehost(BackendKind::Bdd);
+        assert_eq!(hosts(&e), shares(&mut e.control));
+        assert_eq!(e.report().canonical_bytes(), before);
     }
 
     /// The event simulator over fig2a's waypoint plan, not yet driven.
