@@ -49,7 +49,9 @@
 #                 partitioner stay deleted; and one path from the
 #                 intent store to a device: one change set, one fence
 #                 builder, and verifiers built empty that host their
-#                 nodes through a fence share (no init in a substrate)
+#                 nodes through a fence share (no init in a substrate);
+#                 and quarantine, revival and crash restart are fence
+#                 shares too: no wipe flag, reboot or delivery filter
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -305,6 +307,17 @@ stage_lint() {
         sed '/^#\[cfg(test)\]/q' "$f" | grep -nF '.init(' | sed "s|^|$f:|"
     done | grep .; then
         echo "lint: a substrate initialises a verifier (see above); construction is a fence share" >&2
+        exit 1
+    fi
+    # A verifier hosts exactly its device's share of
+    # ControlPlane::hosted(), and only apply_fence changes that: a down
+    # device's share removes its nodes, a revived one's creates them,
+    # and a crash restart is a share that does both. The wipe flag, the
+    # second way to reset a node, and the quarantine filters on delivery
+    # stay retired.
+    if grep -rnE '\.re''boot\(|fn re''boot|is_quar''antined|\.wi''pe\b|\bwi''pe:' \
+        crates src tests examples; then
+        echo "lint: a second quarantine or restart mechanism is back (see above); a verifier changes what it hosts only through apply_fence" >&2
         exit 1
     fi
     # One latency instrument: the log-linear Histogram. The fixed-bucket

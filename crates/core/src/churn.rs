@@ -36,12 +36,14 @@ pub enum TopologyEvent {
     LinkDown(DeviceId, DeviceId),
     /// A previously failed link recovered.
     LinkUp(DeviceId, DeviceId),
-    /// A device died: all its links fail and it is quarantined (the
-    /// runtime stops delivering to it and marks its results
-    /// unreachable).
+    /// A device died: all its links fail and it is quarantined. Its
+    /// fence share removes every node it hosted, so its verifier counts
+    /// nothing and sends nothing, and the Report marks those nodes'
+    /// last results unreachable.
     DeviceDown(DeviceId),
-    /// A quarantined device came back (the runtime reboots its verifier
-    /// and replays neighbor state, as after a crash).
+    /// A quarantined device came back. It hosts nothing, so its fence
+    /// share creates the nodes the new plans put on it, and they count
+    /// from scratch like any new node.
     DeviceUp(DeviceId),
 }
 
@@ -299,13 +301,18 @@ mod tests {
         let mut churn = ChurnState::new();
         churn.apply(&TopologyEvent::DeviceDown(b));
         assert!(churn.is_down(b));
+        let before = c.intents().global_tasks();
         let down = fence(&mut c, &net, &inv, TopologyEvent::DeviceDown(b)).unwrap();
-        assert!(c.is_quarantined(b));
         assert!(
             down.devices[&b].tasks.is_empty() && !down.devices[&b].reannounce,
             "a quarantined device is never asked to recount"
         );
         assert!(c.intents().global_tasks().iter().all(|t| t.dev != b));
+        assert_eq!(
+            apply(&before, &down),
+            by_device(&c.intents().global_tasks()),
+            "the fence leaves the quarantined device hosting nothing"
+        );
         let mut report = crate::verify::Report::default();
         c.annotate(&mut report, &BTreeMap::new());
         assert_eq!(report.quarantined, vec![b]);

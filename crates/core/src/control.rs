@@ -54,14 +54,14 @@ pub(crate) const SHARD: DeviceId = DeviceId(0);
 
 /// One device's share of an epoch fence, applied atomically by
 /// [`DeviceVerifier::apply_fence`](crate::dvm::DeviceVerifier::apply_fence):
-/// move to the new epoch, optionally wipe, drop `remove`, apply
-/// `tasks` in order, then repair if `reannounce`. A verifier built
-/// from nothing hosts its nodes by applying its share of
-/// [`ControlPlane::hosted`].
+/// move to the new epoch, drop `remove`, apply `tasks` in order, then
+/// repair if `reannounce`. A verifier hosts exactly its device's share
+/// of [`ControlPlane::hosted`], and fences are the only thing that
+/// changes it: one built from nothing applies that share, a device
+/// that goes down has all its nodes removed, and one that comes back
+/// has its nodes created again.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceFence {
-    /// Revived device: drop *all* soft node state first.
-    pub wipe: bool,
     /// Nodes no longer assigned here.
     pub remove: Vec<NodeId>,
     /// Tasks to apply, in order. A task that creates a node carries the
@@ -135,7 +135,7 @@ pub struct ControlPlane {
     /// Applied topology events (freshness marking is churn-era only;
     /// intent churn alone never degrades a report).
     churn_events: u64,
-    /// Old-table nodes stranded on quarantined devices.
+    /// The nodes each quarantined device hosted when it went down.
     unreachable: BTreeMap<NodeId, DeviceId>,
     /// Intent id → the epoch whose fence degraded it.
     degraded_epochs: BTreeMap<u64, u64>,
@@ -210,11 +210,6 @@ impl ControlPlane {
     /// The live intents and their shared global node table.
     pub fn intents(&self) -> &IntentStore {
         &self.store
-    }
-
-    /// Whether `dev` is down: no deliveries, no re-announcement.
-    pub fn is_quarantined(&self, dev: DeviceId) -> bool {
-        self.churn.is_down(dev)
     }
 
     fn export_intent_count(&self) {
@@ -323,14 +318,12 @@ impl ControlPlane {
     }
 
     /// Bumps the epoch and plans its fence: one per tasked device (the
-    /// devices `delta` tasks join them), its share of `delta`, wiped if
-    /// it is the `revived` device, repairing unless quarantined.
-    /// `anchor` is the journal device and cause.
+    /// devices `delta` tasks join them), its share of `delta`, repairing
+    /// unless quarantined. `anchor` is the journal device and cause.
     fn fence_plan(
         &mut self,
         anchor: (DeviceId, &'static str),
         topology: Option<Topology>,
-        revived: Option<DeviceId>,
         delta: &IntentDelta,
     ) -> FencePlan {
         self.epoch += 1;
@@ -341,7 +334,6 @@ impl ControlPlane {
             .iter()
             .map(|dev| {
                 let mut fence = shares.remove(dev).unwrap_or_default();
-                fence.wipe = revived == Some(*dev);
                 fence.reannounce = !self.churn.is_down(*dev);
                 (*dev, fence)
             })
@@ -368,8 +360,9 @@ impl ControlPlane {
     /// answers), and neither does a link-down that a slice is outside
     /// of ([`Cut`]). Slices the new topology cannot host degrade, parked
     /// installs get their bounded retry, and only a base plan that no
-    /// longer plans is an `Err`. A `DeviceDown` quarantines its device;
-    /// a `DeviceUp` wipes and re-tasks it.
+    /// longer plans is an `Err`. A `DeviceDown` quarantines its device,
+    /// whose share removes every node it hosted; a `DeviceUp` re-tasks
+    /// it, its share creating the nodes the new plans put there.
     pub fn topology_event(
         &mut self,
         ev: &TopologyEvent,
@@ -427,17 +420,12 @@ impl ControlPlane {
         let replan = replan?;
         self.churn = churn;
         self.churn_events += 1;
-        let revived = match ev {
-            TopologyEvent::DeviceDown(d) => {
-                self.tel.count(*d, "tulkun_quarantined_total", 1);
-                None
-            }
-            TopologyEvent::DeviceUp(d) => Some(*d),
-            _ => None,
-        };
+        if let TopologyEvent::DeviceDown(d) = ev {
+            self.tel.count(*d, "tulkun_quarantined_total", 1);
+        }
         let dev = ev.primary_device();
         let topology = Some(replan.topology.clone());
-        let fence = self.fence_plan((dev, "churn"), topology, revived, &replan.delta);
+        let fence = self.fence_plan((dev, "churn"), topology, &replan.delta);
         self.note(JournalKind::TopologyChurn, dev, trace, None, || {
             ev.describe()
         });
@@ -538,7 +526,7 @@ impl ControlPlane {
             }
         };
         let (id, delta) = self.store.install(name, inv.clone(), slice, &work)?;
-        let fence = self.fence_plan((first_touched(&delta), INTENT), None, None, &delta);
+        let fence = self.fence_plan((first_touched(&delta), INTENT), None, &delta);
         let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
@@ -565,7 +553,7 @@ impl ControlPlane {
         let delta = self.store.remove(id, &self.work(trace))?;
         self.degraded_epochs.remove(&id.0);
         let anchor = (first_touched(&delta), INTENT);
-        let fence = (!no_footprint).then(|| self.fence_plan(anchor, None, None, &delta));
+        let fence = (!no_footprint).then(|| self.fence_plan(anchor, None, &delta));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
         let dev = touched.next().copied().unwrap_or(SHARD);
         self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
@@ -583,10 +571,10 @@ impl ControlPlane {
     /// no-op until the first topology event): every global node a
     /// non-degraded intent owns is `Fresh` unless its device appears
     /// in `stale_devices` (a watchdog's stall map, device → epoch at
-    /// stall); old-table nodes stranded on quarantined devices are
-    /// `Unreachable`; a *degraded* intent's last-good source nodes are
-    /// `Stale(e)` at the epoch whose fence degraded it, or
-    /// `Unreachable` on a quarantined device. Stranded and degraded
+    /// stall); the nodes a quarantined device hosted when it went down
+    /// are `Unreachable`; a *degraded* intent's last-good source nodes
+    /// are `Stale(e)` at the epoch whose fence degraded it, or
+    /// `Unreachable` on a quarantined device. Quarantined and degraded
     /// entries refer to a superseded table's numbering; both entries
     /// are kept when an id collides.
     pub fn annotate(&self, r: &mut Report, stale_devices: &BTreeMap<DeviceId, u64>) {
@@ -728,7 +716,7 @@ mod tests {
             c.tasked,
             "one fence per tasked device"
         );
-        assert!(fence.devices.values().all(|f| f.reannounce && !f.wipe));
+        assert!(fence.devices.values().all(|f| f.reannounce));
         // Every node B's share creates carries its space.
         let carried = fence.devices[&b].tasks.iter();
         let carried = carried.filter_map(|(sp, t)| sp.as_ref().map(|_| t.node));
@@ -736,6 +724,8 @@ mod tests {
         let created = created.filter_map(|(ctx, t)| ctx.map(|_| t.node));
         assert_eq!(carried.collect::<Vec<_>>(), created.collect::<Vec<_>>());
 
+        let on_b: BTreeSet<NodeId> = c.intents().nodes_on(b).collect();
+        assert!(!on_b.is_empty());
         let down = c
             .topology_event(&TopologyEvent::DeviceDown(b), topo, &base, 0)
             .unwrap()
@@ -750,7 +740,10 @@ mod tests {
                 "only the quarantined device is silent"
             );
         }
-        assert!(c.is_quarantined(b));
+        let gone: BTreeSet<NodeId> = down.devices[&b].remove.iter().copied().collect();
+        assert_eq!(gone, on_b, "B's share removes every node it hosted");
+        assert!(down.devices[&b].tasks.is_empty());
+        assert_eq!(c.intents().nodes_on(b).count(), 0);
         assert!(c.intents().get(id).unwrap().is_degraded());
         let mut r = Report::default();
         c.annotate(&mut r, &BTreeMap::new());
@@ -766,13 +759,13 @@ mod tests {
             .fence
             .unwrap();
         assert_eq!(up.epoch, 3);
-        for (dev, f) in &up.devices {
-            assert!(f.reannounce);
-            assert_eq!(f.wipe, *dev == b, "only the revived device is wiped");
-        }
+        assert!(up.devices.values().all(|f| f.reannounce));
+        let revived = &up.devices[&b];
+        assert!(revived.remove.is_empty(), "a revived device hosts nothing");
+        assert!(!revived.tasks.is_empty(), "the revived device is re-tasked");
         assert!(
-            !up.devices[&b].tasks.is_empty(),
-            "the revived device is re-tasked"
+            revived.tasks.iter().all(|(sp, _)| sp.is_some()),
+            "every task it gets creates a node"
         );
         assert!(!c.intents().get(id).unwrap().is_degraded());
         c.annotate(&mut r, &BTreeMap::new());

@@ -246,7 +246,7 @@ impl SenderWindow {
 
     /// Resets only the channels *into* `dev` (sequence counters and
     /// unacked entries): the crash/restart purge, where all in-flight
-    /// traffic toward the rebooted device is dropped with it.
+    /// traffic toward the restarted device is dropped with it.
     /// Returns how many unacked entries were dropped.
     pub fn reset_channels_into(&mut self, dev: DeviceId) -> usize {
         let stale: Vec<(ChannelKey, u64)> = self
@@ -441,7 +441,7 @@ impl ReceiverLedger {
 
     /// Resets only the channels *into* `dev` (the crash/restart purge):
     /// forgets expected counters and drops gap-buffered arrivals, so
-    /// the rebooted device's channels restart coherently at sequence 1.
+    /// the restarted device's channels restart coherently at sequence 1.
     /// Returns how many buffered envelopes were dropped.
     pub fn reset_channels_into(&mut self, dev: DeviceId) -> usize {
         let dropped = self

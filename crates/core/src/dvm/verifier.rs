@@ -79,8 +79,8 @@ struct NodeState {
     task: NodeTask,
     /// The node's base packet space: the space of the intent (or plan)
     /// that installed it. Nodes of one verifier may belong to different
-    /// intents with different packet spaces; `scope` always starts at —
-    /// and a reboot resets it to — this base.
+    /// intents with different packet spaces; `scope` always starts at
+    /// this base.
     base: DynPred,
     /// Packet sets this node counts for (base space + subscriptions).
     scope: DynPred,
@@ -112,7 +112,7 @@ mod loc_cib {
     /// A node's `LocCIB` together with the memo of its unfiltered
     /// export. The fields are private to this module so the table can
     /// only change through [`LocCib::edit`] — the memo's single
-    /// invalidation point. (A node that is removed, wiped or re-created
+    /// invalidation point. (A node that is removed or re-created
     /// takes its memo with it.)
     #[derive(Debug)]
     pub(super) struct LocCib {
@@ -308,7 +308,7 @@ impl DeviceVerifier {
 
     /// Sets the causal trace id stamped onto subsequently emitted
     /// envelopes. Runtimes call this before injecting an internal
-    /// event (FIB batch, link event, reboot, replay) so the whole
+    /// event (FIB batch, fence share, replay) so the whole
     /// resulting UPDATE wave shares one id; incoming envelopes set it
     /// automatically in [`DeviceVerifier::handle`].
     pub fn set_trace(&mut self, trace: u64) {
@@ -456,9 +456,18 @@ impl DeviceVerifier {
     ) {
         let node = edge.up;
         let v = edge.down;
-        if !self.nodes.contains_key(&node) {
+        let Some(st) = self.nodes.get(&node) else {
             return; // stale message after a plan change
-        }
+        };
+        // A fence re-tasks a child together with the parent that
+        // dropped it, and a device that goes down drops every node, so
+        // within one epoch a child speaks only on edges its parent's
+        // task has. An UPDATE on any other edge is counted and dropped.
+        let Some(&(_, vdev)) = st.task.downstream.iter().find(|(n, _)| *n == v) else {
+            self.tel
+                .count(self.dev, "tulkun_dvm_stray_updates_total", 1);
+            return;
+        };
         // Step 1: update CIBIn(v).
         let mut w = self.backend.falsum();
         for p in withdrawn {
@@ -483,21 +492,6 @@ impl DeviceVerifier {
             entry.extend(incoming);
         }
         // Step 2 + 3: recompute the affected region of LocCIB and emit.
-        // An edge absent from the current task still refreshes CIBIn but
-        // affects nothing. A fence re-tasks a child together with the
-        // parent that dropped it, so a child still speaking on a dropped
-        // edge is one no fence re-tasks: a node stranded on a
-        // quarantined device, which keeps folding its FIB batches and
-        // announcing to the parents it had.
-        let Some(vdev) = self.nodes[&node]
-            .task
-            .downstream
-            .iter()
-            .find(|(n, _)| *n == v)
-            .map(|(_, d)| *d)
-        else {
-            return;
-        };
         let region = self.affected_region(node, vdev, w);
         self.recompute_node(node, region, out);
     }
@@ -756,14 +750,15 @@ impl DeviceVerifier {
     /// Applies this device's share of an epoch fence — the one place
     /// the steps are sequenced, and the one way a device's nodes
     /// change: move to the new epoch (so every emission below carries
-    /// it), drop all soft node state if the device was revived, drop
-    /// nodes no longer assigned here, apply the tasks in order (a new
-    /// node counts over the space its task carries and speaks first; a
-    /// re-tasked node that gains an upstream edge announces its
-    /// `CIBOut` to that edge), run the repair wave if the fence
-    /// discarded in-flight state, then replay whatever faster peers
-    /// already sent under the new epoch. A verifier just built applies
-    /// its share of the nodes its device hosts this way.
+    /// it), drop nodes no longer assigned here, apply the tasks in
+    /// order (a new node counts over the space its task carries and
+    /// speaks first; a re-tasked node that gains an upstream edge
+    /// announces its `CIBOut` to that edge), run the repair wave if the
+    /// fence discarded in-flight state, then replay whatever faster
+    /// peers already sent under the new epoch. A verifier just built
+    /// applies its share of the nodes its device hosts this way, and a
+    /// restarted agent one that removes and re-creates each node: its
+    /// soft state is lost, its FIB and LEC table survive.
     pub fn apply_fence(
         &mut self,
         epoch: u64,
@@ -773,9 +768,6 @@ impl DeviceVerifier {
     ) {
         self.set_trace(trace);
         self.set_epoch(epoch);
-        if fence.wipe {
-            self.nodes.clear();
-        }
         // Nodes a re-plan no longer assigns here. In-flight messages
         // naming one are tolerated by the stale-node guard in UPDATE
         // handling.
@@ -855,33 +847,6 @@ impl DeviceVerifier {
     fn reannounce(&mut self, out: &mut dyn Outbox) {
         for node in self.node_ids() {
             self.announce(node, |_| true, |_| true, out);
-        }
-    }
-
-    /// Simulates a device crash + restart of the verification agent:
-    /// all soft counting state (`CIBIn`, `LocCIB`, `CIBOut`, grown
-    /// scopes, subscription ledger) is lost and re-initialized, then the
-    /// verifier recounts from scratch and returns its fresh initial
-    /// messages. The FIB and the LEC table survive — they live in the
-    /// switch hardware / FIB agent, not in the verification process.
-    ///
-    /// Recovery of the *inputs* (neighbors' last counting results and
-    /// subscriptions) is driven by the runtime calling
-    /// [`DeviceVerifier::replay_for_restart`] on each neighbor.
-    pub fn reboot(&mut self, out: &mut dyn Outbox) {
-        let dim = self.cfg.dim();
-        for st in self.nodes.values_mut() {
-            st.scope = st.base;
-            st.cib_in.clear();
-            *st.loc_cib.edit() = vec![(st.base, Counts::zero(dim))];
-            st.cib_out = vec![(st.base, Counts::zero(dim))];
-            st.sent_subs.clear();
-        }
-        self.refresh_relevance();
-        for id in self.node_ids() {
-            let scope = self.nodes[&id].scope;
-            self.emit_subscriptions(id, scope, out);
-            self.recompute_node(id, scope, out);
         }
     }
 
@@ -1419,7 +1384,8 @@ mod tests {
     /// A node a fence share creates counts over the space its task
     /// carries — here another context's than the node the device
     /// already hosts — and keeps that base when a later share re-tasks
-    /// it, and through a reboot.
+    /// it, and through a restart share that removes and creates it
+    /// again.
     #[test]
     fn a_created_node_counts_over_its_context_and_a_retask_keeps_it() {
         let (mut d0, _, space) = dest_and_idle_upstream();
@@ -1454,7 +1420,12 @@ mod tests {
         d0.apply_fence(2, 0, retask, &mut Vec::new());
         assert_eq!(d0.nodes[&node].task.upstream.len(), 1, "re-tasked");
         assert_eq!(counted(&mut d0, &mut be, node), other);
-        d0.reboot(&mut Vec::new());
+        let restart = DeviceFence {
+            remove: vec![node],
+            tasks: vec![(Some(be.export(other)), d0.nodes[&node].task.clone())],
+            ..DeviceFence::default()
+        };
+        d0.apply_fence(2, 0, restart, &mut Vec::new());
         assert_eq!(counted(&mut d0, &mut be, node), other);
     }
 

@@ -985,12 +985,12 @@ pub struct StoreReplan {
     /// against.
     pub topology: Topology,
     /// What the devices apply. Devices whose hosted nodes all survived
-    /// verbatim are absent — unaffected slices ship zero tasks — and
-    /// nodes left on quarantined devices are `unreachable`, not
-    /// removed.
+    /// verbatim are absent — unaffected slices ship zero tasks — and a
+    /// device that went down has every node it hosted removed.
     pub delta: IntentDelta,
-    /// Nodes of the *old* table hosted on now-quarantined devices;
-    /// their last results are reported `Unreachable`, not recomputed.
+    /// The nodes of the *old* table this fence removes from
+    /// now-quarantined devices; their last results are reported
+    /// `Unreachable`.
     pub unreachable: Vec<(NodeId, DeviceId)>,
     /// Intents whose slice cannot be planned on the new topology, with
     /// the planner's reason. Includes intents that were already
@@ -1506,23 +1506,19 @@ impl IntentStore {
         }
         self.trim_tables();
 
-        // Phase 4: what the refit wrote, for the devices. Down devices'
-        // old nodes are unreachable, not removed (the planner tasks them
-        // with nothing and a later DeviceUp wipes the verifier anyway).
-        let mut removed: BTreeMap<DeviceId, Vec<NodeId>> = BTreeMap::new();
+        // Phase 4: what the refit wrote, for the devices. A down
+        // device's old nodes are removed like any other's, so its
+        // verifier hosts nothing and says nothing; their last results
+        // are reported unreachable.
         let mut unreachable: Vec<(NodeId, DeviceId)> = Vec::new();
-        for (dev, gone) in done.removed {
-            if churn.is_down(dev) {
-                unreachable.extend(gone.into_iter().map(|g| (g, dev)));
-            } else {
-                removed.insert(dev, gone);
-            }
+        for (dev, gone) in done.removed.iter().filter(|(d, _)| churn.is_down(**d)) {
+            unreachable.extend(gone.iter().map(|g| (*g, *dev)));
         }
         let shipped: usize = done.shipped.values().map(Vec::len).sum();
         let total_nodes = self.table.nodes.len();
         let delta = IntentDelta {
             changed: done.shipped,
-            removed,
+            removed: done.removed,
             total_nodes,
             reused_nodes: total_nodes - shipped,
         };

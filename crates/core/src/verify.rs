@@ -432,9 +432,6 @@ impl Session {
         let mut n = 0;
         while let Some(env) = self.queue.pop_front() {
             n += 1;
-            if self.control.is_quarantined(env.to) {
-                continue;
-            }
             if let Some(v) = self.verifiers.get_mut(&env.to) {
                 v.handle(&env, &mut self.queue);
             }

@@ -439,7 +439,7 @@ impl Transport for LatencyTransport {
 }
 
 /// Is this in-flight envelope invalidated by `dev` crash-restarting?
-/// Anything addressed to the rebooted device, plus any ack it sent
+/// Anything addressed to the restarted device, plus any ack it sent
 /// before dying (a stale ack could acknowledge a fresh post-restart
 /// sequence number after the channel reset).
 fn purged_by_restart(env: &Envelope, dev: DeviceId) -> bool {
@@ -712,8 +712,8 @@ pub struct RunOutcome {
 }
 
 /// A verifier operation the lifecycle injects from outside the DVM
-/// exchange: a coalesced FIB batch, a reboot, a replay toward a
-/// restarted peer, or a device's share of an epoch fence.
+/// exchange: a coalesced FIB batch, a replay toward a restarted peer,
+/// or a device's share of an epoch fence (a restart included).
 type Injected = Box<dyn FnOnce(&mut DeviceVerifier, &mut Vec<Envelope>) + Send>;
 
 /// One input to a device's verifier.
@@ -785,9 +785,8 @@ pub trait Fabric {
     /// `dev`'s agent restarts: nothing pending may land on its fresh
     /// state. Counts one recovered crash.
     fn purge_for_restart(&mut self, dev: DeviceId);
-    /// Drives the exchange to quiescence (`control` says which
-    /// devices are quarantined).
-    fn drain(&mut self, control: &ControlPlane) -> RunOutcome;
+    /// Drives the exchange to quiescence.
+    fn drain(&mut self) -> RunOutcome;
     /// Exports `node`'s counting results from `dev`'s verifier.
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult;
     /// Devices a watchdog declared stalled (device → epoch at stall).
@@ -842,7 +841,7 @@ impl<F: Fabric> Runtime<F> {
     }
 
     fn drain(&mut self) -> RunOutcome {
-        self.fabric.drain(&self.control)
+        self.fabric.drain()
     }
 
     /// The burst phase: all FIBs arrived at t=0 (ingested during
@@ -886,11 +885,11 @@ impl<F: Fabric> Runtime<F> {
             .journal(JournalKind::BatchApplied, first, epoch, trace, None, || {
                 format!("{n} updates")
             });
-        // Quarantine blocks *protocol* deliveries, not the device's own
-        // FIB: every verifier, quarantined or hosting no node, folds in
-        // its rule updates (nothing is announced without nodes), so a
-        // later `DeviceUp`, first task or backend move finds the
-        // current data plane — mirroring the reference session.
+        // Every verifier, quarantined or hosting no node, folds in its
+        // rule updates: a quarantined device hosts nothing, so it
+        // recounts and announces nothing, and a later `DeviceUp`,
+        // first task or backend move finds the current data plane —
+        // mirroring the reference session.
         for (dev, ops) in coalesced {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.handle_fib_batch(&ops, out)
@@ -901,16 +900,17 @@ impl<F: Fabric> Runtime<F> {
 
     /// Crashes and restarts one device's verification agent (§8: the
     /// agent is a process beside the FIB agent — it can die without the
-    /// switch losing its FIB). The crashed verifier loses all soft
-    /// counting state and recounts from scratch; every *other* verifier
-    /// replays its durable protocol state toward the restarted device
+    /// switch losing its FIB). The restarted verifier applies, at the
+    /// current epoch, a fence share that removes every node of its
+    /// share of [`ControlPlane::hosted`] and creates each again, so it
+    /// loses all soft counting state and recounts from scratch; every
+    /// *other* verifier replays its durable protocol state toward it
     /// ([`DeviceVerifier::replay_for_restart`]), and the exchange is
     /// driven to quiescence — the run recovers instead of aborting, and
     /// the Report re-converges to the pre-crash fixpoint. Every
-    /// topology device has an agent, whether or not it hosts a node —
-    /// each fabric reboots and replays what it hosts — so the crash is
-    /// journaled and counted alike on both; an id outside the topology
-    /// is a no-op.
+    /// topology device has an agent, whether or not it hosts a node,
+    /// so the crash is journaled and counted alike on both fabrics; an
+    /// id outside the topology is a no-op.
     pub fn crash_restart(&mut self, dev: DeviceId) -> RunOutcome {
         self.stage_crash(dev);
         self.drain()
@@ -928,12 +928,19 @@ impl<F: Fabric> Runtime<F> {
             });
         // Pending envelopes addressed to the dead agent (delayed or
         // duplicated copies included) must not land on the fresh state;
-        // neighbor replays rebuild everything they carried. The reboot
-        // is injected *before* any replay, so on in-order channels the
-        // replayed messages land on the fresh state too.
+        // neighbor replays rebuild everything they carried. The restart
+        // share is injected *before* any replay, so on in-order
+        // channels the replayed messages land on the fresh state too.
         self.fabric.purge_for_restart(dev);
-        self.fabric
-            .inject(dev, trace, Box::new(|v, out| v.reboot(out)));
+        let share = self.control.hosted().remove(&dev).unwrap_or_default();
+        let restart = DeviceFence {
+            remove: share.tasks.iter().map(|(_, t)| t.node).collect(),
+            ..share
+        };
+        let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+            v.apply_fence(epoch, trace, restart, out)
+        };
+        self.fabric.inject(dev, trace, Box::new(op));
         for nb in (0..self.devices).map(DeviceId).filter(|nb| *nb != dev) {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.replay_for_restart(dev, out)
@@ -1239,12 +1246,9 @@ impl Fabric for Driver {
     }
 
     /// Delivers messages until the transport runs dry (quiescence).
-    fn drain(&mut self, control: &ControlPlane) -> RunOutcome {
+    fn drain(&mut self) -> RunOutcome {
         let mut out = RunOutcome::default();
         while let Some((arrival, env)) = self.transport.recv() {
-            if control.is_quarantined(env.to) {
-                continue;
-            }
             let bytes = env.wire_bytes() as u64;
             if self.run(env.to, arrival, Input::Dvm(env)).is_none() {
                 continue;
@@ -1626,13 +1630,14 @@ impl Fabric for Threads {
         self.inflight.current()
     }
 
-    /// Channels are in-order and the reboot is enqueued first, so
-    /// nothing needs purging.
+    /// Channels are in-order and the restart share is enqueued before
+    /// any replay toward it, so every replay lands on the fresh state
+    /// and nothing needs purging.
     fn purge_for_restart(&mut self, _dev: DeviceId) {
         self.stats.crashes_recovered += 1;
     }
 
-    fn drain(&mut self, _control: &ControlPlane) -> RunOutcome {
+    fn drain(&mut self) -> RunOutcome {
         self.inflight.wait_zero();
         RunOutcome::default()
     }
@@ -2265,8 +2270,8 @@ mod tests {
             "reachable results must match a fresh plan without the dead device"
         );
 
-        // The device comes back: quarantine lifts, its verifier is
-        // wiped and re-tasked, and the report returns to the original.
+        // The device comes back: quarantine lifts, its share creates
+        // its nodes again, and the report returns to the original.
         let up = TopologyEvent::DeviceUp(b);
         engine
             .apply_topology_event(&up, &net.topology, &inv)
@@ -2571,18 +2576,21 @@ mod tests {
         }
     }
 
-    /// Construction is a fence share: once built, every device of each
-    /// substrate hosts exactly its share of `ControlPlane::hosted`, and
-    /// after a backend move it hosts its share again, with the Report
-    /// it had before the move.
+    /// Construction is a fence share, and so are quarantine, revival
+    /// and a crash restart: once built, and after each of those, every
+    /// device of each substrate hosts exactly its share of
+    /// `ControlPlane::hosted` (a down device hosts nothing) and the
+    /// Reports agree; after a backend move it hosts its share again,
+    /// with the Report it had before the move.
     #[test]
     fn every_device_hosts_its_share_of_hosted() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let inv = waypoint_inv();
         let devices: Vec<DeviceId> = net.topology.devices().collect();
+        type Hosting = BTreeMap<DeviceId, BTreeSet<NodeId>>;
         // Per device, the nodes the control plane has it host.
-        let shares = |c: &mut ControlPlane| -> BTreeMap<DeviceId, BTreeSet<NodeId>> {
+        let shares = |c: &mut ControlPlane| -> Hosting {
             let mut hosted = c.hosted();
             let mut nodes = |dev| {
                 let share = hosted.remove(dev).unwrap_or_default().tasks.into_iter();
@@ -2590,44 +2598,77 @@ mod tests {
             };
             devices.iter().map(|dev| (*dev, nodes(dev))).collect()
         };
-        let hosts = |e: &Engine| -> BTreeMap<DeviceId, BTreeSet<NodeId>> {
+        let hosts = |e: &Engine| -> Hosting {
             let verifiers = e.fabric.verifiers.iter();
             verifiers
                 .map(|(dev, v)| (*dev, v.node_ids().into_iter().collect()))
                 .collect()
         };
+        let by_session = |s: &Session| -> Hosting {
+            let verifiers = devices.iter().map(|dev| (*dev, s.verifier(*dev)));
+            let hosted = |v: Option<&DeviceVerifier>| v.expect("a verifier per device").node_ids();
+            verifiers
+                .map(|(dev, v)| (dev, hosted(v).into_iter().collect()))
+                .collect()
+        };
+        // A threaded device answers for a node exactly when it hosts it
+        // (a hosted node's results cover its scope); fig2a mints fewer
+        // than 64 ids.
+        let answered = |t: &mut ThreadedEngine| -> Hosting {
+            let mut answers = |dev: DeviceId, n: u32| !t.fabric.collect(dev, NodeId(n)).is_empty();
+            let mut of = |dev: DeviceId| (0..64).filter(|n| answers(dev, *n)).map(NodeId).collect();
+            devices.iter().map(|dev| (*dev, of(*dev))).collect()
+        };
 
         let mut session = Session::from_counting(&net, cp.clone(), &ps);
         let tel = Telemetry::disabled();
         let mut control = ControlPlane::new(&net.topology, net.layout, &cp, &ps, tel);
-        let by_session = devices.iter().map(|dev| {
-            let v = session.verifier(*dev).expect("a verifier per device");
-            (*dev, v.node_ids().into_iter().collect())
-        });
-        assert_eq!(by_session.collect::<BTreeMap<_, _>>(), shares(&mut control));
+        assert_eq!(by_session(&session), shares(&mut control));
 
         let mut e = Engine::new(&net, &cp, &ps, EngineConfig::default());
         assert_eq!(hosts(&e), shares(&mut e.control));
 
-        // A threaded device answers for a node exactly when it hosts it
-        // (a hosted node's results cover its scope).
         let mut t = ThreadedEngine::spawn(&net, &cp, &ps);
         t.wait_quiescent();
         let want = shares(&mut t.control);
-        let bound = want.values().flatten().max().map_or(0, |n| n.0 + 4);
-        for dev in &devices {
-            let answers = |n: &u32| !t.fabric.collect(*dev, NodeId(*n)).is_empty();
-            let answered: BTreeSet<NodeId> = (0..bound).filter(answers).map(NodeId).collect();
-            assert_eq!(answered, want[dev], "threaded d{}", dev.0);
-        }
+        assert!(want.values().flatten().all(|n| n.0 < 64));
+        assert_eq!(answered(&mut t), want);
         session.run_to_quiescence();
         let reference = session.report().canonical_bytes();
         assert_eq!(t.report().canonical_bytes(), reference);
-
-        // A churned, two-context engine re-hosted on another backend.
         e.burst();
         assert_eq!(e.report().canonical_bytes(), reference);
+
         let dev = |n: &str| net.topology.expect_device(n);
+        let (b, w) = (dev("B"), dev("W"));
+        assert!(
+            e.intents().nodes_on(w).next().is_some(),
+            "the crash hits a host"
+        );
+        let steps = [
+            churn_event(&net, TopologyEvent::DeviceDown(b)),
+            churn_event(&net, TopologyEvent::DeviceUp(b)),
+            RuntimeEvent::CrashRestart(w),
+        ];
+        for (i, ev) in steps.iter().enumerate() {
+            e.apply_event(ev).unwrap();
+            t.apply_event(ev).unwrap();
+            // The reference session has no crash model.
+            if !matches!(ev, RuntimeEvent::CrashRestart(_)) {
+                session.apply_event(ev).unwrap();
+            }
+            let want = shares(&mut e.control);
+            assert_eq!(want[&b].is_empty(), i == 0, "a down B hosts nothing");
+            assert_eq!(hosts(&e), want, "engine after {ev:?}");
+            assert_eq!(answered(&mut t), want, "threaded after {ev:?}");
+            assert_eq!(by_session(&session), want, "session after {ev:?}");
+            let reference = session.report().canonical_bytes();
+            assert_eq!(e.report().canonical_bytes(), reference, "after {ev:?}");
+            assert_eq!(t.report().canonical_bytes(), reference, "after {ev:?}");
+        }
+        t.shutdown().expect("no panics");
+
+        // A churned, two-context engine re-hosted on another backend.
         let down = TopologyEvent::LinkDown(dev("A"), dev("B"));
         e.apply_topology_event(&down, &net.topology, &inv).unwrap();
         let narrow = Invariant {
@@ -2639,6 +2680,67 @@ mod tests {
         e.rehost(BackendKind::Bdd);
         assert_eq!(hosts(&e), shares(&mut e.control));
         assert_eq!(e.report().canonical_bytes(), before);
+    }
+
+    /// §6: a failed device drops out of the counting. Once B is down
+    /// under `S .* W .* D`, its verifier hosts no node, so a FIB batch
+    /// at B recounts nothing and sends nothing: on the event engine,
+    /// the threaded engine and the reference session alike.
+    #[test]
+    fn a_down_device_hosts_nothing_and_says_nothing() {
+        let net = fig2a_network();
+        let (cp, ps) = waypoint_plan(&net);
+        let inv = waypoint_inv();
+        let b = net.topology.expect_device("B");
+        let down = TopologyEvent::DeviceDown(b);
+        let batch = [repair(&net)];
+
+        let mut e = Engine::new(&net, &cp, &ps, EngineConfig::default());
+        e.burst();
+        e.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        let sent = |e: &Engine| e.fabric.verifiers[&b].stats.messages_sent;
+        assert_eq!(
+            e.fabric.verifiers[&b].node_ids(),
+            [],
+            "engine: B hosts nothing"
+        );
+        let before = sent(&e);
+        assert_eq!(e.apply_batch(&batch).messages, 0, "engine: delivered");
+        assert_eq!(sent(&e), before, "engine: B sent");
+
+        let mut s = Session::from_counting(&net, cp.clone(), &ps);
+        s.run_to_quiescence();
+        s.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        let sent = |s: &Session| s.verifier(b).map(|v| v.stats.messages_sent);
+        let hosted = s.verifier(b).map(|v| v.node_ids());
+        assert_eq!(hosted, Some(Vec::new()), "session: B hosts nothing");
+        let before = sent(&s);
+        assert_eq!(s.apply_batch(&batch), 0, "session: delivered");
+        assert_eq!(sent(&s), before, "session: B sent");
+
+        // A threaded verifier is reached through its channel: B answers
+        // for no node, and the batch delivers no message to anyone.
+        let tel = Telemetry::new(tulkun_telemetry::TelemetryConfig::enabled());
+        let cfg = EngineConfig {
+            telemetry: tel.clone(),
+            ..EngineConfig::default()
+        };
+        let mut t = ThreadedEngine::spawn_with(&net, &cp, &ps, &cfg);
+        t.wait_quiescent();
+        t.apply_event(&churn_event(&net, down)).unwrap();
+        let minted = t.intents().global_tasks().iter().map(|t| t.node.0).max();
+        let bound = minted.map_or(0, |n| n + 8);
+        let answers = (0..bound).filter(|n| !t.fabric.collect(b, NodeId(*n)).is_empty());
+        assert_eq!(answers.count(), 0, "threaded: B hosts nothing");
+        let delivered = || {
+            let counters = tel.metrics().counters;
+            let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+            get("tulkun_dvm_updates_total") + get("tulkun_dvm_subscribes_total")
+        };
+        let before = delivered();
+        t.apply_event(&RuntimeEvent::Batch(batch.to_vec())).unwrap();
+        assert_eq!(delivered(), before, "threaded: delivered");
+        t.shutdown().expect("no panics");
     }
 
     /// The event simulator over fig2a's waypoint plan, not yet driven.

@@ -85,7 +85,8 @@ pub const DVM_UPDATE: Layer = layer("dvm.update", "dvm", HANDLE_NS);
 pub const DVM_SUBSCRIBE: Layer = layer("dvm.subscribe", "dvm", HANDLE_NS);
 /// One handled ACK envelope (charged ns into [`HANDLE_NS`]).
 pub const DVM_ACK: Layer = layer("dvm.ack", "dvm", HANDLE_NS);
-/// One injected operation: a fence share, FIB batch, reboot or replay.
+/// One injected operation: a fence share (a crash restart included),
+/// a FIB batch or a replay toward a restarted peer.
 pub const INJECT: Layer = layer("inject", "dvm", "tulkun_inject_ns");
 /// One whole `handle_fib_batch` call.
 pub const FIB_BATCH: Layer = layer("fib.batch", "dvm", "tulkun_fib_batch_ns");
