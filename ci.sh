@@ -19,10 +19,12 @@
 #                 predicate layer (LEC builder, boundary partition,
 #                 backend selection) has no second home outside
 #                 crates/predicate; and the event lifecycle is written
-#                 once over the two fabrics (batch staging, crash/
-#                 restart and fence delivery each occur exactly once
-#                 under crates/sim/src, as do the verifier constructor
-#                 and the device step in its non-test code, and the
+#                 once over the two fabrics (batch staging and fence
+#                 delivery each occur exactly once under crates/sim/src,
+#                 as do the verifier constructor and the device step in
+#                 its non-test code; the crash-restart journal kind
+#                 occurs once in the whole non-test tree, in
+#                 core/control.rs; and the
 #                 deleted second names of the engines and the retired
 #                 roster option, fork, late build and shadow network
 #                 stay deleted: every fabric hosts every topology
@@ -51,7 +53,12 @@
 #                 builder, and verifiers built empty that host their
 #                 nodes through a fence share (no init in a substrate);
 #                 and quarantine, revival and crash restart are fence
-#                 shares too: no wipe flag, reboot or delivery filter
+#                 shares too: no wipe flag, reboot or delivery filter;
+#                 and one way to change a substrate: apply_event, with
+#                 run_to_quiescence the one drive verb (the typed
+#                 per-event methods, the second outcome type, the
+#                 runtime's burst and the unused window purge stay
+#                 retired)
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -191,7 +198,7 @@ stage_lint() {
         echo "lint: predicate-layer logic outside crates/predicate (see above)" >&2
         exit 1
     fi
-    for once in 'JournalKind::BatchApplied' 'JournalKind::CrashRestart' 'fn fenced'; do
+    for once in 'JournalKind::BatchApplied' 'fn fenced'; do
         n="$(grep -rn --include='*.rs' "$once" crates/sim/src | wc -l)"
         if [ "$n" -ne 1 ]; then
             grep -rn --include='*.rs' "$once" crates/sim/src >&2 || true
@@ -199,6 +206,35 @@ stage_lint() {
             exit 1
         fi
     done
+    # A crash restart is decided once, by ControlPlane::restart: its
+    # journal kind is named exactly once in the whole non-test tree
+    # (code above each file's test module; tests/ and benches/ are test
+    # code), and that once is in core/control.rs.
+    crash="$(find crates src examples -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' \
+        | sort | while read -r f; do
+            sed '/^#\[cfg(test)\]/q' "$f" | grep -n 'JournalKind::CrashRestart' | sed "s|^|$f:|"
+        done)"
+    n="$(printf '%s' "$crash" | grep -c . || true)"
+    case "$n:$crash" in
+        1:crates/core/src/control.rs:*) ;;
+        *)
+            printf '%s\n' "$crash" >&2
+            echo "lint: 'JournalKind::CrashRestart' occurs $n times in non-test code, want 1, in crates/core/src/control.rs (one crash restart, every substrate)" >&2
+            exit 1
+            ;;
+    esac
+    # One way to change a substrate: Substrate::apply_event over the
+    # whole RuntimeEvent alphabet, and one verb that drives,
+    # run_to_quiescence. The typed per-event methods, the second
+    # outcome type, the runtime's other drive verbs and the unused
+    # window purge stay retired.
+    if grep -rnE '(\.|fn )(apply_topology''_event|install''_intent|remove''_intent|crash''_restart|apply_rule''_update|run''_staged|wait''_quiescent)\(' \
+        crates src tests examples \
+        || grep -nw 'fn bu''rst' crates/sim/src/runtime.rs \
+        || grep -rnw 'Run''Outcome\|purge_epochs''_below' crates src tests examples ci.sh; then
+        echo "lint: a typed per-event method, second drive verb or retired outcome is back (see above); a substrate changes only through apply_event" >&2
+        exit 1
+    fi
     # One constructor and one device step serve both fabrics: counted
     # above each file's test module (the first column-0 `#[cfg(test)]`).
     for once in 'DeviceVerifier::builder(' '.handle(&'; do

@@ -10,6 +10,7 @@
 use std::time::Instant;
 use tulkun_bdd::{BddManager, HeaderLayout};
 use tulkun_core::count::CountExpr;
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::Session;
@@ -134,23 +135,27 @@ fn bench_dvm(c: &Bencher) {
     let (net, _) = waypoint_session();
     let bdev = net.topology.device("B").unwrap();
     let w = net.topology.device("W").unwrap();
-    let update = RuleUpdate::Insert {
+    let update = RuntimeEvent::Batch(vec![RuleUpdate::Insert {
         device: bdev,
         rule: Rule {
             priority: 50,
             matches: MatchSpec::dst("10.0.1.0/24".parse().unwrap()),
             action: Action::fwd(w),
         },
-    };
+    }]);
     c.bench("dvm/incremental_fig2_update", || {
         let mut s = waypoint_session().1;
-        s.apply_rule_update(&update)
+        s.apply_event(&update).map_or(0, |o| o.messages)
     });
 }
 
 fn bench_incremental_inet2(c: &Bencher) {
     let ds = by_name("INet2", Scale::Tiny).unwrap();
     let updates = rule_updates(&ds.network, 64, 0xbe5c);
+    let batches: Vec<RuntimeEvent> = updates
+        .iter()
+        .map(|u| RuntimeEvent::Batch(vec![u.clone()]))
+        .collect();
     let topo = &ds.network.topology;
     let (dst, _) = topo.external_map().next().unwrap();
     let prefixes: Vec<_> = topo.external_prefixes(dst).to_vec();
@@ -159,8 +164,8 @@ fn bench_incremental_inet2(c: &Bencher) {
     c.bench("dvm/incremental_inet2_stream", || {
         let mut s = Session::new(&ds.network, &plan);
         s.run_to_quiescence();
-        for u in &updates {
-            s.apply_rule_update(u);
+        for b in &batches {
+            let _ = s.apply_event(b);
         }
         s.report().violations.len()
     });

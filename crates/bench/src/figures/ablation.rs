@@ -145,10 +145,14 @@ fn bench_backends(cli: &Cli) {
                     ..EngineConfig::default()
                 },
             );
-            sim.burst();
+            sim.run_to_quiescence();
             let (mut completion, mut messages, mut bytes) = (0u64, 0usize, 0u64);
             for ev in &schedule.0 {
-                let Ok(r) = sim.apply_topology_event(ev, topo, &inv) else {
+                let Ok(r) = sim.apply_event(&RuntimeEvent::Topology {
+                    event: *ev,
+                    base: topo.clone(),
+                    invariant: inv.clone(),
+                }) else {
                     continue;
                 };
                 completion += r.completion_ns;
@@ -216,7 +220,7 @@ fn ablate_churn(cli: &Cli) {
 
         let schedule = ChurnSchedule::seeded(topo, &inv, 7, 4);
         let mut sim = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
-        sim.burst();
+        sim.run_to_quiescence();
         let mut churn = ChurnState::new();
         for ev in &schedule.0 {
             let t0 = Instant::now();
@@ -227,7 +231,7 @@ fn ablate_churn(cli: &Cli) {
             }) else {
                 continue;
             };
-            let (total, reused) = r.slice.unwrap_or_default();
+            let (total, reused) = (r.delta.total_nodes, r.delta.reused_nodes);
             let replan_wall = t0.elapsed().as_nanos() as u64;
             churn.apply(ev);
 
@@ -243,7 +247,7 @@ fn ablate_churn(cli: &Cli) {
             let fresh_cp = fresh_plan.counting().unwrap();
             let mut fresh =
                 Engine::new(&post, fresh_cp, &inv.packet_space, EngineConfig::default());
-            let fr = fresh.burst();
+            let fr = fresh.run_to_quiescence();
             let reinit_wall = t1.elapsed().as_nanos() as u64;
 
             t.row(vec![
@@ -384,7 +388,7 @@ fn ablate_parallel_init(cli: &Cli) {
                 },
             );
             let init_wall = t0.elapsed().as_nanos() as u64;
-            sim.burst();
+            sim.run_to_quiescence();
             let workers = telemetry
                 .spans()
                 .iter()
@@ -435,7 +439,7 @@ fn ablate_fault_overhead(cli: &Cli) {
         let (inv, cp) = first_destination_session(&ds.network);
 
         let mut clean = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
-        clean.burst();
+        clean.run_to_quiescence();
         let reference = clean.report().canonical_bytes();
 
         for loss in [0.0, 0.01, 0.10] {
@@ -446,7 +450,7 @@ fn ablate_fault_overhead(cli: &Cli) {
                 EngineConfig::default(),
                 FaultProfile::loss(23, loss),
             );
-            let r = sim.burst();
+            let r = sim.run_to_quiescence();
             let f = sim.stats().fault;
             t.row(vec![
                 name.into(),

@@ -114,7 +114,7 @@ pub fn run(cli: &Cli) {
             base: topo.clone(),
             invariant: inv.clone(),
         };
-        sim.burst();
+        sim.run_to_quiescence();
         let fl = flood_ns(topo);
         let mut scene_times: Vec<u64> = Vec::new();
         let mut incr_times: Vec<u64> = Vec::new();
@@ -143,7 +143,9 @@ pub fn run(cli: &Cli) {
                     if u.device() == dst {
                         continue;
                     }
-                    incr_times.push(sim.incremental(u).completion_ns);
+                    let batch = RuntimeEvent::Batch(vec![u.clone()]);
+                    let r = sim.apply_event(&batch).expect("a batch is never refused");
+                    incr_times.push(r.completion_ns);
                 }
             }
             // Link-ups restore the intact network for the next scene,

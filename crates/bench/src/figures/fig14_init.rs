@@ -71,7 +71,7 @@ fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
     let net = &ds.network;
     let (inv, cp) = crate::workload::first_destination_session(net);
     let mut sim = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
-    let r = sim.burst();
+    let r = sim.run_to_quiescence();
     sim.stats()
         .per_device
         .values()

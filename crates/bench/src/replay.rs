@@ -5,6 +5,7 @@
 //! final [`Report`] must be byte-identical across burst sizes — the
 //! batched pipeline changes how much work is done, never the verdict.
 
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::CountingPlan;
 use tulkun_core::spec::PacketSpace;
 use tulkun_netmodel::network::{Network, RuleUpdate};
@@ -59,7 +60,7 @@ pub fn replay_trace_with(
             ..EngineConfig::default()
         },
     );
-    sim.burst();
+    sim.run_to_quiescence();
     let mut out = ReplayOutcome {
         updates: trace.len(),
         batches: 0,
@@ -72,7 +73,9 @@ pub fn replay_trace_with(
         p99_ns: 0,
     };
     for chunk in trace.chunks(burst) {
-        let r = sim.apply_batch(chunk);
+        let r = sim
+            .apply_event(&RuntimeEvent::Batch(chunk.to_vec()))
+            .expect("a batch is never refused");
         out.batches += 1;
         out.completion_ns += r.completion_ns;
         out.messages += r.messages;

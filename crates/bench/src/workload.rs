@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use tulkun_baselines::Workload as BaselineWorkload;
 use tulkun_core::count::CountExpr;
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::{CountingPlan, Planner};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
@@ -200,7 +201,7 @@ impl BurstTally {
     fn burst(&mut self, pd: &mut PerDst) {
         match pd {
             PerDst::Counting { sim, .. } => {
-                let r = sim.burst();
+                let r = sim.run_to_quiescence();
                 self.max_dst = self.max_dst.max(r.completion_ns);
                 self.run.messages += r.messages;
                 self.run.bytes += r.bytes;
@@ -286,7 +287,8 @@ impl TulkunAllPairs {
                     if !prefixes.iter().any(|p| p.overlaps(&prefix)) {
                         continue;
                     }
-                    let r = sim.incremental(update);
+                    let batch = RuntimeEvent::Batch(vec![update.clone()]);
+                    let r = sim.apply_event(&batch).expect("a batch is never refused");
                     run.completion_ns = run.completion_ns.max(r.completion_ns);
                     run.messages += r.messages;
                     run.bytes += r.bytes;

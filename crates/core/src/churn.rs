@@ -304,7 +304,7 @@ mod tests {
         let before = c.intents().global_tasks();
         let down = fence(&mut c, &net, &inv, TopologyEvent::DeviceDown(b)).unwrap();
         assert!(
-            down.devices[&b].tasks.is_empty() && !down.devices[&b].reannounce,
+            down.devices[&b].tasks.is_empty(),
             "a quarantined device is never asked to recount"
         );
         assert!(c.intents().global_tasks().iter().all(|t| t.dev != b));

@@ -7,7 +7,8 @@
 //! the epoch counter and every journal record and gauge of the
 //! plan → park/degrade → fence lifecycle, and maps a topology event, an
 //! intent install or an intent removal to a [`Decision`] — usually a
-//! [`FencePlan`] holding one [`DeviceFence`] per device. It never
+//! [`FencePlan`] holding one [`DeviceFence`] per device — and a crash
+//! restart to the restarted device's share ([`ControlPlane::restart`]). It never
 //! touches a verifier or a message: a substrate (`Session`, `Engine`,
 //! `ThreadedEngine`) delivers each `DeviceFence` its own way through
 //! [`DeviceVerifier::apply_fence`] and drives to quiescence.
@@ -69,10 +70,11 @@ pub struct DeviceFence {
     /// re-tasks a hosted node carries `None`, and the node keeps its
     /// base.
     pub tasks: Vec<(Option<PortablePred>, NodeTask)>,
-    /// Run the repair wave afterwards: the device is not quarantined
-    /// *and* the substrate's fence discarded in-flight state. Planned
-    /// `true` for every live device; [`ControlPlane::seal`] clears it
-    /// when the substrate reports that nothing was lost.
+    /// Run the repair wave afterwards: the substrate's fence discarded
+    /// in-flight state. Planned `true` for every device;
+    /// [`ControlPlane::seal`] clears it when the substrate reports that
+    /// nothing was lost. (A down device's share has removed every node
+    /// it hosted, so it has nothing to re-announce.)
     pub reannounce: bool,
 }
 
@@ -110,16 +112,15 @@ pub struct Decision {
 }
 
 impl Decision {
-    /// The uniform event outcome of the event that named `intent`,
-    /// given the messages delivering the fence caused (a substrate with
-    /// a clock adds the completion time).
-    pub fn outcome(&self, intent: Option<IntentId>, messages: usize) -> EventOutcome {
+    /// The outcome of the event that named `intent`, before the
+    /// substrate drives it: its change set and whether it parked (the
+    /// drive adds messages, bytes and completion time).
+    pub fn outcome(self, intent: Option<IntentId>) -> EventOutcome {
         EventOutcome {
-            messages,
             intent,
-            slice: Some((self.delta.total_nodes, self.delta.reused_nodes)),
+            delta: self.delta,
             parked: self.parked,
-            completion_ns: 0,
+            ..EventOutcome::default()
         }
     }
 }
@@ -318,8 +319,9 @@ impl ControlPlane {
     }
 
     /// Bumps the epoch and plans its fence: one per tasked device (the
-    /// devices `delta` tasks join them), its share of `delta`, repairing
-    /// unless quarantined. `anchor` is the journal device and cause.
+    /// devices `delta` tasks join them), its share of `delta`, with the
+    /// repair wave [`ControlPlane::seal`] may drop. `anchor` is the
+    /// journal device and cause.
     fn fence_plan(
         &mut self,
         anchor: (DeviceId, &'static str),
@@ -334,7 +336,7 @@ impl ControlPlane {
             .iter()
             .map(|dev| {
                 let mut fence = shares.remove(dev).unwrap_or_default();
-                fence.reannounce = !self.churn.is_down(*dev);
+                fence.reannounce = true;
                 (*dev, fence)
             })
             .collect();
@@ -344,6 +346,33 @@ impl ControlPlane {
             devices,
             anchor,
         }
+    }
+
+    /// Crashes and restarts `dev`'s verification agent (§8: the agent
+    /// is a process beside the FIB agent, so it can die without the
+    /// switch losing its FIB): journals the crash under `trace` and
+    /// returns the share the restarted verifier applies at the current
+    /// epoch. The share removes every node of the device's part of
+    /// [`ControlPlane::hosted`] and creates each again, so the verifier
+    /// loses all soft counting state and recounts from scratch. No
+    /// epoch is burned: the substrate drops what is in flight *to* the
+    /// device, and every other verifier replays its durable protocol
+    /// state toward it
+    /// ([`replay_for_restart`](crate::dvm::DeviceVerifier::replay_for_restart)).
+    /// Every topology device has an agent, whether or not it hosts a
+    /// node; an id outside the topology names none and is `None`.
+    pub fn restart(&mut self, dev: DeviceId, trace: u64) -> Option<DeviceFence> {
+        if dev.0 as usize >= self.topology.num_devices() {
+            return None;
+        }
+        self.note(JournalKind::CrashRestart, dev, trace, None, || {
+            format!("verification agent on d{} crashed and restarted", dev.0)
+        });
+        let share = self.hosted().remove(&dev).unwrap_or_default();
+        Some(DeviceFence {
+            remove: share.tasks.iter().map(|(_, t)| t.node).collect(),
+            ..share
+        })
     }
 
     /// Applies one live topology event: folds it into the cumulative
@@ -620,6 +649,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dvm::{DeviceVerifier, VerifierConfig};
     use crate::intent::tests::{fig2a_network, plan_for, work};
     use crate::intent::{plan_intent_on, Slice};
     use crate::spec::table1;
@@ -633,6 +663,21 @@ mod tests {
         let tel = Telemetry::disabled();
         let control = ControlPlane::new(&net.topology, net.layout, &cp, &inv.packet_space, tel);
         (control, inv)
+    }
+
+    /// `dev`'s verifier, built empty and hosting its share of
+    /// `c.hosted()` at the current epoch, as a substrate builds it.
+    fn hosting(net: &Network, c: &mut ControlPlane, dev: DeviceId) -> DeviceVerifier {
+        let plan = c.plan();
+        let cfg = VerifierConfig {
+            n_exprs: plan.exprs.len(),
+            track_escapes: plan.track_escapes,
+            reduce: plan.reduce,
+        };
+        let mut v = DeviceVerifier::builder(dev, net.layout, net.fib(dev).clone(), cfg).build();
+        let share = c.hosted().remove(&dev).unwrap_or_default();
+        v.apply_fence(c.epoch(), 0, share, &mut Vec::new());
+        v
     }
 
     /// Everything an `Err` must leave untouched.
@@ -726,6 +771,8 @@ mod tests {
 
         let on_b: BTreeSet<NodeId> = c.intents().nodes_on(b).collect();
         assert!(!on_b.is_empty());
+        let mut at_b = hosting(&net, &mut c, b);
+        assert_eq!(at_b.node_ids().into_iter().collect::<BTreeSet<_>>(), on_b);
         let down = c
             .topology_event(&TopologyEvent::DeviceDown(b), topo, &base, 0)
             .unwrap()
@@ -733,16 +780,16 @@ mod tests {
             .unwrap();
         assert_eq!(down.epoch, 2);
         assert!(down.topology.is_some());
-        for (dev, f) in &down.devices {
-            assert_eq!(
-                f.reannounce,
-                *dev != b,
-                "only the quarantined device is silent"
-            );
-        }
+        assert!(down.devices.values().all(|f| f.reannounce));
         let gone: BTreeSet<NodeId> = down.devices[&b].remove.iter().copied().collect();
         assert_eq!(gone, on_b, "B's share removes every node it hosted");
         assert!(down.devices[&b].tasks.is_empty());
+        // The quarantined device stays silent: with every node gone,
+        // its repair wave has nothing to re-announce.
+        let mut said = Vec::new();
+        at_b.apply_fence(down.epoch, 0, down.devices[&b].clone(), &mut said);
+        assert!(said.is_empty(), "the down device says nothing: {said:?}");
+        assert!(at_b.node_ids().is_empty());
         assert_eq!(c.intents().nodes_on(b).count(), 0);
         assert!(c.intents().get(id).unwrap().is_degraded());
         let mut r = Report::default();
@@ -790,14 +837,19 @@ mod tests {
             last.map(|e| (e.epoch, e.trace, e.detail.clone()))
         };
 
+        let mut at_b = hosting(&net, &mut c, dev("B"));
+        assert!(!at_b.node_ids().is_empty());
         let down = TopologyEvent::DeviceDown(dev("B"));
         let d = c.topology_event(&down, &net.topology, &base, 5).unwrap();
         let mut lossy = d.fence.unwrap();
         assert_eq!(fence_detail(), None, "journaled at seal, with the cost");
         c.seal(&mut lossy, 3, 5);
-        for (d, f) in &lossy.devices {
-            assert_eq!(f.reannounce, *d != dev("B"), "quarantine stays silent");
-        }
+        assert!(lossy.devices.values().all(|f| f.reannounce));
+        // Quarantine stays silent: the repair wave survives the seal,
+        // but B's share has removed every node it would re-announce.
+        let mut said = Vec::new();
+        at_b.apply_fence(lossy.epoch, 5, lossy.devices[&dev("B")].clone(), &mut said);
+        assert!(said.is_empty(), "the down device says nothing: {said:?}");
         let detail = "fence to epoch 1 (churn), 3 in flight dropped".to_string();
         assert_eq!(fence_detail(), Some((1, 5, detail)));
 

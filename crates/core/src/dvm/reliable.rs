@@ -27,10 +27,8 @@
 //! refuse further growth with a [`ReliableError`] instead of letting a
 //! sustained reorder storm (or a dead peer) grow them without limit.
 //! They are also *epoch-aware*: when a topology churn bumps the
-//! [`Envelope::epoch`] generation, superseded retransmission entries
-//! are dropped ([`SenderWindow::purge_epochs_below`]) and channels can
-//! be reset wholesale so stale sequence state cannot block the new
-//! round.
+//! [`Envelope::epoch`] generation, channels can be reset wholesale so
+//! stale sequence state cannot block the new round.
 
 use crate::dvm::message::Envelope;
 use std::collections::BTreeMap;
@@ -207,31 +205,6 @@ impl SenderWindow {
     /// Unacked envelopes currently in flight on one channel.
     pub fn outstanding_on(&self, ch: ChannelKey) -> usize {
         self.per_ch.get(&ch).copied().unwrap_or(0)
-    }
-
-    /// Drops every unacked entry stamped with an epoch older than
-    /// `epoch` (superseded by a topology churn: the receiving verifier
-    /// would fence it off anyway, so retransmitting is pure waste).
-    /// Returns how many entries were dropped.
-    pub fn purge_epochs_below(&mut self, epoch: u64) -> usize {
-        let stale: Vec<(ChannelKey, u64)> = self
-            .unacked
-            .iter()
-            .filter(|(_, p)| p.env.epoch < epoch)
-            .map(|(k, _)| *k)
-            .collect();
-        for (ch, seq) in &stale {
-            self.unacked.remove(&(*ch, *seq));
-            self.decrement(*ch);
-        }
-        if !stale.is_empty() {
-            self.tel.count(
-                stale[0].0 .0,
-                "tulkun_epoch_purged_total",
-                stale.len() as u64,
-            );
-        }
-        stale.len()
     }
 
     /// Full channel reset: forgets every sequence counter and unacked
@@ -595,28 +568,6 @@ mod tests {
         }
         assert!(matches!(r.accept(22, mk(5)), Ok(Accepted::Ready(_))));
         assert_eq!(r.buffered_len(), 0);
-    }
-
-    #[test]
-    fn epoch_purge_drops_only_superseded_entries() {
-        let mut w = SenderWindow::new();
-        let mut old = env(1, 2);
-        w.assign(&mut old, 0, 100).unwrap();
-        let mut cur = env(1, 2);
-        cur.epoch = 2;
-        w.assign(&mut cur, 0, 100).unwrap();
-        assert_eq!(w.outstanding(), 2);
-        assert_eq!(w.purge_epochs_below(2), 1);
-        assert_eq!(w.outstanding(), 1);
-        let ch = (DeviceId(1), DeviceId(2));
-        assert_eq!(w.outstanding_on(ch), 1);
-        assert!(
-            w.deadline_of(ch, cur.seq).is_some(),
-            "current-epoch entry must survive the purge"
-        );
-        assert!(w.deadline_of(ch, old.seq).is_none());
-        // Purging again is a no-op.
-        assert_eq!(w.purge_epochs_below(2), 0);
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //!
 //! One [`RuntimeEvent`] enum, consumed by a single
 //! [`Substrate::apply_event`] entry point, covers every mutation a
-//! substrate accepts: the synchronous [`Session`], the discrete-event
-//! `Engine` and the `ThreadedEngine`. (The verification `Service` is
-//! not one: it admits requests through `offer` and applies them at its
-//! own `drain`.) The lifecycle decisions behind the topology and
-//! intent events are made once, in [`crate::control::ControlPlane`];
-//! a substrate only delivers the result.
+//! substrate accepts, and it is the only way to change one: the
+//! synchronous [`Session`], the discrete-event `Engine` and the
+//! `ThreadedEngine` all take the whole alphabet, crash restarts
+//! included. The verification `Service` admits requests through `offer`
+//! and turns each one it applies at its own `drain` into one event. The
+//! lifecycle decisions behind the topology, crash and intent events are
+//! made once, in [`crate::control::ControlPlane`]; a substrate only
+//! delivers the result.
 //!
 //! [`Session`]: crate::verify::Session
 
 use crate::churn::TopologyEvent;
-use crate::intent::IntentId;
+use crate::intent::{IntentDelta, IntentId};
 use crate::planner::PlanError;
 use crate::spec::Invariant;
 use tulkun_netmodel::network::RuleUpdate;
@@ -52,33 +54,39 @@ pub enum RuntimeEvent {
     RemoveIntent(IntentId),
 }
 
-/// What applying a [`RuntimeEvent`] produced, uniform across
-/// substrates.
-#[derive(Debug, Clone, Copy, Default)]
+/// What applying a [`RuntimeEvent`], or driving a substrate to
+/// quiescence, produced: uniform across substrates.
+#[derive(Debug, Clone, Default)]
 pub struct EventOutcome {
-    /// Messages the event caused, when the substrate counts them
-    /// synchronously (0 for fire-and-forget substrates).
+    /// Messages delivered to reach quiescence, when the substrate
+    /// counts them synchronously (0 on the threaded substrate).
     pub messages: usize,
-    /// The new intent's id, for [`RuntimeEvent::InstallIntent`].
+    /// Wire bytes of those messages (0 where `messages` is).
+    pub bytes: u64,
+    /// The intent the event named: the new id for
+    /// [`RuntimeEvent::InstallIntent`], the removed one for
+    /// [`RuntimeEvent::RemoveIntent`].
     pub intent: Option<IntentId>,
-    /// `(total_nodes, reused_nodes)` slice accounting for intent and
-    /// topology events — the dedup/locality evidence.
-    pub slice: Option<(usize, usize)>,
+    /// The event's store-level change set, for intent and topology
+    /// events (empty for batches and crash restarts): its
+    /// `total_nodes` / `reused_nodes` are the dedup and locality
+    /// evidence.
+    pub delta: IntentDelta,
     /// For [`RuntimeEvent::InstallIntent`]: the install raced a
     /// topology fence and was parked for re-planning against the next
     /// epoch instead of landing now (`intent` still carries its id).
     pub parked: bool,
-    /// Modelled quiescence time of the event in ns, on substrates with
-    /// a virtual clock (0 elsewhere).
+    /// Modelled quiescence time in ns, on substrates with a virtual
+    /// clock (0 elsewhere).
     pub completion_ns: u64,
 }
 
 /// The shared substrate trait: every execution substrate applies the
-/// same events. Substrates reject events outside their model (e.g. the
-/// synchronous reference session has no crash/restart) with
-/// [`PlanError::Unsupported`] instead of silently ignoring them.
+/// same events, the whole [`RuntimeEvent`] alphabet, and this is the
+/// only way to change one. An event the control plane refuses is an
+/// `Err` that leaves the substrate as it was.
 pub trait Substrate {
-    /// Applies one runtime event and (for synchronous substrates) runs
-    /// re-convergence.
+    /// Applies one runtime event and drives the substrate to
+    /// quiescence.
     fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError>;
 }

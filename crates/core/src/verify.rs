@@ -1,29 +1,29 @@
 //! In-process verification driver.
 //!
-//! [`Session`] instantiates one on-device verifier per participating
-//! device, delivers DVM messages until quiescence, and evaluates the
+//! [`Session`] instantiates one on-device verifier per topology device,
+//! applies every [`RuntimeEvent`] through [`Substrate::apply_event`]
+//! (FIB batches, topology churn, crash restarts, intent installs and
+//! removals), delivers DVM messages until quiescence, and evaluates the
 //! invariant's formula at the DPVNet sources. The discrete-event
 //! simulator and the threaded runner drive the same verifiers with real
-//! latencies; this driver is the convenient synchronous API (and the
+//! latencies; this driver is the clockless synchronous one (and the
 //! reference semantics the others are tested against).
 
-use crate::churn::TopologyEvent;
-use crate::control::{ControlPlane, FencePlan};
+use crate::control::{ControlPlane, Decision};
 use crate::count::Counts;
 use crate::dpvnet::NodeId;
 use crate::dvm::{DeviceVerifier, Envelope, NodeResult, VerifierConfig};
 use crate::event::{EventOutcome, RuntimeEvent, Substrate};
-use crate::intent::{InstalledIntent, IntentDelta, IntentId, IntentStore};
+use crate::intent::{InstalledIntent, IntentId, IntentStore};
 use crate::localcheck::{ContractViolation, LocalChecker};
 use crate::planner::{CountingPlan, Plan, PlanError, PlanKind};
-use crate::spec::{Invariant, PacketSpace};
+use crate::spec::PacketSpace;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tulkun_bdd::serial::{self, PortablePred};
 use tulkun_bdd::{BddManager, HeaderLayout};
 use tulkun_json::{Json, ToJson};
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
-use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::DeviceId;
 use tulkun_predicate::BackendKind;
 use tulkun_telemetry::{JournalKind, Telemetry};
@@ -86,13 +86,11 @@ pub enum Freshness {
 pub struct Report {
     /// Everything that failed (empty = the invariant holds).
     pub violations: Vec<Violation>,
-    /// DVM messages processed to reach quiescence.
-    pub messages: usize,
     /// Per-node freshness markers, sorted by node id. Empty until a
     /// topology churn occurs; callers then get explicit partial results
-    /// (`Fresh`/`Stale`/`Unreachable`) instead of a hang. Like
-    /// `messages`, excluded from [`Report::canonical_bytes`] — the
-    /// verdict over reachable nodes must stay substrate-identical.
+    /// (`Fresh`/`Stale`/`Unreachable`) instead of a hang. Excluded from
+    /// [`Report::canonical_bytes`] — the verdict over reachable nodes
+    /// must stay substrate-identical.
     pub freshness: Vec<(NodeId, Freshness)>,
     /// Devices currently quarantined (dead or partitioned), sorted.
     pub quarantined: Vec<DeviceId>,
@@ -314,15 +312,16 @@ pub fn compile_packet_space(layout: &HeaderLayout, ps: &PacketSpace) -> Portable
 }
 
 /// A live distributed-counting session over a network snapshot: the
-/// clockless reference substrate. Lifecycle decisions are the
+/// clockless reference substrate. It changes only through
+/// [`Substrate::apply_event`], over the whole [`RuntimeEvent`]
+/// alphabet, crash restarts included, and drives with
+/// [`Session::run_to_quiescence`]. Lifecycle decisions are the
 /// [`ControlPlane`]'s; the session only builds verifiers, queues each
 /// device's fence output and delivers to quiescence.
 pub struct Session {
     control: ControlPlane,
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
     queue: VecDeque<Envelope>,
-    /// Messages processed since creation.
-    pub messages_processed: usize,
     verdicts: Verdicts,
     /// Observability handle (disabled by default; see
     /// [`Session::set_telemetry`]). The reference session records only
@@ -396,7 +395,6 @@ impl Session {
             control,
             verifiers,
             queue,
-            messages_processed: 0,
             verdicts: Verdicts::default(),
             tel,
         }
@@ -426,32 +424,19 @@ impl Session {
         self.verifiers.get_mut(&dev)
     }
 
-    /// Delivers queued messages until no messages are in flight.
-    /// Returns the number processed.
-    pub fn run_to_quiescence(&mut self) -> usize {
-        let mut n = 0;
+    /// Delivers queued messages until no messages are in flight: the
+    /// messages and wire bytes it took (no clock, so no completion
+    /// time).
+    pub fn run_to_quiescence(&mut self) -> EventOutcome {
+        let mut out = EventOutcome::default();
         while let Some(env) = self.queue.pop_front() {
-            n += 1;
+            out.messages += 1;
+            out.bytes += env.wire_bytes() as u64;
             if let Some(v) = self.verifiers.get_mut(&env.to) {
                 v.handle(&env, &mut self.queue);
             }
         }
-        self.messages_processed += n;
-        n
-    }
-
-    /// Applies a rule update at its device and re-runs to quiescence.
-    /// Returns the number of messages the update caused.
-    pub fn apply_rule_update(&mut self, update: &RuleUpdate) -> usize {
-        self.apply_batch(std::slice::from_ref(update))
-    }
-
-    /// Applies a burst of rule updates — one coalesced per-device batch
-    /// each — and re-runs to quiescence. Returns the number of messages
-    /// the burst caused.
-    pub fn apply_batch(&mut self, updates: &[RuleUpdate]) -> usize {
-        self.stage_batch(updates);
-        self.run_to_quiescence()
+        out
     }
 
     /// Injects a burst of rule updates *without* running to quiescence:
@@ -496,45 +481,45 @@ impl Session {
         self.control.epoch()
     }
 
-    /// Delivers one fence: queues every device's fence output and runs
-    /// to quiescence. Whatever is still queued belongs to an older
-    /// epoch — every verifier discards it on delivery — so it is what
-    /// this fence loses. Returns the messages the fence caused (0 when
-    /// there is nothing to deliver).
-    fn deliver(&mut self, fence: Option<FencePlan>) -> usize {
-        let Some(mut plan) = fence else {
-            return 0;
-        };
-        self.control.seal(&mut plan, self.queue.len(), 0);
-        for (dev, fence) in plan.devices {
-            if let Some(v) = self.verifiers.get_mut(&dev) {
-                v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
+    /// Queues the fence of a decision, if any: every device's fence
+    /// output. Whatever is still queued belongs to an older epoch —
+    /// every verifier discards it on delivery — so it is what this
+    /// fence loses. Not driven; returns the outcome of the event that
+    /// named `intent`.
+    fn deliver(&mut self, intent: Option<IntentId>, mut d: Decision) -> EventOutcome {
+        if let Some(mut plan) = d.fence.take() {
+            self.control.seal(&mut plan, self.queue.len(), 0);
+            for (dev, fence) in plan.devices {
+                if let Some(v) = self.verifiers.get_mut(&dev) {
+                    v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
+                }
             }
         }
-        self.run_to_quiescence()
+        d.outcome(intent)
     }
 
-    /// Applies one live topology churn event
-    /// ([`ControlPlane::topology_event`]; `base` must be the topology
-    /// the session was constructed on, `inv` the invariant its base plan
-    /// was compiled from) and re-runs to quiescence. Returns the number
-    /// of messages the churn caused. An `Err` leaves the session on the
-    /// old epoch.
-    pub fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &Topology,
-        inv: &Invariant,
-    ) -> Result<usize, PlanError> {
-        let decision = self.control.topology_event(ev, base, inv, 0)?;
-        Ok(self.deliver(decision.fence))
+    /// Crashes and restarts `dev`'s verification agent the way the
+    /// engines do ([`ControlPlane::restart`]): what is queued for it is
+    /// dropped, it applies its restart share, and every other verifier
+    /// replays its durable protocol state toward it. Not driven.
+    fn restart(&mut self, dev: DeviceId) {
+        let Some(share) = self.control.restart(dev, 0) else {
+            return;
+        };
+        self.queue.retain(|env| env.to != dev);
+        let epoch = self.epoch();
+        if let Some(v) = self.verifiers.get_mut(&dev) {
+            v.apply_fence(epoch, 0, share, &mut self.queue);
+        }
+        for (_, v) in self.verifiers.iter_mut().filter(|(at, _)| **at != dev) {
+            v.replay_for_restart(dev, &mut self.queue);
+        }
     }
 
     /// Evaluates every live intent at its DPVNet sources (each universe
     /// of each packet set must satisfy the intent's formula).
     pub fn report(&mut self) -> Report {
         let mut r = self.verdicts().report();
-        r.messages = self.messages_processed;
         self.control.annotate(&mut r, &BTreeMap::new());
         r
     }
@@ -554,61 +539,43 @@ impl Session {
     pub fn intents(&self) -> &IntentStore {
         self.control.intents()
     }
-
-    /// Compiles `inv` against the session's topology, installs it as a
-    /// new runtime intent ([`ControlPlane::install`]) and re-converges.
-    /// Returns the new intent id and the applied delta (its
-    /// `reused_nodes` / `touched_devices` evidence slicing locality).
-    pub fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta), PlanError> {
-        let (id, mut d) = self.control.install(name, inv, 0)?;
-        self.deliver(d.fence.take());
-        Ok((id, d.delta))
-    }
-
-    /// Removes a live intent ([`ControlPlane::remove`]) and
-    /// re-converges. Removing the base intent (id 0) is an `Err`.
-    pub fn remove_intent(&mut self, id: IntentId) -> Result<IntentDelta, PlanError> {
-        let mut d = self.control.remove(id, 0)?;
-        self.deliver(d.fence.take());
-        Ok(d.delta)
-    }
 }
 
 impl Substrate for Session {
     fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
         use RuntimeEvent as E;
-        let (intent, mut d) = match ev {
+        let staged = match ev {
             E::Batch(updates) => {
-                return Ok(EventOutcome {
-                    messages: self.apply_batch(updates),
-                    ..EventOutcome::default()
-                })
+                self.stage_batch(updates);
+                EventOutcome::default()
             }
-            E::CrashRestart(_) => {
-                return Err(PlanError::Unsupported(
-                    "the synchronous reference session has no crash/restart model".to_string(),
-                ))
+            E::CrashRestart(dev) => {
+                self.restart(*dev);
+                EventOutcome::default()
             }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => (
-                None,
-                self.control.topology_event(event, base, invariant, 0)?,
-            ),
+            } => {
+                let d = self.control.topology_event(event, base, invariant, 0)?;
+                self.deliver(None, d)
+            }
             E::InstallIntent { name, invariant } => {
                 let (id, d) = self.control.install(name, invariant, 0)?;
-                (Some(id), d)
+                self.deliver(Some(id), d)
             }
-            E::RemoveIntent(id) => (Some(*id), self.control.remove(*id, 0)?),
+            E::RemoveIntent(id) => {
+                let d = self.control.remove(*id, 0)?;
+                self.deliver(Some(*id), d)
+            }
         };
-        let messages = self.deliver(d.fence.take());
-        Ok(d.outcome(intent, messages))
+        let run = self.run_to_quiescence();
+        Ok(EventOutcome {
+            messages: run.messages,
+            bytes: run.bytes,
+            ..staged
+        })
     }
 }
 
@@ -658,10 +625,8 @@ pub fn verify_snapshot(net: &Network, plan: &Plan) -> Report {
     match &plan.kind {
         PlanKind::Counting(_) => {
             let mut s = Session::new(net, plan);
-            let n = s.run_to_quiescence();
-            let mut r = s.report();
-            r.messages = n;
-            r
+            s.run_to_quiescence();
+            s.report()
         }
         PlanKind::Local(lp) => {
             let packet_space = compile_packet_space(&net.layout, &plan.invariant.packet_space);
@@ -685,7 +650,6 @@ pub fn verify_snapshot(net: &Network, plan: &Plan) -> Report {
             }
             Report {
                 violations,
-                messages: 0,
                 ..Report::default()
             }
         }

@@ -6,6 +6,7 @@ use tulkun_bdd::{serial, BddManager};
 use tulkun_core::control::DeviceFence;
 use tulkun_core::count::{CountExpr, Counts};
 use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::{NodeTask, Planner};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{compile_packet_space, Session};
@@ -136,7 +137,10 @@ fn quiescent_session_is_silent_on_noop_updates() {
             action: Action::fwd(d),
         },
     };
-    let msgs = session.apply_rule_update(&noop);
+    let msgs = session
+        .apply_event(&RuntimeEvent::Batch(vec![noop]))
+        .unwrap()
+        .messages;
     assert_eq!(msgs, 0, "a no-op update must not generate messages");
     assert!(session.report().holds());
 }
@@ -170,11 +174,11 @@ fn stage_batch_defers_propagation_and_report_never_blocks() {
 
     let mut reference = Session::new(&net, &plan);
     reference.run_to_quiescence();
-    reference.apply_batch(&cut);
+    reference.apply_event(&RuntimeEvent::Batch(cut)).unwrap();
     assert_eq!(
         staged.report().canonical_bytes(),
         reference.report().canonical_bytes(),
-        "stage+run must equal apply_batch"
+        "stage + run must equal apply_event"
     );
     assert!(!staged.report().holds(), "the cut breaks reachability");
 }
@@ -279,7 +283,7 @@ fn loccib_partitions_scope() {
     .into_iter()
     .enumerate()
     {
-        session.apply_rule_update(&up);
+        session.apply_event(&RuntimeEvent::Batch(vec![up])).unwrap();
         for dev in [s, a, d] {
             let v = session.verifier_mut(dev).unwrap();
             for node in v.node_ids() {

@@ -6,6 +6,7 @@
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::count::CountExpr;
 use tulkun_core::count::Counts;
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{verify_snapshot, Session};
@@ -180,7 +181,10 @@ fn fig2_incremental_update_fixes_the_violation() {
             action: Action::fwd(w),
         },
     };
-    let msgs = session.apply_rule_update(&update);
+    let msgs = session
+        .apply_event(&RuntimeEvent::Batch(vec![update]))
+        .unwrap()
+        .messages;
     assert!(msgs > 0, "the update must trigger DVM messages");
     let report = session.report();
     assert!(
@@ -200,7 +204,7 @@ fn fig2_update_message_flow_is_incremental() {
         .plan(&fig2b_invariant())
         .unwrap();
     let mut session = Session::new(&net, &plan);
-    let burst_msgs = session.run_to_quiescence();
+    let burst_msgs = session.run_to_quiescence().messages;
 
     let b = net.topology.device("B").unwrap();
     let w = net.topology.device("W").unwrap();
@@ -212,7 +216,10 @@ fn fig2_update_message_flow_is_incremental() {
             action: Action::fwd(w),
         },
     };
-    let incr_msgs = session.apply_rule_update(&update);
+    let incr_msgs = session
+        .apply_event(&RuntimeEvent::Batch(vec![update]))
+        .unwrap()
+        .messages;
     assert!(
         incr_msgs < burst_msgs,
         "incremental ({incr_msgs}) must be cheaper than burst ({burst_msgs})"
@@ -299,14 +306,19 @@ fn link_event_recounting() {
 
     let w = net.topology.device("W").unwrap();
     let d = net.topology.device("D").unwrap();
+    let link = |event| RuntimeEvent::Topology {
+        event,
+        base: net.topology.clone(),
+        invariant: inv.clone(),
+    };
     session
-        .apply_topology_event(&TopologyEvent::LinkDown(w, d), &net.topology, &inv)
+        .apply_event(&link(TopologyEvent::LinkDown(w, d)))
         .unwrap();
     let report = session.report();
     assert!(!report.holds());
     // Bring it back: the original single violation returns.
     session
-        .apply_topology_event(&TopologyEvent::LinkUp(w, d), &net.topology, &inv)
+        .apply_event(&link(TopologyEvent::LinkUp(w, d)))
         .unwrap();
     let report = session.report();
     assert_eq!(report.violations.len(), 1);

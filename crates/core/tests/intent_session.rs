@@ -5,13 +5,13 @@
 
 use tulkun_core::count::CountExpr;
 use tulkun_core::event::{RuntimeEvent, Substrate};
-use tulkun_core::intent::IntentId;
+use tulkun_core::intent::{IntentDelta, IntentId};
 use tulkun_core::planner::Planner;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{Report, Session};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::{Network, RuleUpdate};
-use tulkun_netmodel::topology::Topology;
+use tulkun_netmodel::topology::{DeviceId, Topology};
 use tulkun_netmodel::IpPrefix;
 
 fn pfx(s: &str) -> IpPrefix {
@@ -125,6 +125,17 @@ fn session_for(net: &Network, inv: &Invariant) -> Session {
     s
 }
 
+/// Installs `inv` as intent `name`: its id and change set.
+fn install(s: &mut Session, name: &str, inv: &Invariant) -> (IntentId, IntentDelta) {
+    let out = s
+        .apply_event(&RuntimeEvent::InstallIntent {
+            name: name.to_string(),
+            invariant: inv.clone(),
+        })
+        .unwrap();
+    (out.intent.unwrap(), out.delta)
+}
+
 #[test]
 fn overlapping_intents_report_like_standalone_sessions() {
     let net = fig2a_network();
@@ -136,7 +147,7 @@ fn overlapping_intents_report_like_standalone_sessions() {
         merged_reference(&net, &[(0, &base)])
     );
 
-    let (way_id, delta) = s.install_intent("waypoint", &way).unwrap();
+    let (way_id, delta) = install(&mut s, "waypoint", &way);
     assert!(delta.reused_nodes > 0, "slices overlap: {delta:?}");
     assert_eq!(
         s.report().canonical_bytes(),
@@ -145,7 +156,10 @@ fn overlapping_intents_report_like_standalone_sessions() {
     );
 
     // Removal restores the pre-install verdict exactly.
-    let rm = s.remove_intent(way_id).unwrap();
+    let rm = s
+        .apply_event(&RuntimeEvent::RemoveIntent(way_id))
+        .unwrap()
+        .delta;
     assert!(
         rm.removed.values().map(Vec::len).sum::<usize>() < delta.total_nodes,
         "shared nodes must survive removal: {rm:?}"
@@ -169,7 +183,7 @@ fn intent_install_is_slice_local_and_lazy() {
     };
     assert_eq!(hosted(&s), Some(Vec::new()), "S hosts no node");
 
-    let (way_id, delta) = s.install_intent("s-way", &way).unwrap();
+    let (way_id, delta) = install(&mut s, "s-way", &way);
     // S's verifier, built with the session, is tasked when an intent
     // pulls it in.
     assert!(hosted(&s).is_some_and(|nodes| !nodes.is_empty()));
@@ -191,7 +205,7 @@ fn intent_churn_interleaved_with_fib_churn() {
     let base = invariant("reach", "S .* D");
     let way = invariant("waypoint", "S .* W .* D");
     let mut s = session_for(&net, &base);
-    let (way_id, _) = s.install_intent("waypoint", &way).unwrap();
+    let (way_id, _) = install(&mut s, "waypoint", &way);
 
     // Break B→D for 10.0.1.0/24, then heal it, with the intent set
     // changing in between; the final verdict must match fresh plans of
@@ -211,7 +225,8 @@ fn intent_churn_interleaved_with_fib_churn() {
             action: Action::fwd(d),
         },
     };
-    s.apply_batch(std::slice::from_ref(&withdraw));
+    s.apply_event(&RuntimeEvent::Batch(vec![withdraw.clone()]))
+        .unwrap();
     let mut churned = net.clone();
     churned.apply(&withdraw);
     assert_eq!(
@@ -219,8 +234,9 @@ fn intent_churn_interleaved_with_fib_churn() {
         merged_reference(&churned, &[(0, &base), (way_id.0, &way)])
     );
 
-    s.remove_intent(way_id).unwrap();
-    s.apply_batch(std::slice::from_ref(&restore));
+    s.apply_event(&RuntimeEvent::RemoveIntent(way_id)).unwrap();
+    s.apply_event(&RuntimeEvent::Batch(vec![restore.clone()]))
+        .unwrap();
     churned.apply(&restore);
     assert_eq!(
         s.report().canonical_bytes(),
@@ -228,7 +244,7 @@ fn intent_churn_interleaved_with_fib_churn() {
     );
 
     // Re-install after FIB churn: planning sees the current FIB state.
-    let (way_id2, _) = s.install_intent("waypoint", &way).unwrap();
+    let (way_id2, _) = install(&mut s, "waypoint", &way);
     assert_eq!(
         s.report().canonical_bytes(),
         merged_reference(&churned, &[(0, &base), (way_id2.0, &way)])
@@ -250,7 +266,7 @@ fn apply_event_covers_every_mutation() {
         })
         .unwrap();
     let id = out.intent.unwrap();
-    let (total, reused) = out.slice.unwrap();
+    let (total, reused) = (out.delta.total_nodes, out.delta.reused_nodes);
     assert!(total > 0 && reused > 0);
 
     let b = net.topology.expect_device("B");
@@ -262,6 +278,65 @@ fn apply_event_covers_every_mutation() {
     .unwrap();
     s.apply_event(&RuntimeEvent::RemoveIntent(id)).unwrap();
 
-    // An event outside the synchronous model is rejected, not ignored.
-    assert!(s.apply_event(&RuntimeEvent::CrashRestart(b)).is_err());
+    // A crash restart recovers the Report it had before.
+    let before = s.report().canonical_bytes();
+    let out = s.apply_event(&RuntimeEvent::CrashRestart(b)).unwrap();
+    assert!(out.messages > 0, "the peers replay toward B");
+    assert_eq!(s.report().canonical_bytes(), before);
+}
+
+#[test]
+fn crash_restart_keeps_later_fib_churn_exact() {
+    let net = fig2a_network();
+    let base = invariant("reach", "S .* D");
+    let way = invariant("waypoint", "S .* W .* D");
+    let mut s = session_for(&net, &base);
+    let (way_id, _) = install(&mut s, "waypoint", &way);
+
+    let b = net.topology.expect_device("B");
+    let d = net.topology.expect_device("D");
+    let withdraw = RuleUpdate::Remove {
+        device: b,
+        priority: 10,
+        matches: MatchSpec::dst(pfx("10.0.1.0/24")),
+    };
+    let restore = RuleUpdate::Insert {
+        device: b,
+        rule: Rule {
+            priority: 10,
+            matches: MatchSpec::dst(pfx("10.0.1.0/24")),
+            action: Action::fwd(d),
+        },
+    };
+    s.apply_event(&RuntimeEvent::Batch(vec![withdraw.clone()]))
+        .unwrap();
+    let mut churned = net.clone();
+    churned.apply(&withdraw);
+    let broken = merged_reference(&churned, &[(0, &base), (way_id.0, &way)]);
+    assert_ne!(
+        broken,
+        merged_reference(&net, &[(0, &base), (way_id.0, &way)])
+    );
+    assert_eq!(s.report().canonical_bytes(), broken);
+
+    // B restarts while its withdrawal stands: the verdict it had is
+    // rebuilt from its own FIB and its peers' replay.
+    s.apply_event(&RuntimeEvent::CrashRestart(b)).unwrap();
+    assert_eq!(s.report().canonical_bytes(), broken);
+
+    // A device the topology does not have is no crash at all.
+    let out = s
+        .apply_event(&RuntimeEvent::CrashRestart(DeviceId(99)))
+        .unwrap();
+    assert_eq!(out.messages, 0);
+    assert_eq!(s.report().canonical_bytes(), broken);
+
+    // The restarted verifier takes later FIB churn incrementally.
+    s.apply_event(&RuntimeEvent::Batch(vec![restore.clone()]))
+        .unwrap();
+    churned.apply(&restore);
+    assert_eq!(
+        s.report().canonical_bytes(),
+        merged_reference(&churned, &[(0, &base), (way_id.0, &way)])
+    );
 }

@@ -3,6 +3,7 @@
 //! via SUBSCRIBE messages.
 
 use tulkun_core::count::CountExpr;
+use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::{Planner, PlannerOptions};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_core::verify::{verify_snapshot, Session};
@@ -131,14 +132,16 @@ fn downstream_update_in_translated_space_propagates_back() {
 
     let b = net.topology.device("B").unwrap();
     let d = net.topology.device("D").unwrap();
-    session.apply_rule_update(&RuleUpdate::Insert {
-        device: b,
-        rule: Rule {
-            priority: 24,
-            matches: MatchSpec::dst(pfx("10.1.0.0/24")),
-            action: Action::fwd(d),
-        },
-    });
+    session
+        .apply_event(&RuntimeEvent::Batch(vec![RuleUpdate::Insert {
+            device: b,
+            rule: Rule {
+                priority: 24,
+                matches: MatchSpec::dst(pfx("10.1.0.0/24")),
+                action: Action::fwd(d),
+            },
+        }]))
+        .unwrap();
     assert!(
         session.report().holds(),
         "{:?}",
@@ -170,20 +173,22 @@ fn rewrite_installed_by_update_triggers_subscribe() {
         "without the NAT, B drops the packets"
     );
 
-    session.apply_rule_update(&RuleUpdate::Insert {
-        device: a,
-        rule: Rule {
-            priority: 50,
-            matches: MatchSpec::dst(pfx("10.0.0.0/24")),
-            action: Action::Forward {
-                mode: ActionType::All,
-                next_hops: vec![NextHop::Device(b)],
-                rewrite: Some(Rewrite {
-                    to: pfx("10.1.0.0/24"),
-                }),
+    session
+        .apply_event(&RuntimeEvent::Batch(vec![RuleUpdate::Insert {
+            device: a,
+            rule: Rule {
+                priority: 50,
+                matches: MatchSpec::dst(pfx("10.0.0.0/24")),
+                action: Action::Forward {
+                    mode: ActionType::All,
+                    next_hops: vec![NextHop::Device(b)],
+                    rewrite: Some(Rewrite {
+                        to: pfx("10.1.0.0/24"),
+                    }),
+                },
             },
-        },
-    });
+        }]))
+        .unwrap();
     assert!(
         session.report().holds(),
         "{:?}",

@@ -34,7 +34,7 @@
 //!   and delays per a `FaultProfile`, recovered by the at-least-once
 //!   reliability layer (`tulkun_core::dvm::reliable`) so Reports stay
 //!   byte-identical under loss; both engines recover injected device
-//!   crash/restarts (`Runtime::crash_restart`).
+//!   crash/restarts (`RuntimeEvent::CrashRestart`).
 //!
 //! Live topology churn (`tulkun_core::churn::TopologyEvent`) and
 //! runtime intent install/remove are decided once, by the

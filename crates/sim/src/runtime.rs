@@ -5,8 +5,12 @@
 //! This module is the repro's embodiment of that claim: the event
 //! lifecycle — stage a FIB batch, crash/restart an agent, deliver an
 //! epoch fence, assemble a [`Report`] — is written once, in
-//! [`Runtime`], over the only thing two substrates differ in:
-//! a [`Fabric`], which hosts the verifiers, runs an injected operation
+//! [`Runtime`]. A runtime changes only through
+//! [`Substrate::apply_event`], over the whole [`RuntimeEvent`]
+//! alphabet; [`Runtime::stage_event`] and [`Runtime::stage_batch`]
+//! enqueue without driving, and [`Runtime::run_to_quiescence`] drives.
+//! The lifecycle is written over the only thing two substrates differ
+//! in: a [`Fabric`], which hosts the verifiers, runs an injected operation
 //! on one device, moves the envelopes it emits, and says when the
 //! exchange is quiescent. Both host one verifier per topology device,
 //! built at construction by one `build_verifiers` call. A verifier is
@@ -60,16 +64,15 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::HeaderLayout;
-use tulkun_core::churn::TopologyEvent;
 use tulkun_core::control::{ControlPlane, Decision, DeviceFence, FencePlan};
 use tulkun_core::dpvnet::NodeId;
 use tulkun_core::dvm::{DeviceVerifier, Envelope, NodeResult, Payload, VerifierConfig};
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{self, Explanation, Subject};
 use tulkun_core::fault::{FaultProfile, FaultStats};
-use tulkun_core::intent::{IntentDelta, IntentId, IntentStore};
+use tulkun_core::intent::{IntentId, IntentStore};
 use tulkun_core::planner::{CountingPlan, PlanError};
-use tulkun_core::spec::{Invariant, PacketSpace};
+use tulkun_core::spec::PacketSpace;
 use tulkun_core::verify::{self, Freshness, Report, Verdicts, Violation};
 use tulkun_netmodel::fib::Fib;
 use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
@@ -699,18 +702,6 @@ fn build_verifiers(
     out
 }
 
-/// The outcome of one driven round (burst, incremental update, crash
-/// recovery, topology or intent event).
-#[derive(Debug, Clone, Default)]
-pub struct RunOutcome {
-    /// Substrate completion (quiescence) time in ns.
-    pub completion_ns: u64,
-    /// Messages delivered this round.
-    pub messages: usize,
-    /// Bytes on the wire this round.
-    pub bytes: u64,
-}
-
 /// A verifier operation the lifecycle injects from outside the DVM
 /// exchange: a coalesced FIB batch, a replay toward a restarted peer,
 /// or a device's share of an epoch fence (a restart included).
@@ -785,8 +776,9 @@ pub trait Fabric {
     /// `dev`'s agent restarts: nothing pending may land on its fresh
     /// state. Counts one recovered crash.
     fn purge_for_restart(&mut self, dev: DeviceId);
-    /// Drives the exchange to quiescence.
-    fn drain(&mut self) -> RunOutcome;
+    /// Drives the exchange to quiescence: the round's messages, bytes
+    /// and completion time, as far as the fabric counts them.
+    fn drain(&mut self) -> EventOutcome;
     /// Exports `node`'s counting results from `dev`'s verifier.
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult;
     /// Devices a watchdog declared stalled (device → epoch at stall).
@@ -796,9 +788,11 @@ pub trait Fabric {
 }
 
 /// The device runtime: the event lifecycle, written once over a
-/// [`Fabric`]. Every entry point that returns a [`RunOutcome`] drives
-/// the exchange to quiescence; `stage_*` ones only enqueue, so a churn
-/// event or a crash can land while their messages are in flight.
+/// [`Fabric`]. It changes only through [`Substrate::apply_event`],
+/// which drives the exchange to quiescence; [`Runtime::stage_event`]
+/// and [`Runtime::stage_batch`] only enqueue, so a churn event or a
+/// crash can land while their messages are in flight, and
+/// [`Runtime::run_to_quiescence`] drives what they left.
 pub struct Runtime<F> {
     /// The lifecycle owner: intents, churn, epoch, journal and gauges.
     control: ControlPlane,
@@ -840,41 +834,16 @@ impl<F: Fabric> Runtime<F> {
         self.next_trace - 1
     }
 
-    fn drain(&mut self) -> RunOutcome {
+    /// Drives staged (or otherwise in-flight) messages to quiescence,
+    /// the initial exchange of a new runtime included.
+    pub fn run_to_quiescence(&mut self) -> EventOutcome {
         self.fabric.drain()
-    }
-
-    /// The burst phase: all FIBs arrived at t=0 (ingested during
-    /// construction); runs the initial counting to quiescence.
-    pub fn burst(&mut self) -> RunOutcome {
-        self.drain()
-    }
-
-    /// Drives staged (or otherwise in-flight) messages to quiescence.
-    pub fn run_staged(&mut self) -> RunOutcome {
-        self.drain()
-    }
-
-    /// One incremental rule update: a one-element batch through the
-    /// single update code path ([`Runtime::apply_batch`]).
-    pub fn incremental(&mut self, update: &RuleUpdate) -> RunOutcome {
-        self.apply_batch(std::slice::from_ref(update))
-    }
-
-    /// Applies a burst of rule updates: the batch is coalesced per
-    /// device ([`UpdateBatch::coalesced`]), each affected device applies
-    /// its whole sub-batch with one LEC delta and one recompute per
-    /// node, and the resulting coalesced UPDATEs are driven to
-    /// quiescence. All updates arrive "now" (times are per burst).
-    pub fn apply_batch(&mut self, updates: &[RuleUpdate]) -> RunOutcome {
-        self.stage_batch(updates);
-        self.drain()
     }
 
     /// Stages a burst of rule updates *without* driving the exchange:
     /// the coalesced per-device batches are applied and their DVM
     /// messages enqueued, but delivery does not start. Follow with
-    /// [`Runtime::run_staged`] (or any driven round) to drain.
+    /// [`Runtime::run_to_quiescence`] (or any driven event) to drain.
     pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
         let trace = self.alloc_trace();
         let batch: UpdateBatch = updates.iter().cloned().collect();
@@ -898,45 +867,26 @@ impl<F: Fabric> Runtime<F> {
         }
     }
 
-    /// Crashes and restarts one device's verification agent (§8: the
-    /// agent is a process beside the FIB agent — it can die without the
-    /// switch losing its FIB). The restarted verifier applies, at the
-    /// current epoch, a fence share that removes every node of its
-    /// share of [`ControlPlane::hosted`] and creates each again, so it
-    /// loses all soft counting state and recounts from scratch; every
-    /// *other* verifier replays its durable protocol state toward it
-    /// ([`DeviceVerifier::replay_for_restart`]), and the exchange is
-    /// driven to quiescence — the run recovers instead of aborting, and
-    /// the Report re-converges to the pre-crash fixpoint. Every
-    /// topology device has an agent, whether or not it hosts a node,
-    /// so the crash is journaled and counted alike on both fabrics; an
-    /// id outside the topology is a no-op.
-    pub fn crash_restart(&mut self, dev: DeviceId) -> RunOutcome {
-        self.stage_crash(dev);
-        self.drain()
-    }
-
+    /// Crashes and restarts one device's verification agent
+    /// ([`ControlPlane::restart`]): the restarted verifier applies its
+    /// restart share, every *other* verifier replays its durable
+    /// protocol state toward it ([`DeviceVerifier::replay_for_restart`]),
+    /// and the run recovers instead of aborting: the Report re-converges
+    /// to the pre-crash fixpoint. Journaled and counted alike on both
+    /// fabrics; an id outside the topology is a no-op. Not driven.
     fn stage_crash(&mut self, dev: DeviceId) {
-        if dev.0 >= self.devices {
+        // Journaled under the next trace id, which a crash that names
+        // no agent leaves unspent.
+        let Some(restart) = self.control.restart(dev, self.next_trace) else {
             return;
-        }
-        let trace = self.alloc_trace();
-        let epoch = self.epoch();
-        self.tel
-            .journal(JournalKind::CrashRestart, dev, epoch, trace, None, || {
-                format!("verification agent on d{} crashed and restarted", dev.0)
-            });
+        };
+        let (trace, epoch) = (self.alloc_trace(), self.epoch());
         // Pending envelopes addressed to the dead agent (delayed or
         // duplicated copies included) must not land on the fresh state;
         // neighbor replays rebuild everything they carried. The restart
         // share is injected *before* any replay, so on in-order
         // channels the replayed messages land on the fresh state too.
         self.fabric.purge_for_restart(dev);
-        let share = self.control.hosted().remove(&dev).unwrap_or_default();
-        let restart = DeviceFence {
-            remove: share.tasks.iter().map(|(_, t)| t.node).collect(),
-            ..share
-        };
         let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
             v.apply_fence(epoch, trace, restart, out)
         };
@@ -960,46 +910,30 @@ impl<F: Fabric> Runtime<F> {
     /// everything in flight *before* any new-epoch send, what it
     /// dropped decides whether the devices run the repair wave
     /// (`ControlPlane::seal`), and every device gets its share as one
-    /// atomic injected op. Not driven: the caller drains.
+    /// atomic injected op. `decide` names the event's intent. Not
+    /// driven: the caller drains.
     fn fenced(
         &mut self,
-        decide: impl FnOnce(&mut ControlPlane, u64) -> Result<Decision, PlanError>,
-    ) -> Result<Decision, PlanError> {
+        decide: impl FnOnce(&mut ControlPlane, u64) -> Result<(Option<IntentId>, Decision), PlanError>,
+    ) -> Result<EventOutcome, PlanError> {
         let trace = self.alloc_trace();
         let begin = self.tel.start();
-        let mut decision = decide(&mut self.control, trace)?;
-        let Some(mut plan) = decision.fence.take() else {
-            return Ok(decision);
-        };
-        let epoch = plan.epoch;
-        let first = plan.devices.keys().next().copied().unwrap_or(DeviceId(0));
-        self.tel
-            .finish(first, &FENCE_PLAN, trace, epoch, begin, None);
-        let dropped = self.fabric.fence(&plan);
-        self.control.seal(&mut plan, dropped, trace);
-        for (dev, fence) in plan.devices {
-            let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
-                v.apply_fence(epoch, trace, fence, out)
-            };
-            self.fabric.inject(dev, trace, Box::new(op));
+        let (intent, mut decision) = decide(&mut self.control, trace)?;
+        if let Some(mut plan) = decision.fence.take() {
+            let epoch = plan.epoch;
+            let first = plan.devices.keys().next().copied().unwrap_or(DeviceId(0));
+            self.tel
+                .finish(first, &FENCE_PLAN, trace, epoch, begin, None);
+            let dropped = self.fabric.fence(&plan);
+            self.control.seal(&mut plan, dropped, trace);
+            for (dev, fence) in plan.devices {
+                let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
+                    v.apply_fence(epoch, trace, fence, out)
+                };
+                self.fabric.inject(dev, trace, Box::new(op));
+            }
         }
-        Ok(decision)
-    }
-
-    /// Installs `inv` as a runtime intent under its fence
-    /// ([`ControlPlane::install`]). Not driven.
-    fn stage_install(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, Decision), PlanError> {
-        let mut named = IntentId::BASE;
-        let d = self.fenced(|c, trace| {
-            let (id, d) = c.install(name, inv, trace)?;
-            named = id;
-            Ok(d)
-        })?;
-        Ok((named, d))
+        Ok(decision.outcome(intent))
     }
 
     /// Applies one [`RuntimeEvent`] without driving the exchange: its
@@ -1009,66 +943,26 @@ impl<F: Fabric> Runtime<F> {
     /// a slow convergence from a wedged device.
     pub fn stage_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
         use RuntimeEvent as E;
-        let (intent, d) = match ev {
+        match ev {
             E::Batch(updates) => {
                 self.stage_batch(updates);
-                return Ok(EventOutcome::default());
+                Ok(EventOutcome::default())
             }
             E::CrashRestart(dev) => {
                 self.stage_crash(*dev);
-                return Ok(EventOutcome::default());
+                Ok(EventOutcome::default())
             }
             E::Topology {
                 event,
                 base,
                 invariant,
-            } => (
-                None,
-                self.fenced(|c, t| c.topology_event(event, base, invariant, t))?,
-            ),
-            E::InstallIntent { name, invariant } => {
-                let (id, d) = self.stage_install(name, invariant)?;
-                (Some(id), d)
-            }
-            E::RemoveIntent(id) => (Some(*id), self.fenced(|c, t| c.remove(*id, t))?),
-        };
-        Ok(d.outcome(intent, 0))
-    }
-
-    /// Applies one live topology churn event
-    /// ([`ControlPlane::topology_event`]; `base` must be the topology
-    /// the engine was constructed on, `inv` the invariant its base plan
-    /// was compiled from) and drives re-convergence to quiescence. An
-    /// `Err` leaves the engine on the old epoch.
-    pub fn apply_topology_event(
-        &mut self,
-        ev: &TopologyEvent,
-        base: &Topology,
-        inv: &Invariant,
-    ) -> Result<RunOutcome, PlanError> {
-        self.fenced(|c, trace| c.topology_event(ev, base, inv, trace))?;
-        Ok(self.drain())
-    }
-
-    /// Compiles `inv`, installs it as a new runtime intent
-    /// ([`ControlPlane::install`]) and drives the exchange to
-    /// quiescence. Returns the new id, the applied delta (its
-    /// `reused_nodes` / `touched_devices` evidence slicing locality)
-    /// and the driven round.
-    pub fn install_intent(
-        &mut self,
-        name: &str,
-        inv: &Invariant,
-    ) -> Result<(IntentId, IntentDelta, RunOutcome), PlanError> {
-        let (id, d) = self.stage_install(name, inv)?;
-        Ok((id, d.delta, self.drain()))
-    }
-
-    /// Removes a live intent ([`ControlPlane::remove`]) and
-    /// re-converges.
-    pub fn remove_intent(&mut self, id: IntentId) -> Result<(IntentDelta, RunOutcome), PlanError> {
-        let d = self.fenced(|c, trace| c.remove(id, trace))?;
-        Ok((d.delta, self.drain()))
+            } => self.fenced(|c, t| Ok((None, c.topology_event(event, base, invariant, t)?))),
+            E::InstallIntent { name, invariant } => self.fenced(|c, t| {
+                let (id, d) = c.install(name, invariant, t)?;
+                Ok((Some(id), d))
+            }),
+            E::RemoveIntent(id) => self.fenced(|c, t| Ok((Some(*id), c.remove(*id, t)?))),
+        }
     }
 
     /// Evaluates every live intent at its DPVNet sources. Takes `&mut
@@ -1161,16 +1055,17 @@ impl<F: Fabric> Runtime<F> {
 
 impl<F: Fabric> Substrate for Runtime<F> {
     /// Applies one [`RuntimeEvent`] ([`Runtime::stage_event`]) and
-    /// drives the exchange to quiescence. `messages` stays 0 on the
-    /// threaded substrate: per-event counts are not tracked across
-    /// threads.
+    /// drives the exchange to quiescence. `messages` and `bytes` stay 0
+    /// on the threaded substrate: per-event counts are not tracked
+    /// across threads.
     fn apply_event(&mut self, ev: &RuntimeEvent) -> Result<EventOutcome, PlanError> {
-        let out = self.stage_event(ev)?;
-        let r = self.drain();
+        let staged = self.stage_event(ev)?;
+        let run = self.run_to_quiescence();
         Ok(EventOutcome {
-            messages: r.messages,
-            completion_ns: r.completion_ns,
-            ..out
+            messages: run.messages,
+            bytes: run.bytes,
+            completion_ns: run.completion_ns,
+            ..staged
         })
     }
 }
@@ -1246,8 +1141,8 @@ impl Fabric for Driver {
     }
 
     /// Delivers messages until the transport runs dry (quiescence).
-    fn drain(&mut self) -> RunOutcome {
-        let mut out = RunOutcome::default();
+    fn drain(&mut self) -> EventOutcome {
+        let mut out = EventOutcome::default();
         while let Some((arrival, env)) = self.transport.recv() {
             let bytes = env.wire_bytes() as u64;
             if self.run(env.to, arrival, Input::Dvm(env)).is_none() {
@@ -1279,7 +1174,7 @@ impl Runtime<Driver> {
     /// travel the topology's links with their propagation latency
     /// ([`LatencyTransport`]). Verifier construction (LEC building and
     /// initial counting) is timed as init cost; call
-    /// [`Runtime::burst`] to run the initial exchange to quiescence.
+    /// [`Runtime::run_to_quiescence`] to run the initial exchange.
     pub fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: EngineConfig) -> Engine {
         let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         Self::over(net, plan, ps, &cfg, Box::new(links))
@@ -1396,7 +1291,7 @@ impl Runtime<Driver> {
     /// quiescent engine: a rebuilt node restarts from zero, and so do
     /// the peers it talks to. `kind` must hold the workload, as for
     /// [`EngineConfig::backend`] ([`BackendKind::check`]).
-    pub fn rehost(&mut self, kind: BackendKind) -> RunOutcome {
+    pub fn rehost(&mut self, kind: BackendKind) -> EventOutcome {
         let (trace, epoch) = (self.alloc_trace(), self.epoch());
         let mut hosted = self.control.hosted();
         let driver = &mut self.fabric;
@@ -1406,7 +1301,7 @@ impl Runtime<Driver> {
             let share = hosted.remove(&dev).unwrap_or_default();
             driver.rebuild(dev, share, epoch, trace);
         }
-        self.drain()
+        self.run_to_quiescence()
     }
 }
 
@@ -1637,9 +1532,9 @@ impl Fabric for Threads {
         self.stats.crashes_recovered += 1;
     }
 
-    fn drain(&mut self) -> RunOutcome {
+    fn drain(&mut self) -> EventOutcome {
         self.inflight.wait_zero();
-        RunOutcome::default()
+        EventOutcome::default()
     }
 
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult {
@@ -1703,7 +1598,7 @@ impl Drop for Threads {
 
 impl Runtime<Threads> {
     /// Spawns one verifier thread per topology device and injects the
-    /// initial (burst) exchange; call [`ThreadedEngine::wait_quiescent`]
+    /// initial (burst) exchange; call [`Runtime::run_to_quiescence`]
     /// to let it drain.
     pub fn spawn(net: &Network, plan: &CountingPlan, ps: &PacketSpace) -> ThreadedEngine {
         Self::spawn_with(net, plan, ps, &EngineConfig::default())
@@ -1814,11 +1709,6 @@ impl Runtime<Threads> {
         Runtime::assemble(net, control, threads, cfg)
     }
 
-    /// Blocks until no DVM message is queued or being processed.
-    pub fn wait_quiescent(&self) {
-        self.fabric.inflight.wait_zero();
-    }
-
     /// Waits for quiescence under a convergence watchdog: per-device
     /// progress heartbeats distinguish a run that is still converging
     /// (some processed counter advances every heartbeat) from one that
@@ -1922,7 +1812,7 @@ fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tulkun_core::churn::ChurnState;
+    use tulkun_core::churn::{ChurnState, TopologyEvent};
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::{Behavior, Invariant, PathExpr};
@@ -1981,7 +1871,7 @@ mod tests {
         let plan = Planner::new(&net.topology).plan(&inv).unwrap();
         let cp = plan.counting().unwrap().clone();
         let mut engine = fifo_engine(&net, &cp, &inv.packet_space);
-        engine.burst();
+        engine.run_to_quiescence();
         engine.report().canonical_bytes()
     }
 
@@ -1990,7 +1880,7 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let mut engine = fifo_engine(&net, &cp, &ps);
-        let r = engine.burst();
+        let r = engine.run_to_quiescence();
         assert!(r.messages > 0);
         let report = engine.report();
         assert!(!report.holds());
@@ -2008,7 +1898,7 @@ mod tests {
                 ..Default::default()
             };
             let mut engine = Engine::with_cache(&net, &cp, &ps, cfg, &cache);
-            engine.burst();
+            engine.run_to_quiescence();
             engine.report().canonical_bytes()
         };
         assert_eq!(run(false), run(true));
@@ -2019,7 +1909,7 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
-        engine.wait_quiescent();
+        engine.run_to_quiescence();
         let report = engine.report();
         assert!(!report.holds());
         let stats = engine.shutdown().expect("no panics");
@@ -2031,8 +1921,8 @@ mod tests {
     fn threaded_engine_surfaces_device_panics() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let engine = ThreadedEngine::spawn(&net, &cp, &ps);
-        engine.wait_quiescent();
+        let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
+        engine.run_to_quiescence();
         let participants = engine.fabric.handles.len();
         assert!(participants > 1, "test needs surviving threads");
         let dev = net.topology.device("W").unwrap();
@@ -2056,13 +1946,15 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let mut engine = Engine::new(&net, &cp, &ps, EngineConfig::default());
-        engine.burst();
+        engine.run_to_quiescence();
         let before = engine.report().canonical_bytes();
         // Crash every participating device in turn; each recovery must
         // land back on the identical Report.
         let devs: Vec<DeviceId> = engine.fabric.verifiers.keys().copied().collect();
         for dev in devs {
-            let r = engine.crash_restart(dev);
+            let r = engine
+                .apply_event(&RuntimeEvent::CrashRestart(dev))
+                .unwrap();
             assert!(r.messages > 0, "recovery exchanges messages");
             assert_eq!(
                 engine.report().canonical_bytes(),
@@ -2095,7 +1987,7 @@ mod tests {
             EngineConfig::default(),
             FaultProfile::loss(7, 0.10),
         );
-        engine.burst();
+        engine.run_to_quiescence();
         let everything = verify::compile_packet_space(&net.layout, &PacketSpace::All);
         type Exports = BTreeMap<(DeviceId, NodeId), NodeResult>;
         let check = |engine: &mut Engine, after: &str| -> Exports {
@@ -2185,11 +2077,13 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
-        engine.wait_quiescent();
+        engine.run_to_quiescence();
         let before = engine.report().canonical_bytes();
         let dev = net.topology.device("W").unwrap();
-        engine.crash_restart(dev);
-        engine.wait_quiescent();
+        engine
+            .apply_event(&RuntimeEvent::CrashRestart(dev))
+            .unwrap();
+        engine.run_to_quiescence();
         assert_eq!(engine.report().canonical_bytes(), before);
         let stats = engine.shutdown().expect("no panics");
         assert_eq!(stats.crashes_recovered, 1);
@@ -2199,17 +2093,14 @@ mod tests {
     fn engine_linkdown_matches_fresh_plan_of_post_churn_topology() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let mut engine = fifo_engine(&net, &cp, &ps);
-        engine.burst();
+        engine.run_to_quiescence();
         let base_bytes = engine.report().canonical_bytes();
         let a = net.topology.device("A").unwrap();
         let b = net.topology.device("B").unwrap();
 
         let down = TopologyEvent::LinkDown(a, b);
-        engine
-            .apply_topology_event(&down, &net.topology, &inv)
-            .unwrap();
+        engine.apply_event(&churn_event(&net, down)).unwrap();
         assert_eq!(engine.epoch(), 1);
         let mut churn = ChurnState::new();
         churn.apply(&down);
@@ -2220,16 +2111,12 @@ mod tests {
         );
 
         // Applying the same event again is a no-op: no epoch bump.
-        engine
-            .apply_topology_event(&down, &net.topology, &inv)
-            .unwrap();
+        engine.apply_event(&churn_event(&net, down)).unwrap();
         assert_eq!(engine.epoch(), 1);
 
         // Recovery converges back to the original verdict.
         let up = TopologyEvent::LinkUp(a, b);
-        engine
-            .apply_topology_event(&up, &net.topology, &inv)
-            .unwrap();
+        engine.apply_event(&churn_event(&net, up)).unwrap();
         assert_eq!(engine.epoch(), 2);
         assert_eq!(engine.report().canonical_bytes(), base_bytes);
         let fresh = engine.report();
@@ -2243,16 +2130,13 @@ mod tests {
     fn engine_devicedown_quarantines_and_marks_unreachable() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let mut engine = fifo_engine(&net, &cp, &ps);
-        engine.burst();
+        engine.run_to_quiescence();
         let base_bytes = engine.report().canonical_bytes();
         let b = net.topology.device("B").unwrap();
 
         let down = TopologyEvent::DeviceDown(b);
-        engine
-            .apply_topology_event(&down, &net.topology, &inv)
-            .unwrap();
+        engine.apply_event(&churn_event(&net, down)).unwrap();
         let report = engine.report();
         assert_eq!(report.quarantined, vec![b]);
         assert!(
@@ -2273,9 +2157,7 @@ mod tests {
         // The device comes back: quarantine lifts, its share creates
         // its nodes again, and the report returns to the original.
         let up = TopologyEvent::DeviceUp(b);
-        engine
-            .apply_topology_event(&up, &net.topology, &inv)
-            .unwrap();
+        engine.apply_event(&churn_event(&net, up)).unwrap();
         let report = engine.report();
         assert!(report.quarantined.is_empty());
         assert!(report.freshness.iter().all(|(_, f)| *f == Freshness::Fresh));
@@ -2303,16 +2185,14 @@ mod tests {
             },
         };
         let mut engine = Engine::new(&net, &cp, &ps, EngineConfig::default());
-        engine.burst();
+        engine.run_to_quiescence();
         engine.stage_batch(std::slice::from_ref(&update));
         let mut churn = ChurnState::new();
         for ev in [TopologyEvent::LinkDown(a, b), TopologyEvent::DeviceDown(b)] {
             churn.apply(&ev);
-            engine
-                .apply_topology_event(&ev, &net.topology, &inv)
-                .unwrap();
+            engine.apply_event(&churn_event(&net, ev)).unwrap();
         }
-        engine.run_staged();
+        engine.run_to_quiescence();
         assert_eq!(engine.epoch(), 2);
 
         // Reference: fresh engine on the post-churn topology, same
@@ -2325,8 +2205,10 @@ mod tests {
         let fresh_plan = Planner::new(&fresh_net.topology).plan(&inv).unwrap();
         let fresh_cp = fresh_plan.counting().unwrap().clone();
         let mut fresh = fifo_engine(&fresh_net, &fresh_cp, &ps);
-        fresh.burst();
-        fresh.apply_batch(std::slice::from_ref(&update));
+        fresh.run_to_quiescence();
+        fresh
+            .apply_event(&RuntimeEvent::Batch(vec![update.clone()]))
+            .unwrap();
         assert_eq!(
             engine.report().canonical_bytes(),
             fresh.report().canonical_bytes()
@@ -2338,21 +2220,18 @@ mod tests {
     fn threaded_engine_churn_matches_single_driver() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let a = net.topology.device("A").unwrap();
         let b = net.topology.device("B").unwrap();
         let events = [TopologyEvent::LinkDown(a, b), TopologyEvent::DeviceDown(b)];
 
         let mut reference = fifo_engine(&net, &cp, &ps);
-        reference.burst();
+        reference.run_to_quiescence();
         for ev in &events {
-            reference
-                .apply_topology_event(ev, &net.topology, &inv)
-                .unwrap();
+            reference.apply_event(&churn_event(&net, *ev)).unwrap();
         }
 
         let mut threaded = ThreadedEngine::spawn(&net, &cp, &ps);
-        threaded.wait_quiescent();
+        threaded.run_to_quiescence();
         let cfg = WatchdogConfig::default();
         for ev in &events {
             threaded.stage_event(&churn_event(&net, *ev)).unwrap();
@@ -2387,7 +2266,7 @@ mod tests {
         let b = net.topology.device("B").unwrap();
         let w = net.topology.device("W").unwrap();
         let mut engine = ThreadedEngine::spawn(&net, &cp, &ps);
-        engine.wait_quiescent();
+        engine.run_to_quiescence();
 
         // Bump the epoch once so freshness marking is active.
         let down = churn_event(&net, TopologyEvent::LinkDown(a, b));
@@ -2450,15 +2329,14 @@ mod tests {
         // not panic or half-apply.
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let mut engine = fifo_engine(&net, &cp, &ps);
-        engine.burst();
+        engine.run_to_quiescence();
         let before = engine.report().canonical_bytes();
         let s = net.topology.device("S").unwrap();
         let d = net.topology.device("D").unwrap();
         // Isolating the destination makes the invariant unplannable.
         let ev = TopologyEvent::DeviceDown(d);
-        let err = engine.apply_topology_event(&ev, &net.topology, &inv);
+        let err = engine.apply_event(&churn_event(&net, ev));
         if err.is_err() {
             assert_eq!(engine.epoch(), 0, "failed churn must not bump the epoch");
             assert_eq!(engine.report().canonical_bytes(), before);
@@ -2534,7 +2412,6 @@ mod tests {
         }
         assert!(network_ip_only(&net));
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let dev = |n: &str| net.topology.expect_device(n);
         let down = TopologyEvent::LinkDown(dev("A"), dev("B"));
         let narrow = Invariant {
@@ -2558,16 +2435,21 @@ mod tests {
                 true => Engine::lossy(&net, &cp, &ps, cfg, FaultProfile::loss(5, 0.2)),
                 false => Engine::new(&net, &cp, &ps, cfg),
             };
-            e.burst();
-            e.apply_topology_event(&down, &net.topology, &inv).unwrap();
-            e.install_intent("narrow", &narrow).unwrap();
+            e.run_to_quiescence();
+            e.apply_event(&churn_event(&net, down)).unwrap();
+            let install = RuntimeEvent::InstallIntent {
+                name: "narrow".into(),
+                invariant: narrow.clone(),
+            };
+            e.apply_event(&install).unwrap();
             let before = (e.epoch(), e.report().canonical_bytes());
             if rehost {
                 e.rehost(BackendKind::Bdd);
                 assert_eq!(e.backend(), BackendKind::Bdd);
                 assert_eq!((e.epoch(), e.report().canonical_bytes()), before);
             }
-            e.apply_batch(&[acl.clone(), repair(&net)]);
+            e.apply_event(&RuntimeEvent::Batch(vec![acl.clone(), repair(&net)]))
+                .unwrap();
             e.report().canonical_bytes()
         };
         let want = run(false, false);
@@ -2586,7 +2468,6 @@ mod tests {
     fn every_device_hosts_its_share_of_hosted() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let devices: Vec<DeviceId> = net.topology.devices().collect();
         type Hosting = BTreeMap<DeviceId, BTreeSet<NodeId>>;
         // Per device, the nodes the control plane has it host.
@@ -2629,14 +2510,14 @@ mod tests {
         assert_eq!(hosts(&e), shares(&mut e.control));
 
         let mut t = ThreadedEngine::spawn(&net, &cp, &ps);
-        t.wait_quiescent();
+        t.run_to_quiescence();
         let want = shares(&mut t.control);
         assert!(want.values().flatten().all(|n| n.0 < 64));
         assert_eq!(answered(&mut t), want);
         session.run_to_quiescence();
         let reference = session.report().canonical_bytes();
         assert_eq!(t.report().canonical_bytes(), reference);
-        e.burst();
+        e.run_to_quiescence();
         assert_eq!(e.report().canonical_bytes(), reference);
 
         let dev = |n: &str| net.topology.expect_device(n);
@@ -2653,10 +2534,7 @@ mod tests {
         for (i, ev) in steps.iter().enumerate() {
             e.apply_event(ev).unwrap();
             t.apply_event(ev).unwrap();
-            // The reference session has no crash model.
-            if !matches!(ev, RuntimeEvent::CrashRestart(_)) {
-                session.apply_event(ev).unwrap();
-            }
+            session.apply_event(ev).unwrap();
             let want = shares(&mut e.control);
             assert_eq!(want[&b].is_empty(), i == 0, "a down B hosts nothing");
             assert_eq!(hosts(&e), want, "engine after {ev:?}");
@@ -2670,12 +2548,16 @@ mod tests {
 
         // A churned, two-context engine re-hosted on another backend.
         let down = TopologyEvent::LinkDown(dev("A"), dev("B"));
-        e.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        e.apply_event(&churn_event(&net, down)).unwrap();
         let narrow = Invariant {
             packet_space: PacketSpace::dst_prefix("10.0.1.0/24"),
             ..exist_inv("B .* D")
         };
-        e.install_intent("narrow", &narrow).unwrap();
+        let install = RuntimeEvent::InstallIntent {
+            name: "narrow".into(),
+            invariant: narrow,
+        };
+        e.apply_event(&install).unwrap();
         let before = e.report().canonical_bytes();
         e.rehost(BackendKind::Bdd);
         assert_eq!(hosts(&e), shares(&mut e.control));
@@ -2690,14 +2572,13 @@ mod tests {
     fn a_down_device_hosts_nothing_and_says_nothing() {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
-        let inv = waypoint_inv();
         let b = net.topology.expect_device("B");
         let down = TopologyEvent::DeviceDown(b);
         let batch = [repair(&net)];
 
         let mut e = Engine::new(&net, &cp, &ps, EngineConfig::default());
-        e.burst();
-        e.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        e.run_to_quiescence();
+        e.apply_event(&churn_event(&net, down)).unwrap();
         let sent = |e: &Engine| e.fabric.verifiers[&b].stats.messages_sent;
         assert_eq!(
             e.fabric.verifiers[&b].node_ids(),
@@ -2705,17 +2586,24 @@ mod tests {
             "engine: B hosts nothing"
         );
         let before = sent(&e);
-        assert_eq!(e.apply_batch(&batch).messages, 0, "engine: delivered");
+        assert_eq!(
+            e.apply_event(&RuntimeEvent::Batch(batch.to_vec()))
+                .unwrap()
+                .messages,
+            0,
+            "engine: delivered"
+        );
         assert_eq!(sent(&e), before, "engine: B sent");
 
         let mut s = Session::from_counting(&net, cp.clone(), &ps);
         s.run_to_quiescence();
-        s.apply_topology_event(&down, &net.topology, &inv).unwrap();
+        s.apply_event(&churn_event(&net, down)).unwrap();
         let sent = |s: &Session| s.verifier(b).map(|v| v.stats.messages_sent);
         let hosted = s.verifier(b).map(|v| v.node_ids());
         assert_eq!(hosted, Some(Vec::new()), "session: B hosts nothing");
         let before = sent(&s);
-        assert_eq!(s.apply_batch(&batch), 0, "session: delivered");
+        let out = s.apply_event(&RuntimeEvent::Batch(batch.to_vec()));
+        assert_eq!(out.unwrap().messages, 0, "session: delivered");
         assert_eq!(sent(&s), before, "session: B sent");
 
         // A threaded verifier is reached through its channel: B answers
@@ -2726,7 +2614,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut t = ThreadedEngine::spawn_with(&net, &cp, &ps, &cfg);
-        t.wait_quiescent();
+        t.run_to_quiescence();
         t.apply_event(&churn_event(&net, down)).unwrap();
         let minted = t.intents().global_tasks().iter().map(|t| t.node.0).max();
         let bound = minted.map_or(0, |n| n + 8);
@@ -2754,7 +2642,7 @@ mod tests {
     #[test]
     fn burst_matches_reference_semantics() {
         let (_, mut sim) = waypoint_sim();
-        let r = sim.burst();
+        let r = sim.run_to_quiescence();
         assert!(r.messages > 0);
         assert!(r.completion_ns > 0);
         // Same verdict as the synchronous reference driver.
@@ -2766,7 +2654,7 @@ mod tests {
     #[test]
     fn completion_includes_propagation_latency() {
         let (net, mut sim) = waypoint_sim();
-        let r = sim.burst();
+        let r = sim.run_to_quiescence();
         // At least one message crossed a link, so completion exceeds one
         // link latency (1000 ns in fig2a).
         let links = net.topology.links();
@@ -2777,8 +2665,10 @@ mod tests {
     #[test]
     fn incremental_update_converges_and_is_cheaper() {
         let (net, mut sim) = waypoint_sim();
-        let burst = sim.burst();
-        let incr = sim.incremental(&repair(&net));
+        let burst = sim.run_to_quiescence();
+        let incr = sim
+            .apply_event(&RuntimeEvent::Batch(vec![repair(&net)]))
+            .unwrap();
         assert!(sim.report().holds());
         assert!(incr.messages < burst.messages);
     }
@@ -2797,7 +2687,7 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = reachability_plan(&net);
         let mut sim = Engine::new(&net, &cp, &ps, EngineConfig::default());
-        sim.burst();
+        sim.run_to_quiescence();
         assert!(sim.report().holds());
     }
 
@@ -2814,7 +2704,7 @@ mod tests {
                 ..Default::default()
             };
             let mut sim = Engine::new(&net, &cp, &ps, cfg);
-            sim.burst();
+            sim.run_to_quiescence();
             let per_device = sim.stats().per_device.values();
             per_device.map(|s| s.init_ns + s.busy_ns).sum::<u64>()
         };
@@ -2830,12 +2720,12 @@ mod tests {
     #[test]
     fn lossy_engine_report_matches_clean_engine() {
         let (net, mut clean) = waypoint_sim();
-        clean.burst();
+        clean.run_to_quiescence();
         let reference = clean.report().canonical_bytes();
         let (cp, ps) = waypoint_plan(&net);
         let profile = FaultProfile::loss(3, 0.10);
         let mut faulty = Engine::lossy(&net, &cp, &ps, EngineConfig::default(), profile);
-        faulty.burst();
+        faulty.run_to_quiescence();
         assert_eq!(
             faulty.report().canonical_bytes(),
             reference,
@@ -2848,7 +2738,7 @@ mod tests {
 
         // A crash mid-run over the faulty channel also recovers.
         let w = net.topology.device("W").unwrap();
-        faulty.crash_restart(w);
+        faulty.apply_event(&RuntimeEvent::CrashRestart(w)).unwrap();
         assert_eq!(faulty.report().canonical_bytes(), reference);
         assert_eq!(faulty.stats().crashes_recovered, 1);
     }
@@ -2859,19 +2749,18 @@ mod tests {
         // the reliability layer's in-flight state, and re-convergence
         // must still reach the clean substrate's exact report.
         let (net, mut clean) = waypoint_sim();
-        clean.burst();
-        let inv = waypoint_inv();
+        clean.run_to_quiescence();
         let (cp, ps) = waypoint_plan(&net);
         let profile = FaultProfile::loss(9, 0.10);
         let mut faulty = Engine::lossy(&net, &cp, &ps, EngineConfig::default(), profile);
-        faulty.burst();
+        faulty.run_to_quiescence();
         let a = net.topology.device("A").unwrap();
         let b = net.topology.device("B").unwrap();
         let w = net.topology.device("W").unwrap();
         use TopologyEvent as Ev;
         for ev in [Ev::LinkDown(a, b), Ev::DeviceDown(b), Ev::DeviceUp(b)] {
             for sim in [&mut clean, &mut faulty] {
-                sim.apply_topology_event(&ev, &net.topology, &inv).unwrap();
+                sim.apply_event(&churn_event(&net, ev)).unwrap();
             }
             assert_eq!(
                 faulty.report().canonical_bytes(),
@@ -2882,8 +2771,8 @@ mod tests {
         assert_eq!(clean.epoch(), 3);
         assert_eq!(faulty.epoch(), 3);
         // A crash_restart composed after churn still reconverges.
-        clean.crash_restart(w);
-        faulty.crash_restart(w);
+        clean.apply_event(&RuntimeEvent::CrashRestart(w)).unwrap();
+        faulty.apply_event(&RuntimeEvent::CrashRestart(w)).unwrap();
         assert_eq!(
             faulty.report().canonical_bytes(),
             clean.report().canonical_bytes()
@@ -2909,11 +2798,10 @@ mod tests {
             wan.add_external_prefix(d, prefix);
         }
         net.topology = wan;
-        let inv = waypoint_inv();
         let (cp, ps) = waypoint_plan(&net);
         let profile = FaultProfile::loss(9, 0.10);
         let mut faulty = Engine::lossy(&net, &cp, &ps, EngineConfig::default(), profile);
-        faulty.burst();
+        faulty.run_to_quiescence();
         let a = net.topology.device("A").unwrap();
         let b = net.topology.device("B").unwrap();
         use TopologyEvent as Ev;
@@ -2921,7 +2809,7 @@ mod tests {
         for _ in 0..40 {
             let mut ns = 0;
             for ev in [Ev::LinkDown(a, b), Ev::LinkUp(a, b)] {
-                let r = faulty.apply_topology_event(&ev, &net.topology, &inv);
+                let r = faulty.apply_event(&churn_event(&net, ev));
                 ns += r.unwrap().completion_ns;
             }
             flaps.push(ns);
@@ -2937,7 +2825,7 @@ mod tests {
     #[test]
     fn device_stats_are_collected() {
         let (_, mut sim) = waypoint_sim();
-        sim.burst();
+        sim.run_to_quiescence();
         let stats = &sim.stats().per_device;
         assert!(!stats.is_empty());
         assert!(stats.values().any(|s| s.messages > 0));
@@ -2950,8 +2838,12 @@ mod tests {
     #[test]
     fn both_fabrics_book_the_per_message_distribution() {
         let (net, mut engine, mut threaded, _) = both_fabrics(&waypoint_inv());
-        engine.incremental(&repair(&net));
-        threaded.incremental(&repair(&net));
+        engine
+            .apply_event(&RuntimeEvent::Batch(vec![repair(&net)]))
+            .unwrap();
+        threaded
+            .apply_event(&RuntimeEvent::Batch(vec![repair(&net)]))
+            .unwrap();
         let engine_stats = engine.stats().clone();
         for stats in [engine_stats, threaded.shutdown().expect("no panics")] {
             let msg_ns = stats.msg_ns();
@@ -3051,13 +2943,14 @@ mod tests {
         let net = fig2a_network();
         let (cp, ps) = waypoint_plan(&net);
         let mut run = ThreadedEngine::spawn(&net, &cp, &ps);
-        run.wait_quiescent();
+        run.run_to_quiescence();
         let report = run.report();
         assert!(!report.holds());
         assert_eq!(report.violations.len(), 1);
 
         // Incremental fix, as in Fig. 2.
-        run.incremental(&repair(&net));
+        run.apply_event(&RuntimeEvent::Batch(vec![repair(&net)]))
+            .unwrap();
         let report = run.report();
         assert!(report.holds(), "{:?}", report.violations);
         let stats = run.shutdown().expect("clean shutdown");
@@ -3082,9 +2975,9 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut engine = Engine::new(&net, cp, ps, cfg(&tels[0]));
-        engine.burst();
-        let threaded = ThreadedEngine::spawn_with(&net, cp, ps, &cfg(&tels[1]));
-        threaded.wait_quiescent();
+        engine.run_to_quiescence();
+        let mut threaded = ThreadedEngine::spawn_with(&net, cp, ps, &cfg(&tels[1]));
+        threaded.run_to_quiescence();
         (net, engine, threaded, tels)
     }
 
@@ -3143,8 +3036,12 @@ mod tests {
         assert!(engine.intents().global_tasks().iter().all(|t| t.dev != s));
         let before = engine.report().canonical_bytes();
         for dev in [s, DeviceId(net.topology.num_devices() as u32)] {
-            engine.crash_restart(dev);
-            threaded.crash_restart(dev);
+            engine
+                .apply_event(&RuntimeEvent::CrashRestart(dev))
+                .unwrap();
+            threaded
+                .apply_event(&RuntimeEvent::CrashRestart(dev))
+                .unwrap();
         }
         assert_eq!(engine.report().canonical_bytes(), before);
         assert_eq!(threaded.report().canonical_bytes(), before);
@@ -3159,7 +3056,7 @@ mod tests {
     #[test]
     fn a_link_down_fence_books_busy_time_on_every_retasked_device() {
         let (net, mut sim) = waypoint_sim();
-        sim.burst();
+        sim.run_to_quiescence();
         let tasks = sim.intents().global_tasks();
         let busy = |sim: &Engine| -> BTreeMap<DeviceId, u64> {
             let per_device = sim.stats().per_device.iter();
@@ -3209,7 +3106,11 @@ mod tests {
         for ev in &script {
             let x = engine.apply_event(ev).unwrap();
             let y = threaded.apply_event(ev).unwrap();
-            assert_eq!((x.intent, x.slice, x.parked), (y.intent, y.slice, y.parked));
+            let slice = |o: &EventOutcome| (o.delta.total_nodes, o.delta.reused_nodes);
+            assert_eq!(
+                (x.intent, slice(&x), x.parked),
+                (y.intent, slice(&y), y.parked)
+            );
         }
         assert_eq!(lifecycle(&tels[0]).len(), 8, "{:?}", lifecycle(&tels[0]));
         assert_eq!(lifecycle(&tels[0]), lifecycle(&tels[1]));

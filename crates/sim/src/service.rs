@@ -24,10 +24,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::runtime::{Engine, EngineConfig, RunOutcome};
+use crate::runtime::{Engine, EngineConfig};
 use tulkun_bdd::HeaderLayout;
 use tulkun_core::churn::TopologyEvent;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
+use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{Explanation, Subject};
 use tulkun_core::fault::FaultProfile;
 use tulkun_core::intent::{IntentId, IntentStore};
@@ -307,7 +308,7 @@ impl Service {
             Some(profile) => Engine::lossy(net, plan, &inv.packet_space, ecfg, profile),
             None => Engine::new(net, plan, &inv.packet_space, ecfg),
         };
-        harness.burst();
+        harness.run_to_quiescence();
         let mut slo = SloTracker::new(cfg.slo);
         // Roll the init wave into its own window so steady-state
         // windows start from the post-burst baseline.
@@ -500,49 +501,51 @@ impl Service {
         }
     }
 
-    /// Applies one request to the harness; `None` means it was rejected
-    /// (counted and journaled; FIBs, epoch and Report unchanged). A
-    /// request the running encoding cannot hold moves the service to
-    /// `bdd` first ([`Service::make_room`]).
-    fn apply(&mut self, req: ServiceRequest) -> Option<RunOutcome> {
-        let (kind, why, dev, intent) = match req {
+    /// Applies one request to the harness as one [`RuntimeEvent`]
+    /// (a churn request names the service's base topology and
+    /// invariant); `None` means it was rejected (counted and journaled;
+    /// FIBs, epoch and Report unchanged). A request the running
+    /// encoding cannot hold moves the service to `bdd` first
+    /// ([`Service::make_room`]).
+    fn apply(&mut self, req: ServiceRequest) -> Option<EventOutcome> {
+        let ev = match req {
             ServiceRequest::Batch(updates) => {
                 let fits = updates.iter().all(update_ip_only);
                 self.make_room(fits, &format!("batch of {}", updates.len()));
-                return Some(self.harness.apply_batch(&updates));
+                RuntimeEvent::Batch(updates)
             }
-            ServiceRequest::Churn(ev) => {
-                match self
-                    .harness
-                    .apply_topology_event(&ev, &self.base_topo, &self.inv)
-                {
-                    Ok(outcome) => return Some(outcome),
-                    Err(e) => {
-                        self.rejected_churn += 1;
-                        let why = format!("planner rejected {}: {e:?}", ev.describe());
-                        (JournalKind::ChurnRejected, why, ev.primary_device(), None)
-                    }
-                }
-            }
+            ServiceRequest::Churn(event) => RuntimeEvent::Topology {
+                event,
+                base: self.base_topo.clone(),
+                invariant: self.inv.clone(),
+            },
             ServiceRequest::IntentAdd { name, invariant } => {
                 let fits = space_ip_only(&self.harness.layout(), &invariant.packet_space);
-                let cause = format!("install of intent {name:?}");
-                self.make_room(fits, &cause);
-                match self.harness.install_intent(&name, &invariant) {
-                    Ok((_, _, outcome)) => return Some(outcome),
-                    Err(e) => {
-                        let why = format!("{cause} rejected: {e:?}");
-                        (JournalKind::IntentRejected, why, DeviceId(0), None)
-                    }
-                }
+                self.make_room(fits, &format!("install of intent {name:?}"));
+                RuntimeEvent::InstallIntent { name, invariant }
             }
-            ServiceRequest::IntentRemove(id) => match self.harness.remove_intent(id) {
-                Ok((_, outcome)) => return Some(outcome),
-                Err(e) => {
-                    let why = format!("remove of intent {id} rejected: {e:?}");
-                    (JournalKind::IntentRejected, why, DeviceId(0), Some(id.0))
-                }
-            },
+            ServiceRequest::IntentRemove(id) => RuntimeEvent::RemoveIntent(id),
+        };
+        let e = match self.harness.apply_event(&ev) {
+            Ok(outcome) => return Some(outcome),
+            Err(e) => e,
+        };
+        let (kind, why, dev, intent) = match ev {
+            RuntimeEvent::Topology { event: ev, .. } => {
+                self.rejected_churn += 1;
+                let why = format!("planner rejected {}: {e:?}", ev.describe());
+                (JournalKind::ChurnRejected, why, ev.primary_device(), None)
+            }
+            RuntimeEvent::InstallIntent { name, .. } => {
+                let why = format!("install of intent {name:?} rejected: {e:?}");
+                (JournalKind::IntentRejected, why, DeviceId(0), None)
+            }
+            RuntimeEvent::RemoveIntent(id) => {
+                let why = format!("remove of intent {id} rejected: {e:?}");
+                (JournalKind::IntentRejected, why, DeviceId(0), Some(id.0))
+            }
+            // Neither is ever refused, and no request maps to a crash.
+            RuntimeEvent::Batch(_) | RuntimeEvent::CrashRestart(_) => return None,
         };
         if kind == JournalKind::IntentRejected {
             self.rejected_intents += 1;
@@ -895,10 +898,16 @@ mod tests {
         assert_eq!(svc.status().epoch, 1);
 
         let mut reference = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
-        reference.burst();
-        reference.apply_batch(std::slice::from_ref(&up));
+        reference.run_to_quiescence();
         reference
-            .apply_topology_event(&TopologyEvent::LinkDown(b, w), &net.topology, &inv)
+            .apply_event(&RuntimeEvent::Batch(vec![up.clone()]))
+            .unwrap();
+        reference
+            .apply_event(&RuntimeEvent::Topology {
+                event: TopologyEvent::LinkDown(b, w),
+                base: net.topology.clone(),
+                invariant: inv.clone(),
+            })
             .unwrap();
         assert_eq!(
             svc.report().canonical_bytes(),
@@ -948,9 +957,11 @@ mod tests {
         }
         svc.drain();
         let mut clean = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
-        clean.burst();
+        clean.run_to_quiescence();
         for i in 0..4 {
-            clean.apply_batch(&[some_update(&net, 40 + i)]);
+            clean
+                .apply_event(&RuntimeEvent::Batch(vec![some_update(&net, 40 + i)]))
+                .unwrap();
         }
         assert_eq!(
             svc.report().canonical_bytes(),
@@ -1033,11 +1044,17 @@ mod tests {
         assert_eq!(swaps.count(), 1);
         svc.drain();
         let mut reference = Engine::new(&net, &cp, &inv.packet_space, EngineConfig::default());
-        reference.burst();
-        let (id, _, _) = reference.install_intent("narrow", &narrow).unwrap();
-        assert_eq!(id, IntentId(1));
+        reference.run_to_quiescence();
+        let install = RuntimeEvent::InstallIntent {
+            name: "narrow".to_string(),
+            invariant: narrow,
+        };
+        let id = reference.apply_event(&install).unwrap().intent;
+        assert_eq!(id, Some(IntentId(1)));
         for batch in [some_update(&net, 40), acl, some_update(&net, 41)] {
-            reference.apply_batch(&[batch]);
+            reference
+                .apply_event(&RuntimeEvent::Batch(vec![batch]))
+                .unwrap();
         }
         assert_eq!(
             svc.report().canonical_bytes(),

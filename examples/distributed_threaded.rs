@@ -7,6 +7,7 @@
 //! cargo run --example distributed_threaded
 //! ```
 
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::planner::Planner;
 use tulkun::prelude::*;
 use tulkun::sim::ThreadedEngine;
@@ -25,7 +26,7 @@ fn main() {
         cp.dpvnet.num_nodes()
     );
     let mut run = ThreadedEngine::spawn(&net, cp, &invariant.packet_space);
-    run.wait_quiescent();
+    run.run_to_quiescence();
     let report = run.report();
     println!("burst verdict: holds = {}", report.holds());
     assert!(!report.holds());
@@ -33,14 +34,15 @@ fn main() {
     // Stream the Fig. 2 repair update into device B, live.
     let b = net.topology.expect_device("B");
     let w = net.topology.expect_device("W");
-    run.incremental(&tulkun::netmodel::network::RuleUpdate::Insert {
+    let repair = tulkun::netmodel::network::RuleUpdate::Insert {
         device: b,
         rule: Rule {
             priority: 50,
             matches: tulkun::netmodel::fib::MatchSpec::dst("10.0.1.0/24".parse().unwrap()),
             action: Action::fwd(w),
         },
-    });
+    };
+    run.apply_event(&RuntimeEvent::Batch(vec![repair])).unwrap();
     let report = run.report();
     println!("after live update: holds = {}", report.holds());
     assert!(report.holds());

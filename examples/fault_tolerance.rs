@@ -42,7 +42,7 @@ fn main() {
         ..EngineConfig::default()
     };
     let mut sim = Engine::new(&net, plan.counting().unwrap(), &inv.packet_space, cfg);
-    sim.burst();
+    sim.run_to_quiescence();
     println!("no failures: holds = {}", sim.report().holds());
     assert!(sim.report().holds());
 
@@ -89,7 +89,7 @@ fn main() {
             action: Action::fwd(w),
         },
     };
-    sim.incremental(&repair);
+    sim.apply_event(&RuntimeEvent::Batch(vec![repair])).unwrap();
     println!(
         "after the control plane reroutes B via W: holds = {}",
         sim.report().holds()

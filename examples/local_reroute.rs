@@ -14,6 +14,7 @@
 //! cargo run --example local_reroute
 //! ```
 
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::verify::Session;
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::RuleUpdate;
@@ -98,14 +99,17 @@ fn main() {
     // B blackholes the prefix. DVM pushes B's count drop to A within one
     // message — A now *locally* knows its primary path is dead while W
     // still delivers.
-    session.apply_rule_update(&RuleUpdate::Insert {
+    let blackhole = RuleUpdate::Insert {
         device: b,
         rule: Rule {
             priority: 99,
             matches: MatchSpec::dst(prefix),
             action: Action::Drop,
         },
-    });
+    };
+    session
+        .apply_event(&RuntimeEvent::Batch(vec![blackhole]))
+        .unwrap();
     println!(
         "\nafter B blackholes (invariant holds = {}):",
         session.report().holds()
@@ -128,14 +132,17 @@ fn main() {
     };
     assert!(b_count.iter().all(|c| c.is_zero()), "B no longer delivers");
     println!("\nA re-pins its route to W (local decision, no controller):");
-    session.apply_rule_update(&RuleUpdate::Insert {
+    let reroute = RuleUpdate::Insert {
         device: a,
         rule: Rule {
             priority: 99,
             matches: MatchSpec::dst(prefix),
             action: Action::fwd(w),
         },
-    });
+    };
+    session
+        .apply_event(&RuntimeEvent::Batch(vec![reroute]))
+        .unwrap();
     println!("invariant holds = {}", session.report().holds());
     assert!(session.report().holds());
 }

@@ -9,6 +9,7 @@
 //! counting to quiescence, prints the verdict, then applies the
 //! incremental rule update of §2.2.3 and shows the violation disappear.
 
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::verify::Session;
 use tulkun::prelude::*;
 
@@ -49,7 +50,7 @@ fn main() {
 
     // Run the on-device verifiers to quiescence.
     let mut session = Session::new(&net, &plan);
-    let messages = session.run_to_quiescence();
+    let messages = session.run_to_quiescence().messages;
     let report = session.report();
     println!("burst: {messages} DVM messages, holds = {}", report.holds());
     for v in &report.violations {
@@ -77,7 +78,10 @@ fn main() {
             action: Action::fwd(w),
         },
     };
-    let incr_messages = session.apply_rule_update(&update);
+    let incr_messages = session
+        .apply_event(&RuntimeEvent::Batch(vec![update]))
+        .unwrap()
+        .messages;
     let report = session.report();
     println!(
         "after update: {incr_messages} DVM messages, holds = {}",

@@ -260,9 +260,10 @@ fn observed_run(
         Some(fault_seed) => Engine::lossy(net, &cp, ps, cfg, FaultProfile::loss(fault_seed, 0.10)),
         None => Engine::new(net, &cp, ps, cfg),
     };
-    sim.burst();
+    sim.run_to_quiescence();
     for chunk in trace.chunks(burst) {
-        sim.apply_batch(chunk);
+        sim.apply_event(&RuntimeEvent::Batch(chunk.to_vec()))
+            .map_err(|e| format!("batch refused: {e}"))?;
     }
     let holds = sim.report().holds();
     let stats = sim.stats().clone();
@@ -456,7 +457,7 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
         cfg,
         FaultProfile::loss(seed, 0.10),
     );
-    sim.burst();
+    sim.run_to_quiescence();
     let schedule = ChurnSchedule::seeded(topo, &inv, seed, 8);
     let Some(ev) = schedule
         .0
@@ -466,10 +467,16 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
     else {
         return Err("no plannable link-down event for this dataset/invariant".into());
     };
-    sim.apply_topology_event(&ev, topo, &inv)
+    let churn = RuntimeEvent::Topology {
+        event: ev,
+        base: topo.clone(),
+        invariant: inv.clone(),
+    };
+    sim.apply_event(&churn)
         .map_err(|e| format!("churn re-plan failed: {e}"))?;
     let hit = ev.primary_device();
-    sim.crash_restart(hit);
+    sim.apply_event(&RuntimeEvent::CrashRestart(hit))
+        .map_err(|e| format!("crash restart refused: {e}"))?;
     eprintln!(
         "scene: {} + crash/restart of {} under 10% loss (seed {seed})",
         ev.describe(),
@@ -553,7 +560,7 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
             ..Default::default()
         };
         let mut run = tulkun::sim::ThreadedEngine::spawn_with(net, &cp, &inv.packet_space, &ecfg);
-        run.wait_quiescent();
+        run.run_to_quiescence();
         let cfg = tulkun::sim::WatchdogConfig::default();
         for ev in &schedule.0 {
             // Staged, not driven: the watchdog is what tells a slow
@@ -581,12 +588,12 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
             Some(fs) => Engine::lossy(net, &cp, ps, cfg, FaultProfile::loss(fs, 0.10)),
             None => Engine::new(net, &cp, ps, cfg),
         };
-        sim.burst();
+        sim.run_to_quiescence();
         for ev in &schedule.0 {
             let r = sim
                 .apply_event(&churn(ev))
                 .map_err(|e| format!("churn re-plan failed: {e}"))?;
-            let (total, reused) = r.slice.unwrap_or_default();
+            let (total, reused) = (r.delta.total_nodes, r.delta.reused_nodes);
             println!(
                 "epoch {:>3}  {:<28} reused {reused}/{total} nodes, messages={} \
                  completion_ns={}",

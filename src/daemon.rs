@@ -72,9 +72,9 @@
 //!
 //! Determinism contract: a scripted session (batches + churn from one
 //! source, drained in order) produces a final Report byte-equal to
-//! applying the same events directly via `apply_batch` /
-//! `apply_topology_event` — `tests/daemon_session.rs` holds this,
-//! including over a 10% lossy management network.
+//! applying the same events directly through `Substrate::apply_event`
+//! — `tests/daemon_session.rs` holds this, including over a 10% lossy
+//! management network.
 
 use crate::core::churn::TopologyEvent;
 use crate::core::count::CountExpr;

@@ -63,25 +63,35 @@ fn direct_replay(
     applied: &[Applied],
 ) -> Vec<u8> {
     let mut reference = Engine::new(net, cp, &inv.packet_space, cfg);
-    reference.burst();
+    reference.run_to_quiescence();
     for a in applied {
         match a {
             Applied::Batch(batch) => {
-                reference.apply_batch(batch);
+                let ev = RuntimeEvent::Batch(batch.clone());
+                reference.apply_event(&ev).expect("replay batch");
             }
             // The daemon counts a planner-rejected event without
             // applying it; it changes nothing here either.
             Applied::Churn(ev) => {
-                let _ = reference.apply_topology_event(ev, &net.topology, inv);
+                let _ = reference.apply_event(&RuntimeEvent::Topology {
+                    event: *ev,
+                    base: net.topology.clone(),
+                    invariant: inv.clone(),
+                });
             }
             Applied::IntentAdd(id, narrow) => {
-                let (got, _, _) = reference
-                    .install_intent("narrow", narrow)
-                    .expect("replay install");
-                assert_eq!(got, *id, "the replay allocates the service's id");
+                let got = reference
+                    .apply_event(&RuntimeEvent::InstallIntent {
+                        name: "narrow".to_string(),
+                        invariant: narrow.clone(),
+                    })
+                    .expect("replay install")
+                    .intent;
+                assert_eq!(got, Some(*id), "the replay allocates the service's id");
             }
             Applied::IntentRemove(id) => {
-                reference.remove_intent(*id).expect("replay remove");
+                let ev = RuntimeEvent::RemoveIntent(*id);
+                reference.apply_event(&ev).expect("replay remove");
             }
         }
     }

@@ -76,7 +76,7 @@ fn online_recounting_matches_fresh_planning_per_scene() {
         ..EngineConfig::default()
     };
     let mut sim = Engine::new(&net, plan.counting().unwrap(), &inv.packet_space, cfg);
-    sim.burst();
+    sim.run_to_quiescence();
     let base = sim.report();
     assert!(base.holds());
     let event = |event| RuntimeEvent::Topology {
@@ -383,16 +383,21 @@ fn explain_scene(seed: u64) -> (TopologyEvent, tulkun::netmodel::DeviceId, Expla
         cfg,
         FaultProfile::loss(seed, 0.10),
     );
-    sim.burst();
+    sim.run_to_quiescence();
     let schedule = ChurnSchedule::seeded(topo, &inv, seed, 8);
     let ev = *schedule
         .0
         .iter()
         .find(|e| matches!(e, TopologyEvent::LinkDown(..)))
         .expect("a plannable link-down in the seeded schedule");
-    sim.apply_topology_event(&ev, topo, &inv).unwrap();
+    sim.apply_event(&RuntimeEvent::Topology {
+        event: ev,
+        base: topo.clone(),
+        invariant: inv.clone(),
+    })
+    .unwrap();
     let dev = ev.primary_device();
-    sim.crash_restart(dev);
+    sim.apply_event(&RuntimeEvent::CrashRestart(dev)).unwrap();
     let x = sim.explain(None, Subject::Device(dev)).unwrap();
     (ev, dev, x)
 }

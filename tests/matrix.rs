@@ -30,7 +30,6 @@ use tulkun::core::churn::{ChurnState, TopologyEvent};
 use tulkun::core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun::core::fault::FaultProfile;
 use tulkun::core::intent::IntentId;
-use tulkun::core::planner::PlanError;
 use tulkun::core::spec::{FilterOp, LengthBound, LengthFilter};
 use tulkun::core::verify::{Freshness, Session, Violation};
 use tulkun::netmodel::fib::{MatchSpec, NextHop, Rewrite};
@@ -606,11 +605,7 @@ impl Subs {
     }
 
     fn drain(&mut self) {
-        self.session.run_to_quiescence();
-        for e in [&mut self.fifo, &mut self.event, &mut self.lossy] {
-            e.run_staged();
-        }
-        self.threaded.run_staged();
+        all!(self, s => s.run_to_quiescence());
     }
 
     /// Applies `ev` on every substrate; none may refuse it.
@@ -756,12 +751,11 @@ fn step(
         }
         Crash(x) if m.churn.is_down(d(x)) => return None, // no agent to crash
         Crash(x) => {
-            // The session has no crash model: it refuses, and drains.
+            // Every substrate takes it, the reference session included,
+            // and its Report joins the byte-equality check below.
             let crash = RuntimeEvent::CrashRestart(d(x));
-            let unsupported = |o| matches!(o, Err(PlanError::Unsupported(_)));
-            let refused = all!(subs, s => s.apply_event(&crash)).map(unsupported);
-            assert_eq!(refused, [true, false, false, false, false], "{ctx}");
-            subs.session.run_to_quiescence();
+            let refused = all!(subs, s => s.apply_event(&crash).is_err());
+            assert_eq!(refused, [false; 5], "{ctx}");
             (m.undrained, m.crashes) = (false, m.crashes + 1);
             cov.fed("crash/restart");
             return Some(false);
@@ -851,8 +845,10 @@ fn step(
 fn journals_agree(tels: &[Arc<Telemetry>], ctx: &str) {
     let journal = |tel: &Arc<Telemetry>| -> Vec<(K, u64, Option<u64>, u64)> {
         let events = tel.journal_events();
-        let lifecycle =
-            |k: K| k.as_str().starts_with("intent_") || k == K::EpochFence || k == K::TopologyChurn;
+        let lifecycle = |k: K| {
+            k.as_str().starts_with("intent_")
+                || [K::EpochFence, K::TopologyChurn, K::CrashRestart].contains(&k)
+        };
         let kept = events.iter().filter(|e| lifecycle(e.kind));
         kept.map(|e| (e.kind, e.epoch, e.intent, e.trace)).collect()
     };
@@ -1605,6 +1601,14 @@ fn case_28_an_empty_slice_is_replanned() {
 // Slice locality (INet2)
 // ---------------------------------------------------------------------
 
+/// The event that installs `inv` as intent `name`.
+fn install(name: &str, inv: &Invariant) -> RuntimeEvent {
+    RuntimeEvent::InstallIntent {
+        name: name.to_string(),
+        invariant: inv.clone(),
+    }
+}
+
 /// Installing one intent on a real dataset (INet2) must re-task only
 /// the devices in that intent's slice, reusing base-plan nodes where
 /// the slices overlap — not re-plan the whole network.
@@ -1615,7 +1619,7 @@ fn inet2_intent_install_is_slice_local() {
     let (inv, cp) = tulkun::daemon::dataset_session(net, "INet2").unwrap();
 
     let mut sim = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
-    sim.burst();
+    sim.run_to_quiescence();
     let before = sim.report().canonical_bytes();
 
     // A narrower intent over the same destination: one ingress only.
@@ -1641,7 +1645,8 @@ fn inet2_intent_install_is_slice_local() {
         .build()
         .unwrap();
 
-    let (id, delta, _) = sim.install_intent("narrow reach", &narrow).unwrap();
+    let out = sim.apply_event(&install("narrow reach", &narrow)).unwrap();
+    let (id, delta) = (out.intent.unwrap(), out.delta);
     assert!(
         delta.changed.len() < topo.num_devices(),
         "install re-tasked the whole network: {} of {} devices",
@@ -1655,7 +1660,10 @@ fn inet2_intent_install_is_slice_local() {
 
     // Removal un-tasks at most the installed slice and restores the
     // pre-install verdict byte-for-byte.
-    let (rm, _) = sim.remove_intent(id).unwrap();
+    let rm = sim
+        .apply_event(&RuntimeEvent::RemoveIntent(id))
+        .unwrap()
+        .delta;
     assert!(rm.removed.values().map(Vec::len).sum::<usize>() <= delta.total_nodes);
     assert_eq!(sim.report().canonical_bytes(), before);
 }
@@ -1695,13 +1703,16 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
     let cp = plan.counting().unwrap();
     let engine = || {
         let mut e = Engine::new(net, cp, &base.packet_space, EngineConfig::default());
-        e.burst();
+        e.run_to_quiescence();
         e
     };
 
     let mut shared = engine();
-    shared.install_intent("other", &other).unwrap();
-    let (id, ..) = shared.install_intent("swapped", &swapped).unwrap();
+    shared.apply_event(&install("other", &other)).unwrap();
+    let id = shared
+        .apply_event(&install("swapped", &swapped))
+        .unwrap()
+        .intent;
     // Devices hosting a slice node adjacent to one on a touched device.
     let neighbours = |e: &Engine, touched: &BTreeSet<DeviceId>| -> BTreeSet<DeviceId> {
         let tasks = e.intents().global_tasks();
@@ -1715,12 +1726,16 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
         per_device.iter().map(|(d, s)| (*d, s.messages)).collect()
     };
     let before = heard(&shared);
-    let (removed, _) = shared.remove_intent(id).unwrap();
+    let removed = shared
+        .apply_event(&RuntimeEvent::RemoveIntent(id.unwrap()))
+        .unwrap()
+        .delta;
     let mut reached = removed.touched_devices();
     reached.extend(neighbours(&shared, &removed.touched_devices()));
-    let (_, added, outcome) = shared.install_intent("swapped", &swapped).unwrap();
-    reached.extend(added.touched_devices());
-    reached.extend(neighbours(&shared, &added.touched_devices()));
+    let outcome = shared.apply_event(&install("swapped", &swapped)).unwrap();
+    let added = outcome.delta.touched_devices();
+    reached.extend(added.iter().copied());
+    reached.extend(neighbours(&shared, &added));
     assert!(
         outcome.messages > 0,
         "the swap announces to its new parents"
@@ -1744,7 +1759,7 @@ fn intent_swap_reaches_only_its_slice_and_its_neighbours() {
     }
 
     let mut solo = engine();
-    let (.., alone) = solo.install_intent("swapped", &swapped).unwrap();
+    let alone = solo.apply_event(&install("swapped", &swapped)).unwrap();
     assert!(
         outcome.messages <= alone.messages,
         "installing beside another intent cost {} messages, alone {}",

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the Figure 2 workflow through the facade
 //! crate (datasets → spec → planner → DVM session → verdict).
 
+use tulkun::core::event::{RuntimeEvent, Substrate};
 use tulkun::core::verify::Session;
 use tulkun::netmodel::fib::MatchSpec;
 use tulkun::netmodel::network::RuleUpdate;
@@ -20,14 +21,16 @@ fn fig2_full_workflow() {
     session.run_to_quiescence();
     let b = net.topology.expect_device("B");
     let w = net.topology.expect_device("W");
-    session.apply_rule_update(&RuleUpdate::Insert {
-        device: b,
-        rule: Rule {
-            priority: 50,
-            matches: MatchSpec::dst("10.0.1.0/24".parse().unwrap()),
-            action: Action::fwd(w),
-        },
-    });
+    session
+        .apply_event(&RuntimeEvent::Batch(vec![RuleUpdate::Insert {
+            device: b,
+            rule: Rule {
+                priority: 50,
+                matches: MatchSpec::dst("10.0.1.0/24".parse().unwrap()),
+                action: Action::fwd(w),
+            },
+        }]))
+        .unwrap();
     assert!(session.report().holds());
 }
 
@@ -121,7 +124,7 @@ fn an_intent_with_no_valid_path_is_refused_quiet_and_parked_under_churn() {
     script(&mut session);
     let cp = plan.counting().unwrap();
     let mut engine = Engine::new(&net, cp, &base.packet_space, EngineConfig::default());
-    engine.burst();
+    engine.run_to_quiescence();
     script(&mut engine);
     // The parked install is still waiting; only the base intent is live.
     assert_eq!(
@@ -201,9 +204,9 @@ fn an_event_naming_another_base_is_refused_on_every_substrate() {
     session.run_to_quiescence();
     let cp = plan.counting().unwrap();
     let mut engine = Engine::new(&net, cp, &base.packet_space, EngineConfig::default());
-    engine.burst();
+    engine.run_to_quiescence();
     let mut threaded = ThreadedEngine::spawn(&net, cp, &base.packet_space);
-    threaded.wait_quiescent();
+    threaded.run_to_quiescence();
     let reports = [run!(&mut session), run!(&mut engine), run!(&mut threaded)];
     threaded.shutdown().expect("no device thread panicked");
     assert!(reports.iter().all(|r| *r == reports[0]));
