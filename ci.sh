@@ -235,6 +235,14 @@ stage_lint() {
         echo "lint: a typed per-event method, second drive verb or retired outcome is back (see above); a substrate changes only through apply_event" >&2
         exit 1
     fi
+    # Verifiers are built one way, one at a time: the concurrent-init
+    # knob, its worker pool's figure, the LEC cache's lock shards and
+    # the second counting-profile type stay retired.
+    if grep -rnw 'parallel''_init\|LEC_CACHE''_SHARDS\|ablation_parallel''_init\|Intent''Profile' \
+        crates src tests examples; then
+        echo "lint: a concurrent verifier build, cache lock shard or second counting profile is back (see above); verifiers are built in device order through Recipe::build" >&2
+        exit 1
+    fi
     # One constructor and one device step serve both fabrics: counted
     # above each file's test module (the first column-0 `#[cfg(test)]`).
     for once in 'DeviceVerifier::builder(' '.handle(&'; do

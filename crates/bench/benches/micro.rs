@@ -158,8 +158,7 @@ fn bench_incremental_inet2(c: &Bencher) {
         .collect();
     let topo = &ds.network.topology;
     let (dst, _) = topo.external_map().next().unwrap();
-    let prefixes: Vec<_> = topo.external_prefixes(dst).to_vec();
-    let inv = tulkun_bench::workload::wan_invariant(&ds.network, dst, &prefixes);
+    let inv = tulkun_core::spec::table1::subset_reachability_to(topo, dst).unwrap();
     let plan = Planner::new(topo).plan(&inv).unwrap();
     c.bench("dvm/incremental_inet2_stream", || {
         let mut s = Session::new(&ds.network, &plan);

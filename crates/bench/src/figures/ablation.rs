@@ -8,10 +8,7 @@
 //!    and without the shared table.
 //! 4. **Proposition-2 scene reuse**: fault-tolerant DPVNet computation
 //!    with and without the reuse short-cut.
-//! 5. **Parallel init**: engine burst-init wall clock with sequential
-//!    vs concurrent per-device verifier construction (the runtime
-//!    layer's `parallel_init` option), with a report-equality check.
-//! 6. **Verification under loss**: DVM over a lossy management network
+//! 5. **Verification under loss**: DVM over a lossy management network
 //!    (the sim crate's `FaultyTransport`) — retransmit/ack overhead per
 //!    loss rate, with a report-equality check against the perfect
 //!    channel.
@@ -25,6 +22,7 @@ use tulkun_core::dpvnet::{self, DpvNet};
 use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::fault::{build_ft_dpvnet, expand_fault_spec, FaultProfile};
 use tulkun_core::planner::Planner;
+use tulkun_core::spec::table1::subset_reachability_to;
 use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
 use tulkun_datasets::{by_name, rule_updates};
@@ -39,7 +37,6 @@ pub fn run(cli: &Cli) {
     ablate_suffix_merging(cli);
     ablate_lec_sharing(cli);
     ablate_scene_reuse(cli);
-    ablate_parallel_init(cli);
     ablate_fault_overhead(cli);
     ablate_burst_updates(cli);
     ablate_churn(cli);
@@ -343,76 +340,6 @@ fn ablate_burst_updates(cli: &Cli) {
     t.finish();
 }
 
-/// Runtime-layer `parallel_init`: wall-clock burst init (verifier
-/// construction + LEC build) sequential vs concurrent, same verdict.
-fn ablate_parallel_init(cli: &Cli) {
-    let mut t = FigureTable::new(
-        "ablation_parallel_init",
-        "parallel_init: burst-init wall clock, sequential vs concurrent",
-        &[
-            "dataset",
-            "sequential",
-            "parallel",
-            "speedup",
-            "workers",
-            "host cpus",
-            "same report",
-        ],
-    );
-    // Speedup is bounded by the host: report the CPU count so a 1.0x
-    // result on a 1-CPU CI box reads as expected, not as a regression.
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    for name in ["INet2", "BTNA"] {
-        if !cli.wants(name) {
-            continue;
-        }
-        let ds = by_name(name, cli.scale).unwrap();
-        let (inv, cp) = first_destination_session(&ds.network);
-
-        // Per-worker construction timings come from the telemetry
-        // `init.build` spans (worker index in `aux`), so the figure can
-        // report how many workers the pool actually used on this host.
-        let run = |parallel_init: bool| {
-            let telemetry = Telemetry::new(TelemetryConfig::enabled());
-            let t0 = Instant::now();
-            let mut sim = Engine::new(
-                &ds.network,
-                &cp,
-                &inv.packet_space,
-                EngineConfig {
-                    parallel_init,
-                    telemetry: telemetry.clone(),
-                    ..Default::default()
-                },
-            );
-            let init_wall = t0.elapsed().as_nanos() as u64;
-            sim.run_to_quiescence();
-            let workers = telemetry
-                .spans()
-                .iter()
-                .filter(|s| s.name == "init.build")
-                .map(|s| s.aux)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len();
-            (init_wall, sim.report().canonical_bytes(), workers)
-        };
-        let (seq, seq_report, _) = run(false);
-        let (par, par_report, workers) = run(true);
-        t.row(vec![
-            name.into(),
-            fmt_ns(seq),
-            fmt_ns(par),
-            format!("{:.2}x", seq as f64 / par.max(1) as f64),
-            workers.to_string(),
-            host_cpus.to_string(),
-            (seq_report == par_report).to_string(),
-        ]);
-    }
-    t.finish();
-}
-
 /// Verification under loss: at-least-once DVM delivery over the
 /// fault-injecting transport, overhead per loss rate (fixed seed 23).
 fn ablate_fault_overhead(cli: &Cli) {
@@ -482,8 +409,7 @@ fn ablate_reduction(cli: &Cli) {
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
         let (dst, _) = topo.external_map().next().unwrap();
-        let prefixes = topo.external_prefixes(dst).to_vec();
-        let inv = crate::workload::wan_invariant(&ds.network, dst, &prefixes);
+        let inv = subset_reachability_to(topo, dst).unwrap();
         // The all-pair invariant tracks escapes → reduction off by
         // design; ablate on the pure reachability variant instead.
         let inv = tulkun_core::spec::Invariant {
@@ -590,15 +516,15 @@ fn ablate_lec_sharing(cli: &Cli) {
             .collect();
         let plans: Vec<_> = dsts
             .iter()
-            .map(|(dst, prefixes)| {
-                let inv = crate::workload::wan_invariant(&ds.network, *dst, prefixes);
+            .map(|(dst, _)| {
+                let inv = subset_reachability_to(topo, *dst).unwrap();
                 (Planner::new(topo).plan(&inv).unwrap(), inv)
             })
             .collect();
 
         let run = |share: bool| {
             let t0 = Instant::now();
-            let cache = LecCache::new();
+            let mut cache = LecCache::new();
             for (plan, inv) in &plans {
                 let cp = plan.counting().unwrap();
                 if share {
@@ -607,7 +533,7 @@ fn ablate_lec_sharing(cli: &Cli) {
                         cp,
                         &inv.packet_space,
                         EngineConfig::default(),
-                        &cache,
+                        &mut cache,
                     );
                 } else {
                     let _ =

@@ -79,7 +79,6 @@ pub const FIGURES: &[Figure] = &[
             "ablation_suffix_merge",
             "ablation_lec_sharing",
             "ablation_scene_reuse",
-            "ablation_parallel_init",
             "ablation_fault_overhead",
             "ablation_burst_updates",
             "ablation_churn",

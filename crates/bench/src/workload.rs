@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 use tulkun_baselines::Workload as BaselineWorkload;
-use tulkun_core::count::CountExpr;
 use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::{CountingPlan, Planner};
+use tulkun_core::spec::table1::subset_reachability_to;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
 use tulkun_netmodel::network::{Network, RuleUpdate};
@@ -26,41 +26,13 @@ pub fn all_pair_workload(net: &Network) -> BaselineWorkload {
     BaselineWorkload::all_pairs(net)
 }
 
-/// The per-destination Tulkun invariant for WAN/LAN datasets:
-/// every other device must deliver (subset: at least one copy, no
-/// escapes) along loop-free, `<= shortest+2` paths.
-pub fn wan_invariant(net: &Network, dst: DeviceId, prefixes: &[IpPrefix]) -> Invariant {
-    let topo = &net.topology;
-    let dst_name = topo.name(dst);
-    let ingress: Vec<String> = topo
-        .devices()
-        .filter(|d| *d != dst)
-        .map(|d| topo.name(d).to_string())
-        .collect();
-    let mut ps = PacketSpace::DstPrefix(prefixes[0]);
-    for p in &prefixes[1..] {
-        ps = ps.or(PacketSpace::DstPrefix(*p));
-    }
-    let path = PathExpr::parse(&format!(". * {dst_name}"))
-        .unwrap()
-        .loop_free()
-        .shortest_plus(2);
-    Invariant::builder()
-        .name(format!("all-pair subset reachability -> {dst_name}"))
-        .packet_space(ps)
-        .ingress(ingress)
-        .behavior(Behavior::exist(CountExpr::ge(1), path.clone()).and(Behavior::covered(path)))
-        .build()
-        .expect("wan invariant")
-}
-
-/// The first announced destination's [`wan_invariant`] with its
-/// counting plan: the one-destination session the ablations, Fig. 14
-/// and the micro-benchmarks drive.
+/// The first announced destination's [`subset_reachability_to`] with
+/// its counting plan: the one-destination session the ablations, Fig.
+/// 14 and the micro-benchmarks drive.
 pub fn first_destination_session(net: &Network) -> (Invariant, CountingPlan) {
     let topo = &net.topology;
     let (dst, _) = topo.external_map().next().expect("announced prefix");
-    let inv = wan_invariant(net, dst, topo.external_prefixes(dst));
+    let inv = subset_reachability_to(topo, dst).expect("wan invariant");
     let plan = Planner::new(topo).plan(&inv).expect("plan");
     let cp = plan.counting().expect("counting plan").clone();
     (inv, cp)
@@ -147,13 +119,13 @@ fn build_per_dst(
     dst: DeviceId,
     prefixes: Vec<IpPrefix>,
     plan_ns: &mut u64,
-    lec_cache: &LecCache,
+    lec_cache: &mut LecCache,
 ) -> PerDst {
     let net = &ds.network;
     let planner = Planner::new(&net.topology);
     let inv = match ds.spec.kind {
         NetKind::Dc => dc_invariant(net, dst, &prefixes),
-        _ => wan_invariant(net, dst, &prefixes),
+        _ => subset_reachability_to(&net.topology, dst).expect("wan invariant"),
     };
     let t0 = std::time::Instant::now();
     let plan = planner.plan(&inv).expect("plan");
@@ -251,12 +223,12 @@ impl TulkunAllPairs {
         keep: impl Fn(DeviceId) -> bool,
     ) -> TulkunAllPairs {
         let mut plan_ns = 0;
-        let lec_cache = LecCache::new();
+        let mut lec_cache = LecCache::new();
         let per_dst = destinations(&ds.network)
             .into_iter()
             .filter(|(d, _)| keep(*d))
             .map(|(dst, prefixes)| {
-                build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &lec_cache)
+                build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &mut lec_cache)
             })
             .collect();
         TulkunAllPairs { per_dst, plan_ns }
@@ -341,9 +313,9 @@ impl TulkunAllPairs {
 pub fn burst_streaming(ds: &Dataset, model: SwitchModel) -> (AllPairRun, u64) {
     let mut tally = BurstTally::default();
     let mut plan_ns = 0u64;
-    let lec_cache = LecCache::new();
+    let mut lec_cache = LecCache::new();
     for (dst, prefixes) in destinations(&ds.network) {
-        let mut pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &lec_cache);
+        let mut pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &mut lec_cache);
         tally.burst(&mut pd);
     }
     (tally.finish(), plan_ns)

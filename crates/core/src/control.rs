@@ -78,6 +78,21 @@ pub struct DeviceFence {
     pub reannounce: bool,
 }
 
+impl DeviceFence {
+    /// The other devices this share's tasks name as upstream or
+    /// downstream: the verifiers with a DVM edge to its device once it
+    /// is applied. After a crash restart, only these have protocol
+    /// state to replay toward it.
+    pub fn peers(&self) -> BTreeSet<DeviceId> {
+        let tasks = self.tasks.iter().map(|(_, t)| t);
+        let edges = tasks.flat_map(|t| {
+            let ends = t.upstream.iter().chain(&t.downstream);
+            ends.filter(move |(_, d)| *d != t.dev).map(|(_, d)| *d)
+        });
+        edges.collect()
+    }
+}
+
 /// What a substrate must deliver for one epoch bump.
 #[derive(Debug, Clone)]
 pub struct FencePlan {
@@ -250,7 +265,7 @@ impl ControlPlane {
     /// backend move. A degraded intent owns no node, and no report
     /// reads one from a device.
     pub fn hosted(&mut self) -> BTreeMap<DeviceId, DeviceFence> {
-        let delta = self.store.hosted();
+        let delta = self.store.hosted(None);
         self.shares(&delta)
     }
 
@@ -354,10 +369,11 @@ impl ControlPlane {
     /// returns the share the restarted verifier applies at the current
     /// epoch. The share removes every node of the device's part of
     /// [`ControlPlane::hosted`] and creates each again, so the verifier
-    /// loses all soft counting state and recounts from scratch. No
-    /// epoch is burned: the substrate drops what is in flight *to* the
-    /// device, and every other verifier replays its durable protocol
-    /// state toward it
+    /// loses all soft counting state and recounts from scratch; only
+    /// that part is built. No epoch is burned: the substrate drops what
+    /// is in flight *to* the device, and each of the share's
+    /// [`DeviceFence::peers`] replays its durable protocol state toward
+    /// it
     /// ([`replay_for_restart`](crate::dvm::DeviceVerifier::replay_for_restart)).
     /// Every topology device has an agent, whether or not it hosts a
     /// node; an id outside the topology names none and is `None`.
@@ -368,7 +384,8 @@ impl ControlPlane {
         self.note(JournalKind::CrashRestart, dev, trace, None, || {
             format!("verification agent on d{} crashed and restarted", dev.0)
         });
-        let share = self.hosted().remove(&dev).unwrap_or_default();
+        let delta = self.store.hosted(Some(dev));
+        let share = self.shares(&delta).remove(&dev).unwrap_or_default();
         Some(DeviceFence {
             remove: share.tasks.iter().map(|(_, t)| t.node).collect(),
             ..share
@@ -668,12 +685,7 @@ mod tests {
     /// `dev`'s verifier, built empty and hosting its share of
     /// `c.hosted()` at the current epoch, as a substrate builds it.
     fn hosting(net: &Network, c: &mut ControlPlane, dev: DeviceId) -> DeviceVerifier {
-        let plan = c.plan();
-        let cfg = VerifierConfig {
-            n_exprs: plan.exprs.len(),
-            track_escapes: plan.track_escapes,
-            reduce: plan.reduce,
-        };
+        let cfg = VerifierConfig::of(c.plan());
         let mut v = DeviceVerifier::builder(dev, net.layout, net.fib(dev).clone(), cfg).build();
         let share = c.hosted().remove(&dev).unwrap_or_default();
         v.apply_fence(c.epoch(), 0, share, &mut Vec::new());

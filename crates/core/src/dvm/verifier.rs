@@ -27,7 +27,7 @@ use crate::control::DeviceFence;
 use crate::count::{Counts, ReduceMode};
 use crate::dpvnet::NodeId;
 use crate::dvm::message::{EdgeRef, Envelope, Outbox, Payload};
-use crate::planner::NodeTask;
+use crate::planner::{CountingPlan, NodeTask};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tulkun_bdd::serial::PortablePred;
@@ -38,8 +38,12 @@ use tulkun_netmodel::DeviceId;
 use tulkun_predicate::{BackendKind, DynBackend, DynPred, PredicateBackend};
 use tulkun_telemetry::{Telemetry, CIB_RECOMPUTE, FIB_BATCH, LEC_DELTA};
 
-/// Static configuration shared by all verifiers of one plan.
-#[derive(Debug, Clone)]
+/// Static configuration shared by all verifiers of one plan: its
+/// counting profile. The verifiers carry one outcome-vector dimension
+/// and reduction mode for all hosted nodes, so every intent of one
+/// store must share it (`IntentStore` refuses an install that does
+/// not).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifierConfig {
     /// Number of path expressions.
     pub n_exprs: usize,
@@ -50,6 +54,15 @@ pub struct VerifierConfig {
 }
 
 impl VerifierConfig {
+    /// The counting profile of `plan`.
+    pub fn of(plan: &CountingPlan) -> VerifierConfig {
+        VerifierConfig {
+            n_exprs: plan.exprs.len(),
+            track_escapes: plan.track_escapes,
+            reduce: plan.reduce,
+        }
+    }
+
     /// Outcome-vector dimension.
     pub fn dim(&self) -> usize {
         self.n_exprs + usize::from(self.track_escapes)
@@ -1301,7 +1314,7 @@ mod tests {
             track_escapes: false,
             reduce: ReduceMode::None,
         };
-        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg.clone()).build();
+        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg).build();
         host(&mut d0, &space, dest_task(Vec::new()), &mut Vec::new());
         let mut fib = Fib::new();
         fib.insert(Rule {
@@ -1526,7 +1539,7 @@ mod tests {
                 rewrite,
             };
             let builder = DeviceVerifier::builder;
-            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), cfg.clone()).build();
+            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), cfg).build();
             let listening = NodeTask {
                 node: LISTENER,
                 dev: DeviceId(9),

@@ -65,8 +65,8 @@
 
 use crate::churn::ChurnState;
 use crate::control::SHARD;
-use crate::count::ReduceMode;
 use crate::dpvnet::NodeId;
+use crate::dvm::VerifierConfig;
 use crate::fault::{LinkPair, Proposition2, Reads};
 use crate::planner::{CountingPlan, NodeTask, PlanError, PlanKind, Planner};
 use crate::spec::{Invariant, PacketSpace};
@@ -92,30 +92,6 @@ impl IntentId {
 impl std::fmt::Display for IntentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// The counting profile every intent of one store must share: the
-/// on-device verifiers carry a single outcome-vector dimension and
-/// reduction mode for all hosted nodes, so intents with a different
-/// shape are rejected at install time instead of corrupting counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntentProfile {
-    /// Number of path expressions (outcome-vector components).
-    pub n_exprs: usize,
-    /// Whether the escape component is tracked.
-    pub track_escapes: bool,
-    /// Minimal-counting-information reduction mode.
-    pub reduce: ReduceMode,
-}
-
-impl IntentProfile {
-    fn of(plan: &CountingPlan) -> IntentProfile {
-        IntentProfile {
-            n_exprs: plan.exprs.len(),
-            track_escapes: plan.track_escapes,
-            reduce: plan.reduce,
-        }
     }
 }
 
@@ -1010,7 +986,7 @@ pub struct StoreReplan {
 #[derive(Debug, Clone)]
 pub struct IntentStore {
     /// The base intent's, which every other intent must share.
-    profile: IntentProfile,
+    profile: VerifierConfig,
     contexts: Vec<PacketSpace>,
     table: Table,
     intents: BTreeMap<u64, InstalledIntent>,
@@ -1066,7 +1042,7 @@ impl IntentStore {
             }
         }
         let to_global: Vec<NodeId> = (0..tasks.len() as u32).map(NodeId).collect();
-        let profile = IntentProfile::of(&slice.plan);
+        let profile = VerifierConfig::of(&slice.plan);
         let id = IntentId::BASE;
         let base = InstalledIntent::new(id, "base".into(), None, slice, to_global, 0);
         IntentStore {
@@ -1097,9 +1073,9 @@ impl IntentStore {
     }
 
     /// `slice`, for the intent `name`, if its counting profile is the
-    /// one every intent of this store shares ([`IntentProfile`]).
+    /// one every intent of this store shares ([`VerifierConfig`]).
     fn fits(&self, name: &str, slice: Slice) -> Result<Slice, PlanError> {
-        let (profile, runs) = (IntentProfile::of(&slice.plan), self.profile);
+        let (profile, runs) = (VerifierConfig::of(&slice.plan), self.profile);
         if profile != runs {
             return Err(PlanError::Unsupported(format!(
                 "intent {name:?} has counting profile {profile:?}, but this \
@@ -1231,12 +1207,13 @@ impl IntentStore {
             .collect()
     }
 
-    /// Every installed node as a delta that creates it, in node order:
-    /// what devices built from nothing apply to host what the table
-    /// has them host.
-    pub(crate) fn hosted(&self) -> IntentDelta {
+    /// Every installed node (on `on`, if given) as a delta that creates
+    /// it, in node order: what devices built from nothing apply to host
+    /// what the table has them host.
+    pub(crate) fn hosted(&self, on: Option<DeviceId>) -> IntentDelta {
         let mut changed: BTreeMap<DeviceId, Vec<(Option<usize>, NodeTask)>> = BTreeMap::new();
-        for (g, n) in &self.table.nodes {
+        let nodes = self.table.nodes.iter();
+        for (g, n) in nodes.filter(|(_, n)| on.is_none_or(|d| n.dev == d)) {
             let task = (Some(n.key.ctx), self.table.task(*g));
             changed.entry(n.dev).or_default().push(task);
         }
@@ -1790,7 +1767,7 @@ pub(crate) mod tests {
             .unwrap()
             .clone();
         let mut store = IntentStore::with_base(cp, inv.packet_space.clone());
-        if IntentProfile::of(&store.get(IntentId(0)).unwrap().plan) != IntentProfile::of(&ccp) {
+        if VerifierConfig::of(&store.get(IntentId(0)).unwrap().plan) != VerifierConfig::of(&ccp) {
             let err = store.install(
                 "covered",
                 covered.clone(),

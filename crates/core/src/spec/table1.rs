@@ -7,6 +7,7 @@
 
 use super::{Behavior, Invariant, PacketSpace, PathExpr, SpecError};
 use crate::count::CountExpr;
+use tulkun_netmodel::{DeviceId, Topology};
 
 fn pe(src: &str) -> Result<PathExpr, SpecError> {
     PathExpr::parse(src)
@@ -194,6 +195,27 @@ pub fn anycast(ps: PacketSpace, src: &str, d1: &str, d2: &str) -> Result<Invaria
         .packet_space(ps)
         .ingress([src])
         .behavior(case1.or(case2))
+        .build()
+}
+
+/// The per-destination invariant of the §9.3.1 WAN/LAN workload: every
+/// device but `dst` delivers the prefixes `dst` announces — at least
+/// one copy, and no trace escaping — along loop-free paths at most two
+/// hops longer than the shortest. All-pair reachability is one per
+/// announcing device; the daemon's session is the first one's.
+pub fn subset_reachability_to(topo: &Topology, dst: DeviceId) -> Result<Invariant, SpecError> {
+    let dst_name = topo.name(dst);
+    let prefixes = topo.external_prefixes(dst).iter();
+    let ps = prefixes
+        .map(|p| PacketSpace::DstPrefix(*p))
+        .reduce(PacketSpace::or)
+        .ok_or_else(|| SpecError(format!("{dst_name} announces no prefix")))?;
+    let path = pe(&format!(". * {dst_name}"))?.loop_free().shortest_plus(2);
+    Invariant::builder()
+        .name(format!("subset reachability -> {dst_name}"))
+        .packet_space(ps)
+        .ingress(topo.devices().filter(|d| *d != dst).map(|d| topo.name(d)))
+        .behavior(Behavior::exist(CountExpr::ge(1), path.clone()).and(Behavior::covered(path)))
         .build()
 }
 

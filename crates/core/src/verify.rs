@@ -369,11 +369,7 @@ impl Session {
         let kind = backend
             .check(tulkun_predicate::network_ip_only(net))
             .unwrap_or_else(|e| panic!("{e}"));
-        let cfg = VerifierConfig {
-            n_exprs: cp.exprs.len(),
-            track_escapes: cp.track_escapes,
-            reduce: cp.reduce,
-        };
+        let cfg = VerifierConfig::of(&cp);
         let tel = Telemetry::disabled();
         let mut control = ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone());
         let mut hosted = control.hosted();
@@ -384,7 +380,7 @@ impl Session {
         let verifiers = net.topology.devices().map(|dev| {
             let share = hosted.remove(&dev).unwrap_or_default();
             let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg.clone())
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg)
                 .backend(kind)
                 .build();
             v.apply_fence(0, 0, share, &mut queue);
@@ -500,19 +496,21 @@ impl Session {
 
     /// Crashes and restarts `dev`'s verification agent the way the
     /// engines do ([`ControlPlane::restart`]): what is queued for it is
-    /// dropped, it applies its restart share, and every other verifier
-    /// replays its durable protocol state toward it. Not driven.
+    /// dropped, it applies its restart share, and each of the share's
+    /// peers replays its durable protocol state toward it. Not driven.
     fn restart(&mut self, dev: DeviceId) {
         let Some(share) = self.control.restart(dev, 0) else {
             return;
         };
         self.queue.retain(|env| env.to != dev);
-        let epoch = self.epoch();
+        let (epoch, peers) = (self.epoch(), share.peers());
         if let Some(v) = self.verifiers.get_mut(&dev) {
             v.apply_fence(epoch, 0, share, &mut self.queue);
         }
-        for (_, v) in self.verifiers.iter_mut().filter(|(at, _)| **at != dev) {
-            v.replay_for_restart(dev, &mut self.queue);
+        for nb in peers {
+            if let Some(v) = self.verifiers.get_mut(&nb) {
+                v.replay_for_restart(dev, &mut self.queue);
+            }
         }
     }
 

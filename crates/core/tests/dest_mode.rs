@@ -60,7 +60,7 @@ fn holds(net: &Network) -> bool {
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
         let share = DeviceFence {
             tasks: vec![(Some(psp.clone()), task.clone())],
             ..DeviceFence::default()

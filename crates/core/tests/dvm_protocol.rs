@@ -65,7 +65,7 @@ fn init_envelopes(net: &Network, plan: &tulkun_core::planner::Plan) -> Vec<Envel
     let mut out = Vec::new();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
         v.apply_fence(0, 0, share(&psp, task), &mut out);
     }
     out
@@ -343,7 +343,7 @@ fn set_tasks_keeps_upstream_consistent() {
     let mut queue: std::collections::VecDeque<Envelope> = Default::default();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg.clone()).build();
+        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
         v.apply_fence(0, 0, share(&psp, task), &mut queue);
         verifiers.insert(task.dev, v);
     }

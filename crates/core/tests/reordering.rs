@@ -33,11 +33,7 @@ impl ChannelDriver {
         let cp = plan.counting().unwrap();
         let (ps, tel) = (&plan.invariant.packet_space, Telemetry::disabled());
         let mut control = ControlPlane::new(&net.topology, net.layout, cp, ps, tel);
-        let cfg = VerifierConfig {
-            n_exprs: cp.exprs.len(),
-            track_escapes: cp.track_escapes,
-            reduce: cp.reduce,
-        };
+        let cfg = VerifierConfig::of(cp);
         let mut driver = ChannelDriver {
             verifiers: BTreeMap::new(),
             channels: BTreeMap::new(),
@@ -45,7 +41,7 @@ impl ChannelDriver {
         };
         for (dev, share) in control.hosted() {
             let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg.clone()).build();
+            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg).build();
             let mut out = Vec::new();
             v.apply_fence(0, 0, share, &mut out);
             for env in out {

@@ -54,7 +54,7 @@ impl LocalSim {
         plan: &LocalPlan,
         ps: &PacketSpace,
         model: SwitchModel,
-        lec_cache: &LecCache,
+        lec_cache: &mut LecCache,
     ) -> LocalSim {
         Self::build(net, plan, ps, model, Some(lec_cache))
     }
@@ -64,7 +64,7 @@ impl LocalSim {
         plan: &LocalPlan,
         ps: &PacketSpace,
         model: SwitchModel,
-        lec_cache: Option<&LecCache>,
+        mut lec_cache: Option<&mut LecCache>,
     ) -> LocalSim {
         let psp = compile_packet_space(&net.layout, ps);
         let mut by_dev: BTreeMap<DeviceId, Vec<LocalContract>> = BTreeMap::new();
@@ -77,17 +77,17 @@ impl LocalSim {
             .into_iter()
             .map(|(dev, contracts)| {
                 let wall = Instant::now();
-                let cached = lec_cache.and_then(|c| c.get(dev));
+                let cached = lec_cache.as_deref().and_then(|c| c.get(&dev));
                 let mut checker = LocalChecker::new_with_lecs(
                     dev,
                     net.layout,
                     net.fib(dev).clone(),
                     contracts,
                     &psp,
-                    cached.as_deref().map(Vec::as_slice),
+                    cached.map(Vec::as_slice),
                 );
-                if let (Some(cache), None) = (lec_cache, cached) {
-                    cache.insert(dev, checker.export_lecs());
+                if let Some(cache) = lec_cache.as_deref_mut() {
+                    cache.entry(dev).or_insert_with(|| checker.export_lecs());
                 }
                 stats.per_device.entry(dev).or_default().init_ns =
                     model.scale_ns(wall.elapsed().as_nanos() as u64);

@@ -88,59 +88,26 @@ pub type LecTable = Vec<(PortablePred, tulkun_netmodel::fib::Action)>;
 
 /// The value behind a lock, poisoned or not. Every lock and condvar in
 /// this module goes through here: a poisoned lock means a device thread
-/// or an init worker panicked while holding it, which
-/// [`ThreadedEngine::shutdown`] already reports as a [`DevicePanic`]
-/// (and a scoped init worker re-raises), so the data is read on rather
+/// panicked while holding it, which [`ThreadedEngine::shutdown`]
+/// already reports as a [`DevicePanic`], so the data is read on rather
 /// than turned into a second panic on the coordinator. That is sound
-/// because every update made under these locks is one map or vector
-/// operation (or none: the gauge's lock guards `()`), so the data is
-/// whole at whatever step a holder panicked.
+/// because every update made under these locks is one map operation
+/// (or none: the gauge's lock guards `()`), so the data is whole at
+/// whatever step a holder panicked.
 fn unpoisoned<T>(r: LockResult<T>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
-
-/// Number of lock shards in a [`LecCache`]. Device ids hash trivially
-/// (`idx % SHARDS`), so any modest power of two spreads contention.
-const LEC_CACHE_SHARDS: usize = 16;
 
 /// A per-device LEC-table cache (exported predicates + actions) that
 /// engines built over one network share, valid as long as the device's
 /// FIB is unchanged: one device builds its LEC table once for all
 /// invariants — the paper's §8 architecture. Only the constructors
 /// whose callers share one take it ([`Engine::with_cache`],
-/// `LocalSim::new_cached`).
-///
-/// The cache is sharded per device: each shard has its own lock, and
-/// tables are handed out as `Arc`s, so `parallel_init` workers never
-/// serialize on one global `Mutex`. Tables are held in the
+/// `LocalSim::new_cached`), and they fill it. Tables are held in the
 /// backend-neutral wire encoding (exported predicates are canonical
 /// ROBDD bytes whatever backend produced them), so one cache serves
 /// engines running different predicate backends.
-#[derive(Default)]
-pub struct LecCache {
-    shards: [Mutex<BTreeMap<DeviceId, Arc<LecTable>>>; LEC_CACHE_SHARDS],
-}
-
-impl LecCache {
-    /// An empty cache.
-    pub fn new() -> LecCache {
-        LecCache::default()
-    }
-
-    fn shard(&self, dev: DeviceId) -> &Mutex<BTreeMap<DeviceId, Arc<LecTable>>> {
-        &self.shards[dev.idx() % LEC_CACHE_SHARDS]
-    }
-
-    /// The cached LEC table of a device, if any.
-    pub fn get(&self, dev: DeviceId) -> Option<Arc<LecTable>> {
-        unpoisoned(self.shard(dev).lock()).get(&dev).cloned()
-    }
-
-    /// Caches a device's exported LEC table.
-    pub fn insert(&self, dev: DeviceId, lecs: LecTable) {
-        unpoisoned(self.shard(dev).lock()).insert(dev, Arc::new(lecs));
-    }
-}
+pub type LecCache = BTreeMap<DeviceId, LecTable>;
 
 /// Per-device counters for the §9.4 overhead figures.
 #[derive(Debug, Clone, Default)]
@@ -503,12 +470,6 @@ impl Ord for EnvelopeOrd {
 pub struct EngineConfig {
     /// Switch model whose CPU factor scales measured host time.
     pub model: SwitchModel,
-    /// Build per-device verifiers (LEC tables + initial counting)
-    /// concurrently with scoped threads. The resulting [`Report`] is
-    /// identical to sequential init — construction is deterministic
-    /// per device and initial envelopes are enqueued in device order —
-    /// but wall-clock burst-init time drops on multi-core hosts.
-    pub parallel_init: bool,
     /// Telemetry handle shared by the engine, its verifiers and (for
     /// fault substrates) the transport. Defaults to the disabled
     /// handle, under which every record call is a single branch — no
@@ -526,7 +487,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             model: SwitchModel::MELLANOX,
-            parallel_init: false,
             telemetry: Telemetry::disabled(),
             backend: BackendKind::Bdd,
         }
@@ -574,11 +534,7 @@ impl Recipe {
         let kind = cfg.backend.check(network_ip_only(net));
         Recipe {
             layout: net.layout,
-            vcfg: VerifierConfig {
-                n_exprs: plan.exprs.len(),
-                track_escapes: plan.track_escapes,
-                reduce: plan.reduce,
-            },
+            vcfg: VerifierConfig::of(plan),
             kind: kind.unwrap_or_else(|e| panic!("{e}")),
             tel: cfg.telemetry.clone(),
         }
@@ -590,30 +546,27 @@ impl Recipe {
     /// verifier counts what the control plane has its device host.
     /// LECs come from `cache` when it holds the device's table, and
     /// fill it when it does not. Times the build as the `init.build`
-    /// layer (`worker` in aux) and returns the verifier, what it sent
-    /// and the host ns both took.
+    /// layer and returns the verifier, what it sent and the host ns
+    /// both took.
     fn build(
         &self,
         dev: DeviceId,
         fib: Fib,
         share: DeviceFence,
         (epoch, trace): (u64, u64),
-        cache: Option<&LecCache>,
-        worker: u64,
+        cache: Option<&mut LecCache>,
     ) -> (DeviceVerifier, Vec<Envelope>, u64) {
         let tel = &self.tel;
         let start = Instant::now();
-        // Attributed to its worker (aux) so the EXPERIMENTS
-        // parallel-init entry can read actual occupancy.
-        let (v, out) = tel.timed(dev, &INIT_BUILD, trace, worker, || {
-            let cached = cache.and_then(|c| c.get(dev));
-            let mut v = DeviceVerifier::builder(dev, self.layout, fib, self.vcfg.clone())
+        let (v, out) = tel.timed(dev, &INIT_BUILD, trace, 0, || {
+            let cached = cache.as_deref().and_then(|c| c.get(&dev));
+            let mut v = DeviceVerifier::builder(dev, self.layout, fib, self.vcfg)
                 .backend(self.kind)
-                .maybe_lecs(cached.as_deref().map(Vec::as_slice))
+                .maybe_lecs(cached.map(Vec::as_slice))
                 .telemetry(tel.clone())
                 .build();
-            if let (Some(cache), None) = (cache, cached) {
-                cache.insert(dev, v.export_lecs());
+            if let Some(cache) = cache {
+                cache.entry(dev).or_insert_with(|| v.export_lecs());
             }
             let mut out = Vec::new();
             v.apply_fence(epoch, trace, share, &mut out);
@@ -633,73 +586,33 @@ struct BuiltVerifier {
 }
 
 /// Builds the verifier of every topology device — the roster of both
-/// fabrics — with its share of `hosted` ([`ControlPlane::hosted`] at
-/// epoch 0), timing each construction (LEC build + initial counting)
-/// as init cost; the whole initial burst is one causal wave. With
-/// `parallel_init` set, devices build concurrently under scoped
-/// threads — a shared [`LecCache`] is used directly (per-shard locking,
-/// no global mutex), and results are returned in device order so
-/// downstream scheduling stays deterministic.
+/// fabrics — in device order, with its share of `hosted`
+/// ([`ControlPlane::hosted`] at epoch 0), timing each construction
+/// (LEC build + initial counting) as init cost; the whole initial burst
+/// is one causal wave.
 fn build_verifiers(
     net: &Network,
     mut hosted: BTreeMap<DeviceId, DeviceFence>,
     recipe: &Recipe,
-    cfg: &EngineConfig,
-    lec_cache: Option<&LecCache>,
+    model: SwitchModel,
+    mut lec_cache: Option<&mut LecCache>,
 ) -> Vec<BuiltVerifier> {
-    let by_dev = net.topology.devices().map(|dev| {
-        let share = hosted.remove(&dev).unwrap_or_default();
-        (dev, share)
-    });
-    let by_dev: Vec<(DeviceId, DeviceFence)> = by_dev.collect();
-    let build_one = |dev: DeviceId, share: DeviceFence, worker: u64| -> BuiltVerifier {
-        let fib = net.fib(dev).clone();
+    let build_one = |dev: DeviceId| {
+        let (share, fib) = (
+            hosted.remove(&dev).unwrap_or_default(),
+            net.fib(dev).clone(),
+        );
+        let init = (0, INIT_TRACE);
         let (verifier, init_out, host_ns) =
-            recipe.build(dev, fib, share, (0, INIT_TRACE), lec_cache, worker);
+            recipe.build(dev, fib, share, init, lec_cache.as_deref_mut());
         BuiltVerifier {
             dev,
             verifier,
             init_out,
-            init_ns: cfg.model.scale_ns(host_ns),
+            init_ns: model.scale_ns(host_ns),
         }
     };
-
-    if !cfg.parallel_init {
-        return by_dev
-            .into_iter()
-            .map(|(dev, share)| build_one(dev, share, 0))
-            .collect();
-    }
-
-    // Worker pool sized to the host, not one thread per device: devices
-    // outnumber cores on every evaluation topology, and per-device
-    // spawns serialize into pure overhead on small hosts.
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(by_dev.len().max(1));
-    let jobs: Mutex<Vec<(DeviceId, DeviceFence)>> = Mutex::new(by_dev);
-    let results: Mutex<Vec<BuiltVerifier>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let jobs = &jobs;
-            let results = &results;
-            let build_one = &build_one;
-            s.spawn(move || {
-                // The block drops the queue's guard before the build;
-                // a `while let` scrutinee's guard would live through it.
-                while let Some((dev, share)) = {
-                    let mut q = unpoisoned(jobs.lock());
-                    q.pop()
-                } {
-                    let built = build_one(dev, share, w as u64);
-                    unpoisoned(results.lock()).push(built);
-                }
-            });
-        }
-    });
-    let mut out = unpoisoned(results.into_inner());
-    out.sort_by_key(|b| b.dev);
-    out
+    net.topology.devices().map(build_one).collect()
 }
 
 /// A verifier operation the lifecycle injects from outside the DVM
@@ -801,8 +714,6 @@ pub struct Runtime<F> {
     /// Next causal trace id handed to an injected event (init is
     /// [`INIT_TRACE`]).
     next_trace: u64,
-    /// Topology devices: the ids a crash may name.
-    devices: u32,
     /// Each source's verdict as last evaluated and rendered.
     verdicts: Verdicts,
 }
@@ -817,13 +728,12 @@ pub type Engine = Runtime<Driver>;
 pub type ThreadedEngine = Runtime<Threads>;
 
 impl<F: Fabric> Runtime<F> {
-    fn assemble(net: &Network, control: ControlPlane, fabric: F, cfg: &EngineConfig) -> Runtime<F> {
+    fn assemble(control: ControlPlane, fabric: F, cfg: &EngineConfig) -> Runtime<F> {
         Runtime {
             control,
             fabric,
             tel: cfg.telemetry.clone(),
             next_trace: FIRST_EVENT_TRACE,
-            devices: net.topology.num_devices() as u32,
             verdicts: Verdicts::default(),
         }
     }
@@ -869,7 +779,7 @@ impl<F: Fabric> Runtime<F> {
 
     /// Crashes and restarts one device's verification agent
     /// ([`ControlPlane::restart`]): the restarted verifier applies its
-    /// restart share, every *other* verifier replays its durable
+    /// restart share, and each of the share's peers replays its durable
     /// protocol state toward it ([`DeviceVerifier::replay_for_restart`]),
     /// and the run recovers instead of aborting: the Report re-converges
     /// to the pre-crash fixpoint. Journaled and counted alike on both
@@ -887,11 +797,12 @@ impl<F: Fabric> Runtime<F> {
         // share is injected *before* any replay, so on in-order
         // channels the replayed messages land on the fresh state too.
         self.fabric.purge_for_restart(dev);
+        let peers = restart.peers();
         let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
             v.apply_fence(epoch, trace, restart, out)
         };
         self.fabric.inject(dev, trace, Box::new(op));
-        for nb in (0..self.devices).map(DeviceId).filter(|nb| *nb != dev) {
+        for nb in peers {
             let op = move |v: &mut DeviceVerifier, out: &mut Vec<Envelope>| {
                 v.replay_for_restart(dev, out)
             };
@@ -1110,7 +1021,7 @@ impl Driver {
         let Some(fib) = self.verifiers.get(&dev).map(|v| v.fib().clone()) else {
             return;
         };
-        let (v, out, host_ns) = self.recipe.build(dev, fib, share, (epoch, trace), None, 0);
+        let (v, out, host_ns) = self.recipe.build(dev, fib, share, (epoch, trace), None);
         let span = self.clock.charge(dev, 0, host_ns);
         let st = self.stats.per_device.entry(dev).or_default();
         (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.mem_units());
@@ -1189,7 +1100,7 @@ impl Runtime<Driver> {
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: EngineConfig,
-        lec_cache: &LecCache,
+        lec_cache: &mut LecCache,
     ) -> Engine {
         let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         Self::on(net, plan, ps, &cfg, Some(lec_cache), Box::new(links))
@@ -1232,13 +1143,13 @@ impl Runtime<Driver> {
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: &EngineConfig,
-        lec_cache: Option<&LecCache>,
+        lec_cache: Option<&mut LecCache>,
         mut transport: Box<dyn Transport>,
     ) -> Engine {
         let mut control =
             ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
         let recipe = Recipe::new(net, plan, cfg);
-        let built = build_verifiers(net, control.hosted(), &recipe, cfg, lec_cache);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model, lec_cache);
         let mut clock = VirtualClock::new(cfg.model);
         let mut verifiers = BTreeMap::new();
         let mut stats = RuntimeStats::default();
@@ -1260,7 +1171,7 @@ impl Runtime<Driver> {
             watermark: 0,
             recipe,
         };
-        Runtime::assemble(net, control, driver, cfg)
+        Runtime::assemble(control, driver, cfg)
     }
 
     /// The runtime observability surface.
@@ -1604,9 +1515,7 @@ impl Runtime<Threads> {
         Self::spawn_with(net, plan, ps, &EngineConfig::default())
     }
 
-    /// Like [`ThreadedEngine::spawn`], with explicit engine options
-    /// (`parallel_init` builds device verifiers concurrently before the
-    /// threads start).
+    /// Like [`ThreadedEngine::spawn`], with explicit engine options.
     pub fn spawn_with(
         net: &Network,
         plan: &CountingPlan,
@@ -1616,7 +1525,7 @@ impl Runtime<Threads> {
         let mut control =
             ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
         let recipe = Recipe::new(net, plan, cfg);
-        let built = build_verifiers(net, control.hosted(), &recipe, cfg, None);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model, None);
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
@@ -1706,7 +1615,7 @@ impl Runtime<Threads> {
             stalled: Mutex::new(BTreeMap::new()),
             joined: false,
         };
-        Runtime::assemble(net, control, threads, cfg)
+        Runtime::assemble(control, threads, cfg)
     }
 
     /// Waits for quiescence under a convergence watchdog: per-device
@@ -1815,7 +1724,7 @@ mod tests {
     use tulkun_core::churn::{ChurnState, TopologyEvent};
     use tulkun_core::count::CountExpr;
     use tulkun_core::planner::Planner;
-    use tulkun_core::spec::{Behavior, Invariant, PathExpr};
+    use tulkun_core::spec::{table1, Behavior, Invariant, PathExpr};
     use tulkun_core::verify::{Freshness, Session};
     use tulkun_datasets::fig2a_network;
     use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
@@ -1887,21 +1796,37 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
     }
 
+    /// Two destination invariants of one dataset, built through one
+    /// cache: the second engine, on `intervals`, seeds every verifier
+    /// from the first (`bdd`) engine's export and rebuilds no LEC
+    /// table, and each Report is the one an uncached engine reaches.
     #[test]
-    fn parallel_init_report_is_identical() {
-        let net = fig2a_network();
-        let (cp, ps) = waypoint_plan(&net);
-        let run = |parallel_init: bool| {
-            let cache = LecCache::new();
+    fn a_second_engine_reads_its_lec_tables_from_the_cache() {
+        let ds = tulkun_datasets::by_name("INet2", tulkun_datasets::Scale::Tiny).unwrap();
+        let (net, topo) = (&ds.network, &ds.network.topology);
+        let dsts: BTreeSet<DeviceId> = topo.external_map().map(|(d, _)| d).collect();
+        let mut cache = LecCache::new();
+        let backends = [BackendKind::Bdd, BackendKind::Intervals];
+        for (dst, backend) in dsts.into_iter().zip(backends) {
+            let inv = table1::subset_reachability_to(topo, dst).unwrap();
+            let plan = Planner::new(topo).plan(&inv).unwrap();
+            let (cp, ps) = (plan.counting().unwrap(), &inv.packet_space);
             let cfg = EngineConfig {
-                parallel_init,
-                ..Default::default()
+                backend,
+                ..EngineConfig::default()
             };
-            let mut engine = Engine::with_cache(&net, &cp, &ps, cfg, &cache);
-            engine.run_to_quiescence();
-            engine.report().canonical_bytes()
-        };
-        assert_eq!(run(false), run(true));
+            let read = !cache.is_empty();
+            let mut cached = Engine::with_cache(net, cp, ps, cfg.clone(), &mut cache);
+            assert_eq!(cache.len(), topo.num_devices());
+            let rebuilds = cached.fabric.verifiers.values();
+            let rebuilds: BTreeSet<u64> = rebuilds.map(|v| v.stats.lec_rebuilds).collect();
+            assert_eq!(rebuilds, BTreeSet::from([u64::from(!read)]), "{backend}");
+            let mut fresh = Engine::new(net, cp, ps, cfg);
+            cached.run_to_quiescence();
+            fresh.run_to_quiescence();
+            let report = cached.report().canonical_bytes();
+            assert_eq!(report, fresh.report().canonical_bytes(), "{backend}");
+        }
     }
 
     #[test]
@@ -2851,6 +2776,32 @@ mod tests {
             assert_eq!(msg_ns.count(), stats.messages as u64);
             let max = stats.per_device.values().map(|s| s.msg_ns.max()).max();
             assert_eq!(Some(msg_ns.max()), max);
+        }
+    }
+
+    /// A crash restart costs only what it touches: on either fabric W's
+    /// restart share is one injected op, and only the devices its
+    /// tasks name as upstream or downstream replay toward it.
+    #[test]
+    fn a_crash_restart_injects_on_the_device_and_its_peers_only() {
+        let (net, mut engine, mut threaded, tels) = both_fabrics(&waypoint_inv());
+        let w = net.topology.expect_device("W");
+        let on_w = engine
+            .intents()
+            .global_tasks()
+            .into_iter()
+            .filter(|t| t.dev == w);
+        let ends = on_w.flat_map(|t| [t.upstream, t.downstream].concat());
+        let peers: BTreeSet<DeviceId> = ends.map(|(_, d)| d).filter(|d| *d != w).collect();
+        assert!(peers.len() + 1 < net.topology.num_devices(), "{peers:?}");
+        let injected = |tel: &Telemetry| tel.histogram(INJECT.hist).count();
+        let before = tels.each_ref().map(|tel| injected(tel));
+        let crash = RuntimeEvent::CrashRestart(w);
+        engine.apply_event(&crash).unwrap();
+        threaded.apply_event(&crash).unwrap();
+        threaded.shutdown().expect("no panics");
+        for (tel, before) in tels.iter().zip(before) {
+            assert_eq!(injected(tel) - before, 1 + peers.len() as u64);
         }
     }
 

@@ -22,9 +22,8 @@
 //!
 //! When enabled, spans land in per-device ring buffers and metric
 //! updates land in one of [`SHARDS`] lock shards selected by
-//! `device.idx() % SHARDS` — the same sharding rule as the runtime's
-//! `LecCache` — so the `ThreadedEngine`'s one-thread-per-device
-//! workers never contend on a telemetry lock.
+//! `device.idx() % SHARDS`, so the `ThreadedEngine`'s
+//! one-thread-per-device workers never contend on a telemetry lock.
 //!
 //! A span with a duration is always a timed [`Layer`]: one call
 //! ([`Telemetry::timed`], or [`Telemetry::start`] and
@@ -37,7 +36,7 @@
 //! creation), a causal `trace` id threaded through `Envelope` so one
 //! FIB update's UPDATE wave can be reconstructed across devices, and
 //! an `aux` word for substrate-specific context (the virtual-clock
-//! time under `Engine`, the worker index for `init.build` spans).
+//! time under `Engine`; 0 for `init.build` spans).
 
 mod export;
 mod journal;
@@ -57,9 +56,9 @@ use std::time::Instant;
 
 use tulkun_netmodel::topology::DeviceId;
 
-/// Number of lock shards in the tracer and the metrics registry;
-/// mirrors the runtime's `LecCache` so one-thread-per-device workers
-/// land on distinct shards.
+/// Number of lock shards in the tracer and the metrics registry, keyed
+/// by device index, so one-thread-per-device workers land on distinct
+/// shards.
 pub const SHARDS: usize = 16;
 
 /// A timed layer: the span it records and the histogram (ns) its

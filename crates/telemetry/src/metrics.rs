@@ -1,7 +1,6 @@
 //! Metrics registry: named counters, gauges and log-linear histograms
-//! behind [`crate::SHARDS`] lock shards keyed by device index — the
-//! `LecCache` sharding rule, so one-thread-per-device runtimes never
-//! contend.
+//! behind [`crate::SHARDS`] lock shards keyed by device index, so
+//! one-thread-per-device runtimes never contend.
 //!
 //! One [`Histogram`] type serves every use: shard storage, the merged
 //! snapshot, an SLO window (the [`Histogram::delta`] of two cumulative

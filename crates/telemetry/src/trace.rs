@@ -30,7 +30,7 @@ pub struct SpanEvent {
     pub dur: u64,
     /// Causal trace id threaded through `Envelope`; 0 = untraced.
     pub trace: u64,
-    /// Auxiliary word: virtual-clock tick, worker index, or 0.
+    /// Auxiliary word: virtual-clock tick, fence epoch, or 0.
     pub aux: u64,
 }
 

@@ -448,7 +448,6 @@ fn explain_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<
         telemetry: Telemetry::new(TelemetryConfig::enabled()),
         backend: checked_backend(get, net)?,
         model: tulkun::sim::SwitchModel::LOCKSTEP,
-        ..EngineConfig::default()
     };
     let mut sim = Engine::lossy(
         net,

@@ -77,11 +77,10 @@
 //! management network.
 
 use crate::core::churn::TopologyEvent;
-use crate::core::count::CountExpr;
 use crate::core::explain::Subject;
 use crate::core::intent::IntentId;
 use crate::core::planner::{CountingPlan, Planner};
-use crate::core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
+use crate::core::spec::{table1, Invariant};
 use crate::datasets::{Dataset, Scale};
 use crate::netmodel::network::{Network, RuleUpdate};
 use crate::netmodel::topology::Topology;
@@ -98,38 +97,18 @@ pub fn load_dataset(name: &str, scale: Scale) -> Result<Dataset, String> {
     })
 }
 
-/// One WAN destination's subset-reachability counting session on a
-/// generated dataset (the §9.3.1 workload shape): every other device
-/// delivers along loop-free, <= shortest+2 paths. This is the session
-/// behind `tulkun trace`/`metrics`/`churn` and the daemon.
+/// The first announced destination's subset-reachability counting
+/// session on a generated dataset
+/// ([`table1::subset_reachability_to`], the §9.3.1 workload shape).
+/// This is the session behind `tulkun trace`/`metrics`/`churn` and the
+/// daemon.
 pub fn dataset_session(net: &Network, name: &str) -> Result<(Invariant, CountingPlan), String> {
     let topo = &net.topology;
     let (dst, _) = topo
         .external_map()
         .next()
         .ok_or_else(|| format!("dataset {name:?} announces no external prefixes"))?;
-    let prefixes = topo.external_prefixes(dst).to_vec();
-    let dst_name = topo.name(dst);
-    let ingress: Vec<String> = topo
-        .devices()
-        .filter(|d| *d != dst)
-        .map(|d| topo.name(d).to_string())
-        .collect();
-    let mut ps = PacketSpace::DstPrefix(prefixes[0]);
-    for p in &prefixes[1..] {
-        ps = ps.or(PacketSpace::DstPrefix(*p));
-    }
-    let path = PathExpr::parse(&format!(". * {dst_name}"))
-        .map_err(|e| e.to_string())?
-        .loop_free()
-        .shortest_plus(2);
-    let inv = Invariant::builder()
-        .name(format!("subset reachability -> {dst_name}"))
-        .packet_space(ps)
-        .ingress(ingress)
-        .behavior(Behavior::exist(CountExpr::ge(1), path.clone()).and(Behavior::covered(path)))
-        .build()
-        .map_err(|e| e.to_string())?;
+    let inv = table1::subset_reachability_to(topo, dst).map_err(|e| e.to_string())?;
     let plan = Planner::new(topo)
         .plan(&inv)
         .map_err(|e| format!("planning failed: {e}"))?;
