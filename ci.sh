@@ -107,7 +107,8 @@
 #   obs-smoke     runs `tulkun trace` / `tulkun metrics` on tiny INet2
 #                 and validates the Chrome-trace JSON and Prometheus
 #                 text with check_telemetry (structure only, no timing
-#                 -- the CI box has 1 CPU; the predicate-memory gauges
+#                 -- the CI box has 1 CPU; one TYPE line and one group
+#                 of lines per family; the predicate-memory gauges
 #                 tulkun_bdd_nodes / tulkun_bdd_memo_entries must be
 #                 there, the memo within its bound, no histogram over
 #                 32 `le` lines); the init-build, inject and handle
@@ -122,7 +123,8 @@
 #                 (a journaled backend_swap) on an ACL batch with its
 #                 epoch and its journal's intent/churn history as they
 #                 were, and time
-#                 its report's build and encode layers, and a second
+#                 its report's build and encode layers in a `metrics`
+#                 reply check_telemetry accepts, and a second
 #                 report on the unchanged network must reply the same
 #                 bytes and render 0 sources; also
 #                 asserts a run
@@ -241,6 +243,14 @@ stage_lint() {
     if grep -rnw 'parallel''_init\|LEC_CACHE''_SHARDS\|ablation_parallel''_init\|Intent''Profile' \
         crates src tests examples; then
         echo "lint: a concurrent verifier build, cache lock shard or second counting profile is back (see above); verifiers are built in device order through Recipe::build" >&2
+        exit 1
+    fi
+    # Telemetry keeps one registry and one tracer, each one store
+    # behind one lock: the lock shards and the device argument that
+    # picked one stay retired.
+    if grep -rnw 'SHA''RDS\|SHA''RD' crates src tests examples \
+        || grep -rnF 'fn sha''rd(' crates src tests examples; then
+        echo "lint: a telemetry lock shard is back (see above); the metrics registry and the tracer each keep one store behind one lock" >&2
         exit 1
     fi
     # One constructor and one device step serve both fabrics: counted
@@ -611,6 +621,16 @@ stage_obs_smoke() {
             exit 1
         }
     done
+    # The first `metrics` reply (an `ok <lines>` header whose next line
+    # is a TYPE line, then the exposition text) passes the same checks
+    # as `tulkun metrics`: one TYPE line and one group of lines per
+    # family included.
+    awk '/^ok [0-9]+$/ && !n { hdr = $2; next }
+        hdr && !n { if (/^# TYPE /) n = hdr; hdr = 0 }
+        n > 0 { print; if (!--n) exit }' \
+        "$obs_dir/daemon_clean.out" > "$obs_dir/daemon_clean.prom"
+    cargo run --release -p tulkun-bench --bin check_telemetry -- \
+        --metrics "$obs_dir/daemon_clean.prom"
     reports="$(grep '^ok \[' "$obs_dir/daemon_clean.out")"
     [ "$(printf '%s\n' "$reports" | wc -l)" -eq 2 ] &&
         [ "$(printf '%s\n' "$reports" | sort -u | wc -l)" -eq 1 ] || {

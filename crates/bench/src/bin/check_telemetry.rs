@@ -12,15 +12,18 @@
 //!   (devices) — the cross-device UPDATE-wave reconstruction the
 //!   telemetry subsystem exists for.
 //! * `--metrics <file>`: the file is Prometheus text exposition —
-//!   `# TYPE` lines, `name{labels} value` samples, and every histogram
+//!   one `# TYPE` line per metric family, followed by all of that
+//!   family's `name{labels} value` samples and no other's (no family
+//!   declared twice or split by another), and every histogram
 //!   has monotonically non-decreasing cumulative buckets ending in
 //!   `le="+Inf"` plus `_sum` and `_count` lines, with `_count` equal
 //!   to the `+Inf` bucket, in at most [`MAX_LE_LINES`] `le` lines
 //!   (one per power of two the histogram spans); a repair wave is a
 //!   kind of fence, so `tulkun_fence_repairs_total` never exceeds
-//!   `tulkun_epoch_bumps_total`; the per-device predicate-memory
-//!   gauges `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are
-//!   exported, the memo within its bound of `max(4096, 4 x nodes)`;
+//!   `tulkun_epoch_bumps_total`; the predicate-memory gauges
+//!   `tulkun_bdd_nodes` / `tulkun_bdd_memo_entries` are exported (each
+//!   reads its heaviest device), the memo within its bound of
+//!   `max(4096, 4 x nodes)`;
 //!   and the control plane's work counters ([`CONTROL_COUNTERS`]:
 //!   planner runs and scene-table hits, tasks shipped, nodes removed
 //!   and nodes kept verbatim by churn fences) are exported (from zero:
@@ -235,6 +238,9 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
     let (mut bumps, mut repairs) = (0.0f64, 0.0f64);
     let (mut bdd_nodes, mut bdd_memo) = (None, None);
     let mut control_counters: Vec<&str> = Vec::new();
+    // Every family declared so far, and the one whose lines follow.
+    let mut declared: BTreeSet<&str> = BTreeSet::new();
+    let mut family = "";
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -242,17 +248,24 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
         }
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let mut it = rest.split_whitespace();
-            let (name, kind) = (it.next(), it.next());
-            match (name, kind) {
-                // Declaring the histogram first is what tells its
-                // `_sum`/`_count` series from a gauge that merely ends
-                // in `_count` (`tulkun_intent_count`).
-                (Some(name), Some("histogram")) => {
-                    hists.entry(name.to_string()).or_default();
-                }
-                (Some(_), Some("counter" | "gauge")) => {}
-                _ => return Err(format!("line {}: malformed TYPE line", lineno + 1)),
+            let (Some(name), Some(kind @ ("counter" | "gauge" | "histogram"))) =
+                (it.next(), it.next())
+            else {
+                return Err(format!("line {}: malformed TYPE line", lineno + 1));
+            };
+            if !declared.insert(name) {
+                return Err(format!(
+                    "line {}: a second TYPE line for {name}",
+                    lineno + 1
+                ));
             }
+            // Declaring the histogram first is what tells its
+            // `_sum`/`_count` series from a gauge that merely ends in
+            // `_count` (`tulkun_intent_count`).
+            if kind == "histogram" {
+                hists.entry(name.to_string()).or_default();
+            }
+            family = name;
             continue;
         }
         if line.starts_with('#') {
@@ -265,58 +278,59 @@ fn check_metrics(text: &str, expect_empty: bool) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("line {}: non-numeric value {value:?}", lineno + 1))?;
         samples += 1;
-        if let Some((name, labels)) = name_part.split_once('{') {
-            let labels = labels.strip_suffix('}').ok_or(format!(
-                "line {}: unterminated label set {labels:?}",
-                lineno + 1
-            ))?;
-            if let Some(le) = labels
-                .strip_prefix("le=\"")
-                .and_then(|l| l.strip_suffix('"'))
-            {
-                let base = name.strip_suffix("_bucket").ok_or(format!(
-                    "line {}: le-labeled sample is not a _bucket",
+        let (metric, labels) = match name_part.split_once('{') {
+            Some((metric, labels)) => {
+                let labels = labels.strip_suffix('}').ok_or(format!(
+                    "line {}: unterminated label set {labels:?}",
                     lineno + 1
                 ))?;
-                let h = hists.entry(base.to_string()).or_default();
+                (metric, Some(labels))
+            }
+            None => (name_part, None),
+        };
+        // The sample's series within the family whose lines these are:
+        // "" for the family's own name, or a histogram's suffix.
+        match (metric.strip_prefix(family), labels, hists.get_mut(family)) {
+            (Some("_bucket"), Some(labels), Some(h)) => {
+                let le = labels
+                    .strip_prefix("le=\"")
+                    .and_then(|l| l.strip_suffix('"'))
+                    .ok_or(format!(
+                        "line {}: a _bucket without an le label",
+                        lineno + 1
+                    ))?;
                 if h.saw_inf {
                     return Err(format!("line {}: bucket after le=\"+Inf\"", lineno + 1));
                 }
                 h.buckets.push(value as u64);
-                if le == "+Inf" {
-                    h.saw_inf = true;
-                }
-            } else {
-                // A labeled gauge/counter series (e.g. per-intent
-                // freshness `tulkun_intent_fresh{intent="0"}`): the
-                // label must at least be a `key="value"` pair.
+                h.saw_inf = le == "+Inf";
+            }
+            (Some("_sum"), None, Some(h)) => h.sum = Some(value),
+            (Some("_count"), None, Some(h)) => h.count = Some(value as u64),
+            // A labeled gauge/counter series (e.g. per-intent freshness
+            // `tulkun_intent_fresh{intent="0"}`): the label must at
+            // least be a `key="value"` pair, and not a bucket's `le`.
+            (Some(""), Some(labels), None) => {
                 let well_formed = labels
                     .split_once("=\"")
-                    .is_some_and(|(k, v)| !k.is_empty() && v.ends_with('"'));
+                    .is_some_and(|(k, v)| !matches!(k, "" | "le") && v.ends_with('"'));
                 if !well_formed {
                     return Err(format!("line {}: malformed labels {labels:?}", lineno + 1));
                 }
             }
-        } else if let Some(h) = name_part
-            .strip_suffix("_sum")
-            .and_then(|base| hists.get_mut(base))
-        {
-            h.sum = Some(value);
-        } else if let Some(h) = name_part
-            .strip_suffix("_count")
-            .and_then(|base| hists.get_mut(base))
-        {
-            h.count = Some(value as u64);
-        } else if name_part == "tulkun_epoch_bumps_total" {
-            bumps = value;
-        } else if name_part == "tulkun_fence_repairs_total" {
-            repairs = value;
-        } else if name_part == "tulkun_bdd_nodes" {
-            bdd_nodes = Some(value);
-        } else if name_part == "tulkun_bdd_memo_entries" {
-            bdd_memo = Some(value);
-        } else if let Some(name) = CONTROL_COUNTERS.iter().find(|c| **c == name_part) {
-            control_counters.push(name);
+            (Some(""), None, None) => match metric {
+                "tulkun_epoch_bumps_total" => bumps = value,
+                "tulkun_fence_repairs_total" => repairs = value,
+                "tulkun_bdd_nodes" => bdd_nodes = Some(value),
+                "tulkun_bdd_memo_entries" => bdd_memo = Some(value),
+                _ => control_counters.extend(CONTROL_COUNTERS.iter().find(|c| **c == metric)),
+            },
+            _ => {
+                return Err(format!(
+                    "line {}: {metric} is not a series of {family:?}, whose lines these are",
+                    lineno + 1
+                ))
+            }
         }
     }
     if samples == 0 {

@@ -45,13 +45,8 @@ const INTENT: &str = "intent churn";
 /// tasks change, else the first that drops a node.
 fn first_touched(delta: &IntentDelta) -> DeviceId {
     let mut touched = delta.changed.keys().chain(delta.removed.keys());
-    touched.next().copied().unwrap_or(SHARD)
+    touched.next().copied().unwrap_or(DeviceId(0))
 }
-
-/// The metric shard every control-plane gauge and counter is written
-/// to. Gauges snapshot as the maximum across shards, so a gauge that
-/// can fall must only ever be written to one.
-pub(crate) const SHARD: DeviceId = DeviceId(0);
 
 /// One device's share of an epoch fence, applied atomically by
 /// [`DeviceVerifier::apply_fence`](crate::dvm::DeviceVerifier::apply_fence):
@@ -229,8 +224,9 @@ impl ControlPlane {
     }
 
     fn export_intent_count(&self) {
+        let count = self.store.len() as i64;
         self.tel
-            .gauge_set(SHARD, "tulkun_intent_count", self.store.len() as i64);
+            .gauge_set(DeviceId(0), "tulkun_intent_count", count);
     }
 
     /// No planning work yet, for the decision traced as `trace`.
@@ -244,9 +240,9 @@ impl ControlPlane {
     /// them from the start.
     fn count_planning(&self, work: &PlanWork) {
         let tel = &self.tel;
-        tel.count(SHARD, "tulkun_planner_calls_total", work.planner_calls);
-        tel.count(SHARD, "tulkun_plan_table_hits_total", work.table_hits);
-        tel.count(SHARD, "tulkun_plan_unaffected_total", work.unaffected);
+        tel.count("tulkun_planner_calls_total", work.planner_calls);
+        tel.count("tulkun_plan_table_hits_total", work.table_hits);
+        tel.count("tulkun_plan_unaffected_total", work.unaffected);
     }
 
     /// The compiled packet space of store context `ctx`.
@@ -293,9 +289,9 @@ impl ControlPlane {
     /// planning counters.
     fn count_fence_work(&self, shipped: usize, removed: usize, reused: usize) {
         let tel = &self.tel;
-        tel.count(SHARD, "tulkun_fence_tasks_shipped_total", shipped as u64);
-        tel.count(SHARD, "tulkun_fence_nodes_removed_total", removed as u64);
-        tel.count(SHARD, "tulkun_fence_nodes_reused_total", reused as u64);
+        tel.count("tulkun_fence_tasks_shipped_total", shipped as u64);
+        tel.count("tulkun_fence_nodes_removed_total", removed as u64);
+        tel.count("tulkun_fence_nodes_reused_total", reused as u64);
     }
 
     /// Journals one lifecycle record at the current epoch.
@@ -320,11 +316,11 @@ impl ControlPlane {
     /// unsealed plan repairs everywhere, which is correct but costs a
     /// full re-announcement.
     pub fn seal(&self, plan: &mut FencePlan, dropped: usize, trace: u64) {
-        self.tel.count(SHARD, "tulkun_epoch_bumps_total", 1);
+        self.tel.count("tulkun_epoch_bumps_total", 1);
         if dropped == 0 {
             plan.devices.values_mut().for_each(|f| f.reannounce = false);
         } else {
-            self.tel.count(SHARD, "tulkun_fence_repairs_total", 1);
+            self.tel.count("tulkun_fence_repairs_total", 1);
         }
         let (dev, cause) = plan.anchor;
         let epoch = plan.epoch;
@@ -466,8 +462,8 @@ impl ControlPlane {
         let replan = replan?;
         self.churn = churn;
         self.churn_events += 1;
-        if let TopologyEvent::DeviceDown(d) = ev {
-            self.tel.count(*d, "tulkun_quarantined_total", 1);
+        if matches!(ev, TopologyEvent::DeviceDown(_)) {
+            self.tel.count("tulkun_quarantined_total", 1);
         }
         let dev = ev.primary_device();
         let topology = Some(replan.topology.clone());
@@ -561,9 +557,13 @@ impl ControlPlane {
             Err(e) if self.churn.is_quiet() => return Err(e),
             Err(e) => {
                 let id = self.store.park(name, inv.clone());
-                self.note(JournalKind::IntentParked, SHARD, trace, Some(id), || {
-                    format!("parked behind fence @epoch {}: {e}", self.epoch)
-                });
+                self.note(
+                    JournalKind::IntentParked,
+                    DeviceId(0),
+                    trace,
+                    Some(id),
+                    || format!("parked behind fence @epoch {}: {e}", self.epoch),
+                );
                 let parked = Decision {
                     parked: true,
                     ..Decision::default()
@@ -573,7 +573,7 @@ impl ControlPlane {
         };
         let (id, delta) = self.store.install(name, inv.clone(), slice, &work)?;
         let fence = self.fence_plan((first_touched(&delta), INTENT), None, &delta);
-        let dev = delta.changed.keys().next().copied().unwrap_or(SHARD);
+        let dev = delta.changed.keys().next().copied().unwrap_or(DeviceId(0));
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
         });
@@ -601,7 +601,7 @@ impl ControlPlane {
         let anchor = (first_touched(&delta), INTENT);
         let fence = (!no_footprint).then(|| self.fence_plan(anchor, None, &delta));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
-        let dev = touched.next().copied().unwrap_or(SHARD);
+        let dev = touched.next().copied().unwrap_or(DeviceId(0));
         self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
             format!("intent {id} removed")
         });

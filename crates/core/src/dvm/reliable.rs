@@ -165,8 +165,7 @@ impl SenderWindow {
         let ch = (env.from, env.to);
         let in_flight = self.per_ch.entry(ch).or_insert(0);
         if *in_flight >= self.cap {
-            self.tel
-                .count(env.from, "tulkun_reliable_backpressure_total", 1);
+            self.tel.count("tulkun_reliable_backpressure_total", 1);
             return Err(ReliableError::WindowFull { ch, cap: self.cap });
         }
         *in_flight += 1;
@@ -181,7 +180,7 @@ impl SenderWindow {
                 attempts: 0,
             },
         );
-        self.tel.count(env.from, "tulkun_reliable_sent_total", 1);
+        self.tel.count("tulkun_reliable_sent_total", 1);
         Ok(())
     }
 
@@ -191,7 +190,7 @@ impl SenderWindow {
         let cleared = self.unacked.remove(&(ch, seq)).is_some();
         if cleared {
             self.decrement(ch);
-            self.tel.count(ch.0, "tulkun_reliable_acked_total", 1);
+            self.tel.count("tulkun_reliable_acked_total", 1);
         }
         cleared
     }
@@ -266,7 +265,7 @@ impl SenderWindow {
         let timeout = rto_ns.saturating_mul(1u64 << p.attempts.min(max_backoff_exp));
         p.deadline = now.max(p.deadline).saturating_add(timeout);
         let (env, attempts) = (p.env.clone(), p.attempts);
-        self.tel.count(ch.0, "tulkun_reliable_retransmits_total", 1);
+        self.tel.count("tulkun_reliable_retransmits_total", 1);
         // Event tick is host time (one timeline per trace); the
         // substrate's virtual `now` rides in aux.
         self.tel
@@ -356,22 +355,20 @@ impl ReceiverLedger {
         let ch = (env.from, env.to);
         let expected = self.expected.entry(ch).or_insert(1);
         if env.seq < *expected {
-            self.tel.count(env.to, "tulkun_reliable_dups_total", 1);
+            self.tel.count("tulkun_reliable_dups_total", 1);
             return Ok(Accepted::Duplicate);
         }
         if env.seq > *expected {
             let slot = self.buffered.entry(ch).or_default();
             if slot.contains_key(&env.seq) {
-                self.tel.count(env.to, "tulkun_reliable_dups_total", 1);
+                self.tel.count("tulkun_reliable_dups_total", 1);
                 return Ok(Accepted::Duplicate);
             }
             if slot.len() >= self.cap {
-                self.tel
-                    .count(env.to, "tulkun_reliable_backpressure_total", 1);
+                self.tel.count("tulkun_reliable_backpressure_total", 1);
                 return Err(ReliableError::ReorderFull { ch, cap: self.cap });
             }
-            self.tel
-                .count(env.to, "tulkun_reliable_gap_buffered_total", 1);
+            self.tel.count("tulkun_reliable_gap_buffered_total", 1);
             self.tel.instant(
                 env.to,
                 "reliable.gap_buffer",

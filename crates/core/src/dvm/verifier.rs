@@ -368,10 +368,10 @@ impl DeviceVerifier {
     }
 
     /// Exports this device's predicate-memory gauges (§9.4, Fig. 15):
-    /// backend table size and operation-memo size. Set where the table
-    /// grows in bulk — build, FIB batch, fence — into the device's
-    /// shard; a metrics snapshot reports the maximum across shards,
-    /// i.e. the heaviest device.
+    /// backend table size and operation-memo size. Set as this
+    /// device's value where the table grows in bulk — build, FIB batch,
+    /// fence; a metrics snapshot reports the largest device's current
+    /// value, i.e. the heaviest device.
     fn export_mem_gauges(&self) {
         if !self.tel.is_enabled() {
             return;
@@ -435,7 +435,7 @@ impl DeviceVerifier {
         }
         if env.epoch < self.epoch {
             self.stats.epoch_discarded += 1;
-            self.tel.count(self.dev, "tulkun_epoch_discarded_total", 1);
+            self.tel.count("tulkun_epoch_discarded_total", 1);
             return;
         }
         self.trace = env.trace;
@@ -446,12 +446,12 @@ impl DeviceVerifier {
                 results,
             } => {
                 self.stats.updates_processed += 1;
-                self.tel.count(self.dev, "tulkun_dvm_updates_total", 1);
+                self.tel.count("tulkun_dvm_updates_total", 1);
                 self.handle_update(*edge, withdrawn, results, out);
             }
             Payload::Subscribe { edge, space } => {
                 self.stats.subscribes_processed += 1;
-                self.tel.count(self.dev, "tulkun_dvm_subscribes_total", 1);
+                self.tel.count("tulkun_dvm_subscribes_total", 1);
                 self.handle_subscribe(*edge, space, out);
             }
             // Acks belong to the reliability layer; a verifier that sees
@@ -477,8 +477,7 @@ impl DeviceVerifier {
         // within one epoch a child speaks only on edges its parent's
         // task has. An UPDATE on any other edge is counted and dropped.
         let Some(&(_, vdev)) = st.task.downstream.iter().find(|(n, _)| *n == v) else {
-            self.tel
-                .count(self.dev, "tulkun_dvm_stray_updates_total", 1);
+            self.tel.count("tulkun_dvm_stray_updates_total", 1);
             return;
         };
         // Step 1: update CIBIn(v).
@@ -585,7 +584,7 @@ impl DeviceVerifier {
         tel.timed(self.dev, &FIB_BATCH, self.trace, 0, || {
             self.fib_batch_inner(updates, out)
         });
-        tel.count(self.dev, "tulkun_fib_updates_total", updates.len() as u64);
+        tel.count("tulkun_fib_updates_total", updates.len() as u64);
         self.export_mem_gauges();
     }
 

@@ -64,7 +64,6 @@
 //! exactly what each owning intent's standalone plan would.
 
 use crate::churn::ChurnState;
-use crate::control::SHARD;
 use crate::dpvnet::NodeId;
 use crate::dvm::VerifierConfig;
 use crate::fault::{LinkPair, Proposition2, Reads};
@@ -342,7 +341,9 @@ impl PlanWork {
     fn plan(&mut self, topology: &Topology, inv: &Invariant, scene: &ChurnState) -> Planned {
         self.planner_calls += 1;
         let run = || plan_intent_on(topology, inv, scene);
-        let planned = self.tel.timed(SHARD, &PLANNER_PLAN, self.trace, 0, run);
+        let planned = self
+            .tel
+            .timed(DeviceId(0), &PLANNER_PLAN, self.trace, 0, run);
         planned.map(|cp| Slice::of(Arc::new(cp)))
     }
 
@@ -352,7 +353,8 @@ impl PlanWork {
             return Refitted::default();
         }
         let refit = || table.refit(refits);
-        self.tel.timed(SHARD, &INTENT_REFIT, self.trace, 0, refit)
+        self.tel
+            .timed(DeviceId(0), &INTENT_REFIT, self.trace, 0, refit)
     }
 }
 

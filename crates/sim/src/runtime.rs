@@ -897,7 +897,7 @@ impl<F: Fabric> Runtime<F> {
             fabric.collect(dev, node)
         });
         let counter = "tulkun_report_sources_rendered_total";
-        self.tel.count(DeviceId(0), counter, rendered as u64);
+        self.tel.count(counter, rendered as u64);
         &self.verdicts
     }
 
@@ -1647,7 +1647,7 @@ impl Runtime<Threads> {
                 let mut stalled = unpoisoned(self.fabric.stalled.lock());
                 for d in &devices {
                     stalled.insert(*d, epoch);
-                    self.tel.count(*d, "tulkun_watchdog_stalls_total", 1);
+                    self.tel.count("tulkun_watchdog_stalls_total", 1);
                     self.tel
                         .instant(*d, "churn.watchdog_stall", "churn", 0, epoch);
                     self.tel

@@ -20,13 +20,14 @@
 //! drains the ingress queues, it evaluates what the devices have
 //! converged to so far.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
 use crate::runtime::{Engine, EngineConfig};
 use tulkun_bdd::HeaderLayout;
 use tulkun_core::churn::TopologyEvent;
+use tulkun_core::dpvnet::NodeId;
 use tulkun_core::dvm::reliable::DEFAULT_CHANNEL_CAP;
 use tulkun_core::event::{EventOutcome, RuntimeEvent, Substrate};
 use tulkun_core::explain::{Explanation, Subject};
@@ -464,7 +465,7 @@ impl Service {
                 *self.processed_by.entry(src.clone()).or_default() += 1;
                 if let Some(outcome) = outcome {
                     round_ns = round_ns.saturating_add(outcome.completion_ns);
-                    self.tel.observe(DeviceId(0), CONVERGENCE_LAG_NS, round_ns);
+                    self.tel.observe(CONVERGENCE_LAG_NS, round_ns);
                 }
             }
             if !any {
@@ -483,15 +484,37 @@ impl Service {
                     });
                 self.dump_pending = true;
             }
-            self.export_intent_gauges();
         }
         n
     }
 
-    /// Refreshes the plain intent-population gauges
-    /// (`tulkun_intent_count` is the control plane's own).
-    fn export_intent_gauges(&self) {
+    /// Writes every intent gauge from `freshness` and returns the live
+    /// intents' rows: the population totals (`tulkun_intent_count` is
+    /// the control plane's own), and one labeled series per live or
+    /// parked id and none for any other, so a removed or rejected
+    /// intent's series leave with it. A live id reads parked 0: it was
+    /// never parked or has since landed. `status` and `metrics_text`
+    /// call it before they read.
+    fn export_intent_gauges(&self, freshness: &[(NodeId, Freshness)]) -> Vec<IntentStatus> {
+        let stale: BTreeSet<NodeId> = freshness
+            .iter()
+            .filter(|(_, f)| !matches!(f, Freshness::Fresh))
+            .map(|(n, _)| *n)
+            .collect();
         let store = self.harness.intents();
+        let intents: Vec<IntentStatus> = store
+            .live()
+            .map(|i| {
+                let nodes = i.global_nodes();
+                IntentStatus {
+                    id: i.id.0,
+                    name: i.name.clone(),
+                    nodes: nodes.len(),
+                    fresh: !i.is_degraded() && nodes.iter().all(|n| !stale.contains(n)),
+                    degraded: i.is_degraded(),
+                }
+            })
+            .collect();
         for (name, value) in [
             ("tulkun_rejected_intents", self.rejected_intents as usize),
             ("tulkun_parked_intents", store.parked_count()),
@@ -499,6 +522,23 @@ impl Service {
         ] {
             self.tel.gauge_set(DeviceId(0), name, value as i64);
         }
+        let label = |id: u64| format!("intent=\"{id}\"");
+        let live = |value: fn(&IntentStatus) -> bool| -> Vec<(String, i64)> {
+            intents
+                .iter()
+                .map(|i| (label(i.id), value(i) as i64))
+                .collect()
+        };
+        let mut parked_series = live(|_| false);
+        parked_series.extend(store.parked().map(|p| (label(p.id.0), 1)));
+        for (name, series) in [
+            ("tulkun_intent_fresh", live(|i| i.fresh)),
+            ("tulkun_degraded_intents", live(|i| i.degraded)),
+            ("tulkun_parked_intents", parked_series),
+        ] {
+            self.tel.gauge_set_family(name, series);
+        }
+        intents
     }
 
     /// Applies one request to the harness as one [`RuntimeEvent`]
@@ -581,56 +621,15 @@ impl Service {
     /// evaluated.
     pub fn status(&mut self) -> ServiceStatus {
         let freshness = self.harness.freshness();
-        let stale: std::collections::BTreeSet<_> = freshness
-            .iter()
-            .filter(|(_, f)| !matches!(f, Freshness::Fresh))
-            .map(|(n, _)| *n)
-            .collect();
         if freshness
             .iter()
             .any(|(_, f)| matches!(f, Freshness::Unreachable))
         {
             self.dump_pending = true;
         }
-        let intents: Vec<IntentStatus> = self
-            .harness
-            .intents()
-            .live()
-            .map(|i| {
-                let nodes = i.global_nodes();
-                IntentStatus {
-                    id: i.id.0,
-                    name: i.name.clone(),
-                    nodes: nodes.len(),
-                    fresh: !i.is_degraded() && nodes.iter().all(|n| !stale.contains(n)),
-                    degraded: i.is_degraded(),
-                }
-            })
-            .collect();
-        // Per-intent slice freshness needs the freshness this method
-        // just read, so the labeled gauges are refreshed here.
-        self.export_intent_gauges();
+        let intents = self.export_intent_gauges(&freshness);
         let store = self.harness.intents();
         let (parked, degraded) = (store.parked_count() as u64, store.degraded_count() as u64);
-        // One series per live or parked id and none for any other, so a
-        // removed or rejected intent's series leave with it. A live id
-        // reads parked 0: it was never parked or has since landed.
-        let label = |id: u64| format!("intent=\"{id}\"");
-        let live = |value: fn(&IntentStatus) -> bool| -> Vec<(String, i64)> {
-            intents
-                .iter()
-                .map(|i| (label(i.id), value(i) as i64))
-                .collect()
-        };
-        let mut parked_series = live(|_| false);
-        parked_series.extend(store.parked().map(|p| (label(p.id.0), 1)));
-        for (name, series) in [
-            ("tulkun_intent_fresh", live(|i| i.fresh)),
-            ("tulkun_degraded_intents", live(|i| i.degraded)),
-            ("tulkun_parked_intents", parked_series),
-        ] {
-            self.tel.gauge_set_family(DeviceId(0), name, series);
-        }
         ServiceStatus {
             admitted: self.admitted,
             shed: self.shed,
@@ -688,15 +687,12 @@ impl Service {
         self.cfg.policy = policy;
     }
 
-    /// A snapshot of the service's full metrics registry (cumulative
-    /// since start — the SLO verdict covers only the rolling windows).
-    pub fn metrics(&self) -> tulkun_telemetry::MetricsSnapshot {
-        self.tel.metrics()
-    }
-
-    /// Prometheus text exposition: the full registry plus the
-    /// `tulkun_slo_*` verdict gauges.
+    /// Prometheus text exposition: the full registry (cumulative since
+    /// start — the SLO verdict covers only the rolling windows), its
+    /// intent gauges written first, plus the `tulkun_slo_*` verdict
+    /// gauges.
     pub fn metrics_text(&self) -> String {
+        self.export_intent_gauges(&self.harness.freshness());
         let mut out = self.tel.prometheus_text();
         out.push_str(&self.slo.verdict().prometheus_text());
         out

@@ -102,8 +102,10 @@ pub fn chrome_trace_json_with_journal(spans: &[SpanEvent], journal: &[JournalEve
 }
 
 /// Render a metrics snapshot in Prometheus text exposition format:
-/// `# TYPE` comments, cumulative `_bucket{le="..."}` lines, `_sum`
-/// and `_count` per histogram. Deterministic: sorted by metric name.
+/// one `# TYPE` comment per metric family followed by all of its
+/// lines — a gauge's plain sample before its labeled series, and a
+/// histogram's cumulative `_bucket{le="..."}` lines, `_sum` and
+/// `_count`. Deterministic: sorted by metric name.
 ///
 /// A histogram writes one `le` line per power of two, from the edge of
 /// its lowest non-empty bucket to that of its highest, then `+Inf`:
@@ -114,17 +116,16 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "# TYPE {name} counter");
         let _ = writeln!(out, "{name} {v}");
     }
-    for (name, v) in &snap.gauges {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    }
-    let mut last_family = "";
-    for ((name, label), v) in &snap.labeled_gauges {
-        if name != last_family {
+    let mut family = None;
+    for ((name, label), v) in &snap.gauges {
+        if family != Some(name) {
             let _ = writeln!(out, "# TYPE {name} gauge");
-            last_family = name;
+            family = Some(name);
         }
-        let _ = writeln!(out, "{name}{{{label}}} {v}");
+        let _ = match label.as_str() {
+            "" => writeln!(out, "{name} {v}"),
+            _ => writeln!(out, "{name}{{{label}}} {v}"),
+        };
     }
     for (name, h) in &snap.hists {
         let _ = writeln!(out, "# TYPE {name} histogram");
@@ -188,13 +189,13 @@ mod tests {
 
     #[test]
     fn prometheus_text_is_cumulative_and_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.count(DeviceId(0), "b_total", 2);
-        reg.count(DeviceId(0), "a_total", 1);
+        let reg = MetricsRegistry::default();
+        reg.count("b_total", 2);
+        reg.count("a_total", 1);
         // 5 and 8 share the edge 8; 50 lies in (32, 64]; nothing lies
         // in (8, 16] or (16, 32], which still get their lines.
         for v in [5, 8, 50, 5000] {
-            reg.observe(DeviceId(0), "tiny_ns", v);
+            reg.observe("tiny_ns", v);
         }
         let text = prometheus_text(&reg.snapshot());
         let expected = "\
@@ -221,11 +222,37 @@ tiny_ns_count 4
         assert_eq!(text, expected);
     }
 
+    /// A gauge with a plain sample and labeled series is one family:
+    /// one `# TYPE` line, then all of its lines, before the next family.
+    #[test]
+    fn a_gauge_family_is_one_group_under_one_type_line() {
+        let reg = MetricsRegistry::default();
+        reg.gauge_set(DeviceId(3), "b_parked", 1);
+        reg.gauge_set(DeviceId(0), "c_count", 2);
+        reg.gauge_set_family(
+            "b_parked",
+            vec![("id=\"0\"".into(), 0), ("id=\"4\"".into(), 1)],
+        );
+        reg.gauge_set_family("a_fresh", vec![("id=\"0\"".into(), 1)]);
+        let text = prometheus_text(&reg.snapshot());
+        let expected = "\
+# TYPE a_fresh gauge
+a_fresh{id=\"0\"} 1
+# TYPE b_parked gauge
+b_parked 1
+b_parked{id=\"0\"} 0
+b_parked{id=\"4\"} 1
+# TYPE c_count gauge
+c_count 2
+";
+        assert_eq!(text, expected);
+    }
+
     #[test]
     fn prometheus_edges_span_zero_to_the_top_octave() {
-        let reg = MetricsRegistry::new();
-        reg.observe(DeviceId(0), "wide", 0);
-        reg.observe(DeviceId(0), "wide", u64::MAX);
+        let reg = MetricsRegistry::default();
+        reg.observe("wide", 0);
+        reg.observe("wide", u64::MAX);
         let text = prometheus_text(&reg.snapshot());
         let les: Vec<&str> = text
             .lines()

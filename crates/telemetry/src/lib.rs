@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 //! Observability for the Tulkun runtimes: a span tracer with
-//! per-device ring buffers, a sharded metrics registry (counters,
+//! per-device ring buffers, a metrics registry (counters, per-device
 //! gauges, log-linear [`Histogram`]s), and deterministic exporters for
 //! Chrome `trace_event` JSON (Perfetto / `about:tracing`) and
 //! Prometheus text exposition.
@@ -14,16 +14,16 @@
 //! All recording goes through one [`Telemetry`] handle, shared as
 //! `Arc<Telemetry>` across engines, verifiers, transports and worker
 //! threads. Every record method checks the `enabled` flag *before*
-//! touching any shard lock, so the disabled path — the default for
+//! touching any lock, so the disabled path — the default for
 //! every substrate — is a branch on an immutable bool and nothing
 //! else: no allocation, no atomics, no locks. This is what lets the
 //! fault-matrix and equivalence suites run with telemetry compiled in
 //! but switched off at zero measurable cost.
 //!
-//! When enabled, spans land in per-device ring buffers and metric
-//! updates land in one of [`SHARDS`] lock shards selected by
-//! `device.idx() % SHARDS`, so the `ThreadedEngine`'s
-//! one-thread-per-device workers never contend on a telemetry lock.
+//! When enabled, spans land in per-device ring buffers behind the
+//! tracer's one lock, and metric updates in the registry's one store
+//! behind its own. A counter or histogram belongs to no device; a gauge
+//! is set per device, and a snapshot reads its heaviest device.
 //!
 //! A span with a duration is always a timed [`Layer`]: one call
 //! ([`Telemetry::timed`], or [`Telemetry::start`] and
@@ -46,20 +46,17 @@ mod trace;
 
 pub use export::{chrome_trace_json, chrome_trace_json_with_journal, prometheus_text};
 pub use journal::{journal_json, Journal, JournalEvent, JournalKind};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, CONVERGENCE_LAG_NS, HANDLE_NS};
+pub use metrics::{Histogram, MetricsSnapshot, CONVERGENCE_LAG_NS, HANDLE_NS};
 pub use slo::{SloPolicy, SloTracker, SloVerdict};
-pub use trace::{SpanEvent, Tracer};
+pub use trace::SpanEvent;
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+use metrics::MetricsRegistry;
+use trace::Tracer;
 use tulkun_netmodel::topology::DeviceId;
-
-/// Number of lock shards in the tracer and the metrics registry, keyed
-/// by device index, so one-thread-per-device workers land on distinct
-/// shards.
-pub const SHARDS: usize = 16;
 
 /// A timed layer: the span it records and the histogram (ns) its
 /// durations feed. Declared as a `const`, so a call site carries no
@@ -110,7 +107,7 @@ pub const REPORT_ENCODE: Layer = layer("report.encode", "report", "tulkun_report
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Master switch. When `false`, every record call returns after a
-    /// single branch: no shard lock is ever taken.
+    /// single branch: no lock is ever taken.
     pub enabled: bool,
     /// Per-device span ring capacity; the oldest span is overwritten
     /// once a device exceeds it (overwrites are counted, see
@@ -183,7 +180,7 @@ impl Telemetry {
             enabled: cfg.enabled,
             epoch: Instant::now(),
             tracer: Tracer::new(cfg.ring_capacity),
-            registry: MetricsRegistry::new(),
+            registry: MetricsRegistry::default(),
             journal: Journal::new(cfg.journal_capacity),
             journal_on: cfg.enabled && cfg.journal_capacity > 0,
         })
@@ -260,8 +257,7 @@ impl Telemetry {
             trace,
             aux,
         });
-        self.registry
-            .observe(dev, layer.hist, charged.unwrap_or(dur));
+        self.registry.observe(layer.hist, charged.unwrap_or(dur));
     }
 
     /// Record an instantaneous event (duration 0) for `dev`, stamped
@@ -288,16 +284,16 @@ impl Telemetry {
         });
     }
 
-    /// Add `n` to the counter `name` (shard chosen by `dev`).
-    pub fn count(&self, dev: DeviceId, name: &'static str, n: u64) {
+    /// Add `n` to the counter `name`.
+    pub fn count(&self, name: &'static str, n: u64) {
         if !self.enabled {
             return;
         }
-        self.registry.count(dev, name, n);
+        self.registry.count(name, n);
     }
 
-    /// Set the gauge `name` for `dev`'s shard. Snapshots report the
-    /// maximum across shards (gauges here track high-water marks).
+    /// Set `dev`'s value of the gauge `name`. Snapshots report the
+    /// largest device's current value: the heaviest device.
     pub fn gauge_set(&self, dev: DeviceId, name: &'static str, value: i64) {
         if !self.enabled {
             return;
@@ -305,27 +301,26 @@ impl Telemetry {
         self.registry.gauge_set(dev, name, value);
     }
 
-    /// Replace the labeled gauge family `name` (shard chosen by `dev`)
-    /// with `series`, dropping every series it does not name. Each
-    /// label is one rendered Prometheus pair, e.g. `intent="3"`.
-    pub fn gauge_set_family(&self, dev: DeviceId, name: &'static str, series: Vec<(String, i64)>) {
+    /// Replace the labeled gauge family `name` with `series`, dropping
+    /// every series it does not name. Each label is one rendered
+    /// Prometheus pair, e.g. `intent="3"`.
+    pub fn gauge_set_family(&self, name: &'static str, series: Vec<(String, i64)>) {
         if !self.enabled {
             return;
         }
-        self.registry.gauge_set_family(dev, name, series);
+        self.registry.gauge_set_family(name, series);
     }
 
-    /// Record `value` into histogram `name` (shard chosen by `dev`) —
-    /// for a value that is not a span's time, such as a convergence lag.
-    pub fn observe(&self, dev: DeviceId, name: &'static str, value: u64) {
+    /// Record `value` into histogram `name` — for a value that is not a
+    /// span's time, such as a convergence lag.
+    pub fn observe(&self, name: &'static str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.registry.observe(dev, name, value);
+        self.registry.observe(name, value);
     }
 
-    /// Histogram `name` merged across shards (empty when disabled or
-    /// never observed).
+    /// Histogram `name` (empty when disabled or never observed).
     pub fn histogram(&self, name: &str) -> Histogram {
         if !self.enabled {
             return Histogram::default();
@@ -344,7 +339,7 @@ impl Telemetry {
         self.tracer.dropped()
     }
 
-    /// A merged snapshot of every counter, gauge and histogram.
+    /// A snapshot of every counter, gauge and histogram.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -433,7 +428,7 @@ impl Telemetry {
         chrome_trace_json_with_journal(&self.spans(), &self.journal_events())
     }
 
-    /// The merged metrics as Prometheus text exposition.
+    /// The metrics as Prometheus text exposition.
     pub fn prometheus_text(&self) -> String {
         prometheus_text(&self.metrics())
     }
@@ -466,8 +461,8 @@ mod tests {
         assert_eq!(tel.timed(dev(0), &FIB_BATCH, 3, 0, || 7), 7);
         tel.finish(dev(0), &FENCE_PLAN, 3, 0, tel.start(), None);
         tel.instant(dev(0), "x", "test", 3, 0);
-        tel.count(dev(0), "c", 5);
-        tel.observe(dev(0), HANDLE_NS, 100);
+        tel.count("c", 5);
+        tel.observe(HANDLE_NS, 100);
         assert!(tel.spans().is_empty());
         let m = tel.metrics();
         assert!(m.counters.is_empty() && m.hists.is_empty());

@@ -1,9 +1,10 @@
-//! Metrics registry: named counters, gauges and log-linear histograms
-//! behind [`crate::SHARDS`] lock shards keyed by device index, so
-//! one-thread-per-device runtimes never contend.
+//! Metrics registry: named counters, per-device gauges, labeled gauge
+//! families and log-linear histograms in one store behind one lock.
+//! A gauge is per device, so it can fall, and a snapshot reads its
+//! heaviest device.
 //!
-//! One [`Histogram`] type serves every use: shard storage, the merged
-//! snapshot, an SLO window (the [`Histogram::delta`] of two cumulative
+//! One [`Histogram`] type serves every use: the store, the snapshot,
+//! an SLO window (the [`Histogram::delta`] of two cumulative
 //! snapshots) and the merge of windows. Its buckets follow one rule:
 //! values up to `SUB` = 32 are exact, and every power-of-two octave above
 //! splits into `SUB` equal sub-buckets. A quantile therefore lands
@@ -11,11 +12,9 @@
 //! range, every power of two is a bucket edge, and no value overflows.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use tulkun_netmodel::topology::DeviceId;
-
-use crate::SHARDS;
 
 /// Per-envelope device-step time, in charged (switch-model-scaled) ns:
 /// the unit the SLO budgets and the benchmark's handle rows read.
@@ -182,120 +181,95 @@ impl Histogram {
 }
 
 #[derive(Debug, Default)]
-struct Shard {
+struct Store {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
+    /// `(name, device)` → that device's current value.
+    gauges: BTreeMap<(&'static str, u32), i64>,
     /// Labeled gauge families: `(family, label)` → value, where
     /// `label` is one rendered Prometheus pair like `intent="3"`.
-    labeled_gauges: BTreeMap<(&'static str, String), i64>,
+    families: BTreeMap<(&'static str, String), i64>,
     hists: BTreeMap<&'static str, Histogram>,
 }
 
-/// Sharded metrics sink; see [`crate::Telemetry`] for the recording
-/// API and [`MetricsSnapshot`] for reading.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
+/// The metrics sink behind one lock; see [`crate::Telemetry`] for the
+/// recording API and [`MetricsSnapshot`] for reading.
+#[derive(Debug, Default)]
+pub(crate) struct MetricsRegistry {
+    store: Mutex<Store>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-        }
+    fn store(&self) -> MutexGuard<'_, Store> {
+        self.store
+            .lock()
+            .expect("no thread panics while holding the metrics lock")
     }
 
-    fn shard(&self, dev: DeviceId) -> &Mutex<Shard> {
-        &self.shards[dev.idx() % SHARDS]
+    /// Add `n` to counter `name`.
+    pub(crate) fn count(&self, name: &'static str, n: u64) {
+        *self.store().counters.entry(name).or_insert(0) += n;
     }
 
-    /// Add `n` to counter `name` in `dev`'s shard.
-    pub fn count(&self, dev: DeviceId, name: &'static str, n: u64) {
-        let mut s = self.shard(dev).lock().unwrap();
-        *s.counters.entry(name).or_insert(0) += n;
+    /// Set `dev`'s value of gauge `name`; the snapshot reports the
+    /// largest device's value.
+    pub(crate) fn gauge_set(&self, dev: DeviceId, name: &'static str, value: i64) {
+        self.store().gauges.insert((name, dev.0), value);
     }
 
-    /// Set gauge `name` in `dev`'s shard; the snapshot reports the
-    /// maximum across shards.
-    pub fn gauge_set(&self, dev: DeviceId, name: &'static str, value: i64) {
-        let mut s = self.shard(dev).lock().unwrap();
-        s.gauges.insert(name, value);
-    }
-
-    /// Replace the labeled gauge family `name` in `dev`'s shard with
-    /// `series`: a series it does not name is dropped. Each label is a
-    /// single rendered Prometheus pair, e.g. `intent="3"`; the snapshot
-    /// reports the maximum across shards per series.
-    pub fn gauge_set_family(&self, dev: DeviceId, name: &'static str, series: Vec<(String, i64)>) {
-        let mut s = self.shard(dev).lock().unwrap();
-        s.labeled_gauges.retain(|(family, _), _| *family != name);
+    /// Replace the labeled gauge family `name` with `series`: a series
+    /// it does not name is dropped. Each label is a single rendered
+    /// Prometheus pair, e.g. `intent="3"`.
+    pub(crate) fn gauge_set_family(&self, name: &'static str, series: Vec<(String, i64)>) {
+        let mut s = self.store();
+        s.families.retain(|(family, _), _| *family != name);
         let series = series.into_iter().map(|(label, v)| ((name, label), v));
-        s.labeled_gauges.extend(series);
+        s.families.extend(series);
     }
 
-    /// Record `value` into histogram `name` in `dev`'s shard.
-    pub fn observe(&self, dev: DeviceId, name: &'static str, value: u64) {
-        let mut s = self.shard(dev).lock().unwrap();
-        s.hists.entry(name).or_default().observe(value);
+    /// Record `value` into histogram `name`.
+    pub(crate) fn observe(&self, name: &'static str, value: u64) {
+        self.store().hists.entry(name).or_default().observe(value);
     }
 
-    /// Histogram `name` merged across shards (empty if never observed).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut h = Histogram::default();
-        for shard in &self.shards {
-            if let Some(s) = shard.lock().unwrap().hists.get(name) {
-                h.merge(s);
-            }
-        }
-        h
+    /// Histogram `name` (empty if never observed).
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
+        self.store().hists.get(name).cloned().unwrap_or_default()
     }
 
-    /// Merge every shard into one snapshot: counters and histograms
-    /// sum; gauges take the shard maximum (they track high-water marks).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Every counter, gauge and histogram; a gauge set per device
+    /// reads its largest device's value, the heaviest device.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let s = self.store();
         let mut snap = MetricsSnapshot::default();
-        for shard in &self.shards {
-            let s = shard.lock().unwrap();
-            for (&name, &v) in &s.counters {
-                *snap.counters.entry(name.to_string()).or_insert(0) += v;
-            }
-            for (&name, &v) in &s.gauges {
-                let e = snap.gauges.entry(name.to_string()).or_insert(i64::MIN);
-                *e = (*e).max(v);
-            }
-            for ((name, label), &v) in &s.labeled_gauges {
-                let e = snap
-                    .labeled_gauges
-                    .entry((name.to_string(), label.clone()))
-                    .or_insert(i64::MIN);
-                *e = (*e).max(v);
-            }
-            for (&name, h) in &s.hists {
-                snap.hists.entry(name.to_string()).or_default().merge(h);
-            }
+        for (&name, &v) in &s.counters {
+            snap.counters.insert(name.to_string(), v);
+        }
+        for (&(name, _), &v) in &s.gauges {
+            let key = (name.to_string(), String::new());
+            let heaviest = snap.gauges.entry(key).or_insert(v);
+            *heaviest = (*heaviest).max(v);
+        }
+        for ((name, label), &v) in &s.families {
+            snap.gauges.insert((name.to_string(), label.clone()), v);
+        }
+        for (&name, h) in &s.hists {
+            snap.hists.insert(name.to_string(), h.clone());
         }
         snap
     }
 }
 
-/// Point-in-time merge of a [`MetricsRegistry`].
+/// Point-in-time copy of the metrics registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Counter name → summed value.
+    /// Counter name → value.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge name → maximum shard value.
-    pub gauges: BTreeMap<String, i64>,
-    /// Labeled gauge `(family, rendered label pair)` → maximum shard
-    /// value, e.g. `("tulkun_intent_fresh", "intent=\"3\"")`.
-    pub labeled_gauges: BTreeMap<(String, String), i64>,
-    /// Histogram name → merged histogram.
+    /// Gauge `(name, rendered label pair)` → value. A gauge set per
+    /// device has the empty label and reads its largest device's value;
+    /// a labeled family's series carry their pair, e.g.
+    /// `("tulkun_intent_fresh", "intent=\"3\"")`.
+    pub gauges: BTreeMap<(String, String), i64>,
+    /// Histogram name → histogram.
     pub hists: BTreeMap<String, Histogram>,
 }
 
@@ -337,22 +311,29 @@ mod tests {
     }
 
     #[test]
-    fn shards_merge_counters_and_histograms() {
-        let reg = MetricsRegistry::new();
-        // Devices 0 and 16 share a shard; 1 lands elsewhere.
-        reg.count(dev(0), "msgs", 2);
-        reg.count(dev(16), "msgs", 3);
-        reg.count(dev(1), "msgs", 5);
-        reg.observe(dev(0), "tiny", 5);
-        reg.observe(dev(1), "tiny", 500);
-        reg.gauge_set(dev(0), "hw", 7);
-        reg.gauge_set(dev(1), "hw", 4);
+    fn a_gauge_reads_its_heaviest_device() {
+        let reg = MetricsRegistry::default();
+        reg.count("msgs", 2);
+        reg.count("msgs", 3);
+        reg.count("msgs", 5);
+        reg.observe("tiny", 5);
+        reg.observe("tiny", 500);
+        for (d, v) in [(1, 100), (17, 5), (2, 40)] {
+            reg.gauge_set(dev(d), "hw", v);
+        }
+        let hw = |reg: &MetricsRegistry| reg.snapshot().gauges[&("hw".into(), String::new())];
+        assert_eq!(
+            hw(&reg),
+            100,
+            "the heaviest device, whichever device wrote last"
+        );
+        reg.gauge_set(dev(1), "hw", 10);
+        assert_eq!(hw(&reg), 40, "a device's gauge can fall");
         let snap = reg.snapshot();
         assert_eq!(snap.counters["msgs"], 10);
         assert_eq!(snap.hists["tiny"], of(&[5, 500]));
         assert_eq!(reg.histogram("tiny"), of(&[5, 500]));
         assert_eq!(reg.histogram("absent"), Histogram::default());
-        assert_eq!(snap.gauges["hw"], 7);
     }
 
     proptest! {

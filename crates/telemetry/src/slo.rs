@@ -8,7 +8,7 @@
 //! difference of two snapshots ([`Histogram::delta`]) and the whole
 //! ring is the newest minus the oldest, so the tracker adds no
 //! per-observation cost to the hot path — verifiers keep recording into
-//! the same sharded registry they always did, and the service rolls a
+//! the same registry they always did, and the service rolls a
 //! window at its own cadence (once per drained request round), reading
 //! those two histograms by name.
 //!
@@ -233,10 +233,6 @@ impl SloVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tulkun_netmodel::topology::DeviceId;
-
-    const D0: DeviceId = DeviceId(0);
-
     fn policy() -> SloPolicy {
         SloPolicy {
             p50_ns: 10_000,
@@ -253,7 +249,7 @@ mod tests {
         let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(policy());
         for _ in 0..10 {
-            tel.observe(D0, HANDLE_NS, 5_000);
+            tel.observe(HANDLE_NS, 5_000);
         }
         slo.roll(&tel);
         assert_eq!(slo.verdict().samples, 10);
@@ -265,7 +261,7 @@ mod tests {
             "delta windows must not double-count"
         );
         for _ in 0..4 {
-            tel.observe(D0, HANDLE_NS, 5_000);
+            tel.observe(HANDLE_NS, 5_000);
         }
         slo.roll(&tel);
         // Ring size 2: the first 10-sample window fell off.
@@ -278,11 +274,11 @@ mod tests {
         let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(policy());
         for _ in 0..98 {
-            tel.observe(D0, HANDLE_NS, 1_000);
+            tel.observe(HANDLE_NS, 1_000);
         }
-        tel.observe(D0, HANDLE_NS, 40_000_000); // blown tail
-        tel.observe(D0, HANDLE_NS, 40_000_000); // rank 99 of 100 lands here
-        tel.observe(D0, CONVERGENCE_LAG_NS, 1_000_000);
+        tel.observe(HANDLE_NS, 40_000_000); // blown tail
+        tel.observe(HANDLE_NS, 40_000_000); // rank 99 of 100 lands here
+        tel.observe(CONVERGENCE_LAG_NS, 1_000_000);
         slo.roll(&tel);
         let v = slo.verdict();
         assert!(!v.ok());
@@ -299,10 +295,10 @@ mod tests {
         let tel = Telemetry::enabled();
         let mut slo = SloTracker::new(SloPolicy::default());
         for _ in 0..16 {
-            tel.observe(D0, HANDLE_NS, 10_000);
+            tel.observe(HANDLE_NS, 10_000);
         }
         for _ in 0..4 {
-            tel.observe(D0, CONVERGENCE_LAG_NS, 5_000_000_000);
+            tel.observe(CONVERGENCE_LAG_NS, 5_000_000_000);
         }
         slo.roll(&tel);
         let v = slo.verdict();
@@ -322,7 +318,7 @@ mod tests {
             min_samples: 100,
             ..policy()
         });
-        tel.observe(D0, HANDLE_NS, u64::MAX / 2);
+        tel.observe(HANDLE_NS, u64::MAX / 2);
         slo.roll(&tel);
         let v = slo.verdict();
         assert!(v.ok(), "abstaining verdicts hold");

@@ -1,13 +1,11 @@
 //! Span tracer: fixed-capacity per-device ring buffers of
-//! [`SpanEvent`]s behind [`crate::SHARDS`] lock shards.
+//! [`SpanEvent`]s behind one lock.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tulkun_netmodel::topology::DeviceId;
-
-use crate::SHARDS;
 
 /// One recorded span (or instantaneous event when `dur == 0`).
 ///
@@ -74,10 +72,13 @@ impl Ring {
     }
 }
 
-/// Sharded span sink; see [`crate::Telemetry`] for the recording API.
+const POISONED: &str = "no thread panics while holding the tracer lock";
+
+/// The span sink; see [`crate::Telemetry`] for the recording API.
 #[derive(Debug)]
-pub struct Tracer {
-    shards: Vec<Mutex<BTreeMap<u32, Ring>>>,
+pub(crate) struct Tracer {
+    /// Device index → its ring.
+    rings: Mutex<BTreeMap<u32, Ring>>,
     ring_capacity: usize,
     dropped: AtomicU64,
 }
@@ -85,21 +86,20 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer whose per-device rings hold `ring_capacity` spans; 0
     /// records none.
-    pub fn new(ring_capacity: usize) -> Tracer {
+    pub(crate) fn new(ring_capacity: usize) -> Tracer {
         Tracer {
-            shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            rings: Mutex::new(BTreeMap::new()),
             ring_capacity,
             dropped: AtomicU64::new(0),
         }
     }
 
     /// Record one span into its device's ring.
-    pub fn record(&self, ev: SpanEvent) {
+    pub(crate) fn record(&self, ev: SpanEvent) {
         if self.ring_capacity == 0 {
             return;
         }
-        let shard = &self.shards[ev.device.idx() % SHARDS];
-        let mut rings = shard.lock().unwrap();
+        let mut rings = self.rings.lock().expect(POISONED);
         let ring = rings
             .entry(ev.device.0)
             .or_insert_with(|| Ring::new(self.ring_capacity));
@@ -109,20 +109,15 @@ impl Tracer {
     }
 
     /// Spans overwritten because a ring filled up.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// All spans, merged and sorted by `(begin, device, name)` so
-    /// equal recordings snapshot to equal vectors.
-    pub fn snapshot(&self) -> Vec<SpanEvent> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let rings = shard.lock().unwrap();
-            for ring in rings.values() {
-                out.extend(ring.ordered());
-            }
-        }
+    /// All spans, sorted by `(begin, device, name)` so equal
+    /// recordings snapshot to equal vectors.
+    pub(crate) fn snapshot(&self) -> Vec<SpanEvent> {
+        let rings = self.rings.lock().expect(POISONED);
+        let mut out: Vec<SpanEvent> = rings.values().flat_map(Ring::ordered).collect();
         out.sort_by(|a, b| {
             (a.begin, a.device.0, a.name, a.dur, a.trace)
                 .cmp(&(b.begin, b.device.0, b.name, b.dur, b.trace))

@@ -26,7 +26,7 @@
 //!   `Clock`, `RuntimeStats`) with its substrates: a discrete-event
 //!   simulator and a threaded distributed runner that execute the
 //!   verifiers at scale.
-//! * [`telemetry`] — span tracing, the sharded metrics registry, and
+//! * [`telemetry`] — span tracing, the metrics registry, and
 //!   the Chrome-trace / Prometheus exporters shared by every substrate.
 //! * [`json`] — the vendored, dependency-free JSON (de)serialization
 //!   layer the workspace uses for all wire and sidecar formats.

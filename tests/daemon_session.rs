@@ -414,8 +414,8 @@ fn intent_protocol_round_trips() {
 
     // The exported gauge follows removals wherever in the network the
     // removed slices lived: three intents from the three highest-numbered
-    // ingresses (their slices start on different devices, hence metric
-    // shards), then the two oldest removed.
+    // ingresses (their slices start on different devices), then the two
+    // oldest removed.
     let topo = session.topology().clone();
     let (dst, _) = topo.external_map().next().expect("external dst");
     let prefix = topo.external_prefixes(dst)[0];
@@ -446,9 +446,9 @@ fn intent_protocol_round_trips() {
 }
 
 /// Per-intent gauge series leave with their intent: a daemon that
-/// keeps installing and removing intents exports, after each `status`,
-/// series for the live ids only, so `metrics` does not grow with the
-/// ids it has seen.
+/// keeps installing and removing intents exports series for the live
+/// ids only, with or without a `status` first, so `metrics` does not
+/// grow with the ids it has seen.
 #[test]
 fn removed_intents_leave_no_labeled_series() {
     let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
@@ -473,25 +473,35 @@ fn removed_intents_leave_no_labeled_series() {
         v.sort();
         v
     };
-    for id in 1..=4u64 {
-        let add = format!("intent add ops {}", intent_json(&format!("n{id}"), &spec));
-        for line in [add.as_str(), "drain", "status"] {
-            assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+    // The first pass sends `status` before each `metrics`; the second
+    // does not, as a scraper that only sends `metrics` would.
+    for (ids, status) in [(1..=4u64, Some("status")), (5..=8, None)] {
+        for id in ids {
+            let add = format!("intent add ops {}", intent_json(&format!("n{id}"), &spec));
+            for line in [Some(add.as_str()), Some("drain"), status]
+                .into_iter()
+                .flatten()
+            {
+                assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+            }
+            assert_eq!(
+                labeled(&mut session),
+                series_of(&[0, id]),
+                "after adding {id}, then {status:?}"
+            );
+            let remove = format!("intent remove ops {id}");
+            for line in [Some(remove.as_str()), Some("drain"), status]
+                .into_iter()
+                .flatten()
+            {
+                assert!(reply(&mut session, line).starts_with("ok "), "{line}");
+            }
+            assert_eq!(
+                labeled(&mut session),
+                series_of(&[0]),
+                "after removing {id}, then {status:?}"
+            );
         }
-        assert_eq!(
-            labeled(&mut session),
-            series_of(&[0, id]),
-            "after adding {id}"
-        );
-        let remove = format!("intent remove ops {id}");
-        for line in [remove.as_str(), "drain", "status"] {
-            assert!(reply(&mut session, line).starts_with("ok "), "{line}");
-        }
-        assert_eq!(
-            labeled(&mut session),
-            series_of(&[0]),
-            "after removing {id}"
-        );
     }
 }
 
