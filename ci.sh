@@ -58,7 +58,10 @@
 #                 run_to_quiescence the one drive verb (the typed
 #                 per-event methods, the second outcome type, the
 #                 runtime's burst and the unused window purge stay
-#                 retired)
+#                 retired); and one way to share a LEC table across
+#                 invariants, by hosting them on one engine (the
+#                 cross-engine cache, the table import/export paths and
+#                 the transport's topology re-route stay retired)
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -251,6 +254,15 @@ stage_lint() {
     if grep -rnw 'SHA''RDS\|SHA''RD' crates src tests examples \
         || grep -rnF 'fn sha''rd(' crates src tests examples; then
         echo "lint: a telemetry lock shard is back (see above); the metrics registry and the tracer each keep one store behind one lock" >&2
+        exit 1
+    fi
+    # A device shares its LEC table across invariants one way, by
+    # hosting them on its one verifier: the cross-engine cache, its
+    # constructors, the table import/export paths and the transport's
+    # topology re-route stay retired.
+    if grep -rnw 'Lec''Cache\|Lec''Table\|with''_cache\|new''_cached\|maybe''_lecs\|export''_lecs\|new_with''_lecs\|set''_topology' \
+        crates src tests examples; then
+        echo "lint: a cross-engine LEC cache, table import/export or transport topology is back (see above); install invariants as intents on one engine" >&2
         exit 1
     fi
     # One constructor and one device step serve both fabrics: counted

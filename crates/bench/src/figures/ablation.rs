@@ -4,8 +4,8 @@
 //!    messages with reduction on vs off.
 //! 2. **Suffix merging** (state minimization): DPVNet nodes vs the raw
 //!    path trie.
-//! 3. **LEC sharing across invariants** (§8): per-device init cost with
-//!    and without the shared table.
+//! 3. **LEC sharing across invariants** (§8): invariants hosted by one
+//!    engine, one LEC table per device, vs one engine per invariant.
 //! 4. **Proposition-2 scene reuse**: fault-tolerant DPVNet computation
 //!    with and without the reuse short-cut.
 //! 5. **Verification under loss**: DVM over a lossy management network
@@ -27,9 +27,7 @@ use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
 use tulkun_datasets::{by_name, rule_updates};
 use tulkun_netmodel::network::Network;
-use tulkun_sim::{
-    network_ip_only, BackendKind, Engine, EngineConfig, LecCache, Telemetry, TelemetryConfig,
-};
+use tulkun_sim::{network_ip_only, BackendKind, Engine, EngineConfig, Telemetry, TelemetryConfig};
 
 /// Runs every ablation and the backend race, one figure each.
 pub fn run(cli: &Cli) {
@@ -496,13 +494,15 @@ fn ablate_suffix_merging(cli: &Cli) {
     t.finish();
 }
 
-/// LEC sharing (§8): per-device verifier construction with and without
-/// the shared table, across 8 destination invariants.
+/// LEC sharing (§8): 8 destination invariants hosted by one engine
+/// (the base plus 7 installed intents, so each device builds its LEC
+/// table once) against 8 engines (one table per device per invariant),
+/// each arm driven to quiescence.
 fn ablate_lec_sharing(cli: &Cli) {
     let mut t = FigureTable::new(
         "ablation_lec_sharing",
-        "Shared LEC tables across invariants: total verifier construction time",
-        &["dataset", "shared", "not shared", "speedup"],
+        "Shared LEC tables: 8 destination invariants to quiescence on one engine (base + 7 installs, their planning included) vs 8 engines",
+        &["dataset", "one engine", "8 engines", "speedup"],
     );
     for name in ["AT1-2", "BTNA"] {
         if !cli.wants(name) {
@@ -510,40 +510,39 @@ fn ablate_lec_sharing(cli: &Cli) {
         }
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
-        let dsts: Vec<_> = crate::workload::destinations(&ds.network)
+        let invs: Vec<_> = crate::workload::destinations(&ds.network)
             .into_iter()
             .take(8)
+            .map(|(dst, _)| subset_reachability_to(topo, dst).unwrap())
             .collect();
-        let plans: Vec<_> = dsts
+        let plans: Vec<_> = invs
             .iter()
-            .map(|(dst, _)| {
-                let inv = subset_reachability_to(topo, *dst).unwrap();
-                (Planner::new(topo).plan(&inv).unwrap(), inv)
-            })
+            .map(|inv| Planner::new(topo).plan(inv).unwrap())
             .collect();
-
-        let run = |share: bool| {
-            let t0 = Instant::now();
-            let mut cache = LecCache::new();
-            for (plan, inv) in &plans {
-                let cp = plan.counting().unwrap();
-                if share {
-                    let _ = Engine::with_cache(
-                        &ds.network,
-                        cp,
-                        &inv.packet_space,
-                        EngineConfig::default(),
-                        &mut cache,
-                    );
-                } else {
-                    let _ =
-                        Engine::new(&ds.network, cp, &inv.packet_space, EngineConfig::default());
-                }
-            }
-            t0.elapsed().as_nanos() as u64
+        let engine = |i: usize| {
+            let cp = plans[i].counting().unwrap();
+            let cfg = EngineConfig::default();
+            let mut e = Engine::new(&ds.network, cp, &invs[i].packet_space, cfg);
+            e.run_to_quiescence();
+            e
         };
-        let shared = run(true);
-        let unshared = run(false);
+
+        let t0 = Instant::now();
+        let mut one = engine(0);
+        for (i, inv) in invs.iter().enumerate().skip(1) {
+            let install = RuntimeEvent::InstallIntent {
+                name: format!("dst-{i}"),
+                invariant: inv.clone(),
+            };
+            one.apply_event(&install).expect("a destination installs");
+        }
+        drop(one);
+        let shared = t0.elapsed().as_nanos() as u64;
+        let t0 = Instant::now();
+        for i in 0..invs.len() {
+            drop(engine(i));
+        }
+        let unshared = t0.elapsed().as_nanos() as u64;
         t.row(vec![
             name.into(),
             fmt_ns(shared),

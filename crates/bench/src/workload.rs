@@ -18,7 +18,7 @@ use tulkun_datasets::{Dataset, NetKind};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::{DeviceId, IpPrefix};
 use tulkun_sim::localsim::LocalSim;
-use tulkun_sim::{Engine, EngineConfig, LecCache, SwitchModel};
+use tulkun_sim::{Engine, EngineConfig, SwitchModel};
 use tulkun_telemetry::Histogram;
 
 /// The baseline workload for a dataset (all announced pairs).
@@ -75,7 +75,6 @@ enum PerDst {
     Local {
         prefixes: Vec<IpPrefix>,
         sim: LocalSim,
-        net: Network,
     },
 }
 
@@ -119,7 +118,6 @@ fn build_per_dst(
     dst: DeviceId,
     prefixes: Vec<IpPrefix>,
     plan_ns: &mut u64,
-    lec_cache: &mut LecCache,
 ) -> PerDst {
     let net = &ds.network;
     let planner = Planner::new(&net.topology);
@@ -132,25 +130,16 @@ fn build_per_dst(
     *plan_ns += t0.elapsed().as_nanos() as u64;
     match &plan.kind {
         tulkun_core::planner::PlanKind::Counting(cp) => {
-            let sim = Engine::with_cache(
-                net,
-                cp,
-                &plan.invariant.packet_space,
-                EngineConfig {
-                    model,
-                    ..Default::default()
-                },
-                lec_cache,
-            );
+            let cfg = EngineConfig {
+                model,
+                ..Default::default()
+            };
+            let sim = Engine::new(net, cp, &plan.invariant.packet_space, cfg);
             PerDst::Counting { prefixes, sim }
         }
         tulkun_core::planner::PlanKind::Local(lp) => {
-            let sim = LocalSim::new_cached(net, lp, &plan.invariant.packet_space, model, lec_cache);
-            PerDst::Local {
-                prefixes,
-                sim,
-                net: net.clone(),
-            }
+            let sim = LocalSim::new(net, lp, &plan.invariant.packet_space, model);
+            PerDst::Local { prefixes, sim }
         }
     }
 }
@@ -162,10 +151,10 @@ struct BurstTally {
     run: AllPairRun,
     max_dst: u64,
     per_device_busy: BTreeMap<DeviceId, u64>,
-    /// The LEC table is shared across all destination tasks on one
-    /// device (it depends only on the FIB), so its build cost is paid
-    /// once per device, not once per destination: the max init, not
-    /// the sum.
+    /// One device hosts every destination's tasks on one verifier with
+    /// one LEC table (it depends only on the FIB), so its build cost is
+    /// paid once per device, not once per destination: the max init,
+    /// not the sum.
     per_device_init: BTreeMap<DeviceId, u64>,
 }
 
@@ -223,13 +212,10 @@ impl TulkunAllPairs {
         keep: impl Fn(DeviceId) -> bool,
     ) -> TulkunAllPairs {
         let mut plan_ns = 0;
-        let mut lec_cache = LecCache::new();
         let per_dst = destinations(&ds.network)
             .into_iter()
             .filter(|(d, _)| keep(*d))
-            .map(|(dst, prefixes)| {
-                build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &mut lec_cache)
-            })
+            .map(|(dst, prefixes)| build_per_dst(ds, model, dst, prefixes, &mut plan_ns))
             .collect();
         TulkunAllPairs { per_dst, plan_ns }
     }
@@ -266,11 +252,11 @@ impl TulkunAllPairs {
                     run.bytes += r.bytes;
                     run.violations += sim.report().violations.len();
                 }
-                PerDst::Local { prefixes, sim, net } => {
+                PerDst::Local { prefixes, sim } => {
                     if !prefixes.iter().any(|p| p.overlaps(&prefix)) {
                         continue;
                     }
-                    let r = sim.incremental(net, update);
+                    let r = sim.incremental(update);
                     run.completion_ns = run.completion_ns.max(r.completion_ns);
                     run.violations += r.violations.len();
                 }
@@ -313,9 +299,8 @@ impl TulkunAllPairs {
 pub fn burst_streaming(ds: &Dataset, model: SwitchModel) -> (AllPairRun, u64) {
     let mut tally = BurstTally::default();
     let mut plan_ns = 0u64;
-    let mut lec_cache = LecCache::new();
     for (dst, prefixes) in destinations(&ds.network) {
-        let mut pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns, &mut lec_cache);
+        let mut pd = build_per_dst(ds, model, dst, prefixes, &mut plan_ns);
         tally.burst(&mut pd);
     }
     (tally.finish(), plan_ns)

@@ -270,6 +270,11 @@ mod tests {
             net.topology.expect_device("A"),
             net.topology.expect_device("B"),
         );
+        let crosses = |t: &NodeTask| {
+            let hop = |d: DeviceId| [(t.dev, d), (d, t.dev)].contains(&(a, b));
+            t.downstream.iter().any(|(_, d)| hop(*d))
+        };
+        assert!(c.intents().global_tasks().iter().any(crosses));
         let mut churn = ChurnState::new();
         assert!(churn.apply(&TopologyEvent::LinkDown(a, b)));
         assert!(!churn.apply(&TopologyEvent::LinkDown(b, a)), "idempotent");
@@ -278,8 +283,8 @@ mod tests {
             down.devices.values().any(|f| !f.tasks.is_empty()),
             "losing a link on valid paths must change some tasks"
         );
-        let post = down.topology.expect("a churn fence carries its topology");
-        assert_eq!(post.num_links(), net.topology.num_links() - 1);
+        let live = c.intents().global_tasks();
+        assert!(!live.iter().any(crosses), "no task forwards over A-B");
         assert!(fence(&mut c, &net, &inv, TopologyEvent::LinkDown(b, a)).is_none());
         assert!(churn.apply(&TopologyEvent::LinkUp(a, b)));
         assert!(churn.is_quiet());
@@ -323,10 +328,6 @@ mod tests {
                 .any(|(_, f)| *f == crate::verify::Freshness::Unreachable),
             "quarantined device's old nodes must be reported unreachable"
         );
-        // All B links are gone from the post-churn topology.
-        for l in down.topology.unwrap().links() {
-            assert!(l.a != b && l.b != b);
-        }
     }
 
     #[test]

@@ -94,9 +94,6 @@ pub struct FencePlan {
     /// The new epoch. Everything in flight under an older one is
     /// superseded: a transport drops it *before* any new-epoch send.
     pub epoch: u64,
-    /// The post-churn topology, for topology fences (latency-aware
-    /// transports re-route against it); `None` for intent fences.
-    pub topology: Option<Topology>,
     /// One fence per device some plan has tasked since construction,
     /// this fence's included: every device whose verifier holds, or
     /// after this fence needs, counting state. A fabric that hosts a
@@ -333,12 +330,7 @@ impl ControlPlane {
     /// devices `delta` tasks join them), its share of `delta`, with the
     /// repair wave [`ControlPlane::seal`] may drop. `anchor` is the
     /// journal device and cause.
-    fn fence_plan(
-        &mut self,
-        anchor: (DeviceId, &'static str),
-        topology: Option<Topology>,
-        delta: &IntentDelta,
-    ) -> FencePlan {
+    fn fence_plan(&mut self, anchor: (DeviceId, &'static str), delta: &IntentDelta) -> FencePlan {
         self.epoch += 1;
         let mut shares = self.shares(delta);
         self.tasked.extend(delta.changed.keys().copied());
@@ -353,7 +345,6 @@ impl ControlPlane {
             .collect();
         FencePlan {
             epoch: self.epoch,
-            topology,
             devices,
             anchor,
         }
@@ -466,8 +457,7 @@ impl ControlPlane {
             self.tel.count("tulkun_quarantined_total", 1);
         }
         let dev = ev.primary_device();
-        let topology = Some(replan.topology.clone());
-        let fence = self.fence_plan((dev, "churn"), topology, &replan.delta);
+        let fence = self.fence_plan((dev, "churn"), &replan.delta);
         self.note(JournalKind::TopologyChurn, dev, trace, None, || {
             ev.describe()
         });
@@ -572,7 +562,7 @@ impl ControlPlane {
             }
         };
         let (id, delta) = self.store.install(name, inv.clone(), slice, &work)?;
-        let fence = self.fence_plan((first_touched(&delta), INTENT), None, &delta);
+        let fence = self.fence_plan((first_touched(&delta), INTENT), &delta);
         let dev = delta.changed.keys().next().copied().unwrap_or(DeviceId(0));
         self.note(JournalKind::IntentInstalled, dev, trace, Some(id), || {
             format!("intent {name:?} installed")
@@ -599,7 +589,7 @@ impl ControlPlane {
         let delta = self.store.remove(id, &self.work(trace))?;
         self.degraded_epochs.remove(&id.0);
         let anchor = (first_touched(&delta), INTENT);
-        let fence = (!no_footprint).then(|| self.fence_plan(anchor, None, &delta));
+        let fence = (!no_footprint).then(|| self.fence_plan(anchor, &delta));
         let mut touched = delta.removed.keys().chain(delta.changed.keys());
         let dev = touched.next().copied().unwrap_or(DeviceId(0));
         self.note(JournalKind::IntentRemoved, dev, trace, Some(id), || {
@@ -767,7 +757,6 @@ mod tests {
         let (id, d) = c.install("from-b", &from_b, 0).unwrap();
         let fence = d.fence.expect("a live install fences");
         assert_eq!((fence.epoch, c.epoch()), (1, 1));
-        assert!(fence.topology.is_none());
         assert_eq!(
             fence.devices.keys().copied().collect::<BTreeSet<_>>(),
             c.tasked,
@@ -791,7 +780,6 @@ mod tests {
             .fence
             .unwrap();
         assert_eq!(down.epoch, 2);
-        assert!(down.topology.is_some());
         assert!(down.devices.values().all(|f| f.reannounce));
         let gone: BTreeSet<NodeId> = down.devices[&b].remove.iter().copied().collect();
         assert_eq!(gone, on_b, "B's share removes every node it hosted");

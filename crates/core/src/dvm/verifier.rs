@@ -192,40 +192,29 @@ pub struct DeviceVerifier {
 }
 
 /// Builds a [`DeviceVerifier`] that hosts no node yet: mandatory
-/// device/FIB context plus the optional parts (a pre-built LEC table, a
-/// backend, a telemetry handle). Nodes arrive with a fence share
+/// device/FIB context plus the optional parts (a backend, a telemetry
+/// handle). Nodes arrive with a fence share
 /// ([`DeviceVerifier::apply_fence`]), each new one with its base packet
 /// space.
 ///
-/// One device's LEC table is shared by all its tasks across invariants
-/// (§8 — re-deriving it per invariant would be wasted work); seed it
-/// with [`VerifierBuilder::maybe_lecs`]. Cached tables are stored in the
-/// backend-neutral wire encoding, so a table exported under one backend
-/// seeds a verifier running any other. The caller must guarantee the
-/// exported table matches `fib`.
-pub struct VerifierBuilder<'a> {
+/// One device's LEC table is shared by all the tasks it hosts, across
+/// invariants (§8): a device hosts every intent's nodes on its one
+/// verifier, so the table is derived once, here, from the FIB.
+pub struct VerifierBuilder {
     backend: DynBackend,
     dev: DeviceId,
     fib: Fib,
     cfg: VerifierConfig,
-    lecs: Option<&'a [(PortablePred, Action)]>,
     tel: Option<Arc<Telemetry>>,
 }
 
-impl<'a> VerifierBuilder<'a> {
+impl VerifierBuilder {
     /// Swaps the predicate backend (the default is BDDs). The caller
     /// has checked the kind against the workload
     /// ([`BackendKind::check`]).
     pub fn backend(mut self, kind: BackendKind) -> Self {
         let layout = *self.backend.layout();
         self.backend = DynBackend::new(kind, layout);
-        self
-    }
-
-    /// Seeds the LEC table from a previously exported one when a cached
-    /// export is available; a `None` derives it from the FIB.
-    pub fn maybe_lecs(mut self, lecs: Option<&'a [(PortablePred, Action)]>) -> Self {
-        self.lecs = lecs;
         self
     }
 
@@ -236,15 +225,13 @@ impl<'a> VerifierBuilder<'a> {
         self
     }
 
-    /// Builds the verifier (computing the LEC table unless one was
-    /// provided).
+    /// Builds the verifier, deriving its LEC table from the FIB.
     pub fn build(self) -> DeviceVerifier {
         let VerifierBuilder {
             backend,
             dev,
             fib,
             cfg,
-            lecs,
             tel,
         } = self;
         let mut v = DeviceVerifier {
@@ -260,15 +247,7 @@ impl<'a> VerifierBuilder<'a> {
             tel: tel.unwrap_or_else(Telemetry::disabled),
             stats: VerifierStats::default(),
         };
-        match lecs {
-            Some(lecs) => {
-                v.lecs = lecs
-                    .iter()
-                    .map(|(p, a)| (v.backend.import(p), a.clone()))
-                    .collect();
-            }
-            None => v.rebuild_lecs(),
-        }
+        v.rebuild_lecs();
         v.export_mem_gauges();
         v
     }
@@ -277,31 +256,19 @@ impl<'a> VerifierBuilder<'a> {
 impl DeviceVerifier {
     /// Starts building a verifier for `dev` with the default (BDD)
     /// backend; select another with [`VerifierBuilder::backend`].
-    /// Cached LECs are supplied on the returned [`VerifierBuilder`].
-    pub fn builder<'a>(
+    pub fn builder(
         dev: DeviceId,
         layout: HeaderLayout,
         fib: Fib,
         cfg: VerifierConfig,
-    ) -> VerifierBuilder<'a> {
+    ) -> VerifierBuilder {
         VerifierBuilder {
             backend: DynBackend::new(BackendKind::Bdd, layout),
             dev,
             fib,
             cfg,
-            lecs: None,
             tel: None,
         }
-    }
-
-    /// Exports the LEC table for reuse by another verifier of the same
-    /// device (see [`VerifierBuilder::maybe_lecs`]). The export is in the
-    /// canonical wire encoding, hence backend-neutral.
-    pub fn export_lecs(&self) -> Vec<(PortablePred, Action)> {
-        self.lecs
-            .iter()
-            .map(|(p, a)| (self.backend.export(*p), a.clone()))
-            .collect()
     }
 
     /// The device this verifier runs on.
@@ -881,8 +848,7 @@ impl DeviceVerifier {
         }
     }
 
-    /// Exports a node's current counting results, optionally restricted
-    /// to the entries intersecting a packet-space filter.
+    /// Exports a node's current counting results.
     ///
     /// The export is canonical: `LocCIB` may hold one outcome split over
     /// several disjoint predicates (regions recomputed by different
@@ -891,37 +857,33 @@ impl DeviceVerifier {
     /// unioned here, where Reports read them. Equal converged states
     /// then export byte-equal results on every substrate.
     ///
-    /// The unfiltered export is memoised per node until the node's
-    /// `LocCIB` next changes (see [`LocCib`]): a report, status or
-    /// explain read re-exports only the nodes an update reached.
-    pub fn node_result(&mut self, node: NodeId, space: Option<&PortablePred>) -> NodeResult {
+    /// The export is memoised per node until the node's `LocCIB` next
+    /// changes (see [`LocCib`]): a report, status or explain read
+    /// re-exports only the nodes an update reached.
+    pub fn node_result(&mut self, node: NodeId) -> NodeResult {
         let Some(st) = self.nodes.get(&node) else {
             return Vec::new().into();
         };
-        if let (None, Some(memo)) = (space, st.loc_cib.exported().cloned()) {
-            debug_assert_eq!(*memo, *self.merged_export(node, None), "stale export memo");
+        if let Some(memo) = st.loc_cib.exported().cloned() {
+            debug_assert_eq!(memo, self.unmemoised_result(node), "stale export memo");
             return memo;
         }
-        let q = space.map(|s| self.backend.import(s));
-        let result: NodeResult = self.merged_export(node, q).into();
-        if space.is_none() {
-            // Hosted: checked on entry.
-            if let Some(st) = self.nodes.get_mut(&node) {
-                st.loc_cib.set_exported(result.clone());
-            }
+        let result = self.unmemoised_result(node);
+        // Hosted: checked on entry.
+        if let Some(st) = self.nodes.get_mut(&node) {
+            st.loc_cib.set_exported(result.clone());
         }
         result
     }
 
-    /// The canonical export behind [`DeviceVerifier::node_result`]:
-    /// the hosted node's entries that intersect `q`, merged by outcome.
-    fn merged_export(&mut self, node: NodeId, q: Option<DynPred>) -> Vec<(PortablePred, Counts)> {
+    /// The canonical export behind [`DeviceVerifier::node_result`],
+    /// computed afresh from the hosted `node`'s entries merged by
+    /// outcome: what a memoised read must equal (debug builds and the
+    /// memo tests compare the two).
+    pub fn unmemoised_result(&mut self, node: NodeId) -> NodeResult {
         let (st, be) = (&self.nodes[&node], &mut self.backend);
         let mut merged: Vec<(DynPred, &Counts)> = Vec::new();
         for (p, c) in st.loc_cib.entries() {
-            if q.is_some_and(|q| !be.intersects(*p, q)) {
-                continue;
-            }
             match merged.iter_mut().find(|(_, mc)| *mc == c) {
                 Some((mp, _)) => *mp = be.or(*mp, *p),
                 None => merged.push((*p, c)),
@@ -1376,7 +1338,7 @@ mod tests {
         let (up, down) = (NodeId(1), NodeId(0));
         assert_eq!(*edge, EdgeRef { up, down });
         assert_eq!(withdrawn, &[space], "full scope");
-        assert_eq!(**results, *d0.node_result(NodeId(0), None), "whole CIBOut");
+        assert_eq!(**results, *d0.node_result(NodeId(0)), "whole CIBOut");
 
         out.clear();
         d0.apply_fence(2, 8, DeviceFence::default(), &mut out);
@@ -1413,7 +1375,7 @@ mod tests {
         };
         // The whole packet set `n` counts over, read back through `be`.
         let counted = |v: &mut DeviceVerifier, be: &mut DynBackend, n: NodeId| {
-            let result = v.node_result(n, None);
+            let result = v.node_result(n);
             assert_eq!(result.len(), 1, "one outcome over the scope");
             be.import(&result[0].0)
         };
@@ -1477,7 +1439,7 @@ mod tests {
                 (d1.stats.updates_processed, d1.stats.epoch_discarded),
                 (1, 0)
             );
-            d1.node_result(NodeId(1), None)
+            d1.node_result(NodeId(1))
         };
         let in_order = run(false);
         assert_eq!(in_order.len(), 1);
@@ -1615,7 +1577,7 @@ mod tests {
         }
 
         fn heard(&mut self) -> NodeResult {
-            self.listener.node_result(LISTENER, None)
+            self.listener.node_result(LISTENER)
         }
     }
 
@@ -1749,7 +1711,7 @@ mod tests {
                 accept: vec![true],
             };
             host(&mut v, &space, task, &mut Vec::new());
-            let unsplit = v.node_result(node, None);
+            let unsplit = v.node_result(node);
             assert_eq!(unsplit.len(), 1);
 
             let lo = v.backend.match_pred(&dst("10.0.0.0/24"));
@@ -1762,11 +1724,9 @@ mod tests {
                 (other, Counts::single(vec![7])),
                 (lo, counts),
             ];
-            let merged = v.node_result(node, None);
+            let merged = v.node_result(node);
             assert_eq!(merged.len(), 2, "{kind}: equal counts stay split");
             assert_eq!(merged[0], unsplit[0], "{kind}: union is not the whole");
-            // The packet-space filter still selects by intersection.
-            assert_eq!(v.node_result(node, Some(&space)), unsplit);
         }
     }
 

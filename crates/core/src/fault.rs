@@ -151,6 +151,21 @@ pub struct FaultStats {
     pub backpressure: u64,
 }
 
+tulkun_json::impl_json_object!(FaultStats {
+    drops,
+    ack_drops,
+    dups,
+    reorders,
+    delays,
+    retransmits,
+    retransmit_bytes,
+    forced,
+    dup_suppressed,
+    acks,
+    ack_bytes,
+    backpressure,
+});
+
 /// A failed link named by its (canonically ordered) endpoint devices —
 /// stable across subtopologies, unlike `LinkId`.
 pub type LinkPair = (DeviceId, DeviceId);

@@ -11,6 +11,7 @@ use crate::planner::LocalContract;
 use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::{HeaderLayout, Pred};
 use tulkun_netmodel::fib::{Action, Fib};
+use tulkun_netmodel::network::RuleUpdate;
 use tulkun_netmodel::DeviceId;
 use tulkun_predicate::{lecs, BddBackend, PredicateBackend};
 
@@ -31,8 +32,8 @@ pub struct ContractViolation {
     pub reason: String,
 }
 
-/// The per-device checker for `equal` plans: holds the device's LEC
-/// table and its contracts, and checks them locally, with no
+/// The per-device checker for `equal` plans: holds the device's FIB,
+/// LEC table and contracts, and checks them locally, with no
 /// communication.
 pub struct LocalChecker {
     dev: DeviceId,
@@ -40,12 +41,13 @@ pub struct LocalChecker {
     fib: Fib,
     contracts: Vec<LocalContract>,
     packet_space: Pred,
-    /// LEC table, rebuilt lazily when the FIB changes.
-    lecs: Option<Vec<(Pred, Action)>>,
+    /// LEC table of `fib`, rebuilt when a rule update changes it.
+    lecs: Vec<(Pred, Action)>,
 }
 
 impl LocalChecker {
-    /// Creates a checker for `dev` with its assigned contracts.
+    /// Creates a checker for `dev` with its assigned contracts and
+    /// builds its LEC table.
     pub fn new(
         dev: DeviceId,
         layout: HeaderLayout,
@@ -53,30 +55,12 @@ impl LocalChecker {
         contracts: Vec<LocalContract>,
         packet_space: &PortablePred,
     ) -> Self {
-        Self::new_with_lecs(dev, layout, fib, contracts, packet_space, None)
-    }
-
-    /// Like [`LocalChecker::new`], but seeds the LEC table from a
-    /// previously exported one (the LEC table is shared across all the
-    /// invariants a device verifies, §8).
-    pub fn new_with_lecs(
-        dev: DeviceId,
-        layout: HeaderLayout,
-        fib: Fib,
-        contracts: Vec<LocalContract>,
-        packet_space: &PortablePred,
-        lecs: Option<&[(PortablePred, Action)]>,
-    ) -> Self {
         let mut backend = BddBackend::new(layout);
         let ps = backend.import(packet_space);
         for c in &contracts {
             assert_eq!(c.dev, dev, "contract assigned to the wrong device");
         }
-        let lecs = lecs.map(|ls| {
-            ls.iter()
-                .map(|(p, a)| (backend.import(p), a.clone()))
-                .collect()
-        });
+        let lecs = lecs(&fib, &mut backend);
         LocalChecker {
             dev,
             backend,
@@ -87,41 +71,39 @@ impl LocalChecker {
         }
     }
 
-    /// Exports the LEC table for reuse (builds it if needed).
-    pub fn export_lecs(&mut self) -> Vec<(PortablePred, Action)> {
-        self.ensure_lecs();
-        self.lecs
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(|(p, a)| (self.backend.export(*p), a.clone()))
-            .collect()
-    }
-
-    fn ensure_lecs(&mut self) {
-        if self.lecs.is_none() {
-            self.lecs = Some(lecs(&self.fib, &mut self.backend));
+    /// Folds one of this device's rule updates into its FIB and LEC
+    /// table (incremental checking).
+    pub fn apply(&mut self, update: &RuleUpdate) {
+        assert_eq!(update.device(), self.dev);
+        match update {
+            RuleUpdate::Insert { rule, .. } => self.fib.insert(rule.clone()),
+            RuleUpdate::Remove {
+                priority, matches, ..
+            } => {
+                self.fib.remove(*priority, matches);
+            }
         }
-    }
-
-    /// Applies a FIB change (incremental checking).
-    pub fn update_fib(&mut self, fib: Fib) {
-        self.fib = fib;
-        self.lecs = None;
+        self.lecs = lecs(&self.fib, &mut self.backend);
     }
 
     /// Runs all contracts against the current FIB.
     pub fn check(&mut self) -> Vec<ContractViolation> {
-        self.ensure_lecs();
-        let lecs = self.lecs.clone().unwrap();
+        let LocalChecker {
+            dev,
+            backend,
+            contracts,
+            packet_space,
+            lecs,
+            ..
+        } = self;
         let mut out = Vec::new();
-        for contract in self.contracts.clone() {
+        for contract in contracts.iter() {
             if contract.required_next_hops.is_empty() && !contract.must_deliver {
                 continue; // dead node: nothing to check locally
             }
-            for (pred, action) in &lecs {
-                let p = self.backend.and(*pred, self.packet_space);
-                if self.backend.is_false(p) {
+            for (pred, action) in lecs.iter() {
+                let p = backend.and(*pred, *packet_space);
+                if backend.is_false(p) {
                     continue;
                 }
                 let mut found = action.device_next_hops();
@@ -152,9 +134,9 @@ impl LocalChecker {
                 };
                 if let Some(reason) = reason {
                     out.push(ContractViolation {
-                        device: self.dev,
+                        device: *dev,
                         node: contract.node,
-                        pred: self.backend.export(p),
+                        pred: backend.export(p),
                         expected: contract.required_next_hops.clone(),
                         found,
                         reason,

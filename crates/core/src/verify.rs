@@ -528,7 +528,7 @@ impl Session {
         let verifiers = &mut self.verifiers;
         evaluate_intents(self.control.intents(), &mut self.verdicts, |dev, node| {
             let v = verifiers.get_mut(&dev);
-            v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
+            v.map_or_else(|| Vec::new().into(), |v| v.node_result(node))
         });
         &self.verdicts
     }
@@ -642,9 +642,7 @@ pub fn verify_snapshot(net: &Network, plan: &Plan) -> Report {
                     contracts,
                     &packet_space,
                 );
-                for cv in checker.check() {
-                    violations.push(contract_violation(cv));
-                }
+                violations.extend(checker.check().into_iter().map(Violation::from));
             }
             Report {
                 violations,
@@ -654,16 +652,18 @@ pub fn verify_snapshot(net: &Network, plan: &Plan) -> Report {
     }
 }
 
-fn contract_violation(cv: ContractViolation) -> Violation {
-    Violation {
-        device: cv.device,
-        node: cv.node,
-        pred: cv.pred,
-        kind: ViolationKind::Contract {
-            expected: cv.expected,
-            found: cv.found,
-            reason: cv.reason,
-        },
-        intent: 0,
+impl From<ContractViolation> for Violation {
+    fn from(cv: ContractViolation) -> Violation {
+        Violation {
+            device: cv.device,
+            node: cv.node,
+            pred: cv.pred,
+            kind: ViolationKind::Contract {
+                expected: cv.expected,
+                found: cv.found,
+                reason: cv.reason,
+            },
+            intent: 0,
+        }
     }
 }

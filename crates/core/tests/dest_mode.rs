@@ -78,7 +78,7 @@ fn holds(net: &Network) -> bool {
     evaluate_intents(&store, &mut verdicts, |dev, node| {
         verifiers
             .get_mut(&dev)
-            .map(|v| v.node_result(node, None))
+            .map(|v| v.node_result(node))
             .unwrap_or_default()
     });
     verdicts.report().holds()

@@ -239,7 +239,7 @@ fn reduction_min_is_on_the_wire() {
     // S's LocCIB for the source node holds the reduced [0] (not [0,1]).
     let cp = session.plan();
     let (sdev, snode) = cp.dpvnet.sources()[0];
-    let results = session.verifier_mut(sdev).unwrap().node_result(snode, None);
+    let results = session.verifier_mut(sdev).unwrap().node_result(snode);
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].1, Counts::scalars([0]));
     assert!(!session.report().holds());
@@ -287,7 +287,7 @@ fn loccib_partitions_scope() {
         for dev in [s, a, d] {
             let v = session.verifier_mut(dev).unwrap();
             for node in v.node_ids() {
-                let entries = v.node_result(node, None);
+                let entries = v.node_result(node);
                 let mut m = BddManager::new(net.layout.num_vars());
                 let mut union = m.falsum();
                 let preds: Vec<_> = entries
@@ -369,7 +369,7 @@ fn set_tasks_keeps_upstream_consistent() {
     }
     // The source now sees count 0.
     let (sdev, snode) = cp.dpvnet.sources()[0];
-    let results = verifiers.get_mut(&sdev).unwrap().node_result(snode, None);
+    let results = verifiers.get_mut(&sdev).unwrap().node_result(snode);
     assert_eq!(results.len(), 1);
     assert_eq!(results[0].1, Counts::scalars([0]));
 }

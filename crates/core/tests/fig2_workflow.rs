@@ -242,7 +242,7 @@ fn fig2_s1_final_counts_match_the_paper() {
     let cp = session.plan().clone();
     let (_, src_node) = cp.dpvnet.sources()[0];
     let verifier = session.verifier_mut(s).unwrap();
-    let results = verifier.node_result(src_node, None);
+    let results = verifier.node_result(src_node);
 
     // Two outcome classes: count {1} for P2 ∪ P4 and count {0} for P3
     // (min-reduced from [0,1] on the wire).

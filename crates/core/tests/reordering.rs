@@ -182,7 +182,7 @@ fn verdict(driver: &mut ChannelDriver, plan: &tulkun_core::planner::Plan) -> usi
     verify::evaluate_intents(&store, &mut verdicts, |dev, node| {
         verifiers
             .get_mut(&dev)
-            .map(|v| v.node_result(node, None))
+            .map(|v| v.node_result(node))
             .unwrap_or_default()
     });
     verdicts.report().violations.len()

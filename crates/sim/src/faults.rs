@@ -43,7 +43,7 @@ use std::sync::Arc;
 use tulkun_core::dvm::reliable::{Accepted, ChannelKey, ReceiverLedger, SenderWindow};
 use tulkun_core::dvm::{Envelope, Payload};
 use tulkun_core::fault::{FaultProfile, FaultStats};
-use tulkun_netmodel::{DeviceId, Topology};
+use tulkun_netmodel::DeviceId;
 use tulkun_telemetry::{JournalKind, Telemetry};
 
 /// A [`Transport`] decorator that injects seeded message faults and
@@ -432,10 +432,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.sender.reset_channels_into(dev);
         self.receiver.reset_channels_into(dev);
     }
-
-    fn set_topology(&mut self, topo: &Topology) {
-        self.inner.set_topology(topo);
-    }
 }
 
 #[cfg(test)]
@@ -444,6 +440,7 @@ mod tests {
     use crate::runtime::{FifoTransport, LatencyTransport};
     use tulkun_core::dpvnet::NodeId;
     use tulkun_core::dvm::EdgeRef;
+    use tulkun_netmodel::Topology;
 
     fn data(from: u32, to: u32) -> Envelope {
         let m = tulkun_bdd::BddManager::new(1);

@@ -64,7 +64,7 @@ pub use central::{central_burst, central_update, CentralRun};
 pub use faults::FaultyTransport;
 pub use models::SwitchModel;
 pub use runtime::{
-    DeviceStats, Engine, EngineConfig, LecCache, RuntimeStats, ThreadedEngine, WatchdogConfig,
+    DeviceStats, Engine, EngineConfig, RuntimeStats, ThreadedEngine, WatchdogConfig,
     WatchdogVerdict,
 };
 pub use service::{

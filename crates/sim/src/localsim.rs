@@ -11,7 +11,7 @@
 //! `RuntimeStats::fault` counters stay zero by construction.
 
 use crate::models::SwitchModel;
-use crate::runtime::{LecCache, RuntimeStats, VirtualClock};
+use crate::runtime::{RuntimeStats, VirtualClock};
 use std::collections::BTreeMap;
 use std::time::Instant;
 use tulkun_core::localcheck::{ContractViolation, LocalChecker};
@@ -42,30 +42,9 @@ pub struct LocalSim {
 }
 
 impl LocalSim {
-    /// Builds one checker per device holding contracts.
+    /// Builds one checker per device holding contracts, timing each
+    /// construction (its LEC table included) as the device's init.
     pub fn new(net: &Network, plan: &LocalPlan, ps: &PacketSpace, model: SwitchModel) -> LocalSim {
-        Self::build(net, plan, ps, model, None)
-    }
-
-    /// Like [`LocalSim::new`], sharing a per-device LEC cache across
-    /// invariants (the §8 architecture: one LEC table per device).
-    pub fn new_cached(
-        net: &Network,
-        plan: &LocalPlan,
-        ps: &PacketSpace,
-        model: SwitchModel,
-        lec_cache: &mut LecCache,
-    ) -> LocalSim {
-        Self::build(net, plan, ps, model, Some(lec_cache))
-    }
-
-    fn build(
-        net: &Network,
-        plan: &LocalPlan,
-        ps: &PacketSpace,
-        model: SwitchModel,
-        mut lec_cache: Option<&mut LecCache>,
-    ) -> LocalSim {
         let psp = compile_packet_space(&net.layout, ps);
         let mut by_dev: BTreeMap<DeviceId, Vec<LocalContract>> = BTreeMap::new();
         for c in &plan.contracts {
@@ -77,18 +56,8 @@ impl LocalSim {
             .into_iter()
             .map(|(dev, contracts)| {
                 let wall = Instant::now();
-                let cached = lec_cache.as_deref().and_then(|c| c.get(&dev));
-                let mut checker = LocalChecker::new_with_lecs(
-                    dev,
-                    net.layout,
-                    net.fib(dev).clone(),
-                    contracts,
-                    &psp,
-                    cached.map(Vec::as_slice),
-                );
-                if let Some(cache) = lec_cache.as_deref_mut() {
-                    cache.entry(dev).or_insert_with(|| checker.export_lecs());
-                }
+                let fib = net.fib(dev).clone();
+                let checker = LocalChecker::new(dev, net.layout, fib, contracts, &psp);
                 stats.per_device.entry(dev).or_default().init_ns =
                     model.scale_ns(wall.elapsed().as_nanos() as u64);
                 (dev, checker)
@@ -102,20 +71,19 @@ impl LocalSim {
     }
 
     /// Runs one device's check through the clock, recording it in the
-    /// runtime stats.
+    /// runtime stats; `update` is folded into its checker first.
     fn check_device(
         &mut self,
         dev: DeviceId,
         out: &mut LocalSimResult,
         update: Option<&RuleUpdate>,
-        net: Option<&Network>,
     ) {
         let Some(checker) = self.checkers.get_mut(&dev) else {
             return;
         };
         let wall = Instant::now();
-        if let (Some(_), Some(net)) = (update, net) {
-            checker.update_fib(net.fib(dev).clone());
+        if let Some(update) = update {
+            checker.apply(update);
         }
         let v = checker.check();
         let span = self.clock.charge(dev, 0, wall.elapsed().as_nanos() as u64);
@@ -132,17 +100,17 @@ impl LocalSim {
         let mut out = LocalSimResult::default();
         let devices: Vec<DeviceId> = self.checkers.keys().copied().collect();
         for dev in devices {
-            self.check_device(dev, &mut out, None, None);
+            self.check_device(dev, &mut out, None);
         }
         out
     }
 
-    /// Applies a rule update: only the updated device re-checks.
-    pub fn incremental(&mut self, net: &mut Network, update: &RuleUpdate) -> LocalSimResult {
+    /// Applies a rule update: only the updated device folds it into
+    /// its own FIB and re-checks.
+    pub fn incremental(&mut self, update: &RuleUpdate) -> LocalSimResult {
         self.clock.reset();
-        net.apply(update);
         let mut out = LocalSimResult::default();
-        self.check_device(update.device(), &mut out, Some(update), Some(net));
+        self.check_device(update.device(), &mut out, Some(update));
         out
     }
 
@@ -157,6 +125,7 @@ mod tests {
     use super::*;
     use tulkun_core::planner::Planner;
     use tulkun_core::spec::table1;
+    use tulkun_core::verify::{verify_snapshot, Report, Violation};
     use tulkun_datasets::{by_name, Scale};
     use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 
@@ -188,12 +157,13 @@ mod tests {
         assert!(r.completion_ns > 0);
         assert!(sim.stats().per_device.values().any(|s| s.busy_ns > 0));
 
-        // Break the ECMP group at one aggregation switch.
-        let mut net = d.network.clone();
-        let agg = net
-            .topology
+        // Break the ECMP group at one aggregation switch: the checker
+        // folds the update into its own FIB, and finds what a fresh
+        // check of the updated network finds.
+        let topo = &d.network.topology;
+        let agg = topo
             .devices()
-            .find(|x| net.topology.name(*x).starts_with("agg"))
+            .find(|x| topo.name(*x).starts_with("agg"))
             .unwrap();
         let up = RuleUpdate::Insert {
             device: agg,
@@ -203,7 +173,15 @@ mod tests {
                 action: Action::Drop,
             },
         };
-        let r = sim.incremental(&mut net, &up);
+        let r = sim.incremental(&up);
         assert!(!r.violations.is_empty());
+        let mut net = d.network.clone();
+        net.apply(&up);
+        let found = Report {
+            violations: r.violations.into_iter().map(Violation::from).collect(),
+            ..Report::default()
+        };
+        let snapshot = verify_snapshot(&net, &plan);
+        assert_eq!(found.canonical_bytes(), snapshot.canonical_bytes());
     }
 }

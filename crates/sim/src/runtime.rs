@@ -62,7 +62,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tulkun_bdd::serial::PortablePred;
 use tulkun_bdd::HeaderLayout;
 use tulkun_core::control::{ControlPlane, Decision, DeviceFence, FencePlan};
 use tulkun_core::dpvnet::NodeId;
@@ -83,9 +82,6 @@ use tulkun_telemetry::{
     INIT_BUILD, INJECT,
 };
 
-/// One device's exported LEC table (predicates + actions).
-pub type LecTable = Vec<(PortablePred, tulkun_netmodel::fib::Action)>;
-
 /// The value behind a lock, poisoned or not. Every lock and condvar in
 /// this module goes through here: a poisoned lock means a device thread
 /// panicked while holding it, which [`ThreadedEngine::shutdown`]
@@ -97,17 +93,6 @@ pub type LecTable = Vec<(PortablePred, tulkun_netmodel::fib::Action)>;
 fn unpoisoned<T>(r: LockResult<T>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
-
-/// A per-device LEC-table cache (exported predicates + actions) that
-/// engines built over one network share, valid as long as the device's
-/// FIB is unchanged: one device builds its LEC table once for all
-/// invariants — the paper's §8 architecture. Only the constructors
-/// whose callers share one take it ([`Engine::with_cache`],
-/// `LocalSim::new_cached`), and they fill it. Tables are held in the
-/// backend-neutral wire encoding (exported predicates are canonical
-/// ROBDD bytes whatever backend produced them), so one cache serves
-/// engines running different predicate backends.
-pub type LecCache = BTreeMap<DeviceId, LecTable>;
 
 /// Per-device counters for the §9.4 overhead figures.
 #[derive(Debug, Clone, Default)]
@@ -322,9 +307,6 @@ pub trait Transport {
     /// and restart reliability channels into it (neighbor replays rebuild
     /// the content).
     fn purge_for_restart(&mut self, _dev: DeviceId) {}
-    /// The topology changed under live churn; latency-aware transports
-    /// re-route future sends against the new link set.
-    fn set_topology(&mut self, _topo: &Topology) {}
 }
 
 /// Delivery through the topology's links: each envelope arrives after
@@ -333,6 +315,12 @@ pub trait Transport {
 /// channel: a later send never overtakes an earlier one on the same
 /// directed link, even when the engine rewinds its clock for a new
 /// round while a staged wave is still in flight.
+///
+/// The transport keeps the base topology through churn: an envelope
+/// only travels a link the live topology has (the fence drops
+/// old-epoch traffic, and new-epoch tasks follow live links), and
+/// churn only removes base links, so the base's latencies are the live
+/// ones.
 pub struct LatencyTransport {
     topo: Topology,
     /// Latency used when two communicating devices share no direct
@@ -401,10 +389,6 @@ impl Transport for LatencyTransport {
             .filter(|Reverse((_, _, EnvelopeOrd(env)))| !purged_by_restart(env, dev))
             .collect();
         self.queue = kept.into_iter().collect();
-    }
-
-    fn set_topology(&mut self, topo: &Topology) {
-        self.topo = topo.clone();
     }
 }
 
@@ -544,30 +528,23 @@ impl Recipe {
     /// `epoch` under the causal `trace`: the one constructor. `share`
     /// is the device's part of [`ControlPlane::hosted`], so a new
     /// verifier counts what the control plane has its device host.
-    /// LECs come from `cache` when it holds the device's table, and
-    /// fill it when it does not. Times the build as the `init.build`
-    /// layer and returns the verifier, what it sent and the host ns
-    /// both took.
+    /// Times the build (LEC table + initial counting) as the
+    /// `init.build` layer and returns the verifier, what it sent and
+    /// the host ns both took.
     fn build(
         &self,
         dev: DeviceId,
         fib: Fib,
         share: DeviceFence,
         (epoch, trace): (u64, u64),
-        cache: Option<&mut LecCache>,
     ) -> (DeviceVerifier, Vec<Envelope>, u64) {
         let tel = &self.tel;
         let start = Instant::now();
         let (v, out) = tel.timed(dev, &INIT_BUILD, trace, 0, || {
-            let cached = cache.as_deref().and_then(|c| c.get(&dev));
             let mut v = DeviceVerifier::builder(dev, self.layout, fib, self.vcfg)
                 .backend(self.kind)
-                .maybe_lecs(cached.map(Vec::as_slice))
                 .telemetry(tel.clone())
                 .build();
-            if let Some(cache) = cache {
-                cache.entry(dev).or_insert_with(|| v.export_lecs());
-            }
             let mut out = Vec::new();
             v.apply_fence(epoch, trace, share, &mut out);
             (v, out)
@@ -595,7 +572,6 @@ fn build_verifiers(
     mut hosted: BTreeMap<DeviceId, DeviceFence>,
     recipe: &Recipe,
     model: SwitchModel,
-    mut lec_cache: Option<&mut LecCache>,
 ) -> Vec<BuiltVerifier> {
     let build_one = |dev: DeviceId| {
         let (share, fib) = (
@@ -603,8 +579,7 @@ fn build_verifiers(
             net.fib(dev).clone(),
         );
         let init = (0, INIT_TRACE);
-        let (verifier, init_out, host_ns) =
-            recipe.build(dev, fib, share, init, lec_cache.as_deref_mut());
+        let (verifier, init_out, host_ns) = recipe.build(dev, fib, share, init);
         BuiltVerifier {
             dev,
             verifier,
@@ -1021,7 +996,7 @@ impl Driver {
         let Some(fib) = self.verifiers.get(&dev).map(|v| v.fib().clone()) else {
             return;
         };
-        let (v, out, host_ns) = self.recipe.build(dev, fib, share, (epoch, trace), None);
+        let (v, out, host_ns) = self.recipe.build(dev, fib, share, (epoch, trace));
         let span = self.clock.charge(dev, 0, host_ns);
         let st = self.stats.per_device.entry(dev).or_default();
         (st.init_ns, st.bdd_nodes) = (span.cpu_ns, v.mem_units());
@@ -1039,11 +1014,7 @@ impl Fabric for Driver {
     }
 
     fn fence(&mut self, plan: &FencePlan) -> usize {
-        let dropped = self.transport.epoch_fence(plan.epoch);
-        if let Some(topo) = &plan.topology {
-            self.transport.set_topology(topo);
-        }
-        dropped
+        self.transport.epoch_fence(plan.epoch)
     }
 
     fn purge_for_restart(&mut self, dev: DeviceId) {
@@ -1076,7 +1047,7 @@ impl Fabric for Driver {
 
     fn collect(&mut self, dev: DeviceId, node: NodeId) -> NodeResult {
         let v = self.verifiers.get_mut(&dev);
-        v.map_or_else(|| Vec::new().into(), |v| v.node_result(node, None))
+        v.map_or_else(|| Vec::new().into(), |v| v.node_result(node))
     }
 }
 
@@ -1089,21 +1060,6 @@ impl Runtime<Driver> {
     pub fn new(net: &Network, plan: &CountingPlan, ps: &PacketSpace, cfg: EngineConfig) -> Engine {
         let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
         Self::over(net, plan, ps, &cfg, Box::new(links))
-    }
-
-    /// Like [`Engine::new`], but shares a per-device LEC cache across
-    /// engines (one device builds its LEC table once for all
-    /// invariants — the paper's §8 architecture). The cached build
-    /// cost is still charged to init time on the first build.
-    pub fn with_cache(
-        net: &Network,
-        plan: &CountingPlan,
-        ps: &PacketSpace,
-        cfg: EngineConfig,
-        lec_cache: &mut LecCache,
-    ) -> Engine {
-        let links = LatencyTransport::new(net.topology.clone(), FALLBACK_LATENCY_NS);
-        Self::on(net, plan, ps, &cfg, Some(lec_cache), Box::new(links))
     }
 
     /// Builds an engine over a *faulty* management network: the same
@@ -1125,31 +1081,18 @@ impl Runtime<Driver> {
     }
 
     /// Builds an engine over any transport (tests substitute
-    /// [`FifoTransport`]).
+    /// [`FifoTransport`]): the one `Driver` assembly.
     pub fn over(
         net: &Network,
         plan: &CountingPlan,
         ps: &PacketSpace,
         cfg: &EngineConfig,
-        transport: Box<dyn Transport>,
-    ) -> Engine {
-        Self::on(net, plan, ps, cfg, None, transport)
-    }
-
-    /// The one `Driver` assembly; only [`Engine::with_cache`] passes a
-    /// cache.
-    fn on(
-        net: &Network,
-        plan: &CountingPlan,
-        ps: &PacketSpace,
-        cfg: &EngineConfig,
-        lec_cache: Option<&mut LecCache>,
         mut transport: Box<dyn Transport>,
     ) -> Engine {
         let mut control =
             ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
         let recipe = Recipe::new(net, plan, cfg);
-        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model, lec_cache);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model);
         let mut clock = VirtualClock::new(cfg.model);
         let mut verifiers = BTreeMap::new();
         let mut stats = RuntimeStats::default();
@@ -1525,7 +1468,7 @@ impl Runtime<Threads> {
         let mut control =
             ControlPlane::new(&net.topology, net.layout, plan, ps, cfg.telemetry.clone());
         let recipe = Recipe::new(net, plan, cfg);
-        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model, None);
+        let built = build_verifiers(net, control.hosted(), &recipe, cfg.model);
 
         let inflight = InflightGauge::new();
         let progress = Progress::new(built.iter().map(|b| b.dev));
@@ -1585,7 +1528,7 @@ impl Runtime<Threads> {
                                 inflight.release();
                             }
                             DeviceMsg::Collect(node, reply) => {
-                                let _ = reply.send(verifier.node_result(node, None));
+                                let _ = reply.send(verifier.node_result(node));
                             }
                             // Test-only (compiled out of every other build):
                             // the device panic the shutdown test stages.
@@ -1796,37 +1739,69 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
     }
 
-    /// Two destination invariants of one dataset, built through one
-    /// cache: the second engine, on `intervals`, seeds every verifier
-    /// from the first (`bdd`) engine's export and rebuilds no LEC
-    /// table, and each Report is the one an uncached engine reaches.
+    /// A device hosts every invariant on its one verifier, so it builds
+    /// its LEC table once (§8): with INet2's destinations installed as
+    /// intents on one engine, every verifier still counts one LEC
+    /// build, and each intent's violations are those a standalone
+    /// engine finds for its invariant (two destinations blackholed).
     #[test]
-    fn a_second_engine_reads_its_lec_tables_from_the_cache() {
+    fn one_engine_hosts_every_destination_on_one_lec_table() {
+        use tulkun_netmodel::routing::{inject_errors, InjectedError};
         let ds = tulkun_datasets::by_name("INet2", tulkun_datasets::Scale::Tiny).unwrap();
-        let (net, topo) = (&ds.network, &ds.network.topology);
-        let dsts: BTreeSet<DeviceId> = topo.external_map().map(|(d, _)| d).collect();
-        let mut cache = LecCache::new();
-        let backends = [BackendKind::Bdd, BackendKind::Intervals];
-        for (dst, backend) in dsts.into_iter().zip(backends) {
-            let inv = table1::subset_reachability_to(topo, dst).unwrap();
-            let plan = Planner::new(topo).plan(&inv).unwrap();
-            let (cp, ps) = (plan.counting().unwrap(), &inv.packet_space);
-            let cfg = EngineConfig {
-                backend,
-                ..EngineConfig::default()
+        let mut net = ds.network;
+        let topo = net.topology.clone();
+        let dsts: BTreeMap<DeviceId, _> = topo.external_map().collect();
+        let holes: Vec<InjectedError> = (dsts.iter().take(2))
+            .map(|(dst, prefix)| InjectedError::Blackhole {
+                device: topo.devices().find(|v| v != dst).unwrap(),
+                prefix: *prefix,
+            })
+            .collect();
+        inject_errors(&mut net, &holes);
+        let invs: Vec<Invariant> = dsts
+            .keys()
+            .map(|d| table1::subset_reachability_to(&topo, *d).unwrap())
+            .collect();
+        let standalone = |inv: &Invariant| {
+            let plan = Planner::new(&topo).plan(inv).unwrap();
+            let cp = plan.counting().unwrap();
+            let mut e = Engine::new(&net, cp, &inv.packet_space, EngineConfig::default());
+            e.run_to_quiescence();
+            e.report().violations
+        };
+        let base = Planner::new(&topo).plan(&invs[0]).unwrap();
+        let (cp, ps) = (base.counting().unwrap(), &invs[0].packet_space);
+        let mut shared = Engine::new(&net, cp, ps, EngineConfig::default());
+        shared.run_to_quiescence();
+        let mut ids = vec![0];
+        for (i, inv) in invs.iter().enumerate().skip(1) {
+            let install = RuntimeEvent::InstallIntent {
+                name: format!("dst-{i}"),
+                invariant: inv.clone(),
             };
-            let read = !cache.is_empty();
-            let mut cached = Engine::with_cache(net, cp, ps, cfg.clone(), &mut cache);
-            assert_eq!(cache.len(), topo.num_devices());
-            let rebuilds = cached.fabric.verifiers.values();
-            let rebuilds: BTreeSet<u64> = rebuilds.map(|v| v.stats.lec_rebuilds).collect();
-            assert_eq!(rebuilds, BTreeSet::from([u64::from(!read)]), "{backend}");
-            let mut fresh = Engine::new(net, cp, ps, cfg);
-            cached.run_to_quiescence();
-            fresh.run_to_quiescence();
-            let report = cached.report().canonical_bytes();
-            assert_eq!(report, fresh.report().canonical_bytes(), "{backend}");
+            ids.push(shared.apply_event(&install).unwrap().intent.unwrap().0);
         }
+        for v in shared.fabric.verifiers.values() {
+            assert_eq!(v.stats.lec_rebuilds, 1, "{:?}", v.device());
+        }
+        let report = shared.report();
+        let mut violated = 0;
+        for (id, inv) in ids.into_iter().zip(&invs) {
+            let mut own = report.violations.clone();
+            own.retain(|v| v.intent == id);
+            own.iter_mut().for_each(|v| v.intent = 0);
+            let alone = standalone(inv);
+            violated += usize::from(!alone.is_empty());
+            let bytes = |violations| {
+                Report {
+                    violations,
+                    ..Report::default()
+                }
+                .canonical_bytes()
+            };
+            assert_eq!(bytes(own), bytes(alone), "intent {id}");
+        }
+        assert_eq!(violated, 2, "each blackhole breaks one destination");
     }
 
     #[test]
@@ -1898,9 +1873,8 @@ mod tests {
     /// (FIB batches — driven and staged under a fence —, link and
     /// device churn, intent install/remove) plus a crash/restart of
     /// every device, each hosted node's memoised `node_result` equals
-    /// a fresh merge/export of its `LocCIB`. (A filter that keeps
-    /// everything bypasses the memo; the unfiltered read before it
-    /// fills the memo for the *next* event to invalidate or not.)
+    /// a fresh merge/export of its `LocCIB` (`unmemoised_result`). The
+    /// read fills the memo for the *next* event to invalidate or not.
     #[test]
     fn export_memo_is_never_stale() {
         let net = fig2a_network();
@@ -1913,14 +1887,13 @@ mod tests {
             FaultProfile::loss(7, 0.10),
         );
         engine.run_to_quiescence();
-        let everything = verify::compile_packet_space(&net.layout, &PacketSpace::All);
         type Exports = BTreeMap<(DeviceId, NodeId), NodeResult>;
         let check = |engine: &mut Engine, after: &str| -> Exports {
             let mut seen = Exports::new();
             for (dev, v) in engine.fabric.verifiers.iter_mut() {
                 for node in v.node_ids() {
-                    let memo = v.node_result(node, None);
-                    let fresh = v.node_result(node, Some(&everything));
+                    let memo = v.node_result(node);
+                    let fresh = v.unmemoised_result(node);
                     assert_eq!(
                         memo, fresh,
                         "stale export of {node:?} on {dev:?} after {after}"

@@ -83,7 +83,7 @@ fn main() {
     let show_counts = |session: &mut Session, dev, label: &str| {
         let v = session.verifier_mut(dev).unwrap();
         for node in v.node_ids() {
-            for (_, counts) in v.node_result(node, None).iter() {
+            for (_, counts) in v.node_result(node).iter() {
                 println!(
                     "  {label} ({}): deliverable copies {counts}",
                     cp.dpvnet.node(node).label
@@ -126,7 +126,7 @@ fn main() {
         let nodes = v.node_ids();
         nodes
             .iter()
-            .flat_map(|n| v.node_result(*n, None).to_vec())
+            .flat_map(|n| v.node_result(*n).to_vec())
             .map(|(_, c)| c)
             .collect()
     };

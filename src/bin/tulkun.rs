@@ -23,7 +23,7 @@ use tulkun::core::fault::FaultProfile;
 use tulkun::core::planner::{Plan, PlanKind, Planner, PlannerOptions};
 use tulkun::core::spec::Invariant;
 use tulkun::core::verify::{verify_snapshot, ViolationKind};
-use tulkun::json::Json;
+use tulkun::json::{Json, ToJson};
 use tulkun::netmodel::network::Network;
 use tulkun::sim::{Engine, EngineConfig, RuntimeStats, Telemetry, TelemetryConfig};
 
@@ -657,21 +657,7 @@ fn emit_observed(
 /// crash recoveries) as a JSON value.
 fn stats_json(run: &ObservedRun) -> Json {
     let s = &run.stats;
-    let f = &s.fault;
     let int = |v: u64| Json::Int(v as i64);
-    let fault = Json::Object(vec![
-        ("drops".into(), int(f.drops)),
-        ("ack_drops".into(), int(f.ack_drops)),
-        ("dups".into(), int(f.dups)),
-        ("reorders".into(), int(f.reorders)),
-        ("delays".into(), int(f.delays)),
-        ("retransmits".into(), int(f.retransmits)),
-        ("retransmit_bytes".into(), int(f.retransmit_bytes)),
-        ("forced".into(), int(f.forced)),
-        ("dup_suppressed".into(), int(f.dup_suppressed)),
-        ("acks".into(), int(f.acks)),
-        ("ack_bytes".into(), int(f.ack_bytes)),
-    ]);
     // Per-message processing time: quantiles within 3.2 %, count and
     // max exact.
     let h = s.msg_ns();
@@ -707,7 +693,7 @@ fn stats_json(run: &ObservedRun) -> Json {
         ("bytes".into(), int(s.bytes)),
         ("msg_ns".into(), msg_ns),
         ("crashes_recovered".into(), int(s.crashes_recovered)),
-        ("fault".into(), fault),
+        ("fault".into(), s.fault.to_json()),
         ("per_device".into(), per_device),
         ("spans_dropped".into(), int(run.telemetry.spans_dropped())),
     ])

@@ -168,3 +168,28 @@ fn cli_explain_refuses_an_unallocated_intent() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown intent 999"), "{stderr}");
 }
+
+/// `--stats` writes every reliability counter of the run: the stderr
+/// JSON's `fault` object reads back as a whole `FaultStats` (each
+/// counter is a required field), and a lossy run retransmits.
+#[test]
+fn cli_stats_carry_every_fault_counter() {
+    let dir = std::env::temp_dir().join(format!("tulkun-stats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let prom = dir.join("metrics.prom");
+    let out = bin()
+        .args(["metrics", "--name", "INet2", "--faults", "3", "--stats"])
+        .args(["--out", prom.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // The pretty-printed object closes at the first column-0 `}`.
+    let end = stderr.find("\n}").expect("a stats object") + 2;
+    let stats = tulkun::json::parse(&stderr[..end]).unwrap();
+    let fault = stats.get("fault").expect("a fault object");
+    let fault: tulkun::core::fault::FaultStats =
+        tulkun::json::FromJson::from_json(fault).unwrap_or_else(|e| panic!("{e:?}: {stderr}"));
+    assert!(fault.retransmits > 0, "{fault:?}");
+}
