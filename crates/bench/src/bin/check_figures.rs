@@ -1,140 +1,51 @@
 //! CI validator for the JSON figure sidecars.
 //!
-//! Two modes:
+//! The `bench-smoke` CI stage runs the `figures` binary on tiny
+//! topologies and then runs this tool to assert the run actually
+//! produced well-formed output: every `*.json` under `target/figures/`
+//! must parse back into a [`FigureTable`] with consistent row widths,
+//! every cell of a `same report` column (a Report byte-equality
+//! verdict) must read `true`, and every id named on the command line
+//! must exist with at least one row. `--all` expands to every id listed
+//! in [`tulkun_bench::FIGURES`].
 //!
-//! **Scan** (default): the `bench-smoke` CI stage runs the `figures`
-//! binary on tiny topologies and then runs this tool to assert the run
-//! actually produced well-formed output: every `*.json` under
-//! `target/figures/` must parse back into a [`FigureTable`] with
-//! consistent row widths, and every id named on the command line must
-//! exist with at least one row. `--all` expands to every id listed in
-//! [`tulkun_bench::FIGURES`].
+//! Usage: `check_figures [--all] [required-id ...]`
 //!
-//! **Diff** (`--diff OLD NEW`): compares two FigureTable snapshots —
-//! the committed `BENCH_*.json` baseline against a fresh run. The
-//! schema (id, headers, row count) must match exactly. `--exact COLS`
-//! names comma-separated columns whose cells must be stringwise equal
-//! row-by-row (labels, counters, correctness bits).
-//!
-//! Usage:
-//!   `check_figures [--all] [required-id ...]`
-//!   `check_figures --diff OLD NEW [--exact COLS]`
-//!
-//! Neither mode checks timing — what a run costs is the business of
-//! the benchmark in `benchmark/`, which compares parent and change on
-//! one host; this tool guards structure and verdicts.
+//! It does not check timing — what a run costs is the business of the
+//! benchmark in `benchmark/`, which compares parent and change on one
+//! host; this tool guards structure and verdicts.
 
 use std::process::ExitCode;
 use tulkun_bench::{figures_dir, FigureTable, FIGURES};
 
-fn load_table(path: &str) -> Result<FigureTable, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let table: FigureTable = tulkun_json::from_str(&text)
-        .map_err(|e| format!("{path} is not a well-formed FigureTable: {e:?}"))?;
-    Ok(table)
-}
+/// The column whose every cell is a Report byte-equality verdict.
+const VERDICT: &str = "same report";
 
-/// `--diff` mode. Returns the list of failures (empty = pass).
-fn diff_tables(old: &FigureTable, new: &FigureTable, exact: &[String]) -> Vec<String> {
-    let mut fails = Vec::new();
-    if old.id != new.id {
-        fails.push(format!("id mismatch: {:?} vs {:?}", old.id, new.id));
+/// What is wrong with one parsed table (empty = nothing).
+fn table_faults(table: &FigureTable) -> Vec<String> {
+    let mut faults = Vec::new();
+    if table.headers.is_empty() {
+        faults.push("has no headers".to_string());
     }
-    if old.headers != new.headers {
-        fails.push(format!(
-            "header mismatch: {:?} vs {:?}",
-            old.headers, new.headers
-        ));
-        return fails; // Column lookups below would be meaningless.
-    }
-    if old.rows.len() != new.rows.len() {
-        fails.push(format!(
-            "row count mismatch: {} vs {}",
-            old.rows.len(),
-            new.rows.len()
-        ));
-        return fails;
-    }
-    let col = |name: &str| old.headers.iter().position(|h| h == name);
-    for name in exact {
-        let Some(c) = col(name) else {
-            fails.push(format!("--exact column {name:?} not in headers"));
-            continue;
-        };
-        for (i, (o, n)) in old.rows.iter().zip(&new.rows).enumerate() {
-            if o.get(c) != n.get(c) {
-                fails.push(format!(
-                    "row {i} column {name:?}: {:?} vs {:?}",
-                    o.get(c),
-                    n.get(c)
-                ));
-            }
+    let verdict = table.headers.iter().position(|h| h == VERDICT);
+    for (i, row) in table.rows.iter().enumerate() {
+        if row.len() != table.headers.len() {
+            faults.push(format!(
+                "row {i} has {} cells, expected {}",
+                row.len(),
+                table.headers.len()
+            ));
+        }
+        if let Some(cell) = verdict.and_then(|c| row.get(c)).filter(|c| *c != "true") {
+            faults.push(format!("row {i} {VERDICT:?} is {cell:?}, want \"true\""));
         }
     }
-    fails
-}
-
-fn run_diff(args: &[String]) -> ExitCode {
-    let mut old_path = None;
-    let mut new_path = None;
-    let mut exact: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exact" => {
-                i += 1;
-                exact = args
-                    .get(i)
-                    .map(|s| s.split(',').map(|x| x.trim().to_string()).collect())
-                    .unwrap_or_default();
-            }
-            p if old_path.is_none() => old_path = Some(p.to_string()),
-            p if new_path.is_none() => new_path = Some(p.to_string()),
-            other => {
-                eprintln!("check_figures: unexpected --diff argument {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    let (Some(old_path), Some(new_path)) = (old_path, new_path) else {
-        eprintln!("check_figures: --diff needs OLD and NEW paths");
-        return ExitCode::FAILURE;
-    };
-    let (old, new) = match (load_table(&old_path), load_table(&new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (o, n) => {
-            for e in [o.err(), n.err()].into_iter().flatten() {
-                eprintln!("check_figures: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let fails = diff_tables(&old, &new, &exact);
-    if fails.is_empty() {
-        println!(
-            "check_figures: diff ok {} ({} rows, {} exact col(s))",
-            old.id,
-            old.rows.len(),
-            exact.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &fails {
-            eprintln!("check_figures: diff {}: {f}", old.id);
-        }
-        ExitCode::FAILURE
-    }
+    faults
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--diff") {
-        return run_diff(&args[1..]);
-    }
-
     let mut required: Vec<String> = Vec::new();
-    for a in &args {
+    for a in std::env::args().skip(1) {
         if a == "--all" {
             required.extend(
                 FIGURES
@@ -143,7 +54,7 @@ fn main() -> ExitCode {
                     .map(|s| s.to_string()),
             );
         } else {
-            required.push(a.clone());
+            required.push(a);
         }
     }
     let dir = figures_dir();
@@ -162,35 +73,33 @@ fn main() -> ExitCode {
         if path.extension().and_then(|e| e.to_str()) != Some("json") {
             continue;
         }
-        let table = match load_table(&path.display().to_string()) {
+        let parsed = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read it: {e}"))
+            .and_then(|text| {
+                tulkun_json::from_str::<FigureTable>(&text)
+                    .map_err(|e| format!("is not a well-formed FigureTable: {e:?}"))
+            });
+        let table = match parsed {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("check_figures: {e}");
+                eprintln!("check_figures: {} {e}", path.display());
                 failed = true;
                 continue;
             }
         };
-        if table.headers.is_empty() {
-            eprintln!("check_figures: {} has no headers", path.display());
-            failed = true;
+        let faults = table_faults(&table);
+        for fault in &faults {
+            eprintln!("check_figures: {} ({}) {fault}", table.id, path.display());
         }
-        for (i, row) in table.rows.iter().enumerate() {
-            if row.len() != table.headers.len() {
-                eprintln!(
-                    "check_figures: {} row {i} has {} cells, expected {}",
-                    path.display(),
-                    row.len(),
-                    table.headers.len()
-                );
-                failed = true;
-            }
+        if faults.is_empty() {
+            println!(
+                "check_figures: ok {} ({} rows, {} cols)",
+                table.id,
+                table.rows.len(),
+                table.headers.len()
+            );
         }
-        println!(
-            "check_figures: ok {} ({} rows, {} cols)",
-            table.id,
-            table.rows.len(),
-            table.headers.len()
-        );
+        failed |= !faults.is_empty();
         seen.push((table.id, table.rows.len()));
     }
 
@@ -220,5 +129,32 @@ fn main() -> ExitCode {
             required.len()
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn table(headers: &[&str], rows: &[&[&str]]) -> FigureTable {
+        let mut t = FigureTable::new("t", "test table", headers);
+        for row in rows {
+            t.row(row.iter().map(|c| c.to_string()).collect());
+        }
+        t
+    }
+
+    #[test]
+    fn every_same_report_cell_must_read_true() {
+        let headers = ["dataset", "same report"];
+        let refused = table(&headers, &[&["INet2", "true"], &["AT1-2", "false"]]);
+        assert_eq!(
+            table_faults(&refused),
+            vec!["row 1 \"same report\" is \"false\", want \"true\"".to_string()]
+        );
+        let passes = table(&headers, &[&["INet2", "true"], &["AT1-2", "true"]]);
+        assert!(table_faults(&passes).is_empty());
+        let no_verdicts = table(&["dataset", "messages"], &[&["INet2", "false"]]);
+        assert!(table_faults(&no_verdicts).is_empty());
     }
 }

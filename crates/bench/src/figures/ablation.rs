@@ -12,24 +12,29 @@
 //!    (the sim crate's `FaultyTransport`) — retransmit/ack overhead per
 //!    loss rate, with a report-equality check against the perfect
 //!    channel.
+//! 6. **Burst updates**: per-rule vs coalesced replay on every admitted
+//!    predicate backend, each Report held to the dataset's first run.
+//! 7. **Topology churn**: incremental re-plan vs full re-init.
+//!
+//! Every `same report` cell must read `true`; `check_figures` refuses
+//! a table that holds another.
 
-use crate::workload::first_destination_session;
 use crate::{fmt_ns, Cli, FigureTable};
 use std::time::Instant;
-use tulkun_core::churn::{ChurnSchedule, ChurnState, TopologyEvent};
+use tulkun_core::churn::{ChurnSchedule, ChurnState};
 use tulkun_core::count::ReduceMode;
 use tulkun_core::dpvnet::{self, DpvNet};
 use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::fault::{build_ft_dpvnet, expand_fault_spec, FaultProfile};
 use tulkun_core::planner::Planner;
-use tulkun_core::spec::table1::subset_reachability_to;
+use tulkun_core::spec::table1::{first_destination_counting, subset_reachability_to};
 use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
 use tulkun_datasets::{by_name, rule_updates};
 use tulkun_netmodel::network::Network;
-use tulkun_sim::{network_ip_only, BackendKind, Engine, EngineConfig, Telemetry, TelemetryConfig};
+use tulkun_sim::{network_ip_only, BackendKind, Engine, EngineConfig};
 
-/// Runs every ablation and the backend race, one figure each.
+/// Runs every ablation, one figure each.
 pub fn run(cli: &Cli) {
     ablate_reduction(cli);
     ablate_suffix_merging(cli);
@@ -38,7 +43,6 @@ pub fn run(cli: &Cli) {
     ablate_fault_overhead(cli);
     ablate_burst_updates(cli);
     ablate_churn(cli);
-    bench_backends(cli);
 }
 
 /// The predicate backends a network's workload admits: all of
@@ -50,139 +54,6 @@ fn admitted_backends(net: &Network) -> Vec<BackendKind> {
     } else {
         vec![BackendKind::Bdd]
     }
-}
-
-/// Predicate-backend race: the same burst-replay and churn workloads on
-/// every admitted LEC encoding, with byte-equality of the final Report
-/// against the BDD run. This is the `BENCH_backends.json` snapshot the
-/// `backend-matrix` CI stage regenerates.
-fn bench_backends(cli: &Cli) {
-    let mut t = FigureTable::new(
-        "bench_backends",
-        "Predicate backends: burst replay and churn per LEC encoding (seed 7)",
-        &[
-            "dataset",
-            "workload",
-            "backend",
-            "verify time",
-            "messages",
-            "bytes",
-            "p50",
-            "p90",
-            "p99",
-            "speedup vs bdd",
-            "same report",
-        ],
-    );
-    for name in ["INet2", "B4-13", "AT1-2"] {
-        if !cli.wants(name) {
-            continue;
-        }
-        let ds = by_name(name, cli.scale).unwrap();
-        let topo = &ds.network.topology;
-        let (inv, cp) = first_destination_session(&ds.network);
-        let trace = rule_updates(&ds.network, cli.updates.min(96), 7);
-        let backends = admitted_backends(&ds.network);
-
-        // Burst replay at two coalescing regimes.
-        for burst in [8usize, 32] {
-            let mut bdd_ref: Option<crate::ReplayOutcome> = None;
-            for &backend in &backends {
-                let r = crate::replay_trace_with(
-                    &ds.network,
-                    &cp,
-                    &inv.packet_space,
-                    &trace,
-                    burst,
-                    backend,
-                );
-                let (speedup, same) = match &bdd_ref {
-                    None => ("1.00x".into(), true),
-                    Some(b) => (
-                        format!(
-                            "{:.2}x",
-                            b.completion_ns as f64 / r.completion_ns.max(1) as f64
-                        ),
-                        b.report == r.report,
-                    ),
-                };
-                t.row(vec![
-                    name.into(),
-                    format!("burst {burst}"),
-                    backend.to_string(),
-                    fmt_ns(r.completion_ns),
-                    r.messages.to_string(),
-                    r.bytes.to_string(),
-                    fmt_ns(r.p50_ns),
-                    fmt_ns(r.p90_ns),
-                    fmt_ns(r.p99_ns),
-                    speedup,
-                    same.to_string(),
-                ]);
-                if bdd_ref.is_none() {
-                    bdd_ref = Some(r);
-                }
-            }
-        }
-
-        // Live topology churn (4 seeded events after the initial burst).
-        let schedule = ChurnSchedule::seeded(topo, &inv, 7, 4);
-        let mut bdd_churn: Option<(u64, Vec<u8>)> = None;
-        for &backend in &backends {
-            let telemetry = Telemetry::new(TelemetryConfig::enabled());
-            let mut sim = Engine::new(
-                &ds.network,
-                &cp,
-                &inv.packet_space,
-                EngineConfig {
-                    backend,
-                    telemetry: telemetry.clone(),
-                    ..EngineConfig::default()
-                },
-            );
-            sim.run_to_quiescence();
-            let (mut completion, mut messages, mut bytes) = (0u64, 0usize, 0u64);
-            for ev in &schedule.0 {
-                let Ok(r) = sim.apply_event(&RuntimeEvent::Topology {
-                    event: *ev,
-                    base: topo.clone(),
-                    invariant: inv.clone(),
-                }) else {
-                    continue;
-                };
-                completion += r.completion_ns;
-                messages += r.messages;
-                bytes += r.bytes;
-            }
-            let report = sim.report().canonical_bytes();
-            let handle = telemetry.histogram(tulkun_telemetry::HANDLE_NS);
-            let pct = |p| handle.quantile(p).unwrap_or(0);
-            let (speedup, same) = match &bdd_churn {
-                None => ("1.00x".into(), true),
-                Some((b_ns, b_report)) => (
-                    format!("{:.2}x", *b_ns as f64 / completion.max(1) as f64),
-                    *b_report == report,
-                ),
-            };
-            t.row(vec![
-                name.into(),
-                format!("churn x{}", schedule.0.len()),
-                backend.to_string(),
-                fmt_ns(completion),
-                messages.to_string(),
-                bytes.to_string(),
-                fmt_ns(pct(0.50)),
-                fmt_ns(pct(0.90)),
-                fmt_ns(pct(0.99)),
-                speedup,
-                same.to_string(),
-            ]);
-            if bdd_churn.is_none() {
-                bdd_churn = Some((completion, report));
-            }
-        }
-    }
-    t.finish();
 }
 
 /// Live topology churn: incremental re-plan (epoch fence + reused
@@ -211,7 +82,7 @@ fn ablate_churn(cli: &Cli) {
         }
         let ds = by_name(name, cli.scale).unwrap();
         let topo = &ds.network.topology;
-        let (inv, cp) = first_destination_session(&ds.network);
+        let (inv, cp) = first_destination_counting(topo).expect("first destination plans");
 
         let schedule = ChurnSchedule::seeded(topo, &inv, 7, 4);
         let mut sim = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
@@ -247,16 +118,7 @@ fn ablate_churn(cli: &Cli) {
 
             t.row(vec![
                 name.into(),
-                match ev {
-                    TopologyEvent::LinkDown(a, b) => {
-                        format!("link-down {}-{}", topo.name(*a), topo.name(*b))
-                    }
-                    TopologyEvent::LinkUp(a, b) => {
-                        format!("link-up {}-{}", topo.name(*a), topo.name(*b))
-                    }
-                    TopologyEvent::DeviceDown(d) => format!("device-down {}", topo.name(*d)),
-                    TopologyEvent::DeviceUp(d) => format!("device-up {}", topo.name(*d)),
-                },
+                ev.describe_on(topo),
                 format!("{reused}/{total}"),
                 fmt_ns(replan_wall),
                 r.messages.to_string(),
@@ -291,12 +153,13 @@ fn ablate_burst_updates(cli: &Cli) {
             "same report",
         ],
     );
-    for name in ["INet2", "B4-13"] {
+    for name in ["INet2", "B4-13", "AT1-2"] {
         if !cli.wants(name) {
             continue;
         }
         let ds = by_name(name, cli.scale).unwrap();
-        let (inv, cp) = first_destination_session(&ds.network);
+        let (inv, cp) =
+            first_destination_counting(&ds.network.topology).expect("first destination plans");
 
         let trace = rule_updates(&ds.network, cli.updates.min(96), 7);
         let mut reference = None;
@@ -361,7 +224,8 @@ fn ablate_fault_overhead(cli: &Cli) {
             continue;
         }
         let ds = by_name(name, cli.scale).unwrap();
-        let (inv, cp) = first_destination_session(&ds.network);
+        let (inv, cp) =
+            first_destination_counting(&ds.network.topology).expect("first destination plans");
 
         let mut clean = Engine::new(&ds.network, &cp, &inv.packet_space, EngineConfig::default());
         clean.run_to_quiescence();

@@ -3,6 +3,7 @@
 //! maximal memory and CPU load per device.
 
 use crate::{fmt_ns, quantile, Cli, FigureTable};
+use tulkun_core::spec::table1::first_destination_counting;
 use tulkun_datasets::all_datasets;
 use tulkun_sim::{Engine, EngineConfig, SwitchModel};
 
@@ -69,7 +70,7 @@ pub fn run(cli: &Cli) {
 /// dataset's first destination invariant.
 fn tulkun_stats(ds: &tulkun_datasets::Dataset) -> Vec<(u64, u64, f64)> {
     let net = &ds.network;
-    let (inv, cp) = crate::workload::first_destination_session(net);
+    let (inv, cp) = first_destination_counting(&net.topology).expect("first destination plans");
     let mut sim = Engine::new(net, &cp, &inv.packet_space, EngineConfig::default());
     let r = sim.run_to_quiescence();
     sim.stats()

@@ -27,7 +27,7 @@ pub mod figures {
     pub mod table1_invariants;
 }
 
-pub use replay::{replay_trace_with, ReplayOutcome};
+pub use replay::replay_trace_with;
 pub use report::{figures_dir, FigureTable};
 pub use workload::{all_pair_workload, AllPairRun, TulkunAllPairs};
 
@@ -82,7 +82,6 @@ pub const FIGURES: &[Figure] = &[
             "ablation_fault_overhead",
             "ablation_burst_updates",
             "ablation_churn",
-            "bench_backends",
         ],
     ),
 ];

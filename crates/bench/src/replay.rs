@@ -38,7 +38,7 @@ pub struct ReplayOutcome {
 }
 
 /// Replays `trace` in chunks of `burst` updates (each chunk applied as
-/// one coalesced [`tulkun_netmodel::UpdateBatch`]) on the given
+/// one batch, coalesced by [`tulkun_netmodel::coalesce`]) on the given
 /// predicate backend; `burst = 1` is the per-rule baseline.
 pub fn replay_trace_with(
     net: &Network,
@@ -92,12 +92,13 @@ pub fn replay_trace_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tulkun_core::spec::table1::first_destination_counting;
     use tulkun_datasets::{by_name, rule_updates, Scale};
 
     /// One WAN destination's counting session on tiny INet2.
     fn inet2_session() -> (Network, CountingPlan, PacketSpace) {
         let ds = by_name("INet2", Scale::Tiny).unwrap();
-        let (inv, cp) = crate::workload::first_destination_session(&ds.network);
+        let (inv, cp) = first_destination_counting(&ds.network.topology).unwrap();
         (ds.network.clone(), cp, inv.packet_space)
     }
 

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use tulkun_baselines::Workload as BaselineWorkload;
 use tulkun_core::event::{RuntimeEvent, Substrate};
-use tulkun_core::planner::{CountingPlan, Planner};
+use tulkun_core::planner::Planner;
 use tulkun_core::spec::table1::subset_reachability_to;
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
 use tulkun_datasets::{Dataset, NetKind};
@@ -24,18 +24,6 @@ use tulkun_telemetry::Histogram;
 /// The baseline workload for a dataset (all announced pairs).
 pub fn all_pair_workload(net: &Network) -> BaselineWorkload {
     BaselineWorkload::all_pairs(net)
-}
-
-/// The first announced destination's [`subset_reachability_to`] with
-/// its counting plan: the one-destination session the ablations, Fig.
-/// 14 and the micro-benchmarks drive.
-pub fn first_destination_session(net: &Network) -> (Invariant, CountingPlan) {
-    let topo = &net.topology;
-    let (dst, _) = topo.external_map().next().expect("announced prefix");
-    let inv = subset_reachability_to(topo, dst).expect("wan invariant");
-    let plan = Planner::new(topo).plan(&inv).expect("plan");
-    let cp = plan.counting().expect("counting plan").clone();
-    (inv, cp)
 }
 
 /// The per-destination DC invariant: all-ToR-pair shortest-path

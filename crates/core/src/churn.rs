@@ -50,11 +50,21 @@ pub enum TopologyEvent {
 impl TopologyEvent {
     /// A stable human/journal description, e.g. `"link-down d2-d3"`.
     pub fn describe(&self) -> String {
+        self.render(|d| format!("d{}", d.0))
+    }
+
+    /// The description with `topo`'s device names, e.g.
+    /// `"link-down SEAT-LOSA"`: what an operator reads.
+    pub fn describe_on(&self, topo: &Topology) -> String {
+        self.render(|d| topo.name(d).to_string())
+    }
+
+    fn render(&self, name: impl Fn(DeviceId) -> String) -> String {
         match self {
-            TopologyEvent::LinkDown(a, b) => format!("link-down d{}-d{}", a.0, b.0),
-            TopologyEvent::LinkUp(a, b) => format!("link-up d{}-d{}", a.0, b.0),
-            TopologyEvent::DeviceDown(d) => format!("device-down d{}", d.0),
-            TopologyEvent::DeviceUp(d) => format!("device-up d{}", d.0),
+            TopologyEvent::LinkDown(a, b) => format!("link-down {}-{}", name(*a), name(*b)),
+            TopologyEvent::LinkUp(a, b) => format!("link-up {}-{}", name(*a), name(*b)),
+            TopologyEvent::DeviceDown(d) => format!("device-down {}", name(*d)),
+            TopologyEvent::DeviceUp(d) => format!("device-up {}", name(*d)),
         }
     }
 
@@ -259,6 +269,17 @@ mod tests {
         }
         tasks.retain(|_, l| !l.is_empty());
         tasks
+    }
+
+    #[test]
+    fn an_event_names_its_devices_by_id_or_by_name() {
+        let net = fig2a_network();
+        let topo = &net.topology;
+        let (a, w) = (topo.expect_device("A"), topo.expect_device("W"));
+        let down = TopologyEvent::LinkDown(a, w);
+        assert_eq!(down.describe(), format!("link-down d{}-d{}", a.0, w.0));
+        assert_eq!(down.describe_on(topo), "link-down A-W");
+        assert_eq!(TopologyEvent::DeviceUp(w).describe_on(topo), "device-up W");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use super::{Behavior, Invariant, PacketSpace, PathExpr, SpecError};
 use crate::count::CountExpr;
+use crate::planner::{CountingPlan, PlanError, Planner};
 use tulkun_netmodel::{DeviceId, Topology};
 
 fn pe(src: &str) -> Result<PathExpr, SpecError> {
@@ -217,6 +218,41 @@ pub fn subset_reachability_to(topo: &Topology, dst: DeviceId) -> Result<Invarian
         .ingress(topo.devices().filter(|d| *d != dst).map(|d| topo.name(d)))
         .behavior(Behavior::exist(CountExpr::ge(1), path.clone()).and(Behavior::covered(path)))
         .build()
+}
+
+/// The first announced destination's [`subset_reachability_to`] with
+/// its counting plan on `topo`: the one-destination session (the
+/// §9.3.1 workload shape) behind the daemon, `tulkun trace` /
+/// `metrics` / `churn` and the figures that drive one destination.
+pub fn first_destination_counting(
+    topo: &Topology,
+) -> Result<(Invariant, CountingPlan), FirstDestinationError> {
+    let (dst, _) = topo
+        .external_map()
+        .next()
+        .ok_or(FirstDestinationError::NoDestination)?;
+    let inv = subset_reachability_to(topo, dst).map_err(FirstDestinationError::Spec)?;
+    let plan = Planner::new(topo)
+        .plan(&inv)
+        .map_err(FirstDestinationError::Plan)?;
+    let cp = plan
+        .counting()
+        .ok_or(FirstDestinationError::LocalContract)?
+        .clone();
+    Ok((inv, cp))
+}
+
+/// Why a topology has no [`first_destination_counting`] session.
+#[derive(Debug)]
+pub enum FirstDestinationError {
+    /// The topology announces no external prefix.
+    NoDestination,
+    /// The invariant did not build.
+    Spec(SpecError),
+    /// The planner refused the invariant.
+    Plan(PlanError),
+    /// The invariant planned as a local contract: nothing counts.
+    LocalContract,
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use tulkun_bdd::serial::{self, PortablePred};
 use tulkun_bdd::{BddManager, HeaderLayout};
 use tulkun_json::{Json, ToJson};
-use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
+use tulkun_netmodel::network::{coalesce, Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
 use tulkun_predicate::BackendKind;
 use tulkun_telemetry::{JournalKind, Telemetry};
@@ -443,10 +443,9 @@ impl Session {
     /// whatever each source has converged to so far, so a snapshot
     /// never has to wait for (or force) quiescence.
     pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
-        let batch: UpdateBatch = updates.iter().cloned().collect();
         let n = updates.len();
         let mut journaled = false;
-        for (dev, ops) in batch.coalesced() {
+        for (dev, ops) in coalesce(updates) {
             if !journaled {
                 journaled = true;
                 self.tel.journal(

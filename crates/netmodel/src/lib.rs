@@ -22,6 +22,6 @@ pub mod routing;
 pub mod topology;
 
 pub use fib::{Action, ActionType, Fib, MatchSpec, NextHop, Rule};
-pub use network::{Network, RuleUpdate, UpdateBatch};
+pub use network::{coalesce, Network, RuleUpdate};
 pub use prefix::IpPrefix;
 pub use topology::{DeviceId, LinkId, Topology};

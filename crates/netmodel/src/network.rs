@@ -46,107 +46,37 @@ impl RuleUpdate {
     }
 }
 
-/// An ordered burst of rule updates, applied as one unit.
-///
-/// A batch preserves the relative order of updates per device and
-/// coalesces churn before verification: a rule inserted and then
-/// withdrawn inside the same batch never reaches the verifier. The
-/// coalesced form keeps the `Remove` (a withdraw also clears any
-/// pre-existing rules with the same priority and match), so applying
-/// the coalesced batch leaves the FIB byte-identical to applying the
+/// Groups a burst of rule updates per device, in first-touch order,
+/// keeping each device's relative order, and cancels churn before
+/// verification: an `Insert` followed later in the burst by a `Remove`
+/// with the same priority and match never reaches the verifier. The
+/// `Remove` stays (a withdraw also clears any pre-existing rules with
+/// the same priority and match, see `Fib::remove`), so applying the
+/// coalesced groups leaves the FIB byte-identical to applying the
 /// original sequence one update at a time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UpdateBatch {
-    updates: Vec<RuleUpdate>,
-}
-
-impl UpdateBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        UpdateBatch::default()
-    }
-
-    /// Appends one update to the batch.
-    pub fn push(&mut self, update: RuleUpdate) {
-        self.updates.push(update);
-    }
-
-    /// Number of updates in the batch (before coalescing).
-    pub fn len(&self) -> usize {
-        self.updates.len()
-    }
-
-    /// True if the batch holds no updates.
-    pub fn is_empty(&self) -> bool {
-        self.updates.is_empty()
-    }
-
-    /// The raw updates, in arrival order.
-    pub fn updates(&self) -> &[RuleUpdate] {
-        &self.updates
-    }
-
-    /// Distinct devices the batch touches, in first-touch order.
-    pub fn devices(&self) -> Vec<DeviceId> {
-        let mut seen = Vec::new();
-        for u in &self.updates {
-            let d = u.device();
-            if !seen.contains(&d) {
-                seen.push(d);
+pub fn coalesce(updates: &[RuleUpdate]) -> Vec<(DeviceId, Vec<RuleUpdate>)> {
+    let mut groups: Vec<(DeviceId, Vec<RuleUpdate>)> = Vec::new();
+    for u in updates {
+        let dev = u.device();
+        let group = match groups.iter_mut().find(|(d, _)| *d == dev) {
+            Some((_, g)) => g,
+            None => {
+                groups.push((dev, Vec::new()));
+                &mut groups.last_mut().unwrap().1
             }
+        };
+        if let RuleUpdate::Remove {
+            priority, matches, ..
+        } = u
+        {
+            group.retain(|kept| {
+                !matches!(kept, RuleUpdate::Insert { rule, .. }
+                    if rule.priority == *priority && rule.matches == *matches)
+            });
         }
-        seen
+        group.push(u.clone());
     }
-
-    /// Groups the batch per device (first-touch order) and cancels
-    /// insert-then-remove churn: an `Insert` followed later in the
-    /// batch by a `Remove` with the same priority and match is dropped;
-    /// the `Remove` stays, because `Fib::remove` also clears rules that
-    /// predate the batch.
-    pub fn coalesced(&self) -> Vec<(DeviceId, Vec<RuleUpdate>)> {
-        let mut groups: Vec<(DeviceId, Vec<RuleUpdate>)> = Vec::new();
-        for u in &self.updates {
-            let dev = u.device();
-            let group = match groups.iter_mut().find(|(d, _)| *d == dev) {
-                Some((_, g)) => g,
-                None => {
-                    groups.push((dev, Vec::new()));
-                    &mut groups.last_mut().unwrap().1
-                }
-            };
-            if let RuleUpdate::Remove {
-                priority, matches, ..
-            } = u
-            {
-                group.retain(|kept| {
-                    !matches!(kept, RuleUpdate::Insert { rule, .. }
-                        if rule.priority == *priority && rule.matches == *matches)
-                });
-            }
-            group.push(u.clone());
-        }
-        groups
-    }
-}
-
-impl From<Vec<RuleUpdate>> for UpdateBatch {
-    fn from(updates: Vec<RuleUpdate>) -> Self {
-        UpdateBatch { updates }
-    }
-}
-
-impl FromIterator<RuleUpdate> for UpdateBatch {
-    fn from_iter<I: IntoIterator<Item = RuleUpdate>>(iter: I) -> Self {
-        UpdateBatch {
-            updates: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<RuleUpdate> for UpdateBatch {
-    fn extend<I: IntoIterator<Item = RuleUpdate>>(&mut self, iter: I) {
-        self.updates.extend(iter);
-    }
+    groups
 }
 
 impl Network {
@@ -186,13 +116,6 @@ impl Network {
             } => {
                 self.fib_mut(*device).remove(*priority, matches);
             }
-        }
-    }
-
-    /// Applies every update of a batch, in order.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) {
-        for u in batch.updates() {
-            self.apply(u);
         }
     }
 }
@@ -336,17 +259,12 @@ mod tests {
         let mut t = Topology::new();
         let a = t.add_device("A");
         let b = t.add_device("B");
-        let batch: UpdateBatch = vec![
+        let groups = coalesce(&[
             insert(a, 10, "10.0.0.0/24"),
             insert(b, 20, "10.0.1.0/24"),
             remove(a, 10, "10.0.0.0/24"),
             insert(a, 30, "10.0.2.0/24"),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.devices(), vec![a, b]);
-        let groups = batch.coalesced();
+        ]);
         assert_eq!(groups.len(), 2);
         // Device A: the insert cancelled against the later remove; the
         // remove survives (it may clear pre-batch rules) and so does the
@@ -373,17 +291,15 @@ mod tests {
         let pre = insert(a, 10, "10.0.0.0/24");
         seq.apply(&pre);
         coal.apply(&pre);
-        let batch: UpdateBatch = vec![
+        let batch = [
             insert(a, 10, "10.0.0.0/24"),
             remove(a, 10, "10.0.0.0/24"),
             insert(a, 10, "10.0.0.0/24"),
-        ]
-        .into_iter()
-        .collect();
-        for u in batch.updates() {
+        ];
+        for u in &batch {
             seq.apply(u);
         }
-        for (_, ops) in batch.coalesced() {
+        for (_, ops) in coalesce(&batch) {
             for u in &ops {
                 coal.apply(u);
             }

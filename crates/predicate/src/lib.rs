@@ -259,7 +259,7 @@ impl fmt::Display for UnsupportedWorkload {
 impl std::error::Error for UnsupportedWorkload {}
 
 impl BackendKind {
-    /// Every kind, for matrix tests and benches.
+    /// Every kind, for matrix tests and the figures' backend race.
     pub const CONCRETE: [BackendKind; 3] = [
         BackendKind::Bdd,
         BackendKind::DeltaNet,

@@ -74,7 +74,7 @@ use tulkun_core::planner::{CountingPlan, PlanError};
 use tulkun_core::spec::PacketSpace;
 use tulkun_core::verify::{self, Freshness, Report, Verdicts, Violation};
 use tulkun_netmodel::fib::Fib;
-use tulkun_netmodel::network::{Network, RuleUpdate, UpdateBatch};
+use tulkun_netmodel::network::{coalesce, Network, RuleUpdate};
 use tulkun_netmodel::{DeviceId, Topology};
 use tulkun_predicate::{network_ip_only, BackendKind};
 use tulkun_telemetry::{
@@ -731,8 +731,7 @@ impl<F: Fabric> Runtime<F> {
     /// [`Runtime::run_to_quiescence`] (or any driven event) to drain.
     pub fn stage_batch(&mut self, updates: &[RuleUpdate]) {
         let trace = self.alloc_trace();
-        let batch: UpdateBatch = updates.iter().cloned().collect();
-        let coalesced = batch.coalesced();
+        let coalesced = coalesce(updates);
         let first = coalesced.first().map_or(DeviceId(0), |(d, _)| *d);
         let (n, epoch) = (updates.len(), self.epoch());
         self.tel

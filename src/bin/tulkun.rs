@@ -516,12 +516,6 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
     if schedule.is_empty() {
         return Err("no plannable churn events for this dataset/invariant".into());
     }
-    let describe = |ev: &TopologyEvent| match ev {
-        TopologyEvent::LinkDown(a, b) => format!("link-down {}-{}", topo.name(*a), topo.name(*b)),
-        TopologyEvent::LinkUp(a, b) => format!("link-up {}-{}", topo.name(*a), topo.name(*b)),
-        TopologyEvent::DeviceDown(d) => format!("device-down {}", topo.name(*d)),
-        TopologyEvent::DeviceUp(d) => format!("device-up {}", topo.name(*d)),
-    };
     let summarize = |report: &Report| {
         let mut fresh = 0usize;
         let mut stale = 0usize;
@@ -570,7 +564,7 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
             println!(
                 "epoch {:>3}  {:<28} watchdog={verdict:?}",
                 run.epoch(),
-                describe(ev)
+                ev.describe_on(topo)
             );
         }
         summarize(&run.report());
@@ -597,7 +591,7 @@ fn churn_run(args: &[String], get: &dyn Fn(&str) -> Option<String>) -> Result<Ex
                 "epoch {:>3}  {:<28} reused {reused}/{total} nodes, messages={} \
                  completion_ns={}",
                 sim.epoch(),
-                describe(ev),
+                ev.describe_on(topo),
                 r.messages,
                 r.completion_ns
             );

@@ -79,8 +79,9 @@
 use crate::core::churn::TopologyEvent;
 use crate::core::explain::Subject;
 use crate::core::intent::IntentId;
-use crate::core::planner::{CountingPlan, Planner};
-use crate::core::spec::{table1, Invariant};
+use crate::core::planner::CountingPlan;
+use crate::core::spec::table1::{self, FirstDestinationError};
+use crate::core::spec::Invariant;
 use crate::datasets::{Dataset, Scale};
 use crate::netmodel::network::{Network, RuleUpdate};
 use crate::netmodel::topology::Topology;
@@ -99,24 +100,20 @@ pub fn load_dataset(name: &str, scale: Scale) -> Result<Dataset, String> {
 
 /// The first announced destination's subset-reachability counting
 /// session on a generated dataset
-/// ([`table1::subset_reachability_to`], the §9.3.1 workload shape).
+/// ([`table1::first_destination_counting`], the §9.3.1 workload shape).
 /// This is the session behind `tulkun trace`/`metrics`/`churn` and the
 /// daemon.
 pub fn dataset_session(net: &Network, name: &str) -> Result<(Invariant, CountingPlan), String> {
-    let topo = &net.topology;
-    let (dst, _) = topo
-        .external_map()
-        .next()
-        .ok_or_else(|| format!("dataset {name:?} announces no external prefixes"))?;
-    let inv = table1::subset_reachability_to(topo, dst).map_err(|e| e.to_string())?;
-    let plan = Planner::new(topo)
-        .plan(&inv)
-        .map_err(|e| format!("planning failed: {e}"))?;
-    let cp = plan
-        .counting()
-        .ok_or("invariant planned as a local contract; nothing to drive")?
-        .clone();
-    Ok((inv, cp))
+    table1::first_destination_counting(&net.topology).map_err(|e| match e {
+        FirstDestinationError::NoDestination => {
+            format!("dataset {name:?} announces no external prefixes")
+        }
+        FirstDestinationError::Spec(e) => e.to_string(),
+        FirstDestinationError::Plan(e) => format!("planning failed: {e}"),
+        FirstDestinationError::LocalContract => {
+            "invariant planned as a local contract; nothing to drive".into()
+        }
+    })
 }
 
 /// Longest intent spec `intent add` hands to the parsers. The parsers

@@ -33,7 +33,7 @@ use tulkun::core::intent::IntentId;
 use tulkun::core::spec::{FilterOp, LengthBound, LengthFilter};
 use tulkun::core::verify::{Freshness, Session, Violation};
 use tulkun::netmodel::fib::{MatchSpec, NextHop, Rewrite};
-use tulkun::netmodel::network::{RuleUpdate, UpdateBatch};
+use tulkun::netmodel::network::{coalesce, RuleUpdate};
 use tulkun::netmodel::IpPrefix;
 use tulkun::prelude::*;
 use tulkun::sim::localsim::LocalSim;
@@ -1329,8 +1329,7 @@ fn insert_then_remove_cancels_inside_a_batch() {
         matches,
     };
     let updates = vec![blackhole, repair, unblackhole];
-    let batch: UpdateBatch = updates.iter().cloned().collect();
-    let groups: Vec<usize> = batch.coalesced().iter().map(|(_, g)| g.len()).collect();
+    let groups: Vec<usize> = coalesce(&updates).iter().map(|(_, g)| g.len()).collect();
     assert_eq!(
         groups,
         [2],
