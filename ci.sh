@@ -62,7 +62,10 @@
 #                 invariants, by hosting them on one engine (the
 #                 cross-engine cache, the table import/export paths and
 #                 the transport's topology re-route stay retired); and
-#                 one timing harness: no crates/bench/benches
+#                 one timing harness: no crates/bench/benches; and one
+#                 daemon layer: DaemonSession, with the layer under it,
+#                 its request/status/error types and its pass-throughs
+#                 named nowhere
 #   fmt           rustfmt check
 #   equivalence   the house invariant — byte-equal Reports across
 #                 substrates, backends, loss and churn — and its truth,
@@ -90,7 +93,9 @@
 #                     Block / Shed / Shed+10% loss held to its exact
 #                     admission counters and to a replay of what it
 #                     admitted; hostile lines (no panic, an `err`
-#                     changes nothing); the 20 000-round soak that
+#                     changes nothing); the armed journal auto-dump
+#                     (written on an SLO breach or an Unreachable
+#                     status, and on nothing else); the 20 000-round soak that
 #                     holds the BDD memo within its bound (a debug
 #                     build runs 2 000 rounds)
 #                 any divergence, or any disagreement with the oracle,
@@ -147,9 +152,11 @@ STAGE_TIMEOUT="${CI_STAGE_TIMEOUT:-1800}"
 # session — cargo AND the test children it spawned (even ones that made
 # their own process groups) — not just the stage shell. `pkill -s`
 # rather than `kill -- -pgid` because dash's kill builtin rejects
-# negative pids. The watcher polls in short sleeps (never one long
-# sleep) so it exits — and releases any pipe CI wraps around this
-# script — promptly after the stage finishes.
+# negative pids. The watcher counts the cap down in one-second sleeps
+# whose descriptors point at /dev/null, and is killed the moment the
+# stage exits, so `ci.sh` returns when its stage does and nothing holds
+# a pipe CI wraps around this script. Once the cap has expired the
+# watcher ignores TERM and finishes its kill.
 run_with_timeout() {
     if command -v setsid >/dev/null 2>&1; then
         # setsid execs in place (the background job is not a group
@@ -162,21 +169,20 @@ run_with_timeout() {
     cmd=$!
     (
         elapsed=0
-        while kill -0 "$cmd" 2>/dev/null; do
-            if [ "$elapsed" -ge "$STAGE_TIMEOUT" ]; then
-                echo "ci.sh: stage '$1' exceeded ${STAGE_TIMEOUT}s (convergence hang?)" >&2
-                pkill -TERM -s "$cmd" 2>/dev/null || kill -TERM "$cmd" 2>/dev/null
-                sleep 2
-                pkill -KILL -s "$cmd" 2>/dev/null || kill -KILL "$cmd" 2>/dev/null || true
-                exit 0
-            fi
-            sleep 5
-            elapsed=$((elapsed + 5))
+        while [ "$elapsed" -lt "$STAGE_TIMEOUT" ]; do
+            sleep 1 </dev/null >/dev/null 2>&1
+            elapsed=$((elapsed + 1))
         done
+        trap '' TERM
+        echo "ci.sh: stage '$1' exceeded ${STAGE_TIMEOUT}s (convergence hang?)" >&2
+        pkill -TERM -s "$cmd" 2>/dev/null || kill -TERM "$cmd" 2>/dev/null
+        sleep 2 </dev/null >/dev/null 2>&1
+        pkill -KILL -s "$cmd" 2>/dev/null || kill -KILL "$cmd" 2>/dev/null || true
     ) &
     watcher=$!
     rc=0
     wait "$cmd" || rc=$?
+    kill "$watcher" 2>/dev/null || true
     wait "$watcher" 2>/dev/null || true
     return "$rc"
 }
@@ -401,6 +407,17 @@ stage_lint() {
     if grep -rn 'fault''_matrix\|churn''_matrix\|intent''_matrix\|backend''_equivalence\|batch''_equivalence\|substrate''_equivalence\|telemetry''_equivalence\|oracle''_counting' \
         ci.sh tests README.md DESIGN.md; then
         echo "lint: a retired equivalence file is named again (see above); it is tests/matrix.rs now" >&2
+        exit 1
+    fi
+    # One daemon layer: DaemonSession owns the engine, the queues,
+    # admission, the backend move, the SLO tracker and the protocol.
+    # The layer under it, its request, status and error types and its
+    # pass-throughs stay retired. The patterns are split so this file
+    # does not match itself.
+    if grep -rnw 'Service''Request\|Service''Status\|Intent''Status\|Service''Error\|service''_mut\|take_dump''_pending' \
+        crates src tests examples \
+        || grep -rnw 'struct Serv''ice' crates src tests examples; then
+        echo "lint: a second daemon layer is back (see above); the service is DaemonSession in src/daemon.rs" >&2
         exit 1
     fi
     # Panic audit (ROADMAP: a daemon path that never panics): sites

@@ -2,19 +2,23 @@
 //!
 //! The `bench-smoke` CI stage runs the `figures` binary on tiny
 //! topologies and then runs this tool to assert the run actually
-//! produced well-formed output: every `*.json` under `target/figures/`
-//! must parse back into a [`FigureTable`] with consistent row widths,
-//! every cell of a `same report` column (a Report byte-equality
-//! verdict) must read `true`, and every id named on the command line
-//! must exist with at least one row. `--all` expands to every id listed
-//! in [`tulkun_bench::FIGURES`].
+//! produced well-formed output. It reads exactly the figures it is
+//! given — `target/figures/<id>.json` for each id — and nothing else
+//! in the directory, so a stale sidecar of a retired figure can neither
+//! fail a clean run nor pass unnoticed. Each must exist, parse back
+//! into a [`FigureTable`] of that id with at least one row and
+//! consistent row widths, and every cell of a `same report` column (a
+//! Report byte-equality verdict) must read `true`. `--all` expands to
+//! every id listed in [`tulkun_bench::FIGURES`]; an id that table does
+//! not list is refused.
 //!
-//! Usage: `check_figures [--all] [required-id ...]`
+//! Usage: `check_figures (--all | id ...)`
 //!
 //! It does not check timing — what a run costs is the business of the
 //! benchmark in `benchmark/`, which compares parent and change on one
 //! host; this tool guards structure and verdicts.
 
+use std::path::Path;
 use std::process::ExitCode;
 use tulkun_bench::{figures_dir, FigureTable, FIGURES};
 
@@ -26,6 +30,9 @@ fn table_faults(table: &FigureTable) -> Vec<String> {
     let mut faults = Vec::new();
     if table.headers.is_empty() {
         faults.push("has no headers".to_string());
+    }
+    if table.rows.is_empty() {
+        faults.push("has no rows".to_string());
     }
     let verdict = table.headers.iter().position(|h| h == VERDICT);
     for (i, row) in table.rows.iter().enumerate() {
@@ -43,92 +50,66 @@ fn table_faults(table: &FigureTable) -> Vec<String> {
     faults
 }
 
-fn main() -> ExitCode {
-    let mut required: Vec<String> = Vec::new();
-    for a in std::env::args().skip(1) {
-        if a == "--all" {
-            required.extend(
-                FIGURES
-                    .iter()
-                    .flat_map(|(.., ids)| *ids)
-                    .map(|s| s.to_string()),
-            );
-        } else {
-            required.push(a);
-        }
-    }
-    let dir = figures_dir();
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("check_figures: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut seen: Vec<(String, usize)> = Vec::new();
-    let mut failed = false;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
+/// Validates the sidecar of each of `ids` in `dir` and returns what is
+/// wrong (empty = every one passes). Reads no other file.
+fn check(dir: &Path, ids: &[&str]) -> Vec<String> {
+    let mut faults = Vec::new();
+    for id in ids {
+        let path = dir.join(format!("{id}.json"));
         let parsed = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read it: {e}"))
+            .map_err(|e| format!("is missing: {e}"))
             .and_then(|text| {
                 tulkun_json::from_str::<FigureTable>(&text)
                     .map_err(|e| format!("is not a well-formed FigureTable: {e:?}"))
             });
-        let table = match parsed {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("check_figures: {} {e}", path.display());
-                failed = true;
-                continue;
+        let found = match parsed {
+            Ok(table) if table.id != *id => vec![format!("holds figure {:?}", table.id)],
+            Ok(table) => {
+                let found = table_faults(&table);
+                if found.is_empty() {
+                    println!(
+                        "check_figures: ok {id} ({} rows, {} cols)",
+                        table.rows.len(),
+                        table.headers.len()
+                    );
+                }
+                found
             }
+            Err(e) => vec![e],
         };
-        let faults = table_faults(&table);
-        for fault in &faults {
-            eprintln!("check_figures: {} ({}) {fault}", table.id, path.display());
-        }
-        if faults.is_empty() {
-            println!(
-                "check_figures: ok {} ({} rows, {} cols)",
-                table.id,
-                table.rows.len(),
-                table.headers.len()
-            );
-        }
-        failed |= !faults.is_empty();
-        seen.push((table.id, table.rows.len()));
+        let shown = path.display();
+        faults.extend(found.into_iter().map(|f| format!("{id} ({shown}) {f}")));
     }
+    faults
+}
 
-    for id in &required {
-        match seen.iter().find(|(s, _)| s == id) {
-            Some((_, rows)) if *rows > 0 => {}
-            Some(_) => {
-                eprintln!("check_figures: required figure {id:?} has no rows");
-                failed = true;
-            }
-            None => {
-                eprintln!(
-                    "check_figures: required figure {id:?} missing from {}",
-                    dir.display()
-                );
-                failed = true;
-            }
+fn main() -> ExitCode {
+    let listed: Vec<&str> = FIGURES.iter().flat_map(|(.., ids)| *ids).copied().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut ids: Vec<&str> = Vec::new();
+    for a in &args {
+        if a == "--all" {
+            ids.extend(&listed);
+        } else if let Some(id) = listed.iter().find(|id| **id == a) {
+            ids.push(id);
+        } else {
+            eprintln!("check_figures: {a:?} is not a figure id listed in FIGURES");
+            return ExitCode::FAILURE;
         }
     }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        println!(
-            "check_figures: {} figure(s) validated, {} required id(s) present",
-            seen.len(),
-            required.len()
-        );
+    if ids.is_empty() {
+        eprintln!("usage: check_figures (--all | id ...)");
+        return ExitCode::FAILURE;
+    }
+    let faults = check(&figures_dir(), &ids);
+    for fault in &faults {
+        eprintln!("check_figures: {fault}");
+    }
+    if faults.is_empty() {
+        println!("check_figures: {} figure(s) validated", ids.len());
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -156,5 +137,35 @@ mod tests {
         assert!(table_faults(&passes).is_empty());
         let no_verdicts = table(&["dataset", "messages"], &[&["INet2", "false"]]);
         assert!(table_faults(&no_verdicts).is_empty());
+        assert_eq!(table_faults(&table(&headers, &[])), vec!["has no rows"]);
+    }
+
+    /// Only the listed ids are read: a stale sidecar of a retired figure
+    /// beside them, holding a `false` verdict, changes nothing, while a
+    /// listed id that is missing fails the check.
+    #[test]
+    fn only_the_listed_figures_are_validated() {
+        let dir = std::env::temp_dir().join(format!("check-figures-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let listed: Vec<&str> = FIGURES.iter().flat_map(|(.., ids)| *ids).copied().collect();
+        let write = |id: &str, verdict: &str| {
+            let mut t = FigureTable::new(id, "test figure", &["dataset", VERDICT]);
+            t.row(vec!["INet2".into(), verdict.into()]);
+            std::fs::write(dir.join(format!("{id}.json")), tulkun_json::to_string(&t)).unwrap();
+        };
+        for id in &listed {
+            write(id, "true");
+        }
+        write(concat!("bench", "_backends"), "false");
+        assert_eq!(check(&dir, &listed), Vec::<String>::new());
+
+        std::fs::remove_file(dir.join(format!("{}.json", listed[0]))).unwrap();
+        let faults = check(&dir, &listed);
+        assert_eq!(faults.len(), 1, "{faults:?}");
+        assert!(
+            faults[0].starts_with(&format!("{} (", listed[0])) && faults[0].contains("is missing"),
+            "{faults:?}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

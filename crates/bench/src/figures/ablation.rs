@@ -31,7 +31,7 @@ use tulkun_core::spec::table1::{first_destination_counting, subset_reachability_
 use tulkun_core::spec::{FaultSpec, PathExpr};
 use tulkun_core::verify::Session;
 use tulkun_datasets::{by_name, rule_updates};
-use tulkun_netmodel::network::Network;
+use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_sim::{network_ip_only, BackendKind, Engine, EngineConfig};
 
 /// Runs every ablation, one figure each.
@@ -132,9 +132,37 @@ fn ablate_churn(cli: &Cli) {
     t.finish();
 }
 
+/// The first `n` updates of a seeded [`rule_updates`] pool whose
+/// destination prefix overlaps a prefix the first destination announces:
+/// the packet space [`first_destination_counting`] counts, so each one
+/// can move a count. Deterministic per seed; shorter than `n` only when
+/// the pool holds fewer.
+fn counted_updates(net: &Network, n: usize, seed: u64) -> Vec<RuleUpdate> {
+    let topo = &net.topology;
+    let Some((dst, _)) = topo.external_map().next() else {
+        return Vec::new();
+    };
+    let counted = topo.external_prefixes(dst);
+    let touches_counted = |u: &RuleUpdate| {
+        let matches = match u {
+            RuleUpdate::Insert { rule, .. } => &rule.matches,
+            RuleUpdate::Remove { matches, .. } => matches,
+        };
+        counted.iter().any(|p| p.overlaps(&matches.dst))
+    };
+    rule_updates(net, n * 64, seed)
+        .into_iter()
+        .filter(touches_counted)
+        .take(n)
+        .collect()
+}
+
 /// Burst-update pipeline: replaying a churn trace rule-by-rule vs as
 /// coalesced per-device batches — wire cost and verification time per
 /// burst size, with a report-equality check against the per-rule run.
+/// The trace touches only the counted destination's prefixes, and a
+/// dataset whose replay sends no message is refused: a race in which
+/// nothing is counted compares nothing.
 fn ablate_burst_updates(cli: &Cli) {
     let mut t = FigureTable::new(
         "ablation_burst_updates",
@@ -161,7 +189,7 @@ fn ablate_burst_updates(cli: &Cli) {
         let (inv, cp) =
             first_destination_counting(&ds.network.topology).expect("first destination plans");
 
-        let trace = rule_updates(&ds.network, cli.updates.min(96), 7);
+        let trace = counted_updates(&ds.network, cli.updates.min(96), 7);
         let mut reference = None;
         for backend in admitted_backends(&ds.network) {
             for burst in [1usize, 4, 16, 64] {
@@ -182,6 +210,11 @@ fn ablate_burst_updates(cli: &Cli) {
                     }
                     Some(reference) => *reference == r.report,
                 };
+                assert!(
+                    r.messages > 0,
+                    "ablation_burst_updates: {name} on {backend} at burst {burst} sent no message; \
+                     its trace moves no count"
+                );
                 t.row(vec![
                     name.into(),
                     backend.to_string(),

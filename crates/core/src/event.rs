@@ -5,8 +5,9 @@
 //! substrate accepts, and it is the only way to change one: the
 //! synchronous [`Session`], the discrete-event `Engine` and the
 //! `ThreadedEngine` all take the whole alphabet, crash restarts
-//! included. The verification `Service` admits requests through `offer`
-//! and turns each one it applies at its own `drain` into one event. The
+//! included. The daemon (`tulkun::daemon::DaemonSession`) admits
+//! request lines into its queues and turns each one it applies at its
+//! own `drain` into one event. The
 //! lifecycle decisions behind the topology, crash and intent events are
 //! made once, in [`crate::control::ControlPlane`]; a substrate only
 //! delivers the result.

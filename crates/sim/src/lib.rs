@@ -36,6 +36,11 @@
 //!   byte-identical under loss; both engines recover injected device
 //!   crash/restarts (`RuntimeEvent::CrashRestart`).
 //!
+//! * [`service`] — only the configuration of the always-on service,
+//!   [`ServiceConfig`] and [`AdmissionPolicy`]: the service itself is
+//!   one type in the facade crate, `tulkun::daemon::DaemonSession`,
+//!   which drives one [`Engine`] of this crate.
+//!
 //! Live topology churn (`tulkun_core::churn::TopologyEvent`) and
 //! runtime intent install/remove are decided once, by the
 //! `tulkun_core::control::ControlPlane` each engine embeds; an engine
@@ -67,9 +72,6 @@ pub use runtime::{
     DeviceStats, Engine, EngineConfig, RuntimeStats, ThreadedEngine, WatchdogConfig,
     WatchdogVerdict,
 };
-pub use service::{
-    AdmissionPolicy, IntentStatus, Service, ServiceConfig, ServiceError, ServiceRequest,
-    ServiceStatus,
-};
+pub use service::{AdmissionPolicy, ServiceConfig};
 pub use tulkun_predicate::{network_ip_only, BackendKind};
 pub use tulkun_telemetry::{Telemetry, TelemetryConfig};

@@ -511,8 +511,8 @@ struct Recipe {
 impl Recipe {
     fn new(net: &Network, plan: &CountingPlan, cfg: &EngineConfig) -> Recipe {
         // The contract `EngineConfig::backend` documents: callers holding
-        // outside input run `BackendKind::check` first. The daemon's
-        // `Service` never reaches the panic below: it picks the backend
+        // outside input run `BackendKind::check` first. The daemon
+        // (`DaemonSession`) never reaches the panic below: it picks the backend
         // the network and base packet space fit, and later moves only to
         // `bdd`, which holds everything (`Engine::rehost`).
         let kind = cfg.backend.check(network_ip_only(net));

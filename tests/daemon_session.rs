@@ -4,8 +4,8 @@
 //! in a state byte-equal to applying the same events directly to a
 //! fresh simulator — the daemon adds liveness, never semantics. Held
 //! clean and over a 10% lossy management network, plus a smoke test of
-//! the real binary over a stdin pipe. Below the protocol, a multi-source
-//! [`Service`] session under each admission policy is held to its exact
+//! the real binary over a stdin pipe. A multi-source session over a
+//! hand-built plan under each admission policy is held to its exact
 //! admission counters and to a replay of exactly what it admitted.
 
 use std::process::{Command, Stdio};
@@ -17,12 +17,13 @@ use tulkun::core::fault::FaultProfile;
 use tulkun::core::intent::IntentId;
 use tulkun::core::spec::Invariant;
 use tulkun::core::verify::Session;
-use tulkun::daemon::{dataset_session, DaemonConfig, DaemonSession};
+use tulkun::daemon::{dataset_session, serve, DaemonConfig, DaemonSession};
+use tulkun::json::Json;
 use tulkun::netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun::netmodel::network::RuleUpdate;
 use tulkun::netmodel::topology::DeviceId;
 use tulkun::netmodel::IpPrefix;
-use tulkun::sim::{AdmissionPolicy, Engine, EngineConfig, Service, ServiceConfig, ServiceRequest};
+use tulkun::sim::{AdmissionPolicy, Engine, EngineConfig, ServiceConfig};
 
 /// Renders a churn event as its protocol line from source `src`.
 fn churn_line(
@@ -47,7 +48,7 @@ fn churn_line(
 enum Applied {
     Batch(Vec<RuleUpdate>),
     Churn(TopologyEvent),
-    /// An install of the narrow intent the service accepted, under the
+    /// An install of the narrow intent the session accepted, under the
     /// id it allocated.
     IntentAdd(IntentId, Invariant),
     IntentRemove(IntentId),
@@ -87,7 +88,7 @@ fn direct_replay(
                     })
                     .expect("replay install")
                     .intent;
-                assert_eq!(got, Some(*id), "the replay allocates the service's id");
+                assert_eq!(got, Some(*id), "the replay allocates the session's id");
             }
             Applied::IntentRemove(id) => {
                 let ev = RuntimeEvent::RemoveIntent(*id);
@@ -173,14 +174,19 @@ fn run_scripted_session(batches: usize, faults: Option<FaultProfile>) {
         "daemon diverged from direct replay"
     );
 
-    let status = session.service_mut().status();
-    assert_eq!(status.queued, 0, "final drain left work queued");
+    let status = reply(&mut session, "status");
     assert_eq!(
-        status.shed, 0,
+        status_field(&status, "queued"),
+        0,
+        "final drain left work queued"
+    );
+    assert_eq!(
+        status_field(&status, "shed"),
+        0,
         "single-source script under the cap never sheds"
     );
     assert!(
-        status.processed as usize >= batches,
+        status_field(&status, "processed") as usize >= batches,
         "all batches processed"
     );
 }
@@ -213,12 +219,13 @@ fn narrow_intent_spec(topo: &tulkun::netmodel::topology::Topology) -> String {
 /// The always-on service shape: FIB batches from two sources, seeded
 /// churn from a third, a fourth toggling a narrow intent, status and
 /// report queries in between — under `Block`, `Shed`, and `Shed` over a
-/// 10% lossy management network. Admission depends only on queue
-/// lengths, churn state and seeded loss, never on timing, so every
-/// counter is exact; and the drained Report must be byte-equal to
-/// applying exactly the admitted requests (installs under the ids the
-/// service allocated) to a fresh *clean* engine — the lossy session
-/// must converge to the clean fixpoint.
+/// 10% lossy management network, every request a protocol line to a
+/// session built over the dataset's own network, plan and invariant.
+/// Admission depends only on queue lengths, churn state and seeded
+/// loss, never on timing, so every counter is exact; and the drained
+/// Report must be byte-equal to applying exactly the admitted requests
+/// (installs under the ids the session allocated) to a fresh *clean*
+/// engine — the lossy session must converge to the clean fixpoint.
 #[test]
 fn multi_source_session_matches_replay_of_admitted_requests() {
     let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
@@ -226,7 +233,9 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
     let topo = &net.topology;
     let planned = dataset_session(net, "INet2").unwrap();
     let (inv, cp) = &planned;
-    let narrow = Invariant::parse(&narrow_intent_spec(topo)).expect("narrow intent");
+    let narrow_spec = narrow_intent_spec(topo);
+    let narrow = Invariant::parse(&narrow_spec).expect("narrow intent");
+    let install = format!("intent add intent {}", intent_json("narrow", &narrow_spec));
     let trace = tulkun::datasets::rule_updates(net, 200, 7);
     let churn = ChurnSchedule::seeded(topo, inv, 11, 6).0;
 
@@ -244,7 +253,16 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
             faults: (loss > 0.0).then(|| FaultProfile::loss(31, loss)),
             ..ServiceConfig::default()
         };
-        let mut svc = Service::new(net, cp, inv, cfg);
+        let mut session = DaemonSession::over(net, cp, inv, cfg);
+        let admitted = |session: &mut DaemonSession, line: &str| {
+            let answer = reply(session, line);
+            let refused = answer.starts_with("err shed: ");
+            assert!(answer.starts_with("ok ") || refused, "{line} -> {answer}");
+            !refused
+        };
+        let drain = |session: &mut DaemonSession| {
+            assert!(reply(session, "drain").starts_with("ok processed="));
+        };
 
         // The session overlaps its regimes: every 3rd source turn a
         // fourth source toggles the narrow intent (install when
@@ -257,67 +275,50 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
         // landing while a fence is active park and re-plan at the next
         // epoch rather than being rejected, so `rejected_intents` stays
         // 0 here. Every 4th turn queries status + report. Only state
-        // the service actually committed (reconciled against the intent
-        // store around each drain, counting parked installs as
-        // committed — the replay's install parks them again under the
-        // same id) enters the reference.
+        // the session actually committed (reconciled against its live
+        // and parked intents around each drain, counting parked
+        // installs as committed — the replay's install parks them again
+        // under the same id) enters the reference.
         let mut applied: Vec<Applied> = Vec::new();
         let (mut batches, mut churn_admitted, mut intent_ops, mut queries) = (0, 0, 0, 0);
         let mut churn_iter = churn.iter().cycle();
         let groups = trace.chunks(12).count();
         let churn_start = groups * 2 / 3;
-        // Tracked = live + parked: a parked install is committed state
-        // (it lands at the next fence), so the toggle must see it or it
-        // would double-install.
-        let tracked_non_base = |svc: &Service| -> Vec<u64> {
-            let mut ids: Vec<u64> = svc
-                .intents()
-                .live()
-                .map(|i| i.id.0)
-                .chain(svc.intents().parked().map(|p| p.id.0))
-                .filter(|id| *id != 0)
-                .collect();
-            ids.sort_unstable();
-            ids
-        };
         for (g, group) in trace.chunks(12).enumerate() {
             let source = if g % 2 == 0 { "cp" } else { "ops" };
             for chunk in group.chunks(4) {
                 batches += 1;
-                if svc
-                    .offer(source, ServiceRequest::Batch(chunk.to_vec()))
-                    .is_ok()
-                {
+                let line = format!(
+                    "batch {source} {}",
+                    tulkun::json::to_string(&chunk.to_vec())
+                );
+                if admitted(&mut session, &line) {
                     applied.push(Applied::Batch(chunk.to_vec()));
                 }
             }
-            svc.drain();
+            drain(&mut session);
             if g >= churn_start && g % 2 == 1 {
                 if let Some(ev) = churn_iter.next() {
-                    if svc.offer("net", ServiceRequest::Churn(*ev)).is_ok() {
+                    if admitted(&mut session, &churn_line(topo, "net", ev)) {
                         // Planner-rejected events are still counted by
-                        // the service and mirrored in the replay below.
+                        // the session and mirrored in the replay below.
                         applied.push(Applied::Churn(*ev));
                         churn_admitted += 1;
                     }
                 }
-                svc.drain();
+                drain(&mut session);
             }
             if g % 3 == 2 {
-                let before = tracked_non_base(&svc);
-                let req = match before.last() {
-                    Some(id) => ServiceRequest::IntentRemove(IntentId(*id)),
-                    None => ServiceRequest::IntentAdd {
-                        name: "narrow".into(),
-                        invariant: narrow.clone(),
-                    },
+                let before = tracked_non_base(&mut session);
+                let line = match before.last() {
+                    Some(id) => format!("intent remove intent {id}"),
+                    None => install.clone(),
                 };
-                let next_id = svc.intents().next_intent_id();
-                if svc.offer("intent", req).is_ok() {
-                    svc.drain();
-                    let now = tracked_non_base(&svc);
-                    if now.contains(&next_id) && !before.contains(&next_id) {
-                        applied.push(Applied::IntentAdd(IntentId(next_id), narrow.clone()));
+                if admitted(&mut session, &line) {
+                    drain(&mut session);
+                    let now = tracked_non_base(&mut session);
+                    if let Some(id) = now.iter().find(|id| !before.contains(id)) {
+                        applied.push(Applied::IntentAdd(IntentId(*id), narrow.clone()));
                         intent_ops += 1;
                     } else if let Some(id) = before.iter().find(|id| !now.contains(id)) {
                         applied.push(Applied::IntentRemove(IntentId(*id)));
@@ -326,14 +327,15 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
                 }
             }
             if g % 4 == 3 {
-                let _ = svc.status();
-                let _ = svc.report();
+                assert!(reply(&mut session, "status").starts_with("ok "));
+                assert!(reply(&mut session, "report").starts_with("ok "));
                 queries += 2;
             }
         }
-        svc.drain();
-        let final_report = svc.report().canonical_bytes();
-        let status = svc.status();
+        drain(&mut session);
+        let final_report = reply(&mut session, "report");
+        let status = reply(&mut session, "status");
+        let field = |key: &str| status_field(&status, key);
 
         // Reference: the same admitted requests, applied directly.
         let reference = direct_replay(net, &planned, EngineConfig::default(), &applied);
@@ -345,20 +347,52 @@ fn multi_source_session_matches_replay_of_admitted_requests() {
             "{row}: offered batches / admitted churn / intent toggles / queries"
         );
         assert_eq!(
-            (status.admitted, status.shed, status.processed),
+            (field("admitted"), field("shed"), field("processed")),
             admitted_shed_processed,
             "{row}: admitted / shed / processed"
         );
         assert_eq!(
-            (status.rejected_intents, status.parked, status.degraded),
+            (
+                field("rejected_intents"),
+                field("parked"),
+                field("degraded")
+            ),
             (0, 0, 0),
             "{row}: rejected intents / parked / degraded"
         );
         assert!(
-            reference == final_report,
-            "{row}: service diverged from a replay of what it admitted"
+            final_report.strip_prefix("ok ").map(str::as_bytes) == Some(&reference[..]),
+            "{row}: session diverged from a replay of what it admitted"
         );
     }
+}
+
+/// The non-base intents a session tracks, in id order: the live ones
+/// its `status` lists and the parked ones its `metrics` label. A parked
+/// install is committed state (it lands at the next fence), so a toggle
+/// must see it or it would double-install.
+fn tracked_non_base(session: &mut DaemonSession) -> Vec<u64> {
+    let status = reply(session, "status");
+    let status = tulkun::json::parse(status.strip_prefix("ok ").expect("ok status")).unwrap();
+    let Some(Json::Array(live)) = status.get("intents") else {
+        panic!("status lists no intents: {status:?}");
+    };
+    let mut ids: Vec<u64> = live
+        .iter()
+        .map(|i| match i.get("id") {
+            Some(Json::Int(id)) => *id as u64,
+            other => panic!("an intent row without an id: {other:?}"),
+        })
+        .collect();
+    let metrics = reply(session, "metrics");
+    ids.extend(metrics.lines().filter_map(|l| {
+        let labeled = l.strip_prefix("tulkun_parked_intents{intent=\"")?;
+        let (id, value) = labeled.split_once("\"} ")?;
+        (value == "1").then(|| id.parse::<u64>().expect("an intent id"))
+    }));
+    ids.retain(|id| *id != 0);
+    ids.sort_unstable();
+    ids
 }
 
 /// The JSON object `intent add` takes: a name and the spec text.
@@ -688,6 +722,93 @@ fn daemon_binary_speaks_the_protocol_over_stdin() {
     assert_eq!(replies[10], "ok bye");
 }
 
+/// Serves `script` to a fresh INet2 session whose journal auto-dump is
+/// armed at a scratch path, and returns the parsed dump, if one was
+/// written. SLO budgets are set past any host's timing first, so only
+/// what the script itself asks for can trip the dump.
+fn served_dump(case: &str, script: &[&str]) -> Option<Json> {
+    let path = std::env::temp_dir().join(format!(
+        "tulkun-journal-dump-{}-{case}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut session = DaemonSession::new(DaemonConfig::default()).expect("daemon session");
+    session.set_journal_dump(&path);
+    let lax = u64::MAX;
+    let mut lines = vec![format!("config slo {lax} {lax} {lax} {lax}")];
+    lines.extend(script.iter().map(|l| l.to_string()));
+    let mut out = Vec::new();
+    serve(&mut session, lines.join("\n").as_bytes(), &mut out).expect("served");
+    let replies = String::from_utf8(out).unwrap();
+    assert!(
+        replies.lines().all(|l| !l.starts_with("err ")),
+        "{case}: {replies}"
+    );
+    let text = std::fs::read_to_string(&path).ok()?;
+    let _ = std::fs::remove_file(&path);
+    Some(tulkun::json::parse(&text).expect("the dump is JSON"))
+}
+
+/// The journal kinds a `tulkun-journal-v1` dump holds.
+fn dumped_kinds(dump: &Json) -> Vec<String> {
+    assert_eq!(
+        dump.get("schema").and_then(|s| s.as_str()),
+        Some("tulkun-journal-v1")
+    );
+    let Some(Json::Array(events)) = dump.get("events") else {
+        panic!("a dump without events: {dump:?}");
+    };
+    events
+        .iter()
+        .map(|e| e.get("kind").and_then(|k| k.as_str()).unwrap().to_string())
+        .collect()
+}
+
+/// An armed journal dump is written on an SLO breach and on a `status`
+/// that sees an `Unreachable` node, and not otherwise.
+#[test]
+fn the_journal_is_dumped_on_a_breach_or_an_unreachable_status() {
+    let breach = served_dump(
+        "breach",
+        &[
+            "config slo 1 1 1 1",
+            "churn ci link-down SEAT LOSA",
+            "drain",
+        ],
+    )
+    .expect("an SLO breach dumps the journal");
+    let kinds = dumped_kinds(&breach);
+    assert!(kinds.iter().any(|k| k == "slo_breach"), "{kinds:?}");
+    assert!(kinds.iter().any(|k| k == "topology_churn"), "{kinds:?}");
+
+    let down = ["churn ci device-down LOSA", "drain"];
+    assert!(
+        served_dump("down", &down).is_none(),
+        "a device-down with no status read dumps nothing"
+    );
+    let unreachable = served_dump("unreachable", &[down[0], down[1], "status"])
+        .expect("an Unreachable status dumps the journal");
+    let kinds = dumped_kinds(&unreachable);
+    assert!(kinds.iter().any(|k| k == "topology_churn"), "{kinds:?}");
+    assert!(!kinds.iter().any(|k| k == "slo_breach"), "{kinds:?}");
+
+    let ds = tulkun::datasets::by_name("INet2", tulkun::datasets::Scale::Tiny).unwrap();
+    let update = tulkun::datasets::rule_updates(&ds.network, 1, 5);
+    let batch = format!("batch ops {}", tulkun::json::to_string(&update));
+    let clean = [
+        batch.as_str(),
+        "drain",
+        "status",
+        "report",
+        "slo",
+        "metrics",
+    ];
+    assert!(
+        served_dump("clean", &clean).is_none(),
+        "a clean session dumps nothing"
+    );
+}
+
 fn reply(session: &mut DaemonSession, line: &str) -> String {
     session.handle_line(line).expect("reply").text
 }
@@ -829,12 +950,12 @@ fn a_port_intent_moves_the_service_to_bdd() {
     assert_eq!(reply(&mut session, "report"), format!("ok {want}"));
 }
 
-/// The `"epoch"` field of a `status` reply.
-fn status_epoch(status: &str) -> i64 {
+/// An integer field of a `status` reply.
+fn status_field(status: &str, key: &str) -> i64 {
     let json = tulkun::json::parse(status.strip_prefix("ok ").expect("ok status")).unwrap();
-    match json.get("epoch") {
-        Some(tulkun::json::Json::Int(epoch)) => *epoch,
-        other => panic!("status has no integer epoch: {other:?}"),
+    match json.get(key) {
+        Some(Json::Int(n)) => *n,
+        other => panic!("status has no integer {key}: {other:?}"),
     }
 }
 
@@ -862,7 +983,7 @@ fn a_backend_move_keeps_the_epoch_and_the_journal() {
     let status = reply(&mut session, "status");
     assert!(status.contains("\"backend\":\"intervals\""), "{status}");
     assert!(status.contains("\"degraded\":1"), "{status}");
-    let epoch = status_epoch(&status);
+    let epoch = status_field(&status, "epoch");
     assert_eq!(epoch, 4, "{status}");
     let before = reply(&mut session, "events *");
 
@@ -872,7 +993,11 @@ fn a_backend_move_keeps_the_epoch_and_the_journal() {
     assert_eq!(reply(&mut session, "drain"), "ok processed=1");
     let status = reply(&mut session, "status");
     assert!(status.contains("\"backend\":\"bdd\""), "{status}");
-    assert_eq!(status_epoch(&status), epoch, "the move bumps no epoch");
+    assert_eq!(
+        status_field(&status, "epoch"),
+        epoch,
+        "the move bumps no epoch"
+    );
     // Intent 2's ingress is down: it stays degraded across the move.
     assert!(status.contains("\"degraded\":1"), "{status}");
 
