@@ -323,23 +323,12 @@ fn ablate_reduction(cli: &Cli) {
             let mut cp = base.clone();
             cp.reduce = reduce;
             let mut session = Session::from_counting(&ds.network, cp, &inv.packet_space);
-            session.run_to_quiescence();
-            let (msgs, bytes) = session
-                .plan()
-                .dpvnet
-                .iter()
-                .map(|(_, n)| n.dev)
-                .collect::<std::collections::BTreeSet<_>>()
-                .iter()
-                .filter_map(|d| session.verifier(*d))
-                .fold((0u64, 0u64), |(m, b), v| {
-                    (m + v.stats.messages_sent, b + v.stats.bytes_sent)
-                });
+            let burst = session.run_to_quiescence();
             t.row(vec![
                 name.into(),
                 label.into(),
-                msgs.to_string(),
-                bytes.to_string(),
+                burst.messages.to_string(),
+                burst.bytes.to_string(),
             ]);
         }
     }

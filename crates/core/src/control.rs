@@ -662,6 +662,7 @@ mod tests {
     use crate::spec::table1;
     use proptest::prelude::*;
     use tulkun_netmodel::network::Network;
+    use tulkun_predicate::BackendKind;
 
     /// A control plane over `net` with `base` as intent 0. No verifier,
     /// no transport: fences are only read.
@@ -676,7 +677,8 @@ mod tests {
     /// `c.hosted()` at the current epoch, as a substrate builds it.
     fn hosting(net: &Network, c: &mut ControlPlane, dev: DeviceId) -> DeviceVerifier {
         let cfg = VerifierConfig::of(c.plan());
-        let mut v = DeviceVerifier::builder(dev, net.layout, net.fib(dev).clone(), cfg).build();
+        let (fib, tel) = (net.fib(dev).clone(), Telemetry::disabled());
+        let mut v = DeviceVerifier::new(dev, net.layout, fib, cfg, BackendKind::Bdd, tel);
         let share = c.hosted().remove(&dev).unwrap_or_default();
         v.apply_fence(c.epoch(), 0, share, &mut Vec::new());
         v

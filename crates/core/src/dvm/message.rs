@@ -148,30 +148,6 @@ impl Envelope {
     }
 }
 
-/// A sink for outgoing envelopes.
-///
-/// Every [`crate::dvm::DeviceVerifier`] entry point writes the messages
-/// it generates into an `Outbox` instead of returning a `Vec<Envelope>`,
-/// so runtimes hand their own queue (a `Vec`, a `VecDeque`, a transport
-/// adapter) straight to the verifier and batching layers stop
-/// concatenating intermediate vectors.
-pub trait Outbox {
-    /// Accepts one outgoing envelope.
-    fn push(&mut self, env: Envelope);
-}
-
-impl Outbox for Vec<Envelope> {
-    fn push(&mut self, env: Envelope) {
-        Vec::push(self, env);
-    }
-}
-
-impl Outbox for std::collections::VecDeque<Envelope> {
-    fn push(&mut self, env: Envelope) {
-        self.push_back(env);
-    }
-}
-
 tulkun_json::impl_json_object!(EdgeRef { up, down });
 
 impl ToJson for Payload {

@@ -12,6 +12,6 @@ pub mod message;
 pub mod reliable;
 pub mod verifier;
 
-pub use message::{EdgeRef, Envelope, Outbox, Payload};
+pub use message::{EdgeRef, Envelope, Payload};
 pub use reliable::{Accepted, ReceiverLedger, SenderWindow};
-pub use verifier::{DeviceVerifier, NodeResult, VerifierBuilder, VerifierConfig, VerifierStats};
+pub use verifier::{DeviceVerifier, NodeResult, VerifierConfig};

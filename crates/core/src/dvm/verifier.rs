@@ -12,7 +12,7 @@
 //! * the counting scope (invariant packet space, grown by `SUBSCRIBE`
 //!   messages when upstream devices rewrite headers).
 //!
-//! The backend is chosen at runtime ([`VerifierBuilder::backend`]);
+//! The backend is chosen at runtime ([`DeviceVerifier::new`]);
 //! wire messages always carry the canonical [`PortablePred`] ROBDD
 //! encoding, so verifiers running different backends interoperate
 //! byte-for-byte (the wire-format invariant of `tulkun-predicate`).
@@ -26,7 +26,7 @@
 use crate::control::DeviceFence;
 use crate::count::{Counts, ReduceMode};
 use crate::dpvnet::NodeId;
-use crate::dvm::message::{EdgeRef, Envelope, Outbox, Payload};
+use crate::dvm::message::{EdgeRef, Envelope, Payload};
 use crate::planner::{CountingPlan, NodeTask};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,24 +67,6 @@ impl VerifierConfig {
     pub fn dim(&self) -> usize {
         self.n_exprs + usize::from(self.track_escapes)
     }
-}
-
-/// Counters for the overhead evaluation (§9.4).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifierStats {
-    /// UPDATE messages handled.
-    pub updates_processed: u64,
-    /// SUBSCRIBE messages handled.
-    pub subscribes_processed: u64,
-    /// Messages emitted.
-    pub messages_sent: u64,
-    /// Bytes emitted (wire estimate).
-    pub bytes_sent: u64,
-    /// Full or incremental LEC (re)builds.
-    pub lec_rebuilds: u64,
-    /// Envelopes discarded by the epoch fence (stamped with a
-    /// superseded topology generation).
-    pub epoch_discarded: u64,
 }
 
 #[derive(Debug)]
@@ -184,59 +166,33 @@ pub struct DeviceVerifier {
     /// wait here and [`DeviceVerifier::apply_fence`] replays them once
     /// the epochs match.
     early: Vec<Envelope>,
-    /// Telemetry sink (disabled handle by default — every record call
-    /// is then a single branch).
+    /// Telemetry sink (with a disabled handle every record call is a
+    /// single branch).
     tel: Arc<Telemetry>,
-    /// Statistics for overhead benchmarks.
-    pub stats: VerifierStats,
 }
 
-/// Builds a [`DeviceVerifier`] that hosts no node yet: mandatory
-/// device/FIB context plus the optional parts (a backend, a telemetry
-/// handle). Nodes arrive with a fence share
-/// ([`DeviceVerifier::apply_fence`]), each new one with its base packet
-/// space.
-///
-/// One device's LEC table is shared by all the tasks it hosts, across
-/// invariants (§8): a device hosts every intent's nodes on its one
-/// verifier, so the table is derived once, here, from the FIB.
-pub struct VerifierBuilder {
-    backend: DynBackend,
-    dev: DeviceId,
-    fib: Fib,
-    cfg: VerifierConfig,
-    tel: Option<Arc<Telemetry>>,
-}
-
-impl VerifierBuilder {
-    /// Swaps the predicate backend (the default is BDDs). The caller
-    /// has checked the kind against the workload
-    /// ([`BackendKind::check`]).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        let layout = *self.backend.layout();
-        self.backend = DynBackend::new(kind, layout);
-        self
-    }
-
-    /// Attaches a telemetry handle; omitted, the verifier uses the
-    /// disabled handle (recording is a no-op).
-    pub fn telemetry(mut self, tel: Arc<Telemetry>) -> Self {
-        self.tel = Some(tel);
-        self
-    }
-
-    /// Builds the verifier, deriving its LEC table from the FIB.
-    pub fn build(self) -> DeviceVerifier {
-        let VerifierBuilder {
-            backend,
-            dev,
-            fib,
-            cfg,
-            tel,
-        } = self;
+impl DeviceVerifier {
+    /// Builds `dev`'s verifier over the `kind` predicate backend,
+    /// deriving its LEC table from `fib`; it hosts no node yet. Nodes
+    /// arrive with a fence share ([`DeviceVerifier::apply_fence`]),
+    /// each new one with its base packet space. The caller has checked
+    /// `kind` against the workload ([`BackendKind::check`]); `tel` may
+    /// be the disabled handle ([`Telemetry::disabled`]).
+    ///
+    /// One device's LEC table is shared by all the tasks it hosts,
+    /// across invariants (§8): a device hosts every intent's nodes on
+    /// its one verifier, so the table is derived once, here.
+    pub fn new(
+        dev: DeviceId,
+        layout: HeaderLayout,
+        fib: Fib,
+        cfg: VerifierConfig,
+        kind: BackendKind,
+        tel: Arc<Telemetry>,
+    ) -> DeviceVerifier {
         let mut v = DeviceVerifier {
             dev,
-            backend,
+            backend: DynBackend::new(kind, layout),
             fib,
             lecs: Vec::new(),
             cfg,
@@ -244,31 +200,11 @@ impl VerifierBuilder {
             trace: 0,
             epoch: 0,
             early: Vec::new(),
-            tel: tel.unwrap_or_else(Telemetry::disabled),
-            stats: VerifierStats::default(),
+            tel,
         };
         v.rebuild_lecs();
         v.export_mem_gauges();
         v
-    }
-}
-
-impl DeviceVerifier {
-    /// Starts building a verifier for `dev` with the default (BDD)
-    /// backend; select another with [`VerifierBuilder::backend`].
-    pub fn builder(
-        dev: DeviceId,
-        layout: HeaderLayout,
-        fib: Fib,
-        cfg: VerifierConfig,
-    ) -> VerifierBuilder {
-        VerifierBuilder {
-            backend: DynBackend::new(BackendKind::Bdd, layout),
-            dev,
-            fib,
-            cfg,
-            tel: None,
-        }
     }
 
     /// The device this verifier runs on.
@@ -295,31 +231,16 @@ impl DeviceVerifier {
         self.trace = trace;
     }
 
-    /// The causal trace id currently in effect.
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
-
-    /// Sets the topology generation this verifier is planned against.
-    /// Runtimes call this when a churn bumps the epoch, *before*
-    /// applying re-planned tasks, so every resulting emission carries
-    /// the new generation.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// The topology generation currently in effect.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Stamps the current trace id and epoch, accounts stats and
-    /// forwards `env` to `out`. Every data envelope leaves through here.
-    fn emit(&mut self, mut env: Envelope, out: &mut dyn Outbox) {
+    /// Stamps the current trace id and epoch and forwards `env` to
+    /// `out`. Every data envelope leaves through here.
+    fn emit(&mut self, mut env: Envelope, out: &mut Vec<Envelope>) {
         env.trace = self.trace;
         env.epoch = self.epoch;
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += env.wire_bytes() as u64;
         out.push(env);
     }
 
@@ -351,7 +272,6 @@ impl DeviceVerifier {
     }
 
     fn rebuild_lecs(&mut self) {
-        self.stats.lec_rebuilds += 1;
         self.lecs = tulkun_predicate::lecs(&self.fib, &mut self.backend);
         self.refresh_relevance();
     }
@@ -394,14 +314,13 @@ impl DeviceVerifier {
     /// held aside until this device's share of that fence arrives
     /// (fences reach devices one at a time; a peer that already applied
     /// its share may speak first).
-    pub fn handle(&mut self, env: &Envelope, out: &mut dyn Outbox) {
+    pub fn handle(&mut self, env: &Envelope, out: &mut Vec<Envelope>) {
         assert_eq!(env.to, self.dev, "message routed to the wrong device");
         if env.epoch > self.epoch {
             self.early.push(env.clone());
             return;
         }
         if env.epoch < self.epoch {
-            self.stats.epoch_discarded += 1;
             self.tel.count("tulkun_epoch_discarded_total", 1);
             return;
         }
@@ -412,12 +331,10 @@ impl DeviceVerifier {
                 withdrawn,
                 results,
             } => {
-                self.stats.updates_processed += 1;
                 self.tel.count("tulkun_dvm_updates_total", 1);
                 self.handle_update(*edge, withdrawn, results, out);
             }
             Payload::Subscribe { edge, space } => {
-                self.stats.subscribes_processed += 1;
                 self.tel.count("tulkun_dvm_subscribes_total", 1);
                 self.handle_subscribe(*edge, space, out);
             }
@@ -432,7 +349,7 @@ impl DeviceVerifier {
         edge: EdgeRef,
         withdrawn: &[PortablePred],
         results: &[(PortablePred, Counts)],
-        out: &mut dyn Outbox,
+        out: &mut Vec<Envelope>,
     ) {
         let node = edge.up;
         let v = edge.down;
@@ -501,7 +418,7 @@ impl DeviceVerifier {
         region
     }
 
-    fn handle_subscribe(&mut self, edge: EdgeRef, space: &PortablePred, out: &mut dyn Outbox) {
+    fn handle_subscribe(&mut self, edge: EdgeRef, space: &PortablePred, out: &mut Vec<Envelope>) {
         let node = edge.down;
         if !self.nodes.contains_key(&node) {
             return;
@@ -543,7 +460,7 @@ impl DeviceVerifier {
     /// The batch leaves the verifier in exactly the state sequential
     /// application would: the FIB mutations happen in order, and the LEC
     /// splice derives the *final* classes inside the touched region.
-    pub fn handle_fib_batch(&mut self, updates: &[RuleUpdate], out: &mut dyn Outbox) {
+    pub fn handle_fib_batch(&mut self, updates: &[RuleUpdate], out: &mut Vec<Envelope>) {
         if updates.is_empty() {
             return;
         }
@@ -555,9 +472,8 @@ impl DeviceVerifier {
         self.export_mem_gauges();
     }
 
-    fn fib_batch_inner(&mut self, updates: &[RuleUpdate], out: &mut dyn Outbox) {
+    fn fib_batch_inner(&mut self, updates: &[RuleUpdate], out: &mut Vec<Envelope>) {
         let touched = self.fold_into_fib(updates);
-        self.stats.lec_rebuilds += 1;
         let tel = self.tel.clone();
         let changed = tel.timed(self.dev, &LEC_DELTA, self.trace, 0, || {
             self.splice_lecs(&touched)
@@ -648,7 +564,7 @@ impl DeviceVerifier {
     fn install_tasks(
         &mut self,
         tasks: Vec<(Option<PortablePred>, NodeTask)>,
-        out: &mut dyn Outbox,
+        out: &mut Vec<Envelope>,
     ) {
         // Per touched node, the upstream edges it did not have before.
         // Only an existing node can gain a listener that has not heard
@@ -743,10 +659,10 @@ impl DeviceVerifier {
         epoch: u64,
         trace: u64,
         fence: DeviceFence,
-        out: &mut dyn Outbox,
+        out: &mut Vec<Envelope>,
     ) {
         self.set_trace(trace);
-        self.set_epoch(epoch);
+        self.epoch = epoch;
         // Nodes a re-plan no longer assigns here. In-flight messages
         // naming one are tolerated by the stale-node guard in UPDATE
         // handling.
@@ -773,7 +689,7 @@ impl DeviceVerifier {
         node: NodeId,
         ups: impl Fn(&(NodeId, DeviceId)) -> bool,
         downs: impl Fn(DeviceId) -> bool,
-        out: &mut dyn Outbox,
+        out: &mut Vec<Envelope>,
     ) {
         let st = &self.nodes[&node];
         let ups: Vec<(NodeId, DeviceId)> = st
@@ -823,7 +739,7 @@ impl DeviceVerifier {
     /// `CIBIn`/scope entries those lost messages carried, so the new
     /// epoch re-converges to the fixpoint of a fresh plan. A fence that
     /// dropped nothing needs no repair ([`DeviceFence::reannounce`]).
-    fn reannounce(&mut self, out: &mut dyn Outbox) {
+    fn reannounce(&mut self, out: &mut Vec<Envelope>) {
         for node in self.node_ids() {
             self.announce(node, |_| true, |_| true, out);
         }
@@ -842,7 +758,7 @@ impl DeviceVerifier {
     ///
     /// Replays are plain DVM messages, so the protocol re-converges to
     /// the same fixpoint it held before the crash.
-    pub fn replay_for_restart(&mut self, restarted: DeviceId, out: &mut dyn Outbox) {
+    pub fn replay_for_restart(&mut self, restarted: DeviceId, out: &mut Vec<Envelope>) {
         for node in self.node_ids() {
             self.announce(node, |(_, d)| *d == restarted, |d| d == restarted, out);
         }
@@ -931,14 +847,14 @@ impl DeviceVerifier {
     /// Recomputes `LocCIB` over `region` for one node and writes the
     /// UPDATE messages for its upstream neighbors (steps 2–3 of §5.2)
     /// to `out`.
-    fn recompute_node(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
+    fn recompute_node(&mut self, node: NodeId, region: DynPred, out: &mut Vec<Envelope>) {
         let tel = self.tel.clone();
         tel.timed(self.dev, &CIB_RECOMPUTE, self.trace, 0, || {
             self.recompute_node_inner(node, region, out)
         });
     }
 
-    fn recompute_node_inner(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
+    fn recompute_node_inner(&mut self, node: NodeId, region: DynPred, out: &mut Vec<Envelope>) {
         let scope = self.nodes[&node].scope;
         let r = self.backend.and(region, scope);
         if self.backend.is_false(r) {
@@ -1195,7 +1111,7 @@ impl DeviceVerifier {
     /// transformed space for rewriting classes, and any subscribed
     /// region beyond the invariant's packet space for plain forwarding
     /// (subscriptions propagate transitively toward destinations).
-    fn emit_subscriptions(&mut self, node: NodeId, region: DynPred, out: &mut dyn Outbox) {
+    fn emit_subscriptions(&mut self, node: NodeId, region: DynPred, out: &mut Vec<Envelope>) {
         let lecs = self.relevant_lecs(node);
         let scope = self.nodes[&node].scope;
         let r = self.backend.and(region, scope);
@@ -1262,9 +1178,11 @@ mod tests {
 
     /// A two-device line `d1 -> d0`: `d0` hosts destination node 0,
     /// already counting, with no upstream yet; `d1` forwards the packet
-    /// space to `d0` and hosts nothing. Returns both verifiers and the
-    /// packet space.
-    fn dest_and_idle_upstream() -> (DeviceVerifier, DeviceVerifier, PortablePred) {
+    /// space to `d0` and hosts nothing. Both report to `tel`. Returns
+    /// both verifiers and the packet space.
+    fn dest_and_idle_upstream(
+        tel: Arc<Telemetry>,
+    ) -> (DeviceVerifier, DeviceVerifier, PortablePred) {
         let layout = HeaderLayout::ipv4_tcp();
         let dst = MatchSpec::dst("10.0.0.0/24".parse().unwrap());
         let mut be = DynBackend::new(BackendKind::Bdd, layout);
@@ -1275,7 +1193,8 @@ mod tests {
             track_escapes: false,
             reduce: ReduceMode::None,
         };
-        let mut d0 = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg).build();
+        let bdd = BackendKind::Bdd;
+        let mut d0 = DeviceVerifier::new(DeviceId(0), layout, Fib::new(), cfg, bdd, tel.clone());
         host(&mut d0, &space, dest_task(Vec::new()), &mut Vec::new());
         let mut fib = Fib::new();
         fib.insert(Rule {
@@ -1283,7 +1202,7 @@ mod tests {
             matches: dst,
             action: Action::fwd(DeviceId(0)),
         });
-        let d1 = DeviceVerifier::builder(DeviceId(1), layout, fib, cfg).build();
+        let d1 = DeviceVerifier::new(DeviceId(1), layout, fib, cfg, bdd, tel);
         (d0, d1, space)
     }
 
@@ -1321,7 +1240,7 @@ mod tests {
     /// only the repair wave speaks to everyone.
     #[test]
     fn fence_announces_only_to_gained_edges() {
-        let (mut d0, _, space) = dest_and_idle_upstream();
+        let (mut d0, _, space) = dest_and_idle_upstream(Telemetry::disabled());
         let mut out: Vec<Envelope> = Vec::new();
         d0.apply_fence(1, 7, gain_edge_fence(), &mut out);
         assert_eq!(out.len(), 1, "one gained edge, one envelope: {out:?}");
@@ -1362,7 +1281,7 @@ mod tests {
     /// again.
     #[test]
     fn a_created_node_counts_over_its_context_and_a_retask_keeps_it() {
-        let (mut d0, _, space) = dest_and_idle_upstream();
+        let (mut d0, _, space) = dest_and_idle_upstream(Telemetry::disabled());
         let mut be = DynBackend::new(BackendKind::Bdd, HeaderLayout::ipv4_tcp());
         let other = be.match_pred(&MatchSpec::dst("10.0.1.0/24".parse().unwrap()));
         let (node, base) = (NodeId(5), be.import(&space));
@@ -1410,7 +1329,17 @@ mod tests {
     #[test]
     fn early_newer_epoch_envelope_waits_for_the_fence() {
         let run = |early: bool| {
-            let (mut d0, mut d1, space) = dest_and_idle_upstream();
+            let tel = Telemetry::enabled();
+            // Only `d1` handles envelopes, so the counters are its own.
+            let handled = || {
+                let counters = tel.metrics().counters;
+                let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+                (
+                    get("tulkun_dvm_updates_total"),
+                    get("tulkun_epoch_discarded_total"),
+                )
+            };
+            let (mut d0, mut d1, space) = dest_and_idle_upstream(tel.clone());
             let mut update: Vec<Envelope> = Vec::new();
             d0.apply_fence(1, 7, gain_edge_fence(), &mut update);
             let fence = DeviceFence {
@@ -1429,16 +1358,13 @@ mod tests {
             let mut out: Vec<Envelope> = Vec::new();
             if early {
                 d1.handle(&update[0], &mut out);
-                assert_eq!(d1.stats.updates_processed, 0, "held, not applied");
+                assert_eq!(handled().0, 0, "held, not applied");
                 d1.apply_fence(1, 7, fence, &mut out);
             } else {
                 d1.apply_fence(1, 7, fence, &mut out);
                 d1.handle(&update[0], &mut out);
             }
-            assert_eq!(
-                (d1.stats.updates_processed, d1.stats.epoch_discarded),
-                (1, 0)
-            );
+            assert_eq!(handled(), (1, 0));
             d1.node_result(NodeId(1))
         };
         let in_order = run(false);
@@ -1499,8 +1425,17 @@ mod tests {
                 next_hops: vec![NextHop::Device(DeviceId(2)), NextHop::Device(DeviceId(3))],
                 rewrite,
             };
-            let builder = DeviceVerifier::builder;
-            let mut mid = builder(DeviceId(1), layout, fib_to(replicate), cfg).build();
+            let build = |dev, fib| {
+                DeviceVerifier::new(
+                    dev,
+                    layout,
+                    fib,
+                    cfg,
+                    BackendKind::Bdd,
+                    Telemetry::disabled(),
+                )
+            };
+            let mut mid = build(DeviceId(1), fib_to(replicate));
             let listening = NodeTask {
                 node: LISTENER,
                 dev: DeviceId(9),
@@ -1509,7 +1444,7 @@ mod tests {
                 accept: vec![false],
             };
             let to_mid = fib_to(Action::fwd(DeviceId(1)));
-            let mut listener = builder(DeviceId(9), layout, to_mid, cfg).build();
+            let mut listener = build(DeviceId(9), to_mid);
             host(&mut listener, &space, listening, &mut Vec::new());
             let mut out = Vec::new();
             host(&mut mid, &space, mid_task(2), &mut out);
@@ -1700,9 +1635,8 @@ mod tests {
                 track_escapes: false,
                 reduce: ReduceMode::None,
             };
-            let mut v = DeviceVerifier::builder(DeviceId(0), layout, Fib::new(), cfg)
-                .backend(kind)
-                .build();
+            let tel = Telemetry::disabled();
+            let mut v = DeviceVerifier::new(DeviceId(0), layout, Fib::new(), cfg, kind, tel);
             let task = NodeTask {
                 node,
                 dev: DeviceId(0),
@@ -1802,9 +1736,8 @@ mod tests {
                     track_escapes: false,
                     reduce: ReduceMode::None,
                 };
-                let mut v = DeviceVerifier::builder(DeviceId(0), layout, fib, cfg)
-                    .backend(kind)
-                    .build();
+                let tel = Telemetry::disabled();
+                let mut v = DeviceVerifier::new(DeviceId(0), layout, fib, cfg, kind, tel);
                 for burst in &bursts {
                     let updates: Vec<RuleUpdate> = burst
                         .iter()

@@ -59,8 +59,10 @@ pub enum RuntimeEvent {
 /// quiescence, produced: uniform across substrates.
 #[derive(Debug, Clone, Default)]
 pub struct EventOutcome {
-    /// Messages delivered to reach quiescence, when the substrate
-    /// counts them synchronously (0 on the threaded substrate).
+    /// Messages sent to reach quiescence, when the substrate counts
+    /// them synchronously (0 on the threaded substrate): what was
+    /// delivered, unless a fence or restart discarded one in flight.
+    /// The reference `Session` counts at delivery.
     pub messages: usize,
     /// Wire bytes of those messages (0 where `messages` is).
     pub bytes: u64,

@@ -322,6 +322,9 @@ pub struct Session {
     control: ControlPlane,
     verifiers: BTreeMap<DeviceId, DeviceVerifier>,
     queue: VecDeque<Envelope>,
+    /// What one verifier call sends, on its way to `queue`; kept to
+    /// reuse its allocation.
+    scratch: Vec<Envelope>,
     verdicts: Verdicts,
     /// Observability handle (disabled by default; see
     /// [`Session::set_telemetry`]). The reference session records only
@@ -373,24 +376,23 @@ impl Session {
         let tel = Telemetry::disabled();
         let mut control = ControlPlane::new(&net.topology, net.layout, &cp, ps, tel.clone());
         let mut hosted = control.hosted();
-        let mut queue = VecDeque::new();
+        let mut sent = Vec::new();
         // Like both fabrics of the runtime: one verifier per topology
         // device, the only copy of its FIB, so the fence that first
         // tasks a device finds its data plane current.
         let verifiers = net.topology.devices().map(|dev| {
             let share = hosted.remove(&dev).unwrap_or_default();
             let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg)
-                .backend(kind)
-                .build();
-            v.apply_fence(0, 0, share, &mut queue);
+            let mut v = DeviceVerifier::new(dev, net.layout, fib, cfg, kind, tel.clone());
+            v.apply_fence(0, 0, share, &mut sent);
             (dev, v)
         });
         let verifiers = verifiers.collect();
         Session {
             control,
             verifiers,
-            queue,
+            queue: sent.into(),
+            scratch: Vec::new(),
             verdicts: Verdicts::default(),
             tel,
         }
@@ -420,6 +422,15 @@ impl Session {
         self.verifiers.get_mut(&dev)
     }
 
+    /// Runs `f` on `dev`'s verifier, if it has one, and queues what it
+    /// sent.
+    fn on(&mut self, dev: DeviceId, f: impl FnOnce(&mut DeviceVerifier, &mut Vec<Envelope>)) {
+        if let Some(v) = self.verifiers.get_mut(&dev) {
+            f(v, &mut self.scratch);
+            self.queue.extend(self.scratch.drain(..));
+        }
+    }
+
     /// Delivers queued messages until no messages are in flight: the
     /// messages and wire bytes it took (no clock, so no completion
     /// time).
@@ -428,9 +439,7 @@ impl Session {
         while let Some(env) = self.queue.pop_front() {
             out.messages += 1;
             out.bytes += env.wire_bytes() as u64;
-            if let Some(v) = self.verifiers.get_mut(&env.to) {
-                v.handle(&env, &mut self.queue);
-            }
+            self.on(env.to, |v, out| v.handle(&env, out));
         }
         out
     }
@@ -457,9 +466,7 @@ impl Session {
                     || format!("{n} updates"),
                 );
             }
-            if let Some(v) = self.verifiers.get_mut(&dev) {
-                v.handle_fib_batch(&ops, &mut self.queue);
-            }
+            self.on(dev, |v, out| v.handle_fib_batch(&ops, out));
         }
     }
 
@@ -485,9 +492,7 @@ impl Session {
         if let Some(mut plan) = d.fence.take() {
             self.control.seal(&mut plan, self.queue.len(), 0);
             for (dev, fence) in plan.devices {
-                if let Some(v) = self.verifiers.get_mut(&dev) {
-                    v.apply_fence(plan.epoch, 0, fence, &mut self.queue);
-                }
+                self.on(dev, |v, out| v.apply_fence(plan.epoch, 0, fence, out));
             }
         }
         d.outcome(intent)
@@ -503,13 +508,9 @@ impl Session {
         };
         self.queue.retain(|env| env.to != dev);
         let (epoch, peers) = (self.epoch(), share.peers());
-        if let Some(v) = self.verifiers.get_mut(&dev) {
-            v.apply_fence(epoch, 0, share, &mut self.queue);
-        }
+        self.on(dev, |v, out| v.apply_fence(epoch, 0, share, out));
         for nb in peers {
-            if let Some(v) = self.verifiers.get_mut(&nb) {
-                v.replay_for_restart(dev, &mut self.queue);
-            }
+            self.on(nb, |v, out| v.replay_for_restart(dev, out));
         }
     }
 

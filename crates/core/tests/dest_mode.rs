@@ -12,6 +12,8 @@ use tulkun_core::verify::{compile_packet_space, evaluate_intents, Verdicts};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::Network;
 use tulkun_netmodel::topology::Topology;
+use tulkun_predicate::BackendKind::Bdd;
+use tulkun_telemetry::Telemetry;
 
 /// S → A → D where D's own FIB drops the prefix (a last-hop blackhole).
 fn net_with_dst_drop() -> Network {
@@ -57,10 +59,10 @@ fn holds(net: &Network) -> bool {
         reduce: cp.reduce,
     };
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
-    let mut queue: std::collections::VecDeque<Envelope> = Default::default();
+    let mut queue: Vec<Envelope> = Vec::new();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
+        let mut v = DeviceVerifier::new(task.dev, net.layout, fib, cfg, Bdd, Telemetry::disabled());
         let share = DeviceFence {
             tasks: vec![(Some(psp.clone()), task.clone())],
             ..DeviceFence::default()
@@ -68,9 +70,12 @@ fn holds(net: &Network) -> bool {
         v.apply_fence(0, 0, share, &mut queue);
         verifiers.insert(task.dev, v);
     }
-    while let Some(env) = queue.pop_front() {
-        if let Some(v) = verifiers.get_mut(&env.to) {
-            v.handle(&env, &mut queue);
+    // Wave by wave, each in order: first in, first out.
+    while !queue.is_empty() {
+        for env in std::mem::take(&mut queue) {
+            if let Some(v) = verifiers.get_mut(&env.to) {
+                v.handle(&env, &mut queue);
+            }
         }
     }
     let store = IntentStore::with_base(cp.clone().into(), inv.packet_space);

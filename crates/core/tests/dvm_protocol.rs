@@ -13,6 +13,8 @@ use tulkun_core::verify::{compile_packet_space, Session};
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::topology::Topology;
+use tulkun_predicate::BackendKind::Bdd;
+use tulkun_telemetry::Telemetry;
 
 /// Line S → A → D, invariant: reachability with >= 1.
 fn line_setup() -> (Network, tulkun_core::planner::Plan) {
@@ -65,7 +67,7 @@ fn init_envelopes(net: &Network, plan: &tulkun_core::planner::Plan) -> Vec<Envel
     let mut out = Vec::new();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
+        let mut v = DeviceVerifier::new(task.dev, net.layout, fib, cfg, Bdd, Telemetry::disabled());
         v.apply_fence(0, 0, share(&psp, task), &mut out);
     }
     out
@@ -340,16 +342,19 @@ fn set_tasks_keeps_upstream_consistent() {
         reduce: cp.reduce,
     };
     let mut verifiers: std::collections::BTreeMap<_, _> = Default::default();
-    let mut queue: std::collections::VecDeque<Envelope> = Default::default();
+    let mut queue: Vec<Envelope> = Vec::new();
     for task in &cp.tasks {
         let fib = net.fib(task.dev).clone();
-        let mut v = DeviceVerifier::builder(task.dev, net.layout, fib, cfg).build();
+        let mut v = DeviceVerifier::new(task.dev, net.layout, fib, cfg, Bdd, Telemetry::disabled());
         v.apply_fence(0, 0, share(&psp, task), &mut queue);
         verifiers.insert(task.dev, v);
     }
-    while let Some(env) = queue.pop_front() {
-        if let Some(v) = verifiers.get_mut(&env.to) {
-            v.handle(&env, &mut queue);
+    // Wave by wave, each in order: first in, first out.
+    while !queue.is_empty() {
+        for env in std::mem::take(&mut queue) {
+            if let Some(v) = verifiers.get_mut(&env.to) {
+                v.handle(&env, &mut queue);
+            }
         }
     }
     // Fence every device to epoch 1; A's share re-tasks its node under
@@ -362,9 +367,12 @@ fn set_tasks_keeps_upstream_consistent() {
         }
         v.apply_fence(1, 0, fence, &mut queue);
     }
-    while let Some(env) = queue.pop_front() {
-        if let Some(v) = verifiers.get_mut(&env.to) {
-            v.handle(&env, &mut queue);
+    // Wave by wave, each in order: first in, first out.
+    while !queue.is_empty() {
+        for env in std::mem::take(&mut queue) {
+            if let Some(v) = verifiers.get_mut(&env.to) {
+                v.handle(&env, &mut queue);
+            }
         }
     }
     // The source now sees count 0.

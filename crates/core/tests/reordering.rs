@@ -20,6 +20,7 @@ use tulkun_core::verify;
 use tulkun_netmodel::fib::{Action, MatchSpec, Rule};
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::DeviceId;
+use tulkun_predicate::BackendKind::Bdd;
 use tulkun_telemetry::Telemetry;
 
 struct ChannelDriver {
@@ -41,7 +42,7 @@ impl ChannelDriver {
         };
         for (dev, share) in control.hosted() {
             let fib = net.fib(dev).clone();
-            let mut v = DeviceVerifier::builder(dev, net.layout, fib, cfg).build();
+            let mut v = DeviceVerifier::new(dev, net.layout, fib, cfg, Bdd, Telemetry::disabled());
             let mut out = Vec::new();
             v.apply_fence(0, 0, share, &mut out);
             for env in out {

@@ -2,7 +2,10 @@
 //! headers makes its downstream neighbors count the *transformed* space
 //! via SUBSCRIBE messages.
 
+use std::collections::BTreeMap;
+use tulkun_core::control::ControlPlane;
 use tulkun_core::count::CountExpr;
+use tulkun_core::dvm::{DeviceVerifier, Envelope, Payload, VerifierConfig};
 use tulkun_core::event::{RuntimeEvent, Substrate};
 use tulkun_core::planner::{Planner, PlannerOptions};
 use tulkun_core::spec::{Behavior, Invariant, PacketSpace, PathExpr};
@@ -11,6 +14,8 @@ use tulkun_netmodel::fib::{Action, ActionType, MatchSpec, NextHop, Rewrite, Rule
 use tulkun_netmodel::network::{Network, RuleUpdate};
 use tulkun_netmodel::topology::Topology;
 use tulkun_netmodel::IpPrefix;
+use tulkun_predicate::BackendKind::Bdd;
+use tulkun_telemetry::Telemetry;
 
 fn pfx(s: &str) -> IpPrefix {
     s.parse().unwrap()
@@ -105,19 +110,50 @@ fn rewrite_violation_detected_when_downstream_drops() {
 fn subscribe_messages_flow() {
     let net = nat_network(true);
     let plan = plan(&net);
-    let mut session = Session::new(&net, &plan);
-    session.run_to_quiescence();
-    // A must have sent at least one SUBSCRIBE (B's scope grew beyond the
-    // invariant's packet space).
-    let a = net.topology.device("A").unwrap();
-    let va = session.verifier(a).unwrap();
-    assert!(va.stats.messages_sent > 0);
-    let b = net.topology.device("B").unwrap();
-    let vb = session.verifier(b).unwrap();
-    assert!(
-        vb.stats.subscribes_processed >= 1,
-        "B must receive a SUBSCRIBE"
+    let cp = plan.counting().unwrap();
+    // Every device's verifier, built and hosting its share as a
+    // substrate does, reports to one telemetry handle; the exchange is
+    // delivered in order, wave by wave, to quiescence.
+    let tel = Telemetry::enabled();
+    let ps = &plan.invariant.packet_space;
+    let mut control = ControlPlane::new(&net.topology, net.layout, cp, ps, Telemetry::disabled());
+    let cfg = VerifierConfig::of(cp);
+    let mut verifiers = BTreeMap::new();
+    let mut queue: Vec<Envelope> = Vec::new();
+    for (dev, share) in control.hosted() {
+        let fib = net.fib(dev).clone();
+        let mut v = DeviceVerifier::new(dev, net.layout, fib, cfg, Bdd, tel.clone());
+        v.apply_fence(0, 0, share, &mut queue);
+        verifiers.insert(dev, v);
+    }
+    let mut delivered = Vec::new();
+    while !queue.is_empty() {
+        for env in std::mem::take(&mut queue) {
+            if let Some(v) = verifiers.get_mut(&env.to) {
+                v.handle(&env, &mut queue);
+            }
+            delivered.push(env);
+        }
+    }
+    // A must have sent B at least one SUBSCRIBE (B's scope grew beyond
+    // the invariant's packet space), and it was handled.
+    let (a, b) = (
+        net.topology.expect_device("A"),
+        net.topology.expect_device("B"),
     );
+    let subscribe = |e: &Envelope| matches!(e.payload, Payload::Subscribe { .. });
+    assert!(
+        delivered
+            .iter()
+            .any(|e| (e.from, e.to) == (a, b) && subscribe(e)),
+        "A must send B a SUBSCRIBE"
+    );
+    let handled = tel
+        .metrics()
+        .counters
+        .get("tulkun_dvm_subscribes_total")
+        .copied();
+    assert!(handled >= Some(1), "B must receive a SUBSCRIBE");
 }
 
 #[test]

@@ -49,7 +49,8 @@ fn main() {
 
     let stats = run.shutdown().expect("clean shutdown");
     println!(
-        "all verifier threads joined cleanly ({} messages, {} bytes on the wire)",
-        stats.messages, stats.bytes
+        "all verifier threads joined cleanly ({} messages handled, {} bytes sent)",
+        stats.messages(),
+        stats.bytes()
     );
 }

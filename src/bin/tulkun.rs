@@ -683,8 +683,8 @@ fn stats_json(run: &ObservedRun) -> Json {
     );
     Json::Object(vec![
         ("holds".into(), Json::Bool(run.holds)),
-        ("messages".into(), int(s.messages as u64)),
-        ("bytes".into(), int(s.bytes)),
+        ("messages".into(), int(s.messages())),
+        ("bytes".into(), int(s.bytes())),
         ("msg_ns".into(), msg_ns),
         ("crashes_recovered".into(), int(s.crashes_recovered)),
         ("fault".into(), s.fault.to_json()),

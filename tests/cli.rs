@@ -171,7 +171,8 @@ fn cli_explain_refuses_an_unallocated_intent() {
 
 /// `--stats` writes every reliability counter of the run: the stderr
 /// JSON's `fault` object reads back as a whole `FaultStats` (each
-/// counter is a required field), and a lossy run retransmits.
+/// counter is a required field), and a lossy run retransmits. Its
+/// per-device `bytes_sent` add up to the run's `bytes`.
 #[test]
 fn cli_stats_carry_every_fault_counter() {
     let dir = std::env::temp_dir().join(format!("tulkun-stats-{}", std::process::id()));
@@ -192,4 +193,14 @@ fn cli_stats_carry_every_fault_counter() {
     let fault: tulkun::core::fault::FaultStats =
         tulkun::json::FromJson::from_json(fault).unwrap_or_else(|e| panic!("{e:?}: {stderr}"));
     assert!(fault.retransmits > 0, "{fault:?}");
+    let int = |j: Option<&tulkun::json::Json>| match j {
+        Some(tulkun::json::Json::Int(n)) => *n,
+        other => panic!("not an integer: {other:?}"),
+    };
+    let Some(tulkun::json::Json::Object(devices)) = stats.get("per_device") else {
+        panic!("a per_device object: {stderr}");
+    };
+    let sent: i64 = devices.iter().map(|(_, d)| int(d.get("bytes_sent"))).sum();
+    assert!(sent > 0, "{stderr}");
+    assert_eq!(sent, int(stats.get("bytes")), "{stderr}");
 }

@@ -8,8 +8,8 @@
 //! substrates — `Session`, `Engine` over `FifoTransport`, `Engine::new`,
 //! `Engine::lossy` and `ThreadedEngine` — built with one backend,
 //! telemetry mode and batching mode per case and otherwise the default
-//! `EngineConfig`; the engines build every device's verifier up front,
-//! `Session` a device's when a fence first tasks it. After every op,
+//! `EngineConfig`; every substrate builds every topology device's
+//! verifier up front, `Session` included. After every op,
 //! judge (i) holds every Report, and the bytes each substrate's verdict
 //! memo splices for the daemon, byte-equal to the merged per-intent fresh
 //! `Session` on the effective network and the substrates to one
